@@ -38,9 +38,8 @@ from .core import (
     GlobalPlan,
     JoinMethod,
     QueryResult,
-    SharedHybridStarJoin,
     SharedIndexStarJoin,
-    SharedScanHashStarJoin,
+    SharedScanStarJoin,
     make_optimizer,
 )
 from .engine import Database, evaluate_reference, to_sql
@@ -91,9 +90,8 @@ __all__ = [
     "Span",
     "Tracer",
     "default_registry",
-    "SharedHybridStarJoin",
     "SharedIndexStarJoin",
-    "SharedScanHashStarJoin",
+    "SharedScanStarJoin",
     "StarSchema",
     "evaluate_reference",
     "make_optimizer",

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.executor import run_class
+from ..core.executor import run_class_accounted
 from ..core.operators.results import QueryResult
 from ..core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from ..engine.database import Database
@@ -54,7 +54,7 @@ def run_forced_class(
         db.flush()
     before = db.stats.snapshot()
     started = time.perf_counter()
-    results = run_class(db.ctx(), plan_class)
+    results, _actuals = run_class_accounted(db.ctx(), plan_class)
     wall_s = time.perf_counter() - started
     delta = db.stats.delta_since(before)
     return ForcedRun(

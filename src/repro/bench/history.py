@@ -102,10 +102,13 @@ class RunRecord:
     tests: Dict[str, List[dict]] = field(default_factory=dict)
     #: Calibration summary (see CalibrationReport.summary()).
     calibration: dict = field(default_factory=dict)
-    #: Execution path of the run: True = columnar kernels, False = the
-    #: per-tuple fallback, None = recorded before the flag existed.
-    #: Deliberately *not* part of the fingerprint — both paths produce the
-    #: same simulated costs, so their records gate against each other.
+    #: Historical field.  Until the per-tuple operators were deleted the
+    #: engine had two execution paths and this recorded which one ran:
+    #: True = columnar kernels (the only path now; new records always
+    #: carry True), False = the per-tuple path (``BENCH_seed.json``, the
+    #: preserved A/B baseline), None = recorded before the flag existed.
+    #: Deliberately *not* part of the fingerprint — both paths produced
+    #: the same simulated costs, so their records gate against each other.
     kernels: Optional[bool] = None
     #: Identity of the calibration profile the run was recorded under
     #: (``{"label", "digest"}``), or None for hand-set default rates.
@@ -237,15 +240,12 @@ def record_run(
     tests: Optional[Sequence[str]] = None,
     algorithms: Optional[Sequence[str]] = None,
     figures: bool = True,
-    kernels: bool = True,
     profile=None,
 ) -> RunRecord:
     """Run the paper workload and build its telemetry record.
 
-    ``db`` defaults to a freshly built paper database at ``scale``;
-    ``kernels=False`` builds it on the per-tuple execution path (ignored
-    when ``db`` is given — the database's own flag wins).  ``tests``
-    restricts the calibration/Table-2 sweep (see
+    ``db`` defaults to a freshly built paper database at ``scale``.
+    ``tests`` restricts the calibration/Table-2 sweep (see
     :data:`repro.obs.analyze.CALIBRATION_TESTS`); ``figures=False`` skips
     the Figures 10–12 sharing sweeps (the slow part at larger scales).
     ``profile`` (a :class:`repro.calibrate.profile.CalibrationProfile`)
@@ -262,7 +262,7 @@ def record_run(
     if db is None:
         from ..workload.paper_schema import build_paper_database
 
-        db = build_paper_database(scale=scale, kernels=kernels)
+        db = build_paper_database(scale=scale)
     if profile is not None:
         db.apply_profile(profile)
     active_profile = getattr(db, "calibration_profile", None)
@@ -271,7 +271,7 @@ def record_run(
         label=label,
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         fingerprint=database_fingerprint(db, scale=scale),
-        kernels=bool(getattr(db, "kernels", True)),
+        kernels=True,
         profile=(
             active_profile.identity() if active_profile is not None else None
         ),

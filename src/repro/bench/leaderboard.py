@@ -1,12 +1,12 @@
 """Markdown leaderboard over committed benchmark records.
 
 The repo commits one ``BENCH_<label>.json`` per tracked configuration
-(e.g. ``BENCH_seed.json`` for the per-tuple path, ``BENCH_kernels.json``
-for the columnar kernels).  :func:`load_records` collects every such file
-in a directory and :func:`render_leaderboard` turns them into the markdown
-table embedded in ``docs/performance.md`` — simulated costs side by side
-(they must match between execution paths) with the wall-clock column
-showing the real win.
+(e.g. ``BENCH_seed.json``, recorded on the since-deleted per-tuple path,
+and ``BENCH_kernels.json`` for the columnar kernels).  :func:`load_records`
+collects every such file in a directory and :func:`render_leaderboard`
+turns them into the markdown table embedded in ``docs/performance.md`` —
+simulated costs side by side (they matched between the two paths) with
+the wall-clock column showing the real win.
 
 CLI: ``repro bench --leaderboard [--dir DIR] [--output FILE]``.
 """
@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .history import PathLike, RunRecord
 
-#: Display names for the RunRecord.kernels tri-state.
+#: Display names for the (historical) RunRecord.kernels tri-state.
 _PATH_NAMES = {True: "kernels", False: "tuple", None: "?"}
 
 

@@ -37,23 +37,13 @@ UNMERGED_ALGORITHMS = frozenset({"naive"})
 
 
 def expected_operator(plan_class: PlanClass) -> str:
-    """The physical operator ``run_class`` lowers this class onto.
-
-    Mirrors the executor's dispatch exactly: pure-hash classes run the
-    shared scan, pure-index classes the (shared) index join, mixed classes
-    the hybrid — so validation and execution cannot drift apart silently.
-    """
-    if not plan_class.plans:
-        raise PlanValidationError(
-            f"class on {plan_class.source!r} is empty: no operator applies"
-        )
-    if plan_class.has_derives:
-        return "shared_dag"
-    if plan_class.is_pure_hash:
-        return "shared_scan_hash"
-    if plan_class.is_pure_index:
-        return "index_star" if len(plan_class.plans) == 1 else "shared_index"
-    return "shared_hybrid"
+    """The physical operator the executor lowers this class onto —
+    :attr:`PlanClass.operator_kind`, the same property the executor
+    dispatches on, so validation and execution cannot drift apart."""
+    try:
+        return plan_class.operator_kind
+    except ValueError as exc:
+        raise PlanValidationError(str(exc)) from None
 
 
 def _validate_derives(
@@ -68,7 +58,7 @@ def _validate_derives(
     * each derived query is answerable from its intermediate — fine-enough
       levels and a compatible measure kind.
     """
-    from ..core.operators.dag_join import intermediate_source_aggregate
+    from ..core.operators.hash_join import intermediate_source_aggregate
     from ..schema.query import Aggregate
 
     by_qid = {p.query.qid: p for p in plan_class.plans}

@@ -53,13 +53,6 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
         help="fraction of the paper's 2M-row base table (default 0.01)",
     )
     parser.add_argument(
-        "--tuple-path",
-        action="store_true",
-        help="execute on the legacy per-tuple operators instead of the "
-        "default vectorized columnar kernels (same results and simulated "
-        "costs, slower wall clock; see docs/performance.md)",
-    )
-    parser.add_argument(
         "--profile",
         metavar="FILE",
         default=None,
@@ -81,9 +74,8 @@ def _load_profile(path: str):
 
 
 def _build_db(args: argparse.Namespace):
-    """The paper database per the common flags (--scale, --tuple-path,
-    --profile)."""
-    db = build_paper_database(scale=args.scale, kernels=not args.tuple_path)
+    """The paper database per the common flags (--scale, --profile)."""
+    db = build_paper_database(scale=args.scale)
     if getattr(args, "profile", None):
         db.apply_profile(_load_profile(args.profile))
     return db
@@ -459,7 +451,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .engine.persist import load_database
 
         db = load_database(args.database)
-        db.kernels = not args.tuple_path
     else:
         db = _build_db(args)
     db.paranoia = args.paranoia
@@ -786,9 +777,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
         # --profile names the OUTPUT here, so build the database on its
         # hand-set default rates rather than loading the file.
-        db = build_paper_database(
-            scale=args.scale, kernels=not args.tuple_path
-        )
+        db = build_paper_database(scale=args.scale)
         outcome = fit_database(
             db,
             tests=_parse_tests(args.tests),
@@ -869,7 +858,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         tests=_parse_tests(args.tests),
         figures=not args.no_figures,
-        kernels=not args.tuple_path,
         profile=_load_profile(args.profile) if args.profile else None,
     )
     if args.record:
@@ -921,9 +909,7 @@ def _cmd_select_views(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .bench.paper_report import generate_report
 
-    text = generate_report(
-        scale=args.scale, output=args.output, kernels=not args.tuple_path
-    )
+    text = generate_report(scale=args.scale, output=args.output)
     if args.output:
         print(f"report written to {args.output}")
     else:

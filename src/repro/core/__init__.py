@@ -5,18 +5,15 @@ from .executor import (
     ClassExecution,
     ExecutionReport,
     execute_plan,
-    run_class,
     run_class_accounted,
 )
 from .explain import explain_class, explain_plan
 from .operators import (
-    HashStarJoin,
     IndexStarJoin,
     MissingIndexError,
     QueryResult,
-    SharedHybridStarJoin,
     SharedIndexStarJoin,
-    SharedScanHashStarJoin,
+    SharedScanStarJoin,
 )
 from .optimizer import (
     CostModel,
@@ -33,7 +30,6 @@ __all__ = [
     "CostModel",
     "ExecutionReport",
     "GlobalPlan",
-    "HashStarJoin",
     "IndexStarJoin",
     "JoinMethod",
     "LocalPlan",
@@ -41,13 +37,11 @@ __all__ = [
     "OPTIMIZERS",
     "PlanClass",
     "QueryResult",
-    "SharedHybridStarJoin",
     "SharedIndexStarJoin",
-    "SharedScanHashStarJoin",
+    "SharedScanStarJoin",
     "execute_plan",
     "explain_class",
     "explain_plan",
     "make_optimizer",
-    "run_class",
     "run_class_accounted",
 ]

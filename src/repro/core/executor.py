@@ -1,41 +1,41 @@
 """Plan execution: lower each class onto the matching shared operator.
 
-* all-hash class → shared scan hash star join (Section 3.1),
-* all-index class → shared index join (Section 3.2),
-* mixed class → shared scan for hash + index plans (Section 3.3),
-* singleton classes → the plain single-query operators.
+* all-hash, mixed, and derive-carrying classes → the shared scan
+  (Sections 3.1 / 3.3, plus the DAG layer's derive phase),
+* all-index classes → the (shared) index join (Section 3.2).
 
-The executor reproduces the paper's measurement discipline: with
-``cold=True`` (default) the buffer pool is flushed before each class, as the
-paper "flushed both the Unix file system buffer and Paradise buffer pool
-before running each test".  Each class's simulated cost (from the
-:class:`~repro.storage.iostats.IOStats` clock) and real wall time are
-reported separately.
+There is one executor, :func:`execute_plan`, over a (class × shard) grid:
+serial, parallel, and sharded execution are the same code with different
+grid shapes and worker counts.  It reproduces the paper's measurement
+discipline — with ``cold=True`` (default) every class starts from an empty
+buffer pool, as the paper "flushed both the Unix file system buffer and
+Paradise buffer pool before running each test".  Each class's simulated
+cost (from the :class:`~repro.storage.iostats.IOStats` clock) and real wall
+time are reported separately.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..faults import InjectedFault, PartialResultError
-from ..obs.analyze import OperatorActuals, q_error
+from ..obs.analyze import OperatorActuals, merge_actuals, q_error
 from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
-from ..storage.buffer import BufferPool
 from ..storage.iostats import IOStats
-from .operators.dag_join import SharedDagStarJoin
-from .operators.hash_join import SharedScanHashStarJoin
-from .operators.hybrid_join import SharedHybridStarJoin
+from .operators.hash_join import SharedScanStarJoin
 from .operators.index_join import IndexStarJoin, SharedIndexStarJoin
 from .operators.pipeline import ExecContext
-from .operators.results import QueryResult
+from .operators.results import QueryResult, merge_partial_results
 from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.database import Database
+    from ..serve.shard import ShardSet
 
 
 @dataclass
@@ -47,9 +47,8 @@ class ClassExecution:
     sim: IOStats
     wall_s: float
     #: What the physical operator really did (rows scanned, probes issued,
-    #: per-query routed tuples, …); None only for executions built by code
-    #: predating plan accounting.
-    actuals: Optional[OperatorActuals] = None
+    #: per-query routed tuples, …); summed over shards for a sharded class.
+    actuals: OperatorActuals
 
     @property
     def sim_ms(self) -> float:
@@ -227,19 +226,17 @@ class ExecutionReport:
                 f"{accounting.rand_page_reads} rand page read(s), "
                 f"{accounting.buffer_hits} buffer hit(s)",
             ]
-            actuals = accounting.actuals
-            if actuals is not None:
-                if actuals.rows_scanned:
-                    lines.append(
-                        f"   => scanned {actuals.rows_scanned} row(s) on "
-                        f"{actuals.pages_scanned} page(s)"
-                    )
-                if actuals.probes_issued:
-                    lines.append(
-                        f"   => probed {actuals.probes_issued} row(s) via "
-                        f"union bitmap (popcount "
-                        f"{actuals.union_popcount})"
-                    )
+            actuals = execution.actuals
+            if actuals.rows_scanned:
+                lines.append(
+                    f"   => scanned {actuals.rows_scanned} row(s) on "
+                    f"{actuals.pages_scanned} page(s)"
+                )
+            if actuals.probes_issued:
+                lines.append(
+                    f"   => probed {actuals.probes_issued} row(s) via "
+                    f"union bitmap (popcount {actuals.union_popcount})"
+                )
             for qa in accounting.queries:
                 routed = (
                     f", routed {qa.tuples_routed}"
@@ -261,8 +258,9 @@ class ExecutionReport:
 def run_class_accounted(
     ctx: ExecContext, plan_class: PlanClass
 ) -> Tuple[List[QueryResult], OperatorActuals]:
-    """Execute one class with the operator its method mix calls for,
-    returning the results *and* the operator's measured actuals.
+    """Execute one class with the operator its method mix calls for
+    (:attr:`PlanClass.operator_kind`), returning the results *and* the
+    operator's measured actuals.
 
     Results are returned in the class's plan order.  When the context's
     tracer is live, the physical operator runs inside an
@@ -270,80 +268,45 @@ def run_class_accounted(
     charged work; the operator's actuals land in the span's ``actuals``
     attribute.
     """
+    kind = plan_class.operator_kind
     queries = plan_class.queries
     source = plan_class.source
-    tracer = ctx.tracer
-    if plan_class.has_derives:
-        hash_queries = [
-            p.query for p in plan_class.plans if p.method is JoinMethod.HASH
-        ]
-        index_queries = [
-            p.query for p in plan_class.plans if p.method is JoinMethod.INDEX
-        ]
-        derives = [
-            (step.intermediate, plan_class.derived_queries(step))
-            for step in plan_class.derives
-        ]
-        with tracer.span(
-            "operator.shared_dag",
-            source=source,
-            n_hash=len(hash_queries),
-            n_index=len(index_queries),
-            n_intermediates=len(derives),
-            n_derived=sum(len(members) for _inter, members in derives),
-        ) as span:
-            operator = SharedDagStarJoin(
+    hash_queries = [
+        p.query for p in plan_class.plans if p.method is JoinMethod.HASH
+    ]
+    index_queries = [
+        p.query for p in plan_class.plans if p.method is JoinMethod.INDEX
+    ]
+    derives = [
+        (step.intermediate, plan_class.derived_queries(step))
+        for step in getattr(plan_class, "derives", ())
+    ]
+    if kind in ("shared_hybrid", "shared_dag"):
+        attrs = {"n_hash": len(hash_queries), "n_index": len(index_queries)}
+        if derives:
+            attrs["n_intermediates"] = len(derives)
+            attrs["n_derived"] = sum(len(m) for _inter, m in derives)
+    else:
+        attrs = {"n_queries": len(queries)}
+    with ctx.tracer.span(f"operator.{kind}", source=source, **attrs) as span:
+        if kind == "index_star":
+            operator = IndexStarJoin(ctx, source, queries[0])
+            results = operator.run()
+        elif kind == "shared_index":
+            operator = SharedIndexStarJoin(ctx, source, queries)
+            results = operator.run()
+        else:
+            operator = SharedScanStarJoin(
                 ctx, source, hash_queries, index_queries, derives
             )
             by_qid = operator.run()
             results = [by_qid[q.qid] for q in queries]
-    elif plan_class.is_pure_hash:
-        with tracer.span(
-            "operator.shared_scan_hash", source=source, n_queries=len(queries)
-        ) as span:
-            operator = SharedScanHashStarJoin(ctx, source, queries)
-            results = operator.run()
-    elif plan_class.is_pure_index and len(queries) == 1:
-        with tracer.span(
-            "operator.index_star", source=source, n_queries=1
-        ) as span:
-            operator = IndexStarJoin(ctx, source, queries[0])
-            results = operator.run()
-    elif plan_class.is_pure_index:
-        with tracer.span(
-            "operator.shared_index", source=source, n_queries=len(queries)
-        ) as span:
-            operator = SharedIndexStarJoin(ctx, source, queries)
-            results = operator.run()
-    else:
-        hash_queries = [
-            p.query for p in plan_class.plans if p.method is JoinMethod.HASH
-        ]
-        index_queries = [
-            p.query for p in plan_class.plans if p.method is JoinMethod.INDEX
-        ]
-        with tracer.span(
-            "operator.shared_hybrid",
-            source=source,
-            n_hash=len(hash_queries),
-            n_index=len(index_queries),
-        ) as span:
-            operator = SharedHybridStarJoin(
-                ctx, source, hash_queries, index_queries
-            )
-            by_qid = operator.run()
-            results = [by_qid[q.qid] for q in queries]
-    if tracer.enabled:
-        span.set("actuals", operator.actuals.as_dict())
+        if ctx.tracer.enabled:
+            span.set("actuals", operator.actuals.as_dict())
     return results, operator.actuals
 
 
-def run_class(ctx: ExecContext, plan_class: PlanClass) -> List[QueryResult]:
-    """Execute one class; results only (see :func:`run_class_accounted`)."""
-    return run_class_accounted(ctx, plan_class)[0]
-
-
-def _validate_paranoid(db: "Database", plan: GlobalPlan, tracer) -> None:
+def _validate_paranoid(db: "Database", plan: GlobalPlan) -> None:
     """Paranoia pre-flight: structurally validate the plan before running.
 
     A structural violation is as much a wrong answer as a bad result, so
@@ -352,7 +315,7 @@ def _validate_paranoid(db: "Database", plan: GlobalPlan, tracer) -> None:
     from ..check.errors import CorrectnessError, PlanValidationError
     from ..check.validate import validate_global_plan
 
-    with tracer.span(
+    with db.tracer.span(
         "check.validate", algorithm=plan.algorithm, n_queries=plan.n_queries
     ):
         try:
@@ -366,318 +329,313 @@ def _validate_paranoid(db: "Database", plan: GlobalPlan, tracer) -> None:
     ).inc()
 
 
+@dataclass
+class _Cell:
+    """One (class × shard) cell of the execution grid, before and after it
+    ran.  ``shard_id`` is None when the plan runs unsharded."""
+
+    plan_class: PlanClass
+    shard_id: Optional[int]
+    ctx: ExecContext
+    span: object
+    sim: Optional[IOStats] = None
+    wall_s: float = 0.0
+    results: Optional[List[QueryResult]] = None
+    actuals: Optional[OperatorActuals] = None
+    error: Optional[InjectedFault] = None
+
+    def run(self) -> "_Cell":
+        """Execute the class in this cell's context; an injected fault
+        (including a ``shard.exec`` kill) is kept as ``error`` along with
+        the cost charged before the abort.  Runs on a worker thread: the
+        pre-created span is entered here, on that thread's own stack."""
+        ctx, plan_class = self.ctx, self.plan_class
+        with self.span as span:
+            before = ctx.stats.snapshot()
+            started = time.perf_counter()
+            try:
+                if self.shard_id is not None and ctx.faults is not None:
+                    ctx.faults.check(
+                        "shard.exec",
+                        shard=self.shard_id,
+                        table=plan_class.source,
+                    )
+                self.results, self.actuals = run_class_accounted(
+                    ctx, plan_class
+                )
+            except InjectedFault as exc:
+                self.error = exc
+                span.set("failed", True)
+                span.set("error", str(exc))
+            self.wall_s = time.perf_counter() - started
+            self.sim = ctx.stats.delta_since(before)
+            if self.error is None:
+                span.set("sim_ms", round(self.sim.total_ms, 3))
+                if self.shard_id is None:
+                    span.set("est_ms", round(plan_class.est_cost_ms, 3))
+        if self.shard_id is not None:
+            metrics = default_registry()
+            metrics.histogram(
+                "serve.stage.shard_exec_ms",
+                "wall ms one (class, shard) scatter cell took to execute",
+            ).observe(self.wall_s * 1000.0)
+            metrics.histogram(
+                "serve.stage.shard_exec_sim_ms",
+                "simulated ms one (class, shard) scatter cell charged",
+            ).observe(self.sim.total_ms)
+        return self
+
+
 def execute_plan(
     db: "Database",
     plan: GlobalPlan,
+    *,
     cold: bool = True,
+    n_workers: int = 1,
+    shard_set: "Optional[ShardSet]" = None,
     paranoia: Optional[bool] = None,
 ) -> ExecutionReport:
-    """Execute every class of ``plan``; measure each separately.
+    """Execute every class of ``plan`` over a (class × shard) grid of
+    cells; measure each class separately.
 
-    ``paranoia`` (default: the database's :attr:`Database.paranoia` flag)
-    validates the plan before execution and cross-checks every class's
-    results against the brute-force reference evaluator.  Checking happens
-    *outside* the measured sections, so paranoia never perturbs a class's
-    reported simulated or wall cost.
+    The contract (stated once, in ``docs/architecture.md``):
+
+    * **cell isolation** — with ``cold=True`` every cell runs in a private
+      buffer pool and cost clock (:meth:`Database.ctx` ``private=True``)
+      over its catalog: the database's own when unsharded, one shard's
+      slice per cell when a :class:`~repro.serve.shard.ShardSet` is given.
+      A fresh pool is indistinguishable from a just-flushed one — the
+      paper "flushed both the Unix file system buffer and Paradise buffer
+      pool before running each test" — so results and simulated cost do
+      not depend on ``n_workers`` or on how the workers interleave, and
+      the database's own pool is left untouched;
+    * **fold order** — finished cells are folded back per class in plan
+      order: clocks are merged into the database's clock, a one-cell class
+      passes through unmerged, and a sharded class merges its cells'
+      partial aggregates, clocks and actuals in shard order
+      (:func:`~repro.core.operators.results.merge_partial_results`);
+    * **failure granularity** — an :class:`~repro.faults.InjectedFault` in
+      any cell fails that cell's whole class (a :class:`ClassFailure`
+      carrying the cost charged before the abort); sibling classes are
+      byte-identical to a fault-free run.  The ``shard.exec`` site is
+      checked only when a shard set is given;
+    * **warm = serial** — ``cold=False`` is the one case that runs on the
+      database's own pool and clock; classes then see each other's pages,
+      so it runs serially in plan order, ignores ``n_workers``, and
+      cannot be sharded.
+
+    ``paranoia`` (default: :attr:`Database.paranoia`) validates the plan
+    before execution and cross-checks every class's (merged) results
+    against the brute-force reference over the full data.  Checking
+    happens on the calling thread *outside* the measured sections, so it
+    never perturbs a class's reported simulated or wall cost.
     """
     if paranoia is None:
-        paranoia = bool(getattr(db, "paranoia", False))
-    report = ExecutionReport(plan=plan)
-    ctx = db.ctx()
-    metrics = default_registry()
-    classes_counter = metrics.counter(
-        "executor.classes_executed", "plan classes run to completion"
-    )
-    queries_counter = metrics.counter(
-        "executor.queries_executed", "component queries answered"
-    )
-    with ctx.tracer.span(
-        "execute.plan",
-        algorithm=plan.algorithm,
-        n_classes=len(plan.classes),
-        n_queries=plan.n_queries,
-        paranoia=paranoia,
-    ):
-        if paranoia:
-            _validate_paranoid(db, plan, ctx.tracer)
-        for plan_class in plan.classes:
-            if cold:
-                db.flush()
-            failure: Optional[ClassFailure] = None
-            with ctx.tracer.span(
-                "execute.class",
-                source=plan_class.source,
-                n_queries=len(plan_class.queries),
-                methods=[p.method.name for p in plan_class.plans],
-            ) as span:
-                before = db.stats.snapshot()
-                started = time.perf_counter()
-                try:
-                    results, actuals = run_class_accounted(ctx, plan_class)
-                except InjectedFault as exc:
-                    # Fault isolation: this class is lost, siblings proceed.
-                    wall_s = time.perf_counter() - started
-                    delta = db.stats.delta_since(before)
-                    failure = ClassFailure(
-                        plan_class=plan_class,
-                        error=exc,
-                        sim=delta,
-                        wall_s=wall_s,
-                    )
-                    span.set("failed", True)
-                    span.set("error", str(exc))
-                else:
-                    wall_s = time.perf_counter() - started
-                    delta = db.stats.delta_since(before)
-                    span.set("sim_ms", round(delta.total_ms, 3))
-                    span.set("est_ms", round(plan_class.est_cost_ms, 3))
-            if failure is not None:
-                with ctx.tracer.span(
-                    "fault.class_failure",
-                    source=plan_class.source,
-                    n_queries=len(plan_class.queries),
-                    error=str(failure.error),
-                ):
-                    pass
-                metrics.counter(
-                    "executor.class_failures",
-                    "plan classes aborted by an injected fault",
-                ).inc()
-                report.failures.append(failure)
-                if cold:
-                    # Drop whatever the aborted class admitted so the next
-                    # class still starts from an empty pool.
-                    db.flush()
-                continue
-            classes_counter.inc()
-            queries_counter.inc(len(plan_class.queries))
-            if paranoia:
-                from ..check.paranoia import check_results
-
-                with ctx.tracer.span(
-                    "check.class",
-                    source=plan_class.source,
-                    n_results=len(results),
-                ) as check_span:
-                    checked = check_results(db, results, plan=plan)
-                    check_span.set("n_checked", checked)
-            report.class_executions.append(
-                ClassExecution(
-                    plan_class=plan_class,
-                    results=results,
-                    sim=delta,
-                    wall_s=wall_s,
-                    actuals=actuals,
-                )
-            )
-    return report
-
-
-def _isolated_context(db: "Database") -> ExecContext:
-    """A private cold ExecContext: fresh pool + clock, shared read-only
-    catalog/schema, and the database's armed fault plan (if any).
-
-    The context starts with the NULL tracer; the parallel/sharded
-    executors bind the live tracer to the context's private stats
-    (``tracer.bound(ctx.stats)``) before handing it to a worker, so
-    operator spans charge the task's own cost clock."""
-    stats = IOStats(rates=db.stats.rates)
-    pool = BufferPool(stats, capacity_pages=db.pool.capacity_pages)
-    faults = getattr(db, "faults", None)
-    pool.faults = faults
-    return ExecContext(
-        schema=db.schema,
-        catalog=db.catalog,
-        pool=pool,
-        stats=stats,
-        dim_tables=db.dimension_tables or None,
-        faults=faults,
-        kernels=getattr(db, "kernels", True),
-    )
-
-
-def run_class_isolated(db: "Database", plan_class: PlanClass) -> ClassExecution:
-    """Execute one class in a private cold context: its own buffer pool and
-    its own cost clock, sharing only the (read-only) catalog and schema.
-
-    This is the unit of work the parallel class executor hands to a thread:
-    because a fresh pool is indistinguishable from a just-flushed shared
-    pool, the class's results *and* its simulated cost are byte-identical
-    to what ``execute_plan(..., cold=True)`` measures serially — worker
-    interleaving cannot perturb either.  Span stacks are per thread, so
-    the parallel executor *does* thread the tracer through: it pre-creates
-    an ``execute.class`` span per task with an explicit ``parent=`` link
-    (deterministic plan order) and a ``stats=`` binding to the task's
-    private clock; this standalone helper keeps the NULL tracer.
-
-    An :class:`~repro.faults.InjectedFault` propagates to the caller; the
-    parallel executor wraps this in :func:`_run_class_guarded` to convert
-    it into a :class:`ClassFailure` instead.
-    """
-    ctx = _isolated_context(db)
-    started = time.perf_counter()
-    results, actuals = run_class_accounted(ctx, plan_class)
-    wall_s = time.perf_counter() - started
-    return ClassExecution(
-        plan_class=plan_class,
-        results=results,
-        sim=ctx.stats,
-        wall_s=wall_s,
-        actuals=actuals,
-    )
-
-
-def _run_class_guarded(
-    db: "Database",
-    plan_class: PlanClass,
-    ctx: Optional[ExecContext] = None,
-    span=None,
-) -> "ClassExecution | ClassFailure":
-    """Like :func:`run_class_isolated`, but an injected fault becomes a
-    :class:`ClassFailure` carrying the cost charged before the abort.
-
-    ``ctx`` and ``span`` let the parallel executor pre-create the task's
-    isolated context and its ``execute.class`` span on the scheduling
-    thread (explicit cross-thread parent handoff); the worker enters the
-    span here, on its own thread-local stack.
-    """
-    if ctx is None:
-        ctx = _isolated_context(db)
-    if span is None:
-        span = ctx.tracer.span("execute.class", source=plan_class.source)
-    with span:
-        started = time.perf_counter()
-        try:
-            results, actuals = run_class_accounted(ctx, plan_class)
-        except InjectedFault as exc:
-            span.set("failed", True)
-            span.set("error", str(exc))
-            return ClassFailure(
-                plan_class=plan_class,
-                error=exc,
-                sim=ctx.stats,
-                wall_s=time.perf_counter() - started,
-            )
-        span.set("sim_ms", round(ctx.stats.total_ms, 3))
-        span.set("est_ms", round(plan_class.est_cost_ms, 3))
-        return ClassExecution(
-            plan_class=plan_class,
-            results=results,
-            sim=ctx.stats,
-            wall_s=time.perf_counter() - started,
-            actuals=actuals,
-        )
-
-
-def execute_plan_parallel(
-    db: "Database",
-    plan: GlobalPlan,
-    n_workers: int = 4,
-    paranoia: Optional[bool] = None,
-) -> ExecutionReport:
-    """Execute a global plan's independent classes concurrently.
-
-    Classes of a global plan share nothing at run time (each reads one
-    source table through its own operators), so they can run on a thread
-    pool.  Every class gets an isolated cold context
-    (:func:`run_class_isolated`); finished per-class clocks are merged
-    into the database's shared clock under its lock, and the report lists
-    classes in plan order — so results, per-class simulated costs, and
-    their sum are all identical to the serial cold
-    :func:`execute_plan`, independent of scheduling.
-
-    Paranoia checks (structural validation plus the differential
-    cross-check of every result) run on the calling thread, outside the
-    measured sections, exactly as in the serial executor.
-    """
-    if paranoia is None:
-        paranoia = bool(getattr(db, "paranoia", False))
+        paranoia = db.paranoia
     if n_workers <= 0:
         raise ValueError(f"n_workers must be positive (got {n_workers})")
+    sharded = shard_set is not None
+    if sharded and not cold:
+        raise ValueError(
+            "sharded execution requires cold=True (each shard runs in a "
+            "private cold context)"
+        )
     report = ExecutionReport(plan=plan)
+    classes = list(plan.classes)
+    tracer = db.tracer
     metrics = default_registry()
-    classes_counter = metrics.counter(
-        "executor.classes_executed", "plan classes run to completion"
-    )
-    queries_counter = metrics.counter(
-        "executor.queries_executed", "component queries answered"
-    )
-    with db.tracer.span(
+    plan_attrs = {}
+    if n_workers > 1:
+        plan_attrs.update(parallel=True, n_workers=n_workers)
+    if sharded:
+        plan_attrs.update(
+            sharded=True,
+            n_shards=shard_set.n_shards,
+            shard_dim=shard_set.dim_name,
+        )
+    with tracer.span(
         "execute.plan",
         algorithm=plan.algorithm,
-        n_classes=len(plan.classes),
+        n_classes=len(classes),
         n_queries=plan.n_queries,
         paranoia=paranoia,
-        parallel=True,
-        n_workers=n_workers,
+        **plan_attrs,
     ) as plan_span:
         if paranoia:
-            _validate_paranoid(db, plan, db.tracer)
-        classes = list(plan.classes)
+            _validate_paranoid(db, plan)
         if not classes:
             return report
-        # Pre-create each task's isolated context and its span on this
-        # thread, in plan order: the explicit parent= link pins sibling
-        # order deterministically, and the stats= binding makes each span's
-        # sim delta the task's private clock (the shared clock is merged
-        # concurrently by other workers).  With tracing off this costs one
-        # no-op span per class.
-        traced = db.tracer.enabled
-        tasks = []
-        for plan_class in classes:
-            ctx = _isolated_context(db)
-            if traced:
-                ctx.tracer = db.tracer.bound(ctx.stats)
-            span = db.tracer.span(
-                "execute.class",
-                parent=plan_span,
-                stats=ctx.stats,
-                source=plan_class.source,
-                n_queries=len(plan_class.queries),
-                methods=[p.method.name for p in plan_class.plans],
+        # One (shard id, catalog) column per shard; unsharded is the single
+        # column over the database's own catalog.
+        columns = (
+            [(shard.shard_id, shard.catalog) for shard in shard_set.shards]
+            if sharded
+            else [(None, db.catalog)]
+        )
+        scatter = (
+            tracer.span(
+                "serve.scatter",
+                n_classes=len(classes),
+                n_shards=len(columns),
+                n_tasks=len(classes) * len(columns),
             )
-            tasks.append((plan_class, ctx, span))
-        if len(classes) == 1 or n_workers == 1:
-            outcomes = [
-                _run_class_guarded(db, pc, ctx, span)
-                for pc, ctx, span in tasks
-            ]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(n_workers, len(classes))
-            ) as workers:
-                outcomes = list(
-                    workers.map(
-                        lambda task: _run_class_guarded(db, *task), tasks
-                    )
-                )
-        for outcome in outcomes:
-            db.stats.merge_from(outcome.sim)
-            if isinstance(outcome, ClassFailure):
-                with db.tracer.span(
-                    "fault.class_failure",
-                    source=outcome.plan_class.source,
-                    n_queries=len(outcome.plan_class.queries),
-                    error=str(outcome.error),
-                ):
-                    pass
+            if sharded
+            else nullcontext(plan_span)
+        )
+        with scatter as grid_span:
+            if sharded:
                 metrics.counter(
-                    "executor.class_failures",
-                    "plan classes aborted by an injected fault",
-                ).inc()
-                report.failures.append(outcome)
-                continue
-            classes_counter.inc()
-            queries_counter.inc(len(outcome.plan_class.queries))
-            if paranoia:
-                from ..check.paranoia import check_results
-
-                with db.tracer.span(
-                    "check.class",
-                    source=outcome.plan_class.source,
-                    n_results=len(outcome.results),
-                ) as check_span:
-                    checked = check_results(db, outcome.results, plan=plan)
-                    check_span.set("n_checked", checked)
-            report.class_executions.append(outcome)
+                    "shard.scatters", "plan classes scattered across shards"
+                ).inc(len(classes))
+            # Pre-create each cell's context and span here, in grid order:
+            # the explicit parent= pins sibling order deterministically,
+            # and stats= binds the span's sim delta to the cell's clock
+            # (private when cold; other workers merge into the shared one).
+            cells = []
+            for plan_class in classes:
+                for shard_id, catalog in columns:
+                    ctx = db.ctx(catalog=catalog, private=cold)
+                    span_attrs = {
+                        "source": plan_class.source,
+                        "n_queries": len(plan_class.queries),
+                    }
+                    if sharded:
+                        span_attrs["shard"] = shard_id
+                    else:
+                        span_attrs["methods"] = [
+                            p.method.name for p in plan_class.plans
+                        ]
+                    span = tracer.span(
+                        "shard.task" if sharded else "execute.class",
+                        parent=grid_span,
+                        stats=ctx.stats,
+                        **span_attrs,
+                    )
+                    cells.append(_Cell(plan_class, shard_id, ctx, span))
+            if not cold or n_workers == 1 or len(cells) == 1:
+                for cell in cells:
+                    cell.run()
+            else:
+                with ThreadPoolExecutor(
+                    max_workers=min(n_workers, len(cells))
+                ) as workers:
+                    list(workers.map(_Cell.run, cells))
+        gather = (
+            tracer.span(
+                "serve.gather", n_classes=len(classes), n_shards=len(columns)
+            )
+            if sharded
+            else nullcontext()
+        )
+        with gather as gather_span:
+            width = len(columns)
+            for start in range(0, len(cells), width):
+                _fold_class(
+                    db,
+                    report,
+                    cells[start:start + width],
+                    cold=cold,
+                    paranoia=paranoia,
+                )
+            if sharded:
+                metrics.counter(
+                    "shard.gathers", "plan classes gathered from shards"
+                ).inc(len(classes))
+                gather_span.set("n_failed_classes", len(report.failures))
     return report
+
+
+def _fold_class(
+    db: "Database",
+    report: ExecutionReport,
+    cells: List[_Cell],
+    *,
+    cold: bool,
+    paranoia: bool,
+) -> None:
+    """Fold one class's finished cells into the report (and, when cold,
+    their private clocks into the database's): a failure if any cell
+    failed, else one :class:`ClassExecution` — passed through unmerged for
+    a one-cell class, merged in shard order otherwise."""
+    plan_class = cells[0].plan_class
+    sharded = cells[0].shard_id is not None
+    tracer = db.tracer
+    metrics = default_registry()
+    if len(cells) == 1:
+        sim = cells[0].sim
+    else:
+        sim = IOStats(rates=db.stats.rates)
+        for cell in cells:
+            sim.merge_from(cell.sim)
+    if cold:
+        db.stats.merge_from(sim)
+    if sharded:
+        for cell in cells:
+            if cell.error is not None:
+                metrics.counter(
+                    f"shard.{cell.shard_id}.class_failures",
+                    "plan classes this shard aborted on an injected fault",
+                ).inc()
+            else:
+                metrics.counter(
+                    f"shard.{cell.shard_id}.classes_executed",
+                    "plan classes this shard ran to completion",
+                ).inc()
+    wall_s = sum(cell.wall_s for cell in cells)
+    failed = next((cell for cell in cells if cell.error is not None), None)
+    if failed is not None:
+        # Fault isolation: this class is lost, siblings proceed.
+        with tracer.span(
+            "fault.class_failure",
+            source=plan_class.source,
+            n_queries=len(plan_class.queries),
+            error=str(failed.error),
+            **({"shard": failed.shard_id} if sharded else {}),
+        ):
+            pass
+        metrics.counter(
+            "executor.class_failures",
+            "plan classes aborted by an injected fault",
+        ).inc()
+        report.failures.append(
+            ClassFailure(
+                plan_class=plan_class,
+                error=failed.error,
+                sim=sim,
+                wall_s=wall_s,
+            )
+        )
+        return
+    if len(cells) == 1:
+        results, actuals = cells[0].results, cells[0].actuals
+    else:
+        results = merge_partial_results(
+            plan_class.queries, [cell.results for cell in cells]
+        )
+        actuals = merge_actuals([cell.actuals for cell in cells], results)
+    metrics.counter(
+        "executor.classes_executed", "plan classes run to completion"
+    ).inc()
+    metrics.counter(
+        "executor.queries_executed", "component queries answered"
+    ).inc(len(plan_class.queries))
+    if paranoia:
+        from ..check.paranoia import check_results
+
+        with tracer.span(
+            "check.class",
+            source=plan_class.source,
+            n_results=len(results),
+            **({"sharded": True} if sharded else {}),
+        ) as check_span:
+            checked = check_results(db, results, plan=report.plan)
+            check_span.set("n_checked", checked)
+    report.class_executions.append(
+        ClassExecution(
+            plan_class=plan_class,
+            results=results,
+            sim=sim,
+            wall_s=wall_s,
+            actuals=actuals,
+        )
+    )

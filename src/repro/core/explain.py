@@ -80,6 +80,16 @@ def _index_phase_lines(
     return lines
 
 
+#: The paper's name for each operator kind (:attr:`PlanClass.operator_kind`).
+_OPERATOR_TITLES = {
+    "shared_dag": "SharedDagStarJoin",
+    "shared_scan_hash": "SharedScanHashStarJoin",
+    "index_star": "IndexStarJoin",
+    "shared_index": "SharedIndexStarJoin",
+    "shared_hybrid": "SharedHybridStarJoin",
+}
+
+
 def explain_class(
     schema: StarSchema, catalog: Catalog, plan_class: PlanClass
 ) -> str:
@@ -91,22 +101,9 @@ def explain_class(
     index_plans = [
         p for p in plan_class.plans if p.method is JoinMethod.INDEX
     ]
-    if plan_class.has_derives:
-        operator = "SharedDagStarJoin"
-    elif plan_class.is_pure_hash:
-        operator = (
-            "SharedScanHashStarJoin"
-            if len(plan_class.plans) > 1
-            else "HashStarJoin"
-        )
-    elif plan_class.is_pure_index:
-        operator = (
-            "SharedIndexStarJoin"
-            if len(plan_class.plans) > 1
-            else "IndexStarJoin"
-        )
-    else:
-        operator = "SharedHybridStarJoin"
+    operator = _OPERATOR_TITLES[plan_class.operator_kind]
+    if operator == "SharedScanHashStarJoin" and len(plan_class.plans) == 1:
+        operator = "HashStarJoin"  # the paper's Figure 1 single-query plan
     lines = [
         f"{operator} on {entry.name} "
         f"({entry.n_rows} rows, {entry.n_pages} pages"

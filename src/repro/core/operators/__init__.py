@@ -1,13 +1,12 @@
 """Query evaluation operators, including the paper's three shared star joins.
 
-* :class:`HashStarJoin` / :class:`SharedScanHashStarJoin` — Section 3.1.
+* :class:`SharedScanStarJoin` — Sections 3.1 and 3.3 (one scan serving
+  hash members, bitmap-filtered index members, and DAG derive steps).
 * :class:`IndexStarJoin` / :class:`SharedIndexStarJoin` — Section 3.2.
-* :class:`SharedHybridStarJoin` — Section 3.3.
 """
 
 from .aggregate import HashAggregator
-from .hash_join import HashStarJoin, SharedScanHashStarJoin
-from .hybrid_join import SharedHybridStarJoin
+from .hash_join import SharedScanStarJoin
 from .index_join import (
     IndexStarJoin,
     MissingIndexError,
@@ -15,23 +14,20 @@ from .index_join import (
     query_result_bitmap,
     usable_index,
 )
-from .pipeline import ExecContext, QueryPipeline, RollupCache, page_columns
+from .pipeline import ExecContext, QueryPipeline, RollupCache
 from .results import GroupKey, QueryResult
 
 __all__ = [
     "ExecContext",
     "GroupKey",
     "HashAggregator",
-    "HashStarJoin",
     "IndexStarJoin",
     "MissingIndexError",
     "QueryPipeline",
     "QueryResult",
     "RollupCache",
-    "SharedHybridStarJoin",
     "SharedIndexStarJoin",
-    "SharedScanHashStarJoin",
-    "page_columns",
+    "SharedScanStarJoin",
     "query_result_bitmap",
     "usable_index",
 ]

@@ -1,95 +1,254 @@
-"""Hash-based star joins: the single-query pipelined right-deep plan and the
-paper's *shared scan hash-based star join* (Section 3.1).
+"""The shared-scan star join: one sequential scan of one base table serving
+every plan of a class that reads it.
 
-The shared operator streams the base table past every query's pipeline once:
-the scan I/O is charged once, the dimension hash tables are built once per
-distinct structure (via the shared :class:`~.pipeline.RollupCache`), and only
-the per-query probe/filter/aggregate CPU grows with the number of queries —
-exactly the trade-off the paper measures in Test 1 / Figure 10.
+The paper's Section 3.3 operator (hash *and* index plans on one scan)
+contains its Section 3.1 operator (the shared scan hash-based star join) as
+the case with no index members, and the DAG layer's derive phase
+(:mod:`repro.dag`) is one more consumer of the same scan — so there is one
+operator, :class:`SharedScanStarJoin`, taking three kinds of member:
 
-Both operators consume the scan as columnar page batches
-(:func:`~.pipeline.scan_columns`): on the default kernel path the batches
-come from the page's cached column arrays, on the tuple fallback they are
-re-decoded per run — identical values, identical accounting.
+* **hash members** stream every scanned tuple through their pipeline: the
+  scan I/O is charged once, the dimension hash tables are built once per
+  distinct structure (the shared :class:`~.pipeline.RollupCache`), and only
+  the per-query probe/filter/aggregate CPU grows with the number of queries
+  — the trade-off the paper measures in Test 1 / Figure 10;
+* **index members** still build their result bitmap, but instead of
+  fetching pages at random they test the bitmap against the rows streaming
+  past: the random-probe I/O disappears and only a small bitmap-test CPU
+  cost per index query remains — Test 3 / Figure 12.  The bitmap stays
+  packed; each page's window of words is unpacked with
+  :meth:`~repro.index.bitmap.Bitmap.slice_bool`;
+* **derive steps** accumulate a predicate-free *intermediate* group-by from
+  the same scan; afterwards each finished intermediate is decoded back into
+  one in-memory columnar batch — its group keys are member ids at the
+  intermediate's levels — and every derived member runs an ordinary
+  :class:`~.pipeline.QueryPipeline` over those few rows.  No I/O is
+  charged: the intermediate lives in memory.
+
+The scan arrives as cached columnar page batches
+(:func:`~.pipeline.scan_columns`), and every member reuses the same
+probe-filter-aggregate pipeline, so a derived or bitmap-filtered answer is
+byte-identical to scanning for it alone.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ...obs.analyze import OperatorActuals
+from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
+from .index_join import query_result_bitmap
 from .pipeline import ExecContext, QueryPipeline, RollupCache, scan_columns
 from .results import QueryResult
 
+#: A derive step in operator form: the intermediate aggregate to accumulate
+#: during the scan, and the member queries answered from it afterwards.
+DeriveSpec = Tuple[GroupByQuery, Sequence[GroupByQuery]]
 
-class SharedScanHashStarJoin:
-    """Evaluate several queries with one sequential scan of one base table."""
+
+def intermediate_source_aggregate(
+    source_aggregate, intermediate: GroupByQuery
+):
+    """What the intermediate's measure column *holds* once materialized —
+    the source's rollup kind when reading a view, else the intermediate's
+    own aggregate kind (raw data folds into that)."""
+    return source_aggregate or intermediate.aggregate.value
+
+
+class SharedScanStarJoin:
+    """One scan serving hash members, bitmap-filtered index members, and
+    shared-sub-aggregate derive steps."""
 
     def __init__(
         self,
         ctx: ExecContext,
         source_name: str,
-        queries: Sequence[GroupByQuery],
+        hash_queries: Sequence[GroupByQuery],
+        index_queries: Sequence[GroupByQuery] = (),
+        derives: Sequence[DeriveSpec] = (),
     ):
-        if not queries:
+        if not hash_queries and not index_queries and not derives:
             raise ValueError("need at least one query")
         self.ctx = ctx
         self.source = ctx.entry(source_name)
-        self.queries = list(queries)
-        #: Filled during :meth:`run` — the operator's measured actuals.
-        self.actuals = OperatorActuals(
-            operator=type(self).__name__, source=source_name
-        )
-        for query in self.queries:
-            if not source_can_answer(
-                self.source.levels, self.source.source_aggregate, query
-            ):
+        self.hash_queries = list(hash_queries)
+        self.index_queries = list(index_queries)
+        self.derives = [(inter, list(members)) for inter, members in derives]
+        #: The paper's name for what this scan is doing; recorded in the
+        #: actuals and passed as the ``operator=`` fault-site attribute.
+        if self.derives:
+            self.label = "SharedDagStarJoin"
+        elif self.index_queries:
+            self.label = "SharedHybridStarJoin"
+        else:
+            self.label = "SharedScanHashStarJoin"
+        #: Filled during :meth:`run` — the operator's measured actuals
+        #: (intermediates appear under their synthetic qids).
+        self.actuals = OperatorActuals(operator=self.label, source=source_name)
+        source_levels = self.source.levels
+        source_agg = self.source.source_aggregate
+        for query in self.hash_queries + self.index_queries:
+            if not source_can_answer(source_levels, source_agg, query):
                 raise ValueError(
                     f"{query.display_name()} cannot be answered from "
-                    f"{source_name!r} (levels {self.source.levels}, "
-                    f"measure {self.source.source_aggregate!r})"
+                    f"{source_name!r} (levels {source_levels}, "
+                    f"measure {source_agg!r})"
                 )
+        for intermediate, members in self.derives:
+            if intermediate.predicates:
+                raise ValueError(
+                    "derive intermediates must be predicate-free: "
+                    f"{intermediate.display_name()}"
+                )
+            if not members:
+                raise ValueError(
+                    f"derive step {intermediate.display_name()} has no "
+                    f"member queries"
+                )
+            if not source_can_answer(source_levels, source_agg, intermediate):
+                raise ValueError(
+                    f"intermediate {intermediate.display_name()} cannot be "
+                    f"computed from {source_name!r}"
+                )
+            inter_agg = intermediate_source_aggregate(source_agg, intermediate)
+            for query in members:
+                if not source_can_answer(
+                    intermediate.groupby.levels, inter_agg, query
+                ):
+                    raise ValueError(
+                        f"{query.display_name()} cannot be derived from "
+                        f"intermediate {intermediate.display_name()} "
+                        f"(levels {intermediate.groupby.levels}, "
+                        f"measure {inter_agg!r})"
+                    )
 
-    def run(self) -> List[QueryResult]:
-        """Execute the operator; returns per-query results in input order."""
+    def run(self) -> Dict[int, QueryResult]:
+        """Run all queries; returns ``{query.qid: result}`` with each
+        intermediate's result included under its synthetic qid."""
         ctx = self.ctx
+        actuals = self.actuals
+        # Phase 1 of each index plan is unchanged: build the result bitmap.
+        index_bitmaps = [
+            query_result_bitmap(ctx, self.source, q)
+            for q in self.index_queries
+        ]
+        for query, bitmap in zip(self.index_queries, index_bitmaps):
+            actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
+            actuals.tuples_tested[query.qid] = 0
+            actuals.tuples_routed[query.qid] = 0
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
-        pipelines = [
-            QueryPipeline(
-                ctx.schema,
-                q,
-                self.source.levels,
-                rollups,
-                source_aggregate=self.source.source_aggregate,
+        source_agg = self.source.source_aggregate
+
+        def pipeline(
+            query: GroupByQuery,
+            levels=self.source.levels,
+            aggregate=source_agg,
+        ) -> QueryPipeline:
+            return QueryPipeline(
+                ctx.schema, query, levels, rollups, source_aggregate=aggregate
             )
-            for q in self.queries
-        ]
-        actuals = self.actuals
-        for page, keys, measures in scan_columns(
-            ctx, self.source, type(self).__name__
-        ):
+
+        hash_pipes = [pipeline(q) for q in self.hash_queries]
+        index_pipes = [pipeline(q) for q in self.index_queries]
+        inter_pipes = [pipeline(inter) for inter, _members in self.derives]
+        # Hash members and intermediates both consume every scanned tuple.
+        full_scan_pipes = hash_pipes + inter_pipes
+        capacity = self.source.table.capacity
+        metrics = default_registry()
+        if index_pipes:
+            routed = metrics.counter(
+                "executor.tuples_routed",
+                "retrieved tuples tested against a query's result bitmap",
+            )
+        # Phase 2: one shared sequential scan feeds everybody.
+        for page, keys, measures in scan_columns(ctx, self.source, self.label):
+            n_rows = len(page.rows)
             actuals.pages_scanned += 1
-            actuals.rows_scanned += len(page.rows)
-            for pipeline in pipelines:
-                pipeline.process_batch(keys, measures, ctx.stats)
-        results = [p.result() for p in pipelines]
-        for query, pipeline, result in zip(self.queries, pipelines, results):
+            actuals.rows_scanned += n_rows
+            for pipe in full_scan_pipes:
+                pipe.process_batch(keys, measures, ctx.stats)
+            if not index_pipes:
+                continue
+            start = page.page_no * capacity
+            for query, pipe, bitmap in zip(
+                self.index_queries, index_pipes, index_bitmaps
+            ):
+                ctx.stats.charge_bitmap_test(n_rows)
+                routed.inc(n_rows)
+                actuals.tuples_tested[query.qid] += n_rows
+                # Unpack only this page's window of packed words.
+                mine = bitmap.slice_bool(start, start + n_rows)
+                if not mine.any():
+                    continue
+                actuals.tuples_routed[query.qid] += int(mine.sum())
+                pipe.process_batch(
+                    [col[mine] for col in keys], measures[mine], ctx.stats
+                )
+        out: Dict[int, QueryResult] = {}
+
+        def finish(query: GroupByQuery, pipe: QueryPipeline) -> QueryResult:
+            out[query.qid] = pipe.result()
             actuals.record_pipeline(
-                query.qid, pipeline, result, ctx.stats.rates
+                query.qid, pipe, out[query.qid], ctx.stats.rates
             )
-        return results
+            return out[query.qid]
 
+        for query, pipe in zip(
+            self.hash_queries + self.index_queries, hash_pipes + index_pipes
+        ):
+            finish(query, pipe)
+        if not self.derives:
+            return out
+        # Phase 3: decode each finished intermediate into one in-memory
+        # columnar batch and run every derived member's pipeline over it.
+        derived_rows = metrics.counter(
+            "executor.derive_rows",
+            "intermediate group rows fed to derived-query pipelines",
+        )
+        n_dims = ctx.schema.n_dims
+        for (intermediate, members), pipe in zip(self.derives, inter_pipes):
+            if ctx.faults is not None:
+                ctx.faults.check(
+                    "operator.derive",
+                    operator=self.label,
+                    table=self.source.name,
+                )
+            groups = finish(intermediate, pipe).groups
+            n_groups = len(groups)
+            inter_measures = np.fromiter(
+                groups.values(), dtype=np.float64, count=n_groups
+            )
+            group_keys = list(groups.keys())
+            inter_keys = [
+                np.fromiter(
+                    (key[d] for key in group_keys),
+                    dtype=np.int64,
+                    count=n_groups,
+                )
+                for d in range(n_dims)
+            ]
+            inter_agg = intermediate_source_aggregate(source_agg, intermediate)
+            for query in members:
+                derived_pipe = pipeline(
+                    query, intermediate.groupby.levels, inter_agg
+                )
+                derived_pipe.process_batch(
+                    inter_keys, inter_measures, ctx.stats
+                )
+                derived_rows.inc(n_groups)
+                finish(query, derived_pipe)
+        return out
 
-class HashStarJoin(SharedScanHashStarJoin):
-    """A single-query hash-based star join (the Figure 1 plan)."""
-
-    def __init__(self, ctx: ExecContext, source_name: str, query: GroupByQuery):
-        super().__init__(ctx, source_name, [query])
-
-    def run_single(self) -> QueryResult:
-        """Execute for the single query; returns its result."""
-        return self.run()[0]
+    def run_ordered(self) -> List[QueryResult]:
+        """Results in constructor order (hash, index, then derived members)."""
+        by_qid = self.run()
+        ordered = self.hash_queries + self.index_queries
+        for _intermediate, members in self.derives:
+            ordered.extend(members)
+        return [by_qid[q.qid] for q in ordered]

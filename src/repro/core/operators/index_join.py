@@ -7,19 +7,15 @@ operator then ORs the per-query result bitmaps, probes the base table once
 with the union, and routes each retrieved tuple to the queries whose own
 bitmap has that position set (the paper's "Filter tuples" operators).
 
-On the default kernel path the probe phase is a vectorized columnar gather
+The probe phase is a vectorized columnar gather
 (:meth:`~repro.storage.table.HeapTable.fetch_positions`) and routing tests
 positions directly against the packed bitmap words
-(:meth:`~repro.index.bitmap.Bitmap.test_positions`); the tuple fallback
-fetches row by row and unpacks each bitmap to booleans.  Costs and results
-are byte-identical either way.
+(:meth:`~repro.index.bitmap.Bitmap.test_positions`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from ...index.bitmap import Bitmap, and_all
 from ...index.bitmap_index import JoinIndex
@@ -104,31 +100,6 @@ def query_result_bitmap(
     return result
 
 
-def _probe_and_collect(
-    ctx: ExecContext, entry: TableEntry, positions: np.ndarray
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Fetch rows at ``positions`` (random page reads through the pool) and
-    return them column-wise, in position order.
-
-    The kernel path gathers from each touched page's cached column arrays
-    (:meth:`~repro.storage.table.HeapTable.fetch_positions`); the tuple
-    path walks :meth:`~repro.storage.table.HeapTable.probe_positions` row
-    by row.  Both charge one random read per page change in first-touch
-    order."""
-    n_dims = ctx.schema.n_dims
-    if ctx.kernels:
-        return entry.table.fetch_positions(ctx.pool, positions, n_dims)
-    if positions.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return [empty] * n_dims, np.empty(0, dtype=np.float64)
-    rows: List[tuple] = []
-    for _position, row in entry.table.probe_positions(ctx.pool, positions.tolist()):
-        rows.append(row)
-    matrix = np.asarray(rows, dtype=np.float64)
-    keys = [matrix[:, d].astype(np.int64) for d in range(n_dims)]
-    return keys, matrix[:, n_dims]
-
-
 class IndexStarJoin:
     """Single-query bitmap-index star join (steps 1–7 of Section 3.2)."""
 
@@ -164,7 +135,11 @@ class IndexStarJoin:
                 operator=type(self).__name__,
                 table=self.source.name,
             )
-        keys, measures = _probe_and_collect(ctx, self.source, positions)
+        # Random page reads through the pool, one per page change in
+        # first-touch order; rows come back column-wise in position order.
+        keys, measures = self.source.table.fetch_positions(
+            ctx.pool, positions, ctx.schema.n_dims
+        )
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
@@ -236,7 +211,9 @@ class SharedIndexStarJoin:
         positions = union.positions()
         actuals.union_popcount = int(union.count())
         actuals.probes_issued = int(positions.size)
-        keys, measures = _probe_and_collect(ctx, self.source, positions)
+        keys, measures = self.source.table.fetch_positions(
+            ctx.pool, positions, ctx.schema.n_dims
+        )
         # Step 3: "Filter tuples" — route each tuple to the queries whose own
         # bitmap has its position set.  Step 4: per-query aggregation.
         routed = metrics.counter(
@@ -256,14 +233,9 @@ class SharedIndexStarJoin:
                 )
             ctx.stats.charge_bitmap_test(positions.size)
             routed.inc(int(positions.size))
-            if positions.size == 0:
-                mine = np.empty(0, dtype=bool)
-            elif ctx.kernels:
-                # Packed-word routing: gather each position's covering
-                # word and mask its bit — no full-bitmap unpack.
-                mine = bitmap.test_positions(positions)
-            else:
-                mine = bitmap.to_bool_array()[positions]
+            # Packed-word routing: gather each position's covering word
+            # and mask its bit — no full-bitmap unpack.
+            mine = bitmap.test_positions(positions)
             actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
             actuals.tuples_tested[query.qid] = int(positions.size)
             actuals.tuples_routed[query.qid] = int(mine.sum())

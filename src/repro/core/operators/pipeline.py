@@ -45,13 +45,6 @@ class ExecContext:
     ``faults`` carries an armed :class:`repro.faults.FaultPlan` (or None);
     operators pass it to index lookups and check the ``operator.pipeline``
     site per page batch.
-
-    ``kernels`` selects the execution path of the shared operators:
-    ``True`` (default) runs the vectorized columnar batch kernels — cached
-    per-page column arrays, vectorized positional fetches, packed-word
-    bitmap routing; ``False`` runs the original per-tuple path.  The two
-    paths are byte-identical in results, simulated cost, and recorded
-    :class:`~repro.obs.analyze.OperatorActuals`; only wall time differs.
     """
 
     schema: StarSchema
@@ -61,25 +54,10 @@ class ExecContext:
     dim_tables: Optional[Dict[str, object]] = None
     tracer: object = field(default=NULL_TRACER)
     faults: Optional[object] = None
-    kernels: bool = True
 
     def entry(self, table_name: str) -> TableEntry:
         """Catalog entry by table name."""
         return self.catalog.get(table_name)
-
-
-def page_columns(
-    page: Page, n_dims: int
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Split a page's rows into per-dimension key columns and the measure
-    column.  Shared operators call this once per page for *all* queries."""
-    if not page.rows:
-        empty = np.empty(0, dtype=np.int64)
-        return [empty] * n_dims, np.empty(0, dtype=np.float64)
-    matrix = np.asarray(page.rows, dtype=np.float64)
-    keys = [matrix[:, d].astype(np.int64) for d in range(n_dims)]
-    measures = matrix[:, n_dims]
-    return keys, measures
 
 
 def scan_columns(
@@ -88,37 +66,22 @@ def scan_columns(
     """One shared sequential scan yielding per-page column batches.
 
     Checks the ``operator.pipeline`` fault site once per page (after the
-    page read is charged, as the operators always have), then decodes the
-    page: through the cached columnar view on the kernel path
+    page read is charged, as the operators always have), then hands out
+    the page's cached columnar view
     (:meth:`~repro.storage.page.Page.columns` via
-    :meth:`~repro.storage.table.HeapTable.scan_batches`), or with a fresh
-    per-run :func:`page_columns` decode on the tuple path.  Both shared
-    scan operators (hash and hybrid) drive their pipelines from this one
-    stream, so the two paths cannot drift apart.
+    :meth:`~repro.storage.table.HeapTable.scan_batches`).
     """
-    n_dims = ctx.schema.n_dims
     faults = ctx.faults
-    if ctx.kernels:
-        for page, keys, measures in entry.table.scan_batches(
-            ctx.pool, n_dims
-        ):
-            if faults is not None:
-                faults.check(
-                    "operator.pipeline",
-                    operator=operator_name,
-                    table=entry.name,
-                )
-            yield page, keys, measures
-    else:
-        for page in entry.table.scan_pages(ctx.pool):
-            if faults is not None:
-                faults.check(
-                    "operator.pipeline",
-                    operator=operator_name,
-                    table=entry.name,
-                )
-            keys, measures = page_columns(page, n_dims)
-            yield page, keys, measures
+    for page, keys, measures in entry.table.scan_batches(
+        ctx.pool, ctx.schema.n_dims
+    ):
+        if faults is not None:
+            faults.check(
+                "operator.pipeline",
+                operator=operator_name,
+                table=entry.name,
+            )
+        yield page, keys, measures
 
 
 class RollupCache:

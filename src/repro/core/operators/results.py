@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...schema.query import GroupByQuery
+from ...schema.query import Aggregate, GroupByQuery
 from ...schema.star import StarSchema
 
 GroupKey = Tuple[int, ...]  # one member id per dimension (ALL dims carry 0)
@@ -88,3 +88,65 @@ class QueryResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryResult({self.query.display_name()}, {self.n_groups} groups)"
+
+
+#: How each distributive aggregate combines two partial group values.
+#: AVG is absent deliberately: it is *algebraic* and merges through
+#: ``QueryResult.avg_state`` (sum the sums, sum the counts, divide once).
+_MERGERS = {
+    Aggregate.SUM: lambda a, b: a + b,
+    Aggregate.COUNT: lambda a, b: a + b,
+    Aggregate.MIN: min,
+    Aggregate.MAX: max,
+}
+
+
+def _merge_avg(
+    query: GroupByQuery, position: int, partials: List[List[QueryResult]]
+) -> QueryResult:
+    """Merge one AVG query's partials via their (sum, count) state."""
+    state: Dict[GroupKey, Tuple[float, int]] = {}
+    for part_results in partials:
+        partial = part_results[position]
+        if partial.avg_state is None:  # pragma: no cover - executor invariant
+            raise ValueError(
+                f"AVG partial for {partial.query.display_name()} carries no "
+                f"avg_state; cannot merge partitions exactly"
+            )
+        for key, (part_sum, part_count) in partial.avg_state.items():
+            if key in state:
+                acc_sum, acc_count = state[key]
+                state[key] = (acc_sum + part_sum, acc_count + part_count)
+            else:
+                state[key] = (part_sum, part_count)
+    groups = {key: s / c for key, (s, c) in state.items()}
+    return QueryResult(query=query, groups=groups, avg_state=state)
+
+
+def merge_partial_results(
+    queries: Sequence[GroupByQuery], partials: List[List[QueryResult]]
+) -> List[QueryResult]:
+    """Combine partial results over row-disjoint data partitions (shards)
+    into final answers, per the Data Cube recipe (Gray et al.).
+
+    ``partials`` holds each partition's result list in ``queries`` order.
+    Distributive aggregates merge group values with their combiner; AVG
+    merges its (sum, count) pairs and divides once at the end, so the
+    merged average is exact rather than an average of averages.  Iterating
+    partitions in order keeps group insertion order deterministic.
+    """
+    merged: List[QueryResult] = []
+    for position, query in enumerate(queries):
+        if query.aggregate is Aggregate.AVG:
+            merged.append(_merge_avg(query, position, partials))
+            continue
+        combine = _MERGERS[query.aggregate]
+        groups: Dict[GroupKey, float] = {}
+        for part_results in partials:
+            for key, value in part_results[position].groups.items():
+                if key in groups:
+                    groups[key] = combine(groups[key], value)
+                else:
+                    groups[key] = value
+        merged.append(QueryResult(query=query, groups=groups))
+    return merged

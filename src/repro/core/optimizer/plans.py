@@ -89,6 +89,29 @@ class PlanClass:
         (only :class:`DagPlanClass` instances ever do)."""
         return bool(getattr(self, "derives", None))
 
+    @property
+    def operator_kind(self) -> str:
+        """The physical operator this class lowers onto, named as the
+        suffix of its ``operator.<kind>`` span.
+
+        The one statement of operator choice: the executor dispatches on
+        it, plan validation checks it, EXPLAIN renders it.  A class with
+        derive steps, only hash plans, or a hash/index mix runs the shared
+        scan (Sections 3.1 / 3.3); only index plans, the (shared) index
+        join (Section 3.2).
+        """
+        if not self.plans:
+            raise ValueError(
+                f"class on {self.source!r} is empty: no operator applies"
+            )
+        if self.has_derives:
+            return "shared_dag"
+        if self.is_pure_hash:
+            return "shared_scan_hash"
+        if self.is_pure_index:
+            return "index_star" if len(self.plans) == 1 else "shared_index"
+        return "shared_hybrid"
+
     def describe(self, schema: StarSchema) -> str:
         """Human-readable one-line/short rendering for display."""
         lines = [
@@ -123,9 +146,10 @@ class DeriveStep:
 class DagPlanClass(PlanClass):
     """A plan class extended with shared sub-aggregate derive steps.
 
-    Executes on ``SharedDagStarJoin``: one scan of the base table feeds the
-    hash/index members *and* each derive step's intermediate aggregate;
-    derived members then consume the (much smaller) intermediates.
+    Executes on the shared scan (labelled ``SharedDagStarJoin``): one scan
+    of the base table feeds the hash/index members *and* each derive
+    step's intermediate aggregate; derived members then consume the (much
+    smaller) intermediates.
     Without derive steps it is operationally identical to a plain
     :class:`PlanClass`.
     """

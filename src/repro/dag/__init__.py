@@ -26,7 +26,7 @@ Optimization", SIGMOD 2000):
   algorithm ``"dag"``: lowers the chosen DAG back into the engine's
   :class:`~repro.core.optimizer.plans.GlobalPlan` form using
   :class:`~repro.core.optimizer.plans.DagPlanClass` (executed by
-  :class:`~repro.core.operators.dag_join.SharedDagStarJoin`), so the
+  :class:`~repro.core.operators.hash_join.SharedScanStarJoin`), so the
   executor, paranoia checker, actuals ledger, serve batching, and shard
   scatter-gather all work unchanged.
 * :mod:`repro.dag.explain` — renders the DAG (AND/OR nodes, unified

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.executor import ExecutionReport
     from ..core.optimizer.plans import GlobalPlan
     from ..serve.service import QueryService
+    from ..serve.shard import ShardSet
 
 LevelsLike = Union[str, Sequence[int]]
 
@@ -47,19 +48,12 @@ class Database:
         buffer_pages: int = DEFAULT_POOL_PAGES,
         rates: Optional[CostRates] = None,
         paranoia: bool = False,
-        kernels: bool = True,
     ):
         self.schema = schema
         self.page_size = page_size
         self.stats = IOStats(rates=rates or DEFAULT_RATES)
         self.pool = BufferPool(self.stats, capacity_pages=buffer_pages)
         self.catalog = Catalog()
-        #: Execution path of the shared operators: ``True`` (default) runs
-        #: the vectorized columnar batch kernels, ``False`` the legacy
-        #: per-tuple path.  Results, simulated costs, and recorded actuals
-        #: are byte-identical either way; only wall time differs.  The CLI
-        #: exposes this as ``--tuple-path``.
-        self.kernels = kernels
         #: Differential-checking mode (see :mod:`repro.check`): validate
         #: every plan before execution and cross-check every result against
         #: the brute-force reference.  Slow; for tests and debugging.
@@ -290,27 +284,41 @@ class Database:
 
     # -- execution --------------------------------------------------------------
 
-    def ctx(self) -> ExecContext:
-        """An ExecContext over this database's catalog, pool, and clock."""
+    def ctx(
+        self, catalog: Optional[Catalog] = None, private: bool = False
+    ) -> ExecContext:
+        """An ExecContext over this database's catalog, pool, and clock.
+
+        ``private=True`` gives the context a fresh buffer pool and cost
+        clock of its own (same capacity, rates, and armed fault plan).  A
+        fresh pool is indistinguishable from a just-flushed shared one, so
+        a cold plan cell run in it measures exactly what it would alone —
+        whatever else runs concurrently.  ``catalog`` substitutes a data
+        shard's catalog slice (see :mod:`repro.serve.shard`).
+        """
+        stats, pool = self.stats, self.pool
+        if private:
+            stats = IOStats(rates=self.stats.rates)
+            pool = BufferPool(stats, capacity_pages=self.pool.capacity_pages)
+            pool.faults = self.faults
         return ExecContext(
             schema=self.schema,
-            catalog=self.catalog,
-            pool=self.pool,
-            stats=self.stats,
+            catalog=catalog if catalog is not None else self.catalog,
+            pool=pool,
+            stats=stats,
             dim_tables=self.dimension_tables or None,
-            tracer=self.tracer,
+            tracer=self.tracer.bound(stats) if private else self.tracer,
             faults=self.faults,
-            kernels=self.kernels,
         )
 
     def arm_faults(self, plan) -> None:
         """Arm a :class:`repro.faults.FaultPlan` for subsequent execution.
 
         The plan is threaded into every execution context this database
-        builds (including the parallel executor's isolated per-class
-        contexts, and the sharded scatter-gather path's per-shard tasks)
-        and into the shared buffer pool, so every injection site sees it.  Pass None — or call :meth:`disarm_faults` — to turn
-        injection back off."""
+        builds (private per-cell contexts and their pools included) and
+        into the shared buffer pool, so every injection site sees it.
+        Pass None — or call :meth:`disarm_faults` — to turn injection
+        back off."""
         self.faults = plan
         self.pool.faults = plan
 
@@ -403,13 +411,28 @@ class Database:
         plan: "GlobalPlan",
         cold: bool = True,
         paranoia: Optional[bool] = None,
+        n_workers: int = 1,
+        shard_set: "Optional[ShardSet]" = None,
     ) -> "ExecutionReport":
-        """Execute a global plan; ``cold`` flushes the pool per class, as the
-        paper flushed buffers before each measured run.  ``paranoia``
-        overrides the database's :attr:`paranoia` flag for this run."""
+        """Execute a global plan (see
+        :func:`repro.core.executor.execute_plan` for the contract).
+
+        ``cold`` starts every class from an empty buffer pool, as the
+        paper flushed buffers before each measured run; ``paranoia``
+        overrides the database's :attr:`paranoia` flag for this run;
+        ``n_workers`` > 1 runs the plan's cells on a thread pool;
+        ``shard_set`` (from :meth:`build_shards`) scatters each class over
+        the data shards and gathers the merged results."""
         from ..core.executor import execute_plan
 
-        return execute_plan(self, plan, cold=cold, paranoia=paranoia)
+        return execute_plan(
+            self,
+            plan,
+            cold=cold,
+            n_workers=n_workers,
+            shard_set=shard_set,
+            paranoia=paranoia,
+        )
 
     def run_queries(
         self,
@@ -470,9 +493,8 @@ class Database:
 
     def build_shards(self, n_shards: int, dim_name: Optional[str] = None):
         """Hash-partition every catalog table into N data shards (see
-        :func:`repro.serve.shard.build_shards`); the returned
-        :class:`~repro.serve.shard.ShardSet` feeds
-        :func:`~repro.serve.shard.execute_plan_sharded` directly."""
+        :func:`repro.serve.shard.build_shards`); pass the returned
+        :class:`~repro.serve.shard.ShardSet` to :meth:`execute`."""
         from ..serve.shard import build_shards
 
         return build_shards(self, n_shards, dim_name)

@@ -212,7 +212,7 @@ def attach_cache(db, max_entries: int = 256) -> ResultCache:
             from ..core.optimizer.plans import GlobalPlan
 
             report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
-        if hits and getattr(db, "paranoia", False):
+        if hits and db.paranoia:
             from ..check.paranoia import recheck_cache_hits
 
             with db.tracer.span("check.cache", n_hits=len(hits)) as span:

@@ -175,7 +175,7 @@ class FaultPlan:
     """A deterministic set of armed injection points.
 
     Thread-safe: match counters, RNG draws, and the fired-event log are
-    guarded by one lock, so the parallel class executor's workers see a
+    guarded by one lock, so the plan executor's worker threads see a
     consistent trigger state (though *which* worker trips a shared nth
     counter first depends on scheduling — single-table or probability
     triggers are the thread-stable choices for parallel runs).

@@ -8,9 +8,8 @@ checkable:
 * :class:`OperatorActuals` — what a shared operator really did: rows
   scanned, probes issued, union-bitmap popcount, per-query routed tuples,
   per-query pipeline row counts and CPU charge.  Every shared operator
-  (:class:`~repro.core.operators.hash_join.SharedScanHashStarJoin`,
-  :class:`~repro.core.operators.index_join.SharedIndexStarJoin`,
-  :class:`~repro.core.operators.hybrid_join.SharedHybridStarJoin`, …)
+  (:class:`~repro.core.operators.hash_join.SharedScanStarJoin`,
+  :class:`~repro.core.operators.index_join.SharedIndexStarJoin`, …)
   fills one in while running; the executor attaches it to each
   :class:`~repro.core.executor.ClassExecution` and to the
   ``operator.*`` span's attributes.
@@ -113,6 +112,42 @@ class OperatorActuals:
         }
 
 
+def merge_actuals(
+    partials: Sequence[OperatorActuals], results: Sequence
+) -> OperatorActuals:
+    """Sum per-partition operator actuals into one class-level ledger.
+
+    Every counter is additive across row-disjoint partitions (rows scanned,
+    probes issued, per-query pipeline counts and CPU charge), so
+    partition-order summation is exact.  ``n_groups`` is the exception — a
+    group present on two partitions is still one group — so it is read off
+    the merged ``results`` instead.  A DAG class's *intermediate* has no
+    merged result (only its members do), so its ``n_groups`` entry is not
+    a merged quantity and is omitted.
+    """
+    first = partials[0]
+    merged = OperatorActuals(operator=first.operator, source=first.source)
+    for part in partials:
+        merged.rows_scanned += part.rows_scanned
+        merged.pages_scanned += part.pages_scanned
+        merged.probes_issued += part.probes_issued
+        merged.union_popcount += part.union_popcount
+        for attr in (
+            "bitmap_popcounts",
+            "tuples_tested",
+            "tuples_routed",
+            "rows_in",
+            "rows_passed",
+            "pipeline_cpu_ms",
+        ):
+            target = getattr(merged, attr)
+            for qid, value in getattr(part, attr).items():
+                target[qid] = target.get(qid, 0) + value
+    for result in results:
+        merged.n_groups[result.query.qid] = result.n_groups
+    return merged
+
+
 @dataclass
 class QueryAccounting:
     """The estimated-vs-actual ledger of one query inside its class."""
@@ -143,8 +178,8 @@ class ClassAccounting:
     buffer_hits: int
     seq_page_reads: int
     rand_page_reads: int
+    actuals: OperatorActuals
     queries: List[QueryAccounting] = field(default_factory=list)
-    actuals: Optional[OperatorActuals] = None
 
     @property
     def q_error(self) -> float:
@@ -159,7 +194,7 @@ def account_execution(execution: "ClassExecution") -> ClassAccounting:
     sim = execution.sim
     accounting = ClassAccounting(
         source=plan_class.source,
-        operator=actuals.operator if actuals else "unknown",
+        operator=actuals.operator,
         n_queries=len(plan_class.plans),
         est_ms=plan_class.est_cost_ms,
         actual_ms=sim.total_ms,
@@ -179,15 +214,11 @@ def account_execution(execution: "ClassExecution") -> ClassAccounting:
                 method=plan.method.name.lower(),
                 est_standalone_ms=plan.est_standalone_ms,
                 est_marginal_ms=plan.est_marginal_ms,
-                actual_cpu_ms=(
-                    actuals.pipeline_cpu_ms.get(qid, 0.0) if actuals else 0.0
-                ),
-                rows_in=actuals.rows_in.get(qid, 0) if actuals else 0,
-                rows_passed=actuals.rows_passed.get(qid, 0) if actuals else 0,
-                tuples_routed=(
-                    actuals.tuples_routed.get(qid) if actuals else None
-                ),
-                n_groups=actuals.n_groups.get(qid, 0) if actuals else 0,
+                actual_cpu_ms=actuals.pipeline_cpu_ms.get(qid, 0.0),
+                rows_in=actuals.rows_in.get(qid, 0),
+                rows_passed=actuals.rows_passed.get(qid, 0),
+                tuples_routed=actuals.tuples_routed.get(qid),
+                n_groups=actuals.n_groups.get(qid, 0),
             )
         )
     return accounting

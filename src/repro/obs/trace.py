@@ -17,9 +17,9 @@ traced batch produces one tree (``batch`` → ``optimize.gg`` →
 ``execute.plan`` → ``execute.class`` → ``operator.shared_scan_hash``).
 
 Tracing is **concurrency-correct**: each thread keeps its own span stack
-(``threading.local``), so worker threads from ``execute_plan_parallel`` /
-``execute_plan_sharded`` can open operator spans concurrently without
-corrupting each other's nesting.  Cross-thread parenting is explicit — the
+(``threading.local``), so the executor's worker threads
+(``execute_plan(..., n_workers=N)``) can open operator spans concurrently
+without corrupting each other's nesting.  Cross-thread parenting is explicit — the
 scheduler creates a task span with ``tracer.span(name, parent=plan_span)``
 and hands it to the worker, which enters it on its own thread; the child is
 linked under its parent at *creation* time, so sibling order is the

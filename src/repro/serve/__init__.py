@@ -5,7 +5,7 @@ The paper optimizes the component queries of one MDX expression together;
 this package extends that sharing across *sessions*: concurrent requests
 that arrive within a batching window are coalesced into one global plan
 (duplicates collapse, cached queries bypass planning), the merged plan's
-independent classes execute in parallel on isolated cold contexts, and
+independent classes execute in parallel on private cold contexts, and
 results fan back out to each caller's future.
 
 Entry points:
@@ -14,10 +14,10 @@ Entry points:
   (``Database.serve(...)`` is a convenience constructor).
 * :func:`run_simulation` / :class:`SimulationConfig` — the simulated
   concurrent-load harness behind ``repro serve --simulate``.
-* :func:`build_shards` / :class:`ShardSet` /
-  :func:`execute_plan_sharded` — scatter-gather execution over N hash
-  partitions of the data (``ServeConfig(shards=N)`` /
-  ``repro serve --simulate --shards N``).
+* :func:`build_shards` / :class:`ShardSet` — N hash partitions of the
+  data for scatter-gather execution (``ServeConfig(shards=N)`` /
+  ``repro serve --simulate --shards N`` /
+  ``db.execute(plan, shard_set=...)``).
 
 See ``docs/serving.md`` for the architecture and the batching-window
 trade-off.
@@ -36,7 +36,7 @@ from .futures import (
 )
 from .retry import RetryExhausted, RetryPolicy, SimulatedClock, call_with_retry
 from .service import QueryService, ServiceStats
-from .shard import Shard, ShardSet, build_shards, execute_plan_sharded
+from .shard import Shard, ShardSet, build_shards
 from .simulate import SimulationConfig, SimulationReport, run_simulation
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "Shard",
     "ShardSet",
     "build_shards",
-    "execute_plan_sharded",
     "RequestQuarantined",
     "RetryExhausted",
     "RetryPolicy",

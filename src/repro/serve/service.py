@@ -17,10 +17,9 @@ owns the engine and turns the arrival stream into micro-batches:
    plan, so the paper's shared star-join operators now share work across
    sessions, not just within one MDX expression.
 4. **Execution** — the merged plan's independent classes run concurrently
-   on a thread pool via
-   :func:`~repro.core.executor.execute_plan_parallel`; results stay
-   byte-identical to serial single-session execution (each class runs in
-   an isolated cold context).
+   on a thread pool (:func:`~repro.core.executor.execute_plan` with
+   ``n_workers``); results stay byte-identical to serial single-session
+   execution (each class runs in a private cold context).
 5. **Fan-out** — per-query results (deep copies via
    :meth:`~repro.core.operators.results.QueryResult.detached`, never
    shared mutable state) and errors are routed back to each waiting
@@ -31,7 +30,7 @@ global plan fans out over N hash partitions of the data
 (:mod:`repro.serve.shard`) and partial aggregates merge back per class.
 
 Only the scheduler thread touches the database, so the engine itself needs
-no locking beyond the storage counters the parallel class executor merges.
+no locking beyond the storage counters the executor's workers merge.
 :class:`ServiceStats` is the exception — client threads bump admission
 counters while the scheduler bumps the rest — so all its mutations go
 through one lock and readers take :meth:`ServiceStats.snapshot`.
@@ -47,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.executor import ExecutionReport, execute_plan_parallel
+from ..core.executor import ExecutionReport, execute_plan
 from ..core.operators.results import QueryResult
 from ..engine.database import Database
 from ..engine.session import QueryKey, query_key
@@ -497,7 +496,7 @@ class QueryService:
     def _execute_batch(self, batch: MicroBatch, stages: _Stages) -> None:
         db = self.db
         config = self.config
-        paranoia = bool(getattr(db, "paranoia", False))
+        paranoia = db.paranoia
         cache = getattr(db, "result_cache", None)
         hits: Dict[QueryKey, QueryResult] = {}
         misses: List[GroupByQuery] = []
@@ -578,7 +577,7 @@ class QueryService:
         recorder = self.recorder
         if recorder is None:
             return
-        faults = getattr(self.db, "faults", None)
+        faults = self.db.faults
         if faults is not None:
             events = faults.events_since(self._fault_events_seen)
             self._fault_events_seen += len(events)
@@ -635,24 +634,14 @@ class QueryService:
                 ) from exc
         exec_started = time.perf_counter()
         try:
-            if config.shards > 1:
-                from .shard import execute_plan_sharded
-
-                report = execute_plan_sharded(
-                    db,
-                    self._shards(),
-                    plan,
-                    n_workers=config.n_workers,
-                    paranoia=paranoia,
-                )
-            elif config.cold:
-                report = execute_plan_parallel(
-                    db, plan, n_workers=config.n_workers
-                )
-            else:
-                # Warm execution is order-dependent (classes share the
-                # pool), so it stays serial.
-                report = db.execute(plan, cold=False)
+            report = execute_plan(
+                db,
+                plan,
+                cold=config.cold,
+                n_workers=config.n_workers,
+                shard_set=self._shards() if config.shards > 1 else None,
+                paranoia=paranoia,
+            )
         finally:
             if stages is not None:
                 stages.add(

@@ -36,8 +36,8 @@ class BufferPool:
 
     All frame-map accesses hold an internal lock: a pool reached from
     several executor threads must neither corrupt its LRU ordering nor
-    lose hit/miss counts (the parallel class executor normally gives each
-    class a private pool, but nothing stops callers sharing one).
+    lose hit/miss counts (the plan executor gives each cold
+    cell a private pool, but nothing stops callers sharing one).
     """
 
     def __init__(self, stats: IOStats, capacity_pages: int = DEFAULT_POOL_PAGES):

@@ -13,10 +13,7 @@ decoded from the row tuples once and cached on the page.  The vectorized
 batch kernels (see :mod:`repro.core.operators`) read this view, so a page
 is decoded at most once over the life of the table instead of once per
 operator execution per scan — the heart of the columnar row-batch layout.
-The cache is invalidated on append, and the arrays hold exactly the values
-the per-run decode (:func:`repro.core.operators.pipeline.page_columns`)
-would produce, which keeps the kernel and tuple execution paths
-byte-identical.
+The cache is invalidated on append.
 """
 
 from __future__ import annotations

@@ -64,9 +64,6 @@ class PaperConfig:
     fanout_leaf: Tuple[int, int, int, int] = (12, 11, 10, 6)
     skew: Optional[Tuple[float, float, float, float]] = None
     rates: Optional[CostRates] = None
-    #: Execution path: vectorized columnar kernels (default) or the
-    #: legacy per-tuple operators (see ``Database(kernels=...)``).
-    kernels: bool = True
     materialized: Sequence[str] = PAPER_MATERIALIZED
     indexed_tables: Sequence[str] = PAPER_INDEXED_TABLES
     indexed_dims: Sequence[str] = PAPER_INDEXED_DIMS
@@ -95,25 +92,16 @@ def build_paper_schema(config: PaperConfig = PaperConfig()) -> StarSchema:
 def build_paper_database(
     scale: float = 0.01,
     config: Optional[PaperConfig] = None,
-    kernels: Optional[bool] = None,
 ) -> Database:
-    """Build, load, materialize, and index the paper's test database.
-
-    ``kernels`` (when given) overrides the config's execution path:
-    ``False`` selects the legacy per-tuple operators."""
+    """Build, load, materialize, and index the paper's test database."""
     if config is None:
         config = PaperConfig(scale=scale)
-    if kernels is not None and kernels != config.kernels:
-        from dataclasses import replace
-
-        config = replace(config, kernels=kernels)
     schema = build_paper_schema(config)
     db = Database(
         schema,
         page_size=config.page_size,
         buffer_pages=config.buffer_pages,
         rates=config.rates,
-        kernels=config.kernels,
     )
     rows = generate_fact_rows(
         schema,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
+from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.results import QueryResult
 from repro.engine.database import Database
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.schema.star import StarSchema
@@ -29,6 +31,12 @@ def make_tiny_db(
     for table in index_tables:
         db.index_all_dimensions(table)
     return db
+
+
+def hash_star_join(db: Database, table: str, query: GroupByQuery) -> QueryResult:
+    """One query through the shared-scan operator on its own — the paper's
+    Figure 1 single-query hash star join."""
+    return SharedScanStarJoin(db.ctx(), table, [query]).run()[query.qid]
 
 
 def random_query(

@@ -8,7 +8,7 @@ every SUM view to the base table — or to a COUNT view if one exists.
 
 import pytest
 
-from repro.core.operators.hash_join import HashStarJoin
+from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.engine.reference import evaluate_reference
 from repro.schema.lattice import (
     aggregate_compatible,
@@ -17,7 +17,7 @@ from repro.schema.lattice import (
 )
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 
-from helpers import make_tiny_db
+from helpers import hash_star_join, make_tiny_db
 
 
 def query(levels=(2, 2), aggregate=Aggregate.SUM, preds=()):
@@ -105,12 +105,12 @@ class TestQueryRouting:
         db = self.make_db()
         q = query(levels=(1, 1), aggregate=Aggregate.COUNT)
         with pytest.raises(ValueError, match="measure"):
-            HashStarJoin(db.ctx(), "X'Y'", q)  # a SUM view
+            SharedScanStarJoin(db.ctx(), "X'Y'", [q])  # a SUM view
 
     def test_count_query_answered_from_count_view(self):
         db = self.make_db()
         q = query(levels=(2, 2), aggregate=Aggregate.COUNT)
-        via_view = HashStarJoin(db.ctx(), "counts", q).run_single()
+        via_view = hash_star_join(db, "counts", q)
         assert via_view.approx_equals(reference(db, q))
 
     def test_optimizer_routes_count_query_correctly(self):

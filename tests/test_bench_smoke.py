@@ -103,38 +103,3 @@ class TestCliGate:
         assert main(base + ["--compare", "--scale", str(SCALE * 2)]) == 2
         assert "incomparable" in capsys.readouterr().err
 
-
-class TestExecutionPaths:
-    def test_tuple_record_compares_clean_against_kernels(self, tmp_path,
-                                                         monkeypatch, capsys):
-        """The committed-baseline workflow: a per-tuple record and a kernel
-        record of the same configuration gate PASS against each other
-        (identical simulated costs), and each knows its path."""
-        monkeypatch.chdir(tmp_path)
-        base = ["bench", "--scale", str(SCALE), "--tests", "test4",
-                "--no-figures"]
-        assert main(base + ["--record", "--label", "seed",
-                            "--tuple-path"]) == 0
-        assert main(base + ["--record", "--label", "kernels", "--compare",
-                            "--baseline", "BENCH_seed.json"]) == 0
-        assert "PASS" in capsys.readouterr().out
-        seed = RunRecord.load(tmp_path / "BENCH_seed.json")
-        kernels = RunRecord.load(tmp_path / "BENCH_kernels.json")
-        assert seed.kernels is False
-        assert kernels.kernels is True
-        assert seed.fingerprint == kernels.fingerprint
-        assert seed.wall["total_s"] > 0 and kernels.wall["total_s"] > 0
-
-    def test_leaderboard_over_recorded_pair(self, tmp_path, monkeypatch,
-                                            capsys):
-        monkeypatch.chdir(tmp_path)
-        base = ["bench", "--scale", str(SCALE), "--tests", "test4",
-                "--no-figures"]
-        assert main(base + ["--record", "--label", "seed",
-                            "--tuple-path"]) == 0
-        assert main(base + ["--record", "--label", "kernels"]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--leaderboard"]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_kernels.json" in out and "BENCH_seed.json" in out
-        assert "| kernels |" in out and "| tuple |" in out

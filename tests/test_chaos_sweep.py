@@ -225,53 +225,6 @@ def test_result_cache_coherent_under_chaos():
     assert len(cache) <= cache.max_entries
 
 
-def test_fault_outcomes_identical_across_execution_paths():
-    """The kernel path fails exactly like the tuple path: for every site,
-    the same single-shot fault yields the same firing count, the same
-    failed-query positions, and byte-identical surviving groups.  (Kernels
-    must never swallow an InjectedFault mid-batch.)"""
-    from repro.workload.paper_queries import paper_queries
-    from repro.workload.paper_schema import PaperConfig, build_paper_database
-
-    databases = [
-        build_paper_database(config=PaperConfig(scale=0.004), kernels=flag)
-        for flag in (True, False)
-    ]
-    for test_name in ("test1", "test2", "test3"):
-        per_path = []
-        for db in databases:
-            qs = paper_queries(db.schema)
-            queries = [qs[i] for i in CALIBRATION_TESTS[test_name]]
-            position = {q.qid: i for i, q in enumerate(queries)}
-            plan = db.optimize(queries, "gg")
-            outcomes = {}
-            for site in SITES:
-                fault = FaultPlan(
-                    [InjectionPoint(site=site, nth=1)], seed=CHAOS_SEED
-                )
-                db.arm_faults(fault)
-                try:
-                    report = db.execute(plan)
-                finally:
-                    db.disarm_faults()
-                assert all(
-                    isinstance(f.error, InjectedFault)
-                    for f in report.failures
-                )
-                outcomes[site] = {
-                    "n_fired": fault.n_fired,
-                    "failed": sorted(
-                        position[qid] for qid in report.failed_qids
-                    ),
-                    "surviving": {
-                        position[qid]: sorted(result.groups.items())
-                        for qid, result in report.results.items()
-                    },
-                }
-            per_path.append(outcomes)
-        assert per_path[0] == per_path[1], test_name
-
-
 def test_single_shard_kill_recovered_by_degraded_replanning():
     """Kill one shard persistently during sharded serving: every scattered
     class loses its task on that shard, retries exhaust (the fault stays
@@ -279,7 +232,7 @@ def test_single_shard_kill_recovered_by_degraded_replanning():
     unsharded base table, where ``shard.exec`` is never checked — recovers
     the whole batch.  Results must match the fault-free reference and the
     surviving shards' data must be untouched."""
-    from repro.core.executor import execute_plan_parallel
+    from repro.core.executor import execute_plan
     from repro.schema.query import GroupBy, GroupByQuery
     from repro.serve import QueryService, ServeConfig
 
@@ -289,7 +242,7 @@ def test_single_shard_kill_recovered_by_degraded_replanning():
         GroupByQuery(groupby=GroupBy((0, 1)), label="b"),
         GroupByQuery(groupby=GroupBy((2, 0)), label="c"),
     ]
-    baseline = execute_plan_parallel(db, db.optimize(queries, "gg"))
+    baseline = execute_plan(db, db.optimize(queries, "gg"), n_workers=4)
 
     shard_set = db.build_shards(3)
     row_counts = [shard.n_rows for shard in shard_set.shards]
@@ -329,10 +282,10 @@ def test_single_shard_kill_recovered_by_degraded_replanning():
     # Survivors untouched: the other shards' partitions are exactly as
     # built, and a disarmed sharded run over the same set is clean.
     assert [shard.n_rows for shard in shard_set.shards] == row_counts
-    from repro.serve import execute_plan_sharded
+    from repro.core.executor import execute_plan
 
     plan = db.optimize(queries, "gg")
-    clean = execute_plan_sharded(db, shard_set, plan)
+    clean = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
     assert not clean.failures
     for query in queries:
         assert clean.result_for(query).approx_equals(

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.check import CorrectnessError, first_divergence
-from repro.core.operators.hash_join import SharedScanHashStarJoin
+from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.engine.result_cache import attach_cache
 from repro.obs.metrics import default_registry
 from repro.schema.query import GroupBy, GroupByQuery
@@ -74,16 +74,16 @@ class TestCleanRuns:
 class TestCorruptedOperatorCaught:
     def test_divergent_value_names_query_and_group(self, db, monkeypatch):
         query = GroupByQuery(groupby=GroupBy((1, 2)), label="victim")
-        real_run = SharedScanHashStarJoin.run
+        real_run = SharedScanStarJoin.run
 
         def corrupted_run(self):
             results = real_run(self)
-            for result in results:
+            for result in results.values():
                 key = sorted(result.groups)[0]
                 result.groups[key] += 1.0  # quiet corruption
             return results
 
-        monkeypatch.setattr(SharedScanHashStarJoin, "run", corrupted_run)
+        monkeypatch.setattr(SharedScanStarJoin, "run", corrupted_run)
         divergences = counter_value("check.divergences")
         with pytest.raises(CorrectnessError) as exc_info:
             db.run_queries([query], "gg")
@@ -97,15 +97,15 @@ class TestCorruptedOperatorCaught:
 
     def test_dropped_group_caught(self, db, monkeypatch):
         query = GroupByQuery(groupby=GroupBy((1, 2)), label="dropped")
-        real_run = SharedScanHashStarJoin.run
+        real_run = SharedScanStarJoin.run
 
         def dropping_run(self):
             results = real_run(self)
-            for result in results:
+            for result in results.values():
                 result.groups.pop(sorted(result.groups)[0])
             return results
 
-        monkeypatch.setattr(SharedScanHashStarJoin, "run", dropping_run)
+        monkeypatch.setattr(SharedScanStarJoin, "run", dropping_run)
         with pytest.raises(CorrectnessError) as exc_info:
             db.run_queries([query], "gg")
         assert exc_info.value.divergence.kind == "missing-group"

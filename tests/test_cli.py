@@ -261,22 +261,6 @@ class TestBenchLeaderboard:
         assert "wall.total_s" in err
 
 
-class TestTuplePathFlag:
-    def test_tuple_path_runs_identically(self, capsys):
-        import re
-
-        def normalized(text):
-            # Wall clock is the one legitimate difference between paths.
-            return re.sub(r"wall [\d.]+ ms", "wall - ms", text)
-
-        mdx = "{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD FILTER (D.DD1)"
-        assert main(["run", *SCALE, mdx]) == 0
-        kernel_out = capsys.readouterr().out
-        assert main(["run", *SCALE, "--tuple-path", mdx]) == 0
-        tuple_out = capsys.readouterr().out
-        assert normalized(kernel_out) == normalized(tuple_out)
-
-
 class TestProfileFlag:
     """--profile error paths (the exit-2 contract) and the happy path.
 

@@ -230,15 +230,16 @@ class TestDagExecution:
             assert got.approx_equals(want), query.display_name()
 
     def test_sharded_dag_execution_parity(self, paper_db, paper_qs):
-        from repro.core.executor import execute_plan_parallel
-        from repro.serve import build_shards, execute_plan_sharded
+        from repro.core.executor import execute_plan
+        from repro.serve import build_shards
 
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
         assert any(cls.has_derives for cls in plan.classes)
-        base = execute_plan_parallel(paper_db, plan)
-        sharded = execute_plan_sharded(paper_db, build_shards(paper_db, 2),
-                                       plan)
+        base = execute_plan(paper_db, plan, n_workers=4)
+        sharded = execute_plan(
+            paper_db, plan, shard_set=build_shards(paper_db, 2), n_workers=4
+        )
         assert not sharded.failures
         for query in batch:
             assert sharded.result_for(query).approx_equals(

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.operators.hash_join import HashStarJoin, SharedScanHashStarJoin
+from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.optimizer import CostModel
 from repro.engine.reference import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
-from helpers import make_tiny_db
+from helpers import hash_star_join, make_tiny_db
 
 
 def q(levels=(1, 1), preds=(), label=""):
@@ -46,7 +46,7 @@ class TestChargedBuilds:
         db.store_dimension_tables()
         db.flush()
         before = db.stats.snapshot()
-        HashStarJoin(db.ctx(), "XY", q((1, 1))).run_single()
+        hash_star_join(db, "XY", q((1, 1)))
         delta = db.stats.delta_since(before)
         dim_pages = sum(t.n_pages for t in db.dimension_tables.values())
         base_pages = db.catalog.get("XY").n_pages
@@ -57,7 +57,7 @@ class TestChargedBuilds:
         db = make_tiny_db(n_rows=200)
         db.flush()
         before = db.stats.snapshot()
-        HashStarJoin(db.ctx(), "XY", q((1, 1))).run_single()
+        hash_star_join(db, "XY", q((1, 1)))
         delta = db.stats.delta_since(before)
         assert delta.seq_page_reads == db.catalog.get("XY").n_pages
 
@@ -70,22 +70,22 @@ class TestChargedBuilds:
         queries = [q((1, 1), label="a"), q((1, 1), label="b")]
         db.flush()
         before = db.stats.snapshot()
-        SharedScanHashStarJoin(db.ctx(), "XY", queries).run()
+        SharedScanStarJoin(db.ctx(), "XY", queries).run_ordered()
         shared_reads = db.stats.delta_since(before).seq_page_reads
         separate_reads = 0
         for query in queries:
             db.flush()
             before = db.stats.snapshot()
-            HashStarJoin(db.ctx(), "XY", query).run_single()
+            hash_star_join(db, "XY", query)
             separate_reads += db.stats.delta_since(before).seq_page_reads
         assert shared_reads < separate_reads
 
     def test_results_unchanged(self):
         db = make_tiny_db(n_rows=200)
         query = q((1, 2), preds=[DimPredicate(0, 1, frozenset({0, 2}))])
-        plain = HashStarJoin(db.ctx(), "XY", query).run_single()
+        plain = hash_star_join(db, "XY", query)
         db.store_dimension_tables()
-        stored = HashStarJoin(db.ctx(), "XY", query).run_single()
+        stored = hash_star_join(db, "XY", query)
         assert plain.approx_equals(stored)
         base = db.catalog.get("XY")
         expected = evaluate_reference(

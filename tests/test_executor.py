@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.executor import execute_plan, run_class
+from repro.core.executor import execute_plan, run_class_accounted
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
@@ -34,13 +34,13 @@ class TestRunClass:
             source="XY",
             plans=[LocalPlan(q, "XY", JoinMethod.HASH) for q in qs],
         )
-        results = run_class(db.ctx(), cls)
+        results, _actuals = run_class_accounted(db.ctx(), cls)
         assert [r.query.qid for r in results] == [q.qid for q in qs]
 
     def test_pure_index_class_single(self, db):
         q = queries()[1]
         cls = PlanClass(source="XY", plans=[LocalPlan(q, "XY", JoinMethod.INDEX)])
-        results = run_class(db.ctx(), cls)
+        results, _actuals = run_class_accounted(db.ctx(), cls)
         assert len(results) == 1
 
     def test_pure_index_class_shared(self, db):
@@ -56,7 +56,7 @@ class TestRunClass:
             source="XY",
             plans=[LocalPlan(q, "XY", JoinMethod.INDEX) for q in qs],
         )
-        results = run_class(db.ctx(), cls)
+        results, _actuals = run_class_accounted(db.ctx(), cls)
         assert len(results) == 2
 
     def test_mixed_class_preserves_plan_order(self, db):
@@ -68,7 +68,7 @@ class TestRunClass:
                 LocalPlan(qs[1], "XY", JoinMethod.INDEX),
             ],
         )
-        results = run_class(db.ctx(), cls)
+        results, _actuals = run_class_accounted(db.ctx(), cls)
         assert [r.query.qid for r in results] == [q.qid for q in qs]
 
 

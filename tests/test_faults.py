@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executor import execute_plan_parallel
+from repro.core.executor import execute_plan
 from repro.faults import (
     SITES,
     FaultPlan,
@@ -262,12 +262,12 @@ def test_failing_class_does_not_poison_siblings():
 
 def test_parallel_executor_isolates_failures_identically():
     db, plan, coarse, leaf = _two_class_setup()
-    clean = execute_plan_parallel(db, plan, n_workers=2)
+    clean = execute_plan(db, plan, n_workers=2)
     db.arm_faults(
         FaultPlan([InjectionPoint(site="storage.page_read", table="X'Y'")])
     )
     try:
-        report = execute_plan_parallel(db, plan, n_workers=2)
+        report = execute_plan(db, plan, n_workers=2)
     finally:
         db.disarm_faults()
     assert [type(f.error) for f in report.failures] == [InjectedFault]

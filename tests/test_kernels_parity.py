@@ -1,206 +1,157 @@
-"""Kernel/tuple-path parity: the columnar batch kernels must be
-byte-identical to the legacy per-tuple operators — same results, same
-simulated costs, same per-operator actuals — on the paper workload, on
-random schemas, and under fault injection.  Tier-1: the kernels are the
-default execution path, so this is the contract that keeps the tuple
-fallback an honest A/B baseline."""
+"""Executor-mode parity: there is one plan executor, and what it computes
+must not depend on how its (class × shard) grid is shaped or scheduled.
 
-import random
+One table drives everything: the paper's Tests 1–7 under every shared-plan
+optimizer, each plan executed in every mode of the ``modes`` fixture.  They
+must be snapshot-identical — same groups in the same order, same per-class
+``IOStats``, same ``OperatorActuals`` (a DAG class's intermediate
+included) — and a 4-shard run must equal the brute-force reference
+(:func:`repro.check.reference_answer`) group for group.  The reference is
+the one definition of what a batch means; no second production path is
+kept around as an oracle.
 
-import numpy as np
+(The file keeps its historical name so its test ids stay stable: it used
+to compare the batch kernels against the since-deleted per-tuple
+operators.)
+"""
+
 import pytest
 
 from repro.check import first_divergence, reference_answer
-from repro.engine.database import Database
+from repro.core.executor import execute_plan
 from repro.faults import SITES, FaultPlan, InjectedFault, InjectionPoint
 from repro.obs.analyze import CALIBRATION_TESTS
-from repro.schema.dimension import Dimension
-from repro.schema.star import StarSchema
-from repro.workload.generator import generate_fact_rows
 from repro.workload.paper_queries import paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
-from helpers import random_query
-
-SCALE = 0.002
-ALGORITHMS = ("tplo", "etplg", "gg")
+ALGORITHMS = ("tplo", "etplg", "gg", "bgg", "dag")
 
 
 @pytest.fixture(scope="module")
-def kernel_db():
-    return build_paper_database(config=PaperConfig(scale=SCALE))
+def db():
+    return build_paper_database(config=PaperConfig(scale=0.002))
 
 
 @pytest.fixture(scope="module")
-def tuple_db():
-    return build_paper_database(config=PaperConfig(scale=SCALE), kernels=False)
+def qs(db):
+    return paper_queries(db.schema)
 
 
-def snapshot(report, batch):
-    """Everything that must match between the two paths, keyed by the
-    query's *position* in the batch (qids differ between two independently
-    built workloads)."""
-    position = {query.qid: i for i, query in enumerate(batch)}
-
-    def remap(per_qid):
-        return {position[int(qid)]: value for qid, value in per_qid.items()}
-
-    actuals = []
-    for execution in report.class_executions:
-        dump = execution.actuals.as_dict()
-        for key, value in dump.items():
-            if isinstance(value, dict):
-                dump[key] = remap(value)
-        actuals.append(dump)
+@pytest.fixture(scope="module")
+def modes(db):
+    """Execution modes that must be indistinguishable from the outside."""
     return {
-        "results": {
-            position[qid]: sorted(result.groups.items())
+        "n_workers=1": {"n_workers": 1},
+        "n_workers=4": {"n_workers": 4},
+        "one shard": {"n_workers": 1, "shard_set": db.build_shards(1)},
+    }
+
+
+@pytest.fixture(scope="module")
+def four_shards(db):
+    return db.build_shards(4)
+
+
+def snapshot(report):
+    """Everything that must match between modes.  The same plan object runs
+    in every mode, so qids key the snapshots directly; group *order* is
+    part of the contract (lists, not dicts)."""
+    return {
+        "failed": report.failed_qids,
+        "groups": {
+            qid: list(result.groups.items())
             for qid, result in report.results.items()
         },
+        "sims": [e.sim.as_dict() for e in report.class_executions],
+        "actuals": [e.actuals.as_dict() for e in report.class_executions],
         "sim_ms": report.sim_ms,
-        "sim_io_ms": report.sim_io_ms,
-        "sim_cpu_ms": report.sim_cpu_ms,
-        "actuals": actuals,
-        "counters": [e.sim.as_dict() for e in report.class_executions],
     }
 
 
 @pytest.mark.parametrize("test_name", sorted(CALIBRATION_TESTS))
-def test_paper_workload_byte_identical(kernel_db, tuple_db, test_name):
-    """Tests 1-7 under every shared-plan optimizer: both paths return the
-    same groups, charge the same simulated costs, and record the same
-    OperatorActuals (rows, pages, probes, popcounts)."""
-    ids = CALIBRATION_TESTS[test_name]
-    kernel_qs = paper_queries(kernel_db.schema)
-    tuple_qs = paper_queries(tuple_db.schema)
+def test_paper_workload_byte_identical(db, qs, modes, four_shards, test_name):
+    batch = [qs[i] for i in CALIBRATION_TESTS[test_name]]
+    truth = {q.qid: reference_answer(db, q).groups for q in batch}
     for algorithm in ALGORITHMS:
-        kernel_batch = [kernel_qs[i] for i in ids]
-        tuple_batch = [tuple_qs[i] for i in ids]
-        kernel_snap = snapshot(
-            kernel_db.run_queries(kernel_batch, algorithm), kernel_batch
-        )
-        tuple_snap = snapshot(
-            tuple_db.run_queries(tuple_batch, algorithm), tuple_batch
-        )
-        assert kernel_snap == tuple_snap, (
-            f"{test_name}/{algorithm}: kernel path diverged on "
-            + ", ".join(
-                key for key in kernel_snap
-                if kernel_snap[key] != tuple_snap[key]
+        plan = db.optimize(batch, algorithm)
+        snaps = {
+            name: snapshot(execute_plan(db, plan, **options))
+            for name, options in modes.items()
+        }
+        first = next(iter(snaps))
+        assert not snaps[first]["failed"]
+        for name, snap in snaps.items():
+            assert snap == snaps[first], (
+                f"{test_name}/{algorithm}: {name!r} diverged from "
+                f"{first!r} on "
+                + ", ".join(k for k in snap if snap[k] != snaps[first][k])
             )
-        )
-
-
-def random_database_pair(seed):
-    """Two databases over the *same* random schema, data, views, and
-    indexes — one on each execution path."""
-    rng = random.Random(seed)
-    dimensions = []
-    for d in range(rng.randint(2, 3)):
-        name = "DEF"[d]
-        dimensions.append(
-            Dimension.build_uniform(
-                name,
-                (name, name + "'", name + "''"),
-                n_top=rng.randint(2, 3),
-                fanouts=(rng.randint(2, 3), rng.randint(2, 4)),
+        sharded = execute_plan(db, plan, n_workers=4, shard_set=four_shards)
+        for query in batch:
+            divergence = first_divergence(
+                truth[query.qid], sharded.result_for(query).groups
             )
-        )
-    schema = StarSchema(f"kp-{seed}", dimensions, measure="m")
-    rows = generate_fact_rows(schema, rng.randint(150, 400), seed=seed)
-    base_name = "".join(dim.name for dim in schema.dimensions)
-    views = []
-    for _ in range(rng.randint(0, 2)):
-        levels = tuple(
-            rng.randint(0, dim.all_level) for dim in schema.dimensions
-        )
-        if any(lv != 0 for lv in levels):
-            views.append(levels)
-    pair = []
-    for kernels in (True, False):
-        db = Database(
-            schema, page_size=64, buffer_pages=256, kernels=kernels
-        )
-        db.load_base(rows, name=base_name)
-        for levels in views:
-            if db.schema.groupby_name(levels) not in db.catalog:
-                db.materialize(levels)
-        db.index_all_dimensions(base_name)
-        pair.append(db)
-    return pair
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_random_schemas_agree_with_each_other_and_reference(seed):
-    """Property: on random schemas/workloads the two paths are snapshot-
-    identical, and both match the brute-force reference evaluator."""
-    kernel_db, tuple_db = random_database_pair(seed)
-    rng = random.Random(500 + seed)
-    specs = [random_query(kernel_db.schema, rng, label=f"K{i}")
-             for i in range(4)]
-    # Same GroupByQuery objects run on both databases: the schemas are
-    # equal and qids then key both snapshots identically.
-    for algorithm in ALGORITHMS:
-        kernel_snap = snapshot(
-            kernel_db.run_queries(specs, algorithm), specs
-        )
-        tuple_snap = snapshot(tuple_db.run_queries(specs, algorithm), specs)
-        assert kernel_snap == tuple_snap, f"seed {seed}, {algorithm}"
-    for query in specs:
-        truth = reference_answer(kernel_db, query)
-        report = kernel_db.run_queries([query], "gg")
-        divergence = first_divergence(
-            truth.groups, report.result_for(query).groups
-        )
-        assert divergence is None, (
-            f"seed {seed}, {query.display_name()}: {divergence.describe()}"
-        )
+            assert divergence is None, (
+                f"{test_name}/{algorithm} at 4 shards, "
+                f"{query.display_name()}: {divergence.describe()}"
+            )
 
 
 @pytest.mark.parametrize("site", SITES)
-def test_fault_injection_parity(kernel_db, tuple_db, site):
-    """A single-shot fault at each site fires (or not) identically on both
-    paths, and the kernels never swallow an InjectedFault: failures,
-    survivors, and surviving groups all match the tuple path."""
-    ids = CALIBRATION_TESTS["test2"]  # shared index join: exercises probes
-    outcomes = []
-    for db in (kernel_db, tuple_db):
-        queries = [paper_queries(db.schema)[i] for i in ids]
-        position = {q.qid: i for i, q in enumerate(queries)}
-        plan = db.optimize(queries, "gg")
-        fault = FaultPlan([InjectionPoint(site=site, nth=1)], seed=7)
-        db.arm_faults(fault)
-        try:
-            report = db.execute(plan)
-        finally:
-            db.disarm_faults()
-        assert all(
-            isinstance(f.error, InjectedFault) for f in report.failures
+def test_fault_injection_parity(db, qs, modes, site):
+    """A single-shot fault at each site fails the same queries and leaves
+    the same surviving groups whether the plan runs unsharded or over one
+    shard, and never escapes as anything but a class failure.  The
+    exception proves the rule: ``shard.exec`` exists only on the sharded
+    grid, where it takes down exactly the first class."""
+    workloads = [("test6", "gg"), ("test1", "dag")]  # probes; derive steps
+    n_fired = 0
+    for test_name, algorithm in workloads:
+        plan = db.optimize(
+            [qs[i] for i in CALIBRATION_TESTS[test_name]], algorithm
         )
-        outcomes.append(
-            {
+        outcomes = {}
+        for name in ("n_workers=1", "one shard"):
+            fault = FaultPlan([InjectionPoint(site=site, nth=1)], seed=7)
+            db.arm_faults(fault)
+            try:
+                report = execute_plan(db, plan, **modes[name])
+            finally:
+                db.disarm_faults()
+            assert all(
+                isinstance(f.error, InjectedFault) for f in report.failures
+            )
+            outcomes[name] = {
                 "n_fired": fault.n_fired,
-                "failed": sorted(position[qid] for qid in report.failed_qids),
+                "failed": report.failed_qids,
                 "surviving": {
-                    position[qid]: sorted(result.groups.items())
+                    qid: list(result.groups.items())
                     for qid, result in report.results.items()
                 },
             }
-        )
-    assert outcomes[0] == outcomes[1], f"site {site}"
+        unsharded, sharded = outcomes["n_workers=1"], outcomes["one shard"]
+        if site == "shard.exec":
+            assert unsharded["n_fired"] == 0 and not unsharded["failed"]
+            assert sharded["failed"] == sorted(
+                q.qid for q in plan.classes[0].queries
+            )
+        else:
+            assert unsharded == sharded, f"site {site}, {test_name}"
+        n_fired += sharded["n_fired"]
+    assert n_fired > 0, f"no workload reaches site {site}"
 
 
-def test_kernel_flag_round_trip():
-    """The flag plumbs Database -> ExecContext on both settings, and
-    mid-session flips change the execution path (the CLI relies on this
-    after loading a persisted database)."""
-    kernel_db, tuple_db = random_database_pair(99)
-    assert kernel_db.kernels and kernel_db.ctx().kernels
-    assert not tuple_db.kernels and not tuple_db.ctx().kernels
-    rng = random.Random(4242)
-    query = random_query(kernel_db.schema, rng, label="flip")
-    before = kernel_db.run_queries([query], "gg").result_for(query).groups
-    kernel_db.kernels = False
-    after = kernel_db.run_queries([query], "gg").result_for(query).groups
-    assert not kernel_db.ctx().kernels
-    assert before == after
+def test_cold_runs_leave_the_database_pool_alone(db, qs):
+    """Cold cells run in private pools; only ``cold=False`` touches (and
+    benefits from) the database's own."""
+    plan = db.optimize([qs[i] for i in CALIBRATION_TESTS["test1"]], "gg")
+    db.flush()
+    cold = execute_plan(db, plan)
+    assert len(db.pool) == 0
+    first_warm = execute_plan(db, plan, cold=False)
+    assert len(db.pool) > 0
+    assert first_warm.sim_io_ms == cold.sim_io_ms  # started from empty
+    again_warm = execute_plan(db, plan, cold=False)
+    assert again_warm.sim_io_ms < cold.sim_io_ms
+    with pytest.raises(ValueError, match="cold"):
+        execute_plan(db, plan, cold=False, shard_set=db.build_shards(1))

@@ -11,12 +11,11 @@ import pytest
 
 from repro.engine.maintenance import MaintenanceError, append_rows
 from repro.engine.reference import evaluate_reference
-from repro.core.operators.hash_join import HashStarJoin
 from repro.core.operators.index_join import IndexStarJoin
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows
 
-from helpers import make_tiny_db
+from helpers import hash_star_join, make_tiny_db
 
 
 def fresh_db(**kwargs):
@@ -215,7 +214,7 @@ class TestEndToEndAfterAppends:
         db = fresh_db()
         db.append_rows(new_rows(db, 90, seed=77))
         query = GroupByQuery(groupby=GroupBy((2, 2)))
-        via_view = HashStarJoin(db.ctx(), "X'Y'", query).run_single()
+        via_view = hash_star_join(db, "X'Y'", query)
         base = db.catalog.get("XY")
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels

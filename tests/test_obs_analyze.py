@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.core.executor import execute_plan, run_class_accounted
-from repro.core.operators.hash_join import SharedScanHashStarJoin
+from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
     SharedIndexStarJoin,
     query_result_bitmap,
@@ -103,7 +103,7 @@ class TestSharedScanActuals:
             GroupByQuery(groupby=GroupBy((1, 1)), label="h1"),
             GroupByQuery(groupby=GroupBy((2, 1)), label="h2"),
         ]
-        op = SharedScanHashStarJoin(db.ctx(), "XY", queries)
+        op = SharedScanStarJoin(db.ctx(), "XY", queries)
         op.run()
         entry = db.catalog.get("XY")
         assert op.actuals.rows_scanned == entry.n_rows

@@ -20,14 +20,13 @@ import threading
 
 import pytest
 
-from repro.core.executor import execute_plan_parallel
+from repro.core.executor import execute_plan
 from repro.obs.export import span_from_dict, to_chrome_trace, trace_to_dict
 from repro.obs.metrics import default_registry
 from repro.obs.recorder import load_flight_dump
 from repro.obs.trace import Tracer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, ServeConfig, StageTiming, build_shards
-from repro.serve.shard import execute_plan_sharded
 
 from helpers import make_tiny_db
 
@@ -71,7 +70,7 @@ class TestParallelTraceTree:
         shards = build_shards(db, 4)
         plan = db.optimize(queries(), "gg")
         with db.trace("sharded") as tracer:
-            execute_plan_sharded(db, shards, plan, n_workers=4)
+            execute_plan(db, plan, shard_set=shards, n_workers=4)
         (root,) = tracer.roots
         assert_well_formed(root)
         scatter_spans = root.find_all("serve.scatter")
@@ -101,7 +100,7 @@ class TestParallelTraceTree:
     def test_parallel_class_trace_is_well_formed(self, db):
         plan = db.optimize(queries(), "gg")
         with db.trace("parallel") as tracer:
-            execute_plan_parallel(db, plan, n_workers=4)
+            execute_plan(db, plan, n_workers=4)
         (root,) = tracer.roots
         assert_well_formed(root)
         (plan_span,) = root.find_all("execute.plan")
@@ -119,7 +118,7 @@ class TestParallelTraceTree:
         shards = build_shards(db, 2)
         plan = db.optimize(queries(), "gg")
         with db.trace("rt") as tracer:
-            execute_plan_sharded(db, shards, plan, n_workers=4)
+            execute_plan(db, plan, shard_set=shards, n_workers=4)
         exported = trace_to_dict(tracer.roots[0])
         rebuilt = span_from_dict(exported)
         assert trace_to_dict(rebuilt) == exported

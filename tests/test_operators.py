@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from repro.core.operators.hash_join import HashStarJoin, SharedScanHashStarJoin
-from repro.core.operators.hybrid_join import SharedHybridStarJoin
+from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
     IndexStarJoin,
     MissingIndexError,
@@ -18,7 +17,7 @@ from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.engine.reference import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
-from helpers import make_tiny_db, random_query
+from helpers import hash_star_join, make_tiny_db, random_query
 
 
 @pytest.fixture(scope="module")
@@ -40,36 +39,36 @@ def simple_query(levels=(1, 2), preds=()):
 class TestQueryPipeline:
     def test_matches_reference_no_predicates(self, db):
         query = simple_query((1, 1))
-        op = HashStarJoin(db.ctx(), "XY", query)
-        assert op.run_single().approx_equals(reference_for(db, query))
+        result = hash_star_join(db, "XY", query)
+        assert result.approx_equals(reference_for(db, query))
 
     def test_matches_reference_with_predicates(self, db):
         query = simple_query(
             (1, 2),
             [DimPredicate(0, 2, frozenset({0})), DimPredicate(1, 1, frozenset({1, 3}))],
         )
-        op = HashStarJoin(db.ctx(), "XY", query)
-        assert op.run_single().approx_equals(reference_for(db, query))
+        result = hash_star_join(db, "XY", query)
+        assert result.approx_equals(reference_for(db, query))
 
     def test_random_queries_match_reference(self, db):
         rng = random.Random(11)
         for i in range(25):
             query = random_query(db.schema, rng, label=f"rand{i}")
-            op = HashStarJoin(db.ctx(), "XY", query)
-            assert op.run_single().approx_equals(reference_for(db, query)), (
+            result = hash_star_join(db, "XY", query)
+            assert result.approx_equals(reference_for(db, query)), (
                 query.describe(db.schema)
             )
 
     def test_from_materialized_view_matches_base(self, db):
         query = simple_query((1, 2), [DimPredicate(0, 1, frozenset({0, 2}))])
-        from_base = HashStarJoin(db.ctx(), "XY", query).run_single()
-        from_view = HashStarJoin(db.ctx(), "X'Y", query).run_single()
+        from_base = hash_star_join(db, "XY", query)
+        from_view = hash_star_join(db, "X'Y", query)
         assert from_base.approx_equals(from_view)
 
     def test_unanswerable_source_rejected(self, db):
         query = simple_query((0, 0))  # needs leaf X, view stores X'
         with pytest.raises(ValueError):
-            HashStarJoin(db.ctx(), "X'Y", query)
+            SharedScanStarJoin(db.ctx(), "X'Y", [query])
 
     def test_rollup_cache_builds_once(self, db):
         ctx = db.ctx()
@@ -97,9 +96,9 @@ class TestSharedScanHashJoin:
 
     def test_results_equal_separate_execution(self, db):
         queries = self.queries()
-        shared = SharedScanHashStarJoin(db.ctx(), "XY", queries).run()
+        shared = SharedScanStarJoin(db.ctx(), "XY", queries).run_ordered()
         for query, result in zip(queries, shared):
-            solo = HashStarJoin(db.ctx(), "XY", query).run_single()
+            solo = hash_star_join(db, "XY", query)
             assert result.approx_equals(solo)
             assert result.approx_equals(reference_for(db, query))
 
@@ -108,14 +107,14 @@ class TestSharedScanHashJoin:
         entry = db.catalog.get("XY")
         db.flush()
         before = db.stats.snapshot()
-        SharedScanHashStarJoin(db.ctx(), "XY", queries).run()
+        SharedScanStarJoin(db.ctx(), "XY", queries).run_ordered()
         delta = db.stats.delta_since(before)
         assert delta.seq_page_reads == entry.n_pages
         assert delta.rand_page_reads == 0
 
     def test_empty_query_list_rejected(self, db):
         with pytest.raises(ValueError):
-            SharedScanHashStarJoin(db.ctx(), "XY", [])
+            SharedScanStarJoin(db.ctx(), "XY", [])
 
 
 class TestIndexStarJoin:
@@ -133,7 +132,7 @@ class TestIndexStarJoin:
     def test_matches_hash_join(self, db):
         query = self.selective_query()
         via_index = IndexStarJoin(db.ctx(), "XY", query).run_single()
-        via_hash = HashStarJoin(db.ctx(), "XY", query).run_single()
+        via_hash = hash_star_join(db, "XY", query)
         assert via_index.approx_equals(via_hash)
 
     def test_probe_reads_are_random(self, db):
@@ -214,7 +213,7 @@ class TestSharedHybridJoin:
             simple_query((1, 2), [DimPredicate(0, 1, frozenset({1}))]),
             simple_query((2, 2), [DimPredicate(1, 1, frozenset({0}))]),
         ]
-        op = SharedHybridStarJoin(db.ctx(), "XY", hash_queries, index_queries)
+        op = SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries)
         by_qid = op.run()
         for query in hash_queries + index_queries:
             assert by_qid[query.qid].approx_equals(reference_for(db, query))
@@ -227,7 +226,7 @@ class TestSharedHybridJoin:
         hash_queries = [simple_query((2, 1))]
         db.flush()
         before = db.stats.snapshot()
-        SharedHybridStarJoin(db.ctx(), "XY", hash_queries, index_queries).run()
+        SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries).run()
         delta = db.stats.delta_since(before)
         assert delta.rand_page_reads == 0
         assert delta.seq_page_reads >= db.catalog.get("XY").n_pages
@@ -237,7 +236,7 @@ class TestSharedHybridJoin:
         index_queries = [
             simple_query((1, 2), [DimPredicate(0, 1, frozenset({1}))]),
         ]
-        op = SharedHybridStarJoin(db.ctx(), "XY", hash_queries, index_queries)
+        op = SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries)
         ordered = op.run_ordered()
         assert [r.query.qid for r in ordered] == [
             q.qid for q in hash_queries + index_queries
@@ -245,4 +244,4 @@ class TestSharedHybridJoin:
 
     def test_empty_rejected(self, db):
         with pytest.raises(ValueError):
-            SharedHybridStarJoin(db.ctx(), "XY", [], [])
+            SharedScanStarJoin(db.ctx(), "XY", [], [])

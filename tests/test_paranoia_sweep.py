@@ -31,14 +31,9 @@ SWEEP_TESTS = {
 }
 
 
-@pytest.fixture(scope="module", params=["kernels", "tuple"])
-def db(request):
-    """Both execution paths, so the reference cross-check judges the
-    columnar kernels and the per-tuple fallback alike."""
-    database = build_paper_database(
-        config=PaperConfig(scale=0.004),
-        kernels=request.param == "kernels",
-    )
+@pytest.fixture(scope="module")
+def db():
+    database = build_paper_database(config=PaperConfig(scale=0.004))
     database.paranoia = True
     return database
 

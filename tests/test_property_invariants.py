@@ -9,8 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.operators.hash_join import SharedScanHashStarJoin
-from repro.core.operators.hybrid_join import SharedHybridStarJoin
+from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import MissingIndexError, SharedIndexStarJoin
 from repro.engine.reference import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
@@ -59,7 +58,7 @@ class TestOperatorInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_shared_scan_equals_reference(self, queries):
-        results = SharedScanHashStarJoin(DB.ctx(), "XY", queries).run()
+        results = SharedScanStarJoin(DB.ctx(), "XY", queries).run_ordered()
         for query, result in zip(queries, results):
             assert result.approx_equals(reference(query))
 
@@ -88,7 +87,7 @@ class TestOperatorInvariants:
     )
     def test_hybrid_equals_reference_when_feasible(self, hash_qs, index_qs):
         try:
-            by_qid = SharedHybridStarJoin(
+            by_qid = SharedScanStarJoin(
                 DB.ctx(), "XY", hash_qs, index_qs
             ).run()
         except MissingIndexError:

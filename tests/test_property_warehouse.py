@@ -14,7 +14,7 @@ from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows
 
 from conftest import make_tiny_schema
-from helpers import make_tiny_db
+from helpers import hash_star_join, make_tiny_db
 
 
 def view_as_dict(entry):
@@ -74,7 +74,6 @@ class TestMaintenanceEquivalence:
     )
     def test_indexes_stay_consistent(self, batches, seed):
         """After any append sequence, index-driven plans equal hash plans."""
-        from repro.core.operators.hash_join import HashStarJoin
         from repro.core.operators.index_join import IndexStarJoin
         from repro.schema.query import DimPredicate
 
@@ -87,7 +86,7 @@ class TestMaintenanceEquivalence:
             groupby=GroupBy((1, 2)),
             predicates=(DimPredicate(0, 0, frozenset({seed % 12})),),
         )
-        via_hash = HashStarJoin(db.ctx(), "XY", query).run_single()
+        via_hash = hash_star_join(db, "XY", query)
         via_index = IndexStarJoin(db.ctx(), "XY", query).run_single()
         assert via_index.approx_equals(via_hash)
 

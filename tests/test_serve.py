@@ -2,8 +2,8 @@
 
 Covers the batching policy (config validation, cross-request dedup),
 futures (single assignment, wait timeouts), admission backpressure,
-queued-request deadlines, shutdown semantics, error routing, the parallel
-class executor's byte-identity to the serial one, and the satellite
+queued-request deadlines, shutdown semantics, error routing, the plan
+executor's worker-count edge cases, and the satellite
 duplicate-query-coalescing scenario: many concurrent clients with
 overlapping query sets must yield one planned instance per distinct query
 while every client still gets its own correct results.
@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.executor import execute_plan_parallel, run_class_isolated
+from repro.core.executor import execute_plan, run_class_accounted
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.serve import (
     AdmissionError,
@@ -330,42 +330,37 @@ class TestParallelExecutor:
             GroupByQuery(groupby=GroupBy((2, 0)), label="c"),
         ]
 
-    def test_parallel_matches_serial_byte_for_byte(self, db):
-        queries = self.queries()
-        plan = db.optimize(queries, "gg")
-        serial = db.execute(plan, cold=True)
-        parallel = execute_plan_parallel(db, plan, n_workers=4)
-        assert set(serial.results) == set(parallel.results)
-        for qid, result in serial.results.items():
-            # Strict equality, not approx: isolated cold contexts make the
-            # parallel execution deterministic down to summation order.
-            assert parallel.results[qid].groups == result.groups
-        assert parallel.sim_ms == pytest.approx(serial.sim_ms, abs=1e-9)
-
     def test_single_worker_path(self, db):
-        plan = db.optimize(self.queries(), "gg")
-        serial = db.execute(plan, cold=True)
-        parallel = execute_plan_parallel(db, plan, n_workers=1)
-        for qid, result in serial.results.items():
-            assert parallel.results[qid].groups == result.groups
+        """n_workers=1 spawns no thread pool: every cell runs inline on
+        the calling thread (n_workers=4 equivalence lives in
+        test_executor_equivalence.py)."""
+        plan = db.optimize(self.queries(), "naive")
+        assert len(plan.classes) > 1
+        with db.trace():
+            report = execute_plan(db, plan, n_workers=1)
+        assert not report.failures
+        spans = db.last_trace.find_all("execute.class")
+        assert len(spans) == len(plan.classes)
+        assert {s.thread for s in spans} == {threading.current_thread().name}
 
     def test_empty_plan(self, db):
         from repro.core.optimizer.plans import GlobalPlan
 
-        report = execute_plan_parallel(db, GlobalPlan(algorithm="gg"))
+        report = execute_plan(db, GlobalPlan(algorithm="gg"), n_workers=4)
         assert report.results == {}
 
     def test_rejects_nonpositive_workers(self, db):
         plan = db.optimize(self.queries(), "gg")
         with pytest.raises(ValueError):
-            execute_plan_parallel(db, plan, n_workers=0)
+            execute_plan(db, plan, n_workers=0)
 
     def test_isolated_class_charges_nothing_to_shared_clock(self, db):
         plan = db.optimize(self.queries(), "gg")
         before = db.stats.snapshot()
-        execution = run_class_isolated(db, plan.classes[0])
+        ctx = db.ctx(private=True)
+        run_class_accounted(ctx, plan.classes[0])
         assert db.stats.snapshot() == before
-        assert execution.sim.total_ms > 0.0
+        assert ctx.stats.total_ms > 0.0
 
 
 class TestDatabaseServe:
@@ -486,7 +481,7 @@ class TestFanOutDeepCopy:
     def test_detached_results_share_nothing(self, db):
         query = make_query(3)
         plan = db.optimize([query], "gg")
-        report = execute_plan_parallel(db, plan)
+        report = execute_plan(db, plan, n_workers=4)
         original = report.result_for(query)
         twin = make_query(3)
         copy = original.detached(query=twin)

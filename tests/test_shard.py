@@ -1,14 +1,14 @@
-"""Sharded scatter-gather execution (``repro.serve.shard``).
+"""Sharded scatter-gather execution (``repro.serve.shard`` partitions,
+``execute_plan(..., shard_set=)`` runs them).
 
 The contract under test, per the shard module's invariants:
 
 * :func:`build_shards` partitions every table losslessly (row-disjoint,
   order-preserving) and rebuilds the same indexes per shard;
-* N=1 is **byte-identical** to the unsharded parallel executor — results,
-  simulated cost, and operator actuals all match exactly;
 * N>1 is result-identical (merged partial aggregates), for every
   aggregate — AVG included, merged exactly through its (sum, count)
-  ``avg_state`` with zero ``shard.avg_fallbacks``;
+  ``avg_state`` (N=1 byte-identity lives in
+  ``test_executor_equivalence.py``);
 * a ``shard.exec`` fault kills exactly one shard's task, failing its
   class while sibling classes survive byte-identical — and the serve
   layer's retry/degrade ladder recovers the request.
@@ -18,17 +18,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executor import execute_plan_parallel
-from repro.core.operators.results import QueryResult
+from repro.core.executor import execute_plan
+from repro.core.operators.results import QueryResult, merge_partial_results
 from repro.faults import FaultPlan, InjectedFault, InjectionPoint
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
-from repro.serve import ServeConfig, build_shards, execute_plan_sharded
-from repro.serve.shard import (
-    merge_actuals,
-    merge_partial_results,
-    plan_is_decomposable,
-    shard_of,
-)
+from repro.obs.analyze import OperatorActuals, merge_actuals
+from repro.serve import ServeConfig, build_shards
+from repro.serve.shard import shard_of
 
 from helpers import make_tiny_db
 
@@ -123,8 +119,6 @@ class TestMergeHelpers:
         query = GroupByQuery(
             groupby=GroupBy((1, 1)), aggregate=aggregate, label="m"
         )
-        from repro.core.operators.results import QueryResult
-
         left = QueryResult(query=query, groups={(0, 0): 5.0, (1, 0): 2.0})
         right = QueryResult(query=query, groups={(0, 0): 3.0, (2, 0): 7.0})
         return query, [[left], [right]]
@@ -144,26 +138,24 @@ class TestMergeHelpers:
         assert merged.groups[(0, 0)] == 5.0
 
     def test_merge_actuals_sums_counters(self):
-        from repro.obs.analyze import OperatorActuals
-
         a = OperatorActuals(operator="op", source="XY", rows_scanned=10)
         a.rows_in[7] = 10
         a.pipeline_cpu_ms[7] = 0.5
         b = OperatorActuals(operator="op", source="XY", rows_scanned=4)
         b.rows_in[7] = 4
         b.pipeline_cpu_ms[7] = 0.25
-        merged = merge_actuals([a, b])
+        # n_groups is not additive (a group on two shards is one group):
+        # it is read off the merged results, so a DAG intermediate — which
+        # has actuals but no merged result — gets no entry.
+        a.n_groups.update({7: 2, 99: 5})
+        b.n_groups.update({7: 2, 99: 4})
+        query, partials = self._partials(Aggregate.SUM)
+        results = merge_partial_results([query], partials)
+        merged = merge_actuals([a, b], results)
         assert merged.rows_scanned == 14
         assert merged.rows_in[7] == 14
         assert merged.pipeline_cpu_ms[7] == pytest.approx(0.75)
-
-    def test_avg_plans_are_decomposable(self, db):
-        avg = GroupByQuery(
-            groupby=GroupBy((1, 1)), aggregate=Aggregate.AVG, label="avg"
-        )
-        plan = db.optimize([avg], "gg")
-        assert plan_is_decomposable(plan)
-        assert plan_is_decomposable(db.optimize(queries(), "gg"))
+        assert merged.n_groups == {query.qid: 3}
 
     def test_merge_avg_from_sum_count_state(self):
         query = GroupByQuery(
@@ -195,30 +187,13 @@ class TestMergeHelpers:
 
 
 class TestShardedExecution:
-    def test_one_shard_is_byte_identical(self, db):
-        plan = db.optimize(queries(), "gg")
-        base = execute_plan_parallel(db, plan)
-        assert not base.failures
-        shard_set = build_shards(db, 1)
-        sharded = execute_plan_sharded(db, shard_set, plan)
-        assert not sharded.failures
-        for b, s in zip(base.class_executions, sharded.class_executions):
-            assert [r.groups for r in b.results] == [
-                r.groups for r in s.results
-            ]
-            assert b.sim.total_ms == s.sim.total_ms
-            assert b.sim.seq_page_reads == s.sim.seq_page_reads
-            assert b.sim.rand_page_reads == s.sim.rand_page_reads
-            assert b.actuals.as_dict() == s.actuals.as_dict()
-        assert base.sim_ms == sharded.sim_ms
-
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_many_shards_are_result_identical(self, db, n_shards):
         db.paranoia = True
         plan = db.optimize(queries(), "gg")
-        base = execute_plan_parallel(db, plan)
+        base = execute_plan(db, plan, n_workers=4)
         shard_set = build_shards(db, n_shards)
-        sharded = execute_plan_sharded(db, shard_set, plan)
+        sharded = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         assert not sharded.failures
         assert_result_identical(sharded, base)
 
@@ -231,33 +206,23 @@ class TestShardedExecution:
             groupby=GroupBy((0, 1)), aggregate=aggregate, label="agg"
         )
         plan = db.optimize([query], "gg")
-        base = execute_plan_parallel(db, plan)
-        sharded = execute_plan_sharded(db, build_shards(db, 3), plan)
+        base = execute_plan(db, plan, n_workers=4)
+        sharded = execute_plan(db, plan, shard_set=build_shards(db, 3), n_workers=4)
         assert not sharded.failures
         assert_result_identical(sharded, base)
 
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_avg_merges_exactly_across_shards(self, db, n_shards):
-        from repro.obs.metrics import MetricsRegistry, set_default_registry
-
         avg = GroupByQuery(
             groupby=GroupBy((1, 1)), aggregate=Aggregate.AVG, label="avg"
         )
         plan = db.optimize([avg] + queries()[1:], "gg")
-        base = execute_plan_parallel(db, plan)
-        registry = MetricsRegistry()
-        previous = set_default_registry(registry)
-        try:
-            sharded = execute_plan_sharded(
-                db, build_shards(db, n_shards), plan
-            )
-        finally:
-            set_default_registry(previous)
+        base = execute_plan(db, plan, n_workers=4)
+        sharded = execute_plan(
+            db, plan, shard_set=build_shards(db, n_shards), n_workers=4
+        )
         assert not sharded.failures
         assert_result_identical(sharded, base)
-        # The AVG hot path is gone: nothing routed around the shards.
-        fallbacks = registry.counter("shard.avg_fallbacks", "")
-        assert fallbacks.value == 0
         merged_avg = next(
             r
             for ce in sharded.class_executions
@@ -268,9 +233,9 @@ class TestShardedExecution:
 
     def test_single_worker_path(self, db):
         plan = db.optimize(queries(), "gg")
-        base = execute_plan_parallel(db, plan)
-        sharded = execute_plan_sharded(
-            db, build_shards(db, 2), plan, n_workers=1
+        base = execute_plan(db, plan, n_workers=4)
+        sharded = execute_plan(
+            db, plan, shard_set=build_shards(db, 2), n_workers=1
         )
         assert_result_identical(sharded, base)
 
@@ -282,7 +247,7 @@ class TestShardedExecution:
         try:
             plan = db.optimize(queries(), "gg")
             shard_set = build_shards(db, 2)
-            execute_plan_sharded(db, shard_set, plan)
+            execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         finally:
             set_default_registry(previous)
         names = set(registry.names())
@@ -296,7 +261,7 @@ class TestShardedExecution:
         plan = db.optimize(queries(), "gg")
         shard_set = build_shards(db, 2)
         with db.trace() as _:
-            execute_plan_sharded(db, shard_set, plan)
+            execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         root = db.last_trace
         assert root.find("serve.scatter") is not None
         assert root.find("serve.gather") is not None
@@ -308,14 +273,14 @@ class TestShardedExecution:
 class TestShardFaults:
     def test_shard_kill_fails_class_and_spares_siblings(self, db):
         plan = db.optimize(queries(), "gg")
-        base = execute_plan_parallel(db, plan)
+        base = execute_plan(db, plan, n_workers=4)
         shard_set = build_shards(db, 3)
         fault = FaultPlan(
             [InjectionPoint(site="shard.exec", shard=1, nth=1)], seed=1998
         )
         db.arm_faults(fault)
         try:
-            report = execute_plan_sharded(db, shard_set, plan)
+            report = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         finally:
             db.disarm_faults()
         assert fault.n_fired == 1
@@ -332,7 +297,7 @@ class TestShardFaults:
         # Disarmed re-run over the same shard set is clean, covers every
         # query again, and is byte-identical to the surviving classes of
         # the faulted run (same shard geometry, same summation order).
-        clean = execute_plan_sharded(db, shard_set, plan)
+        clean = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         assert not clean.failures
         assert_result_identical(clean, base)
         for qid, result in surviving.items():
@@ -346,7 +311,7 @@ class TestShardFaults:
         )
         db.arm_faults(fault)
         try:
-            report = execute_plan_sharded(db, shard_set, plan)
+            report = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         finally:
             db.disarm_faults()
         assert fault.n_fired == 0
@@ -358,7 +323,7 @@ class TestServeIntegration:
         from repro.serve import QueryService
 
         batch = queries()
-        base = execute_plan_parallel(db, db.optimize(batch, "gg"))
+        base = execute_plan(db, db.optimize(batch, "gg"), n_workers=4)
         service = QueryService(db, ServeConfig(window_ms=5.0, shards=3))
         with service:
             response = service.submit(batch).result(timeout=30.0)

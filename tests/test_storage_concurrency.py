@@ -1,6 +1,6 @@
 """Thread-safety of the storage and metrics counters.
 
-The parallel class executor runs operators on worker threads; every shared
+The plan executor runs operators on worker threads; every shared
 counter they touch (the IOStats cost clock, the buffer pool's frame map and
 hit/miss counts, the process metrics) must be exact under interleaving.
 These stress tests shrink the interpreter's thread switch interval so that
