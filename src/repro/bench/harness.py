@@ -44,19 +44,25 @@ def run_forced_class(
     cold: bool = True,
 ) -> ForcedRun:
     """Execute ``queries`` on ``source`` with the given join methods as one
-    class (sharing applies), measuring simulated and wall time."""
+    class (sharing applies), measuring simulated and wall time.
+
+    A cold run gets a private pool and clock (``db.ctx(private=True)``, the
+    plan executor's cold discipline) folded back into the database's clock;
+    ``cold=False`` runs on the database's own pool.
+    """
     plans = [
         LocalPlan(query=q, source=source, method=m)
         for q, m in zip(queries, methods)
     ]
     plan_class = PlanClass(source=source, plans=plans)
-    if cold:
-        db.flush()
-    before = db.stats.snapshot()
+    ctx = db.ctx(private=cold)
+    before = ctx.stats.snapshot()
     started = time.perf_counter()
-    results, _actuals = run_class_accounted(db.ctx(), plan_class)
+    results, _actuals = run_class_accounted(ctx, plan_class)
     wall_s = time.perf_counter() - started
-    delta = db.stats.delta_since(before)
+    delta = ctx.stats.delta_since(before)
+    if cold:
+        db.stats.merge_from(delta)
     return ForcedRun(
         sim_ms=delta.total_ms,
         io_ms=delta.io_ms,

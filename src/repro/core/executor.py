@@ -266,7 +266,7 @@ def run_class_accounted(
     tracer is live, the physical operator runs inside an
     ``operator.<kind>`` span whose cost-clock delta is exactly the class's
     charged work; the operator's actuals land in the span's ``actuals``
-    attribute.
+    attribute and a shared scan's batch count in ``morsels``.
     """
     kind = plan_class.operator_kind
     queries = plan_class.queries
@@ -301,6 +301,7 @@ def run_class_accounted(
             )
             by_qid = operator.run()
             results = [by_qid[q.qid] for q in queries]
+            span.set("morsels", operator.morsels)
         if ctx.tracer.enabled:
             span.set("actuals", operator.actuals.as_dict())
     return results, operator.actuals

@@ -4,9 +4,11 @@ The final stage of every star-join plan in the paper: joined tuples are
 hashed on the target group-by attributes and the measure is folded into the
 group's accumulator.  The implementation packs the per-dimension target
 member ids into a single integer group code (mixed-radix over the target
-level cardinalities) and folds page-sized batches with numpy, which is both
-fast and matches the per-tuple cost the clock charges
-(:meth:`~repro.storage.iostats.IOStats.charge_agg_update`).
+level cardinalities) and folds each batch it is handed — a scan morsel of
+many pages, or a retrieved probe set — with numpy, charging the clock per
+tuple (:meth:`~repro.storage.iostats.IOStats.charge_agg_update`).  SUM and
+AVG state are floats, so the fold order (batch by batch) shows in the last
+bits; COUNT, MIN and MAX are order-free (DESIGN.md §6.1).
 """
 
 from __future__ import annotations

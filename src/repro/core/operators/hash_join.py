@@ -16,7 +16,7 @@ operator, :class:`SharedScanStarJoin`, taking three kinds of member:
   fetching pages at random they test the bitmap against the rows streaming
   past: the random-probe I/O disappears and only a small bitmap-test CPU
   cost per index query remains — Test 3 / Figure 12.  The bitmap stays
-  packed; each page's window of words is unpacked with
+  packed; each morsel's window of words is unpacked with
   :meth:`~repro.index.bitmap.Bitmap.slice_bool`;
 * **derive steps** accumulate a predicate-free *intermediate* group-by from
   the same scan; afterwards each finished intermediate is decoded back into
@@ -25,8 +25,9 @@ operator, :class:`SharedScanStarJoin`, taking three kinds of member:
   :class:`~.pipeline.QueryPipeline` over those few rows.  No I/O is
   charged: the intermediate lives in memory.
 
-The scan arrives as cached columnar page batches
-(:func:`~.pipeline.scan_columns`), and every member reuses the same
+The scan arrives as morsels — column batches of many whole pages, each
+page fault-checked and charged on its own (:func:`~.pipeline.scan_columns`)
+— and every member reuses the same
 probe-filter-aggregate pipeline, so a derived or bitmap-filtered answer is
 byte-identical to scanning for it alone.
 """
@@ -89,6 +90,8 @@ class SharedScanStarJoin:
         #: Filled during :meth:`run` — the operator's measured actuals
         #: (intermediates appear under their synthetic qids).
         self.actuals = OperatorActuals(operator=self.label, source=source_name)
+        #: Column batches the last :meth:`run` pulled off the scan.
+        self.morsels = 0
         source_levels = self.source.levels
         source_agg = self.source.source_aggregate
         for query in self.hash_queries + self.index_queries:
@@ -159,30 +162,33 @@ class SharedScanStarJoin:
         inter_pipes = [pipeline(inter) for inter, _members in self.derives]
         # Hash members and intermediates both consume every scanned tuple.
         full_scan_pipes = hash_pipes + inter_pipes
-        capacity = self.source.table.capacity
         metrics = default_registry()
+        morsels = metrics.counter(
+            "executor.morsels", "column batches handed out by shared scans"
+        )
         if index_pipes:
             routed = metrics.counter(
                 "executor.tuples_routed",
                 "retrieved tuples tested against a query's result bitmap",
             )
-        # Phase 2: one shared sequential scan feeds everybody.
-        for page, keys, measures in scan_columns(ctx, self.source, self.label):
-            n_rows = len(page.rows)
-            actuals.pages_scanned += 1
+        # Phase 2: one shared sequential scan feeds everybody, a morsel of
+        # whole pages at a time.
+        for start, n_pages, n_rows, keys, measures in scan_columns(
+            ctx, self.source, self.label
+        ):
+            self.morsels += 1
+            morsels.inc()
+            actuals.pages_scanned += n_pages
             actuals.rows_scanned += n_rows
             for pipe in full_scan_pipes:
                 pipe.process_batch(keys, measures, ctx.stats)
-            if not index_pipes:
-                continue
-            start = page.page_no * capacity
             for query, pipe, bitmap in zip(
                 self.index_queries, index_pipes, index_bitmaps
             ):
                 ctx.stats.charge_bitmap_test(n_rows)
                 routed.inc(n_rows)
                 actuals.tuples_tested[query.qid] += n_rows
-                # Unpack only this page's window of packed words.
+                # Unpack only this morsel's window of packed words.
                 mine = bitmap.slice_bool(start, start + n_rows)
                 if not mine.any():
                     continue

@@ -26,7 +26,7 @@ from ...schema.star import StarSchema
 from ...storage.buffer import BufferPool
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import IOStats
-from ...storage.page import Page
+from ...storage.table import Morsel
 from .aggregate import HashAggregator
 from .results import QueryResult
 
@@ -44,7 +44,7 @@ class ExecContext:
 
     ``faults`` carries an armed :class:`repro.faults.FaultPlan` (or None);
     operators pass it to index lookups and check the ``operator.pipeline``
-    site per page batch.
+    site per scanned page.
     """
 
     schema: StarSchema
@@ -62,26 +62,26 @@ class ExecContext:
 
 def scan_columns(
     ctx: ExecContext, entry: TableEntry, operator_name: str
-) -> "Iterator[Tuple[Page, List[np.ndarray], np.ndarray]]":
-    """One shared sequential scan yielding per-page column batches.
+) -> Iterator[Morsel]:
+    """One shared sequential scan yielding morsel-sized column batches
+    (:meth:`~repro.storage.table.HeapTable.scan_batches`).
 
-    Checks the ``operator.pipeline`` fault site once per page (after the
-    page read is charged, as the operators always have), then hands out
-    the page's cached columnar view
-    (:meth:`~repro.storage.page.Page.columns` via
-    :meth:`~repro.storage.table.HeapTable.scan_batches`).
+    The ``operator.pipeline`` fault site is still checked once per page,
+    right after that page's read is charged (as the operators always
+    have); the morsel's CPU work runs after its last page's checks.
     """
     faults = ctx.faults
-    for page, keys, measures in entry.table.scan_batches(
-        ctx.pool, ctx.schema.n_dims
-    ):
-        if faults is not None:
+    after_page = None
+    if faults is not None:
+
+        def after_page() -> None:
             faults.check(
                 "operator.pipeline",
                 operator=operator_name,
                 table=entry.name,
             )
-        yield page, keys, measures
+
+    return entry.table.scan_batches(ctx.pool, ctx.schema.n_dims, after_page)
 
 
 class RollupCache:
@@ -161,8 +161,8 @@ class QueryPipeline:
     """The probe-filter-aggregate tail of one query's star-join plan.
 
     Feed it batches of source-level key columns + measures (one batch per
-    page, or per retrieved probe set); read the final :class:`QueryResult`
-    with :meth:`result`.
+    scan morsel, or per retrieved probe set); read the final
+    :class:`QueryResult` with :meth:`result`.
     """
 
     def __init__(

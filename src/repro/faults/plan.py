@@ -16,14 +16,16 @@ what makes the chaos test lane reproducible from a single seed.
 Sites (see :data:`SITES`):
 
 * ``storage.page_read`` — every page fetched through
-  :meth:`repro.storage.buffer.BufferPool.get_page` (attrs: ``table``,
+  :meth:`repro.storage.buffer.BufferPool.get_page` or
+  :meth:`~repro.storage.buffer.BufferPool.read_run` (attrs: ``table``,
   ``page_no``, ``sequential``);
 * ``storage.scan`` — the start of every sequential
   :meth:`repro.storage.table.HeapTable.scan_pages` (attrs: ``table``);
 * ``index.lookup`` — every :meth:`repro.index.bitmap_index.JoinIndex.lookup`
   probe (attrs: ``table``, ``dim_index``, ``level``, ``n_members``);
-* ``operator.pipeline`` — each batch the shared operators push through a
-  query pipeline (attrs: ``operator``, ``source``);
+* ``operator.pipeline`` — each page a shared scan reads (checked right
+  after the page's read is charged) and each probe set or routed query of
+  the index joins (attrs: ``operator``, ``table``);
 * ``operator.derive`` — the start of each derive step the DAG operator
   replays from a shared materialized intermediate (attrs: ``operator``,
   ``table``); failing it takes down only the classes depending on that

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..obs.metrics import default_registry
 from .iostats import IOStats
@@ -99,6 +99,59 @@ class BufferPool:
                 self.stats.charge_rand_read()
             self._admit(key, page)
             return page
+
+    def read_run(
+        self,
+        table: "HeapTable",
+        first_page: int,
+        n_pages: int,
+        after_page: Optional[Callable[[], None]] = None,
+    ) -> List[Page]:
+        """Fetch ``n_pages`` consecutive pages, accounted exactly as that
+        many ``get_page(..., sequential=True)`` calls in page order (fault
+        checks, LRU touches, evictions, counts, charges) but under one lock
+        acquisition, with the counts flushed once at the end.
+
+        ``after_page`` runs after each page is accounted (a scan's
+        ``operator.pipeline`` fault check, keeping the per-page check
+        order).  If it or a fault check raises, the pages accounted so far
+        stay charged and none is returned.
+        """
+        faults = self.faults
+        frames = self._frames
+        table_id, name = table.table_id, table.name
+        pages: List[Page] = []
+        hits = misses = 0
+        with self._lock:
+            try:
+                for page_no in range(first_page, first_page + n_pages):
+                    if faults is not None:
+                        faults.check(
+                            "storage.page_read",
+                            table=name,
+                            page_no=page_no,
+                            sequential=True,
+                        )
+                    key = (table_id, page_no)
+                    page = frames.get(key)
+                    if page is not None:
+                        frames.move_to_end(key)
+                        hits += 1
+                    else:
+                        misses += 1
+                        page = table.page(page_no)
+                        self._admit(key, page)
+                    pages.append(page)
+                    if after_page is not None:
+                        after_page()
+            finally:
+                self.hits += hits
+                self.misses += misses
+                self._hits_metric.inc(hits)
+                self._misses_metric.inc(misses)
+                self.stats.charge_buffer_hit(hits)
+                self.stats.charge_seq_read(misses)
+        return pages
 
     def write_page(self, table: "HeapTable", page_no: int) -> None:
         """Account a page write (used when materializing aggregates)."""

@@ -10,10 +10,11 @@ paper's I/O arithmetic (e.g. its 20-byte, five-attribute base tuples).
 Each page additionally exposes a **columnar view** (:meth:`Page.columns`):
 per-dimension ``int64`` key arrays plus the ``float64`` measure column,
 decoded from the row tuples once and cached on the page.  The vectorized
-batch kernels (see :mod:`repro.core.operators`) read this view, so a page
-is decoded at most once over the life of the table instead of once per
-operator execution per scan — the heart of the columnar row-batch layout.
-The cache is invalidated on append.
+batch kernels (see :mod:`repro.core.operators`) read this view — scans
+concatenate it into morsels of many pages — so a page is decoded at most
+once between writes instead of once per operator execution per scan.  The
+cache is per page and invalidated per page (append / in-place update), so
+a write re-decodes only the pages it touched.
 """
 
 from __future__ import annotations
@@ -85,10 +86,9 @@ class Page:
         """The page's columnar view: ``n_keys`` ``int64`` key arrays and the
         ``float64`` measure column (the column at index ``n_keys``).
 
-        Decoded from the row tuples on first use and cached; appends drop
-        the cache.  The values are exactly what a fresh per-scan decode of
-        the tuples yields, so operators may mix this with the tuple path
-        without observable difference.
+        Decoded from the row tuples on first use and cached; appends and
+        in-place updates drop the cache, so the values are always exactly
+        what a fresh decode of the tuples yields.
         """
         cached = self._columns
         if cached is not None and cached[0] == n_keys:

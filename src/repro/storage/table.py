@@ -7,15 +7,18 @@ paper's "position based" join indexes.
 
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
 so that sequential vs. random I/O is accounted.  The columnar access paths
-(:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`) yield
-page-sized column batches with identical accounting; the batch kernels in
-:mod:`repro.core.operators` are built on them.
+(:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`) account
+page by page exactly as a page-at-a-time read would, and hand out column
+batches of many pages (a *morsel* for scans, the whole probe set for
+fetches); the batch kernels in :mod:`repro.core.operators` are built on
+them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +29,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .buffer import BufferPool
 
 _table_ids = itertools.count(1)
+
+#: Rows handed to the operators at a time.  Pages stay the unit of
+#: *accounting* (fault checks, pool residency, I/O charges); a morsel — a
+#: run of whole pages of about this many rows — is the unit of *compute*.
+#: Wall time is flat above ~4k rows, so this is a constant, not a setting.
+MORSEL_ROWS = 8192
+
+#: One scan batch: ``(first_row_position, n_pages, n_rows, keys, measures)``
+#: — rows ``first_row_position .. first_row_position + n_rows`` as ``n_keys``
+#: int64 key columns and the float64 measure column.
+Morsel = Tuple[int, int, int, List[np.ndarray], np.ndarray]
 
 
 class HeapTable:
@@ -121,8 +135,16 @@ class HeapTable:
 
     # -- accounted access ------------------------------------------------------
 
-    def scan_pages(self, pool: "BufferPool") -> Iterator[Page]:
-        """Sequentially scan all pages through the buffer pool."""
+    def _scan_runs(
+        self,
+        pool: "BufferPool",
+        after_page: Optional[Callable[[], None]] = None,
+    ) -> Iterator[List[Page]]:
+        """The one sequential scan: check ``storage.scan`` once, then read
+        the table through the buffer pool a morsel's run of pages at a
+        time (:meth:`~repro.storage.buffer.BufferPool.read_run` — every
+        page is still fault-checked and charged individually, in order).
+        """
         faults = getattr(pool, "faults", None)
         if faults is not None:
             faults.check("storage.scan", table=self.name)
@@ -131,25 +153,50 @@ class HeapTable:
         metrics.counter(
             "table.scan_pages", "pages requested by sequential scans"
         ).inc(self.n_pages)
-        for page_no in range(self.n_pages):
-            yield pool.get_page(self, page_no, sequential=True)
+        run_pages = max(1, MORSEL_ROWS // self.capacity)
+        for first in range(0, self.n_pages, run_pages):
+            yield pool.read_run(
+                self, first, min(run_pages, self.n_pages - first), after_page
+            )
+
+    def scan_pages(self, pool: "BufferPool") -> Iterator[Page]:
+        """Sequentially scan all pages through the buffer pool."""
+        for pages in self._scan_runs(pool):
+            yield from pages
 
     def scan_batches(
-        self, pool: "BufferPool", n_keys: int
-    ) -> Iterator[Tuple[Page, List[np.ndarray], np.ndarray]]:
-        """Columnar sequential scan: yield each page together with its
-        cached column arrays (``n_keys`` int64 key columns + the float64
-        measure column).
+        self,
+        pool: "BufferPool",
+        n_keys: int,
+        after_page: Optional[Callable[[], None]] = None,
+    ) -> Iterator[Morsel]:
+        """Columnar sequential scan: yield one :data:`Morsel` per run of
+        :data:`MORSEL_ROWS` rows (whole pages) — the pages' cached column
+        arrays (``n_keys`` int64 key columns + the float64 measure column)
+        concatenated in page order.
 
         I/O accounting, metrics, and fault checks are exactly those of
-        :meth:`scan_pages` — the columnar decode itself is free on the
-        simulated clock (it models reading a column-laid-out page image),
-        and cached across scans, which is where the batch kernels win
-        wall time.
+        :meth:`scan_pages`, page by page; ``after_page`` runs after each
+        page is accounted, and a morsel is handed out only once all its
+        pages are.  The columnar decode is free on the simulated clock (it
+        models reading a column-laid-out page image) and cached per page.
         """
-        for page in self.scan_pages(pool):
-            keys, measures = page.columns(n_keys)
-            yield page, keys, measures
+        capacity = self.capacity
+        for pages in self._scan_runs(pool, after_page):
+            first_position = pages[0].page_no * capacity
+            columns = [page.columns(n_keys) for page in pages]
+            keys = [
+                np.concatenate([page_keys[d] for page_keys, _m in columns])
+                for d in range(n_keys)
+            ]
+            measures = np.concatenate([m for _keys, m in columns])
+            # Only a table's last page may be partial, so a morsel's rows
+            # sit at consecutive row positions (bitmap slices rely on it).
+            n_rows = measures.size
+            assert n_rows == min(
+                len(pages) * capacity, self._n_rows - first_position
+            ), f"non-contiguous morsel in {self.name!r}"
+            yield first_position, len(pages), n_rows, keys, measures
 
     def fetch_positions(
         self, pool: "BufferPool", positions: np.ndarray, n_keys: int

@@ -33,6 +33,81 @@ def make_tiny_db(
     return db
 
 
+#: Aggregates whose result does not depend on fold order.
+ORDER_FREE = (Aggregate.COUNT, Aggregate.MIN, Aggregate.MAX)
+
+
+def assert_same_execution(expected, actual, context: str = "") -> None:
+    """The numeric contract (DESIGN.md §6.1) between two executions of one
+    plan that differ only in how the scan was batched: every integer
+    ledger (per-class ``IOStats``, ``OperatorActuals``) and every
+    COUNT/MIN/MAX value bit-equal; SUM/AVG equal under ``approx_equals``."""
+    assert actual.failed_qids == expected.failed_qids, context
+    for name in ("sim", "actuals"):
+        assert [
+            getattr(e, name).as_dict() for e in actual.class_executions
+        ] == [
+            getattr(e, name).as_dict() for e in expected.class_executions
+        ], f"{context}: per-class {name} differ"
+    assert set(actual.results) == set(expected.results), context
+    for qid, want in expected.results.items():
+        got = actual.results[qid]
+        label = f"{context}: {want.query.display_name()}"
+        if want.query.aggregate in ORDER_FREE:
+            assert got.groups == want.groups, label
+        else:
+            assert got.approx_equals(want), label
+
+
+def measured_execution(db: Database, plan):
+    """Execute ``plan`` cold; return ``(report, db.stats delta)``."""
+    before = db.stats.snapshot()
+    report = db.execute(plan)
+    return report, db.stats.delta_since(before).as_dict()
+
+
+def assert_morsel_size_invariant(db, plans, monkeypatch, pages_rows) -> None:
+    """Execute each ``(name, plan)`` page-at-a-time, check it against the
+    reference evaluator, then re-execute at coarser morsel sizes — three
+    pages (``pages_rows`` = 3 × the base table's rows per page), the
+    shipped constant, the whole table — and hold every run to the numeric
+    contract (:func:`assert_same_execution`, plus the ``db.stats`` delta
+    and bit-equality of a repeat: morsel boundaries depend on page numbers
+    only)."""
+    from repro.check import first_divergence, reference_answer
+    from repro.storage import table as table_module
+
+    sizes = {
+        "3 pages": pages_rows,
+        "default": table_module.MORSEL_ROWS,
+        "whole table": 10**9,
+    }
+    monkeypatch.setattr(table_module, "MORSEL_ROWS", 1)
+    page_at_a_time = [measured_execution(db, plan) for _name, plan in plans]
+    for (name, plan), (report, _delta) in zip(plans, page_at_a_time):
+        for query in plan.queries:
+            divergence = first_divergence(
+                reference_answer(db, query).groups,
+                report.result_for(query).groups,
+            )
+            assert divergence is None, f"{name}: {divergence.describe()}"
+    for size, rows in sizes.items():
+        monkeypatch.setattr(table_module, "MORSEL_ROWS", rows)
+        for (name, plan), (expected, expected_delta) in zip(
+            plans, page_at_a_time
+        ):
+            report, delta = measured_execution(db, plan)
+            context = f"{name} at {size}"
+            assert delta == expected_delta, context
+            assert_same_execution(expected, report, context)
+            again, _delta = measured_execution(db, plan)
+            assert [
+                list(r.groups.items()) for r in again.results.values()
+            ] == [
+                list(r.groups.items()) for r in report.results.values()
+            ], context
+
+
 def hash_star_join(db: Database, table: str, query: GroupByQuery) -> QueryResult:
     """One query through the shared-scan operator on its own — the paper's
     Figure 1 single-query hash star join."""

@@ -13,14 +13,15 @@ from repro.schema.dimension import Dimension
 from repro.schema.star import StarSchema
 from repro.workload.generator import generate_fact_rows
 
-from helpers import random_query
+from helpers import assert_morsel_size_invariant, random_query
 
 ALGORITHMS = ("naive", "tplo", "etplg", "gg", "dag")
 
 
-def random_database(seed: int) -> Database:
+def random_database(seed: int, n_rows=None) -> Database:
     """A random star schema (2–3 dims, random fanouts), random fact data
-    seeded through repro.workload.generator, random views and indexes."""
+    seeded through repro.workload.generator, random views and indexes.
+    ``n_rows`` overrides the random base-table row count."""
     rng = random.Random(seed)
     dimensions = []
     for d in range(rng.randint(2, 3)):
@@ -35,7 +36,10 @@ def random_database(seed: int) -> Database:
         )
     schema = StarSchema(f"rand-{seed}", dimensions, measure="m")
     db = Database(schema, page_size=64, buffer_pages=256, paranoia=False)
-    rows = generate_fact_rows(schema, rng.randint(150, 400), seed=seed)
+    random_rows = rng.randint(150, 400)  # drawn even when overridden
+    rows = generate_fact_rows(
+        schema, random_rows if n_rows is None else n_rows, seed=seed
+    )
     base_name = "".join(dim.name for dim in schema.dimensions)
     db.load_base(rows, name=base_name)
     # Materialize a random non-base lattice point or two (SUM views).
@@ -82,6 +86,51 @@ def test_all_algorithms_agree_with_reference(seed, workload_seed, n_queries):
                 f"seed {seed}, {algorithm}, {query.display_name()}: "
                 f"{divergence.describe()}"
             )
+
+
+def base_table(db):
+    return db.catalog.get(
+        "".join(dim.name for dim in db.schema.dimensions)
+    ).table
+
+
+def check_morsel_size_invariance(db, batch, monkeypatch, context):
+    plans = [
+        (f"{context}, {algorithm}", db.optimize(batch, algorithm))
+        for algorithm in ("gg", "dag")
+    ]
+    assert_morsel_size_invariant(
+        db, plans, monkeypatch, pages_rows=3 * base_table(db).capacity
+    )
+
+
+@pytest.mark.parametrize("seed, workload_seed, n_queries", WORKLOADS)
+def test_morsel_size_invariance(seed, workload_seed, n_queries, monkeypatch):
+    db = random_database(seed)
+    rng = random.Random(workload_seed)
+    batch = [
+        random_query(db.schema, rng, label=f"W{i}") for i in range(n_queries)
+    ]
+    check_morsel_size_invariance(db, batch, monkeypatch, f"seed {seed}")
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [
+        pytest.param(0, id="empty table"),
+        pytest.param(3, id="one-page table"),
+        pytest.param(61, id="partial last page"),
+        pytest.param(60, id="full last page"),
+    ],
+)
+def test_morsel_size_invariance_at_table_edges(n_rows, monkeypatch):
+    db = random_database(3, n_rows=n_rows)
+    table = base_table(db)
+    assert table.n_rows == n_rows
+    assert table.n_pages == -(-n_rows // table.capacity)
+    rng = random.Random(1003)
+    batch = [random_query(db.schema, rng, label=f"E{i}") for i in range(5)]
+    check_morsel_size_invariance(db, batch, monkeypatch, f"{n_rows} rows")
 
 
 @pytest.mark.parametrize("seed", range(4))

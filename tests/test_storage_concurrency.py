@@ -44,7 +44,8 @@ def hammer(worker, n_threads: int = N_THREADS) -> None:
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestIOStatsLocking:
@@ -118,6 +119,40 @@ class TestBufferPoolLocking:
         assert pool.hits + pool.misses == total
         # Every miss was charged to the clock, every hit recorded, and the
         # split is consistent between the pool and the cost clock.
+        assert stats.seq_page_reads == pool.misses
+        assert stats.buffer_hits == pool.hits
+        assert len(pool) <= 4
+
+    def test_concurrent_runs_and_page_reads_are_exact(self, tight_switching):
+        """Morsel-run readers (``read_run``) beside page-at-a-time readers
+        on one pool smaller than a run: no lost count, no lost charge, no
+        overfull pool, and every run returns its own pages in order."""
+        stats = IOStats()
+        pool = BufferPool(stats, capacity_pages=4)
+        table = self.make_table()
+        n_pages = table.n_pages
+        run_pages = 7  # longer than the pool: a run evicts its own pages
+        rounds = 150
+        requested = [0] * N_THREADS
+        wrong_runs = []
+
+        def worker(index):
+            for round_no in range(rounds):
+                first = (index * 3 + round_no) % (n_pages - run_pages)
+                if index % 2:
+                    pool.get_page(table, first, sequential=True)
+                    requested[index] += 1
+                    continue
+                pages = pool.read_run(table, first, run_pages)
+                requested[index] += run_pages
+                if [p.page_no for p in pages] != list(
+                    range(first, first + run_pages)
+                ):
+                    wrong_runs.append((index, first))
+
+        hammer(worker)
+        assert not wrong_runs
+        assert pool.hits + pool.misses == sum(requested)
         assert stats.seq_page_reads == pool.misses
         assert stats.buffer_hits == pool.hits
         assert len(pool) <= 4

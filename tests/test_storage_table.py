@@ -110,10 +110,17 @@ class TestBatchAccess:
         assert stats.rand_page_reads == 0
         rows = [
             (int(keys[0][i]), int(keys[1][i]), float(measures[i]))
-            for _page, keys, measures in batches
+            for _start, _n_pages, _n_rows, keys, measures in batches
             for i in range(measures.size)
         ]
         assert rows == list(table.all_rows())
+        # Morsels tile the table: whole pages, consecutive row positions.
+        assert sum(n_pages for _s, n_pages, _n, _k, _m in batches) == table.n_pages
+        position = 0
+        for start, _n_pages, n_rows, _keys, measures in batches:
+            assert (start, n_rows) == (position, measures.size)
+            position += n_rows
+        assert position == table.n_rows
 
     def test_fetch_positions_matches_probe_positions(self):
         table = make_table(100)
