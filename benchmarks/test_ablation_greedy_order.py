@@ -6,7 +6,7 @@ order, comparing the estimated cost of the resulting global plans.
 """
 
 from repro.bench.reporting import format_table
-from repro.core.optimizer.gg import GGOptimizer
+from repro.core.optimizer import GGOptimizer
 from repro.schema.query import query_sort_key
 from repro.workload.paper_queries import PAPER_TESTS
 

@@ -2,7 +2,7 @@
 global plan.
 
 For each of the paper's four MDX expressions we run TPLO, ETPLG, GG, and the
-exhaustive optimal planner (plus the no-sharing naive baseline), execute
+exact optimal planner (plus the no-sharing naive baseline), execute
 every global plan, and verify the paper's qualitative outcomes:
 
 * Test 4 (Q1,Q2,Q3): ETPLG cannot move Q2 into Q1's class (incompatible

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the paper's Tests 4-7 (Table 2) from the command line.
 
-Compares TPLO, ETPLG, GG, the exhaustive optimal planner, and the
+Compares TPLO, ETPLG, GG, the exact optimal planner, and the
 no-sharing naive baseline on the paper's four MDX workloads, printing
 estimated and executed (simulated) cost plus the chosen plans.
 

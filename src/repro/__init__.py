@@ -9,7 +9,7 @@ The package implements, from scratch:
 * bitmap and position-list star-join indexes (:mod:`repro.index`),
 * star schemas, hierarchies, and the group-by lattice (:mod:`repro.schema`),
 * the paper's three shared star-join operators and three multi-query
-  optimization algorithms — TPLO, ETPLG, GG — plus an exhaustive optimal
+  optimization algorithms — TPLO, ETPLG, GG — plus an exact optimal
   planner and a naive baseline (:mod:`repro.core`),
 * an MDX-subset front end that splits one MDX expression into its component
   group-by queries (:mod:`repro.mdx`),

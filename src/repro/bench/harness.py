@@ -3,7 +3,7 @@
 Tests 1–3 (Figures 10–12) measure the shared operators against separate
 execution with *forced* plans, exactly as the paper forces join method and
 base table per test.  Tests 4–7 (Table 2) compare the global plans produced
-by TPLO, ETPLG, GG, and the exhaustive optimal planner.
+by TPLO, ETPLG, GG, and the exact optimal planner.
 
 All functions return structured rows (also printable with
 :mod:`repro.bench.reporting`) so benchmark code can assert the paper's

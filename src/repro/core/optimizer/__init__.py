@@ -1,21 +1,22 @@
-"""Multi-query optimizers: TPLO, ETPLG, GG (the paper's three algorithms),
-plus the exhaustive optimal planner and a no-sharing naive baseline."""
+"""Multi-query optimizers, by registry name: ``tplo`` (Section 4); ``etplg``,
+``gg`` and the bounded ``bgg`` — one greedy loop (Sections 5–6,
+:mod:`.greedy`); ``optimal`` and its alias ``dp`` — the exact
+set-partition DP (:mod:`.dp`, Table 2's "Optimal" column); ``dag`` —
+sub-aggregate sharing seeded from GG's classes (:mod:`repro.dag`); and the
+no-sharing ``naive`` baseline."""
 
 from typing import TYPE_CHECKING, Dict, Type
 
 from .base import Optimizer, build_plan_class
-from .bgg import BGGOptimizer
 from .cost import ClassCosting, CostModel
-from .dp import DPOptimalOptimizer
-from .etplg import ETPLGOptimizer
-from .gg import GGOptimizer
+from .dp import DPOptimalOptimizer, OptimalOptimizer
+from .greedy import BGGOptimizer, ETPLGOptimizer, GGOptimizer, GreedyOptimizer
 from .naive import NaiveOptimizer
-from .optimal import ExhaustiveOptimizer
 from .plans import DagPlanClass, DeriveStep, GlobalPlan, JoinMethod, LocalPlan, PlanClass
 from .tplo import TPLOOptimizer
 
 # Imported late so repro.dag can lean on the submodules above (base, cost,
-# plans, gg) without a cycle through this package __init__.
+# plans, greedy) without a cycle through this package __init__.
 from ...dag.optimizer import DagOptimizer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,7 +28,7 @@ OPTIMIZERS: Dict[str, Type[Optimizer]] = {
     "etplg": ETPLGOptimizer,
     "gg": GGOptimizer,
     "bgg": BGGOptimizer,
-    "optimal": ExhaustiveOptimizer,
+    "optimal": OptimalOptimizer,
     "dp": DPOptimalOptimizer,
     "dag": DagOptimizer,
 }
@@ -53,13 +54,14 @@ __all__ = [
     "DagPlanClass",
     "DeriveStep",
     "ETPLGOptimizer",
-    "ExhaustiveOptimizer",
     "GGOptimizer",
     "GlobalPlan",
+    "GreedyOptimizer",
     "JoinMethod",
     "LocalPlan",
     "NaiveOptimizer",
     "OPTIMIZERS",
+    "OptimalOptimizer",
     "Optimizer",
     "PlanClass",
     "TPLOOptimizer",

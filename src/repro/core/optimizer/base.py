@@ -5,8 +5,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ...obs.metrics import default_registry
-from ...obs.trace import NULL_TRACER
 from ...schema.query import GroupByQuery
 from ...storage.catalog import TableEntry
 from .cost import CostModel
@@ -50,7 +48,8 @@ def build_plan_class(
 
 class Optimizer(ABC):
     """Base class: holds the database handle and a cost model over its
-    catalog."""
+    catalog (a fresh one per optimizer unless ``model`` hands one in, as
+    the DAG optimizer does so its seed's planning effort adds up)."""
 
     name: str = "base"
     #: Whether calibration sweeps (``repro calibrate`` / ``repro bench``)
@@ -59,14 +58,14 @@ class Optimizer(ABC):
     #: another registered algorithm).
     in_calibration: bool = True
 
-    def __init__(self, db: "Database"):
+    def __init__(self, db: "Database", model: Optional[CostModel] = None):
         self.db = db
-        self.model = CostModel(
+        self.model = model or CostModel(
             db.schema,
             db.catalog,
             db.stats.rates,
-            statistics=getattr(db, "table_statistics", None),
-            dim_tables=getattr(db, "dimension_tables", None),
+            statistics=db.table_statistics,
+            dim_tables=db.dimension_tables,
         )
 
     def entries(self) -> List[TableEntry]:
@@ -76,14 +75,7 @@ class Optimizer(ABC):
     @property
     def tracer(self):
         """The owning database's tracer (no-op unless tracing is enabled)."""
-        return getattr(self.db, "tracer", NULL_TRACER)
-
-    def _count_class_opened(self, n: int = 1) -> None:
-        """Bump the ``optimizer.classes_opened`` metric."""
-        default_registry().counter(
-            "optimizer.classes_opened",
-            "plan classes opened on a new base table during planning",
-        ).inc(n)
+        return self.db.tracer
 
     @abstractmethod
     def optimize(self, queries: Sequence[GroupByQuery]) -> GlobalPlan:

@@ -1,19 +1,21 @@
-"""Exact optimization by dynamic programming over query subsets.
+"""The optimal global plan, by dynamic programming over query subsets.
 
-The exhaustive planner enumerates every query→table assignment —
-``|tables| ^ |queries|`` costings — which explodes past a handful of
-queries.  The same optimum decomposes over *classes*: an optimal global
+The paper's Table 2 compares each algorithm against "the optimal global
+plan … found by exploring all possible query plans".  Enumerating every
+query→table assignment costs ``|tables| ^ |queries|`` class sets, which
+explodes past a handful of queries (``tests/helpers.py`` keeps that
+enumeration as the independent oracle the exactness tests compare
+against).  The same optimum decomposes over *classes*: an optimal global
 plan partitions the query set, and each part is one class on its best base
 table.  That gives the classic set-partition DP
 
     cost(S) = min over nonempty T ⊆ S:  best_class(T) + cost(S − T)
 
 evaluated over subset bitmasks (``3^n`` subset pairs instead of ``t^n``
-assignments), with each ``best_class(T)`` costed once and memoized.  For
-the paper's 3-query workloads this matches the exhaustive planner exactly
-(a test pins that); for 8–10 query batches it is orders of magnitude
-cheaper while still exact under the cost model's class-additivity (classes
-on distinct tables share nothing, which holds for cold execution).
+assignments), with each ``best_class(T)`` costed once and memoized —
+``2^n·t`` class costings, so 8–12 query batches stay cheap while the plan
+is still exact under the cost model's class-additivity (classes on
+distinct tables share nothing, which holds for cold execution).
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .plans import GlobalPlan
 MAX_QUERIES = 12
 
 
-class DPOptimalOptimizer(Optimizer):
-    """Exact set-partition DP: optimal plans for moderate batch sizes."""
+class OptimalOptimizer(Optimizer):
+    """Exact set-partition DP: the paper's "Optimal" column, for batches
+    of up to ``MAX_QUERIES`` queries."""
 
-    name = "dp"
-    #: Plans identically to "optimal" on the paper workload; excluded from
-    #: calibration sweeps to avoid double-counting one plan shape.
-    in_calibration = False
+    name = "optimal"
 
     def optimize(self, queries: Sequence[GroupByQuery]) -> GlobalPlan:
         """Produce a global plan covering ``queries`` (see class docstring)."""
@@ -118,3 +118,12 @@ class DPOptimalOptimizer(Optimizer):
                 by_source[cls.source] = len(merged)
                 merged.append(cls)
         plan.classes[:] = merged
+
+
+class DPOptimalOptimizer(OptimalOptimizer):
+    """Registry alias ``dp`` of ``optimal`` (the name the DP carried while
+    ``optimal`` was the t^n enumeration); excluded from calibration sweeps
+    to avoid double-counting one plan shape."""
+
+    name = "dp"
+    in_calibration = False

@@ -59,6 +59,5 @@ class TPLOOptimizer(Optimizer):
                     PlanClass(source=source, plans=plans, est_cost_ms=est)
                 )
             merge_span.set("n_classes", len(plan.classes))
-        self._count_class_opened(len(plan.classes))
         plan.validate(queries)
         return plan

@@ -17,8 +17,8 @@ Optimization", SIGMOD 2000):
   sub-aggregates across classes unify into one node; AND-nodes are
   operator applications (scan-join from a catalog entry, derive from a
   finer materialized intermediate).
-* :mod:`repro.dag.search` — greedy materialization: starting from the GG
-  plan, repeatedly pick the shared intermediate whose materialization
+* :mod:`repro.dag.search` — greedy materialization: starting from GG's
+  classes, repeatedly pick the shared intermediate whose materialization
   most reduces total plan cost under the existing
   :class:`~repro.core.optimizer.cost.CostModel`, with memoized
   incremental re-costing and an iteration budget.

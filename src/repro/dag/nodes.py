@@ -141,17 +141,20 @@ def intermediate_query(kind: str, levels: Sequence[int]) -> GroupByQuery:
     )
 
 
+#: Cap on the candidate intermediates generated per aggregate kind.
+MAX_CANDIDATES = 64
+
+
 def build_dag(
     schema: StarSchema,
     catalog: Catalog,
     queries: Sequence[GroupByQuery],
-    max_candidates: int = 64,
 ) -> PlanDag:
     """Build the AND-OR DAG for ``queries`` over the current catalog.
 
     Result OR-nodes unify structurally identical queries; candidate
     OR-nodes are the per-kind meet closures of required levels (AVG
-    excluded), each capped at ``max_candidates`` per kind.  Every node
+    excluded), each capped at ``MAX_CANDIDATES`` per kind.  Every node
     lists its scan-join alternatives (catalog entries able to produce it)
     and, for result nodes, its derive alternatives (candidates fine
     enough to answer it).
@@ -190,7 +193,7 @@ def build_dag(
     for kind in sorted(by_kind):
         kind_queries = by_kind[kind]
         points = sorted({q.required_levels() for q in kind_queries})
-        for levels in _meet_closure(points, max_candidates):
+        for levels in _meet_closure(points, MAX_CANDIDATES):
             consumers = [
                 q.qid
                 for q in kind_queries

@@ -3,8 +3,9 @@ greedy materialization, and lowering back to the engine's plan form.
 
 The pipeline is four traced phases:
 
-* ``dag.seed`` — run GG (sharing this optimizer's cost model, so planning
-  effort is counted once) to get the best class-granular plan;
+* ``dag.seed`` — GG's growth step on this optimizer's cost model (so
+  planning effort adds up): the best class-granular assignment, as
+  (base table, members) classes — no plan is finalized for it;
 * ``dag.build`` — build the AND-OR DAG (:func:`repro.dag.nodes.build_dag`):
   structurally-hashed result nodes plus candidate shared intermediates;
 * ``dag.search`` — greedy materialization
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.optimizer.base import Optimizer
-from ..core.optimizer.gg import GGOptimizer
+from ..core.optimizer.base import Optimizer, build_plan_class
+from ..core.optimizer.greedy import GGOptimizer
 from ..core.optimizer.plans import (
     DagPlanClass,
     DeriveStep,
@@ -43,35 +44,17 @@ class DagOptimizer(Optimizer):
 
     name = "dag"
 
-    def __init__(
-        self,
-        db,
-        max_iterations: int = 16,
-        max_candidates: int = 64,
-        min_gain_frac: float = 0.01,
-        row_safety: float = 1.25,
-    ):
-        super().__init__(db)
-        self.max_iterations = max_iterations
-        self.max_candidates = max_candidates
-        self.min_gain_frac = min_gain_frac
-        self.row_safety = row_safety
-
     def optimize(self, queries: Sequence[GroupByQuery]) -> GlobalPlan:
         queries = self._check_input(queries)
         metrics = default_registry()
         with self.tracer.span("dag.seed", n_queries=len(queries)) as span:
-            gg = GGOptimizer(self.db)
-            gg.model = self.model  # one cost model: planning effort adds up
-            seed_plan = gg.optimize(queries)
-            span.set("seed_est_ms", round(seed_plan.est_cost_ms, 3))
+            seed_classes = [
+                DagClass(entry=cls.entry, scan_queries=cls.queries)
+                for cls in GGOptimizer(self.db, model=self.model).grow(queries)
+            ]
+            span.set("n_classes", len(seed_classes))
         with self.tracer.span("dag.build") as span:
-            dag = build_dag(
-                self.db.schema,
-                self.db.catalog,
-                queries,
-                max_candidates=self.max_candidates,
-            )
+            dag = build_dag(self.db.schema, self.db.catalog, queries)
             span.set("n_or_nodes", dag.n_or_nodes)
             span.set("n_and_nodes", dag.n_and_nodes)
             span.set("n_unified", dag.n_unified)
@@ -82,22 +65,9 @@ class DagOptimizer(Optimizer):
             "dag.unified_subexpressions",
             "structurally-hashed sub-expressions shared by >=2 queries",
         ).inc(dag.n_unified)
-        seed_classes = [
-            DagClass(
-                entry=self.db.catalog.get(cls.source),
-                scan_queries=list(cls.queries),
-            )
-            for cls in seed_plan.classes
-        ]
         with self.tracer.span("dag.search") as span:
             classes, stats = greedy_search(
-                self.model,
-                dag,
-                seed_classes,
-                queries,
-                max_iterations=self.max_iterations,
-                min_gain_frac=self.min_gain_frac,
-                row_safety=self.row_safety,
+                self.model, dag, seed_classes, queries
             )
             span.set("iterations", stats.iterations)
             span.set("moves_evaluated", stats.moves_evaluated)
@@ -149,8 +119,6 @@ class DagOptimizer(Optimizer):
     def _lower_class(self, cls: DagClass):
         """One search-state class → a PlanClass (no derives) or a
         DagPlanClass (derive steps lowered to ``DeriveStep``)."""
-        from ..core.optimizer.base import build_plan_class
-
         if not cls.steps:
             return build_plan_class(self.model, cls.entry, cls.scan_queries)
         steps = [(step.intermediate, step.queries) for step in cls.steps]

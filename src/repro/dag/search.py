@@ -1,7 +1,7 @@
 """Greedy materialization search over the AND-OR DAG (Roy et al. style).
 
-Start from the GG plan (the best class-granular sharing the paper's
-algorithms find).  Each iteration considers every (candidate intermediate,
+Start from GG's grown classes (the best class-granular sharing the
+paper's algorithms find).  Each iteration considers every (candidate intermediate,
 host class) pair: materialize the intermediate inside the host class's
 shared scan and migrate every query it benefits — from whatever class GG
 placed it in — to the host as a DERIVE member.  The move that most reduces
@@ -13,14 +13,13 @@ only the classes it touches (the Roy et al. "incremental cost update"),
 and the accepted-move sequence is monotone: the final plan's estimated
 cost is never above the GG seed's.
 
-``row_safety`` inflates the intermediate's estimated group count during
+``ROW_SAFETY`` inflates the intermediate's estimated group count during
 *acceptance only* — a Cardenas underestimate must not turn an estimated
 win into a measured loss; the final plan is costed unbiased.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +28,15 @@ from ..schema.lattice import source_can_answer
 from ..schema.query import GroupByQuery
 from ..storage.catalog import TableEntry
 from .nodes import PlanDag, intermediate_query
+
+#: Materializations the search may apply before it stops.
+MAX_ITERATIONS = 16
+#: The fraction of the current total a move must save to be applied —
+#: moves inside the margin are model noise, and applying them risks a
+#: measured regression against the seed.
+MIN_GAIN_FRAC = 0.01
+#: Inflation of an intermediate's estimated group count during acceptance.
+ROW_SAFETY = 1.25
 
 
 @dataclass
@@ -93,11 +101,10 @@ class SearchStats:
 
 
 class _Coster:
-    """Memoized class costing (``row_safety`` applied to derive classes)."""
+    """Memoized class costing (``ROW_SAFETY`` applied to derive classes)."""
 
-    def __init__(self, model: CostModel, row_safety: float):
+    def __init__(self, model: CostModel):
         self.model = model
-        self.row_safety = row_safety
         self._cache: Dict[Tuple, float] = {}
         self.hits = 0
 
@@ -116,7 +123,7 @@ class _Coster:
                 cls.entry,
                 cls.scan_queries,
                 [(step.intermediate, step.queries) for step in cls.steps],
-                row_safety=self.row_safety,
+                row_safety=ROW_SAFETY,
             )
         cost = float("inf") if costing is None else costing.cost_ms
         self._cache[sig] = cost
@@ -156,21 +163,12 @@ def greedy_search(
     dag: PlanDag,
     seed_classes: Sequence[DagClass],
     queries: Sequence[GroupByQuery],
-    max_iterations: int = 16,
-    min_gain_frac: float = 0.01,
-    row_safety: float = 1.25,
 ) -> Tuple[List[DagClass], SearchStats]:
-    """Greedy materialization from the GG seed (see module docstring).
-
-    ``min_gain_frac`` is the fraction of the current total a move must
-    save to be applied — moves inside the margin are model noise, and
-    applying them risks a measured regression against the seed.
-    """
-    classes = [copy.copy(cls) for cls in seed_classes]
-    for cls in classes:
-        cls.scan_queries = list(cls.scan_queries)
-        cls.steps = [copy.copy(step) for step in cls.steps]
-    coster = _Coster(model, row_safety)
+    """Greedy materialization from the GG seed (see module docstring)."""
+    # Moves build new states (``_without_queries``); the seed is never
+    # mutated, so it is the first state as handed in.
+    classes = list(seed_classes)
+    coster = _Coster(model)
     stats = SearchStats()
     stats.initial_est_ms = coster.total(classes)
     by_qid = {q.qid: q for q in queries}
@@ -181,9 +179,9 @@ def greedy_search(
         node = dag.nodes[key]
         intermediates[key] = intermediate_query(node.kind, node.levels)
 
-    while stats.iterations < max_iterations:
+    while stats.iterations < MAX_ITERATIONS:
         current_total = coster.total(classes)
-        min_gain_ms = min_gain_frac * current_total
+        min_gain_ms = MIN_GAIN_FRAC * current_total
         best_delta = 0.0
         best_state: Optional[List[DagClass]] = None
         best_move: Optional[Materialization] = None
@@ -196,7 +194,7 @@ def greedy_search(
                     entry.levels, entry.source_aggregate, inter
                 ):
                     continue
-                inflated_rows = row_safety * model.intermediate_rows(
+                inflated_rows = ROW_SAFETY * model.intermediate_rows(
                     entry, inter
                 )
                 # Queries the intermediate can answer, excluding those

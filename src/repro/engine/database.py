@@ -375,8 +375,9 @@ class Database:
     def optimize(
         self, queries: Sequence[GroupByQuery], algorithm: str = "gg"
     ) -> "GlobalPlan":
-        """Build a global plan with one of the paper's algorithms
-        (``naive``, ``tplo``, ``etplg``, ``gg``, ``optimal``).
+        """Build a global plan with any registered algorithm
+        (:data:`repro.core.optimizer.OPTIMIZERS`: ``naive``, ``tplo``,
+        ``etplg``, ``gg``, ``bgg``, ``optimal``, ``dp``, ``dag``).
 
         The returned plan carries ``search_stats`` (class costings
         performed, planning wall time) for studying the planning-effort
@@ -401,9 +402,13 @@ class Database:
             }
             span.set("plan_costings", optimizer.model.n_plan_costings)
             span.set("n_classes", len(plan.classes))
-        default_registry().counter(
+        metrics = default_registry()
+        metrics.counter(
             "optimizer.plan_costings", "class costings computed while planning"
         ).inc(optimizer.model.n_plan_costings)
+        metrics.counter(
+            "optimizer.classes_opened", "plan classes in the plans produced"
+        ).inc(len(plan.classes))
         return plan
 
     def execute(

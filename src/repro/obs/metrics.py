@@ -4,7 +4,7 @@ Components register metrics against the **default registry** (swap it in
 tests with :func:`set_default_registry`) and bump them as they work:
 ``buffer.hits`` / ``buffer.misses`` from the buffer pool, ``table.scans`` /
 ``table.probe_pages`` from heap tables, ``optimizer.classes_opened`` from
-the greedy planners, ``executor.classes_executed`` /
+``Database.optimize``, ``executor.classes_executed`` /
 ``executor.tuples_routed`` from the executor and shared operators,
 ``bitmap.or_ops`` from the bitmap phases.
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.results import QueryResult
+from repro.core.optimizer import make_optimizer
 from repro.engine.database import Database
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.schema.star import StarSchema
@@ -146,3 +148,31 @@ def random_query(
         aggregate=aggregate,
         label=label,
     )
+
+
+def brute_force_optimum(
+    db: Database, queries: Sequence[GroupByQuery]
+) -> Tuple[float, List[Tuple[str, List[GroupByQuery]]]]:
+    """The optimal global plan "found by exploring all possible query
+    plans" (the paper's Table 2): every query→base-table assignment is
+    costed as the classes it induces and the first cheapest kept.  t^n
+    assignments — the independent oracle for the ``optimal``/``dp``
+    planner.  Returns ``(cost, [(source, members), ...])``."""
+    model = make_optimizer("naive", db).model  # a fresh, unshared CostModel
+    candidates = [
+        [e for e in db.catalog.entries() if model.standalone(e, query)]
+        for query in queries
+    ]
+    best_cost, best_classes = float("inf"), []
+    for assignment in itertools.product(*candidates):
+        by_source = {}
+        for query, entry in zip(queries, assignment):
+            by_source.setdefault(entry.name, (entry, []))[1].append(query)
+        total = 0.0
+        for entry, group in by_source.values():
+            costing = model.plan_class(entry, group)
+            total += costing.cost_ms if costing else float("inf")
+        if total < best_cost:
+            best_cost = total
+            best_classes = [(name, g) for name, (_e, g) in by_source.items()]
+    return best_cost, best_classes

@@ -1,8 +1,5 @@
-"""Bench-smoke lane: the full record -> persist -> compare cycle at a tiny
-scale, including the CLI's exit codes.
-
-Excluded from tier-1 (like the paranoia lane) because it builds the paper
-database and runs a calibration sweep; run with ``pytest -m bench_smoke``.
+"""The full benchmark record -> persist -> compare cycle at a tiny scale,
+including the CLI's exit codes.  Part of tier-1.
 """
 
 import json
@@ -11,8 +8,6 @@ import pytest
 
 from repro.bench.history import RunRecord, compare_records, record_run
 from repro.cli import main
-
-pytestmark = pytest.mark.bench_smoke
 
 SCALE = 0.002
 

@@ -1,12 +1,12 @@
-"""Tests for Bounded Global Greedy (the future-work algorithm)."""
+"""Tests for Bounded Global Greedy (the future-work algorithm).  The
+degenerate beams (0 = ETPLG, catalog-wide = GG) are swept structurally in
+tests/test_optimizers.py::TestRegistrySweep."""
 
 import random
 
 import pytest
 
-from repro.core.optimizer.bgg import BGGOptimizer
-from repro.core.optimizer.etplg import ETPLGOptimizer
-from repro.core.optimizer.gg import GGOptimizer
+from repro.core.optimizer import BGGOptimizer, ETPLGOptimizer, GGOptimizer
 from repro.engine.reference import evaluate_reference
 from repro.workload.paper_queries import PAPER_TESTS, paper_queries
 
@@ -23,28 +23,6 @@ def db():
 
 
 class TestDegenerateBeams:
-    def test_beam_zero_equals_etplg(self, db):
-        rng = random.Random(17)
-        for round_ in range(4):
-            queries = [
-                random_query(db.schema, rng, label=f"z{round_}.{i}")
-                for i in range(3)
-            ]
-            bgg = BGGOptimizer(db, beam=0).optimize(queries)
-            etplg = ETPLGOptimizer(db).optimize(queries)
-            assert bgg.est_cost_ms == pytest.approx(etplg.est_cost_ms)
-
-    def test_huge_beam_equals_gg(self, db):
-        rng = random.Random(19)
-        for round_ in range(4):
-            queries = [
-                random_query(db.schema, rng, label=f"g{round_}.{i}")
-                for i in range(3)
-            ]
-            bgg = BGGOptimizer(db, beam=len(db.catalog)).optimize(queries)
-            gg = GGOptimizer(db).optimize(queries)
-            assert bgg.est_cost_ms == pytest.approx(gg.est_cost_ms)
-
     def test_negative_beam_rejected(self, db):
         with pytest.raises(ValueError):
             BGGOptimizer(db, beam=-1)

@@ -1,4 +1,4 @@
-"""The ``dag_smoke`` lane: the DAG optimizer's performance gate.
+"""The DAG optimizer's performance gate.
 
 Runs every paper test (Tests 1–7) under both ``gg`` (the strongest
 class-granular sharer) and ``dag``, executing each plan cold, and holds
@@ -9,9 +9,9 @@ the PR's acceptance bar:
 * dag is **strictly cheaper** on at least two tests — the cross-class
   sub-aggregate sharing must actually pay, not just break even.
 
-Excluded from tier-1 via ``addopts``; CI runs it as its own job::
+Part of tier-1; on its own::
 
-    PYTHONPATH=src python -m pytest -m dag_smoke -q
+    PYTHONPATH=src python -m pytest tests/test_dag_smoke.py -q
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.analyze import CALIBRATION_TESTS
-
-pytestmark = pytest.mark.dag_smoke
 
 #: dag may not be worse than gg by more than this fraction on any test.
 NEVER_WORSE_MARGIN = 0.01

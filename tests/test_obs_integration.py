@@ -54,6 +54,16 @@ class TestTracedBatch:
         assert fresh_registry.get("executor.queries_executed").value == 4
         assert fresh_registry.get("optimizer.classes_opened").value >= 1
 
+    def test_classes_opened_counts_every_algorithm(self, db, fresh_registry):
+        """Counted by ``Database.optimize`` from the finished plan, so the
+        non-greedy planners count too (and dag counts its final classes)."""
+        queries = _test1_queries(db)
+        expected = 0
+        for algorithm in ("naive", "optimal", "dag"):
+            expected += len(db.optimize(queries, algorithm).classes)
+            opened = fresh_registry.get("optimizer.classes_opened").value
+            assert opened == expected, algorithm
+
     def test_operator_sim_deltas_sum_to_batch_totals(self, db):
         with db.trace():
             report = db.run_queries(_test1_queries(db), "gg")

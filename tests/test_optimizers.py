@@ -1,18 +1,48 @@
-"""Tests for the five optimizers: plan validity, answer correctness, and the
-paper's cost orderings."""
+"""The table-driven optimizer tests: every case is (registry name ×
+workload), so a new registry name is covered by being registered.
+
+Plan validity, answer correctness against the reference evaluator, the
+exact planner against the brute-force oracle, the greedy family's
+degenerate beams and orderings, and the per-name costing-count pin."""
 
 import random
 
 import pytest
 
-from repro.core.optimizer import OPTIMIZERS, make_optimizer
-from repro.core.optimizer.optimal import MAX_ASSIGNMENTS, ExhaustiveOptimizer
+from repro.check import raw_base_entry, validate_global_plan
+from repro.core.optimizer import OPTIMIZERS, GreedyOptimizer, make_optimizer
 from repro.engine.reference import evaluate_reference
+from repro.obs.analyze import CALIBRATION_TESTS
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
-from helpers import make_tiny_db, random_query
+from helpers import brute_force_optimum, make_tiny_db, random_query
 
-ALGORITHMS = ("naive", "tplo", "etplg", "gg", "optimal")
+ALGORITHMS = tuple(sorted(OPTIMIZERS))
+#: Every registered algorithm that merges same-table plans into one class.
+MERGING = tuple(name for name in ALGORITHMS if name != "naive")
+
+#: The sweep's workloads: the paper's Tests 1–7 on the paper database, and
+#: one seeded random batch of 2–5 queries per seed on the tiny database.
+RANDOM_SEEDS = (5, 9, 13, 17, 19, 23, 29, 31, 61, 67)
+WORKLOADS = tuple(sorted(CALIBRATION_TESTS)) + tuple(
+    f"seed{seed}" for seed in RANDOM_SEEDS
+)
+
+#: ``search_stats["plan_costings"]`` per name on Tests 4–7 (paper database
+#: at scale 0.01).  The greedy loop's sequence of ``CostModel.plan_class``
+#: calls is part of its contract (committed planning-effort tables and the
+#: frozen benchmark's ``plan.costings_per_op`` read it); a change here is
+#: a change of search effort and must be deliberate.
+PLAN_COSTINGS = {
+    "naive": (21, 21, 21, 21),
+    "tplo": (18, 18, 18, 18),
+    "etplg": (25, 26, 26, 26),
+    "bgg": (30, 30, 28, 32),
+    "gg": (35, 35, 36, 41),
+    "optimal": (49, 49, 49, 49),
+    "dp": (49, 49, 49, 49),
+    "dag": (43, 43, 39, 49),
+}
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +87,7 @@ class TestPlanValidity:
             for local in cls.plans:
                 assert local.query.answerable_from(entry.levels)
 
-    @pytest.mark.parametrize("algorithm", ("tplo", "etplg", "gg", "optimal"))
+    @pytest.mark.parametrize("algorithm", MERGING)
     def test_no_duplicate_class_sources(self, db, algorithm):
         plan = make_optimizer(algorithm, db).optimize(queries_mixed())
         sources = [cls.source for cls in plan.classes]
@@ -116,7 +146,7 @@ class TestCostOrderings:
     def test_optimal_is_cheapest_estimate(self, db):
         queries = queries_mixed()
         optimal = db.optimize(queries, "optimal").est_cost_ms
-        for algorithm in ("naive", "tplo", "etplg", "gg"):
+        for algorithm in ALGORITHMS:
             assert optimal <= db.optimize(queries, algorithm).est_cost_ms + 1e-6
 
     def test_gg_never_above_naive(self, db):
@@ -137,7 +167,7 @@ class TestCostOrderings:
             GroupByQuery(groupby=GroupBy((1, 1)), label=f"t{i}")
             for i in range(3)
         ]
-        for algorithm in ("etplg", "gg", "optimal"):
+        for algorithm in MERGING:
             plan = db.optimize(queries, algorithm)
             assert len(plan.classes) == 1, algorithm
             assert len(plan.classes[0].plans) == 3
@@ -179,20 +209,127 @@ class TestGGRebasing:
             assert len(sources) == len(set(sources))
 
 
-class TestExhaustiveGuard:
-    def test_budget_guard(self, db):
-        optimizer = ExhaustiveOptimizer(db)
-        queries = [
-            GroupByQuery(groupby=GroupBy((2, 2)), label=f"g{i}")
-            for i in range(12)
-        ]
-        n_candidates = len(
+def plan_shape(plan, queries):
+    """Everything a plan decides, with batch positions for qids: classes in
+    order, members in order, methods, and every estimate bit for bit."""
+    position = {q.qid: i for i, q in enumerate(queries)}
+    return [
+        (
+            cls.source,
+            cls.est_cost_ms,
             [
-                e
-                for e in db.catalog.entries()
-                if optimizer.model.standalone(e, queries[0]) is not None
-            ]
+                (
+                    position[p.query.qid],
+                    p.method,
+                    p.est_standalone_ms,
+                    p.est_marginal_ms,
+                )
+                for p in cls.plans
+            ],
         )
-        if n_candidates**12 > MAX_ASSIGNMENTS:
-            with pytest.raises(ValueError, match="exceed"):
-                optimizer.optimize(queries)
+        for cls in plan.classes
+    ]
+
+
+@pytest.fixture(scope="module")
+def workloads(db, paper_db, paper_qs):
+    """workload name -> (database, queries)."""
+    out = {
+        test: (paper_db, [paper_qs[i] for i in ids])
+        for test, ids in CALIBRATION_TESTS.items()
+    }
+    for seed in RANDOM_SEEDS:
+        rng = random.Random(seed)
+        out[f"seed{seed}"] = (
+            db,
+            [
+                random_query(db.schema, rng, label=f"s{seed}.{i}")
+                for i in range(rng.randint(2, 5))
+            ],
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """Memoized reference answers (a paper query recurs across tests)."""
+    answers = {}
+
+    def answer(database, query):
+        if query.qid not in answers:
+            base = raw_base_entry(database.catalog)
+            answers[query.qid] = evaluate_reference(
+                database.schema, base.table.all_rows(), query, base.levels
+            )
+        return answers[query.qid]
+
+    return answer
+
+
+class TestRegistrySweep:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_plan_validates_and_answers_match_reference(
+        self, workloads, reference, algorithm, workload
+    ):
+        database, queries = workloads[workload]
+        plan = database.optimize(queries, algorithm)
+        assert plan.algorithm == algorithm
+        validate_global_plan(database.schema, database.catalog, plan, queries)
+        report = database.execute(plan)
+        for query in queries:
+            assert report.result_for(query).approx_equals(
+                reference(database, query)
+            ), query.display_name()
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("algorithm", ("optimal", "dp"))
+    def test_exact_planner_equals_brute_force(
+        self, workloads, algorithm, workload
+    ):
+        """Cost bit for bit, and the same classes, class order and member
+        order as the first cheapest assignment of the t^n enumeration."""
+        database, queries = workloads[workload]
+        plan = database.optimize(queries, algorithm)
+        cost, classes = brute_force_optimum(database, queries)
+        assert plan.est_cost_ms == cost
+        assert [
+            (cls.source, [q.qid for q in cls.queries]) for cls in plan.classes
+        ] == [(source, [q.qid for q in group]) for source, group in classes]
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_degenerate_beams_are_etplg_and_gg(self, workloads, workload):
+        """ETPLG is the greedy loop at beam 0, GG at a beam covering the
+        catalog — the same plan, not merely the same cost."""
+        database, queries = workloads[workload]
+        for name, beam in (("etplg", 0), ("gg", len(database.catalog))):
+            named = make_optimizer(name, database).optimize(queries)
+            beamed = GreedyOptimizer(database, beam).optimize(queries)
+            assert plan_shape(named, queries) == plan_shape(
+                beamed, queries
+            ), name
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_greedy_family_orderings(self, workloads, workload):
+        """A wider beam never plans worse and never searches less:
+        est(gg) <= est(bgg) <= est(etplg), costings etplg <= bgg <= gg."""
+        database, queries = workloads[workload]
+        etplg, bgg, gg = (
+            database.optimize(queries, name) for name in ("etplg", "bgg", "gg")
+        )
+        assert gg.est_cost_ms <= bgg.est_cost_ms + 1e-6
+        assert bgg.est_cost_ms <= etplg.est_cost_ms + 1e-6
+        assert (
+            etplg.search_stats["plan_costings"]
+            <= bgg.search_stats["plan_costings"]
+            <= gg.search_stats["plan_costings"]
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_plan_costings_pinned(self, workloads, algorithm):
+        counts = []
+        for test in ("test4", "test5", "test6", "test7"):
+            database, queries = workloads[test]
+            plan = database.optimize(queries, algorithm)
+            counts.append(plan.search_stats["plan_costings"])
+        assert tuple(counts) == PLAN_COSTINGS[algorithm]

@@ -1,12 +1,12 @@
-"""The full-paper differential sweep (the `paranoia` pytest lane).
+"""The full-paper differential sweep.
 
 Every query set of the paper's Tests 1–7, under every optimization
 algorithm, executed with paranoia on: plans are structurally validated,
 every shared-operator result is cross-checked group-for-group against the
-naive reference, and served cache hits are recomputed.  Excluded from the
-default tier-1 run (see pyproject addopts); invoke with::
+naive reference, and served cache hits are recomputed.  Part of tier-1; on
+its own::
 
-    PYTHONPATH=src python -m pytest -m paranoia -q
+    PYTHONPATH=src python -m pytest tests/test_paranoia_sweep.py -q
 """
 
 import pytest
@@ -16,8 +16,6 @@ from repro.engine.result_cache import attach_cache
 from repro.obs.metrics import default_registry
 from repro.workload.paper_queries import PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
-
-pytestmark = pytest.mark.paranoia
 
 ALGORITHMS = ("naive", "tplo", "etplg", "gg", "dag")
 
