@@ -83,7 +83,7 @@ def database_fingerprint(db: "Database", scale: Optional[float] = None) -> dict:
     # only when a profile is loaded, so records written before this field
     # existed (and default-rates records generally) keep their exact
     # fingerprints and continue to gate.
-    profile = getattr(db, "calibration_profile", None)
+    profile = db.calibration_profile
     if profile is not None:
         out["profile"] = profile.identity()
     return out
@@ -265,7 +265,7 @@ def record_run(
         db = build_paper_database(scale=scale)
     if profile is not None:
         db.apply_profile(profile)
-    active_profile = getattr(db, "calibration_profile", None)
+    active_profile = db.calibration_profile
     started = time.perf_counter()
     record = RunRecord(
         label=label,

@@ -1,7 +1,8 @@
 """Differential cross-checking of executed results against ground truth.
 
-The executor (and the result cache) call in here when paranoia mode is on:
-every :class:`~repro.core.operators.results.QueryResult` a shared operator
+The executor (and ``Database.run_queries``, for cache hits) call in here
+when paranoia mode is on: every
+:class:`~repro.core.operators.results.QueryResult` a shared operator
 produces — and a sample of every batch's cache hits — is recomputed by the
 naive reference evaluator and compared group-for-group.  The comparison
 demands the *same set of group keys* and equal aggregate values (within

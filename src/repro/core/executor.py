@@ -96,20 +96,44 @@ class ExecutionReport:
 
     ``failures`` lists classes that aborted on an
     :class:`~repro.faults.InjectedFault`; their sibling classes'
-    executions are unaffected and byte-identical to a fault-free run."""
+    executions are unaffected and byte-identical to a fault-free run.
+
+    ``cache_hits`` holds the submitted queries :meth:`Database.run_queries
+    <repro.engine.database.Database.run_queries>` answered from the result
+    cache instead of planning them: ``plan`` and ``class_executions``
+    cover only the executed remainder, while :attr:`results`,
+    :attr:`n_queries` and :meth:`result_for` describe the whole submitted
+    batch."""
 
     plan: GlobalPlan
     class_executions: List[ClassExecution] = field(default_factory=list)
     failures: List[ClassFailure] = field(default_factory=list)
+    cache_hits: Dict[int, QueryResult] = field(default_factory=dict)
+    #: Elapsed wall seconds of the execution as its caller saw it (set by
+    #: :meth:`Database.execute`); :attr:`wall_s` sums cells across worker
+    #: threads and is not elapsed time.
+    elapsed_s: float = 0.0
 
     @property
     def results(self) -> Dict[int, QueryResult]:
-        """Results keyed by ``query.qid``."""
+        """Results keyed by ``query.qid``: executed ones overlaid with
+        the cache hits."""
         out: Dict[int, QueryResult] = {}
         for execution in self.class_executions:
             for result in execution.results:
                 out[result.query.qid] = result
+        out.update(self.cache_hits)
         return out
+
+    @property
+    def n_cache_hits(self) -> int:
+        """How many of the submitted queries came from the result cache."""
+        return len(self.cache_hits)
+
+    @property
+    def n_queries(self) -> int:
+        """Number of *submitted* queries: planned ones plus cache hits."""
+        return self.plan.n_queries + len(self.cache_hits)
 
     @property
     def failed_qids(self) -> List[int]:
@@ -143,7 +167,7 @@ class ExecutionReport:
         raise PlanCoverageError(
             f"no result for {query.display_name()} (qid {query.qid}): "
             f"the {self.plan.algorithm!r} plan placed it in no class "
-            f"(covered qids: {sorted(results) or 'none'})"
+            f"(answered qids: {sorted(results) or 'none'})"
         ) from None
 
     @property
@@ -193,8 +217,14 @@ class ExecutionReport:
                 f", {len(self.failures)} class(es) FAILED "
                 f"(qids {self.failed_qids})"
             )
+        queries = f"{self.n_queries} queries"
+        if self.cache_hits:
+            queries += (
+                f" ({self.n_cache_hits} from cache, "
+                f"{self.plan.n_queries} executed)"
+            )
         return (
-            f"{self.plan.algorithm}: {self.plan.n_queries} queries, "
+            f"{self.plan.algorithm}: {queries}, "
             f"{len(self.class_executions)} class(es), "
             f"sim {self.sim_ms:.1f} ms "
             f"(io {self.sim_io_ms:.1f} + cpu {self.sim_cpu_ms:.1f}), "

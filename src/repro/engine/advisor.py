@@ -1,7 +1,8 @@
 """Workload logging and self-tuning view recommendation.
 
 Closes the loop between execution and precomputation: a :class:`QueryLog`
-records every query a database executes; :func:`recommend_views` feeds the
+attached to a database (:func:`attach_log`) is fed by ``Database.execute``
+with every query it runs; :func:`recommend_views` feeds the
 observed workload into the greedy view-selection algorithm and reports
 which group-bys would have helped most; ``apply`` materializes them.
 
@@ -51,6 +52,15 @@ class QueryLog:
             )
         )
 
+    def record_execution(self, report) -> None:
+        """Append every query one execution ran, each class's simulated
+        cost attributed evenly across its queries."""
+        for execution in report.class_executions:
+            queries = execution.plan_class.queries
+            share = execution.sim_ms / max(1, len(queries))
+            for query in queries:
+                self.record(query, sim_ms=share)
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -74,25 +84,12 @@ class QueryLog:
 
 
 def attach_log(db) -> QueryLog:
-    """Attach a :class:`QueryLog` to ``db``: every subsequent
-    ``db.execute`` records its queries (with per-class simulated cost
-    attributed evenly across the class's queries)."""
-    log = QueryLog()
-    original_execute = db.execute
-
-    def logging_execute(plan, cold: bool = True):
-        """Wrapped Database.execute that records each executed query."""
-        report = original_execute(plan, cold=cold)
-        for execution in report.class_executions:
-            queries = execution.plan_class.queries
-            share = execution.sim_ms / max(1, len(queries))
-            for query in queries:
-                log.record(query, sim_ms=share)
-        return report
-
-    db.execute = logging_execute
-    db.query_log = log
-    return log
+    """Give ``db`` a :class:`QueryLog` (``db.query_log``):
+    :meth:`Database.execute <repro.engine.database.Database.execute>`
+    records every query it executes from then on, whichever front door
+    the plan came through."""
+    db.query_log = QueryLog()
+    return db.query_log
 
 
 @dataclass
@@ -128,7 +125,7 @@ def recommend_views(
     """Recommend up to ``budget`` additional group-bys to materialize,
     driven by the logged workload (``db.query_log`` by default)."""
     if log is None:
-        log = getattr(db, "query_log", None)
+        log = db.query_log
     if log is None or len(log) == 0:
         raise ValueError(
             "no logged workload; call attach_log(db) and run queries first"

@@ -14,6 +14,7 @@ clock, and exposes the full workflow of the paper:
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -59,10 +60,17 @@ class Database:
         #: the brute-force reference.  Slow; for tests and debugging.
         self.paranoia = paranoia
         #: Monotone mutation epoch: bumped by every path that changes query
-        #: answers (base loads, appends, incremental maintenance).  The
-        #: semantic result cache compares epochs to drop stale entries even
-        #: when a mutation bypassed its wrappers.
+        #: answers (base loads, appends, incremental maintenance); see
+        #: :meth:`notify_mutation`.
         self.data_version = 0
+        #: Attachments, plain data (None = detached): the result cache
+        #: :meth:`run_queries` consults (:func:`~repro.engine.result_cache.
+        #: attach_cache`), the query log :meth:`execute` feeds
+        #: (:func:`~repro.engine.advisor.attach_log`), and the serving
+        #: plane's flight recorder (:meth:`flight_recorder`).
+        self.result_cache = None
+        self.query_log = None
+        self._flight_recorder = None
         #: ANALYZE output per table (see :meth:`analyze`); empty means the
         #: cost model falls back to uniform selectivity estimates.
         self.table_statistics: dict = {}
@@ -132,9 +140,12 @@ class Database:
         data).  Every mutation entry point — :meth:`load_base`,
         :meth:`append_rows`, and direct calls into
         :func:`repro.engine.maintenance.append_rows` — funnels through
-        here, so caches keyed on :attr:`data_version` can never serve
-        results computed before a mutation."""
+        here, so the result cache (dropped on the spot) and the shard
+        partitions keyed on :attr:`data_version` can never serve results
+        computed before a mutation."""
         self.data_version += 1
+        if self.result_cache is not None:
+            self.result_cache.sync(self.data_version)
 
     def materialize(
         self,
@@ -331,7 +342,7 @@ class Database:
         :class:`~repro.serve.service.QueryService` with recording enabled
         has attached to this database (None otherwise).  See
         :mod:`repro.obs.recorder` and ``docs/observability.md``."""
-        return getattr(self, "_flight_recorder", None)
+        return self._flight_recorder
 
     @contextmanager
     def trace(
@@ -383,22 +394,20 @@ class Database:
         performed, planning wall time) for studying the planning-effort
         trade-off the paper's Section 8 raises.
         """
-        import time as _time
-
         from ..core.optimizer import make_optimizer
 
         optimizer = make_optimizer(algorithm, self)
         with self.tracer.span(
             f"optimize.{algorithm}", n_queries=len(queries)
         ) as span:
-            started = _time.perf_counter()
+            started = time.perf_counter()
             plan = optimizer.optimize(list(queries))
             # Merge, don't overwrite: optimizers (e.g. dag) leave their own
             # planning metadata in search_stats.
             plan.search_stats = {
                 **plan.search_stats,
                 "plan_costings": optimizer.model.n_plan_costings,
-                "planning_s": _time.perf_counter() - started,
+                "planning_s": time.perf_counter() - started,
             }
             span.set("plan_costings", optimizer.model.n_plan_costings)
             span.set("n_classes", len(plan.classes))
@@ -427,10 +436,14 @@ class Database:
         overrides the database's :attr:`paranoia` flag for this run;
         ``n_workers`` > 1 runs the plan's cells on a thread pool;
         ``shard_set`` (from :meth:`build_shards`) scatters each class over
-        the data shards and gathers the merged results."""
+        the data shards and gathers the merged results.
+
+        Every executed query is recorded in :attr:`query_log` when one is
+        attached — whichever front door the plan came through."""
         from ..core.executor import execute_plan
 
-        return execute_plan(
+        started = time.perf_counter()
+        report = execute_plan(
             self,
             plan,
             cold=cold,
@@ -438,33 +451,83 @@ class Database:
             shard_set=shard_set,
             paranoia=paranoia,
         )
+        report.elapsed_s = time.perf_counter() - started
+        if self.query_log is not None:
+            self.query_log.record_execution(report)
+        return report
 
     def run_queries(
         self,
         queries: Sequence[GroupByQuery],
         algorithm: str = "gg",
         cold: bool = True,
+        n_workers: int = 1,
+        shard_set: "Optional[ShardSet]" = None,
     ) -> "ExecutionReport":
-        """Optimize + execute in one call.
+        """Answer one batch — the only code that does; sessions and the
+        query service call this with their coalesced distinct set.  The
+        contract is stated once, in ``docs/architecture.md`` §"Answering a
+        batch": cache hits skip planning, the misses are optimized as one
+        unit *as submitted* (no deduplication here), validated against the
+        submitted misses under :attr:`paranoia`, executed
+        (``cold``/``n_workers``/``shard_set`` go to :meth:`execute`), and
+        retained only if no class failed.
 
-        Under :attr:`paranoia` the plan is additionally validated against
-        the *submitted* batch (the executor alone only sees the plan, so
-        an optimizer silently dropping a query is caught here).
+        The report covers the whole batch: ``plan`` is the misses' plan
+        (empty when every query hit), ``cache_hits`` the rest.
         """
-        plan = self.optimize(queries, algorithm)
-        if self.paranoia:
-            from ..check.errors import CorrectnessError, PlanValidationError
-            from ..check.validate import validate_global_plan
+        from ..core.executor import ExecutionReport
+        from ..core.optimizer.plans import GlobalPlan
 
-            try:
-                validate_global_plan(self.schema, self.catalog, plan, queries)
-            except PlanValidationError as exc:
-                raise CorrectnessError(
-                    f"{algorithm!r} produced a structurally invalid plan "
-                    f"for the submitted batch: {exc}",
-                    plan=plan,
-                ) from exc
-        return self.execute(plan, cold=cold)
+        cache = self.result_cache
+        hits: dict = {}
+        if cache is not None:
+            cache.sync(self.data_version)
+            for query in queries:
+                cached = cache.get(query)
+                if cached is not None:
+                    hits[query.qid] = cached
+        misses = [query for query in queries if query.qid not in hits]
+        if misses or not hits:
+            # An empty batch is planned too: the optimizer rejects it.
+            plan = self.optimize(misses, algorithm)
+            if self.paranoia:
+                from ..check.errors import (
+                    CorrectnessError,
+                    PlanValidationError,
+                )
+                from ..check.validate import validate_global_plan
+
+                try:
+                    validate_global_plan(
+                        self.schema, self.catalog, plan, misses
+                    )
+                except PlanValidationError as exc:
+                    raise CorrectnessError(
+                        f"{algorithm!r} produced a structurally invalid "
+                        f"plan for the submitted batch: {exc}",
+                        plan=plan,
+                    ) from exc
+            report = self.execute(
+                plan, cold=cold, n_workers=n_workers, shard_set=shard_set
+            )
+            # A partially-failed execution leaves no trace in the cache:
+            # its survivors are correct, but retaining them would let a
+            # later identical batch skip re-executing — and so skip
+            # re-surfacing the typed error — for the failed queries'
+            # batchmates.
+            if cache is not None and not report.failures:
+                for result in report.results.values():
+                    cache.put(result)
+        else:
+            report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
+        report.cache_hits = hits
+        if hits and self.paranoia:
+            from ..check.paranoia import recheck_cache_hits
+
+            with self.tracer.span("check.cache", n_hits=len(hits)) as span:
+                span.set("n_rechecked", recheck_cache_hits(self, hits))
+        return report
 
     def run_mdx(
         self, text: str, algorithm: str = "gg", cold: bool = True

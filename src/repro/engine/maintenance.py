@@ -171,9 +171,8 @@ def append_rows(
             _rebuild_view_indexes(db, entry)
 
     report[base_name] = len(rows)
-    # Answers have changed: bump the mutation epoch so semantic result
-    # caches invalidate even when this function is called directly rather
-    # than through a wrapped Database.append_rows.
+    # Answers have changed: bump the mutation epoch (drops the result
+    # cache), also when this function is called directly.
     db.notify_mutation()
     return report
 

@@ -5,13 +5,18 @@ results keyed by the query's *semantics* (target group-by + predicates +
 aggregate — the same identity the session deduplicator uses), not its object
 identity.
 
+This module is the cache as *data* — a bounded LRU map with an epoch.  When
+it is consulted, what is retained and how hits are rechecked under paranoia
+is :meth:`Database.run_queries <repro.engine.database.Database.run_queries>`'s
+business (``docs/architecture.md`` §"Answering a batch"), and every front
+door — ``run_queries``, sessions, the query service — goes through it.
+
 Coherence is epoch-based: every mutation path that can change query answers
-bumps :attr:`Database.data_version` (base loads, ``append_rows``, and direct
-calls into :mod:`repro.engine.maintenance`), and the cache compares epochs
-on every access — so a mutation that bypasses the wrapped ``append_rows``
-still invalidates, and a stale answer is never served.  Entries are
-deep-copied on both insert and serve: a caller mutating a returned result
-cannot corrupt the cache, nor the reverse.
+funnels through :meth:`Database.notify_mutation` (base loads, ``append_rows``,
+and direct calls into :mod:`repro.engine.maintenance`), which bumps
+:attr:`Database.data_version` and syncs the attached cache to it — so a stale
+answer is never served.  Entries are deep-copied on both insert and serve: a
+caller mutating a returned result cannot corrupt the cache, nor the reverse.
 
 Usage::
 
@@ -19,11 +24,7 @@ Usage::
     db.run_queries([q], "gg")   # miss: executes, caches
     db.run_queries([q], "gg")   # hit: served from cache, no execution
     db.append_rows(rows)        # invalidates (epoch bump)
-
-Under :attr:`Database.paranoia`, a sample of every batch's served hits is
-recomputed from scratch by the reference evaluator — a stale or corrupted
-entry raises :class:`~repro.check.errors.CorrectnessError` instead of
-silently answering wrong.
+    db.result_cache = None      # detach
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..core.operators.results import QueryResult
 from ..obs.metrics import default_registry
@@ -67,8 +68,8 @@ class ResultCache:
     ``.hit_rate`` gauges) so the serve layer can report cache health next
     to its coalescing numbers.
 
-    All operations hold an internal lock: the serve scheduler probes the
-    cache while client threads may run ``db.run_queries`` of their own.
+    All operations hold an internal lock: the serve scheduler's
+    ``db.run_queries`` may run beside client threads' own.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -108,10 +109,8 @@ class ResultCache:
 
     def sync(self, data_version: int) -> None:
         """Reconcile with the database's mutation epoch: entries computed
-        at an older epoch are dropped wholesale.  Called on every access
-        path, so even mutations that bypassed the cache's wrappers (e.g. a
-        direct :func:`repro.engine.maintenance.append_rows` call) cannot
-        leave stale answers behind."""
+        at an older epoch are dropped wholesale.  Called by
+        :meth:`Database.notify_mutation` and again before every lookup."""
         with self._lock:
             if self._data_version != data_version:
                 if self._data_version is not None:
@@ -167,135 +166,11 @@ class ResultCache:
 
 
 def attach_cache(db, max_entries: int = 256) -> ResultCache:
-    """Wire a :class:`ResultCache` into ``db.run_queries``:
-
-    * cached queries are answered without planning or execution;
-    * only the cache misses are optimized (still as one multi-query unit)
-      and their results cached;
-    * any mutation epoch change (``db.append_rows``, direct maintenance,
-      a new base load) invalidates the cache.
-    """
+    """Give ``db`` a :class:`ResultCache` (``db.result_cache``), synced to
+    its current mutation epoch; :meth:`Database.run_queries
+    <repro.engine.database.Database.run_queries>` does the rest.  Detach
+    with ``db.result_cache = None``."""
     cache = ResultCache(max_entries=max_entries)
     cache.sync(db.data_version)
-    original_run = db.run_queries
-    original_append = db.append_rows
-
-    def caching_run(
-        queries: Sequence[GroupByQuery], algorithm: str = "gg", cold: bool = True
-    ):
-        """Wrapped Database.run_queries serving hits from the cache."""
-        cache.sync(db.data_version)
-        hits: Dict[int, QueryResult] = {}
-        misses: List[GroupByQuery] = []
-        for query in queries:
-            cached = cache.get(query)
-            if cached is None:
-                misses.append(query)
-            else:
-                hits[query.qid] = cached
-        if misses:
-            report = original_run(misses, algorithm=algorithm, cold=cold)
-            # A partially-failed execution (fault-isolated class failures)
-            # must leave no trace in the cache: its surviving results are
-            # correct, but retaining them would make a later identical
-            # batch silently skip re-executing — and therefore skip
-            # re-surfacing the typed error — for the failed queries'
-            # batchmates.  Only fully-clean executions are retained.
-            if not getattr(report, "failures", None):
-                for result in report.results.values():
-                    cache.put(result)
-        else:
-            # Nothing to execute: synthesize an empty report around an
-            # empty plan so callers keep a uniform interface.  The wrapper
-            # below still reports the *real* batch size and hit count.
-            from ..core.executor import ExecutionReport
-            from ..core.optimizer.plans import GlobalPlan
-
-            report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
-        if hits and db.paranoia:
-            from ..check.paranoia import recheck_cache_hits
-
-            with db.tracer.span("check.cache", n_hits=len(hits)) as span:
-                span.set("n_rechecked", recheck_cache_hits(db, hits))
-        return _CachedReport(report, hits, queries)
-
-    def invalidating_append(rows):
-        """Wrapped Database.append_rows that reconciles the cache with the
-        bumped mutation epoch (i.e. drops it) afterwards."""
-        outcome = original_append(rows)
-        cache.sync(db.data_version)
-        return outcome
-
-    db.run_queries = caching_run
-    db.append_rows = invalidating_append
     db.result_cache = cache
     return cache
-
-
-class _CachedReport:
-    """An ExecutionReport wrapper that overlays cache hits onto the
-    executed results and reports the *submitted* batch — not just the
-    executed remainder (everything else delegates)."""
-
-    def __init__(
-        self,
-        report,
-        hits: Dict[int, QueryResult],
-        queries: Sequence[GroupByQuery],
-    ):
-        self._report = report
-        self._hits = hits
-        self._queries = list(queries)
-
-    @property
-    def results(self) -> Dict[int, QueryResult]:
-        """Executed results overlaid with cache hits, keyed by qid."""
-        merged = dict(self._report.results)
-        merged.update(self._hits)
-        return merged
-
-    @property
-    def n_queries(self) -> int:
-        """Number of *submitted* queries (hits included), unlike the
-        underlying plan's count, which covers only the executed misses."""
-        return len(self._queries)
-
-    @property
-    def n_cache_hits(self) -> int:
-        """How many of this batch's queries came from the cache."""
-        return len(self._hits)
-
-    def result_for(self, query: GroupByQuery) -> QueryResult:
-        """The result of one submitted query, by its qid."""
-        if query.qid in self._hits:
-            return self._hits[query.qid]
-        results = self._report.results
-        if query.qid in results:
-            return results[query.qid]
-        from ..check.errors import PlanCoverageError
-
-        submitted = any(q.qid == query.qid for q in self._queries)
-        detail = (
-            "the executed plan placed it in no class"
-            if submitted
-            else "it was not part of this batch"
-        )
-        raise PlanCoverageError(
-            f"no result for {query.display_name()} (qid {query.qid}): "
-            f"{detail} (batch qids: {sorted(q.qid for q in self._queries)})"
-        )
-
-    def summary(self) -> str:
-        """One-line summary reflecting the full batch, hits included."""
-        inner = self._report
-        return (
-            f"{inner.plan.algorithm}: {self.n_queries} queries "
-            f"({self.n_cache_hits} from cache, {inner.plan.n_queries} "
-            f"executed), {len(inner.class_executions)} class(es), "
-            f"sim {inner.sim_ms:.1f} ms "
-            f"(io {inner.sim_io_ms:.1f} + cpu {inner.sim_cpu_ms:.1f}), "
-            f"wall {inner.wall_s * 1000:.1f} ms"
-        )
-
-    def __getattr__(self, name):
-        return getattr(self._report, name)

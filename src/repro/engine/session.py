@@ -12,12 +12,17 @@ drill-down sequence).  Two natural extensions, both implemented here:
   identical component queries (same target group-by, same predicates, same
   aggregate).  Each distinct query is planned and evaluated once; results
   fan back out to every submission.
+
+A session is one of the front doors onto :meth:`Database.run_queries
+<repro.engine.database.Database.run_queries>` (``docs/architecture.md``
+§"Answering a batch"): it adds :func:`coalesce` before the door and fan-out
+after it, and nothing else — cache, validation and logging are the door's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.executor import ExecutionReport
 from ..core.operators.results import QueryResult
@@ -35,6 +40,27 @@ def query_key(query: GroupByQuery) -> QueryKey:
         frozenset(query.predicates),
         query.aggregate.value,
     )
+
+
+def coalesce(
+    submissions: Iterable[Tuple[object, GroupByQuery]],
+) -> Tuple[List[GroupByQuery], Dict[QueryKey, list]]:
+    """Deduplicate ``(owner, query)`` submissions by semantic identity.
+
+    Returns the distinct queries — the first submission of each is its
+    canonical instance, the one the optimizer sees — and, per key, every
+    ``(owner, query)`` pair that asked it, both in submission order, so
+    coalescing is deterministic.  Fan-out walks the map after execution.
+    """
+    distinct: List[GroupByQuery] = []
+    members: Dict[QueryKey, list] = {}
+    for owner, query in submissions:
+        key = query_key(query)
+        if key not in members:
+            members[key] = []
+            distinct.append(query)
+        members[key].append((owner, query))
+    return distinct, members
 
 
 @dataclass
@@ -105,33 +131,27 @@ class QuerySession:
     # -- running --------------------------------------------------------------
 
     def run(self, cold: bool = True) -> SessionReport:
-        """Deduplicate, optimize the distinct set as one unit, execute, and
-        fan results back to every submission.  The pending set is cleared."""
+        """Deduplicate, answer the distinct set as one batch, and fan
+        results back to every submission.  The pending set is cleared."""
         if not self._submitted:
             raise ValueError("the session has no queries to run")
-        canonical: Dict[QueryKey, GroupByQuery] = {}
-        members: Dict[QueryKey, List[GroupByQuery]] = {}
-        for query in self._submitted:
-            key = query_key(query)
-            canonical.setdefault(key, query)
-            members.setdefault(key, []).append(query)
-        distinct = list(canonical.values())
+        distinct, members = coalesce((None, q) for q in self._submitted)
         with self.db.tracer.span(
             "session.run",
             algorithm=self.algorithm,
             n_submitted=len(self._submitted),
             n_distinct=len(distinct),
         ):
-            plan = self.db.optimize(distinct, self.algorithm)
-            execution = self.db.execute(plan, cold=cold)
+            execution = self.db.run_queries(distinct, self.algorithm, cold=cold)
         report = SessionReport(
             execution=execution,
             n_submitted=len(self._submitted),
             n_distinct=len(distinct),
         )
-        for key, representative in canonical.items():
-            result = execution.results[representative.qid]
-            for twin in members[key]:
+        results = execution.results
+        for pairs in members.values():
+            result = results[pairs[0][1].qid]
+            for _owner, twin in pairs:
                 # Each fan-out gets its own groups dict: results are treated
                 # as owned values, never shared mutable state.
                 report.results[twin.qid] = QueryResult(

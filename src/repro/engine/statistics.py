@@ -109,7 +109,7 @@ def analyze(db, table_names: Optional[Sequence[str]] = None) -> Dict[str, TableS
     ``db.table_statistics`` (used by the cost model) and returns it."""
     if table_names is None:
         table_names = db.catalog.names()
-    stats: Dict[str, TableStats] = dict(getattr(db, "table_statistics", {}))
+    stats: Dict[str, TableStats] = dict(db.table_statistics)
     for name in table_names:
         entry = db.catalog.get(name)
         stats[name] = analyze_table(db.schema, entry)

@@ -6,7 +6,7 @@ window* into a single :class:`MicroBatch`.  Assembly is where the paper's
 multi-query sharing is manufactured across sessions:
 
 * the union of all requests' component queries is deduplicated by semantic
-  identity (:func:`repro.engine.session.query_key`) — each distinct query
+  identity (:func:`repro.engine.session.coalesce`) — each distinct query
   will be planned and executed once, no matter how many clients asked it;
 * a membership map records which requests asked for which distinct query,
   so results fan back out after execution.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.session import QueryKey, query_key
+from ..engine.session import QueryKey, coalesce
 from ..schema.query import GroupByQuery
 from .futures import ServeFuture
 
@@ -194,18 +194,12 @@ class MicroBatch:
 
 
 def assemble_batch(batch_id: int, requests: List[ServeRequest]) -> MicroBatch:
-    """Deduplicate the requests' queries into one :class:`MicroBatch`.
-
-    The first submission of each distinct query becomes its canonical
-    instance (the one the optimizer sees); iteration order over requests
-    is admission order, so assembly is deterministic for a given batch.
-    """
-    batch = MicroBatch(batch_id=batch_id, requests=requests)
-    for request in requests:
-        for query in request.queries:
-            key = query_key(query)
-            if key not in batch.members:
-                batch.members[key] = []
-                batch.distinct.append(query)
-            batch.members[key].append((request, query))
-    return batch
+    """Deduplicate the requests' queries into one :class:`MicroBatch`
+    (:func:`repro.engine.session.coalesce` over the requests in admission
+    order, so assembly is deterministic for a given batch)."""
+    distinct, members = coalesce(
+        (request, query) for request in requests for query in request.queries
+    )
+    return MicroBatch(
+        batch_id=batch_id, requests=requests, distinct=distinct, members=members
+    )

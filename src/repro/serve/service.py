@@ -9,24 +9,27 @@ owns the engine and turns the arrival stream into micro-batches:
    (:class:`~repro.serve.futures.AdmissionError`), which is the service's
    backpressure signal.
 2. **Micro-batching** — everything arriving within ``window_ms`` of the
-   batch's first request (capped at ``max_batch_requests``) is coalesced:
-   duplicate queries across clients collapse to one planned instance, and
-   result-cache hits bypass planning entirely.
-3. **Planning** — the distinct cache-missing queries go through the
-   existing multi-query optimizers (``gg`` by default) as *one* global
-   plan, so the paper's shared star-join operators now share work across
-   sessions, not just within one MDX expression.
-4. **Execution** — the merged plan's independent classes run concurrently
-   on a thread pool (:func:`~repro.core.executor.execute_plan` with
-   ``n_workers``); results stay byte-identical to serial single-session
-   execution (each class runs in a private cold context).
+   batch's first request (capped at ``max_batch_requests``) is coalesced
+   (:func:`repro.engine.session.coalesce`): duplicate queries across
+   clients collapse to one instance.
+3. **Answering** — the distinct set goes through the one front door,
+   :meth:`Database.run_queries <repro.engine.database.Database.run_queries>`
+   (cache, planning, validation, retention: ``docs/architecture.md``
+   §"Answering a batch"), as *one* global plan — so the paper's shared
+   star-join operators share work across sessions, not just within one
+   MDX expression — whose classes run concurrently on ``n_workers``
+   threads, byte-identical to serial single-session execution.
+4. **Recovery** — an execution that loses classes to injected faults is
+   re-asked through the same door for the failed queries only (bounded
+   retry, simulated backoff), then per query against the raw base table;
+   what still fails is quarantined per request (``docs/resilience.md``).
 5. **Fan-out** — per-query results (deep copies via
    :meth:`~repro.core.operators.results.QueryResult.detached`, never
    shared mutable state) and errors are routed back to each waiting
    caller's future, with per-request deadlines enforced while queued.
 
-With ``ServeConfig(shards=N)`` step 4 becomes scatter-gather: the one
-global plan fans out over N hash partitions of the data
+With ``ServeConfig(shards=N)`` step 3's execution becomes scatter-gather:
+the one global plan fans out over N hash partitions of the data
 (:mod:`repro.serve.shard`) and partial aggregates merge back per class.
 
 Only the scheduler thread touches the database, so the engine itself needs
@@ -44,12 +47,10 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..core.executor import ExecutionReport, execute_plan
 from ..core.operators.results import QueryResult
 from ..engine.database import Database
-from ..engine.session import QueryKey, query_key
 from ..faults import InjectedFault
 from ..obs.metrics import default_registry
 from ..obs.recorder import FlightRecorder
@@ -69,6 +70,50 @@ from .retry import RetryExhausted, RetryPolicy, SimulatedClock, call_with_retry
 
 #: How often the idle scheduler wakes to check for shutdown.
 _POLL_S = 0.02
+
+
+#: ``ServiceStats`` counter field -> (metric name, help).  One table, and
+#: :meth:`QueryService._count` writes both ledgers from it, so the stats
+#: object and the metrics registry cannot drift.
+_COUNTERS = {
+    "n_admitted": (
+        "serve.requests_admitted", "requests accepted into the queue"
+    ),
+    "n_rejected": (
+        "serve.requests_rejected", "requests refused by backpressure"
+    ),
+    "n_timed_out": (
+        "serve.requests_timed_out", "requests whose deadline expired queued"
+    ),
+    "n_failed": ("serve.requests_failed", "requests failed by a batch error"),
+    "n_quarantined": (
+        "serve.requests_quarantined",
+        "requests failed alone after retries and degradation",
+    ),
+    "n_served": ("serve.requests_served", "requests answered with results"),
+    "n_batches": ("serve.batches", "micro-batches executed"),
+    "n_retries": (
+        "serve.execution_retries",
+        "batch executions re-attempted after a class failure",
+    ),
+    "n_degraded": (
+        "serve.degraded_queries",
+        "queries answered by the per-query raw-base-table fallback",
+    ),
+    "n_queries_submitted": (
+        "serve.queries_submitted", "component queries submitted"
+    ),
+    "n_queries_planned": (
+        "serve.queries_planned", "distinct queries planned and executed"
+    ),
+    "n_cache_hits": (
+        "serve.cache_hits", "queries answered from the result cache"
+    ),
+    "n_duplicates_eliminated": (
+        "serve.duplicates_eliminated",
+        "duplicate query evaluations avoided by coalescing",
+    ),
+}
 
 
 @dataclass
@@ -218,72 +263,21 @@ class QueryService:
         #: drains events past it after every batch.
         self._fault_events_seen = 0
         metrics = default_registry()
-        self._m_admitted = metrics.counter(
-            "serve.requests_admitted", "requests accepted into the queue"
-        )
-        self._m_rejected = metrics.counter(
-            "serve.requests_rejected", "requests refused by backpressure"
-        )
-        self._m_timed_out = metrics.counter(
-            "serve.requests_timed_out", "requests whose deadline expired queued"
-        )
-        self._m_failed = metrics.counter(
-            "serve.requests_failed", "requests failed by a batch error"
-        )
-        self._m_served = metrics.counter(
-            "serve.requests_served", "requests answered with results"
-        )
-        self._m_batches = metrics.counter(
-            "serve.batches", "micro-batches executed"
-        )
-        self._m_queue_depth = metrics.gauge(
-            "serve.queue_depth", "requests waiting for the scheduler"
-        )
-        self._m_batch_requests = metrics.histogram(
-            "serve.batch_requests", "requests coalesced per micro-batch"
-        )
-        self._m_batch_queries = metrics.histogram(
-            "serve.batch_queries", "queries submitted per micro-batch"
-        )
-        self._m_batch_distinct = metrics.histogram(
-            "serve.batch_distinct", "distinct queries planned per micro-batch"
-        )
-        self._m_batch_sim_ms = metrics.histogram(
-            "serve.batch_sim_ms", "simulated cost per executed micro-batch"
-        )
-        self._m_latency = metrics.histogram(
-            "serve.request_latency_ms",
-            "submit-to-resolve latency per served request",
-        )
-        self._m_coalesce = metrics.gauge(
-            "serve.coalesce_ratio",
-            "submitted / planned queries over the service lifetime",
-        )
-        self._m_duplicates = metrics.counter(
-            "serve.duplicates_eliminated",
-            "duplicate query evaluations avoided by coalescing",
-        )
-        self._m_cache_hits = metrics.counter(
-            "serve.cache_hits", "queries answered from the result cache"
-        )
-        self._m_queries_submitted = metrics.counter(
-            "serve.queries_submitted", "component queries submitted"
-        )
-        self._m_queries_planned = metrics.counter(
-            "serve.queries_planned", "distinct queries planned and executed"
-        )
-        self._m_quarantined = metrics.counter(
-            "serve.requests_quarantined",
-            "requests failed alone after retries and degradation",
-        )
-        self._m_retries = metrics.counter(
-            "serve.execution_retries",
-            "batch executions re-attempted after a class failure",
-        )
-        self._m_degraded = metrics.counter(
-            "serve.degraded_queries",
-            "queries answered by the per-query raw-base-table fallback",
-        )
+        self._m_counters = {
+            field_name: metrics.counter(name, text)
+            for field_name, (name, text) in _COUNTERS.items()
+        }
+        histogram_help = {
+            "batch_requests": "requests coalesced per micro-batch",
+            "batch_queries": "queries submitted per micro-batch",
+            "batch_distinct": "distinct queries planned per micro-batch",
+            "batch_sim_ms": "simulated cost per executed micro-batch",
+            "request_latency_ms": "submit-to-resolve latency per served request",
+        }
+        self._m_hist = {
+            name: metrics.histogram(f"serve.{name}", text)
+            for name, text in histogram_help.items()
+        }
         stage_help = {
             "queued": "wall ms a request waited from submit to batch pickup",
             "coalesce": "wall ms batch assembly / deduplication took",
@@ -310,6 +304,23 @@ class QueryService:
             name: metrics.histogram(f"serve.stage.{name}_sim_ms", text)
             for name, text in stage_sim_help.items()
         }
+        self._m_queue_depth = metrics.gauge(
+            "serve.queue_depth", "requests waiting for the scheduler"
+        )
+        self._m_coalesce = metrics.gauge(
+            "serve.coalesce_ratio",
+            "submitted / planned queries over the service lifetime",
+        )
+
+    def _count(self, **deltas: float) -> None:
+        """Count serving events once: add ``deltas`` to the named
+        :class:`ServiceStats` fields and to their ``serve.*`` counters
+        (:data:`_COUNTERS`; ``sim_ms_total`` has a histogram instead)."""
+        self.stats.record(**deltas)
+        for field_name, delta in deltas.items():
+            counter = self._m_counters.get(field_name)
+            if counter is not None:
+                counter.inc(delta)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -400,14 +411,12 @@ class QueryService:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            self.stats.record(n_rejected=1)
-            self._m_rejected.inc()
+            self._count(n_rejected=1)
             raise AdmissionError(
                 f"admission queue full ({self.config.max_queue_depth} "
                 f"request(s) waiting); retry later"
             ) from None
-        self.stats.record(n_admitted=1)
-        self._m_admitted.inc()
+        self._count(n_admitted=1)
         self._m_queue_depth.set(self._queue.qsize())
         return request.future
 
@@ -452,8 +461,7 @@ class QueryService:
         for request in requests:
             if request.expired(now):
                 waited_ms = (now - request.submitted_s) * 1000.0
-                self.stats.record(n_timed_out=1)
-                self._m_timed_out.inc()
+                self._count(n_timed_out=1)
                 request.future.set_exception(
                     DeadlineExceeded(
                         f"request {request.request_id} waited "
@@ -475,8 +483,7 @@ class QueryService:
         try:
             self._execute_batch(batch, stages)
         except BaseException as exc:  # noqa: BLE001 - routed to callers
-            self.stats.record(n_failed=len(live))
-            self._m_failed.inc(len(live))
+            self._count(n_failed=len(live))
             for request in live:
                 request.future.try_set_exception(exc)
             if self.recorder is not None:
@@ -495,22 +502,6 @@ class QueryService:
 
     def _execute_batch(self, batch: MicroBatch, stages: _Stages) -> None:
         db = self.db
-        config = self.config
-        paranoia = db.paranoia
-        cache = getattr(db, "result_cache", None)
-        hits: Dict[QueryKey, QueryResult] = {}
-        misses: List[GroupByQuery] = []
-        if cache is not None:
-            cache.sync(db.data_version)
-            for query in batch.distinct:
-                cached = cache.get(query)
-                if cached is None:
-                    misses.append(query)
-                else:
-                    hits[query_key(query)] = cached
-        else:
-            misses = list(batch.distinct)
-
         # With the flight recorder on, every batch is traced: a private
         # per-batch tracer is installed around execution (and restored in
         # the finally) unless an enclosing Database.trace() already
@@ -523,9 +514,10 @@ class QueryService:
         batch_trace_id = db.tracer.trace_id
         batch_span = None
         outcome = "failed"
-        sim_ms = 0.0
-        canonical: Dict[QueryKey, QueryResult] = dict(hits)
-        quarantined: Dict[QueryKey, BaseException] = {}
+        # Every answer, and which of them the cache served, by the qid of
+        # the distinct (canonical) query run_queries saw.
+        answers: Dict[int, QueryResult] = {}
+        hits: Set[int] = set()
         try:
             with db.tracer.span(
                 "serve.batch",
@@ -533,36 +525,24 @@ class QueryService:
                 n_requests=batch.n_requests,
                 n_submitted=batch.n_submitted,
                 n_distinct=batch.n_distinct,
-                n_cache_hits=len(hits),
             ) as span:
                 batch_span = span
-                if misses:
-                    sim_ms, quarantined = self._execute_misses(
-                        batch,
-                        misses,
-                        canonical,
-                        cache=cache,
-                        paranoia=paranoia,
-                        stages=stages,
-                    )
-                if hits and paranoia:
-                    from ..check.paranoia import recheck_cache_hits
-
-                    recheck_cache_hits(
-                        db, {hit.query.qid: hit for hit in hits.values()}
-                    )
+                sim_ms, quarantined = self._answer(
+                    batch, answers, hits, stages
+                )
+                span.set("n_cache_hits", len(hits))
                 span.set("sim_ms", round(sim_ms, 3))
                 if quarantined:
                     span.set("n_quarantined_queries", len(quarantined))
             outcome = "quarantined" if quarantined else "ok"
             self._fan_out(
                 batch,
-                canonical,
+                answers,
                 hits,
                 sim_ms,
                 quarantined,
-                stages=stages,
-                batch_trace_id=batch_trace_id,
+                stages,
+                batch_trace_id,
             )
         finally:
             if installed is not None:
@@ -603,55 +583,6 @@ class QueryService:
             },
         )
 
-    def _run_plan(
-        self,
-        queries: List[GroupByQuery],
-        paranoia: bool,
-        stages: Optional[_Stages] = None,
-    ) -> ExecutionReport:
-        """Optimize, (optionally) validate, and execute one set of distinct
-        queries.  Fault-injected class failures land in the report's
-        ``failures`` list; sibling classes' results are unaffected."""
-        db = self.db
-        config = self.config
-        plan_started = time.perf_counter()
-        plan = db.optimize(queries, config.algorithm)
-        if stages is not None:
-            stages.add(
-                "plan", wall_ms=(time.perf_counter() - plan_started) * 1000.0
-            )
-        if paranoia:
-            from ..check.errors import CorrectnessError, PlanValidationError
-            from ..check.validate import validate_global_plan
-
-            try:
-                validate_global_plan(db.schema, db.catalog, plan, queries)
-            except PlanValidationError as exc:
-                raise CorrectnessError(
-                    f"{config.algorithm!r} produced a structurally "
-                    f"invalid plan: {exc}",
-                    plan=plan,
-                ) from exc
-        exec_started = time.perf_counter()
-        try:
-            report = execute_plan(
-                db,
-                plan,
-                cold=config.cold,
-                n_workers=config.n_workers,
-                shard_set=self._shards() if config.shards > 1 else None,
-                paranoia=paranoia,
-            )
-        finally:
-            if stages is not None:
-                stages.add(
-                    "execute",
-                    wall_ms=(time.perf_counter() - exec_started) * 1000.0,
-                )
-        if stages is not None:
-            stages.add("execute", sim_ms=report.sim_ms)
-        return report
-
     def _shards(self):
         """The current shard partition, (re)built on first use and after
         every database mutation (the partition is keyed on the mutation
@@ -671,43 +602,33 @@ class QueryService:
                 )
         return self._shard_set
 
-    def _execute_misses(
+    def _answer(
         self,
         batch: MicroBatch,
-        misses: List[GroupByQuery],
-        canonical: Dict[QueryKey, QueryResult],
-        *,
-        cache,
-        paranoia: bool,
-        stages: Optional[_Stages] = None,
-    ) -> "tuple[float, Dict[QueryKey, BaseException]]":
-        """Run the cache-missing queries with bounded retry on injected
-        class failures, then the degraded per-query fallback; returns the
-        simulated cost charged and the queries that exhausted every
-        recovery path (keyed for fan-out quarantine)."""
+        answers: Dict[int, QueryResult],
+        hits: Set[int],
+        stages: _Stages,
+    ) -> "tuple[float, Dict[int, BaseException]]":
+        """Answer the batch's distinct queries through
+        :meth:`Database.run_queries` — cache, planning, validation and
+        retention are the door's — re-asking only the queries whose class
+        failed on an injected fault (bounded retry), then the degraded
+        per-query fallback.  Fills ``answers`` and ``hits``; returns the
+        simulated cost charged and, by qid, the error of every query that
+        exhausted each recovery path (for fan-out quarantine)."""
         db = self.db
+        config = self.config
         state = {
-            "outstanding": list(misses),
+            "outstanding": list(batch.distinct),
             "sim_ms": 0.0,
             "errors": {},
         }
-
-        def record(execution: ExecutionReport) -> None:
-            state["sim_ms"] += execution.sim_ms
-            clean = not execution.failures
-            for result in execution.results.values():
-                canonical[query_key(result.query)] = result
-                # A partially-failed execution must leave no trace in the
-                # result cache: only fully-clean executions are retained.
-                if clean and cache is not None:
-                    cache.put(result)
 
         def attempt(attempt_no: int) -> None:
             retry_started = None
             if attempt_no > 1:
                 retry_started = time.perf_counter()
-                self.stats.record(n_retries=1)
-                self._m_retries.inc()
+                self._count(n_retries=1)
                 if self.recorder is not None:
                     self.recorder.record(
                         "retry",
@@ -716,35 +637,45 @@ class QueryService:
                         n_outstanding=len(state["outstanding"]),
                     )
             try:
-                execution = self._run_plan(
-                    state["outstanding"], paranoia, stages=stages
+                execution = db.run_queries(
+                    state["outstanding"],
+                    config.algorithm,
+                    cold=config.cold,
+                    n_workers=config.n_workers,
+                    shard_set=self._shards() if config.shards > 1 else None,
                 )
             finally:
-                if retry_started is not None and stages is not None:
+                if retry_started is not None:
                     stages.add(
                         "retry",
                         wall_ms=(time.perf_counter() - retry_started)
                         * 1000.0,
                     )
-            record(execution)
+            state["sim_ms"] += execution.sim_ms
+            stages.add(
+                "plan",
+                wall_ms=execution.plan.search_stats.get("planning_s", 0.0)
+                * 1000.0,
+            )
+            stages.add(
+                "execute",
+                wall_ms=execution.elapsed_s * 1000.0,
+                sim_ms=execution.sim_ms,
+            )
+            answers.update(execution.results)
+            hits.update(execution.cache_hits)
             if execution.failures:
-                failed = set(execution.failed_qids)
-                errors: Dict[QueryKey, BaseException] = {}
-                for query in state["outstanding"]:
-                    if query.qid in failed:
-                        for failure in execution.failures:
-                            if query.qid in failure.qids:
-                                errors[query_key(query)] = failure.error
-                                break
+                state["errors"] = {
+                    qid: failure.error
+                    for failure in execution.failures
+                    for qid in failure.qids
+                }
                 state["outstanding"] = [
-                    q for q in state["outstanding"] if q.qid in failed
+                    q for q in state["outstanding"] if q.qid in state["errors"]
                 ]
-                state["errors"] = errors
                 raise execution.failures[0].error
-            state["outstanding"] = []
-            state["errors"] = {}
 
-        quarantined: Dict[QueryKey, BaseException] = {}
+        quarantined: Dict[int, BaseException] = {}
         backoff_before_ms = self.sim_clock.now_ms
         try:
             call_with_retry(
@@ -757,13 +688,11 @@ class QueryService:
             )
         except RetryExhausted as exhausted:
             for query in list(state["outstanding"]):
-                error = state["errors"].get(query_key(query), exhausted)
-                if self.config.degrade:
-                    error = self._degrade_query(
-                        query, canonical, cache, state, stages=stages
-                    )
+                error = state["errors"].get(query.qid, exhausted)
+                if config.degrade:
+                    error = self._degrade_query(query, answers, state, stages)
                 if error is not None:
-                    quarantined[query_key(query)] = error
+                    quarantined[query.qid] = error
                     if self.recorder is not None:
                         self.recorder.record(
                             "quarantine",
@@ -776,7 +705,7 @@ class QueryService:
             # The simulated clock only ever advances by retry backoff, so
             # its delta across the retry loop is the backoff charge.
             backoff_ms = self.sim_clock.now_ms - backoff_before_ms
-            if stages is not None and backoff_ms > 0.0:
+            if backoff_ms > 0.0:
                 stages.add("retry", sim_ms=backoff_ms)
         return state["sim_ms"], quarantined
 
@@ -789,15 +718,16 @@ class QueryService:
     def _degrade_query(
         self,
         query: GroupByQuery,
-        canonical: Dict[QueryKey, QueryResult],
-        cache,
+        answers: Dict[int, QueryResult],
         state: Dict,
-        stages: Optional[_Stages] = None,
+        stages: _Stages,
     ) -> Optional[BaseException]:
         """Degraded mode: re-plan one repeatedly-failing query *alone*
         against the raw fact table and execute it, sidestepping whatever
-        shared class (view, index, scan) the fault keeps killing.  Returns
-        None on success, or the final error for quarantine."""
+        shared class (view, index, scan) the fault keeps killing.  The
+        plan is hand-built, so this is the one executed result retained
+        outside :meth:`Database.run_queries`.  Returns None on success,
+        or the final error for quarantine."""
         from ..core.optimizer.base import build_plan_class
         from ..core.optimizer.cost import CostModel
         from ..core.optimizer.plans import GlobalPlan
@@ -807,7 +737,7 @@ class QueryService:
         try:
             entry = self._raw_base_entry()
             if entry is None:
-                return state["errors"].get(query_key(query)) or RuntimeError(
+                return state["errors"].get(query.qid) or RuntimeError(
                     "no raw base table to degrade to"
                 )
             with db.tracer.span(
@@ -817,8 +747,8 @@ class QueryService:
                     db.schema,
                     db.catalog,
                     db.stats.rates,
-                    statistics=getattr(db, "table_statistics", None),
-                    dim_tables=getattr(db, "dimension_tables", None),
+                    statistics=db.table_statistics,
+                    dim_tables=db.dimension_tables,
                 )
                 try:
                     plan_class = build_plan_class(model, entry, [query])
@@ -828,40 +758,37 @@ class QueryService:
                 plan = GlobalPlan(algorithm="degraded", classes=[plan_class])
                 execution = db.execute(plan, cold=self.config.cold)
                 state["sim_ms"] += execution.sim_ms
-                if stages is not None:
-                    stages.add("degrade", sim_ms=execution.sim_ms)
+                stages.add("degrade", sim_ms=execution.sim_ms)
                 if execution.failures:
                     span.set("failed", True)
                     return execution.failures[0].error
-                result = execution.results[query.qid]
-                canonical[query_key(query)] = result
-                if cache is not None:
-                    cache.put(result)
+                answers[query.qid] = execution.results[query.qid]
+                if db.result_cache is not None:
+                    db.result_cache.put(answers[query.qid])
         finally:
-            if stages is not None:
-                stages.add(
-                    "degrade",
-                    wall_ms=(time.perf_counter() - degrade_started) * 1000.0,
-                )
-        self.stats.record(n_degraded=1)
-        self._m_degraded.inc()
+            stages.add(
+                "degrade",
+                wall_ms=(time.perf_counter() - degrade_started) * 1000.0,
+            )
+        self._count(n_degraded=1)
         return None
 
     def _fan_out(
         self,
         batch: MicroBatch,
-        canonical: Dict[QueryKey, QueryResult],
-        hits: Dict[QueryKey, QueryResult],
+        answers: Dict[int, QueryResult],
+        hits: Set[int],
         sim_ms: float,
-        quarantined: Optional[Dict[QueryKey, BaseException]] = None,
-        stages: Optional[_Stages] = None,
-        batch_trace_id: Optional[str] = None,
+        quarantined: Dict[int, BaseException],
+        stages: _Stages,
+        batch_trace_id: Optional[str],
     ) -> None:
-        quarantined = quarantined or {}
         gather_started = time.perf_counter()
         now = time.monotonic()
         responses: Dict[int, ServeResponse] = {}
-        poisoned: Dict[int, List[QueryKey]] = {}
+        # request id -> (canonical qid, the request's own qid) of each of
+        # its quarantined queries.
+        poisoned: Dict[int, List["tuple[int, int]"]] = {}
         for request in batch.requests:
             responses[request.request_id] = ServeResponse(
                 request_id=request.request_id,
@@ -870,14 +797,16 @@ class QueryService:
                 trace_id=request.future.trace_id,
                 batch_trace_id=batch_trace_id,
             )
-        for key, pairs in batch.members.items():
-            if key in quarantined:
-                for request, _twin in pairs:
-                    poisoned.setdefault(request.request_id, []).append(key)
+        for pairs in batch.members.values():
+            canonical_qid = pairs[0][1].qid
+            if canonical_qid in quarantined:
+                for request, twin in pairs:
+                    poisoned.setdefault(request.request_id, []).append(
+                        (canonical_qid, twin.qid)
+                    )
                 continue
-            result = canonical[key]
-            from_cache = key in hits
-            canonical_qid = result.query.qid
+            result = answers[canonical_qid]
+            from_cache = canonical_qid in hits
             for request, twin in pairs:
                 response = responses[request.request_id]
                 # Each fan-out owns a deep copy: a caller mutating its
@@ -888,12 +817,11 @@ class QueryService:
                     response.n_cache_hits += 1
                 elif twin.qid != canonical_qid:
                     response.n_coalesced += 1
-        if stages is not None:
-            stages.add(
-                "gather",
-                wall_ms=(time.perf_counter() - gather_started) * 1000.0,
-            )
-        batch_timings = stages.timings() if stages is not None else {}
+        stages.add(
+            "gather",
+            wall_ms=(time.perf_counter() - gather_started) * 1000.0,
+        )
+        batch_timings = stages.timings()
         # Batch-level stages observe once per batch; the per-request
         # "queued" stage observes once per member request below.
         for name, timing in batch_timings.items():
@@ -917,19 +845,13 @@ class QueryService:
             response.stages["queued"] = StageTiming(
                 "queued", wall_ms=queued_ms
             )
-            bad_keys = poisoned.get(request.request_id)
-            if bad_keys:
+            bad = poisoned.get(request.request_id)
+            if bad:
                 # Per-request fault quarantine: this request's queries kept
                 # failing, so it is failed alone; batchmates complete.
-                bad_qids = sorted(
-                    twin.qid
-                    for key in bad_keys
-                    for req, twin in batch.members[key]
-                    if req.request_id == request.request_id
-                )
-                cause = quarantined[bad_keys[0]]
-                self.stats.record(n_quarantined=1)
-                self._m_quarantined.inc()
+                bad_qids = sorted(own_qid for _canonical, own_qid in bad)
+                cause = quarantined[bad[0][0]]
+                self._count(n_quarantined=1)
                 request.future.try_set_exception(
                     RequestQuarantined(
                         f"request {request.request_id} quarantined: "
@@ -947,8 +869,7 @@ class QueryService:
                 # made it — and since _run_batch may already have failed
                 # this future, resolution must not be attempted twice.
                 waited_ms = (now - request.submitted_s) * 1000.0
-                self.stats.record(n_timed_out=1)
-                self._m_timed_out.inc()
+                self._count(n_timed_out=1)
                 request.future.try_set_exception(
                     DeadlineExceeded(
                         f"request {request.request_id} answered after "
@@ -956,33 +877,27 @@ class QueryService:
                     )
                 )
                 continue
-            self._m_latency.observe(response.latency_s * 1000.0)
+            self._m_hist["request_latency_ms"].observe(
+                response.latency_s * 1000.0
+            )
             if request.future.try_set_result(response):
                 n_served += 1
 
-        n_planned = batch.n_distinct - len(hits)
-        stats = self.stats
-        stats.record(
+        self._count(
             n_served=n_served,
             n_batches=1,
             n_queries_submitted=batch.n_submitted,
-            n_queries_planned=n_planned,
+            n_queries_planned=batch.n_distinct - len(hits),
             n_cache_hits=len(hits),
             n_duplicates_eliminated=batch.n_duplicates_eliminated,
             sim_ms_total=sim_ms,
         )
-        stats.record_batch(batch.n_requests)
-        self._m_served.inc(n_served)
-        self._m_batches.inc()
-        self._m_batch_requests.observe(batch.n_requests)
-        self._m_batch_queries.observe(batch.n_submitted)
-        self._m_batch_distinct.observe(batch.n_distinct)
-        self._m_batch_sim_ms.observe(sim_ms)
-        self._m_duplicates.inc(batch.n_duplicates_eliminated)
-        self._m_cache_hits.inc(len(hits))
-        self._m_queries_submitted.inc(batch.n_submitted)
-        self._m_queries_planned.inc(n_planned)
-        self._m_coalesce.set(stats.coalesce_ratio)
+        self.stats.record_batch(batch.n_requests)
+        self._m_hist["batch_requests"].observe(batch.n_requests)
+        self._m_hist["batch_queries"].observe(batch.n_submitted)
+        self._m_hist["batch_distinct"].observe(batch.n_distinct)
+        self._m_hist["batch_sim_ms"].observe(sim_ms)
+        self._m_coalesce.set(self.stats.coalesce_ratio)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self.running else (

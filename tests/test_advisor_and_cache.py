@@ -31,6 +31,32 @@ class TestQueryLog:
         assert len(log) == 2
         assert log.entries[0].sim_ms > 0
 
+    def test_execute_with_executor_options_is_logged(self):
+        """Regression: the wrapper that used to replace ``db.execute`` kept
+        the signature ``(plan, cold=True)`` and raised ``TypeError`` on the
+        options the method it shadowed had since grown."""
+        db = make_tiny_db(n_rows=200)
+        log = attach_log(db)
+        plan = db.optimize([q(label="a"), q((2, 2), label="b")], "tplo")
+        report = db.execute(plan, n_workers=2, paranoia=True)
+        assert len(report.results) == 2
+        assert len(log) == 2
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_served_requests_are_logged(self, n_workers, shards):
+        """Regression: the service used to call ``execute_plan`` directly
+        and never crossed the logging wrapper."""
+        db = make_tiny_db(n_rows=200)
+        log = attach_log(db)
+        batch = [q(label="a"), q((2, 2), label="b")]
+        with db.serve(window_ms=1.0, n_workers=n_workers, shards=shards) as svc:
+            svc.submit(batch).result(timeout=30)
+        assert len(log) == 2
+        assert sum(entry.sim_ms for entry in log.entries) == pytest.approx(
+            svc.stats.snapshot().sim_ms_total
+        )
+
     def test_hot_requirements_ranked(self):
         log = QueryLog()
         for _ in range(3):

@@ -80,7 +80,5 @@ def test_sweep_with_result_cache(db, qs):
         assert report.n_cache_hits == len(batch)
         assert divergences() == before
     finally:
-        # The module-scoped db outlives this test; unhook the wrappers.
-        del db.run_queries
-        del db.append_rows
-        del db.result_cache
+        # The module-scoped db outlives this test; detach the cache.
+        db.result_cache = None

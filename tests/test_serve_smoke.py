@@ -1,7 +1,8 @@
-"""Serve-smoke lane: 32 concurrent simulated clients over the paper schema.
+"""Serve smoke: 32 concurrent simulated clients over the paper schema.
 
-The acceptance scenario for the serve subsystem, excluded from tier-1
-(like ``bench_smoke``; run with ``pytest -m serve_smoke``):
+The acceptance scenario for the serve subsystem (part of tier-1 — it gates
+the service -> ``Database.run_queries`` -> executor path every front door
+shares):
 
 * every response must match serial single-session execution of the same
   request (the harness verifies each one against the serial baseline);
@@ -22,8 +23,6 @@ from repro.engine.result_cache import attach_cache
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.serve import SimulationConfig, run_simulation
 from repro.workload.paper_schema import PaperConfig, build_paper_database
-
-pytestmark = pytest.mark.serve_smoke
 
 SCALE = 0.002
 N_CLIENTS = 32

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.check import CorrectnessError
+from repro.engine.database import Database
 from repro.engine.reference import evaluate_reference
-from repro.engine.session import QuerySession, query_key
+from repro.engine.result_cache import attach_cache
+from repro.engine.session import QuerySession, coalesce, query_key
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db
@@ -38,6 +41,57 @@ class TestQueryKey:
         a = q()
         b = GroupByQuery(groupby=GroupBy((1, 1)), aggregate=Aggregate.COUNT)
         assert query_key(a) != query_key(b)
+
+
+class TestCoalesce:
+    def test_first_submission_is_canonical_and_order_kept(self):
+        a, a2, b = q(label="a"), q(label="a2"), q((2, 2), label="b")
+        distinct, members = coalesce([("r1", a), ("r2", b), ("r2", a2)])
+        assert distinct == [a, b]
+        assert list(members) == [query_key(a), query_key(b)]
+        assert members[query_key(a)] == [("r1", a), ("r2", a2)]
+        assert members[query_key(b)] == [("r2", b)]
+
+
+class TestSessionUsesTheFrontDoor:
+    """Regressions: a session used to call optimize + execute itself, so
+    it never consulted the result cache and skipped the submitted-batch
+    validation ``Database.run_queries`` does under paranoia."""
+
+    def test_second_identical_run_is_served_from_the_cache(self, db, monkeypatch):
+        cache = attach_cache(db)
+        batch = [q(label="a"), q(label="a-twin"), q((2, 2), label="b")]
+        first = QuerySession(db).add_queries(batch).run()
+        assert first.execution.n_cache_hits == 0
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+
+        def no_planning(self, queries, algorithm="gg"):
+            raise AssertionError("a fully cached batch must not be planned")
+
+        monkeypatch.setattr(Database, "optimize", no_planning)
+        second = QuerySession(db).add_queries(batch).run()
+        assert second.n_distinct == 2
+        assert second.execution.n_cache_hits == second.n_distinct
+        assert not second.execution.plan.classes
+        assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+        for query in batch:
+            assert second.result_for(query).approx_equals(
+                first.result_for(query)
+            )
+
+    def test_dropped_query_caught_under_paranoia(self, db, monkeypatch):
+        db.paranoia = True
+        real_optimize = Database.optimize
+
+        def dropping_optimize(self, queries, algorithm="gg"):
+            return real_optimize(self, queries[:-1], algorithm)
+
+        monkeypatch.setattr(Database, "optimize", dropping_optimize)
+        session = QuerySession(db).add_queries(
+            [q(label="kept"), q((2, 2), label="dropped")]
+        )
+        with pytest.raises(CorrectnessError, match="submitted batch"):
+            session.run()
 
 
 class TestSessionRuns:

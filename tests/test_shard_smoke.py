@@ -1,7 +1,6 @@
-"""Shard-smoke lane: sharded serve simulation over the paper schema.
+"""Shard smoke: sharded serve simulation over the paper schema.
 
-The acceptance scenario for scatter-gather execution, excluded from
-tier-1 (run with ``pytest -m shard_smoke``; CI runs it as its own job):
+The acceptance scenario for scatter-gather execution (part of tier-1):
 
 * ``repro serve --simulate --shards 4`` equivalent: every response of a
   concurrent burst executed over 4 hash partitions must match serial
@@ -25,8 +24,6 @@ from repro.faults import FaultPlan, InjectionPoint
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.serve import SimulationConfig, run_simulation
 from repro.workload.paper_schema import PaperConfig, build_paper_database
-
-pytestmark = pytest.mark.shard_smoke
 
 SCALE = 0.002
 N_SHARDS = 4
