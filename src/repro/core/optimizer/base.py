@@ -27,19 +27,19 @@ def build_plan_class(
         )
     plans: List[LocalPlan] = []
     for i, (query, method) in enumerate(zip(queries, costing.methods)):
-        standalone = model.standalone(entry, query)
+        # Leave-one-out: the rest of the class re-costed from its members'
+        # cached terms (see MemberTerm's float-order rule), answerable
+        # because the whole class is.
+        marginal = costing.cost_ms
         others = [q for j, q in enumerate(queries) if j != i]
         if others:
-            rest = model.plan_class(entry, others)
-            marginal = costing.cost_ms - (rest.cost_ms if rest else 0.0)
-        else:
-            marginal = costing.cost_ms
+            marginal -= model.plan_class(entry, others).cost_ms
         plans.append(
             LocalPlan(
                 query=query,
                 source=entry.name,
                 method=method,
-                est_standalone_ms=standalone[1] if standalone else 0.0,
+                est_standalone_ms=model.standalone(entry, query)[1],
                 est_marginal_ms=marginal,
             )
         )

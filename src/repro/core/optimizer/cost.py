@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...index.bitmap import WORD_BITS
 from ...schema.lattice import (
@@ -48,12 +49,63 @@ class ClassCosting:
     detail: Dict[str, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True, slots=True)
+class MemberTerm:
+    """What one query contributes to a class on one source, computed once
+    per (entry, query) per :class:`CostModel`.  A class cost is *one shared
+    term* (scan I/O or the union-bitmap probe, plus the structure builds)
+    plus one addend per member read from here.
+
+    **Float-order rule**: float addition is not associative, so a class
+    total is accumulated in one fixed order — shared I/O, then builds, then
+    one addend per member in query order (index configuration:
+    ``index_ms``, the class's routing term, ``fed_ms``, per member).  A
+    leave-one-out marginal is ``cost(class) − cost(class without the
+    member)``, the second re-accumulated from the other members' terms
+    (shared term re-evaluated, configuration re-chosen), never ``total −
+    term``.  ``map_keys`` / ``mask_keys`` are in dimension order and enter
+    the class's build sets in (query, dimension) order, maps and masks
+    separately: the sets' iteration order feeds a float sum when dimension
+    tables are stored.
+    """
+
+    answerable: bool
+    #: Product of the predicate selectivities (matching rows = N × this).
+    selectivity: float
+    #: Rollup maps ``(dim, target level)`` and predicate masks ``(dim,
+    #: level, members)`` the member's pipeline needs built.
+    map_keys: Tuple[Tuple[int, int], ...]
+    mask_keys: Tuple[Tuple[int, int, frozenset], ...]
+    #: Marginal on a shared scan as a hash plan, and as an index plan
+    #: filtering the scan (inf unless ``indexable``: some predicate has a
+    #: usable index, which every field below presumes).
+    hash_ms: float
+    filtered_ms: float = math.inf
+    indexable: bool = False
+    #: Index phase (lookup I/O + bitmap CPU), then pipeline CPU over the
+    #: tuples the member's own bitmap — of density ``indexed_sel`` — feeds.
+    index_ms: float = 0.0
+    fed_ms: float = 0.0
+    indexed_sel: float = 1.0
+    #: Clustered candidate region (fraction of pages), contiguous runs, and
+    #: the pages the member's probe would touch alone.
+    region: float = 1.0
+    runs: int = 1
+    separate_pages: float = 0.0
+
+
 class CostModel:
     """Estimates local-plan and class costs over the current catalog.
 
     ``statistics`` (the output of :func:`repro.engine.statistics.analyze`)
     switches predicate selectivities from the uniform assumption to measured
     frequencies for analyzed tables.
+
+    **Lifetime**: an instance snapshots one (catalog, statistics, rates)
+    state.  Its per-(entry, query) :class:`MemberTerm` memo is never
+    invalidated, so a model must not outlive a mutation — callers build a
+    new one per optimize run, as ``Database.optimize``,
+    ``QueryService._degrade_query`` and ``calibrate`` do.
     """
 
     def __init__(
@@ -73,15 +125,27 @@ class CostModel:
         #: effort metric (the paper's future-work trade-off: GG searches
         #: more global plans than ETPLG, which searches more than TPLO).
         self.n_plan_costings = 0
-        # Single-query costings recur constantly during greedy search; they
-        # are memoized for the lifetime of this model (one optimize run).
+        # Per dimension, the I/O to scan its stored table for one structure
+        # build (zero when dimensions live in metadata only).
+        self._dim_scan_ms = [
+            self.dim_tables[dim.name].n_pages * rates.seq_page_read_ms
+            if dim.name in self.dim_tables
+            else 0.0
+            for dim in schema.dimensions
+        ]
+        self._terms: Dict[Tuple[str, int], MemberTerm] = {}
+        # A first standalone costing counts in n_plan_costings, repeats do
+        # not, so ``standalone`` keeps its results beside the terms.
         self._standalone_cache: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
+
+    @property
+    def n_member_terms(self) -> int:
+        """Member terms built so far: at most one per (entry, query)."""
+        return len(self._terms)
 
     # -- selectivity (uniform by default, measured when analyzed) -------------
 
-    def predicate_selectivity(
-        self, entry: TableEntry, predicate
-    ) -> float:
+    def predicate_selectivity(self, entry: TableEntry, predicate) -> float:
         """Selectivity of one predicate (measured when statistics exist, else uniform)."""
         stats = self.statistics.get(entry.name)
         if stats is not None:
@@ -92,10 +156,7 @@ class CostModel:
 
     def query_selectivity(self, entry: TableEntry, query: GroupByQuery) -> float:
         """Product of the query's predicate selectivities on this source."""
-        sel = 1.0
-        for predicate in query.predicates:
-            sel *= self.predicate_selectivity(entry, predicate)
-        return sel
+        return self._term(entry, query).selectivity
 
     # -- feasibility ------------------------------------------------------------
 
@@ -125,12 +186,9 @@ class CostModel:
         """True if an index-based plan for ``query`` on ``entry`` exists —
         i.e. at least one predicate has a usable join index (the rest become
         residual filters)."""
-        return any(
-            self.find_index(entry, pred) is not None
-            for pred in query.predicates
-        )
+        return self._term(entry, query).indexable
 
-    # -- elementary estimates ------------------------------------------------------
+    # -- member terms ------------------------------------------------------------
 
     def _probe_dims(self, query: GroupByQuery) -> int:
         """Dimensions whose hash table each tuple probes (mirrors
@@ -145,9 +203,6 @@ class CostModel:
     def _bitmap_words(self, entry: TableEntry) -> int:
         return (entry.n_rows + WORD_BITS - 1) // WORD_BITS
 
-    def _matching_rows(self, entry: TableEntry, query: GroupByQuery) -> float:
-        return entry.n_rows * self.query_selectivity(entry, query)
-
     def _process_cpu_ms(
         self, query: GroupByQuery, n_fed: float, n_pass: float
     ) -> float:
@@ -160,78 +215,69 @@ class CostModel:
             + n_pass * (r.tuple_copy_ms + r.agg_update_ms)
         )
 
-    def _builds_cpu_ms(
-        self, entry: TableEntry, queries: Sequence[GroupByQuery]
-    ) -> float:
-        """Shared dimension-hash-table build cost: one rollup map per
-        (dimension, target level) and one mask per distinct predicate."""
+    def _build_keys(
+        self, levels: Sequence[int], query: GroupByQuery
+    ) -> Tuple[tuple, tuple]:
+        """The dimension structures ``query`` needs over a source stored at
+        ``levels``, in dimension order: one rollup map per (dimension,
+        target level) and one mask per distinct predicate."""
+        maps, masks = [], []
+        for d, dim in enumerate(self.schema.dimensions):
+            target = query.groupby.levels[d]
+            if target not in (levels[d], dim.all_level):
+                maps.append((d, target))
+            pred = query.predicate_on(d)
+            if pred is not None:
+                masks.append((d, pred.level, pred.member_ids))
+        return tuple(maps), tuple(masks)
+
+    def _index_side(
+        self, entry: TableEntry, query: GroupByQuery, facts: Dict, k: float
+    ) -> Dict[str, object]:
+        """The index-side fields of the query's term, ``k`` rows matching;
+        ``{}`` when infeasible.  ``facts`` maps each predicate to its
+        (selectivity, ``find_index`` result).  ``indexed_sel`` is the
+        product over *indexed* predicates only; unindexed predicates do not
+        narrow the bitmap (they run as residual filters downstream)."""
         r = self.rates
-        maps: set = set()
-        masks: set = set()
-        for query in queries:
-            for d, dim in enumerate(self.schema.dimensions):
-                stored = entry.levels[d]
-                target = query.groupby.levels[d]
-                if target not in (stored, dim.all_level):
-                    maps.add((d, target))
-                pred = query.predicate_on(d)
-                if pred is not None:
-                    masks.add((d, pred.level, pred.member_ids))
-        total = 0.0
-        scan_ms = 0.0
-        for d, _target in maps:
-            total += self.schema.dimensions[d].n_members(entry.levels[d])
-            scan_ms += self._dim_scan_ms(d)
-        for d, _level, _members in masks:
-            total += self.schema.dimensions[d].n_members(entry.levels[d])
-            scan_ms += self._dim_scan_ms(d)
-        return total * r.hash_build_ms + scan_ms
-
-    def _dim_scan_ms(self, dim_index: int) -> float:
-        """I/O to scan a stored dimension table for one structure build
-        (zero when dimensions live in metadata only)."""
-        dim_table = self.dim_tables.get(self.schema.dimensions[dim_index].name)
-        if dim_table is None:
-            return 0.0
-        return dim_table.n_pages * self.rates.seq_page_read_ms
-
-    def _index_phase(
-        self, entry: TableEntry, query: GroupByQuery
-    ) -> Optional[Tuple[float, float, float]]:
-        """(io_ms, cpu_ms, indexed_selectivity) of building the query's
-        result bitmap, or None when infeasible.
-
-        ``indexed_selectivity`` is the product over *indexed* predicates
-        only; unindexed predicates do not narrow the bitmap (they run as
-        residual filters downstream).
-        """
-        if not query.predicates:
-            return None
-        r = self.rates
+        n = entry.n_rows
         words = self._bitmap_words(entry)
         io_ms = 0.0
         cpu_ms = 0.0
         indexed_sel = 1.0
         n_indexed = 0
         for pred in query.predicates:
-            found = self.find_index(entry, pred)
+            sel, found = facts[pred]
             if found is None:
                 continue
             index, n_lookups = found
             n_indexed += 1
-            indexed_sel *= self.predicate_selectivity(entry, pred)
+            indexed_sel *= sel
             io_ms += index.pages_per_lookup(n_lookups) * r.seq_page_read_ms
             cpu_ms += n_lookups * r.index_lookup_ms
-            if n_lookups > 1:
-                cpu_ms += (n_lookups - 1) * words * r.bitmap_word_ms
+            cpu_ms += (n_lookups - 1) * words * r.bitmap_word_ms  # payload ORs
         if n_indexed == 0:
-            return None
-        if n_indexed > 1:
-            cpu_ms += (n_indexed - 1) * words * r.bitmap_word_ms
-        return io_ms, cpu_ms, indexed_sel
+            return {}
+        cpu_ms += (n_indexed - 1) * words * r.bitmap_word_ms  # predicate ANDs
+        index_ms = io_ms + cpu_ms
+        fed_ms = self._process_cpu_ms(query, n_fed=n * indexed_sel, n_pass=k)
+        region, runs = self._region_and_runs(entry, query, facts)
+        return dict(
+            indexable=True,
+            filtered_ms=index_ms + n * r.bitmap_test_ms + fed_ms,
+            index_ms=index_ms,
+            fed_ms=fed_ms,
+            indexed_sel=indexed_sel,
+            region=region,
+            runs=runs,
+            separate_pages=expected_distinct(
+                max(1.0, entry.n_pages * region), n * indexed_sel
+            )
+            + max(0, runs - 1),
+        )
 
     def _region_and_runs(
-        self, entry: TableEntry, query: GroupByQuery
+        self, entry: TableEntry, query: GroupByQuery, facts: Dict
     ) -> Tuple[float, int]:
         """Page locality of an index probe on a *clustered* table.
 
@@ -247,130 +293,151 @@ class CostModel:
         """
         fraction = 1.0
         runs = 1
-        for d in range(self.schema.n_dims):
+        for d, dim in enumerate(self.schema.dimensions):
             pred = query.predicate_on(d)
-            if pred is None or self.find_index(entry, pred) is None:
+            if pred is None or facts[pred][1] is None:
                 break
-            fraction *= self.predicate_selectivity(entry, pred)
-            dim = self.schema.dimensions[d]
-            stored = entry.levels[d]
+            fraction *= facts[pred][0]
             # Selected key count at the table's stored level: each predicate
             # member fans out to its descendants there.
-            per_member = dim.n_members(stored) / dim.n_members(pred.level)
+            per_member = dim.n_members(entry.levels[d]) / dim.n_members(
+                pred.level
+            )
             runs *= max(1, round(len(pred.member_ids) * per_member))
         return fraction, runs
 
-    def _probe_pages(
-        self,
-        entry: TableEntry,
-        queries: Sequence[GroupByQuery],
-        indexed_sels: Sequence[float],
+    def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
+        """The memoized term of ``query`` on ``entry`` — the one place a
+        member's hash and filtered-index marginals are computed."""
+        key = (entry.name, query.qid)
+        term = self._terms.get(key)
+        if term is None:
+            facts = {
+                pred: (
+                    self.predicate_selectivity(entry, pred),
+                    self.find_index(entry, pred),
+                )
+                for pred in query.predicates
+            }
+            selectivity = math.prod(
+                (facts[pred][0] for pred in query.predicates), start=1.0
+            )
+            k = entry.n_rows * selectivity
+            map_keys, mask_keys = self._build_keys(entry.levels, query)
+            term = self._terms[key] = MemberTerm(
+                answerable=source_can_answer(
+                    entry.levels, entry.source_aggregate, query
+                ),
+                selectivity=selectivity,
+                map_keys=map_keys,
+                mask_keys=mask_keys,
+                hash_ms=self._process_cpu_ms(query, entry.n_rows, k),
+                **self._index_side(entry, query, facts, k),
+            )
+        return term
+
+    # -- shared terms ------------------------------------------------------------
+
+    def _structures_ms(self, structures: Iterable[Tuple[int, int]]) -> float:
+        """Build cost of distinct dimension structures, each given as
+        (dimension, level it is built from): hash entries plus, when
+        dimension tables are stored, one scan of the table per structure."""
+        entries = 0.0
+        scan_ms = 0.0
+        for d, level in structures:
+            entries += self.schema.dimensions[d].n_members(level)
+            scan_ms += self._dim_scan_ms[d]
+        return entries * self.rates.hash_build_ms + scan_ms
+
+    def _builds_cpu_ms(
+        self, entry: TableEntry, terms: Sequence[MemberTerm]
     ) -> float:
-        """Expected distinct pages a union-bitmap probe touches: Cardenas
-        over the clustered candidate region, plus one boundary page per
-        additional contiguous run."""
-        n, p = entry.n_rows, entry.n_pages
-        union_sel = 1.0
-        region_union = 1.0
-        total_runs = 0
-        for query, indexed_sel in zip(queries, indexed_sels):
-            union_sel *= 1.0 - indexed_sel
-            fraction, runs = self._region_and_runs(entry, query)
-            region_union *= 1.0 - fraction
-            total_runs += runs
-        union_sel = 1.0 - union_sel
-        region_union = 1.0 - region_union
-        k_union = n * union_sel
+        """Shared dimension-hash-table build cost of a class: the union of
+        its members' rollup maps and predicate masks."""
+        maps = set(chain.from_iterable(term.map_keys for term in terms))
+        masks = set(chain.from_iterable(term.mask_keys for term in terms))
+        return self._structures_ms(
+            (key[0], entry.levels[key[0]]) for key in chain(maps, masks)
+        )
+
+    def _probe_pages(
+        self, entry: TableEntry, terms: Sequence[MemberTerm], k_union: float
+    ) -> float:
+        """Expected distinct pages a union-bitmap probe fetching ``k_union``
+        rows touches: Cardenas over the clustered candidate region, plus
+        one boundary page per additional contiguous run."""
+        p = entry.n_pages
         if not entry.clustered:
             return expected_distinct(float(p), k_union)
-        region = max(1.0, p * region_union)
-        pages = expected_distinct(region, k_union) + max(0, total_runs - 1)
+        region_union = 1.0
+        total_runs = 0
         # A union probe can never touch more pages than the queries would
         # touch separately.
         separate_total = 0.0
-        for query, indexed_sel in zip(queries, indexed_sels):
-            fraction, runs = self._region_and_runs(entry, query)
-            separate_total += expected_distinct(
-                max(1.0, p * fraction), n * indexed_sel
-            ) + max(0, runs - 1)
+        for term in terms:
+            region_union *= 1.0 - term.region
+            total_runs += term.runs
+            separate_total += term.separate_pages
+        region = max(1.0, p * (1.0 - region_union))
+        pages = expected_distinct(region, k_union) + max(0, total_runs - 1)
         return min(float(p), pages, separate_total)
 
     # -- class costing -----------------------------------------------------------
 
     def _scan_class(
-        self, entry: TableEntry, queries: Sequence[GroupByQuery]
+        self,
+        entry: TableEntry,
+        terms: Sequence[MemberTerm],
+        builds_ms: float,
+        methods: Optional[Sequence[JoinMethod]] = None,
     ) -> ClassCosting:
         """Cost of the class when the base table is sequentially scanned:
-        hash plans consume the scan; index plans filter it (Section 3.3)."""
-        r = self.rates
-        n = entry.n_rows
-        scan_io = entry.n_pages * r.seq_page_read_ms
-        total = scan_io + self._builds_cpu_ms(entry, queries)
-        methods: List[JoinMethod] = []
-        for query in queries:
-            k = self._matching_rows(entry, query)
-            hash_marginal = self._process_cpu_ms(query, n_fed=n, n_pass=k)
-            index_phase = self._index_phase(entry, query)
-            if index_phase is not None:
-                idx_io, idx_cpu, indexed_sel = index_phase
-                k_fed = n * indexed_sel
-                filtered_marginal = (
-                    idx_io
-                    + idx_cpu
-                    + n * r.bitmap_test_ms
-                    + self._process_cpu_ms(query, n_fed=k_fed, n_pass=k)
-                )
-            else:
-                filtered_marginal = math.inf
-            if hash_marginal <= filtered_marginal:
-                methods.append(JoinMethod.HASH)
-                total += hash_marginal
-            else:
-                methods.append(JoinMethod.INDEX)
-                total += filtered_marginal
+        hash plans consume the scan; index plans filter it (Section 3.3).
+        Each member takes its cheaper marginal unless ``methods`` fixes
+        them."""
+        if methods is None:
+            methods = [
+                JoinMethod.HASH
+                if term.hash_ms <= term.filtered_ms
+                else JoinMethod.INDEX
+                for term in terms
+            ]
+        scan_io = entry.n_pages * self.rates.seq_page_read_ms
+        total = scan_io + builds_ms
+        for term, method in zip(terms, methods):
+            total += (
+                term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
+            )
         return ClassCosting(
-            source=entry.name,
-            cost_ms=total,
-            methods=methods,
-            shared_io_ms=scan_io,
-            detail={"scan_io_ms": scan_io},
+            entry.name, total, list(methods), scan_io, {"scan_io_ms": scan_io}
         )
 
     def _index_class(
-        self, entry: TableEntry, queries: Sequence[GroupByQuery]
+        self, entry: TableEntry, terms: Sequence[MemberTerm], builds_ms: float
     ) -> Optional[ClassCosting]:
         """Cost of the class when all members are index joins sharing one
         union-bitmap probe (Section 3.2), or None if infeasible."""
+        if not all(term.indexable for term in terms):
+            return None
         r = self.rates
-        phases = []
-        for query in queries:
-            phase = self._index_phase(entry, query)
-            if phase is None:
-                return None
-            phases.append(phase)
-        indexed_sels = [phase[2] for phase in phases]
-        probe_pages = self._probe_pages(entry, queries, indexed_sels)
-        probe_io = probe_pages * r.rand_page_read_ms
         union_rows = entry.n_rows * (
-            1.0 - math.prod(1.0 - sel for sel in indexed_sels)
+            1.0 - math.prod(1.0 - term.indexed_sel for term in terms)
         )
-        total = probe_io + self._builds_cpu_ms(entry, queries)
-        words = self._bitmap_words(entry)
-        if len(queries) > 1:
-            total += (len(queries) - 1) * words * r.bitmap_word_ms  # union OR
-        for query, (idx_io, idx_cpu, indexed_sel) in zip(queries, phases):
-            k = self._matching_rows(entry, query)
-            k_fed = entry.n_rows * indexed_sel
-            total += idx_io + idx_cpu
-            total += union_rows * r.bitmap_test_ms  # tuple routing
-            total += self._process_cpu_ms(query, n_fed=k_fed, n_pass=k)
-        return ClassCosting(
-            source=entry.name,
-            cost_ms=total,
-            methods=[JoinMethod.INDEX] * len(queries),
-            shared_io_ms=probe_io,
-            detail={"probe_io_ms": probe_io, "probe_pages": probe_pages},
-        )
+        probe_pages = self._probe_pages(entry, terms, union_rows)
+        probe_io = probe_pages * r.rand_page_read_ms
+        total = probe_io + builds_ms
+        if len(terms) > 1:  # union OR
+            total += (
+                (len(terms) - 1) * self._bitmap_words(entry) * r.bitmap_word_ms
+            )
+        routing_ms = union_rows * r.bitmap_test_ms
+        for term in terms:
+            total += term.index_ms
+            total += routing_ms
+            total += term.fed_ms
+        detail = {"probe_io_ms": probe_io, "probe_pages": probe_pages}
+        methods = [JoinMethod.INDEX] * len(terms)
+        return ClassCosting(entry.name, total, methods, probe_io, detail)
 
     def plan_class(
         self, entry: TableEntry, queries: Sequence[GroupByQuery]
@@ -380,16 +447,15 @@ class CostModel:
         if not queries:
             raise ValueError("a class needs at least one query")
         self.n_plan_costings += 1
-        for query in queries:
-            if not source_can_answer(
-                entry.levels, entry.source_aggregate, query
-            ):
-                return None
-        candidates = [self._scan_class(entry, queries)]
-        all_index = self._index_class(entry, queries)
-        if all_index is not None:
-            candidates.append(all_index)
-        return min(candidates, key=lambda c: c.cost_ms)
+        terms = [self._term(entry, query) for query in queries]
+        if not all(term.answerable for term in terms):
+            return None
+        builds_ms = self._builds_cpu_ms(entry, terms)
+        best = self._scan_class(entry, terms, builds_ms)
+        all_index = self._index_class(entry, terms, builds_ms)
+        if all_index is not None and all_index.cost_ms < best.cost_ms:
+            best = all_index
+        return best
 
     def class_cost_given(
         self,
@@ -413,45 +479,24 @@ class CostModel:
         """
         if len(queries) != len(methods):
             raise ValueError("queries and methods must align")
-        r = self.rates
-        n = entry.n_rows
-        if all(m is JoinMethod.INDEX for m in methods):
-            costing = self._index_class(entry, queries)
-            if costing is None:
+        terms = [self._term(entry, query) for query in queries]
+        for query, term, method in zip(queries, terms, methods):
+            if method is not JoinMethod.HASH and not term.indexable:
                 raise ValueError(
-                    "index methods requested but index plan infeasible"
+                    f"no index plan for {query.display_name()} on "
+                    f"{entry.name!r}"
                 )
-            return costing.cost_ms
-        total = entry.n_pages * r.seq_page_read_ms
-        total += self._builds_cpu_ms(entry, queries)
-        for query, method in zip(queries, methods):
-            k = self._matching_rows(entry, query)
-            if method is JoinMethod.HASH:
-                total += self._process_cpu_ms(query, n_fed=n, n_pass=k)
-            else:
-                phase = self._index_phase(entry, query)
-                if phase is None:
-                    raise ValueError(
-                        f"no index plan for {query.display_name()} on "
-                        f"{entry.name!r}"
-                    )
-                idx_io, idx_cpu, indexed_sel = phase
-                total += (
-                    idx_io
-                    + idx_cpu
-                    + n * r.bitmap_test_ms
-                    + self._process_cpu_ms(
-                        query, n_fed=n * indexed_sel, n_pass=k
-                    )
-                )
-        return total
+        builds_ms = self._builds_cpu_ms(entry, terms)
+        if all(m is JoinMethod.INDEX for m in methods):
+            return self._index_class(entry, terms, builds_ms).cost_ms
+        return self._scan_class(entry, terms, builds_ms, methods).cost_ms
 
     # -- DAG class costing (derive-from-shared-sub-aggregate) --------------------
 
     def _dag_builds_cpu_ms(
         self,
         entry: TableEntry,
-        scan_queries: Sequence[GroupByQuery],
+        scan_terms: Sequence[MemberTerm],
         derive_steps: Sequence[Tuple[GroupByQuery, Sequence[GroupByQuery]]],
     ) -> float:
         """Shared structure-build cost of a DAG class, mirroring the
@@ -460,36 +505,23 @@ class CostModel:
         level, predicate).  Derived queries read the intermediate, so their
         structures key off — and are sized by — the intermediate's levels,
         not the base table's."""
-        r = self.rates
         maps: set = set()
         masks: set = set()
 
-        def collect(query: GroupByQuery, from_levels: Sequence[int]) -> None:
-            for d, dim in enumerate(self.schema.dimensions):
-                stored = from_levels[d]
-                target = query.groupby.levels[d]
-                if target not in (stored, dim.all_level):
-                    maps.add((d, stored, target))
-                pred = query.predicate_on(d)
-                if pred is not None:
-                    masks.add((d, stored, pred.level, pred.member_ids))
+        def collect(keys: Tuple[tuple, tuple], from_levels: Sequence[int]):
+            for d, target in keys[0]:
+                maps.add((d, from_levels[d], target))
+            for d, level, members in keys[1]:
+                masks.add((d, from_levels[d], level, members))
 
-        for query in scan_queries:
-            collect(query, entry.levels)
+        for term in scan_terms:
+            collect((term.map_keys, term.mask_keys), entry.levels)
         for intermediate, derived in derive_steps:
-            collect(intermediate, entry.levels)
+            collect(self._build_keys(entry.levels, intermediate), entry.levels)
+            from_levels = intermediate.groupby.levels
             for query in derived:
-                collect(query, intermediate.groupby.levels)
-
-        total = 0.0
-        scan_ms = 0.0
-        for d, from_level, _target in maps:
-            total += self.schema.dimensions[d].n_members(from_level)
-            scan_ms += self._dim_scan_ms(d)
-        for d, from_level, _level, _members in masks:
-            total += self.schema.dimensions[d].n_members(from_level)
-            scan_ms += self._dim_scan_ms(d)
-        return total * r.hash_build_ms + scan_ms
+                collect(self._build_keys(from_levels, query), from_levels)
+        return self._structures_ms(key[:2] for key in chain(maps, masks))
 
     def intermediate_rows(
         self, entry: TableEntry, intermediate: GroupByQuery
@@ -525,17 +557,12 @@ class CostModel:
         if not derive_steps:
             raise ValueError("a DAG class needs at least one derive step")
         self.n_plan_costings += 1
-        r = self.rates
         n = entry.n_rows
-        for query in scan_queries:
-            if not source_can_answer(
-                entry.levels, entry.source_aggregate, query
-            ):
-                return None
+        terms = [self._term(entry, query) for query in scan_queries]
+        if not all(term.answerable for term in terms):
+            return None
         for intermediate, derived in derive_steps:
-            if intermediate.predicates:
-                return None
-            if not source_can_answer(
+            if intermediate.predicates or not source_can_answer(
                 entry.levels, entry.source_aggregate, intermediate
             ):
                 return None
@@ -545,51 +572,26 @@ class CostModel:
                     intermediate.groupby.levels, inter_agg, query
                 ):
                     return None
-        scan_io = entry.n_pages * r.seq_page_read_ms
-        total = scan_io + self._dag_builds_cpu_ms(
-            entry, scan_queries, derive_steps
+        costing = self._scan_class(
+            entry, terms, self._dag_builds_cpu_ms(entry, terms, derive_steps)
         )
-        methods: List[JoinMethod] = []
-        for query in scan_queries:
-            k = self._matching_rows(entry, query)
-            hash_marginal = self._process_cpu_ms(query, n_fed=n, n_pass=k)
-            index_phase = self._index_phase(entry, query)
-            if index_phase is not None:
-                idx_io, idx_cpu, indexed_sel = index_phase
-                filtered_marginal = (
-                    idx_io
-                    + idx_cpu
-                    + n * r.bitmap_test_ms
-                    + self._process_cpu_ms(
-                        query, n_fed=n * indexed_sel, n_pass=k
-                    )
-                )
-            else:
-                filtered_marginal = math.inf
-            if hash_marginal <= filtered_marginal:
-                methods.append(JoinMethod.HASH)
-                total += hash_marginal
-            else:
-                methods.append(JoinMethod.INDEX)
-                total += filtered_marginal
         derive_rows = 0.0
         for intermediate, derived in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.
-            total += self._process_cpu_ms(intermediate, n_fed=n, n_pass=n)
+            costing.cost_ms += self._process_cpu_ms(
+                intermediate, n_fed=n, n_pass=n
+            )
             m = row_safety * self.intermediate_rows(entry, intermediate)
             derive_rows += m
             for query in derived:
                 k = m * self.query_selectivity(entry, query)
-                total += self._process_cpu_ms(query, n_fed=m, n_pass=k)
-                methods.append(JoinMethod.DERIVE)
-        return ClassCosting(
-            source=entry.name,
-            cost_ms=total,
-            methods=methods,
-            shared_io_ms=scan_io,
-            detail={"scan_io_ms": scan_io, "derive_rows": derive_rows},
-        )
+                costing.cost_ms += self._process_cpu_ms(
+                    query, n_fed=m, n_pass=k
+                )
+                costing.methods.append(JoinMethod.DERIVE)
+        costing.detail["derive_rows"] = derive_rows
+        return costing
 
     # -- local-plan selection ------------------------------------------------------
 
@@ -599,14 +601,12 @@ class CostModel:
         """Best (method, cost) for the query alone on ``entry``
         (memoized per model instance)."""
         key = (entry.name, query.qid)
-        if key in self._standalone_cache:
-            return self._standalone_cache[key]
-        costing = self.plan_class(entry, [query])
-        result = (
-            None if costing is None else (costing.methods[0], costing.cost_ms)
-        )
-        self._standalone_cache[key] = result
-        return result
+        if key not in self._standalone_cache:
+            costing = self.plan_class(entry, [query])
+            self._standalone_cache[key] = (
+                None if costing is None else (costing.methods[0], costing.cost_ms)
+            )
+        return self._standalone_cache[key]
 
     def best_local(
         self,
@@ -620,11 +620,8 @@ class CostModel:
         best: Optional[Tuple[TableEntry, JoinMethod, float]] = None
         for entry in entries:
             result = self.standalone(entry, query)
-            if result is None:
-                continue
-            method, cost = result
-            if best is None or cost < best[2]:
-                best = (entry, method, cost)
+            if result is not None and (best is None or result[1] < best[2]):
+                best = (entry, *result)
         if best is None:
             raise ValueError(
                 f"no candidate table can answer {query.display_name()}"

@@ -410,6 +410,7 @@ class Database:
                 "planning_s": time.perf_counter() - started,
             }
             span.set("plan_costings", optimizer.model.n_plan_costings)
+            span.set("member_terms", optimizer.model.n_member_terms)
             span.set("n_classes", len(plan.classes))
         metrics = default_registry()
         metrics.counter(

@@ -6,11 +6,17 @@ exact planner against the brute-force oracle, the greedy family's
 degenerate beams and orderings, and the per-name costing-count pin."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.check import raw_base_entry, validate_global_plan
-from repro.core.optimizer import OPTIMIZERS, GreedyOptimizer, make_optimizer
+from repro.core.optimizer import (
+    OPTIMIZERS,
+    CostModel,
+    GreedyOptimizer,
+    make_optimizer,
+)
 from repro.engine.reference import evaluate_reference
 from repro.obs.analyze import CALIBRATION_TESTS
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
@@ -333,3 +339,29 @@ class TestRegistrySweep:
             plan = database.optimize(queries, algorithm)
             counts.append(plan.search_stats["plan_costings"])
         assert tuple(counts) == PLAN_COSTINGS[algorithm]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_member_terms_bounded(self, workloads, monkeypatch, algorithm):
+        """The deterministic work guard beside the costing pin: however
+        many classes a search costs, it builds at most one member term per
+        (entry, query) and asks for a predicate's selectivity at most once
+        per (entry, query, predicate)."""
+        asked = Counter()
+        real = CostModel.predicate_selectivity
+
+        def counting(model, entry, predicate):
+            asked[entry.name, predicate] += 1
+            return real(model, entry, predicate)
+
+        monkeypatch.setattr(CostModel, "predicate_selectivity", counting)
+        for test in ("test4", "test5", "test6", "test7"):
+            database, queries = workloads[test]
+            asked.clear()
+            with database.trace():
+                database.optimize(queries, algorithm)
+            span = database.last_trace.find(f"optimize.{algorithm}")
+            n_entries = len(database.catalog)
+            assert 0 < span.attrs["member_terms"] <= n_entries * len(queries)
+            holders = Counter(p for q in queries for p in q.predicates)
+            for (_entry, predicate), n_asked in asked.items():
+                assert n_asked <= holders[predicate], (test, predicate)
