@@ -18,7 +18,7 @@ from .navigate import NavigationError, drill_down, roll_up, slice_member
 from .persist import load_database, save_database
 from .materialize import (
     build_groupby_table,
-    compute_groupby_rows,
+    compute_groupby,
     pick_materialization_source,
 )
 from .reference import evaluate_reference
@@ -57,7 +57,7 @@ __all__ = [
     "attach_log",
     "build_cube",
     "build_groupby_table",
-    "compute_groupby_rows",
+    "compute_groupby",
     "drill_down",
     "evaluate_reference",
     "greedy_select_views",

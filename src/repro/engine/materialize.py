@@ -19,15 +19,70 @@ from ..schema.lattice import aggregate_compatible, effective_aggregate
 from ..schema.query import Aggregate
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
+from ..storage.page import ColumnBatch
 from ..storage.table import HeapTable
 
 
-def compute_groupby_rows(
+def group_codes(
+    schema: StarSchema,
+    keys: Sequence[np.ndarray],
+    source_levels: Sequence[int],
+    target_levels: Sequence[int],
+) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Pack each row's group key at ``target_levels`` into one mixed-radix
+    code (code order is key-tuple order); returns ``(codes, sizes,
+    strides)`` for :func:`decode_groups`."""
+    sizes = [
+        dim.n_members(level)
+        for dim, level in zip(schema.dimensions, target_levels)
+    ]
+    strides = [1] * len(sizes)
+    for d in range(len(sizes) - 2, -1, -1):
+        strides[d] = strides[d + 1] * sizes[d + 1]
+    codes = np.zeros(len(keys[0]), dtype=np.int64)
+    for dim, column, source, target, stride in zip(
+        schema.dimensions, keys, source_levels, target_levels, strides
+    ):
+        if target != source:
+            column = dim.rollup_map(source, target)[column]
+        codes += column * stride
+    return codes, sizes, strides
+
+
+def fold_groups(
+    codes: np.ndarray, measures: np.ndarray, fold: Aggregate
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group ``measures`` by code: ``(sorted distinct codes, folded
+    value per code)``.  SUM folds each group in row order from 0.0
+    (``np.bincount``), exactly as a row-at-a-time accumulator would."""
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    if fold is Aggregate.SUM:
+        folded = np.bincount(inverse, weights=measures, minlength=uniq.size)
+    elif fold is Aggregate.COUNT:
+        folded = np.bincount(inverse, minlength=uniq.size).astype(np.float64)
+    else:
+        ufunc = np.minimum if fold is Aggregate.MIN else np.maximum
+        order = np.argsort(inverse, kind="stable")
+        boundaries = np.searchsorted(
+            inverse[order], np.arange(uniq.size), side="left"
+        )
+        folded = ufunc.reduceat(measures[order], boundaries)
+    return uniq, folded
+
+
+def decode_groups(
+    codes: np.ndarray, sizes: Sequence[int], strides: Sequence[int]
+) -> List[np.ndarray]:
+    """The key columns packed into ``codes`` by :func:`group_codes`."""
+    return [(codes // stride) % size for size, stride in zip(sizes, strides)]
+
+
+def compute_groupby(
     schema: StarSchema,
     source: TableEntry,
     target_levels: Sequence[int],
     aggregate: Aggregate = Aggregate.SUM,
-) -> List[Tuple]:
+) -> ColumnBatch:
     """Aggregate ``source`` to ``target_levels``.
 
     The target must be derivable: every target level must be
@@ -35,7 +90,7 @@ def compute_groupby_rows(
     ``aggregate`` must re-aggregate over the source's measure (any
     aggregate over raw base data; only the same aggregate over a view,
     with COUNT views re-aggregating by summing their counts).
-    Returns rows ``(key_0, …, key_{n-1}, value)`` sorted by key.
+    Returns the groups column-wise (key columns, values), sorted by key.
     """
     target_levels = schema.check_levels(target_levels)
     if aggregate is Aggregate.AVG:
@@ -58,45 +113,12 @@ def compute_groupby_rows(
                 f"cannot derive level {dst_level} of {dim.name!r} from a "
                 f"source stored at level {src_level}"
             )
-    n_dims = schema.n_dims
-    rows = list(source.table.all_rows())
-    if not rows:
-        return []
-    matrix = np.asarray(rows, dtype=np.float64)
-    measures = matrix[:, n_dims]
-    key_columns: List[np.ndarray] = []
-    sizes: List[int] = []
-    for d, dim in enumerate(schema.dimensions):
-        keys = matrix[:, d].astype(np.int64)
-        if target_levels[d] == dim.all_level:
-            keys = np.zeros_like(keys)
-        elif target_levels[d] != source.levels[d]:
-            keys = dim.rollup_map(source.levels[d], target_levels[d])[keys]
-        key_columns.append(keys)
-        sizes.append(dim.n_members(target_levels[d]))
-    strides = np.ones(n_dims, dtype=np.int64)
-    for d in range(n_dims - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-    codes = sum(col * stride for col, stride in zip(key_columns, strides))
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    if fold is Aggregate.SUM:
-        folded = np.bincount(inverse, weights=measures, minlength=uniq.size)
-    elif fold is Aggregate.COUNT:
-        folded = np.bincount(inverse, minlength=uniq.size).astype(np.float64)
-    else:
-        ufunc = np.minimum if fold is Aggregate.MIN else np.maximum
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.searchsorted(
-            inverse[order], np.arange(uniq.size), side="left"
-        )
-        folded = ufunc.reduceat(measures[order], boundaries)
-    out: List[Tuple] = []
-    for code, total in zip(uniq.tolist(), folded.tolist()):
-        key = []
-        for d in range(n_dims):
-            key.append(int(code // strides[d]) % sizes[d] if sizes[d] > 1 else 0)
-        out.append(tuple(key) + (total,))
-    return out
+    keys, measures = source.table.read_columns(schema.n_dims)
+    codes, sizes, strides = group_codes(
+        schema, keys, source.levels, target_levels
+    )
+    uniq, folded = fold_groups(codes, measures, fold)
+    return decode_groups(uniq, sizes, strides), folded
 
 
 def pick_materialization_source(
@@ -135,7 +157,7 @@ def build_groupby_table(
     columns = [dim.name for dim in schema.dimensions]
     columns.append(measure_column or schema.measure)
     table = HeapTable(name, columns, page_size=page_size)
-    table.extend(
-        compute_groupby_rows(schema, source, target_levels, aggregate)
+    table.extend_columns(
+        *compute_groupby(schema, source, target_levels, aggregate)
     )
     return table

@@ -82,18 +82,9 @@ def save_database(db: Database, directory: str | Path) -> Path:
                 for (dim_index, level), index in sorted(entry.indexes.items())
             ],
         }
-        rows = list(entry.table.all_rows())
-        n_dims = db.schema.n_dims
-        arrays = {}
-        if rows:
-            matrix = np.asarray(rows, dtype=np.float64)
-            for d in range(n_dims):
-                arrays[f"key{d}"] = matrix[:, d].astype(np.int64)
-            arrays["measure"] = matrix[:, n_dims]
-        else:
-            for d in range(n_dims):
-                arrays[f"key{d}"] = np.empty(0, dtype=np.int64)
-            arrays["measure"] = np.empty(0, dtype=np.float64)
+        keys, measures = entry.table.read_columns(db.schema.n_dims)
+        arrays = {f"key{d}": key for d, key in enumerate(keys)}
+        arrays["measure"] = measures
         np.savez_compressed(root / f"{stem}.npz", **arrays)
     (root / "catalog.json").write_text(json.dumps(catalog_doc, indent=1))
     return root
@@ -144,14 +135,10 @@ def load_database(
         with np.load(root / doc["file"]) as arrays:
             keys = [arrays[f"key{d}"] for d in range(schema.n_dims)]
             measures = arrays["measure"]
-            rows = [
-                tuple(int(col[i]) for col in keys) + (float(measures[i]),)
-                for i in range(measures.size)
-            ]
         columns = [dim.name for dim in schema.dimensions]
         columns.append(schema.measure)
         table = HeapTable(name, columns, page_size=db.page_size)
-        table.extend(rows)
+        table.extend_columns(keys, measures)
         entry = db.catalog.register(
             table,
             tuple(doc["levels"]),

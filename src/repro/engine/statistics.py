@@ -82,25 +82,20 @@ class TableStats:
 
 def analyze_table(schema: StarSchema, entry: TableEntry) -> TableStats:
     """Scan one table (offline) and collect per-dimension key frequencies."""
-    n_dims = schema.n_dims
     columns: Dict[int, ColumnStats] = {}
-    rows = list(entry.table.all_rows())
+    keys, _measures = entry.table.read_columns(schema.n_dims)
     for d, dim in enumerate(schema.dimensions):
         stored = entry.levels[d]
         if stored == dim.all_level:
             continue
-        keys = np.fromiter(
-            (int(row[d]) for row in rows), dtype=np.int64, count=len(rows)
-        )
-        counts = np.bincount(keys, minlength=dim.n_members(stored))
         columns[d] = ColumnStats(
             dim_index=d,
             stored_level=stored,
-            counts=counts,
-            n_rows=len(rows),
+            counts=np.bincount(keys[d], minlength=dim.n_members(stored)),
+            n_rows=entry.n_rows,
         )
     return TableStats(
-        table_name=entry.name, n_rows=len(rows), columns=columns
+        table_name=entry.name, n_rows=entry.n_rows, columns=columns
     )
 
 

@@ -59,15 +59,7 @@ class Bitmap:
     def from_positions(cls, n_bits: int, positions: Iterable[int]) -> "Bitmap":
         """A bitmap with exactly the given positions set."""
         bm = cls(n_bits)
-        pos = np.fromiter(positions, dtype=np.int64)
-        if pos.size:
-            if pos.min() < 0 or pos.max() >= n_bits:
-                raise IndexError("position out of bitmap range")
-            np.bitwise_or.at(
-                bm.words,
-                pos // WORD_BITS,
-                np.uint64(1) << (pos % WORD_BITS).astype(np.uint64),
-            )
+        bm.set_positions(np.fromiter(positions, dtype=np.int64))
         return bm
 
     @classmethod
@@ -101,6 +93,28 @@ class Bitmap:
             self.words[word] |= np.uint64(1) << np.uint64(offset)
         else:
             self.words[word] &= ~(np.uint64(1) << np.uint64(offset))
+
+    def set_positions(self, positions: np.ndarray) -> None:
+        """Set every bit in an int64 array of positions."""
+        if positions.size:
+            if positions.min() < 0 or positions.max() >= self.n_bits:
+                raise IndexError("position out of bitmap range")
+            np.bitwise_or.at(
+                self.words,
+                positions // WORD_BITS,
+                np.uint64(1) << (positions % WORD_BITS).astype(np.uint64),
+            )
+
+    def grow(self, n_bits: int) -> None:
+        """Lengthen to ``n_bits`` in place; the new bits are clear (the
+        padding beyond ``n_bits`` is kept zero by every operation)."""
+        if n_bits < self.n_bits:
+            raise ValueError("a bitmap cannot shrink")
+        if _n_words(n_bits) > self.words.size:
+            words = np.zeros(_n_words(n_bits), dtype=np.uint64)
+            words[: self.words.size] = self.words
+            self.words = words
+        self.n_bits = n_bits
 
     # -- algebra ---------------------------------------------------------------
 

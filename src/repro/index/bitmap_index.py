@@ -37,6 +37,44 @@ class JoinIndex(ABC):
         self.level = level
         self.n_rows = n_rows
 
+    @classmethod
+    def build(
+        cls,
+        table: HeapTable,
+        table_name: str,
+        dim_index: int,
+        level: int,
+        column_index: int,
+        key_to_member: np.ndarray,
+        n_members: int,
+    ) -> "JoinIndex":
+        """Build from the table's key column (unaccounted).
+
+        ``key_to_member`` maps the dimension key *as stored in the table's
+        column* to the member id at the indexed ``level``.
+        """
+        index = cls(table_name, dim_index, level, 0, {})
+        keys = table.read_columns(table.n_columns - 1)[0][column_index]
+        index.extend(key_to_member[keys])
+        return index
+
+    def extend(self, members: np.ndarray) -> None:
+        """Cover rows ``n_rows .. n_rows + len(members)``, whose member ids
+        at this index's level are ``members`` — a build is an extend from
+        empty, so a grown index equals a fresh one."""
+        first = self.n_rows
+        self.n_rows = first + members.size
+        order = np.argsort(members, kind="stable")
+        distinct, starts = np.unique(members[order], return_index=True)
+        self._add(
+            dict(zip(distinct.tolist(), np.split(first + order, starts[1:])))
+        )
+
+    @abstractmethod
+    def _add(self, positions_by_member: Dict[int, np.ndarray]) -> None:
+        """Record new (ascending) row positions per member, ``n_rows``
+        already covering them."""
+
     @abstractmethod
     def lookup(
         self, member_ids: Iterable[int], stats: IOStats, *, faults=None
@@ -79,39 +117,20 @@ class BitmapJoinIndex(JoinIndex):
     ):
         super().__init__(table_name, dim_index, level, n_rows)
         self._bitmaps = bitmaps
-        payload_bytes = (n_rows + 7) // 8
-        self._pages_per_bitmap = max(
-            1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES
-        )
 
-    @classmethod
-    def build(
-        cls,
-        table: HeapTable,
-        table_name: str,
-        dim_index: int,
-        level: int,
-        column_index: int,
-        key_to_member: np.ndarray,
-        n_members: int,
-    ) -> "BitmapJoinIndex":
-        """Build from an unaccounted scan of ``table``.
+    @property
+    def _pages_per_bitmap(self) -> int:
+        payload_bytes = (self.n_rows + 7) // 8
+        return max(1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
 
-        ``key_to_member`` maps the dimension key *as stored in the table's
-        column* to the member id at the indexed ``level``.
-        """
-        keys = np.fromiter(
-            (row[column_index] for row in table.all_rows()),
-            dtype=np.int64,
-            count=table.n_rows,
-        )
-        members = key_to_member[keys] if keys.size else keys
-        bitmaps: Dict[int, Bitmap] = {}
-        for member in range(n_members):
-            mask = members == member
-            if np.any(mask):
-                bitmaps[member] = Bitmap.from_bool_array(mask)
-        return cls(table_name, dim_index, level, table.n_rows, bitmaps)
+    def _add(self, positions_by_member: Dict[int, np.ndarray]) -> None:
+        for bitmap in self._bitmaps.values():
+            bitmap.grow(self.n_rows)
+        for member, positions in positions_by_member.items():
+            bitmap = self._bitmaps.get(member)
+            if bitmap is None:
+                bitmap = self._bitmaps[member] = Bitmap.zeros(self.n_rows)
+            bitmap.set_positions(positions)
 
     @property
     def n_members(self) -> int:

@@ -17,7 +17,6 @@ from typing import Dict, Iterable
 import numpy as np
 
 from ..storage.iostats import IOStats
-from ..storage.table import HeapTable
 from .bitmap import Bitmap
 from .bitmap_index import INDEX_PAGE_BYTES, JoinIndex
 
@@ -40,36 +39,12 @@ class PositionListJoinIndex(JoinIndex):
         super().__init__(table_name, dim_index, level, n_rows)
         self._rid_lists = rid_lists
 
-    @classmethod
-    def build(
-        cls,
-        table: HeapTable,
-        table_name: str,
-        dim_index: int,
-        level: int,
-        column_index: int,
-        key_to_member: np.ndarray,
-        n_members: int,
-    ) -> "PositionListJoinIndex":
-        """Build from an unaccounted scan of ``table`` (same signature as
-        :meth:`BitmapJoinIndex.build`)."""
-        keys = np.fromiter(
-            (row[column_index] for row in table.all_rows()),
-            dtype=np.int64,
-            count=table.n_rows,
-        )
-        members = key_to_member[keys] if keys.size else keys
-        rid_lists: Dict[int, np.ndarray] = {}
-        order = np.argsort(members, kind="stable")
-        sorted_members = members[order]
-        boundaries = np.searchsorted(
-            sorted_members, np.arange(n_members + 1), side="left"
-        )
-        for member in range(n_members):
-            lo, hi = boundaries[member], boundaries[member + 1]
-            if hi > lo:
-                rid_lists[member] = np.sort(order[lo:hi]).astype(np.int64)
-        return cls(table_name, dim_index, level, table.n_rows, rid_lists)
+    def _add(self, positions_by_member: Dict[int, np.ndarray]) -> None:
+        for member, positions in positions_by_member.items():
+            existing = self._rid_lists.get(member)
+            if existing is not None:
+                positions = np.concatenate([existing, positions])
+            self._rid_lists[member] = positions
 
     @property
     def n_members(self) -> int:

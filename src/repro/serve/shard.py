@@ -53,11 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover
 _HASH_MULTIPLIER = 2654435761
 
 
-def shard_of(key: int, n_shards: int) -> int:
-    """Deterministic shard assignment of one dimension key."""
-    if n_shards == 1:
-        return 0
-    return ((int(key) * _HASH_MULTIPLIER) & 0xFFFFFFFF) % n_shards
+def shard_of(key, n_shards: int):
+    """Deterministic shard assignment of one dimension key (or, element-
+    wise, of an int64 array of keys)."""
+    return ((key * _HASH_MULTIPLIER) & 0xFFFFFFFF) % n_shards
 
 
 @dataclass
@@ -133,12 +132,11 @@ def build_shards(
             HeapTable(source.name, source.columns, page_size=source.page_size)
             for _ in range(n_shards)
         ]
-        if n_shards == 1:
-            parts[0].extend(source.all_rows())
-        else:
-            for row in source.all_rows():
-                parts[shard_of(row[dim_index], n_shards)].append(row)
+        keys, measures = source.read_columns(source.n_columns - 1)
+        owner = shard_of(keys[dim_index], n_shards)
         for shard, part in zip(shards, parts):
+            mine = owner == shard.shard_id
+            part.extend_columns([key[mine] for key in keys], measures[mine])
             shard_entry = shard.catalog.register(
                 part,
                 entry.levels,

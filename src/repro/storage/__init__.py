@@ -9,7 +9,7 @@ and tuple operation to a deterministic simulated cost clock
 from .buffer import DEFAULT_POOL_PAGES, BufferPool
 from .catalog import Catalog, TableEntry
 from .iostats import DEFAULT_RATES, CostRates, IOStats
-from .page import BYTES_PER_COLUMN, DEFAULT_PAGE_SIZE, Page, Row, pack_rows, rows_per_page
+from .page import BYTES_PER_COLUMN, DEFAULT_PAGE_SIZE, Page, Row, rows_per_page
 from .table import HeapTable
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "Page",
     "Row",
     "TableEntry",
-    "pack_rows",
     "rows_per_page",
 ]

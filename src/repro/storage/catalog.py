@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .table import HeapTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +42,12 @@ class TableEntry:
     #: re-aggregates over it (SUM→SUM, MIN→MIN, MAX→MAX, COUNT→sum of
     #: counts).
     source_aggregate: str | None = None
+    #: Incremental maintenance's locator for a view's groups: ``(sorted
+    #: packed group codes, row position of each)`` over the rows it has
+    #: covered so far (see :mod:`repro.engine.maintenance`).
+    group_positions: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_raw(self) -> bool:

@@ -1,32 +1,29 @@
-"""Fixed-width slotted pages with a columnar mirror.
+"""Fixed-width pages: accounting windows over a table's column arrays.
 
-A :class:`Page` holds up to ``capacity`` fixed-width rows.  Rows are plain
-Python tuples — the first columns are integer dimension keys and the last
-column is the numeric measure.  The byte-level layout is only *accounted*
-(row width in bytes drives page capacity and hence I/O cost), not actually
-serialized; this keeps the engine pure-Python fast while preserving the
-paper's I/O arithmetic (e.g. its 20-byte, five-attribute base tuples).
-
-Each page additionally exposes a **columnar view** (:meth:`Page.columns`):
-per-dimension ``int64`` key arrays plus the ``float64`` measure column,
-decoded from the row tuples once and cached on the page.  The vectorized
-batch kernels (see :mod:`repro.core.operators`) read this view — scans
-concatenate it into morsels of many pages — so a page is decoded at most
-once between writes instead of once per operator execution per scan.  The
-cache is per page and invalidated per page (append / in-place update), so
-a write re-decodes only the pages it touched.
+A table's rows live in its column arrays (:mod:`repro.storage.table`); a
+:class:`Page` is the window ``page_no * capacity .. + capacity`` over them.
+The byte-level layout is only *accounted* (row width in bytes drives page
+capacity and hence I/O cost), not actually serialized; this keeps the
+engine pure-Python fast while preserving the paper's I/O arithmetic (e.g.
+its 20-byte, five-attribute base tuples).  Pages are what the buffer pool
+caches, faults and charges; they hold no data of their own, so there is
+nothing to decode and nothing to invalidate: :meth:`Page.columns` slices
+the table's arrays, and row tuples (:attr:`Page.rows`) are built on demand.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 import numpy as np
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .table import HeapTable
+
 Row = Tuple  # a fixed-width tuple of ints (keys) and a numeric measure
 
-#: A page's columnar view: per-key ``int64`` arrays and the ``float64``
-#: measure column, aligned by slot.
+#: A columnar batch of rows: per-key ``int64`` arrays and the ``float64``
+#: measure column, aligned by row.
 ColumnBatch = Tuple[List[np.ndarray], np.ndarray]
 
 #: Default page size, matching the common 8 KB database page.
@@ -51,74 +48,45 @@ def rows_per_page(n_columns: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
 
 
 class Page:
-    """One page of fixed-width rows.
+    """Page ``page_no`` of ``table``: a read-only window that follows the
+    table (the last page fills up as the table grows)."""
 
-    Pages are append-only; deletes are not needed for the read-mostly OLAP
-    workloads this engine serves.
-    """
+    __slots__ = ("table", "page_no")
 
-    __slots__ = ("page_no", "capacity", "rows", "_columns")
-
-    def __init__(self, page_no: int, capacity: int):
-        if capacity <= 0:
-            raise ValueError("page capacity must be positive")
+    def __init__(self, table: "HeapTable", page_no: int):
+        self.table = table
         self.page_no = page_no
-        self.capacity = capacity
-        self.rows: List[Row] = []
-        #: Cached columnar view, ``(n_keys, key_arrays, measures)``;
-        #: dropped whenever the page grows.
-        self._columns: Optional[Tuple[int, List[np.ndarray], np.ndarray]] = None
+
+    @property
+    def capacity(self) -> int:
+        """Rows a full page holds."""
+        return self.table.capacity
+
+    @property
+    def first_row(self) -> int:
+        """Global row position of slot 0."""
+        return self.page_no * self.table.capacity
+
+    def __len__(self) -> int:
+        return max(0, min(self.table.capacity, self.table.n_rows - self.first_row))
 
     @property
     def is_full(self) -> bool:
         """True when the page has no free slot."""
-        return len(self.rows) >= self.capacity
-
-    def append(self, row: Row) -> int:
-        """Append ``row``; return its slot number within this page."""
-        if self.is_full:
-            raise ValueError(f"page {self.page_no} is full")
-        self.rows.append(row)
-        self._columns = None
-        return len(self.rows) - 1
+        return len(self) >= self.table.capacity
 
     def columns(self, n_keys: int) -> ColumnBatch:
-        """The page's columnar view: ``n_keys`` ``int64`` key arrays and the
-        ``float64`` measure column (the column at index ``n_keys``).
+        """The page's rows column-wise: ``n_keys`` ``int64`` key arrays and
+        the ``float64`` measure column (the column at index ``n_keys``) —
+        zero-copy read-only slices of the table's arrays."""
+        first = self.first_row
+        return self.table.read_columns(n_keys, first, first + len(self))
 
-        Decoded from the row tuples on first use and cached; appends and
-        in-place updates drop the cache, so the values are always exactly
-        what a fresh decode of the tuples yields.
-        """
-        cached = self._columns
-        if cached is not None and cached[0] == n_keys:
-            return cached[1], cached[2]
-        if not self.rows:
-            empty_key = np.empty(0, dtype=np.int64)
-            keys: List[np.ndarray] = [empty_key] * n_keys
-            measures = np.empty(0, dtype=np.float64)
-        else:
-            matrix = np.asarray(self.rows, dtype=np.float64)
-            keys = [matrix[:, d].astype(np.int64) for d in range(n_keys)]
-            measures = matrix[:, n_keys]
-        self._columns = (n_keys, keys, measures)
-        return keys, measures
-
-    def update(self, slot: int, row: Row) -> None:
-        """Overwrite the row at ``slot`` (in-place view maintenance).
-
-        Every mutation must come through :meth:`append` or here so the
-        cached columnar view is dropped with it."""
-        self.rows[slot] = row
-        self._columns = None
-
-    def extend(self, rows: Iterable[Row]) -> None:
-        """Append each element in order."""
-        for row in rows:
-            self.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    @property
+    def rows(self) -> List[Row]:
+        """The page's rows as tuples, built on demand."""
+        first = self.first_row
+        return self.table.rows_between(first, first + len(self))
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -127,17 +95,7 @@ class Page:
         return self.rows[slot]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Page(no={self.page_no}, rows={len(self.rows)}/{self.capacity})"
-
-
-def pack_rows(
-    rows: Sequence[Row], n_columns: int, page_size: int = DEFAULT_PAGE_SIZE
-) -> List[Page]:
-    """Pack ``rows`` densely into a list of pages."""
-    capacity = rows_per_page(n_columns, page_size)
-    pages: List[Page] = []
-    for start in range(0, len(rows), capacity):
-        page = Page(len(pages), capacity)
-        page.extend(rows[start : start + capacity])
-        pages.append(page)
-    return pages
+        return (
+            f"Page({self.table.name!r}, no={self.page_no}, "
+            f"rows={len(self)}/{self.capacity})"
+        )

@@ -1,17 +1,23 @@
-"""Paged heap tables.
+"""Paged heap tables: columns are the storage, pages the accounting.
 
-A :class:`HeapTable` stores fixed-width rows in append-only pages.  Rows are
-addressed by a dense global *row position* (``page_no * capacity + slot``);
-bitmap join indexes use these positions as bit offsets, exactly like the
-paper's "position based" join indexes.
+A :class:`HeapTable` owns one contiguous array per column — ``int64`` for
+every column but the last, ``float64`` for the last (the measure) — grown
+by amortised doubling; appends fill the arrays and only then bump the row
+count, so a concurrent reader never sees an unfilled row.  Rows are
+addressed by a dense global *row position*; page ``p`` is the window
+``p * capacity .. (p + 1) * capacity`` over the arrays
+(:class:`~repro.storage.page.Page`), and bitmap join indexes use the
+positions as bit offsets, exactly like the paper's "position based" join
+indexes.  Row tuples are a view, built on demand for :meth:`all_rows`,
+:meth:`row_at`, :meth:`probe_positions` and the reference evaluators.
 
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
 so that sequential vs. random I/O is accounted.  The columnar access paths
 (:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`) account
 page by page exactly as a page-at-a-time read would, and hand out column
-batches of many pages (a *morsel* for scans, the whole probe set for
-fetches); the batch kernels in :mod:`repro.core.operators` are built on
-them.
+batches of many pages (a *morsel* for scans — a zero-copy read-only slice —
+the whole probe set for fetches, gathered once); the batch kernels in
+:mod:`repro.core.operators` are built on them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.metrics import default_registry
-from .page import DEFAULT_PAGE_SIZE, Page, Row, rows_per_page
+from .page import DEFAULT_PAGE_SIZE, ColumnBatch, Page, Row, rows_per_page
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .buffer import BufferPool
@@ -43,7 +49,7 @@ Morsel = Tuple[int, int, int, List[np.ndarray], np.ndarray]
 
 
 class HeapTable:
-    """An append-only paged table of fixed-width tuples."""
+    """An append-only paged table of fixed-width rows, stored by column."""
 
     def __init__(
         self,
@@ -60,8 +66,22 @@ class HeapTable:
         self.columns = tuple(columns)
         self.page_size = page_size
         self.capacity = rows_per_page(len(columns), page_size)
-        self._pages: List[Page] = []
         self._n_rows = 0
+        #: True while every value stored in the last column was an integer
+        #: (a dimension table): row tuples then carry it as an int.
+        self._int_measures = True
+        dtypes = [np.int64] * (len(columns) - 1) + [np.float64]
+        self._set_arrays([np.empty(0, dtype=dtype) for dtype in dtypes])
+
+    def _set_arrays(self, arrays: List[np.ndarray]) -> None:
+        """Install the column arrays (allocated beyond ``n_rows``) and the
+        read-only views every reader slices, so that no operator can write
+        into storage through a zero-copy batch."""
+        views = [array.view() for array in arrays]
+        for view in views:
+            view.flags.writeable = False
+        self._arrays = arrays
+        self._views = views
 
     # -- geometry ------------------------------------------------------------
 
@@ -73,7 +93,7 @@ class HeapTable:
     @property
     def n_pages(self) -> int:
         """Accounted size in pages."""
-        return len(self._pages)
+        return -(-self._n_rows // self.capacity)
 
     @property
     def n_columns(self) -> int:
@@ -100,38 +120,107 @@ class HeapTable:
 
     def append(self, row: Row) -> int:
         """Append one row; return its global row position."""
-        if len(row) != len(self.columns):
-            raise ValueError(
-                f"row width {len(row)} != table width {len(self.columns)} "
-                f"for {self.name!r}"
-            )
-        if not self._pages or self._pages[-1].is_full:
-            self._pages.append(Page(len(self._pages), self.capacity))
-        page = self._pages[-1]
-        page.append(tuple(row))
-        self._n_rows += 1
+        self.extend((row,))
         return self._n_rows - 1
 
     def extend(self, rows: Iterable[Row]) -> None:
-        """Append each element in order."""
-        for row in rows:
-            self.append(row)
+        """Append each row in order."""
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        if not rows:
+            return
+        matrix = np.asarray(rows)  # ragged rows are a ValueError here
+        width = len(self.columns)
+        if matrix.ndim != 2 or matrix.shape[1] != width:
+            raise ValueError(
+                f"rows of {self.name!r} need {width} columns each"
+            )
+        if matrix.dtype.kind not in "biuf":
+            raise ValueError(f"rows of {self.name!r} must be numeric")
+        self.extend_columns(
+            [matrix[:, d] for d in range(width - 1)], matrix[:, width - 1]
+        )
+
+    def extend_columns(
+        self, keys: Sequence[np.ndarray], measures: np.ndarray
+    ) -> None:
+        """Append rows given column-wise: one array per key column and the
+        last column's values, all of one length."""
+        measures = np.asarray(measures)
+        n_new = measures.shape[0]
+        if len(keys) != len(self.columns) - 1 or any(
+            len(key) != n_new for key in keys
+        ):
+            raise ValueError(
+                f"{self.name!r} needs {len(self.columns)} columns of one length"
+            )
+        first, stop = self._n_rows, self._n_rows + n_new
+        allocated = self._arrays[-1].size
+        if stop > allocated:
+            # Exact for a first load, doubling after; readers of the old
+            # arrays (a morsel in flight) keep them alive and intact.
+            grown = [
+                np.empty(max(stop, 2 * allocated), dtype=array.dtype)
+                for array in self._arrays
+            ]
+            for fresh, array in zip(grown, self._arrays):
+                fresh[:first] = array[:first]
+            self._set_arrays(grown)
+        for array, values in zip(self._arrays, (*keys, measures)):
+            array[first:stop] = values
+        self._int_measures = self._int_measures and measures.dtype.kind in "biu"
+        self._n_rows = stop  # publish only once the rows are filled
+
+    def update_measures(self, positions: np.ndarray, values: np.ndarray) -> None:
+        """Overwrite the last column at ``positions`` (in-place view
+        maintenance: measures are floats); keys never change in place."""
+        self._arrays[-1][positions] = values
+        self._int_measures = False
 
     # -- reads (unaccounted; operators must go through the buffer pool) ------
 
     def page(self, page_no: int) -> Page:
-        """The page object at the given number (unaccounted)."""
-        return self._pages[page_no]
+        """The window over the given page (unaccounted)."""
+        if not 0 <= page_no < self.n_pages:
+            raise IndexError(
+                f"page {page_no} out of range for {self.name!r} "
+                f"({self.n_pages} pages)"
+            )
+        return Page(self, page_no)
+
+    def read_columns(
+        self, n_keys: int, first: int = 0, stop: Optional[int] = None
+    ) -> ColumnBatch:
+        """Rows ``first .. stop`` (default: all) column-wise, unaccounted:
+        ``n_keys`` int64 key columns and the column at index ``n_keys`` as
+        float64 — zero-copy read-only slices of the storage arrays (offline
+        readers, and the accounted paths once they have charged)."""
+        return self._take(n_keys, slice(first, self._n_rows if stop is None else stop))
+
+    def _take(self, n_keys: int, index) -> ColumnBatch:
+        """Columns at ``index``: a slice (views) or positions (a gather)."""
+        views = self._views
+        measures = views[n_keys][index]
+        if measures.dtype != np.float64:
+            measures = measures.astype(np.float64)
+        return [view[index] for view in views[:n_keys]], measures
+
+    def rows_between(self, first: int, stop: int) -> List[Row]:
+        """Rows ``first .. stop`` as tuples, built from the columns."""
+        values = [view[first:stop] for view in self._views]
+        if self._int_measures:
+            values[-1] = values[-1].astype(np.int64)
+        return list(zip(*(column.tolist() for column in values)))
 
     def all_rows(self) -> Iterator[Row]:
         """Iterate every row without I/O accounting (tests and loading only)."""
-        for page in self._pages:
-            yield from page.rows
+        step = 8192  # tuples built at a time (bounds the transient list)
+        for first in range(0, self._n_rows, step):
+            yield from self.rows_between(first, min(first + step, self._n_rows))
 
     def row_at(self, position: int) -> Row:
         """The row at a global position (unaccounted)."""
-        page_no, slot = self.position_to_page(position)
-        return self._pages[page_no][slot]
+        self.position_to_page(position)
+        return self.rows_between(position, position + 1)[0]
 
     # -- accounted access ------------------------------------------------------
 
@@ -171,32 +260,23 @@ class HeapTable:
         after_page: Optional[Callable[[], None]] = None,
     ) -> Iterator[Morsel]:
         """Columnar sequential scan: yield one :data:`Morsel` per run of
-        :data:`MORSEL_ROWS` rows (whole pages) — the pages' cached column
-        arrays (``n_keys`` int64 key columns + the float64 measure column)
-        concatenated in page order.
+        :data:`MORSEL_ROWS` rows (whole pages) — a zero-copy read-only
+        slice of the column arrays (``n_keys`` int64 key columns + the
+        float64 measure column).  Only a table's last page may be partial,
+        so a morsel's rows sit at consecutive row positions (bitmap slices
+        rely on it).
 
         I/O accounting, metrics, and fault checks are exactly those of
         :meth:`scan_pages`, page by page; ``after_page`` runs after each
         page is accounted, and a morsel is handed out only once all its
-        pages are.  The columnar decode is free on the simulated clock (it
-        models reading a column-laid-out page image) and cached per page.
+        pages are.
         """
         capacity = self.capacity
         for pages in self._scan_runs(pool, after_page):
-            first_position = pages[0].page_no * capacity
-            columns = [page.columns(n_keys) for page in pages]
-            keys = [
-                np.concatenate([page_keys[d] for page_keys, _m in columns])
-                for d in range(n_keys)
-            ]
-            measures = np.concatenate([m for _keys, m in columns])
-            # Only a table's last page may be partial, so a morsel's rows
-            # sit at consecutive row positions (bitmap slices rely on it).
-            n_rows = measures.size
-            assert n_rows == min(
-                len(pages) * capacity, self._n_rows - first_position
-            ), f"non-contiguous morsel in {self.name!r}"
-            yield first_position, len(pages), n_rows, keys, measures
+            first = pages[0].page_no * capacity
+            stop = min(first + len(pages) * capacity, self._n_rows)
+            keys, measures = self.read_columns(n_keys, first, stop)
+            yield first, len(pages), stop - first, keys, measures
 
     def fetch_positions(
         self, pool: "BufferPool", positions: np.ndarray, n_keys: int
@@ -224,27 +304,12 @@ class HeapTable:
             "table.probe_pages", "distinct pages fetched by random probes"
         )
         page_nos = positions // self.capacity
-        slots = positions % self.capacity
-        # Runs of equal page number, in first-touch order.
-        breaks = np.flatnonzero(np.diff(page_nos)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), breaks))
-        stops = np.concatenate((breaks, np.asarray([positions.size])))
-        key_parts: List[List[np.ndarray]] = []
-        measure_parts: List[np.ndarray] = []
-        for lo, hi in zip(starts.tolist(), stops.tolist()):
-            page = pool.get_page(self, int(page_nos[lo]), sequential=False)
+        # One read per run of equal page number, in first-touch order.
+        first_of_run = np.concatenate(([0], np.flatnonzero(np.diff(page_nos)) + 1))
+        for page_no in page_nos[first_of_run].tolist():
+            pool.get_page(self, page_no, sequential=False)
             probe_pages.inc()
-            keys, measures = page.columns(n_keys)
-            run = slots[lo:hi]
-            key_parts.append([col[run] for col in keys])
-            measure_parts.append(measures[run])
-        if len(measure_parts) == 1:
-            return key_parts[0], measure_parts[0]
-        gathered = [
-            np.concatenate([part[d] for part in key_parts])
-            for d in range(n_keys)
-        ]
-        return gathered, np.concatenate(measure_parts)
+        return self._take(n_keys, positions)
 
     def probe_positions(
         self, pool: "BufferPool", positions: Iterable[int]
@@ -256,15 +321,14 @@ class HeapTable:
             "table.probe_pages", "distinct pages fetched by random probes"
         )
         current_page_no = -1
-        current_page: Page | None = None
+        rows: List[Row] = []
         for position in positions:
             page_no, slot = self.position_to_page(position)
             if page_no != current_page_no:
-                current_page = pool.get_page(self, page_no, sequential=False)
+                rows = pool.get_page(self, page_no, sequential=False).rows
                 current_page_no = page_no
                 probe_pages.inc()
-            assert current_page is not None
-            yield position, current_page[slot]
+            yield position, rows[slot]
 
     def __len__(self) -> int:
         return self._n_rows

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.operators.hash_join import SharedScanStarJoin
@@ -12,6 +14,7 @@ from repro.core.optimizer import make_optimizer
 from repro.engine.database import Database
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.schema.star import StarSchema
+from repro.storage.iostats import IOStats
 from repro.workload.generator import generate_fact_rows
 
 from conftest import make_tiny_schema
@@ -176,3 +179,101 @@ def brute_force_optimum(
             best_cost = total
             best_classes = [(name, g) for name, (_e, g) in by_source.items()]
     return best_cost, best_classes
+
+
+def reference_append_rows(db: Database, rows: Sequence[Tuple]) -> dict:
+    """The tuple-at-a-time write path the engine shipped until PR 17, kept
+    as the oracle for :func:`repro.engine.maintenance.append_rows`: append
+    row by row, fold each view's delta into a dict in row order, merge it
+    in ``sorted(delta.items())`` order — an existing group updated in its
+    slot, a new one appended — and rebuild every index from scratch."""
+    schema = db.schema
+    n_dims = schema.n_dims
+    (base,) = [entry for entry in db.catalog.entries() if entry.is_raw]
+    rows = [tuple(row) for row in rows]
+    for row in rows:
+        base.table.append(row)
+    report = {}
+    for entry in db.catalog.entries():
+        if entry.is_raw:
+            continue
+        aggregate = Aggregate(entry.source_aggregate)
+        delta = {}
+        for row in rows:
+            key = tuple(
+                dim.rollup(0, level, int(row[d]))
+                for d, (dim, level) in enumerate(
+                    zip(schema.dimensions, entry.levels)
+                )
+            )
+            value = float(row[n_dims])
+            if aggregate is Aggregate.SUM:
+                delta[key] = delta.get(key, 0.0) + value
+            elif aggregate is Aggregate.COUNT:
+                delta[key] = delta.get(key, 0.0) + 1.0
+            elif aggregate is Aggregate.MIN:
+                delta[key] = min(delta.get(key, value), value)
+            else:
+                delta[key] = max(delta.get(key, value), value)
+        positions = {
+            tuple(row[:n_dims]): position
+            for position, row in enumerate(entry.table.all_rows())
+        }
+        appended = 0
+        for key, value in sorted(delta.items()):
+            position = positions.get(key)
+            if position is None:
+                entry.table.append(key + (value,))
+                appended += 1
+                continue
+            current = float(entry.table.row_at(position)[n_dims])
+            if aggregate in (Aggregate.SUM, Aggregate.COUNT):
+                merged = current + value
+            elif aggregate is Aggregate.MIN:
+                merged = min(current, value)
+            else:
+                merged = max(current, value)
+            entry.table.update_measures(
+                np.asarray([position]), np.asarray([merged])
+            )
+        report[entry.name] = appended
+        if appended:
+            entry.clustered = False
+    for entry in db.catalog.entries():
+        for key, index in entry.indexes.items():
+            entry.indexes[key] = fresh_index(schema, entry, *key, type(index))
+    report[base.name] = len(rows)
+    db.notify_mutation()
+    return report
+
+
+def fresh_index(schema: StarSchema, entry, dim_index: int, level: int, kind):
+    """A join index of ``kind`` built from scratch over ``entry``."""
+    dim = schema.dimensions[dim_index]
+    return kind.build(
+        entry.table,
+        entry.name,
+        dim_index,
+        level,
+        column_index=dim_index,
+        key_to_member=dim.rollup_map(entry.levels[dim_index], level),
+        n_members=dim.n_members(level),
+    )
+
+
+def index_state(index, n_members: int) -> dict:
+    """A join index's observable state — size accounting, every member's
+    lookup bitmap and what the lookups charge — comparable with ``==``."""
+    stats = IOStats()
+    return {
+        "kind": type(index).__name__,
+        "n_rows": index.n_rows,
+        "n_members": index.n_members,
+        "n_pages": index.n_pages,
+        "pages_per_lookup": [index.pages_per_lookup(n) for n in range(4)],
+        "bitmaps": [
+            index.lookup([member], stats).words.tobytes()
+            for member in range(n_members)
+        ],
+        "charged": stats.as_dict(),
+    }

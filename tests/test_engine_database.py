@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.materialize import (
-    compute_groupby_rows,
+    compute_groupby,
     pick_materialization_source,
 )
 from repro.engine.reference import evaluate_reference
@@ -71,7 +71,7 @@ class TestMaterialization:
         db = make_tiny_db(n_rows=100)
         view = db.materialize("X'Y'")
         with pytest.raises(ValueError):
-            compute_groupby_rows(db.schema, view, (0, 0))
+            compute_groupby(db.schema, view, (0, 0))
 
     def test_no_source_raises(self):
         schema = make_tiny_schema()

@@ -10,6 +10,8 @@ from repro.index.btree import PositionListJoinIndex
 from repro.storage.iostats import IOStats
 from repro.storage.table import HeapTable
 
+from helpers import index_state
+
 
 def make_table(keys, page_size=64):
     table = HeapTable("f", ("a", "m"), page_size=page_size)
@@ -145,3 +147,50 @@ class TestEquivalence:
             if key_to_member[k] in members
         ]
         assert a.positions().tolist() == expected
+
+
+class TestGrownIndex:
+    """An index extended under maintenance is the index a fresh build over
+    the grown table gives — payload and accounted size alike."""
+
+    @pytest.mark.parametrize("cls", [BitmapJoinIndex, PositionListJoinIndex])
+    def test_grown_across_a_payload_page_equals_fresh_build(self, cls):
+        # 8 KB of bitmap payload cover 65,536 rows: grow across that.
+        key_to_member = np.asarray([0, 0, 1, 1, 2, 2], dtype=np.int64)
+        keys = np.arange(65_700, dtype=np.int64) % 5  # member 2 is sparse
+        table = HeapTable("f", ("a", "m"), page_size=64)
+        kwargs = dict(
+            table_name="f", dim_index=0, level=1, column_index=0,
+            key_to_member=key_to_member, n_members=3,
+        )
+        first = 65_500
+        table.extend_columns([keys[:first]], np.zeros(first))
+        index = cls.build(table, **kwargs)
+        small = index_state(index, 3)
+        for stop in (65_536, 65_537, 65_700):
+            table.extend_columns([keys[first:stop]], np.zeros(stop - first))
+            index.extend(key_to_member[keys[first:stop]])
+            first = stop
+            assert index_state(index, 3) == index_state(
+                cls.build(table, **kwargs), 3
+            ), stop
+        if cls is BitmapJoinIndex:
+            assert index.pages_per_lookup(1) == 2 * small["pages_per_lookup"][1]
+            assert index.n_pages == 2 * small["n_pages"]
+
+    @given(
+        keys=st.lists(st.integers(0, 5), max_size=80),
+        cuts=st.lists(st.integers(0, 80), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_sequence_of_extends_equals_one_build(self, keys, cuts):
+        key_to_member = np.asarray([0, 0, 1, 1, 2, 2], dtype=np.int64)
+        members = key_to_member[np.asarray(keys, dtype=np.int64)]
+        table = make_table(keys)
+        for cls in (BitmapJoinIndex, PositionListJoinIndex):
+            grown = cls("f", 0, 1, 0, {})
+            bounds = sorted({min(c, len(keys)) for c in cuts} | {0, len(keys)})
+            for lo, hi in zip(bounds, bounds[1:]):
+                grown.extend(members[lo:hi])
+            built = cls.build(table, "f", 0, 1, 0, key_to_member, 3)
+            assert index_state(grown, 3) == index_state(built, 3)

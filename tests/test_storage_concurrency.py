@@ -189,6 +189,35 @@ class TestBufferPoolLocking:
         assert len(pool) <= 8
 
 
+class TestAppendPublishOrder:
+    def test_readers_never_see_an_unfilled_row(self, tight_switching):
+        """Appends fill the column arrays (reallocating as they grow) and
+        only then bump ``n_rows``: a reader racing one writer sees a prefix
+        of whole, filled rows — every row says ``m == a + 1``, which fresh
+        zeroed memory does not — whichever arrays it caught."""
+        table = HeapTable("T", ["a", "m"], page_size=32)
+        total = 40_000
+        torn = []
+
+        def worker(index):
+            if index == 0:  # the one writer
+                for first in range(0, total, 97):
+                    chunk = range(first, min(first + 97, total))
+                    table.extend([(i, float(i + 1)) for i in chunk])
+                return
+            seen = 0
+            while seen < total:
+                keys, measures = table.read_columns(1)
+                if measures.size < seen or not (keys[0] + 1 == measures).all():
+                    torn.append((seen, measures.size))
+                    return
+                seen = measures.size
+
+        hammer(worker)
+        assert not torn
+        assert table.n_rows == total
+
+
 class TestMetricsLocking:
     def test_counter_increments_are_exact(self, tight_switching):
         counter = Counter("test.hits")

@@ -1,4 +1,5 @@
-"""Unit tests for fixed-width pages."""
+"""Unit tests for fixed-width pages: accounting windows over a table's
+column arrays (the data itself is covered in test_storage_table.py)."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,15 @@ from repro.storage.page import (
     BYTES_PER_COLUMN,
     DEFAULT_PAGE_SIZE,
     Page,
-    pack_rows,
     rows_per_page,
 )
+from repro.storage.table import HeapTable
+
+
+def make_table(columns=("a", "m"), capacity=4):
+    return HeapTable(
+        "t", columns, page_size=capacity * len(columns) * BYTES_PER_COLUMN
+    )
 
 
 class TestRowsPerPage:
@@ -34,98 +41,118 @@ class TestRowsPerPage:
 
 class TestPage:
     def test_append_and_read(self):
-        page = Page(0, capacity=3)
-        assert page.append((1, 2, 3.0)) == 0
-        assert page.append((4, 5, 6.0)) == 1
+        table = make_table(("a", "b", "m"), capacity=3)
+        assert table.append((1, 2, 3.0)) == 0
+        assert table.append((4, 5, 6.0)) == 1
+        page = table.page(0)
+        assert (page.page_no, page.capacity, page.first_row) == (0, 3, 0)
         assert page[0] == (1, 2, 3.0)
         assert page[1] == (4, 5, 6.0)
+        assert page.rows == [(1, 2, 3.0), (4, 5, 6.0)]
         assert len(page) == 2
         assert not page.is_full
 
     def test_full_page_rejects_append(self):
-        page = Page(0, capacity=1)
-        page.append((1,))
+        """A full page takes no more rows: the next append opens the next
+        page, and a window taken earlier follows the table."""
+        table = make_table(("m",), capacity=1)
+        table.append((1,))
+        page = table.page(0)
         assert page.is_full
-        with pytest.raises(ValueError):
-            page.append((2,))
+        with pytest.raises(IndexError):
+            table.page(1)
+        table.append((2,))
+        assert len(page) == 1 and page.rows == [(1,)]
+        assert table.page(1).rows == [(2,)]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            Page(0, capacity=0)
+            HeapTable("t", ("a", "m"), page_size=BYTES_PER_COLUMN)
 
     def test_iteration_preserves_order(self):
-        page = Page(0, capacity=10)
+        table = make_table(capacity=10)
         rows = [(i, float(i)) for i in range(7)]
-        page.extend(rows)
-        assert list(page) == rows
+        table.extend(rows)
+        assert list(table.page(0)) == rows
 
-
-class TestPackRows:
-    def test_dense_packing(self):
-        rows = [(i, float(i)) for i in range(10)]
-        pages = pack_rows(rows, n_columns=2, page_size=8 * 4)
-        # 8 bytes per row, 32-byte pages -> 4 rows per page.
-        assert [len(p) for p in pages] == [4, 4, 2]
-        assert [p.page_no for p in pages] == [0, 1, 2]
-
-    def test_roundtrip(self):
-        rows = [(i, i * 2, float(i)) for i in range(25)]
-        pages = pack_rows(rows, n_columns=3, page_size=120)
-        unpacked = [row for page in pages for row in page]
-        assert unpacked == rows
-
-    def test_empty(self):
-        assert pack_rows([], n_columns=3) == []
+    def test_last_page_grows_with_the_table(self):
+        table = make_table(capacity=4)
+        table.extend([(i, float(i)) for i in range(5)])
+        last = table.page(1)
+        assert (last.first_row, len(last)) == (4, 1)
+        table.extend([(5, 5.0), (6, 6.0)])
+        assert len(last) == 3 and last[2] == (6, 6.0)
 
 
 class TestColumns:
     def test_values_match_rows(self):
-        page = Page(0, capacity=8)
-        page.extend([(i, i % 3, float(i) * 1.5) for i in range(5)])
-        keys, measures = page.columns(2)
+        table = make_table(("a", "b", "m"), capacity=8)
+        table.extend([(i, i % 3, float(i) * 1.5) for i in range(5)])
+        keys, measures = table.page(0).columns(2)
         assert [k.dtype == np.int64 for k in keys] == [True, True]
         assert measures.dtype == np.float64
         assert keys[0].tolist() == [0, 1, 2, 3, 4]
         assert keys[1].tolist() == [0, 1, 2, 0, 1]
         assert measures.tolist() == [0.0, 1.5, 3.0, 4.5, 6.0]
 
-    def test_cached_between_calls(self):
-        page = Page(0, capacity=4)
-        page.extend([(1, 2.0), (3, 4.0)])
-        first = page.columns(1)
-        second = page.columns(1)
-        assert first[0][0] is second[0][0]
-        assert first[1] is second[1]
+    def test_zero_copy_readonly_views(self):
+        """No per-page copy: two calls hand out slices of the same table
+        arrays, and neither can be written through."""
+        table = make_table(capacity=4)
+        table.extend([(1, 2.0), (3, 4.0), (5, 6.0), (7, 8.0), (9, 10.0)])
+        first = table.page(1).columns(1)
+        second = table.page(1).columns(1)
+        whole = table.read_columns(1)
+        for mine, theirs, column in zip(
+            (first[0][0], first[1]), (second[0][0], second[1]),
+            (whole[0][0], whole[1]),
+        ):
+            assert np.shares_memory(mine, theirs)
+            assert np.shares_memory(mine, column)
+            assert not mine.flags.writeable
+            with pytest.raises(ValueError):
+                mine[0] = 0
 
     def test_append_invalidates_cache(self):
-        page = Page(0, capacity=4)
-        page.append((1, 2.0))
+        """There is no cache to go stale: an append shows at once."""
+        table = make_table(capacity=4)
+        table.append((1, 2.0))
+        page = table.page(0)
         keys, _measures = page.columns(1)
         assert keys[0].tolist() == [1]
-        page.append((7, 8.0))
+        table.append((7, 8.0))
         keys, measures = page.columns(1)
         assert keys[0].tolist() == [1, 7]
         assert measures.tolist() == [2.0, 8.0]
 
     def test_n_keys_change_rebuilds(self):
-        page = Page(0, capacity=4)
-        page.append((1, 2, 3.0))
+        table = make_table(("a", "b", "m"), capacity=4)
+        table.append((1, 2, 3.0))
+        page = table.page(0)
         keys2, measures2 = page.columns(2)
         keys1, measures1 = page.columns(1)
         assert len(keys2) == 2 and measures2.tolist() == [3.0]
         assert len(keys1) == 1 and measures1.tolist() == [2.0]
+        assert measures1.dtype == np.float64
 
     def test_empty_page(self):
-        page = Page(0, capacity=4)
+        page = Page(make_table(("a", "b", "c", "m"), capacity=4), 0)
         keys, measures = page.columns(3)
         assert [k.size for k in keys] == [0, 0, 0]
         assert measures.size == 0
+        assert len(page) == 0 and page.rows == []
 
     def test_update_invalidates_cache(self):
-        page = Page(0, capacity=4)
-        page.append((1, 2.0))
-        assert page.columns(1)[1].tolist() == [2.0]
-        page.update(0, (1, 9.0))
+        """An in-place measure update shows through ``columns`` — even
+        through a batch handed out before it."""
+        table = make_table(capacity=4)
+        table.append((1, 2.0))
+        page = table.page(0)
+        before = page.columns(1)[1]
+        assert before.tolist() == [2.0]
+        table.update_measures(np.asarray([0]), np.asarray([9.0]))
         keys, measures = page.columns(1)
         assert keys[0].tolist() == [1]
         assert measures.tolist() == [9.0]
+        assert before.tolist() == [9.0]
+        assert page[0] == (1, 9.0)
