@@ -2,8 +2,6 @@
 
 * ``REPRO_BENCH_SCALE`` — dataset scale (fraction of the paper's 2,000,000
   rows; default 0.01 = 20,000).
-* ``REPRO_BENCH_EXPORT`` — a directory; when set, harness row sets are also
-  written there as CSV (via the ``export`` fixture) for plotting.
 
 All benchmarks print paper-style rows through the ``report`` fixture; run
 with ``pytest benchmarks/ --benchmark-only -s`` to see them inline (they
@@ -16,28 +14,12 @@ import os
 
 import pytest
 
-from repro.bench.export import write_csv
 from repro.workload.paper_queries import paper_queries
 from repro.workload.paper_schema import build_paper_database
 
 
 def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.01"))
-
-
-@pytest.fixture(scope="session")
-def export():
-    """Write rows to ``$REPRO_BENCH_EXPORT/<name>.csv`` (no-op when the
-    variable is unset)."""
-    directory = os.environ.get("REPRO_BENCH_EXPORT")
-
-    def _export(name: str, rows) -> None:
-        if not directory or not rows:
-            return
-        write_csv(rows, os.path.join(directory, f"{name}.csv"),
-                  extra={"scale": bench_scale()})
-
-    return _export
 
 
 @pytest.fixture(scope="session")

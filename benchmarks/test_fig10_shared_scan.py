@@ -9,7 +9,7 @@ the gap widens — while the shared scan's I/O stays constant.
 
 import pytest
 
-from repro.bench.harness import run_test1_shared_scan
+from repro.bench.harness import run_figure
 from repro.bench.reporting import format_table
 
 #: Paper's reading of Figure 10 (seconds, eyeballed from the bars): separate
@@ -20,12 +20,10 @@ PAPER_SHAPE_NOTE = (
 )
 
 
-def test_fig10_shared_scan(db, qs, report, benchmark, export):
-    queries = [qs[i] for i in (1, 2, 3, 4)]
+def test_fig10_shared_scan(db, report, benchmark):
     rows = benchmark.pedantic(
-        lambda: run_test1_shared_scan(db, queries), rounds=1, iterations=1
+        lambda: run_figure(db, "fig10_shared_scan"), rounds=1, iterations=1
     )
-    export("fig10", rows)
     report(
         format_table(
             ["queries", "separate sim-ms", "shared sim-ms", "shared io-ms",

@@ -18,16 +18,14 @@ A' member, so their probe pages coincide in the A-clustered table.
 
 import pytest
 
-from repro.bench.harness import run_test2_shared_index
+from repro.bench.harness import run_figure
 from repro.bench.reporting import format_table
 
 
-def test_fig11_shared_index(db, qs, report, benchmark, export):
-    queries = [qs[i] for i in (5, 8, 6, 7)]
+def test_fig11_shared_index(db, report, benchmark):
     rows = benchmark.pedantic(
-        lambda: run_test2_shared_index(db, queries), rounds=1, iterations=1
+        lambda: run_figure(db, "fig11_shared_index"), rounds=1, iterations=1
     )
-    export("fig11", rows)
     report(
         format_table(
             ["queries", "separate sim-ms", "shared sim-ms",

@@ -13,19 +13,14 @@ query's base-table I/O is absorbed by the scan and only a small CPU cost
 
 import pytest
 
-from repro.bench.harness import run_test3_hybrid
+from repro.bench.harness import run_figure
 from repro.bench.reporting import format_table
 
 
-def test_fig12_shared_hybrid(db, qs, report, benchmark, export):
-    hash_queries = [qs[3]]
-    index_queries = [qs[5], qs[6], qs[7]]
+def test_fig12_shared_hybrid(db, report, benchmark):
     rows = benchmark.pedantic(
-        lambda: run_test3_hybrid(db, hash_queries, index_queries),
-        rounds=1,
-        iterations=1,
+        lambda: run_figure(db, "fig12_hybrid"), rounds=1, iterations=1
     )
-    export("fig12", rows)
     report(
         format_table(
             ["queries", "separate sim-ms", "shared sim-ms",

@@ -7,7 +7,6 @@ the base is largest, one-level-coarser group-bys shrink, two-level-coarser
 group-bys shrink further.
 """
 
-from repro.bench.harness import table1_rows
 from repro.bench.reporting import format_table
 from repro.workload.paper_schema import PAPER_BASE_ROWS
 
@@ -26,9 +25,7 @@ PAPER_TABLE1 = {
 
 
 def test_table1_materialized_sizes(db, report, benchmark):
-    rows = benchmark.pedantic(
-        lambda: table1_rows(db), rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(db.table_report, rounds=1, iterations=1)
     scale = bench_scale()
     display = [
         (

@@ -19,7 +19,7 @@ every global plan, and verify the paper's qualitative outcomes:
 
 import pytest
 
-from repro.bench.harness import run_algorithm_comparison
+from repro.bench.harness import AlgorithmRow, run_algorithm_comparison
 from repro.bench.reporting import format_table
 from repro.workload.paper_queries import PAPER_TESTS
 
@@ -45,19 +45,8 @@ def run_one(db, qs, report, benchmark, test_name):
     paper = PAPER_TABLE2_S[test_name]
     report(
         format_table(
-            ["algorithm", "est sim-ms", "exec sim-ms", "classes", "plan",
-             "paper (s)"],
-            [
-                (
-                    r.algorithm,
-                    r.est_ms,
-                    r.sim_ms,
-                    r.n_classes,
-                    r.plan,
-                    paper.get(r.algorithm) or "-",
-                )
-                for r in rows
-            ],
+            [*AlgorithmRow.HEADERS, "paper (s)"],
+            [(*r.cells(), paper.get(r.algorithm) or "-") for r in rows],
             title=f"Table 2 — {test_name} "
             f"(Queries {PAPER_TESTS[test_name]})",
         )

@@ -11,7 +11,7 @@ Run:  python examples/algorithm_comparison.py [scale]
 
 import sys
 
-from repro.bench.harness import run_algorithm_comparison
+from repro.bench.harness import AlgorithmRow, run_algorithm_comparison
 from repro.bench.reporting import format_table
 from repro.workload.paper_queries import PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import build_paper_database
@@ -33,17 +33,7 @@ def main() -> None:
             print("  ", query.describe(db.schema))
         rows = run_algorithm_comparison(db, queries, ALGORITHMS)
         print()
-        print(
-            format_table(
-                ["algorithm", "est sim-ms", "exec sim-ms", "wall-ms",
-                 "classes", "plan"],
-                [
-                    (r.algorithm, r.est_ms, r.sim_ms, r.wall_s * 1000,
-                     r.n_classes, r.plan)
-                    for r in rows
-                ],
-            )
-        )
+        print(format_table(AlgorithmRow.HEADERS, [r.cells() for r in rows]))
         best = min(rows, key=lambda r: r.sim_ms)
         worst = max(rows, key=lambda r: r.sim_ms)
         print(

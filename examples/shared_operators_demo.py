@@ -7,12 +7,8 @@ Run:  python examples/shared_operators_demo.py [scale]
 
 import sys
 
-from repro.bench.harness import (
-    run_test1_shared_scan,
-    run_test2_shared_index,
-    run_test3_hybrid,
-)
-from repro.workload.paper_queries import paper_queries
+from repro.bench.harness import run_figure
+from repro.workload.paper_queries import PAPER_FIGURES
 from repro.workload.paper_schema import build_paper_database
 
 
@@ -32,21 +28,8 @@ def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.01
     print(f"Building the paper's database at scale {scale}...")
     db = build_paper_database(scale=scale)
-    qs = paper_queries(db.schema)
-
-    bars(
-        run_test1_shared_scan(db, [qs[i] for i in (1, 2, 3, 4)]),
-        "Figure 10 - shared scan hash star join (Queries 1-4 on ABCD)",
-    )
-    bars(
-        run_test2_shared_index(db, [qs[i] for i in (5, 8, 6, 7)]),
-        "Figure 11 - shared index star join (Queries 5,8,6,7 on A'B'C'D)",
-    )
-    bars(
-        run_test3_hybrid(db, [qs[3]], [qs[5], qs[6], qs[7]]),
-        "Figure 12 - shared scan for hash + index joins "
-        "(Q3 hash + Q5,6,7 index on A'B'C'D)",
-    )
+    for key, spec in PAPER_FIGURES.items():
+        bars(run_figure(db, key), spec.title)
 
 
 if __name__ == "__main__":

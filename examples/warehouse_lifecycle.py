@@ -3,7 +3,8 @@
 
 1. load a base fact table;
 2. choose which group-bys to precompute (greedy / HRU view selection);
-3. build them with derivation chaining (cube build);
+3. build them finest-first, each derived from the smallest table that
+   can feed it;
 4. ANALYZE so the optimizer prices predicates by measured selectivity;
 5. serve a session of MDX expressions with cross-expression optimization
    and duplicate elimination;
@@ -14,9 +15,11 @@ Run:  python examples/warehouse_lifecycle.py
 """
 
 from repro.core.explain import explain_plan
-from repro.engine.cube import build_cube
 from repro.engine.session import QuerySession
-from repro.engine.view_selection import greedy_select_views
+from repro.engine.view_selection import (
+    greedy_select_views,
+    materialize_selection,
+)
 from repro.workload.generator import generate_fact_rows
 from repro.workload.paper_queries import PAPER_MDX
 from repro.workload.paper_schema import PaperConfig, build_paper_database
@@ -39,9 +42,9 @@ def main() -> None:
             f"of reading)"
         )
 
-    # 3. Cube build with derivation chaining.
-    report = build_cube(db, selection.views)
-    print("\n" + report.describe(db.schema))
+    # 3. Build the selection, finest view first.
+    created = materialize_selection(db, selection)
+    print("\nmaterialized, finest first:", ", ".join(created))
     db.index_all_dimensions("ABCD", dim_names=("A", "B", "C"))
 
     # 4. ANALYZE: measured selectivities for the optimizer.

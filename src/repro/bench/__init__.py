@@ -6,12 +6,10 @@ from .harness import (
     ForcedRun,
     SharingRow,
     run_algorithm_comparison,
+    run_figure,
     run_forced_class,
     run_separately,
-    run_test1_shared_scan,
-    run_test2_shared_index,
-    run_test3_hybrid,
-    table1_rows,
+    run_sharing_sweep,
 )
 from .history import (
     DEFAULT_THRESHOLDS,
@@ -23,7 +21,7 @@ from .history import (
     default_record_path,
     record_run,
 )
-from .reporting import format_series, format_table
+from .reporting import format_table
 
 __all__ = [
     "AlgorithmRow",
@@ -38,13 +36,10 @@ __all__ = [
     "database_fingerprint",
     "default_record_path",
     "record_run",
-    "format_series",
     "format_table",
     "run_algorithm_comparison",
+    "run_figure",
     "run_forced_class",
     "run_separately",
-    "run_test1_shared_scan",
-    "run_test2_shared_index",
-    "run_test3_hybrid",
-    "table1_rows",
+    "run_sharing_sweep",
 ]

@@ -2,25 +2,26 @@
 
 Tests 1–3 (Figures 10–12) measure the shared operators against separate
 execution with *forced* plans, exactly as the paper forces join method and
-base table per test.  Tests 4–7 (Table 2) compare the global plans produced
-by TPLO, ETPLG, GG, and the exact optimal planner.
+base table per test: :func:`run_figure` runs one entry of
+:data:`~repro.workload.paper_queries.PAPER_FIGURES` through the one sharing
+sweep.  Tests 4–7 (Table 2) compare the global plans the optimizers produce:
+:func:`run_algorithm_comparison` is the one loop that plans and executes a
+query set per algorithm — the calibration sweep ledgers its rows.
 
-All functions return structured rows (also printable with
-:mod:`repro.bench.reporting`) so benchmark code can assert the paper's
-qualitative shapes.
+Everything here reads the simulated clock only; wall time is ``perf/``'s.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
-from ..core.executor import run_class_accounted
+from ..core.executor import ExecutionReport, run_class_accounted
 from ..core.operators.results import QueryResult
 from ..core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from ..engine.database import Database
 from ..schema.query import GroupByQuery
+from ..workload.paper_queries import PAPER_FIGURES, paper_queries
 
 
 @dataclass
@@ -32,7 +33,6 @@ class ForcedRun:
     cpu_ms: float
     rand_page_reads: int
     seq_page_reads: int
-    wall_s: float
     results: List[QueryResult]
 
 
@@ -44,7 +44,7 @@ def run_forced_class(
     cold: bool = True,
 ) -> ForcedRun:
     """Execute ``queries`` on ``source`` with the given join methods as one
-    class (sharing applies), measuring simulated and wall time.
+    class (sharing applies), measuring simulated time.
 
     A cold run gets a private pool and clock (``db.ctx(private=True)``, the
     plan executor's cold discipline) folded back into the database's clock;
@@ -57,9 +57,7 @@ def run_forced_class(
     plan_class = PlanClass(source=source, plans=plans)
     ctx = db.ctx(private=cold)
     before = ctx.stats.snapshot()
-    started = time.perf_counter()
     results, _actuals = run_class_accounted(ctx, plan_class)
-    wall_s = time.perf_counter() - started
     delta = ctx.stats.delta_since(before)
     if cold:
         db.stats.merge_from(delta)
@@ -69,7 +67,6 @@ def run_forced_class(
         cpu_ms=delta.cpu_ms,
         rand_page_reads=delta.rand_page_reads,
         seq_page_reads=delta.seq_page_reads,
-        wall_s=wall_s,
         results=results,
     )
 
@@ -82,7 +79,7 @@ def run_separately(
 ) -> ForcedRun:
     """Execute each query in its own cold run (the paper's dotted bars) and
     sum the measurements."""
-    total = ForcedRun(0.0, 0.0, 0.0, 0, 0, 0.0, [])
+    total = ForcedRun(0.0, 0.0, 0.0, 0, 0, [])
     for query, method in zip(queries, methods):
         run = run_forced_class(db, source, [query], [method], cold=True)
         total.sim_ms += run.sim_ms
@@ -90,7 +87,6 @@ def run_separately(
         total.cpu_ms += run.cpu_ms
         total.rand_page_reads += run.rand_page_reads
         total.seq_page_reads += run.seq_page_reads
-        total.wall_s += run.wall_s
         total.results.extend(run.results)
     return total
 
@@ -99,78 +95,46 @@ def run_separately(
 class SharingRow:
     """One bar pair of Figures 10–12: k queries, separate vs shared."""
 
+    HEADERS = ("queries", "separate sim-ms", "shared sim-ms", "speedup")
+
     n_queries: int
     separate_ms: float
     shared_ms: float
     separate_io_ms: float
     shared_io_ms: float
-    separate_wall_s: float
-    shared_wall_s: float
 
     @property
     def speedup(self) -> float:
         """separate/shared simulated-time ratio (0 when shared is 0)."""
         return self.separate_ms / self.shared_ms if self.shared_ms else 0.0
 
+    def cells(self) -> tuple:
+        """The printed table row under :attr:`HEADERS`."""
+        return (
+            self.n_queries, self.separate_ms, self.shared_ms,
+            f"{self.speedup:.2f}x",
+        )
 
-def _sharing_sweep(
+
+def run_sharing_sweep(
     db: Database,
     source: str,
-    queries: Sequence[GroupByQuery],
-    methods: Sequence[JoinMethod],
+    fixed: Sequence[GroupByQuery],
+    added: Sequence[GroupByQuery],
+    method: JoinMethod,
 ) -> List[SharingRow]:
+    """The ``fixed`` queries (hash joins) plus the first k of ``added``
+    (each forced to ``method``) on ``source``, run separately and as one
+    class, for every k — starting at k = 0 only when something is fixed."""
     rows: List[SharingRow] = []
-    for k in range(1, len(queries) + 1):
-        subset = list(queries[:k])
-        sub_methods = list(methods[:k])
-        separate = run_separately(db, source, subset, sub_methods)
-        shared = run_forced_class(db, source, subset, sub_methods)
-        _check_same_results(separate.results, shared.results)
-        rows.append(
-            SharingRow(
-                n_queries=k,
-                separate_ms=separate.sim_ms,
-                shared_ms=shared.sim_ms,
-                separate_io_ms=separate.io_ms,
-                shared_io_ms=shared.io_ms,
-                separate_wall_s=separate.wall_s,
-                shared_wall_s=shared.wall_s,
-            )
-        )
-    return rows
-
-
-def run_test1_shared_scan(
-    db: Database, queries: Sequence[GroupByQuery], source: str = "ABCD"
-) -> List[SharingRow]:
-    """Test 1 / Figure 10: Queries 1–4 forced to hash joins on ABCD."""
-    return _sharing_sweep(db, source, queries, [JoinMethod.HASH] * len(queries))
-
-
-def run_test2_shared_index(
-    db: Database, queries: Sequence[GroupByQuery], source: str = "A'B'C'D"
-) -> List[SharingRow]:
-    """Test 2 / Figure 11: Queries 5–8 forced to index joins on A'B'C'D."""
-    return _sharing_sweep(db, source, queries, [JoinMethod.INDEX] * len(queries))
-
-
-def run_test3_hybrid(
-    db: Database,
-    hash_queries: Sequence[GroupByQuery],
-    index_queries: Sequence[GroupByQuery],
-    source: str = "A'B'C'D",
-) -> List[SharingRow]:
-    """Test 3 / Figure 12: hash queries plus index queries added one at a
-    time, sharing one scan of the base table."""
-    rows: List[SharingRow] = []
-    for k in range(len(index_queries) + 1):
-        queries = list(hash_queries) + list(index_queries[:k])
-        methods = [JoinMethod.HASH] * len(hash_queries) + [
-            JoinMethod.INDEX
-        ] * k
+    for k in range(0 if fixed else 1, len(added) + 1):
+        queries = [*fixed, *added[:k]]
+        methods = [JoinMethod.HASH] * len(fixed) + [method] * k
         separate = run_separately(db, source, queries, methods)
         shared = run_forced_class(db, source, queries, methods)
-        _check_same_results(separate.results, shared.results)
+        _check_same_results(
+            separate.results, shared.results, "shared and separate execution"
+        )
         rows.append(
             SharingRow(
                 n_queries=len(queries),
@@ -178,24 +142,42 @@ def run_test3_hybrid(
                 shared_ms=shared.sim_ms,
                 separate_io_ms=separate.io_ms,
                 shared_io_ms=shared.io_ms,
-                separate_wall_s=separate.wall_s,
-                shared_wall_s=shared.wall_s,
             )
         )
     return rows
 
 
+def run_figure(db: Database, key: str) -> List[SharingRow]:
+    """One of Figures 10–12, as :data:`PAPER_FIGURES` states it."""
+    spec, qs = PAPER_FIGURES[key], paper_queries(db.schema)
+    return run_sharing_sweep(
+        db, spec.source, [qs[i] for i in spec.fixed],
+        [qs[i] for i in spec.added], spec.method,
+    )
+
+
 @dataclass
 class AlgorithmRow:
-    """One cell row of Table 2: one algorithm's plan on one MDX expression."""
+    """One algorithm's plan for one query set, estimated and executed: a
+    row of Table 2, and a plan outcome of the calibration sweep."""
+
+    HEADERS = ("algorithm", "est sim-ms", "exec sim-ms", "classes", "plan")
 
     algorithm: str
     est_ms: float
     sim_ms: float
-    wall_s: float
     n_classes: int
     plan: str
-    results: Dict[int, QueryResult] = field(repr=False, default_factory=dict)
+    test: str = ""
+    #: The execution behind ``sim_ms`` (per-class actuals, results).
+    report: Optional[ExecutionReport] = field(repr=False, default=None)
+
+    def cells(self) -> tuple:
+        """The printed table row under :attr:`HEADERS`."""
+        return (
+            self.algorithm, self.est_ms, self.sim_ms, self.n_classes,
+            self.plan,
+        )
 
 
 DEFAULT_ALGORITHMS = ("tplo", "etplg", "gg", "optimal")
@@ -205,54 +187,42 @@ def run_algorithm_comparison(
     db: Database,
     queries: Sequence[GroupByQuery],
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    test: str = "",
 ) -> List[AlgorithmRow]:
-    """Tests 4–7 / Table 2: plan + execute one query set with each
-    algorithm, verifying every algorithm returns identical answers."""
+    """Plan + execute (cold) one query set with each algorithm, verifying
+    every algorithm returns identical answers.  ``test`` names the query
+    set on the rows."""
     rows: List[AlgorithmRow] = []
-    reference: Optional[Dict[int, QueryResult]] = None
     for algorithm in algorithms:
         plan = db.optimize(list(queries), algorithm)
         report = db.execute(plan)
-        results = report.results
-        if reference is None:
-            reference = results
-        else:
-            for qid, result in results.items():
-                if not result.approx_equals(reference[qid]):
-                    raise AssertionError(
-                        f"{algorithm} returned different answers for "
-                        f"{result.query.display_name()}"
-                    )
+        if rows:
+            _check_same_results(
+                report.results.values(), rows[0].report.results.values(),
+                f"{algorithm} and {rows[0].algorithm}",
+            )
         rows.append(
             AlgorithmRow(
                 algorithm=algorithm,
                 est_ms=plan.est_cost_ms,
                 sim_ms=report.sim_ms,
-                wall_s=report.wall_s,
                 n_classes=len(plan.classes),
-                plan="; ".join(
-                    f"{cls.source}({'+'.join(p.method.name[0] for p in cls.plans)})"
-                    for cls in plan.classes
-                ),
-                results=results,
+                plan=plan.signature,
+                test=test,
+                report=report,
             )
         )
     return rows
 
 
-def table1_rows(db: Database) -> List[Tuple[str, int, int]]:
-    """Table 1: materialized group-by sizes (name, rows, pages)."""
-    return db.table_report()
-
-
 def _check_same_results(
-    left: Sequence[QueryResult], right: Sequence[QueryResult]
+    left: Iterable[QueryResult], right: Iterable[QueryResult], who: str
 ) -> None:
     by_qid = {r.query.qid: r for r in right}
     for result in left:
         twin = by_qid.get(result.query.qid)
         if twin is None or not result.approx_equals(twin):
             raise AssertionError(
-                f"shared and separate execution disagree for "
+                f"{who} returned different answers for "
                 f"{result.query.display_name()}"
             )

@@ -11,9 +11,9 @@ behavioural change, not noise.
 
 :func:`compare_records` is the regression gate: it walks the shared
 metrics of two records and flags every one that moved past its per-metric
-threshold (:data:`DEFAULT_THRESHOLDS`).  Wall-clock fields are recorded
-for context but never gated — only the deterministic cost clock and the
-calibration summary gate.
+threshold (:data:`DEFAULT_THRESHOLDS`).  A record holds the deterministic
+cost clock and the calibration summary only; wall time is measured by
+``perf/run.py``.
 
 CLI: ``repro bench --record`` / ``repro bench --compare --baseline FILE``.
 """
@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
+from ..engine.database import Database
 from ..obs.analyze import run_calibration
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..engine.database import Database
+from ..workload.paper_queries import PAPER_FIGURES
+from ..workload.paper_schema import build_paper_database
+from .harness import run_figure
 
 PathLike = Union[str, Path]
 
@@ -51,12 +52,10 @@ DEFAULT_THRESHOLDS: Dict[str, float] = {
 }
 
 
-def database_fingerprint(db: "Database", scale: Optional[float] = None) -> dict:
+def database_fingerprint(db: Database, scale: Optional[float] = None) -> dict:
     """Schema + configuration identity of a run: two records gate against
     each other only when their fingerprints match (same dimensions, same
     tables, same cost rates — otherwise cost deltas are meaningless)."""
-    from dataclasses import asdict
-
     schema = db.schema
     out = {
         "schema": schema.name,
@@ -102,27 +101,20 @@ class RunRecord:
     tests: Dict[str, List[dict]] = field(default_factory=dict)
     #: Calibration summary (see CalibrationReport.summary()).
     calibration: dict = field(default_factory=dict)
-    #: Historical field.  Until the per-tuple operators were deleted the
-    #: engine had two execution paths and this recorded which one ran:
-    #: True = columnar kernels (the only path now; new records always
-    #: carry True), False = the per-tuple path (``BENCH_seed.json``, the
-    #: preserved A/B baseline), None = recorded before the flag existed.
-    #: Deliberately *not* part of the fingerprint — both paths produced
-    #: the same simulated costs, so their records gate against each other.
-    kernels: Optional[bool] = None
     #: Identity of the calibration profile the run was recorded under
     #: (``{"label", "digest"}``), or None for hand-set default rates.
-    #: Unlike ``kernels`` this IS mirrored in the fingerprint: fitted
-    #: rates change simulated costs, so profiled and unprofiled records
-    #: must never gate each other.
+    #: Mirrored in the fingerprint: fitted rates change simulated costs, so
+    #: profiled and unprofiled records must never gate each other.
     profile: Optional[dict] = None
-    #: Wall-clock seconds (context only, never gated):
-    #: ``{"figures_s", "calibration_s", "total_s"}``.
+    #: Retired fields (which of two since-merged execution paths ran;
+    #: coarse wall-clock totals).  Nothing sets them any more; records that
+    #: carry them still load, validate and write them back.
+    kernels: Optional[bool] = None
     wall: Dict[str, float] = field(default_factory=dict)
     version: int = RECORD_VERSION
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "version": self.version,
             "label": self.label,
             "created_at": self.created_at,
@@ -134,6 +126,11 @@ class RunRecord:
             "tests": self.tests,
             "calibration": self.calibration,
         }
+        if self.kernels is None:
+            del out["kernels"]
+        if not self.wall:
+            del out["wall"]
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -234,7 +231,7 @@ def default_record_path(label: str, directory: Optional[PathLike] = None) -> Pat
 
 
 def record_run(
-    db: Optional["Database"] = None,
+    db: Optional[Database] = None,
     label: str = "paper",
     scale: float = 0.01,
     tests: Optional[Sequence[str]] = None,
@@ -246,79 +243,48 @@ def record_run(
 
     ``db`` defaults to a freshly built paper database at ``scale``.
     ``tests`` restricts the calibration/Table-2 sweep (see
-    :data:`repro.obs.analyze.CALIBRATION_TESTS`); ``figures=False`` skips
-    the Figures 10–12 sharing sweeps (the slow part at larger scales).
+    :data:`repro.workload.paper_queries.ALL_PAPER_TESTS`); ``figures=False``
+    skips the Figures 10–12 sharing sweeps (the slow part at larger scales).
     ``profile`` (a :class:`repro.calibrate.profile.CalibrationProfile`)
     applies fitted cost rates to the database before the run and stamps the
     record — and its fingerprint — with the profile's identity.
     """
-    from ..workload.paper_queries import paper_queries
-    from .harness import (
-        run_test1_shared_scan,
-        run_test2_shared_index,
-        run_test3_hybrid,
-    )
-
     if db is None:
-        from ..workload.paper_schema import build_paper_database
-
         db = build_paper_database(scale=scale)
     if profile is not None:
         db.apply_profile(profile)
     active_profile = db.calibration_profile
-    started = time.perf_counter()
     record = RunRecord(
         label=label,
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         fingerprint=database_fingerprint(db, scale=scale),
-        kernels=True,
         profile=(
             active_profile.identity() if active_profile is not None else None
         ),
     )
-    queries = paper_queries(db.schema)
     if figures:
-        sweeps = {
-            "fig10_shared_scan": run_test1_shared_scan(
-                db, [queries[i] for i in (1, 2, 3, 4)]
-            ),
-            "fig11_shared_index": run_test2_shared_index(
-                db, [queries[i] for i in (5, 8, 6, 7)]
-            ),
-            "fig12_hybrid": run_test3_hybrid(
-                db, [queries[3]], [queries[5], queries[6], queries[7]]
-            ),
-        }
-        for name, rows in sweeps.items():
-            record.figures[name] = [
+        for key in PAPER_FIGURES:
+            record.figures[key] = [
                 {
                     "n_queries": row.n_queries,
                     "separate_ms": round(row.separate_ms, 3),
                     "shared_ms": round(row.shared_ms, 3),
                     "speedup": round(row.speedup, 4),
-                    "separate_wall_s": round(row.separate_wall_s, 6),
-                    "shared_wall_s": round(row.shared_wall_s, 6),
                 }
-                for row in rows
+                for row in run_figure(db, key)
             ]
-        record.wall["figures_s"] = round(time.perf_counter() - started, 6)
-    calibration_started = time.perf_counter()
     calibration = run_calibration(db, tests=tests, algorithms=algorithms)
     record.calibration = calibration.summary()
-    record.wall["calibration_s"] = round(
-        time.perf_counter() - calibration_started, 6
-    )
-    for outcome in calibration.plans:
-        record.tests.setdefault(outcome.test, []).append(
+    for row in calibration.plans:
+        record.tests.setdefault(row.test, []).append(
             {
-                "algorithm": outcome.algorithm,
-                "est_ms": round(outcome.est_ms, 3),
-                "sim_ms": round(outcome.actual_ms, 3),
-                "n_classes": outcome.plan.count(";") + 1 if outcome.plan else 0,
-                "plan": outcome.plan,
+                "algorithm": row.algorithm,
+                "est_ms": round(row.est_ms, 3),
+                "sim_ms": round(row.sim_ms, 3),
+                "n_classes": row.n_classes,
+                "plan": row.plan,
             }
         )
-    record.wall["total_s"] = round(time.perf_counter() - started, 6)
     return record
 
 

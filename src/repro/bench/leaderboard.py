@@ -1,12 +1,11 @@
 """Markdown leaderboard over committed benchmark records.
 
 The repo commits one ``BENCH_<label>.json`` per tracked configuration
-(e.g. ``BENCH_seed.json``, recorded on the since-deleted per-tuple path,
-and ``BENCH_kernels.json`` for the columnar kernels).  :func:`load_records`
-collects every such file in a directory and :func:`render_leaderboard`
-turns them into the markdown table embedded in ``docs/performance.md`` —
-simulated costs side by side (they matched between the two paths) with
-the wall-clock column showing the real win.
+(``BENCH_kernels.json`` on the hand-set default rates,
+``BENCH_calibrated.json`` under ``PROFILE_paper.json``).
+:func:`load_records` collects every such file in a directory and
+:func:`render_leaderboard` turns them into the markdown table embedded in
+``docs/performance.md`` — simulated costs and plan quality side by side.
 
 CLI: ``repro bench --leaderboard [--dir DIR] [--output FILE]``.
 """
@@ -17,10 +16,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .history import PathLike, RunRecord
-
-#: Display names for the (historical) RunRecord.kernels tri-state.
-_PATH_NAMES = {True: "kernels", False: "tuple", None: "?"}
-
+from .reporting import format_markdown_table
 
 def load_records(
     directory: Optional[PathLike] = None,
@@ -63,10 +59,6 @@ def _algo_sim_total(
     return round(total, 3) if seen else None
 
 
-def _gg_sim_total(record: RunRecord) -> Optional[float]:
-    return _algo_sim_total(record, "gg")
-
-
 def _best_speedup(record: RunRecord) -> Optional[float]:
     """Largest shared-vs-separate speedup across the figure sweeps."""
     best: Optional[float] = None
@@ -101,7 +93,7 @@ def render_plan_quality(
     written before the per-algorithm summary existed are skipped; an empty
     result is the empty string so the caller can splice it conditionally.
     """
-    lines: List[str] = []
+    rows: List[tuple] = []
     for path, record in sorted(records, key=lambda item: str(item[0])):
         algos = record.calibration.get("algorithms")
         if not isinstance(algos, dict) or not algos:
@@ -110,8 +102,8 @@ def render_plan_quality(
             row = algos[name]
             if not isinstance(row, dict):
                 continue
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} |".format(
+            rows.append(
+                (
                     Path(path).name,
                     name,
                     _cell(row.get("n_classes")),
@@ -120,57 +112,45 @@ def render_plan_quality(
                     _cell(row.get("misrankings")),
                 )
             )
-    if not lines:
+    if not rows:
         return ""
-    header = [
-        "| record | algorithm | classes | q-error p50 | q-error p95 "
-        "| mispreferred |",
-        "|---|---|---|---|---|---|",
-    ]
-    return "\n".join(header + lines)
+    return format_markdown_table(
+        ["record", "algorithm", "classes", "q-error p50", "q-error p95",
+         "mispreferred"],
+        rows,
+    )
 
 
 def render_leaderboard(
     records: Sequence[Tuple[PathLike, RunRecord]],
 ) -> str:
-    """The leaderboard as markdown, fastest wall clock first: the headline
-    table, then (when any record carries per-algorithm calibration data)
-    the plan-quality table.
+    """The leaderboard as markdown, by record name: the headline table,
+    then (when any record carries per-algorithm calibration data) the
+    plan-quality table.
 
     Simulated columns are byte-comparable across rows that share a
-    fingerprint; wall seconds are environment-dependent context.  The
-    ``profile`` column names the calibration profile a record ran under
-    (``label@digest``), ``-`` for hand-set default rates.
+    fingerprint.  The ``profile`` column names the calibration profile a
+    record ran under (``label@digest``), ``-`` for hand-set default rates.
     """
     if not records:
         raise ValueError("no benchmark records to render")
-
-    def sort_key(item: Tuple[PathLike, RunRecord]) -> Tuple[int, float, str]:
-        path, record = item
-        wall = record.wall.get("total_s")
-        return (wall is None, wall if wall is not None else 0.0, str(path))
-
-    lines = [
-        "| record | path | profile | recorded | wall s | gg sim-ms "
-        "| dag sim-ms | best speedup | q-error p95 | misrankings |",
-        "|---|---|---|---|---|---|---|---|---|---|",
-    ]
-    for path, record in sorted(records, key=sort_key):
-        lines.append(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
+    table = format_markdown_table(
+        ["record", "profile", "recorded", "gg sim-ms", "dag sim-ms",
+         "best speedup", "q-error p95", "misrankings"],
+        [
+            (
                 Path(path).name,
-                _PATH_NAMES.get(record.kernels, "?"),
                 _cell(_profile_name(record)),
                 record.created_at or "-",
-                _cell(record.wall.get("total_s"), "{:.2f}"),
-                _cell(_gg_sim_total(record), "{:.1f}"),
+                _cell(_algo_sim_total(record, "gg"), "{:.1f}"),
                 _cell(_algo_sim_total(record, "dag"), "{:.1f}"),
                 _cell(_best_speedup(record), "{:.2f}x"),
                 _cell(record.calibration.get("q_error_p95")),
                 _cell(record.calibration.get("misrankings")),
             )
-        )
-    table = "\n".join(lines)
+            for path, record in sorted(records, key=lambda item: str(item[0]))
+        ],
+    )
     quality = render_plan_quality(records)
     if quality:
         table += "\n\nPer-algorithm plan quality (mispreferred = misrankings "

@@ -1,4 +1,4 @@
-"""Plain-text tables for benchmark output (paper-style rows)."""
+"""Plain-text and markdown tables for benchmark output (paper-style rows)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ def format_table(
     """Render an aligned ASCII table."""
     str_rows: List[List[str]] = []
     for row in rows:
-        str_rows.append([_cell(value) for value in row])
+        str_rows.append([format_cell(value) for value in row])
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
@@ -26,15 +26,21 @@ def format_table(
     return "\n".join(lines)
 
 
-def _cell(value: object) -> str:
+def format_cell(value: object) -> str:
+    """One table cell: floats to one decimal, anything else as ``str``."""
     if isinstance(value, float):
         return f"{value:.1f}"
     return str(value)
 
 
-def format_series(
-    label: str, xs: Sequence[object], ys: Sequence[float]
+def format_markdown_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> str:
-    """One named series, e.g. for a figure's bars."""
-    points = ", ".join(f"{x}={y:.1f}" for x, y in zip(xs, ys))
-    return f"{label}: {points}"
+    """Render a markdown table (cells formatted as :func:`format_table`'s)."""
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "|" + "|".join("---" for _ in headers) + "|",
+    ]
+    for row in rows:
+        lines.append("| " + " | ".join(format_cell(v) for v in row) + " |")
+    return "\n".join(lines)

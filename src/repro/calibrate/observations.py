@@ -84,9 +84,8 @@ class Observation:
 
 def class_key(plan_class: "PlanClass") -> str:
     """Canonical identity of a class shape (source, methods, sorted qids)."""
-    methods = "+".join(p.method.name[0] for p in plan_class.plans)
     qids = ",".join(str(q) for q in sorted(p.query.qid for p in plan_class.plans))
-    return f"{plan_class.source}|{methods}|{qids}"
+    return f"{plan_class.source}|{plan_class.method_signature}|{qids}"
 
 
 def basis_models(db: "Database") -> List[CostModel]:

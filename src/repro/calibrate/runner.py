@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..obs.analyze import (
-    CALIBRATION_TESTS,
     CalibrationReport,
     calibration_algorithms,
     run_calibration,
 )
+from ..workload.paper_queries import ALL_PAPER_TESTS
 from .fitter import (
     DEFAULT_BOUNDS,
     DEFAULT_ITERATIONS,
@@ -144,10 +144,10 @@ class CalibrationOutcome:
                     lines.append(
                         f"  {miss.test}: {miss.cheap_est.algorithm} "
                         f"(est {miss.cheap_est.est_ms:.1f}, "
-                        f"sim {miss.cheap_est.actual_ms:.1f}) ranked below "
+                        f"sim {miss.cheap_est.sim_ms:.1f}) ranked below "
                         f"{miss.cheap_actual.algorithm} "
                         f"(est {miss.cheap_actual.est_ms:.1f}, "
-                        f"sim {miss.cheap_actual.actual_ms:.1f})"
+                        f"sim {miss.cheap_actual.sim_ms:.1f})"
                     )
                 blocks.append("\n".join(lines))
             else:
@@ -185,7 +185,7 @@ def fit_database(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if algorithms is None:
         algorithms = calibration_algorithms()
-    test_names = tuple(tests) if tests is not None else tuple(CALIBRATION_TESTS)
+    test_names = tuple(tests) if tests is not None else tuple(ALL_PAPER_TESTS)
     base_rates = db.stats.rates
     models = basis_models(db)
     observations = ObservationSet()

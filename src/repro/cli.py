@@ -22,18 +22,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .bench.harness import (
+    AlgorithmRow,
+    SharingRow,
     run_algorithm_comparison,
-    run_test1_shared_scan,
-    run_test2_shared_index,
-    run_test3_hybrid,
+    run_figure,
 )
 from .bench.reporting import format_table
 from .engine.view_selection import greedy_select_views, materialize_selection
 from .mdx import translate_mdx
-from .workload.paper_queries import PAPER_TESTS, paper_queries
+from .workload.paper_queries import (
+    ALL_PAPER_TESTS,
+    PAPER_FIGURES,
+    PAPER_TESTS,
+    paper_queries,
+)
 from .workload.paper_schema import build_paper_database
 
 from .core.optimizer import OPTIMIZERS
@@ -183,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scale(calibrate)
     calibrate.add_argument(
         "--tests", default=None,
-        help="comma-separated subset of: " + ", ".join(PAPER_TESTS),
+        help="comma-separated subset of: " + ", ".join(ALL_PAPER_TESTS),
     )
     calibrate.add_argument(
         "--fit", action="store_true",
@@ -236,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--tests", default=None,
         help="restrict the calibration sweep to a comma-separated subset "
-        "of: " + ", ".join(PAPER_TESTS),
+        "of: " + ", ".join(ALL_PAPER_TESTS),
     )
     bench.add_argument(
         "--no-figures", action="store_true",
@@ -388,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics_cmd.add_argument(
         "--test", default="test4",
         help="paper test whose queries populate the registry "
-        "(default test4); one of: " + ", ".join(PAPER_TESTS),
+        "(default test4); one of: " + ", ".join(ALL_PAPER_TESTS),
     )
     metrics_cmd.add_argument(
         "--algorithm", default="gg", choices=ALGORITHMS,
@@ -510,12 +515,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    names = [t.strip() for t in args.tests.split(",") if t.strip()]
-    unknown = [t for t in names if t not in PAPER_TESTS]
-    if unknown:
-        raise CliError(
-            f"unknown tests {unknown}; choose from {list(PAPER_TESTS)}"
-        )
+    names = _parse_tests(args.tests, PAPER_TESTS)
     db = _build_db(args)
     db.paranoia = args.paranoia
     if args.paranoia:
@@ -530,11 +530,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print()
         print(
             format_table(
-                ["algorithm", "est sim-ms", "exec sim-ms", "classes", "plan"],
-                [
-                    (r.algorithm, r.est_ms, r.sim_ms, r.n_classes, r.plan)
-                    for r in rows
-                ],
+                AlgorithmRow.HEADERS,
+                [r.cells() for r in rows],
                 title=f"{test_name} (Queries {ids})",
             )
         )
@@ -543,31 +540,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     db = _build_db(args)
-    qs = paper_queries(db.schema)
-    for title, rows in [
-        (
-            "Figure 10 - shared scan (Q1-4 hash on ABCD)",
-            run_test1_shared_scan(db, [qs[i] for i in (1, 2, 3, 4)]),
-        ),
-        (
-            "Figure 11 - shared index (Q5,8,6,7 on A'B'C'D)",
-            run_test2_shared_index(db, [qs[i] for i in (5, 8, 6, 7)]),
-        ),
-        (
-            "Figure 12 - hybrid (Q3 hash + Q5,6,7 index on A'B'C'D)",
-            run_test3_hybrid(db, [qs[3]], [qs[5], qs[6], qs[7]]),
-        ),
-    ]:
+    for key, spec in PAPER_FIGURES.items():
         print()
         print(
             format_table(
-                ["queries", "separate sim-ms", "shared sim-ms", "speedup"],
-                [
-                    (r.n_queries, r.separate_ms, r.shared_ms,
-                     f"{r.speedup:.2f}x")
-                    for r in rows
-                ],
-                title=title,
+                SharingRow.HEADERS,
+                [r.cells() for r in run_figure(db, key)],
+                title=spec.title,
             )
         )
     return 0
@@ -601,15 +580,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tests(spec: Optional[str]) -> Optional[List[str]]:
+def _parse_tests(
+    spec: Optional[str], known: Dict[str, List[int]] = ALL_PAPER_TESTS
+) -> Optional[List[str]]:
+    """A comma-separated ``--tests`` value as names of ``known`` — the table
+    the sweep underneath accepts — or a usage error listing it."""
     if spec is None:
         return None
     names = [t.strip() for t in spec.split(",") if t.strip()]
-    unknown = [t for t in names if t not in PAPER_TESTS]
+    unknown = [t for t in names if t not in known]
     if unknown:
-        raise CliError(
-            f"unknown tests {unknown}; choose from {list(PAPER_TESTS)}"
-        )
+        raise CliError(f"unknown tests {unknown}; choose from {list(known)}")
     return names
 
 
@@ -720,13 +701,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     from .obs.metrics import default_registry
 
-    if args.test not in PAPER_TESTS:
+    if args.test not in ALL_PAPER_TESTS:
         raise CliError(
-            f"unknown test {args.test!r}; choose from {list(PAPER_TESTS)}"
+            f"unknown test {args.test!r}; choose from {list(ALL_PAPER_TESTS)}"
         )
     db = _build_db(args)
     qs = paper_queries(db.schema)
-    queries = [qs[i] for i in PAPER_TESTS[args.test]]
+    queries = [qs[i] for i in ALL_PAPER_TESTS[args.test]]
     plan = db.optimize(queries, args.algorithm)
     db.execute(plan)
 

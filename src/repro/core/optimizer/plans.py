@@ -74,6 +74,11 @@ class PlanClass:
         return [plan.method for plan in self.plans]
 
     @property
+    def method_signature(self) -> str:
+        """The join methods by initial, in plan order: ``H+H+I``."""
+        return "+".join(plan.method.name[0] for plan in self.plans)
+
+    @property
     def is_pure_hash(self) -> bool:
         """True when every plan in the class is a hash join."""
         return all(p.method is JoinMethod.HASH for p in self.plans)
@@ -197,6 +202,13 @@ class GlobalPlan:
     def n_queries(self) -> int:
         """Number of queries the plan covers."""
         return sum(len(cls.plans) for cls in self.classes)
+
+    @property
+    def signature(self) -> str:
+        """Every class's source and join methods: ``ABCD(H+H); A'B'C'D(I)``."""
+        return "; ".join(
+            f"{cls.source}({cls.method_signature})" for cls in self.classes
+        )
 
     def plan_for(self, query: GroupByQuery) -> LocalPlan:
         """The local plan of one query (KeyError if absent)."""

@@ -1,5 +1,5 @@
 """Database facade and warehouse lifecycle: loading, materialization
-(including cube builds and greedy view selection), indexing, statistics,
+(including greedy view selection), indexing, statistics,
 incremental maintenance, sessions, and optimize + execute."""
 
 from .advisor import (
@@ -9,8 +9,6 @@ from .advisor import (
     attach_log,
     recommend_views,
 )
-from .csvload import CsvLoadError, load_csv, rows_from_csv
-from .cube import BuildStep, CubeBuildReport, build_cube, plan_cube_build
 from .database import Database
 from .result_cache import ResultCache, attach_cache
 from .maintenance import MaintenanceError, append_rows
@@ -34,10 +32,7 @@ from .view_selection import (
 )
 
 __all__ = [
-    "BuildStep",
     "ColumnStats",
-    "CsvLoadError",
-    "CubeBuildReport",
     "Database",
     "MaintenanceError",
     "NavigationError",
@@ -55,22 +50,18 @@ __all__ = [
     "apply_recommendation",
     "attach_cache",
     "attach_log",
-    "build_cube",
     "build_groupby_table",
     "compute_groupby",
     "drill_down",
     "evaluate_reference",
     "greedy_select_views",
     "level_column",
-    "load_csv",
     "load_database",
     "materialize_selection",
     "pick_materialization_source",
-    "plan_cube_build",
     "query_key",
     "recommend_views",
     "roll_up",
-    "rows_from_csv",
     "save_database",
     "slice_member",
     "to_sql",

@@ -152,14 +152,20 @@ def workload_cost(
     return total
 
 
-def materialize_selection(db, selection: ViewSelection) -> List[str]:
-    """Materialize every selected view in ``db``; returns the table names.
+def materialize_selection(
+    db, selection: "ViewSelection | Iterable[GroupBy]"
+) -> List[str]:
+    """Materialize every selected view (a :class:`ViewSelection` or plain
+    group-bys) that ``db`` does not hold yet; returns the new table names.
 
-    Views are created finest-first so later (coarser) ones can derive from
-    earlier ones instead of re-scanning the base table.
+    Views are created finest-first so later (coarser) ones derive from the
+    smallest table that can feed them — base, existing view or earlier
+    target (:func:`~repro.engine.materialize.pick_materialization_source`)
+    — instead of re-scanning the base table.
     """
+    views = selection.views if isinstance(selection, ViewSelection) else selection
     names: List[str] = []
-    ordered = sorted(selection.views, key=lambda v: (v.level_sum(), v.levels))
+    ordered = sorted(views, key=lambda v: (v.level_sum(), v.levels))
     for view in ordered:
         name = view.name(db.schema)
         if name in db.catalog:

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from .metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..bench.harness import AlgorithmRow
     from ..core.executor import ClassExecution, ExecutionReport
     from ..engine.database import Database
 
@@ -231,19 +232,6 @@ def account_report(report: "ExecutionReport") -> List[ClassAccounting]:
 
 # -- calibration over the paper workload -------------------------------------
 
-#: Query ids of every paper test: Tests 1–3 are the figure workloads
-#: (Sections 7.4, forced plans in the figures; free plans here), Tests 4–7
-#: the Table 2 MDX expressions.
-CALIBRATION_TESTS: Dict[str, List[int]] = {
-    "test1": [1, 2, 3, 4],
-    "test2": [5, 8, 6, 7],
-    "test3": [3, 5, 6, 7],
-    "test4": [1, 2, 3],
-    "test5": [2, 3, 5],
-    "test6": [6, 7, 8],
-    "test7": [1, 7, 9],
-}
-
 def calibration_algorithms() -> Tuple[str, ...]:
     """Algorithms swept by calibration, derived from the optimizer registry.
 
@@ -282,17 +270,6 @@ class CalibrationRow:
 
 
 @dataclass
-class PlanOutcome:
-    """One whole plan's estimated and measured cost in one test."""
-
-    test: str
-    algorithm: str
-    est_ms: float
-    actual_ms: float
-    plan: str
-
-
-@dataclass
 class Misranking:
     """The model preferred ``cheap_est`` but execution preferred the other.
 
@@ -301,8 +278,8 @@ class Misranking:
     """
 
     test: str
-    cheap_est: PlanOutcome
-    cheap_actual: PlanOutcome
+    cheap_est: "AlgorithmRow"
+    cheap_actual: "AlgorithmRow"
 
     @property
     def est_gap(self) -> float:
@@ -314,9 +291,9 @@ class Misranking:
     @property
     def actual_gap(self) -> float:
         """Relative measured gap between the two plans."""
-        if self.cheap_est.actual_ms == 0:
+        if self.cheap_est.sim_ms == 0:
             return float("inf")
-        return self.cheap_est.actual_ms / self.cheap_actual.actual_ms - 1.0
+        return self.cheap_est.sim_ms / self.cheap_actual.sim_ms - 1.0
 
     def explanation(self) -> str:
         """Why this inversion happened, as far as the ledger can tell."""
@@ -341,7 +318,8 @@ class CalibrationReport:
     """The calibration sweep's full output."""
 
     rows: List[CalibrationRow] = field(default_factory=list)
-    plans: List[PlanOutcome] = field(default_factory=list)
+    #: One row per (test, algorithm): the whole plan's estimate vs execution.
+    plans: List["AlgorithmRow"] = field(default_factory=list)
     misrankings: List[Misranking] = field(default_factory=list)
 
     def q_error_histogram(self) -> Histogram:
@@ -430,7 +408,7 @@ class CalibrationReport:
             format_table(
                 ["test", "algorithm", "est sim-ms", "actual sim-ms", "plan"],
                 [
-                    (p.test, p.algorithm, p.est_ms, p.actual_ms, p.plan)
+                    (p.test, p.algorithm, p.est_ms, p.sim_ms, p.plan)
                     for p in self.plans
                 ],
                 title="Per-plan estimated vs actual cost",
@@ -443,8 +421,8 @@ class CalibrationReport:
                 f"(est {miss.cheap_est.est_ms:.1f}) below "
                 f"{miss.cheap_actual.algorithm} "
                 f"(est {miss.cheap_actual.est_ms:.1f}), but execution "
-                f"measured {miss.cheap_est.actual_ms:.1f} vs "
-                f"{miss.cheap_actual.actual_ms:.1f} sim-ms\n"
+                f"measured {miss.cheap_est.sim_ms:.1f} vs "
+                f"{miss.cheap_actual.sim_ms:.1f} sim-ms\n"
                 f"    => {miss.explanation()}"
             )
         if not self.misrankings:
@@ -457,7 +435,7 @@ class CalibrationReport:
 
 
 def find_misrankings(
-    plans: Sequence[PlanOutcome], margin: float = RANK_TIE_MARGIN
+    plans: Sequence["AlgorithmRow"], margin: float = RANK_TIE_MARGIN
 ) -> List[Misranking]:
     """Pairwise rank inversions between plans of the same test.
 
@@ -467,7 +445,7 @@ def find_misrankings(
     plan) have identical deterministic costs and can never invert.
     """
     misrankings: List[Misranking] = []
-    by_test: Dict[str, List[PlanOutcome]] = {}
+    by_test: Dict[str, List["AlgorithmRow"]] = {}
     for outcome in plans:
         by_test.setdefault(outcome.test, []).append(outcome)
     for test_plans in by_test.values():
@@ -478,7 +456,7 @@ def find_misrankings(
                 cheap_est, other = (a, b) if a.est_ms <= b.est_ms else (b, a)
                 if cheap_est.est_ms >= other.est_ms * (1.0 - margin):
                     continue  # estimates tied
-                if cheap_est.actual_ms <= other.actual_ms * (1.0 + margin):
+                if cheap_est.sim_ms <= other.sim_ms * (1.0 + margin):
                     continue  # measurement agrees (or tied)
                 misrankings.append(
                     Misranking(
@@ -498,65 +476,51 @@ def run_calibration(
         Callable[[str, str, "ClassExecution"], None]
     ] = None,
 ) -> CalibrationReport:
-    """Sweep the paper tests under every algorithm, executing each plan and
-    ledgering estimated vs actual cost.
+    """Sweep the paper tests under every algorithm and ledger each executed
+    class's estimated vs actual cost.
 
-    ``tests`` defaults to all of :data:`CALIBRATION_TESTS`; ``algorithms``
+    ``tests`` defaults to all of
+    :data:`~repro.workload.paper_queries.ALL_PAPER_TESTS`; ``algorithms``
     defaults to :func:`calibration_algorithms` (the registry minus opt-outs).
-    Execution is cold (the paper's measurement discipline), so simulated
-    costs are deterministic and comparable across runs.
+    Planning and (cold, hence deterministic) execution are
+    :func:`~repro.bench.harness.run_algorithm_comparison`'s; its rows are
+    the report's ``plans``.
 
     ``on_execution(test, algorithm, class_execution)`` is invoked for every
     executed class, letting the calibration fitter
     (:mod:`repro.calibrate`) collect its observations from the *same*
     sweep that produces this report instead of paying for a second one.
     """
-    from ..workload.paper_queries import paper_queries
+    from ..bench.harness import run_algorithm_comparison
+    from ..workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 
     if algorithms is None:
         algorithms = calibration_algorithms()
-    names = list(tests) if tests is not None else list(CALIBRATION_TESTS)
-    unknown = [t for t in names if t not in CALIBRATION_TESTS]
+    names = list(tests) if tests is not None else list(ALL_PAPER_TESTS)
+    unknown = [t for t in names if t not in ALL_PAPER_TESTS]
     if unknown:
         raise ValueError(
             f"unknown calibration tests {unknown}; choose from "
-            f"{list(CALIBRATION_TESTS)}"
+            f"{list(ALL_PAPER_TESTS)}"
         )
     queries = paper_queries(db.schema)
     report = CalibrationReport()
     for test in names:
-        batch = [queries[i] for i in CALIBRATION_TESTS[test]]
-        for algorithm in algorithms:
-            plan = db.optimize(batch, algorithm)
-            execution = db.execute(plan)
-            for cls_exec in execution.class_executions:
+        batch = [queries[i] for i in ALL_PAPER_TESTS[test]]
+        for row in run_algorithm_comparison(db, batch, algorithms, test=test):
+            for cls_exec in row.report.class_executions:
                 if on_execution is not None:
-                    on_execution(test, algorithm, cls_exec)
+                    on_execution(test, row.algorithm, cls_exec)
                 report.rows.append(
                     CalibrationRow(
                         test=test,
-                        algorithm=algorithm,
+                        algorithm=row.algorithm,
                         source=cls_exec.plan_class.source,
-                        methods="+".join(
-                            p.method.name[0]
-                            for p in cls_exec.plan_class.plans
-                        ),
+                        methods=cls_exec.plan_class.method_signature,
                         est_ms=cls_exec.plan_class.est_cost_ms,
                         actual_ms=cls_exec.sim_ms,
                     )
                 )
-            report.plans.append(
-                PlanOutcome(
-                    test=test,
-                    algorithm=algorithm,
-                    est_ms=plan.est_cost_ms,
-                    actual_ms=execution.sim_ms,
-                    plan="; ".join(
-                        f"{cls.source}"
-                        f"({'+'.join(p.method.name[0] for p in cls.plans)})"
-                        for cls in plan.classes
-                    ),
-                )
-            )
+            report.plans.append(row)
     report.misrankings = find_misrankings(report.plans)
     return report

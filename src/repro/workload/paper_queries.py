@@ -15,8 +15,10 @@ numbering; the selected position within the parent is preserved.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.optimizer.plans import JoinMethod
 from ..schema.dimension import Dimension
 from ..schema.query import DimPredicate, GroupBy, GroupByQuery
 from ..schema.star import StarSchema
@@ -203,10 +205,50 @@ def paper_queries(schema: StarSchema) -> Dict[int, GroupByQuery]:
     return queries
 
 
-#: The MDX expressions (query sets) of Tests 4–7, Section 7.5.
+#: The MDX expressions (query sets) of Tests 4–7, Section 7.5 (Table 2).
 PAPER_TESTS: Dict[str, List[int]] = {
     "test4": [1, 2, 3],
     "test5": [2, 3, 5],
     "test6": [6, 7, 8],
     "test7": [1, 7, 9],
+}
+
+
+@dataclass(frozen=True)
+class PaperFigure:
+    """The forced plan of one of Tests 1–3 (Section 7.4): the ``fixed``
+    queries always run as hash joins on ``source``; the ``added`` ones join
+    them one at a time, each forced to ``method``."""
+
+    test: str
+    title: str
+    source: str
+    fixed: Tuple[int, ...]
+    added: Tuple[int, ...]
+    method: JoinMethod
+
+
+#: Figures 10–12, keyed as benchmark records key them.  Figure 11 adds its
+#: queries in overlap order: Q5 and Q8 select the same A' member.
+PAPER_FIGURES: Dict[str, PaperFigure] = {
+    "fig10_shared_scan": PaperFigure(
+        "test1", "Figure 10 - shared scan (Q1-4 hash on ABCD)",
+        "ABCD", (), (1, 2, 3, 4), JoinMethod.HASH,
+    ),
+    "fig11_shared_index": PaperFigure(
+        "test2", "Figure 11 - shared index (Q5,8,6,7 on A'B'C'D)",
+        "A'B'C'D", (), (5, 8, 6, 7), JoinMethod.INDEX,
+    ),
+    "fig12_hybrid": PaperFigure(
+        "test3", "Figure 12 - hybrid (Q3 hash + Q5,6,7 index on A'B'C'D)",
+        "A'B'C'D", (3,), (5, 6, 7), JoinMethod.INDEX,
+    ),
+}
+
+#: Query ids of every paper test: Tests 1–3 are the figure workloads (plans
+#: forced in the figures, free in the calibration / correctness sweeps),
+#: Tests 4–7 the Table 2 expressions.
+ALL_PAPER_TESTS: Dict[str, List[int]] = {
+    **{fig.test: [*fig.fixed, *fig.added] for fig in PAPER_FIGURES.values()},
+    **PAPER_TESTS,
 }

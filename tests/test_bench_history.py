@@ -170,10 +170,10 @@ class TestKernelsAndWallFields:
         assert loaded.wall == {"calibration_s": 1.25, "total_s": 2.5}
 
     def test_pre_kernels_records_still_load(self):
-        """Records written before the kernels/wall fields existed."""
+        """Records without the retired kernels/wall fields — the ones
+        written before they existed, and every one written today."""
         doc = make_record().to_dict()
-        del doc["kernels"]
-        del doc["wall"]
+        assert "kernels" not in doc and "wall" not in doc
         loaded = RunRecord.from_dict(doc)
         assert loaded.kernels is None
         assert loaded.wall == {}
@@ -192,16 +192,14 @@ class TestLeaderboard:
     def make_pair(self, tmp_path):
         from repro.bench.leaderboard import load_records
 
-        fast = make_record()
-        fast.kernels = True
-        fast.wall = {"total_s": 1.0}
-        fast.figures["fig10"][0]["speedup"] = 1.6
-        fast.save(tmp_path / "BENCH_kernels.json")
-        slow = make_record()
-        slow.kernels = False
-        slow.wall = {"total_s": 3.0}
-        slow.figures["fig10"][0]["speedup"] = 1.6
-        slow.save(tmp_path / "BENCH_seed.json")
+        old = make_record()  # carries the retired fields
+        old.kernels = False
+        old.wall = {"total_s": 1.0}
+        old.figures["fig10"][0]["speedup"] = 1.6
+        old.save(tmp_path / "BENCH_seed.json")
+        new = make_record()
+        new.figures["fig10"][0]["speedup"] = 1.6
+        new.save(tmp_path / "BENCH_kernels.json")
         return load_records(tmp_path)
 
     def test_load_records_globs_and_sorts(self, tmp_path):
@@ -211,13 +209,16 @@ class TestLeaderboard:
         ]
 
     def test_render_orders_by_wall(self, tmp_path):
+        """By record name, that is: the wall-clock column (and the sort on
+        it) is gone, whatever a loaded record still carries."""
         from repro.bench.leaderboard import render_leaderboard
 
-        table = render_leaderboard(self.make_pair(tmp_path))
+        table = render_leaderboard(self.make_pair(tmp_path)[::-1])
         lines = table.splitlines()
-        assert lines[0].startswith("| record | path |")
-        assert "BENCH_kernels.json | kernels" in lines[2]
-        assert "BENCH_seed.json | tuple" in lines[3]
+        assert lines[0].startswith("| record | profile | recorded | gg sim-ms")
+        assert "wall" not in lines[0] and "path" not in lines[0]
+        assert lines[2].startswith("| BENCH_kernels.json | - |")
+        assert lines[3].startswith("| BENCH_seed.json | - |")
 
     def test_render_summarizes_metrics(self, tmp_path):
         from repro.bench.leaderboard import render_leaderboard

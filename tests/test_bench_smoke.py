@@ -1,15 +1,19 @@
 """The full benchmark record -> persist -> compare cycle at a tiny scale,
-including the CLI's exit codes.  Part of tier-1.
+including the CLI's exit codes, and the exact reproduction of the committed
+records.  Part of tier-1.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.history import RunRecord, compare_records, record_run
+from repro.calibrate.profile import CalibrationProfile
 from repro.cli import main
 
 SCALE = 0.002
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +102,47 @@ class TestCliGate:
         assert main(base + ["--compare", "--scale", str(SCALE * 2)]) == 2
         assert "incomparable" in capsys.readouterr().err
 
+
+
+def flatten(doc, path=""):
+    """``{path: leaf}`` of a JSON-shaped document."""
+    if not isinstance(doc, (dict, list)):
+        return {path: doc}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return {
+        leaf: value
+        for key, child in items
+        for leaf, value in flatten(child, f"{path}/{key}").items()
+    }
+
+
+@pytest.mark.parametrize(
+    "baseline, profile",
+    [("BENCH_kernels.json", None), ("BENCH_calibrated.json", "PROFILE_paper.json")],
+)
+def test_committed_records_reproduce_exactly(baseline, profile):
+    """Simulated costs are deterministic, so today's tree must reproduce the
+    committed records bit for bit — not within `compare_records`' 10 % bands.
+    Every simulated field is compared; ``label``, ``created_at`` and the
+    retired wall-clock fields the committed records still carry are not."""
+    committed = RunRecord.load(REPO / baseline)
+    fresh = record_run(
+        scale=committed.fingerprint["scale"],
+        profile=CalibrationProfile.load(REPO / profile) if profile else None,
+    )
+    old, new = (
+        {
+            path: value
+            for path, value in flatten(record.to_dict()).items()
+            if path.split("/")[1] in ("fingerprint", "figures", "tests", "calibration")
+            and not path.endswith("_wall_s")
+        }
+        for record in (committed, fresh)
+    )
+    differing = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
+    assert not differing, (
+        f"{baseline} no longer reproduces — {differing[0]}: committed "
+        f"{old.get(differing[0])!r}, now {new.get(differing[0])!r} "
+        f"({len(differing)} value(s) differ); re-record both baselines and "
+        f"refit the profile in the same PR if this change is intended"
+    )

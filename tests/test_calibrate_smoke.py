@@ -22,7 +22,7 @@ import pytest
 
 from repro.calibrate import CalibrationProfile, fit_database
 from repro.cli import main
-from repro.obs.analyze import CALIBRATION_TESTS
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 from repro.workload.paper_schema import build_paper_database
 
 pytestmark = pytest.mark.calibrate_smoke
@@ -40,7 +40,7 @@ def outcome_001():
 
 def test_fit_covers_all_paper_tests(outcome_001):
     _, outcome = outcome_001
-    assert outcome.profile.tests == tuple(CALIBRATION_TESTS)
+    assert outcome.profile.tests == tuple(ALL_PAPER_TESTS)
     assert outcome.fit.n_observations >= 20
 
 

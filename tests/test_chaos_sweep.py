@@ -31,7 +31,7 @@ from repro.faults import (
     InjectionPoint,
     PartialResultError,
 )
-from repro.obs.analyze import CALIBRATION_TESTS
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import make_tiny_db, random_query
 
@@ -44,7 +44,7 @@ ALGORITHMS = ("tplo", "etplg", "gg", "dag")
 
 SWEEP = [
     (test_name, algorithm)
-    for test_name in sorted(CALIBRATION_TESTS)
+    for test_name in sorted(ALL_PAPER_TESTS)
     for algorithm in ALGORITHMS
 ]
 
@@ -64,7 +64,7 @@ def _snapshot(report):
 def test_fault_sweep_over_paper_workload(paper_db, paper_qs, test_name,
                                          algorithm):
     db = paper_db
-    queries = [paper_qs[i] for i in CALIBRATION_TESTS[test_name]]
+    queries = [paper_qs[i] for i in ALL_PAPER_TESTS[test_name]]
     plan = db.optimize(queries, algorithm)
     all_qids = {q.qid for q in queries}
 
@@ -138,7 +138,7 @@ def test_derive_fault_fails_only_dependent_classes(paper_db, paper_qs):
     fails exactly the dag class that owns the derive step — its scan and
     derived queries — while sibling classes survive byte-identical."""
     db = paper_db
-    queries = [paper_qs[i] for i in CALIBRATION_TESTS["test1"]]
+    queries = [paper_qs[i] for i in ALL_PAPER_TESTS["test1"]]
     plan = db.optimize(queries, "dag")
     dag_classes = [
         cls for cls in plan.classes if getattr(cls, "has_derives", False)

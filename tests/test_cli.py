@@ -70,6 +70,38 @@ class TestCompare:
         assert "unknown tests" in capsys.readouterr().err
 
 
+class TestSevenTests:
+    """The CLI accepts exactly the tests the sweep underneath accepts:
+    Tests 1–7 for calibrate / bench / metrics (Table 2's four for compare)."""
+
+    SEVEN = [f"test{i}" for i in range(1, 8)]
+
+    @pytest.mark.parametrize("test", SEVEN)
+    def test_calibrate_accepts_every_paper_test(self, test, capsys):
+        assert main(["calibrate", *SCALE, "--tests", test]) == 0
+        assert test in capsys.readouterr().out
+
+    def test_bench_and_metrics_accept_a_figure_test(self, tmp_path, capsys):
+        assert main([
+            "bench", "--record", *SCALE, "--tests", "test2", "--no-figures",
+            "--label", "x", "--output", str(tmp_path / "BENCH_x.json"),
+        ]) == 0
+        assert main(["metrics", *SCALE, "--test", "test1"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate", "--tests", "nope"],
+            ["bench", "--record", "--no-figures", "--tests", "nope"],
+            ["metrics", "--test", "nope"],
+        ],
+    )
+    def test_unknown_test_names_all_seven(self, argv, capsys):
+        assert main([*argv, *SCALE]) == 2
+        err = capsys.readouterr().err
+        assert all(test in err for test in self.SEVEN)
+
+
 class TestFigures:
     def test_figures_prints_three_tables(self, capsys):
         assert main(["figures", *SCALE]) == 0
@@ -223,7 +255,7 @@ class TestBenchLeaderboard:
         self.make_record_file(tmp_path, "seed", False, 4.0)
         assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("| record | path |")
+        assert out.startswith("| record | profile |")
         assert out.index("BENCH_kernels.json") < out.index("BENCH_seed.json")
 
     def test_leaderboard_writes_output_file(self, tmp_path, capsys):
@@ -234,7 +266,7 @@ class TestBenchLeaderboard:
             "--output", str(target),
         ]) == 0
         assert "leaderboard" in capsys.readouterr().out
-        assert target.read_text().startswith("| record | path |")
+        assert target.read_text().startswith("| record | profile |")
 
     def test_leaderboard_corrupt_record_exits_2(self, tmp_path, capsys):
         """Regression: a corrupt BENCH file used to traceback; it must be

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from repro.core.optimizer.cost import CostModel
 from repro.core.optimizer.plans import JoinMethod
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
-
-from repro.obs.analyze import CALIBRATION_TESTS
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import make_tiny_db
 
@@ -236,7 +235,7 @@ class TestMemoTransparency:
     @given(data=st.data())
     def test_warm_model_equals_fresh_model(self, paper_db, paper_qs, data):
         pool = sorted(
-            {i for ids in CALIBRATION_TESTS.values() for i in ids}
+            {i for ids in ALL_PAPER_TESTS.values() for i in ids}
         )
         entries = paper_db.catalog.entries()
         subsets = st.lists(

@@ -34,6 +34,7 @@ from repro.core.optimizer.plans import (
 )
 from repro.dag import DagOptimizer, build_dag, node_key, render_dag
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import make_tiny_db, random_query
 
@@ -140,10 +141,8 @@ class TestDagConstruction:
 
 class TestDagPlanning:
     def test_est_never_worse_than_gg(self, paper_db, paper_qs):
-        from repro.obs.analyze import CALIBRATION_TESTS
-
         for test in ("test1", "test4", "test6"):
-            batch = [paper_qs[i] for i in CALIBRATION_TESTS[test]]
+            batch = [paper_qs[i] for i in ALL_PAPER_TESTS[test]]
             gg = paper_db.optimize(batch, "gg")
             dag = paper_db.optimize(batch, "dag")
             assert dag.est_cost_ms <= gg.est_cost_ms + 1e-9, test

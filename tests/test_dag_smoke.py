@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.analyze import CALIBRATION_TESTS
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 #: dag may not be worse than gg by more than this fraction on any test.
 NEVER_WORSE_MARGIN = 0.01
@@ -35,7 +35,7 @@ STRICT_WIN_MARGIN = 0.001
 def sweep(paper_db, paper_qs):
     """test name -> (gg sim-ms, dag sim-ms), executed cold."""
     outcomes = {}
-    for test, ids in CALIBRATION_TESTS.items():
+    for test, ids in ALL_PAPER_TESTS.items():
         batch = [paper_qs[i] for i in ids]
         sims = {}
         for algorithm in ("gg", "dag"):
@@ -47,7 +47,7 @@ def sweep(paper_db, paper_qs):
     return outcomes
 
 
-@pytest.mark.parametrize("test", sorted(CALIBRATION_TESTS))
+@pytest.mark.parametrize("test", sorted(ALL_PAPER_TESTS))
 def test_dag_never_worse_than_gg(sweep, test):
     gg_ms, dag_ms = sweep[test]
     assert dag_ms <= gg_ms * (1.0 + NEVER_WORSE_MARGIN), (
@@ -76,7 +76,7 @@ def test_dag_estimates_stay_monotone_under_search(sweep, paper_db,
                                                   paper_qs):
     """The greedy search starts from the GG seed and only accepts strict
     improvements, so the final estimate can never exceed the seed's."""
-    for test, ids in CALIBRATION_TESTS.items():
+    for test, ids in ALL_PAPER_TESTS.items():
         batch = [paper_qs[i] for i in ids]
         plan = paper_db.optimize(batch, "dag")
         stats = plan.search_stats["dag"]

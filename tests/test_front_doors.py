@@ -24,14 +24,10 @@ from repro.faults import FaultPlan, InjectedFault, InjectionPoint
 from repro.schema.query import GroupBy, GroupByQuery
 from repro.serve import RequestQuarantined
 from repro.workload.generator import generate_fact_rows
-from repro.workload.paper_queries import paper_queries
+from repro.workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
 from helpers import make_tiny_db
-from test_paranoia_sweep import SWEEP_TESTS
-
-#: Tests 1-7, the batches the differential sweep walks.
-TESTS = SWEEP_TESTS
 
 
 # -- the doors ----------------------------------------------------------------
@@ -158,7 +154,7 @@ def paper_db():
 @pytest.fixture(scope="module")
 def batches(paper_db):
     qs = paper_queries(paper_db.schema)
-    out = {name: [qs[i] for i in ids] for name, ids in TESTS.items()}
+    out = {name: [qs[i] for i in ids] for name, ids in ALL_PAPER_TESTS.items()}
     twins = [
         GroupByQuery(
             groupby=q.groupby, predicates=q.predicates,
@@ -221,7 +217,7 @@ def test_same_plan_and_cost_through_every_one_shard_door(
     signatures = {}
     for door in ONE_SHARD:
         with DOORS[door](paper_db) as ask:
-            for test in TESTS:
+            for test in ALL_PAPER_TESTS:
                 spy.clear()
                 ask(batches[test])
                 signatures[door, test] = spy.signature()

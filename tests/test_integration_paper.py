@@ -4,12 +4,7 @@ pin the *shapes* so regressions are caught by `pytest tests/`."""
 
 import pytest
 
-from repro.bench.harness import (
-    run_algorithm_comparison,
-    run_test1_shared_scan,
-    run_test2_shared_index,
-    run_test3_hybrid,
-)
+from repro.bench.harness import run_algorithm_comparison, run_figure
 from repro.engine.reference import evaluate_reference
 
 
@@ -19,8 +14,8 @@ def db(paper_db):
 
 
 class TestSharedOperators:
-    def test_fig10_shared_scan_beats_separate(self, db, paper_qs):
-        rows = run_test1_shared_scan(db, [paper_qs[i] for i in (1, 2, 3, 4)])
+    def test_fig10_shared_scan_beats_separate(self, db):
+        rows = run_figure(db, "fig10_shared_scan")
         # Separate execution grows roughly linearly; shared stays near flat.
         assert rows[0].separate_ms == pytest.approx(rows[0].shared_ms)
         for row in rows[1:]:
@@ -31,10 +26,8 @@ class TestSharedOperators:
             rows[0].shared_io_ms, rel=0.01
         )
 
-    def test_fig11_shared_index_never_worse(self, db, paper_qs):
-        rows = run_test2_shared_index(
-            db, [paper_qs[i] for i in (5, 8, 6, 7)]
-        )
+    def test_fig11_shared_index_never_worse(self, db):
+        rows = run_figure(db, "fig11_shared_index")
         for row in rows:
             assert row.shared_ms <= row.separate_ms + 1e-6
         assert rows[-1].shared_ms < rows[-1].separate_ms
@@ -42,10 +35,8 @@ class TestSharedOperators:
         # probing the base table."
         assert rows[-1].shared_io_ms / rows[-1].shared_ms > 0.8
 
-    def test_fig12_index_queries_ride_the_scan(self, db, paper_qs):
-        rows = run_test3_hybrid(
-            db, [paper_qs[3]], [paper_qs[5], paper_qs[6], paper_qs[7]]
-        )
+    def test_fig12_index_queries_ride_the_scan(self, db):
+        rows = run_figure(db, "fig12_hybrid")
         assert rows[-1].shared_ms < rows[-1].separate_ms
         # Adding one index query to the shared scan costs far less than
         # running it separately.

@@ -20,8 +20,7 @@ import pytest
 from repro.check import first_divergence, reference_answer
 from repro.core.executor import execute_plan
 from repro.faults import SITES, FaultPlan, InjectedFault, InjectionPoint
-from repro.obs.analyze import CALIBRATION_TESTS
-from repro.workload.paper_queries import paper_queries
+from repro.workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
 ALGORITHMS = ("tplo", "etplg", "gg", "bgg", "dag")
@@ -68,9 +67,9 @@ def snapshot(report):
     }
 
 
-@pytest.mark.parametrize("test_name", sorted(CALIBRATION_TESTS))
+@pytest.mark.parametrize("test_name", sorted(ALL_PAPER_TESTS))
 def test_paper_workload_byte_identical(db, qs, modes, four_shards, test_name):
-    batch = [qs[i] for i in CALIBRATION_TESTS[test_name]]
+    batch = [qs[i] for i in ALL_PAPER_TESTS[test_name]]
     truth = {q.qid: reference_answer(db, q).groups for q in batch}
     for algorithm in ALGORITHMS:
         plan = db.optimize(batch, algorithm)
@@ -108,7 +107,7 @@ def test_fault_injection_parity(db, qs, modes, site):
     n_fired = 0
     for test_name, algorithm in workloads:
         plan = db.optimize(
-            [qs[i] for i in CALIBRATION_TESTS[test_name]], algorithm
+            [qs[i] for i in ALL_PAPER_TESTS[test_name]], algorithm
         )
         outcomes = {}
         for name in ("n_workers=1", "one shard"):
@@ -144,7 +143,7 @@ def test_fault_injection_parity(db, qs, modes, site):
 def test_cold_runs_leave_the_database_pool_alone(db, qs):
     """Cold cells run in private pools; only ``cold=False`` touches (and
     benefits from) the database's own."""
-    plan = db.optimize([qs[i] for i in CALIBRATION_TESTS["test1"]], "gg")
+    plan = db.optimize([qs[i] for i in ALL_PAPER_TESTS["test1"]], "gg")
     db.flush()
     cold = execute_plan(db, plan)
     assert len(db.pool) == 0

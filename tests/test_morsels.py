@@ -26,9 +26,9 @@ from repro.core.optimizer.plans import (
     PlanClass,
 )
 from repro.faults import FaultPlan, InjectedFault, InjectionPoint
-from repro.obs.analyze import CALIBRATION_TESTS
 from repro.obs.metrics import default_registry
 from repro.storage import table as table_module
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import assert_morsel_size_invariant
 
@@ -90,7 +90,7 @@ def test_morsel_size_invariance(paper_db, paper_qs, monkeypatch):
             f"{test_name}/{algorithm}",
             paper_db.optimize([paper_qs[i] for i in ids], algorithm),
         )
-        for test_name, ids in sorted(CALIBRATION_TESTS.items())
+        for test_name, ids in sorted(ALL_PAPER_TESTS.items())
         for algorithm in ("gg", "dag")
     ]
     plans.append(("forced hybrid", forced_plan(paper_qs)))

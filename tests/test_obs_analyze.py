@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.bench.harness import AlgorithmRow
 from repro.core.executor import execute_plan, run_class_accounted
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
@@ -14,7 +15,6 @@ from repro.core.operators.index_join import (
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from repro.obs.analyze import (
     Misranking,
-    PlanOutcome,
     account_execution,
     account_report,
     find_misrankings,
@@ -176,9 +176,9 @@ class TestExecutorAccounting:
 
 
 def outcome(test, algorithm, est, actual, plan):
-    return PlanOutcome(
-        test=test, algorithm=algorithm, est_ms=est, actual_ms=actual,
-        plan=plan,
+    return AlgorithmRow(
+        test=test, algorithm=algorithm, est_ms=est, sim_ms=actual,
+        n_classes=1, plan=plan,
     )
 
 

@@ -18,8 +18,8 @@ from repro.core.optimizer import (
     make_optimizer,
 )
 from repro.engine.reference import evaluate_reference
-from repro.obs.analyze import CALIBRATION_TESTS
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
+from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import brute_force_optimum, make_tiny_db, random_query
 
@@ -30,7 +30,7 @@ MERGING = tuple(name for name in ALGORITHMS if name != "naive")
 #: The sweep's workloads: the paper's Tests 1–7 on the paper database, and
 #: one seeded random batch of 2–5 queries per seed on the tiny database.
 RANDOM_SEEDS = (5, 9, 13, 17, 19, 23, 29, 31, 61, 67)
-WORKLOADS = tuple(sorted(CALIBRATION_TESTS)) + tuple(
+WORKLOADS = tuple(sorted(ALL_PAPER_TESTS)) + tuple(
     f"seed{seed}" for seed in RANDOM_SEEDS
 )
 
@@ -242,7 +242,7 @@ def workloads(db, paper_db, paper_qs):
     """workload name -> (database, queries)."""
     out = {
         test: (paper_db, [paper_qs[i] for i in ids])
-        for test, ids in CALIBRATION_TESTS.items()
+        for test, ids in ALL_PAPER_TESTS.items()
     }
     for seed in RANDOM_SEEDS:
         rng = random.Random(seed)

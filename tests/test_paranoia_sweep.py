@@ -14,19 +14,10 @@ import pytest
 from repro.check import first_divergence, reference_answer
 from repro.engine.result_cache import attach_cache
 from repro.obs.metrics import default_registry
-from repro.workload.paper_queries import PAPER_TESTS, paper_queries
+from repro.workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
 ALGORITHMS = ("naive", "tplo", "etplg", "gg", "dag")
-
-#: Tests 1–3 are the shared-operator experiments (Figures 10–12); their
-#: query sets reuse Queries 1–8.  Tests 4–7 are the Table 2 sets.
-SWEEP_TESTS = {
-    "test1": [1, 2, 3, 4],
-    "test2": [5, 8, 6, 7],
-    "test3": [3, 5, 6, 7],
-    **PAPER_TESTS,
-}
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +39,10 @@ def divergences():
         return 0
 
 
-@pytest.mark.parametrize("test_name", sorted(SWEEP_TESTS))
+@pytest.mark.parametrize("test_name", sorted(ALL_PAPER_TESTS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_paper_workload_has_zero_divergences(db, qs, test_name, algorithm):
-    batch = [qs[i] for i in SWEEP_TESTS[test_name]]
+    batch = [qs[i] for i in ALL_PAPER_TESTS[test_name]]
     before = divergences()
     report = db.run_queries(batch, algorithm)
     assert len(report.results) == len(batch)
@@ -73,7 +64,7 @@ def test_sweep_with_result_cache(db, qs):
     survive recomputation."""
     attach_cache(db)
     try:
-        batch = [qs[i] for i in SWEEP_TESTS["test4"]]
+        batch = [qs[i] for i in ALL_PAPER_TESTS["test4"]]
         db.run_queries(batch, "gg")
         before = divergences()
         report = db.run_queries(batch, "gg")

@@ -1,11 +1,9 @@
-"""Tests for plan JSON serialization and benchmark CSV export."""
+"""Tests for plan JSON serialization."""
 
 import json
 
 import pytest
 
-from repro.bench.export import read_csv, write_csv
-from repro.bench.harness import SharingRow, run_test1_shared_scan
 from repro.schema.query import GroupBy, GroupByQuery
 
 from helpers import make_tiny_db
@@ -37,81 +35,3 @@ class TestPlanToDict:
         text = json.dumps(plan.to_dict(db.schema))
         assert json.loads(text)["algorithm"] == "tplo"
 
-
-class TestCsvExport:
-    def test_dataclass_rows(self, tmp_path):
-        rows = [
-            SharingRow(1, 10.0, 10.0, 8.0, 8.0, 0.1, 0.1),
-            SharingRow(2, 20.0, 12.0, 8.0, 8.0, 0.2, 0.1),
-        ]
-        path = write_csv(rows, tmp_path / "fig.csv", extra={"scale": 0.01})
-        back = read_csv(path)
-        assert len(back) == 2
-        assert back[0]["n_queries"] == "1"
-        assert back[1]["separate_ms"] == "20.0"
-        assert back[0]["scale"] == "0.01"
-
-    def test_tuple_rows(self, tmp_path):
-        path = write_csv([(1, "a"), (2, "b")], tmp_path / "t.csv")
-        back = read_csv(path)
-        assert back[0] == {"col0": "1", "col1": "a"}
-
-    def test_dict_rows(self, tmp_path):
-        path = write_csv([{"x": 1}], tmp_path / "d.csv")
-        assert read_csv(path) == [{"x": "1"}]
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv([], tmp_path / "e.csv")
-
-    def test_empty_rejection_message_names_the_fix(self, tmp_path):
-        with pytest.raises(ValueError, match="pass fieldnames"):
-            write_csv([], tmp_path / "e.csv")
-
-    def test_empty_with_fieldnames_writes_header_only(self, tmp_path):
-        path = write_csv(
-            [], tmp_path / "h.csv", fieldnames=["n_queries", "shared_ms"]
-        )
-        assert path.read_text().strip() == "n_queries,shared_ms"
-        assert read_csv(path) == []
-
-    def test_nested_dataclass_flattens_one_level(self, tmp_path):
-        from dataclasses import dataclass
-
-        @dataclass
-        class Inner:
-            io_ms: float
-            cpu_ms: float
-            counters: dict  # non-scalar: dropped even inside a level
-
-        @dataclass
-        class Outer:
-            name: str
-            sim: Inner
-
-        rows = [Outer("gg", Inner(10.0, 2.5, {"x": 1}))]
-        path = write_csv(rows, tmp_path / "n.csv")
-        back = read_csv(path)
-        assert back == [
-            {"name": "gg", "sim.io_ms": "10.0", "sim.cpu_ms": "2.5"}
-        ]
-
-    def test_execution_sim_counters_export(self, tmp_path, paper_db,
-                                           paper_qs):
-        plan = paper_db.optimize([paper_qs[1], paper_qs[2]], "gg")
-        report = paper_db.execute(plan)
-        path = write_csv(report.class_executions, tmp_path / "cls.csv")
-        back = read_csv(path)
-        assert len(back) == len(report.class_executions)
-        # IOStats fields surface as dotted sim.* columns.
-        assert float(back[0]["sim.seq_page_reads"]) >= 0
-        assert "wall_s" in back[0]
-
-    def test_harness_rows_export(self, tmp_path, paper_db, paper_qs):
-        rows = run_test1_shared_scan(
-            paper_db, [paper_qs[1], paper_qs[2]]
-        )
-        path = write_csv(rows, tmp_path / "fig10.csv")
-        back = read_csv(path)
-        assert len(back) == 2
-        assert float(back[1]["separate_ms"]) > float(back[1]["shared_ms"])

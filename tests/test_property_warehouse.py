@@ -1,5 +1,5 @@
 """Property tests for the warehouse lifecycle: maintenance equivalence,
-cube-build correctness, and persistence round-trips on randomized inputs."""
+view-build correctness, and persistence round-trips on randomized inputs."""
 
 import random
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.cube import build_cube
 from repro.engine.database import Database
 from repro.engine.reference import evaluate_reference
+from repro.engine.view_selection import materialize_selection
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows
 
@@ -116,7 +116,7 @@ class TestCubeProperties:
         ]
         if not targets:
             return
-        build_cube(db, targets)
+        materialize_selection(db, targets)
         base = db.catalog.get("XY")
         for target in targets:
             query = GroupByQuery(groupby=target)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine import database as database_module
+from repro.engine.reference import evaluate_reference
 from repro.engine.view_selection import (
     greedy_select_views,
     materialize_selection,
@@ -116,6 +118,51 @@ class TestMaterializeSelection:
             assert name in db.catalog
         # Materializing again is a no-op.
         assert materialize_selection(db, selection) == []
+
+    def test_built_views_are_correct(self):
+        """A plain iterable of group-bys is a selection too (what a cube
+        build of chosen targets is)."""
+        db = make_tiny_db(n_rows=300)
+        targets = [GroupBy((1, 1)), GroupBy((2, 2))]
+        materialize_selection(db, targets)
+        base = db.catalog.get("XY")
+        for target in targets:
+            expected = evaluate_reference(
+                db.schema, base.table.all_rows(), GroupByQuery(groupby=target),
+                base.levels,
+            )
+            rows = db.catalog.get(target.name(db.schema)).table.all_rows()
+            got = {(int(x), int(y)): measure for x, y, measure in rows}
+            assert got == pytest.approx(expected.groups)
+
+    def test_finest_first_order(self):
+        """Whatever order the selection lists them in."""
+        db = make_tiny_db(n_rows=300)
+        targets = [GroupBy((2, 2)), GroupBy((1, 0)), GroupBy((2, 1)),
+                   GroupBy((1, 1))]
+        created = materialize_selection(db, targets)
+        assert created == ["X'Y", "X'Y'", "X''Y'", "X''Y''"]
+
+    def test_existing_views_are_skipped_and_reused(self, monkeypatch):
+        """An existing view is not rebuilt, and coarser targets derive from
+        it or from an earlier target — never from the base again."""
+        db = make_tiny_db(n_rows=300, materialized=("X'Y",))
+        sources = {}
+        pick = database_module.pick_materialization_source
+
+        def spying_pick(schema, entries, target, aggregate):
+            source = pick(schema, entries, target, aggregate)
+            sources[db.schema.groupby_name(target)] = source.name
+            return source
+
+        monkeypatch.setattr(
+            database_module, "pick_materialization_source", spying_pick
+        )
+        created = materialize_selection(
+            db, [GroupBy((2, 2)), GroupBy((1, 0)), GroupBy((1, 1))]
+        )
+        assert created == ["X'Y'", "X''Y''"]
+        assert sources == {"X'Y'": "X'Y", "X''Y''": "X'Y'"}
 
     def test_selected_views_speed_up_the_workload(self):
         """End-to-end: greedy selection lowers executed (simulated) cost."""

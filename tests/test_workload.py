@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.workload.generator import generate_fact_rows, zipf_probabilities
-from repro.workload.paper_queries import PAPER_MDX, PAPER_TESTS, paper_queries
+from repro.workload.paper_queries import (
+    ALL_PAPER_TESTS,
+    PAPER_MDX,
+    PAPER_TESTS,
+    paper_queries,
+)
 from repro.workload.paper_schema import (
     PAPER_INDEXED_DIMS,
     PAPER_INDEXED_TABLES,
@@ -138,3 +143,14 @@ class TestPaperQueries:
             "test6": [6, 7, 8],
             "test7": [1, 7, 9],
         }
+
+    def test_all_seven_test_sets(self):
+        """Tests 1–3 are the figures' query sets (fixed, then added, in
+        order); Tests 4–7 are Table 2's."""
+        assert ALL_PAPER_TESTS == {
+            "test1": [1, 2, 3, 4],
+            "test2": [5, 8, 6, 7],
+            "test3": [3, 5, 6, 7],
+            **PAPER_TESTS,
+        }
+        assert list(ALL_PAPER_TESTS) == [f"test{i}" for i in range(1, 8)]
