@@ -6,6 +6,7 @@ TPLO/ETPLG/GG walkthroughs of Figures 6-9).
 Run:  python examples/plan_gallery.py
 """
 
+from repro.core.explain import explain_class, explain_plan
 from repro.core.optimizer import CostModel, JoinMethod
 from repro.core.optimizer.plans import LocalPlan, PlanClass
 from repro.workload.paper_queries import paper_queries
@@ -15,21 +16,22 @@ from repro.workload.paper_schema import build_paper_database
 def main() -> None:
     db = build_paper_database(scale=0.005)
     qs = paper_queries(db.schema)
-    model = CostModel(db.schema, db.catalog, db.stats.rates)
+    model = CostModel.for_database(db)
 
     print("Figure 1 — a single hash star-join plan")
-    entry = db.catalog.get("ABCD")
-    method, cost = model.standalone(entry, qs[1])
-    plan = LocalPlan(qs[1], "ABCD", JoinMethod.HASH, est_standalone_ms=cost)
-    print("  scan(ABCD) -> probe dim hash tables -> filter -> aggregate")
-    print("  " + plan.describe(db.schema))
+    _method, cost = model.standalone(db.catalog.get("ABCD"), qs[1])
+    cls = PlanClass(
+        source="ABCD", plans=[LocalPlan(qs[1], "ABCD", JoinMethod.HASH)]
+    )
+    print(explain_class(model, cls))
+    print(f"  estimated {cost:.1f} sim-ms alone")
 
     print("\nFigure 2 — shared scan: three group-bys off one scan")
     cls = PlanClass(
         source="ABCD",
         plans=[LocalPlan(qs[i], "ABCD", JoinMethod.HASH) for i in (1, 2, 3)],
     )
-    print(cls.describe(db.schema))
+    print(explain_class(model, cls))
 
     print("\nFigures 3-4 — bitmap index plan and shared bitmap plan")
     print("  per dim: OR member bitmaps; AND across dims -> result bitmap")
@@ -41,7 +43,7 @@ def main() -> None:
             LocalPlan(qs[i], "A'B'C'D", JoinMethod.INDEX) for i in (5, 6, 7)
         ],
     )
-    print(cls.describe(db.schema))
+    print(explain_class(model, cls))
 
     print("\nFigure 5 — hybrid: index plans ride a shared scan")
     cls = PlanClass(
@@ -51,7 +53,7 @@ def main() -> None:
             LocalPlan(qs[5], "A'B'C'D", JoinMethod.INDEX),
         ],
     )
-    print(cls.describe(db.schema))
+    print(explain_class(model, cls))
 
     print("\nFigures 6-9 — the optimizer walkthrough on Queries 1,2,3")
     workload = [qs[1], qs[2], qs[3]]
@@ -59,7 +61,7 @@ def main() -> None:
         plan = db.optimize(workload, algorithm)
         print(f"\n--- {algorithm} "
               f"({plan.search_stats['plan_costings']} class costings) ---")
-        print(plan.explain(db.schema))
+        print(explain_plan(db, plan))
 
 
 if __name__ == "__main__":

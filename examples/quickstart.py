@@ -5,6 +5,7 @@ one MDX expression, and let the Global Greedy optimizer share their work.
 Run:  python examples/quickstart.py
 """
 
+from repro.core.explain import explain_plan
 from repro.engine.sqlgen import to_sql
 from repro.mdx import translate_mdx
 from repro.workload.paper_queries import PAPER_MDX
@@ -40,7 +41,7 @@ def main() -> None:
         plan = db.optimize(workload, algorithm)
         report = db.execute(plan)
         print(f"\n--- {algorithm} ---")
-        print(plan.explain(db.schema))
+        print(explain_plan(db, plan))
         print(report.summary())
 
     # 4. Results are real answers, not estimates.

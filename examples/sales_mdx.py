@@ -10,6 +10,7 @@ and Qtr4, by quarter for Qtr2 and Qtr3, for 1991.
 Run:  python examples/sales_mdx.py
 """
 
+from repro.core.explain import explain_plan
 from repro.engine.sqlgen import to_sql
 from repro.mdx import parse_mdx, translate_mdx
 from repro.workload.sales_demo import SECTION2_MDX, build_sales_database
@@ -35,7 +36,7 @@ def main() -> None:
 
     print("\nOptimizing all six as a unit (Global Greedy):")
     plan = db.optimize(queries, "gg")
-    print(plan.explain(db.schema))
+    print(explain_plan(db, plan))
 
     report = db.execute(plan)
     print("\n" + report.summary())

@@ -59,7 +59,7 @@ def main() -> None:
     result = session.run()
     print("\n" + result.summary())
     print("\nthe session's global plan:")
-    print(explain_plan(db.schema, db.catalog, result.execution.plan))
+    print(explain_plan(db, result.execution.plan))
 
     # 6. New facts arrive; everything maintains incrementally.
     fresh = generate_fact_rows(db.schema, 500, seed=2024)

@@ -1,4 +1,9 @@
-"""Benchmark harness: regenerates every table and figure of the paper."""
+"""Benchmark harness: regenerates every table and figure of the paper.
+
+Only the harness is re-exported here: :mod:`repro.calibrate` builds on it,
+and :mod:`repro.bench.history` (records, the regression gate) builds on the
+calibration sweep in turn, so it is imported by its own name.
+"""
 
 from .harness import (
     AlgorithmRow,
@@ -11,31 +16,13 @@ from .harness import (
     run_separately,
     run_sharing_sweep,
 )
-from .history import (
-    DEFAULT_THRESHOLDS,
-    Regression,
-    RegressionReport,
-    RunRecord,
-    compare_records,
-    database_fingerprint,
-    default_record_path,
-    record_run,
-)
 from .reporting import format_table
 
 __all__ = [
     "AlgorithmRow",
     "DEFAULT_ALGORITHMS",
-    "DEFAULT_THRESHOLDS",
     "ForcedRun",
-    "Regression",
-    "RegressionReport",
-    "RunRecord",
     "SharingRow",
-    "compare_records",
-    "database_fingerprint",
-    "default_record_path",
-    "record_run",
     "format_table",
     "run_algorithm_comparison",
     "run_figure",

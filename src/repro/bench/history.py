@@ -4,7 +4,7 @@ gating.
 A :class:`RunRecord` captures one benchmark run of the paper workload —
 per-figure sharing rows, per-test algorithm comparisons (Table 2), the
 cost-model calibration summary (Q-error quantiles and misranking count from
-:mod:`repro.obs.analyze`), and a schema+config fingerprint — and persists
+:mod:`repro.calibrate.sweep`), and a schema+config fingerprint — and persists
 it as ``BENCH_<label>.json``.  Simulated costs are deterministic, so two
 records with the same fingerprint are byte-comparable: any drift is a real
 behavioural change, not noise.
@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..calibrate.sweep import run_calibration
 from ..engine.database import Database
-from ..obs.analyze import run_calibration
 from ..workload.paper_queries import PAPER_FIGURES
 from ..workload.paper_schema import build_paper_database
 from .harness import run_figure

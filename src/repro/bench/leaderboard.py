@@ -89,7 +89,7 @@ def render_plan_quality(
     algorithm's executed classes and the count of misrankings in which the
     model wrongly preferred that algorithm's plan (see
     :meth:`CalibrationReport.algorithm_summary
-    <repro.obs.analyze.CalibrationReport.algorithm_summary>`).  Records
+    <repro.calibrate.sweep.CalibrationReport.algorithm_summary>`).  Records
     written before the per-algorithm summary existed are skipped; an empty
     result is the empty string so the caller can splice it conditionally.
     """

@@ -1,9 +1,9 @@
 """Self-calibrating cost model: fit :class:`~repro.storage.iostats.CostRates`
 from recorded actuals.
 
-The actuals ledger (:mod:`repro.obs.analyze`) measures how faithfully the
-Section 5.1 cost model *ranks* plans; this package closes the loop.  A
-calibration sweep of Tests 1-7 under every registry algorithm yields, per
+The calibration sweep (:mod:`repro.calibrate.sweep`) measures how faithfully
+the Section 5.1 cost model *ranks* plans; the rest of this package closes the
+loop.  A sweep of Tests 1-7 under every registry algorithm yields, per
 executed plan class, an **estimated unit vector** (how many of each
 accountable unit — sequential pages, random pages, hash probes, ... — the
 model predicted) and the **recorded simulated cost** the executor actually
@@ -17,6 +17,8 @@ and every CLI subcommand (``--profile FILE``) can load.
 
 Entry points:
 
+* :func:`~repro.calibrate.sweep.run_calibration` — the sweep alone: per-class
+  Q-error and every misranking (``repro calibrate``).
 * :func:`~repro.calibrate.runner.fit_database` — the whole loop: before
   sweep, iterated fit/replan/re-collect, after sweep, profile + report.
 * ``repro calibrate --fit [--profile FILE] [--report]`` — the CLI face.
@@ -41,6 +43,14 @@ from .observations import (
 )
 from .profile import PROFILE_VERSION, CalibrationProfile
 from .runner import CalibrationOutcome, fit_database
+from .sweep import (
+    CalibrationReport,
+    CalibrationRow,
+    Misranking,
+    calibration_algorithms,
+    find_misrankings,
+    run_calibration,
+)
 
 __all__ = [
     "COUNTER_FOR_RATE",
@@ -52,12 +62,18 @@ __all__ = [
     "RATE_FIELDS",
     "CalibrationOutcome",
     "CalibrationProfile",
+    "CalibrationReport",
+    "CalibrationRow",
     "FitResult",
+    "Misranking",
     "Observation",
     "ObservationSet",
     "basis_models",
+    "calibration_algorithms",
     "estimated_units",
+    "find_misrankings",
     "fit_database",
     "fit_rates",
     "observation_from_execution",
+    "run_calibration",
 ]

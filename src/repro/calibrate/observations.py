@@ -9,9 +9,9 @@ One :class:`Observation` pairs, for a single executed plan class,
   charged (the per-class :class:`~repro.storage.iostats.IOStats` delta the
   executor attaches to every
   :class:`~repro.core.executor.ClassExecution`, next to its
-  :class:`~repro.obs.analyze.OperatorActuals` ledger) and the simulated
-  milliseconds they priced out to under the rates in force when the class
-  ran.
+  :class:`~repro.core.operators.results.OperatorActuals` ledger) and the
+  simulated milliseconds they priced out to under the rates in force when
+  the class ran.
 
 Estimated class cost is **exactly linear** in the rates (see the linearity
 note in :mod:`repro.core.optimizer.cost`), so the per-unit predictions are
@@ -92,12 +92,8 @@ def basis_models(db: "Database") -> List[CostModel]:
     """One :class:`CostModel` per rate field, priced at the unit basis
     (that field 1.0, all others 0.0), aligned with :data:`RATE_FIELDS`."""
     return [
-        CostModel(
-            db.schema,
-            db.catalog,
-            CostRates(**{f: (1.0 if f == k else 0.0) for f in RATE_FIELDS}),
-            statistics=db.table_statistics,
-            dim_tables=db.dimension_tables,
+        CostModel.for_database(
+            db, CostRates(**{f: (1.0 if f == k else 0.0) for f in RATE_FIELDS})
         )
         for k in RATE_FIELDS
     ]

@@ -9,7 +9,7 @@ contract mirrors the committed ``BENCH_*.json`` records (PR 7):
 * JSON is written canonically (sorted keys, two-space indent, trailing
   newline), so ``load`` followed by ``save`` is **byte-identical** — a
   committed profile never churns in diffs, and the round-trip is gated by
-  the calibrate_smoke lane.
+  ``tests/test_calibrate_smoke.py``.
 * A corrupt, schema-drifted, or missing file raises :class:`ValueError`
   naming *that file* and the failure, which the CLI surfaces as a usage
   error (exit 2) instead of a traceback.

@@ -4,7 +4,7 @@
 
 1. **Before sweep** — run the calibration workload (Tests 1-7 x the
    optimizer registry by default) under the database's current rates,
-   producing the baseline :class:`~repro.obs.analyze.CalibrationReport`
+   producing the baseline :class:`~repro.calibrate.sweep.CalibrationReport`
    and the initial :class:`~repro.calibrate.observations.ObservationSet`.
 2. **Fit / replan / re-collect** — for each outer iteration, fit the rates
    on everything observed so far, apply them to the database
@@ -26,11 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..obs.analyze import (
-    CalibrationReport,
-    calibration_algorithms,
-    run_calibration,
-)
+from ..bench.reporting import format_table
 from ..workload.paper_queries import ALL_PAPER_TESTS
 from .fitter import (
     DEFAULT_BOUNDS,
@@ -42,6 +38,7 @@ from .fitter import (
 )
 from .observations import RATE_FIELDS, ObservationSet, basis_models
 from .profile import CalibrationProfile
+from .sweep import CalibrationReport, calibration_algorithms, run_calibration
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.database import Database
@@ -59,13 +56,11 @@ class CalibrationOutcome:
     @property
     def misrankings_reduced(self) -> bool:
         """Did the fit leave the sweep with no more misrankings than the
-        base rates had?  (The calibrate_smoke lane's gate.)"""
+        base rates had?  (``tests/test_calibrate_smoke.py``'s gate.)"""
         return len(self.after.misrankings) <= len(self.before.misrankings)
 
     def render_summary(self) -> str:
         """The compact fit outcome: rates table + headline deltas."""
-        from ..bench.reporting import format_table
-
         rows = []
         for name in RATE_FIELDS:
             base = getattr(self.fit.base_rates, name)
@@ -110,8 +105,6 @@ class CalibrationOutcome:
         """The full before/after comparison (``--report``): summary, the
         per-algorithm quality table, and every misranking either sweep
         found, with the fit's explanation of what changed."""
-        from ..bench.reporting import format_table
-
         blocks = [self.render_summary()]
         before_algos = self.before.algorithm_summary()
         after_algos = self.after.algorithm_summary()

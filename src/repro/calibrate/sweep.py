@@ -1,236 +1,29 @@
-"""Plan accounting: per-operator actuals, estimated-vs-actual ledgers, and
-cost-model calibration over the paper workload.
+"""The calibration sweep: does the cost model *rank* plans the way execution
+does?
 
-The paper's claims (Tests 1–7, Figures 10–12, Table 2) rest on the cost
-model *ranking* plans the same way execution does.  This module makes that
-checkable:
-
-* :class:`OperatorActuals` — what a shared operator really did: rows
-  scanned, probes issued, union-bitmap popcount, per-query routed tuples,
-  per-query pipeline row counts and CPU charge.  Every shared operator
-  (:class:`~repro.core.operators.hash_join.SharedScanStarJoin`,
-  :class:`~repro.core.operators.index_join.SharedIndexStarJoin`, …)
-  fills one in while running; the executor attaches it to each
-  :class:`~repro.core.executor.ClassExecution` and to the
-  ``operator.*`` span's attributes.
-* :func:`q_error` / :func:`account_execution` / :func:`account_report` —
-  the estimated-vs-actual ledger: per-class and per-query Q-error
-  (``max(est/actual, actual/est)``), the standard cost-model fidelity
-  metric.
-* :func:`run_calibration` — sweeps Tests 1–7 under every registered
-  algorithm (see :func:`calibration_algorithms`),
-  reporting per-class Q-error quantiles and flagging every **misranking**:
-  a pair of plans where the estimated-cheaper one measured slower.  A
-  misranking is the failure mode that silently breaks TPLO/ETPLG/GG
-  sharing decisions, so the report explains each one it finds.
+The paper's claims (Tests 1–7, Figures 10–12, Table 2) rest on that ranking.
+:func:`run_calibration` sweeps Tests 1–7 under every registered algorithm
+(see :func:`calibration_algorithms`), reporting per-class Q-error quantiles
+and flagging every **misranking**: a pair of plans where the
+estimated-cheaper one measured slower.  A misranking is the failure mode
+that silently breaks TPLO/ETPLG/GG sharing decisions, so the report
+explains each one it finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .metrics import Histogram
+from ..bench.harness import AlgorithmRow, run_algorithm_comparison
+from ..bench.reporting import format_table
+from ..core.executor import ClassExecution
+from ..core.operators.results import q_error
+from ..core.optimizer import OPTIMIZERS
+from ..engine.database import Database
+from ..obs.metrics import Histogram
+from ..workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..bench.harness import AlgorithmRow
-    from ..core.executor import ClassExecution, ExecutionReport
-    from ..engine.database import Database
-
-
-def q_error(est: float, actual: float) -> float:
-    """``max(est/actual, actual/est)`` — 1.0 is a perfect estimate.
-
-    Degenerate inputs (either side non-positive) return ``inf`` unless both
-    are ~zero, which counts as perfect agreement.
-    """
-    if est <= 0.0 and actual <= 0.0:
-        return 1.0
-    if est <= 0.0 or actual <= 0.0:
-        return float("inf")
-    return max(est / actual, actual / est)
-
-
-@dataclass
-class OperatorActuals:
-    """What one shared-operator execution really did.
-
-    All counters are in tuples/pages, keyed by ``query.qid`` where
-    per-query.  ``tuples_routed`` is the count *delivered* to a query's
-    pipeline after the "Filter tuples" routing step; ``tuples_tested`` the
-    count tested against the query's result bitmap (shared-index and
-    hybrid operators only).
-    """
-
-    operator: str
-    source: str = ""
-    rows_scanned: int = 0
-    pages_scanned: int = 0
-    #: Rows fetched through the union-bitmap probe (shared index join).
-    probes_issued: int = 0
-    #: Popcount of the OR of the per-query result bitmaps.
-    union_popcount: int = 0
-    #: qid -> popcount of the query's own result bitmap.
-    bitmap_popcounts: Dict[int, int] = field(default_factory=dict)
-    #: qid -> probed/scanned tuples tested against the query's bitmap.
-    tuples_tested: Dict[int, int] = field(default_factory=dict)
-    #: qid -> tuples delivered to the query's pipeline by routing.
-    tuples_routed: Dict[int, int] = field(default_factory=dict)
-    #: qid -> tuples fed into the query's probe/filter/aggregate pipeline.
-    rows_in: Dict[int, int] = field(default_factory=dict)
-    #: qid -> tuples surviving the query's filters.
-    rows_passed: Dict[int, int] = field(default_factory=dict)
-    #: qid -> result groups produced.
-    n_groups: Dict[int, int] = field(default_factory=dict)
-    #: qid -> simulated CPU ms the query's pipeline charged (exact share).
-    pipeline_cpu_ms: Dict[int, float] = field(default_factory=dict)
-
-    def record_pipeline(self, qid: int, pipeline, result, rates) -> None:
-        """Capture one query pipeline's row counters and CPU share."""
-        self.rows_in[qid] = pipeline.rows_in
-        self.rows_passed[qid] = pipeline.rows_passed
-        self.n_groups[qid] = result.n_groups
-        self.pipeline_cpu_ms[qid] = pipeline.actual_cpu_ms(rates)
-
-    def as_dict(self) -> dict:
-        """JSON-able dump (per-query dicts keyed by stringified qid)."""
-        return {
-            "operator": self.operator,
-            "source": self.source,
-            "rows_scanned": self.rows_scanned,
-            "pages_scanned": self.pages_scanned,
-            "probes_issued": self.probes_issued,
-            "union_popcount": self.union_popcount,
-            "bitmap_popcounts": {str(k): v for k, v in self.bitmap_popcounts.items()},
-            "tuples_tested": {str(k): v for k, v in self.tuples_tested.items()},
-            "tuples_routed": {str(k): v for k, v in self.tuples_routed.items()},
-            "rows_in": {str(k): v for k, v in self.rows_in.items()},
-            "rows_passed": {str(k): v for k, v in self.rows_passed.items()},
-            "n_groups": {str(k): v for k, v in self.n_groups.items()},
-            "pipeline_cpu_ms": {
-                str(k): round(v, 6) for k, v in self.pipeline_cpu_ms.items()
-            },
-        }
-
-
-def merge_actuals(
-    partials: Sequence[OperatorActuals], results: Sequence
-) -> OperatorActuals:
-    """Sum per-partition operator actuals into one class-level ledger.
-
-    Every counter is additive across row-disjoint partitions (rows scanned,
-    probes issued, per-query pipeline counts and CPU charge), so
-    partition-order summation is exact.  ``n_groups`` is the exception — a
-    group present on two partitions is still one group — so it is read off
-    the merged ``results`` instead.  A DAG class's *intermediate* has no
-    merged result (only its members do), so its ``n_groups`` entry is not
-    a merged quantity and is omitted.
-    """
-    first = partials[0]
-    merged = OperatorActuals(operator=first.operator, source=first.source)
-    for part in partials:
-        merged.rows_scanned += part.rows_scanned
-        merged.pages_scanned += part.pages_scanned
-        merged.probes_issued += part.probes_issued
-        merged.union_popcount += part.union_popcount
-        for attr in (
-            "bitmap_popcounts",
-            "tuples_tested",
-            "tuples_routed",
-            "rows_in",
-            "rows_passed",
-            "pipeline_cpu_ms",
-        ):
-            target = getattr(merged, attr)
-            for qid, value in getattr(part, attr).items():
-                target[qid] = target.get(qid, 0) + value
-    for result in results:
-        merged.n_groups[result.query.qid] = result.n_groups
-    return merged
-
-
-@dataclass
-class QueryAccounting:
-    """The estimated-vs-actual ledger of one query inside its class."""
-
-    qid: int
-    label: str
-    method: str
-    est_standalone_ms: float
-    est_marginal_ms: float
-    actual_cpu_ms: float
-    rows_in: int
-    rows_passed: int
-    tuples_routed: Optional[int]
-    n_groups: int
-
-
-@dataclass
-class ClassAccounting:
-    """The estimated-vs-actual ledger of one executed plan class."""
-
-    source: str
-    operator: str
-    n_queries: int
-    est_ms: float
-    actual_ms: float
-    actual_io_ms: float
-    actual_cpu_ms: float
-    buffer_hits: int
-    seq_page_reads: int
-    rand_page_reads: int
-    actuals: OperatorActuals
-    queries: List[QueryAccounting] = field(default_factory=list)
-
-    @property
-    def q_error(self) -> float:
-        """Q-error of the class's total cost estimate."""
-        return q_error(self.est_ms, self.actual_ms)
-
-
-def account_execution(execution: "ClassExecution") -> ClassAccounting:
-    """Build the ledger of one measured class execution."""
-    plan_class = execution.plan_class
-    actuals = execution.actuals
-    sim = execution.sim
-    accounting = ClassAccounting(
-        source=plan_class.source,
-        operator=actuals.operator,
-        n_queries=len(plan_class.plans),
-        est_ms=plan_class.est_cost_ms,
-        actual_ms=sim.total_ms,
-        actual_io_ms=sim.io_ms,
-        actual_cpu_ms=sim.cpu_ms,
-        buffer_hits=sim.buffer_hits,
-        seq_page_reads=sim.seq_page_reads,
-        rand_page_reads=sim.rand_page_reads,
-        actuals=actuals,
-    )
-    for plan in plan_class.plans:
-        qid = plan.query.qid
-        accounting.queries.append(
-            QueryAccounting(
-                qid=qid,
-                label=plan.query.display_name(),
-                method=plan.method.name.lower(),
-                est_standalone_ms=plan.est_standalone_ms,
-                est_marginal_ms=plan.est_marginal_ms,
-                actual_cpu_ms=actuals.pipeline_cpu_ms.get(qid, 0.0),
-                rows_in=actuals.rows_in.get(qid, 0),
-                rows_passed=actuals.rows_passed.get(qid, 0),
-                tuples_routed=actuals.tuples_routed.get(qid),
-                n_groups=actuals.n_groups.get(qid, 0),
-            )
-        )
-    return accounting
-
-
-def account_report(report: "ExecutionReport") -> List[ClassAccounting]:
-    """Ledgers for every class of an executed plan, in execution order."""
-    return [account_execution(e) for e in report.class_executions]
-
-
-# -- calibration over the paper workload -------------------------------------
 
 def calibration_algorithms() -> Tuple[str, ...]:
     """Algorithms swept by calibration, derived from the optimizer registry.
@@ -240,13 +33,12 @@ def calibration_algorithms() -> Tuple[str, ...]:
     ``optimal``).  Newly registered algorithms are picked up automatically —
     the hard-coded list this replaces silently skipped ``bgg`` and ``dag``.
     """
-    from ..core.optimizer import OPTIMIZERS
-
     return tuple(
         name
         for name, cls in OPTIMIZERS.items()
         if getattr(cls, "in_calibration", True)
     )
+
 
 #: Relative margin under which two costs are considered tied; inversions
 #: inside the margin are measurement noise, not misrankings.
@@ -278,20 +70,20 @@ class Misranking:
     """
 
     test: str
-    cheap_est: "AlgorithmRow"
-    cheap_actual: "AlgorithmRow"
+    cheap_est: AlgorithmRow
+    cheap_actual: AlgorithmRow
 
     @property
     def est_gap(self) -> float:
         """Relative estimate gap between the two plans."""
-        if self.cheap_actual.est_ms == 0:
+        if self.cheap_est.est_ms == 0:
             return float("inf")
         return self.cheap_actual.est_ms / self.cheap_est.est_ms - 1.0
 
     @property
     def actual_gap(self) -> float:
         """Relative measured gap between the two plans."""
-        if self.cheap_est.sim_ms == 0:
+        if self.cheap_actual.sim_ms == 0:
             return float("inf")
         return self.cheap_est.sim_ms / self.cheap_actual.sim_ms - 1.0
 
@@ -319,7 +111,7 @@ class CalibrationReport:
 
     rows: List[CalibrationRow] = field(default_factory=list)
     #: One row per (test, algorithm): the whole plan's estimate vs execution.
-    plans: List["AlgorithmRow"] = field(default_factory=list)
+    plans: List[AlgorithmRow] = field(default_factory=list)
     misrankings: List[Misranking] = field(default_factory=list)
 
     def q_error_histogram(self) -> Histogram:
@@ -380,8 +172,6 @@ class CalibrationReport:
 
     def render(self) -> str:
         """The human-readable calibration report."""
-        from ..bench.reporting import format_table
-
         blocks: List[str] = []
         blocks.append(
             format_table(
@@ -435,7 +225,7 @@ class CalibrationReport:
 
 
 def find_misrankings(
-    plans: Sequence["AlgorithmRow"], margin: float = RANK_TIE_MARGIN
+    plans: Sequence[AlgorithmRow], margin: float = RANK_TIE_MARGIN
 ) -> List[Misranking]:
     """Pairwise rank inversions between plans of the same test.
 
@@ -445,7 +235,7 @@ def find_misrankings(
     plan) have identical deterministic costs and can never invert.
     """
     misrankings: List[Misranking] = []
-    by_test: Dict[str, List["AlgorithmRow"]] = {}
+    by_test: Dict[str, List[AlgorithmRow]] = {}
     for outcome in plans:
         by_test.setdefault(outcome.test, []).append(outcome)
     for test_plans in by_test.values():
@@ -469,11 +259,11 @@ def find_misrankings(
 
 
 def run_calibration(
-    db: "Database",
+    db: Database,
     tests: Optional[Sequence[str]] = None,
     algorithms: Optional[Sequence[str]] = None,
     on_execution: Optional[
-        Callable[[str, str, "ClassExecution"], None]
+        Callable[[str, str, ClassExecution], None]
     ] = None,
 ) -> CalibrationReport:
     """Sweep the paper tests under every algorithm and ledger each executed
@@ -491,9 +281,6 @@ def run_calibration(
     (:mod:`repro.calibrate`) collect its observations from the *same*
     sweep that produces this report instead of paying for a second one.
     """
-    from ..bench.harness import run_algorithm_comparison
-    from ..workload.paper_queries import ALL_PAPER_TESTS, paper_queries
-
     if algorithms is None:
         algorithms = calibration_algorithms()
     names = list(tests) if tests is not None else list(ALL_PAPER_TESTS)

@@ -31,6 +31,7 @@ from .bench.harness import (
     run_figure,
 )
 from .bench.reporting import format_table
+from .core.explain import explain_plan
 from .engine.view_selection import greedy_select_views, materialize_selection
 from .mdx import translate_mdx
 from .workload.paper_queries import (
@@ -79,11 +80,27 @@ def _load_profile(path: str):
 
 
 def _build_db(args: argparse.Namespace):
-    """The paper database per the common flags (--scale, --profile)."""
-    db = build_paper_database(scale=args.scale)
+    """The database per the common flags: the paper's at ``--scale`` (or,
+    for ``run``, the one saved under ``--database``), under ``--profile``."""
+    if getattr(args, "database", None):
+        from .engine.persist import load_database
+
+        db = load_database(args.database)
+    else:
+        db = build_paper_database(scale=args.scale)
     if getattr(args, "profile", None):
         db.apply_profile(_load_profile(args.profile))
     return db
+
+
+def _read_mdx(args: argparse.Namespace) -> str:
+    """The MDX text of ``run`` / ``explain``: ``--file`` or the positional."""
+    if args.file:
+        with open(args.file) as handle:
+            return handle.read()
+    if args.mdx:
+        return args.mdx
+    raise CliError("provide MDX text or --file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -445,19 +462,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.file:
-        with open(args.file) as handle:
-            mdx = handle.read()
-    elif args.mdx:
-        mdx = args.mdx
-    else:
-        raise CliError("provide MDX text or --file")
-    if args.database:
-        from .engine.persist import load_database
-
-        db = load_database(args.database)
-    else:
-        db = _build_db(args)
+    mdx = _read_mdx(args)
+    db = _build_db(args)
     db.paranoia = args.paranoia
     if args.paranoia:
         print("paranoia: validating plans and cross-checking every result "
@@ -479,17 +485,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("  " + query.describe(db.schema))
         plan = db.optimize(queries, args.algorithm)
         if args.explain:
-            from .core.explain import explain_plan
-
             print()
-            print(explain_plan(db.schema, db.catalog, plan))
-            if args.algorithm == "dag":
-                from .dag import render_dag
-
-                rendered = render_dag(plan)
-                if rendered:
-                    print()
-                    print(rendered)
+            print(explain_plan(db, plan))
         report = db.execute(plan)
     if args.trace:
         from .obs.export import write_chrome_trace, write_trace
@@ -503,7 +500,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(report.summary())
     if args.analyze:
         print()
-        print(report.explain_analyze(db.schema, db.catalog))
+        print(explain_plan(db, plan, report))
     for query in queries:
         result = report.result_for(query)
         print(f"\n{query.display_name()}: {result.n_groups} group(s)")
@@ -553,30 +550,14 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    if args.file:
-        with open(args.file) as handle:
-            mdx = handle.read()
-    elif args.mdx:
-        mdx = args.mdx
-    else:
-        raise CliError("provide MDX text or --file")
-    from .core.explain import explain_plan
-
+    """``run``'s plan-and-print, executing only to ``--analyze``."""
+    mdx = _read_mdx(args)
     db = _build_db(args)
-    queries = translate_mdx(db.schema, mdx)
-    plan = db.optimize(queries, args.algorithm)
-    print(explain_plan(db.schema, db.catalog, plan))
-    if args.algorithm == "dag":
-        from .dag import render_dag
-
-        rendered = render_dag(plan)
-        if rendered:
-            print()
-            print(rendered)
+    plan = db.optimize(translate_mdx(db.schema, mdx), args.algorithm)
+    print(explain_plan(db, plan))
     if args.analyze:
-        report = db.execute(plan)
         print()
-        print(report.explain_analyze(db.schema, db.catalog))
+        print(explain_plan(db, plan, db.execute(plan)))
     return 0
 
 
@@ -596,18 +577,12 @@ def _parse_tests(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine.result_cache import attach_cache
-    from .serve import SimulationConfig, run_simulation
+    from .serve import ServeConfig, SimulationConfig, run_simulation
 
     if not args.simulate:
         raise CliError("pass --simulate (the only serve mode available)")
     if args.clients <= 0 or args.requests <= 0:
         raise CliError("--clients and --requests must be positive")
-    if args.retries < 1:
-        raise CliError("--retries must be >= 1")
-    if args.shards < 1:
-        raise CliError("--shards must be >= 1")
-    if args.recorder_size < 0:
-        raise CliError("--recorder-size must be >= 0")
     if args.flight_recorder and args.recorder_size == 0:
         raise CliError(
             "--flight-recorder needs a nonzero --recorder-size "
@@ -621,6 +596,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_plan = parse_fault_plan(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise CliError(f"bad --faults spec: {exc}") from exc
+    try:
+        serve = ServeConfig(
+            window_ms=args.window,
+            # The whole pre-loaded burst may ride one batch.
+            max_batch_requests=args.clients * args.requests,
+            n_workers=args.workers,
+            algorithm=args.algorithm,
+            max_attempts=args.retries,
+            backoff_base_ms=args.backoff,
+            degrade=not args.no_degrade,
+            shards=args.shards,
+            shard_dim=args.shard_dim,
+            flight_recorder=args.recorder_size,
+            flight_recorder_path=args.flight_recorder,
+        )
+    except ValueError as exc:
+        raise CliError(f"bad serve configuration: {exc}") from exc
     db = _build_db(args)
     if args.shard_dim is not None and args.shard_dim not in [
         dim.name for dim in db.schema.dimensions
@@ -634,28 +626,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         n_clients=args.clients,
         requests_per_client=args.requests,
-        window_ms=args.window,
-        algorithm=args.algorithm,
         seed=args.seed,
         overlap=args.overlap,
-        n_workers=args.workers,
         preload=not args.arrivals,
         verify=not args.no_verify,
         faults=fault_plan,
-        max_attempts=args.retries,
-        backoff_base_ms=args.backoff,
-        degrade=not args.no_degrade,
-        n_shards=args.shards,
-        shard_dim=args.shard_dim,
-        flight_recorder=args.recorder_size,
-        flight_recorder_path=args.flight_recorder,
+        serve=serve,
     )
     print(
         f"simulating {config.n_clients} client(s) x "
         f"{config.requests_per_client} request(s), window "
-        f"{config.window_ms:g} ms, {config.n_workers} worker(s), "
-        f"algorithm {config.algorithm}"
-        + (f", {config.n_shards} shard(s)" if config.n_shards > 1 else "")
+        f"{serve.window_ms:g} ms, {serve.n_workers} worker(s), "
+        f"algorithm {serve.algorithm}"
+        + (f", {serve.shards} shard(s)" if serve.shards > 1 else "")
         + (" (result cache attached)" if args.cache else "")
         + (f" (faults armed: {fault_plan.describe()})" if fault_plan else "")
     )
@@ -749,13 +732,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .obs.analyze import run_calibration
+    from .calibrate import fit_database, run_calibration
 
     if args.report and not args.fit:
         raise CliError("--report requires --fit")
     if args.fit:
-        from .calibrate import fit_database
-
         # --profile names the OUTPUT here, so build the database on its
         # hand-set default rates rather than loading the file.
         db = build_paper_database(scale=args.scale)

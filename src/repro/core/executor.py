@@ -23,14 +23,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..faults import InjectedFault, PartialResultError
-from ..obs.analyze import OperatorActuals, merge_actuals, q_error
 from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
 from ..storage.iostats import IOStats
 from .operators.hash_join import SharedScanStarJoin
 from .operators.index_join import IndexStarJoin, SharedIndexStarJoin
 from .operators.pipeline import ExecContext
-from .operators.results import QueryResult, merge_partial_results
+from .operators.results import (
+    OperatorActuals,
+    QueryResult,
+    merge_actuals,
+    merge_partial_results,
+    q_error,
+)
 from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -230,59 +235,6 @@ class ExecutionReport:
             f"(io {self.sim_io_ms:.1f} + cpu {self.sim_cpu_ms:.1f}), "
             f"wall {self.wall_s * 1000:.1f} ms{failed}"
         )
-
-    def explain_analyze(self, schema, catalog) -> str:
-        """EXPLAIN ANALYZE: each class's operator tree annotated with its
-        estimated and *measured* cost — per class and per query — so the
-        estimate/actual gap (Q-error) can be audited on a live plan."""
-        from ..obs.analyze import account_execution
-        from .explain import explain_class
-
-        blocks = [self.summary()]
-        for execution in self.class_executions:
-            tree = explain_class(schema, catalog, execution.plan_class)
-            accounting = account_execution(execution)
-            est = accounting.est_ms
-            actual = accounting.actual_ms
-            gap = (actual / est - 1.0) * 100 if est else 0.0
-            lines = [
-                tree,
-                f"   => est {est:.1f} sim-ms, actual {actual:.1f} "
-                f"sim-ms ({gap:+.0f}%, q-error {accounting.q_error:.3f}), "
-                f"wall {execution.wall_s * 1000:.1f} ms",
-                f"   => actual io {accounting.actual_io_ms:.1f} + cpu "
-                f"{accounting.actual_cpu_ms:.1f} sim-ms; "
-                f"{accounting.seq_page_reads} seq / "
-                f"{accounting.rand_page_reads} rand page read(s), "
-                f"{accounting.buffer_hits} buffer hit(s)",
-            ]
-            actuals = execution.actuals
-            if actuals.rows_scanned:
-                lines.append(
-                    f"   => scanned {actuals.rows_scanned} row(s) on "
-                    f"{actuals.pages_scanned} page(s)"
-                )
-            if actuals.probes_issued:
-                lines.append(
-                    f"   => probed {actuals.probes_issued} row(s) via "
-                    f"union bitmap (popcount {actuals.union_popcount})"
-                )
-            for qa in accounting.queries:
-                routed = (
-                    f", routed {qa.tuples_routed}"
-                    if qa.tuples_routed is not None
-                    else ""
-                )
-                lines.append(
-                    f"      {qa.label} [{qa.method}]: est standalone "
-                    f"{qa.est_standalone_ms:.1f} / marginal "
-                    f"{qa.est_marginal_ms:.1f} sim-ms; actual pipeline cpu "
-                    f"{qa.actual_cpu_ms:.2f} sim-ms "
-                    f"(rows {qa.rows_in} -> {qa.rows_passed}{routed}, "
-                    f"{qa.n_groups} group(s))"
-                )
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks)
 
 
 def run_class_accounted(

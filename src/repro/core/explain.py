@@ -1,19 +1,40 @@
-"""Operator-tree EXPLAIN: render a plan class the way the paper draws its
-Figures 1–5.
+"""EXPLAIN: the one module that turns a plan into text.
 
-A class's method mix determines the physical operator the executor will
-run; this module renders the same decision as an annotated ASCII tree with
-catalog statistics, so users can inspect exactly what will be shared before
-executing.
+A plan holds only what was decided — classes, members, join methods, class
+estimates, and for ``dag`` the search's typed record.  :func:`explain_plan`
+renders that three ways from one place:
+
+* each class as its physical operator tree, the way the paper draws its
+  Figures 1–5, annotated with catalog statistics;
+* for a ``dag`` plan, the AND-OR DAG block: shape, unified sub-expressions
+  and the materializations the greedy search chose, straight from
+  ``plan.search_stats["dag"]`` (:class:`~repro.dag.search.SearchStats`);
+* handed the plan's :class:`~repro.core.executor.ExecutionReport`, EXPLAIN
+  ANALYZE: every executed class and member annotated with estimated vs
+  measured cost.  Per-member estimates are display-only, so they are
+  computed here, on a fresh :class:`~repro.core.optimizer.cost.CostModel`,
+  never on the planning path: *standalone* is the member alone on the
+  class's table; *marginal* (the paper's ``CostOfUsing``) is ``cost(class
+  as planned) − best cost(class without the member)``.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from ..schema.query import GroupByQuery
 from ..schema.star import StarSchema
-from ..storage.catalog import Catalog, TableEntry
+from ..storage.catalog import TableEntry
+from .optimizer.cost import CostModel
 from .optimizer.plans import GlobalPlan, JoinMethod, LocalPlan, PlanClass
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dag.search import SearchStats
+    from ..engine.database import Database
+    from .executor import ClassExecution, ExecutionReport
+
+#: OR-nodes the DAG block lists before it truncates.
+MAX_DAG_NODES = 32
 
 
 def _dim_structures(
@@ -63,19 +84,15 @@ def _pipeline_line(schema: StarSchema, plan: LocalPlan) -> str:
 
 
 def _index_phase_lines(
-    schema: StarSchema, entry: TableEntry, plan: LocalPlan
+    model: CostModel, entry: TableEntry, plan: LocalPlan
 ) -> List[str]:
     lines = []
     for pred in plan.query.predicates:
-        dim = schema.dimensions[pred.dim_index]
-        has_index = any(
-            entry.index_for(pred.dim_index, level) is not None
-            for level in range(pred.level, entry.levels[pred.dim_index] - 1, -1)
-        )
-        verb = "OR bitmaps" if has_index else "residual filter"
+        dim = model.schema.dimensions[pred.dim_index]
+        indexed = model.find_index(entry, pred) is not None
         lines.append(
-            f"{verb}: {dim.level_name(pred.level)} "
-            f"({len(pred.member_ids)} member(s))"
+            f"{'OR bitmaps' if indexed else 'residual filter'}: "
+            f"{dim.level_name(pred.level)} ({len(pred.member_ids)} member(s))"
         )
     return lines
 
@@ -90,11 +107,10 @@ _OPERATOR_TITLES = {
 }
 
 
-def explain_class(
-    schema: StarSchema, catalog: Catalog, plan_class: PlanClass
-) -> str:
+def explain_class(model: CostModel, plan_class: PlanClass) -> str:
     """Render one class as its physical operator tree."""
-    entry = catalog.get(plan_class.source)
+    schema = model.schema
+    entry = model.catalog.get(plan_class.source)
     hash_plans = [
         p for p in plan_class.plans if p.method is JoinMethod.HASH
     ]
@@ -112,7 +128,7 @@ def explain_class(
     if plan_class.is_pure_index:
         for plan in index_plans:
             lines.append(f"├─ bitmap[{plan.query.display_name()}]:")
-            for phase in _index_phase_lines(schema, entry, plan):
+            for phase in _index_phase_lines(model, entry, plan):
                 lines.append(f"│    {phase}")
         lines.append("├─ OR the per-query bitmaps; probe base table once")
         lines.append("├─ route tuples (Filter tuples per query)")
@@ -128,7 +144,7 @@ def explain_class(
                 f"├─ bitmap[{plan.query.display_name()}] "
                 f"(filters the scan, no probe I/O):"
             )
-            for phase in _index_phase_lines(schema, entry, plan):
+            for phase in _index_phase_lines(model, entry, plan):
                 lines.append(f"│    {phase}")
     pipes = hash_plans + index_plans if not plan_class.is_pure_index else (
         index_plans
@@ -156,15 +172,203 @@ def explain_class(
     return "\n".join(lines)
 
 
+# -- per-member estimates (EXPLAIN ANALYZE only) ------------------------------
+
+_Steps = List[Tuple[GroupByQuery, List[GroupByQuery]]]
+
+
+def _members(
+    plan_class: PlanClass, without: Optional[int] = None
+) -> Tuple[List[GroupByQuery], _Steps]:
+    """The class's scan members and derive steps as the cost model takes
+    them, optionally minus the member with qid ``without`` (a step it
+    empties is dropped)."""
+    scan = [
+        p.query
+        for p in plan_class.plans
+        if p.method is not JoinMethod.DERIVE and p.query.qid != without
+    ]
+    steps: _Steps = []
+    for step in getattr(plan_class, "derives", ()):
+        kept = [
+            q for q in plan_class.derived_queries(step) if q.qid != without
+        ]
+        if kept:
+            steps.append((step.intermediate, kept))
+    return scan, steps
+
+
+def member_estimates(
+    model: CostModel, plan_class: PlanClass
+) -> List[Tuple[float, float]]:
+    """``(standalone, marginal)`` estimated sim-ms per member, in plan
+    order (see the module docstring for the one formula).  Each side of the
+    marginal is a whole class costing: the float-order rule of
+    :class:`~repro.core.optimizer.cost.MemberTerm` forbids ``total − term``.
+    """
+    entry = model.catalog.get(plan_class.source)
+    scan, steps = _members(plan_class)
+    if steps:
+        planned = model.derive_class(entry, scan, steps).cost_ms
+    else:
+        planned = model.class_cost_given(
+            entry, plan_class.queries, plan_class.methods
+        )
+    estimates = []
+    for plan in plan_class.plans:
+        scan, steps = _members(plan_class, without=plan.query.qid)
+        if steps:
+            rest = model.derive_class(entry, scan, steps).cost_ms
+        elif scan:
+            rest = model.plan_class(entry, scan).cost_ms
+        else:
+            rest = 0.0
+        alone = model.standalone(entry, plan.query)
+        estimates.append((alone[1] if alone else 0.0, planned - rest))
+    return estimates
+
+
+def _analysis_lines(model: CostModel, execution: "ClassExecution") -> List[str]:
+    """The est-vs-actual annotations under one executed class's tree."""
+    plan_class, sim, actuals = (
+        execution.plan_class, execution.sim, execution.actuals
+    )
+    est, actual = execution.est_ms, execution.sim_ms
+    gap = (actual / est - 1.0) * 100 if est else 0.0
+    lines = [
+        f"   => est {est:.1f} sim-ms, actual {actual:.1f} "
+        f"sim-ms ({gap:+.0f}%, q-error {execution.q_error:.3f}), "
+        f"wall {execution.wall_s * 1000:.1f} ms",
+        f"   => actual io {sim.io_ms:.1f} + cpu {sim.cpu_ms:.1f} sim-ms; "
+        f"{sim.seq_page_reads} seq / {sim.rand_page_reads} rand page "
+        f"read(s), {sim.buffer_hits} buffer hit(s)",
+    ]
+    if actuals.rows_scanned:
+        lines.append(
+            f"   => scanned {actuals.rows_scanned} row(s) on "
+            f"{actuals.pages_scanned} page(s)"
+        )
+    if actuals.probes_issued:
+        lines.append(
+            f"   => probed {actuals.probes_issued} row(s) via "
+            f"union bitmap (popcount {actuals.union_popcount})"
+        )
+    for plan, (standalone, marginal) in zip(
+        plan_class.plans, member_estimates(model, plan_class)
+    ):
+        qid = plan.query.qid
+        routed = actuals.tuples_routed.get(qid)
+        routed = "" if routed is None else f", routed {routed}"
+        lines.append(
+            f"      {plan.query.display_name()} "
+            f"[{plan.method.name.lower()}]: est standalone "
+            f"{standalone:.1f} / marginal {marginal:.1f} sim-ms; "
+            f"actual pipeline cpu "
+            f"{actuals.pipeline_cpu_ms.get(qid, 0.0):.2f} sim-ms "
+            f"(rows {actuals.rows_in.get(qid, 0)} -> "
+            f"{actuals.rows_passed.get(qid, 0)}{routed}, "
+            f"{actuals.n_groups.get(qid, 0)} group(s))"
+        )
+    return lines
+
+
+# -- the dag search's record ---------------------------------------------------
+
+
+def _qids(qids: Sequence[int]) -> str:
+    return ", ".join(f"Q{qid}" for qid in qids)
+
+
+def _dag_block(stats: "SearchStats") -> str:
+    """The AND-OR DAG of a ``dag`` plan as an indented tree: every OR-node
+    two or more queries unify on or the search materialized, each with its
+    alternative producers and the chosen host."""
+    dag = stats.dag
+    lines = [
+        f"PlanDAG[dag] — {dag.n_or_nodes} OR-node(s), "
+        f"{dag.n_and_nodes} AND-node(s), {dag.n_unified} unified "
+        f"sub-expression(s), {len(dag.candidate_keys)} candidate "
+        f"intermediate(s)",
+        f"search: {stats.iterations} iteration(s), "
+        f"{stats.moves_evaluated} move(s) evaluated "
+        f"({stats.costings_memoized} costings memoized), "
+        f"est {round(stats.initial_est_ms, 3)} -> "
+        f"{round(stats.final_est_ms, 3)} sim-ms",
+    ]
+    chosen = {m.node_key: m for m in stats.materializations}
+    shown = [
+        dag.nodes[key]
+        for key in sorted(dag.nodes)
+        if dag.nodes[key].is_unified or key in chosen
+    ][:MAX_DAG_NODES]
+    for i, node in enumerate(shown):
+        last = i == len(shown) - 1
+        tags = [
+            tag
+            for tag, on in (
+                ("unified", node.is_unified),
+                ("materialized", node.key in chosen),
+            )
+            if on
+        ]
+        lines.append(
+            f"{'└─' if last else '├─'} OR {node.key}  <- "
+            f"{_qids(sorted(node.consumers))}"
+            f"{'  [' + ', '.join(tags) + ']' if tags else ''}"
+        )
+        move = chosen.get(node.key)
+        for j, alt in enumerate(node.alternatives):
+            marker = ""
+            if (
+                move is not None
+                and alt.op == "scan-join"
+                and alt.source == move.host
+            ):
+                marker = (
+                    f"  (chosen host, saves {round(move.gain_ms, 3)} sim-ms, "
+                    f"derives {_qids(move.qids)})"
+                )
+            lines.append(
+                f"{'   ' if last else '│  '} "
+                f"{'└─' if j == len(node.alternatives) - 1 else '├─'} "
+                f"AND {alt.op}[{alt.source}]{marker}"
+            )
+    if not shown:
+        lines.append(
+            "(no unified sub-expressions and no materializations — the "
+            "plan is exactly the GG seed)"
+        )
+    return "\n".join(lines)
+
+
 def explain_plan(
-    schema: StarSchema, catalog: Catalog, plan: GlobalPlan
+    db: "Database",
+    plan: GlobalPlan,
+    report: "Optional[ExecutionReport]" = None,
 ) -> str:
-    """Render a whole global plan: one operator tree per class."""
-    header = (
+    """Render ``plan``: one operator tree per class, then a ``dag`` plan's
+    DAG block.  With ``report`` — the execution of this plan; any other is
+    a ``ValueError`` — the output is EXPLAIN ANALYZE instead: the report's
+    summary, then the tree of every class it executed, annotated with
+    estimated vs measured cost per class and per member."""
+    model = CostModel.for_database(db)
+    if report is not None:
+        if report.plan is not plan:
+            raise ValueError("report is not an execution of this plan")
+        # Executions are folded in plan order; a failed class has none.
+        blocks = [report.summary()]
+        for execution in report.class_executions:
+            tree = explain_class(model, execution.plan_class)
+            blocks.append(
+                "\n".join([tree, *_analysis_lines(model, execution)])
+            )
+        return "\n\n".join(blocks)
+    blocks = [
         f"GlobalPlan[{plan.algorithm}] — {plan.n_queries} queries, "
         f"{len(plan.classes)} class(es), est {plan.est_cost_ms:.1f} sim-ms"
-    )
-    blocks = [header]
-    for plan_class in plan.classes:
-        blocks.append(explain_class(schema, catalog, plan_class))
+    ]
+    blocks.extend(explain_class(model, cls) for cls in plan.classes)
+    stats = plan.search_stats.get("dag")
+    if stats is not None:
+        blocks.append(_dag_block(stats))
     return "\n\n".join(blocks)

@@ -38,13 +38,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ...obs.analyze import OperatorActuals
 from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
 from .index_join import query_result_bitmap
 from .pipeline import ExecContext, QueryPipeline, RollupCache, scan_columns
-from .results import QueryResult
+from .results import OperatorActuals, QueryResult
 
 #: A derive step in operator form: the intermediate aggregate to accumulate
 #: during the scan, and the member queries answered from it afterwards.

@@ -19,13 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from ...index.bitmap import Bitmap, and_all
 from ...index.bitmap_index import JoinIndex
-from ...obs.analyze import OperatorActuals
 from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
 from .pipeline import ExecContext, QueryPipeline, RollupCache
-from .results import QueryResult
+from .results import OperatorActuals, QueryResult
 
 
 class MissingIndexError(LookupError):

@@ -1,9 +1,10 @@
-"""Query results: aggregated groups keyed by member-id tuples."""
+"""Query results — aggregated groups keyed by member-id tuples — and the
+actuals a shared operator records while producing them."""
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...schema.query import Aggregate, GroupByQuery
@@ -149,4 +150,118 @@ def merge_partial_results(
                 else:
                     groups[key] = value
         merged.append(QueryResult(query=query, groups=groups))
+    return merged
+
+
+def q_error(est: float, actual: float) -> float:
+    """``max(est/actual, actual/est)`` — 1.0 is a perfect estimate.
+
+    Degenerate inputs (either side non-positive) return ``inf`` unless both
+    are ~zero, which counts as perfect agreement.
+    """
+    if est <= 0.0 and actual <= 0.0:
+        return 1.0
+    if est <= 0.0 or actual <= 0.0:
+        return float("inf")
+    return max(est / actual, actual / est)
+
+
+@dataclass
+class OperatorActuals:
+    """What one shared-operator execution really did.  Every shared
+    operator fills one in while running; the executor attaches it to the
+    class's :class:`~repro.core.executor.ClassExecution` and to the
+    ``operator.*`` span's attributes.
+
+    All counters are in tuples/pages, keyed by ``query.qid`` where
+    per-query.  ``tuples_routed`` is the count *delivered* to a query's
+    pipeline after the "Filter tuples" routing step; ``tuples_tested`` the
+    count tested against the query's result bitmap (shared-index and
+    hybrid operators only).
+    """
+
+    operator: str
+    source: str = ""
+    rows_scanned: int = 0
+    pages_scanned: int = 0
+    #: Rows fetched through the union-bitmap probe (shared index join).
+    probes_issued: int = 0
+    #: Popcount of the OR of the per-query result bitmaps.
+    union_popcount: int = 0
+    #: qid -> popcount of the query's own result bitmap.
+    bitmap_popcounts: Dict[int, int] = field(default_factory=dict)
+    #: qid -> probed/scanned tuples tested against the query's bitmap.
+    tuples_tested: Dict[int, int] = field(default_factory=dict)
+    #: qid -> tuples delivered to the query's pipeline by routing.
+    tuples_routed: Dict[int, int] = field(default_factory=dict)
+    #: qid -> tuples fed into the query's probe/filter/aggregate pipeline.
+    rows_in: Dict[int, int] = field(default_factory=dict)
+    #: qid -> tuples surviving the query's filters.
+    rows_passed: Dict[int, int] = field(default_factory=dict)
+    #: qid -> result groups produced.
+    n_groups: Dict[int, int] = field(default_factory=dict)
+    #: qid -> simulated CPU ms the query's pipeline charged (exact share).
+    pipeline_cpu_ms: Dict[int, float] = field(default_factory=dict)
+
+    def record_pipeline(self, qid: int, pipeline, result, rates) -> None:
+        """Capture one query pipeline's row counters and CPU share."""
+        self.rows_in[qid] = pipeline.rows_in
+        self.rows_passed[qid] = pipeline.rows_passed
+        self.n_groups[qid] = result.n_groups
+        self.pipeline_cpu_ms[qid] = pipeline.actual_cpu_ms(rates)
+
+    def as_dict(self) -> dict:
+        """JSON-able dump (per-query dicts keyed by stringified qid)."""
+        return {
+            "operator": self.operator,
+            "source": self.source,
+            "rows_scanned": self.rows_scanned,
+            "pages_scanned": self.pages_scanned,
+            "probes_issued": self.probes_issued,
+            "union_popcount": self.union_popcount,
+            "bitmap_popcounts": {str(k): v for k, v in self.bitmap_popcounts.items()},
+            "tuples_tested": {str(k): v for k, v in self.tuples_tested.items()},
+            "tuples_routed": {str(k): v for k, v in self.tuples_routed.items()},
+            "rows_in": {str(k): v for k, v in self.rows_in.items()},
+            "rows_passed": {str(k): v for k, v in self.rows_passed.items()},
+            "n_groups": {str(k): v for k, v in self.n_groups.items()},
+            "pipeline_cpu_ms": {
+                str(k): round(v, 6) for k, v in self.pipeline_cpu_ms.items()
+            },
+        }
+
+
+def merge_actuals(
+    partials: Sequence[OperatorActuals], results: Sequence
+) -> OperatorActuals:
+    """Sum per-partition operator actuals into one class-level ledger.
+
+    Every counter is additive across row-disjoint partitions (rows scanned,
+    probes issued, per-query pipeline counts and CPU charge), so
+    partition-order summation is exact.  ``n_groups`` is the exception — a
+    group present on two partitions is still one group — so it is read off
+    the merged ``results`` instead.  A DAG class's *intermediate* has no
+    merged result (only its members do), so its ``n_groups`` entry is not
+    a merged quantity and is omitted.
+    """
+    first = partials[0]
+    merged = OperatorActuals(operator=first.operator, source=first.source)
+    for part in partials:
+        merged.rows_scanned += part.rows_scanned
+        merged.pages_scanned += part.pages_scanned
+        merged.probes_issued += part.probes_issued
+        merged.union_popcount += part.union_popcount
+        for attr in (
+            "bitmap_popcounts",
+            "tuples_tested",
+            "tuples_routed",
+            "rows_in",
+            "rows_passed",
+            "pipeline_cpu_ms",
+        ):
+            target = getattr(merged, attr)
+            for qid, value in getattr(part, attr).items():
+                target[qid] = target.get(qid, 0) + value
+    for result in results:
+        merged.n_groups[result.query.qid] = result.n_groups
     return merged

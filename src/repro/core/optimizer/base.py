@@ -18,31 +18,16 @@ def build_plan_class(
     model: CostModel, entry: TableEntry, queries: Sequence[GroupByQuery]
 ) -> PlanClass:
     """Materialize a :class:`PlanClass` from the model's best costing of
-    ``queries`` on ``entry``, including per-plan standalone and marginal
-    estimates (the paper's ``CostOfUsing``)."""
+    ``queries`` on ``entry``: one class costing, no per-member estimates."""
     costing = model.plan_class(entry, queries)
     if costing is None:
         raise ValueError(
             f"class on {entry.name!r} cannot answer all of its queries"
         )
-    plans: List[LocalPlan] = []
-    for i, (query, method) in enumerate(zip(queries, costing.methods)):
-        # Leave-one-out: the rest of the class re-costed from its members'
-        # cached terms (see MemberTerm's float-order rule), answerable
-        # because the whole class is.
-        marginal = costing.cost_ms
-        others = [q for j, q in enumerate(queries) if j != i]
-        if others:
-            marginal -= model.plan_class(entry, others).cost_ms
-        plans.append(
-            LocalPlan(
-                query=query,
-                source=entry.name,
-                method=method,
-                est_standalone_ms=model.standalone(entry, query)[1],
-                est_marginal_ms=marginal,
-            )
-        )
+    plans = [
+        LocalPlan(query=query, source=entry.name, method=method)
+        for query, method in zip(queries, costing.methods)
+    ]
     return PlanClass(source=entry.name, plans=plans, est_cost_ms=costing.cost_ms)
 
 
@@ -60,13 +45,7 @@ class Optimizer(ABC):
 
     def __init__(self, db: "Database", model: Optional[CostModel] = None):
         self.db = db
-        self.model = model or CostModel(
-            db.schema,
-            db.catalog,
-            db.stats.rates,
-            statistics=db.table_statistics,
-            dim_tables=db.dimension_tables,
-        )
+        self.model = model or CostModel.for_database(db)
 
     def entries(self) -> List[TableEntry]:
         """All registered entries, in registration order."""

@@ -20,9 +20,9 @@ leading dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...index.bitmap import WORD_BITS
 from ...schema.lattice import (
@@ -36,6 +36,9 @@ from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates
 from .plans import JoinMethod
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ...engine.database import Database
+
 
 @dataclass
 class ClassCosting:
@@ -45,8 +48,6 @@ class ClassCosting:
     source: str
     cost_ms: float
     methods: List[JoinMethod]
-    shared_io_ms: float = 0.0
-    detail: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,6 +138,20 @@ class CostModel:
         # A first standalone costing counts in n_plan_costings, repeats do
         # not, so ``standalone`` keeps its results beside the terms.
         self._standalone_cache: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
+
+    @classmethod
+    def for_database(
+        cls, db: "Database", rates: Optional[CostRates] = None
+    ) -> "CostModel":
+        """A fresh model over ``db``'s current catalog, statistics and
+        dimension tables, priced at its rates unless ``rates`` is given."""
+        return cls(
+            db.schema,
+            db.catalog,
+            rates or db.stats.rates,
+            statistics=db.table_statistics,
+            dim_tables=db.dimension_tables,
+        )
 
     @property
     def n_member_terms(self) -> int:
@@ -408,9 +423,7 @@ class CostModel:
             total += (
                 term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
             )
-        return ClassCosting(
-            entry.name, total, list(methods), scan_io, {"scan_io_ms": scan_io}
-        )
+        return ClassCosting(entry.name, total, list(methods))
 
     def _index_class(
         self, entry: TableEntry, terms: Sequence[MemberTerm], builds_ms: float
@@ -435,9 +448,7 @@ class CostModel:
             total += term.index_ms
             total += routing_ms
             total += term.fed_ms
-        detail = {"probe_io_ms": probe_io, "probe_pages": probe_pages}
-        methods = [JoinMethod.INDEX] * len(terms)
-        return ClassCosting(entry.name, total, methods, probe_io, detail)
+        return ClassCosting(entry.name, total, [JoinMethod.INDEX] * len(terms))
 
     def plan_class(
         self, entry: TableEntry, queries: Sequence[GroupByQuery]
@@ -575,7 +586,6 @@ class CostModel:
         costing = self._scan_class(
             entry, terms, self._dag_builds_cpu_ms(entry, terms, derive_steps)
         )
-        derive_rows = 0.0
         for intermediate, derived in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.
@@ -583,14 +593,12 @@ class CostModel:
                 intermediate, n_fed=n, n_pass=n
             )
             m = row_safety * self.intermediate_rows(entry, intermediate)
-            derive_rows += m
             for query in derived:
                 k = m * self.query_selectivity(entry, query)
                 costing.cost_ms += self._process_cpu_ms(
                     query, n_fed=m, n_pass=k
                 )
                 costing.methods.append(JoinMethod.DERIVE)
-        costing.detail["derive_rows"] = derive_rows
         return costing
 
     # -- local-plan selection ------------------------------------------------------

@@ -12,12 +12,11 @@ Terminology follows the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ...schema.query import GroupByQuery
-from ...schema.star import StarSchema
 
 
 class JoinMethod(Enum):
@@ -32,27 +31,14 @@ class JoinMethod(Enum):
 
 @dataclass(frozen=True)
 class LocalPlan:
-    """One query evaluated from one base table with one join method.
-
-    ``est_standalone_ms`` is the estimated cost of running this plan alone;
-    ``est_marginal_ms`` the estimated extra cost of running it inside its
-    class (shared I/O excluded) — the quantity the paper calls
-    ``CostOfUsing`` a shared base table.
-    """
+    """One query evaluated from one base table with one join method — what
+    was decided, nothing else.  Per-member estimates (standalone cost, the
+    paper's ``CostOfUsing`` marginal) are the search's working quantities;
+    :func:`repro.core.explain.explain_plan` recomputes them for display."""
 
     query: GroupByQuery
     source: str
     method: JoinMethod
-    est_standalone_ms: float = 0.0
-    est_marginal_ms: float = 0.0
-
-    def describe(self, schema: StarSchema) -> str:
-        """Human-readable one-line/short rendering for display."""
-        target = self.query.groupby.name(schema)
-        return (
-            f"({target} ⇒ {self.source}) [{self.method.value}]"
-            f"  // {self.query.display_name()}"
-        )
 
 
 @dataclass
@@ -117,14 +103,6 @@ class PlanClass:
             return "index_star" if len(self.plans) == 1 else "shared_index"
         return "shared_hybrid"
 
-    def describe(self, schema: StarSchema) -> str:
-        """Human-readable one-line/short rendering for display."""
-        lines = [
-            f"Class[{self.source}]  est={self.est_cost_ms:.1f} sim-ms"
-        ]
-        lines.extend("  " + plan.describe(schema) for plan in self.plans)
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class DeriveStep:
@@ -166,17 +144,6 @@ class DagPlanClass(PlanClass):
         wanted = set(step.qids)
         return [p.query for p in self.plans if p.query.qid in wanted]
 
-    def describe(self, schema: StarSchema) -> str:
-        lines = [super().describe(schema)]
-        for step in self.derives:
-            lines.append(
-                f"  materialize {step.intermediate.groupby.name(schema)} "
-                f"[{step.intermediate.aggregate.value.upper()}] "
-                f"(~{step.est_rows:.0f} rows) -> derives qids "
-                f"{sorted(step.qids)}"
-            )
-        return "\n".join(lines)
-
 
 @dataclass
 class GlobalPlan:
@@ -184,8 +151,9 @@ class GlobalPlan:
 
     algorithm: str
     classes: List[PlanClass] = field(default_factory=list)
-    #: Planning-effort metadata attached by Database.optimize:
-    #: {"plan_costings": int, "planning_s": float}.
+    #: Planning-effort metadata: ``Database.optimize`` adds
+    #: ``plan_costings`` (int) and ``planning_s`` (float); the dag optimizer
+    #: leaves its :class:`~repro.dag.search.SearchStats` under ``"dag"``.
     search_stats: dict = field(default_factory=dict)
 
     @property
@@ -221,44 +189,6 @@ class GlobalPlan:
     def sources_used(self) -> List[str]:
         """Sorted distinct base-table names the plan reads."""
         return sorted({cls.source for cls in self.classes})
-
-    def explain(self, schema: StarSchema) -> str:
-        """Pretty-print in the paper's plan notation."""
-        lines = [
-            f"GlobalPlan[{self.algorithm}]  "
-            f"{self.n_queries} queries in {len(self.classes)} class(es), "
-            f"estimated {self.est_cost_ms:.1f} sim-ms"
-        ]
-        for cls in self.classes:
-            lines.append(cls.describe(schema))
-        return "\n".join(lines)
-
-    def to_dict(self, schema: StarSchema) -> dict:
-        """A JSON-serializable rendering of the plan, for tooling."""
-        return {
-            "algorithm": self.algorithm,
-            "est_cost_ms": round(self.est_cost_ms, 3),
-            "search_stats": dict(self.search_stats),
-            "classes": [
-                {
-                    "source": cls.source,
-                    "est_cost_ms": round(cls.est_cost_ms, 3),
-                    "plans": [
-                        {
-                            "query": plan.query.display_name(),
-                            "groupby": plan.query.groupby.name(schema),
-                            "method": plan.method.value,
-                            "est_standalone_ms": round(
-                                plan.est_standalone_ms, 3
-                            ),
-                            "est_marginal_ms": round(plan.est_marginal_ms, 3),
-                        }
-                        for plan in cls.plans
-                    ],
-                }
-                for cls in self.classes
-            ],
-        }
 
     def validate(
         self,

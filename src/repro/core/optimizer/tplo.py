@@ -27,33 +27,30 @@ class TPLOOptimizer(Optimizer):
         """Produce a global plan covering ``queries`` (see class docstring)."""
         queries = self._check_input(queries)
         # Phase one: the optimal local plan per query.
-        locals_: List[Tuple[GroupByQuery, TableEntry, JoinMethod, float]] = []
+        locals_: List[Tuple[GroupByQuery, TableEntry, JoinMethod]] = []
         with self.tracer.span("optimize.tplo.local", n_queries=len(queries)):
             for query in queries:
-                entry, method, cost = self.model.best_local(query)
-                locals_.append((query, entry, method, cost))
+                entry, method, _cost = self.model.best_local(query)
+                locals_.append((query, entry, method))
         # Phase two: merge plans sharing a base table into classes.  Local
         # method choices are kept (phase two only shares subtasks; it does
         # not re-plan).
         with self.tracer.span("optimize.tplo.merge") as merge_span:
-            by_source: Dict[str, List[Tuple[GroupByQuery, TableEntry, JoinMethod, float]]] = {}
-            for item in locals_:
-                by_source.setdefault(item[1].name, []).append(item)
+            by_source: Dict[
+                str, Tuple[TableEntry, List[GroupByQuery], List[JoinMethod]]
+            ] = {}
+            for query, entry, method in locals_:
+                _entry, class_queries, methods = by_source.setdefault(
+                    entry.name, (entry, [], [])
+                )
+                class_queries.append(query)
+                methods.append(method)
             plan = GlobalPlan(algorithm=self.name)
-            for source, items in by_source.items():
-                entry = items[0][1]
-                class_queries = [item[0] for item in items]
-                methods = [item[2] for item in items]
+            for source, (entry, class_queries, methods) in by_source.items():
                 est = self.model.class_cost_given(entry, class_queries, methods)
                 plans = [
-                    LocalPlan(
-                        query=query,
-                        source=source,
-                        method=method,
-                        est_standalone_ms=cost,
-                        est_marginal_ms=cost,
-                    )
-                    for query, _entry, method, cost in items
+                    LocalPlan(query=query, source=source, method=method)
+                    for query, method in zip(class_queries, methods)
                 ]
                 plan.classes.append(
                     PlanClass(source=source, plans=plans, est_cost_ms=est)

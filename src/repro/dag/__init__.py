@@ -29,12 +29,14 @@ Optimization", SIGMOD 2000):
   :class:`~repro.core.operators.hash_join.SharedScanStarJoin`), so the
   executor, paranoia checker, actuals ledger, serve batching, and shard
   scatter-gather all work unchanged.
-* :mod:`repro.dag.explain` — renders the DAG (AND/OR nodes, unified
-  sub-expressions, chosen materializations) as an indented tree for
-  ``repro explain --algorithm dag``.
+
+A dag plan carries the search's typed record
+(:class:`~repro.dag.search.SearchStats`, DAG included) in
+``plan.search_stats["dag"]``; :func:`repro.core.explain.explain_plan`
+renders it (AND/OR nodes, unified sub-expressions, chosen
+materializations) for ``repro explain --algorithm dag``.
 """
 
-from .explain import render_dag
 from .nodes import AndNode, OrNode, PlanDag, build_dag, node_key
 from .optimizer import DagOptimizer
 from .search import SearchStats, greedy_search
@@ -48,5 +50,4 @@ __all__ = [
     "build_dag",
     "greedy_search",
     "node_key",
-    "render_dag",
 ]

@@ -14,7 +14,7 @@ The pipeline is four traced phases:
 * ``dag.lower`` — emit :class:`~repro.core.optimizer.plans.DagPlanClass`
   classes (plain :class:`~repro.core.optimizer.plans.PlanClass` when a
   class adopted no derive step, keeping the executor's existing operators
-  in play), with unbiased per-plan standalone/marginal estimates.
+  in play), each costed once, unbiased.
 
 Everything downstream — executor, paranoia checker, actuals ledger, serve
 batching, shard scatter-gather — consumes the resulting
@@ -23,7 +23,7 @@ batching, shard scatter-gather — consumes the resulting
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from ..core.optimizer.base import Optimizer, build_plan_class
 from ..core.optimizer.greedy import GGOptimizer
@@ -35,8 +35,8 @@ from ..core.optimizer.plans import (
 )
 from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
-from .nodes import PlanDag, build_dag
-from .search import DagClass, SearchStats, greedy_search
+from .nodes import build_dag
+from .search import DagClass, greedy_search
 
 
 class DagOptimizer(Optimizer):
@@ -85,36 +85,9 @@ class DagOptimizer(Optimizer):
             plan = GlobalPlan(algorithm=self.name)
             for cls in classes:
                 plan.classes.append(self._lower_class(cls))
-        plan.search_stats = {"dag": self._dag_stats(dag, stats)}
+        plan.search_stats = {"dag": stats}
         plan.validate(queries)
         return plan
-
-    # -- lowering ----------------------------------------------------------
-
-    def _class_cost(
-        self,
-        cls: DagClass,
-        drop_qid: Optional[int] = None,
-    ) -> float:
-        """Unbiased cost of a search-state class, optionally without one
-        member (the denominator of a per-plan marginal estimate)."""
-        scan = [q for q in cls.scan_queries if q.qid != drop_qid]
-        steps: List[Tuple[GroupByQuery, List[GroupByQuery]]] = []
-        for step in cls.steps:
-            kept = [q for q in step.queries if q.qid != drop_qid]
-            if kept:
-                steps.append((step.intermediate, kept))
-        if not scan and not steps:
-            return 0.0
-        if not steps:
-            costing = self.model.plan_class(cls.entry, scan)
-        else:
-            costing = self.model.derive_class(cls.entry, scan, steps)
-        if costing is None:
-            raise ValueError(
-                f"class on {cls.entry.name!r} cannot answer its members"
-            )
-        return costing.cost_ms
 
     def _lower_class(self, cls: DagClass):
         """One search-state class → a PlanClass (no derives) or a
@@ -130,21 +103,10 @@ class DagOptimizer(Optimizer):
         ordered = list(cls.scan_queries) + [
             q for step in cls.steps for q in step.queries
         ]
-        plans: List[LocalPlan] = []
-        for query, method in zip(ordered, costing.methods):
-            standalone = self.model.standalone(cls.entry, query)
-            marginal = costing.cost_ms - self._class_cost(
-                cls, drop_qid=query.qid
-            )
-            plans.append(
-                LocalPlan(
-                    query=query,
-                    source=cls.entry.name,
-                    method=method,
-                    est_standalone_ms=standalone[1] if standalone else 0.0,
-                    est_marginal_ms=marginal,
-                )
-            )
+        plans = [
+            LocalPlan(query=query, source=cls.entry.name, method=method)
+            for query, method in zip(ordered, costing.methods)
+        ]
         derives = [
             DeriveStep(
                 intermediate=step.intermediate,
@@ -162,50 +124,3 @@ class DagOptimizer(Optimizer):
             est_cost_ms=costing.cost_ms,
             derives=derives,
         )
-
-    # -- stats for ledgers and explain -------------------------------------
-
-    def _dag_stats(self, dag: PlanDag, stats: SearchStats) -> dict:
-        """JSON-able planning metadata: DAG shape, search effort, and the
-        chosen materializations (bounded node detail for explain)."""
-        materialized = {m.node_key for m in stats.materializations}
-        detail = []
-        for key in sorted(dag.nodes):
-            node = dag.nodes[key]
-            if not node.is_unified and key not in materialized:
-                continue
-            detail.append(
-                {
-                    "key": node.key,
-                    "kind": node.kind,
-                    "levels": list(node.levels),
-                    "preds": node.preds_sig,
-                    "consumers": sorted(node.consumers),
-                    "alternatives": [
-                        {"op": alt.op, "source": alt.source}
-                        for alt in node.alternatives
-                    ],
-                    "materialized": key in materialized,
-                }
-            )
-        return {
-            "or_nodes": dag.n_or_nodes,
-            "and_nodes": dag.n_and_nodes,
-            "unified_subexpressions": dag.n_unified,
-            "candidates": len(dag.candidate_keys),
-            "iterations": stats.iterations,
-            "moves_evaluated": stats.moves_evaluated,
-            "costings_memoized": stats.costings_memoized,
-            "seed_est_ms": round(stats.initial_est_ms, 3),
-            "final_est_ms": round(stats.final_est_ms, 3),
-            "materializations": [
-                {
-                    "node": m.node_key,
-                    "host": m.host,
-                    "qids": m.qids,
-                    "gain_ms": round(m.gain_ms, 3),
-                }
-                for m in stats.materializations
-            ],
-            "nodes_detail": detail[:32],
-        }

@@ -90,8 +90,10 @@ class Materialization:
 
 @dataclass
 class SearchStats:
-    """What the greedy search did."""
+    """What the greedy search did, over which DAG — the typed record a dag
+    plan carries in ``search_stats["dag"]`` and explain renders from."""
 
+    dag: PlanDag = field(repr=False)
     iterations: int = 0
     moves_evaluated: int = 0
     costings_memoized: int = 0
@@ -169,7 +171,7 @@ def greedy_search(
     # mutated, so it is the first state as handed in.
     classes = list(seed_classes)
     coster = _Coster(model)
-    stats = SearchStats()
+    stats = SearchStats(dag=dag)
     stats.initial_est_ms = coster.total(classes)
     by_qid = {q.qid: q for q in queries}
     # One synthetic intermediate per candidate node, fixed for the whole

@@ -11,7 +11,7 @@ Everything is deterministic: *nth-occurrence* triggers fire on an exact
 per-point match counter, and *probability* triggers draw from a
 ``random.Random`` seeded per point from the plan's seed, so the same plan
 against the same workload fails at the same place every time — which is
-what makes the chaos test lane reproducible from a single seed.
+what makes the chaos sweep reproducible from a single seed.
 
 Sites (see :data:`SITES`):
 

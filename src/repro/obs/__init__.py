@@ -27,17 +27,6 @@ CLI's ``--trace out.json``; see ``docs/observability.md`` for the span and
 metric naming conventions.
 """
 
-from .analyze import (
-    CalibrationReport,
-    ClassAccounting,
-    Misranking,
-    OperatorActuals,
-    QueryAccounting,
-    account_execution,
-    account_report,
-    q_error,
-    run_calibration,
-)
 from .export import (
     metrics_to_dict,
     span_from_dict,
@@ -79,16 +68,7 @@ __all__ = [
     "snapshot_agrees",
     "write_metrics_json",
     "write_prometheus",
-    "CalibrationReport",
-    "ClassAccounting",
     "Counter",
-    "Misranking",
-    "OperatorActuals",
-    "QueryAccounting",
-    "account_execution",
-    "account_report",
-    "q_error",
-    "run_calibration",
     "DuplicateMetricError",
     "Gauge",
     "Histogram",

@@ -18,8 +18,8 @@ Empty histograms have no quantiles (``Histogram.quantile`` returns None);
 the text format renders the Prometheus-conventional ``NaN`` placeholder and
 the JSON snapshot uses ``null``, so zero-traffic metrics never crash a
 renderer.  :func:`parse_prometheus` is the inverse of
-:func:`render_prometheus` — round-tripping is asserted by the obs_smoke
-lane and the ``repro metrics`` CLI self-check.
+:func:`render_prometheus` — round-tripping is asserted by
+``tests/test_obs_smoke.py`` and the ``repro metrics`` CLI self-check.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
 
     Counters and gauges get a ``"value"`` key; summaries get ``"p50"`` /
     ``"p95"`` / ``"p99"`` (None where the text said ``NaN``), ``"sum"``,
-    and ``"count"``.  Used by the CLI self-check and the obs_smoke lane to
-    prove the exposition agrees with ``MetricsRegistry.as_dict()``.
+    and ``"count"``.  Used by the CLI self-check and ``tests/test_obs_smoke.py``
+    to prove the exposition agrees with ``MetricsRegistry.as_dict()``.
     """
     metrics: Dict[str, dict] = {}
     types: Dict[str, str] = {}

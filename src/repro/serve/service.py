@@ -743,15 +743,10 @@ class QueryService:
             with db.tracer.span(
                 "serve.degrade", qid=query.qid, source=entry.name
             ) as span:
-                model = CostModel(
-                    db.schema,
-                    db.catalog,
-                    db.stats.rates,
-                    statistics=db.table_statistics,
-                    dim_tables=db.dimension_tables,
-                )
                 try:
-                    plan_class = build_plan_class(model, entry, [query])
+                    plan_class = build_plan_class(
+                        CostModel.for_database(db), entry, [query]
+                    )
                 except ValueError as exc:
                     span.set("failed", True)
                     return exc

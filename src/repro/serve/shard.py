@@ -17,18 +17,18 @@ aggregates (:func:`~repro.core.operators.results.merge_partial_results`):
   shards, and the final average is one division — exact.
 
 Invariants (enforced by the executor-equivalence tests and the paranoia
-lane):
+sweep):
 
 * **N=1 is byte-identical** to unsharded execution — the single shard
   holds every row in original order with the original page geometry and
   a one-cell class is passed through unmerged, so results, simulated
-  costs, and :class:`~repro.obs.analyze.OperatorActuals` (a DAG class's
+  costs, and :class:`~repro.core.operators.results.OperatorActuals` (a DAG class's
   intermediate included) all match exactly;
 * **N>1 is result-identical**: the merged groups equal the unsharded
   groups (simulated cost differs — each shard pays its own dimension
   hash builds — which is the price of the parallelism), and the merged
   actuals omit a DAG intermediate's ``n_groups``, which is not a merged
-  quantity (:func:`~repro.obs.analyze.merge_actuals`).
+  quantity (:func:`~repro.core.operators.results.merge_actuals`).
 
 Fault injection reaches shards through the ``shard.exec`` site (attrs:
 ``shard``, ``table``), so a chaos plan can kill a single shard; the serve

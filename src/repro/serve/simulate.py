@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.operators.results import QueryResult
@@ -38,44 +38,30 @@ from .service import QueryService
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs of one simulated-load run."""
+    """One simulated-load run: the load, and the service it is driven
+    against."""
 
     n_clients: int = 32
     requests_per_client: int = 3
-    window_ms: float = 25.0
-    algorithm: str = "gg"
     seed: int = 0
     overlap: float = 0.75
     pool_size: int = 8
-    n_workers: int = 4
-    #: None sizes the batch cap to the whole burst.
-    max_batch_requests: Optional[int] = None
     #: Submit every request before starting the scheduler (a pure burst);
     #: otherwise clients race the running scheduler (arrival-timing mode).
     preload: bool = True
     #: Cross-check every response against the serial baseline results.
     verify: bool = True
-    #: Per-request deadline passed to the service (None = none).
-    deadline_ms: Optional[float] = None
     #: How long the harness waits for each future before giving up.
     wait_timeout_s: float = 120.0
     #: Fault plan armed on the database *during the service run only*
     #: (the serial baseline always executes fault-free, so it stays the
     #: correctness reference).  See :mod:`repro.faults`.
     faults: Optional[FaultPlan] = None
-    #: Retry/degrade knobs forwarded to :class:`ServeConfig`.
-    max_attempts: int = 3
-    backoff_base_ms: float = 50.0
-    degrade: bool = True
-    #: Scatter-gather over N hash partitions of the data (1 = unsharded);
-    #: ``shard_dim`` names the partition dimension (None = the first).
-    n_shards: int = 1
-    shard_dim: Optional[str] = None
-    #: Flight-recorder ring capacity forwarded to :class:`ServeConfig`
-    #: (0 disables recording), and the optional auto-dump path written
-    #: when a batch fails wholesale.
-    flight_recorder: int = 32
-    flight_recorder_path: Optional[str] = None
+    #: The service's configuration, used as given except that the
+    #: admission queue is deepened to hold the whole burst.  None is the
+    #: simulation's own service: a 25 ms window and a batch cap sized to
+    #: the burst, so the whole pre-loaded load may ride one batch.
+    serve: Optional[ServeConfig] = None
 
 
 @dataclass
@@ -207,31 +193,21 @@ def run_simulation(
     )
     n_requests = sum(script.n_requests for script in scripts)
     n_queries = sum(script.n_queries for script in scripts)
+    serve = config.serve or ServeConfig(
+        window_ms=25.0, max_batch_requests=max(1, n_requests)
+    )
     # The serial baseline always runs fault-free: it is the correctness
     # reference every served response is verified against.
     serial_ms, serial_results = serial_baseline_ms(
-        db, scripts, config.algorithm
+        db, scripts, serve.algorithm
     )
     if config.faults is not None:
         db.arm_faults(config.faults)
 
-    max_batch = config.max_batch_requests or max(1, n_requests)
     service = QueryService(
         db,
-        ServeConfig(
-            window_ms=config.window_ms,
-            max_batch_requests=max_batch,
-            max_queue_depth=max(n_requests, 1),
-            n_workers=config.n_workers,
-            algorithm=config.algorithm,
-            default_deadline_ms=config.deadline_ms,
-            max_attempts=config.max_attempts,
-            backoff_base_ms=config.backoff_base_ms,
-            degrade=config.degrade,
-            shards=config.n_shards,
-            shard_dim=config.shard_dim,
-            flight_recorder=config.flight_recorder,
-            flight_recorder_path=config.flight_recorder_path,
+        replace(
+            serve, max_queue_depth=max(serve.max_queue_depth, n_requests)
         ),
     )
 
@@ -325,7 +301,7 @@ def run_simulation(
         n_faults_injected=(
             config.faults.n_fired if config.faults is not None else 0
         ),
-        n_shards=config.n_shards,
+        n_shards=serve.shards,
         wall_s=wall_s,
         batched_sim_ms=stats.sim_ms_total,
         serial_sim_ms=serial_ms,

@@ -227,7 +227,7 @@ def test_fitter_degenerate_inputs():
 def test_fit_on_tiny_workload():
     """Collect real observations on the tiny schema, fit, and re-plan
     under the fitted rates (fit_database itself needs the paper workload
-    and is covered by the calibrate_smoke lane)."""
+    and is covered by tests/test_calibrate_smoke.py)."""
     db = make_tiny_db(
         n_rows=400, materialized=("X'Y",), index_tables=("XY", "X'Y")
     )

@@ -1,6 +1,6 @@
-"""The calibrate_smoke lane: the full Tests 1-7 fit at the committed scale.
+"""Calibrate smoke (tier-1): the full Tests 1-7 fit at the committed scale.
 
-Gates (mirrored in .github/workflows/ci.yml):
+Gates:
 
 * fitted-rates misranking count <= default-rates misranking count — the
   fit may never *create* ranking failures;
@@ -24,8 +24,6 @@ from repro.calibrate import CalibrationProfile, fit_database
 from repro.cli import main
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 from repro.workload.paper_schema import build_paper_database
-
-pytestmark = pytest.mark.calibrate_smoke
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_PROFILE = REPO_ROOT / "PROFILE_paper.json"
@@ -91,7 +89,7 @@ def test_profile_round_trips_byte_identical(outcome_001, tmp_path):
 def test_paranoia_passes_under_fitted_rates(outcome_001):
     """Validate every plan and cross-check every result against the
     brute-force reference while running on the fitted rates."""
-    from repro.obs.analyze import run_calibration
+    from repro.calibrate import run_calibration
 
     db, outcome = outcome_001
     db.set_rates(outcome.fit.rates)

@@ -1,9 +1,8 @@
-"""Chaos lane (``pytest -m chaos``): a seeded fault sweep over the paper
-workload.
+"""Chaos sweep (tier-1): a seeded fault sweep over the paper workload.
 
 For every paper test (Tests 1-7) x optimizer (tplo / etplg / gg / dag) x
 injection site, a first-occurrence fault is armed and the plan executed.
-The lane asserts the whole resilience contract at once:
+The sweep asserts the whole resilience contract at once:
 
 * a fault either fires and surfaces as a typed per-class failure, or
   never matches (the plan does not exercise that site) — it is *never*
@@ -12,8 +11,7 @@ The lane asserts the whole resilience contract at once:
 * the buffer pool and the semantic result cache stay coherent afterwards
   (a disarmed re-run is clean and byte-identical).
 
-Excluded from tier-1 via ``addopts``; CI runs it as its own job with the
-fixed seed below.
+Every injection is replayed from the fixed seed below.
 """
 
 from __future__ import annotations
@@ -35,9 +33,7 @@ from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import make_tiny_db, random_query
 
-pytestmark = pytest.mark.chaos
-
-#: The lane's fixed seed: every firing below is reproducible from it.
+#: The sweep's fixed seed: every firing below is reproducible from it.
 CHAOS_SEED = 1998
 
 ALGORITHMS = ("tplo", "etplg", "gg", "dag")

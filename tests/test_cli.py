@@ -57,6 +57,27 @@ class TestRun:
         assert "component query" in out
 
 
+class TestExplain:
+    def test_explain_prints_the_plan_without_executing(self, capsys):
+        assert main(["explain", TestRun.MDX, *SCALE]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("GlobalPlan[gg]")
+        assert "actual" not in out
+
+    def test_explain_analyze_dag(self, capsys):
+        assert main(
+            ["explain", TestRun.MDX, "--algorithm", "dag", "--analyze", *SCALE]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("GlobalPlan[dag]")
+        assert out.count("PlanDAG[dag]") == 1
+        assert "q-error" in out and "est standalone" in out
+
+    def test_explain_without_mdx_fails(self, capsys):
+        assert main(["explain", *SCALE]) == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_compare_single_test(self, capsys):
         assert main(["compare", "--tests", "test6", *SCALE]) == 0
@@ -205,6 +226,22 @@ class TestServe:
         assert main(["serve", "--simulate", "--clients", "0", *SCALE]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--retries", "0", "max_attempts"),
+            ("--shards", "0", "shards"),
+            ("--recorder-size", "-1", "flight_recorder"),
+            ("--workers", "0", "n_workers"),
+        ],
+    )
+    def test_serve_config_errors_exit_2(self, flag, value, named, capsys):
+        """Range checks are ``ServeConfig``'s own, reported as usage errors."""
+        assert main(["serve", "--simulate", flag, value, *SCALE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad serve configuration")
+        assert named in err
+
 
 class TestBenchUsageErrors:
     """Exit-2 paths of `repro bench` — all fail before a database build."""
@@ -296,7 +333,7 @@ class TestBenchLeaderboard:
 class TestProfileFlag:
     """--profile error paths (the exit-2 contract) and the happy path.
 
-    The full fit round-trip lives in the calibrate_smoke lane; here we only
+    The full fit round-trip lives in tests/test_calibrate_smoke.py; here we only
     exercise the cheap file-handling surface."""
 
     def make_profile_file(self, tmp_path):
@@ -361,6 +398,18 @@ class TestProfileFlag:
         # The profile re-prices the cost clock (2x per sequential page),
         # so the simulated times genuinely move.
         assert normalized(default_out) != normalized(profiled_out)
+
+    def test_profile_applies_to_a_saved_database(self, tmp_path, capsys):
+        """``run --database DIR --profile FILE`` used to ignore the file."""
+        store = str(tmp_path / "paperdb")
+        assert main(["info", "--save", store, *SCALE]) == 0
+        path = self.make_profile_file(tmp_path)
+        capsys.readouterr()
+        assert main(["run", TestRun.MDX, "--database", store]) == 0
+        default_sim = capsys.readouterr().out.split("wall")[0]
+        assert main(["run", TestRun.MDX, "--database", store,
+                     "--profile", str(path)]) == 0
+        assert capsys.readouterr().out.split("wall")[0] != default_sim
 
     def test_calibrate_report_without_fit_exits_2(self, capsys):
         assert main(["calibrate", "--report", *SCALE]) == 2

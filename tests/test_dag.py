@@ -13,8 +13,8 @@ Covers the subsystem's whole contract at tier-1 scale:
 * execution: derive steps produce byte-identical answers to the naive
   reference, on the direct executor and through data shards alike;
 * validation: the DERIVE method is rejected outside DAG classes;
-* rendering: ``render_dag`` and the operator-tree EXPLAIN show the
-  materialized intermediates and their derived pipelines.
+* rendering: ``explain_plan`` shows the DAG block, the materialized
+  intermediates and their derived pipelines.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from repro.core.optimizer.plans import (
     LocalPlan,
     PlanClass,
 )
-from repro.dag import DagOptimizer, build_dag, node_key, render_dag
+from repro.core.explain import explain_plan
+from repro.dag import DagOptimizer, build_dag, node_key
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
@@ -70,7 +71,7 @@ class TestRegistration:
     def test_calibration_algorithms_derive_from_registry(self, monkeypatch):
         """Regression: `repro calibrate` used to sweep a hard-coded tuple
         that silently skipped newly registered algorithms."""
-        from repro.obs.analyze import calibration_algorithms
+        from repro.calibrate import calibration_algorithms
 
         swept = calibration_algorithms()
         assert "dag" in swept
@@ -155,9 +156,9 @@ class TestDagPlanning:
             getattr(cls, "has_derives", False) for cls in plan.classes
         )
         stats = plan.search_stats["dag"]
-        assert stats["materializations"]
-        assert stats["unified_subexpressions"] >= 1
-        assert stats["final_est_ms"] <= stats["seed_est_ms"] + 1e-9
+        assert stats.materializations
+        assert stats.dag.n_unified >= 1
+        assert stats.final_est_ms <= stats.initial_est_ms + 1e-9
 
     def test_search_stats_survive_database_optimize(self, paper_db,
                                                     paper_qs):
@@ -260,10 +261,7 @@ class TestValidation:
         plan_class = PlanClass(
             source="XY",
             plans=[
-                LocalPlan(
-                    query=query, source="XY", method=JoinMethod.DERIVE,
-                    est_standalone_ms=1.0, est_marginal_ms=1.0,
-                )
+                LocalPlan(query=query, source="XY", method=JoinMethod.DERIVE)
             ],
             est_cost_ms=1.0,
         )
@@ -283,8 +281,7 @@ class TestValidation:
 class TestRendering:
     def test_render_dag_shows_nodes_and_choices(self, paper_db, paper_qs):
         plan = paper_db.optimize([paper_qs[i] for i in (1, 2, 3, 4)], "dag")
-        rendered = render_dag(plan)
-        assert rendered is not None
+        rendered = explain_plan(paper_db, plan)
         assert "PlanDAG" in rendered
         assert "AND scan-join" in rendered
         assert "chosen host" in rendered
@@ -292,14 +289,12 @@ class TestRendering:
     def test_render_dag_is_none_for_other_algorithms(self, paper_db,
                                                      paper_qs):
         plan = paper_db.optimize([paper_qs[i] for i in (1, 2, 3)], "gg")
-        assert render_dag(plan) is None
+        assert "PlanDAG" not in explain_plan(paper_db, plan)
 
     def test_explain_renders_materialize_and_derive_lines(self, paper_db,
                                                           paper_qs):
-        from repro.core.explain import explain_plan
-
         plan = paper_db.optimize([paper_qs[i] for i in (1, 2, 3, 4)], "dag")
-        text = explain_plan(paper_db.schema, paper_db.catalog, plan)
+        text = explain_plan(paper_db, plan)
         assert "SharedDagStarJoin" in text
         assert "materialize" in text
         assert "derive" in text

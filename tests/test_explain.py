@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.explain import explain_class, explain_plan
+from repro.core.optimizer.cost import CostModel
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
@@ -12,6 +13,11 @@ from helpers import make_tiny_db
 @pytest.fixture(scope="module")
 def db():
     return make_tiny_db(n_rows=400, materialized=("X'Y'",), index_tables=("XY",))
+
+
+@pytest.fixture(scope="module")
+def model(db):
+    return CostModel.for_database(db)
 
 
 def hash_query(label="h"):
@@ -39,7 +45,7 @@ def residual_query(label="r"):
 
 
 class TestExplainClass:
-    def test_shared_scan_tree(self, db):
+    def test_shared_scan_tree(self, model):
         cls = PlanClass(
             source="XY",
             plans=[
@@ -47,22 +53,22 @@ class TestExplainClass:
                 LocalPlan(hash_query("b"), "XY", JoinMethod.HASH),
             ],
         )
-        text = explain_class(db.schema, db.catalog, cls)
+        text = explain_class(model, cls)
         assert text.startswith("SharedScanHashStarJoin on XY")
         assert "SeqScan(XY)" in text
         assert "rollup X -> X'" in text
         assert text.count("aggregate[SUM]") == 2
 
-    def test_single_hash_named_plainly(self, db):
+    def test_single_hash_named_plainly(self, model):
         cls = PlanClass(
             source="XY",
             plans=[LocalPlan(hash_query(), "XY", JoinMethod.HASH)],
         )
-        assert explain_class(db.schema, db.catalog, cls).startswith(
+        assert explain_class(model, cls).startswith(
             "HashStarJoin on XY"
         )
 
-    def test_shared_index_tree(self, db):
+    def test_shared_index_tree(self, model):
         cls = PlanClass(
             source="XY",
             plans=[
@@ -70,13 +76,13 @@ class TestExplainClass:
                 LocalPlan(index_query("b"), "XY", JoinMethod.INDEX),
             ],
         )
-        text = explain_class(db.schema, db.catalog, cls)
+        text = explain_class(model, cls)
         assert text.startswith("SharedIndexStarJoin on XY")
         assert "OR the per-query bitmaps" in text
         assert "Filter tuples" in text
         assert "OR bitmaps: X" in text
 
-    def test_hybrid_tree(self, db):
+    def test_hybrid_tree(self, model):
         cls = PlanClass(
             source="XY",
             plans=[
@@ -84,34 +90,34 @@ class TestExplainClass:
                 LocalPlan(index_query(), "XY", JoinMethod.INDEX),
             ],
         )
-        text = explain_class(db.schema, db.catalog, cls)
+        text = explain_class(model, cls)
         assert text.startswith("SharedHybridStarJoin on XY")
         assert "filters the scan, no probe I/O" in text
         assert "SeqScan(XY)" in text
 
-    def test_residual_predicate_labelled(self, db):
+    def test_residual_predicate_labelled(self, model):
         cls = PlanClass(
             source="XY",
             plans=[LocalPlan(residual_query(), "XY", JoinMethod.INDEX)],
         )
-        text = explain_class(db.schema, db.catalog, cls)
+        text = explain_class(model, cls)
         # Y'' has no usable index on XY... the leaf index covers it though;
         # the X predicate uses its index either way.
         assert "OR bitmaps: X" in text
 
-    def test_clustered_flag_shown(self, db):
+    def test_clustered_flag_shown(self, model):
         cls = PlanClass(
             source="X'Y'",
             plans=[LocalPlan(hash_query(), "X'Y'", JoinMethod.HASH)],
         )
-        assert "clustered" in explain_class(db.schema, db.catalog, cls)
+        assert "clustered" in explain_class(model, cls)
 
 
 class TestExplainPlan:
     def test_full_plan(self, db):
         queries = [hash_query("p"), index_query("q")]
         plan = db.optimize(queries, "gg")
-        text = explain_plan(db.schema, db.catalog, plan)
+        text = explain_plan(db, plan)
         assert text.startswith("GlobalPlan[gg]")
         assert "2 queries" in text
         for cls in plan.classes:

@@ -1,25 +1,20 @@
-"""Plan accounting: operator actuals, est-vs-actual ledgers, Q-error, and
-misranking detection."""
+"""Plan accounting: operator actuals, the est-vs-actual figures an executed
+class carries, Q-error, and misranking detection."""
 
 import math
 
 import pytest
 
 from repro.bench.harness import AlgorithmRow
+from repro.calibrate import Misranking, find_misrankings
 from repro.core.executor import execute_plan, run_class_accounted
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
     SharedIndexStarJoin,
     query_result_bitmap,
 )
+from repro.core.operators.results import q_error
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
-from repro.obs.analyze import (
-    Misranking,
-    account_execution,
-    account_report,
-    find_misrankings,
-    q_error,
-)
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db
@@ -136,17 +131,20 @@ class TestExecutorAccounting:
         ]
         plan = db.optimize(queries, "gg")
         report = execute_plan(db, plan)
-        ledgers = account_report(report)
-        assert len(ledgers) == len(report.class_executions)
-        for execution, ledger in zip(report.class_executions, ledgers):
-            assert execution.actuals is not None
-            assert ledger.est_ms == pytest.approx(execution.est_ms)
-            assert ledger.actual_ms == pytest.approx(execution.sim_ms)
-            assert ledger.q_error == pytest.approx(execution.q_error)
-            assert len(ledger.queries) == len(execution.plan_class.plans)
-        assert sum(l.actual_ms for l in ledgers) == pytest.approx(
-            report.sim_ms
-        )
+        assert len(report.class_executions) == len(plan.classes)
+        for execution in report.class_executions:
+            plan_class = execution.plan_class
+            assert execution.est_ms == plan_class.est_cost_ms
+            assert execution.sim_ms == execution.sim.total_ms
+            assert execution.q_error == q_error(
+                execution.est_ms, execution.sim_ms
+            )
+            assert set(execution.actuals.rows_in) == {
+                q.qid for q in plan_class.queries
+            }
+        assert sum(
+            e.sim_ms for e in report.class_executions
+        ) == pytest.approx(report.sim_ms)
 
     def test_operator_span_carries_actuals(self, db):
         queries = [index_query(0), index_query(1)]
@@ -168,11 +166,11 @@ class TestExecutorAccounting:
         queries = [index_query(0, label="solo")]
         plan = db.optimize(queries, "gg")
         report = execute_plan(db, plan)
-        ledger = account_execution(report.class_executions[0])
-        qa = ledger.queries[0]
-        assert qa.rows_in >= qa.rows_passed >= 0
-        assert qa.actual_cpu_ms >= 0.0
-        assert qa.n_groups == report.results[queries[0].qid].n_groups
+        actuals = report.class_executions[0].actuals
+        qid = queries[0].qid
+        assert actuals.rows_in[qid] >= actuals.rows_passed[qid] >= 0
+        assert actuals.pipeline_cpu_ms[qid] >= 0.0
+        assert actuals.n_groups[qid] == report.results[qid].n_groups
 
 
 def outcome(test, algorithm, est, actual, plan):
@@ -194,6 +192,25 @@ class TestFindMisrankings:
         assert found[0].cheap_actual.algorithm == "b"
         assert found[0].est_gap == pytest.approx(1.0)
         assert found[0].actual_gap == pytest.approx(1.0)
+
+    def test_gaps_guard_their_divisors(self):
+        """A zero on the numerator side is a gap of -1, not ``inf``; a zero
+        divisor is ``inf``, not ``ZeroDivisionError``."""
+        zero_numerators = Misranking(
+            test="t",
+            cheap_est=outcome("t", "a", 100.0, 0.0, "P1"),
+            cheap_actual=outcome("t", "b", 0.0, 150.0, "P2"),
+        )
+        assert zero_numerators.est_gap == -1.0
+        assert zero_numerators.actual_gap == -1.0
+        zero_divisors = Misranking(
+            test="t",
+            cheap_est=outcome("t", "a", 0.0, 300.0, "P1"),
+            cheap_actual=outcome("t", "b", 200.0, 0.0, "P2"),
+        )
+        assert math.isinf(zero_divisors.est_gap)
+        assert math.isinf(zero_divisors.actual_gap)
+        assert "model inversion" in zero_divisors.explanation()
 
     def test_consistent_ranking_is_clean(self):
         plans = [

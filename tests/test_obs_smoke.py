@@ -1,7 +1,6 @@
-"""Obs-smoke lane: sharded, fault-injected serving with full telemetry.
+"""Obs smoke (tier-1): sharded, fault-injected serving with full telemetry.
 
-The acceptance scenario for the serving-plane telemetry layer, excluded
-from tier-1 (run with ``pytest -m obs_smoke``):
+The acceptance scenario for the serving-plane telemetry layer:
 
 * a 4-shard, fault-injected ``run_simulation`` where every served response
   is still verified byte-identical against the fault-free serial baseline
@@ -32,10 +31,8 @@ from repro.obs.expose import (
 )
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.recorder import load_flight_dump
-from repro.serve import SimulationConfig, run_simulation
+from repro.serve import ServeConfig, SimulationConfig, run_simulation
 from repro.workload.paper_schema import PaperConfig, build_paper_database
-
-pytestmark = pytest.mark.obs_smoke
 
 SCALE = 0.002
 N_CLIENTS = 8
@@ -59,15 +56,17 @@ def smoke(request, tmp_path_factory):
         SimulationConfig(
             n_clients=N_CLIENTS,
             requests_per_client=REQUESTS_PER_CLIENT,
-            window_ms=25.0,
             overlap=0.75,
             pool_size=8,
             seed=0,
             verify=True,
             faults=faults,
-            n_shards=N_SHARDS,
-            flight_recorder=32,
-            flight_recorder_path=str(dump_path),
+            serve=ServeConfig(
+                window_ms=25.0,
+                shards=N_SHARDS,
+                flight_recorder=32,
+                flight_recorder_path=str(dump_path),
+            ),
         ),
     )
     report.recorder.dump(dump_path)

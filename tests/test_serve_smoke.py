@@ -21,7 +21,7 @@ import pytest
 
 from repro.engine.result_cache import attach_cache
 from repro.obs.metrics import MetricsRegistry, set_default_registry
-from repro.serve import SimulationConfig, run_simulation
+from repro.serve import ServeConfig, SimulationConfig, run_simulation
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
 SCALE = 0.002
@@ -46,12 +46,13 @@ def smoke(request):
         SimulationConfig(
             n_clients=N_CLIENTS,
             requests_per_client=REQUESTS_PER_CLIENT,
-            max_batch_requests=MAX_BATCH_REQUESTS,
-            window_ms=25.0,
             overlap=0.75,
             pool_size=8,
             seed=0,
             verify=True,
+            serve=ServeConfig(
+                window_ms=25.0, max_batch_requests=MAX_BATCH_REQUESTS
+            ),
         ),
     )
     return report, registry
@@ -107,3 +108,14 @@ class TestServeSmoke:
         text = report.render()
         assert "coalesce ratio" in text
         assert "cheaper" in text
+
+
+def test_bare_config_sizes_the_batch_cap_to_the_burst():
+    """With no ``ServeConfig`` given, the whole pre-loaded burst — here more
+    than ``ServeConfig``'s own 64-request cap — rides one batch."""
+    db = build_paper_database(config=PaperConfig(scale=SCALE))
+    report = run_simulation(
+        db, SimulationConfig(n_clients=33, requests_per_client=2)
+    )
+    assert report.n_served == report.n_requests == 66
+    assert report.batch_sizes == [66]

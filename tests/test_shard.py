@@ -19,10 +19,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.executor import execute_plan
-from repro.core.operators.results import QueryResult, merge_partial_results
+from repro.core.operators.results import (
+    OperatorActuals,
+    QueryResult,
+    merge_actuals,
+    merge_partial_results,
+)
 from repro.faults import FaultPlan, InjectedFault, InjectionPoint
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
-from repro.obs.analyze import OperatorActuals, merge_actuals
 from repro.serve import ServeConfig, build_shards
 from repro.serve.shard import shard_of
 

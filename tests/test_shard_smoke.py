@@ -22,7 +22,7 @@ import pytest
 from repro.engine.result_cache import attach_cache
 from repro.faults import FaultPlan, InjectionPoint
 from repro.obs.metrics import MetricsRegistry, set_default_registry
-from repro.serve import SimulationConfig, run_simulation
+from repro.serve import ServeConfig, SimulationConfig, run_simulation
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
 SCALE = 0.002
@@ -47,13 +47,15 @@ def simulate(n_shards, fault_plan=None, n_clients=N_CLIENTS):
             SimulationConfig(
                 n_clients=n_clients,
                 requests_per_client=REQUESTS_PER_CLIENT,
-                max_batch_requests=MAX_BATCH_REQUESTS,
-                window_ms=25.0,
                 overlap=0.75,
                 pool_size=8,
                 seed=0,
                 verify=True,
-                n_shards=n_shards,
+                serve=ServeConfig(
+                    window_ms=25.0,
+                    max_batch_requests=MAX_BATCH_REQUESTS,
+                    shards=n_shards,
+                ),
             ),
         )
     finally:
