@@ -9,9 +9,10 @@ operator, :class:`SharedScanStarJoin`, taking three kinds of member:
 
 * **hash members** stream every scanned tuple through their pipeline: the
   scan I/O is charged once, the dimension hash tables are built once per
-  distinct structure (the shared :class:`~.pipeline.RollupCache`), and only
-  the per-query probe/filter/aggregate CPU grows with the number of queries
-  — the trade-off the paper measures in Test 1 / Figure 10;
+  distinct structure (the shared :class:`~.pipeline.RollupCache`) and
+  probed once per morsel for all members (:class:`~.pipeline.SharedProbe`),
+  and only the per-query probe/filter/aggregate CPU *charge* grows with the
+  number of queries — the trade-off the paper measures in Test 1 / Figure 10;
 * **index members** still build their result bitmap, but instead of
   fetching pages at random they test the bitmap against the rows streaming
   past: the random-probe I/O disappears and only a small bitmap-test CPU
@@ -42,7 +43,8 @@ from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
 from .index_join import query_result_bitmap
-from .pipeline import ExecContext, QueryPipeline, RollupCache, scan_columns
+from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
+from .pipeline import scan_columns
 from .results import OperatorActuals, QueryResult
 
 #: A derive step in operator form: the intermediate aggregate to accumulate
@@ -159,8 +161,10 @@ class SharedScanStarJoin:
         hash_pipes = [pipeline(q) for q in self.hash_queries]
         index_pipes = [pipeline(q) for q in self.index_queries]
         inter_pipes = [pipeline(inter) for inter, _members in self.derives]
-        # Hash members and intermediates both consume every scanned tuple.
+        # Hash members and intermediates both consume every scanned tuple;
+        # their predicates are evaluated together, once per morsel.
         full_scan_pipes = hash_pipes + inter_pipes
+        probe = SharedProbe(full_scan_pipes)
         metrics = default_registry()
         morsels = metrics.counter(
             "executor.morsels", "column batches handed out by shared scans"
@@ -179,8 +183,8 @@ class SharedScanStarJoin:
             morsels.inc()
             actuals.pages_scanned += n_pages
             actuals.rows_scanned += n_rows
-            for pipe in full_scan_pipes:
-                pipe.process_batch(keys, measures, ctx.stats)
+            for pipe, rows in zip(full_scan_pipes, probe.survivors(keys)):
+                pipe.process_batch(keys, measures, ctx.stats, rows)
             for query, pipe, bitmap in zip(
                 self.index_queries, index_pipes, index_bitmaps
             ):

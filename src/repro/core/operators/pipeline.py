@@ -113,7 +113,10 @@ class RollupCache:
         if dim_table is None:
             return
         if self.pool is not None:
-            for _page in dim_table.scan_pages(self.pool):
+            # Only the accounting is wanted: drain the scan (every column
+            # but the last as a key: zero-copy views, nothing converted).
+            n_keys = dim_table.n_columns - 1
+            for _morsel in dim_table.scan_batches(self.pool, n_keys):
                 pass
         else:
             self.stats.charge_seq_read(dim_table.n_pages)
@@ -243,19 +246,26 @@ class QueryPipeline:
         key_columns: Sequence[np.ndarray],
         measures: np.ndarray,
         stats: IOStats,
+        survivors: Optional[np.ndarray] = None,
     ) -> int:
         """Run one batch through probe → filter → aggregate; returns the
-        number of tuples that survived the filters."""
+        number of tuples that survived the filters.  ``survivors`` — the
+        ascending offsets of the rows passing every predicate, from the
+        class's :class:`SharedProbe` — replaces this pipeline's own mask
+        evaluation; the charges and the rows folded are the same."""
         n = measures.size
         if n == 0:
             return 0
         self.rows_in += n
         stats.charge_hash_probe(n * self._n_probe_dims)
-        keep: Optional[np.ndarray] = None
-        for dim_index, mask in self._masks:
-            stats.charge_predicate(n)
-            passed = mask[key_columns[dim_index]]
-            keep = passed if keep is None else (keep & passed)
+        keep = survivors
+        if keep is not None:
+            stats.charge_predicate(n * len(self._masks))
+        else:
+            for dim_index, mask in self._masks:
+                stats.charge_predicate(n)
+                passed = mask[key_columns[dim_index]]
+                keep = passed if keep is None else (keep & passed)
         if keep is not None:
             kept_keys = [col[keep] for col in key_columns]
             kept_measures = measures[keep]
@@ -284,3 +294,56 @@ class QueryPipeline:
     def result(self) -> QueryResult:
         """Finalize and return the accumulated QueryResult."""
         return self._aggregator.result()
+
+
+class SharedProbe:
+    """Section 3.1's shared probe: each dimension's hash table is probed
+    once per tuple for *every* query riding the scan.
+
+    The predicate masks of the members are folded into one table per
+    dimension of per-member bits — bit *q* set where member *q*'s
+    predicates on that dimension pass the source-level member id (or it has
+    none there) — 64 members to a ``uint64`` word.  A member without
+    predicates holds no bit: it takes every batch whole.
+    """
+
+    def __init__(self, pipes: Sequence[QueryPipeline]):
+        self._n_pipes = len(pipes)
+        #: Per word: its ``(dim_index, table)`` pairs and the ``(position
+        #: in pipes, bit)`` of each member it holds.
+        self._words: List[Tuple[list, list]] = []
+        predicated = [i for i, pipe in enumerate(pipes) if pipe.n_predicates]
+        for first in range(0, len(predicated), 64):
+            members = predicated[first : first + 64]
+            everyone = (1 << len(members)) - 1
+            tables: Dict[int, np.ndarray] = {}
+            for bit, member in enumerate(members):
+                for dim_index, mask in pipes[member]._masks:
+                    if dim_index not in tables:
+                        tables[dim_index] = np.full(
+                            mask.size, everyone, dtype=np.uint64
+                        )
+                    tables[dim_index][~mask] &= np.uint64(everyone ^ (1 << bit))
+            self._words.append(
+                (
+                    list(tables.items()),
+                    [(m, np.uint64(1 << bit)) for bit, m in enumerate(members)],
+                )
+            )
+
+    def survivors(
+        self, key_columns: Sequence[np.ndarray]
+    ) -> List[Optional[np.ndarray]]:
+        """Per pipeline, the ascending offsets of the batch's rows passing
+        all its predicates (None for a member without predicates): one
+        gather per predicated dimension and one ``flatnonzero`` per word."""
+        out: List[Optional[np.ndarray]] = [None] * self._n_pipes
+        for tables, members in self._words:
+            alive, *others = [table.take(key_columns[d]) for d, table in tables]
+            for bits in others:
+                alive &= bits
+            rows = np.flatnonzero(alive)
+            bits = alive[rows]
+            for member, bit in members:
+                out[member] = rows[(bits & bit) != 0]
+        return out

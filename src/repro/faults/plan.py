@@ -15,9 +15,8 @@ what makes the chaos sweep reproducible from a single seed.
 
 Sites (see :data:`SITES`):
 
-* ``storage.page_read`` — every page fetched through
-  :meth:`repro.storage.buffer.BufferPool.get_page` or
-  :meth:`~repro.storage.buffer.BufferPool.read_run` (attrs: ``table``,
+* ``storage.page_read`` — every page accounted by
+  :meth:`repro.storage.buffer.BufferPool.read_pages` (attrs: ``table``,
   ``page_no``, ``sequential``);
 * ``storage.scan`` — the start of every sequential
   :meth:`repro.storage.table.HeapTable.scan_pages` (attrs: ``table``);

@@ -67,6 +67,8 @@ class Dimension:
             np.asarray(p, dtype=np.int64) for p in parents
         ]
         self._member_names: List[List[str]] = [list(ns) for ns in member_names]
+        #: Members per level, ALL (one member) last; the shape never changes.
+        self._level_sizes = tuple(len(ns) for ns in self._member_names) + (1,)
         self._validate()
         self._name_lookup: Dict[str, Tuple[int, int]] = {}
         for depth, names in enumerate(self._member_names):
@@ -107,10 +109,9 @@ class Dimension:
 
     def n_members(self, depth: int) -> int:
         """Number of members at the given level."""
-        if depth == self.all_level:
-            return 1
-        self._check_depth(depth)
-        return len(self._member_names[depth])
+        if 0 <= depth < len(self._level_sizes):
+            return self._level_sizes[depth]
+        self._check_depth(depth)  # raises IndexError
 
     def level_name(self, depth: int) -> str:
         """Display name of one hierarchy level (ALL included)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple
 
 from ..obs.metrics import default_registry
 from .iostats import IOStats
@@ -48,7 +48,7 @@ class BufferPool:
         #: Armed :class:`repro.faults.FaultPlan`, or None. Checked before a
         #: read is charged, so an injected page fault costs no simulated I/O.
         self.faults = None
-        self._frames: OrderedDict[FrameKey, Page] = OrderedDict()
+        self._frames: OrderedDict[FrameKey, None] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -72,76 +72,53 @@ class BufferPool:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get_page(self, table: "HeapTable", page_no: int, *, sequential: bool) -> Page:
-        """Fetch a page through the pool, charging simulated I/O on a miss."""
-        if self.faults is not None:
-            self.faults.check(
-                "storage.page_read",
-                table=table.name,
-                page_no=page_no,
-                sequential=sequential,
-            )
-        key = (table.table_id, page_no)
-        with self._lock:
-            frame = self._frames.get(key)
-            if frame is not None:
-                self._frames.move_to_end(key)
-                self.hits += 1
-                self._hits_metric.inc()
-                self.stats.charge_buffer_hit()
-                return frame
-            self.misses += 1
-            self._misses_metric.inc()
-            page = table.page(page_no)
-            if sequential:
-                self.stats.charge_seq_read()
-            else:
-                self.stats.charge_rand_read()
-            self._admit(key, page)
-            return page
-
-    def read_run(
+    def read_pages(
         self,
         table: "HeapTable",
-        first_page: int,
-        n_pages: int,
+        page_nos: Iterable[int],
+        *,
+        sequential: bool,
         after_page: Optional[Callable[[], None]] = None,
-    ) -> List[Page]:
-        """Fetch ``n_pages`` consecutive pages, accounted exactly as that
-        many ``get_page(..., sequential=True)`` calls in page order (fault
-        checks, LRU touches, evictions, counts, charges) but under one lock
-        acquisition, with the counts flushed once at the end.
+    ) -> None:
+        """Account a read of each page of ``page_nos``, in order — the only
+        code that does.  Per page: the armed ``storage.page_read`` fault
+        check, the bounds check, then a hit (LRU touch) or a miss (evict,
+        admit; charged at the sequential or the random rate), then
+        ``after_page`` (a scan's ``operator.pipeline`` fault check).
 
-        ``after_page`` runs after each page is accounted (a scan's
-        ``operator.pipeline`` fault check, keeping the per-page check
-        order).  If it or a fault check raises, the pages accounted so far
-        stay charged and none is returned.
+        One lock acquisition covers the call and the counts are flushed
+        once at the end, so whatever raises mid-list — a fault, a page out
+        of range, the hook — leaves exactly the pages before it charged
+        and resident, and the page it raised on uncounted.
         """
-        faults = self.faults
-        frames = self._frames
-        table_id, name = table.table_id, table.name
-        pages: List[Page] = []
-        hits = misses = 0
+        faults, frames, capacity = self.faults, self._frames, self.capacity_pages
+        table_id, name, n_pages = table.table_id, table.name, table.n_pages
+        hits = misses = evictions = 0
         with self._lock:
             try:
-                for page_no in range(first_page, first_page + n_pages):
+                for page_no in page_nos:
                     if faults is not None:
                         faults.check(
                             "storage.page_read",
                             table=name,
                             page_no=page_no,
-                            sequential=True,
+                            sequential=sequential,
+                        )
+                    if not 0 <= page_no < n_pages:
+                        raise IndexError(
+                            f"page {page_no} out of range for {name!r} "
+                            f"({n_pages} pages)"
                         )
                     key = (table_id, page_no)
-                    page = frames.get(key)
-                    if page is not None:
+                    if key in frames:
                         frames.move_to_end(key)
                         hits += 1
                     else:
+                        while len(frames) >= capacity:
+                            frames.popitem(last=False)
+                            evictions += 1
+                        frames[key] = None
                         misses += 1
-                        page = table.page(page_no)
-                        self._admit(key, page)
-                    pages.append(page)
                     if after_page is not None:
                         after_page()
             finally:
@@ -149,15 +126,17 @@ class BufferPool:
                 self.misses += misses
                 self._hits_metric.inc(hits)
                 self._misses_metric.inc(misses)
+                self._evictions_metric.inc(evictions)
                 self.stats.charge_buffer_hit(hits)
-                self.stats.charge_seq_read(misses)
-        return pages
+                if sequential:
+                    self.stats.charge_seq_read(misses)
+                else:
+                    self.stats.charge_rand_read(misses)
 
-    def write_page(self, table: "HeapTable", page_no: int) -> None:
-        """Account a page write (used when materializing aggregates)."""
-        with self._lock:
-            self.stats.charge_write()
-            self._admit((table.table_id, page_no), table.page(page_no))
+    def get_page(self, table: "HeapTable", page_no: int, *, sequential: bool) -> Page:
+        """Fetch one page through the pool, charging simulated I/O on a miss."""
+        self.read_pages(table, (page_no,), sequential=sequential)
+        return Page(table, page_no)
 
     def flush(self) -> None:
         """Drop every frame — the paper's 'flush both buffer pools' step."""
@@ -168,12 +147,6 @@ class BufferPool:
         """Whether a page is currently cached (no charge, no LRU touch)."""
         with self._lock:
             return (table.table_id, page_no) in self._frames
-
-    def _admit(self, key: FrameKey, page: Page) -> None:
-        while len(self._frames) >= self.capacity_pages:
-            self._frames.popitem(last=False)
-            self._evictions_metric.inc()
-        self._frames[key] = page
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

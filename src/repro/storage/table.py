@@ -9,7 +9,8 @@ addressed by a dense global *row position*; page ``p`` is the window
 (:class:`~repro.storage.page.Page`), and bitmap join indexes use the
 positions as bit offsets, exactly like the paper's "position based" join
 indexes.  Row tuples are a view, built on demand for :meth:`all_rows`,
-:meth:`row_at`, :meth:`probe_positions` and the reference evaluators.
+:meth:`row_at`, :attr:`Page.rows <repro.storage.page.Page.rows>` and the
+reference evaluators.
 
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
 so that sequential vs. random I/O is accounted.  The columnar access paths
@@ -228,11 +229,12 @@ class HeapTable:
         self,
         pool: "BufferPool",
         after_page: Optional[Callable[[], None]] = None,
-    ) -> Iterator[List[Page]]:
+    ) -> Iterator[range]:
         """The one sequential scan: check ``storage.scan`` once, then read
         the table through the buffer pool a morsel's run of pages at a
-        time (:meth:`~repro.storage.buffer.BufferPool.read_run` — every
-        page is still fault-checked and charged individually, in order).
+        time (:meth:`~repro.storage.buffer.BufferPool.read_pages` — every
+        page is still fault-checked and charged individually, in order),
+        yielding each run's page numbers once it is accounted.
         """
         faults = getattr(pool, "faults", None)
         if faults is not None:
@@ -244,14 +246,15 @@ class HeapTable:
         ).inc(self.n_pages)
         run_pages = max(1, MORSEL_ROWS // self.capacity)
         for first in range(0, self.n_pages, run_pages):
-            yield pool.read_run(
-                self, first, min(run_pages, self.n_pages - first), after_page
-            )
+            run = range(first, min(first + run_pages, self.n_pages))
+            pool.read_pages(self, run, sequential=True, after_page=after_page)
+            yield run
 
     def scan_pages(self, pool: "BufferPool") -> Iterator[Page]:
         """Sequentially scan all pages through the buffer pool."""
-        for pages in self._scan_runs(pool):
-            yield from pages
+        for run in self._scan_runs(pool):
+            for page_no in run:
+                yield Page(self, page_no)
 
     def scan_batches(
         self,
@@ -272,11 +275,11 @@ class HeapTable:
         pages are.
         """
         capacity = self.capacity
-        for pages in self._scan_runs(pool, after_page):
-            first = pages[0].page_no * capacity
-            stop = min(first + len(pages) * capacity, self._n_rows)
+        for run in self._scan_runs(pool, after_page):
+            first = run.start * capacity
+            stop = min(run.stop * capacity, self._n_rows)
             keys, measures = self.read_columns(n_keys, first, stop)
-            yield first, len(pages), stop - first, keys, measures
+            yield first, len(run), stop - first, keys, measures
 
     def fetch_positions(
         self, pool: "BufferPool", positions: np.ndarray, n_keys: int
@@ -284,11 +287,11 @@ class HeapTable:
         """Vectorized positional fetch: gather the rows at ``positions``
         column-wise, in input order.
 
-        Charges exactly what iterating :meth:`probe_positions` would: one
-        random page read per *page change* in first-touch order (a revisit
-        after an intervening page re-fetches, as there), the same
-        ``table.probe_pages`` metric, and the same per-read fault checks —
-        only the per-tuple Python loop is gone.
+        Charges what fetching row by row would: one random page read per
+        *page change* in first-touch order (a revisit after an intervening
+        page re-fetches), each fault-checked, accounted in one
+        :meth:`~repro.storage.buffer.BufferPool.read_pages` call;
+        ``table.probe_pages`` counts the pages that call accounted.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
@@ -300,35 +303,22 @@ class HeapTable:
                 f"row position {int(bad)} out of range for {self.name!r} "
                 f"({self._n_rows} rows)"
             )
-        probe_pages = default_registry().counter(
-            "table.probe_pages", "distinct pages fetched by random probes"
-        )
         page_nos = positions // self.capacity
         # One read per run of equal page number, in first-touch order.
         first_of_run = np.concatenate(([0], np.flatnonzero(np.diff(page_nos)) + 1))
-        for page_no in page_nos[first_of_run].tolist():
-            pool.get_page(self, page_no, sequential=False)
-            probe_pages.inc()
+        accounted = itertools.count()  # ticked by the pool after each page
+        try:
+            pool.read_pages(
+                self,
+                page_nos[first_of_run].tolist(),
+                sequential=False,
+                after_page=accounted.__next__,
+            )
+        finally:
+            default_registry().counter(
+                "table.probe_pages", "distinct pages fetched by random probes"
+            ).inc(next(accounted))
         return self._take(n_keys, positions)
-
-    def probe_positions(
-        self, pool: "BufferPool", positions: Iterable[int]
-    ) -> Iterator[Tuple[int, Row]]:
-        """Fetch rows by global position, charging one random read per
-        *distinct page* in first-touch order (consecutive positions on the
-        same page share the fetch, as a real probe of sorted RIDs would)."""
-        probe_pages = default_registry().counter(
-            "table.probe_pages", "distinct pages fetched by random probes"
-        )
-        current_page_no = -1
-        rows: List[Row] = []
-        for position in positions:
-            page_no, slot = self.position_to_page(position)
-            if page_no != current_page_no:
-                rows = pool.get_page(self, page_no, sequential=False).rows
-                current_page_no = page_no
-                probe_pages.inc()
-            yield position, rows[slot]
 
     def __len__(self) -> int:
         return self._n_rows

@@ -113,6 +113,17 @@ def assert_morsel_size_invariant(db, plans, monkeypatch, pages_rows) -> None:
             ], context
 
 
+def probe_positions(table, pool, positions):
+    """The row-at-a-time oracle for ``HeapTable.fetch_positions``: one
+    random ``get_page`` per page *change*, yielding ``(position, row)``."""
+    current, rows = -1, []
+    for position in positions:
+        page_no, slot = table.position_to_page(position)
+        if page_no != current:
+            current, rows = page_no, pool.get_page(table, page_no, sequential=False).rows
+        yield position, rows[slot]
+
+
 def hash_star_join(db: Database, table: str, query: GroupByQuery) -> QueryResult:
     """One query through the shared-scan operator on its own — the paper's
     Figure 1 single-query hash star join."""

@@ -1,0 +1,71 @@
+"""The nightly ``perf`` job's merge step (``.github/merge_perf_runs.py``):
+single-repeat run files of one side become the run file ``--repeat N``
+would have written, and ``perf/run.py compare`` reads it."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_file(spec: dict, op_ms: float, failed: int = 0) -> dict:
+    """A one-repeat, untraced run file in ``perf/run.py``'s shape."""
+    workloads = {}
+    for workload in spec["workloads"]:
+        cells = {
+            metric["name"]: {
+                "value": op_ms,
+                "unit": metric["unit"],
+                "values": [op_ms],
+                "exact": metric["name"] == "sim_ms_per_op",
+            }
+            for metric in spec["end_to_end"]
+        }
+        cells["sim_ms_per_op"].update(value=7.0, values=[7.0])
+        workloads[workload["name"]] = {
+            "end_to_end": cells,
+            "per_layer": {},
+            "attempted": 10,
+            "failed": failed,
+            "runs": [{"correct": True}],
+        }
+    provenance = dict.fromkeys(("commit", "python", "numpy"), "x")
+    provenance.update(nproc=2, seed=11, seconds=12, repeat=1)
+    return {"provenance": provenance, "workloads": workloads}
+
+
+def test_merged_runs_read_as_one_repeat_n_run(tmp_path, capsys):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    merger = load(ROOT / ".github" / "merge_perf_runs.py", "merge_perf_runs")
+    paths = {}
+    for side, readings in (("base", (10.0, 30.0, 20.0)), ("head", (10.5, 9.5, 11.0))):
+        singles = []
+        for i, op_ms in enumerate(readings):
+            singles.append(tmp_path / f"{side}.{i}.json")
+            singles[-1].write_text(json.dumps(run_file(spec, op_ms, failed=i == 0)))
+        paths[side] = tmp_path / f"{side}.json"
+        assert merger.main([str(paths[side]), *map(str, singles)]) == 0
+    merged = json.loads(paths["base"].read_text())
+    entry = merged["workloads"]["base_scan"]
+    assert merged["provenance"]["repeat"] == 3
+    assert entry["end_to_end"]["op_ms_p50"]["values"] == [10.0, 30.0, 20.0]
+    assert entry["end_to_end"]["op_ms_p50"]["value"] == 20.0
+    assert entry["end_to_end"]["sim_ms_per_op"]["exact"] is True
+    assert (entry["attempted"], entry["failed"], len(entry["runs"])) == (30, 1, 3)
+    sys.path.insert(0, str(ROOT / "perf"))
+    try:
+        compare = load(ROOT / "perf" / "compare.py", "perf_compare")
+    finally:
+        sys.path.remove(str(ROOT / "perf"))
+    assert compare.main([str(paths["base"]), str(paths["head"])], spec) == 0
+    printed = capsys.readouterr().out
+    assert "12 s x 3" in printed and "behaviour changed" not in printed

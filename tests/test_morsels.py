@@ -7,18 +7,24 @@ Three things are pinned here, none of them by timing anything:
   and every COUNT/MIN/MAX value is bit-equal, and SUM/AVG agree under
   ``approx_equals`` and with the reference evaluator;
 * **granularity** — a scan does its per-query work once per morsel, not
-  once per page (a slide back to per-page compute fails here);
+  once per page; a morsel's pages (and a probe set's) are accounted in one
+  pool call; a morsel is probed once per dimension for the whole class, not
+  once per member (a slide back to per-page or per-member work fails here);
 * **faults mid-morsel** — the fault log, the failure, the failed class's
   I/O ledger and the pool are those of page-at-a-time execution; only the
   failed class's CPU ledger may be smaller.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.core.executor import execute_plan
-from repro.core.operators.pipeline import QueryPipeline
+from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.index_join import SharedIndexStarJoin
+from repro.core.operators.pipeline import QueryPipeline, SharedProbe
 from repro.core.optimizer.plans import (
     GlobalPlan,
     JoinMethod,
@@ -28,9 +34,10 @@ from repro.core.optimizer.plans import (
 from repro.faults import FaultPlan, InjectedFault, InjectionPoint
 from repro.obs.metrics import default_registry
 from repro.storage import table as table_module
+from repro.storage.buffer import BufferPool
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
-from helpers import assert_morsel_size_invariant
+from helpers import assert_morsel_size_invariant, random_query
 
 #: Every paper table holds 25 rows per page.
 ROWS_PER_PAGE = 25
@@ -122,9 +129,9 @@ def test_compute_is_per_morsel_not_per_page(
     calls = {}
     process_batch = QueryPipeline.process_batch
 
-    def counting(self, keys, measures, stats):
+    def counting(self, *batch):
         calls[self.query.qid] = calls.get(self.query.qid, 0) + 1
-        return process_batch(self, keys, measures, stats)
+        return process_batch(self, *batch)
 
     monkeypatch.setattr(QueryPipeline, "process_batch", counting)
     counter = default_registry().counter("executor.morsels")
@@ -141,6 +148,88 @@ def test_compute_is_per_morsel_not_per_page(
             assert n_calls == expected
         else:
             assert n_calls <= expected
+
+
+def test_reads_are_accounted_per_morsel_and_per_probe_set(
+    paper_db, paper_qs, monkeypatch
+):
+    """A scan of N pages makes ceil(N / morsel pages) ``read_pages`` calls —
+    each of one morsel's pages, in order — and a probe set makes one."""
+    reads = []
+    read_pages = BufferPool.read_pages
+
+    def recording(self, table, page_nos, *, sequential, after_page=None):
+        page_nos = list(page_nos)
+        reads.append((table.name, sequential, page_nos))
+        read_pages(
+            self, table, page_nos, sequential=sequential, after_page=after_page
+        )
+
+    monkeypatch.setattr(BufferPool, "read_pages", recording)
+    table = paper_db.catalog.get("A'B'C'D").table
+    morsel_pages = DEFAULT // table.capacity
+    report = execute_plan(paper_db, forced_plan(paper_qs))
+    assert not report.failures
+    scan = [pages for name, _seq, pages in reads if name == "A'B'C'D"]
+    assert all(sequential for name, sequential, _p in reads)
+    assert len(scan) == math.ceil(table.n_pages / morsel_pages) > 1
+    assert [len(pages) for pages in scan[:-1]] == [morsel_pages] * (len(scan) - 1)
+    assert [no for pages in scan for no in pages] == list(range(table.n_pages))
+
+    del reads[:]
+    queries = [paper_qs[i] for i in (5, 6, 7, 8)]
+    before = paper_db.stats.snapshot()
+    operator = SharedIndexStarJoin(paper_db.ctx(), "ABCD", queries)
+    operator.run()
+    ((name, sequential, pages),) = reads
+    assert (name, sequential) == ("ABCD", False)
+    assert 1 < len(pages) <= operator.actuals.probes_issued
+    delta = paper_db.stats.delta_since(before)
+    assert delta.rand_page_reads + delta.buffer_hits == len(pages)
+
+
+class CountingTable(np.ndarray):
+    """A probe table that counts the gathers made through it."""
+
+    gathers = 0
+
+    def take(self, indices):
+        CountingTable.gathers += 1
+        return self.view(np.ndarray).take(indices)
+
+
+@pytest.mark.parametrize("n_members", [9, 64, 70, 130])
+def test_one_gather_per_predicated_dimension_per_64_members(
+    paper_db, paper_qs, monkeypatch, n_members
+):
+    """However many members ride the scan, a morsel is probed once per
+    predicated dimension for each 64 of them — not once per member."""
+    rng = random.Random(n_members)
+    queries = [paper_qs[i] for i in range(1, 10)]
+    while len(queries) < n_members:
+        query = random_query(paper_db.schema, rng)
+        if query.predicates:
+            queries.append(query)
+    build = SharedProbe.__init__
+
+    def counting_build(self, pipes):
+        build(self, pipes)
+        self._words = [
+            ([(d, table.view(CountingTable)) for d, table in tables], members)
+            for tables, members in self._words
+        ]
+
+    monkeypatch.setattr(SharedProbe, "__init__", counting_build)
+    monkeypatch.setattr(CountingTable, "gathers", 0)
+    operator = SharedScanStarJoin(paper_db.ctx(), "ABCD", queries)
+    operator.run()
+    per_morsel = sum(
+        len({p.dim_index for query in queries[first : first + 64] for p in query.predicates})
+        for first in range(0, n_members, 64)
+    )
+    assert operator.morsels > 1
+    assert CountingTable.gathers == operator.morsels * per_morsel
+    assert per_morsel <= paper_db.schema.n_dims * math.ceil(n_members / 64)
 
 
 # -- faults mid-morsel -----------------------------------------------------------

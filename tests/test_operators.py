@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.operators import hash_join as hash_join_module
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
     IndexStarJoin,
@@ -16,6 +17,7 @@ from repro.core.operators.index_join import (
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.engine.reference import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
+from repro.storage import table as table_module
 
 from helpers import hash_star_join, make_tiny_db, random_query
 
@@ -245,3 +247,70 @@ class TestSharedHybridJoin:
     def test_empty_rejected(self, db):
         with pytest.raises(ValueError):
             SharedScanStarJoin(db.ctx(), "XY", [], [])
+
+
+class EveryMemberAlone:
+    """Stands in for ``SharedProbe``: no shared survivors, so every member
+    evaluates its own masks — ``process_batch`` as it runs alone."""
+
+    def __init__(self, pipes):
+        self.n_pipes = len(pipes)
+
+    def survivors(self, _key_columns):
+        return [None] * self.n_pipes
+
+
+class TestSharedProbe:
+    """One probe per dimension per morsel for the whole class, held to
+    every member probing alone: same rows, same order, same charges."""
+
+    @staticmethod
+    def run_class(db, hash_queries, index_queries, derives):
+        db.flush()
+        before = db.stats.snapshot()
+        op = SharedScanStarJoin(
+            db.ctx(), "XY", hash_queries, index_queries, derives
+        )
+        results = op.run()
+        observed = (
+            {
+                qid: (list(result.groups.items()), result.avg_state)
+                for qid, result in results.items()
+            },
+            op.actuals.as_dict(),
+            db.stats.delta_since(before).as_dict(),
+        )
+        return results, observed
+
+    @pytest.mark.parametrize("morsel_rows", [1, table_module.MORSEL_ROWS])
+    @pytest.mark.parametrize("n_predicated", [1, 2, 64, 65, 130])
+    def test_class_equals_every_member_alone(
+        self, db, monkeypatch, n_predicated, morsel_rows
+    ):
+        rng = random.Random(n_predicated)
+        hash_queries = [simple_query((1, 1))]  # predicate-free: holds no bit
+        while len(hash_queries) <= n_predicated:
+            query = random_query(db.schema, rng)
+            if query.predicates:
+                hash_queries.append(query)
+        rng.shuffle(hash_queries)
+        index_queries = [
+            simple_query((1, 2), [DimPredicate(0, 1, frozenset({1}))]),
+            simple_query((2, 0), [DimPredicate(1, 1, frozenset({0, 3}))]),
+        ]
+        derives = [
+            (
+                simple_query((1, 1)),
+                [simple_query((2, 1), [DimPredicate(0, 2, frozenset({1}))])],
+            )
+        ]
+        monkeypatch.setattr(table_module, "MORSEL_ROWS", morsel_rows)
+        results, shared = self.run_class(db, hash_queries, index_queries, derives)
+        monkeypatch.setattr(hash_join_module, "SharedProbe", EveryMemberAlone)
+        _results, alone = self.run_class(db, hash_queries, index_queries, derives)
+        for got, want in zip(shared, alone):  # results, actuals, IOStats
+            assert got == want
+        n_rows = db.catalog.get("XY").table.n_rows
+        for query in hash_queries:
+            assert shared[1]["rows_in"][str(query.qid)] == n_rows
+            assert results[query.qid].approx_equals(reference_for(db, query))

@@ -11,6 +11,8 @@ from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
 from repro.storage.table import HeapTable
 
+from helpers import probe_positions
+
 
 def make_table(n_rows=100, page_size=80):
     # 3 columns * 4 bytes = 12 bytes/row -> 6 rows per 80-byte page.
@@ -123,26 +125,22 @@ class TestAccountedAccess:
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=64)
         # Positions 0,1,2 share page 0; 6 is page 1; 13 page 2.
-        hits = list(table.probe_positions(pool, [0, 1, 2, 6, 13]))
-        assert [p for p, _row in hits] == [0, 1, 2, 6, 13]
+        keys, _measures = table.fetch_positions(
+            pool, np.asarray([0, 1, 2, 6, 13]), n_keys=2
+        )
+        assert keys[0].tolist() == [0, 1, 2, 6, 13]
         assert stats.rand_page_reads == 3
         assert stats.seq_page_reads == 0
 
     def test_probe_returns_correct_rows(self):
         table = make_table(100)
-        stats = IOStats()
-        pool = BufferPool(stats, capacity_pages=64)
-        for position, row in table.probe_positions(pool, [5, 50, 99]):
-            assert row == (position, position % 7, float(position))
-
-    def test_probe_revisiting_page_after_leaving_recharges(self):
-        table = make_table(100)
-        stats = IOStats()
-        pool = BufferPool(stats, capacity_pages=1)
-        # Page sequence 0 -> 1 -> 0; the pool holds one page, and the probe
-        # iterator re-fetches when the page number changes.
-        list(table.probe_positions(pool, [0, 6, 1]))
-        assert stats.rand_page_reads == 3
+        pool = BufferPool(IOStats(), capacity_pages=64)
+        keys, measures = table.fetch_positions(
+            pool, np.asarray([5, 50, 99]), n_keys=2
+        )
+        assert keys[0].tolist() == [5, 50, 99]
+        assert keys[1].tolist() == [5 % 7, 50 % 7, 99 % 7]
+        assert measures.tolist() == [5.0, 50.0, 99.0]
 
 
 class TestBatchAccess:
@@ -177,8 +175,8 @@ class TestBatchAccess:
         stats_p = IOStats()
         probed = [
             row
-            for _pos, row in table.probe_positions(
-                BufferPool(stats_p, capacity_pages=64), positions.tolist()
+            for _pos, row in probe_positions(
+                table, BufferPool(stats_p, capacity_pages=64), positions.tolist()
             )
         ]
         fetched = [
@@ -297,7 +295,7 @@ class TestStorageModel:
             keys, measures = table.fetch_positions(
                 BufferPool(fetched, 2), np.asarray(positions, np.int64), 2
             )
-            rows = list(table.probe_positions(BufferPool(probed, 2), positions))
+            rows = list(probe_positions(table, BufferPool(probed, 2), positions))
             assert rows == [(p, model[p]) for p in positions]
             assert morsel_rows((0, 0, 0, keys, measures)) == [
                 model[p] for p in positions
