@@ -43,7 +43,7 @@ def raw_base_entry(
                 f"evaluator needs raw fact data"
             )
         return entry
-    raw = [entry for entry in catalog.entries() if entry.is_raw]
+    raw = catalog.raw_entries()
     if not raw:
         raise PlanValidationError(
             "no raw base table registered; nothing to evaluate against"

@@ -1,26 +1,100 @@
-"""Hash aggregation.
+"""Hash aggregation — the engine's one packed-code group-by.
 
 The final stage of every star-join plan in the paper: joined tuples are
 hashed on the target group-by attributes and the measure is folded into the
-group's accumulator.  The implementation packs the per-dimension target
-member ids into a single integer group code (mixed-radix over the target
-level cardinalities) and folds each batch it is handed — a scan morsel of
-many pages, or a retrieved probe set — with numpy, charging the clock per
-tuple (:meth:`~repro.storage.iostats.IOStats.charge_agg_update`).  SUM and
-AVG state are floats, so the fold order (batch by batch) shows in the last
-bits; COUNT, MIN and MAX are order-free (DESIGN.md §6.1).
+group's accumulator.  A group key is packed into one integer code
+(mixed-radix over the target level cardinalities, :func:`group_codes`),
+codes are folded with numpy (:func:`fold_groups`) and unpacked again
+(:func:`decode_groups`); :class:`HashAggregator`, the shared scan's derive
+phase, and view materialization and maintenance (:mod:`repro.engine`) all
+call these three.  SUM and AVG state are floats, so the fold order shows in
+the last bits and is defined here, once: row order within a batch, arrival
+order across batches.  COUNT, MIN and MAX are order-free (DESIGN.md §6.1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ...schema.query import Aggregate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.iostats import IOStats
-from .results import GroupKey, QueryResult
+from .results import QueryResult
+
+#: How two partial states of one group merge: SUM / COUNT / MIN / MAX are
+#: distributive, and AVG is algebraic over a (SUM, COUNT) pair of them (Gray
+#: et al., Data Cube) — ``_STATES`` lists what each aggregate is folded as.
+COMBINE = {
+    Aggregate.SUM: np.add,
+    Aggregate.COUNT: np.add,
+    Aggregate.MIN: np.minimum,
+    Aggregate.MAX: np.maximum,
+}
+_STATES = {aggregate: (aggregate,) for aggregate in COMBINE}
+_STATES[Aggregate.AVG] = (Aggregate.SUM, Aggregate.COUNT)
+
+#: Batch partials (rows) a :class:`HashAggregator` buffers before merging
+#: them to one row per group: bounds its memory at groups + this many rows
+#: (~1 MB) under a scan that emits partials every morsel.  Not an option,
+#: because when the merge runs cannot show in the result: a group's partials
+#: are added in arrival order from 0.0 and ``0.0 + p == p``, so ``((0 + a) +
+#: b) + c`` is reached under any schedule.
+COMPACT_ROWS = 1 << 16
+
+
+def group_codes(
+    schema: StarSchema,
+    keys: Sequence[np.ndarray],
+    source_levels: Sequence[int],
+    target_levels: Sequence[int],
+) -> Tuple[np.ndarray, List[int]]:
+    """Pack each row's group key, rolled up from ``source_levels`` to
+    ``target_levels``, into one mixed-radix code (row-major over the target
+    level cardinalities, so code order is key-tuple order); returns ``(codes,
+    sizes)`` for :func:`decode_groups`."""
+    sizes = [
+        dim.n_members(level)
+        for dim, level in zip(schema.dimensions, target_levels)
+    ]
+    columns = [
+        column if target == source else dim.rollup_map(source, target)[column]
+        for dim, column, source, target in zip(
+            schema.dimensions, keys, source_levels, target_levels
+        )
+    ]
+    return np.ravel_multi_index(columns, sizes), sizes
+
+
+def _fold_by(inverse, n_groups: int, values, combine: np.ufunc) -> np.ndarray:
+    """Left-fold ``values`` per group with ``combine``, in input order."""
+    if combine is np.add:
+        # bincount adds each group's values in input order from 0.0, as a
+        # row-at-a-time accumulator would (np.add.reduceat sums pairwise).
+        return np.bincount(inverse, weights=values, minlength=n_groups)
+    order = np.argsort(inverse, kind="stable")
+    boundaries = np.searchsorted(inverse[order], np.arange(n_groups))
+    return combine.reduceat(values[order], boundaries)
+
+
+def fold_groups(
+    codes: np.ndarray, measures: np.ndarray, fold: Aggregate
+) -> Tuple[np.ndarray, ...]:
+    """Group ``measures`` by code: ``(sorted distinct codes, folded value
+    per code)`` — for AVG, ``(codes, sums, counts)``."""
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    folded = []
+    for state in _STATES[fold]:
+        # A row's COUNT state is 1, whatever it measures.
+        values = np.ones(codes.size) if state is Aggregate.COUNT else measures
+        folded.append(_fold_by(inverse, uniq.size, values, COMBINE[state]))
+    return (uniq, *folded)
+
+
+def decode_groups(codes: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
+    """The key columns packed into ``codes`` by :func:`group_codes`."""
+    return list(np.unravel_index(codes, sizes))
 
 
 class HashAggregator:
@@ -42,25 +116,19 @@ class HashAggregator:
         self.schema = schema
         self.query = query
         self.aggregate = aggregate or query.aggregate
-        sizes: List[int] = []
-        for dim, level in zip(schema.dimensions, query.groupby.levels):
-            sizes.append(dim.n_members(level))
-        # Mixed-radix strides: code = sum(member_id[d] * stride[d]).
-        strides: List[int] = []
-        acc = 1
-        for size in reversed(sizes):
-            strides.append(acc)
-            acc *= size
-        strides.reverse()
-        self._sizes = sizes
-        self._strides = np.asarray(strides, dtype=np.int64)
-        self._acc: Dict[int, float] = {}
-        self._counts: Dict[int, int] = {}
+        self._sizes = [
+            dim.n_members(level)
+            for dim, level in zip(schema.dimensions, query.groupby.levels)
+        ]
+        #: Each batch's :func:`fold_groups` output, ``(codes, one column per
+        #: state)``, until :meth:`_compact` merges them to one row per group.
+        self._buffer: List[Tuple[np.ndarray, ...]] = []
+        self._pending = 0
 
     @property
     def n_groups(self) -> int:
         """Number of result groups."""
-        return len(self._acc)
+        return self._compact()[0].size
 
     def update(
         self,
@@ -71,50 +139,41 @@ class HashAggregator:
         """Fold one batch: ``target_columns[d]`` holds the target-level member
         id of each tuple for dimension ``d``; ``measures`` the measure values.
         """
-        n = measures.size
-        if n == 0:
-            return
-        stats.charge_agg_update(n)
-        codes = np.zeros(n, dtype=np.int64)
-        for column, stride in zip(target_columns, self._strides):
-            if stride == 1:
-                codes += column
-            else:
-                codes += column * stride
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        if self.aggregate in (Aggregate.SUM, Aggregate.AVG):
-            folded = np.bincount(inverse, weights=measures, minlength=uniq.size)
-            for code, value in zip(uniq.tolist(), folded.tolist()):
-                self._acc[code] = self._acc.get(code, 0.0) + value
-            if self.aggregate is Aggregate.AVG:
-                counts = np.bincount(inverse, minlength=uniq.size)
-                for code, count in zip(uniq.tolist(), counts.tolist()):
-                    self._counts[code] = self._counts.get(code, 0) + count
-        elif self.aggregate is Aggregate.COUNT:
-            folded = np.bincount(inverse, minlength=uniq.size)
-            for code, value in zip(uniq.tolist(), folded.tolist()):
-                self._acc[code] = self._acc.get(code, 0.0) + value
-        elif self.aggregate in (Aggregate.MIN, Aggregate.MAX):
-            ufunc = np.minimum if self.aggregate is Aggregate.MIN else np.maximum
-            order = np.argsort(inverse, kind="stable")
-            boundaries = np.searchsorted(
-                inverse[order], np.arange(uniq.size), side="left"
-            )
-            folded = ufunc.reduceat(measures[order], boundaries)
-            pick = min if self.aggregate is Aggregate.MIN else max
-            for code, value in zip(uniq.tolist(), folded.tolist()):
-                if code in self._acc:
-                    self._acc[code] = pick(self._acc[code], value)
-                else:
-                    self._acc[code] = value
-        else:  # pragma: no cover - Aggregate is a closed enum
-            raise NotImplementedError(self.aggregate)
+        stats.charge_agg_update(measures.size)
+        codes = np.ravel_multi_index(target_columns, self._sizes)
+        self._buffer.append(fold_groups(codes, measures, self.aggregate))
+        self._pending += self._buffer[-1][0].size
+        if self._pending > COMPACT_ROWS:
+            self._compact()
 
-    def _decode(self, code: int) -> GroupKey:
-        key: List[int] = []
-        for size, stride in zip(self._sizes, self._strides.tolist()):
-            key.append((code // stride) % size if size > 1 else 0)
-        return tuple(key)
+    def _compact(self) -> Tuple[np.ndarray, ...]:
+        """Merge the buffered partials with :data:`COMBINE` in arrival
+        order; returns ``(codes, state columns...)`` in first-seen order (a
+        lone batch is already that: its codes are sorted)."""
+        states = _STATES[self.aggregate]
+        if not self._buffer:
+            return (np.empty(0, np.int64),) + (np.empty(0),) * len(states)
+        if len(self._buffer) > 1:
+            codes, *partials = map(np.concatenate, zip(*self._buffer))
+            uniq, first, inverse = np.unique(
+                codes, return_index=True, return_inverse=True
+            )
+            seen = np.argsort(first)
+            merged = [
+                _fold_by(inverse, uniq.size, partial, COMBINE[state])[seen]
+                for partial, state in zip(partials, states)
+            ]
+            self._buffer = [(uniq[seen], *merged)]
+        self._pending = 0
+        return self._buffer[0]
+
+    def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The groups column-wise, ``(key columns, values)`` in first-seen
+        order, for a consumer that keeps computing (the derive phase)."""
+        codes, values, *counts = self._compact()
+        if counts:
+            values = values / counts[0]
+        return decode_groups(codes, self._sizes), values
 
     def result(self) -> QueryResult:
         """Finalize and return the accumulated QueryResult.
@@ -123,18 +182,11 @@ class HashAggregator:
         ``avg_state`` so partial results from row-disjoint data shards can
         be merged exactly (sum the sums, sum the counts, divide once).
         """
-        if self.aggregate is Aggregate.AVG:
-            groups = {}
-            avg_state = {}
-            for code, value in self._acc.items():
-                key = self._decode(code)
-                count = self._counts[code]
-                groups[key] = value / count
-                avg_state[key] = (value, count)
-            return QueryResult(
-                query=self.query, groups=groups, avg_state=avg_state
-            )
-        groups = {
-            self._decode(code): value for code, value in self._acc.items()
-        }
-        return QueryResult(query=self.query, groups=groups)
+        key_columns, values = self.columns()
+        keys = list(zip(*(column.tolist() for column in key_columns)))
+        groups = dict(zip(keys, values.tolist()))
+        if self.aggregate is not Aggregate.AVG:
+            return QueryResult(query=self.query, groups=groups)
+        _codes, sums, counts = self._compact()
+        state = zip(sums.tolist(), counts.astype(np.int64).tolist())
+        return QueryResult(self.query, groups, dict(zip(keys, state)))

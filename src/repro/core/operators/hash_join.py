@@ -20,9 +20,9 @@ operator, :class:`SharedScanStarJoin`, taking three kinds of member:
   packed; each morsel's window of words is unpacked with
   :meth:`~repro.index.bitmap.Bitmap.slice_bool`;
 * **derive steps** accumulate a predicate-free *intermediate* group-by from
-  the same scan; afterwards each finished intermediate is decoded back into
-  one in-memory columnar batch — its group keys are member ids at the
-  intermediate's levels — and every derived member runs an ordinary
+  the same scan; afterwards each finished intermediate hands over its
+  groups as one in-memory columnar batch — its group keys are member ids at
+  the intermediate's levels — and every derived member runs an ordinary
   :class:`~.pipeline.QueryPipeline` over those few rows.  No I/O is
   charged: the intermediate lives in memory.
 
@@ -36,8 +36,6 @@ byte-identical to scanning for it alone.
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
@@ -201,12 +199,11 @@ class SharedScanStarJoin:
                 )
         out: Dict[int, QueryResult] = {}
 
-        def finish(query: GroupByQuery, pipe: QueryPipeline) -> QueryResult:
+        def finish(query: GroupByQuery, pipe: QueryPipeline) -> None:
             out[query.qid] = pipe.result()
             actuals.record_pipeline(
                 query.qid, pipe, out[query.qid], ctx.stats.rates
             )
-            return out[query.qid]
 
         for query, pipe in zip(
             self.hash_queries + self.index_queries, hash_pipes + index_pipes
@@ -214,13 +211,12 @@ class SharedScanStarJoin:
             finish(query, pipe)
         if not self.derives:
             return out
-        # Phase 3: decode each finished intermediate into one in-memory
+        # Phase 3: take each finished intermediate's groups as one in-memory
         # columnar batch and run every derived member's pipeline over it.
         derived_rows = metrics.counter(
             "executor.derive_rows",
             "intermediate group rows fed to derived-query pipelines",
         )
-        n_dims = ctx.schema.n_dims
         for (intermediate, members), pipe in zip(self.derives, inter_pipes):
             if ctx.faults is not None:
                 ctx.faults.check(
@@ -228,20 +224,8 @@ class SharedScanStarJoin:
                     operator=self.label,
                     table=self.source.name,
                 )
-            groups = finish(intermediate, pipe).groups
-            n_groups = len(groups)
-            inter_measures = np.fromiter(
-                groups.values(), dtype=np.float64, count=n_groups
-            )
-            group_keys = list(groups.keys())
-            inter_keys = [
-                np.fromiter(
-                    (key[d] for key in group_keys),
-                    dtype=np.int64,
-                    count=n_groups,
-                )
-                for d in range(n_dims)
-            ]
+            finish(intermediate, pipe)
+            inter_keys, inter_measures = pipe.columns()
             inter_agg = intermediate_source_aggregate(source_agg, intermediate)
             for query in members:
                 derived_pipe = pipeline(
@@ -250,7 +234,7 @@ class SharedScanStarJoin:
                 derived_pipe.process_batch(
                     inter_keys, inter_measures, ctx.stats
                 )
-                derived_rows.inc(n_groups)
+                derived_rows.inc(inter_measures.size)
                 finish(query, derived_pipe)
         return out
 

@@ -295,6 +295,10 @@ class QueryPipeline:
         """Finalize and return the accumulated QueryResult."""
         return self._aggregator.result()
 
+    def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The accumulated groups as columns (``HashAggregator.columns``)."""
+        return self._aggregator.columns()
+
 
 class SharedProbe:
     """Section 3.1's shared probe: each dimension's hash table is probed

@@ -28,11 +28,12 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from ..core.operators.aggregate import COMBINE, decode_groups
+from ..core.operators.aggregate import fold_groups, group_codes
 from ..schema.query import Aggregate
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
 from ..storage.page import ColumnBatch, Row
-from .materialize import decode_groups, fold_groups, group_codes
 
 
 class MaintenanceError(RuntimeError):
@@ -106,9 +107,7 @@ def _merge_into_view(
     into the view's table: existing groups are updated in place, new groups
     appended in key order.  Returns the number of groups appended."""
     aggregate = Aggregate(view.source_aggregate)
-    codes, sizes, strides = group_codes(
-        schema, batch[0], base.levels, view.levels
-    )
+    codes, sizes = group_codes(schema, batch[0], base.levels, view.levels)
     delta_codes, delta = fold_groups(codes, batch[1], aggregate)
     view_codes, view_positions = _group_positions(schema, view)
     at = np.searchsorted(view_codes, delta_codes)
@@ -117,15 +116,10 @@ def _merge_into_view(
     found[inside] = view_codes[at[inside]] == delta_codes[inside]
     positions = view_positions[at[found]]
     current = view.table.read_columns(schema.n_dims)[1][positions]
-    if aggregate in (Aggregate.SUM, Aggregate.COUNT):
-        merged = current + delta[found]
-    elif aggregate is Aggregate.MIN:
-        merged = np.minimum(current, delta[found])
-    else:
-        merged = np.maximum(current, delta[found])
+    merged = COMBINE[aggregate](current, delta[found])
     view.table.update_measures(positions, merged)
     view.table.extend_columns(
-        decode_groups(delta_codes[~found], sizes, strides), delta[~found]
+        decode_groups(delta_codes[~found], sizes), delta[~found]
     )
     return int(delta_codes.size - positions.size)
 
@@ -144,7 +138,7 @@ def append_rows(
     """
     schema = db.schema
     if base_name is None:
-        raw = [entry for entry in db.catalog.entries() if entry.is_raw]
+        raw = db.catalog.raw_entries()
         if not raw:
             raise MaintenanceError("the database has no raw base table")
         if len(raw) > 1:

@@ -6,75 +6,21 @@ computes a target group-by from the finest available source — materialization
 is an offline precomputation step, so it does not charge the query cost
 clock.  Output rows are sorted by dimension key order, which matches how a
 cube build would cluster its output and gives index probes the page locality
-the paper's Test 2 relies on.
+the paper's Test 2 relies on.  The group-by itself — pack, fold, decode —
+is :mod:`repro.core.operators.aggregate`'s, the same one queries run.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-import numpy as np
-
+from ..core.operators.aggregate import decode_groups, fold_groups, group_codes
 from ..schema.lattice import aggregate_compatible, effective_aggregate
 from ..schema.query import Aggregate
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
 from ..storage.page import ColumnBatch
 from ..storage.table import HeapTable
-
-
-def group_codes(
-    schema: StarSchema,
-    keys: Sequence[np.ndarray],
-    source_levels: Sequence[int],
-    target_levels: Sequence[int],
-) -> Tuple[np.ndarray, List[int], List[int]]:
-    """Pack each row's group key at ``target_levels`` into one mixed-radix
-    code (code order is key-tuple order); returns ``(codes, sizes,
-    strides)`` for :func:`decode_groups`."""
-    sizes = [
-        dim.n_members(level)
-        for dim, level in zip(schema.dimensions, target_levels)
-    ]
-    strides = [1] * len(sizes)
-    for d in range(len(sizes) - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-    codes = np.zeros(len(keys[0]), dtype=np.int64)
-    for dim, column, source, target, stride in zip(
-        schema.dimensions, keys, source_levels, target_levels, strides
-    ):
-        if target != source:
-            column = dim.rollup_map(source, target)[column]
-        codes += column * stride
-    return codes, sizes, strides
-
-
-def fold_groups(
-    codes: np.ndarray, measures: np.ndarray, fold: Aggregate
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group ``measures`` by code: ``(sorted distinct codes, folded
-    value per code)``.  SUM folds each group in row order from 0.0
-    (``np.bincount``), exactly as a row-at-a-time accumulator would."""
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    if fold is Aggregate.SUM:
-        folded = np.bincount(inverse, weights=measures, minlength=uniq.size)
-    elif fold is Aggregate.COUNT:
-        folded = np.bincount(inverse, minlength=uniq.size).astype(np.float64)
-    else:
-        ufunc = np.minimum if fold is Aggregate.MIN else np.maximum
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.searchsorted(
-            inverse[order], np.arange(uniq.size), side="left"
-        )
-        folded = ufunc.reduceat(measures[order], boundaries)
-    return uniq, folded
-
-
-def decode_groups(
-    codes: np.ndarray, sizes: Sequence[int], strides: Sequence[int]
-) -> List[np.ndarray]:
-    """The key columns packed into ``codes`` by :func:`group_codes`."""
-    return [(codes // stride) % size for size, stride in zip(sizes, strides)]
 
 
 def compute_groupby(
@@ -114,11 +60,9 @@ def compute_groupby(
                 f"source stored at level {src_level}"
             )
     keys, measures = source.table.read_columns(schema.n_dims)
-    codes, sizes, strides = group_codes(
-        schema, keys, source.levels, target_levels
-    )
+    codes, sizes = group_codes(schema, keys, source.levels, target_levels)
     uniq, folded = fold_groups(codes, measures, fold)
-    return decode_groups(uniq, sizes, strides), folded
+    return decode_groups(uniq, sizes), folded
 
 
 def pick_materialization_source(

@@ -132,7 +132,10 @@ class QuerySession:
 
     def run(self, cold: bool = True) -> SessionReport:
         """Deduplicate, answer the distinct set as one batch, and fan
-        results back to every submission.  The pending set is cleared."""
+        results back to every submission.  The pending set is cleared, unless
+        a class was lost to a fault: that raises the typed
+        :class:`~repro.faults.PartialResultError` with every query still
+        queued, so the session can simply be run again."""
         if not self._submitted:
             raise ValueError("the session has no queries to run")
         distinct, members = coalesce((None, q) for q in self._submitted)
@@ -148,9 +151,8 @@ class QuerySession:
             n_submitted=len(self._submitted),
             n_distinct=len(distinct),
         )
-        results = execution.results
         for pairs in members.values():
-            result = results[pairs[0][1].qid]
+            result = execution.result_for(pairs[0][1])
             for _owner, twin in pairs:
                 # Each fan-out gets its own groups dict: results are treated
                 # as owned values, never shared mutable state.

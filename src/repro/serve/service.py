@@ -709,12 +709,6 @@ class QueryService:
                 stages.add("retry", sim_ms=backoff_ms)
         return state["sim_ms"], quarantined
 
-    def _raw_base_entry(self):
-        for entry in self.db.catalog.entries():
-            if entry.is_raw:
-                return entry
-        return None
-
     def _degrade_query(
         self,
         query: GroupByQuery,
@@ -735,7 +729,7 @@ class QueryService:
         db = self.db
         degrade_started = time.perf_counter()
         try:
-            entry = self._raw_base_entry()
+            entry = next(iter(db.catalog.raw_entries()), None)
             if entry is None:
                 return state["errors"].get(query.qid) or RuntimeError(
                     "no raw base table to degrade to"

@@ -145,3 +145,7 @@ class Catalog:
     def entries(self) -> List[TableEntry]:
         """All registered entries, in registration order."""
         return list(self._entries.values())
+
+    def raw_entries(self) -> List[TableEntry]:
+        """The raw (un-aggregated) fact tables, in registration order."""
+        return [entry for entry in self._entries.values() if entry.is_raw]

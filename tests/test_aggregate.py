@@ -1,11 +1,14 @@
 """Unit and property tests for the hash aggregation operator."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.operators.aggregate import HashAggregator
+from repro.core.operators import aggregate as aggregate_module
+from repro.core.operators.aggregate import HashAggregator, fold_groups
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.storage.iostats import IOStats
 
@@ -148,3 +151,113 @@ class TestAgainstBruteForce:
         assert set(got) == set(expected)
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-6)
+
+    # -- the float-order contract (DESIGN.md §6.1) ------------------------------
+    #
+    # SUM / AVG state is a float fold whose order the one group-by defines:
+    # row order within a batch (from 0.0), arrival order across batches
+    # (from 0.0), whenever compaction runs.  Groups come out in first-seen
+    # order: by batch, and by key within the batch that introduces them.
+
+    @staticmethod
+    def random_batches(seed):
+        rng = np.random.default_rng(seed)
+        return [
+            (
+                rng.integers(0, 6, n),
+                rng.integers(0, 4, n),
+                np.round(rng.uniform(-50, 50, n), 2),
+            )
+            for n in rng.integers(1, 60, rng.integers(1, 9))
+        ]
+
+    @staticmethod
+    def oracle(batches, aggregate):
+        """Plain Python: ``{key: (value, count)}`` in first-seen order."""
+        fold = {Aggregate.MIN: min, Aggregate.MAX: max}.get(aggregate, operator.add)
+        start = 0.0 if fold is operator.add else None
+
+        def step(have, new):
+            return new if have is None else fold(have, new)
+
+        state = {}
+        for xs, ys, ms in batches:
+            partial = {}
+            for x, y, m in zip(xs.tolist(), ys.tolist(), ms.tolist()):
+                value, count = partial.get((x, y), (start, 0))
+                if aggregate is Aggregate.COUNT:
+                    m = 1.0
+                partial[(x, y)] = (step(value, m), count + 1)
+            for key in sorted(partial):
+                value, count = state.get(key, (start, 0))
+                state[key] = (step(value, partial[key][0]), count + partial[key][1])
+        return state
+
+    @staticmethod
+    def run(batches, aggregate):
+        agg = make_aggregator(aggregate=aggregate)
+        stats = IOStats()
+        for xs, ys, ms in batches:
+            agg.update([xs, ys], ms, stats)
+        return agg.result()
+
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fold_order_is_the_documented_one(self, seed, aggregate):
+        batches = self.random_batches(seed)
+        want = self.oracle(batches, aggregate)
+        got = self.run(batches, aggregate)
+        assert list(got.groups) == list(want)
+        if aggregate is Aggregate.AVG:
+            assert got.avg_state == want
+            assert list(got.avg_state) == list(want)
+            assert all(type(n) is int for _s, n in got.avg_state.values())
+            want = {k: (s / n, n) for k, (s, n) in want.items()}
+        else:
+            assert got.avg_state is None
+        assert [v.hex() for v in got.groups.values()] == [
+            v.hex() for v, _n in want.values()
+        ]
+
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    def test_compaction_schedule_never_shows(self, monkeypatch, aggregate):
+        def snapshot(result):
+            state = result.avg_state and [
+                (k, s.hex(), n) for k, (s, n) in result.avg_state.items()
+            ]
+            return [(k, v.hex()) for k, v in result.groups.items()], state
+
+        batches = self.random_batches(42)
+        default = snapshot(self.run(batches, aggregate))
+        for rows in (1, 2**62):
+            monkeypatch.setattr(aggregate_module, "COMPACT_ROWS", rows)
+            assert snapshot(self.run(batches, aggregate)) == default
+
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    def test_empty_and_single_row_round_trip(self, aggregate):
+        empty = make_aggregator(aggregate=aggregate)
+        assert empty.n_groups == 0
+        assert empty.result().groups == {}
+        keys, values = empty.columns()
+        assert [k.size for k in keys] == [0, 0] and values.size == 0
+        is_avg = aggregate is Aggregate.AVG
+        assert empty.result().avg_state == ({} if is_avg else None)
+
+        one = make_aggregator(aggregate=aggregate)
+        feed(one, [[5], [3]], [7.25])
+        value = 1.0 if aggregate is Aggregate.COUNT else 7.25
+        assert one.n_groups == 1
+        assert one.result().groups == {(5, 3): value}
+        assert one.result().avg_state == ({(5, 3): (7.25, 1)} if is_avg else None)
+        keys, values = one.columns()
+        assert [k.tolist() for k in keys] == [[5], [3]]
+        assert values.tolist() == [value]
+
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    def test_fold_groups_on_an_empty_column(self, aggregate):
+        codes, *folded = fold_groups(
+            np.empty(0, np.int64), np.empty(0), aggregate
+        )
+        assert codes.size == 0 and codes.dtype == np.int64
+        assert len(folded) == (2 if aggregate is Aggregate.AVG else 1)
+        assert all(column.size == 0 for column in folded)

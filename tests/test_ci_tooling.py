@@ -69,3 +69,29 @@ def test_merged_runs_read_as_one_repeat_n_run(tmp_path, capsys):
     assert compare.main([str(paths["base"]), str(paths["head"])], spec) == 0
     printed = capsys.readouterr().out
     assert "12 s x 3" in printed and "behaviour changed" not in printed
+
+
+def test_byte_dump_is_deterministic(tmp_path):
+    """``.github/byte_dump.py`` — the parent-vs-change comparison of
+    .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
+    what it says: every registry name, derive classes, maintained views."""
+    import os
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, str(ROOT / ".github" / "byte_dump.py"), str(out),
+             "--scale", "0.0005"],
+            env=env, cwd=tmp_path,
+        )
+        for out in outs
+    ]
+    assert [run.wait(timeout=120) for run in runs] == [0, 0]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    dump = json.loads(outs[0].read_text())
+    assert "test7/avg/optimal/shards3" in dump
+    assert dump["test4/avg/gg/serial"]["results"][0]["avg_state"]
+    assert any(cls["derives"] for cls in dump["dashboard/min"]["classes"])
+    assert dump["maintained/max"]["append_reports"][-1]["maintained[max]"] > 0

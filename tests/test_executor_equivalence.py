@@ -9,10 +9,6 @@ included) — and a 4-shard run must equal the brute-force reference
 (:func:`repro.check.reference_answer`) group for group.  The reference is
 the one definition of what a batch means; no second production path is
 kept around as an oracle.
-
-(The file keeps its historical name so its test ids stay stable: it used
-to compare the batch kernels against the since-deleted per-tuple
-operators.)
 """
 
 import pytest

@@ -333,3 +333,27 @@ def test_no_second_door_in_the_source():
     }
     submitted = r"validate_global_plan\([^)]*,\s*(misses|queries)\s*\)"
     assert count(submitted) == {"engine/database.py": 1}
+
+
+def test_no_second_fold_in_the_source():
+    """The packed-code group-by lives in ``core/operators/aggregate.py``:
+    nothing else under core/ or engine/ groups codes or folds them."""
+    src = Path(repro.__file__).parent
+    text = {
+        str(path.relative_to(src)): path.read_text()
+        for package in ("core", "engine")
+        for path in (src / package).rglob("*.py")
+    }
+    home = "core/operators/aggregate.py"
+    for call in (r"np\.unique\(", r"\.reduceat\("):
+        assert [name for name, body in text.items() if re.search(call, body)] == [home]
+    own = re.compile(r"^\s*def (fold_|group_codes|decode_)", re.MULTILINE)
+    for name in ("engine/materialize.py", "engine/maintenance.py"):
+        assert own.search(text[name]) is None, name
+        assert "from ..core.operators.aggregate import" in text[name]
+    assert "np.fromiter" not in text["core/operators/hash_join.py"]
+    imports_engine = re.compile(r"^\s*(from|import) \S*engine", re.MULTILINE)
+    assert [
+        name for name, body in text.items()
+        if name.startswith("core/operators/") and imports_engine.search(body)
+    ] == []

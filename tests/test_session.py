@@ -146,6 +146,28 @@ class TestSessionRuns:
         with pytest.raises(ValueError):
             session.run()
 
+    def test_lost_class_raises_typed_error_and_keeps_pending(self):
+        """A class lost to a fault used to surface as a bare KeyError(qid)."""
+        from repro.faults import InjectedFault, PartialResultError
+        from repro.faults import parse_fault_plan
+        from repro.workload import build_paper_database, paper_queries
+        from repro.workload.paper_queries import PAPER_TESTS
+
+        paper = build_paper_database(scale=0.002)
+        queries = paper_queries(paper.schema)
+        batch = [queries[i] for i in PAPER_TESTS["test4"]]
+        session = QuerySession(paper).add_queries(batch)
+        paper.arm_faults(parse_fault_plan("storage.scan:nth=1"))
+        with pytest.raises(PartialResultError) as raised:
+            session.run()
+        assert isinstance(raised.value.__cause__, InjectedFault)
+        # Nothing was answered, so nothing is dropped: the fault was
+        # single-shot and the same session runs clean.
+        assert session.n_pending == len(batch)
+        report = session.run()
+        assert sorted(report.results) == sorted(x.qid for x in batch)
+        assert session.n_pending == 0
+
     def test_algorithm_respected(self, db):
         session = QuerySession(db, algorithm="naive")
         session.add_queries([q(label="a"), q(levels=(2, 2), label="b")])
