@@ -20,8 +20,8 @@ leading dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...index.bitmap import WORD_BITS
@@ -34,7 +34,7 @@ from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates
-from .plans import JoinMethod
+from .plans import JoinMethod, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
@@ -64,24 +64,25 @@ class MemberTerm:
     leave-one-out marginal is ``cost(class) − cost(class without the
     member)``, the second re-accumulated from the other members' terms
     (shared term re-evaluated, configuration re-chosen), never ``total −
-    term``.  ``map_keys`` / ``mask_keys`` are in dimension order and enter
-    the class's build sets in (query, dimension) order, maps and masks
-    separately: the sets' iteration order feeds a float sum when dimension
-    tables are stored.
+    term``.  Structure builds are integer counts (hash entries, dimension
+    table pages) priced once, so the build-key set's order reaches no sum.
     """
 
     answerable: bool
     #: Product of the predicate selectivities (matching rows = N × this).
     selectivity: float
-    #: Rollup maps ``(dim, target level)`` and predicate masks ``(dim,
-    #: level, members)`` the member's pipeline needs built.
-    map_keys: Tuple[Tuple[int, int], ...]
-    mask_keys: Tuple[Tuple[int, int, frozenset], ...]
+    #: Structures the member's pipeline needs built, as the executor's
+    #: RollupCache keys them: rollup maps ``(dim, from level, target level)``
+    #: and predicate masks ``(dim, from level, level, members)``.
+    build_keys: Tuple[tuple, ...]
     #: Marginal on a shared scan as a hash plan, and as an index plan
     #: filtering the scan (inf unless ``indexable``: some predicate has a
-    #: usable index, which every field below presumes).
+    #: usable index, which every field below ``scan_ms`` presumes).
     hash_ms: float
     filtered_ms: float = math.inf
+    #: The cheaper of the two and its method (hash on ties).
+    scan_method: JoinMethod = JoinMethod.HASH
+    scan_ms: float = math.inf
     indexable: bool = False
     #: Index phase (lookup I/O + bitmap CPU), then pipeline CPU over the
     #: tuples the member's own bitmap — of density ``indexed_sel`` — feeds.
@@ -93,6 +94,37 @@ class MemberTerm:
     region: float = 1.0
     runs: int = 1
     separate_pages: float = 0.0
+
+
+#: The term of every pair the entry cannot answer (only the bit is read).
+UNANSWERABLE = MemberTerm(
+    answerable=False, selectivity=math.nan, build_keys=(), hash_ms=math.inf
+)
+
+
+@dataclass(slots=True)
+class ClassState:
+    """The cost state of a class under construction on one candidate table:
+    what costing "these members, in this order" needs that a later member
+    does not change, so a trial (:meth:`CostModel.trial`) is "state + one
+    term", not a costing from a query list.
+
+    ``totals`` is ``(hash entries, dimension-table pages, index prefix)``:
+    the *integer* build totals of the distinct ``structures``, and the index
+    configuration's ``(Π(1 − indexed_sel), Π(1 − region), Σ runs, Σ
+    separate_pages)`` (None once a member has no index plan), reusable as
+    they stand: from scratch they accumulate left to right in query order,
+    so a prefix is the same float.  No running cost is kept — builds and
+    routing change when a member joins, so totals are re-summed from the
+    addends (:class:`MemberTerm`'s float-order rule).  ``totals`` is None,
+    for good (a class only gains members), once ``entry`` cannot answer some
+    member: the state is *dead*.
+    """
+
+    entry: TableEntry
+    terms: List[MemberTerm] = field(default_factory=list)
+    structures: set = field(default_factory=set)
+    totals: Optional[tuple] = (0, 0, (1.0, 1.0, 0, 0.0))
 
 
 class CostModel:
@@ -126,12 +158,12 @@ class CostModel:
         #: effort metric (the paper's future-work trade-off: GG searches
         #: more global plans than ETPLG, which searches more than TPLO).
         self.n_plan_costings = 0
-        # Per dimension, the I/O to scan its stored table for one structure
-        # build (zero when dimensions live in metadata only).
-        self._dim_scan_ms = [
-            self.dim_tables[dim.name].n_pages * rates.seq_page_read_ms
+        # Per dimension, the pages of its stored table one structure build
+        # scans (zero when dimensions live in metadata only).
+        self._dim_pages = [
+            self.dim_tables[dim.name].n_pages
             if dim.name in self.dim_tables
-            else 0.0
+            else 0
             for dim in schema.dimensions
         ]
         self._terms: Dict[Tuple[str, int], MemberTerm] = {}
@@ -170,8 +202,14 @@ class CostModel:
         return predicate.selectivity(self.schema)
 
     def query_selectivity(self, entry: TableEntry, query: GroupByQuery) -> float:
-        """Product of the query's predicate selectivities on this source."""
-        return self._term(entry, query).selectivity
+        """Product of the query's predicate selectivities on this source —
+        for any pair, answerable or not (an unanswerable pair has no term
+        to read it from, so it is computed here)."""
+        term = self._term(entry, query)
+        if term.answerable:
+            return term.selectivity
+        sels = (self.predicate_selectivity(entry, p) for p in query.predicates)
+        return math.prod(sels, start=1.0)
 
     # -- feasibility ------------------------------------------------------------
 
@@ -199,8 +237,8 @@ class CostModel:
 
     def can_index(self, entry: TableEntry, query: GroupByQuery) -> bool:
         """True if an index-based plan for ``query`` on ``entry`` exists —
-        i.e. at least one predicate has a usable join index (the rest become
-        residual filters)."""
+        i.e. ``entry`` can answer it and at least one predicate has a usable
+        join index (the rest become residual filters)."""
         return self._term(entry, query).indexable
 
     # -- member terms ------------------------------------------------------------
@@ -232,19 +270,19 @@ class CostModel:
 
     def _build_keys(
         self, levels: Sequence[int], query: GroupByQuery
-    ) -> Tuple[tuple, tuple]:
+    ) -> Tuple[tuple, ...]:
         """The dimension structures ``query`` needs over a source stored at
-        ``levels``, in dimension order: one rollup map per (dimension,
-        target level) and one mask per distinct predicate."""
-        maps, masks = [], []
+        ``levels`` (see :attr:`MemberTerm.build_keys`): one rollup map per
+        (dimension, target level) and one mask per distinct predicate."""
+        keys = []
         for d, dim in enumerate(self.schema.dimensions):
             target = query.groupby.levels[d]
             if target not in (levels[d], dim.all_level):
-                maps.append((d, target))
+                keys.append((d, levels[d], target))
             pred = query.predicate_on(d)
             if pred is not None:
-                masks.append((d, pred.level, pred.member_ids))
-        return tuple(maps), tuple(masks)
+                keys.append((d, levels[d], pred.level, pred.member_ids))
+        return tuple(keys)
 
     def _index_side(
         self, entry: TableEntry, query: GroupByQuery, facts: Dict, k: float
@@ -323,10 +361,15 @@ class CostModel:
 
     def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
         """The memoized term of ``query`` on ``entry`` — the one place a
-        member's hash and filtered-index marginals are computed."""
+        member's hash and filtered-index marginals are computed.  A pair
+        the entry cannot answer costs nothing: it gets the shared
+        :data:`UNANSWERABLE` constant (Roy et al.'s sharability pre-filter)."""
         key = (entry.name, query.qid)
         term = self._terms.get(key)
         if term is None:
+            if not source_can_answer(entry.levels, entry.source_aggregate, query):
+                self._terms[key] = UNANSWERABLE
+                return UNANSWERABLE
             facts = {
                 pred: (
                     self.predicate_selectivity(entry, pred),
@@ -338,144 +381,158 @@ class CostModel:
                 (facts[pred][0] for pred in query.predicates), start=1.0
             )
             k = entry.n_rows * selectivity
-            map_keys, mask_keys = self._build_keys(entry.levels, query)
+            hash_ms = self._process_cpu_ms(query, entry.n_rows, k)
+            side = self._index_side(entry, query, facts, k)
+            hash_wins = hash_ms <= side.get("filtered_ms", math.inf)
             term = self._terms[key] = MemberTerm(
-                answerable=source_can_answer(
-                    entry.levels, entry.source_aggregate, query
-                ),
+                answerable=True,
                 selectivity=selectivity,
-                map_keys=map_keys,
-                mask_keys=mask_keys,
-                hash_ms=self._process_cpu_ms(query, entry.n_rows, k),
-                **self._index_side(entry, query, facts, k),
+                build_keys=self._build_keys(entry.levels, query),
+                hash_ms=hash_ms,
+                scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
+                scan_ms=hash_ms if hash_wins else side["filtered_ms"],
+                **side,
             )
         return term
 
-    # -- shared terms ------------------------------------------------------------
+    # -- class state -------------------------------------------------------------
 
-    def _structures_ms(self, structures: Iterable[Tuple[int, int]]) -> float:
-        """Build cost of distinct dimension structures, each given as
-        (dimension, level it is built from): hash entries plus, when
-        dimension tables are stored, one scan of the table per structure."""
-        entries = 0.0
-        scan_ms = 0.0
-        for d, level in structures:
-            entries += self.schema.dimensions[d].n_members(level)
-            scan_ms += self._dim_scan_ms[d]
-        return entries * self.rates.hash_build_ms + scan_ms
+    def _missing(self, held: set, keys: Iterable[tuple], entries: int, pages: int):
+        """The build keys not in ``held``, and the totals grown by building
+        them: hash entries, and (when it is stored) dimension-table pages."""
+        new = {key for key in keys if key not in held}
+        for key in new:
+            entries += self.schema.dimensions[key[0]].n_members(key[1])
+            pages += self._dim_pages[key[0]]
+        return new, entries, pages
 
-    def _builds_cpu_ms(
-        self, entry: TableEntry, terms: Sequence[MemberTerm]
-    ) -> float:
-        """Shared dimension-hash-table build cost of a class: the union of
-        its members' rollup maps and predicate masks."""
-        maps = set(chain.from_iterable(term.map_keys for term in terms))
-        masks = set(chain.from_iterable(term.mask_keys for term in terms))
-        return self._structures_ms(
-            (key[0], entry.levels[key[0]]) for key in chain(maps, masks)
+    def _joined(self, state: ClassState, term: MemberTerm) -> Tuple[set, tuple]:
+        """``state`` with ``term`` as its next member, the state untouched:
+        the build keys it does not hold yet, and its ``totals`` then."""
+        entries, pages, index = state.totals
+        new, entries, pages = self._missing(
+            state.structures, term.build_keys, entries, pages
         )
+        if not term.indexable:
+            index = None
+        elif index is not None:
+            index = (
+                index[0] * (1.0 - term.indexed_sel),
+                index[1] * (1.0 - term.region),
+                index[2] + term.runs,
+                index[3] + term.separate_pages,
+            )
+        return new, (entries, pages, index)
 
-    def _probe_pages(
-        self, entry: TableEntry, terms: Sequence[MemberTerm], k_union: float
-    ) -> float:
-        """Expected distinct pages a union-bitmap probe fetching ``k_union``
-        rows touches: Cardenas over the clustered candidate region, plus
-        one boundary page per additional contiguous run."""
-        p = entry.n_pages
-        if not entry.clustered:
-            return expected_distinct(float(p), k_union)
-        region_union = 1.0
-        total_runs = 0
-        # A union probe can never touch more pages than the queries would
-        # touch separately.
-        separate_total = 0.0
-        for term in terms:
-            region_union *= 1.0 - term.region
-            total_runs += term.runs
-            separate_total += term.separate_pages
-        region = max(1.0, p * (1.0 - region_union))
-        pages = expected_distinct(region, k_union) + max(0, total_runs - 1)
-        return min(float(p), pages, separate_total)
+    def extend(self, state: ClassState, query: GroupByQuery) -> ClassState:
+        """Admit ``query`` as the last member of ``state``, in place (a
+        fresh state grows into a class's by ``reduce`` over its queries)."""
+        term = self._term(state.entry, query)
+        if not term.answerable:
+            state.totals = None
+        elif state.totals is not None:
+            new, state.totals = self._joined(state, term)
+            state.structures.update(new)
+        state.terms.append(term)
+        return state
 
     # -- class costing -----------------------------------------------------------
 
-    def _scan_class(
-        self,
-        entry: TableEntry,
-        terms: Sequence[MemberTerm],
-        builds_ms: float,
-        methods: Optional[Sequence[JoinMethod]] = None,
-    ) -> ClassCosting:
+    def _builds_ms(self, entries: int, pages: int) -> float:
+        """Shared structure builds — hash entries plus, when dimension tables
+        are stored, a table scan each — priced from integer totals."""
+        return entries * self.rates.hash_build_ms + pages * self.rates.seq_page_read_ms
+
+    def _scan_cost(
+        self, entry: TableEntry, builds_ms: float, marginals: Iterable[float]
+    ) -> float:
         """Cost of the class when the base table is sequentially scanned:
         hash plans consume the scan; index plans filter it (Section 3.3).
-        Each member takes its cheaper marginal unless ``methods`` fixes
-        them."""
-        if methods is None:
-            methods = [
-                JoinMethod.HASH
-                if term.hash_ms <= term.filtered_ms
-                else JoinMethod.INDEX
-                for term in terms
-            ]
+        ``marginals`` holds each member's addend under its method."""
         scan_io = entry.n_pages * self.rates.seq_page_read_ms
-        total = scan_io + builds_ms
-        for term, method in zip(terms, methods):
-            total += (
-                term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
-            )
-        return ClassCosting(entry.name, total, list(methods))
+        return left_sum(marginals, scan_io + builds_ms)
 
-    def _index_class(
-        self, entry: TableEntry, terms: Sequence[MemberTerm], builds_ms: float
-    ) -> Optional[ClassCosting]:
+    def _index_cost(
+        self, entry: TableEntry, terms: Sequence[MemberTerm], builds_ms: float,
+        index: tuple,
+    ) -> float:
         """Cost of the class when all members are index joins sharing one
-        union-bitmap probe (Section 3.2), or None if infeasible."""
-        if not all(term.indexable for term in terms):
-            return None
+        union-bitmap probe (Section 3.2); ``index`` is their prefix."""
         r = self.rates
-        union_rows = entry.n_rows * (
-            1.0 - math.prod(1.0 - term.indexed_sel for term in terms)
-        )
-        probe_pages = self._probe_pages(entry, terms, union_rows)
-        probe_io = probe_pages * r.rand_page_read_ms
-        total = probe_io + builds_ms
+        not_selected, not_region, runs, separate_pages = index
+        union_rows = entry.n_rows * (1.0 - not_selected)
+        # Expected distinct pages the union probe touches: Cardenas over
+        # the clustered candidate region, plus one boundary page per
+        # additional contiguous run.
+        p = entry.n_pages
+        if entry.clustered:
+            region = max(1.0, p * (1.0 - not_region))
+            pages = expected_distinct(region, union_rows) + max(0, runs - 1)
+            # A union probe can never touch more pages than the queries
+            # would touch separately.
+            pages = min(float(p), pages, separate_pages)
+        else:
+            pages = expected_distinct(float(p), union_rows)
+        total = pages * r.rand_page_read_ms + builds_ms
         if len(terms) > 1:  # union OR
             total += (
                 (len(terms) - 1) * self._bitmap_words(entry) * r.bitmap_word_ms
             )
+        # Routing depends on union_rows: re-summed, never prefix-reused.
         routing_ms = union_rows * r.bitmap_test_ms
         for term in terms:
             total += term.index_ms
             total += routing_ms
             total += term.fed_ms
-        return ClassCosting(entry.name, total, [JoinMethod.INDEX] * len(terms))
+        return total
+
+    def _best(
+        self, entry: TableEntry, terms: Sequence[MemberTerm], totals: tuple
+    ) -> ClassCosting:
+        """The cheaper configuration of a class (scan on ties): each member
+        on its cheaper scan-side method, or (given a prefix) all index joins."""
+        entries, pages, index = totals
+        builds_ms = self._builds_ms(entries, pages)
+        cost = self._scan_cost(entry, builds_ms, [t.scan_ms for t in terms])
+        if index is not None:
+            index_cost = self._index_cost(entry, terms, builds_ms, index)
+            if index_cost < cost:
+                return ClassCosting(
+                    entry.name, index_cost, [JoinMethod.INDEX] * len(terms)
+                )
+        return ClassCosting(entry.name, cost, [t.scan_method for t in terms])
+
+    def trial(self, state: ClassState, query: GroupByQuery) -> Optional[ClassCosting]:
+        """``plan_class(state.entry, members + [query])`` read off the
+        members' ``state`` (left untouched): one term look-up, rejected
+        before anything is summed when the entry cannot answer the query
+        or some member.  Counts as one class costing."""
+        self.n_plan_costings += 1
+        term = self._term(state.entry, query)
+        if state.totals is None or not term.answerable:
+            return None
+        totals = self._joined(state, term)[1]
+        return self._best(state.entry, state.terms + [term], totals)
 
     def plan_class(
         self, entry: TableEntry, queries: Sequence[GroupByQuery]
     ) -> Optional[ClassCosting]:
         """Best costing of ``queries`` as one class on ``entry``; None if
-        some query is not answerable from it."""
+        some query is not answerable from it.  From a list, a class is
+        costed as the trial of its last member on the state of the others."""
         if not queries:
             raise ValueError("a class needs at least one query")
-        self.n_plan_costings += 1
-        terms = [self._term(entry, query) for query in queries]
-        if not all(term.answerable for term in terms):
-            return None
-        builds_ms = self._builds_cpu_ms(entry, terms)
-        best = self._scan_class(entry, terms, builds_ms)
-        all_index = self._index_class(entry, terms, builds_ms)
-        if all_index is not None and all_index.cost_ms < best.cost_ms:
-            best = all_index
-        return best
+        others = reduce(self.extend, queries[:-1], ClassState(entry))
+        return self.trial(others, queries[-1])
 
     def class_cost_given(
-        self,
-        entry: TableEntry,
-        queries: Sequence[GroupByQuery],
+        self, entry: TableEntry, queries: Sequence[GroupByQuery],
         methods: Sequence[JoinMethod],
     ) -> float:
         """Cost of a class whose per-query join methods are already fixed
         (used to cost TPLO's merged plans, which keep local choices).
+        Raises ``ValueError`` when ``entry`` cannot answer a query or a
+        query has no index plan for its non-hash method.
 
         **Linearity contract**: for fixed methods, the returned cost is an
         exact linear function of the :class:`CostRates` fields — every
@@ -490,49 +547,28 @@ class CostModel:
         """
         if len(queries) != len(methods):
             raise ValueError("queries and methods must align")
-        terms = [self._term(entry, query) for query in queries]
-        for query, term, method in zip(queries, terms, methods):
-            if method is not JoinMethod.HASH and not term.indexable:
+        state = ClassState(entry)
+        for query, method in zip(queries, methods):
+            if self.extend(state, query).totals is None:
+                raise ValueError(
+                    f"{entry.name!r} cannot answer {query.display_name()}"
+                )
+            if method is not JoinMethod.HASH and not state.terms[-1].indexable:
                 raise ValueError(
                     f"no index plan for {query.display_name()} on "
                     f"{entry.name!r}"
                 )
-        builds_ms = self._builds_cpu_ms(entry, terms)
+        entries, pages, index = state.totals
+        builds_ms = self._builds_ms(entries, pages)
         if all(m is JoinMethod.INDEX for m in methods):
-            return self._index_class(entry, terms, builds_ms).cost_ms
-        return self._scan_class(entry, terms, builds_ms, methods).cost_ms
+            return self._index_cost(entry, state.terms, builds_ms, index)
+        marginals = [
+            term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
+            for term, method in zip(state.terms, methods)
+        ]
+        return self._scan_cost(entry, builds_ms, marginals)
 
     # -- DAG class costing (derive-from-shared-sub-aggregate) --------------------
-
-    def _dag_builds_cpu_ms(
-        self,
-        entry: TableEntry,
-        scan_terms: Sequence[MemberTerm],
-        derive_steps: Sequence[Tuple[GroupByQuery, Sequence[GroupByQuery]]],
-    ) -> float:
-        """Shared structure-build cost of a DAG class, mirroring the
-        RollupCache keys the executor uses: one rollup map per (dimension,
-        from level, to level) and one mask per distinct (dimension, from
-        level, predicate).  Derived queries read the intermediate, so their
-        structures key off — and are sized by — the intermediate's levels,
-        not the base table's."""
-        maps: set = set()
-        masks: set = set()
-
-        def collect(keys: Tuple[tuple, tuple], from_levels: Sequence[int]):
-            for d, target in keys[0]:
-                maps.add((d, from_levels[d], target))
-            for d, level, members in keys[1]:
-                masks.add((d, from_levels[d], level, members))
-
-        for term in scan_terms:
-            collect((term.map_keys, term.mask_keys), entry.levels)
-        for intermediate, derived in derive_steps:
-            collect(self._build_keys(entry.levels, intermediate), entry.levels)
-            from_levels = intermediate.groupby.levels
-            for query in derived:
-                collect(self._build_keys(from_levels, query), from_levels)
-        return self._structures_ms(key[:2] for key in chain(maps, masks))
 
     def intermediate_rows(
         self, entry: TableEntry, intermediate: GroupByQuery
@@ -569,9 +605,10 @@ class CostModel:
             raise ValueError("a DAG class needs at least one derive step")
         self.n_plan_costings += 1
         n = entry.n_rows
-        terms = [self._term(entry, query) for query in scan_queries]
-        if not all(term.answerable for term in terms):
+        state = reduce(self.extend, scan_queries, ClassState(entry))
+        if state.totals is None:
             return None
+        keys: List[tuple] = []
         for intermediate, derived in derive_steps:
             if intermediate.predicates or not source_can_answer(
                 entry.levels, entry.source_aggregate, intermediate
@@ -583,9 +620,15 @@ class CostModel:
                     intermediate.groupby.levels, inter_agg, query
                 ):
                     return None
-        costing = self._scan_class(
-            entry, terms, self._dag_builds_cpu_ms(entry, terms, derive_steps)
-        )
+            # Structures beyond the scan members'.  Derived queries read
+            # the intermediate, so theirs key off — and are sized by — the
+            # intermediate's levels, not the base table's.
+            keys += self._build_keys(entry.levels, intermediate)
+            for query in derived:
+                keys += self._build_keys(intermediate.groupby.levels, query)
+        _new, entries, pages = self._missing(state.structures, keys, *state.totals[:2])
+        # No index prefix: a DAG class runs the scan configuration.
+        costing = self._best(entry, state.terms, (entries, pages, None))
         for intermediate, derived in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.

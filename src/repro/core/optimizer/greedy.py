@@ -32,21 +32,28 @@ tables a class may switch to when it admits the query**:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...schema.query import GroupByQuery, query_sort_key
 from ...storage.catalog import TableEntry
 from .base import Optimizer, build_plan_class
-from .cost import CostModel
+from .cost import ClassState, CostModel
 from .plans import GlobalPlan
 
 
 @dataclass
 class GrownClass:
-    """A class under construction: a base table and its member queries."""
+    """A class under construction: a base table, its member queries and
+    the cost state the search carries for it."""
 
     entry: TableEntry
-    queries: List[GroupByQuery] = field(default_factory=list)
+    queries: List[GroupByQuery]
+    #: ``plan_class(entry, queries).cost_ms`` as it stands (the accepted
+    #: rebase cost, or the opening local plan's); None from a merge until read.
+    cost_ms: Optional[float]
+    #: Per candidate table, the state of a prefix of ``queries``: members
+    #: only ever join at the end, so ``_state`` catches it up on demand.
+    states: Dict[str, ClassState] = field(default_factory=dict)
 
 
 class GreedyOptimizer(Optimizer):
@@ -93,24 +100,42 @@ class GreedyOptimizer(Optimizer):
                 candidates[entry.name] = entry
         return list(candidates.values())
 
-    def _best_rebase(
+    def _state(self, cls: GrownClass, entry: TableEntry) -> ClassState:
+        """The cost state of ``cls``'s members on ``entry``: built on the
+        first trial there, then extended by whoever joined since."""
+        state = cls.states.get(entry.name)
+        if state is None:
+            state = cls.states[entry.name] = ClassState(entry)
+        for query in cls.queries[len(state.terms):]:
+            self.model.extend(state, query)
+        return state
+
+    def _cost_of_add(
         self, cls: GrownClass, query: GroupByQuery
-    ) -> Optional[Tuple[TableEntry, float]]:
-        """The candidate S' minimizing Cost(Class ∪ {query} | S'), as
-        (S', aggregate cost); None when no candidate answers every member
-        plus the new query.  Ties keep the earlier candidate."""
+    ) -> Optional[Tuple[float, TableEntry, float]]:
+        """``(CostOfAdd, S', Cost(Class ∪ {query} | S'))`` for the candidate
+        S' minimizing the aggregate cost (ties keep the earlier candidate);
+        None when no candidate answers every member plus the new query."""
         best: Optional[Tuple[TableEntry, float]] = None
         for entry in self._rebase_candidates(cls, query):
-            costing = self.model.plan_class(entry, cls.queries + [query])
-            if costing is None:
-                continue
-            if best is None or costing.cost_ms < best[1]:
+            costing = self.model.trial(self._state(cls, entry), query)
+            if costing is not None and (best is None or costing.cost_ms < best[1]):
                 best = (entry, costing.cost_ms)
-        return best
+        if best is None:
+            return None
+        # Cost(Class | S) is last iteration's winner, so it is read, not
+        # re-costed — only a just-merged class is costed from its query
+        # list; either way it is one class costing the search asked for.
+        if cls.cost_ms is None:
+            cls.cost_ms = self.model.plan_class(cls.entry, cls.queries).cost_ms
+        else:
+            self.model.n_plan_costings += 1
+        return (best[1] - cls.cost_ms, *best)
 
     def grow(self, queries: Sequence[GroupByQuery]) -> List[GrownClass]:
-        """Assign every query to a class; the classes carry no costing yet
-        (``optimize`` finalizes them, the DAG optimizer searches on)."""
+        """Assign every query to a class; the classes carry the search's
+        cost state but no plan costing yet (``optimize`` finalizes them, the
+        DAG optimizer searches on)."""
         classes: List[GrownClass] = []
         used: Set[str] = set()
         n_rebases = 0
@@ -133,31 +158,22 @@ class GreedyOptimizer(Optimizer):
                 # class's cost on its best allowed base with the query,
                 # minus its cost today.
                 best_class: Optional[GrownClass] = None
-                best_rebase: Optional[Tuple[TableEntry, float]] = None
-                best_cost_of_add = float("inf")
+                best_add = (float("inf"), None, None)
                 for cls in classes:
-                    rebase = self._best_rebase(cls, query)
-                    if rebase is None:
-                        continue
-                    current = self.model.plan_class(cls.entry, cls.queries)
-                    assert current is not None
-                    cost_of_add = rebase[1] - current.cost_ms
-                    if cost_of_add < best_cost_of_add:
-                        best_cost_of_add = cost_of_add
-                        best_class = cls
-                        best_rebase = rebase
+                    add = self._cost_of_add(cls, query)
+                    if add is not None and add[0] < best_add[0]:
+                        best_class, best_add = cls, add
                 if best_class is None or (
-                    n_entry is not None and n_cost < best_cost_of_add
+                    n_entry is not None and n_cost < best_add[0]
                 ):
                     if n_entry is None:
                         raise ValueError(
                             f"no table can answer {query.display_name()}"
                         )
-                    classes.append(GrownClass(entry=n_entry, queries=[query]))
+                    classes.append(GrownClass(n_entry, [query], n_cost))
                     used.add(n_entry.name)
                 else:
-                    assert best_rebase is not None
-                    new_entry = best_rebase[0]
+                    _add, new_entry, best_class.cost_ms = best_add
                     if new_entry.name != best_class.entry.name:
                         # SharedSet = SharedSet - S + S'.
                         used.discard(best_class.entry.name)
@@ -187,16 +203,13 @@ class GreedyOptimizer(Optimizer):
     def _merge_classes(classes: List[GrownClass]) -> List[GrownClass]:
         """The paper's MergeClass(): classes sharing a base table become one,
         preventing repeated I/O on the same table."""
-        merged: List[GrownClass] = []
-        by_name = {}
+        by_name: Dict[str, GrownClass] = {}
         for cls in classes:
-            existing = by_name.get(cls.entry.name)
-            if existing is None:
-                by_name[cls.entry.name] = cls
-                merged.append(cls)
-            else:
+            existing = by_name.setdefault(cls.entry.name, cls)
+            if existing is not cls:
                 existing.queries.extend(cls.queries)
-        return merged
+                existing.cost_ms = None
+        return list(by_name.values())
 
 
 class ETPLGOptimizer(GreedyOptimizer):

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ...schema.query import GroupByQuery
+
+
+def left_sum(addends: Iterable[float], start: float = 0.0) -> float:
+    """``start + a0 + a1 + …`` left to right — how every cost total is
+    added.  Builtin ``sum`` is Neumaier-compensated from Python 3.12, which
+    would make estimates depend on the interpreter version."""
+    total = start
+    for addend in addends:
+        total += addend
+    return total
 
 
 class JoinMethod(Enum):
@@ -159,7 +169,7 @@ class GlobalPlan:
     @property
     def est_cost_ms(self) -> float:
         """Model-estimated cost in simulated milliseconds."""
-        return sum(cls.est_cost_ms for cls in self.classes)
+        return left_sum(cls.est_cost_ms for cls in self.classes)
 
     @property
     def queries(self) -> List[GroupByQuery]:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.optimizer.cost import CostModel
+from ..core.optimizer.plans import left_sum
 from ..schema.lattice import source_can_answer
 from ..schema.query import GroupByQuery
 from ..storage.catalog import TableEntry
@@ -132,7 +133,7 @@ class _Coster:
         return cost
 
     def total(self, classes: Sequence[DagClass]) -> float:
-        return sum(self.class_cost(cls) for cls in classes)
+        return left_sum(self.class_cost(cls) for cls in classes)
 
 
 def _without_queries(

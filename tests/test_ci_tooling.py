@@ -1,9 +1,12 @@
-"""The nightly ``perf`` job's merge step (``.github/merge_perf_runs.py``):
-single-repeat run files of one side become the run file ``--repeat N``
-would have written, and ``perf/run.py compare`` reads it."""
+"""The scripts under ``.github/``.  The nightly ``perf`` job's merge step
+(``merge_perf_runs.py``): single-repeat run files of one side become the
+run file ``--repeat N`` would have written, and ``perf/run.py compare``
+reads it.  The parent-vs-change dump (``byte_dump.py``) and the per-op
+profile (``profile_op.py``) run and say what they claim to."""
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -95,3 +98,21 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert dump["test4/avg/gg/serial"]["results"][0]["avg_state"]
     assert any(cls["derives"] for cls in dump["dashboard/min"]["classes"])
     assert dump["maintained/max"]["append_reports"][-1]["maintained[max]"] > 0
+
+
+def test_profile_op_names_the_greedy_loop():
+    """``.github/profile_op.py`` — the "which layer moved" profile of
+    .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and
+    prints the unprofiled wall, then a cProfile row for the plan search."""
+    import subprocess
+
+    done = subprocess.run(
+        [sys.executable, str(ROOT / ".github" / "profile_op.py"), "mdx_wide",
+         "--ops", "1", "--rows", "60"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "median op" in done.stdout and "unprofiled over 1 op(s)" in done.stdout
+    assert "Ordered by: cumulative time" in done.stdout
+    assert "Ordered by: internal time" in done.stdout
+    assert re.search(r"greedy\.py:\d+\(grow\)", done.stdout)

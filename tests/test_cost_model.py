@@ -1,17 +1,28 @@
 """Unit tests for the Section 5.1 cost model."""
 
 import itertools
+import math
+import random
+import re
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optimizer.cost import CostModel
+import repro
+from repro.core.optimizer import GreedyOptimizer
+from repro.core.optimizer.cost import ClassState, CostModel, left_sum
+from repro.core.optimizer.greedy import GrownClass
 from repro.core.optimizer.plans import JoinMethod
-from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
+from repro.index.bitmap import WORD_BITS
+from repro.schema.lattice import expected_distinct
+from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
+from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
-from helpers import make_tiny_db
+from helpers import make_tiny_db, random_query
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +146,28 @@ class TestClassCosts:
                 entry, [selective_query()], [JoinMethod.INDEX]
             )
 
+    def test_class_cost_given_rejects_unanswerable(self):
+        """A class that cannot run has no price: ``class_cost_given`` used
+        to return 183.65 ms for paper Query 6 as a hash plan on A'B'C''D,
+        which ``plan_class`` says cannot answer it."""
+        paper = build_paper_database(config=PaperConfig(scale=0.002, seed=1))
+        query = paper_queries(paper.schema)[6]
+        entry = paper.catalog.get("A'B'C''D")
+        fresh = CostModel.for_database(paper)
+        assert fresh.plan_class(entry, [query]) is None
+        with pytest.raises(ValueError) as raised:
+            fresh.class_cost_given(entry, [query], [JoinMethod.HASH])
+        assert "A'B'C''D" in str(raised.value)
+        assert query.display_name() in str(raised.value)
+        # Nothing was costed on the way to the error.
+        assert fresh.n_plan_costings == 1
+        assert not fresh.can_index(entry, query)
+        base = paper.catalog.get("ABCD")
+        assert fresh.query_selectivity(entry, query) == pytest.approx(
+            fresh.query_selectivity(base, query)
+        )
+        assert 0.0 < fresh.query_selectivity(entry, query) < 1.0
+
     def test_plan_class_picks_cheaper_configuration(self, db, model):
         """``plan_class`` is the cheaper of the scan configuration (each
         member on its cheaper scan-side method) and the all-index one."""
@@ -252,14 +285,14 @@ class TestMemoTransparency:
             ), entry.name
 
     def test_stored_dimension_tables(self):
-        """With dimension tables stored, the build sets' iteration order
-        feeds a float sum: terms must fill them in (query, dimension)
-        order whatever was costed before."""
+        """With dimension tables stored, each structure build also scans
+        its table: whatever was costed before, and in whatever order the
+        build keys met, the (integer) page total prices the same."""
         db = make_tiny_db(
             n_rows=400, materialized=("X'Y",), index_tables=("XY", "X'Y")
         )
         tables = db.store_dimension_tables()
-        # Different per-structure scan charges: their sum is order-sensitive.
+        # Different per-structure scan charges, summed as integer pages.
         assert tables["X"].n_pages != tables["Y"].n_pages
         queries = [
             hash_query((1, 2), [DimPredicate(1, 1, frozenset({0, 3}))]),
@@ -274,6 +307,192 @@ class TestMemoTransparency:
                     expected = all_costings(full_model(db), entry, order[:n])
                     assert all_costings(warm, entry, order[:n]) == expected
         assert warm.n_member_terms <= len(db.catalog) * len(queries)
+
+
+def from_scratch(model, entry, queries):
+    """The list-based class costing the state replaced, kept as the oracle:
+    every union and product re-accumulated from the members' terms
+    (``math.prod``, set unions), ``(cost, methods)`` or None."""
+    terms = [model._term(entry, query) for query in queries]
+    if not all(term.answerable for term in terms):
+        return None
+    r = model.rates
+    keys = {key for term in terms for key in term.build_keys}
+    builds_ms = (
+        sum(model.schema.dimensions[k[0]].n_members(k[1]) for k in keys)
+        * r.hash_build_ms
+        + sum(model._dim_pages[k[0]] for k in keys) * r.seq_page_read_ms
+    )
+    total = entry.n_pages * r.seq_page_read_ms + builds_ms
+    methods = []
+    for term in terms:
+        hash_wins = term.hash_ms <= term.filtered_ms
+        total += term.hash_ms if hash_wins else term.filtered_ms
+        methods.append(JoinMethod.HASH if hash_wins else JoinMethod.INDEX)
+    if not all(term.indexable for term in terms):
+        return total, methods
+    union_rows = entry.n_rows * (
+        1.0 - math.prod(1.0 - term.indexed_sel for term in terms)
+    )
+    p = entry.n_pages
+    if entry.clustered:
+        region = max(
+            1.0, p * (1.0 - math.prod(1.0 - term.region for term in terms))
+        )
+        separate = 0.0
+        for term in terms:
+            separate += term.separate_pages
+        runs = sum(term.runs for term in terms)
+        pages = expected_distinct(region, union_rows) + max(0, runs - 1)
+        pages = min(float(p), pages, separate)
+    else:
+        pages = expected_distinct(float(p), union_rows)
+    index_total = pages * r.rand_page_read_ms + builds_ms
+    if len(terms) > 1:
+        words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
+        index_total += (len(terms) - 1) * words * r.bitmap_word_ms
+    for term in terms:
+        index_total += term.index_ms
+        index_total += union_rows * r.bitmap_test_ms
+        index_total += term.fed_ms
+    if index_total < total:
+        return index_total, [JoinMethod.INDEX] * len(terms)
+    return total, methods
+
+
+def shape(costing):
+    """A costing (``ClassCosting``, the oracle's pair, or None) with its
+    cost bit for bit."""
+    if costing is None:
+        return None
+    cost, methods = (
+        costing if isinstance(costing, tuple)
+        else (costing.cost_ms, costing.methods)
+    )
+    return cost.hex(), methods
+
+
+class TestIncrementalEqualsFromScratch:
+    """A class state grown one member at a time answers every trial as a
+    costing from the query list does, bit for bit — on a warm model, against
+    a fresh one and against the list-based oracle."""
+
+    def grow_and_check(self, db, queries):
+        """Returns what the growth exercised: ``"dead"`` states, and
+        ``("index", clustered)`` for all-index classes of two or more."""
+        order = sorted(queries, key=query_sort_key)  # the greedy order
+        warm = full_model(db)
+        seen = set()
+        for entry in db.catalog.entries():
+            state = ClassState(entry)
+            for n, query in enumerate(order, start=1):
+                trial = warm.trial(state, query)
+                assert state.terms == [warm._term(entry, q) for q in order[:n - 1]]
+                expected = from_scratch(full_model(db), entry, order[:n])
+                assert shape(trial) == shape(expected), (entry.name, n)
+                assert shape(trial) == shape(
+                    full_model(db).plan_class(entry, order[:n])
+                )
+                if n > 1 and trial and JoinMethod.HASH not in trial.methods:
+                    seen.add(("index", entry.clustered))
+                assert warm.extend(state, query) is state
+                # A dead state <=> no costing, and it stays dead.
+                assert (state.totals is None) == (expected is None)
+            if state.totals is None:
+                seen.add("dead")
+            # MergeClass appends another class's members: a state caught up
+            # after the merge is the one grown in the merged order.
+            for k in range(1, len(order)):
+                greedy = GreedyOptimizer(db, None)
+                first, second = (
+                    GrownClass(entry, list(part), None)
+                    for part in (order[:k], order[k:])
+                )
+                before = greedy._state(first, entry)
+                assert len(before.terms) == k
+                assert greedy._merge_classes([first, second]) == [first]
+                assert first.queries == order and first.cost_ms is None
+                after = greedy._state(first, entry)
+                assert after is before
+                assert after == reduce(
+                    full_model(db).extend, order, ClassState(entry)
+                ), (entry.name, k)
+        return seen
+
+    def test_paper_tests(self, paper_db, paper_qs):
+        seen = set()
+        for ids in ALL_PAPER_TESTS.values():
+            seen |= self.grow_and_check(paper_db, [paper_qs[i] for i in ids])
+        # Some table cannot answer some test, and the index configuration
+        # wins whole classes on the clustered, indexed A'B'C'D.
+        assert seen == {"dead", ("index", True)}
+
+    @pytest.mark.parametrize("stored", (False, True), ids=("plain", "stored"))
+    def test_random_batches(self, stored):
+        """Point queries and seeded random batches on a database with
+        indexed views and, with ``stored``, structure builds that also scan
+        dimension tables (the integer page total)."""
+        db = make_tiny_db(
+            n_rows=800,
+            materialized=("X'Y", "XY'", "X'Y'", "X''Y'"),
+            index_tables=("XY", "X'Y", "XY'"),
+        )
+        if stored:
+            tables = db.store_dimension_tables()
+            assert tables["X"].n_pages != tables["Y"].n_pages
+        rng = random.Random(41)
+        batches = [
+            # Point queries: selective enough that the all-index
+            # configuration wins for whole classes.
+            [
+                hash_query(
+                    (1, 2),
+                    [
+                        DimPredicate(0, 0, frozenset({rng.randrange(12)})),
+                        DimPredicate(1, 0, frozenset({rng.randrange(8)})),
+                    ],
+                )
+                for _ in range(5)
+            ]
+        ]
+        for seed in (5, 9, 13, 17, 19, 23, 29, 31, 61, 67):
+            rng = random.Random(seed)
+            batches.append(
+                [
+                    random_query(db.schema, rng, label=f"g{seed}.{i}")
+                    for i in range(rng.randint(2, 6))
+                ]
+            )
+        seen = set()
+        for batch in batches:
+            seen |= self.grow_and_check(db, batch)
+        assert seen == {"dead", ("index", False)}
+
+
+class TestLeftSum:
+    def test_is_a_plain_left_fold(self):
+        """``sum`` is compensated from Python 3.12 and returns 1.0 here;
+        estimates must not depend on the interpreter."""
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([1.0, -1e16], 1e16) == 0.0
+        assert left_sum([]) == 0.0
+        assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+
+    def test_no_builtin_sum_over_costs_in_the_source(self):
+        """Cost totals are ``left_sum`` or explicit ``+=`` loops: nothing
+        under ``core/optimizer/`` or in ``dag/search.py`` calls ``sum`` /
+        ``fsum`` on anything but a count."""
+        src = Path(repro.__file__).parent
+        paths = [*(src / "core" / "optimizer").glob("*.py"), src / "dag" / "search.py"]
+        calls = re.compile(r"\b(?:math\.)?f?sum\((.*)")
+        found = {
+            f"{path.name}: {match.group(0)}"
+            for path in paths
+            for match in calls.finditer(path.read_text())
+        }
+        assert found == {"plans.py: sum(len(cls.plans) for cls in self.classes)"}
+        assert "left_sum(" in (src / "core" / "optimizer" / "plans.py").read_text()
+        assert "left_sum(" in (src / "dag" / "search.py").read_text()
 
 
 class TestLifetime:

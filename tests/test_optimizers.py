@@ -375,6 +375,96 @@ class TestRegistrySweep:
                 for cls in plan.classes
             ], test
 
+    @pytest.mark.parametrize("beam", (0, 2, None))
+    def test_the_loop_never_costs_a_class_from_a_list(
+        self, workloads, monkeypatch, beam
+    ):
+        """A greedy trial is "class state + one term" and ``current`` is
+        read off the class: ``grow`` asks ``plan_class`` for a list of two
+        or more queries only when MergeClass has just appended one class's
+        members to another (whose cost nobody holds yet)."""
+        costed, merged = [], []
+        real_plan = CostModel.plan_class
+        real_merge = GreedyOptimizer._merge_classes
+
+        def plan_class(model, entry, queries):
+            costed.append((entry.name, [q.qid for q in queries]))
+            return real_plan(model, entry, queries)
+
+        def merge_classes(classes):
+            out = real_merge(classes)
+            if len(out) < len(classes):
+                merged.extend(
+                    (cls.entry.name, [q.qid for q in cls.queries])
+                    for cls in out
+                    if cls.cost_ms is None
+                )
+            return out
+
+        monkeypatch.setattr(CostModel, "plan_class", plan_class)
+        monkeypatch.setattr(
+            GreedyOptimizer, "_merge_classes", staticmethod(merge_classes)
+        )
+        paper_db = workloads["test4"][0]
+        rng = random.Random(45)
+        batches = [workloads[test][1] for test in ("test4", "test5", "test6", "test7")]
+        batches.append(
+            [random_query(paper_db.schema, rng, label=f"d{i}") for i in range(45)]
+        )
+        n_costings = 0
+        for queries in batches:
+            optimizer = GreedyOptimizer(paper_db, beam)
+            classes = optimizer.grow(queries)
+            assert sorted(q.qid for cls in classes for q in cls.queries) == sorted(
+                q.qid for q in queries
+            )
+            n_costings += optimizer.model.n_plan_costings
+        from_lists = [call for call in costed if len(call[1]) > 1]
+        assert all(call in merged for call in from_lists)
+        assert len(costed) < n_costings  # the rest were trials and reads
+
+    def test_a_merged_class_is_costed_from_its_list_once(
+        self, workloads, monkeypatch
+    ):
+        """MergeClass is rare (no sweep workload triggers it), so its one
+        consequence for the carried cost is driven by hand: the merged
+        class's ``current`` is a ``plan_class`` of its query list the first
+        time it is read, a read after that, one costing either way."""
+        database, queries = workloads["test4"]
+        optimizer = GreedyOptimizer(database, None)
+        base = database.catalog.get("ABCD")
+        *members, query = queries
+        first, second = (
+            GreedyOptimizer(database, None).grow(part)[0]
+            for part in (members[:1], members[1:])
+        )
+        first.entry = second.entry = base
+        (merged,) = optimizer._merge_classes([first, second])
+        assert merged.queries == members and merged.cost_ms is None
+        costed = []
+        real_plan = CostModel.plan_class
+
+        def plan_class(model, entry, qs):
+            costed.append((entry.name, list(qs)))
+            return real_plan(model, entry, qs)
+
+        monkeypatch.setattr(CostModel, "plan_class", plan_class)
+        fresh = CostModel.for_database(database)
+        expected = min(
+            (costing.cost_ms, i)
+            for i, entry in enumerate(database.catalog.entries())
+            if (costing := fresh.plan_class(entry, members + [query]))
+        )[0] - fresh.plan_class(base, members).cost_ms
+        costed.clear()
+        for _ in range(2):
+            before = optimizer.model.n_plan_costings
+            add = optimizer._cost_of_add(merged, query)
+            assert add[0] == expected
+            assert optimizer.model.n_plan_costings - before == len(
+                database.catalog
+            ) + 1
+        assert costed == [("ABCD", members)]
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_member_terms_bounded(self, workloads, monkeypatch, algorithm):
         """The deterministic work guard beside the costing pin: however
