@@ -14,7 +14,8 @@ order across batches.  COUNT, MIN and MAX are order-free (DESIGN.md §6.1).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,12 @@ _STATES[Aggregate.AVG] = (Aggregate.SUM, Aggregate.COUNT)
 #: are added in arrival order from 0.0 and ``0.0 + p == p``, so ``((0 + a) +
 #: b) + c`` is reached under any schedule.
 COMPACT_ROWS = 1 << 16
+
+#: Scanned rows a shared scan lets pend before folding them, once per member
+#: (at scan end at the latest): bounds the positions and packed codes in
+#: flight under a table of any size.  Not an option either: a morsel is never
+#: split across folds, and a fold buffers its morsels' partials in order.
+FOLD_ROWS = 1 << 18
 
 
 def group_codes(
@@ -124,6 +131,8 @@ class HashAggregator:
         #: state)``, until :meth:`_compact` merges them to one row per group.
         self._buffer: List[Tuple[np.ndarray, ...]] = []
         self._pending = 0
+        #: False while a buffered entry holds several batches' partials.
+        self._merged = True
 
     @property
     def n_groups(self) -> int:
@@ -134,15 +143,29 @@ class HashAggregator:
         self,
         target_columns: Sequence[np.ndarray],
         measures: np.ndarray,
-        stats: IOStats,
+        stats: Optional[IOStats],
+        ordinals: Optional[np.ndarray] = None,
     ) -> None:
         """Fold one batch: ``target_columns[d]`` holds the target-level member
-        id of each tuple for dimension ``d``; ``measures`` the measure values.
-        """
-        stats.charge_agg_update(measures.size)
-        codes = np.ravel_multi_index(target_columns, self._sizes)
-        self._buffer.append(fold_groups(codes, measures, self.aggregate))
-        self._pending += self._buffer[-1][0].size
+        id of each tuple for dimension ``d``; ``measures`` the measure values
+        (``stats=None``: already charged).  ``ordinals`` (one per row,
+        non-decreasing) marks several arrival batches laid end to end: packed
+        in front of the group code, one fold yields every batch's partial,
+        batch-major — what an ``update`` per batch would have buffered."""
+        if stats is not None:
+            stats.charge_agg_update(measures.size)
+        if ordinals is None:
+            codes = np.ravel_multi_index(target_columns, self._sizes)
+        else:
+            self._merged = False
+            codes = np.ravel_multi_index(
+                [ordinals, *target_columns], [int(ordinals[-1]) + 1, *self._sizes]
+            )
+        codes, *partials = fold_groups(codes, measures, self.aggregate)
+        if ordinals is not None:
+            codes %= math.prod(self._sizes)
+        self._buffer.append((codes, *partials))
+        self._pending += codes.size
         if self._pending > COMPACT_ROWS:
             self._compact()
 
@@ -153,7 +176,7 @@ class HashAggregator:
         states = _STATES[self.aggregate]
         if not self._buffer:
             return (np.empty(0, np.int64),) + (np.empty(0),) * len(states)
-        if len(self._buffer) > 1:
+        if len(self._buffer) > 1 or not self._merged:
             codes, *partials = map(np.concatenate, zip(*self._buffer))
             uniq, first, inverse = np.unique(
                 codes, return_index=True, return_inverse=True
@@ -164,7 +187,7 @@ class HashAggregator:
                 for partial, state in zip(partials, states)
             ]
             self._buffer = [(uniq[seen], *merged)]
-        self._pending = 0
+        self._pending, self._merged = 0, True
         return self._buffer[0]
 
     def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:

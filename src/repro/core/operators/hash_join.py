@@ -7,29 +7,28 @@ the case with no index members, and the DAG layer's derive phase
 (:mod:`repro.dag`) is one more consumer of the same scan — so there is one
 operator, :class:`SharedScanStarJoin`, taking three kinds of member:
 
-* **hash members** stream every scanned tuple through their pipeline: the
-  scan I/O is charged once, the dimension hash tables are built once per
-  distinct structure (the shared :class:`~.pipeline.RollupCache`) and
-  probed once per morsel for all members (:class:`~.pipeline.SharedProbe`),
-  and only the per-query probe/filter/aggregate CPU *charge* grows with the
-  number of queries — the trade-off the paper measures in Test 1 / Figure 10;
+* **hash members** see every scanned tuple: the scan I/O is charged once,
+  the dimension hash tables are built once per distinct structure (the
+  shared :class:`~.pipeline.RollupCache`) and probed once per morsel for all
+  members (:class:`~.pipeline.SharedProbe`), and only the per-query
+  probe/filter/aggregate CPU *charge* grows with the number of queries — the
+  trade-off the paper measures in Test 1 / Figure 10;
 * **index members** still build their result bitmap, but instead of
-  fetching pages at random they test the bitmap against the rows streaming
-  past: the random-probe I/O disappears and only a small bitmap-test CPU
-  cost per index query remains — Test 3 / Figure 12.  The bitmap stays
-  packed; each morsel's window of words is unpacked with
-  :meth:`~repro.index.bitmap.Bitmap.slice_bool`;
+  fetching pages at random they take the bitmap's rows off the scan as it
+  passes (residual predicates re-applied): the random-probe I/O disappears
+  and a small bitmap-test CPU cost per tuple remains — Test 3 / Figure 12;
 * **derive steps** accumulate a predicate-free *intermediate* group-by from
   the same scan; afterwards each finished intermediate hands over its
   groups as one in-memory columnar batch — its group keys are member ids at
   the intermediate's levels — and every derived member runs an ordinary
-  :class:`~.pipeline.QueryPipeline` over those few rows.  No I/O is
-  charged: the intermediate lives in memory.
+  :class:`~.pipeline.QueryPipeline` over those few rows, charging no I/O.
 
-The scan arrives as morsels — column batches of many whole pages, each
-page fault-checked and charged on its own (:func:`~.pipeline.scan_columns`)
-— and every member reuses the same
-probe-filter-aggregate pipeline, so a derived or bitmap-filtered answer is
+The scan **accounts per page, probes per morsel and folds per scan**
+(DESIGN.md §6.1): every page is fault-checked and charged on its own
+(:func:`~.pipeline.scan_columns`), every morsel of whole pages is probed and
+the class's CPU charged once, and each member's pipeline runs *once*, over
+its surviving rows tagged with their morsel — which yields the partials a
+call per morsel would, so a derived or bitmap-filtered answer is
 byte-identical to scanning for it alone.
 """
 
@@ -37,9 +36,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
+from . import aggregate
 from .index_join import query_result_bitmap
 from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
 from .pipeline import scan_columns
@@ -163,6 +165,12 @@ class SharedScanStarJoin:
         # their predicates are evaluated together, once per morsel.
         full_scan_pipes = hash_pipes + inter_pipes
         probe = SharedProbe(full_scan_pipes)
+        # What the class charges per scanned row, whoever survives.
+        probes_per_row = sum(p.n_probe_dims for p in full_scan_pipes)
+        tests_per_row = sum(p.n_predicates for p in full_scan_pipes)
+        n_whole = sum(not p.n_predicates for p in full_scan_pipes)
+        routed_rows = [bitmap.positions() for bitmap in index_bitmaps]
+        stats = ctx.stats
         metrics = default_registry()
         morsels = metrics.counter(
             "executor.morsels", "column batches handed out by shared scans"
@@ -172,31 +180,76 @@ class SharedScanStarJoin:
                 "executor.tuples_routed",
                 "retrieved tuples tested against a query's result bitmap",
             )
+        #: Morsels accounted, probed and charged but not folded yet: ``(first
+        #: row, rows, probe words, each index member's passing flags)``.
+        pending: List[tuple] = []
+
+        def fold() -> None:
+            """Gather, roll up and fold the pending rows, once per member."""
+            starts, sizes, words, flags = zip(*pending)
+            pending.clear()
+            first, stop = starts[0], starts[-1] + sizes[-1]
+            keys, measures = self.source.table.read_columns(
+                ctx.schema.n_dims, first, stop
+            )
+            # One morsel: nothing to pack, and no second merge.
+            ordinals = np.repeat(np.arange(len(sizes)), sizes) if sizes[1:] else None
+            words = [np.concatenate(word) for word in zip(*words)]
+            for pipe, rows in zip(full_scan_pipes, probe.split(words)):
+                pipe.process_batch(keys, measures, None, rows, ordinals)
+            for pipe, mine, passed in zip(index_pipes, routed_rows, zip(*flags)):
+                lo, hi = np.searchsorted(mine, (first, stop))
+                rows = mine[lo:hi] - first
+                pipe.process_batch(
+                    [column[rows] for column in keys],
+                    measures[rows],
+                    None,
+                    np.concatenate(passed) if pipe.n_predicates else None,
+                    ordinals if ordinals is None else ordinals[rows],
+                )
+
         # Phase 2: one shared sequential scan feeds everybody, a morsel of
-        # whole pages at a time.
-        for start, n_pages, n_rows, keys, measures in scan_columns(
+        # whole pages at a time: probe and charge now, fold later.
+        for start, n_pages, n_rows, keys, _measures in scan_columns(
             ctx, self.source, self.label
         ):
             self.morsels += 1
             morsels.inc()
             actuals.pages_scanned += n_pages
             actuals.rows_scanned += n_rows
-            for pipe, rows in zip(full_scan_pipes, probe.survivors(keys)):
-                pipe.process_batch(keys, measures, ctx.stats, rows)
-            for query, pipe, bitmap in zip(
-                self.index_queries, index_pipes, index_bitmaps
+            words = probe.alive(keys)
+            n_probes = n_rows * probes_per_row
+            n_tests = n_rows * tests_per_row
+            n_pass = n_rows * n_whole
+            for word in words:
+                n_pass += int(np.bitwise_count(word).sum())
+            flags = []
+            for query, pipe, mine in zip(
+                self.index_queries, index_pipes, routed_rows
             ):
-                ctx.stats.charge_bitmap_test(n_rows)
-                routed.inc(n_rows)
+                # Its bitmap's rows in this morsel, then its residual
+                # predicates on those rows only.
+                lo, hi = np.searchsorted(mine, (start, start + n_rows))
+                passed = pipe.passing(keys, mine[lo:hi] - start)
+                flags.append(passed)
+                n_routed = int(hi - lo)
+                n_probes += n_routed * pipe.n_probe_dims
+                n_tests += n_routed * pipe.n_predicates
+                n_pass += n_routed if passed is None else int(passed.sum())
                 actuals.tuples_tested[query.qid] += n_rows
-                # Unpack only this morsel's window of packed words.
-                mine = bitmap.slice_bool(start, start + n_rows)
-                if not mine.any():
-                    continue
-                actuals.tuples_routed[query.qid] += int(mine.sum())
-                pipe.process_batch(
-                    [col[mine] for col in keys], measures[mine], ctx.stats
-                )
+                actuals.tuples_routed[query.qid] += n_routed
+            if index_pipes:
+                stats.charge_bitmap_test(n_rows * len(index_pipes))
+                routed.inc(n_rows * len(index_pipes))
+            stats.charge_hash_probe(n_probes)
+            stats.charge_predicate(n_tests)
+            stats.charge_tuple_copy(n_pass)
+            stats.charge_agg_update(n_pass)
+            pending.append((start, n_rows, words, flags))
+            if start + n_rows - pending[0][0] > aggregate.FOLD_ROWS:
+                fold()
+        if pending:
+            fold()
         out: Dict[int, QueryResult] = {}
 
         def finish(query: GroupByQuery, pipe: QueryPipeline) -> None:

@@ -152,8 +152,12 @@ class RollupCache:
         )
         cached = self._pred_masks.get(key)
         if cached is None:
-            rolled = dim.rollup_map(from_level, predicate.level)
-            cached = np.isin(rolled, np.fromiter(predicate.member_ids, dtype=np.int64))
+            # Scatter the member set into a table over the predicate's level
+            # and gather it through the rollup map: no sort, nothing to cache.
+            hit = np.zeros(dim.n_members(predicate.level), dtype=bool)
+            ids = np.fromiter(predicate.member_ids, dtype=np.int64)
+            hit[ids[(ids >= 0) & (ids < hit.size)]] = True
+            cached = hit[dim.rollup_map(from_level, predicate.level)]
             self.stats.charge_hash_build(dim.n_members(from_level))
             self._charge_dim_scan(predicate.dim_index)
             self._pred_masks[key] = cached
@@ -195,12 +199,13 @@ class QueryPipeline:
             query,
             aggregate=effective_aggregate(query.aggregate, source_aggregate),
         )
-        # Per-dimension plumbing, fixed at build time.  _dim_plan[d] is
-        # "all" (constant-zero output), "identity" (source key is the target
-        # key), or a rollup array mapping source keys to target keys.
+        # Per-dimension plumbing, fixed at build time: the predicate masks,
+        # and per dimension grouped below ALL its rollup array (None: the
+        # source key is the target key).  A dimension at ALL outputs zeros.
         self._masks: List[Tuple[int, np.ndarray]] = []
-        self._dim_plan: List[object] = []
-        self._n_probe_dims = 0
+        self._rollups: List[Tuple[int, Optional[np.ndarray]]] = []
+        #: Dimensions whose hash structure each input tuple probes.
+        self.n_probe_dims = 0
         for d in range(schema.n_dims):
             target_level = query.groupby.levels[d]
             preds = query.predicates_on(d)
@@ -209,26 +214,14 @@ class QueryPipeline:
                     (d, rollups.predicate_mask(self.source_levels[d], pred))
                 )
             tmap = rollups.target_map(d, self.source_levels[d], target_level)
-            all_level = schema.dimensions[d].all_level
-            if target_level == all_level:
-                self._dim_plan.append("all")
-                if preds:
-                    self._n_probe_dims += 1
-                continue
-            self._n_probe_dims += 1
-            self._dim_plan.append("identity" if tmap is None else tmap)
+            grouped = target_level != schema.dimensions[d].all_level
+            if grouped:
+                self._rollups.append((d, tmap))
+            self.n_probe_dims += bool(grouped or preds)
+        #: Predicate masks each input tuple is tested against.
+        self.n_predicates = len(self._masks)
         self.rows_in = 0
         self.rows_passed = 0
-
-    @property
-    def n_probe_dims(self) -> int:
-        """Dimensions whose hash structure each input tuple probes."""
-        return self._n_probe_dims
-
-    @property
-    def n_predicates(self) -> int:
-        """Predicate masks each input tuple is tested against."""
-        return len(self._masks)
 
     def actual_cpu_ms(self, rates) -> float:
         """Simulated CPU milliseconds this pipeline charged so far, from its
@@ -236,59 +229,57 @@ class QueryPipeline:
         of the class's CPU charge (probe + filter + copy + aggregate), so
         plan accounting can attribute measured cost to individual queries."""
         return (
-            self.rows_in * self._n_probe_dims * rates.hash_probe_ms
-            + self.rows_in * len(self._masks) * rates.predicate_eval_ms
+            self.rows_in * self.n_probe_dims * rates.hash_probe_ms
+            + self.rows_in * self.n_predicates * rates.predicate_eval_ms
             + self.rows_passed * (rates.tuple_copy_ms + rates.agg_update_ms)
         )
+
+    def passing(
+        self, key_columns: Sequence[np.ndarray], rows: Optional[np.ndarray] = None
+    ) -> Optional[np.ndarray]:
+        """Per row of the batch (or of its offsets ``rows``), whether it
+        passes every predicate mask; None for a query without predicates."""
+        keep = None
+        for dim_index, mask in self._masks:
+            column = key_columns[dim_index]
+            passed = mask[column if rows is None else column[rows]]
+            keep = passed if keep is None else (keep & passed)
+        return keep
 
     def process_batch(
         self,
         key_columns: Sequence[np.ndarray],
         measures: np.ndarray,
-        stats: IOStats,
+        stats: Optional[IOStats],
         survivors: Optional[np.ndarray] = None,
+        ordinals: Optional[np.ndarray] = None,
     ) -> int:
         """Run one batch through probe → filter → aggregate; returns the
-        number of tuples that survived the filters.  ``survivors`` — the
-        ascending offsets of the rows passing every predicate, from the
-        class's :class:`SharedProbe` — replaces this pipeline's own mask
-        evaluation; the charges and the rows folded are the same."""
+        number of tuples that survived the filters.  ``survivors`` — the rows
+        passing every predicate (ascending offsets, or flags), as a shared
+        scan found them — replaces this pipeline's own mask evaluation;
+        ``ordinals`` (one per row, non-decreasing) marks the batch as several
+        arrival batches end to end, its morsels (:meth:`HashAggregator.update`);
+        ``stats=None`` says the caller has charged the batch, in these units."""
         n = measures.size
-        if n == 0:
-            return 0
         self.rows_in += n
-        stats.charge_hash_probe(n * self._n_probe_dims)
-        keep = survivors
+        keep = survivors if survivors is not None else self.passing(key_columns)
         if keep is not None:
-            stats.charge_predicate(n * len(self._masks))
-        else:
-            for dim_index, mask in self._masks:
-                stats.charge_predicate(n)
-                passed = mask[key_columns[dim_index]]
-                keep = passed if keep is None else (keep & passed)
-        if keep is not None:
-            kept_keys = [col[keep] for col in key_columns]
-            kept_measures = measures[keep]
-        else:
-            kept_keys = list(key_columns)
-            kept_measures = measures
-        n_pass = kept_measures.size
+            measures = measures[keep]
+            ordinals = ordinals if ordinals is None else ordinals[keep]
+        n_pass = measures.size
+        if stats is not None:
+            stats.charge_hash_probe(n * self.n_probe_dims)
+            stats.charge_predicate(n * self.n_predicates)
+            stats.charge_tuple_copy(n_pass)
         if n_pass == 0:
             return 0
         self.rows_passed += n_pass
-        stats.charge_tuple_copy(n_pass)
-        target_columns: List[np.ndarray] = []
-        zeros: Optional[np.ndarray] = None
-        for d, plan in enumerate(self._dim_plan):
-            if isinstance(plan, str) and plan == "all":
-                if zeros is None:
-                    zeros = np.zeros(n_pass, dtype=np.int64)
-                target_columns.append(zeros)
-            elif isinstance(plan, str):  # "identity"
-                target_columns.append(kept_keys[d])
-            else:
-                target_columns.append(plan[kept_keys[d]])
-        self._aggregator.update(target_columns, kept_measures, stats)
+        target_columns = [np.zeros(n_pass, dtype=np.int64)] * self.schema.n_dims
+        for d, tmap in self._rollups:
+            column = key_columns[d] if keep is None else key_columns[d][keep]
+            target_columns[d] = column if tmap is None else tmap[column]
+        self._aggregator.update(target_columns, measures, stats, ordinals)
         return int(n_pass)
 
     def result(self) -> QueryResult:
@@ -335,17 +326,24 @@ class SharedProbe:
                 )
             )
 
-    def survivors(
-        self, key_columns: Sequence[np.ndarray]
-    ) -> List[Optional[np.ndarray]]:
-        """Per pipeline, the ascending offsets of the batch's rows passing
-        all its predicates (None for a member without predicates): one
-        gather per predicated dimension and one ``flatnonzero`` per word."""
-        out: List[Optional[np.ndarray]] = [None] * self._n_pipes
-        for tables, members in self._words:
+    def alive(self, key_columns: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Per word, the member bits each row of the batch still holds (their
+        population count is the class's survivor count): one gather per
+        predicated dimension."""
+        words = []
+        for tables, _members in self._words:
             alive, *others = [table.take(key_columns[d]) for d, table in tables]
             for bits in others:
                 alive &= bits
+            words.append(alive)
+        return words
+
+    def split(self, words: Sequence[np.ndarray]) -> List[Optional[np.ndarray]]:
+        """Per pipeline, the ascending offsets of the rows passing all its
+        predicates (None for a member without predicates), from one batch's
+        :meth:`alive` words or several batches': one ``flatnonzero`` per word."""
+        out: List[Optional[np.ndarray]] = [None] * self._n_pipes
+        for (_tables, members), alive in zip(self._words, words):
             rows = np.flatnonzero(alive)
             bits = alive[rows]
             for member, bit in members:

@@ -26,7 +26,7 @@ from ..schema.star import StarSchema
 from ..storage.buffer import DEFAULT_POOL_PAGES, BufferPool
 from ..storage.catalog import Catalog, TableEntry
 from ..storage.iostats import DEFAULT_RATES, CostRates, IOStats
-from ..storage.page import DEFAULT_PAGE_SIZE, Row
+from ..storage.page import DEFAULT_PAGE_SIZE, ColumnBatch, Row
 from ..storage.table import HeapTable
 from .materialize import build_groupby_table, pick_materialization_source
 
@@ -121,16 +121,24 @@ class Database:
         return self.schema.check_levels(levels)
 
     def load_base(
-        self, rows: Iterable[Row], name: Optional[str] = None
+        self,
+        rows: Iterable[Row] = (),
+        name: Optional[str] = None,
+        columns: Optional[ColumnBatch] = None,
     ) -> TableEntry:
-        """Create and load the lowest-level (LL) base table."""
+        """Create and load the lowest-level (LL) base table from ``rows``, or
+        instead from ``columns`` — ``(key columns, measures)``, stored as they
+        are (:meth:`~repro.storage.table.HeapTable.extend_columns`)."""
         base_levels = self.schema.base_levels()
         if name is None:
             name = self.schema.groupby_name(base_levels)
-        columns = [dim.name for dim in self.schema.dimensions]
-        columns.append(self.schema.measure)
-        table = HeapTable(name, columns, page_size=self.page_size)
-        table.extend(rows)
+        names = [dim.name for dim in self.schema.dimensions]
+        names.append(self.schema.measure)
+        table = HeapTable(name, names, page_size=self.page_size)
+        if columns is None:
+            table.extend(rows)
+        else:
+            table.extend_columns(*columns)
         entry = self.catalog.register(table, base_levels)
         self.notify_mutation()
         return entry

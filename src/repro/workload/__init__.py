@@ -1,6 +1,10 @@
 """The paper's evaluation workload: schema, data generator, Queries 1–9."""
 
-from .generator import generate_fact_rows, zipf_probabilities
+from .generator import (
+    generate_fact_columns,
+    generate_fact_rows,
+    zipf_probabilities,
+)
 from .paper_queries import PAPER_MDX, PAPER_TESTS, paper_queries
 from .paper_schema import (
     PAPER_BASE_ROWS,
@@ -23,6 +27,7 @@ __all__ = [
     "PaperConfig",
     "build_paper_database",
     "build_paper_schema",
+    "generate_fact_columns",
     "generate_fact_rows",
     "paper_queries",
     "table_sizes",

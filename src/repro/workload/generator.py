@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..schema.star import StarSchema
+from ..storage.page import ColumnBatch
 
 
 def zipf_probabilities(n: int, theta: float) -> np.ndarray:
@@ -24,15 +25,17 @@ def zipf_probabilities(n: int, theta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_fact_rows(
+def generate_fact_columns(
     schema: StarSchema,
     n_rows: int,
     seed: int = 42,
     skew: Optional[Sequence[float]] = None,
     measure_low: float = 1.0,
     measure_high: float = 100.0,
-) -> List[Tuple]:
-    """Generate ``n_rows`` fact tuples ``(key_0, …, key_{n-1}, measure)``.
+) -> ColumnBatch:
+    """Generate ``n_rows`` facts column-wise: ``(one int64 key column per
+    dimension, the float64 measure column)`` — what
+    :meth:`~repro.storage.table.HeapTable.extend_columns` stores as is.
 
     ``skew[d]`` is the Zipf θ for dimension ``d`` (default all-uniform).
     Keys are leaf-level member ids.  Measures are uniform floats rounded to
@@ -59,7 +62,20 @@ def generate_fact_rows(
     measures = np.round(
         rng.uniform(measure_low, measure_high, size=n_rows), 2
     )
-    rows: List[Tuple] = []
-    for i in range(n_rows):
-        rows.append(tuple(int(col[i]) for col in columns) + (float(measures[i]),))
-    return rows
+    return columns, measures
+
+
+def generate_fact_rows(
+    schema: StarSchema,
+    n_rows: int,
+    seed: int = 42,
+    skew: Optional[Sequence[float]] = None,
+    measure_low: float = 1.0,
+    measure_high: float = 100.0,
+) -> List[Tuple]:
+    """:func:`generate_fact_columns` (same arguments, same draws) as a list
+    of tuples ``(key_0, …, key_{n-1}, measure)`` of Python ints and a float."""
+    keys, measures = generate_fact_columns(
+        schema, n_rows, seed, skew, measure_low, measure_high
+    )
+    return list(zip(*(column.tolist() for column in (*keys, measures))))

@@ -29,7 +29,7 @@ from ..engine.database import Database
 from ..schema.dimension import Dimension
 from ..schema.star import StarSchema
 from ..storage.iostats import CostRates
-from .generator import generate_fact_rows
+from .generator import generate_fact_columns
 
 #: The paper's base-table cardinality.
 PAPER_BASE_ROWS = 2_000_000
@@ -103,13 +103,13 @@ def build_paper_database(
         buffer_pages=config.buffer_pages,
         rates=config.rates,
     )
-    rows = generate_fact_rows(
+    columns = generate_fact_columns(
         schema,
         config.n_base_rows,
         seed=config.seed,
         skew=list(config.skew) if config.skew else None,
     )
-    db.load_base(rows, name="ABCD")
+    db.load_base(name="ABCD", columns=columns)
     for groupby in config.materialized:
         db.materialize(groupby)
     for table in config.indexed_tables:

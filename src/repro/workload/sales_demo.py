@@ -22,7 +22,7 @@ import numpy as np
 from ..engine.database import Database
 from ..schema.dimension import Dimension
 from ..schema.star import StarSchema
-from .generator import generate_fact_rows
+from .generator import generate_fact_columns
 
 #: The paper's Section 2 example, verbatim structure.
 SECTION2_MDX = """
@@ -164,7 +164,10 @@ def build_sales_database(
     """
     schema = build_sales_schema()
     db = Database(schema, page_size=page_size)
-    db.load_base(generate_fact_rows(schema, n_rows, seed=seed), name="WholeSalesData")
+    db.load_base(
+        name="WholeSalesData",
+        columns=generate_fact_columns(schema, n_rows, seed=seed),
+    )
     # (SalesPerson, City, Month, Category) — fine enough for every component
     # query of the Section 2 example.
     db.materialize([0, 1, 1, 1], name="sales_city_month")

@@ -201,12 +201,24 @@ class TestAgainstBruteForce:
             agg.update([xs, ys], ms, stats)
         return agg.result()
 
-    @pytest.mark.parametrize("aggregate", list(Aggregate))
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fold_order_is_the_documented_one(self, seed, aggregate):
-        batches = self.random_batches(seed)
-        want = self.oracle(batches, aggregate)
-        got = self.run(batches, aggregate)
+    @staticmethod
+    def run_packed(batches, aggregate, folds):
+        """The same batches in ``folds`` calls: each lays its run of batches
+        end to end with a batch ordinal per row, as a shared scan hands a
+        member its morsels (a lone batch goes unpacked, as a lone morsel)."""
+        agg = make_aggregator(aggregate=aggregate)
+        cuts = np.linspace(0, len(batches), folds + 1).astype(int)
+        for lo, hi in zip(cuts, cuts[1:]):
+            sizes = [len(batch[2]) for batch in batches[lo:hi]]
+            if not sum(sizes):  # a fold without a surviving row is never made
+                continue
+            xs, ys, ms = (np.concatenate(c) for c in zip(*batches[lo:hi]))
+            ordinals = np.repeat(np.arange(hi - lo), sizes) if hi - lo > 1 else None
+            agg.update([xs, ys], ms, None, ordinals)
+        return agg.result()
+
+    @staticmethod
+    def assert_documented(got, want, aggregate):
         assert list(got.groups) == list(want)
         if aggregate is Aggregate.AVG:
             assert got.avg_state == want
@@ -218,6 +230,29 @@ class TestAgainstBruteForce:
         assert [v.hex() for v in got.groups.values()] == [
             v.hex() for v, _n in want.values()
         ]
+
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fold_order_is_the_documented_one(self, seed, aggregate):
+        batches = self.random_batches(seed)
+        want = self.oracle(batches, aggregate)
+        self.assert_documented(self.run(batches, aggregate), want, aggregate)
+
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_packed_fold_is_an_update_per_batch(self, seed, aggregate):
+        """Fold per scan: the (batch ordinal, group) packed code makes one
+        ``update`` buffer exactly the partials that one ``update`` per batch
+        would, in the same order — with a batch that leaves no row, and with
+        the row budget forcing two or three folds mid-scan."""
+        batches = self.random_batches(seed)
+        nothing = tuple(column[:0] for column in batches[0])
+        batches.insert(len(batches) // 2, nothing)
+        want = self.oracle(batches, aggregate)
+        self.assert_documented(self.run(batches, aggregate), want, aggregate)
+        for folds in (1, 2, 3):
+            got = self.run_packed(batches, aggregate, folds)
+            self.assert_documented(got, want, aggregate)
 
     @pytest.mark.parametrize("aggregate", list(Aggregate))
     def test_compaction_schedule_never_shows(self, monkeypatch, aggregate):
@@ -232,6 +267,7 @@ class TestAgainstBruteForce:
         for rows in (1, 2**62):
             monkeypatch.setattr(aggregate_module, "COMPACT_ROWS", rows)
             assert snapshot(self.run(batches, aggregate)) == default
+            assert snapshot(self.run_packed(batches, aggregate, 2)) == default
 
     @pytest.mark.parametrize("aggregate", list(Aggregate))
     def test_empty_and_single_row_round_trip(self, aggregate):

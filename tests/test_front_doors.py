@@ -352,6 +352,12 @@ def test_no_second_fold_in_the_source():
         assert own.search(text[name]) is None, name
         assert "from ..core.operators.aggregate import" in text[name]
     assert "np.fromiter" not in text["core/operators/hash_join.py"]
+    # Predicate masks are a scatter and a gather (RollupCache.predicate_mask):
+    # the sort inside np.isin stays out of the operators.
+    assert [
+        name for name, body in text.items()
+        if name.startswith("core/operators/") and "isin(" in body
+    ] == []
     imports_engine = re.compile(r"^\s*(from|import) \S*engine", re.MULTILINE)
     assert [
         name for name, body in text.items()

@@ -6,10 +6,11 @@ Three things are pinned here, none of them by timing anything:
 * **size invariance** — whatever ``MORSEL_ROWS`` is, every integer ledger
   and every COUNT/MIN/MAX value is bit-equal, and SUM/AVG agree under
   ``approx_equals`` and with the reference evaluator;
-* **granularity** — a scan does its per-query work once per morsel, not
-  once per page; a morsel's pages (and a probe set's) are accounted in one
-  pool call; a morsel is probed once per dimension for the whole class, not
-  once per member (a slide back to per-page or per-member work fails here);
+* **granularity** — a scan accounts per page, probes and charges per
+  morsel and folds per scan: a morsel's pages (and a probe set's) are
+  accounted in one pool call, a morsel is probed once per dimension for the
+  whole class, and each member's pipeline runs once for the whole scan (a
+  slide back to per-page, per-member or per-morsel work fails here);
 * **faults mid-morsel** — the fault log, the failure, the failed class's
   I/O ledger and the pool are those of page-at-a-time execution; only the
   failed class's CPU ledger may be smaller.
@@ -115,9 +116,9 @@ def test_morsel_size_invariance(paper_db, paper_qs, monkeypatch):
 def test_compute_is_per_morsel_not_per_page(
     paper_db, paper_qs, monkeypatch, rows
 ):
-    """N pages, H hash members, I index members: ceil(N / morsel pages)
-    morsels, H·morsels full-scan ``process_batch`` calls and at most
-    I·morsels routed ones."""
+    """N pages, H hash and I index members: ceil(N / morsel pages) morsels
+    and ``read_pages`` calls, and H + I folds — one ``process_batch`` per
+    member for the whole scan, its morsels marked by the ordinal column."""
     plan = GlobalPlan("forced", forced_plan(paper_qs).classes[:1])
     plan_class = plan.classes[0]
     set_morsel_rows(monkeypatch, rows)
@@ -129,25 +130,38 @@ def test_compute_is_per_morsel_not_per_page(
     calls = {}
     process_batch = QueryPipeline.process_batch
 
-    def counting(self, *batch):
-        calls[self.query.qid] = calls.get(self.query.qid, 0) + 1
-        return process_batch(self, *batch)
+    def counting(self, keys, measures, stats, survivors=None, ordinals=None):
+        calls.setdefault(self.query.qid, []).append(
+            (stats, np.unique(ordinals).tolist())
+        )
+        return process_batch(self, keys, measures, stats, survivors, ordinals)
+
+    reads = []
+    read_pages = BufferPool.read_pages
+
+    def recording(self, table, page_nos, **kwargs):
+        reads.append(table.name)
+        read_pages(self, table, page_nos, **kwargs)
 
     monkeypatch.setattr(QueryPipeline, "process_batch", counting)
+    monkeypatch.setattr(BufferPool, "read_pages", recording)
     counter = default_registry().counter("executor.morsels")
     before = counter.value
     with paper_db.trace():
         report = execute_plan(paper_db, plan)
     assert not report.failures
     assert counter.value - before == expected
+    assert reads.count(plan_class.source) == expected
     span = paper_db.last_trace.find("operator.shared_hybrid")
     assert span.attrs["morsels"] == expected
     for local in plan_class.plans:
-        n_calls = calls.get(local.query.qid, 0)
+        # One fold, already charged by the class: the hash member's batch
+        # is every morsel, an index member's the morsels that routed it rows.
+        ((stats, ordinals),) = calls[local.query.qid]
+        assert stats is None
+        assert set(ordinals) <= set(range(expected))
         if local.method is JoinMethod.HASH:
-            assert n_calls == expected
-        else:
-            assert n_calls <= expected
+            assert ordinals == list(range(expected))
 
 
 def test_reads_are_accounted_per_morsel_and_per_probe_set(

@@ -3,8 +3,12 @@ against the brute-force reference evaluator."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.operators import aggregate as aggregate_module
 from repro.core.operators import hash_join as hash_join_module
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
@@ -16,8 +20,9 @@ from repro.core.operators.index_join import (
 )
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.engine.reference import evaluate_reference
-from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
+from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
+from repro.storage.iostats import IOStats
 
 from helpers import hash_star_join, make_tiny_db, random_query
 
@@ -86,6 +91,35 @@ class TestQueryPipeline:
         cache = RollupCache(ctx.schema, ctx.stats)
         assert cache.target_map(0, 1, 1) is None
         assert cache.target_map(0, 0, ctx.schema.dimensions[0].all_level) is None
+
+
+class TestPredicateMask:
+    """``RollupCache.predicate_mask`` is a scatter and a gather; it is held
+    to the set-membership test it replaced, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_isin_over_the_rollup_map(self, paper_schema, data):
+        dim_index = data.draw(st.integers(0, paper_schema.n_dims - 1))
+        dim = paper_schema.dimensions[dim_index]
+        from_level = data.draw(st.integers(0, dim.all_level))
+        level = data.draw(st.integers(from_level, dim.all_level))
+        # Ids outside the level's domain select nothing, as they always have.
+        n = dim.n_members(level)
+        members = data.draw(st.frozensets(st.integers(-3, n + 3), min_size=1))
+        predicate = DimPredicate(dim_index, level, members)
+        stats = IOStats()
+        cache = RollupCache(paper_schema, stats)
+        mask = cache.predicate_mask(from_level, predicate)
+        want = np.isin(
+            dim.rollup_map(from_level, level),
+            np.fromiter(members, dtype=np.int64),
+        )
+        assert mask.dtype == np.bool_
+        assert mask.tolist() == want.tolist()
+        assert stats.hash_builds == dim.n_members(from_level)
+        assert cache.predicate_mask(from_level, predicate) is mask
+        assert stats.hash_builds == dim.n_members(from_level)  # built once
 
 
 class TestSharedScanHashJoin:
@@ -250,14 +284,26 @@ class TestSharedHybridJoin:
 
 
 class EveryMemberAlone:
-    """Stands in for ``SharedProbe``: no shared survivors, so every member
-    evaluates its own masks — ``process_batch`` as it runs alone."""
+    """Stands in for ``SharedProbe``: nothing is shared — every predicated
+    member evaluates its own masks (``QueryPipeline.passing``, as it does
+    running alone) and holds a probe word of its own."""
 
     def __init__(self, pipes):
-        self.n_pipes = len(pipes)
+        self.pipes = pipes
 
-    def survivors(self, _key_columns):
-        return [None] * self.n_pipes
+    def alive(self, key_columns):
+        return [
+            pipe.passing(key_columns).astype(np.uint64)
+            for pipe in self.pipes
+            if pipe.n_predicates
+        ]
+
+    def split(self, words):
+        words = iter(words)
+        return [
+            np.flatnonzero(next(words)) if pipe.n_predicates else None
+            for pipe in self.pipes
+        ]
 
 
 class TestSharedProbe:
@@ -314,3 +360,65 @@ class TestSharedProbe:
         for query in hash_queries:
             assert shared[1]["rows_in"][str(query.qid)] == n_rows
             assert results[query.qid].approx_equals(reference_for(db, query))
+
+    @pytest.mark.parametrize("fold_rows", [1, 100, 1 << 18])
+    @pytest.mark.parametrize("morsel_rows", [1, 40, table_module.MORSEL_ROWS])
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    def test_fold_per_scan_equals_a_fold_per_morsel(
+        self, db, monkeypatch, aggregate, morsel_rows, fold_rows
+    ):
+        """The operator's one fold per member is held to the loop it
+        replaced — one ``process_batch`` per member per morsel, every member
+        evaluating and charging alone — with ``==`` on group order, float
+        bits, AVG state, row counters and the CPU ledger, wherever the row
+        budget puts the folds."""
+        rng = random.Random(morsel_rows)
+        queries = [simple_query((1, 1)), simple_query((2, 2))]
+        queries += [random_query(db.schema, rng) for _ in range(6)]
+        queries = [
+            GroupByQuery(q.groupby, q.predicates, aggregate) for q in queries
+        ]
+        monkeypatch.setattr(table_module, "MORSEL_ROWS", morsel_rows)
+        monkeypatch.setattr(aggregate_module, "FOLD_ROWS", fold_rows)
+
+        def snapshot(results, pipes, before):
+            delta = db.stats.delta_since(before).as_dict()
+            return (
+                [
+                    (list(r.groups.items()), r.avg_state and list(r.avg_state.items()))
+                    for r in results
+                ],
+                [(p.rows_in, p.rows_passed) for p in pipes],
+                delta,
+            )
+
+        ctx = db.ctx()
+        entry = ctx.entry("XY")
+        db.flush()
+        before = db.stats.snapshot()
+        rollups = RollupCache(db.schema, db.stats)
+        pipes = [
+            QueryPipeline(db.schema, q, entry.levels, rollups) for q in queries
+        ]
+        for _start, _pages, _rows, keys, measures in entry.table.scan_batches(
+            db.pool, db.schema.n_dims
+        ):
+            for pipe in pipes:
+                pipe.process_batch(keys, measures, db.stats)
+        want = snapshot([p.result() for p in pipes], pipes, before)
+
+        db.flush()
+        before = db.stats.snapshot()
+        built = []
+        build = QueryPipeline.__init__
+
+        def recording(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(QueryPipeline, "__init__", recording)
+        op = SharedScanStarJoin(ctx, "XY", queries)
+        got = snapshot(op.run_ordered(), built, before)
+        assert got == want
+        morsel_pages = max(1, morsel_rows // entry.table.capacity)
+        assert op.morsels == -(-entry.table.n_pages // morsel_pages)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.workload.generator import generate_fact_rows, zipf_probabilities
+from repro.engine.database import Database
+from repro.workload.generator import (
+    generate_fact_columns,
+    generate_fact_rows,
+    zipf_probabilities,
+)
 from repro.workload.paper_queries import (
     ALL_PAPER_TESTS,
     PAPER_MDX,
@@ -53,6 +58,30 @@ class TestGenerator:
         low = sum(1 for k in a_keys if k < 10)
         high = sum(1 for k in a_keys if k >= 90)
         assert low > high * 2
+
+    @pytest.mark.parametrize("skew", [None, [1.5, 0, 0.7, 0]], ids=["uniform", "zipf"])
+    def test_rows_are_a_view_of_the_columns(self, paper_schema, skew):
+        """The tuple form is the column form read row-wise — the rows the
+        old row-at-a-time loop built, types included — and a table loaded
+        from the columns holds exactly the rows one loaded from tuples does."""
+        options = dict(seed=5, skew=skew, measure_low=2.0, measure_high=50.0)
+        keys, measures = generate_fact_columns(paper_schema, 300, **options)
+        assert [k.dtype for k in keys] == [np.int64] * paper_schema.n_dims
+        assert measures.dtype == np.float64
+        old_loop = [
+            tuple(int(col[i]) for col in keys) + (float(measures[i]),)
+            for i in range(300)
+        ]
+        rows = generate_fact_rows(paper_schema, 300, **options)
+        assert rows == old_loop
+        assert [type(v) for v in rows[0]] == [int] * paper_schema.n_dims + [float]
+        assert generate_fact_rows(paper_schema, 0) == []
+        from_rows, from_columns = Database(paper_schema), Database(paper_schema)
+        from_rows.load_base(rows)
+        from_columns.load_base(columns=(keys, measures))
+        loaded = [list(db.catalog.get("ABCD").table.all_rows()) for db in (from_rows, from_columns)]
+        assert loaded[0] == loaded[1] == rows
+        assert from_rows.data_version == from_columns.data_version
 
     def test_bad_skew_arity(self, paper_schema):
         with pytest.raises(ValueError):
