@@ -10,7 +10,9 @@ the working tree and comparing the two outputs with ``cmp``
 forced small, so each aggregator folds many batches, and records, per
 query, ``float.hex`` of every result value and AVG state *in dict order*
 (group order is part of the contract), per class the ``IOStats`` and
-``OperatorActuals``, and the simulated milliseconds:
+``OperatorActuals``, and the simulated milliseconds; and per plan what the
+planner decided: its signature, ``float.hex`` of every class estimate, each
+class's derive steps, the costing count and the ``explain_plan`` text:
 
 * Tests 1-7 x every registry name x SUM / AVG / MIN / MAX / COUNT, each plan
   executed serially, on three workers and over a 3-shard set;
@@ -33,6 +35,7 @@ import random
 import sys
 from typing import List
 
+from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
@@ -54,6 +57,22 @@ def dump_result(result) -> dict:
             for k, (s, n) in result.avg_state.items()
         ]
     return out
+
+
+def dump_plan(db, plan) -> dict:
+    return {
+        "signature": plan.signature,
+        "est_cost_ms": [cls.est_cost_ms.hex() for cls in plan.classes],
+        "derives": [
+            [
+                [step.node_key, sorted(step.qids), step.est_rows.hex()]
+                for step in getattr(cls, "derives", ())
+            ]
+            for cls in plan.classes
+        ],
+        "plan_costings": plan.search_stats["plan_costings"],
+        "explain": explain_plan(db, plan),
+    }
 
 
 def dump_report(report, batch) -> dict:
@@ -124,6 +143,7 @@ def sweep(scale: float) -> dict:
             batch = with_aggregate([queries[q] for q in qids], aggregate)
             for name in OPTIMIZERS:
                 plan = db.optimize(batch, name)
+                out[f"{test}/{aggregate.value}/{name}/plan"] = dump_plan(db, plan)
                 for mode, options in (
                     ("serial", {}),
                     ("workers3", {"n_workers": 3}),
@@ -135,9 +155,9 @@ def sweep(scale: float) -> dict:
     dashboard = dashboard_batch(db.schema, rng, 24)
     for aggregate in REAGGREGABLE:
         batch = with_aggregate(dashboard, aggregate)
-        out[f"dashboard/{aggregate.value}"] = dump_report(
-            db.run_queries(batch, "dag"), batch
-        )
+        report = db.run_queries(batch, "dag")
+        out[f"dashboard/{aggregate.value}"] = dump_report(report, batch)
+        out[f"dashboard/{aggregate.value}/plan"] = dump_plan(db, report.plan)
     dims = db.schema.dimensions
     # Fine enough on A and B that every append both updates and adds groups.
     view_levels = (0, 0) + tuple(dim.all_level for dim in dims[2:])

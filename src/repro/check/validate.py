@@ -26,8 +26,8 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from ..core.optimizer.plans import GlobalPlan, JoinMethod, PlanClass
-from ..schema.lattice import source_can_answer
-from ..schema.query import GroupByQuery
+from ..schema.lattice import intermediate_source_aggregate, source_can_answer
+from ..schema.query import Aggregate, GroupByQuery
 from ..schema.star import StarSchema
 from ..storage.catalog import Catalog, TableEntry
 from .errors import PlanValidationError
@@ -46,9 +46,7 @@ def expected_operator(plan_class: PlanClass) -> str:
         raise PlanValidationError(str(exc)) from None
 
 
-def _validate_derives(
-    schema: StarSchema, entry: TableEntry, plan_class: PlanClass
-) -> None:
+def _validate_derives(entry: TableEntry, plan_class: PlanClass) -> None:
     """Validate a DAG class's derive steps (see :mod:`repro.dag`):
 
     * each intermediate is predicate-free, AVG-free, and answerable from
@@ -58,9 +56,6 @@ def _validate_derives(
     * each derived query is answerable from its intermediate — fine-enough
       levels and a compatible measure kind.
     """
-    from ..core.operators.hash_join import intermediate_source_aggregate
-    from ..schema.query import Aggregate
-
     by_qid = {p.query.qid: p for p in plan_class.plans}
     claimed = Counter()
     for step in plan_class.derives:
@@ -134,20 +129,6 @@ def _validate_derives(
         )
 
 
-def _has_usable_index(
-    schema: StarSchema, entry: TableEntry, query: GroupByQuery
-) -> bool:
-    """True when at least one of the query's predicates can be evaluated
-    through a join index on ``entry`` (the same exact-or-finer-level rule
-    as :func:`repro.core.operators.index_join.usable_index`)."""
-    for pred in query.predicates:
-        stored = entry.levels[pred.dim_index]
-        for level in range(pred.level, stored - 1, -1):
-            if entry.index_for(pred.dim_index, level) is not None:
-                return True
-    return False
-
-
 def validate_class(
     schema: StarSchema, catalog: Catalog, plan_class: PlanClass
 ) -> None:
@@ -178,8 +159,10 @@ def validate_class(
                 f"(required levels {query.required_levels()}, aggregate "
                 f"{query.aggregate.value})"
             )
-        if plan.method is JoinMethod.INDEX and not _has_usable_index(
-            schema, entry, query
+        # The exact-or-finer-level rule the index operators apply.
+        if plan.method is JoinMethod.INDEX and all(
+            entry.covering_index(pred.dim_index, pred.level) is None
+            for pred in query.predicates
         ):
             raise PlanValidationError(
                 f"{query.display_name()} is planned as an index join on "
@@ -192,11 +175,10 @@ def validate_class(
         ):
             raise PlanValidationError(
                 f"{query.display_name()} carries the DERIVE method but the "
-                f"class on {plan_class.source!r} has no derive steps (only "
-                f"DAG classes may derive)"
+                f"class on {plan_class.source!r} has no derive steps"
             )
     if plan_class.has_derives:
-        _validate_derives(schema, entry, plan_class)
+        _validate_derives(entry, plan_class)
 
 
 def validate_global_plan(

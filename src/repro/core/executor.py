@@ -259,15 +259,12 @@ def run_class_accounted(
     index_queries = [
         p.query for p in plan_class.plans if p.method is JoinMethod.INDEX
     ]
-    derives = [
-        (step.intermediate, plan_class.derived_queries(step))
-        for step in getattr(plan_class, "derives", ())
-    ]
+    derives = plan_class.derives
     if kind in ("shared_hybrid", "shared_dag"):
         attrs = {"n_hash": len(hash_queries), "n_index": len(index_queries)}
         if derives:
             attrs["n_intermediates"] = len(derives)
-            attrs["n_derived"] = sum(len(m) for _inter, m in derives)
+            attrs["n_derived"] = sum(len(step.queries) for step in derives)
     else:
         attrs = {"n_queries": len(queries)}
     with ctx.tracer.span(f"operator.{kind}", source=source, **attrs) as span:

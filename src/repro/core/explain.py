@@ -22,11 +22,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from ..schema.lattice import build_keys
 from ..schema.query import GroupByQuery
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
 from .optimizer.cost import CostModel
-from .optimizer.plans import GlobalPlan, JoinMethod, LocalPlan, PlanClass
+from .optimizer.plans import (
+    DeriveStep,
+    GlobalPlan,
+    JoinMethod,
+    LocalPlan,
+    PlanClass,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dag.search import SearchStats
@@ -40,20 +47,15 @@ MAX_DAG_NODES = 32
 def _dim_structures(
     schema: StarSchema, entry: TableEntry, plans: List[LocalPlan]
 ) -> List[str]:
-    """The shared dimension 'hash tables' the class will build: one rollup
-    map per distinct (dimension, target level) and one filter mask per
-    distinct predicate (mirrors RollupCache)."""
+    """The shared dimension 'hash tables' the class will build: the
+    distinct :func:`~repro.schema.lattice.build_keys` of its members — one
+    rollup map per (dimension, target level), one filter mask per
+    predicate."""
     maps = set()
     masks = set()
     for plan in plans:
-        query = plan.query
-        for d, dim in enumerate(schema.dimensions):
-            stored = entry.levels[d]
-            target = query.groupby.levels[d]
-            if target not in (stored, dim.all_level):
-                maps.add((d, stored, target))
-            for pred in query.predicates_on(d):
-                masks.add((d, stored, pred.level, pred.member_ids))
+        for key in build_keys(schema, entry.levels, plan.query):
+            (maps if len(key) == 3 else masks).add(key)
     lines = []
     for d, stored, target in sorted(maps):
         dim = schema.dimensions[d]
@@ -149,7 +151,7 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
     pipes = hash_plans + index_plans if not plan_class.is_pure_index else (
         index_plans
     )
-    derive_steps = list(getattr(plan_class, "derives", None) or ())
+    derive_steps = plan_class.derives
     for i, plan in enumerate(pipes):
         last = i == len(pipes) - 1 and not derive_steps
         connector = "└─" if last else "├─"
@@ -162,9 +164,8 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
             f"{connector} materialize {inter.groupby.name(schema)} "
             f"[{inter.aggregate.value.upper()}] (~{step.est_rows:.0f} rows)"
         )
-        members = plan_class.derived_queries(step)
-        for j, query in enumerate(members):
-            sub = "└─" if j == len(members) - 1 else "├─"
+        for j, query in enumerate(step.queries):
+            sub = "└─" if j == len(step.queries) - 1 else "├─"
             lines.append(
                 f"{bar} {sub} derive {query.display_name()}: "
                 f"re-aggregate -> GROUP BY {query.groupby.name(schema)}"
@@ -174,12 +175,10 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
 
 # -- per-member estimates (EXPLAIN ANALYZE only) ------------------------------
 
-_Steps = List[Tuple[GroupByQuery, List[GroupByQuery]]]
-
 
 def _members(
     plan_class: PlanClass, without: Optional[int] = None
-) -> Tuple[List[GroupByQuery], _Steps]:
+) -> Tuple[List[GroupByQuery], List[DeriveStep]]:
     """The class's scan members and derive steps as the cost model takes
     them, optionally minus the member with qid ``without`` (a step it
     empties is dropped)."""
@@ -188,14 +187,8 @@ def _members(
         for p in plan_class.plans
         if p.method is not JoinMethod.DERIVE and p.query.qid != without
     ]
-    steps: _Steps = []
-    for step in getattr(plan_class, "derives", ()):
-        kept = [
-            q for q in plan_class.derived_queries(step) if q.qid != without
-        ]
-        if kept:
-            steps.append((step.intermediate, kept))
-    return scan, steps
+    steps = [step.without({without}) for step in plan_class.derives]
+    return scan, [step for step in steps if step.queries]
 
 
 def member_estimates(

@@ -34,31 +34,19 @@ byte-identical to scanning for it alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ...obs.metrics import default_registry
-from ...schema.lattice import source_can_answer
+from ...schema.lattice import intermediate_source_aggregate, source_can_answer
 from ...schema.query import GroupByQuery
+from ..optimizer.plans import DeriveStep
 from . import aggregate
 from .index_join import query_result_bitmap
 from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
 from .pipeline import scan_columns
 from .results import OperatorActuals, QueryResult
-
-#: A derive step in operator form: the intermediate aggregate to accumulate
-#: during the scan, and the member queries answered from it afterwards.
-DeriveSpec = Tuple[GroupByQuery, Sequence[GroupByQuery]]
-
-
-def intermediate_source_aggregate(
-    source_aggregate, intermediate: GroupByQuery
-):
-    """What the intermediate's measure column *holds* once materialized —
-    the source's rollup kind when reading a view, else the intermediate's
-    own aggregate kind (raw data folds into that)."""
-    return source_aggregate or intermediate.aggregate.value
 
 
 class SharedScanStarJoin:
@@ -71,7 +59,7 @@ class SharedScanStarJoin:
         source_name: str,
         hash_queries: Sequence[GroupByQuery],
         index_queries: Sequence[GroupByQuery] = (),
-        derives: Sequence[DeriveSpec] = (),
+        derives: Sequence[DeriveStep] = (),
     ):
         if not hash_queries and not index_queries and not derives:
             raise ValueError("need at least one query")
@@ -79,7 +67,7 @@ class SharedScanStarJoin:
         self.source = ctx.entry(source_name)
         self.hash_queries = list(hash_queries)
         self.index_queries = list(index_queries)
-        self.derives = [(inter, list(members)) for inter, members in derives]
+        self.derives = list(derives)
         #: The paper's name for what this scan is doing; recorded in the
         #: actuals and passed as the ``operator=`` fault-site attribute.
         if self.derives:
@@ -102,13 +90,14 @@ class SharedScanStarJoin:
                     f"{source_name!r} (levels {source_levels}, "
                     f"measure {source_agg!r})"
                 )
-        for intermediate, members in self.derives:
+        for step in self.derives:
+            intermediate = step.intermediate
             if intermediate.predicates:
                 raise ValueError(
                     "derive intermediates must be predicate-free: "
                     f"{intermediate.display_name()}"
                 )
-            if not members:
+            if not step.queries:
                 raise ValueError(
                     f"derive step {intermediate.display_name()} has no "
                     f"member queries"
@@ -119,7 +108,7 @@ class SharedScanStarJoin:
                     f"computed from {source_name!r}"
                 )
             inter_agg = intermediate_source_aggregate(source_agg, intermediate)
-            for query in members:
+            for query in step.queries:
                 if not source_can_answer(
                     intermediate.groupby.levels, inter_agg, query
                 ):
@@ -160,7 +149,7 @@ class SharedScanStarJoin:
 
         hash_pipes = [pipeline(q) for q in self.hash_queries]
         index_pipes = [pipeline(q) for q in self.index_queries]
-        inter_pipes = [pipeline(inter) for inter, _members in self.derives]
+        inter_pipes = [pipeline(step.intermediate) for step in self.derives]
         # Hash members and intermediates both consume every scanned tuple;
         # their predicates are evaluated together, once per morsel.
         full_scan_pipes = hash_pipes + inter_pipes
@@ -270,7 +259,8 @@ class SharedScanStarJoin:
             "executor.derive_rows",
             "intermediate group rows fed to derived-query pipelines",
         )
-        for (intermediate, members), pipe in zip(self.derives, inter_pipes):
+        for step, pipe in zip(self.derives, inter_pipes):
+            intermediate = step.intermediate
             if ctx.faults is not None:
                 ctx.faults.check(
                     "operator.derive",
@@ -280,7 +270,7 @@ class SharedScanStarJoin:
             finish(intermediate, pipe)
             inter_keys, inter_measures = pipe.columns()
             inter_agg = intermediate_source_aggregate(source_agg, intermediate)
-            for query in members:
+            for query in step.queries:
                 derived_pipe = pipeline(
                     query, intermediate.groupby.levels, inter_agg
                 )
@@ -295,6 +285,6 @@ class SharedScanStarJoin:
         """Results in constructor order (hash, index, then derived members)."""
         by_qid = self.run()
         ordered = self.hash_queries + self.index_queries
-        for _intermediate, members in self.derives:
-            ordered.extend(members)
+        for step in self.derives:
+            ordered.extend(step.queries)
         return [by_qid[q.qid] for q in ordered]

@@ -36,26 +36,19 @@ def usable_index(
 ) -> Optional[Tuple[JoinIndex, List[int]]]:
     """Find a join index able to evaluate ``predicate`` on ``entry``.
 
-    Prefers an index exactly at the predicate's level; otherwise uses the
-    coarsest finer-level index, translating each predicate member into its
-    descendant members at the index level.  Returns the index and the member
-    ids to look up, or None when no usable index exists (the predicate then
-    becomes a residual filter in the query pipeline).
+    The index is :meth:`TableEntry.covering_index`'s; when it sits at a
+    finer level than the predicate, each predicate member is translated into
+    its descendant members there.  Returns the index and the member ids to
+    look up, or None when no usable index exists (the predicate then becomes
+    a residual filter in the query pipeline).
     """
-    dim_index = predicate.dim_index
-    dim = ctx.schema.dimensions[dim_index]
-    stored_level = entry.levels[dim_index]
-    best: Optional[JoinIndex] = None
-    for level in range(predicate.level, stored_level - 1, -1):
-        index = entry.index_for(dim_index, level)
-        if index is not None:
-            best = index
-            break
+    best = entry.covering_index(predicate.dim_index, predicate.level)
     if best is None:
         return None
     if best.level == predicate.level:
         members = sorted(predicate.member_ids)
     else:
+        dim = ctx.schema.dimensions[predicate.dim_index]
         members = sorted(
             descendant
             for member in predicate.member_ids

@@ -12,7 +12,7 @@ from .cost import ClassCosting, CostModel
 from .dp import DPOptimalOptimizer, OptimalOptimizer
 from .greedy import BGGOptimizer, ETPLGOptimizer, GGOptimizer, GreedyOptimizer
 from .naive import NaiveOptimizer
-from .plans import DagPlanClass, DeriveStep, GlobalPlan, JoinMethod, LocalPlan, PlanClass
+from .plans import DeriveStep, GlobalPlan, JoinMethod, LocalPlan, PlanClass
 from .tplo import TPLOOptimizer
 
 # Imported late so repro.dag can lean on the submodules above (base, cost,
@@ -51,7 +51,6 @@ __all__ = [
     "CostModel",
     "DPOptimalOptimizer",
     "DagOptimizer",
-    "DagPlanClass",
     "DeriveStep",
     "ETPLGOptimizer",
     "GGOptimizer",

@@ -8,27 +8,36 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from ...schema.query import GroupByQuery
 from ...storage.catalog import TableEntry
 from .cost import CostModel
-from .plans import GlobalPlan, LocalPlan, PlanClass
+from .plans import DeriveStep, GlobalPlan, LocalPlan, PlanClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
 
 
 def build_plan_class(
-    model: CostModel, entry: TableEntry, queries: Sequence[GroupByQuery]
+    model: CostModel,
+    entry: TableEntry,
+    queries: Sequence[GroupByQuery],
+    derives: Sequence[DeriveStep] = (),
 ) -> PlanClass:
-    """Materialize a :class:`PlanClass` from the model's best costing of
-    ``queries`` on ``entry``: one class costing, no per-member estimates."""
-    costing = model.plan_class(entry, queries)
+    """The one lowering of a searched class into a :class:`PlanClass`: the
+    model's best costing of scan members ``queries`` (and, for a ``dag``
+    class, its ``derives`` — their members follow the scan members in step
+    order) on ``entry``: one class costing, no per-member estimates."""
+    if derives:
+        costing = model.derive_class(entry, queries, derives)
+    else:
+        costing = model.plan_class(entry, queries)
     if costing is None:
         raise ValueError(
             f"class on {entry.name!r} cannot answer all of its queries"
         )
+    members = [*queries, *(q for step in derives for q in step.queries)]
     plans = [
         LocalPlan(query=query, source=entry.name, method=method)
-        for query, method in zip(queries, costing.methods)
+        for query, method in zip(members, costing.methods)
     ]
-    return PlanClass(source=entry.name, plans=plans, est_cost_ms=costing.cost_ms)
+    return PlanClass(entry.name, plans, costing.cost_ms, list(derives))
 
 
 class Optimizer(ABC):

@@ -26,15 +26,17 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ...index.bitmap import WORD_BITS
 from ...schema.lattice import (
+    build_keys,
     estimate_groupby_rows,
     expected_distinct,
+    intermediate_source_aggregate,
     source_can_answer,
 )
 from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates
-from .plans import JoinMethod, left_sum
+from .plans import DeriveStep, JoinMethod, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
@@ -71,9 +73,8 @@ class MemberTerm:
     answerable: bool
     #: Product of the predicate selectivities (matching rows = N × this).
     selectivity: float
-    #: Structures the member's pipeline needs built, as the executor's
-    #: RollupCache keys them: rollup maps ``(dim, from level, target level)``
-    #: and predicate masks ``(dim, from level, level, members)``.
+    #: Structures the member's pipeline needs built
+    #: (:func:`~repro.schema.lattice.build_keys`).
     build_keys: Tuple[tuple, ...]
     #: Marginal on a shared scan as a hash plan, and as an index plan
     #: filtering the scan (inf unless ``indexable``: some predicate has a
@@ -218,22 +219,17 @@ class CostModel:
     ) -> Optional[Tuple[object, int]]:
         """The index usable for ``predicate`` on ``entry`` and the number of
         member payloads a lookup retrieves, or None."""
-        dim = self.schema.dimensions[predicate.dim_index]
-        stored = entry.levels[predicate.dim_index]
-        for level in range(predicate.level, stored - 1, -1):
-            index = entry.index_for(predicate.dim_index, level)
-            if index is not None:
-                if level == predicate.level:
-                    n_lookups = len(predicate.member_ids)
-                else:
-                    per_member = dim.n_members(level) / dim.n_members(
-                        predicate.level
-                    )
-                    n_lookups = int(
-                        math.ceil(len(predicate.member_ids) * per_member)
-                    )
-                return index, n_lookups
-        return None
+        index = entry.covering_index(predicate.dim_index, predicate.level)
+        if index is None:
+            return None
+        n_lookups = len(predicate.member_ids)
+        if index.level != predicate.level:
+            dim = self.schema.dimensions[predicate.dim_index]
+            per_member = dim.n_members(index.level) / dim.n_members(
+                predicate.level
+            )
+            n_lookups = int(math.ceil(n_lookups * per_member))
+        return index, n_lookups
 
     def can_index(self, entry: TableEntry, query: GroupByQuery) -> bool:
         """True if an index-based plan for ``query`` on ``entry`` exists —
@@ -267,22 +263,6 @@ class CostModel:
             + n_fed * len(query.predicates) * r.predicate_eval_ms
             + n_pass * (r.tuple_copy_ms + r.agg_update_ms)
         )
-
-    def _build_keys(
-        self, levels: Sequence[int], query: GroupByQuery
-    ) -> Tuple[tuple, ...]:
-        """The dimension structures ``query`` needs over a source stored at
-        ``levels`` (see :attr:`MemberTerm.build_keys`): one rollup map per
-        (dimension, target level) and one mask per distinct predicate."""
-        keys = []
-        for d, dim in enumerate(self.schema.dimensions):
-            target = query.groupby.levels[d]
-            if target not in (levels[d], dim.all_level):
-                keys.append((d, levels[d], target))
-            pred = query.predicate_on(d)
-            if pred is not None:
-                keys.append((d, levels[d], pred.level, pred.member_ids))
-        return tuple(keys)
 
     def _index_side(
         self, entry: TableEntry, query: GroupByQuery, facts: Dict, k: float
@@ -387,7 +367,7 @@ class CostModel:
             term = self._terms[key] = MemberTerm(
                 answerable=True,
                 selectivity=selectivity,
-                build_keys=self._build_keys(entry.levels, query),
+                build_keys=build_keys(self.schema, entry.levels, query),
                 hash_ms=hash_ms,
                 scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
                 scan_ms=hash_ms if hash_wins else side["filtered_ms"],
@@ -585,7 +565,7 @@ class CostModel:
         self,
         entry: TableEntry,
         scan_queries: Sequence[GroupByQuery],
-        derive_steps: Sequence[Tuple[GroupByQuery, Sequence[GroupByQuery]]],
+        derive_steps: Sequence[DeriveStep],
         row_safety: float = 1.0,
     ) -> Optional[ClassCosting]:
         """Cost of a DAG class (see :mod:`repro.dag`): one shared scan of
@@ -609,34 +589,35 @@ class CostModel:
         if state.totals is None:
             return None
         keys: List[tuple] = []
-        for intermediate, derived in derive_steps:
+        for step in derive_steps:
+            intermediate = step.intermediate
             if intermediate.predicates or not source_can_answer(
                 entry.levels, entry.source_aggregate, intermediate
             ):
                 return None
-            inter_agg = entry.source_aggregate or intermediate.aggregate.value
-            for query in derived:
-                if not source_can_answer(
-                    intermediate.groupby.levels, inter_agg, query
-                ):
-                    return None
+            inter_levels = intermediate.groupby.levels
+            inter_agg = intermediate_source_aggregate(
+                entry.source_aggregate, intermediate
+            )
             # Structures beyond the scan members'.  Derived queries read
             # the intermediate, so theirs key off — and are sized by — the
             # intermediate's levels, not the base table's.
-            keys += self._build_keys(entry.levels, intermediate)
-            for query in derived:
-                keys += self._build_keys(intermediate.groupby.levels, query)
+            keys += build_keys(self.schema, entry.levels, intermediate)
+            for query in step.queries:
+                if not source_can_answer(inter_levels, inter_agg, query):
+                    return None
+                keys += build_keys(self.schema, inter_levels, query)
         _new, entries, pages = self._missing(state.structures, keys, *state.totals[:2])
         # No index prefix: a DAG class runs the scan configuration.
         costing = self._best(entry, state.terms, (entries, pages, None))
-        for intermediate, derived in derive_steps:
+        for step in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.
             costing.cost_ms += self._process_cpu_ms(
-                intermediate, n_fed=n, n_pass=n
+                step.intermediate, n_fed=n, n_pass=n
             )
-            m = row_safety * self.intermediate_rows(entry, intermediate)
-            for query in derived:
+            m = row_safety * self.intermediate_rows(entry, step.intermediate)
+            for query in step.queries:
                 k = m * self.query_selectivity(entry, query)
                 costing.cost_ms += self._process_cpu_ms(
                     query, n_fed=m, n_pass=k

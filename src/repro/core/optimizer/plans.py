@@ -12,9 +12,9 @@ Terminology follows the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, List, Sequence, Tuple
+from typing import Collection, Iterable, List, Sequence, Tuple
 
 from ...schema.query import GroupByQuery
 
@@ -51,13 +51,53 @@ class LocalPlan:
     method: JoinMethod
 
 
+@dataclass(frozen=True)
+class DeriveStep:
+    """One shared sub-aggregate materialized inside a class — the one
+    spelling of a derive step, from the dag search to the operator.
+
+    ``intermediate`` is a synthetic, predicate-free group-by query at the
+    meet of the derived queries' required levels; the class's shared scan
+    computes it once, and every member in ``queries`` (all planned with
+    :attr:`JoinMethod.DERIVE`) is answered by re-aggregating the
+    intermediate's in-memory result instead of the base-table scan.
+
+    ``node_key`` is the structural hash of the DAG OR-node this step
+    materializes (see :mod:`repro.dag.nodes`); ``est_rows`` the model's
+    estimate of the intermediate's group count.
+    """
+
+    intermediate: GroupByQuery
+    queries: Tuple[GroupByQuery, ...]
+    est_rows: float = 0.0
+    node_key: str = ""
+
+    @property
+    def qids(self) -> Tuple[int, ...]:
+        """The derived members' query ids, in member order."""
+        return tuple(query.qid for query in self.queries)
+
+    def without(self, qids: Collection[int]) -> "DeriveStep":
+        """This step minus the members whose qid is in ``qids`` (possibly
+        none left: the caller drops a step it emptied)."""
+        kept = tuple(q for q in self.queries if q.qid not in qids)
+        return replace(self, queries=kept)
+
+
 @dataclass
 class PlanClass:
-    """A set of local plans sharing one base table."""
+    """A set of local plans sharing one base table.
+
+    ``derives`` is empty for every algorithm of the paper.  With derive
+    steps (the ``dag`` optimizer's) the class still runs one shared scan:
+    it feeds the hash / index members *and* each step's intermediate
+    aggregate, and the derived members then consume the (much smaller)
+    intermediates."""
 
     source: str
     plans: List[LocalPlan] = field(default_factory=list)
     est_cost_ms: float = 0.0
+    derives: List[DeriveStep] = field(default_factory=list)
 
     @property
     def queries(self) -> List[GroupByQuery]:
@@ -86,9 +126,8 @@ class PlanClass:
 
     @property
     def has_derives(self) -> bool:
-        """True when the class carries shared sub-aggregate derive steps
-        (only :class:`DagPlanClass` instances ever do)."""
-        return bool(getattr(self, "derives", None))
+        """True when the class carries shared sub-aggregate derive steps."""
+        return bool(self.derives)
 
     @property
     def operator_kind(self) -> str:
@@ -112,47 +151,6 @@ class PlanClass:
         if self.is_pure_index:
             return "index_star" if len(self.plans) == 1 else "shared_index"
         return "shared_hybrid"
-
-
-@dataclass(frozen=True)
-class DeriveStep:
-    """One shared sub-aggregate materialized inside a class.
-
-    ``intermediate`` is a synthetic, predicate-free group-by query at the
-    meet of the derived queries' required levels; the class's shared scan
-    computes it once, and every member plan whose qid is in ``qids`` (all
-    carrying :attr:`JoinMethod.DERIVE`) is answered by re-aggregating the
-    intermediate's in-memory result instead of the base-table scan.
-
-    ``node_key`` is the structural hash of the DAG OR-node this step
-    materializes (see :mod:`repro.dag.nodes`); ``est_rows`` the model's
-    estimate of the intermediate's group count.
-    """
-
-    intermediate: GroupByQuery
-    qids: Tuple[int, ...]
-    est_rows: float = 0.0
-    node_key: str = ""
-
-
-@dataclass
-class DagPlanClass(PlanClass):
-    """A plan class extended with shared sub-aggregate derive steps.
-
-    Executes on the shared scan (labelled ``SharedDagStarJoin``): one scan
-    of the base table feeds the hash/index members *and* each derive
-    step's intermediate aggregate; derived members then consume the (much
-    smaller) intermediates.
-    Without derive steps it is operationally identical to a plain
-    :class:`PlanClass`.
-    """
-
-    derives: List[DeriveStep] = field(default_factory=list)
-
-    def derived_queries(self, step: DeriveStep) -> List[GroupByQuery]:
-        """The member queries one derive step answers, in plan order."""
-        wanted = set(step.qids)
-        return [p.query for p in self.plans if p.query.qid in wanted]
 
 
 @dataclass
@@ -187,18 +185,6 @@ class GlobalPlan:
         return "; ".join(
             f"{cls.source}({cls.method_signature})" for cls in self.classes
         )
-
-    def plan_for(self, query: GroupByQuery) -> LocalPlan:
-        """The local plan of one query (KeyError if absent)."""
-        for cls in self.classes:
-            for plan in cls.plans:
-                if plan.query.qid == query.qid:
-                    return plan
-        raise KeyError(f"no plan for {query.display_name()}")
-
-    def sources_used(self) -> List[str]:
-        """Sorted distinct base-table names the plan reads."""
-        return sorted({cls.source for cls in self.classes})
 
     def validate(
         self,

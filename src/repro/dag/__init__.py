@@ -24,9 +24,10 @@ Optimization", SIGMOD 2000):
   incremental re-costing and an iteration budget.
 * :mod:`repro.dag.optimizer` — :class:`DagOptimizer`, registered as
   algorithm ``"dag"``: lowers the chosen DAG back into the engine's
-  :class:`~repro.core.optimizer.plans.GlobalPlan` form using
-  :class:`~repro.core.optimizer.plans.DagPlanClass` (executed by
-  :class:`~repro.core.operators.hash_join.SharedScanStarJoin`), so the
+  :class:`~repro.core.optimizer.plans.GlobalPlan` form — each class a
+  :class:`~repro.core.optimizer.plans.PlanClass` carrying its
+  :class:`~repro.core.optimizer.plans.DeriveStep` list (executed by
+  :class:`~repro.core.operators.hash_join.SharedScanStarJoin`) — so the
   executor, paranoia checker, actuals ledger, serve batching, and shard
   scatter-gather all work unchanged.
 

@@ -11,10 +11,10 @@ The pipeline is four traced phases:
 * ``dag.search`` — greedy materialization
   (:func:`repro.dag.search.greedy_search`): monotone cost-improving moves
   from the GG seed, so the final estimate is never above GG's;
-* ``dag.lower`` — emit :class:`~repro.core.optimizer.plans.DagPlanClass`
-  classes (plain :class:`~repro.core.optimizer.plans.PlanClass` when a
-  class adopted no derive step, keeping the executor's existing operators
-  in play), each costed once, unbiased.
+* ``dag.lower`` — each searched class becomes a
+  :class:`~repro.core.optimizer.plans.PlanClass` carrying its derive steps
+  as they are (:func:`~repro.core.optimizer.base.build_plan_class`), costed
+  once, unbiased.
 
 Everything downstream — executor, paranoia checker, actuals ledger, serve
 batching, shard scatter-gather — consumes the resulting
@@ -27,12 +27,7 @@ from typing import Sequence
 
 from ..core.optimizer.base import Optimizer, build_plan_class
 from ..core.optimizer.greedy import GGOptimizer
-from ..core.optimizer.plans import (
-    DagPlanClass,
-    DeriveStep,
-    GlobalPlan,
-    LocalPlan,
-)
+from ..core.optimizer.plans import GlobalPlan
 from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
 from .nodes import build_dag
@@ -82,45 +77,13 @@ class DagOptimizer(Optimizer):
             "dag.search_iterations", "greedy materialization iterations run"
         ).inc(max(1, stats.iterations))
         with self.tracer.span("dag.lower", n_classes=len(classes)):
-            plan = GlobalPlan(algorithm=self.name)
-            for cls in classes:
-                plan.classes.append(self._lower_class(cls))
+            lowered = [
+                build_plan_class(
+                    self.model, cls.entry, cls.scan_queries, cls.steps
+                )
+                for cls in classes
+            ]
+            plan = GlobalPlan(algorithm=self.name, classes=lowered)
         plan.search_stats = {"dag": stats}
         plan.validate(queries)
         return plan
-
-    def _lower_class(self, cls: DagClass):
-        """One search-state class → a PlanClass (no derives) or a
-        DagPlanClass (derive steps lowered to ``DeriveStep``)."""
-        if not cls.steps:
-            return build_plan_class(self.model, cls.entry, cls.scan_queries)
-        steps = [(step.intermediate, step.queries) for step in cls.steps]
-        costing = self.model.derive_class(cls.entry, cls.scan_queries, steps)
-        if costing is None:
-            raise ValueError(
-                f"DAG class on {cls.entry.name!r} cannot answer its members"
-            )
-        ordered = list(cls.scan_queries) + [
-            q for step in cls.steps for q in step.queries
-        ]
-        plans = [
-            LocalPlan(query=query, source=cls.entry.name, method=method)
-            for query, method in zip(ordered, costing.methods)
-        ]
-        derives = [
-            DeriveStep(
-                intermediate=step.intermediate,
-                qids=tuple(q.qid for q in step.queries),
-                est_rows=self.model.intermediate_rows(
-                    cls.entry, step.intermediate
-                ),
-                node_key=step.node_key,
-            )
-            for step in cls.steps
-        ]
-        return DagPlanClass(
-            source=cls.entry.name,
-            plans=plans,
-            est_cost_ms=costing.cost_ms,
-            derives=derives,
-        )

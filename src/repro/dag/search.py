@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.optimizer.cost import CostModel
-from ..core.optimizer.plans import left_sum
+from ..core.optimizer.plans import DeriveStep, left_sum
 from ..schema.lattice import source_can_answer
 from ..schema.query import GroupByQuery
 from ..storage.catalog import TableEntry
@@ -41,22 +41,12 @@ ROW_SAFETY = 1.25
 
 
 @dataclass
-class Step:
-    """One materialized intermediate inside a class, with the member
-    queries it answers."""
-
-    intermediate: GroupByQuery
-    node_key: str
-    queries: List[GroupByQuery] = field(default_factory=list)
-
-
-@dataclass
 class DagClass:
     """Search-time form of one class: scan members plus derive steps."""
 
     entry: TableEntry
     scan_queries: List[GroupByQuery] = field(default_factory=list)
-    steps: List[Step] = field(default_factory=list)
+    steps: List[DeriveStep] = field(default_factory=list)
 
     @property
     def is_empty(self) -> bool:
@@ -69,10 +59,7 @@ class DagClass:
             tuple(sorted(q.qid for q in self.scan_queries)),
             tuple(
                 sorted(
-                    (
-                        step.node_key,
-                        tuple(sorted(q.qid for q in step.queries)),
-                    )
+                    (step.node_key, tuple(sorted(step.qids)))
                     for step in self.steps
                 )
             ),
@@ -123,10 +110,7 @@ class _Coster:
             costing = self.model.plan_class(cls.entry, cls.scan_queries)
         else:
             costing = self.model.derive_class(
-                cls.entry,
-                cls.scan_queries,
-                [(step.intermediate, step.queries) for step in cls.steps],
-                row_safety=ROW_SAFETY,
+                cls.entry, cls.scan_queries, cls.steps, row_safety=ROW_SAFETY
             )
         cost = float("inf") if costing is None else costing.cost_ms
         self._cache[sig] = cost
@@ -144,17 +128,11 @@ def _without_queries(
     out: List[DagClass] = []
     for cls in classes:
         scan = [q for q in cls.scan_queries if q.qid not in drop_qids]
-        steps = []
-        for step in cls.steps:
-            kept = [q for q in step.queries if q.qid not in drop_qids]
-            if kept:
-                steps.append(
-                    Step(
-                        intermediate=step.intermediate,
-                        node_key=step.node_key,
-                        queries=kept,
-                    )
-                )
+        steps = [
+            kept
+            for kept in (step.without(drop_qids) for step in cls.steps)
+            if kept.queries
+        ]
         candidate = DagClass(entry=cls.entry, scan_queries=scan, steps=steps)
         if not candidate.is_empty:
             out.append(candidate)
@@ -197,17 +175,16 @@ def greedy_search(
                     entry.levels, entry.source_aggregate, inter
                 ):
                     continue
-                inflated_rows = ROW_SAFETY * model.intermediate_rows(
-                    entry, inter
-                )
+                est_rows = model.intermediate_rows(entry, inter)
+                inflated_rows = ROW_SAFETY * est_rows
                 # Queries the intermediate can answer, excluding those
                 # already derived from this very node on this host, and
                 # those whose current feed is already at least as small.
                 already = {
-                    q.qid
+                    qid
                     for step in host.steps
                     if step.node_key == key
-                    for q in step.queries
+                    for qid in step.qids
                 }
                 movable: List[GroupByQuery] = []
                 for qid in node.consumers:
@@ -234,19 +211,17 @@ def greedy_search(
                 if trial_host is None:
                     trial_host = DagClass(entry=entry)
                     trial.append(trial_host)
-                existing = next(
-                    (s for s in trial_host.steps if s.node_key == key), None
+                # The host's step on this node grows in place; a new one
+                # goes last.
+                steps = trial_host.steps
+                at = next(
+                    (i for i, s in enumerate(steps) if s.node_key == key),
+                    len(steps),
                 )
-                if existing is None:
-                    trial_host.steps.append(
-                        Step(
-                            intermediate=inter,
-                            node_key=key,
-                            queries=list(movable),
-                        )
-                    )
-                else:
-                    existing.queries.extend(movable)
+                held = steps[at].queries if at < len(steps) else ()
+                steps[at : at + 1] = [
+                    DeriveStep(inter, held + tuple(movable), est_rows, key)
+                ]
                 delta = coster.total(trial) - current_total
                 if delta < best_delta and -delta >= min_gain_ms:
                     best_delta = delta
@@ -274,11 +249,8 @@ def _holding_entry(
     fed the entry's rows; derived members an intermediate's — either way
     the entry bounds the feed size)."""
     for cls in classes:
-        for query in cls.scan_queries:
-            if query.qid == qid:
-                return cls.entry
-        for step in cls.steps:
-            for query in step.queries:
-                if query.qid == qid:
-                    return cls.entry
+        if any(q.qid == qid for q in cls.scan_queries) or any(
+            qid in step.qids for step in cls.steps
+        ):
+            return cls.entry
     return None

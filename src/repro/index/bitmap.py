@@ -13,7 +13,7 @@ granularity — which is also the unit the cost model charges
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -191,39 +191,6 @@ class Bitmap:
         words = self.words[positions // WORD_BITS]
         shifts = (positions % WORD_BITS).astype(np.uint64)
         return ((words >> shifts) & np.uint64(1)).astype(bool)
-
-    def slice_bool(self, start: int, stop: int) -> np.ndarray:
-        """Boolean array for positions ``start .. stop-1``, unpacking only
-        the covering words (a page-aligned slice touches ~capacity/64
-        words, not the whole bitmap)."""
-        if not 0 <= start <= stop <= self.n_bits:
-            raise IndexError(
-                f"slice [{start}, {stop}) out of range 0..{self.n_bits}"
-            )
-        if start == stop:
-            return np.empty(0, dtype=bool)
-        first_word = start // WORD_BITS
-        last_word = (stop + WORD_BITS - 1) // WORD_BITS
-        bits = np.unpackbits(
-            self.words[first_word:last_word].view(np.uint8),
-            bitorder="little",
-        )
-        offset = start - first_word * WORD_BITS
-        return bits[offset : offset + (stop - start)].astype(bool)
-
-    def iter_positions(self) -> Iterator[int]:
-        """Iterate set positions in ascending order."""
-        return iter(self.positions().tolist())
-
-    def pages_touched(self, rows_per_page: int) -> int:
-        """Distinct pages containing at least one set bit — the random-probe
-        I/O a bitmap-driven fetch of this selection would incur."""
-        if rows_per_page <= 0:
-            raise ValueError("rows_per_page must be positive")
-        pos = self.positions()
-        if pos.size == 0:
-            return 0
-        return int(np.unique(pos // rows_per_page).size)
 
     def copy(self) -> "Bitmap":
         """An independent copy."""

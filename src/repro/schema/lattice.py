@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .query import Aggregate, GroupBy, GroupByQuery
 from .star import StarSchema
@@ -57,6 +57,15 @@ def effective_aggregate(
     return query_aggregate
 
 
+def intermediate_source_aggregate(
+    source_aggregate: Optional[str], intermediate: GroupByQuery
+) -> str:
+    """What a derive step's intermediate *holds* in its measure column once
+    materialized — the source's rollup kind when reading a view, else the
+    intermediate's own aggregate kind (raw data folds into that)."""
+    return source_aggregate or intermediate.aggregate.value
+
+
 def source_can_answer(
     source_levels: Sequence[int],
     source_aggregate: Optional[str],
@@ -66,6 +75,26 @@ def source_can_answer(
     return query.answerable_from(source_levels) and aggregate_compatible(
         query.aggregate, source_aggregate
     )
+
+
+def build_keys(
+    schema: StarSchema, source_levels: Sequence[int], query: GroupByQuery
+) -> Tuple[tuple, ...]:
+    """The dimension structures ``query``'s pipeline needs built over a
+    source stored at ``source_levels``, exactly as the executor's
+    ``RollupCache`` keys them: per dimension, one rollup map ``(dim, from
+    level, target level)`` unless the target is the stored or the ALL level,
+    then one mask ``(dim, from level, level, members)`` per *predicate* (a
+    dimension may carry two, see :meth:`GroupByQuery.predicate_on`).  The
+    cost model prices these and EXPLAIN lists them."""
+    keys = []
+    for d, dim in enumerate(schema.dimensions):
+        stored, target = source_levels[d], query.groupby.levels[d]
+        if target not in (stored, dim.all_level):
+            keys.append((d, stored, target))
+        for pred in query.predicates_on(d):
+            keys.append((d, stored, pred.level, pred.member_ids))
+    return tuple(keys)
 
 
 def common_sources(

@@ -74,6 +74,19 @@ class TableEntry:
         or None if not built."""
         return self.indexes.get((dim_index, level))
 
+    def covering_index(
+        self, dim_index: int, level: int
+    ) -> Optional["JoinIndex"]:
+        """The join index covering a predicate at ``level`` on dimension
+        ``dim_index``: the one exactly there, else the coarsest at a finer
+        level down to the stored one (each predicate member then stands for
+        its descendants at ``index.level``); None when there is none."""
+        for at in range(level, self.levels[dim_index] - 1, -1):
+            index = self.index_for(dim_index, at)
+            if index is not None:
+                return index
+        return None
+
     def add_index(self, dim_index: int, level: int, index: "JoinIndex") -> None:
         """Register a join index for (dimension, level); duplicates rejected."""
         key = (dim_index, level)

@@ -157,23 +157,6 @@ class TestConversions:
         bm = Bitmap.from_bool_array(mask)
         assert bm.positions().tolist() == [0, 63, 64, 99]
 
-    def test_iter_positions(self):
-        bm = Bitmap.from_positions(40, [3, 17, 39])
-        assert list(bm.iter_positions()) == [3, 17, 39]
-
-
-class TestPagesTouched:
-    def test_counts_distinct_pages(self):
-        bm = Bitmap.from_positions(100, [0, 1, 9, 10, 55])
-        assert bm.pages_touched(10) == 3  # pages 0, 1, 5
-
-    def test_empty(self):
-        assert Bitmap.zeros(100).pages_touched(10) == 0
-
-    def test_invalid_rows_per_page(self):
-        with pytest.raises(ValueError):
-            Bitmap.zeros(10).pages_touched(0)
-
 
 class TestBulkOps:
     def test_or_all(self):
@@ -203,7 +186,7 @@ class TestBulkOps:
 
 
 class TestPackedKernels:
-    """test_positions / slice_bool: packed-word reads must equal the
+    """test_positions: packed-word reads must equal the
     full-unpack reference exactly — the kernel execution path's contract."""
 
     @given(bitmap_strategy())
@@ -226,25 +209,3 @@ class TestPackedKernels:
         a = Bitmap.zeros(70)
         out = a.test_positions(np.empty(0, dtype=np.int64))
         assert out.dtype == bool and out.size == 0
-
-    @given(bitmap_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_slice_bool_matches_unpack(self, a):
-        dense = a.to_bool_array()
-        for start, stop in [
-            (0, a.n_bits),
-            (0, min(1, a.n_bits)),
-            (a.n_bits // 3, 2 * a.n_bits // 3),
-            (a.n_bits, a.n_bits),
-        ]:
-            np.testing.assert_array_equal(
-                a.slice_bool(start, stop), dense[start:stop]
-            )
-
-    def test_slice_bool_straddles_word_boundaries(self):
-        a = Bitmap.from_positions(200, [0, 63, 64, 65, 127, 128, 199])
-        dense = a.to_bool_array()
-        for start, stop in [(60, 70), (63, 65), (120, 130), (100, 200)]:
-            np.testing.assert_array_equal(
-                a.slice_bool(start, stop), dense[start:stop]
-            )

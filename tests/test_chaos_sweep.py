@@ -136,9 +136,7 @@ def test_derive_fault_fails_only_dependent_classes(paper_db, paper_qs):
     db = paper_db
     queries = [paper_qs[i] for i in ALL_PAPER_TESTS["test1"]]
     plan = db.optimize(queries, "dag")
-    dag_classes = [
-        cls for cls in plan.classes if getattr(cls, "has_derives", False)
-    ]
+    dag_classes = [cls for cls in plan.classes if cls.has_derives]
     assert dag_classes, "test1's dag plan materializes an intermediate"
 
     clean = db.execute(plan)

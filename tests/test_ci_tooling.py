@@ -77,7 +77,8 @@ def test_merged_runs_read_as_one_repeat_n_run(tmp_path, capsys):
 def test_byte_dump_is_deterministic(tmp_path):
     """``.github/byte_dump.py`` — the parent-vs-change comparison of
     .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
-    what it says: every registry name, derive classes, maintained views."""
+    what it says: every registry name, derive classes, what the planner
+    decided, maintained views."""
     import os
     import subprocess
 
@@ -97,6 +98,10 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert "test7/avg/optimal/shards3" in dump
     assert dump["test4/avg/gg/serial"]["results"][0]["avg_state"]
     assert any(cls["derives"] for cls in dump["dashboard/min"]["classes"])
+    plan = dump["dashboard/min/plan"]
+    assert "+D" in plan["signature"] and plan["plan_costings"] > 0
+    assert any(plan["derives"]) and "materialize" in plan["explain"]
+    assert len(plan["est_cost_ms"]) == len(dump["dashboard/min"]["classes"])
     assert dump["maintained/max"]["append_reports"][-1]["maintained[max]"] > 0
 
 

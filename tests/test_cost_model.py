@@ -1,5 +1,6 @@
 """Unit tests for the Section 5.1 cost model."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -12,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.calibrate.observations import RATE_FIELDS, basis_models, estimated_units
+from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.core.optimizer import GreedyOptimizer
 from repro.core.optimizer.cost import ClassState, CostModel, left_sum
 from repro.core.optimizer.greedy import GrownClass
-from repro.core.optimizer.plans import JoinMethod
+from repro.core.optimizer.plans import DeriveStep, JoinMethod
 from repro.index.bitmap import WORD_BITS
-from repro.schema.lattice import expected_distinct
+from repro.schema.lattice import build_keys, expected_distinct
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
+from repro.storage.iostats import IOStats
 from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
@@ -214,6 +218,60 @@ class TestEstimateVsSimulation:
         )
         assert est == pytest.approx(run.sim_ms, rel=1.0)
 
+    def test_two_predicates_on_one_dimension(self, paper_db):
+        """A month-level axis inside a year-level slicer: the pipeline
+        builds, tests and probes per *predicate*, and so does the model —
+        the unit vector equals the charged counters."""
+        dim, *others = paper_db.schema.dimensions
+        inner = sorted(dim.descendants(2, 0, 1))[:2]
+        query = GroupByQuery(
+            GroupBy((0, *(other.all_level for other in others))),
+            (
+                DimPredicate(0, 1, frozenset(inner)),
+                DimPredicate(0, 2, frozenset({0})),
+            ),
+        )
+        (execution,) = paper_db.run_queries([query], "gg").class_executions
+        assert execution.plan_class.source == "ABCD"
+        units = dict(
+            zip(
+                RATE_FIELDS,
+                estimated_units(basis_models(paper_db), execution.plan_class),
+            )
+        )
+        sim = execution.sim
+        assert units["hash_build_ms"] == sim.hash_builds == 2 * dim.n_members(0)
+        assert units["predicate_eval_ms"] == sim.predicate_evals
+        assert units["hash_probe_ms"] == sim.hash_probes
+
+
+class TestBuildKeys:
+    """``schema.lattice.build_keys`` states once what a member needs built
+    over its source; the executor's ``RollupCache`` is what it is held to."""
+
+    def test_equals_what_the_rollup_cache_holds(self, paper_db):
+        schema = paper_db.schema
+        rng = random.Random(24)
+        doubled = 0
+        for _ in range(300):
+            query = random_query(schema, rng)
+            if query.predicates and rng.random() < 0.5:
+                d = rng.choice(query.predicates).dim_index
+                level = rng.randrange(schema.dimensions[d].n_levels)
+                member = rng.randrange(schema.dimensions[d].n_members(level))
+                extra = DimPredicate(d, level, frozenset({member}))
+                query = dataclasses.replace(
+                    query, predicates=query.predicates + (extra,)
+                )
+                doubled += 1
+            levels = tuple(rng.randint(0, r) for r in query.required_levels())
+            rollups = RollupCache(schema, IOStats())
+            QueryPipeline(schema, query, levels, rollups)
+            assert set(build_keys(schema, levels, query)) == set(
+                rollups._target_maps
+            ) | set(rollups._pred_masks)
+        assert doubled > 50
+
 
 def full_model(db):
     """A fresh model over everything the database would hand its own."""
@@ -252,11 +310,8 @@ def all_costings(model, entry, queries):
         ),
         qid=-1,
     )
-    out.append(
-        model.derive_class(
-            entry, queries[:1], [(intermediate, queries[1:] or queries)], 1.5
-        )
-    )
+    step = DeriveStep(intermediate, tuple(queries[1:] or queries))
+    out.append(model.derive_class(entry, queries[:1], [step], 1.5))
     return out
 
 

@@ -152,9 +152,7 @@ class TestDagPlanning:
                                                       paper_qs):
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
-        assert any(
-            getattr(cls, "has_derives", False) for cls in plan.classes
-        )
+        assert any(cls.has_derives for cls in plan.classes)
         stats = plan.search_stats["dag"]
         assert stats.materializations
         assert stats.dag.n_unified >= 1

@@ -363,3 +363,22 @@ def test_no_second_fold_in_the_source():
         name for name, body in text.items()
         if name.startswith("core/operators/") and imports_engine.search(body)
     ] == []
+
+
+def test_one_description_of_a_class_in_the_source():
+    """A class has one type and a derive step one spelling (``PlanClass`` /
+    ``DeriveStep``, constructed under ``dag/`` only), and the level walk over
+    ``index_for`` exists once, in ``TableEntry.covering_index``."""
+    src = Path(repro.__file__).parent
+    text = {
+        str(path.relative_to(src)): path.read_text() for path in src.rglob("*.py")
+    }
+
+    def homes(pattern):
+        return [name for name, body in text.items() if re.search(pattern, body)]
+
+    assert homes(r"getattr\([^)]*\"(has_)?derives\"") == []
+    assert homes(r"DagPlanClass|DeriveSpec|_lower_class|derived_queries") == []
+    assert homes(r"\bDeriveStep\(") == ["dag/search.py"]
+    assert homes(r"\.index_for\(") == ["storage/catalog.py"]
+    assert len(re.findall(r"\.index_for\(", text["storage/catalog.py"])) == 1

@@ -19,6 +19,7 @@ from repro.core.operators.index_join import (
     usable_index,
 )
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
+from repro.core.optimizer.plans import DeriveStep
 from repro.engine.reference import evaluate_reference
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
@@ -345,9 +346,9 @@ class TestSharedProbe:
             simple_query((2, 0), [DimPredicate(1, 1, frozenset({0, 3}))]),
         ]
         derives = [
-            (
+            DeriveStep(
                 simple_query((1, 1)),
-                [simple_query((2, 1), [DimPredicate(0, 2, frozenset({1}))])],
+                (simple_query((2, 1), [DimPredicate(0, 2, frozenset({1}))]),),
             )
         ]
         monkeypatch.setattr(table_module, "MORSEL_ROWS", morsel_rows)

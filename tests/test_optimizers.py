@@ -359,7 +359,7 @@ class TestRegistrySweep:
             return real_plan(model, entry, queries)
 
         def derive_class(model, entry, scan, steps, **kwargs):
-            members = [*scan, *(q for _inter, qs in steps for q in qs)]
+            members = [*scan, *(q for step in steps for q in step.queries)]
             costed.append((entry.name, sorted(q.qid for q in members)))
             return real_derive(model, entry, scan, steps, **kwargs)
 
