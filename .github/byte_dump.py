@@ -21,7 +21,16 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   aggregate under ``dag``, whose classes derive members from shared
   intermediates;
 * one maintained view per re-aggregable aggregate after three
-  ``append_rows`` batches: the view's rows and the next batch's execution.
+  ``append_rows`` batches: the view's rows and the next batch's execution;
+* ``recovery/``: Tests 1-7 under ``gg`` through a pre-queued
+  ``QueryService`` (one worker, no cache, one request per query) with one
+  fault armed per site — the first check (``nth=1``, retried to success),
+  every check on the first planned class's table (retries exhaust,
+  degraded replanning answers) or every check anywhere (degraded
+  replanning fails too: quarantine) — recording the served
+  results, the ``ServiceStats`` counters and ``sim_ms_total``, the
+  service's simulated clock, the quarantined qids and the flight
+  recorder's events.
 
 It imports only names that exist at the parent of the PR that added it.
 """
@@ -37,7 +46,9 @@ from typing import List
 
 from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
+from repro.faults import SITES, FaultPlan, InjectionPoint
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
+from repro.serve import QueryService, RequestQuarantined, ServeConfig
 from repro.storage import table as table_module
 from repro.workload import build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
@@ -132,6 +143,67 @@ def append_delta(schema, rng: random.Random, n_rows: int) -> list:
     ]
 
 
+def serve_under_fault(db, batch, point: InjectionPoint, shards: int) -> dict:
+    """One pre-queued service batch (a request per query) with ``point``
+    armed; the scheduler drains the queue as one batch and stops."""
+    service = QueryService(
+        db,
+        ServeConfig(
+            window_ms=1000.0, max_batch_requests=len(batch), n_workers=1,
+            shards=shards,
+        ),
+    )
+    futures = [service.submit([query]) for query in batch]
+    db.arm_faults(FaultPlan([point]))
+    try:
+        service.start()
+        service.stop(drain=True)
+    finally:
+        db.disarm_faults()
+    results, quarantined = [], []
+    for query, future in zip(batch, futures):
+        try:
+            results.append(dump_result(future.result(timeout=60).results[query.qid]))
+        except RequestQuarantined as exc:
+            quarantined.extend(exc.qids)
+    stats = service.stats.snapshot()
+    keep = ("kind", "attempt", "n_outstanding", "qid", "error_type", "site", "outcome")
+    return {
+        "results": results,
+        "quarantined": [qid - batch[0].qid for qid in quarantined],
+        "stats": {
+            f.name: getattr(stats, f.name)
+            for f in dataclasses.fields(stats)
+            if f.name.startswith("n_")
+        },
+        "sim_ms_total": stats.sim_ms_total.hex(),
+        "sim_clock_ms": service.sim_clock.now_ms.hex(),
+        "recorder": [
+            {key: entry[key] for key in keep if key in entry}
+            for entry in service.recorder.entries()
+        ],
+    }
+
+
+def recovery(db, queries) -> dict:
+    out = {}
+    for test, qids in ALL_PAPER_TESTS.items():
+        batch = [queries[q] for q in qids]
+        table = db.optimize(batch, "gg").classes[0].source
+        for site in SITES:
+            shards = 2 if site == "shard.exec" else 1
+            for fault, trigger in (
+                ("nth1", {"nth": 1}),
+                ("persistent", {"table": table}),
+                ("everywhere", {}),
+            ):
+                point = InjectionPoint(site=site, name=f"{site}/{fault}", **trigger)
+                out[f"recovery/{test}/{site}/{fault}"] = serve_under_fault(
+                    db, batch, point, shards
+                )
+    return out
+
+
 def sweep(scale: float) -> dict:
     table_module.MORSEL_ROWS = MORSEL_ROWS
     db = build_paper_database(scale=scale)
@@ -185,6 +257,7 @@ def sweep(scale: float) -> dict:
             ],
             "next": dump_report(db.run_queries(probe, "gg"), probe),
         }
+    out.update(recovery(db, queries))
     return out
 
 

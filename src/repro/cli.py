@@ -85,7 +85,10 @@ def _build_db(args: argparse.Namespace):
     if getattr(args, "database", None):
         from .engine.persist import load_database
 
-        db = load_database(args.database)
+        try:
+            db = load_database(args.database)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     else:
         db = build_paper_database(scale=args.scale)
     if getattr(args, "profile", None):

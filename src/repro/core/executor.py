@@ -20,7 +20,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..faults import InjectedFault, PartialResultError
 from ..obs.metrics import default_registry
@@ -118,6 +119,10 @@ class ExecutionReport:
     #: :meth:`Database.execute`); :attr:`wall_s` sums cells across worker
     #: threads and is not elapsed time.
     elapsed_s: float = 0.0
+    #: What recovery ran (``Database.run_queries(recovery=)``): the first
+    #: execution, each re-ask of the failed queries, each ``"degraded"`` plan.
+    #: When set, costs sum over it and ``failures`` is what stayed failed.
+    attempts: List["ExecutionReport"] = field(default_factory=list)
 
     @property
     def results(self) -> Dict[int, QueryResult]:
@@ -175,34 +180,34 @@ class ExecutionReport:
             f"(answered qids: {sorted(results) or 'none'})"
         ) from None
 
+    def _total(self, cost: Callable[[object], float]) -> float:
+        """``cost`` summed over every class charged, executed or aborted —
+        attempt by attempt when recovery re-ran part of the batch."""
+        if self.attempts:
+            return sum(attempt._total(cost) for attempt in self.attempts)
+        executed, failed = self.class_executions, self.failures
+        return sum(map(cost, executed)) + sum(map(cost, failed))
+
     @property
     def sim_ms(self) -> float:
         """Total simulated milliseconds (I/O + CPU), including the partial
         cost charged by classes that later failed."""
-        return sum(e.sim_ms for e in self.class_executions) + sum(
-            f.sim_ms for f in self.failures
-        )
+        return self._total(attrgetter("sim_ms"))
 
     @property
     def sim_io_ms(self) -> float:
         """Simulated I/O milliseconds."""
-        return sum(e.sim.io_ms for e in self.class_executions) + sum(
-            f.sim.io_ms for f in self.failures
-        )
+        return self._total(attrgetter("sim.io_ms"))
 
     @property
     def sim_cpu_ms(self) -> float:
         """Simulated CPU milliseconds."""
-        return sum(e.sim.cpu_ms for e in self.class_executions) + sum(
-            f.sim.cpu_ms for f in self.failures
-        )
+        return self._total(attrgetter("sim.cpu_ms"))
 
     @property
     def wall_s(self) -> float:
         """Measured wall-clock seconds."""
-        return sum(e.wall_s for e in self.class_executions) + sum(
-            f.wall_s for f in self.failures
-        )
+        return self._total(attrgetter("wall_s"))
 
     @property
     def est_ms(self) -> float:

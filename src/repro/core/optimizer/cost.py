@@ -138,8 +138,8 @@ class CostModel:
     **Lifetime**: an instance snapshots one (catalog, statistics, rates)
     state.  Its per-(entry, query) :class:`MemberTerm` memo is never
     invalidated, so a model must not outlive a mutation — callers build a
-    new one per optimize run, as ``Database.optimize``,
-    ``QueryService._degrade_query`` and ``calibrate`` do.
+    new one per optimize run, as ``Database.optimize``, ``calibrate`` and
+    recovery's degrade step (``docs/architecture.md`` §"Answering a batch") do.
     """
 
     def __init__(

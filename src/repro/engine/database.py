@@ -15,7 +15,7 @@ clock, and exposes the full workflow of the paper:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.operators.pipeline import ExecContext
@@ -33,6 +33,7 @@ from .materialize import build_groupby_table, pick_materialization_source
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.executor import ExecutionReport
     from ..core.optimizer.plans import GlobalPlan
+    from ..serve.retry import RetryPolicy
     from ..serve.service import QueryService
     from ..serve.shard import ShardSet
 
@@ -472,6 +473,7 @@ class Database:
         cold: bool = True,
         n_workers: int = 1,
         shard_set: "Optional[ShardSet]" = None,
+        recovery: "Optional[RetryPolicy]" = None,
     ) -> "ExecutionReport":
         """Answer one batch — the only code that does; sessions and the
         query service call this with their coalesced distinct set.  The
@@ -479,8 +481,9 @@ class Database:
         batch": cache hits skip planning, the misses are optimized as one
         unit *as submitted* (no deduplication here), validated against the
         submitted misses under :attr:`paranoia`, executed
-        (``cold``/``n_workers``/``shard_set`` go to :meth:`execute`), and
-        retained only if no class failed.
+        (``cold``/``n_workers``/``shard_set`` go to :meth:`execute`),
+        recovered under ``recovery`` (None = not at all), and retained only
+        if nothing stayed failed.
 
         The report covers the whole batch: ``plan`` is the misses' plan
         (empty when every query hit), ``cache_hits`` the rest.
@@ -489,54 +492,111 @@ class Database:
         from ..core.optimizer.plans import GlobalPlan
 
         cache = self.result_cache
-        hits: dict = {}
-        if cache is not None:
-            cache.sync(self.data_version)
-            for query in queries:
-                cached = cache.get(query)
-                if cached is not None:
-                    hits[query.qid] = cached
-        misses = [query for query in queries if query.qid not in hits]
-        if misses or not hits:
-            # An empty batch is planned too: the optimizer rejects it.
-            plan = self.optimize(misses, algorithm)
-            if self.paranoia:
-                from ..check.errors import (
-                    CorrectnessError,
-                    PlanValidationError,
-                )
-                from ..check.validate import validate_global_plan
 
-                try:
-                    validate_global_plan(
-                        self.schema, self.catalog, plan, misses
+        def ask(batch: Sequence[GroupByQuery]) -> "ExecutionReport":
+            hits: dict = {}
+            if cache is not None:
+                cache.sync(self.data_version)
+                for query in batch:
+                    cached = cache.get(query)
+                    if cached is not None:
+                        hits[query.qid] = cached
+            misses = [query for query in batch if query.qid not in hits]
+            if misses or not hits:
+                # An empty batch is planned too: the optimizer rejects it.
+                plan = self.optimize(misses, algorithm)
+                if self.paranoia:
+                    from ..check.errors import (
+                        CorrectnessError,
+                        PlanValidationError,
                     )
-                except PlanValidationError as exc:
-                    raise CorrectnessError(
-                        f"{algorithm!r} produced a structurally invalid "
-                        f"plan for the submitted batch: {exc}",
-                        plan=plan,
-                    ) from exc
-            report = self.execute(
-                plan, cold=cold, n_workers=n_workers, shard_set=shard_set
-            )
-            # A partially-failed execution leaves no trace in the cache:
-            # its survivors are correct, but retaining them would let a
-            # later identical batch skip re-executing — and so skip
-            # re-surfacing the typed error — for the failed queries'
-            # batchmates.
-            if cache is not None and not report.failures:
-                for result in report.results.values():
-                    cache.put(result)
+                    from ..check.validate import validate_global_plan
+
+                    try:
+                        validate_global_plan(
+                            self.schema, self.catalog, plan, misses
+                        )
+                    except PlanValidationError as exc:
+                        raise CorrectnessError(
+                            f"{algorithm!r} produced a structurally invalid "
+                            f"plan for the submitted batch: {exc}",
+                            plan=plan,
+                        ) from exc
+                report = self.execute(
+                    plan, cold=cold, n_workers=n_workers, shard_set=shard_set
+                )
+            else:
+                report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
+            report.cache_hits = hits
+            return report
+
+        if recovery is None:
+            report = ask(queries)
         else:
-            report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
-        report.cache_hits = hits
+            report = self._recover(ask, queries, recovery, cold)
+        # A batch that ends with a failure leaves no trace in the cache: its
+        # survivors are correct, but retaining them would let a later
+        # identical batch skip re-executing — and so skip re-surfacing the
+        # typed error — for the failed queries' batchmates.
+        hits = report.cache_hits
+        if cache is not None and not report.failures:
+            for qid, result in report.results.items():
+                if qid not in hits:
+                    cache.put(result)
         if hits and self.paranoia:
             from ..check.paranoia import recheck_cache_hits
 
             with self.tracer.span("check.cache", n_hits=len(hits)) as span:
                 span.set("n_rechecked", recheck_cache_hits(self, hits))
         return report
+
+    def _recover(self, ask, queries, recovery, cold) -> "ExecutionReport":
+        """Answer ``queries`` through ``ask`` under ``recovery``: re-ask the
+        failed queries only, then (``recovery.degrade``) plan each one still
+        failing alone on the raw fact table; one report over every attempt."""
+        from ..core.executor import ExecutionReport
+        from ..core.optimizer.base import build_plan_class
+        from ..core.optimizer.cost import CostModel
+        from ..core.optimizer.plans import GlobalPlan
+        from ..faults import InjectedFault
+        from ..serve.retry import RetryExhausted, call_with_retry
+
+        attempts: List["ExecutionReport"] = []
+        outstanding = list(queries)
+
+        def attempt(_number: int) -> None:
+            nonlocal outstanding
+            attempts.append(ask(outstanding))
+            failed = attempts[-1].failed_qids
+            outstanding = [q for q in outstanding if q.qid in failed]
+            if failed:
+                raise attempts[-1].failures[0].error
+
+        with suppress(RetryExhausted):  # what stayed failed is in attempts
+            call_with_retry(
+                recovery, attempt, retry_on=(InjectedFault,), tracer=self.tracer
+            )
+        failures = attempts[-1].failures
+        raw = self.catalog.raw_entries()
+        if failures and recovery.degrade and raw:
+            model, failures = CostModel.for_database(self), []
+            for query in outstanding:
+                with self.tracer.span(
+                    "serve.degrade", qid=query.qid, source=raw[0].name
+                ) as span:
+                    plan_class = build_plan_class(model, raw[0], [query])
+                    plan = GlobalPlan("degraded", [plan_class])
+                    attempts.append(self.execute(plan, cold=cold))
+                    if attempts[-1].failures:
+                        span.set("failed", True)
+                failures += attempts[-1].failures
+        first = attempts[0]
+        if len(attempts) == 1:
+            return first
+        executions = [e for each in attempts for e in each.class_executions]
+        return ExecutionReport(
+            first.plan, executions, failures, first.cache_hits, attempts=attempts
+        )
 
     def run_mdx(
         self, text: str, algorithm: str = "gg", cold: bool = True

@@ -134,5 +134,18 @@ class FlightRecorder:
 
 
 def load_flight_dump(path: PathLike) -> Dict[str, Any]:
-    """Read a :meth:`FlightRecorder.dump` file back into its dict form."""
-    return json.loads(Path(path).read_text())
+    """Read a :meth:`FlightRecorder.dump` file back into its dict form; a
+    missing, unreadable or non-JSON file, or any shape but int ``capacity``
+    and ``n_recorded`` beside ``entries`` with an int ``seq`` and a str
+    ``kind`` each, raises :class:`ValueError` naming the file."""
+    try:
+        dump = json.loads(Path(path).read_text())
+        shape = [type(dump[key]) for key in ("capacity", "n_recorded", "entries")]
+        if shape != [int, int, list]:
+            raise TypeError("want int 'capacity' / 'n_recorded', list 'entries'")
+        for entry in dump["entries"]:
+            if (type(entry["seq"]), type(entry["kind"])) != (int, str):
+                raise TypeError(f"entry {entry!r:.60} needs int 'seq', str 'kind'")
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ValueError(f"flight dump {path}: {exc}") from exc
+    return dump

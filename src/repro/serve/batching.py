@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..engine.session import QueryKey, coalesce
 from ..schema.query import GroupByQuery
 from .futures import ServeFuture
+from .retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,10 @@ class ServeConfig:
     measurement discipline; warm execution is order-dependent, so it
     forces serial class execution.
 
-    Resilience knobs (see ``docs/resilience.md``): ``max_attempts`` bounds
-    how many times a failed shared-plan execution is retried before the
-    still-failing queries fall through to degraded replanning;
-    ``backoff_base_ms`` / ``backoff_multiplier`` shape the deterministic
-    exponential backoff charged to the simulated clock between attempts;
-    ``degrade`` enables the per-query raw-base-table fallback for queries
-    whose shared class keeps failing.
+    Resilience knobs: ``max_attempts``, ``backoff_base_ms``,
+    ``backoff_multiplier`` and ``degrade`` make up :attr:`recovery`, the
+    policy every batch is answered under — recovery is the door's, stated
+    once in ``docs/architecture.md`` §"Answering a batch" (step 5).
 
     Sharding knobs (see ``docs/serving.md``): ``shards`` > 1 switches the
     scheduler to scatter-gather execution over that many hash partitions
@@ -81,6 +79,7 @@ class ServeConfig:
     flight_recorder_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        self.recovery  # the policy validates the four resilience knobs
         if self.flight_recorder < 0:
             raise ValueError(
                 f"flight_recorder capacity must be >= 0 "
@@ -92,19 +91,6 @@ class ServeConfig:
             raise ValueError(
                 "sharded execution requires cold=True (each shard runs "
                 "in a private cold context)"
-            )
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1 (got {self.max_attempts})"
-            )
-        if self.backoff_base_ms < 0:
-            raise ValueError(
-                f"backoff_base_ms must be >= 0 (got {self.backoff_base_ms})"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1 "
-                f"(got {self.backoff_multiplier})"
             )
         if self.window_ms < 0:
             raise ValueError(f"window_ms must be >= 0 (got {self.window_ms})")
@@ -127,6 +113,14 @@ class ServeConfig:
                 f"default_deadline_ms must be positive when set "
                 f"(got {self.default_deadline_ms})"
             )
+
+    @property
+    def recovery(self) -> RetryPolicy:
+        """The policy ``Database.run_queries`` answers every batch under."""
+        return RetryPolicy(
+            self.max_attempts, self.backoff_base_ms, self.backoff_multiplier,
+            self.degrade,
+        )
 
 
 @dataclass

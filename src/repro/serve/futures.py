@@ -16,9 +16,9 @@ Error taxonomy (all subclasses of :class:`ServeError`):
   still queued; it is failed without being planned or executed.
 * :class:`ServiceStopped` — the service shut down (without draining) while
   the request was in flight.
-* :class:`RequestQuarantined` — the request's queries kept failing after
-  every retry (and, when enabled, degraded replanning); it is failed alone
-  while its batchmates complete.
+* :class:`RequestQuarantined` — the request asked a query the door's
+  recovery left failed (``docs/architecture.md`` §"Answering a batch"); it
+  is failed alone while its batchmates complete.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ class ServiceStopped(ServeError):
 class RequestQuarantined(ServeError):
     """The request's queries exhausted every recovery path.
 
-    Carries the underlying error (usually an
-    :class:`~repro.faults.InjectedFault` wrapped in a
-    :class:`~repro.serve.retry.RetryExhausted`) and the offending qids, so
-    the caller can tell exactly which of its queries poisoned the request.
+    Carries the underlying error (the :class:`~repro.faults.InjectedFault`
+    the door's last attempt at the query died of) and the offending qids,
+    so the caller can tell exactly which of its queries poisoned the
+    request.
     Batchmates whose queries succeeded are unaffected.
     """
 

@@ -1,11 +1,12 @@
 """Bounded retry with deterministic backoff on the simulated clock.
 
-The serve scheduler retries a failed shared-plan execution a bounded number
-of times before quarantining the still-failing queries.  Like everything
-else in the engine's measurement discipline, the *delays* are simulated:
-a :class:`SimulatedClock` advances by the policy's deterministic backoff
-instead of sleeping, so retries cost simulated milliseconds — observable,
-reproducible, and free of wall-clock flakiness in tests.
+Under a recovery policy, ``Database.run_queries`` re-asks a batch's failed
+queries a bounded number of times (``docs/architecture.md`` §"Answering a
+batch").  Like everything else in the engine's measurement discipline, the
+*delays* are simulated: a :class:`SimulatedClock` advances by the policy's
+deterministic backoff instead of sleeping, so retries cost simulated
+milliseconds — observable, reproducible, and free of wall-clock flakiness
+in tests.
 
 ``retry.*`` metrics count attempts, failures, exhaustions, and backoff
 spend exactly; ``retry.attempt`` spans make individual attempts visible in
@@ -41,11 +42,14 @@ class RetryPolicy:
     Backoff is deterministic exponential: the wait before attempt ``k``
     (2-based — there is no wait before the first attempt) is
     ``backoff_base_ms * backoff_multiplier ** (k - 2)`` simulated ms.
+    As ``Database.run_queries``' ``recovery``, ``degrade`` also re-plans
+    each query still failing alone on the raw fact table.
     """
 
     max_attempts: int = 3
     backoff_base_ms: float = 50.0
     backoff_multiplier: float = 2.0
+    degrade: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

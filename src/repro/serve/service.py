@@ -14,19 +14,17 @@ owns the engine and turns the arrival stream into micro-batches:
    clients collapse to one instance.
 3. **Answering** — the distinct set goes through the one front door,
    :meth:`Database.run_queries <repro.engine.database.Database.run_queries>`
-   (cache, planning, validation, retention: ``docs/architecture.md``
-   §"Answering a batch"), as *one* global plan — so the paper's shared
-   star-join operators share work across sessions, not just within one
-   MDX expression — whose classes run concurrently on ``n_workers``
-   threads, byte-identical to serial single-session execution.
-4. **Recovery** — an execution that loses classes to injected faults is
-   re-asked through the same door for the failed queries only (bounded
-   retry, simulated backoff), then per query against the raw base table;
-   what still fails is quarantined per request (``docs/resilience.md``).
-5. **Fan-out** — per-query results (deep copies via
+   under the config's recovery policy (cache, planning, validation,
+   recovery, retention: ``docs/architecture.md`` §"Answering a batch"), as
+   *one* global plan — so the paper's shared star-join operators share
+   work across sessions, not just within one MDX expression — whose
+   classes run concurrently on ``n_workers`` threads, byte-identical to
+   serial single-session execution.
+4. **Fan-out** — per-query results (deep copies via
    :meth:`~repro.core.operators.results.QueryResult.detached`, never
    shared mutable state) and errors are routed back to each waiting
-   caller's future, with per-request deadlines enforced while queued.
+   caller's future, with per-request deadlines enforced while queued; a
+   request asking a query the door left failed is quarantined alone.
 
 With ``ServeConfig(shards=N)`` step 3's execution becomes scatter-gather:
 the one global plan fans out over N hash partitions of the data
@@ -47,11 +45,10 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
-from ..core.operators.results import QueryResult
+from ..core.executor import ExecutionReport
 from ..engine.database import Database
-from ..faults import InjectedFault
 from ..obs.metrics import default_registry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, Span, Tracer
@@ -66,7 +63,7 @@ from .futures import (
     ServiceStopped,
     StageTiming,
 )
-from .retry import RetryExhausted, RetryPolicy, SimulatedClock, call_with_retry
+from .retry import SimulatedClock
 
 #: How often the idle scheduler wakes to check for shutdown.
 _POLL_S = 0.02
@@ -181,8 +178,9 @@ class ServiceStats:
             )
 
 
-class _Stages:
-    """Per-batch stage-latency accumulator (scheduler-thread-only).
+class _Stages(Dict[str, "tuple[float, float]"]):
+    """Per-batch stage-latency accumulator (scheduler-thread-only): stage
+    name -> (wall ms, simulated ms).
 
     Each named stage accumulates wall milliseconds and simulated cost
     milliseconds across however many times it runs within one batch (a
@@ -193,21 +191,16 @@ class _Stages:
     it, and it dies with its batch.
     """
 
-    __slots__ = ("_timings",)
-
-    def __init__(self) -> None:
-        self._timings: Dict[str, "tuple[float, float]"] = {}
-
     def add(self, name: str, wall_ms: float = 0.0, sim_ms: float = 0.0) -> None:
         """Accumulate one stage run's cost on both clocks."""
-        wall, sim = self._timings.get(name, (0.0, 0.0))
-        self._timings[name] = (wall + wall_ms, sim + sim_ms)
+        wall, sim = self.get(name, (0.0, 0.0))
+        self[name] = (wall + wall_ms, sim + sim_ms)
 
     def timings(self) -> Dict[str, StageTiming]:
         """The accumulated totals as immutable per-stage timings."""
         return {
             name: StageTiming(name=name, wall_ms=wall, sim_ms=sim)
-            for name, (wall, sim) in self._timings.items()
+            for name, (wall, sim) in self.items()
         }
 
 
@@ -245,11 +238,6 @@ class QueryService:
         #: Lazily built shard partition (scheduler-owned; rebuilt when the
         #: database mutates).  None until the first sharded execution.
         self._shard_set = None
-        self._retry_policy = RetryPolicy(
-            max_attempts=self.config.max_attempts,
-            backoff_base_ms=self.config.backoff_base_ms,
-            backoff_multiplier=self.config.backoff_multiplier,
-        )
         #: The serving-plane flight recorder (None when disabled).  Also
         #: published on the database so tooling can reach the ring via
         #: :meth:`~repro.engine.database.Database.flight_recorder`.
@@ -460,14 +448,7 @@ class QueryService:
         live: List[ServeRequest] = []
         for request in requests:
             if request.expired(now):
-                waited_ms = (now - request.submitted_s) * 1000.0
-                self._count(n_timed_out=1)
-                request.future.set_exception(
-                    DeadlineExceeded(
-                        f"request {request.request_id} waited "
-                        f"{waited_ms:.1f} ms, past its deadline"
-                    )
-                )
+                self._time_out(request, now, "waited")
             else:
                 live.append(request)
         if not live:
@@ -486,19 +467,15 @@ class QueryService:
             self._count(n_failed=len(live))
             for request in live:
                 request.future.try_set_exception(exc)
-            if self.recorder is not None:
-                # A wholesale batch failure is exactly what the flight
-                # recorder exists for: log it, and when configured, dump
-                # the ring to disk for post-mortem before moving on.
-                self.recorder.record(
-                    "batch_failure",
-                    batch_id=batch.batch_id,
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                    n_requests=len(live),
-                )
-                if self.config.flight_recorder_path:
-                    self.recorder.dump(self.config.flight_recorder_path)
+            # A wholesale batch failure is exactly what the flight recorder
+            # exists for: log it, and when configured, dump the ring to disk
+            # for post-mortem before moving on.
+            self._note(
+                batch, "batch_failure", error_type=type(exc).__name__,
+                error=str(exc), n_requests=len(live),
+            )
+            if self.recorder is not None and self.config.flight_recorder_path:
+                self.recorder.dump(self.config.flight_recorder_path)
 
     def _execute_batch(self, batch: MicroBatch, stages: _Stages) -> None:
         db = self.db
@@ -514,10 +491,7 @@ class QueryService:
         batch_trace_id = db.tracer.trace_id
         batch_span = None
         outcome = "failed"
-        # Every answer, and which of them the cache served, by the qid of
-        # the distinct (canonical) query run_queries saw.
-        answers: Dict[int, QueryResult] = {}
-        hits: Set[int] = set()
+        config = self.config
         try:
             with db.tracer.span(
                 "serve.batch",
@@ -527,23 +501,18 @@ class QueryService:
                 n_distinct=batch.n_distinct,
             ) as span:
                 batch_span = span
-                sim_ms, quarantined = self._answer(
-                    batch, answers, hits, stages
+                report = db.run_queries(
+                    batch.distinct, config.algorithm, cold=config.cold,
+                    n_workers=config.n_workers, recovery=config.recovery,
+                    shard_set=self._shards() if config.shards > 1 else None,
                 )
-                span.set("n_cache_hits", len(hits))
-                span.set("sim_ms", round(sim_ms, 3))
+                quarantined = self._account(batch, report, stages)
+                span.set("n_cache_hits", report.n_cache_hits)
+                span.set("sim_ms", round(report.sim_ms, 3))
                 if quarantined:
                     span.set("n_quarantined_queries", len(quarantined))
             outcome = "quarantined" if quarantined else "ok"
-            self._fan_out(
-                batch,
-                answers,
-                hits,
-                sim_ms,
-                quarantined,
-                stages,
-                batch_trace_id,
-            )
+            self._fan_out(batch, report, quarantined, stages, batch_trace_id)
         finally:
             if installed is not None:
                 db.tracer = NULL_TRACER
@@ -562,13 +531,9 @@ class QueryService:
             events = faults.events_since(self._fault_events_seen)
             self._fault_events_seen += len(events)
             for event in events:
-                recorder.record(
-                    "fault",
-                    batch_id=batch.batch_id,
-                    sequence=event.sequence,
-                    site=event.site,
-                    point=event.point,
-                    attrs=dict(event.attrs),
+                self._note(
+                    batch, "fault", sequence=event.sequence, site=event.site,
+                    point=event.point, attrs=dict(event.attrs),
                 )
         recorder.record_batch(
             span if isinstance(span, Span) else None,
@@ -602,178 +567,70 @@ class QueryService:
                 )
         return self._shard_set
 
-    def _answer(
-        self,
-        batch: MicroBatch,
-        answers: Dict[int, QueryResult],
-        hits: Set[int],
-        stages: _Stages,
-    ) -> "tuple[float, Dict[int, BaseException]]":
-        """Answer the batch's distinct queries through
-        :meth:`Database.run_queries` — cache, planning, validation and
-        retention are the door's — re-asking only the queries whose class
-        failed on an injected fault (bounded retry), then the degraded
-        per-query fallback.  Fills ``answers`` and ``hits``; returns the
-        simulated cost charged and, by qid, the error of every query that
-        exhausted each recovery path (for fan-out quarantine)."""
-        db = self.db
-        config = self.config
-        state = {
-            "outstanding": list(batch.distinct),
-            "sim_ms": 0.0,
-            "errors": {},
-        }
-
-        def attempt(attempt_no: int) -> None:
-            retry_started = None
-            if attempt_no > 1:
-                retry_started = time.perf_counter()
-                self._count(n_retries=1)
-                if self.recorder is not None:
-                    self.recorder.record(
-                        "retry",
-                        batch_id=batch.batch_id,
-                        attempt=attempt_no,
-                        n_outstanding=len(state["outstanding"]),
-                    )
-            try:
-                execution = db.run_queries(
-                    state["outstanding"],
-                    config.algorithm,
-                    cold=config.cold,
-                    n_workers=config.n_workers,
-                    shard_set=self._shards() if config.shards > 1 else None,
-                )
-            finally:
-                if retry_started is not None:
-                    stages.add(
-                        "retry",
-                        wall_ms=(time.perf_counter() - retry_started)
-                        * 1000.0,
-                    )
-            state["sim_ms"] += execution.sim_ms
-            stages.add(
-                "plan",
-                wall_ms=execution.plan.search_stats.get("planning_s", 0.0)
-                * 1000.0,
-            )
-            stages.add(
-                "execute",
-                wall_ms=execution.elapsed_s * 1000.0,
-                sim_ms=execution.sim_ms,
-            )
-            answers.update(execution.results)
-            hits.update(execution.cache_hits)
-            if execution.failures:
-                state["errors"] = {
-                    qid: failure.error
-                    for failure in execution.failures
-                    for qid in failure.qids
-                }
-                state["outstanding"] = [
-                    q for q in state["outstanding"] if q.qid in state["errors"]
-                ]
-                raise execution.failures[0].error
-
-        quarantined: Dict[int, BaseException] = {}
+    def _account(
+        self, batch: MicroBatch, report: ExecutionReport, stages: _Stages
+    ) -> Dict[int, BaseException]:
+        """Fold what the door ran (``report.attempts``, or the report alone)
+        into the batch's stages, stats and recorder, advancing :attr:`sim_clock`
+        by each re-ask's backoff; returns the error of each query left failed."""
         backoff_before_ms = self.sim_clock.now_ms
-        try:
-            call_with_retry(
-                self._retry_policy,
-                attempt,
-                clock=self.sim_clock,
-                retry_on=(InjectedFault,),
-                tracer=db.tracer,
-                label=f"serve batch {batch.batch_id}",
-            )
-        except RetryExhausted as exhausted:
-            for query in list(state["outstanding"]):
-                error = state["errors"].get(query.qid, exhausted)
-                if config.degrade:
-                    error = self._degrade_query(query, answers, state, stages)
-                if error is not None:
-                    quarantined[query.qid] = error
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "quarantine",
-                            batch_id=batch.batch_id,
-                            qid=query.qid,
-                            error_type=type(error).__name__,
-                            error=str(error),
-                        )
-        finally:
-            # The simulated clock only ever advances by retry backoff, so
-            # its delta across the retry loop is the backoff charge.
-            backoff_ms = self.sim_clock.now_ms - backoff_before_ms
-            if backoff_ms > 0.0:
-                stages.add("retry", sim_ms=backoff_ms)
-        return state["sim_ms"], quarantined
-
-    def _degrade_query(
-        self,
-        query: GroupByQuery,
-        answers: Dict[int, QueryResult],
-        state: Dict,
-        stages: _Stages,
-    ) -> Optional[BaseException]:
-        """Degraded mode: re-plan one repeatedly-failing query *alone*
-        against the raw fact table and execute it, sidestepping whatever
-        shared class (view, index, scan) the fault keeps killing.  The
-        plan is hand-built, so this is the one executed result retained
-        outside :meth:`Database.run_queries`.  Returns None on success,
-        or the final error for quarantine."""
-        from ..core.optimizer.base import build_plan_class
-        from ..core.optimizer.cost import CostModel
-        from ..core.optimizer.plans import GlobalPlan
-
-        db = self.db
-        degrade_started = time.perf_counter()
-        try:
-            entry = next(iter(db.catalog.raw_entries()), None)
-            if entry is None:
-                return state["errors"].get(query.qid) or RuntimeError(
-                    "no raw base table to degrade to"
+        for number, run in enumerate(report.attempts or [report], start=1):
+            wall_ms = run.elapsed_s * 1000.0
+            if run.plan.algorithm == "degraded":
+                stages.add("degrade", wall_ms=wall_ms, sim_ms=run.sim_ms)
+                if not run.failures:
+                    self._count(n_degraded=1)
+                continue
+            plan_ms = run.plan.search_stats.get("planning_s", 0.0) * 1000.0
+            if number > 1:
+                self._count(n_retries=1)
+                self.sim_clock.advance(self.config.recovery.backoff_ms(number))
+                stages.add("retry", wall_ms=plan_ms + wall_ms)
+                self._note(batch, "retry", attempt=number, n_outstanding=run.n_queries)
+            stages.add("plan", wall_ms=plan_ms)
+            stages.add("execute", wall_ms=wall_ms, sim_ms=run.sim_ms)
+        backoff_ms = self.sim_clock.now_ms - backoff_before_ms
+        if backoff_ms > 0.0:
+            stages.add("retry", sim_ms=backoff_ms)
+        failed = {qid: f.error for f in report.failures for qid in f.qids}
+        for query in batch.distinct:
+            if query.qid in failed:
+                error = failed[query.qid]
+                self._note(
+                    batch, "quarantine", qid=query.qid,
+                    error_type=type(error).__name__, error=str(error),
                 )
-            with db.tracer.span(
-                "serve.degrade", qid=query.qid, source=entry.name
-            ) as span:
-                try:
-                    plan_class = build_plan_class(
-                        CostModel.for_database(db), entry, [query]
-                    )
-                except ValueError as exc:
-                    span.set("failed", True)
-                    return exc
-                plan = GlobalPlan(algorithm="degraded", classes=[plan_class])
-                execution = db.execute(plan, cold=self.config.cold)
-                state["sim_ms"] += execution.sim_ms
-                stages.add("degrade", sim_ms=execution.sim_ms)
-                if execution.failures:
-                    span.set("failed", True)
-                    return execution.failures[0].error
-                answers[query.qid] = execution.results[query.qid]
-                if db.result_cache is not None:
-                    db.result_cache.put(answers[query.qid])
-        finally:
-            stages.add(
-                "degrade",
-                wall_ms=(time.perf_counter() - degrade_started) * 1000.0,
+        return failed
+
+    def _time_out(self, request: ServeRequest, now: float, what: str) -> None:
+        """Fail a request whose deadline passed (``what`` it did so long)."""
+        waited_ms = (now - request.submitted_s) * 1000.0
+        self._count(n_timed_out=1)
+        request.future.try_set_exception(
+            DeadlineExceeded(
+                f"request {request.request_id} {what} {waited_ms:.1f} ms, "
+                f"past its deadline"
             )
-        self._count(n_degraded=1)
-        return None
+        )
+
+    def _note(self, batch: MicroBatch, kind: str, **data) -> None:
+        """Record one of ``batch``'s serving events (when recording)."""
+        if self.recorder is not None:
+            self.recorder.record(kind, batch_id=batch.batch_id, **data)
 
     def _fan_out(
         self,
         batch: MicroBatch,
-        answers: Dict[int, QueryResult],
-        hits: Set[int],
-        sim_ms: float,
+        report: ExecutionReport,
         quarantined: Dict[int, BaseException],
         stages: _Stages,
         batch_trace_id: Optional[str],
     ) -> None:
         gather_started = time.perf_counter()
         now = time.monotonic()
+        # Every answer, and which of them the cache served, by the qid of
+        # the distinct (canonical) query run_queries saw.
+        answers, hits = report.results, report.cache_hits
         responses: Dict[int, ServeResponse] = {}
         # request id -> (canonical qid, the request's own qid) of each of
         # its quarantined queries.
@@ -857,14 +714,7 @@ class QueryService:
                 # retried); a late result must not be delivered as if it
                 # made it — and since _run_batch may already have failed
                 # this future, resolution must not be attempted twice.
-                waited_ms = (now - request.submitted_s) * 1000.0
-                self._count(n_timed_out=1)
-                request.future.try_set_exception(
-                    DeadlineExceeded(
-                        f"request {request.request_id} answered after "
-                        f"{waited_ms:.1f} ms, past its deadline"
-                    )
-                )
+                self._time_out(request, now, "answered after")
                 continue
             self._m_hist["request_latency_ms"].observe(
                 response.latency_s * 1000.0
@@ -879,13 +729,13 @@ class QueryService:
             n_queries_planned=batch.n_distinct - len(hits),
             n_cache_hits=len(hits),
             n_duplicates_eliminated=batch.n_duplicates_eliminated,
-            sim_ms_total=sim_ms,
+            sim_ms_total=report.sim_ms,
         )
         self.stats.record_batch(batch.n_requests)
         self._m_hist["batch_requests"].observe(batch.n_requests)
         self._m_hist["batch_queries"].observe(batch.n_submitted)
         self._m_hist["batch_distinct"].observe(batch.n_distinct)
-        self._m_hist["batch_sim_ms"].observe(sim_ms)
+        self._m_hist["batch_sim_ms"].observe(report.sim_ms)
         self._m_coalesce.set(self.stats.coalesce_ratio)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

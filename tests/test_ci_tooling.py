@@ -78,7 +78,7 @@ def test_byte_dump_is_deterministic(tmp_path):
     """``.github/byte_dump.py`` — the parent-vs-change comparison of
     .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
     what it says: every registry name, derive classes, what the planner
-    decided, maintained views."""
+    decided, maintained views, recovery under one fault per site."""
     import os
     import subprocess
 
@@ -103,6 +103,16 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert any(plan["derives"]) and "materialize" in plan["explain"]
     assert len(plan["est_cost_ms"]) == len(dump["dashboard/min"]["classes"])
     assert dump["maintained/max"]["append_reports"][-1]["maintained[max]"] > 0
+    # Recovery through a served batch: retried, degraded, quarantined.
+    retried = dump["recovery/test4/storage.scan/nth1"]
+    assert retried["stats"]["n_retries"] == 1 and retried["quarantined"] == []
+    assert float.fromhex(retried["sim_clock_ms"]) == 50.0
+    degraded = dump["recovery/test4/storage.scan/persistent"]
+    assert degraded["stats"]["n_degraded"] == len(degraded["results"]) == 3
+    lost = dump["recovery/test4/storage.scan/everywhere"]
+    assert lost["quarantined"] == [0, 1, 2] and lost["results"] == []
+    assert "quarantine" in [event["kind"] for event in lost["recorder"]]
+    assert len({k.split("/")[2] for k in dump if k.startswith("recovery/")}) == 6
 
 
 def test_profile_op_names_the_greedy_loop():

@@ -155,6 +155,26 @@ class TestPersistFlow:
         assert main(["run", TestRun.MDX, "--database", store]) == 0
         assert "group(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "flipped"])
+    def test_bad_saved_database_exits_2(self, damage, tmp_path, capsys):
+        from helpers import make_tiny_db
+
+        from repro.engine.persist import save_database
+
+        store = tmp_path / "store"
+        if damage != "missing":
+            save_database(make_tiny_db(n_rows=50), store)
+            schema = store / "schema.json"
+            text = schema.read_text()
+            schema.write_text(
+                text[: len(text) // 2]
+                if damage == "truncated"
+                else text.replace('"page_size": 64', '"page_size": "64"')
+            )
+        assert main(["run", TestRun.MDX, "--database", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schema.json" in err
+
 
 class TestParser:
     def test_missing_command_exits(self):

@@ -318,8 +318,13 @@ def test_no_second_door_in_the_source():
     assert [name for name, body in text.items() if rebinding.search(body)] == []
     assert "__getattr__" not in text["engine/result_cache.py"]
     assert "execute_plan" not in text["serve/service.py"]
-    # The cache is looked up, and executed results retained, in one place
-    # (plus the service's hand-planned degrade fallback).
+    # Recovery is the door's: the service neither retries nor plans.
+    for name in (
+        "call_with_retry", "build_plan_class", "CostModel", "GlobalPlan(",
+        "InjectedFault",
+    ):
+        assert name not in text["serve/service.py"], name
+    # The cache is looked up, and executed results retained, in one place.
     def count(pattern):
         return {
             name: len(re.findall(pattern, body))
@@ -328,9 +333,7 @@ def test_no_second_door_in_the_source():
         }
 
     assert count(r"\bcache\.get\(") == {"engine/database.py": 1}
-    assert count(r"cache\.put\(") == {
-        "engine/database.py": 1, "serve/service.py": 1
-    }
+    assert count(r"cache\.put\(") == {"engine/database.py": 1}
     submitted = r"validate_global_plan\([^)]*,\s*(misses|queries)\s*\)"
     assert count(submitted) == {"engine/database.py": 1}
 

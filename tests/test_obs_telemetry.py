@@ -23,7 +23,7 @@ import pytest
 from repro.core.executor import execute_plan
 from repro.obs.export import span_from_dict, to_chrome_trace, trace_to_dict
 from repro.obs.metrics import default_registry
-from repro.obs.recorder import load_flight_dump
+from repro.obs.recorder import FlightRecorder, load_flight_dump
 from repro.obs.trace import Tracer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, ServeConfig, StageTiming, build_shards
@@ -268,3 +268,45 @@ class TestServeTelemetry:
     def test_config_rejects_negative_capacity(self):
         with pytest.raises(ValueError, match="flight_recorder"):
             ServeConfig(flight_recorder=-1)
+
+
+class TestStrictFlightDump:
+    """``load_flight_dump`` refuses anything but a dump's shape with a
+    ``ValueError`` naming the file."""
+
+    def dump(self, tmp_path):
+        recorder = FlightRecorder(4)
+        recorder.record("retry", batch_id=1, attempt=2)
+        return recorder.dump(tmp_path / "flight.json")
+
+    def test_round_trip(self, tmp_path):
+        assert load_flight_dump(self.dump(tmp_path))["entries"][0]["seq"] == 1
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[1, 2]",
+            '{"capacity": 4, "n_recorded": 1',
+            '{"capacity": "4", "n_recorded": 1, "entries": []}',
+            '{"capacity": 4, "n_recorded": true, "entries": []}',
+            '{"capacity": 4, "n_recorded": 1, "entries": {}}',
+            '{"capacity": 4, "n_recorded": 1}',
+            '{"capacity": 4, "n_recorded": 1, "entries": [7]}',
+            '{"capacity": 4, "n_recorded": 1, "entries": [{"seq": "1", "kind": "x"}]}',
+            '{"capacity": 4, "n_recorded": 1, "entries": [{"seq": 1, "kind": 2}]}',
+            '{"capacity": 4, "n_recorded": 1, "entries": [{"kind": "x"}]}',
+        ],
+    )
+    def test_bad_shapes_are_refused(self, tmp_path, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        with pytest.raises(ValueError, match="bad.json"):
+            load_flight_dump(path)
+
+    def test_truncated_and_missing(self, tmp_path):
+        path = self.dump(tmp_path)
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(ValueError, match="flight.json"):
+            load_flight_dump(path)
+        with pytest.raises(ValueError, match="absent.json"):
+            load_flight_dump(tmp_path / "absent.json")

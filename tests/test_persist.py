@@ -132,3 +132,84 @@ class TestFormat:
         assert isinstance(
             loaded.catalog.get("XY").index_for(0, 0), PositionListJoinIndex
         )
+
+
+class TestStrictLoad:
+    """Every bad saved database is a ``ValueError`` naming the bad file —
+    never a traceback from deep inside the loader (the CLI maps it to
+    exit 2)."""
+
+    @staticmethod
+    def store(tmp_path):
+        root = save_database(make_tiny_db(n_rows=60), tmp_path / "store")
+        docs = {
+            name: json.loads((root / name).read_text())
+            for name in ("schema.json", "catalog.json")
+        }
+        return root, docs
+
+    @staticmethod
+    def fields(doc, path=()):
+        """Every (path, value) of a JSON document, one list element deep."""
+        if isinstance(doc, dict):
+            for key, value in doc.items():
+                yield path + (key,), value
+                yield from TestStrictLoad.fields(value, path + (key,))
+        elif isinstance(doc, list) and doc and isinstance(doc[0], (dict, list)):
+            yield path + (0,), doc[0]
+            yield from TestStrictLoad.fields(doc[0], path + (0,))
+
+    def assert_refused(self, root, name):
+        with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+            load_database(root)
+
+    def test_missing_directory(self, tmp_path):
+        self.assert_refused(tmp_path / "nowhere", "schema.json")
+
+    @pytest.mark.parametrize("name", ["schema.json", "catalog.json"])
+    def test_truncated_document(self, tmp_path, name):
+        root, _ = self.store(tmp_path)
+        text = (root / name).read_text()
+        (root / name).write_text(text[: len(text) // 2])
+        self.assert_refused(root, name)
+
+    @pytest.mark.parametrize("name", ["schema.json", "catalog.json"])
+    def test_every_type_flipped_field(self, tmp_path, name):
+        root, docs = self.store(tmp_path)
+        flips = {bool: "yes", int: "1", str: 1, list: "x", dict: [1]}
+        paths = [(p, v) for p, v in self.fields(docs[name]) if type(v) in flips]
+        assert len(paths) > 8
+        for path, value in [((), docs[name])] + paths:
+            doc = json.loads(json.dumps(docs[name]))
+            if path:
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = flips[type(value)]
+            else:
+                doc = flips[type(doc)]
+            (root / name).write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+                load_database(root)
+        (root / name).write_text(json.dumps(docs[name]))
+        load_database(root)
+
+    def test_missing_field(self, tmp_path):
+        root, docs = self.store(tmp_path)
+        del docs["schema.json"]["buffer_pages"]
+        (root / "schema.json").write_text(json.dumps(docs["schema.json"]))
+        with pytest.raises(ValueError, match="schema.json.*buffer_pages"):
+            load_database(root)
+
+    def test_unreadable_table_file(self, tmp_path):
+        root, docs = self.store(tmp_path)
+        table = root / docs["catalog.json"]["XY"]["file"]
+        table.write_bytes(table.read_bytes()[:40])
+        self.assert_refused(root, table.name)
+
+    def test_table_file_outside_the_directory(self, tmp_path):
+        root, docs = self.store(tmp_path)
+        docs["catalog.json"]["XY"]["file"] = "../elsewhere.npz"
+        (root / "catalog.json").write_text(json.dumps(docs["catalog.json"]))
+        with pytest.raises(ValueError, match="catalog.json.*outside"):
+            load_database(root)

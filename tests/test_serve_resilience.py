@@ -15,12 +15,18 @@ from repro.check import reference_answer
 from repro.check.paranoia import first_divergence
 from repro.engine.result_cache import attach_cache
 from repro.engine.session import query_key
-from repro.faults import FaultPlan, InjectedFault, InjectionPoint
+from repro.faults import (
+    FaultPlan,
+    InjectedFault,
+    InjectionPoint,
+    PartialResultError,
+)
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.serve import (
     DeadlineExceeded,
     QueryService,
     RequestQuarantined,
+    RetryPolicy,
     ServeConfig,
     ServeFuture,
     ServeResponse,
@@ -289,3 +295,167 @@ def test_serve_cache_keeps_degraded_results():
     assert service.stats.n_degraded == 1
     assert cache.get(query) is not None
     assert query_key(query) is not None  # exercised for the import
+
+
+# -- the same recovery through the bare door ----------------------------------
+# Recovery is ``run_queries``' (docs/architecture.md §"Answering a batch",
+# step 5): the scenarios above, without a service.
+
+
+def _reference_equal(db, report, query):
+    assert first_divergence(
+        reference_answer(db, query).groups, report.results[query.qid].groups
+    ) is None
+
+
+def test_door_retries_a_transient_fault_to_success():
+    db = make_tiny_db()
+    queries = [leaf_query("a"), coarse_query("b")]
+    db.arm_faults(
+        FaultPlan([InjectionPoint(site="storage.scan", table="XY", nth=1)])
+    )
+    try:
+        report = db.run_queries(
+            queries, recovery=RetryPolicy(max_attempts=3, backoff_base_ms=10.0)
+        )
+    finally:
+        db.disarm_faults()
+    assert report.failures == []
+    assert set(report.results) == {q.qid for q in queries}
+    assert len(report.attempts) == 2 and report.attempts[0].failures
+    # Every attempt's charged cost is in the total, in attempt order.
+    assert report.sim_ms == report.attempts[0].sim_ms + report.attempts[1].sim_ms
+    for query in queries:
+        _reference_equal(db, report, query)
+
+
+def test_door_names_exactly_the_persistently_failed_queries():
+    db = make_tiny_db(materialized=("X'Y'",))
+    bad, safe = coarse_query("bad"), leaf_query("safe")
+    db.arm_faults(
+        FaultPlan([InjectionPoint(site="storage.page_read", table="X'Y'")])
+    )
+    try:
+        report = db.run_queries(
+            [bad, safe], "tplo", recovery=RetryPolicy(max_attempts=2)
+        )
+    finally:
+        db.disarm_faults()
+    assert report.failed_qids == [bad.qid]
+    assert isinstance(report.failures[0].error, InjectedFault)
+    assert [a.plan.n_queries for a in report.attempts] == [2, 1]
+    _reference_equal(db, report, safe)
+    with pytest.raises(PartialResultError):
+        report.result_for(bad)
+
+
+def test_door_degrades_to_the_reference_answer():
+    db = make_tiny_db(materialized=("X'Y'",))
+    query = coarse_query("degraded")
+    db.arm_faults(
+        FaultPlan([InjectionPoint(site="storage.page_read", table="X'Y'")])
+    )
+    try:
+        report = db.run_queries(
+            [query], recovery=RetryPolicy(max_attempts=2, degrade=True)
+        )
+    finally:
+        db.disarm_faults()
+    assert report.failures == []
+    algorithms = [a.plan.algorithm for a in report.attempts]
+    assert algorithms == ["gg", "gg", "degraded"]
+    assert report.attempts[-1].plan.classes[0].source == "XY"
+    _reference_equal(db, report, query)
+
+
+def test_door_reports_a_failed_degrade():
+    db = make_tiny_db()
+    query = leaf_query("doomed")
+    db.arm_faults(FaultPlan([InjectionPoint(site="storage.scan", table="XY")]))
+    try:
+        report = db.run_queries(
+            [query], recovery=RetryPolicy(max_attempts=2, degrade=True)
+        )
+    finally:
+        db.disarm_faults()
+    assert report.failed_qids == [query.qid]
+    assert isinstance(report.failures[0].error, InjectedFault)
+
+
+def test_door_retains_every_answer_of_a_batch_retried_to_success():
+    """Declared: the whole recovered batch is cached, not just the
+    re-asked queries (the survivor came from the first attempt)."""
+    db, cache, survivor, casualty, _ = _partial_failure_setup()
+    db.arm_faults(
+        FaultPlan([InjectionPoint(site="storage.scan", table="XY", nth=1)])
+    )
+    try:
+        report = db.run_queries(
+            [survivor, casualty], "tplo", recovery=RetryPolicy(max_attempts=2)
+        )
+    finally:
+        db.disarm_faults()
+    assert report.failures == [] and len(report.attempts) == 2
+    assert cache.get(survivor) is not None and cache.get(casualty) is not None
+
+
+def test_door_retains_nothing_when_a_query_ends_quarantined():
+    """Declared: a degraded answer is not cached when a batchmate stays
+    failed.  The view's pages always fail, so ``survivor`` degrades to the
+    base table; base scans 1 and 3 fail, so ``casualty`` loses its attempt
+    and then its degrade (scan 2 is the survivor's degrade)."""
+    db, cache, survivor, casualty, _ = _partial_failure_setup()
+    db.arm_faults(
+        FaultPlan([
+            InjectionPoint(site="storage.page_read", table="X'Y'"),
+            InjectionPoint(site="storage.scan", table="XY", nth=3),
+            InjectionPoint(site="storage.scan", table="XY", nth=1),
+        ])
+    )
+    try:
+        report = db.run_queries(
+            [survivor, casualty],
+            "tplo",
+            recovery=RetryPolicy(max_attempts=1, degrade=True),
+        )
+    finally:
+        db.disarm_faults()
+    assert [a.plan.algorithm for a in report.attempts] == [
+        "tplo", "degraded", "degraded"
+    ]
+    assert report.failed_qids == [casualty.qid]
+    _reference_equal(db, report, survivor)
+    assert len(cache) == 0
+
+
+def test_no_recovery_is_one_plain_execution():
+    db = make_tiny_db(materialized=("X'Y'",))
+    batch = [coarse_query("a"), leaf_query("b")]
+
+    def armed():
+        return FaultPlan(
+            [InjectionPoint(site="storage.scan", table="XY", nth=1)]
+        )
+
+    db.arm_faults(armed())
+    try:
+        plain = db.run_queries(batch, "tplo")
+        db.arm_faults(armed())
+        by_hand = db.execute(db.optimize(batch, "tplo"))
+    finally:
+        db.disarm_faults()
+    assert plain.attempts == [] and plain.failed_qids == [batch[1].qid]
+    assert plain.sim_ms == by_hand.sim_ms
+    assert plain.failed_qids == by_hand.failed_qids
+    assert [e.sim.as_dict() for e in plain.class_executions] == [
+        e.sim.as_dict() for e in by_hand.class_executions
+    ]
+    # A clean batch: a recovery policy that never re-runs anything returns
+    # the same report as no policy.
+    clean = db.run_queries(batch, "tplo")
+    recovered = db.run_queries(batch, "tplo", recovery=RetryPolicy())
+    assert recovered.attempts == []
+    assert recovered.sim_ms == clean.sim_ms
+    assert {q: r.groups for q, r in recovered.results.items()} == {
+        q: r.groups for q, r in clean.results.items()
+    }
