@@ -30,7 +30,13 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   replanning fails too: quarantine) — recording the served
   results, the ``ServiceStats`` counters and ``sim_ms_total``, the
   service's simulated clock, the quarantined qids and the flight
-  recorder's events.
+  recorder's events;
+* ``terms/``: on a fresh ``CostModel`` per batch, every catalog entry x
+  every query of Tests 1-7 and of the dashboard batch (per re-aggregable
+  aggregate), the ``MemberTerm`` field for field (floats as ``float.hex``)
+  and ``find_index``'s ``(index level, lookups)`` per predicate — once on
+  the database as the sweep left it, once more after ``analyze()``
+  (measured selectivities), which therefore runs last.
 
 It imports only names that exist at the parent of the PR that added it.
 """
@@ -46,6 +52,7 @@ from typing import List
 
 from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
+from repro.core.optimizer.cost import CostModel
 from repro.faults import SITES, FaultPlan, InjectionPoint
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, RequestQuarantined, ServeConfig
@@ -204,6 +211,40 @@ def recovery(db, queries) -> dict:
     return out
 
 
+def plain(value):
+    """A term field as JSON: floats as ``float.hex``, member sets sorted."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [plain(item) for item in value]
+    return getattr(value, "name", value)
+
+
+def terms(db, batches: dict, state: str) -> dict:
+    out = {}
+    for label, batch in batches.items():
+        model = CostModel.for_database(db)  # qids repeat across aggregates
+        for entry in db.catalog.entries():
+            rows = []
+            for query in batch:
+                term = model._term(entry, query)
+                row = {
+                    f.name: plain(getattr(term, f.name))
+                    for f in dataclasses.fields(term)
+                }
+                row["find_index"] = [
+                    None if found is None else [found[0].level, found[1]]
+                    for found in (
+                        model.find_index(entry, pred) for pred in query.predicates
+                    )
+                ]
+                rows.append(row)
+            out[f"terms/{state}/{label}/{entry.name}"] = rows
+    return out
+
+
 def sweep(scale: float) -> dict:
     table_module.MORSEL_ROWS = MORSEL_ROWS
     db = build_paper_database(scale=scale)
@@ -258,6 +299,13 @@ def sweep(scale: float) -> dict:
             "next": dump_report(db.run_queries(probe, "gg"), probe),
         }
     out.update(recovery(db, queries))
+    pool = sorted({q for qids in ALL_PAPER_TESTS.values() for q in qids})
+    batches = {"tests": [queries[q] for q in pool]}
+    for aggregate in REAGGREGABLE:
+        batches[f"dashboard/{aggregate.value}"] = with_aggregate(dashboard, aggregate)
+    out.update(terms(db, batches, "plain"))
+    db.analyze()
+    out.update(terms(db, batches, "analyzed"))
     return out
 
 

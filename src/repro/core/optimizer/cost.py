@@ -136,8 +136,11 @@ class CostModel:
     frequencies for analyzed tables.
 
     **Lifetime**: an instance snapshots one (catalog, statistics, rates)
-    state.  Its per-(entry, query) :class:`MemberTerm` memo is never
-    invalidated, so a model must not outlive a mutation — callers build a
+    state.  Its per-(entry, query) :class:`MemberTerm` memo and its
+    per-entry covering-index table (``_covering``: what
+    :meth:`TableEntry.covering_index` answered when the entry's first term
+    was built) are never invalidated, so a model must not outlive a
+    mutation — a new index, an append, ``analyze()`` — and callers build a
     new one per optimize run, as ``Database.optimize``, ``calibrate`` and
     recovery's degrade step (``docs/architecture.md`` §"Answering a batch") do.
     """
@@ -168,6 +171,7 @@ class CostModel:
             for dim in schema.dimensions
         ]
         self._terms: Dict[Tuple[str, int], MemberTerm] = {}
+        self._covering_tables: Dict[str, Dict[Tuple[int, int], tuple]] = {}
         # A first standalone costing counts in n_plan_costings, repeats do
         # not, so ``standalone`` keeps its results beside the terms.
         self._standalone_cache: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
@@ -214,22 +218,31 @@ class CostModel:
 
     # -- feasibility ------------------------------------------------------------
 
+    def _covering(self, entry: TableEntry) -> Dict[Tuple[int, int], tuple]:
+        """``entry``'s covering-index table, built on first use: per (dim,
+        level) at or above the stored one, :meth:`TableEntry.covering_index`
+        and the lookups it makes per predicate member (each stands for its
+        descendants at ``index.level``); levels without one are absent."""
+        table = self._covering_tables.get(entry.name)
+        if table is None:
+            table = self._covering_tables[entry.name] = {}
+            for d, sizes in enumerate(self.schema.level_sizes):
+                for level in range(entry.levels[d], len(sizes)):
+                    index = entry.covering_index(d, level)
+                    if index is not None:
+                        table[d, level] = (index, sizes[index.level] / sizes[level])
+        return table
+
     def find_index(
         self, entry: TableEntry, predicate: DimPredicate
     ) -> Optional[Tuple[object, int]]:
         """The index usable for ``predicate`` on ``entry`` and the number of
         member payloads a lookup retrieves, or None."""
-        index = entry.covering_index(predicate.dim_index, predicate.level)
-        if index is None:
+        found = self._covering(entry).get((predicate.dim_index, predicate.level))
+        if found is None:
             return None
-        n_lookups = len(predicate.member_ids)
-        if index.level != predicate.level:
-            dim = self.schema.dimensions[predicate.dim_index]
-            per_member = dim.n_members(index.level) / dim.n_members(
-                predicate.level
-            )
-            n_lookups = int(math.ceil(n_lookups * per_member))
-        return index, n_lookups
+        index, per_member = found
+        return index, int(math.ceil(len(predicate.member_ids) * per_member))
 
     def can_index(self, entry: TableEntry, query: GroupByQuery) -> bool:
         """True if an index-based plan for ``query`` on ``entry`` exists —
@@ -242,137 +255,119 @@ class CostModel:
     def _probe_dims(self, query: GroupByQuery) -> int:
         """Dimensions whose hash table each tuple probes (mirrors
         :class:`QueryPipeline`)."""
-        count = 0
-        for d, dim in enumerate(self.schema.dimensions):
-            target = query.groupby.levels[d]
-            if target != dim.all_level or query.predicate_on(d) is not None:
-                count += 1
-        return count
+        filtered = {pred.dim_index for pred in query.predicates}
+        all_levels = self.schema.all_levels()
+        return len([
+            d for d, target in enumerate(query.groupby.levels)
+            if target != all_levels[d] or d in filtered
+        ])
 
     def _bitmap_words(self, entry: TableEntry) -> int:
         return (entry.n_rows + WORD_BITS - 1) // WORD_BITS
 
     def _process_cpu_ms(
-        self, query: GroupByQuery, n_fed: float, n_pass: float
+        self, query: GroupByQuery, probe_dims: int, n_fed: float, n_pass: float
     ) -> float:
-        """CPU to feed ``n_fed`` tuples through the query's pipeline, of
-        which ``n_pass`` survive the filters."""
+        """CPU to feed ``n_fed`` tuples through the query's pipeline (each
+        probing ``probe_dims`` hash tables), of which ``n_pass`` survive
+        the filters."""
         r = self.rates
         return (
-            n_fed * self._probe_dims(query) * r.hash_probe_ms
+            n_fed * probe_dims * r.hash_probe_ms
             + n_fed * len(query.predicates) * r.predicate_eval_ms
             + n_pass * (r.tuple_copy_ms + r.agg_update_ms)
         )
 
-    def _index_side(
-        self, entry: TableEntry, query: GroupByQuery, facts: Dict, k: float
-    ) -> Dict[str, object]:
-        """The index-side fields of the query's term, ``k`` rows matching;
-        ``{}`` when infeasible.  ``facts`` maps each predicate to its
-        (selectivity, ``find_index`` result).  ``indexed_sel`` is the
-        product over *indexed* predicates only; unindexed predicates do not
-        narrow the bitmap (they run as residual filters downstream)."""
+    def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
+        """The memoized term of ``query`` on ``entry`` — the one place a
+        member's hash and filtered-index marginals are computed, in one pass
+        over the query's predicates.  A pair the entry cannot answer costs
+        nothing: it gets the shared :data:`UNANSWERABLE` constant (Roy et
+        al.'s sharability pre-filter).
+
+        The index side exists when some predicate has a usable index.
+        ``indexed_sel`` is the product over *indexed* predicates only;
+        unindexed ones run as residual filters downstream.  Materialized
+        group-bys are sorted by dimension-key order, so on a *clustered*
+        table rows matching indexed predicates on a *prefix* of the
+        dimension order cluster: each prefix predicate multiplies the
+        candidate ``region`` down by its selectivity, but splits the
+        selection into one contiguous run per selected key combination,
+        each potentially touching a partial boundary page.  The walk stops
+        at the first dimension without an indexed predicate — deeper
+        selections scatter across that dimension's runs."""
+        key = (entry.name, query.qid)
+        term = self._terms.get(key)
+        if term is not None:
+            return term
+        if not source_can_answer(entry.levels, entry.source_aggregate, query):
+            self._terms[key] = UNANSWERABLE
+            return UNANSWERABLE
+        # Per-predicate facts, aligned with ``query.predicates``, and the
+        # position of the first predicate on each dimension.
+        predicates = query.predicates
+        sels, found, first = [], [], {}
+        for i, pred in enumerate(predicates):
+            sels.append(self.predicate_selectivity(entry, pred))
+            found.append(self.find_index(entry, pred))
+            first.setdefault(pred.dim_index, i)
         r = self.rates
         n = entry.n_rows
+        selectivity = math.prod(sels, start=1.0)
+        k = n * selectivity
+        probe_dims = self._probe_dims(query)
+        hash_ms = self._process_cpu_ms(query, probe_dims, n, k)
         words = self._bitmap_words(entry)
-        io_ms = 0.0
-        cpu_ms = 0.0
+        io_ms = cpu_ms = 0.0
         indexed_sel = 1.0
         n_indexed = 0
-        for pred in query.predicates:
-            sel, found = facts[pred]
-            if found is None:
+        for sel, hit in zip(sels, found):
+            if hit is None:
                 continue
-            index, n_lookups = found
+            index, n_lookups = hit
             n_indexed += 1
             indexed_sel *= sel
             io_ms += index.pages_per_lookup(n_lookups) * r.seq_page_read_ms
             cpu_ms += n_lookups * r.index_lookup_ms
             cpu_ms += (n_lookups - 1) * words * r.bitmap_word_ms  # payload ORs
-        if n_indexed == 0:
-            return {}
-        cpu_ms += (n_indexed - 1) * words * r.bitmap_word_ms  # predicate ANDs
-        index_ms = io_ms + cpu_ms
-        fed_ms = self._process_cpu_ms(query, n_fed=n * indexed_sel, n_pass=k)
-        region, runs = self._region_and_runs(entry, query, facts)
-        return dict(
-            indexable=True,
-            filtered_ms=index_ms + n * r.bitmap_test_ms + fed_ms,
-            index_ms=index_ms,
-            fed_ms=fed_ms,
-            indexed_sel=indexed_sel,
-            region=region,
-            runs=runs,
-            separate_pages=expected_distinct(
-                max(1.0, entry.n_pages * region), n * indexed_sel
-            )
-            + max(0, runs - 1),
-        )
-
-    def _region_and_runs(
-        self, entry: TableEntry, query: GroupByQuery, facts: Dict
-    ) -> Tuple[float, int]:
-        """Page locality of an index probe on a *clustered* table.
-
-        Materialized group-bys are sorted by dimension-key order, so rows
-        matching indexed predicates on a *prefix* of the dimension order
-        cluster: each prefix predicate multiplies the candidate region down
-        by its selectivity, but also splits the selection into one
-        contiguous run per selected key combination, each potentially
-        touching a partial boundary page.  Returns ``(region fraction,
-        number of runs)``; the walk stops at the first dimension without an
-        indexed predicate — deeper selections scatter across that
-        dimension's runs and no longer shrink the region.
-        """
-        fraction = 1.0
-        runs = 1
-        for d, dim in enumerate(self.schema.dimensions):
-            pred = query.predicate_on(d)
-            if pred is None or facts[pred][1] is None:
-                break
-            fraction *= facts[pred][0]
-            # Selected key count at the table's stored level: each predicate
-            # member fans out to its descendants there.
-            per_member = dim.n_members(entry.levels[d]) / dim.n_members(
-                pred.level
-            )
-            runs *= max(1, round(len(pred.member_ids) * per_member))
-        return fraction, runs
-
-    def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
-        """The memoized term of ``query`` on ``entry`` — the one place a
-        member's hash and filtered-index marginals are computed.  A pair
-        the entry cannot answer costs nothing: it gets the shared
-        :data:`UNANSWERABLE` constant (Roy et al.'s sharability pre-filter)."""
-        key = (entry.name, query.qid)
-        term = self._terms.get(key)
-        if term is None:
-            if not source_can_answer(entry.levels, entry.source_aggregate, query):
-                self._terms[key] = UNANSWERABLE
-                return UNANSWERABLE
-            facts = {
-                pred: (
-                    self.predicate_selectivity(entry, pred),
-                    self.find_index(entry, pred),
+        side = {}
+        if n_indexed:
+            cpu_ms += (n_indexed - 1) * words * r.bitmap_word_ms  # predicate ANDs
+            region, runs = 1.0, 1
+            for d, sizes in enumerate(self.schema.level_sizes):
+                i = first.get(d)
+                if i is None or found[i] is None:
+                    break
+                region *= sels[i]
+                # Selected keys at the stored level: each predicate member
+                # fans out to its descendants there.
+                per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
+                runs *= max(1, round(len(predicates[i].member_ids) * per_member))
+            index_ms = io_ms + cpu_ms
+            fed_ms = self._process_cpu_ms(query, probe_dims, n * indexed_sel, k)
+            side = dict(
+                indexable=True,
+                filtered_ms=index_ms + n * r.bitmap_test_ms + fed_ms,
+                index_ms=index_ms,
+                fed_ms=fed_ms,
+                indexed_sel=indexed_sel,
+                region=region,
+                runs=runs,
+                separate_pages=expected_distinct(
+                    max(1.0, entry.n_pages * region), n * indexed_sel
                 )
-                for pred in query.predicates
-            }
-            selectivity = math.prod(
-                (facts[pred][0] for pred in query.predicates), start=1.0
+                + max(0, runs - 1),
             )
-            k = entry.n_rows * selectivity
-            hash_ms = self._process_cpu_ms(query, entry.n_rows, k)
-            side = self._index_side(entry, query, facts, k)
-            hash_wins = hash_ms <= side.get("filtered_ms", math.inf)
-            term = self._terms[key] = MemberTerm(
-                answerable=True,
-                selectivity=selectivity,
-                build_keys=build_keys(self.schema, entry.levels, query),
-                hash_ms=hash_ms,
-                scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
-                scan_ms=hash_ms if hash_wins else side["filtered_ms"],
-                **side,
-            )
+        hash_wins = hash_ms <= side.get("filtered_ms", math.inf)
+        term = self._terms[key] = MemberTerm(
+            answerable=True,
+            selectivity=selectivity,
+            build_keys=build_keys(self.schema, entry.levels, query),
+            hash_ms=hash_ms,
+            scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
+            scan_ms=hash_ms if hash_wins else side["filtered_ms"],
+            **side,
+        )
         return term
 
     # -- class state -------------------------------------------------------------
@@ -382,7 +377,7 @@ class CostModel:
         them: hash entries, and (when it is stored) dimension-table pages."""
         new = {key for key in keys if key not in held}
         for key in new:
-            entries += self.schema.dimensions[key[0]].n_members(key[1])
+            entries += self.schema.level_sizes[key[0]][key[1]]
             pages += self._dim_pages[key[0]]
         return new, entries, pages
 
@@ -613,14 +608,15 @@ class CostModel:
         for step in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.
+            inter = step.intermediate
             costing.cost_ms += self._process_cpu_ms(
-                step.intermediate, n_fed=n, n_pass=n
+                inter, self._probe_dims(inter), n_fed=n, n_pass=n
             )
-            m = row_safety * self.intermediate_rows(entry, step.intermediate)
+            m = row_safety * self.intermediate_rows(entry, inter)
             for query in step.queries:
                 k = m * self.query_selectivity(entry, query)
                 costing.cost_ms += self._process_cpu_ms(
-                    query, n_fed=m, n_pass=k
+                    query, self._probe_dims(query), n_fed=m, n_pass=k
                 )
                 costing.methods.append(JoinMethod.DERIVE)
         return costing

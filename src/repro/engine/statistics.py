@@ -70,7 +70,10 @@ class TableStats:
     def predicate_selectivity(
         self, schema: StarSchema, predicate: DimPredicate
     ) -> Optional[float]:
-        """Selectivity of one predicate (measured when statistics exist, else uniform)."""
+        """Measured selectivity of one predicate, or None when the
+        dimension has no column statistics (stored at ALL) or the predicate
+        is finer than the stored key; the uniform fallback is
+        :meth:`CostModel.predicate_selectivity`'s."""
         column = self.columns.get(predicate.dim_index)
         if column is None:
             return None

@@ -87,13 +87,15 @@ def build_keys(
     then one mask ``(dim, from level, level, members)`` per *predicate* (a
     dimension may carry two, see :meth:`GroupByQuery.predicate_on`).  The
     cost model prices these and EXPLAIN lists them."""
+    all_levels = schema.all_levels()
     keys = []
-    for d, dim in enumerate(schema.dimensions):
-        stored, target = source_levels[d], query.groupby.levels[d]
-        if target not in (stored, dim.all_level):
+    for d, target in enumerate(query.groupby.levels):
+        stored = source_levels[d]
+        if target != stored and target != all_levels[d]:
             keys.append((d, stored, target))
-        for pred in query.predicates_on(d):
-            keys.append((d, stored, pred.level, pred.member_ids))
+        for pred in query.predicates:
+            if pred.dim_index == d:
+                keys.append((d, stored, pred.level, pred.member_ids))
     return tuple(keys)
 
 

@@ -88,7 +88,7 @@ class DimPredicate:
     def selectivity(self, schema: StarSchema) -> float:
         """Fraction of the dimension's domain this predicate keeps, assuming
         uniform membership (the standard optimizer assumption)."""
-        n = schema.dimensions[self.dim_index].n_members(self.level)
+        n = schema.level_sizes[self.dim_index][self.level]
         return min(1.0, len(self.member_ids) / n)
 
     def describe(self, schema: StarSchema) -> str:

@@ -32,6 +32,13 @@ class StarSchema:
         self._dim_index: Dict[str, int] = {
             d.name: i for i, d in enumerate(self.dimensions)
         }
+        # A dimension's shape never changes, so its level geometry is read once.
+        #: Per dimension, the members at each level, ALL (one member) last.
+        self.level_sizes: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(d.n_members(lv) for lv in range(d.all_level + 1))
+            for d in self.dimensions
+        )
+        self._all_levels = tuple(d.all_level for d in self.dimensions)
 
     @property
     def n_dims(self) -> int:
@@ -58,7 +65,7 @@ class StarSchema:
 
     def all_levels(self) -> Tuple[int, ...]:
         """The fully aggregated group-by: every dimension at ALL."""
-        return tuple(d.all_level for d in self.dimensions)
+        return self._all_levels
 
     def check_levels(self, levels: Sequence[int]) -> Tuple[int, ...]:
         """Validate a per-dimension level vector (ALL allowed) and return it

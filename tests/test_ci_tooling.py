@@ -78,7 +78,8 @@ def test_byte_dump_is_deterministic(tmp_path):
     """``.github/byte_dump.py`` — the parent-vs-change comparison of
     .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
     what it says: every registry name, derive classes, what the planner
-    decided, maintained views, recovery under one fault per site."""
+    decided, maintained views, recovery under one fault per site, and every
+    member term with and without measured selectivities."""
     import os
     import subprocess
 
@@ -113,6 +114,25 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert lost["quarantined"] == [0, 1, 2] and lost["results"] == []
     assert "quarantine" in [event["kind"] for event in lost["recorder"]]
     assert len({k.split("/")[2] for k in dump if k.startswith("recovery/")}) == 6
+    # Member terms, every entry x query, plain and after analyze().
+    plain = dump["terms/plain/tests/ABCD"]
+    analyzed = dump["terms/analyzed/tests/ABCD"]
+    assert len(plain) == 9 and all(row["answerable"] for row in plain)
+    assert any(row["indexable"] for row in plain)
+    assert [row["find_index"] for row in plain] == [
+        row["find_index"] for row in analyzed
+    ]
+    assert any(found and found[1] > 1 for row in plain for found in row["find_index"])
+    assert any(
+        a["selectivity"] != b["selectivity"] for a, b in zip(plain, analyzed)
+    )
+    term_keys = [k for k in dump if k.startswith("terms/")]
+    assert {k.split("/")[1] for k in term_keys} == {"plain", "analyzed"}
+    assert any(
+        not row["answerable"] and row["build_keys"] == []
+        for k in term_keys for row in dump[k]
+    )
+    assert any(k.startswith("terms/plain/dashboard/min/") for k in term_keys)
 
 
 def test_profile_op_names_the_greedy_loop():

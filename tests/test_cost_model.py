@@ -20,7 +20,7 @@ from repro.core.optimizer.cost import ClassState, CostModel, left_sum
 from repro.core.optimizer.greedy import GrownClass
 from repro.core.optimizer.plans import DeriveStep, JoinMethod
 from repro.index.bitmap import WORD_BITS
-from repro.schema.lattice import build_keys, expected_distinct
+from repro.schema.lattice import build_keys, expected_distinct, source_can_answer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
 from repro.storage.iostats import IOStats
 from repro.workload import PaperConfig, build_paper_database, paper_queries
@@ -271,6 +271,71 @@ class TestBuildKeys:
                 rollups._target_maps
             ) | set(rollups._pred_masks)
         assert doubled > 50
+
+
+@pytest.fixture(scope="module", params=(False, True), ids=("uniform", "analyzed"))
+def indexed_db(request):
+    """Four views; bitmap and position-list indexes, some at the stored
+    level, some above it; measured selectivities when analyzed."""
+    db = make_tiny_db(
+        n_rows=600,
+        materialized=("X'Y", "XY'", "X'Y'", "X''Y'"),
+        index_tables=(),
+    )
+    for table, dim, level, kind in (
+        ("XY", "X", None, "bitmap"),
+        ("XY", "X", 2, "btree"),
+        ("XY", "Y", 1, "bitmap"),
+        ("X'Y", "X", 2, "btree"),
+        ("X'Y", "Y", None, "btree"),
+        ("XY'", "X", 1, "bitmap"),
+        ("X'Y'", "Y", 2, "bitmap"),
+    ):
+        db.create_bitmap_index(table, dim, level=level, kind=kind)
+    if request.param:
+        db.analyze()
+    return db
+
+
+class TestTermContract:
+    """A member term is built in one pass over the query's predicates, and
+    says exactly what the public single-fact functions say of the pair."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_term_agrees_with_the_single_facts(self, indexed_db, seed):
+        schema = indexed_db.schema
+        rng = random.Random(seed)
+        query = random_query(schema, rng, max_members=4)
+        if query.predicates and rng.random() < 0.4:
+            # A second predicate on one dimension (an axis inside a slicer).
+            d = rng.choice(query.predicates).dim_index
+            level = rng.randrange(schema.dimensions[d].n_levels)
+            members = rng.sample(
+                range(schema.dimensions[d].n_members(level)), rng.randint(1, 2)
+            )
+            extra = DimPredicate(d, level, frozenset(members))
+            query = dataclasses.replace(
+                query, predicates=query.predicates + (extra,)
+            )
+        model = CostModel.for_database(indexed_db)
+        for entry in indexed_db.catalog.entries():
+            term = model._term(entry, query)
+            found = [model.find_index(entry, p) for p in query.predicates]
+            assert [hit and hit[0] for hit in found] == [
+                entry.covering_index(p.dim_index, p.level)
+                for p in query.predicates
+            ]
+            assert term.answerable == source_can_answer(
+                entry.levels, entry.source_aggregate, query
+            )
+            if not term.answerable:
+                continue
+            assert term.selectivity == math.prod(
+                model.predicate_selectivity(entry, p) for p in query.predicates
+            )
+            assert term.build_keys == build_keys(schema, entry.levels, query)
+            assert term.indexable == any(hit is not None for hit in found)
 
 
 def full_model(db):
@@ -574,3 +639,30 @@ class TestLifetime:
         rates = db.stats.rates
         db.set_rates(rates.replace(hash_probe_ms=rates.hash_probe_ms * 3))
         assert check() != after_append
+
+    def test_optimize_sees_new_indexes_and_statistics(self):
+        """An index built, then ``analyze()``, between optimize runs: each
+        moves a selective query's estimate to what a fresh model prices.
+        The per-entry covering-index table is the model's snapshot, so
+        one built before the index never sees it."""
+        db = make_tiny_db(n_rows=400, index_tables=())
+        db.create_bitmap_index("XY", "Y")
+        query = selective_query()
+        entry = db.catalog.get("XY")
+
+        def estimate():
+            (cls,) = db.optimize([query], "gg").classes
+            costing = full_model(db).plan_class(entry, [query])
+            assert (cls.source, cls.est_cost_ms) == ("XY", costing.cost_ms)
+            return cls.est_cost_ms
+
+        held = full_model(db)
+        before = estimate()
+        assert held.find_index(entry, query.predicates[0]) is None
+        db.create_bitmap_index("XY", "X", kind="btree")
+        indexed = estimate()
+        assert indexed < before
+        assert held.find_index(entry, query.predicates[0]) is None
+        assert full_model(db).find_index(entry, query.predicates[0])[1] == 1
+        db.analyze()
+        assert estimate() != indexed
