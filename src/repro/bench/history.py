@@ -24,15 +24,14 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..calibrate.sweep import run_calibration
+from ..document import DocumentError, PathLike, field_of, load_json
 from ..engine.database import Database
 from ..workload.paper_queries import PAPER_FIGURES
 from ..workload.paper_schema import build_paper_database
 from .harness import run_figure
-
-PathLike = Union[str, Path]
 
 #: Format version of the persisted record; bump on breaking layout change.
 RECORD_VERSION = 1
@@ -50,6 +49,12 @@ DEFAULT_THRESHOLDS: Dict[str, float] = {
     "misrankings": 0.0,
     "n_classes": 0.0,
 }
+
+#: The numbers a record's rows and calibration summary carry for the gate
+#: (:func:`compare_records`) and the leaderboard to read.
+TEST_METRICS = ("sim_ms", "est_ms", "n_classes")
+FIGURE_METRICS = ("shared_ms", "separate_ms", "speedup")
+CALIBRATION_METRICS = ("q_error_p95", "q_error_max", "misrankings")
 
 
 def database_fingerprint(db: Database, scale: Optional[float] = None) -> dict:
@@ -106,86 +111,51 @@ class RunRecord:
     #: Mirrored in the fingerprint: fitted rates change simulated costs, so
     #: profiled and unprofiled records must never gate each other.
     profile: Optional[dict] = None
-    #: Retired fields (which of two since-merged execution paths ran;
-    #: coarse wall-clock totals).  Nothing sets them any more; records that
-    #: carry them still load, validate and write them back.
-    kernels: Optional[bool] = None
-    wall: Dict[str, float] = field(default_factory=dict)
     version: int = RECORD_VERSION
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "version": self.version,
             "label": self.label,
             "created_at": self.created_at,
             "fingerprint": self.fingerprint,
-            "kernels": self.kernels,
             "profile": self.profile,
-            "wall": self.wall,
             "figures": self.figures,
             "tests": self.tests,
             "calibration": self.calibration,
         }
-        if self.kernels is None:
-            del out["kernels"]
-        if not self.wall:
-            del out["wall"]
-        return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        """Build a record from parsed JSON, validating field *types*.
-
-        A committed record whose layout has drifted (a ``wall`` list, a
-        string ``total_s``, non-dict test rows, …) must fail here with a
-        :class:`ValueError` naming the bad field — not as an
-        ``AttributeError``/``TypeError`` traceback deep inside the
-        leaderboard renderer or the regression gate.
-        """
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"record must be a JSON object, got {type(data).__name__}"
-            )
-        version = data.get("version", 0)
-        if not isinstance(version, int):
-            raise ValueError(
-                f"field 'version' must be an integer, got "
-                f"{type(version).__name__}"
-            )
+    def from_dict(cls, data: object) -> "RunRecord":
+        """Build a record from parsed JSON, typing every field the gate and
+        the leaderboard read (docs/architecture.md §"Files from outside the
+        program"); unknown keys are ignored."""
+        version = field_of(data, "version", int, 0)
         if version > RECORD_VERSION:
-            raise ValueError(
+            raise DocumentError(
                 f"record version {version} is newer than supported "
                 f"({RECORD_VERSION}); refusing to mis-compare"
             )
-        record = cls(
-            label=_typed(data, "label", str, "?"),
-            created_at=_typed(data, "created_at", str, ""),
-            fingerprint=_typed(data, "fingerprint", dict, {}),
-            figures=_rows_by_name(data, "figures"),
-            tests=_rows_by_name(data, "tests"),
-            calibration=_typed(data, "calibration", dict, {}),
-            kernels=data.get("kernels"),
-            profile=data.get("profile"),
-            wall=_typed(data, "wall", dict, {}),
+        calibration = field_of(data, "calibration", dict, {})
+        for metric in CALIBRATION_METRICS:
+            field_of(calibration, metric, (float, None), None, "calibration")
+        algorithms = field_of(calibration, "algorithms", dict, {}, "calibration")
+        for name in algorithms:
+            field_of(algorithms, name, dict, where="calibration.algorithms")
+        profile = field_of(data, "profile", (dict, None), None)
+        if profile is not None:
+            for key in ("label", "digest"):
+                field_of(profile, key, str, None, "profile")
+        return cls(
+            label=field_of(data, "label", str, "?"),
+            created_at=field_of(data, "created_at", str, ""),
+            fingerprint=field_of(data, "fingerprint", dict, {}),
+            figures=_rows(data, "figures", "n_queries", int, FIGURE_METRICS),
+            tests=_rows(data, "tests", "algorithm", str, TEST_METRICS),
+            calibration=calibration,
+            profile=profile,
             version=version,
         )
-        if record.kernels is not None and not isinstance(record.kernels, bool):
-            raise ValueError(
-                f"field 'kernels' must be a boolean or null, got "
-                f"{type(record.kernels).__name__}"
-            )
-        if record.profile is not None and not isinstance(record.profile, dict):
-            raise ValueError(
-                f"field 'profile' must be an object or null, got "
-                f"{type(record.profile).__name__}"
-            )
-        for key, value in record.wall.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(
-                    f"field 'wall.{key}' must be a number, got "
-                    f"{type(value).__name__}"
-                )
-        return record
 
     def save(self, path: PathLike) -> Path:
         """Write the record as indented JSON; returns the path written."""
@@ -195,32 +165,26 @@ class RunRecord:
 
     @classmethod
     def load(cls, path: PathLike) -> "RunRecord":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def _typed(data: dict, key: str, expected: type, default):
-    """``data[key]`` when present and of ``expected`` type; the default
-    when absent; :class:`ValueError` otherwise."""
-    value = data.get(key, default)
-    if not isinstance(value, expected):
-        raise ValueError(
-            f"field {key!r} must be a {expected.__name__}, got "
-            f"{type(value).__name__}"
+        return load_json(
+            path, "benchmark record", cls.from_dict,
+            hint="record one first with `repro bench --record`",
         )
-    return value
 
 
-def _rows_by_name(data: dict, key: str) -> Dict[str, List[dict]]:
-    """Validate a ``{name: [row-dict, ...]}`` mapping (figures / tests)."""
-    section = _typed(data, key, dict, {})
-    for name, rows in section.items():
-        if not isinstance(rows, list) or not all(
-            isinstance(row, dict) for row in rows
-        ):
-            raise ValueError(
-                f"field {key!r}[{name!r}] must be a list of objects"
-            )
-    return section
+def _rows(
+    data: dict, section: str, key: str, kind: type, metrics: Sequence[str]
+) -> Dict[str, List[dict]]:
+    """A ``{name: [row, ...]}`` section (figures / tests) whose rows carry
+    ``key`` and a number or null under each of ``metrics``."""
+    rows_by_name = field_of(data, section, dict, {})
+    for name in rows_by_name:
+        rows = field_of(rows_by_name, name, [dict], where=section)
+        for index, row in enumerate(rows):
+            where = f"{section}.{name}[{index}]"
+            field_of(row, key, kind, where=where)
+            for metric in metrics:
+                field_of(row, metric, (float, None), None, where)
+    return rows_by_name
 
 
 def default_record_path(label: str, directory: Optional[PathLike] = None) -> Path:
@@ -419,7 +383,7 @@ def compare_records(
             if base is None:
                 continue
             context = f"{test}/{row['algorithm']}"
-            for metric in ("sim_ms", "est_ms", "n_classes"):
+            for metric in TEST_METRICS:
                 _gate(
                     report, thresholds, metric, context,
                     base.get(metric), row.get(metric),
@@ -438,7 +402,7 @@ def compare_records(
                     report, thresholds, metric, context,
                     base.get(metric), row.get(metric),
                 )
-    for metric in ("q_error_p95", "q_error_max", "misrankings"):
+    for metric in CALIBRATION_METRICS:
         _gate(
             report, thresholds, metric, "calibration",
             baseline.calibration.get(metric),

@@ -18,27 +18,16 @@ from typing import List, Optional, Sequence, Tuple
 from .history import PathLike, RunRecord
 from .reporting import format_markdown_table
 
+
 def load_records(
     directory: Optional[PathLike] = None,
 ) -> List[Tuple[Path, RunRecord]]:
     """Every ``BENCH_*.json`` in ``directory`` (default: current dir),
-    sorted by label; unreadable files raise — a committed record that no
-    longer parses is a repo bug, not something to skip silently.
-
-    A corrupt or schema-drifted file raises :class:`ValueError` naming
-    *that file* and the parse/validation failure, so the CLI can surface
-    it as a usage error (exit 2) instead of a traceback.
-    """
+    sorted by label.  A file that does not load raises (docs/architecture.md
+    §"Files from outside the program") — a committed record that no longer
+    parses is a repo bug, not something to skip silently."""
     base = Path(directory) if directory is not None else Path.cwd()
-    out: List[Tuple[Path, RunRecord]] = []
-    for path in sorted(base.glob("BENCH_*.json")):
-        try:
-            out.append((path, RunRecord.load(path)))
-        except (ValueError, OSError) as exc:
-            # json.JSONDecodeError subclasses ValueError; re-raise either
-            # way with the offending file named.
-            raise ValueError(f"{path.name}: {exc}") from exc
-    return out
+    return [(path, RunRecord.load(path)) for path in sorted(base.glob("BENCH_*.json"))]
 
 
 def _algo_sim_total(
@@ -50,10 +39,7 @@ def _algo_sim_total(
     seen = False
     for rows in record.tests.values():
         for row in rows:
-            if (
-                row.get("algorithm") == algorithm
-                and row.get("sim_ms") is not None
-            ):
+            if row["algorithm"] == algorithm and row.get("sim_ms") is not None:
                 total += row["sim_ms"]
                 seen = True
     return round(total, 3) if seen else None
@@ -95,13 +81,9 @@ def render_plan_quality(
     """
     rows: List[tuple] = []
     for path, record in sorted(records, key=lambda item: str(item[0])):
-        algos = record.calibration.get("algorithms")
-        if not isinstance(algos, dict) or not algos:
-            continue
+        algos = record.calibration.get("algorithms", {})
         for name in sorted(algos):
             row = algos[name]
-            if not isinstance(row, dict):
-                continue
             rows.append(
                 (
                     Path(path).name,

@@ -3,18 +3,14 @@
 A :class:`CalibrationProfile` is the persisted output of ``repro calibrate
 --fit``: the fitted :class:`~repro.storage.iostats.CostRates`, the base
 rates and per-field multipliers they came from, the fit configuration, and
-the before/after sweep summaries that justify shipping it.  The file
-contract mirrors the committed ``BENCH_*.json`` records (PR 7):
+the before/after sweep summaries that justify shipping it.
 
-* JSON is written canonically (sorted keys, two-space indent, trailing
-  newline), so ``load`` followed by ``save`` is **byte-identical** — a
-  committed profile never churns in diffs, and the round-trip is gated by
-  ``tests/test_calibrate_smoke.py``.
-* A corrupt, schema-drifted, or missing file raises :class:`ValueError`
-  naming *that file* and the failure, which the CLI surfaces as a usage
-  error (exit 2) instead of a traceback.
-* A profile written by a newer format version is rejected rather than
-  half-read.
+JSON is written canonically (sorted keys, two-space indent, trailing
+newline), so ``load`` followed by ``save`` is **byte-identical** — a
+committed profile never churns in diffs, and the round-trip is gated by
+``tests/test_calibrate_smoke.py``.  Loading follows docs/architecture.md
+§"Files from outside the program"; a profile of a newer format version is
+rejected rather than half-read.
 """
 
 from __future__ import annotations
@@ -23,12 +19,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
+from ..document import DocumentError, PathLike, field_of, load_json
 from ..storage.iostats import CostRates
 from .observations import RATE_FIELDS
-
-PathLike = Union[str, Path]
 
 #: Format version of the persisted profile; bump on breaking layout change.
 PROFILE_VERSION = 1
@@ -36,20 +31,6 @@ PROFILE_VERSION = 1
 #: Self-identification tag, so a profile handed a BENCH record (or vice
 #: versa) fails loudly instead of half-parsing.
 PROFILE_KIND = "repro-calibration-profile"
-
-
-def rates_to_dict(rates: CostRates) -> Dict[str, float]:
-    """``CostRates`` as a plain field->value dict, in declaration order."""
-    return rates.as_dict()
-
-
-def rates_from_dict(data: object, context: str) -> CostRates:
-    """Parse a rates dict strictly (see :meth:`CostRates.from_mapping`),
-    naming ``context`` in error messages."""
-    try:
-        return CostRates.from_mapping(data)
-    except ValueError as exc:
-        raise ValueError(f"field {context!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,7 +67,7 @@ class CalibrationProfile:
         """Short content hash of the fitted rates — the part of the profile
         that changes behaviour.  Two profiles with identical rates are
         interchangeable for fingerprinting, whatever their provenance."""
-        canonical = json.dumps(rates_to_dict(self.rates), sort_keys=True)
+        canonical = json.dumps(self.rates.as_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def identity(self) -> Dict[str, str]:
@@ -111,8 +92,8 @@ class CalibrationProfile:
                 "iterations": self.iterations,
                 "n_observations": self.n_observations,
             },
-            "base_rates": rates_to_dict(self.base_rates),
-            "rates": rates_to_dict(self.rates),
+            "base_rates": self.base_rates.as_dict(),
+            "rates": self.rates.as_dict(),
             "multipliers": {
                 f: self.multipliers.get(f, 1.0) for f in RATE_FIELDS
             },
@@ -122,72 +103,47 @@ class CalibrationProfile:
 
     @classmethod
     def from_dict(cls, data: object) -> "CalibrationProfile":
-        """Parse and validate a profile dict; :class:`ValueError` on drift."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"profile must be a JSON object, got {type(data).__name__}"
-            )
-        kind = data.get("kind")
+        """Parse and type a profile dict (docs/architecture.md §"Files from
+        outside the program"); :class:`DocumentError` on drift."""
+        kind = field_of(data, "kind", (str, None), None)
         if kind != PROFILE_KIND:
-            raise ValueError(
+            raise DocumentError(
                 f"not a calibration profile (kind={kind!r}, expected "
                 f"{PROFILE_KIND!r})"
             )
-        version = data.get("version")
-        if not isinstance(version, int) or isinstance(version, bool):
-            raise ValueError(
-                f"field 'version' must be an integer, got "
-                f"{type(version).__name__}"
-            )
+        version = field_of(data, "version", int)
         if version > PROFILE_VERSION:
-            raise ValueError(
+            raise DocumentError(
                 f"profile version {version} is newer than supported "
                 f"({PROFILE_VERSION}); refusing to mis-apply"
             )
-        fit = data.get("fit", {})
-        if not isinstance(fit, dict):
-            raise ValueError(
-                f"field 'fit' must be an object, got {type(fit).__name__}"
-            )
-        scale = data.get("scale")
-        if scale is not None and (
-            isinstance(scale, bool) or not isinstance(scale, (int, float))
-        ):
-            raise ValueError(
-                f"field 'scale' must be a number or null, got "
-                f"{type(scale).__name__}"
-            )
-        multipliers = data.get("multipliers", {})
-        if not isinstance(multipliers, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in multipliers.values()
-        ):
-            raise ValueError("field 'multipliers' must map fields to numbers")
-        bounds = fit.get("bounds", [0.0, 0.0])
-        if (
-            not isinstance(bounds, list)
-            or len(bounds) != 2
-            or not all(isinstance(b, (int, float)) for b in bounds)
-        ):
-            raise ValueError("field 'fit.bounds' must be a two-number list")
+        fit = field_of(data, "fit", dict, {})
+        bounds = field_of(fit, "bounds", [float], [0.0, 0.0], "fit")
+        if len(bounds) != 2:
+            raise DocumentError("field 'fit.bounds' must be a two-number list")
+        scale = field_of(data, "scale", (float, None), None)
+        multipliers = field_of(data, "multipliers", dict, {})
         return cls(
-            rates=rates_from_dict(data.get("rates"), "rates"),
-            base_rates=rates_from_dict(data.get("base_rates"), "base_rates"),
-            multipliers={str(k): float(v) for k, v in multipliers.items()},
-            label=_typed_str(data, "label", "paper"),
-            created_at=_typed_str(data, "created_at", ""),
-            scale=float(scale) if scale is not None else None,
-            tests=_str_tuple(data, "tests"),
-            algorithms=_str_tuple(data, "algorithms"),
-            fit_fields=_str_tuple(fit, "fields"),
-            ridge=_typed_number(fit, "fit.ridge", "ridge", 0.0),
-            bounds=(float(bounds[0]), float(bounds[1])),
-            iterations=int(_typed_number(fit, "fit.iterations", "iterations", 0)),
-            n_observations=int(
-                _typed_number(fit, "fit.n_observations", "n_observations", 0)
+            rates=CostRates.from_mapping(field_of(data, "rates", dict)),
+            base_rates=CostRates.from_mapping(
+                field_of(data, "base_rates", dict), "base_rates"
             ),
-            before=_typed_dict(data, "before"),
-            after=_typed_dict(data, "after"),
+            multipliers={
+                name: float(field_of(multipliers, name, float, where="multipliers"))
+                for name in multipliers
+            },
+            label=field_of(data, "label", str, "paper"),
+            created_at=field_of(data, "created_at", str, ""),
+            scale=float(scale) if scale is not None else None,
+            tests=tuple(field_of(data, "tests", [str], [])),
+            algorithms=tuple(field_of(data, "algorithms", [str], [])),
+            fit_fields=tuple(field_of(fit, "fields", [str], [], "fit")),
+            ridge=float(field_of(fit, "ridge", float, 0.0, "fit")),
+            bounds=(float(bounds[0]), float(bounds[1])),
+            iterations=field_of(fit, "iterations", int, 0, "fit"),
+            n_observations=field_of(fit, "n_observations", int, 0, "fit"),
+            before=field_of(data, "before", dict, {}),
+            after=field_of(data, "after", dict, {}),
             version=version,
         )
 
@@ -201,65 +157,9 @@ class CalibrationProfile:
 
     @classmethod
     def load(cls, path: PathLike) -> "CalibrationProfile":
-        """Load and validate a profile file.
-
-        Every failure mode — missing file, unreadable JSON, drifted or
-        version-mismatched layout — raises :class:`ValueError` naming the
-        file, so callers need exactly one except clause.
-        """
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise ValueError(
-                f"no calibration profile at {path}; write one with "
-                f"`repro calibrate --fit --profile {path}`"
-            ) from None
-        except OSError as exc:
-            raise ValueError(f"unreadable calibration profile {path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ValueError(
-                f"calibration profile {path} is not valid JSON: {exc}"
-            ) from exc
-        try:
-            return cls.from_dict(data)
-        except ValueError as exc:
-            raise ValueError(f"calibration profile {path}: {exc}") from exc
-
-
-def _typed_str(data: dict, key: str, default: str) -> str:
-    value = data.get(key, default)
-    if not isinstance(value, str):
-        raise ValueError(
-            f"field {key!r} must be a string, got {type(value).__name__}"
+        """Load and type a profile file; every failure is a
+        :class:`DocumentError` naming the file."""
+        return load_json(
+            path, "calibration profile", cls.from_dict,
+            hint=f"write one with `repro calibrate --fit --profile {path}`",
         )
-    return value
-
-
-def _typed_number(data: dict, label: str, key: str, default: float) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"field {label!r} must be a number, got {type(value).__name__}"
-        )
-    return float(value)
-
-
-def _typed_dict(data: dict, key: str) -> Dict[str, object]:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ValueError(
-            f"field {key!r} must be an object, got {type(value).__name__}"
-        )
-    return value
-
-
-def _str_tuple(data: dict, key: str) -> Tuple[str, ...]:
-    value = data.get(key, [])
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise ValueError(f"field {key!r} must be a list of strings")
-    return tuple(value)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .bench.harness import (
@@ -31,7 +32,9 @@ from .bench.harness import (
     run_figure,
 )
 from .bench.reporting import format_table
+from .calibrate.profile import CalibrationProfile
 from .core.explain import explain_plan
+from .document import DocumentError, read_text
 from .engine.view_selection import greedy_select_views, materialize_selection
 from .mdx import translate_mdx
 from .workload.paper_queries import (
@@ -69,38 +72,24 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_profile(path: str):
-    """Load a calibration profile or die with a usage error naming it."""
-    from .calibrate.profile import CalibrationProfile
-
-    try:
-        return CalibrationProfile.load(path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _build_db(args: argparse.Namespace):
     """The database per the common flags: the paper's at ``--scale`` (or,
     for ``run``, the one saved under ``--database``), under ``--profile``."""
     if getattr(args, "database", None):
         from .engine.persist import load_database
 
-        try:
-            db = load_database(args.database)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        db = load_database(args.database)
     else:
         db = build_paper_database(scale=args.scale)
-    if getattr(args, "profile", None):
-        db.apply_profile(_load_profile(args.profile))
+    if args.profile:
+        db.apply_profile(CalibrationProfile.load(args.profile))
     return db
 
 
 def _read_mdx(args: argparse.Namespace) -> str:
     """The MDX text of ``run`` / ``explain``: ``--file`` or the positional."""
     if args.file:
-        with open(args.file) as handle:
-            return handle.read()
+        return read_text(args.file, "MDX file")
     if args.mdx:
         return args.mdx
     raise CliError("provide MDX text or --file")
@@ -584,13 +573,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if not args.simulate:
         raise CliError("pass --simulate (the only serve mode available)")
-    if args.clients <= 0 or args.requests <= 0:
-        raise CliError("--clients and --requests must be positive")
-    if args.flight_recorder and args.recorder_size == 0:
-        raise CliError(
-            "--flight-recorder needs a nonzero --recorder-size "
-            "(0 disables recording)"
-        )
     fault_plan = None
     if args.faults:
         from .faults import parse_fault_plan
@@ -602,8 +584,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         serve = ServeConfig(
             window_ms=args.window,
-            # The whole pre-loaded burst may ride one batch.
-            max_batch_requests=args.clients * args.requests,
+            # The whole pre-loaded burst may ride one batch; an empty
+            # burst is SimulationConfig's to reject, naming the flag.
+            max_batch_requests=max(1, args.clients * args.requests),
             n_workers=args.workers,
             algorithm=args.algorithm,
             max_attempts=args.retries,
@@ -613,6 +596,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shard_dim=args.shard_dim,
             flight_recorder=args.recorder_size,
             flight_recorder_path=args.flight_recorder,
+        )
+        config = SimulationConfig(
+            n_clients=args.clients,
+            requests_per_client=args.requests,
+            seed=args.seed,
+            overlap=args.overlap,
+            preload=not args.arrivals,
+            verify=not args.no_verify,
+            faults=fault_plan,
+            serve=serve,
         )
     except ValueError as exc:
         raise CliError(f"bad serve configuration: {exc}") from exc
@@ -626,16 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.cache:
         attach_cache(db)
-    config = SimulationConfig(
-        n_clients=args.clients,
-        requests_per_client=args.requests,
-        seed=args.seed,
-        overlap=args.overlap,
-        preload=not args.arrivals,
-        verify=not args.no_verify,
-        faults=fault_plan,
-        serve=serve,
-    )
     print(
         f"simulating {config.n_clients} client(s) x "
         f"{config.requests_per_client} request(s), window "
@@ -687,13 +670,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     from .obs.metrics import default_registry
 
-    if args.test not in ALL_PAPER_TESTS:
-        raise CliError(
-            f"unknown test {args.test!r}; choose from {list(ALL_PAPER_TESTS)}"
-        )
+    names = _parse_tests(args.test)
+    if len(names) != 1:
+        raise CliError(f"--test takes one paper test (got {args.test!r})")
     db = _build_db(args)
     qs = paper_queries(db.schema)
-    queries = [qs[i] for i in ALL_PAPER_TESTS[args.test]]
+    queries = [qs[i] for i in ALL_PAPER_TESTS[names[0]]]
     plan = db.optimize(queries, args.algorithm)
     db.execute(plan)
 
@@ -723,8 +705,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             )
             return 1
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text(text)
         print(
             f"{len(flat)} metric(s) ({args.format}) -> {args.output}"
@@ -779,20 +759,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "--leaderboard renders committed records and cannot be "
                 "combined with --record/--compare"
             )
-        try:
-            records = load_records(args.dir)
-        except ValueError as exc:  # includes json.JSONDecodeError
-            raise CliError(f"unreadable benchmark record: {exc}") from exc
+        records = load_records(args.dir)
         if not records:
-            where = args.dir or "."
             raise CliError(
-                f"no BENCH_*.json records in {where}; record one first "
-                f"with `repro bench --record`"
+                f"no BENCH_*.json records in {args.dir or '.'}; record one "
+                f"first with `repro bench --record`"
             )
         table = render_leaderboard(records)
         if args.output:
-            from pathlib import Path
-
             Path(args.output).write_text(table + "\n")
             print(f"leaderboard ({len(records)} record(s)) -> {args.output}")
         else:
@@ -801,29 +775,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not args.record and not args.compare:
         raise CliError("pass --record, --compare, and/or --leaderboard")
     default_path = default_record_path(args.label)
-    baseline = None
-    if args.compare:
-        # Load before --record overwrites the default path, so a combined
-        # --record --compare gates against the *previous* record.
-        baseline_path = args.baseline or default_path
-        try:
-            baseline = RunRecord.load(baseline_path)
-        except FileNotFoundError:
-            raise CliError(
-                f"no baseline at {baseline_path}; record one first "
-                f"with `repro bench --record`"
-            ) from None
-        except ValueError as exc:  # includes json.JSONDecodeError
-            raise CliError(
-                f"baseline {baseline_path} is not a readable benchmark "
-                f"record: {exc}"
-            ) from exc
+    baseline_path = args.baseline or default_path
+    # Load before --record overwrites the default path, so a combined
+    # --record --compare gates against the *previous* record.
+    baseline = RunRecord.load(baseline_path) if args.compare else None
     latest = record_run(
         label=args.label,
         scale=args.scale,
         tests=_parse_tests(args.tests),
         figures=not args.no_figures,
-        profile=_load_profile(args.profile) if args.profile else None,
+        profile=CalibrationProfile.load(args.profile) if args.profile else None,
     )
     if args.record:
         path = args.output or default_path
@@ -899,11 +860,11 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code (0 success, 1 failed
-    check, 2 usage error)."""
+    check, 2 usage error — a bad flag, or a file that does not load)."""
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..document import DocumentError, field_of, load_json
 from ..schema.dimension import Dimension
 from ..schema.star import StarSchema
 from ..storage.iostats import CostRates
@@ -91,71 +92,59 @@ def save_database(db: Database, directory: str | Path) -> Path:
     return root
 
 
-def _typed(doc: dict, **fields) -> dict:
-    """``doc``, its ``fields`` checked to have exactly those types (so a
-    bool is no int; a tuple lists the choices)."""
-    for key, kind in fields.items():
-        if type(doc[key]) not in (kind if isinstance(kind, tuple) else (kind,)):
-            raise ValueError(f"field {key!r} is a {type(doc[key]).__name__}")
-    return doc
-
-
 def load_database(
     directory: str | Path, rates: CostRates | None = None
 ) -> Database:
     """Reconstruct a database saved by :func:`save_database`.
 
     Join indexes are rebuilt from the declared metadata; statistics are not
-    restored (re-run :meth:`Database.analyze` if needed).  Bad input — a
-    missing or unreadable file, invalid JSON, a missing or wrong-typed field,
-    an unsupported version, a table file outside ``directory`` — raises
-    :class:`ValueError` naming the file."""
+    restored (re-run :meth:`Database.analyze` if needed).  Bad input follows
+    docs/architecture.md §"Files from outside the program": a
+    :class:`~repro.document.DocumentError` naming the file, also for an
+    unsupported version or a table file outside ``directory``."""
     root = Path(directory)
+    hint = "save one with `repro info --save DIR`"
     where = root / "schema.json"
+    schema_doc = load_json(where, "saved database", hint=hint)
+    catalog_doc = load_json(root / "catalog.json", "saved database", hint=hint)
     try:
-        schema_doc = _typed(
-            json.loads(where.read_text()), version=int, name=str, measure=str,
-            page_size=int, buffer_pages=int, dimensions=list,
-        )
-        if schema_doc["version"] != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported format version {schema_doc['version']!r}"
-            )
+        version = field_of(schema_doc, "version", int)
+        if version != FORMAT_VERSION:
+            raise DocumentError(f"unsupported format version {version!r}")
         dimensions: List[Dimension] = []
-        for doc in schema_doc["dimensions"]:
-            _typed(doc, name=str, level_names=list, parents=list, member_names=list)
-            dimensions.append(
-                Dimension(
-                    name=doc["name"],
-                    level_names=doc["level_names"],
-                    parents=[np.asarray(p, dtype=np.int64) for p in doc["parents"]],
-                    member_names=doc["member_names"],
-                )
-            )
+        for index, doc in enumerate(field_of(schema_doc, "dimensions", [dict])):
+            at = f"dimensions[{index}]"
+            dimensions.append(Dimension(
+                field_of(doc, "name", str, where=at),
+                field_of(doc, "level_names", [str], where=at),
+                field_of(doc, "parents", [[int]], where=at),
+                field_of(doc, "member_names", [[str]], where=at),
+            ))
         schema = StarSchema(
-            schema_doc["name"], dimensions, measure=schema_doc["measure"]
+            field_of(schema_doc, "name", str),
+            dimensions,
+            measure=field_of(schema_doc, "measure", str),
         )
         db = Database(
             schema,
-            page_size=schema_doc["page_size"],
-            buffer_pages=schema_doc["buffer_pages"],
+            page_size=field_of(schema_doc, "page_size", int),
+            buffer_pages=field_of(schema_doc, "buffer_pages", int),
             rates=rates,
         )
         where = catalog_path = root / "catalog.json"
-        catalog_doc = json.loads(where.read_text())
-        # Base tables load first: register order is stable, derivations hold.
-        ordered = sorted(
-            catalog_doc.items(),
-            key=lambda item: (item[1]["source_aggregate"] is not None, item[0]),
-        )
         from ..storage.table import HeapTable
 
-        for name, doc in ordered:
-            _typed(doc, file=str, levels=list, clustered=bool,
-                   source_aggregate=(str, type(None)), indexes=list)
-            if root.resolve() not in (root / doc["file"]).resolve().parents:
-                raise ValueError(f"table {name!r}'s file is outside {root}")
-            where = root / doc["file"]
+        sources = {
+            name: field_of(doc, "source_aggregate", (str, None), where=name)
+            for name, doc in catalog_doc.items()
+        }
+        # Base tables load first: register order is stable, derivations hold.
+        for name in sorted(sources, key=lambda n: (sources[n] is not None, n)):
+            doc = catalog_doc[name]
+            file = field_of(doc, "file", str, where=name)
+            if root.resolve() not in (root / file).resolve().parents:
+                raise DocumentError(f"table {name!r}'s file is outside {root}")
+            where = root / file
             with np.load(where) as arrays:
                 keys = [arrays[f"key{d}"] for d in range(schema.n_dims)]
                 measures = arrays["measure"]
@@ -166,24 +155,21 @@ def load_database(
             where = catalog_path
             entry = db.catalog.register(
                 table,
-                tuple(doc["levels"]),
-                clustered=doc["clustered"],
-                source_aggregate=doc["source_aggregate"],
+                tuple(field_of(doc, "levels", [int], where=name)),
+                clustered=field_of(doc, "clustered", bool, where=name),
+                source_aggregate=sources[name],
             )
-            for index_doc in doc["indexes"]:
-                _typed(index_doc, dim_index=int, level=int, kind=str)
-                kind = (
-                    "btree"
-                    if index_doc["kind"] == "PositionListJoinIndex"
-                    else "bitmap"
-                )
+            indexes = field_of(doc, "indexes", [dict], where=name)
+            for index, index_doc in enumerate(indexes):
+                at = f"{name}.indexes[{index}]"
+                dim_index = field_of(index_doc, "dim_index", int, where=at)
+                kind = field_of(index_doc, "kind", str, where=at)
                 db.create_bitmap_index(
                     entry.name,
-                    schema.dimensions[index_doc["dim_index"]].name,
-                    level=index_doc["level"],
-                    kind=kind,
+                    schema.dimensions[dim_index].name,
+                    level=field_of(index_doc, "level", int, where=at),
+                    kind="btree" if kind == "PositionListJoinIndex" else "bitmap",
                 )
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    except (OSError, ValueError, LookupError, EOFError, zipfile.BadZipFile) as exc:
+        raise DocumentError(f"saved database {where}: {exc}") from exc
     return db

@@ -25,10 +25,9 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..document import PathLike, field_of, load_json
 from .export import trace_to_dict
 from .trace import Span
-
-PathLike = Union[str, Path]
 
 #: Default number of entries retained.
 DEFAULT_CAPACITY = 32
@@ -134,18 +133,20 @@ class FlightRecorder:
 
 
 def load_flight_dump(path: PathLike) -> Dict[str, Any]:
-    """Read a :meth:`FlightRecorder.dump` file back into its dict form; a
-    missing, unreadable or non-JSON file, or any shape but int ``capacity``
-    and ``n_recorded`` beside ``entries`` with an int ``seq`` and a str
-    ``kind`` each, raises :class:`ValueError` naming the file."""
-    try:
-        dump = json.loads(Path(path).read_text())
-        shape = [type(dump[key]) for key in ("capacity", "n_recorded", "entries")]
-        if shape != [int, int, list]:
-            raise TypeError("want int 'capacity' / 'n_recorded', list 'entries'")
-        for entry in dump["entries"]:
-            if (type(entry["seq"]), type(entry["kind"])) != (int, str):
-                raise TypeError(f"entry {entry!r:.60} needs int 'seq', str 'kind'")
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise ValueError(f"flight dump {path}: {exc}") from exc
+    """Read a :meth:`FlightRecorder.dump` file back into its dict form:
+    int ``capacity`` and ``n_recorded`` beside ``entries`` with an int
+    ``seq`` and a str ``kind`` each (docs/architecture.md §"Files from
+    outside the program")."""
+    return load_json(
+        path, "flight dump", _checked_dump,
+        hint="write one with `repro serve --simulate --flight-recorder FILE`",
+    )
+
+
+def _checked_dump(dump: Dict[str, Any]) -> Dict[str, Any]:
+    field_of(dump, "capacity", int)
+    field_of(dump, "n_recorded", int)
+    for index, entry in enumerate(field_of(dump, "entries", [dict])):
+        field_of(entry, "seq", int, where=f"entries[{index}]")
+        field_of(entry, "kind", str, where=f"entries[{index}]")
     return dump

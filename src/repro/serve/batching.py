@@ -85,6 +85,8 @@ class ServeConfig:
                 f"flight_recorder capacity must be >= 0 "
                 f"(got {self.flight_recorder})"
             )
+        if self.flight_recorder_path and not self.flight_recorder:
+            raise ValueError("flight_recorder_path needs a flight_recorder > 0")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1 (got {self.shards})")
         if self.shards > 1 and not self.cold:

@@ -63,6 +63,15 @@ class SimulationConfig:
     #: the burst, so the whole pre-loaded load may ride one batch.
     serve: Optional[ServeConfig] = None
 
+    def __post_init__(self) -> None:
+        for name in ("n_clients", "requests_per_client"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive (got {getattr(self, name)})"
+                )
+        if not 0.0 <= self.overlap <= 1.0:
+            raise ValueError(f"overlap must be in [0, 1] (got {self.overlap})")
+
 
 @dataclass
 class SimulationReport:

@@ -21,8 +21,11 @@ Rates are configurable so benchmarks can explore other hardware regimes.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field, fields
+
+from ..document import DocumentError, field_of
 
 
 @dataclass(frozen=True)
@@ -61,35 +64,29 @@ class CostRates:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_mapping(cls, data: object) -> "CostRates":
+    def from_mapping(cls, data: object, where: str = "rates") -> "CostRates":
         """Parse a rates mapping **strictly**: every field present, no
         unknown fields, every value a finite number.  Raises
-        :class:`ValueError` describing the first problem — a drifted
-        calibration profile must fail loudly, not half-apply.
+        :class:`~repro.document.DocumentError` naming the field under
+        ``where`` — a drifted calibration profile must fail loudly, not
+        half-apply.
         """
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"rates must be an object, got {type(data).__name__}"
+        if type(data) is not dict:
+            raise DocumentError(
+                f"field {where!r} must be an object, got {type(data).__name__}"
             )
         names = [f.name for f in fields(cls)]
         missing = [n for n in names if n not in data]
         if missing:
-            raise ValueError(f"missing rate(s) {missing}")
+            raise DocumentError(f"field {where!r} is missing rate(s) {missing}")
         extra = [k for k in data if k not in names]
         if extra:
-            raise ValueError(f"unknown rate(s) {extra}")
+            raise DocumentError(f"field {where!r} has unknown rate(s) {extra}")
         values = {}
         for name in names:
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"rate {name!r} must be a number, got "
-                    f"{type(value).__name__}"
-                )
-            value = float(value)
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ValueError(f"rate {name!r} must be finite")
-            values[name] = value
+            values[name] = float(field_of(data, name, float, where=where))
+            if not math.isfinite(values[name]):
+                raise DocumentError(f"field '{where}.{name}' must be finite")
         return cls(**values)
 
 

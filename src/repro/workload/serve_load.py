@@ -69,14 +69,6 @@ def client_scripts(
     requests stay semantically identical — exactly what the scheduler's
     deduplication keys on.
     """
-    if n_clients <= 0:
-        raise ValueError(f"n_clients must be positive (got {n_clients})")
-    if requests_per_client <= 0:
-        raise ValueError(
-            f"requests_per_client must be positive (got {requests_per_client})"
-        )
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1] (got {overlap})")
     rng = random.Random(seed)
     pool = expression_pool(schema, rng, max(1, pool_size))
     scripts: List[ClientScript] = []

@@ -159,42 +159,33 @@ class TestCompareRecords:
 
 
 class TestKernelsAndWallFields:
-    def test_round_trip(self, tmp_path):
-        record = make_record()
-        record.kernels = False
-        record.wall = {"calibration_s": 1.25, "total_s": 2.5}
-        path = tmp_path / "BENCH_k.json"
-        record.save(path)
-        loaded = RunRecord.load(path)
-        assert loaded.kernels is False
-        assert loaded.wall == {"calibration_s": 1.25, "total_s": 2.5}
+    """Retired: nothing reads or writes ``kernels`` (which of two
+    since-merged execution paths ran) or ``wall`` (coarse wall-clock
+    totals)."""
 
     def test_pre_kernels_records_still_load(self):
-        """Records without the retired kernels/wall fields — the ones
-        written before they existed, and every one written today."""
+        """Every record written today lacks them."""
         doc = make_record().to_dict()
         assert "kernels" not in doc and "wall" not in doc
-        loaded = RunRecord.from_dict(doc)
-        assert loaded.kernels is None
-        assert loaded.wall == {}
+        assert RunRecord.from_dict(doc).to_dict() == doc
 
     def test_kernels_flag_never_gates(self):
-        """The historical field is not part of a run's identity: old
-        per-tuple records keep gating against today's."""
-        from repro.bench.history import database_fingerprint
-
-        from helpers import make_tiny_db
-
-        assert "kernels" not in database_fingerprint(make_tiny_db(n_rows=20))
+        """A record that still carries them, whatever their values, loads
+        without them and gates like any other."""
+        doc = make_record().to_dict()
+        doc.update(kernels="yes", wall={"total_s": "3.5"})
+        old = RunRecord.from_dict(doc)
+        assert old.to_dict() == make_record().to_dict()
+        assert compare_records(make_record(), old).passed
+        (reg,) = compare_records(make_record(sim=130.0), old).regressions
+        assert reg.metric == "sim_ms"
 
 
 class TestLeaderboard:
     def make_pair(self, tmp_path):
         from repro.bench.leaderboard import load_records
 
-        old = make_record()  # carries the retired fields
-        old.kernels = False
-        old.wall = {"total_s": 1.0}
+        old = make_record()
         old.figures["fig10"][0]["speedup"] = 1.6
         old.save(tmp_path / "BENCH_seed.json")
         new = make_record()
@@ -257,11 +248,11 @@ class TestLeaderboard:
         from repro.bench.leaderboard import load_records
 
         doc = make_record().to_dict()
-        doc["wall"] = ["not", "a", "dict"]
+        doc["tests"]["test4"][0]["sim_ms"] = "100.0"
         (tmp_path / "BENCH_drift.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="BENCH_drift.json") as info:
             load_records(tmp_path)
-        assert "wall" in str(info.value)
+        assert "tests.test4[0].sim_ms" in str(info.value)
 
 
 class TestRecordTypeValidation:
@@ -282,24 +273,24 @@ class TestRecordTypeValidation:
             ("figures", "not-a-dict"),
             ("tests", "not-a-dict"),
             ("calibration", [1, 2]),
-            ("wall", ["not", "a", "dict"]),
         ],
     )
     def test_wrong_container_type_names_field(self, field_name, bad_value):
         with pytest.raises(ValueError, match=field_name):
             RunRecord.from_dict(self.drift(**{field_name: bad_value}))
 
-    def test_non_numeric_wall_value_names_key(self):
-        with pytest.raises(ValueError, match="wall.total_s"):
-            RunRecord.from_dict(self.drift(wall={"total_s": "3.5"}))
+    def test_non_numeric_row_value_names_path(self):
+        doc = self.drift()
+        doc["figures"]["fig10"][0]["shared_ms"] = "50.0"
+        with pytest.raises(ValueError, match=r"figures\.fig10\[0\]\.shared_ms"):
+            RunRecord.from_dict(doc)
 
-    def test_boolean_wall_value_rejected(self):
-        with pytest.raises(ValueError, match="wall.total_s"):
-            RunRecord.from_dict(self.drift(wall={"total_s": True}))
-
-    def test_non_bool_kernels_rejected(self):
-        with pytest.raises(ValueError, match="kernels"):
-            RunRecord.from_dict(self.drift(kernels="yes"))
+    def test_boolean_row_value_rejected(self):
+        """A bool is not a number, though Python says it is an int."""
+        doc = self.drift()
+        doc["tests"]["test4"][0]["n_classes"] = True
+        with pytest.raises(ValueError, match=r"tests\.test4\[0\]\.n_classes"):
+            RunRecord.from_dict(doc)
 
     def test_rows_must_be_list_of_objects(self):
         with pytest.raises(ValueError, match="tests"):

@@ -18,7 +18,6 @@ from repro.calibrate.profile import (
     PROFILE_KIND,
     PROFILE_VERSION,
     CalibrationProfile,
-    rates_from_dict,
 )
 from repro.storage.iostats import DEFAULT_RATES, CostRates
 
@@ -88,9 +87,9 @@ def test_cost_rates_from_mapping_rejects_drift():
         CostRates.from_mapping(infinite)
     with pytest.raises(ValueError, match="must be an object"):
         CostRates.from_mapping([1, 2, 3])
-    # The profile-level wrapper names the owning field.
-    with pytest.raises(ValueError, match="'rates'"):
-        rates_from_dict(missing, "rates")
+    # The error names the owning field.
+    with pytest.raises(ValueError, match="'base_rates'"):
+        CostRates.from_mapping(missing, "base_rates")
 
 
 # -- file round-trip ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI tests (driven in-process through repro.cli.main)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -39,6 +41,13 @@ class TestRun:
         path.write_text(self.MDX)
         assert main(["run", "--file", str(path), *SCALE]) == 0
         assert "component" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_missing_mdx_file_exits_2(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.mdx"
+        assert main([command, "--file", str(missing), *SCALE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.mdx" in err
 
     def test_run_without_mdx_fails(self, capsys):
         assert main(["run", *SCALE]) == 2
@@ -253,6 +262,7 @@ class TestServe:
             ("--shards", "0", "shards"),
             ("--recorder-size", "-1", "flight_recorder"),
             ("--workers", "0", "n_workers"),
+            ("--overlap", "1.5", "overlap"),
         ],
     )
     def test_serve_config_errors_exit_2(self, flag, value, named, capsys):
@@ -269,7 +279,7 @@ class TestBenchUsageErrors:
     def test_missing_baseline_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["bench", "--compare", "--label", "nope"]) == 2
-        assert "no baseline" in capsys.readouterr().err
+        assert "no benchmark record" in capsys.readouterr().err
 
     def test_corrupt_baseline_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -277,7 +287,30 @@ class TestBenchUsageErrors:
         assert main(
             ["bench", "--compare", "--baseline", "BENCH_bad.json"]
         ) == 2
-        assert "not a readable benchmark record" in capsys.readouterr().err
+        assert "unreadable benchmark record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, calibration, path",
+        [
+            ([{"algorithm": "gg", "sim_ms": "100.0"}], {},
+             "tests.test4[0].sim_ms"),
+            ([], {"misrankings": "0"}, "calibration.misrankings"),
+        ],
+        ids=["sim_ms", "misrankings"],
+    )
+    def test_drifted_baseline_exits_2(
+        self, rows, calibration, path, tmp_path, capsys
+    ):
+        """A wrong-typed number the gate reads is refused at load, naming
+        the file and the field — not a traceback inside the gate."""
+        from repro.bench.history import RunRecord
+
+        baseline = RunRecord(
+            "t", "", {}, tests={"test4": rows}, calibration=calibration
+        ).save(tmp_path / "BENCH_drift.json")
+        assert main(["bench", "--compare", "--baseline", str(baseline)]) == 2
+        err = capsys.readouterr().err
+        assert "BENCH_drift.json" in err and path in err
 
     def test_no_action_exits_2(self, capsys):
         assert main(["bench"]) == 2
@@ -293,7 +326,7 @@ class TestBenchUsageErrors:
 
 
 class TestBenchLeaderboard:
-    def make_record_file(self, directory, name, kernels, total_s):
+    def make_record_file(self, directory, name):
         from repro.bench.history import RunRecord
 
         RunRecord(
@@ -303,20 +336,18 @@ class TestBenchLeaderboard:
             tests={"test4": [
                 {"algorithm": "gg", "sim_ms": 10.0, "est_ms": 10.0},
             ]},
-            kernels=kernels,
-            wall={"total_s": total_s},
         ).save(directory / f"BENCH_{name}.json")
 
     def test_leaderboard_renders_markdown(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
-        self.make_record_file(tmp_path, "seed", False, 4.0)
+        self.make_record_file(tmp_path, "kernels")
+        self.make_record_file(tmp_path, "seed")
         assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("| record | profile |")
         assert out.index("BENCH_kernels.json") < out.index("BENCH_seed.json")
 
     def test_leaderboard_writes_output_file(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
+        self.make_record_file(tmp_path, "kernels")
         target = tmp_path / "board.md"
         assert main([
             "bench", "--leaderboard", "--dir", str(tmp_path),
@@ -328,7 +359,7 @@ class TestBenchLeaderboard:
     def test_leaderboard_corrupt_record_exits_2(self, tmp_path, capsys):
         """Regression: a corrupt BENCH file used to traceback; it must be
         a usage error naming the offending file."""
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
+        self.make_record_file(tmp_path, "kernels")
         (tmp_path / "BENCH_rotten.json").write_text("{broken json")
         assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -336,18 +367,16 @@ class TestBenchLeaderboard:
         assert "unreadable benchmark record" in err
 
     def test_leaderboard_drifted_record_exits_2(self, tmp_path, capsys):
-        import json
-
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
+        self.make_record_file(tmp_path, "kernels")
         drifted = json.loads(
             (tmp_path / "BENCH_kernels.json").read_text()
         )
-        drifted["wall"] = {"total_s": "not-a-number"}
+        drifted["figures"] = {"fig10": [{"n_queries": 2, "speedup": "1.6"}]}
         (tmp_path / "BENCH_drift.json").write_text(json.dumps(drifted))
         assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "BENCH_drift.json" in err
-        assert "wall.total_s" in err
+        assert "figures.fig10[0].speedup" in err
 
 
 class TestProfileFlag:
