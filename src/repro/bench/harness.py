@@ -14,8 +14,9 @@ Everything here reads the simulated clock only; wall time is ``perf/``'s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from ..check.invariants import assert_same_answers
 from ..core.executor import ExecutionReport, run_class_accounted
 from ..core.operators.results import QueryResult
 from ..core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
@@ -132,7 +133,7 @@ def run_sharing_sweep(
         methods = [JoinMethod.HASH] * len(fixed) + [method] * k
         separate = run_separately(db, source, queries, methods)
         shared = run_forced_class(db, source, queries, methods)
-        _check_same_results(
+        assert_same_answers(
             separate.results, shared.results, "shared and separate execution"
         )
         rows.append(
@@ -197,8 +198,8 @@ def run_algorithm_comparison(
         plan = db.optimize(list(queries), algorithm)
         report = db.execute(plan)
         if rows:
-            _check_same_results(
-                report.results.values(), rows[0].report.results.values(),
+            assert_same_answers(
+                rows[0].report.results.values(), report.results.values(),
                 f"{algorithm} and {rows[0].algorithm}",
             )
         rows.append(
@@ -213,16 +214,3 @@ def run_algorithm_comparison(
             )
         )
     return rows
-
-
-def _check_same_results(
-    left: Iterable[QueryResult], right: Iterable[QueryResult], who: str
-) -> None:
-    by_qid = {r.query.qid: r for r in right}
-    for result in left:
-        twin = by_qid.get(result.query.qid)
-        if twin is None or not result.approx_equals(twin):
-            raise AssertionError(
-                f"{who} returned different answers for "
-                f"{result.query.display_name()}"
-            )

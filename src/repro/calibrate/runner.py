@@ -53,12 +53,6 @@ class CalibrationOutcome:
     before: CalibrationReport
     after: CalibrationReport
 
-    @property
-    def misrankings_reduced(self) -> bool:
-        """Did the fit leave the sweep with no more misrankings than the
-        base rates had?  (``tests/test_calibrate_smoke.py``'s gate.)"""
-        return len(self.after.misrankings) <= len(self.before.misrankings)
-
     def render_summary(self) -> str:
         """The compact fit outcome: rates table + headline deltas."""
         rows = []

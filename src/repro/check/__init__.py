@@ -6,10 +6,11 @@ single-query plan would.  This package is the oracle asserting it:
 
 * :mod:`repro.check.reference` — ground truth by naive tuple-at-a-time
   scan of the raw fact table (no sharing, no indexes, no views);
-* :mod:`repro.check.validate` — structural validation of a global plan
-  (coverage, lattice ancestry, method mix) before it runs;
-* :mod:`repro.check.paranoia` — group-for-group cross-checking of executed
-  results and served cache hits against the reference.
+* :mod:`repro.check.validate` — a plan's two rules: coverage of the
+  submitted batch (``Database.optimize`` checks every plan) and structure
+  (lattice ancestry, method mix) before it runs;
+* :mod:`repro.check.invariants` — the batch contract as the checks paranoia
+  mode, the bench harness, the serve simulation and the tests all call.
 
 Turn it on end to end with ``Database(schema, paranoia=True)`` (or set
 ``db.paranoia = True``, or pass ``--paranoia`` on the CLI): every plan is
@@ -25,20 +26,32 @@ from .errors import (
     PlanCoverageError,
     PlanValidationError,
 )
-from .paranoia import (
+from .invariants import (
+    assert_same_answers,
+    check_batch,
+    check_plan,
     check_result,
     check_results,
     first_divergence,
     recheck_cache_hits,
 )
 from .reference import raw_base_entry, reference_answer
-from .validate import expected_operator, validate_class, validate_global_plan
+from .validate import (
+    check_coverage,
+    expected_operator,
+    validate_class,
+    validate_global_plan,
+)
 
 __all__ = [
     "CorrectnessError",
     "Divergence",
     "PlanCoverageError",
     "PlanValidationError",
+    "assert_same_answers",
+    "check_batch",
+    "check_coverage",
+    "check_plan",
     "check_result",
     "check_results",
     "expected_operator",

@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class PlanValidationError(ValueError):
-    """A global plan failed structural validation (see
-    :func:`repro.check.validate.validate_global_plan`)."""
+    """A global plan broke the coverage or the structural rule (see
+    :mod:`repro.check.validate`)."""
 
 
 class PlanCoverageError(KeyError):

@@ -1,20 +1,20 @@
-"""Structural validation of a global plan, before anything executes.
+"""The two rules a global plan must pass before anything executes.
 
-A :class:`~repro.core.optimizer.plans.GlobalPlan` is structurally sound for
-a submitted query set when
+**Coverage** (:func:`check_coverage`) — for the submitted query set, every
+query appears in exactly one class, nothing else does, and a merging
+algorithm leaves no two classes on one base table (:data:`UNMERGED_ALGORITHMS`
+are exempt).  ``Database.optimize`` applies it to every plan it returns.
 
-1. **coverage** — every submitted query appears in exactly one class (and
-   nothing else does);
-2. **ancestry** — each class's source table is a lattice ancestor of every
+**Structure** (:func:`validate_global_plan`, per class
+:func:`validate_class`), which paranoia applies to every plan it executes:
+
+1. **ancestry** — each class's source table is a lattice ancestor of every
    member query: its stored levels are fine enough for the query's target
    group-by *and* its predicates, and its measure column is
    aggregate-compatible (:func:`repro.schema.lattice.source_can_answer`);
-3. **method mix** — the class's per-plan join methods name an operator the
+2. **method mix** — the class's per-plan join methods name an operator the
    executor actually has (see :func:`expected_operator`), and every
-   index-method plan has a usable join index on its source;
-4. **no duplicate sources** — merging algorithms must not leave two classes
-   on one base table (the naive baseline is exempt, as in
-   :meth:`GlobalPlan.validate`).
+   index-method plan has a usable join index on its source.
 
 Violations raise :class:`~repro.check.errors.PlanValidationError` with a
 message naming the class, query, and rule broken.
@@ -23,7 +23,7 @@ message naming the class, query, and rule broken.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core.optimizer.plans import GlobalPlan, JoinMethod, PlanClass
 from ..schema.lattice import intermediate_source_aggregate, source_can_answer
@@ -181,20 +181,11 @@ def validate_class(
         _validate_derives(entry, plan_class)
 
 
-def validate_global_plan(
-    schema: StarSchema,
-    catalog: Catalog,
-    plan: GlobalPlan,
-    queries: Optional[Sequence[GroupByQuery]] = None,
-    allow_duplicate_sources: Optional[bool] = None,
-) -> None:
-    """Validate ``plan`` structurally; raise :class:`PlanValidationError`.
-
-    ``queries`` is the submitted batch; when omitted, coverage is checked
-    for internal consistency only (no query planned twice).
-    ``allow_duplicate_sources`` defaults to whether the plan's algorithm is
-    a deliberately-unmerged baseline.
-    """
+def check_coverage(plan: GlobalPlan, queries: Sequence[GroupByQuery]) -> None:
+    """The coverage rule: every query of the submitted batch ``queries``
+    sits in exactly one class of ``plan``, nothing else is planned, and —
+    unless ``plan.algorithm`` is in :data:`UNMERGED_ALGORITHMS` — no two
+    classes share a base table.  Raise :class:`PlanValidationError`."""
     planned = Counter(q.qid for q in plan.queries)
     duplicated = sorted(qid for qid, n in planned.items() if n > 1)
     if duplicated:
@@ -202,23 +193,20 @@ def validate_global_plan(
             f"queries with qid(s) {duplicated} appear in more than one "
             f"class; each query must be covered exactly once"
         )
-    if queries is not None:
-        asked = {q.qid: q for q in queries}
-        missing = sorted(qid for qid in asked if qid not in planned)
-        extra = sorted(qid for qid in planned if qid not in asked)
-        if missing:
-            names = [asked[qid].display_name() for qid in missing]
-            raise PlanValidationError(
-                f"plan covers no class for submitted query(ies) "
-                f"{', '.join(names)} (qid(s) {missing})"
-            )
-        if extra:
-            raise PlanValidationError(
-                f"plan covers qid(s) {extra} that were never submitted"
-            )
-    if allow_duplicate_sources is None:
-        allow_duplicate_sources = plan.algorithm in UNMERGED_ALGORITHMS
-    if not allow_duplicate_sources:
+    asked = {q.qid: q for q in queries}
+    missing = sorted(qid for qid in asked if qid not in planned)
+    extra = sorted(qid for qid in planned if qid not in asked)
+    if missing:
+        names = [asked[qid].display_name() for qid in missing]
+        raise PlanValidationError(
+            f"plan covers no class for submitted query(ies) "
+            f"{', '.join(names)} (qid(s) {missing})"
+        )
+    if extra:
+        raise PlanValidationError(
+            f"plan covers qid(s) {extra} that were never submitted"
+        )
+    if plan.algorithm not in UNMERGED_ALGORITHMS:
         sources = [cls.source for cls in plan.classes]
         repeated = sorted(
             source for source, n in Counter(sources).items() if n > 1
@@ -228,5 +216,12 @@ def validate_global_plan(
                 f"two classes share base table(s) {repeated}; a merging "
                 f"algorithm should have combined them"
             )
+
+
+def validate_global_plan(
+    schema: StarSchema, catalog: Catalog, plan: GlobalPlan
+) -> None:
+    """Validate every class of ``plan`` structurally (:func:`validate_class`);
+    raise :class:`PlanValidationError`."""
     for plan_class in plan.classes:
         validate_class(schema, catalog, plan_class)

@@ -291,29 +291,6 @@ def run_class_accounted(
     return results, operator.actuals
 
 
-def _validate_paranoid(db: "Database", plan: GlobalPlan) -> None:
-    """Paranoia pre-flight: structurally validate the plan before running.
-
-    A structural violation is as much a wrong answer as a bad result, so
-    it surfaces as :class:`~repro.check.errors.CorrectnessError` too.
-    """
-    from ..check.errors import CorrectnessError, PlanValidationError
-    from ..check.validate import validate_global_plan
-
-    with db.tracer.span(
-        "check.validate", algorithm=plan.algorithm, n_queries=plan.n_queries
-    ):
-        try:
-            validate_global_plan(db.schema, db.catalog, plan)
-        except PlanValidationError as exc:
-            raise CorrectnessError(
-                f"global plan failed structural validation: {exc}", plan=plan
-            ) from exc
-    default_registry().counter(
-        "check.plans_validated", "global plans structurally validated"
-    ).inc()
-
-
 @dataclass
 class _Cell:
     """One (class × shard) cell of the execution grid, before and after it
@@ -447,7 +424,9 @@ def execute_plan(
         **plan_attrs,
     ) as plan_span:
         if paranoia:
-            _validate_paranoid(db, plan)
+            from ..check.invariants import check_plan
+
+            check_plan(db, plan)
         if not classes:
             return report
         # One (shard id, catalog) column per shard; unsharded is the single
@@ -605,7 +584,7 @@ def _fold_class(
         "executor.queries_executed", "component queries answered"
     ).inc(len(plan_class.queries))
     if paranoia:
-        from ..check.paranoia import check_results
+        from ..check.invariants import check_results
 
         with tracer.span(
             "check.class",

@@ -12,6 +12,14 @@ from ...schema.star import StarSchema
 
 GroupKey = Tuple[int, ...]  # one member id per dimension (ALL dims carry 0)
 
+DEFAULT_REL_TOL = 1e-9  #: the answer rule's tolerance (DESIGN.md §6.1)
+
+
+def values_differ(want: float, got: float, rel_tol: float) -> bool:
+    """The one answer rule: two aggregate values are further apart than
+    ``rel_tol`` of the larger magnitude (floored at 1)."""
+    return abs(want - got) > rel_tol * max(abs(want), abs(got), 1.0)
+
 
 @dataclass
 class QueryResult:
@@ -76,16 +84,16 @@ class QueryResult:
             avg_state=copy.deepcopy(self.avg_state),
         )
 
-    def approx_equals(self, other: "QueryResult", rel_tol: float = 1e-9) -> bool:
-        """Same groups with numerically equal values (order-insensitive)."""
-        if set(self.groups) != set(other.groups):
-            return False
-        for key, value in self.groups.items():
-            other_value = other.groups[key]
-            scale = max(abs(value), abs(other_value), 1.0)
-            if abs(value - other_value) > rel_tol * scale:
-                return False
-        return True
+    def approx_equals(
+        self, other: "QueryResult", rel_tol: float = DEFAULT_REL_TOL
+    ) -> bool:
+        """Same groups with values no :func:`values_differ` tells apart
+        (order-insensitive)."""
+        theirs = other.groups
+        return self.groups.keys() == theirs.keys() and not any(
+            values_differ(value, theirs[key], rel_tol)
+            for key, value in self.groups.items()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryResult({self.query.display_name()}, {self.n_groups} groups)"

@@ -100,7 +100,6 @@ class OptimalOptimizer(Optimizer):
         # cheaper than one class there — which class-additivity forbids for
         # an optimal plan, but guard for cost-model ties by merging.
         self._merge_same_source(plan)
-        plan.validate(queries)
         return plan
 
     def _merge_same_source(self, plan: GlobalPlan) -> None:

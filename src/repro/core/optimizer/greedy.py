@@ -196,7 +196,6 @@ class GreedyOptimizer(Optimizer):
                 plan.classes.append(
                     build_plan_class(self.model, cls.entry, cls.queries)
                 )
-        plan.validate(queries)
         return plan
 
     @staticmethod

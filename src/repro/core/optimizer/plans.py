@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Collection, Iterable, List, Sequence, Tuple
+from typing import Collection, Iterable, List, Tuple
 
 from ...schema.query import GroupByQuery
 
@@ -185,28 +185,3 @@ class GlobalPlan:
         return "; ".join(
             f"{cls.source}({cls.method_signature})" for cls in self.classes
         )
-
-    def validate(
-        self,
-        queries: Sequence[GroupByQuery],
-        allow_duplicate_sources: bool = False,
-    ) -> None:
-        """Check the plan covers exactly the given queries, once each.
-
-        Merging algorithms must not leave two classes on the same base table;
-        the deliberately-unmerged naive baseline passes
-        ``allow_duplicate_sources=True``.
-        """
-        planned = sorted(q.qid for q in self.queries)
-        asked = sorted(q.qid for q in queries)
-        if planned != asked:
-            raise ValueError(
-                f"plan covers query ids {planned}, expected {asked}"
-            )
-        if not allow_duplicate_sources:
-            seen_sources = [cls.source for cls in self.classes]
-            if len(seen_sources) != len(set(seen_sources)):
-                raise ValueError(
-                    f"two classes share a base table: {seen_sources} "
-                    f"(they should have been merged)"
-                )

@@ -56,5 +56,4 @@ class TPLOOptimizer(Optimizer):
                     PlanClass(source=source, plans=plans, est_cost_ms=est)
                 )
             merge_span.set("n_classes", len(plan.classes))
-        plan.validate(queries)
         return plan

@@ -399,10 +399,13 @@ class Database:
         (:data:`repro.core.optimizer.OPTIMIZERS`: ``naive``, ``tplo``,
         ``etplg``, ``gg``, ``bgg``, ``optimal``, ``dp``, ``dag``).
 
-        The returned plan carries ``search_stats`` (class costings
-        performed, planning wall time) for studying the planning-effort
-        trade-off the paper's Section 8 raises.
+        The plan must pass the coverage rule for ``queries``, paranoia or
+        not (:func:`~repro.check.validate.check_coverage`).  It carries
+        ``search_stats`` (class costings performed, planning wall time) for
+        studying the planning-effort trade-off the paper's Section 8 raises.
         """
+        from ..check.errors import CorrectnessError, PlanValidationError
+        from ..check.validate import check_coverage
         from ..core.optimizer import make_optimizer
 
         optimizer = make_optimizer(algorithm, self)
@@ -421,6 +424,12 @@ class Database:
             span.set("plan_costings", optimizer.model.n_plan_costings)
             span.set("member_terms", optimizer.model.n_member_terms)
             span.set("n_classes", len(plan.classes))
+        try:
+            check_coverage(plan, queries)
+        except PlanValidationError as exc:
+            raise CorrectnessError(
+                f"{algorithm!r} misplanned the submitted batch: {exc}", plan=plan
+            ) from exc
         metrics = default_registry()
         metrics.counter(
             "optimizer.plan_costings", "class costings computed while planning"
@@ -479,8 +488,8 @@ class Database:
         query service call this with their coalesced distinct set.  The
         contract is stated once, in ``docs/architecture.md`` §"Answering a
         batch": cache hits skip planning, the misses are optimized as one
-        unit *as submitted* (no deduplication here), validated against the
-        submitted misses under :attr:`paranoia`, executed
+        unit *as submitted* (no deduplication here; :meth:`optimize` holds
+        the plan to covering them), executed
         (``cold``/``n_workers``/``shard_set`` go to :meth:`execute`),
         recovered under ``recovery`` (None = not at all), and retained only
         if nothing stayed failed.
@@ -505,23 +514,6 @@ class Database:
             if misses or not hits:
                 # An empty batch is planned too: the optimizer rejects it.
                 plan = self.optimize(misses, algorithm)
-                if self.paranoia:
-                    from ..check.errors import (
-                        CorrectnessError,
-                        PlanValidationError,
-                    )
-                    from ..check.validate import validate_global_plan
-
-                    try:
-                        validate_global_plan(
-                            self.schema, self.catalog, plan, misses
-                        )
-                    except PlanValidationError as exc:
-                        raise CorrectnessError(
-                            f"{algorithm!r} produced a structurally invalid "
-                            f"plan for the submitted batch: {exc}",
-                            plan=plan,
-                        ) from exc
                 report = self.execute(
                     plan, cold=cold, n_workers=n_workers, shard_set=shard_set
                 )
@@ -544,7 +536,7 @@ class Database:
                 if qid not in hits:
                     cache.put(result)
         if hits and self.paranoia:
-            from ..check.paranoia import recheck_cache_hits
+            from ..check.invariants import recheck_cache_hits
 
             with self.tracer.span("check.cache", n_hits=len(hits)) as span:
                 span.set("n_rechecked", recheck_cache_hits(self, hits))

@@ -14,8 +14,8 @@ alone?*  It:
    pre-loading the burst before the scheduler starts, so batch composition
    does not depend on thread-start jitter),
 4. optionally verifies every response against the baseline results
-   (``verify=True``; the serve layer must be byte-identical to the
-   single-session engine),
+   (``verify=True``; the serve layer must give the single-session
+   engine's answers, :func:`repro.check.assert_same_answers`),
 5. reports throughput, latency quantiles, the coalesce ratio, the
    batch-size distribution, and the batched-vs-serial simulated cost.
 """
@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..check.invariants import assert_same_answers
 from ..core.operators.results import QueryResult
 from ..engine.database import Database
 from ..faults import FaultPlan
@@ -273,19 +274,11 @@ def run_simulation(
             n_served += 1
             latencies.append(response.latency_s * 1000.0)
             if config.verify:
-                expected = serial_results[key]
-                got = response.results
-                if set(got) != set(expected):
-                    raise AssertionError(
-                        f"request {key}: served qids {sorted(got)} != "
-                        f"serial qids {sorted(expected)}"
-                    )
-                for qid, result in got.items():
-                    if not result.approx_equals(expected[qid]):
-                        raise AssertionError(
-                            f"request {key}, qid {qid}: served result "
-                            f"diverges from serial execution"
-                        )
+                assert_same_answers(
+                    serial_results[key].values(),
+                    response.results.values(),
+                    f"request {key} served and run serially",
+                )
                 n_verified += 1
     finally:
         service.stop()

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.schema.dimension import Dimension
 from repro.schema.star import StarSchema
 from repro.workload.generator import generate_fact_rows
 from repro.workload.paper_queries import paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database, build_paper_schema
+
+#: The nightly exploration: ``pytest --hypothesis-profile long`` (the default
+#: profile is hypothesis's own; tests/test_batch_machine.py bounds its
+#: tier-1 run itself and yields to this profile when it is loaded).
+settings.register_profile(
+    "long",
+    max_examples=2000,
+    stateful_step_count=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def make_tiny_schema() -> StarSchema:

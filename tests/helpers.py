@@ -8,6 +8,7 @@ import random
 import numpy as np
 from typing import List, Optional, Sequence, Tuple
 
+from repro.check import assert_same_answers
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.results import QueryResult
 from repro.core.optimizer import make_optimizer
@@ -42,26 +43,40 @@ def make_tiny_db(
 ORDER_FREE = (Aggregate.COUNT, Aggregate.MIN, Aggregate.MAX)
 
 
+def snapshot(report) -> dict:
+    """Everything two executions of one plan must agree on to be the same
+    execution: failed qids, every answer's groups *in order* (lists, not
+    dicts), and per-class ``IOStats`` and ``OperatorActuals``.  The one
+    test-side snapshot; answers that may legitimately differ in float bits
+    are compared by :func:`repro.check.assert_same_answers` instead."""
+    return {
+        "failed": report.failed_qids,
+        "groups": {
+            qid: list(result.groups.items())
+            for qid, result in report.results.items()
+        },
+        "sims": [e.sim.as_dict() for e in report.class_executions],
+        "actuals": [e.actuals.as_dict() for e in report.class_executions],
+    }
+
+
 def assert_same_execution(expected, actual, context: str = "") -> None:
     """The numeric contract (DESIGN.md §6.1) between two executions of one
-    plan that differ only in how the scan was batched: every integer
-    ledger (per-class ``IOStats``, ``OperatorActuals``) and every
-    COUNT/MIN/MAX value bit-equal; SUM/AVG equal under ``approx_equals``."""
-    assert actual.failed_qids == expected.failed_qids, context
-    for name in ("sim", "actuals"):
-        assert [
-            getattr(e, name).as_dict() for e in actual.class_executions
-        ] == [
-            getattr(e, name).as_dict() for e in expected.class_executions
-        ], f"{context}: per-class {name} differ"
-    assert set(actual.results) == set(expected.results), context
-    for qid, want in expected.results.items():
-        got = actual.results[qid]
-        label = f"{context}: {want.query.display_name()}"
-        if want.query.aggregate in ORDER_FREE:
-            assert got.groups == want.groups, label
-        else:
-            assert got.approx_equals(want), label
+    plan that differ only in how the scan was batched: the :func:`snapshot`
+    ledgers equal, the same answers under the one answer rule
+    (:func:`repro.check.assert_same_answers`), and COUNT/MIN/MAX values
+    bit-equal (group order follows the batching, so it may differ)."""
+    want, got = snapshot(expected), snapshot(actual)
+    for name in ("failed", "sims", "actuals"):
+        assert got[name] == want[name], f"{context}: {name} differ"
+    assert_same_answers(
+        expected.results.values(), actual.results.values(), context
+    )
+    for qid, result in expected.results.items():
+        if result.query.aggregate in ORDER_FREE:
+            assert actual.results[qid].groups == result.groups, (
+                f"{context}: {result.query.display_name()}"
+            )
 
 
 def measured_execution(db: Database, plan):
@@ -79,7 +94,7 @@ def assert_morsel_size_invariant(db, plans, monkeypatch, pages_rows) -> None:
     contract (:func:`assert_same_execution`, plus the ``db.stats`` delta
     and bit-equality of a repeat: morsel boundaries depend on page numbers
     only)."""
-    from repro.check import first_divergence, reference_answer
+    from repro.check import check_batch
     from repro.storage import table as table_module
 
     sizes = {
@@ -89,13 +104,8 @@ def assert_morsel_size_invariant(db, plans, monkeypatch, pages_rows) -> None:
     }
     monkeypatch.setattr(table_module, "MORSEL_ROWS", 1)
     page_at_a_time = [measured_execution(db, plan) for _name, plan in plans]
-    for (name, plan), (report, _delta) in zip(plans, page_at_a_time):
-        for query in plan.queries:
-            divergence = first_divergence(
-                reference_answer(db, query).groups,
-                report.result_for(query).groups,
-            )
-            assert divergence is None, f"{name}: {divergence.describe()}"
+    for (_name, plan), (report, _delta) in zip(plans, page_at_a_time):
+        check_batch(db, plan.queries, report.results)
     for size, rows in sizes.items():
         monkeypatch.setattr(table_module, "MORSEL_ROWS", rows)
         for (name, plan), (expected, expected_delta) in zip(
@@ -106,11 +116,7 @@ def assert_morsel_size_invariant(db, plans, monkeypatch, pages_rows) -> None:
             assert delta == expected_delta, context
             assert_same_execution(expected, report, context)
             again, _delta = measured_execution(db, plan)
-            assert [
-                list(r.groups.items()) for r in again.results.values()
-            ] == [
-                list(r.groups.items()) for r in report.results.values()
-            ], context
+            assert snapshot(again) == snapshot(report), context
 
 
 def probe_positions(table, pool, positions):

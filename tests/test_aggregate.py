@@ -256,18 +256,18 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("aggregate", list(Aggregate))
     def test_compaction_schedule_never_shows(self, monkeypatch, aggregate):
-        def snapshot(result):
+        def bits(result):
             state = result.avg_state and [
                 (k, s.hex(), n) for k, (s, n) in result.avg_state.items()
             ]
             return [(k, v.hex()) for k, v in result.groups.items()], state
 
         batches = self.random_batches(42)
-        default = snapshot(self.run(batches, aggregate))
+        default = bits(self.run(batches, aggregate))
         for rows in (1, 2**62):
             monkeypatch.setattr(aggregate_module, "COMPACT_ROWS", rows)
-            assert snapshot(self.run(batches, aggregate)) == default
-            assert snapshot(self.run_packed(batches, aggregate, 2)) == default
+            assert bits(self.run(batches, aggregate)) == default
+            assert bits(self.run_packed(batches, aggregate, 2)) == default
 
     @pytest.mark.parametrize("aggregate", list(Aggregate))
     def test_empty_and_single_row_round_trip(self, aggregate):

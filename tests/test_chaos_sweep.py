@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.check.paranoia import first_divergence
+from repro.check import check_batch
 from repro.engine.result_cache import attach_cache
 from repro.faults import (
     SITES,
@@ -31,7 +31,7 @@ from repro.faults import (
 )
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
-from helpers import make_tiny_db, random_query
+from helpers import make_tiny_db, random_query, snapshot
 
 #: The sweep's fixed seed: every firing below is reproducible from it.
 CHAOS_SEED = 1998
@@ -43,13 +43,6 @@ SWEEP = [
     for test_name in sorted(ALL_PAPER_TESTS)
     for algorithm in ALGORITHMS
 ]
-
-
-def _snapshot(report):
-    """qid -> groups dict, deep enough for byte-identity comparison."""
-    return {
-        qid: dict(result.groups) for qid, result in report.results.items()
-    }
 
 
 @pytest.mark.parametrize(
@@ -66,7 +59,7 @@ def test_fault_sweep_over_paper_workload(paper_db, paper_qs, test_name,
 
     clean = db.execute(plan)
     assert not clean.failures
-    baseline = _snapshot(clean)
+    baseline = snapshot(clean)
 
     for site in SITES:
         fault = FaultPlan(
@@ -84,7 +77,7 @@ def test_fault_sweep_over_paper_workload(paper_db, paper_qs, test_name,
             assert not report.failures, (
                 f"{site}: failures without a firing"
             )
-            assert _snapshot(report) == baseline
+            assert snapshot(report) == baseline
             continue
 
         # Fired exactly once (nth is single-shot)...
@@ -109,8 +102,8 @@ def test_fault_sweep_over_paper_workload(paper_db, paper_qs, test_name,
         assert not failed & surviving
 
         # Survivors are byte-identical to the fault-free execution.
-        for qid in surviving:
-            assert report.results[qid].groups == baseline[qid], (
+        for qid, groups in snapshot(report)["groups"].items():
+            assert groups == baseline["groups"][qid], (
                 f"{site}: surviving qid {qid} diverged from the "
                 f"fault-free run"
             )
@@ -126,7 +119,7 @@ def test_fault_sweep_over_paper_workload(paper_db, paper_qs, test_name,
     # byte-identical — no fault left the pool or tables corrupted.
     final = db.execute(plan)
     assert not final.failures
-    assert _snapshot(final) == baseline
+    assert snapshot(final) == baseline
 
 
 def test_derive_fault_fails_only_dependent_classes(paper_db, paper_qs):
@@ -141,7 +134,7 @@ def test_derive_fault_fails_only_dependent_classes(paper_db, paper_qs):
 
     clean = db.execute(plan)
     assert not clean.failures
-    baseline = _snapshot(clean)
+    baseline = snapshot(clean)
 
     fault = FaultPlan(
         [InjectionPoint(site="operator.derive", nth=1)], seed=CHAOS_SEED
@@ -164,13 +157,13 @@ def test_derive_fault_fails_only_dependent_classes(paper_db, paper_qs):
     ), failed
     # Classes with no derive step never even reach the site; survivors
     # are byte-identical to the fault-free run.
-    for qid, groups in _snapshot(report).items():
-        assert groups == baseline[qid]
+    for qid, groups in snapshot(report)["groups"].items():
+        assert groups == baseline["groups"][qid]
 
     # Disarmed re-run is clean and byte-identical (coherence).
     final = db.execute(plan)
     assert not final.failures
-    assert _snapshot(final) == baseline
+    assert snapshot(final) == baseline
 
 
 def test_result_cache_coherent_under_chaos():
@@ -180,8 +173,6 @@ def test_result_cache_coherent_under_chaos():
     db = make_tiny_db(materialized=("X'Y'",))
     cache = attach_cache(db)
     rng = random.Random(CHAOS_SEED)
-    from repro.check import reference_answer
-
     for round_no in range(12):
         queries = [
             random_query(db.schema, rng, label=f"r{round_no}q{i}")
@@ -204,17 +195,8 @@ def test_result_cache_coherent_under_chaos():
                 isinstance(f.error, InjectedFault) for f in report.failures
             )
         # Every served result — executed or cached — matches the
-        # reference evaluator.
-        for query in queries:
-            if query.qid in report.failed_qids:
-                continue
-            divergence = first_divergence(
-                reference_answer(db, query).groups,
-                report.results[query.qid].groups,
-            )
-            assert divergence is None, (
-                f"round {round_no}: {site} nth={nth}: {divergence}"
-            )
+        # reference evaluator, and every other query failed.
+        check_batch(db, queries, report.results, report.failures)
     # The cache's coherence invariant held throughout; end-state sanity:
     assert len(cache) <= cache.max_entries
 

@@ -43,8 +43,8 @@ class TestCleanRuns:
         checked = counter_value("check.results_checked")
         report = db.run_queries(batch, algorithm)
         assert len(report.results) == len(batch)
-        # run_queries validates against the batch; execute_plan validates
-        # structurally again — at least one bump either way.
+        # execute_plan validates structurally, once per batch
+        # (tests/test_check_invariants.py counts it).
         assert counter_value("check.plans_validated") > validated
         assert counter_value("check.results_checked") >= checked + len(batch)
 

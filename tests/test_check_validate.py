@@ -8,6 +8,7 @@ import pytest
 
 from repro.check import (
     PlanValidationError,
+    check_coverage,
     expected_operator,
     raw_base_entry,
     reference_answer,
@@ -105,24 +106,25 @@ class TestValidateGlobalPlan:
     @pytest.mark.parametrize("algorithm", ["naive", "tplo", "etplg", "gg"])
     def test_real_plans_validate(self, db, batch, algorithm):
         plan = db.optimize(batch, algorithm)
-        validate_global_plan(db.schema, db.catalog, plan, batch)
+        check_coverage(plan, batch)
+        validate_global_plan(db.schema, db.catalog, plan)
 
     def test_missing_query_detected(self, db, batch):
         plan = db.optimize(batch[:-1], "gg")
         with pytest.raises(PlanValidationError, match="no class"):
-            validate_global_plan(db.schema, db.catalog, plan, batch)
+            check_coverage(plan, batch)
 
     def test_duplicated_query_detected(self, db, batch):
         plan = db.optimize(batch, "gg")
         victim = plan.classes[0].plans[0]
         plan.classes[0].plans.append(victim)
         with pytest.raises(PlanValidationError, match="more than one class"):
-            validate_global_plan(db.schema, db.catalog, plan, batch)
+            check_coverage(plan, batch)
 
     def test_unsubmitted_query_detected(self, db, batch):
         plan = db.optimize(batch, "gg")
         with pytest.raises(PlanValidationError, match="never submitted"):
-            validate_global_plan(db.schema, db.catalog, plan, batch[:-1])
+            check_coverage(plan, batch[:-1])
 
     def test_non_ancestor_source_detected(self, db):
         # A leaf-level target cannot be answered from the X'Y' rollup.
@@ -131,13 +133,13 @@ class TestValidateGlobalPlan:
         for cls in plan.classes:
             cls.source = "X'Y'"
         with pytest.raises(PlanValidationError, match="lattice ancestor"):
-            validate_global_plan(db.schema, db.catalog, plan, [fine])
+            validate_global_plan(db.schema, db.catalog, plan)
 
     def test_unknown_source_detected(self, db, batch):
         plan = db.optimize(batch, "gg")
         plan.classes[0].source = "NOPE"
         with pytest.raises(PlanValidationError, match="not a registered"):
-            validate_global_plan(db.schema, db.catalog, plan, batch)
+            validate_global_plan(db.schema, db.catalog, plan)
 
     def test_index_plan_without_index_detected(self, db):
         # X'Y' carries no join indexes, so an INDEX-method plan on it is
@@ -157,7 +159,7 @@ class TestValidateGlobalPlan:
                 for p in cls.plans
             ]
         with pytest.raises(PlanValidationError, match="no join index"):
-            validate_global_plan(db.schema, db.catalog, plan, [query])
+            validate_global_plan(db.schema, db.catalog, plan)
 
     def test_duplicate_sources_rejected_for_merging_algorithms(self, db):
         q1 = GroupByQuery(groupby=GroupBy((1, 2)), label="s1")
@@ -174,9 +176,7 @@ class TestValidateGlobalPlan:
         else:
             plan.classes[1].source = plan.classes[0].source
         with pytest.raises(PlanValidationError, match="share base table"):
-            validate_global_plan(db.schema, db.catalog, plan, [q1, q2])
+            check_coverage(plan, [q1, q2])
         # ... but the deliberately-unmerged naive baseline is exempt.
-        validate_global_plan(
-            db.schema, db.catalog, plan, [q1, q2],
-            allow_duplicate_sources=True,
-        )
+        plan.algorithm = "naive"
+        check_coverage(plan, [q1, q2])

@@ -267,13 +267,12 @@ class TestValidation:
             validate_class(db.schema, db.catalog, plan_class)
 
     def test_dag_plans_pass_paranoid_validation(self, paper_db, paper_qs):
-        from repro.check.validate import validate_global_plan
+        from repro.check.validate import check_coverage, validate_global_plan
 
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
-        validate_global_plan(
-            paper_db.schema, paper_db.catalog, plan, queries=batch
-        )
+        check_coverage(plan, batch)
+        validate_global_plan(paper_db.schema, paper_db.catalog, plan)
 
 
 class TestRendering:

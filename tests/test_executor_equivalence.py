@@ -19,6 +19,8 @@ from repro.faults import SITES, FaultPlan, InjectedFault, InjectionPoint
 from repro.workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
+from helpers import snapshot
+
 ALGORITHMS = ("tplo", "etplg", "gg", "bgg", "dag")
 
 
@@ -45,22 +47,6 @@ def modes(db):
 @pytest.fixture(scope="module")
 def four_shards(db):
     return db.build_shards(4)
-
-
-def snapshot(report):
-    """Everything that must match between modes.  The same plan object runs
-    in every mode, so qids key the snapshots directly; group *order* is
-    part of the contract (lists, not dicts)."""
-    return {
-        "failed": report.failed_qids,
-        "groups": {
-            qid: list(result.groups.items())
-            for qid, result in report.results.items()
-        },
-        "sims": [e.sim.as_dict() for e in report.class_executions],
-        "actuals": [e.actuals.as_dict() for e in report.class_executions],
-        "sim_ms": report.sim_ms,
-    }
 
 
 @pytest.mark.parametrize("test_name", sorted(ALL_PAPER_TESTS))

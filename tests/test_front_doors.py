@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.check import first_divergence, reference_answer
+from repro.check import check_batch
 from repro.engine import maintenance
 from repro.engine.advisor import attach_log
 from repro.engine.database import Database
@@ -166,15 +166,6 @@ def batches(paper_db):
     return out
 
 
-def assert_reference(db, batch, answers):
-    assert set(answers) == {q.qid for q in batch}
-    for query in batch:
-        divergence = first_divergence(
-            reference_answer(db, query).groups, answers[query.qid].groups
-        )
-        assert divergence is None, divergence.describe()
-
-
 # -- answers, hits and plans --------------------------------------------------
 
 
@@ -192,7 +183,7 @@ def test_every_door_answers_every_batch(paper_db, batches, spy, door, cache):
                     ask(batch)
                 spy.clear()
                 answers, n_hits = ask(batch)
-                assert_reference(db, batch, answers)
+                check_batch(db, batch, answers)
                 if cache == "warm":
                     # Warm: nothing planned, nothing executed, all hits.
                     assert spy.optimized == [] and spy.executed == [], name
@@ -253,7 +244,7 @@ def test_appends_invalidate_through_every_door(door):
             assert len(cache) == 0
             after, n_hits = ask(batch)
             assert n_hits == 0
-            assert_reference(db, batch, after)
+            check_batch(db, batch, after)
             for query in batch:
                 assert not after[query.qid].approx_equals(before[query.qid])
             before = after
@@ -282,7 +273,7 @@ def test_partial_failure_caches_nothing_through_any_door(door):
         assert len(cache) == 0
         answers, n_hits = ask(batch)
     assert n_hits == 0 and len(cache) == 2
-    assert_reference(db, batch, answers)
+    check_batch(db, batch, answers)
 
 
 # -- the door stays one door --------------------------------------------------
@@ -334,7 +325,7 @@ def test_no_second_door_in_the_source():
 
     assert count(r"\bcache\.get\(") == {"engine/database.py": 1}
     assert count(r"cache\.put\(") == {"engine/database.py": 1}
-    submitted = r"validate_global_plan\([^)]*,\s*(misses|queries)\s*\)"
+    submitted = r"check_coverage\([^)]*,\s*(misses|queries)\s*\)"
     assert count(submitted) == {"engine/database.py": 1}
 
 

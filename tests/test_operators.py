@@ -382,7 +382,7 @@ class TestSharedProbe:
         monkeypatch.setattr(table_module, "MORSEL_ROWS", morsel_rows)
         monkeypatch.setattr(aggregate_module, "FOLD_ROWS", fold_rows)
 
-        def snapshot(results, pipes, before):
+        def observed(results, pipes, before):
             delta = db.stats.delta_since(before).as_dict()
             return (
                 [
@@ -406,7 +406,7 @@ class TestSharedProbe:
         ):
             for pipe in pipes:
                 pipe.process_batch(keys, measures, db.stats)
-        want = snapshot([p.result() for p in pipes], pipes, before)
+        want = observed([p.result() for p in pipes], pipes, before)
 
         db.flush()
         before = db.stats.snapshot()
@@ -419,7 +419,7 @@ class TestSharedProbe:
 
         monkeypatch.setattr(QueryPipeline, "__init__", recording)
         op = SharedScanStarJoin(ctx, "XY", queries)
-        got = snapshot(op.run_ordered(), built, before)
+        got = observed(op.run_ordered(), built, before)
         assert got == want
         morsel_pages = max(1, morsel_rows // entry.table.capacity)
         assert op.morsels == -(-entry.table.n_pages // morsel_pages)

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from repro.check import raw_base_entry, validate_global_plan
+from repro.check import check_coverage, raw_base_entry, validate_global_plan
 from repro.core.optimizer import (
     OPTIMIZERS,
     CostModel,
@@ -273,7 +273,8 @@ class TestRegistrySweep:
         database, queries = workloads[workload]
         plan = database.optimize(queries, algorithm)
         assert plan.algorithm == algorithm
-        validate_global_plan(database.schema, database.catalog, plan, queries)
+        check_coverage(plan, queries)
+        validate_global_plan(database.schema, database.catalog, plan)
         report = database.execute(plan)
         for query in queries:
             assert report.result_for(query).approx_equals(

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import reference_answer
-from repro.check.paranoia import first_divergence
+from repro.check import first_divergence, reference_answer
 from repro.engine.result_cache import attach_cache
 from repro.engine.session import query_key
 from repro.faults import (

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check import CorrectnessError
+from repro.core.optimizer import GGOptimizer
 from repro.engine.database import Database
 from repro.engine.reference import evaluate_reference
 from repro.engine.result_cache import attach_cache
@@ -81,12 +82,12 @@ class TestSessionUsesTheFrontDoor:
 
     def test_dropped_query_caught_under_paranoia(self, db, monkeypatch):
         db.paranoia = True
-        real_optimize = Database.optimize
+        real_optimize = GGOptimizer.optimize
 
-        def dropping_optimize(self, queries, algorithm="gg"):
-            return real_optimize(self, queries[:-1], algorithm)
+        def dropping_optimize(self, queries):
+            return real_optimize(self, queries[:-1])
 
-        monkeypatch.setattr(Database, "optimize", dropping_optimize)
+        monkeypatch.setattr(GGOptimizer, "optimize", dropping_optimize)
         session = QuerySession(db).add_queries(
             [q(label="kept"), q((2, 2), label="dropped")]
         )

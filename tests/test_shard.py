@@ -7,8 +7,10 @@ The contract under test, per the shard module's invariants:
   order-preserving) and rebuilds the same indexes per shard;
 * N>1 is result-identical (merged partial aggregates), for every
   aggregate — AVG included, merged exactly through its (sum, count)
-  ``avg_state`` (N=1 byte-identity lives in
-  ``test_executor_equivalence.py``);
+  ``avg_state``.  Shard-order float summation is not associative, so N>1
+  answers are held to the one answer rule
+  (:func:`repro.check.assert_same_answers`); N=1 byte-identity lives in
+  ``test_executor_equivalence.py``;
 * a ``shard.exec`` fault kills exactly one shard's task, failing its
   class while sibling classes survive byte-identical — and the serve
   layer's retry/degrade ladder recovers the request.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check import assert_same_answers
 from repro.core.executor import execute_plan
 from repro.core.operators.results import (
     OperatorActuals,
@@ -48,23 +51,6 @@ def queries():
         ),
         GroupByQuery(groupby=GroupBy((2, 0)), label="c"),
     ]
-
-
-def snapshot(report):
-    return {qid: dict(r.groups) for qid, r in report.results.items()}
-
-
-def assert_result_identical(got, expected):
-    """Same qids, same groups, numerically equal values.
-
-    Shard-order float summation is not associative, so N>1 merges are
-    compared with :meth:`QueryResult.approx_equals` (rel_tol 1e-9) — the
-    same predicate paranoia's ``check_results`` enforces — rather than
-    bit equality, which only the N=1 path guarantees.
-    """
-    assert set(got.results) == set(expected.results)
-    for qid, result in got.results.items():
-        assert result.approx_equals(expected.results[qid]), qid
 
 
 class TestBuildShards:
@@ -199,7 +185,9 @@ class TestShardedExecution:
         shard_set = build_shards(db, n_shards)
         sharded = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         assert not sharded.failures
-        assert_result_identical(sharded, base)
+        assert_same_answers(
+            base.results.values(), sharded.results.values(), "sharded"
+        )
 
     @pytest.mark.parametrize(
         "aggregate",
@@ -213,7 +201,9 @@ class TestShardedExecution:
         base = execute_plan(db, plan, n_workers=4)
         sharded = execute_plan(db, plan, shard_set=build_shards(db, 3), n_workers=4)
         assert not sharded.failures
-        assert_result_identical(sharded, base)
+        assert_same_answers(
+            base.results.values(), sharded.results.values(), "sharded"
+        )
 
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_avg_merges_exactly_across_shards(self, db, n_shards):
@@ -226,7 +216,9 @@ class TestShardedExecution:
             db, plan, shard_set=build_shards(db, n_shards), n_workers=4
         )
         assert not sharded.failures
-        assert_result_identical(sharded, base)
+        assert_same_answers(
+            base.results.values(), sharded.results.values(), "sharded"
+        )
         merged_avg = next(
             r
             for ce in sharded.class_executions
@@ -241,7 +233,9 @@ class TestShardedExecution:
         sharded = execute_plan(
             db, plan, shard_set=build_shards(db, 2), n_workers=1
         )
-        assert_result_identical(sharded, base)
+        assert_same_answers(
+            base.results.values(), sharded.results.values(), "sharded"
+        )
 
     def test_shard_metrics_emitted(self, db):
         from repro.obs.metrics import MetricsRegistry, set_default_registry
@@ -303,7 +297,9 @@ class TestShardFaults:
         # the faulted run (same shard geometry, same summation order).
         clean = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
         assert not clean.failures
-        assert_result_identical(clean, base)
+        assert_same_answers(
+            base.results.values(), clean.results.values(), "sharded"
+        )
         for qid, result in surviving.items():
             assert clean.results[qid].groups == result.groups
 
