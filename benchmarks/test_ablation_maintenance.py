@@ -11,7 +11,7 @@ maintained state answers queries identically.
 import time
 
 from repro.bench.reporting import format_table
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.workload.generator import generate_fact_rows
 from repro.workload.paper_queries import paper_queries
 from repro.workload.paper_schema import PAPER_MATERIALIZED, PaperConfig, build_paper_database

@@ -6,7 +6,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.explain import explain_plan
-from repro.engine.sqlgen import to_sql
 from repro.mdx import translate_mdx
 from repro.workload.paper_queries import PAPER_MDX
 from repro.workload.paper_schema import build_paper_database
@@ -27,9 +26,9 @@ def main() -> None:
     mdx = "\n".join(PAPER_MDX[i].strip() for i in (1,))
     print("\nAn MDX query (the paper's Query 1):")
     print(mdx)
-    queries = translate_mdx(db.schema, PAPER_MDX[1])
-    print("\n...translates to the star-join SQL:")
-    print(to_sql(db.schema, queries[0], fact_table="ABCD"))
+    print("\n...translates to the group-by query:")
+    for query in translate_mdx(db.schema, PAPER_MDX[1]):
+        print(" *", query.describe(db.schema))
 
     # 3. Optimize three related queries as a unit and execute.
     from repro.workload.paper_queries import paper_queries

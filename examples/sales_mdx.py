@@ -11,7 +11,6 @@ Run:  python examples/sales_mdx.py
 """
 
 from repro.core.explain import explain_plan
-from repro.engine.sqlgen import to_sql
 from repro.mdx import parse_mdx, translate_mdx
 from repro.workload.sales_demo import SECTION2_MDX, build_sales_database
 
@@ -30,9 +29,6 @@ def main() -> None:
     print(f"\nIt splits into {len(queries)} component group-by queries:")
     for query in queries:
         print(" *", query.describe(db.schema))
-
-    print("\nComponent query 1 as star-join SQL:")
-    print(to_sql(db.schema, queries[0], fact_table="WholeSalesData"))
 
     print("\nOptimizing all six as a unit (Global Greedy):")
     plan = db.optimize(queries, "gg")

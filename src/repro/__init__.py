@@ -30,6 +30,7 @@ from .check import (
     CorrectnessError,
     PlanCoverageError,
     PlanValidationError,
+    evaluate_reference,
     reference_answer,
     validate_global_plan,
 )
@@ -42,7 +43,7 @@ from .core import (
     SharedScanStarJoin,
     make_optimizer,
 )
-from .engine import Database, evaluate_reference, to_sql
+from .engine import Database
 from .faults import (
     FaultPlan,
     InjectedFault,
@@ -95,6 +96,5 @@ __all__ = [
     "StarSchema",
     "evaluate_reference",
     "make_optimizer",
-    "to_sql",
     "__version__",
 ]

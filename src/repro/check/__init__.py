@@ -5,7 +5,8 @@ must produce, for every component query, precisely the answer the
 single-query plan would.  This package is the oracle asserting it:
 
 * :mod:`repro.check.reference` — ground truth by naive tuple-at-a-time
-  scan of the raw fact table (no sharing, no indexes, no views);
+  fold (no sharing, no indexes, no views): :func:`evaluate_reference` over
+  any rows, :func:`reference_answer` over the raw fact table;
 * :mod:`repro.check.validate` — a plan's two rules: coverage of the
   submitted batch (``Database.optimize`` checks every plan) and structure
   (lattice ancestry, method mix) before it runs;
@@ -35,7 +36,7 @@ from .invariants import (
     first_divergence,
     recheck_cache_hits,
 )
-from .reference import raw_base_entry, reference_answer
+from .reference import evaluate_reference, raw_base_entry, reference_answer
 from .validate import (
     check_coverage,
     expected_operator,
@@ -54,6 +55,7 @@ __all__ = [
     "check_plan",
     "check_result",
     "check_results",
+    "evaluate_reference",
     "expected_operator",
     "first_divergence",
     "raw_base_entry",

@@ -66,11 +66,9 @@ class Database:
         self.data_version = 0
         #: Attachments, plain data (None = detached): the result cache
         #: :meth:`run_queries` consults (:func:`~repro.engine.result_cache.
-        #: attach_cache`), the query log :meth:`execute` feeds
-        #: (:func:`~repro.engine.advisor.attach_log`), and the serving
-        #: plane's flight recorder (:meth:`flight_recorder`).
+        #: attach_cache`) and the serving plane's flight recorder
+        #: (:meth:`flight_recorder`).
         self.result_cache = None
-        self.query_log = None
         self._flight_recorder = None
         #: ANALYZE output per table (see :meth:`analyze`); empty means the
         #: cost model falls back to uniform selectivity estimates.
@@ -455,10 +453,7 @@ class Database:
         overrides the database's :attr:`paranoia` flag for this run;
         ``n_workers`` > 1 runs the plan's cells on a thread pool;
         ``shard_set`` (from :meth:`build_shards`) scatters each class over
-        the data shards and gathers the merged results.
-
-        Every executed query is recorded in :attr:`query_log` when one is
-        attached — whichever front door the plan came through."""
+        the data shards and gathers the merged results."""
         from ..core.executor import execute_plan
 
         started = time.perf_counter()
@@ -471,8 +466,6 @@ class Database:
             paranoia=paranoia,
         )
         report.elapsed_s = time.perf_counter() - started
-        if self.query_log is not None:
-            self.query_log.record_execution(report)
         return report
 
     def run_queries(

@@ -17,10 +17,10 @@ level-domain), so selection needs no data scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..schema.lattice import enumerate_lattice, estimate_groupby_rows
-from ..schema.query import GroupBy, GroupByQuery
+from ..schema.query import GroupBy
 from ..schema.star import StarSchema
 
 
@@ -46,36 +46,17 @@ class ViewSelection:
         return [view.name(schema) for view in self.views]
 
 
-def _workload_points(
-    schema: StarSchema,
-    workload: Optional[Sequence[GroupByQuery]],
-) -> Dict[GroupBy, float]:
-    """The lattice points whose cost the selection should minimize, with
-    weights.  Without a workload: every lattice point, weight 1 (HRU's
-    uniform assumption).  With one: each query contributes its
-    required-levels point (the finest data it must read), weighted by
-    multiplicity."""
-    if workload is None:
-        return {point: 1.0 for point in enumerate_lattice(schema)}
-    points: Dict[GroupBy, float] = {}
-    for query in workload:
-        point = GroupBy(query.required_levels())
-        points[point] = points.get(point, 0.0) + 1.0
-    return points
-
-
 def greedy_select_views(
     schema: StarSchema,
     n_base_rows: int,
     n_views: int,
-    workload: Optional[Sequence[GroupByQuery]] = None,
 ) -> ViewSelection:
     """Select up to ``n_views`` group-bys to materialize (beyond the base
     table, which is always available).
 
     Greedy invariant: each step picks the unselected view maximizing the
-    total decrease in estimated answering cost over the target points;
-    stops early when no view helps.
+    total decrease in estimated answering cost over every lattice point
+    (HRU's uniform weights); stops early when no view helps.
     """
     if n_views < 0:
         raise ValueError("n_views cannot be negative")
@@ -85,12 +66,9 @@ def greedy_select_views(
         for point in enumerate_lattice(schema)
     }
     sizes[base] = n_base_rows
-    points = _workload_points(schema, workload)
     # cost_of[point]: rows of the cheapest selected view serving it.
-    cost_of: Dict[GroupBy, float] = {
-        point: float(n_base_rows) for point in points
-    }
-    candidates = [p for p in enumerate_lattice(schema) if p != base]
+    cost_of: Dict[GroupBy, float] = dict.fromkeys(sizes, float(n_base_rows))
+    candidates = [p for p in cost_of if p != base]
     selection = ViewSelection()
     for _step in range(n_views):
         best_view: Optional[GroupBy] = None
@@ -98,9 +76,9 @@ def greedy_select_views(
         for view in candidates:
             view_rows = sizes[view]
             benefit = 0.0
-            for point, weight in points.items():
-                if point.derivable_from(view) and cost_of[point] > view_rows:
-                    benefit += weight * (cost_of[point] - view_rows)
+            for point, cost in cost_of.items():
+                if point.derivable_from(view) and cost > view_rows:
+                    benefit += cost - view_rows
             if benefit > best_benefit or (
                 best_view is not None
                 and benefit == best_benefit
@@ -122,7 +100,7 @@ def greedy_select_views(
         )
         selection.total_benefit += best_benefit
         view_rows = sizes[best_view]
-        for point in points:
+        for point in cost_of:
             if point.derivable_from(best_view) and cost_of[point] > view_rows:
                 cost_of[point] = float(view_rows)
     return selection
@@ -132,23 +110,21 @@ def workload_cost(
     schema: StarSchema,
     n_base_rows: int,
     selected: Iterable[GroupBy],
-    workload: Optional[Sequence[GroupByQuery]] = None,
 ) -> float:
-    """Estimated total answering cost (rows read) of the target points given
-    a set of materialized views — HRU's objective function, usable to
+    """Estimated total answering cost (rows read) of every lattice point
+    given a set of materialized views — HRU's objective function, usable to
     compare selections."""
     sizes = {
         view: estimate_groupby_rows(schema, view.levels, n_base_rows)
         for view in selected
     }
-    points = _workload_points(schema, workload)
     total = 0.0
-    for point, weight in points.items():
+    for point in enumerate_lattice(schema):
         best = float(n_base_rows)
         for view, rows in sizes.items():
             if point.derivable_from(view) and rows < best:
                 best = float(rows)
-        total += weight * best
+        total += best
     return total
 
 

@@ -1,6 +1,5 @@
 """Star-schema metadata: dimensions, hierarchies, group-by queries, lattice."""
 
-from .builder import DimensionBuilder, SchemaBuilder
 from .dimension import Dimension, Level
 from .lattice import (
     aggregate_compatible,
@@ -25,11 +24,9 @@ __all__ = [
     "Aggregate",
     "DimPredicate",
     "Dimension",
-    "DimensionBuilder",
     "GroupBy",
     "GroupByQuery",
     "Level",
-    "SchemaBuilder",
     "StarSchema",
     "aggregate_compatible",
     "ancestors",

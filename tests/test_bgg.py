@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.optimizer import BGGOptimizer, ETPLGOptimizer, GGOptimizer
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.workload.paper_queries import PAPER_TESTS, paper_queries
 
 from helpers import make_tiny_db, random_query

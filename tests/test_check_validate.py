@@ -9,13 +9,13 @@ import pytest
 from repro.check import (
     PlanValidationError,
     check_coverage,
+    evaluate_reference,
     expected_operator,
     raw_base_entry,
     reference_answer,
     validate_global_plan,
 )
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
-from repro.engine.reference import evaluate_reference
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db, random_query
@@ -31,7 +31,7 @@ def db():
 
 
 class TestReferenceAnswer:
-    def test_agrees_with_engine_reference_on_random_queries(self, db):
+    def test_is_the_fold_over_the_raw_table(self, db):
         base = db.catalog.get("XY")
         rng = random.Random(7)
         for i in range(25):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.optimizer import CostModel
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import hash_star_join, make_tiny_db

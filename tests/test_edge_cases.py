@@ -5,7 +5,7 @@ hierarchies, wide schemas."""
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.dimension import Dimension
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.schema.star import StarSchema

@@ -16,7 +16,6 @@ import pytest
 import repro
 from repro.check import check_batch
 from repro.engine import maintenance
-from repro.engine.advisor import attach_log
 from repro.engine.database import Database
 from repro.engine.result_cache import attach_cache
 from repro.engine.session import QuerySession, query_key
@@ -281,13 +280,13 @@ def test_partial_failure_caches_nothing_through_any_door(door):
 
 def test_attachments_are_plain_data():
     db = make_tiny_db(n_rows=100)
-    assert db.result_cache is None and db.query_log is None
-    cache, log = attach_cache(db), attach_log(db)
-    assert db.result_cache is cache and db.query_log is log
+    assert db.result_cache is None
+    cache = attach_cache(db)
+    assert db.result_cache is cache
     assert not {"run_queries", "execute", "append_rows"} & set(vars(db))
     report = db.run_queries([q(label="x")], "gg")
     assert type(report).__name__ == "ExecutionReport"
-    assert len(cache) == 1 and len(log) == 1
+    assert len(cache) == 1
 
 
 def test_empty_batch_is_rejected_with_and_without_a_cache():

@@ -8,7 +8,7 @@ kinds — scales to the full set and stays correct.
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ pin the *shapes* so regressions are caught by `pytest tests/`."""
 import pytest
 
 from repro.bench.harness import run_algorithm_comparison, run_figure
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.check import reference_answer
+from repro.check import evaluate_reference, reference_answer
 from repro.engine.maintenance import MaintenanceError, append_rows
 from repro.engine.result_cache import attach_cache
-from repro.engine.reference import evaluate_reference
 from repro.core.operators.index_join import IndexStarJoin
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage.page import Page

@@ -20,7 +20,7 @@ from repro.core.operators.index_join import (
 )
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.core.optimizer.plans import DeriveStep
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
 from repro.storage.iostats import IOStats

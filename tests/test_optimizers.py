@@ -10,14 +10,18 @@ from collections import Counter
 
 import pytest
 
-from repro.check import check_coverage, raw_base_entry, validate_global_plan
+from repro.check import (
+    check_coverage,
+    evaluate_reference,
+    raw_base_entry,
+    validate_global_plan,
+)
 from repro.core.optimizer import (
     OPTIMIZERS,
     CostModel,
     GreedyOptimizer,
     make_optimizer,
 )
-from repro.engine.reference import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine.persist import load_database, save_database
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import MissingIndexError, SharedIndexStarJoin
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db, random_query

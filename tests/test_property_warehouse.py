@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.database import Database
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.engine.view_selection import materialize_selection
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows

@@ -1,9 +1,8 @@
-"""Tests for the brute-force reference evaluator and SQL rendering."""
+"""Tests for the brute-force reference evaluator."""
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
-from repro.engine.sqlgen import level_column, to_sql
+from repro.check import evaluate_reference
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 
 from conftest import make_tiny_schema
@@ -81,37 +80,3 @@ class TestResultHelpers:
         assert not a.approx_equals(b)
         assert a.approx_equals(a)
 
-
-class TestSqlGen:
-    def test_level_column(self):
-        assert level_column(SCHEMA, 0, 1) == "Xdim.X_1"
-        assert level_column(SCHEMA, 0, 0) == "Xdim.X"
-        with pytest.raises(ValueError):
-            level_column(SCHEMA, 0, SCHEMA.dimensions[0].all_level)
-
-    def test_full_query_rendering(self):
-        query = GroupByQuery(
-            groupby=GroupBy((1, 3)),
-            predicates=(DimPredicate(1, 2, frozenset({0})),),
-        )
-        sql = to_sql(SCHEMA, query, fact_table="F")
-        assert "SELECT Xdim.X_1, SUM(F.m)" in sql
-        assert "JOIN Xdim ON Xdim.X = F.X" in sql
-        assert "JOIN Ydim ON Ydim.Y = F.Y" in sql
-        assert "WHERE Ydim.Y_2 IN ('Y1')" in sql
-        assert sql.endswith("GROUP BY Xdim.X_1")
-
-    def test_leaf_level_uses_fact_column(self):
-        query = GroupByQuery(
-            groupby=GroupBy((0, 3)),
-            predicates=(DimPredicate(0, 0, frozenset({1, 0})),),
-        )
-        sql = to_sql(SCHEMA, query, fact_table="F")
-        assert "F.X" in sql
-        assert "Xdim" not in sql.split("WHERE")[0].split("FROM")[1]
-
-    def test_fully_aggregated_query(self):
-        query = GroupByQuery(groupby=GroupBy((3, 3)))
-        sql = to_sql(SCHEMA, query, fact_table="F")
-        assert "GROUP BY" not in sql
-        assert sql.startswith("SELECT SUM(F.m)")

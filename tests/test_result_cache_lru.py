@@ -1,4 +1,5 @@
-"""Access-ordered LRU semantics and metrics export of the ResultCache.
+"""The ResultCache: hits by semantics, access-ordered LRU eviction, metrics
+export, and the attached cache behind ``Database.run_queries``.
 
 The cache must evict the *least recently used* entry — a hit refreshes the
 entry's recency, so hot dashboard queries survive while one-offs age out —
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check import evaluate_reference
 from repro.core.operators.results import QueryResult
 from repro.engine.result_cache import ResultCache, attach_cache
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
+from repro.workload.generator import generate_fact_rows
 
 from helpers import make_tiny_db
 
@@ -36,6 +39,12 @@ def make_query(member: int) -> GroupByQuery:
         groupby=GroupBy((1, 1)),
         predicates=(DimPredicate(0, 0, frozenset({member})),),
         label=f"q{member}",
+    )
+
+
+def q(levels=(1, 1), preds=(), label=""):
+    return GroupByQuery(
+        groupby=GroupBy(levels), predicates=tuple(preds), label=label
     )
 
 
@@ -145,3 +154,88 @@ class TestAttachedCacheLRU:
         hits_before = cache.stats.hits
         db.run_queries([hot], "gg")
         assert cache.stats.hits == hits_before + 1
+
+
+class TestResultCache:
+    def test_hit_after_put(self):
+        cache = ResultCache()
+        query = q()
+        from repro.core.operators.results import QueryResult
+
+        cache.put(QueryResult(query=query, groups={(0, 0): 1.0}))
+        twin = q()  # same semantics, different qid
+        hit = cache.get(twin)
+        assert hit is not None
+        assert hit.query.qid == twin.qid
+        assert hit.groups == {(0, 0): 1.0}
+        assert cache.stats.hits == 1
+
+    def test_fifo_eviction(self):
+        from repro.core.operators.results import QueryResult
+
+        cache = ResultCache(max_entries=2)
+        a, b, c = q((1, 1)), q((2, 2)), q((1, 2))
+        for query in (a, b, c):
+            cache.put(QueryResult(query=query, groups={}))
+        assert cache.get(q((1, 1))) is None  # evicted
+        assert cache.get(q((2, 2))) is not None
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            ResultCache(max_entries=0)
+
+
+class TestAttachedCache:
+    def test_second_run_is_served_from_cache(self):
+        db = make_tiny_db(n_rows=300)
+        cache = attach_cache(db)
+        query = q(label="cached")
+        first = db.run_queries([query], "gg")
+        assert first.n_cache_hits == 0
+        twin = q(label="again")
+        second = db.run_queries([twin], "gg")
+        assert second.n_cache_hits == 1
+        assert second.result_for(twin).approx_equals(
+            first.result_for(query)
+        )
+        assert cache.stats.hit_rate > 0
+
+    def test_cached_results_are_correct(self):
+        db = make_tiny_db(n_rows=300)
+        attach_cache(db)
+        query = q((2, 1), preds=[DimPredicate(0, 2, frozenset({0}))])
+        db.run_queries([query], "gg")
+        twin = q((2, 1), preds=[DimPredicate(0, 2, frozenset({0}))])
+        report = db.run_queries([twin], "gg")
+        base = db.catalog.get("XY")
+        expected = evaluate_reference(
+            db.schema, base.table.all_rows(), twin, base.levels
+        )
+        assert report.result_for(twin).approx_equals(expected)
+
+    def test_mixed_hit_and_miss_batch(self):
+        db = make_tiny_db(n_rows=300)
+        attach_cache(db)
+        db.run_queries([q(label="warm")], "gg")
+        batch = [q(label="hit"), q((2, 2), label="miss")]
+        report = db.run_queries(batch, "gg")
+        assert report.n_cache_hits == 1
+        assert set(report.results) == {query.qid for query in batch}
+
+    def test_append_invalidates(self):
+        db = make_tiny_db(n_rows=300)
+        cache = attach_cache(db)
+        query = q(label="stale-check")
+        stale = db.run_queries([query], "gg").result_for(query)
+        db.append_rows(generate_fact_rows(db.schema, 50, seed=321))
+        assert len(cache) == 0
+        fresh_query = q(label="fresh")
+        fresh = db.run_queries([fresh_query], "gg").result_for(fresh_query)
+        # The new rows changed the answer; the cache must not serve the old
+        # one.
+        assert not fresh.approx_equals(stale)
+        base = db.catalog.get("XY")
+        expected = evaluate_reference(
+            db.schema, base.table.all_rows(), fresh_query, base.levels
+        )
+        assert fresh.approx_equals(expected)

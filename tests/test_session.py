@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.check import CorrectnessError
+from repro.check import CorrectnessError, evaluate_reference
 from repro.core.optimizer import GGOptimizer
 from repro.engine.database import Database
-from repro.engine.reference import evaluate_reference
 from repro.engine.result_cache import attach_cache
 from repro.engine.session import QuerySession, coalesce, query_key
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.engine import database as database_module
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.engine.view_selection import (
     greedy_select_views,
     materialize_selection,
     workload_cost,
 )
 from repro.schema.lattice import estimate_groupby_rows, lattice_size
-from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
+from repro.schema.query import GroupBy, GroupByQuery
 
 from conftest import make_tiny_schema
 from helpers import make_tiny_db
@@ -79,35 +79,6 @@ class TestGreedySelection:
             assert first_cost <= workload_cost(SCHEMA, N_ROWS, [view]) + 1e-6
 
 
-class TestWorkloadAware:
-    def workload(self):
-        return [
-            GroupByQuery(
-                groupby=GroupBy((2, 2)),
-                predicates=(DimPredicate(0, 1, frozenset({0})),),
-            ),
-            GroupByQuery(groupby=GroupBy((2, 2))),
-        ]
-
-    def test_workload_selection_prefers_relevant_views(self):
-        selection = greedy_select_views(
-            SCHEMA, N_ROWS, n_views=2, workload=self.workload()
-        )
-        assert selection.views, "workload should make some view beneficial"
-        # Every selected view serves at least one workload point.
-        points = [GroupBy(q.required_levels()) for q in self.workload()]
-        for view in selection.views:
-            assert any(p.derivable_from(view) for p in points)
-
-    def test_workload_cost_uses_weights(self):
-        workload = self.workload() + self.workload()
-        cost_double = workload_cost(SCHEMA, N_ROWS, [], workload=workload)
-        cost_single = workload_cost(
-            SCHEMA, N_ROWS, [], workload=self.workload()
-        )
-        assert cost_double == pytest.approx(2 * cost_single)
-
-
 class TestMaterializeSelection:
     def test_selection_round_trip(self):
         db = make_tiny_db(n_rows=500)
@@ -174,9 +145,7 @@ class TestMaterializeSelection:
         bare = make_tiny_db(n_rows=2000)
         before = bare.run_queries(workload, "gg").sim_ms
         tuned = make_tiny_db(n_rows=2000)
-        selection = greedy_select_views(
-            tuned.schema, 2000, n_views=2, workload=workload
-        )
+        selection = greedy_select_views(tuned.schema, 2000, n_views=2)
         materialize_selection(tuned, selection)
         after = tuned.run_queries(workload, "gg").sim_ms
         assert after < before
