@@ -36,7 +36,10 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   aggregate), the ``MemberTerm`` field for field (floats as ``float.hex``)
   and ``find_index``'s ``(index level, lookups)`` per predicate — once on
   the database as the sweep left it, once more after ``analyze()``
-  (measured selectivities), which therefore runs last.
+  (measured selectivities), which therefore runs last;
+* ``cli/``: the stdout of ``repro compare --tests test4,test5``,
+  ``figures``, ``report`` and ``select-views --budget 4`` at the dump's
+  scale, each through ``repro.cli.main`` on its own freshly built database.
 
 It imports only names that exist at the parent of the PR that added it.
 """
@@ -44,12 +47,15 @@ It imports only names that exist at the parent of the PR that added it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import random
 import sys
 from typing import List
 
+from repro.cli import main as cli_main
 from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
@@ -245,6 +251,24 @@ def terms(db, batches: dict, state: str) -> dict:
     return out
 
 
+CLI_COMMANDS = {
+    "compare": ["compare", "--tests", "test4,test5"],
+    "figures": ["figures"],
+    "report": ["report"],
+    "select-views": ["select-views", "--budget", "4"],
+}
+
+
+def cli(scale: float) -> dict:
+    out = {}
+    for name, argv in CLI_COMMANDS.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main([*argv, "--scale", str(scale)])
+        out[f"cli/{name}"] = {"exit": code, "stdout": stdout.getvalue()}
+    return out
+
+
 def sweep(scale: float) -> dict:
     table_module.MORSEL_ROWS = MORSEL_ROWS
     db = build_paper_database(scale=scale)
@@ -306,6 +330,7 @@ def sweep(scale: float) -> dict:
     out.update(terms(db, batches, "plain"))
     db.analyze()
     out.update(terms(db, batches, "analyzed"))
+    out.update(cli(scale))
     return out
 
 

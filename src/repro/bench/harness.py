@@ -7,6 +7,8 @@ base table per test: :func:`run_figure` runs one entry of
 sweep.  Tests 4–7 (Table 2) compare the global plans the optimizers produce:
 :func:`run_algorithm_comparison` is the one loop that plans and executes a
 query set per algorithm — the calibration sweep ledgers its rows.
+:func:`paper_tables` is the one loop over both that ``repro compare``,
+``figures``, ``report`` and the benchmark record read the tables from.
 
 Everything here reads the simulated clock only; wall time is ``perf/``'s.
 """
@@ -14,7 +16,7 @@ Everything here reads the simulated clock only; wall time is ``perf/``'s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..check.invariants import assert_same_answers
 from ..core.executor import ExecutionReport, run_class_accounted
@@ -22,7 +24,7 @@ from ..core.operators.results import QueryResult
 from ..core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from ..engine.database import Database
 from ..schema.query import GroupByQuery
-from ..workload.paper_queries import PAPER_FIGURES, paper_queries
+from ..workload.paper_queries import PAPER_FIGURES, PAPER_TESTS, paper_queries
 
 
 @dataclass
@@ -214,3 +216,34 @@ def run_algorithm_comparison(
             )
         )
     return rows
+
+
+class PaperTable(NamedTuple):
+    """One of the paper's tables: a figure's sharing rows or a test's
+    algorithm rows, each printed by its ``cells()`` under ``headers``."""
+
+    title: str
+    headers: Sequence[str]
+    rows: list
+
+
+def paper_tables(
+    db: Database,
+    figures: Iterable[str] = PAPER_FIGURES,
+    tests: Iterable[str] = PAPER_TESTS,
+    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+) -> Iterator[PaperTable]:
+    """The paper's tables in its order — the chosen Figures 10–12 (keys of
+    :data:`PAPER_FIGURES`), then Table 2 for each chosen test of
+    :data:`PAPER_TESTS` under ``algorithms`` — each run as it is reached."""
+    for key in figures:
+        yield PaperTable(
+            PAPER_FIGURES[key].title, SharingRow.HEADERS, run_figure(db, key)
+        )
+    qs = paper_queries(db.schema)
+    for test in tests:
+        ids = PAPER_TESTS[test]
+        yield PaperTable(
+            f"{test} (Queries {ids})", AlgorithmRow.HEADERS,
+            run_algorithm_comparison(db, [qs[i] for i in ids], algorithms),
+        )

@@ -31,7 +31,7 @@ from ..document import DocumentError, PathLike, field_of, load_json
 from ..engine.database import Database
 from ..workload.paper_queries import PAPER_FIGURES
 from ..workload.paper_schema import build_paper_database
-from .harness import run_figure
+from .harness import paper_tables
 
 #: Format version of the persisted record; bump on breaking layout change.
 RECORD_VERSION = 1
@@ -227,7 +227,7 @@ def record_run(
         ),
     )
     if figures:
-        for key in PAPER_FIGURES:
+        for key, table in zip(PAPER_FIGURES, paper_tables(db, tests=())):
             record.figures[key] = [
                 {
                     "n_queries": row.n_queries,
@@ -235,7 +235,7 @@ def record_run(
                     "shared_ms": round(row.shared_ms, 3),
                     "speedup": round(row.speedup, 4),
                 }
-                for row in run_figure(db, key)
+                for row in table.rows
             ]
     calibration = run_calibration(db, tests=tests, algorithms=algorithms)
     record.calibration = calibration.summary()

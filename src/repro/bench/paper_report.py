@@ -11,14 +11,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional
 
-from ..workload.paper_queries import PAPER_FIGURES, PAPER_TESTS, paper_queries
 from ..workload.paper_schema import PaperConfig, build_paper_database
-from .harness import (
-    AlgorithmRow,
-    SharingRow,
-    run_algorithm_comparison,
-    run_figure,
-)
+from .harness import AlgorithmRow, paper_tables
 from .reporting import format_markdown_table
 
 ALGORITHMS = ("naive", "tplo", "etplg", "bgg", "gg", "optimal")
@@ -34,7 +28,6 @@ def generate_report(
     if config is None:
         config = PaperConfig(scale=scale)
     db = build_paper_database(config=config)
-    qs = paper_queries(db.schema)
     sections: List[str] = [
         "# Reproduction report",
         "",
@@ -49,23 +42,11 @@ def generate_report(
         format_markdown_table(["group-by", "rows", "pages"], db.table_report())
     )
 
-    for key, spec in PAPER_FIGURES.items():
-        sections.append(f"\n## {spec.title}\n")
+    for table in paper_tables(db, algorithms=ALGORITHMS):
+        prefix = "Table 2 — " if table.headers == AlgorithmRow.HEADERS else ""
+        sections.append(f"\n## {prefix}{table.title}\n")
         sections.append(
-            format_markdown_table(
-                SharingRow.HEADERS, [r.cells() for r in run_figure(db, key)]
-            )
-        )
-
-    for test_name, ids in PAPER_TESTS.items():
-        rows = run_algorithm_comparison(
-            db, [qs[i] for i in ids], ALGORITHMS
-        )
-        sections.append(
-            f"\n## Table 2 — {test_name} (Queries {ids})\n"
-        )
-        sections.append(
-            format_markdown_table(AlgorithmRow.HEADERS, [r.cells() for r in rows])
+            format_markdown_table(table.headers, [r.cells() for r in table.rows])
         )
 
     sections.append(

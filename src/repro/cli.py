@@ -12,6 +12,11 @@ Usage (installed as a module)::
 Every subcommand builds the paper's ABCD database (scaled by ``--scale``)
 unless documented otherwise.
 
+A ``repro serve`` flag that sets a config field has that field's default
+(:data:`_SERVE_FLAGS`), and its help renders it: no default is written
+twice.  ``compare``, ``figures`` and ``report`` print the tables of
+:func:`repro.bench.harness.paper_tables`.
+
 Exit codes are uniform across subcommands: ``0`` success, ``1`` a run
 that completed but failed its check (benchmark regression, correctness
 divergence, simulation shortfall), ``2`` a usage error (argparse uses the
@@ -21,33 +26,91 @@ same convention for unparseable arguments).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .bench.harness import (
-    AlgorithmRow,
-    SharingRow,
-    run_algorithm_comparison,
-    run_figure,
-)
+from .bench.harness import paper_tables
 from .bench.reporting import format_table
 from .calibrate.profile import CalibrationProfile
 from .core.explain import explain_plan
 from .document import DocumentError, read_text
 from .engine.view_selection import greedy_select_views, materialize_selection
 from .mdx import translate_mdx
-from .workload.paper_queries import (
-    ALL_PAPER_TESTS,
-    PAPER_FIGURES,
-    PAPER_TESTS,
-    paper_queries,
-)
+from .serve import SimulationConfig, run_simulation, simulation_service
+from .workload.paper_queries import ALL_PAPER_TESTS, PAPER_TESTS, paper_queries
 from .workload.paper_schema import build_paper_database
 
 from .core.optimizer import OPTIMIZERS
 
 ALGORITHMS = tuple(OPTIMIZERS)
+
+#: ``repro serve``'s own flags in ``--help`` order: ``(flag, field, argparse
+#: options, help)``.  A flag with a field sets that field of
+#: :class:`SimulationConfig` or :class:`ServeConfig`, and its default is the
+#: field's — a ServeConfig field's as the simulation's own service states
+#: it (:func:`simulation_service`: the window and the batch cap).
+_SERVE_FLAGS = (
+    ("--simulate", None, {"action": "store_true"},
+     "run the simulated-load harness (required; a network front end is out "
+     "of scope)"),
+    ("--clients", "n_clients", {"metavar": "CLIENTS"},
+     "number of concurrent simulated clients (default %(default)s)"),
+    ("--requests", "requests_per_client", {"metavar": "REQUESTS"},
+     "requests each client issues (default %(default)s)"),
+    ("--window", "window_ms", {"metavar": "MS"},
+     "micro-batching window in milliseconds (default %(default)g)"),
+    ("--workers", "n_workers", {"metavar": "WORKERS"},
+     "threads executing a merged plan's classes (default %(default)s)"),
+    ("--shards", "shards", {"metavar": "N"},
+     "scatter-gather execution over N hash partitions of the data (default "
+     "%(default)s = unsharded); results are verified identical to the "
+     "serial baseline"),
+    ("--shard-dim", "shard_dim", {"metavar": "DIM"},
+     "dimension whose key partitions the data across shards (default: the "
+     "schema's first dimension)"),
+    ("--overlap", "overlap", {"metavar": "OVERLAP"},
+     "probability a request comes from the shared expression pool (default "
+     "%(default)s)"),
+    ("--seed", "seed", {"metavar": "SEED"},
+     "workload seed (default %(default)s)"),
+    ("--algorithm", "algorithm", {"choices": ALGORITHMS},
+     "optimizer for each micro-batch (default %(default)s)"),
+    ("--cache", None, {"action": "store_true"},
+     "attach the semantic result cache, so repeated expressions bypass "
+     "planning entirely"),
+    ("--arrivals", None, {"action": "store_true"},
+     "let clients race the running scheduler instead of pre-loading the "
+     "burst (latency depends on thread timing)"),
+    ("--no-verify", None, {"action": "store_true"},
+     "skip cross-checking every response against serial execution"),
+    ("--faults", None, {"metavar": "SPEC"},
+     "deterministic fault plan armed during the service run, e.g. "
+     "'storage.scan:table=ABCD,nth=1;index.lookup:p=0.05' (see "
+     "docs/resilience.md for the grammar)"),
+    ("--fault-seed", None, {"type": int, "default": 0, "metavar": "N"},
+     "seed for probabilistic fault triggers (default 0)"),
+    ("--retries", "max_attempts", {"metavar": "N"},
+     "max execution attempts per micro-batch before degraded replanning "
+     "(default %(default)s)"),
+    ("--backoff", "backoff_base_ms", {"metavar": "MS"},
+     "base retry backoff on the simulated clock (default %(default)g)"),
+    ("--no-degrade", None, {"action": "store_true"},
+     "disable per-query raw-table fallback; still-failing queries are "
+     "quarantined instead"),
+    ("--flight-recorder", "flight_recorder_path", {"metavar": "FILE"},
+     "dump the service's flight recorder (the last N batch traces plus "
+     "fault/retry/quarantine events) to FILE as JSON after the run; the "
+     "same path receives an automatic dump if a batch fails wholesale (see "
+     "docs/observability.md)"),
+    ("--recorder-size", "flight_recorder", {"metavar": "N"},
+     "flight-recorder ring capacity in entries (default %(default)s; 0 "
+     "disables recording and per-batch tracing)"),
+    ("--stats-json", None, {"metavar": "FILE"},
+     "write the full metrics registry (serve.stage.* latency breakdowns "
+     "included) as a versioned JSON snapshot after the run"),
+)
 
 
 class CliError(Exception):
@@ -72,9 +135,17 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_algorithm(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--algorithm", default="gg", choices=ALGORITHMS,
+        help=f"{what} (default %(default)s)",
+    )
+
+
 def _build_db(args: argparse.Namespace):
     """The database per the common flags: the paper's at ``--scale`` (or,
-    for ``run``, the one saved under ``--database``), under ``--profile``."""
+    for ``run``, the one saved under ``--database``), under ``--profile``,
+    and for ``run`` / ``compare`` under ``--paranoia``."""
     if getattr(args, "database", None):
         from .engine.persist import load_database
 
@@ -83,6 +154,10 @@ def _build_db(args: argparse.Namespace):
         db = build_paper_database(scale=args.scale)
     if args.profile:
         db.apply_profile(CalibrationProfile.load(args.profile))
+    if getattr(args, "paranoia", False):
+        db.paranoia = True
+        print("paranoia: validating plans and cross-checking every result "
+              "against the reference evaluator")
     return db
 
 
@@ -118,10 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--database", metavar="DIR",
         help="load a saved database instead of building the paper's",
     )
-    run.add_argument(
-        "--algorithm", default="gg", choices=ALGORITHMS,
-        help="optimizer (default gg)",
-    )
+    _add_algorithm(run, "optimizer")
     run.add_argument(
         "--explain", action="store_true",
         help="print the global plan before executing",
@@ -179,10 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scale(explain)
     explain.add_argument("mdx", nargs="?", help="MDX text (or use --file)")
     explain.add_argument("--file", help="read the MDX expression from a file")
-    explain.add_argument(
-        "--algorithm", default="gg", choices=ALGORITHMS,
-        help="optimizer (default gg)",
-    )
+    _add_algorithm(explain, "optimizer")
     explain.add_argument(
         "--analyze", action="store_true",
         help="execute the plan and annotate every class and component query "
@@ -279,106 +348,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "alone.  Exits 1 if batching failed to beat serial execution.",
     )
     _add_scale(serve)
-    serve.add_argument(
-        "--simulate", action="store_true",
-        help="run the simulated-load harness (required; a network front "
-        "end is out of scope)",
-    )
-    serve.add_argument(
-        "--clients", type=int, default=32,
-        help="number of concurrent simulated clients (default 32)",
-    )
-    serve.add_argument(
-        "--requests", type=int, default=3,
-        help="requests each client issues (default 3)",
-    )
-    serve.add_argument(
-        "--window", type=float, default=25.0, metavar="MS",
-        help="micro-batching window in milliseconds (default 25)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4,
-        help="threads executing a merged plan's classes (default 4)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="scatter-gather execution over N hash partitions of the "
-        "data (default 1 = unsharded); results are verified identical "
-        "to the serial baseline",
-    )
-    serve.add_argument(
-        "--shard-dim", default=None, metavar="DIM",
-        help="dimension whose key partitions the data across shards "
-        "(default: the schema's first dimension)",
-    )
-    serve.add_argument(
-        "--overlap", type=float, default=0.75,
-        help="probability a request comes from the shared expression pool "
-        "(default 0.75)",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed (default 0)",
-    )
-    serve.add_argument(
-        "--algorithm", default="gg", choices=ALGORITHMS,
-        help="optimizer for each micro-batch (default gg)",
-    )
-    serve.add_argument(
-        "--cache", action="store_true",
-        help="attach the semantic result cache, so repeated expressions "
-        "bypass planning entirely",
-    )
-    serve.add_argument(
-        "--arrivals", action="store_true",
-        help="let clients race the running scheduler instead of "
-        "pre-loading the burst (latency depends on thread timing)",
-    )
-    serve.add_argument(
-        "--no-verify", action="store_true",
-        help="skip cross-checking every response against serial execution",
-    )
-    serve.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="deterministic fault plan armed during the service run, e.g. "
-        "'storage.scan:table=ABCD,nth=1;index.lookup:p=0.05' "
-        "(see docs/resilience.md for the grammar)",
-    )
-    serve.add_argument(
-        "--fault-seed", type=int, default=0, metavar="N",
-        help="seed for probabilistic fault triggers (default 0)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="max execution attempts per micro-batch before degraded "
-        "replanning (default 3)",
-    )
-    serve.add_argument(
-        "--backoff", type=float, default=50.0, metavar="MS",
-        help="base retry backoff on the simulated clock (default 50)",
-    )
-    serve.add_argument(
-        "--no-degrade", action="store_true",
-        help="disable per-query raw-table fallback; still-failing queries "
-        "are quarantined instead",
-    )
-    serve.add_argument(
-        "--flight-recorder", metavar="FILE", default=None,
-        help="dump the service's flight recorder (the last N batch traces "
-        "plus fault/retry/quarantine events) to FILE as JSON after the "
-        "run; the same path receives an automatic dump if a batch fails "
-        "wholesale (see docs/observability.md)",
-    )
-    serve.add_argument(
-        "--recorder-size", type=int, default=32, metavar="N",
-        help="flight-recorder ring capacity in entries (default 32; "
-        "0 disables recording and per-batch tracing)",
-    )
-    serve.add_argument(
-        "--stats-json", metavar="FILE", default=None,
-        help="write the full metrics registry (serve.stage.* latency "
-        "breakdowns included) as a versioned JSON snapshot after the run",
-    )
+    owners = (SimulationConfig(), simulation_service(1))
+    for flag, name, options, text in _SERVE_FLAGS:
+        if name is not None:
+            default = next(getattr(o, name) for o in owners if hasattr(o, name))
+            options = dict(options, dest=name, default=default)
+            if default is not None:
+                options.setdefault("type", type(default))
+        serve.add_argument(flag, help=text, **options)
 
     metrics_cmd = sub.add_parser(
         "metrics",
@@ -404,10 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="paper test whose queries populate the registry "
         "(default test4); one of: " + ", ".join(ALL_PAPER_TESTS),
     )
-    metrics_cmd.add_argument(
-        "--algorithm", default="gg", choices=ALGORITHMS,
-        help="optimizer for the workload (default gg)",
-    )
+    _add_algorithm(metrics_cmd, "optimizer for the workload")
 
     report_cmd = sub.add_parser(
         "report", help="run every paper experiment; emit a markdown report"
@@ -456,10 +430,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     mdx = _read_mdx(args)
     db = _build_db(args)
-    db.paranoia = args.paranoia
-    if args.paranoia:
-        print("paranoia: validating plans and cross-checking every result "
-              "against the reference evaluator")
     if args.pivot:
         from .mdx.pivot import evaluate_pivot
 
@@ -506,39 +476,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     names = _parse_tests(args.tests, PAPER_TESTS)
     db = _build_db(args)
-    db.paranoia = args.paranoia
-    if args.paranoia:
-        print("paranoia: validating plans and cross-checking every result "
-              "against the reference evaluator")
-    qs = paper_queries(db.schema)
-    for test_name in names:
-        ids = PAPER_TESTS[test_name]
-        rows = run_algorithm_comparison(
-            db, [qs[i] for i in ids], ALGORITHMS
-        )
-        print()
-        print(
-            format_table(
-                AlgorithmRow.HEADERS,
-                [r.cells() for r in rows],
-                title=f"{test_name} (Queries {ids})",
-            )
-        )
+    _print_tables(
+        paper_tables(db, figures=(), tests=names, algorithms=ALGORITHMS)
+    )
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    db = _build_db(args)
-    for key, spec in PAPER_FIGURES.items():
-        print()
-        print(
-            format_table(
-                SharingRow.HEADERS,
-                [r.cells() for r in run_figure(db, key)],
-                title=spec.title,
-            )
-        )
+    _print_tables(paper_tables(_build_db(args), tests=()))
     return 0
+
+
+def _print_tables(tables) -> None:
+    for title, headers, rows in tables:
+        print()
+        print(format_table(headers, [r.cells() for r in rows], title=title))
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -569,7 +521,6 @@ def _parse_tests(
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine.result_cache import attach_cache
-    from .serve import ServeConfig, SimulationConfig, run_simulation
 
     if not args.simulate:
         raise CliError("pass --simulate (the only serve mode available)")
@@ -581,41 +532,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_plan = parse_fault_plan(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise CliError(f"bad --faults spec: {exc}") from exc
+    given = {n: getattr(args, n) for _, n, _, _ in _SERVE_FLAGS if n}
+    load_fields = {f.name for f in dataclasses.fields(SimulationConfig)}
     try:
-        serve = ServeConfig(
-            window_ms=args.window,
-            # The whole pre-loaded burst may ride one batch; an empty
-            # burst is SimulationConfig's to reject, naming the flag.
-            max_batch_requests=max(1, args.clients * args.requests),
-            n_workers=args.workers,
-            algorithm=args.algorithm,
-            max_attempts=args.retries,
-            backoff_base_ms=args.backoff,
+        serve = simulation_service(
+            args.n_clients * args.requests_per_client,
             degrade=not args.no_degrade,
-            shards=args.shards,
-            shard_dim=args.shard_dim,
-            flight_recorder=args.recorder_size,
-            flight_recorder_path=args.flight_recorder,
+            **{k: v for k, v in given.items() if k not in load_fields},
         )
         config = SimulationConfig(
-            n_clients=args.clients,
-            requests_per_client=args.requests,
-            seed=args.seed,
-            overlap=args.overlap,
             preload=not args.arrivals,
             verify=not args.no_verify,
             faults=fault_plan,
             serve=serve,
+            **{k: v for k, v in given.items() if k in load_fields},
         )
     except ValueError as exc:
         raise CliError(f"bad serve configuration: {exc}") from exc
     db = _build_db(args)
-    if args.shard_dim is not None and args.shard_dim not in [
-        dim.name for dim in db.schema.dimensions
-    ]:
+    dims = [dim.name for dim in db.schema.dimensions]
+    if serve.shard_dim is not None and serve.shard_dim not in dims:
         raise CliError(
-            f"unknown --shard-dim {args.shard_dim!r}; choose from "
-            f"{[dim.name for dim in db.schema.dimensions]}"
+            f"unknown --shard-dim {serve.shard_dim!r}; choose from {dims}"
         )
     if args.cache:
         attach_cache(db)
@@ -631,8 +569,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report = run_simulation(db, config)
     print()
     print(report.render())
-    if args.flight_recorder and report.recorder is not None:
-        path = report.recorder.dump(args.flight_recorder)
+    if serve.flight_recorder_path and report.recorder is not None:
+        path = report.recorder.dump(serve.flight_recorder_path)
         print(
             f"\nflight recorder ({len(report.recorder)} entry(ies), "
             f"{report.recorder.n_recorded} recorded) -> {path}"
@@ -643,7 +581,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"metrics snapshot -> {write_metrics_json(args.stats_json)}")
     if (
         fault_plan is None
-        and args.shards == 1
+        and serve.shards == 1
         and report.batched_sim_ms >= report.serial_sim_ms
     ):
         # Under injected faults the batched cost legitimately includes

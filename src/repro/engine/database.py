@@ -271,15 +271,7 @@ class Database:
         }.get(kind)
         if builder is None:
             raise ValueError(f"unknown index kind {kind!r}")
-        index = builder.build(
-            entry.table,
-            table_name,
-            dim_index,
-            depth,
-            column_index=dim_index,
-            key_to_member=dim.rollup_map(stored, depth),
-            n_members=dim.n_members(depth),
-        )
+        index = builder.build_on(entry, dim, dim_index, depth)
         entry.add_index(dim_index, depth, index)
         return index
 

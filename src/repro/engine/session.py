@@ -16,7 +16,8 @@ drill-down sequence).  Two natural extensions, both implemented here:
 A session is one of the front doors onto :meth:`Database.run_queries
 <repro.engine.database.Database.run_queries>` (``docs/architecture.md``
 §"Answering a batch"): it adds :func:`coalesce` before the door and fan-out
-after it, and nothing else — cache, validation and logging are the door's.
+after it, and nothing else — cache, validation and retention are the
+door's.
 """
 
 from __future__ import annotations

@@ -16,13 +16,17 @@ star-join operators are agnostic to the payload encoding.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence
 
 import numpy as np
 
 from ..storage.iostats import IOStats
 from ..storage.table import HeapTable
 from .bitmap import Bitmap, or_all
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..schema.dimension import Dimension
+    from ..storage.catalog import TableEntry
 
 #: Accounted bytes per page when sizing index payloads (mirrors data pages).
 INDEX_PAGE_BYTES = 8192
@@ -57,6 +61,22 @@ class JoinIndex(ABC):
         keys = table.read_columns(table.n_columns - 1)[0][column_index]
         index.extend(key_to_member[keys])
         return index
+
+    @classmethod
+    def build_on(
+        cls, entry: "TableEntry", dim: "Dimension", dim_index: int, level: int
+    ) -> "JoinIndex":
+        """Build on a catalog entry's table, indexing dimension ``dim``
+        (position ``dim_index``) at ``level`` from the level it stores."""
+        return cls.build(
+            entry.table,
+            entry.name,
+            dim_index,
+            level,
+            column_index=dim_index,
+            key_to_member=dim.rollup_map(entry.levels[dim_index], level),
+            n_members=dim.n_members(level),
+        )
 
     def extend(self, members: np.ndarray) -> None:
         """Cover rows ``n_rows .. n_rows + len(members)``, whose member ids

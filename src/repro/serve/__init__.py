@@ -13,7 +13,8 @@ Entry points:
 * :class:`QueryService` / :class:`ServeConfig` — the service itself
   (``Database.serve(...)`` is a convenience constructor).
 * :func:`run_simulation` / :class:`SimulationConfig` — the simulated
-  concurrent-load harness behind ``repro serve --simulate``.
+  concurrent-load harness behind ``repro serve --simulate``
+  (:func:`simulation_service` is the service it runs by default).
 * :func:`build_shards` / :class:`ShardSet` — N hash partitions of the
   data for scatter-gather execution (``ServeConfig(shards=N)`` /
   ``repro serve --simulate --shards N`` /
@@ -37,7 +38,12 @@ from .futures import (
 from .retry import RetryExhausted, RetryPolicy, SimulatedClock, call_with_retry
 from .service import QueryService, ServiceStats
 from .shard import Shard, ShardSet, build_shards
-from .simulate import SimulationConfig, SimulationReport, run_simulation
+from .simulate import (
+    SimulationConfig,
+    SimulationReport,
+    run_simulation,
+    simulation_service,
+)
 
 __all__ = [
     "AdmissionError",
@@ -64,4 +70,5 @@ __all__ = [
     "assemble_batch",
     "call_with_retry",
     "run_simulation",
+    "simulation_service",
 ]

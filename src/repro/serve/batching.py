@@ -43,10 +43,11 @@ class ServeConfig:
     measurement discipline; warm execution is order-dependent, so it
     forces serial class execution.
 
-    Resilience knobs: ``max_attempts``, ``backoff_base_ms``,
-    ``backoff_multiplier`` and ``degrade`` make up :attr:`recovery`, the
-    policy every batch is answered under — recovery is the door's, stated
-    once in ``docs/architecture.md`` §"Answering a batch" (step 5).
+    Resilience knobs: ``max_attempts``, ``backoff_base_ms`` and
+    ``degrade`` make up :attr:`recovery` (with :class:`RetryPolicy`'s own
+    backoff multiplier), the policy every batch is answered under —
+    recovery is the door's, stated once in ``docs/architecture.md``
+    §"Answering a batch" (step 5).
 
     Sharding knobs (see ``docs/serving.md``): ``shards`` > 1 switches the
     scheduler to scatter-gather execution over that many hash partitions
@@ -71,7 +72,6 @@ class ServeConfig:
     default_deadline_ms: Optional[float] = None
     max_attempts: int = 3
     backoff_base_ms: float = 50.0
-    backoff_multiplier: float = 2.0
     degrade: bool = True
     shards: int = 1
     shard_dim: Optional[str] = None
@@ -79,7 +79,7 @@ class ServeConfig:
     flight_recorder_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.recovery  # the policy validates the four resilience knobs
+        self.recovery  # the policy validates the resilience knobs
         if self.flight_recorder < 0:
             raise ValueError(
                 f"flight_recorder capacity must be >= 0 "
@@ -120,8 +120,7 @@ class ServeConfig:
     def recovery(self) -> RetryPolicy:
         """The policy ``Database.run_queries`` answers every batch under."""
         return RetryPolicy(
-            self.max_attempts, self.backoff_base_ms, self.backoff_multiplier,
-            self.degrade,
+            self.max_attempts, self.backoff_base_ms, degrade=self.degrade
         )
 
 

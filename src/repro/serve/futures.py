@@ -3,9 +3,9 @@
 A client that submits to the :class:`~repro.serve.service.QueryService`
 gets a :class:`ServeFuture` back immediately; the scheduler thread resolves
 it once the micro-batch carrying the request has executed.  Futures are
-single-assignment: exactly one of :meth:`ServeFuture.set_result` /
-:meth:`ServeFuture.set_exception` ever lands, and a second attempt is a
-programming error.
+single-assignment: exactly one of ``set_result`` / ``set_exception`` ever
+lands, and a second attempt raises
+:class:`concurrent.futures.InvalidStateError`.
 
 Error taxonomy (all subclasses of :class:`ServeError`):
 
@@ -23,7 +23,7 @@ Error taxonomy (all subclasses of :class:`ServeError`):
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -137,89 +137,33 @@ class ServeResponse:
         )
 
 
-class ServeFuture:
-    """A write-once, event-backed handle to one request's outcome.
+class ServeFuture(Future):
+    """A :class:`concurrent.futures.Future` for one request's
+    :class:`ServeResponse`.
 
-    Carries the request's ``trace_id`` from admission on, so a caller can
-    correlate its wait with scheduler-side traces and flight-recorder
-    entries before (and after) the future resolves.
+    Carries the request's ``request_id`` and ``trace_id`` from admission
+    on, so a caller can correlate its wait with scheduler-side traces and
+    flight-recorder entries before (and after) the future resolves.
+    ``result(timeout=)`` bounds only the wait: on expiry the request stays
+    in flight and a later call can still collect it.
     """
 
     def __init__(self, request_id: int, trace_id: str = ""):
+        super().__init__()
         self.request_id = request_id
         self.trace_id = trace_id or f"req-{request_id:06d}"
-        self._event = threading.Event()
-        self._response: Optional[ServeResponse] = None
-        self._exception: Optional[BaseException] = None
 
-    def done(self) -> bool:
-        """Whether the request has been resolved (result or error)."""
-        return self._event.is_set()
-
-    def set_result(self, response: ServeResponse) -> None:
-        """Resolve with a response (scheduler-side; single assignment)."""
-        if self._event.is_set():
-            raise RuntimeError(
-                f"future for request {self.request_id} resolved twice"
-            )
-        self._response = response
-        self._event.set()
-
-    def set_exception(self, exc: BaseException) -> None:
-        """Resolve with an error (scheduler-side; single assignment)."""
-        if self._event.is_set():
-            raise RuntimeError(
-                f"future for request {self.request_id} resolved twice"
-            )
-        self._exception = exc
-        self._event.set()
-
-    def try_set_result(self, response: ServeResponse) -> bool:
-        """Resolve with a response unless already resolved; returns whether
-        this call won.  The scheduler uses this on paths where a request
+    def try_resolve(self, outcome) -> bool:
+        """Resolve with ``outcome`` — an error if it is an exception, else
+        the response — unless already resolved; returns whether this call
+        won.  The scheduler resolves through this on paths where a request
         may legitimately have been failed already (deadline expiry during
-        execution, quarantine) — losing the race must not crash the loop."""
-        if self._event.is_set():
+        execution, quarantine): losing the race must not crash the loop."""
+        try:
+            if isinstance(outcome, BaseException):
+                self.set_exception(outcome)
+            else:
+                self.set_result(outcome)
+        except InvalidStateError:
             return False
-        self.set_result(response)
         return True
-
-    def try_set_exception(self, exc: BaseException) -> bool:
-        """Resolve with an error unless already resolved; returns whether
-        this call won (see :meth:`try_set_result`)."""
-        if self._event.is_set():
-            return False
-        self.set_exception(exc)
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> ServeResponse:
-        """Block until resolved; return the response or raise the error.
-
-        ``timeout`` bounds only this wait (seconds); on expiry a
-        :class:`TimeoutError` is raised and the request itself stays in
-        flight — a later call can still collect it.
-        """
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} still pending after "
-                f"{timeout:g}s wait"
-            )
-        if self._exception is not None:
-            raise self._exception
-        assert self._response is not None
-        return self._response
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """Block until resolved; return the error (None on success)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} still pending after "
-                f"{timeout:g}s wait"
-            )
-        return self._exception
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "pending"
-        if self._event.is_set():
-            state = "failed" if self._exception is not None else "done"
-        return f"ServeFuture(request={self.request_id}, {state})"

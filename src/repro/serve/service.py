@@ -347,7 +347,7 @@ class QueryService:
                 request = self._queue.get_nowait()
             except queue.Empty:
                 break
-            request.future.set_exception(
+            request.future.try_resolve(
                 ServiceStopped(
                     f"service stopped before request "
                     f"{request.request_id} was scheduled"
@@ -466,7 +466,7 @@ class QueryService:
         except BaseException as exc:  # noqa: BLE001 - routed to callers
             self._count(n_failed=len(live))
             for request in live:
-                request.future.try_set_exception(exc)
+                request.future.try_resolve(exc)
             # A wholesale batch failure is exactly what the flight recorder
             # exists for: log it, and when configured, dump the ring to disk
             # for post-mortem before moving on.
@@ -606,7 +606,7 @@ class QueryService:
         """Fail a request whose deadline passed (``what`` it did so long)."""
         waited_ms = (now - request.submitted_s) * 1000.0
         self._count(n_timed_out=1)
-        request.future.try_set_exception(
+        request.future.try_resolve(
             DeadlineExceeded(
                 f"request {request.request_id} {what} {waited_ms:.1f} ms, "
                 f"past its deadline"
@@ -698,7 +698,7 @@ class QueryService:
                 bad_qids = sorted(own_qid for _canonical, own_qid in bad)
                 cause = quarantined[bad[0][0]]
                 self._count(n_quarantined=1)
-                request.future.try_set_exception(
+                request.future.try_resolve(
                     RequestQuarantined(
                         f"request {request.request_id} quarantined: "
                         f"{len(bad_qids)} of its {len(request.queries)} "
@@ -719,7 +719,7 @@ class QueryService:
             self._m_hist["request_latency_ms"].observe(
                 response.latency_s * 1000.0
             )
-            if request.future.try_set_result(response):
+            if request.future.try_resolve(response):
                 n_served += 1
 
         self._count(

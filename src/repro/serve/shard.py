@@ -146,16 +146,8 @@ def build_shards(
             if entry.is_raw:
                 shard.n_rows += part.n_rows
             for (index_dim, level), index in entry.indexes.items():
-                dim = schema.dimensions[index_dim]
-                stored = entry.levels[index_dim]
-                rebuilt = type(index).build(
-                    part,
-                    part.name,
-                    index_dim,
-                    level,
-                    column_index=index_dim,
-                    key_to_member=dim.rollup_map(stored, level),
-                    n_members=dim.n_members(level),
+                rebuilt = type(index).build_on(
+                    shard_entry, schema.dimensions[index_dim], index_dim, level
                 )
                 shard_entry.add_index(index_dim, level, rebuilt)
     metrics = default_registry()

@@ -37,6 +37,19 @@ from .futures import RequestQuarantined, ServeError, ServeFuture
 from .service import QueryService
 
 
+#: How long the harness waits for each future before giving up.
+WAIT_TIMEOUT_S = 120.0
+
+
+def simulation_service(n_requests: int, **fields) -> ServeConfig:
+    """The simulation's own service for a burst of ``n_requests``: a 25 ms
+    window and a batch cap sized to the burst, so the whole pre-loaded load
+    may ride one batch (an empty burst is :class:`SimulationConfig`'s to
+    reject); ``fields`` set any other :class:`ServeConfig` field."""
+    own = {"window_ms": 25.0, "max_batch_requests": max(1, n_requests)}
+    return ServeConfig(**{**own, **fields})
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One simulated-load run: the load, and the service it is driven
@@ -46,22 +59,18 @@ class SimulationConfig:
     requests_per_client: int = 3
     seed: int = 0
     overlap: float = 0.75
-    pool_size: int = 8
     #: Submit every request before starting the scheduler (a pure burst);
     #: otherwise clients race the running scheduler (arrival-timing mode).
     preload: bool = True
     #: Cross-check every response against the serial baseline results.
     verify: bool = True
-    #: How long the harness waits for each future before giving up.
-    wait_timeout_s: float = 120.0
     #: Fault plan armed on the database *during the service run only*
     #: (the serial baseline always executes fault-free, so it stays the
     #: correctness reference).  See :mod:`repro.faults`.
     faults: Optional[FaultPlan] = None
     #: The service's configuration, used as given except that the
-    #: admission queue is deepened to hold the whole burst.  None is the
-    #: simulation's own service: a 25 ms window and a batch cap sized to
-    #: the burst, so the whole pre-loaded load may ride one batch.
+    #: admission queue is deepened to hold the whole burst.  None is
+    #: :func:`simulation_service` for the burst.
     serve: Optional[ServeConfig] = None
 
     def __post_init__(self) -> None:
@@ -199,13 +208,10 @@ def run_simulation(
         requests_per_client=config.requests_per_client,
         seed=config.seed,
         overlap=config.overlap,
-        pool_size=config.pool_size,
     )
     n_requests = sum(script.n_requests for script in scripts)
     n_queries = sum(script.n_queries for script in scripts)
-    serve = config.serve or ServeConfig(
-        window_ms=25.0, max_batch_requests=max(1, n_requests)
-    )
+    serve = config.serve or simulation_service(n_requests)
     # The serial baseline always runs fault-free: it is the correctness
     # reference every served response is verified against.
     serial_ms, serial_results = serial_baseline_ms(
@@ -264,7 +270,7 @@ def run_simulation(
     try:
         for key, future in sorted(futures.items()):
             try:
-                response = future.result(timeout=config.wait_timeout_s)
+                response = future.result(timeout=WAIT_TIMEOUT_S)
             except RequestQuarantined:
                 n_quarantined += 1
                 continue

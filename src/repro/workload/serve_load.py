@@ -45,20 +45,16 @@ class ClientScript:
         return sum(len(queries) for queries in self.requests)
 
 
-def expression_pool(
-    schema: StarSchema, rng: random.Random, pool_size: int
-) -> List[str]:
-    """A pool of distinct-ish MDX expressions clients draw from."""
-    return [generate_mdx(schema, rng).text for _ in range(pool_size)]
+#: How many distinct-ish MDX expressions the shared requests draw from.
+POOL_SIZE = 8
 
 
 def client_scripts(
     schema: StarSchema,
     n_clients: int,
     requests_per_client: int,
-    seed: int = 0,
-    overlap: float = 0.75,
-    pool_size: int = 8,
+    seed: int,
+    overlap: float,
 ) -> List[ClientScript]:
     """Deterministic per-client request scripts.
 
@@ -70,7 +66,7 @@ def client_scripts(
     deduplication keys on.
     """
     rng = random.Random(seed)
-    pool = expression_pool(schema, rng, max(1, pool_size))
+    pool = [generate_mdx(schema, rng).text for _ in range(POOL_SIZE)]
     scripts: List[ClientScript] = []
     for client_id in range(n_clients):
         script = ClientScript(client_id=client_id)

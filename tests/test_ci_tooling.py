@@ -78,8 +78,9 @@ def test_byte_dump_is_deterministic(tmp_path):
     """``.github/byte_dump.py`` — the parent-vs-change comparison of
     .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
     what it says: every registry name, derive classes, what the planner
-    decided, maintained views, recovery under one fault per site, and every
-    member term with and without measured selectivities."""
+    decided, maintained views, recovery under one fault per site, every
+    member term with and without measured selectivities, and the paper's
+    tables as the CLI prints them."""
     import os
     import subprocess
 
@@ -133,6 +134,15 @@ def test_byte_dump_is_deterministic(tmp_path):
         for k in term_keys for row in dump[k]
     )
     assert any(k.startswith("terms/plain/dashboard/min/") for k in term_keys)
+    # The paper's tables as the CLI prints them.
+    cli = {k: v for k, v in dump.items() if k.startswith("cli/")}
+    assert sorted(cli) == [
+        "cli/compare", "cli/figures", "cli/report", "cli/select-views"
+    ]
+    assert all(run["exit"] == 0 for run in cli.values())
+    assert "test5 (Queries [2, 3, 5])" in cli["cli/compare"]["stdout"]
+    assert "Figure 12" in cli["cli/figures"]["stdout"]
+    assert "## Table 2 — test7" in cli["cli/report"]["stdout"]
 
 
 def test_profile_op_names_the_greedy_loop():

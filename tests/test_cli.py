@@ -1,10 +1,12 @@
 """CLI tests (driven in-process through repro.cli.main)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _COMMANDS, _SERVE_FLAGS, _build_parser, main
+from repro.serve import ServeConfig, SimulationConfig, simulation_service
 
 SCALE = ["--scale", "0.002"]
 
@@ -228,6 +230,41 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "usage:" in out
         assert command in out
+
+    @pytest.mark.parametrize("name", ["repro", *_COMMANDS])
+    def test_help_text_matches_golden(self, name, capsys, monkeypatch):
+        """Each ``--help`` text byte for byte (``tests/golden/help/``), at a
+        pinned terminal width of 80 columns."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"] if name == "repro" else [name, "--help"])
+        assert excinfo.value.code == 0
+        golden = Path(__file__).parent / "golden" / "help" / f"{name}.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
+
+class TestServeFlags:
+    def test_defaults_are_the_config_fields(self):
+        """A serve flag that sets a config field defaults to that field's
+        default — the simulation's own service's for the window — and
+        ``cli.py`` states none of them beside the flag."""
+        args = _build_parser().parse_args(["serve"])
+        mapped = [entry for entry in _SERVE_FLAGS if entry[1] is not None]
+        assert len(mapped) == 13
+        own_service = simulation_service(1)
+        for flag, name, options, _help in mapped:
+            assert "default" not in options, flag
+            owner = (
+                SimulationConfig
+                if name in SimulationConfig.__dataclass_fields__
+                else ServeConfig
+            )
+            expected = owner.__dataclass_fields__[name].default
+            if name == "window_ms":
+                expected = own_service.window_ms
+            assert getattr(args, name) == expected, flag
+        assert own_service.window_ms == 25.0
+        assert simulation_service(96).max_batch_requests == 96
 
 
 class TestServe:

@@ -1,8 +1,8 @@
 """One front door: every way of asking a batch — ``Database.run_queries``,
 a ``QuerySession``, a ``QueryService`` at 1/4 workers and 1/2 shards — is
 answered by ``Database.run_queries`` (docs/architecture.md §"Answering a
-batch"), so cache, validation, retention and logging behave the same
-through each.  The doors are a table; every test below walks it.
+batch"), so cache, validation and retention behave the same through
+each.  The doors are a table; every test below walks it.
 """
 
 from __future__ import annotations

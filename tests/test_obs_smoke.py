@@ -57,7 +57,6 @@ def smoke(request, tmp_path_factory):
             n_clients=N_CLIENTS,
             requests_per_client=REQUESTS_PER_CLIENT,
             overlap=0.75,
-            pool_size=8,
             seed=0,
             verify=True,
             faults=faults,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import InvalidStateError
 
 import pytest
 
@@ -118,9 +119,9 @@ class TestServeFuture:
     def test_single_assignment(self):
         future = ServeFuture(1)
         future.set_result(ServeResponse(request_id=1))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InvalidStateError):
             future.set_result(ServeResponse(request_id=1))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InvalidStateError):
             future.set_exception(RuntimeError("late"))
 
     def test_result_raises_stored_exception(self):

@@ -9,6 +9,8 @@ sweep for the systematic version of that check).
 
 from __future__ import annotations
 
+from concurrent.futures import InvalidStateError
+
 import pytest
 
 from repro.check import first_divergence, reference_answer
@@ -181,12 +183,12 @@ def test_degrade_failure_still_quarantines():
 def test_future_try_setters_are_idempotent():
     future = ServeFuture(1)
     first = ServeResponse(request_id=1)
-    assert future.try_set_result(first) is True
-    assert future.try_set_result(ServeResponse(request_id=1)) is False
-    assert future.try_set_exception(RuntimeError("late")) is False
+    assert future.try_resolve(first) is True
+    assert future.try_resolve(ServeResponse(request_id=1)) is False
+    assert future.try_resolve(RuntimeError("late")) is False
     assert future.result(timeout=1) is first
     # The strict setters still enforce single assignment.
-    with pytest.raises(RuntimeError, match="resolved twice"):
+    with pytest.raises(InvalidStateError):
         future.set_result(first)
 
 

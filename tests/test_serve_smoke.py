@@ -47,7 +47,6 @@ def smoke(request):
             n_clients=N_CLIENTS,
             requests_per_client=REQUESTS_PER_CLIENT,
             overlap=0.75,
-            pool_size=8,
             seed=0,
             verify=True,
             serve=ServeConfig(

@@ -48,7 +48,6 @@ def simulate(n_shards, fault_plan=None, n_clients=N_CLIENTS):
                 n_clients=n_clients,
                 requests_per_client=REQUESTS_PER_CLIENT,
                 overlap=0.75,
-                pool_size=8,
                 seed=0,
                 verify=True,
                 serve=ServeConfig(
