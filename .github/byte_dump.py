@@ -30,7 +30,11 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   replanning fails too: quarantine) — recording the served
   results, the ``ServiceStats`` counters and ``sim_ms_total``, the
   service's simulated clock, the quarantined qids and the flight
-  recorder's events;
+  recorder's events; and, from a fresh metrics registry, every metric
+  name, every counter and gauge value and every histogram but the
+  wall-clock ones, and each batch trace depth-first as ``[name, sim]``
+  pairs (the span's simulated-cost delta; attributes and wall times left
+  out);
 * ``terms/``: on a fresh ``CostModel`` per batch, every catalog entry x
   every query of Tests 1-7 and of the dashboard batch (per re-aggregable
   aggregate), the ``MemberTerm`` field for field (floats as ``float.hex``)
@@ -60,6 +64,7 @@ from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
 from repro.faults import SITES, FaultPlan, InjectionPoint
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, RequestQuarantined, ServeConfig
 from repro.storage import table as table_module
@@ -156,23 +161,56 @@ def append_delta(schema, rng: random.Random, n_rows: int) -> list:
     ]
 
 
+def hexed(value):
+    """``value`` as JSON with every float written as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(item) for item in value]
+    return value
+
+
+def wall_clock(metric) -> bool:
+    """A histogram of wall-clock milliseconds (noisy, so left out)."""
+    name = metric.name
+    return name == "serve.request_latency_ms" or (
+        name.startswith("serve.stage.") and not name.endswith("_sim_ms")
+    )
+
+
+def span_clocks(node: dict) -> list:
+    """An exported span tree depth-first as ``[name, sim]`` pairs."""
+    pairs = [[node["name"], hexed(node["sim"])]]
+    for child in node["children"]:
+        pairs.extend(span_clocks(child))
+    return pairs
+
+
 def serve_under_fault(db, batch, point: InjectionPoint, shards: int) -> dict:
     """One pre-queued service batch (a request per query) with ``point``
-    armed; the scheduler drains the queue as one batch and stops."""
-    service = QueryService(
-        db,
-        ServeConfig(
-            window_ms=1000.0, max_batch_requests=len(batch), n_workers=1,
-            shards=shards,
-        ),
-    )
-    futures = [service.submit([query]) for query in batch]
-    db.arm_faults(FaultPlan([point]))
+    armed; the scheduler drains the queue as one batch and stops.  The
+    service runs against a fresh metrics registry, restored afterwards."""
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
     try:
-        service.start()
-        service.stop(drain=True)
+        service = QueryService(
+            db,
+            ServeConfig(
+                window_ms=1000.0, max_batch_requests=len(batch), n_workers=1,
+                shards=shards,
+            ),
+        )
+        futures = [service.submit([query]) for query in batch]
+        db.arm_faults(FaultPlan([point]))
+        try:
+            service.start()
+            service.stop(drain=True)
+        finally:
+            db.disarm_faults()
     finally:
-        db.disarm_faults()
+        set_default_registry(previous)
     results, quarantined = [], []
     for query, future in zip(batch, futures):
         try:
@@ -194,6 +232,17 @@ def serve_under_fault(db, batch, point: InjectionPoint, shards: int) -> dict:
         "recorder": [
             {key: entry[key] for key in keep if key in entry}
             for entry in service.recorder.entries()
+        ],
+        "metric_names": registry.names(),
+        "metrics": {
+            metric.name: hexed(metric.dump())
+            for metric in registry
+            if metric.kind != "histogram" or not wall_clock(metric)
+        },
+        "span_clocks": [
+            span_clocks(entry["trace"]) if entry["trace"] else None
+            for entry in service.recorder.entries()
+            if entry["kind"] == "batch"
         ],
     }
 

@@ -24,7 +24,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..faults import InjectedFault, PartialResultError
-from ..obs.metrics import default_registry
+from ..obs.metrics import STAGES, default_registry
 from ..schema.query import GroupByQuery
 from ..storage.iostats import IOStats
 from .operators.hash_join import SharedScanStarJoin
@@ -336,15 +336,14 @@ class _Cell:
                 if self.shard_id is None:
                     span.set("est_ms", round(plan_class.est_cost_ms, 3))
         if self.shard_id is not None:
+            wall_help, sim_help = STAGES["shard_exec"]
             metrics = default_registry()
-            metrics.histogram(
-                "serve.stage.shard_exec_ms",
-                "wall ms one (class, shard) scatter cell took to execute",
-            ).observe(self.wall_s * 1000.0)
-            metrics.histogram(
-                "serve.stage.shard_exec_sim_ms",
-                "simulated ms one (class, shard) scatter cell charged",
-            ).observe(self.sim.total_ms)
+            metrics.histogram("serve.stage.shard_exec_ms", wall_help).observe(
+                self.wall_s * 1000.0
+            )
+            metrics.histogram("serve.stage.shard_exec_sim_ms", sim_help).observe(
+                self.sim.total_ms
+            )
         return self
 
 

@@ -3,7 +3,6 @@ actuals a shared operator records while producing them."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,18 +69,16 @@ class QueryResult:
         return rows
 
     def detached(self, query: Optional[GroupByQuery] = None) -> "QueryResult":
-        """A deep copy the caller owns outright, optionally re-keyed to
-        ``query`` (a semantic twin with a different qid).
+        """A copy the caller owns outright, optionally re-keyed to ``query``
+        (a semantic twin with a different qid).
 
-        Group keys are tuples of ints and values are floats today, but the
-        copy is a real ``deepcopy`` so a future richer value type cannot
-        silently re-introduce shared mutable state between a caller's copy
-        and the canonical result (or the result cache).
+        Copying the two dicts is a full copy: their keys are tuples of ints
+        and their values floats or ``(float, int)`` tuples, all immutable.
         """
         return QueryResult(
             query=query if query is not None else self.query,
-            groups=copy.deepcopy(self.groups),
-            avg_state=copy.deepcopy(self.avg_state),
+            groups=dict(self.groups),
+            avg_state=None if self.avg_state is None else dict(self.avg_state),
         )
 
     def approx_equals(

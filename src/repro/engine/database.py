@@ -15,7 +15,7 @@ clock, and exposes the full workflow of the paper:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.operators.pipeline import ExecContext
@@ -317,7 +317,7 @@ class Database:
             pool=pool,
             stats=stats,
             dim_tables=self.dimension_tables or None,
-            tracer=self.tracer.bound(stats) if private else self.tracer,
+            tracer=self.tracer,
             faults=self.faults,
         )
 
@@ -529,30 +529,40 @@ class Database:
 
     def _recover(self, ask, queries, recovery, cold) -> "ExecutionReport":
         """Answer ``queries`` through ``ask`` under ``recovery``: re-ask the
-        failed queries only, then (``recovery.degrade``) plan each one still
-        failing alone on the raw fact table; one report over every attempt."""
+        failed queries only, up to ``recovery.max_attempts`` times, then
+        (``recovery.degrade``) plan each one still failing alone on the raw
+        fact table; one report over every attempt.  The door never waits:
+        backoff is the query service's (``QueryService._account``)."""
         from ..core.executor import ExecutionReport
         from ..core.optimizer.base import build_plan_class
         from ..core.optimizer.cost import CostModel
         from ..core.optimizer.plans import GlobalPlan
-        from ..faults import InjectedFault
-        from ..serve.retry import RetryExhausted, call_with_retry
 
+        metrics = default_registry()
+        m_attempts = metrics.counter(
+            "retry.attempts", "retryable operations attempted"
+        )
+        m_failures = metrics.counter(
+            "retry.failures", "attempts that failed with a retryable error"
+        )
+        m_exhausted = metrics.counter(
+            "retry.exhausted", "operations that failed every allowed attempt"
+        )
         attempts: List["ExecutionReport"] = []
         outstanding = list(queries)
-
-        def attempt(_number: int) -> None:
-            nonlocal outstanding
-            attempts.append(ask(outstanding))
-            failed = attempts[-1].failed_qids
-            outstanding = [q for q in outstanding if q.qid in failed]
-            if failed:
-                raise attempts[-1].failures[0].error
-
-        with suppress(RetryExhausted):  # what stayed failed is in attempts
-            call_with_retry(
-                recovery, attempt, retry_on=(InjectedFault,), tracer=self.tracer
-            )
+        for number in range(1, recovery.max_attempts + 1):
+            m_attempts.inc()
+            with self.tracer.span("retry.attempt", attempt=number) as span:
+                attempts.append(ask(outstanding))
+                failed = attempts[-1].failed_qids
+                if not failed:
+                    break
+                outstanding = [q for q in outstanding if q.qid in failed]
+                m_failures.inc()
+                span.set("failed", True)
+                span.set("error", str(attempts[-1].failures[0].error))
+        else:
+            m_exhausted.inc()
         failures = attempts[-1].failures
         raw = self.catalog.raw_entries()
         if failures and recovery.degrade and raw:

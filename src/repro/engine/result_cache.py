@@ -15,7 +15,7 @@ Coherence is epoch-based: every mutation path that can change query answers
 funnels through :meth:`Database.notify_mutation` (base loads, ``append_rows``,
 and direct calls into :mod:`repro.engine.maintenance`), which bumps
 :attr:`Database.data_version` and syncs the attached cache to it — so a stale
-answer is never served.  Entries are deep-copied on both insert and serve: a
+answer is never served.  Entries are copied on both insert and serve: a
 caller mutating a returned result cannot corrupt the cache, nor the reverse.
 
 Usage::
@@ -29,7 +29,6 @@ Usage::
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -121,7 +120,7 @@ class ResultCache:
         """Look an entry up (None/raise per class contract).
 
         A hit moves the entry to most-recently-used, and the returned
-        result owns a deep copy of the cached groups; mutating it cannot
+        result owns a copy of the cached groups; mutating it cannot
         corrupt the cache.
         """
         key = query_key(query)
@@ -136,10 +135,10 @@ class ResultCache:
             self.stats.hits += 1
             self._hits_metric.inc()
             self._hit_rate_metric.set(self.stats.hit_rate)
-            return QueryResult(query=query, groups=copy.deepcopy(groups))
+            return QueryResult(query=query, groups=dict(groups))
 
     def put(self, result: QueryResult) -> None:
-        """Insert or replace the entry at most-recently-used (deep-copied:
+        """Insert or replace the entry at most-recently-used (copied:
         later mutation of the caller's result cannot reach the cached
         groups)."""
         key = query_key(result.query)
@@ -151,7 +150,7 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
                 self._evictions_metric.inc()
-            self._entries[key] = copy.deepcopy(dict(result.groups))
+            self._entries[key] = dict(result.groups)
             self._entries.move_to_end(key)
             self._occupancy_metric.set(len(self._entries))
 

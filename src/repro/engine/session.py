@@ -155,10 +155,8 @@ class QuerySession:
         for pairs in members.values():
             result = execution.result_for(pairs[0][1])
             for _owner, twin in pairs:
-                # Each fan-out gets its own groups dict: results are treated
-                # as owned values, never shared mutable state.
-                report.results[twin.qid] = QueryResult(
-                    query=twin, groups=dict(result.groups)
-                )
+                # Each fan-out owns its copy: results are treated as owned
+                # values, never shared mutable state.
+                report.results[twin.qid] = result.detached(query=twin)
         self.clear()
         return report

@@ -14,8 +14,8 @@ Five modules:
   no-op :data:`NULL_TRACER` keeps disabled instrumentation free.
 * :mod:`repro.obs.metrics` — process-global counters/gauges/histograms
   (``buffer.hits``, ``optimizer.classes_opened``, ...).
-* :mod:`repro.obs.export` — JSON span trees, Chrome-trace event lists
-  (one tid lane per worker thread), and flat metrics dumps.
+* :mod:`repro.obs.export` — JSON span trees and Chrome-trace event lists
+  (one tid lane per worker thread).
 * :mod:`repro.obs.expose` — Prometheus text exposition and a stable JSON
   metrics snapshot (``repro metrics``, ``repro serve --stats-json``).
 * :mod:`repro.obs.recorder` — the serving-plane flight recorder: a bounded
@@ -28,7 +28,6 @@ metric naming conventions.
 """
 
 from .export import (
-    metrics_to_dict,
     span_from_dict,
     to_chrome_trace,
     to_cost_clock_track,
@@ -55,10 +54,9 @@ from .metrics import (
     set_default_registry,
 )
 from .recorder import DEFAULT_CAPACITY, FlightRecorder, load_flight_dump
-from .trace import NULL_TRACER, BoundTracer, NullTracer, Span, Tracer
+from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "BoundTracer",
     "DEFAULT_CAPACITY",
     "FlightRecorder",
     "load_flight_dump",
@@ -79,7 +77,6 @@ __all__ = [
     "Span",
     "Tracer",
     "default_registry",
-    "metrics_to_dict",
     "set_default_registry",
     "span_from_dict",
     "to_chrome_trace",

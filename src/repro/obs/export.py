@@ -1,13 +1,12 @@
-"""Trace and metrics export: JSON span trees, Chrome-trace events, flat dumps.
+"""Trace export: JSON span trees and Chrome-trace events.
 
-Three consumers, three shapes:
+Two consumers, two shapes:
 
 * :func:`trace_to_dict` / :func:`span_from_dict` — a nested, JSON-able span
   tree (and its inverse) for programmatic analysis and golden tests,
 * :func:`to_chrome_trace` — a Chrome-trace-compatible event list (load the
   file in ``chrome://tracing`` or `Perfetto <https://ui.perfetto.dev>`_),
-  with wall time on the timeline and simulated cost in each event's args,
-* :func:`metrics_to_dict` — the flat ``{name: value}`` metrics dump.
+  with wall time on the timeline and simulated cost in each event's args.
 
 Wall times in exports are *relative to the root span* so traces from
 different runs line up; simulated cost deltas are embedded per span as the
@@ -20,7 +19,6 @@ import json
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .metrics import MetricsRegistry
 from .trace import Span, Tracer
 
 PathLike = Union[str, Path]
@@ -235,8 +233,3 @@ def write_chrome_trace(span: Span, path: PathLike) -> Path:
     events += to_cost_clock_track(span, pid=2)
     path.write_text(json.dumps({"traceEvents": events}, indent=2) + "\n")
     return path
-
-
-def metrics_to_dict(registry: MetricsRegistry) -> dict:
-    """Flat ``{name: value}`` dump of a registry (alias of ``as_dict``)."""
-    return registry.as_dict()

@@ -336,6 +336,34 @@ class MetricsRegistry:
         return f"MetricsRegistry({len(self)} metric(s))"
 
 
+#: The serving stages, in ``ServeResponse.stage_breakdown`` order: name
+#: -> (help of its ``serve.stage.<name>_ms`` wall histogram, help of its
+#: ``serve.stage.<name>_sim_ms`` simulated histogram or None).  The query
+#: service registers them all; the executor observes ``shard_exec``.
+STAGES = {
+    "queued": ("wall ms a request waited from submit to batch pickup", None),
+    "coalesce": ("wall ms batch assembly / deduplication took", None),
+    "plan": ("wall ms multi-query optimization of a batch took", None),
+    "execute": (
+        "wall ms shared-plan execution took (all attempts)",
+        "simulated ms shared-plan execution charged",
+    ),
+    "gather": ("wall ms result fan-out to request futures took", None),
+    "retry": (
+        "wall ms re-attempted executions took",
+        "simulated ms of deterministic retry backoff",
+    ),
+    "degrade": (
+        "wall ms raw-base-table fallback executions took",
+        "simulated ms fallback executions charged",
+    ),
+    "shard_exec": (
+        "wall ms one (class, shard) scatter cell took to execute",
+        "simulated ms one (class, shard) scatter cell charged",
+    ),
+}
+
+
 _default = MetricsRegistry()
 
 

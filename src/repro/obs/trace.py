@@ -110,10 +110,13 @@ class Span:
         self.thread: Optional[str] = None
         self._tracer = tracer
         self._start_stats = None
-        #: Per-span cost-clock source overriding ``tracer.stats`` — worker
-        #: tasks bind their private isolated IOStats here so the span's sim
-        #: delta is not polluted by siblings charging the shared clock.
+        #: Cost-clock source overriding ``tracer.stats``: the span's own
+        #: ``stats=``, else its parent's (taken when linked).  A worker cell
+        #: binds its private IOStats here, so the cell and every span inside
+        #: it charge that clock, never siblings charging the shared one.
         self._stats = stats
+        if stats is None and parent is not None:
+            self._stats = parent._stats
         self._linked = parent is not None
         if tracer is not None and hasattr(tracer, "_link"):
             tracer._link(self, parent)
@@ -127,6 +130,8 @@ class Span:
             if stack:
                 parent = stack[-1]
                 self.parent_id = parent.span_id
+                if self._stats is None:
+                    self._stats = parent._stats
                 with tracer._lock:
                     parent.children.append(self)
             else:
@@ -281,17 +286,11 @@ class Tracer:
         Without ``parent`` it nests under the calling thread's innermost
         open span at ``__enter__`` time (or becomes a root).  With
         ``parent`` it is linked under that span immediately — the explicit
-        cross-thread handoff.  ``stats`` overrides the tracer's cost-clock
-        source for this span only (worker tasks pass their private
-        per-task ``IOStats``).
+        cross-thread handoff.  A span's cost clock is, in order: its own
+        ``stats`` (worker cells pass their private ``IOStats``), its
+        parent's clock, the tracer's.
         """
         return Span(self, name, attrs, parent=parent, stats=stats)
-
-    def bound(self, stats: Any) -> "BoundTracer":
-        """A view of this tracer whose spans default to ``stats`` as their
-        cost-clock source — handed to worker ``ExecContext``\\ s so operator
-        spans charge the task's private clock."""
-        return BoundTracer(self, stats)
 
     @property
     def current(self) -> Optional[Span]:
@@ -304,61 +303,6 @@ class Tracer:
             f"Tracer({self.trace_id}, {len(self.roots)} root span(s), "
             f"depth={len(self._stack)})"
         )
-
-
-class BoundTracer:
-    """A stats-bound view over a real :class:`Tracer`.
-
-    Spans created through it snapshot the bound stats (a worker task's
-    private ``IOStats``) instead of the tracer's shared stats, and share the
-    underlying tracer's per-thread stacks, ids, and roots.  Duck-compatible
-    with :class:`Tracer` for every instrumentation call site.
-    """
-
-    __slots__ = ("_tracer", "_bound_stats")
-
-    enabled = True
-
-    def __init__(self, tracer: Tracer, stats: Any):
-        self._tracer = tracer
-        self._bound_stats = stats
-
-    @property
-    def stats(self) -> Any:
-        return self._bound_stats
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        return self._tracer.trace_id
-
-    @property
-    def roots(self) -> List[Span]:
-        return self._tracer.roots
-
-    @property
-    def current(self) -> Optional[Span]:
-        return self._tracer.current
-
-    def span(
-        self,
-        name: str,
-        *,
-        parent: Optional[Span] = None,
-        stats: Optional[Any] = None,
-        **attrs: Any,
-    ) -> Span:
-        return self._tracer.span(
-            name,
-            parent=parent,
-            stats=stats if stats is not None else self._bound_stats,
-            **attrs,
-        )
-
-    def bound(self, stats: Any) -> "BoundTracer":
-        return BoundTracer(self._tracer, stats)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundTracer({self._tracer!r})"
 
 
 class _NullSpan:
@@ -407,10 +351,6 @@ class NullTracer:
         """The shared no-op span (ignores all arguments, including the
         keyword-only ``parent`` / ``stats`` of the real tracer)."""
         return self._SPAN
-
-    def bound(self, stats: Any) -> "NullTracer":
-        """Stats binding on a disabled tracer is a no-op (returns self)."""
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullTracer()"

@@ -35,7 +35,7 @@ from .futures import (
     ServiceStopped,
     StageTiming,
 )
-from .retry import RetryExhausted, RetryPolicy, SimulatedClock, call_with_retry
+from .retry import RetryPolicy, SimulatedClock
 from .service import QueryService, ServiceStats
 from .shard import Shard, ShardSet, build_shards
 from .simulate import (
@@ -54,7 +54,6 @@ __all__ = [
     "ShardSet",
     "build_shards",
     "RequestQuarantined",
-    "RetryExhausted",
     "RetryPolicy",
     "ServeConfig",
     "ServeError",
@@ -68,7 +67,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "assemble_batch",
-    "call_with_retry",
     "run_simulation",
     "simulation_service",
 ]

@@ -44,8 +44,8 @@ class ServeConfig:
     forces serial class execution.
 
     Resilience knobs: ``max_attempts``, ``backoff_base_ms`` and
-    ``degrade`` make up :attr:`recovery` (with :class:`RetryPolicy`'s own
-    backoff multiplier), the policy every batch is answered under —
+    ``degrade`` make up :attr:`recovery`, the policy every batch is
+    answered under —
     recovery is the door's, stated once in ``docs/architecture.md``
     §"Answering a batch" (step 5).
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..core.operators.results import QueryResult
+from ..obs.metrics import STAGES
 from ..schema.query import GroupByQuery
 
 
@@ -122,14 +123,11 @@ class ServeResponse:
         return self.results[query.qid]
 
     def stage_breakdown(self) -> str:
-        """One line per stage: ``name wall_ms / sim_ms``, stable order."""
-        order = (
-            "queued", "coalesce", "plan", "execute", "gather", "retry",
-            "degrade",
-        )
-        known = [self.stages[n] for n in order if n in self.stages]
+        """One line per stage: ``name wall_ms / sim_ms``, in
+        :data:`STAGES` order."""
+        known = [self.stages[n] for n in STAGES if n in self.stages]
         extra = [
-            t for n, t in sorted(self.stages.items()) if n not in order
+            t for n, t in sorted(self.stages.items()) if n not in STAGES
         ]
         return "\n".join(
             f"{t.name}: {t.wall_ms:.3f} wall-ms / {t.sim_ms:.3f} sim-ms"

@@ -20,7 +20,7 @@ owns the engine and turns the arrival stream into micro-batches:
    work across sessions, not just within one MDX expression — whose
    classes run concurrently on ``n_workers`` threads, byte-identical to
    serial single-session execution.
-4. **Fan-out** — per-query results (deep copies via
+4. **Fan-out** — per-query results (copies via
    :meth:`~repro.core.operators.results.QueryResult.detached`, never
    shared mutable state) and errors are routed back to each waiting
    caller's future, with per-request deadlines enforced while queued; a
@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.executor import ExecutionReport
 from ..engine.database import Database
-from ..obs.metrics import default_registry
+from ..obs.metrics import STAGES, default_registry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, Span, Tracer
 from ..schema.query import GroupByQuery
@@ -178,9 +178,9 @@ class ServiceStats:
             )
 
 
-class _Stages(Dict[str, "tuple[float, float]"]):
+class _Stages(Dict[str, StageTiming]):
     """Per-batch stage-latency accumulator (scheduler-thread-only): stage
-    name -> (wall ms, simulated ms).
+    name -> its :class:`~repro.serve.futures.StageTiming` so far.
 
     Each named stage accumulates wall milliseconds and simulated cost
     milliseconds across however many times it runs within one batch (a
@@ -193,15 +193,8 @@ class _Stages(Dict[str, "tuple[float, float]"]):
 
     def add(self, name: str, wall_ms: float = 0.0, sim_ms: float = 0.0) -> None:
         """Accumulate one stage run's cost on both clocks."""
-        wall, sim = self.get(name, (0.0, 0.0))
-        self[name] = (wall + wall_ms, sim + sim_ms)
-
-    def timings(self) -> Dict[str, StageTiming]:
-        """The accumulated totals as immutable per-stage timings."""
-        return {
-            name: StageTiming(name=name, wall_ms=wall, sim_ms=sim)
-            for name, (wall, sim) in self.items()
-        }
+        was = self.get(name) or StageTiming(name)
+        self[name] = StageTiming(name, was.wall_ms + wall_ms, was.sim_ms + sim_ms)
 
 
 class QueryService:
@@ -266,32 +259,18 @@ class QueryService:
             name: metrics.histogram(f"serve.{name}", text)
             for name, text in histogram_help.items()
         }
-        stage_help = {
-            "queued": "wall ms a request waited from submit to batch pickup",
-            "coalesce": "wall ms batch assembly / deduplication took",
-            "plan": "wall ms multi-query optimization of a batch took",
-            "execute": "wall ms shared-plan execution took (all attempts)",
-            "gather": "wall ms result fan-out to request futures took",
-            "retry": "wall ms re-attempted executions took",
-            "degrade": "wall ms raw-base-table fallback executions took",
-            "shard_exec": (
-                "wall ms one (class, shard) scatter cell took to execute"
-            ),
-        }
-        stage_sim_help = {
-            "execute": "simulated ms shared-plan execution charged",
-            "retry": "simulated ms of deterministic retry backoff",
-            "degrade": "simulated ms fallback executions charged",
-            "shard_exec": "simulated ms one (class, shard) scatter cell charged",
-        }
         self._m_stage_wall = {
-            name: metrics.histogram(f"serve.stage.{name}_ms", text)
-            for name, text in stage_help.items()
+            name: metrics.histogram(f"serve.stage.{name}_ms", wall_help)
+            for name, (wall_help, _sim_help) in STAGES.items()
         }
         self._m_stage_sim = {
-            name: metrics.histogram(f"serve.stage.{name}_sim_ms", text)
-            for name, text in stage_sim_help.items()
+            name: metrics.histogram(f"serve.stage.{name}_sim_ms", sim_help)
+            for name, (_wall_help, sim_help) in STAGES.items()
+            if sim_help is not None
         }
+        self._m_backoff = metrics.histogram(
+            "retry.backoff_ms", "simulated backoff waits between attempts"
+        )
         self._m_queue_depth = metrics.gauge(
             "serve.queue_depth", "requests waiting for the scheduler"
         )
@@ -542,10 +521,7 @@ class QueryService:
             n_requests=batch.n_requests,
             n_submitted=batch.n_submitted,
             n_distinct=batch.n_distinct,
-            stages={
-                name: timing.as_dict()
-                for name, timing in stages.timings().items()
-            },
+            stages={name: timing.as_dict() for name, timing in stages.items()},
         )
 
     def _shards(self):
@@ -571,8 +547,10 @@ class QueryService:
         self, batch: MicroBatch, report: ExecutionReport, stages: _Stages
     ) -> Dict[int, BaseException]:
         """Fold what the door ran (``report.attempts``, or the report alone)
-        into the batch's stages, stats and recorder, advancing :attr:`sim_clock`
-        by each re-ask's backoff; returns the error of each query left failed."""
+        into the batch's stages, stats and recorder.  Each re-ask's backoff
+        advances :attr:`sim_clock` and is observed as ``retry.backoff_ms``
+        — the one place a simulated clock moves.  Returns the error of each
+        query left failed."""
         backoff_before_ms = self.sim_clock.now_ms
         for number, run in enumerate(report.attempts or [report], start=1):
             wall_ms = run.elapsed_s * 1000.0
@@ -584,7 +562,10 @@ class QueryService:
             plan_ms = run.plan.search_stats.get("planning_s", 0.0) * 1000.0
             if number > 1:
                 self._count(n_retries=1)
-                self.sim_clock.advance(self.config.recovery.backoff_ms(number))
+                wait_ms = self.config.recovery.backoff_ms(number)
+                if wait_ms > 0.0:
+                    self.sim_clock.advance(wait_ms)
+                    self._m_backoff.observe(wait_ms)
                 stages.add("retry", wall_ms=plan_ms + wall_ms)
                 self._note(batch, "retry", attempt=number, n_outstanding=run.n_queries)
             stages.add("plan", wall_ms=plan_ms)
@@ -655,7 +636,7 @@ class QueryService:
             from_cache = canonical_qid in hits
             for request, twin in pairs:
                 response = responses[request.request_id]
-                # Each fan-out owns a deep copy: a caller mutating its
+                # Each fan-out owns a copy: a caller mutating its
                 # ServeResponse must never reach the canonical result or
                 # the result cache.
                 response.results[twin.qid] = result.detached(query=twin)
@@ -667,10 +648,9 @@ class QueryService:
             "gather",
             wall_ms=(time.perf_counter() - gather_started) * 1000.0,
         )
-        batch_timings = stages.timings()
         # Batch-level stages observe once per batch; the per-request
         # "queued" stage observes once per member request below.
-        for name, timing in batch_timings.items():
+        for name, timing in stages.items():
             wall_hist = self._m_stage_wall.get(name)
             if wall_hist is not None:
                 wall_hist.observe(timing.wall_ms)
@@ -680,14 +660,11 @@ class QueryService:
         n_served = 0
         for request in batch.requests:
             response = responses[request.request_id]
-            if batch.started_s:
-                queued_ms = max(
-                    0.0, (batch.started_s - request.submitted_s) * 1000.0
-                )
-            else:
-                queued_ms = 0.0
+            queued_ms = max(
+                0.0, (batch.started_s - request.submitted_s) * 1000.0
+            )
             self._m_stage_wall["queued"].observe(queued_ms)
-            response.stages = dict(batch_timings)
+            response.stages = dict(stages)
             response.stages["queued"] = StageTiming(
                 "queued", wall_ms=queued_ms
             )

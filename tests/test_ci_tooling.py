@@ -78,9 +78,10 @@ def test_byte_dump_is_deterministic(tmp_path):
     """``.github/byte_dump.py`` — the parent-vs-change comparison of
     .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
     what it says: every registry name, derive classes, what the planner
-    decided, maintained views, recovery under one fault per site, every
-    member term with and without measured selectivities, and the paper's
-    tables as the CLI prints them."""
+    decided, maintained views, recovery under one fault per site (with its
+    metrics and each batch trace's span clocks), every member term with and
+    without measured selectivities, and the paper's tables as the CLI
+    prints them."""
     import os
     import subprocess
 
@@ -115,6 +116,21 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert lost["quarantined"] == [0, 1, 2] and lost["results"] == []
     assert "quarantine" in [event["kind"] for event in lost["recorder"]]
     assert len({k.split("/")[2] for k in dump if k.startswith("recovery/")}) == 6
+    # ... with its metrics (wall-clock histograms left out) and span clocks.
+    assert "serve.request_latency_ms" in retried["metric_names"]
+    metrics = retried["metrics"]
+    assert "serve.request_latency_ms" not in metrics
+    assert "serve.stage.execute_ms" not in metrics
+    assert metrics["retry.attempts"] == 2 and metrics["retry.failures"] == 1
+    assert float.fromhex(metrics["retry.backoff_ms"]["sum"]) == 50.0
+    assert metrics["serve.stage.execute_sim_ms"]["count"] == 1
+    [spans] = retried["span_clocks"]
+    names = [name for name, _sim in spans]
+    assert names[0] == "serve.batch" and names.count("retry.attempt") == 2
+    operators = [sim for name, sim in spans if name.startswith("operator.")]
+    assert operators and all(
+        float.fromhex(sim["total_ms"]) > 0.0 for sim in operators
+    )
     # Member terms, every entry x query, plain and after analyze().
     plain = dump["terms/plain/tests/ABCD"]
     analyzed = dump["terms/analyzed/tests/ABCD"]

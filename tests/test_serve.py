@@ -355,6 +355,19 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             execute_plan(db, plan, n_workers=0)
 
+    def test_operator_spans_charge_their_cells_clock(self, db):
+        """A span opened inside a worker cell charges the cell's private
+        clock: every ``operator.*`` span's sim equals its cell's."""
+        plan = db.optimize(self.queries(), "naive")
+        with db.trace():
+            execute_plan(db, plan, n_workers=4)
+        cells = db.last_trace.find_all("execute.class")
+        assert len(cells) == len(plan.classes) > 1
+        for cell in cells:
+            [operator] = cell.children
+            assert operator.name.startswith("operator.")
+            assert operator.sim.as_dict() == cell.sim.as_dict()
+
     def test_isolated_class_charges_nothing_to_shared_clock(self, db):
         plan = db.optimize(self.queries(), "gg")
         before = db.stats.snapshot()
@@ -378,6 +391,20 @@ class TestDatabaseServe:
             query = make_query(1)
             response = service.submit([query]).result(timeout=60.0)
         assert response.result_for(query).groups
+
+    def test_submit_mdx_answers_as_run_mdx(self):
+        """The paper's Section 2 SalesCube MDX through the service gets the
+        answers ``run_mdx`` gets, component query by component query."""
+        from repro.workload.sales_demo import SECTION2_MDX, build_sales_database
+
+        db = build_sales_database(n_rows=2_000)
+        expected = db.run_mdx(SECTION2_MDX).results
+        with db.serve(window_ms=1.0) as service:
+            served = service.submit_mdx(SECTION2_MDX).result(timeout=60.0)
+        assert len(served.results) == len(expected) > 1
+        assert [served.results[q].groups for q in sorted(served.results)] == [
+            expected[q].groups for q in sorted(expected)
+        ]
 
 
 class TestServiceStatsThreadSafety:
