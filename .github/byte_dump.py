@@ -35,6 +35,10 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   wall-clock ones, and each batch trace depth-first as ``[name, sim]``
   pairs (the span's simulated-cost delta; attributes and wall times left
   out);
+* ``units/``: per plan of the sweep above, per class without derive steps,
+  ``class_cost_given`` on a ``CostModel`` priced at each unit basis (one
+  ``CostRates`` field 1.0, the others 0.0) as ``float.hex`` — the count of
+  each accountable unit the model estimates, field by field;
 * ``terms/``: on a fresh ``CostModel`` per batch, every catalog entry x
   every query of Tests 1-7 and of the dashboard batch (per re-aggregable
   aggregate), the ``MemberTerm`` field for field (floats as ``float.hex``)
@@ -68,6 +72,7 @@ from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, RequestQuarantined, ServeConfig
 from repro.storage import table as table_module
+from repro.storage.iostats import CostRates
 from repro.workload import build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
@@ -126,6 +131,28 @@ def dump_report(report, batch) -> dict:
             for execution in report.class_executions
         ],
     }
+
+
+def unit_bases() -> List[CostRates]:
+    """One ``CostRates`` per field: that field 1.0, every other 0.0."""
+    names = [f.name for f in dataclasses.fields(CostRates)]
+    return [CostRates(**{n: float(n == name) for n in names}) for name in names]
+
+
+def dump_units(db, plan, bases) -> list:
+    """Per class without derive steps, its cost on each unit basis."""
+    models = [CostModel.for_database(db, rates=rates) for rates in bases]
+    return [
+        None
+        if getattr(cls, "derives", ())
+        else [
+            model.class_cost_given(
+                db.catalog.get(cls.source), cls.queries, cls.methods
+            ).hex()
+            for model in models
+        ]
+        for cls in plan.classes
+    ]
 
 
 def with_aggregate(batch, aggregate) -> List[GroupByQuery]:
@@ -324,12 +351,16 @@ def sweep(scale: float) -> dict:
     queries = paper_queries(db.schema)
     shards = db.build_shards(3)
     out: dict = {"scale": scale, "morsel_rows": MORSEL_ROWS}
+    bases = unit_bases()
     for test, qids in ALL_PAPER_TESTS.items():
         for aggregate in Aggregate:
             batch = with_aggregate([queries[q] for q in qids], aggregate)
             for name in OPTIMIZERS:
                 plan = db.optimize(batch, name)
                 out[f"{test}/{aggregate.value}/{name}/plan"] = dump_plan(db, plan)
+                out[f"units/{test}/{aggregate.value}/{name}"] = dump_units(
+                    db, plan, bases
+                )
                 for mode, options in (
                     ("serial", {}),
                     ("workers3", {"n_workers": 3}),

@@ -6,8 +6,9 @@ the Section 5.1 cost model *ranks* plans; the rest of this package closes the
 loop.  A sweep of Tests 1-7 under every registry algorithm yields, per
 executed plan class, an **estimated unit vector** (how many of each
 accountable unit — sequential pages, random pages, hash probes, ... — the
-model predicted) and the **recorded simulated cost** the executor actually
-charged.  Estimated class cost is *exactly linear* in the rates, so a
+model predicted: the class's own counts, which the model prices once) and
+the **recorded simulated cost** the executor actually charged.  Estimated
+class cost is therefore linear in the rates, so a
 deterministic weighted ridge least-squares fit
 (:func:`~repro.calibrate.fitter.fit_rates`) regresses rate multipliers that
 align the model's predictions with the ledger, and the result is persisted
@@ -33,12 +34,9 @@ from .fitter import (
     fit_rates,
 )
 from .observations import (
-    COUNTER_FOR_RATE,
     RATE_FIELDS,
     Observation,
     ObservationSet,
-    basis_models,
-    estimated_units,
     observation_from_execution,
 )
 from .profile import PROFILE_VERSION, CalibrationProfile
@@ -53,7 +51,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "COUNTER_FOR_RATE",
     "DEFAULT_BOUNDS",
     "DEFAULT_ITERATIONS",
     "DEFAULT_RIDGE",
@@ -68,9 +65,7 @@ __all__ = [
     "Misranking",
     "Observation",
     "ObservationSet",
-    "basis_models",
     "calibration_algorithms",
-    "estimated_units",
     "find_misrankings",
     "fit_database",
     "fit_rates",

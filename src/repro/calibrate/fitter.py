@@ -118,7 +118,7 @@ def fit_rates(
         raise ValueError(
             f"unknown rate fields {unknown}; choose from {list(RATE_FIELDS)}"
         )
-    r0 = np.array([getattr(base_rates, f) for f in RATE_FIELDS])
+    r0 = np.array(list(base_rates.as_dict().values()))
     # A zero base rate cannot be scaled by a multiplier; pin it.
     idx = [
         i for i, f in enumerate(RATE_FIELDS) if f in fields and r0[i] > 0.0

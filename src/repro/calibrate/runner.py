@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..bench.reporting import format_table
+from ..core.optimizer.cost import CostModel
 from ..workload.paper_queries import ALL_PAPER_TESTS
 from .fitter import (
     DEFAULT_BOUNDS,
@@ -36,7 +37,7 @@ from .fitter import (
     FitResult,
     fit_rates,
 )
-from .observations import RATE_FIELDS, ObservationSet, basis_models
+from .observations import RATE_FIELDS, ObservationSet
 from .profile import CalibrationProfile
 from .sweep import CalibrationReport, calibration_algorithms, run_calibration
 
@@ -56,9 +57,9 @@ class CalibrationOutcome:
     def render_summary(self) -> str:
         """The compact fit outcome: rates table + headline deltas."""
         rows = []
+        base_rates, rates = self.fit.base_rates.as_dict(), self.fit.rates.as_dict()
         for name in RATE_FIELDS:
-            base = getattr(self.fit.base_rates, name)
-            fitted = getattr(self.fit.rates, name)
+            base, fitted = base_rates[name], rates[name]
             mult = self.fit.multipliers.get(name, 1.0)
             flag = "fitted" if name in self.fit.fields else "pinned"
             rows.append(
@@ -174,11 +175,11 @@ def fit_database(
         algorithms = calibration_algorithms()
     test_names = tuple(tests) if tests is not None else tuple(ALL_PAPER_TESTS)
     base_rates = db.stats.rates
-    models = basis_models(db)
+    model = CostModel.for_database(db)
     observations = ObservationSet()
 
     def collect(test: str, algorithm: str, execution) -> None:
-        observations.add_execution(models, execution)
+        observations.add_execution(model, execution)
 
     before = run_calibration(
         db, tests=test_names, algorithms=algorithms, on_execution=collect

@@ -11,7 +11,9 @@ renders that three ways from one place:
   ``plan.search_stats["dag"]`` (:class:`~repro.dag.search.SearchStats`);
 * handed the plan's :class:`~repro.core.executor.ExecutionReport`, EXPLAIN
   ANALYZE: every executed class and member annotated with estimated vs
-  measured cost.  Per-member estimates are display-only, so they are
+  measured cost, and each class's estimated vs charged count of every
+  priced unit (its :class:`~repro.storage.iostats.Counts` against its
+  ``IOStats`` delta).  Per-member estimates are display-only, so they are
   computed here, on a fresh :class:`~repro.core.optimizer.cost.CostModel`,
   never on the planning path: *standalone* is the member alone on the
   class's table; *marginal* (the paper's ``CostOfUsing``) is ``cost(class
@@ -26,6 +28,7 @@ from ..schema.lattice import build_keys
 from ..schema.query import GroupByQuery
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
+from ..storage.iostats import Counts
 from .optimizer.cost import CostModel
 from .optimizer.plans import (
     DeriveStep,
@@ -235,6 +238,13 @@ def _analysis_lines(model: CostModel, execution: "ClassExecution") -> List[str]:
         f"   => actual io {sim.io_ms:.1f} + cpu {sim.cpu_ms:.1f} sim-ms; "
         f"{sim.seq_page_reads} seq / {sim.rand_page_reads} rand page "
         f"read(s), {sim.buffer_hits} buffer hit(s)",
+        "   => est/charged: " + ", ".join(
+            f"{name} {est:.0f}/{charged}"
+            for name, est, charged in zip(
+                Counts._fields, model.class_units(plan_class), sim.counts()
+            )
+            if est or charged
+        ),
     ]
     if actuals.rows_scanned:
         lines.append(

@@ -25,7 +25,7 @@ from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.buffer import BufferPool
 from ...storage.catalog import Catalog, TableEntry
-from ...storage.iostats import IOStats
+from ...storage.iostats import IOStats, pipeline_counts
 from ...storage.table import Morsel
 from .aggregate import HashAggregator
 from .results import QueryResult
@@ -228,10 +228,10 @@ class QueryPipeline:
         own row counters priced at ``rates`` — exactly the per-query share
         of the class's CPU charge (probe + filter + copy + aggregate), so
         plan accounting can attribute measured cost to individual queries."""
-        return (
-            self.rows_in * self.n_probe_dims * rates.hash_probe_ms
-            + self.rows_in * self.n_predicates * rates.predicate_eval_ms
-            + self.rows_passed * (rates.tuple_copy_ms + rates.agg_update_ms)
+        return rates.price(
+            pipeline_counts(
+                self.rows_in, self.n_probe_dims, self.n_predicates, self.rows_passed
+            )
         )
 
     def passing(

@@ -10,7 +10,12 @@ For a query ``X`` computed from a base table ``B``:
   union bitmap (or becomes free when another class member already scans
   ``B``, Section 3.3).
 
-The model mirrors the charges the executor actually makes, unit for unit, so
+The model counts before it prices: a member's term and a class carry the
+:class:`~repro.storage.iostats.Counts` the executor is expected to charge —
+the counters of an :class:`~repro.storage.iostats.IOStats`, in
+:class:`CostRates`' field order — and :meth:`CostRates.price` turns a count
+into simulated milliseconds, the one place a count meets a rate.  So the
+estimate mirrors the executor's charges unit for unit by construction, and
 estimated and simulated cost correlate (checked by an ablation benchmark).
 Estimates assume uniformly distributed data — the standard optimizer
 assumption — plus a page-locality correction for tables clustered on their
@@ -20,6 +25,7 @@ leading dimension.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -35,8 +41,8 @@ from ...schema.lattice import (
 from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
-from ...storage.iostats import CostRates
-from .plans import DeriveStep, JoinMethod, left_sum
+from ...storage.iostats import CostRates, Counts, pipeline_counts
+from .plans import DeriveStep, JoinMethod, PlanClass, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
@@ -52,7 +58,7 @@ class ClassCosting:
     methods: List[JoinMethod]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MemberTerm:
     """What one query contributes to a class on one source, computed once
     per (entry, query) per :class:`CostModel`.  A class cost is *one shared
@@ -60,14 +66,21 @@ class MemberTerm:
     plus one addend per member read from here.
 
     **Float-order rule**: float addition is not associative, so a class
-    total is accumulated in one fixed order — shared I/O, then builds, then
-    one addend per member in query order (index configuration:
-    ``index_ms``, the class's routing term, ``fed_ms``, per member).  A
+    total is accumulated in one fixed order — the shared part (I/O, builds
+    and OR, priced as one vector), then one addend per member in query
+    order (index configuration: ``index_ms``, then the class's routing
+    term, per member).  A
     leave-one-out marginal is ``cost(class) − cost(class without the
     member)``, the second re-accumulated from the other members' terms
     (shared term re-evaluated, configuration re-chosen), never ``total −
     term``.  Structure builds are integer counts (hash entries, dimension
     table pages) priced once, so the build-key set's order reaches no sum.
+
+    Each addend is held twice: as the counts it expects (``*_units``, summed
+    only for calibration and EXPLAIN ANALYZE) and priced once, when the
+    term is built (``*_ms``, the float a class total adds).  A term is
+    never changed once built; it is not ``frozen`` only because a frozen
+    ``__init__`` costs the planner's most-built object a microsecond more.
     """
 
     answerable: bool
@@ -79,16 +92,18 @@ class MemberTerm:
     #: Marginal on a shared scan as a hash plan, and as an index plan
     #: filtering the scan (inf unless ``indexable``: some predicate has a
     #: usable index, which every field below ``scan_ms`` presumes).
+    hash_units: Counts
     hash_ms: float
     filtered_ms: float = math.inf
     #: The cheaper of the two and its method (hash on ties).
     scan_method: JoinMethod = JoinMethod.HASH
     scan_ms: float = math.inf
     indexable: bool = False
-    #: Index phase (lookup I/O + bitmap CPU), then pipeline CPU over the
-    #: tuples the member's own bitmap — of density ``indexed_sel`` — feeds.
+    #: The index plan less its bitmap tests: index phase (lookup I/O +
+    #: bitmap CPU), then pipeline CPU over the tuples the member's own
+    #: bitmap — of density ``indexed_sel`` — feeds.
+    index_units: Counts = Counts()
     index_ms: float = 0.0
-    fed_ms: float = 0.0
     indexed_sel: float = 1.0
     #: Clustered candidate region (fraction of pages), contiguous runs, and
     #: the pages the member's probe would touch alone.
@@ -99,7 +114,8 @@ class MemberTerm:
 
 #: The term of every pair the entry cannot answer (only the bit is read).
 UNANSWERABLE = MemberTerm(
-    answerable=False, selectivity=math.nan, build_keys=(), hash_ms=math.inf
+    answerable=False, selectivity=math.nan, build_keys=(),
+    hash_units=Counts(), hash_ms=math.inf,
 )
 
 
@@ -171,6 +187,10 @@ class CostModel:
             for dim in schema.dimensions
         ]
         self._terms: Dict[Tuple[str, int], MemberTerm] = {}
+        # The scan configuration's shared part priced, per (pages, hash
+        # entries): the integer totals a trial reads it from.
+        self._scan_shared_ms: Dict[Tuple[int, int], float] = {}
+        self._filter_ms: Dict[str, float] = {}
         self._covering_tables: Dict[str, Dict[Tuple[int, int], tuple]] = {}
         # A first standalone costing counts in n_plan_costings, repeats do
         # not, so ``standalone`` keeps its results beside the terms.
@@ -265,18 +285,18 @@ class CostModel:
     def _bitmap_words(self, entry: TableEntry) -> int:
         return (entry.n_rows + WORD_BITS - 1) // WORD_BITS
 
-    def _process_cpu_ms(
-        self, query: GroupByQuery, probe_dims: int, n_fed: float, n_pass: float
-    ) -> float:
-        """CPU to feed ``n_fed`` tuples through the query's pipeline (each
-        probing ``probe_dims`` hash tables), of which ``n_pass`` survive
-        the filters."""
-        r = self.rates
-        return (
-            n_fed * probe_dims * r.hash_probe_ms
-            + n_fed * len(query.predicates) * r.predicate_eval_ms
-            + n_pass * (r.tuple_copy_ms + r.agg_update_ms)
-        )
+    def _filter_tests(self, entry: TableEntry) -> Counts:
+        """What an index plan filtering a scan of ``entry`` adds to its
+        ``index_units``: a test of every scanned tuple against its bitmap."""
+        return Counts(bitmap_tests=entry.n_rows)
+
+    def _filter_tests_ms(self, entry: TableEntry) -> float:
+        ms = self._filter_ms.get(entry.name)
+        if ms is None:
+            ms = self._filter_ms[entry.name] = self.rates.price(
+                self._filter_tests(entry)
+            )
+        return ms
 
     def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
         """The memoized term of ``query`` on ``entry`` — the one place a
@@ -311,28 +331,27 @@ class CostModel:
             sels.append(self.predicate_selectivity(entry, pred))
             found.append(self.find_index(entry, pred))
             first.setdefault(pred.dim_index, i)
-        r = self.rates
+        price = self.rates.price
         n = entry.n_rows
         selectivity = math.prod(sels, start=1.0)
         k = n * selectivity
-        probe_dims = self._probe_dims(query)
-        hash_ms = self._process_cpu_ms(query, probe_dims, n, k)
+        probe_dims, n_preds = self._probe_dims(query), len(predicates)
+        hash_units = pipeline_counts(n, probe_dims, n_preds, k)
         words = self._bitmap_words(entry)
-        io_ms = cpu_ms = 0.0
+        pages = lookups = bitmap_words = n_indexed = 0
         indexed_sel = 1.0
-        n_indexed = 0
         for sel, hit in zip(sels, found):
             if hit is None:
                 continue
             index, n_lookups = hit
             n_indexed += 1
             indexed_sel *= sel
-            io_ms += index.pages_per_lookup(n_lookups) * r.seq_page_read_ms
-            cpu_ms += n_lookups * r.index_lookup_ms
-            cpu_ms += (n_lookups - 1) * words * r.bitmap_word_ms  # payload ORs
+            pages += index.pages_per_lookup(n_lookups)
+            lookups += n_lookups
+            bitmap_words += (n_lookups - 1) * words  # payload ORs
         side = {}
         if n_indexed:
-            cpu_ms += (n_indexed - 1) * words * r.bitmap_word_ms  # predicate ANDs
+            bitmap_words += (n_indexed - 1) * words  # predicate ANDs
             region, runs = 1.0, 1
             for d, sizes in enumerate(self.schema.level_sizes):
                 i = first.get(d)
@@ -343,13 +362,16 @@ class CostModel:
                 # fans out to its descendants there.
                 per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
                 runs *= max(1, round(len(predicates[i].member_ids) * per_member))
-            index_ms = io_ms + cpu_ms
-            fed_ms = self._process_cpu_ms(query, probe_dims, n * indexed_sel, k)
+            index_units = pipeline_counts(
+                n * indexed_sel, probe_dims, n_preds, k,
+                pages=pages, bitmap_words=bitmap_words, lookups=lookups,
+            )
+            index_ms = price(index_units)
             side = dict(
                 indexable=True,
-                filtered_ms=index_ms + n * r.bitmap_test_ms + fed_ms,
+                filtered_ms=index_ms + self._filter_tests_ms(entry),
+                index_units=index_units,
                 index_ms=index_ms,
-                fed_ms=fed_ms,
                 indexed_sel=indexed_sel,
                 region=region,
                 runs=runs,
@@ -358,11 +380,13 @@ class CostModel:
                 )
                 + max(0, runs - 1),
             )
+        hash_ms = price(hash_units)
         hash_wins = hash_ms <= side.get("filtered_ms", math.inf)
         term = self._terms[key] = MemberTerm(
             answerable=True,
             selectivity=selectivity,
             build_keys=build_keys(self.schema, entry.levels, query),
+            hash_units=hash_units,
             hash_ms=hash_ms,
             scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
             scan_ms=hash_ms if hash_wins else side["filtered_ms"],
@@ -413,27 +437,35 @@ class CostModel:
 
     # -- class costing -----------------------------------------------------------
 
-    def _builds_ms(self, entries: int, pages: int) -> float:
-        """Shared structure builds — hash entries plus, when dimension tables
-        are stored, a table scan each — priced from integer totals."""
-        return entries * self.rates.hash_build_ms + pages * self.rates.seq_page_read_ms
+    def _scan_shared(self, entry: TableEntry, entries: int, pages: int) -> Counts:
+        """The shared counts of a class whose base table is sequentially
+        scanned: the scan, plus the structure builds — hash entries and,
+        when dimension tables are stored, a scan of each."""
+        return Counts(seq_page_reads=entry.n_pages + pages, hash_builds=entries)
 
     def _scan_cost(
-        self, entry: TableEntry, builds_ms: float, marginals: Iterable[float]
+        self, entry: TableEntry, totals: tuple, marginals: Iterable[float]
     ) -> float:
         """Cost of the class when the base table is sequentially scanned:
         hash plans consume the scan; index plans filter it (Section 3.3).
         ``marginals`` holds each member's addend under its method."""
-        scan_io = entry.n_pages * self.rates.seq_page_read_ms
-        return left_sum(marginals, scan_io + builds_ms)
+        entries, pages = totals[:2]
+        key = (entry.n_pages + pages, entries)
+        shared_ms = self._scan_shared_ms.get(key)
+        if shared_ms is None:
+            shared_ms = self._scan_shared_ms[key] = self.rates.price(
+                self._scan_shared(entry, entries, pages)
+            )
+        return left_sum(marginals, shared_ms)
 
-    def _index_cost(
-        self, entry: TableEntry, terms: Sequence[MemberTerm], builds_ms: float,
-        index: tuple,
-    ) -> float:
-        """Cost of the class when all members are index joins sharing one
-        union-bitmap probe (Section 3.2); ``index`` is their prefix."""
-        r = self.rates
+    def _index_shared(
+        self, entry: TableEntry, n_members: int, totals: tuple
+    ) -> Tuple[Counts, Counts]:
+        """The shared counts of a class whose members are all index joins
+        sharing one union-bitmap probe (Section 3.2) — the probe, the
+        structure builds and the OR of the members' bitmaps — and the
+        routing each member adds; ``totals`` holds their index prefix."""
+        entries, dim_pages, index = totals
         not_selected, not_region, runs, separate_pages = index
         union_rows = entry.n_rows * (1.0 - not_selected)
         # Expected distinct pages the union probe touches: Cardenas over
@@ -448,17 +480,27 @@ class CostModel:
             pages = min(float(p), pages, separate_pages)
         else:
             pages = expected_distinct(float(p), union_rows)
-        total = pages * r.rand_page_read_ms + builds_ms
-        if len(terms) > 1:  # union OR
-            total += (
-                (len(terms) - 1) * self._bitmap_words(entry) * r.bitmap_word_ms
-            )
-        # Routing depends on union_rows: re-summed, never prefix-reused.
-        routing_ms = union_rows * r.bitmap_test_ms
+        # Positional, in Counts' order (a trial builds these; keywords
+        # would cost it more): seq_page_reads (the dimension tables),
+        # rand_page_reads, hash_builds, then the OR's bitmap_word_ops —
+        # and, re-priced per costing, the routing's bitmap_tests.
+        shared = Counts(
+            dim_pages, pages, 0, entries, 0, 0, 0,
+            (n_members - 1) * self._bitmap_words(entry),
+        )
+        return shared, Counts(0, 0, 0, 0, 0, 0, 0, 0, union_rows)
+
+    def _index_cost(
+        self, entry: TableEntry, terms: Sequence[MemberTerm], totals: tuple
+    ) -> float:
+        """Cost of the class as all index joins: the shared part, then per
+        member its index plan and its routing."""
+        shared, routing = self._index_shared(entry, len(terms), totals)
+        total = self.rates.price(shared)
+        routing_ms = self.rates.price(routing)
         for term in terms:
             total += term.index_ms
             total += routing_ms
-            total += term.fed_ms
         return total
 
     def _best(
@@ -466,11 +508,9 @@ class CostModel:
     ) -> ClassCosting:
         """The cheaper configuration of a class (scan on ties): each member
         on its cheaper scan-side method, or (given a prefix) all index joins."""
-        entries, pages, index = totals
-        builds_ms = self._builds_ms(entries, pages)
-        cost = self._scan_cost(entry, builds_ms, [t.scan_ms for t in terms])
-        if index is not None:
-            index_cost = self._index_cost(entry, terms, builds_ms, index)
+        cost = self._scan_cost(entry, totals, [t.scan_ms for t in terms])
+        if totals[2] is not None:
+            index_cost = self._index_cost(entry, terms, totals)
             if index_cost < cost:
                 return ClassCosting(
                     entry.name, index_cost, [JoinMethod.INDEX] * len(terms)
@@ -500,26 +540,13 @@ class CostModel:
         others = reduce(self.extend, queries[:-1], ClassState(entry))
         return self.trial(others, queries[-1])
 
-    def class_cost_given(
+    def _given(
         self, entry: TableEntry, queries: Sequence[GroupByQuery],
         methods: Sequence[JoinMethod],
-    ) -> float:
-        """Cost of a class whose per-query join methods are already fixed
-        (used to cost TPLO's merged plans, which keep local choices).
-        Raises ``ValueError`` when ``entry`` cannot answer a query or a
-        query has no index plan for its non-hash method.
-
-        **Linearity contract**: for fixed methods, the returned cost is an
-        exact linear function of the :class:`CostRates` fields — every
-        term is ``predicted_units * rate`` with the unit counts depending
-        only on the catalog, statistics, and query shapes.  The
-        calibration fitter (:mod:`repro.calibrate`) relies on this to
-        extract per-unit predictions by re-costing classes against unit
-        basis rates; a costing path that breaks linearity (e.g. a rate
-        inside a ``max``/branch condition) would silently corrupt the fit,
-        so :func:`repro.calibrate.observations.estimated_units` re-checks
-        the decomposition per class.
-        """
+    ) -> ClassState:
+        """The state of a class whose per-query join methods are fixed;
+        raises ``ValueError`` when ``entry`` cannot answer a query or a
+        query has no index plan for its non-hash method."""
         if len(queries) != len(methods):
             raise ValueError("queries and methods must align")
         state = ClassState(entry)
@@ -533,15 +560,56 @@ class CostModel:
                     f"no index plan for {query.display_name()} on "
                     f"{entry.name!r}"
                 )
-        entries, pages, index = state.totals
-        builds_ms = self._builds_ms(entries, pages)
+        return state
+
+    def class_cost_given(
+        self, entry: TableEntry, queries: Sequence[GroupByQuery],
+        methods: Sequence[JoinMethod],
+    ) -> float:
+        """Cost of a class whose per-query join methods are already fixed
+        (used to cost TPLO's merged plans, which keep local choices).
+        Raises ``ValueError`` when ``entry`` cannot answer a query or a
+        query has no index plan for its non-hash method."""
+        state = self._given(entry, queries, methods)
         if all(m is JoinMethod.INDEX for m in methods):
-            return self._index_cost(entry, state.terms, builds_ms, index)
+            return self._index_cost(entry, state.terms, state.totals)
         marginals = [
             term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
             for term, method in zip(state.terms, methods)
         ]
-        return self._scan_cost(entry, builds_ms, marginals)
+        return self._scan_cost(entry, state.totals, marginals)
+
+    def class_units(self, plan_class: PlanClass) -> Counts:
+        """The counts a planned class is expected to charge, added in the
+        order its cost is (shared part, then members in plan order, then a
+        ``dag`` class's derived pipelines): priced, they give its
+        ``est_cost_ms`` up to float rounding."""
+        entry = self.catalog.get(plan_class.source)
+        scan = [p for p in plan_class.plans if p.method is not JoinMethod.DERIVE]
+        queries = [p.query for p in scan]
+        methods = [p.method for p in scan]
+        if plan_class.derives:
+            state, totals, derived = self._derived(
+                entry, queries, plan_class.derives
+            )
+        else:
+            state = self._given(entry, queries, methods)
+            totals, derived = state.totals, []
+        if not plan_class.derives and all(m is JoinMethod.INDEX for m in methods):
+            shared, routing = self._index_shared(entry, len(methods), totals)
+            addends = [
+                units
+                for term in state.terms
+                for units in (term.index_units, routing)
+            ]
+        else:
+            shared = self._scan_shared(entry, *totals[:2])
+            addends = [
+                term.hash_units if method is JoinMethod.HASH
+                else term.index_units + self._filter_tests(entry)
+                for term, method in zip(state.terms, methods)
+            ]
+        return reduce(operator.add, addends + derived, shared)
 
     # -- DAG class costing (derive-from-shared-sub-aggregate) --------------------
 
@@ -579,6 +647,28 @@ class CostModel:
         if not derive_steps:
             raise ValueError("a DAG class needs at least one derive step")
         self.n_plan_costings += 1
+        derived = self._derived(entry, scan_queries, derive_steps, row_safety)
+        if derived is None:
+            return None
+        state, totals, addends = derived
+        costing = self._best(entry, state.terms, totals)
+        for units in addends:
+            costing.cost_ms += self.rates.price(units)
+        for step in derive_steps:
+            costing.methods += [JoinMethod.DERIVE] * len(step.queries)
+        return costing
+
+    def _derived(
+        self,
+        entry: TableEntry,
+        scan_queries: Sequence[GroupByQuery],
+        derive_steps: Sequence[DeriveStep],
+        row_safety: float = 1.0,
+    ) -> Optional[Tuple[ClassState, tuple, List[Counts]]]:
+        """A DAG class's scan members' state, its build totals (no index
+        prefix: a DAG class runs the scan configuration) and, per step, the
+        counts of its intermediate's pipeline, then of each derived
+        query's; None when a query or intermediate is not answerable."""
         n = entry.n_rows
         state = reduce(self.extend, scan_queries, ClassState(entry))
         if state.totals is None:
@@ -602,24 +692,19 @@ class CostModel:
                 if not source_can_answer(inter_levels, inter_agg, query):
                     return None
                 keys += build_keys(self.schema, inter_levels, query)
-        _new, entries, pages = self._missing(state.structures, keys, *state.totals[:2])
-        # No index prefix: a DAG class runs the scan configuration.
-        costing = self._best(entry, state.terms, (entries, pages, None))
+        addends: List[Counts] = []
         for step in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.
             inter = step.intermediate
-            costing.cost_ms += self._process_cpu_ms(
-                inter, self._probe_dims(inter), n_fed=n, n_pass=n
-            )
+            addends.append(pipeline_counts(n, self._probe_dims(inter), 0, n))
             m = row_safety * self.intermediate_rows(entry, inter)
             for query in step.queries:
                 k = m * self.query_selectivity(entry, query)
-                costing.cost_ms += self._process_cpu_ms(
-                    query, self._probe_dims(query), n_fed=m, n_pass=k
-                )
-                costing.methods.append(JoinMethod.DERIVE)
-        return costing
+                probe_dims, n_preds = self._probe_dims(query), len(query.predicates)
+                addends.append(pipeline_counts(m, probe_dims, n_preds, k))
+        _new, entries, pages = self._missing(state.structures, keys, *state.totals[:2])
+        return state, (entries, pages, None), addends
 
     # -- local-plan selection ------------------------------------------------------
 

@@ -48,16 +48,17 @@ class TableEntry:
     group_positions: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
+    #: Display name: the table's, copied once — the planner reads it on
+    #: every member-term lookup.
+    name: str = field(init=False, repr=False, compare=False)
 
     @property
     def is_raw(self) -> bool:
         """True for raw base data (any aggregate computable)."""
         return self.source_aggregate is None
 
-    @property
-    def name(self) -> str:
-        """Display name."""
-        return self.table.name
+    def __post_init__(self) -> None:
+        self.name = self.table.name
 
     @property
     def n_rows(self) -> int:

@@ -5,7 +5,9 @@ Quantum Fireball disk and a 16 MB Paradise buffer pool.  We substitute a
 deterministic *cost clock*: every operator charges its page reads (sequential
 or random), page writes, and per-tuple CPU work to an :class:`IOStats`
 instance, and :class:`CostRates` converts those counters into simulated
-milliseconds.
+milliseconds.  The cost model estimates the same counters (a
+:class:`Counts`), and :meth:`CostRates.price` is the one place a count
+meets a rate, for the charged and the expected alike.
 
 The paper's findings hinge on three facts that this model preserves:
 
@@ -22,10 +24,53 @@ Rates are configurable so benchmarks can explore other hardware regimes.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import NamedTuple, Tuple
 
 from ..document import DocumentError, field_of
+
+
+class Counts(NamedTuple):
+    """An amount of each priced unit of work — charged
+    (:meth:`IOStats.counts`) or expected (the cost model's) — in
+    :class:`CostRates`' field order, which is :class:`IOStats`' counter
+    order without ``buffer_hits`` (no rate).  The three I/O counters lead.
+    ``+`` adds componentwise."""
+
+    seq_page_reads: float = 0
+    rand_page_reads: float = 0
+    page_writes: float = 0
+    hash_builds: float = 0
+    hash_probes: float = 0
+    tuple_copies: float = 0
+    agg_updates: float = 0
+    bitmap_word_ops: float = 0
+    bitmap_tests: float = 0
+    index_lookups: float = 0
+    predicate_evals: float = 0
+
+    def __add__(self, other: "Counts") -> "Counts":
+        return Counts(*map(operator.add, self, other))
+
+
+def pipeline_counts(
+    rows_in: float, probe_dims: int, n_predicates: int, rows_passed: float,
+    *, pages: int = 0, bitmap_words: int = 0, lookups: int = 0,
+) -> Counts:
+    """What a query pipeline charges: each of ``rows_in`` tuples probes
+    ``probe_dims`` hash tables and is tested against ``n_predicates``
+    masks, and each of the ``rows_passed`` survivors is copied and
+    aggregated — after, for a pipeline an index phase feeds, that phase's
+    join-index ``pages`` read, bitmap words combined and member
+    ``lookups``.  Positional, in :class:`Counts`' order: the planner's
+    innermost constructor."""
+    return Counts._make((
+        pages, 0, 0, 0, rows_in * probe_dims, rows_passed, rows_passed,
+        bitmap_words, 0, lookups, rows_in * n_predicates,
+    ))
 
 
 @dataclass(frozen=True)
@@ -52,6 +97,22 @@ class CostRates:
     index_lookup_ms: float = 0.35
     predicate_eval_ms: float = 0.0001
 
+    @cached_property
+    def _per_unit(self) -> Tuple[float, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def price(self, counts: Counts) -> float:
+        """Simulated milliseconds of ``counts``: each count times its
+        rate, added left to right (builtin ``sum`` is compensated from
+        Python 3.12, which would make a price interpreter-dependent).
+        Spelled out: this is the planner's innermost arithmetic."""
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = counts
+        r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10 = self._per_unit
+        return (
+            c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + c5 * r5
+            + c6 * r6 + c7 * r7 + c8 * r8 + c9 * r9 + c10 * r10
+        )
+
     def replace(self, **overrides: float) -> "CostRates":
         """Return a copy of these rates with some fields overridden."""
         current = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -61,7 +122,7 @@ class CostRates:
     def as_dict(self) -> dict:
         """Field -> value, in declaration order (the serialization the
         calibration profiles and benchmark fingerprints persist)."""
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: float(rate) for f, rate in zip(fields(self), self._per_unit)}
 
     @classmethod
     def from_mapping(cls, data: object, where: str = "rates") -> "CostRates":
@@ -92,6 +153,8 @@ class CostRates:
 
 #: Rates used when none are specified.
 DEFAULT_RATES = CostRates()
+
+_PRICED = operator.attrgetter(*Counts._fields)
 
 
 @dataclass
@@ -126,20 +189,7 @@ class IOStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    _COUNTER_FIELDS = (
-        "seq_page_reads",
-        "rand_page_reads",
-        "page_writes",
-        "buffer_hits",
-        "hash_builds",
-        "hash_probes",
-        "tuple_copies",
-        "agg_updates",
-        "bitmap_word_ops",
-        "bitmap_tests",
-        "index_lookups",
-        "predicate_evals",
-    )
+    _COUNTER_FIELDS = (*Counts._fields[:3], "buffer_hits", *Counts._fields[3:])
 
     # -- charging -----------------------------------------------------------
 
@@ -205,30 +255,19 @@ class IOStats:
 
     # -- reporting ----------------------------------------------------------
 
+    def counts(self) -> Counts:
+        """The priced counters, in :class:`Counts`' order."""
+        return Counts._make(_PRICED(self))
+
     @property
     def io_ms(self) -> float:
-        """Simulated milliseconds spent on I/O."""
-        r = self.rates
-        return (
-            self.seq_page_reads * r.seq_page_read_ms
-            + self.rand_page_reads * r.rand_page_read_ms
-            + self.page_writes * r.page_write_ms
-        )
+        """Simulated milliseconds spent on I/O: the three leading counters."""
+        return self.rates.price(Counts(*self.counts()[:3]))
 
     @property
     def cpu_ms(self) -> float:
-        """Simulated milliseconds spent on CPU work."""
-        r = self.rates
-        return (
-            self.hash_builds * r.hash_build_ms
-            + self.hash_probes * r.hash_probe_ms
-            + self.tuple_copies * r.tuple_copy_ms
-            + self.agg_updates * r.agg_update_ms
-            + self.bitmap_word_ops * r.bitmap_word_ms
-            + self.bitmap_tests * r.bitmap_test_ms
-            + self.index_lookups * r.index_lookup_ms
-            + self.predicate_evals * r.predicate_eval_ms
-        )
+        """Simulated milliseconds spent on CPU work: the other counters."""
+        return self.rates.price(Counts(0, 0, 0, *self.counts()[3:]))
 
     @property
     def total_ms(self) -> float:

@@ -1,4 +1,4 @@
-"""The calibration fitter: basis-vector extraction, the least-squares
+"""The calibration fitter: the model's unit vectors, the least-squares
 regression itself (ground-truth recovery, determinism, pinning, bounds,
 degenerate inputs), and the fit-on-a-database loop on a tiny workload."""
 
@@ -14,53 +14,54 @@ from repro.calibrate.fitter import (
     fit_rates,
 )
 from repro.calibrate.observations import (
-    COUNTER_FOR_RATE,
     RATE_FIELDS,
     Observation,
     ObservationSet,
-    basis_models,
-    estimated_units,
     observation_from_execution,
 )
-from repro.storage.iostats import DEFAULT_RATES, CostRates
+from repro.core.optimizer.cost import CostModel
+from repro.storage.iostats import DEFAULT_RATES, CostRates, Counts, IOStats
 
 from helpers import make_tiny_db, random_query
 
 
-# -- unit-vector extraction ---------------------------------------------------
+# -- unit vectors ---------------------------------------------------------------
 
 
 def test_rate_fields_cover_cost_rates():
-    assert set(COUNTER_FOR_RATE) == set(RATE_FIELDS)
-    # buffer_hits is the one counter with no rate.
-    from repro.storage.iostats import IOStats
-
-    priced = set(COUNTER_FOR_RATE.values())
-    assert set(IOStats._COUNTER_FIELDS) - priced == {"buffer_hits"}
+    """The counter order is the rate order, counter for rate, and
+    buffer_hits is the one counter with no rate."""
+    assert list(zip(Counts._fields, RATE_FIELDS)) == [
+        ("seq_page_reads", "seq_page_read_ms"),
+        ("rand_page_reads", "rand_page_read_ms"),
+        ("page_writes", "page_write_ms"),
+        ("hash_builds", "hash_build_ms"),
+        ("hash_probes", "hash_probe_ms"),
+        ("tuple_copies", "tuple_copy_ms"),
+        ("agg_updates", "agg_update_ms"),
+        ("bitmap_word_ops", "bitmap_word_ms"),
+        ("bitmap_tests", "bitmap_test_ms"),
+        ("index_lookups", "index_lookup_ms"),
+        ("predicate_evals", "predicate_eval_ms"),
+    ]
+    assert len(RATE_FIELDS) == len(Counts._fields)
+    assert set(IOStats._COUNTER_FIELDS) - set(Counts._fields) == {"buffer_hits"}
 
 
 def test_basis_decomposition_matches_estimates():
-    """est_units . rates must reproduce every class's own est_cost_ms —
-    the linearity contract of CostModel.class_cost_given."""
+    """Every class's counts, priced, reproduce its own est_cost_ms."""
     db = make_tiny_db(
         n_rows=400, materialized=("X'Y",), index_tables=("XY", "X'Y")
     )
-    models = basis_models(db)
+    model = CostModel.for_database(db)
     rng = random.Random(7)
     queries = [random_query(db.schema, rng) for _ in range(6)]
     checked = 0
     for algorithm in ("tplo", "gg"):
         plan = db.optimize(queries, algorithm)
         for plan_class in plan.classes:
-            units = estimated_units(
-                models, plan_class, check_rates=db.stats.rates
-            )
-            assert units is not None, plan_class.source
-            repriced = sum(
-                u * getattr(db.stats.rates, f)
-                for u, f in zip(units, RATE_FIELDS)
-            )
-            assert repriced == pytest.approx(
+            units = model.class_units(plan_class)
+            assert db.stats.rates.price(units) == pytest.approx(
                 plan_class.est_cost_ms, rel=1e-9
             )
             checked += 1
@@ -69,12 +70,12 @@ def test_basis_decomposition_matches_estimates():
 
 def test_observation_from_execution_counters_match_sim():
     db = make_tiny_db(n_rows=300)
-    models = basis_models(db)
+    model = CostModel.for_database(db)
     rng = random.Random(11)
     queries = [random_query(db.schema, rng) for _ in range(4)]
     report = db.execute(db.optimize(queries, "gg"))
     for execution in report.class_executions:
-        obs = observation_from_execution(models, execution)
+        obs = observation_from_execution(model, execution)
         assert obs is not None
         priced = sum(
             u * getattr(db.stats.rates, f)
@@ -233,7 +234,7 @@ def test_fit_on_tiny_workload():
     )
     # The tiny schema has no paper tests; drive the sweep directly through
     # the fitter's building blocks instead.
-    models = basis_models(db)
+    model = CostModel.for_database(db)
     observations = ObservationSet()
     rng = random.Random(21)
     batches = [
@@ -243,7 +244,7 @@ def test_fit_on_tiny_workload():
         for algorithm in ("tplo", "gg"):
             report = db.execute(db.optimize(batch, algorithm))
             for execution in report.class_executions:
-                observations.add_execution(models, execution)
+                observations.add_execution(model, execution)
     assert len(observations) >= 4
     result = fit_rates(observations.observations(), db.stats.rates)
     lo, hi = DEFAULT_BOUNDS

@@ -79,9 +79,9 @@ def test_byte_dump_is_deterministic(tmp_path):
     .claude/skills/verify/SKILL.md — writes the same bytes twice, and covers
     what it says: every registry name, derive classes, what the planner
     decided, maintained views, recovery under one fault per site (with its
-    metrics and each batch trace's span clocks), every member term with and
-    without measured selectivities, and the paper's tables as the CLI
-    prints them."""
+    metrics and each batch trace's span clocks), the counts the model
+    estimates per class, every member term with and without measured
+    selectivities, and the paper's tables as the CLI prints them."""
     import os
     import subprocess
 
@@ -131,6 +131,15 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert operators and all(
         float.fromhex(sim["total_ms"]) > 0.0 for sim in operators
     )
+    # Per class without derive steps, its estimated count of each of the
+    # eleven priced units.
+    units = {k: v for k, v in dump.items() if k.startswith("units/")}
+    assert len(units) == 7 * 5 * len({k.split("/")[3] for k in units})
+    for key, classes in units.items():
+        derives = dump[key.removeprefix("units/") + "/plan"]["derives"]
+        assert [cls is None for cls in classes] == [bool(d) for d in derives]
+        assert all(len(cls) == 11 for cls in classes if cls is not None)
+    assert any(float.fromhex(n) > 0.0 for n in units["units/test1/sum/naive"][0])
     # Member terms, every entry x query, plain and after analyze().
     plain = dump["terms/plain/tests/ABCD"]
     analyzed = dump["terms/analyzed/tests/ABCD"]

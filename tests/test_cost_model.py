@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.calibrate.observations import RATE_FIELDS, basis_models, estimated_units
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.core.optimizer import GreedyOptimizer
 from repro.core.optimizer.cost import ClassState, CostModel, left_sum
@@ -22,7 +21,7 @@ from repro.core.optimizer.plans import DeriveStep, JoinMethod
 from repro.index.bitmap import WORD_BITS
 from repro.schema.lattice import build_keys, expected_distinct, source_can_answer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import CostRates, Counts, IOStats
 from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
@@ -221,7 +220,7 @@ class TestEstimateVsSimulation:
     def test_two_predicates_on_one_dimension(self, paper_db):
         """A month-level axis inside a year-level slicer: the pipeline
         builds, tests and probes per *predicate*, and so does the model —
-        the unit vector equals the charged counters."""
+        the class's counts equal the charged counters."""
         dim, *others = paper_db.schema.dimensions
         inner = sorted(dim.descendants(2, 0, 1))[:2]
         query = GroupByQuery(
@@ -233,16 +232,11 @@ class TestEstimateVsSimulation:
         )
         (execution,) = paper_db.run_queries([query], "gg").class_executions
         assert execution.plan_class.source == "ABCD"
-        units = dict(
-            zip(
-                RATE_FIELDS,
-                estimated_units(basis_models(paper_db), execution.plan_class),
-            )
-        )
+        units = CostModel.for_database(paper_db).class_units(execution.plan_class)
         sim = execution.sim
-        assert units["hash_build_ms"] == sim.hash_builds == 2 * dim.n_members(0)
-        assert units["predicate_eval_ms"] == sim.predicate_evals
-        assert units["hash_probe_ms"] == sim.hash_probes
+        assert units.hash_builds == sim.hash_builds == 2 * dim.n_members(0)
+        assert units.predicate_evals == sim.predicate_evals
+        assert units.hash_probes == sim.hash_probes
 
 
 class TestBuildKeys:
@@ -436,14 +430,13 @@ def from_scratch(model, entry, queries):
     terms = [model._term(entry, query) for query in queries]
     if not all(term.answerable for term in terms):
         return None
-    r = model.rates
+    price = model.rates.price
     keys = {key for term in terms for key in term.build_keys}
-    builds_ms = (
-        sum(model.schema.dimensions[k[0]].n_members(k[1]) for k in keys)
-        * r.hash_build_ms
-        + sum(model._dim_pages[k[0]] for k in keys) * r.seq_page_read_ms
+    entries = sum(model.schema.dimensions[k[0]].n_members(k[1]) for k in keys)
+    dim_pages = sum(model._dim_pages[k[0]] for k in keys)
+    total = price(
+        Counts(seq_page_reads=entry.n_pages + dim_pages, hash_builds=entries)
     )
-    total = entry.n_pages * r.seq_page_read_ms + builds_ms
     methods = []
     for term in terms:
         hash_wins = term.hash_ms <= term.filtered_ms
@@ -467,14 +460,18 @@ def from_scratch(model, entry, queries):
         pages = min(float(p), pages, separate)
     else:
         pages = expected_distinct(float(p), union_rows)
-    index_total = pages * r.rand_page_read_ms + builds_ms
-    if len(terms) > 1:
-        words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
-        index_total += (len(terms) - 1) * words * r.bitmap_word_ms
+    words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
+    index_total = price(
+        Counts(
+            seq_page_reads=dim_pages,
+            rand_page_reads=pages,
+            hash_builds=entries,
+            bitmap_word_ops=(len(terms) - 1) * words,
+        )
+    )
     for term in terms:
         index_total += term.index_ms
-        index_total += union_rows * r.bitmap_test_ms
-        index_total += term.fed_ms
+        index_total += price(Counts(bitmap_tests=union_rows))
     if index_total < total:
         return index_total, [JoinMethod.INDEX] * len(terms)
     return total, methods
@@ -589,6 +586,53 @@ class TestIncrementalEqualsFromScratch:
         assert seen == {"dead", ("index", False)}
 
 
+class TestOnePricing:
+    def test_only_cost_rates_reads_a_rate(self):
+        """``CostRates.price`` is the one place a count meets a rate: no
+        ``.<rate>_ms`` read under ``src/`` outside ``storage/iostats.py``,
+        and the unit-basis machinery it replaced is gone."""
+        src = Path(repro.__file__).parent
+        rates = "|".join(f.name for f in dataclasses.fields(CostRates))
+        read = re.compile(rf"\.(?:{rates})\b")
+        gone = re.compile(
+            r"\b(?:basis_models|estimated_units|COUNTER_FOR_RATE|_DECOMPOSITION_RTOL)\b"
+        )
+        found = {
+            f"{path.relative_to(src)}: {match.group(0)}"
+            for path in src.rglob("*.py")
+            for pattern in (read, gone)
+            for match in pattern.finditer(path.read_text())
+            if pattern is gone or path != src / "storage" / "iostats.py"
+        }
+        assert found == set()
+
+    def test_counts_price_left_to_right(self):
+        """A price is each count times its rate, added in field order;
+        ``IOStats`` prices its I/O counters, then the rest, exactly as the
+        hand-written sums it replaced did."""
+        names = [f.name for f in dataclasses.fields(CostRates)]
+        rates = CostRates(**{name: 1.0 / (i + 3) for i, name in enumerate(names)})
+        counts = Counts(*(float(i + 1) / 3.0 for i in range(len(names))))
+        total = 0.0
+        for count, name in zip(counts, names):
+            total += count * getattr(rates, name)
+        assert rates.price(counts) == total
+        stats = IOStats(rates=rates)
+        for name, count in zip(Counts._fields, range(1, 12)):
+            setattr(stats, name, count)
+        assert stats.counts() == Counts(1, 2, 3) + Counts(0, 0, 0, *range(4, 12))
+        r = rates
+        assert stats.io_ms == (
+            1 * r.seq_page_read_ms + 2 * r.rand_page_read_ms + 3 * r.page_write_ms
+        )
+        assert stats.cpu_ms == (
+            4 * r.hash_build_ms + 5 * r.hash_probe_ms + 6 * r.tuple_copy_ms
+            + 7 * r.agg_update_ms + 8 * r.bitmap_word_ms + 9 * r.bitmap_test_ms
+            + 10 * r.index_lookup_ms + 11 * r.predicate_eval_ms
+        )
+        assert stats.total_ms == stats.io_ms + stats.cpu_ms
+
+
 class TestLeftSum:
     def test_is_a_plain_left_fold(self):
         """``sum`` is compensated from Python 3.12 and returns 1.0 here;
@@ -600,10 +644,15 @@ class TestLeftSum:
 
     def test_no_builtin_sum_over_costs_in_the_source(self):
         """Cost totals are ``left_sum`` or explicit ``+=`` loops: nothing
-        under ``core/optimizer/`` or in ``dag/search.py`` calls ``sum`` /
-        ``fsum`` on anything but a count."""
+        under ``core/optimizer/``, in ``dag/search.py`` or in the one
+        pricing (``storage/iostats.py``) calls ``sum`` / ``fsum`` on
+        anything but a count."""
         src = Path(repro.__file__).parent
-        paths = [*(src / "core" / "optimizer").glob("*.py"), src / "dag" / "search.py"]
+        paths = [
+            *(src / "core" / "optimizer").glob("*.py"),
+            src / "dag" / "search.py",
+            src / "storage" / "iostats.py",
+        ]
         calls = re.compile(r"\b(?:math\.)?f?sum\((.*)")
         found = {
             f"{path.name}: {match.group(0)}"
