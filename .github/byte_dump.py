@@ -45,6 +45,12 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   and ``find_index``'s ``(index level, lookups)`` per predicate — once on
   the database as the sweep left it, once more after ``analyze()``
   (measured selectivities), which therefore runs last;
+* ``pool/``: Tests 1-7 x naive / tplo / gg, cold and warm, on the paper
+  database with a 64- and a 700-page pool, and under one armed
+  ``storage.page_read`` (``nth``), ``operator.pipeline`` (``nth``) and
+  seeded ``storage.page_read`` (``p=0.01``) plan each: the database's
+  ``IOStats``, and per pool the run used its hits, misses, size and
+  frames in LRU order (``FaultPlan.fired`` for the armed ones);
 * ``cli/``: the stdout of ``repro compare --tests test4,test5``,
   ``figures``, ``report`` and ``select-views --budget 4`` at the dump's
   scale, each through ``repro.cli.main`` on its own freshly built database.
@@ -64,6 +70,7 @@ import sys
 from typing import List
 
 from repro.cli import main as cli_main
+from repro.engine import database as database_module
 from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
@@ -72,8 +79,9 @@ from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, RequestQuarantined, ServeConfig
 from repro.storage import table as table_module
+from repro.storage.buffer import BufferPool
 from repro.storage.iostats import CostRates
-from repro.workload import build_paper_database, paper_queries
+from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 MORSEL_ROWS = 700
@@ -327,6 +335,90 @@ def terms(db, batches: dict, state: str) -> dict:
     return out
 
 
+#: Pool sizes of the ``pool/`` section: one far smaller than the base
+#: table (every scan evicts), one that holds it but not a warm mix.
+POOL_PAGES = (64, 700)
+POOL_ALGORITHMS = ("naive", "tplo", "gg")
+#: One armed case each: a page read mid-morsel, a pipeline check, and a
+#: seeded coin on every page read.
+POOL_FAULTS = {
+    "page_read_nth": ([InjectionPoint(site="storage.page_read", nth=30, name="r")], 0),
+    "pipeline_nth": ([InjectionPoint(site="operator.pipeline", nth=30, name="o")], 0),
+    "page_read_p": (
+        [InjectionPoint(site="storage.page_read", probability=0.01, name="p")],
+        SEED,
+    ),
+}
+
+
+def pool_state(pool, names: dict) -> list:
+    return [
+        pool.hits,
+        pool.misses,
+        len(pool),
+        [[names[table_id], page_no] for table_id, page_no in pool._frames],
+    ]
+
+
+def pool_case(db, batch, name: str, cold: bool, pools: list) -> dict:
+    """One plan executed on ``db``: the report, the database's clock, and
+    every pool the run used (each cold cell's private one, then the
+    database's own) — hits, misses, size and frames in LRU order."""
+    del pools[:]
+    report = db.execute(db.optimize(batch, name), cold=cold)
+    names = {entry.table.table_id: entry.name for entry in db.catalog.entries()}
+    return {
+        "report": dump_report(report, batch),
+        "stats": hexed(db.stats.as_dict()),
+        "pools": [pool_state(pool, names) for pool in [*pools, db.pool]],
+    }
+
+
+def pool_sweep(scale: float) -> dict:
+    """``pool/``: Tests 1-7 x naive / tplo / gg, cold and warm (the warm
+    runs share the database's pool from case to case), at two pool sizes;
+    then the armed cases, recording ``FaultPlan.fired``."""
+    pools: list = []
+
+    class RecordedPool(BufferPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    def batches(buffer_pages: int):
+        config = PaperConfig(scale=scale, buffer_pages=buffer_pages)
+        db = build_paper_database(config=config)
+        queries = paper_queries(db.schema)
+        for test, qids in ALL_PAPER_TESTS.items():
+            yield db, test, [queries[q] for q in qids]
+
+    database_module.BufferPool = RecordedPool
+    out = {}
+    try:
+        for buffer_pages in POOL_PAGES:
+            for db, test, batch in batches(buffer_pages):
+                for name in POOL_ALGORITHMS:
+                    for cold in (True, False):
+                        key = f"pool/{buffer_pages}/{test}/{name}/cold={cold}"
+                        out[key] = pool_case(db, batch, name, cold, pools)
+        for fault, (points, seed) in POOL_FAULTS.items():
+            for db, test, batch in batches(POOL_PAGES[0]):
+                plan = FaultPlan(points, seed=seed)
+                db.arm_faults(plan)
+                try:
+                    case = pool_case(db, batch, "gg", True, pools)
+                finally:
+                    db.disarm_faults()
+                case["fired"] = [
+                    [event.site, event.point, [list(a) for a in event.attrs]]
+                    for event in plan.fired
+                ]
+                out[f"pool/faults/{fault}/{test}"] = case
+    finally:
+        database_module.BufferPool = BufferPool
+    return out
+
+
 CLI_COMMANDS = {
     "compare": ["compare", "--tests", "test4,test5"],
     "figures": ["figures"],
@@ -410,6 +502,7 @@ def sweep(scale: float) -> dict:
     out.update(terms(db, batches, "plain"))
     db.analyze()
     out.update(terms(db, batches, "analyzed"))
+    out.update(pool_sweep(scale))
     out.update(cli(scale))
     return out
 

@@ -15,7 +15,7 @@ reference evaluators.
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
 so that sequential vs. random I/O is accounted.  The columnar access paths
 (:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`) account
-page by page exactly as a page-at-a-time read would, and hand out column
+exactly what a page-at-a-time read would, and hand out column
 batches of many pages (a *morsel* for scans — a zero-copy read-only slice —
 the whole probe set for fetches, gathered once); the batch kernels in
 :mod:`repro.core.operators` are built on them.
@@ -232,9 +232,9 @@ class HeapTable:
     ) -> Iterator[range]:
         """The one sequential scan: check ``storage.scan`` once, then read
         the table through the buffer pool a morsel's run of pages at a
-        time (:meth:`~repro.storage.buffer.BufferPool.read_pages` — every
-        page is still fault-checked and charged individually, in order),
-        yielding each run's page numbers once it is accounted.
+        time (:meth:`~repro.storage.buffer.BufferPool.read_pages`: hits,
+        misses and fault checks as page by page, in order), yielding each
+        run's page numbers once it is accounted.
         """
         faults = getattr(pool, "faults", None)
         if faults is not None:
@@ -291,7 +291,8 @@ class HeapTable:
         *page change* in first-touch order (a revisit after an intervening
         page re-fetches), each fault-checked, accounted in one
         :meth:`~repro.storage.buffer.BufferPool.read_pages` call;
-        ``table.probe_pages`` counts the pages that call accounted.
+        ``table.probe_pages`` counts the pages that call accounted (all of
+        them, or those before a fault).
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
@@ -306,18 +307,15 @@ class HeapTable:
         page_nos = positions // self.capacity
         # One read per run of equal page number, in first-touch order.
         first_of_run = np.concatenate(([0], np.flatnonzero(np.diff(page_nos)) + 1))
-        accounted = itertools.count()  # ticked by the pool after each page
-        try:
-            pool.read_pages(
-                self,
-                page_nos[first_of_run].tolist(),
-                sequential=False,
-                after_page=accounted.__next__,
-            )
-        finally:
-            default_registry().counter(
-                "table.probe_pages", "distinct pages fetched by random probes"
-            ).inc(next(accounted))
+        probe_pages = default_registry().counter(
+            "table.probe_pages", "distinct pages fetched by random probes"
+        )
+        with pool._lock:  # the pool's counts move by this read alone
+            accounted = pool.hits + pool.misses
+            try:
+                pool.read_pages(self, page_nos[first_of_run], sequential=False)
+            finally:
+                probe_pages.inc(pool.hits + pool.misses - accounted)
         return self._take(n_keys, positions)
 
     def __len__(self) -> int:

@@ -4,6 +4,7 @@ run file ``--repeat N`` would have written, and ``perf/run.py compare``
 reads it.  The parent-vs-change dump (``byte_dump.py``) and the per-op
 profile (``profile_op.py``) run and say what they claim to."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -168,6 +169,51 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert "test5 (Queries [2, 3, 5])" in cli["cli/compare"]["stdout"]
     assert "Figure 12" in cli["cli/figures"]["stdout"]
     assert "## Table 2 — test7" in cli["cli/report"]["stdout"]
+    # Cold cells' private pools and the warm one, full and evicting at 64
+    # pages, and an armed case per fault kind with what fired.
+    pool = {k: v for k, v in dump.items() if k.startswith("pool/")}
+    assert len(pool) == 2 * 7 * 3 * 2 + 3 * 7
+    for case in pool.values():
+        for hits, misses, size, frames in case["pools"]:
+            assert size == len(frames) <= min(hits + misses, 700)
+    cold = dump["pool/64/test1/tplo/cold=True"]["pools"]
+    assert len(cold) == 3 and cold[0][:3] == [0, cold[0][1], cold[0][1]]
+    warm = dump["pool/64/test7/gg/cold=False"]["pools"][-1]
+    assert warm[2] == 64 and warm[1] > 64 and warm[0] > 0
+    for fault, site in (
+        ("page_read_nth", "storage.page_read"),
+        ("pipeline_nth", "operator.pipeline"),
+    ):
+        case = dump[f"pool/faults/{fault}/test1"]
+        assert [event[0] for event in case["fired"]] == [site]
+        assert case["report"]["failures"] and case["pools"][0][1] <= 30
+    assert all(
+        isinstance(dump[f"pool/faults/page_read_p/test{i}"]["fired"], list)
+        for i in range(1, 8)
+    )
+
+
+def test_the_pool_accounts_runs_not_pages():
+    """``storage/buffer.py`` keeps its frames in arrays and accounts a run
+    of distinct pages in closed form: no ``OrderedDict``, no ``popitem``.
+    A hook makes a read go page by page, so only the scan passes one:
+    ``after_page=`` appears under ``src/`` only in
+    ``HeapTable.scan_batches`` / ``_scan_runs``."""
+    buffer = (ROOT / "src" / "repro" / "storage" / "buffer.py").read_text()
+    assert "OrderedDict" not in buffer and "popitem" not in buffer
+    passing = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and any(
+                    keyword.arg == "after_page" for keyword in node.keywords
+                ):
+                    passing.add((path.name, function.name))
+    assert passing and passing <= {
+        ("table.py", "scan_batches"), ("table.py", "_scan_runs")
+    }
 
 
 def test_profile_op_names_the_greedy_loop():

@@ -2,6 +2,8 @@
 
 from contextlib import contextmanager
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,3 +324,147 @@ class TestReadRun:
         assert aborted == observe(page_at_a_time, 4, calls, **nth)
         lru, _tally = lru_model(4, calls, **nth)
         assert aborted["lru_order"] == lru
+
+
+# -- the closed form without a hook: whole runs at a time --------------------
+
+
+def as_form(pages, form):
+    """``pages`` as ``read_pages`` is handed them: a list, an int64 array, or
+    (when they are consecutive) a range."""
+    if form == "array":
+        return np.asarray(pages, dtype=np.int64)
+    if form == "range" and pages == list(range(pages[0], pages[0] + len(pages))):
+        return range(pages[0], pages[0] + len(pages))
+    return list(pages)
+
+
+def consecutive(n_pages):
+    return st.integers(0, n_pages - 1).flatmap(
+        lambda first: st.integers(first + 1, n_pages).map(
+            lambda stop: list(range(first, stop))
+        )
+    )
+
+
+#: Calls of up to 24 pages (3x the largest pool), revisits allowed, in the
+#: three forms a read is made in.
+HOOKLESS_CALLS = st.lists(
+    st.integers(0, len(TABLE_PAGES) - 1).flatmap(
+        lambda index: st.tuples(
+            st.just(index),
+            st.lists(st.integers(0, TABLE_PAGES[index] - 1), max_size=24)
+            | consecutive(TABLE_PAGES[index]),
+            st.booleans(),
+            st.sampled_from(["list", "array", "range"]),
+        )
+    ),
+    max_size=6,
+)
+
+
+def read_hookless(capacity_pages, calls, grow=None):
+    """Make ``calls`` — ``(table index, pages, sequential, form)`` each —
+    with no hook and no fault plan, so that a call is accounted in runs of
+    distinct pages; ``grow`` rows are appended to table 0 after the first
+    call.  Return everything observable, ``resident()`` of every page too."""
+    with fresh_registry():
+        tables = []
+        for index, n_pages in enumerate(TABLE_PAGES):
+            tables.append(HeapTable(f"t{index}", ("a", "m"), page_size=32))
+            tables[-1].extend((i, float(i)) for i in range(4 * n_pages))
+        stats = IOStats()
+        pool = BufferPool(stats, capacity_pages=capacity_pages)
+        index_of = {table.table_id: i for i, table in enumerate(tables)}
+        for call_no, (index, pages, sequential, form) in enumerate(calls):
+            if pages:
+                pages = as_form(list(pages), form)
+            pool.read_pages(tables[index], pages, sequential=sequential)
+            if call_no == 0 and grow:
+                tables[0].extend((i, float(i)) for i in range(grow))
+        return {
+            "lru_order": [(index_of[tid], no) for tid, no in pool._frames],
+            "len": len(pool),
+            "resident": [
+                (index, no)
+                for index, table in enumerate(tables)
+                for no in range(table.n_pages + 2)
+                if pool.resident(table, no)
+            ],
+            "counts": (pool.hits, pool.misses),
+            "stats": stats.as_dict(),
+            "metrics": buffer_metrics(),
+        }
+
+
+def assert_read_is_the_model(capacity_pages, calls, outcome):
+    lru, tally = lru_model(
+        capacity_pages, [(index, list(pages), seq) for index, pages, seq, _f in calls]
+    )
+    assert outcome["lru_order"] == lru
+    assert outcome["len"] == len(lru)
+    assert outcome["resident"] == sorted(lru)
+    assert outcome["counts"] == (tally["hits"], tally["seq"] + tally["rand"])
+    assert outcome["metrics"] == {
+        "buffer.hits": tally["hits"],
+        "buffer.misses": tally["seq"] + tally["rand"],
+        "buffer.evictions": tally["evictions"],
+    }
+    io = outcome["stats"]
+    assert (io["seq_page_reads"], io["rand_page_reads"], io["buffer_hits"]) == (
+        tally["seq"], tally["rand"], tally["hits"]
+    )
+    # Python ints, as counted page by page (reports and dumps carry them).
+    assert {type(n) for n in (*outcome["counts"], *io.values())} <= {int, float}
+    assert {type(n) for n in outcome["metrics"].values()} == {int}
+
+
+class TestHooklessRead:
+    """With no hook and no fault plan a read is accounted a run of distinct
+    pages at a time — the path every scan morsel and probe set takes — and
+    is held to the same plain-list model."""
+
+    @given(capacity_pages=st.integers(1, 8), calls=HOOKLESS_CALLS)
+    @settings(max_examples=200, deadline=None)
+    def test_hookless_read_equals_the_model(self, capacity_pages, calls):
+        assert_read_is_the_model(
+            capacity_pages, calls, read_hookless(capacity_pages, calls)
+        )
+
+    @pytest.mark.parametrize("form", ["list", "array", "range"])
+    def test_a_resident_page_touched_after_eviction_started(self, form):
+        """A warm, full pool; the run evicts two frames, then hits page 2
+        (still resident), then misses page 3 (evicted meanwhile)."""
+        calls = [(0, [0, 1, 2, 3], True, "range"), (0, [4, 5, 2, 6, 3], False, form)]
+        outcome = read_hookless(4, calls)
+        assert_read_is_the_model(4, calls, outcome)
+        assert outcome["lru_order"] == [(0, 5), (0, 2), (0, 6), (0, 3)]
+        assert outcome["counts"] == (1, 8)
+
+    def test_a_table_grown_between_reads(self):
+        """Table 0 grows past the pages its frames were addressed by (15 to
+        40 pages) between two reads; the frames and their order stay."""
+        calls = [
+            (0, [3, 14, 1], True, "list"),
+            (1, [0, 4], True, "array"),
+            (0, [14, 39, 20, 1], False, "array"),
+            (0, list(range(30, 40)), True, "range"),
+        ]
+        grown = read_hookless(8, calls, grow=4 * 25)
+        lru, _tally = lru_model(
+            8, [(index, pages, seq) for index, pages, seq, _f in calls]
+        )
+        assert grown["lru_order"] == lru
+        assert grown["counts"] == (2, 17)
+        assert grown["resident"] == sorted(lru)
+
+    def test_flush_then_read(self):
+        table, stats, pool = setup(capacity_pages=3)
+        pool.read_pages(table, range(0, 5), sequential=True)
+        pool.flush()
+        assert (len(pool), pool._frames) == (0, [])
+        assert not any(pool.resident(table, no) for no in range(table.n_pages))
+        pool.read_pages(table, np.asarray([4, 2, 4, 1, 0]), sequential=False)
+        assert pool._frames == [(table.table_id, no) for no in (4, 1, 0)]
+        assert (pool.hits, pool.misses) == (1, 9)
+        assert (stats.seq_page_reads, stats.rand_page_reads) == (5, 4)

@@ -7,6 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, InjectedFault, InjectionPoint
+from repro.obs.metrics import (
+    MetricsRegistry,
+    default_registry,
+    set_default_registry,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
 from repro.storage.table import HeapTable
@@ -207,6 +213,36 @@ class TestBatchAccess:
         assert [k.size for k in keys] == [0, 0]
         assert measures.size == 0
         assert stats.rand_page_reads == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_probe_pages_under_a_mid_list_fault(self, k):
+        """A ``storage.page_read`` fault on the k-th page of a probe set
+        (revisits, longer than the pool) leaves ``table.probe_pages`` at
+        k - 1, and the ``IOStats`` and LRU order of reading those k - 1
+        pages one ``get_page`` at a time."""
+        table = make_table(100)  # 17 pages
+        pages = [0, 5, 1, 0, 9, 2, 5, 16, 3]
+        positions = np.asarray([6 * p + p % 4 for p in pages], dtype=np.int64)
+        previous = set_default_registry(MetricsRegistry())
+        try:
+            stats = IOStats()
+            pool = BufferPool(stats, capacity_pages=3)
+            pool.faults = FaultPlan(
+                [InjectionPoint(site="storage.page_read", nth=k, name="p")]
+            )
+            with pytest.raises(InjectedFault):
+                table.fetch_positions(pool, positions, n_keys=2)
+            probe_pages = default_registry().get("table.probe_pages").value
+        finally:
+            set_default_registry(previous)
+        assert probe_pages == k - 1
+        expected_stats = IOStats()
+        expected = BufferPool(expected_stats, capacity_pages=3)
+        for page_no in pages[: k - 1]:
+            expected.get_page(table, page_no, sequential=False)
+        assert stats.as_dict() == expected_stats.as_dict()
+        assert list(pool._frames) == list(expected._frames)
+        assert (pool.hits, pool.misses) == (expected.hits, expected.misses)
 
 
 # -- the storage model, property-tested against a list of tuples -------------
