@@ -8,14 +8,14 @@ same copy, unmodified) under a ``git clone`` of the parent commit and under
 the working tree and comparing the two outputs with ``cmp``
 (``.claude/skills/verify/SKILL.md``).  Every case runs with the morsel size
 forced small, so each aggregator folds many batches, and records, per
-query, ``float.hex`` of every result value and AVG state *in dict order*
-(group order is part of the contract), per class the ``IOStats`` and
+query, ``float.hex`` of every result value *in dict order* (group order
+is part of the contract), per class the ``IOStats`` and
 ``OperatorActuals``, and the simulated milliseconds; and per plan what the
 planner decided: its signature, ``float.hex`` of every class estimate, each
 class's derive steps, the costing count and the ``explain_plan`` text:
 
 * Tests 1-7 x every registry name x SUM / AVG / MIN / MAX / COUNT, each plan
-  executed serially, on three workers and over a 3-shard set;
+  executed serially and on three workers;
 * a seeded dashboard-style batch (predicate-free and sliced group-bys at
   coarse levels, as ``perf/mdx_wide.py`` submits) per re-aggregable
   aggregate under ``dag``, whose classes derive members from shared
@@ -24,17 +24,17 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   ``append_rows`` batches: the view's rows and the next batch's execution;
 * ``recovery/``: Tests 1-7 under ``gg`` through a pre-queued
   ``QueryService`` (one worker, no cache, one request per query) with one
-  fault armed per site — the first check (``nth=1``, retried to success),
-  every check on the first planned class's table (retries exhaust,
-  degraded replanning answers) or every check anywhere (degraded
-  replanning fails too: quarantine) — recording the served
+  fault armed per site of ``RECOVERY_SITES`` — the first check (``nth=1``,
+  retried to success), every check on the first planned class's table
+  (retries exhaust, degraded replanning answers) or every check anywhere
+  (degraded replanning fails too: quarantine) — recording the served
   results, the ``ServiceStats`` counters and ``sim_ms_total``, the
   service's simulated clock, the quarantined qids and the flight
   recorder's events; and, from a fresh metrics registry, every metric
   name, every counter and gauge value and every histogram but the
-  wall-clock ones, and each batch trace depth-first as ``[name, sim]``
-  pairs (the span's simulated-cost delta; attributes and wall times left
-  out);
+  wall-clock ones (histograms nothing was observed into are left out of
+  both), and each batch trace depth-first as ``[name, sim]`` pairs (the
+  span's simulated-cost delta; attributes and wall times left out);
 * ``units/``: per plan of the sweep above, per class without derive steps,
   ``class_cost_given`` on a ``CostModel`` priced at each unit basis (one
   ``CostRates`` field 1.0, the others 0.0) as ``float.hex`` — the count of
@@ -74,7 +74,7 @@ from repro.engine import database as database_module
 from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
-from repro.faults import SITES, FaultPlan, InjectionPoint
+from repro.faults import FaultPlan, InjectionPoint
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, RequestQuarantined, ServeConfig
@@ -89,16 +89,20 @@ SEED = 11
 REAGGREGABLE = [Aggregate.SUM, Aggregate.COUNT, Aggregate.MIN, Aggregate.MAX]
 
 
+#: The fault sites of the ``recovery/`` section.
+RECOVERY_SITES = (
+    "storage.page_read",
+    "storage.scan",
+    "index.lookup",
+    "operator.pipeline",
+    "operator.derive",
+)
+
+
 def dump_result(result) -> dict:
-    out = {
+    return {
         "groups": [[list(k), float(v).hex()] for k, v in result.groups.items()]
     }
-    if result.avg_state is not None:
-        out["avg_state"] = [
-            [list(k), float(s).hex(), repr(n)]
-            for k, (s, n) in result.avg_state.items()
-        ]
-    return out
 
 
 def dump_plan(db, plan) -> dict:
@@ -207,6 +211,11 @@ def hexed(value):
     return value
 
 
+def observed(metric) -> bool:
+    """Anything but a histogram no value was ever observed into."""
+    return metric.kind != "histogram" or metric.count > 0
+
+
 def wall_clock(metric) -> bool:
     """A histogram of wall-clock milliseconds (noisy, so left out)."""
     name = metric.name
@@ -223,7 +232,7 @@ def span_clocks(node: dict) -> list:
     return pairs
 
 
-def serve_under_fault(db, batch, point: InjectionPoint, shards: int) -> dict:
+def serve_under_fault(db, batch, point: InjectionPoint) -> dict:
     """One pre-queued service batch (a request per query) with ``point``
     armed; the scheduler drains the queue as one batch and stops.  The
     service runs against a fresh metrics registry, restored afterwards."""
@@ -234,7 +243,6 @@ def serve_under_fault(db, batch, point: InjectionPoint, shards: int) -> dict:
             db,
             ServeConfig(
                 window_ms=1000.0, max_batch_requests=len(batch), n_workers=1,
-                shards=shards,
             ),
         )
         futures = [service.submit([query]) for query in batch]
@@ -268,11 +276,14 @@ def serve_under_fault(db, batch, point: InjectionPoint, shards: int) -> dict:
             {key: entry[key] for key in keep if key in entry}
             for entry in service.recorder.entries()
         ],
-        "metric_names": registry.names(),
+        "metric_names": [
+            name for name in registry.names() if observed(registry.get(name))
+        ],
         "metrics": {
             metric.name: hexed(metric.dump())
             for metric in registry
-            if metric.kind != "histogram" or not wall_clock(metric)
+            if observed(metric)
+            and (metric.kind != "histogram" or not wall_clock(metric))
         },
         "span_clocks": [
             span_clocks(entry["trace"]) if entry["trace"] else None
@@ -287,8 +298,7 @@ def recovery(db, queries) -> dict:
     for test, qids in ALL_PAPER_TESTS.items():
         batch = [queries[q] for q in qids]
         table = db.optimize(batch, "gg").classes[0].source
-        for site in SITES:
-            shards = 2 if site == "shard.exec" else 1
+        for site in RECOVERY_SITES:
             for fault, trigger in (
                 ("nth1", {"nth": 1}),
                 ("persistent", {"table": table}),
@@ -296,7 +306,7 @@ def recovery(db, queries) -> dict:
             ):
                 point = InjectionPoint(site=site, name=f"{site}/{fault}", **trigger)
                 out[f"recovery/{test}/{site}/{fault}"] = serve_under_fault(
-                    db, batch, point, shards
+                    db, batch, point
                 )
     return out
 
@@ -441,7 +451,6 @@ def sweep(scale: float) -> dict:
     table_module.MORSEL_ROWS = MORSEL_ROWS
     db = build_paper_database(scale=scale)
     queries = paper_queries(db.schema)
-    shards = db.build_shards(3)
     out: dict = {"scale": scale, "morsel_rows": MORSEL_ROWS}
     bases = unit_bases()
     for test, qids in ALL_PAPER_TESTS.items():
@@ -456,7 +465,6 @@ def sweep(scale: float) -> dict:
                 for mode, options in (
                     ("serial", {}),
                     ("workers3", {"n_workers": 3}),
-                    ("shards3", {"shard_set": shards}),
                 ):
                     key = f"{test}/{aggregate.value}/{name}/{mode}"
                     out[key] = dump_report(db.execute(plan, **options), batch)

@@ -63,13 +63,6 @@ _SERVE_FLAGS = (
      "micro-batching window in milliseconds (default %(default)g)"),
     ("--workers", "n_workers", {"metavar": "WORKERS"},
      "threads executing a merged plan's classes (default %(default)s)"),
-    ("--shards", "shards", {"metavar": "N"},
-     "scatter-gather execution over N hash partitions of the data (default "
-     "%(default)s = unsharded); results are verified identical to the "
-     "serial baseline"),
-    ("--shard-dim", "shard_dim", {"metavar": "DIM"},
-     "dimension whose key partitions the data across shards (default: the "
-     "schema's first dimension)"),
     ("--overlap", "overlap", {"metavar": "OVERLAP"},
      "probability a request comes from the shared expression pool (default "
      "%(default)s)"),
@@ -550,11 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"bad serve configuration: {exc}") from exc
     db = _build_db(args)
-    dims = [dim.name for dim in db.schema.dimensions]
-    if serve.shard_dim is not None and serve.shard_dim not in dims:
-        raise CliError(
-            f"unknown --shard-dim {serve.shard_dim!r}; choose from {dims}"
-        )
     if args.cache:
         attach_cache(db)
     print(
@@ -562,7 +550,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{config.requests_per_client} request(s), window "
         f"{serve.window_ms:g} ms, {serve.n_workers} worker(s), "
         f"algorithm {serve.algorithm}"
-        + (f", {serve.shards} shard(s)" if serve.shards > 1 else "")
         + (" (result cache attached)" if args.cache else "")
         + (f" (faults armed: {fault_plan.describe()})" if fault_plan else "")
     )
@@ -579,15 +566,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .obs.expose import write_metrics_json
 
         print(f"metrics snapshot -> {write_metrics_json(args.stats_json)}")
-    if (
-        fault_plan is None
-        and serve.shards == 1
-        and report.batched_sim_ms >= report.serial_sim_ms
-    ):
+    if fault_plan is None and report.batched_sim_ms >= report.serial_sim_ms:
         # Under injected faults the batched cost legitimately includes
-        # retries and degraded replans; under sharding, every shard pays
-        # its own dimension hash builds (the price of the parallelism).
-        # The sharing gate applies only to the plain batched path.
+        # retries and degraded replans; the sharing gate applies only to
+        # the plain batched path.
         print(
             "\nbatched execution did not beat serial execution; widen the "
             "window or raise --overlap",

@@ -4,12 +4,12 @@
   (Sections 3.1 / 3.3, plus the DAG layer's derive phase),
 * all-index classes → the (shared) index join (Section 3.2).
 
-There is one executor, :func:`execute_plan`, over a (class × shard) grid:
-serial, parallel, and sharded execution are the same code with different
-grid shapes and worker counts.  It reproduces the paper's measurement
-discipline — with ``cold=True`` (default) every class starts from an empty
-buffer pool, as the paper "flushed both the Unix file system buffer and
-Paradise buffer pool before running each test".  Each class's simulated
+There is one executor, :func:`execute_plan`, over the plan's list of
+classes: serial and parallel execution are the same code with different
+worker counts.  It reproduces the paper's measurement discipline — with
+``cold=True`` (default) every class starts from an empty buffer pool, as
+the paper "flushed both the Unix file system buffer and Paradise buffer
+pool before running each test".  Each class's simulated
 cost (from the :class:`~repro.storage.iostats.IOStats` clock) and real wall
 time are reported separately.
 """
@@ -18,30 +18,22 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..faults import InjectedFault, PartialResultError
-from ..obs.metrics import STAGES, default_registry
+from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
 from ..storage.iostats import IOStats
 from .operators.hash_join import SharedScanStarJoin
 from .operators.index_join import IndexStarJoin, SharedIndexStarJoin
 from .operators.pipeline import ExecContext
-from .operators.results import (
-    OperatorActuals,
-    QueryResult,
-    merge_actuals,
-    merge_partial_results,
-    q_error,
-)
+from .operators.results import OperatorActuals, QueryResult, q_error
 from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.database import Database
-    from ..serve.shard import ShardSet
 
 
 @dataclass
@@ -53,7 +45,7 @@ class ClassExecution:
     sim: IOStats
     wall_s: float
     #: What the physical operator really did (rows scanned, probes issued,
-    #: per-query routed tuples, …); summed over shards for a sharded class.
+    #: per-query routed tuples, …).
     actuals: OperatorActuals
 
     @property
@@ -293,11 +285,10 @@ def run_class_accounted(
 
 @dataclass
 class _Cell:
-    """One (class × shard) cell of the execution grid, before and after it
-    ran.  ``shard_id`` is None when the plan runs unsharded."""
+    """One class of the plan in its execution context, before and after it
+    ran."""
 
     plan_class: PlanClass
-    shard_id: Optional[int]
     ctx: ExecContext
     span: object
     sim: Optional[IOStats] = None
@@ -307,21 +298,15 @@ class _Cell:
     error: Optional[InjectedFault] = None
 
     def run(self) -> "_Cell":
-        """Execute the class in this cell's context; an injected fault
-        (including a ``shard.exec`` kill) is kept as ``error`` along with
-        the cost charged before the abort.  Runs on a worker thread: the
-        pre-created span is entered here, on that thread's own stack."""
+        """Execute the class in this cell's context; an injected fault is
+        kept as ``error`` along with the cost charged before the abort.
+        Runs on a worker thread: the pre-created span is entered here, on
+        that thread's own stack."""
         ctx, plan_class = self.ctx, self.plan_class
         with self.span as span:
             before = ctx.stats.snapshot()
             started = time.perf_counter()
             try:
-                if self.shard_id is not None and ctx.faults is not None:
-                    ctx.faults.check(
-                        "shard.exec",
-                        shard=self.shard_id,
-                        table=plan_class.source,
-                    )
                 self.results, self.actuals = run_class_accounted(
                     ctx, plan_class
                 )
@@ -333,17 +318,7 @@ class _Cell:
             self.sim = ctx.stats.delta_since(before)
             if self.error is None:
                 span.set("sim_ms", round(self.sim.total_ms, 3))
-                if self.shard_id is None:
-                    span.set("est_ms", round(plan_class.est_cost_ms, 3))
-        if self.shard_id is not None:
-            wall_help, sim_help = STAGES["shard_exec"]
-            metrics = default_registry()
-            metrics.histogram("serve.stage.shard_exec_ms", wall_help).observe(
-                self.wall_s * 1000.0
-            )
-            metrics.histogram("serve.stage.shard_exec_sim_ms", sim_help).observe(
-                self.sim.total_ms
-            )
+                span.set("est_ms", round(plan_class.est_cost_ms, 3))
         return self
 
 
@@ -353,67 +328,48 @@ def execute_plan(
     *,
     cold: bool = True,
     n_workers: int = 1,
-    shard_set: "Optional[ShardSet]" = None,
     paranoia: Optional[bool] = None,
 ) -> ExecutionReport:
-    """Execute every class of ``plan`` over a (class × shard) grid of
-    cells; measure each class separately.
+    """Execute every class of ``plan``, one cell per class; measure each
+    class separately.
 
     The contract (stated once, in ``docs/architecture.md``):
 
-    * **cell isolation** — with ``cold=True`` every cell runs in a private
-      buffer pool and cost clock (:meth:`Database.ctx` ``private=True``)
-      over its catalog: the database's own when unsharded, one shard's
-      slice per cell when a :class:`~repro.serve.shard.ShardSet` is given.
-      A fresh pool is indistinguishable from a just-flushed one — the
-      paper "flushed both the Unix file system buffer and Paradise buffer
-      pool before running each test" — so results and simulated cost do
-      not depend on ``n_workers`` or on how the workers interleave, and
-      the database's own pool is left untouched;
-    * **fold order** — finished cells are folded back per class in plan
-      order: clocks are merged into the database's clock, a one-cell class
-      passes through unmerged, and a sharded class merges its cells'
-      partial aggregates, clocks and actuals in shard order
-      (:func:`~repro.core.operators.results.merge_partial_results`);
-    * **failure granularity** — an :class:`~repro.faults.InjectedFault` in
-      any cell fails that cell's whole class (a :class:`ClassFailure`
-      carrying the cost charged before the abort); sibling classes are
-      byte-identical to a fault-free run.  The ``shard.exec`` site is
-      checked only when a shard set is given;
+    * **cell isolation** — with ``cold=True`` every class runs in a
+      private buffer pool and cost clock (:meth:`Database.ctx`
+      ``private=True``) over the database's catalog.  A fresh pool is
+      indistinguishable from a just-flushed one — the paper "flushed both
+      the Unix file system buffer and Paradise buffer pool before running
+      each test" — so results and simulated cost do not depend on
+      ``n_workers`` or on how the workers interleave, and the database's
+      own pool is left untouched;
+    * **fold order** — finished cells are folded back in plan order: each
+      class's clock is merged into the database's clock and its results
+      and actuals pass through as the operator produced them;
+    * **failure granularity** — an :class:`~repro.faults.InjectedFault`
+      fails its class (a :class:`ClassFailure` carrying the cost charged
+      before the abort); sibling classes are byte-identical to a
+      fault-free run;
     * **warm = serial** — ``cold=False`` is the one case that runs on the
       database's own pool and clock; classes then see each other's pages,
-      so it runs serially in plan order, ignores ``n_workers``, and
-      cannot be sharded.
+      so it runs serially in plan order and ignores ``n_workers``.
 
     ``paranoia`` (default: :attr:`Database.paranoia`) validates the plan
-    before execution and cross-checks every class's (merged) results
-    against the brute-force reference over the full data.  Checking
-    happens on the calling thread *outside* the measured sections, so it
-    never perturbs a class's reported simulated or wall cost.
+    before execution and cross-checks every class's results against the
+    brute-force reference over the full data.  Checking happens on the
+    calling thread *outside* the measured sections, so it never perturbs a
+    class's reported simulated or wall cost.
     """
     if paranoia is None:
         paranoia = db.paranoia
     if n_workers <= 0:
         raise ValueError(f"n_workers must be positive (got {n_workers})")
-    sharded = shard_set is not None
-    if sharded and not cold:
-        raise ValueError(
-            "sharded execution requires cold=True (each shard runs in a "
-            "private cold context)"
-        )
     report = ExecutionReport(plan=plan)
     classes = list(plan.classes)
     tracer = db.tracer
-    metrics = default_registry()
     plan_attrs = {}
     if n_workers > 1:
         plan_attrs.update(parallel=True, n_workers=n_workers)
-    if sharded:
-        plan_attrs.update(
-            sharded=True,
-            n_shards=shard_set.n_shards,
-            shard_dim=shard_set.dim_name,
-        )
     with tracer.span(
         "execute.plan",
         algorithm=plan.algorithm,
@@ -428,132 +384,58 @@ def execute_plan(
             check_plan(db, plan)
         if not classes:
             return report
-        # One (shard id, catalog) column per shard; unsharded is the single
-        # column over the database's own catalog.
-        columns = (
-            [(shard.shard_id, shard.catalog) for shard in shard_set.shards]
-            if sharded
-            else [(None, db.catalog)]
-        )
-        scatter = (
-            tracer.span(
-                "serve.scatter",
-                n_classes=len(classes),
-                n_shards=len(columns),
-                n_tasks=len(classes) * len(columns),
+        # Pre-create each cell's context and span here, in plan order: the
+        # explicit parent= pins sibling order deterministically, and
+        # stats= binds the span's sim delta to the cell's clock (private
+        # when cold; other workers merge into the shared one).
+        cells = []
+        for plan_class in classes:
+            ctx = db.ctx(private=cold)
+            span = tracer.span(
+                "execute.class",
+                parent=plan_span,
+                stats=ctx.stats,
+                source=plan_class.source,
+                n_queries=len(plan_class.queries),
+                methods=[p.method.name for p in plan_class.plans],
             )
-            if sharded
-            else nullcontext(plan_span)
-        )
-        with scatter as grid_span:
-            if sharded:
-                metrics.counter(
-                    "shard.scatters", "plan classes scattered across shards"
-                ).inc(len(classes))
-            # Pre-create each cell's context and span here, in grid order:
-            # the explicit parent= pins sibling order deterministically,
-            # and stats= binds the span's sim delta to the cell's clock
-            # (private when cold; other workers merge into the shared one).
-            cells = []
-            for plan_class in classes:
-                for shard_id, catalog in columns:
-                    ctx = db.ctx(catalog=catalog, private=cold)
-                    span_attrs = {
-                        "source": plan_class.source,
-                        "n_queries": len(plan_class.queries),
-                    }
-                    if sharded:
-                        span_attrs["shard"] = shard_id
-                    else:
-                        span_attrs["methods"] = [
-                            p.method.name for p in plan_class.plans
-                        ]
-                    span = tracer.span(
-                        "shard.task" if sharded else "execute.class",
-                        parent=grid_span,
-                        stats=ctx.stats,
-                        **span_attrs,
-                    )
-                    cells.append(_Cell(plan_class, shard_id, ctx, span))
-            if not cold or n_workers == 1 or len(cells) == 1:
-                for cell in cells:
-                    cell.run()
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=min(n_workers, len(cells))
-                ) as workers:
-                    list(workers.map(_Cell.run, cells))
-        gather = (
-            tracer.span(
-                "serve.gather", n_classes=len(classes), n_shards=len(columns)
-            )
-            if sharded
-            else nullcontext()
-        )
-        with gather as gather_span:
-            width = len(columns)
-            for start in range(0, len(cells), width):
-                _fold_class(
-                    db,
-                    report,
-                    cells[start:start + width],
-                    cold=cold,
-                    paranoia=paranoia,
-                )
-            if sharded:
-                metrics.counter(
-                    "shard.gathers", "plan classes gathered from shards"
-                ).inc(len(classes))
-                gather_span.set("n_failed_classes", len(report.failures))
+            cells.append(_Cell(plan_class, ctx, span))
+        if not cold or n_workers == 1 or len(cells) == 1:
+            for cell in cells:
+                cell.run()
+        else:
+            with ThreadPoolExecutor(
+                max_workers=min(n_workers, len(cells))
+            ) as workers:
+                list(workers.map(_Cell.run, cells))
+        for cell in cells:
+            _fold_class(db, report, cell, cold=cold, paranoia=paranoia)
     return report
 
 
 def _fold_class(
     db: "Database",
     report: ExecutionReport,
-    cells: List[_Cell],
+    cell: _Cell,
     *,
     cold: bool,
     paranoia: bool,
 ) -> None:
-    """Fold one class's finished cells into the report (and, when cold,
-    their private clocks into the database's): a failure if any cell
-    failed, else one :class:`ClassExecution` — passed through unmerged for
-    a one-cell class, merged in shard order otherwise."""
-    plan_class = cells[0].plan_class
-    sharded = cells[0].shard_id is not None
+    """Fold one class's finished cell into the report (and, when cold, its
+    private clock into the database's): a :class:`ClassFailure` if it
+    failed, else one :class:`ClassExecution`."""
+    plan_class = cell.plan_class
     tracer = db.tracer
     metrics = default_registry()
-    if len(cells) == 1:
-        sim = cells[0].sim
-    else:
-        sim = IOStats(rates=db.stats.rates)
-        for cell in cells:
-            sim.merge_from(cell.sim)
     if cold:
-        db.stats.merge_from(sim)
-    if sharded:
-        for cell in cells:
-            if cell.error is not None:
-                metrics.counter(
-                    f"shard.{cell.shard_id}.class_failures",
-                    "plan classes this shard aborted on an injected fault",
-                ).inc()
-            else:
-                metrics.counter(
-                    f"shard.{cell.shard_id}.classes_executed",
-                    "plan classes this shard ran to completion",
-                ).inc()
-    wall_s = sum(cell.wall_s for cell in cells)
-    failed = next((cell for cell in cells if cell.error is not None), None)
-    if failed is not None:
+        db.stats.merge_from(cell.sim)
+    if cell.error is not None:
         # Fault isolation: this class is lost, siblings proceed.
         with tracer.span(
             "fault.class_failure",
             source=plan_class.source,
             n_queries=len(plan_class.queries),
-            error=str(failed.error),
-            **({"shard": failed.shard_id} if sharded else {}),
+            error=str(cell.error),
         ):
             pass
         metrics.counter(
@@ -563,19 +445,12 @@ def _fold_class(
         report.failures.append(
             ClassFailure(
                 plan_class=plan_class,
-                error=failed.error,
-                sim=sim,
-                wall_s=wall_s,
+                error=cell.error,
+                sim=cell.sim,
+                wall_s=cell.wall_s,
             )
         )
         return
-    if len(cells) == 1:
-        results, actuals = cells[0].results, cells[0].actuals
-    else:
-        results = merge_partial_results(
-            plan_class.queries, [cell.results for cell in cells]
-        )
-        actuals = merge_actuals([cell.actuals for cell in cells], results)
     metrics.counter(
         "executor.classes_executed", "plan classes run to completion"
     ).inc()
@@ -588,17 +463,16 @@ def _fold_class(
         with tracer.span(
             "check.class",
             source=plan_class.source,
-            n_results=len(results),
-            **({"sharded": True} if sharded else {}),
+            n_results=len(cell.results),
         ) as check_span:
-            checked = check_results(db, results, plan=report.plan)
+            checked = check_results(db, cell.results, plan=report.plan)
             check_span.set("n_checked", checked)
     report.class_executions.append(
         ClassExecution(
             plan_class=plan_class,
-            results=results,
-            sim=sim,
-            wall_s=wall_s,
-            actuals=actuals,
+            results=cell.results,
+            sim=cell.sim,
+            wall_s=cell.wall_s,
+            actuals=cell.actuals,
         )
     )

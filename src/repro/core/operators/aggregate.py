@@ -199,17 +199,7 @@ class HashAggregator:
         return decode_groups(codes, self._sizes), values
 
     def result(self) -> QueryResult:
-        """Finalize and return the accumulated QueryResult.
-
-        AVG results also carry their algebraic (sum, count) state in
-        ``avg_state`` so partial results from row-disjoint data shards can
-        be merged exactly (sum the sums, sum the counts, divide once).
-        """
+        """Finalize and return the accumulated QueryResult."""
         key_columns, values = self.columns()
         keys = list(zip(*(column.tolist() for column in key_columns)))
-        groups = dict(zip(keys, values.tolist()))
-        if self.aggregate is not Aggregate.AVG:
-            return QueryResult(query=self.query, groups=groups)
-        _codes, sums, counts = self._compact()
-        state = zip(sums.tolist(), counts.astype(np.int64).tolist())
-        return QueryResult(self.query, groups, dict(zip(keys, state)))
+        return QueryResult(self.query, dict(zip(keys, values.tolist())))

@@ -4,9 +4,9 @@ actuals a shared operator records while producing them."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ...schema.query import Aggregate, GroupByQuery
+from ...schema.query import GroupByQuery
 from ...schema.star import StarSchema
 
 GroupKey = Tuple[int, ...]  # one member id per dimension (ALL dims carry 0)
@@ -31,12 +31,6 @@ class QueryResult:
 
     query: GroupByQuery
     groups: Dict[GroupKey, float]
-    #: For AVG queries only: the algebraic (sum, count) partial state behind
-    #: each group, carried so row-disjoint partial results (data shards)
-    #: merge exactly instead of wrongly averaging averages.  ``None`` for
-    #: distributive aggregates.  Deliberately ignored by
-    #: :meth:`approx_equals` — equality is about the final answer.
-    avg_state: Optional[Dict[GroupKey, Tuple[float, int]]] = None
 
     @property
     def n_groups(self) -> int:
@@ -72,13 +66,12 @@ class QueryResult:
         """A copy the caller owns outright, optionally re-keyed to ``query``
         (a semantic twin with a different qid).
 
-        Copying the two dicts is a full copy: their keys are tuples of ints
-        and their values floats or ``(float, int)`` tuples, all immutable.
+        Copying the dict is a full copy: its keys are tuples of ints and
+        its values floats, all immutable.
         """
         return QueryResult(
             query=query if query is not None else self.query,
             groups=dict(self.groups),
-            avg_state=None if self.avg_state is None else dict(self.avg_state),
         )
 
     def approx_equals(
@@ -94,68 +87,6 @@ class QueryResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryResult({self.query.display_name()}, {self.n_groups} groups)"
-
-
-#: How each distributive aggregate combines two partial group values.
-#: AVG is absent deliberately: it is *algebraic* and merges through
-#: ``QueryResult.avg_state`` (sum the sums, sum the counts, divide once).
-_MERGERS = {
-    Aggregate.SUM: lambda a, b: a + b,
-    Aggregate.COUNT: lambda a, b: a + b,
-    Aggregate.MIN: min,
-    Aggregate.MAX: max,
-}
-
-
-def _merge_avg(
-    query: GroupByQuery, position: int, partials: List[List[QueryResult]]
-) -> QueryResult:
-    """Merge one AVG query's partials via their (sum, count) state."""
-    state: Dict[GroupKey, Tuple[float, int]] = {}
-    for part_results in partials:
-        partial = part_results[position]
-        if partial.avg_state is None:  # pragma: no cover - executor invariant
-            raise ValueError(
-                f"AVG partial for {partial.query.display_name()} carries no "
-                f"avg_state; cannot merge partitions exactly"
-            )
-        for key, (part_sum, part_count) in partial.avg_state.items():
-            if key in state:
-                acc_sum, acc_count = state[key]
-                state[key] = (acc_sum + part_sum, acc_count + part_count)
-            else:
-                state[key] = (part_sum, part_count)
-    groups = {key: s / c for key, (s, c) in state.items()}
-    return QueryResult(query=query, groups=groups, avg_state=state)
-
-
-def merge_partial_results(
-    queries: Sequence[GroupByQuery], partials: List[List[QueryResult]]
-) -> List[QueryResult]:
-    """Combine partial results over row-disjoint data partitions (shards)
-    into final answers, per the Data Cube recipe (Gray et al.).
-
-    ``partials`` holds each partition's result list in ``queries`` order.
-    Distributive aggregates merge group values with their combiner; AVG
-    merges its (sum, count) pairs and divides once at the end, so the
-    merged average is exact rather than an average of averages.  Iterating
-    partitions in order keeps group insertion order deterministic.
-    """
-    merged: List[QueryResult] = []
-    for position, query in enumerate(queries):
-        if query.aggregate is Aggregate.AVG:
-            merged.append(_merge_avg(query, position, partials))
-            continue
-        combine = _MERGERS[query.aggregate]
-        groups: Dict[GroupKey, float] = {}
-        for part_results in partials:
-            for key, value in part_results[position].groups.items():
-                if key in groups:
-                    groups[key] = combine(groups[key], value)
-                else:
-                    groups[key] = value
-        merged.append(QueryResult(query=query, groups=groups))
-    return merged
 
 
 def q_error(est: float, actual: float) -> float:
@@ -234,39 +165,3 @@ class OperatorActuals:
                 str(k): round(v, 6) for k, v in self.pipeline_cpu_ms.items()
             },
         }
-
-
-def merge_actuals(
-    partials: Sequence[OperatorActuals], results: Sequence
-) -> OperatorActuals:
-    """Sum per-partition operator actuals into one class-level ledger.
-
-    Every counter is additive across row-disjoint partitions (rows scanned,
-    probes issued, per-query pipeline counts and CPU charge), so
-    partition-order summation is exact.  ``n_groups`` is the exception — a
-    group present on two partitions is still one group — so it is read off
-    the merged ``results`` instead.  A DAG class's *intermediate* has no
-    merged result (only its members do), so its ``n_groups`` entry is not
-    a merged quantity and is omitted.
-    """
-    first = partials[0]
-    merged = OperatorActuals(operator=first.operator, source=first.source)
-    for part in partials:
-        merged.rows_scanned += part.rows_scanned
-        merged.pages_scanned += part.pages_scanned
-        merged.probes_issued += part.probes_issued
-        merged.union_popcount += part.union_popcount
-        for attr in (
-            "bitmap_popcounts",
-            "tuples_tested",
-            "tuples_routed",
-            "rows_in",
-            "rows_passed",
-            "pipeline_cpu_ms",
-        ):
-            target = getattr(merged, attr)
-            for qid, value in getattr(part, attr).items():
-                target[qid] = target.get(qid, 0) + value
-    for result in results:
-        merged.n_groups[result.query.qid] = result.n_groups
-    return merged

@@ -28,8 +28,8 @@ Optimization", SIGMOD 2000):
   :class:`~repro.core.optimizer.plans.PlanClass` carrying its
   :class:`~repro.core.optimizer.plans.DeriveStep` list (executed by
   :class:`~repro.core.operators.hash_join.SharedScanStarJoin`) — so the
-  executor, paranoia checker, actuals ledger, serve batching, and shard
-  scatter-gather all work unchanged.
+  executor, paranoia checker, actuals ledger, and serve batching all work
+  unchanged.
 
 A dag plan carries the search's typed record
 (:class:`~repro.dag.search.SearchStats`, DAG included) in

@@ -17,7 +17,7 @@ The pipeline is four traced phases:
   once, unbiased.
 
 Everything downstream — executor, paranoia checker, actuals ledger, serve
-batching, shard scatter-gather — consumes the resulting
+batching — consumes the resulting
 :class:`~repro.core.optimizer.plans.GlobalPlan` unchanged.
 """
 

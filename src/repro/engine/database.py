@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.optimizer.plans import GlobalPlan
     from ..serve.retry import RetryPolicy
     from ..serve.service import QueryService
-    from ..serve.shard import ShardSet
 
 LevelsLike = Union[str, Sequence[int]]
 
@@ -147,9 +146,8 @@ class Database:
         data).  Every mutation entry point — :meth:`load_base`,
         :meth:`append_rows`, and direct calls into
         :func:`repro.engine.maintenance.append_rows` — funnels through
-        here, so the result cache (dropped on the spot) and the shard
-        partitions keyed on :attr:`data_version` can never serve results
-        computed before a mutation."""
+        here, so the result cache (dropped on the spot) can never serve
+        results computed before a mutation."""
         self.data_version += 1
         if self.result_cache is not None:
             self.result_cache.sync(self.data_version)
@@ -294,17 +292,14 @@ class Database:
 
     # -- execution --------------------------------------------------------------
 
-    def ctx(
-        self, catalog: Optional[Catalog] = None, private: bool = False
-    ) -> ExecContext:
+    def ctx(self, private: bool = False) -> ExecContext:
         """An ExecContext over this database's catalog, pool, and clock.
 
         ``private=True`` gives the context a fresh buffer pool and cost
         clock of its own (same capacity, rates, and armed fault plan).  A
         fresh pool is indistinguishable from a just-flushed shared one, so
         a cold plan cell run in it measures exactly what it would alone —
-        whatever else runs concurrently.  ``catalog`` substitutes a data
-        shard's catalog slice (see :mod:`repro.serve.shard`).
+        whatever else runs concurrently.
         """
         stats, pool = self.stats, self.pool
         if private:
@@ -313,7 +308,7 @@ class Database:
             pool.faults = self.faults
         return ExecContext(
             schema=self.schema,
-            catalog=catalog if catalog is not None else self.catalog,
+            catalog=self.catalog,
             pool=pool,
             stats=stats,
             dim_tables=self.dimension_tables or None,
@@ -435,7 +430,6 @@ class Database:
         cold: bool = True,
         paranoia: Optional[bool] = None,
         n_workers: int = 1,
-        shard_set: "Optional[ShardSet]" = None,
     ) -> "ExecutionReport":
         """Execute a global plan (see
         :func:`repro.core.executor.execute_plan` for the contract).
@@ -443,9 +437,7 @@ class Database:
         ``cold`` starts every class from an empty buffer pool, as the
         paper flushed buffers before each measured run; ``paranoia``
         overrides the database's :attr:`paranoia` flag for this run;
-        ``n_workers`` > 1 runs the plan's cells on a thread pool;
-        ``shard_set`` (from :meth:`build_shards`) scatters each class over
-        the data shards and gathers the merged results."""
+        ``n_workers`` > 1 runs the plan's classes on a thread pool."""
         from ..core.executor import execute_plan
 
         started = time.perf_counter()
@@ -454,7 +446,6 @@ class Database:
             plan,
             cold=cold,
             n_workers=n_workers,
-            shard_set=shard_set,
             paranoia=paranoia,
         )
         report.elapsed_s = time.perf_counter() - started
@@ -466,7 +457,6 @@ class Database:
         algorithm: str = "gg",
         cold: bool = True,
         n_workers: int = 1,
-        shard_set: "Optional[ShardSet]" = None,
         recovery: "Optional[RetryPolicy]" = None,
     ) -> "ExecutionReport":
         """Answer one batch — the only code that does; sessions and the
@@ -474,10 +464,9 @@ class Database:
         contract is stated once, in ``docs/architecture.md`` §"Answering a
         batch": cache hits skip planning, the misses are optimized as one
         unit *as submitted* (no deduplication here; :meth:`optimize` holds
-        the plan to covering them), executed
-        (``cold``/``n_workers``/``shard_set`` go to :meth:`execute`),
-        recovered under ``recovery`` (None = not at all), and retained only
-        if nothing stayed failed.
+        the plan to covering them), executed (``cold``/``n_workers`` go to
+        :meth:`execute`), recovered under ``recovery`` (None = not at all),
+        and retained only if nothing stayed failed.
 
         The report covers the whole batch: ``plan`` is the misses' plan
         (empty when every query hit), ``cache_hits`` the rest.
@@ -499,9 +488,7 @@ class Database:
             if misses or not hits:
                 # An empty batch is planned too: the optimizer rejects it.
                 plan = self.optimize(misses, algorithm)
-                report = self.execute(
-                    plan, cold=cold, n_workers=n_workers, shard_set=shard_set
-                )
+                report = self.execute(plan, cold=cold, n_workers=n_workers)
             else:
                 report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
             report.cache_hits = hits
@@ -605,23 +592,11 @@ class Database:
                 future = service.submit(queries)
                 response = future.result(timeout=10.0)
 
-        ``serve(shards=N)`` switches the scheduler to scatter-gather
-        execution over N hash partitions of the data (see
-        :mod:`repro.serve.shard`).
-
         See :mod:`repro.serve` and ``docs/serving.md``.
         """
         from ..serve import QueryService, ServeConfig
 
         return QueryService(self, ServeConfig(**config))
-
-    def build_shards(self, n_shards: int, dim_name: Optional[str] = None):
-        """Hash-partition every catalog table into N data shards (see
-        :func:`repro.serve.shard.build_shards`); pass the returned
-        :class:`~repro.serve.shard.ShardSet` to :meth:`execute`."""
-        from ..serve.shard import build_shards
-
-        return build_shards(self, n_shards, dim_name)
 
     # -- inspection ----------------------------------------------------------------
 

@@ -28,11 +28,7 @@ Sites (see :data:`SITES`):
 * ``operator.derive`` — the start of each derive step the DAG operator
   replays from a shared materialized intermediate (attrs: ``operator``,
   ``table``); failing it takes down only the classes depending on that
-  intermediate;
-* ``shard.exec`` — the start of every (plan class, shard) task the
-  sharded scatter-gather executor dispatches (attrs: ``shard``,
-  ``table``); the ``shard`` filter kills one shard while its siblings
-  proceed.
+  intermediate.
 
 The plan records every firing as a :class:`FaultEvent` (and bumps the
 ``fault.injections`` counter), so tests can assert that no injected fault
@@ -57,7 +53,6 @@ SITES = (
     "index.lookup",
     "operator.pipeline",
     "operator.derive",
-    "shard.exec",
 )
 
 
@@ -118,10 +113,8 @@ class InjectionPoint:
     """One armed failure: a site plus trigger predicates.
 
     ``table`` restricts the point to accesses whose ``table`` attribute
-    matches exactly; ``shard`` likewise restricts to one shard id (only
-    the ``shard.exec`` site carries that attribute).  Exactly one trigger
-    applies per check that passes the
-    filters: ``nth`` fires on the nth matching access (1-based),
+    matches exactly.  Exactly one trigger applies per check that passes
+    the filter: ``nth`` fires on the nth matching access (1-based),
     ``probability`` fires with that chance per matching access (drawn from
     the plan's seeded RNG), and with neither set the point fires on *every*
     matching access.  ``max_fires`` bounds total firings (``nth`` implies a
@@ -130,7 +123,6 @@ class InjectionPoint:
 
     site: str
     table: Optional[str] = None
-    shard: Optional[int] = None
     nth: Optional[int] = None
     probability: Optional[float] = None
     max_fires: Optional[int] = None
@@ -141,8 +133,6 @@ class InjectionPoint:
             raise ValueError(
                 f"unknown fault site {self.site!r}; choose from {list(SITES)}"
             )
-        if self.shard is not None and self.shard < 0:
-            raise ValueError(f"shard must be >= 0 (got {self.shard})")
         if self.nth is not None and self.nth < 1:
             raise ValueError(f"nth must be >= 1 (got {self.nth})")
         if self.probability is not None and not 0.0 <= self.probability <= 1.0:
@@ -161,8 +151,6 @@ class InjectionPoint:
         parts = [self.site]
         if self.table is not None:
             parts.append(f"table={self.table}")
-        if self.shard is not None:
-            parts.append(f"shard={self.shard}")
         if self.nth is not None:
             parts.append(f"nth={self.nth}")
         if self.probability is not None:
@@ -247,8 +235,6 @@ class FaultPlan:
                     continue
                 if point.table is not None and attrs.get("table") != point.table:
                     continue
-                if point.shard is not None and attrs.get("shard") != point.shard:
-                    continue
                 self._matches[i] += 1
                 if (
                     point.max_fires is not None
@@ -301,14 +287,14 @@ def parse_fault_plan(spec: str, seed: int = 0) -> FaultPlan:
     """Parse a CLI fault spec into a :class:`FaultPlan`.
 
     Format: semicolon-separated points, each ``site[:key=value,...]`` with
-    keys ``table``, ``shard``, ``nth``, ``p`` (probability), ``max_fires``,
-    ``name``::
+    keys ``table``, ``nth``, ``p`` (probability), ``max_fires``, ``name``::
 
         storage.page_read:table=ABCD,nth=3
         index.lookup:p=0.05;operator.pipeline:table=ABCD,max_fires=1
 
-    Raises :class:`ValueError` on an unknown site or key, or a malformed
-    value — the CLI surfaces that as a usage error (exit 2).
+    Raises :class:`ValueError` on an unknown site (naming the valid sites)
+    or key (naming the valid keys), or a malformed value — the CLI
+    surfaces that as a usage error (exit 2).
     """
     points: List[InjectionPoint] = []
     for chunk in spec.split(";"):
@@ -332,8 +318,6 @@ def parse_fault_plan(spec: str, seed: int = 0) -> FaultPlan:
                     kwargs["table"] = value
                 elif key == "name":
                     kwargs["name"] = value
-                elif key == "shard":
-                    kwargs["shard"] = int(value)
                 elif key == "nth":
                     kwargs["nth"] = int(value)
                 elif key in ("p", "probability"):
@@ -343,7 +327,7 @@ def parse_fault_plan(spec: str, seed: int = 0) -> FaultPlan:
                 else:
                     raise ValueError(
                         f"unknown fault option {key!r} in {chunk!r} (use "
-                        f"table, shard, nth, p, max_fires, name)"
+                        f"table, nth, p, max_fires, name)"
                     )
         points.append(InjectionPoint(site=site, **kwargs))
     if not points:

@@ -94,8 +94,8 @@ def to_chrome_trace(
     I/O/CPU/total milliseconds, so both clocks are visible in the viewer.
 
     Each distinct *entering thread* gets its own ``tid`` lane (first seen in
-    tree order, starting at ``tid``), so parallel and sharded executions
-    render as real concurrency lanes instead of one flattened track.  When
+    tree order, starting at ``tid``), so parallel executions render as
+    real concurrency lanes instead of one flattened track.  When
     more than one lane exists, ``thread_name`` metadata events label them.
     """
     epoch = span.start_s or 0.0

@@ -339,7 +339,7 @@ class MetricsRegistry:
 #: The serving stages, in ``ServeResponse.stage_breakdown`` order: name
 #: -> (help of its ``serve.stage.<name>_ms`` wall histogram, help of its
 #: ``serve.stage.<name>_sim_ms`` simulated histogram or None).  The query
-#: service registers them all; the executor observes ``shard_exec``.
+#: service registers them all.
 STAGES = {
     "queued": ("wall ms a request waited from submit to batch pickup", None),
     "coalesce": ("wall ms batch assembly / deduplication took", None),
@@ -356,10 +356,6 @@ STAGES = {
     "degrade": (
         "wall ms raw-base-table fallback executions took",
         "simulated ms fallback executions charged",
-    ),
-    "shard_exec": (
-        "wall ms one (class, shard) scatter cell took to execute",
-        "simulated ms one (class, shard) scatter cell charged",
     ),
 }
 

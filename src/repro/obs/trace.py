@@ -39,7 +39,7 @@ snapshot.  Enabling tracing (``Database.trace()``) swaps in a real
 Span naming convention (see ``docs/observability.md``): dotted lowercase
 components, ``<layer>.<phase>`` — ``mdx.parse``, ``optimize.<algorithm>``,
 ``optimize.<algorithm>.<phase>``, ``execute.plan``, ``execute.class``,
-``operator.<kind>``, ``session.run``, ``serve.batch``, ``shard.task``.
+``operator.<kind>``, ``session.run``, ``serve.batch``.
 """
 
 from __future__ import annotations

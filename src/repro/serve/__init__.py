@@ -15,10 +15,6 @@ Entry points:
 * :func:`run_simulation` / :class:`SimulationConfig` — the simulated
   concurrent-load harness behind ``repro serve --simulate``
   (:func:`simulation_service` is the service it runs by default).
-* :func:`build_shards` / :class:`ShardSet` — N hash partitions of the
-  data for scatter-gather execution (``ServeConfig(shards=N)`` /
-  ``repro serve --simulate --shards N`` /
-  ``db.execute(plan, shard_set=...)``).
 
 See ``docs/serving.md`` for the architecture and the batching-window
 trade-off.
@@ -37,7 +33,6 @@ from .futures import (
 )
 from .retry import RetryPolicy, SimulatedClock
 from .service import QueryService, ServiceStats
-from .shard import Shard, ShardSet, build_shards
 from .simulate import (
     SimulationConfig,
     SimulationReport,
@@ -50,9 +45,6 @@ __all__ = [
     "DeadlineExceeded",
     "MicroBatch",
     "QueryService",
-    "Shard",
-    "ShardSet",
-    "build_shards",
     "RequestQuarantined",
     "RetryPolicy",
     "ServeConfig",

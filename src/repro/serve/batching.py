@@ -49,12 +49,6 @@ class ServeConfig:
     recovery is the door's, stated once in ``docs/architecture.md``
     §"Answering a batch" (step 5).
 
-    Sharding knobs (see ``docs/serving.md``): ``shards`` > 1 switches the
-    scheduler to scatter-gather execution over that many hash partitions
-    of the data (:mod:`repro.serve.shard`); ``shard_dim`` names the
-    partition dimension (default: the schema's first).  Sharding requires
-    ``cold`` — each shard runs in a private cold context.
-
     Telemetry knobs (see ``docs/observability.md``): ``flight_recorder``
     is the capacity of the service's in-memory ring of recent batch traces
     and fault/retry/quarantine events (0 disables recording *and* the
@@ -73,8 +67,6 @@ class ServeConfig:
     max_attempts: int = 3
     backoff_base_ms: float = 50.0
     degrade: bool = True
-    shards: int = 1
-    shard_dim: Optional[str] = None
     flight_recorder: int = 32
     flight_recorder_path: Optional[str] = None
 
@@ -87,13 +79,6 @@ class ServeConfig:
             )
         if self.flight_recorder_path and not self.flight_recorder:
             raise ValueError("flight_recorder_path needs a flight_recorder > 0")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1 (got {self.shards})")
-        if self.shards > 1 and not self.cold:
-            raise ValueError(
-                "sharded execution requires cold=True (each shard runs "
-                "in a private cold context)"
-            )
         if self.window_ms < 0:
             raise ValueError(f"window_ms must be >= 0 (got {self.window_ms})")
         if self.max_batch_requests <= 0:

@@ -26,10 +26,6 @@ owns the engine and turns the arrival stream into micro-batches:
    caller's future, with per-request deadlines enforced while queued; a
    request asking a query the door left failed is quarantined alone.
 
-With ``ServeConfig(shards=N)`` step 3's execution becomes scatter-gather:
-the one global plan fans out over N hash partitions of the data
-(:mod:`repro.serve.shard`) and partial aggregates merge back per class.
-
 Only the scheduler thread touches the database, so the engine itself needs
 no locking beyond the storage counters the executor's workers merge.
 :class:`ServiceStats` is the exception — client threads bump admission
@@ -228,9 +224,6 @@ class QueryService:
         self._stopped = False
         #: Simulated clock charged by retry backoff (never wall sleeps).
         self.sim_clock = SimulatedClock()
-        #: Lazily built shard partition (scheduler-owned; rebuilt when the
-        #: database mutates).  None until the first sharded execution.
-        self._shard_set = None
         #: The serving-plane flight recorder (None when disabled).  Also
         #: published on the database so tooling can reach the ring via
         #: :meth:`~repro.engine.database.Database.flight_recorder`.
@@ -483,7 +476,6 @@ class QueryService:
                 report = db.run_queries(
                     batch.distinct, config.algorithm, cold=config.cold,
                     n_workers=config.n_workers, recovery=config.recovery,
-                    shard_set=self._shards() if config.shards > 1 else None,
                 )
                 quarantined = self._account(batch, report, stages)
                 span.set("n_cache_hits", report.n_cache_hits)
@@ -523,25 +515,6 @@ class QueryService:
             n_distinct=batch.n_distinct,
             stages={name: timing.as_dict() for name, timing in stages.items()},
         )
-
-    def _shards(self):
-        """The current shard partition, (re)built on first use and after
-        every database mutation (the partition is keyed on the mutation
-        epoch, exactly like the result cache)."""
-        from .shard import build_shards
-
-        if self._shard_set is None or self._shard_set.stale(
-            self.db.data_version
-        ):
-            with self.db.tracer.span(
-                "shard.build",
-                n_shards=self.config.shards,
-                dim=self.config.shard_dim or "",
-            ):
-                self._shard_set = build_shards(
-                    self.db, self.config.shards, self.config.shard_dim
-                )
-        return self._shard_set
 
     def _account(
         self, batch: MicroBatch, report: ExecutionReport, stages: _Stages

@@ -107,8 +107,6 @@ class SimulationReport:
     n_retries: int = 0
     n_degraded: int = 0
     n_faults_injected: int = 0
-    #: Data shards the service executed over (1 = unsharded).
-    n_shards: int = 1
     batch_sizes: List[int] = field(default_factory=list)
     latencies_ms: List[float] = field(default_factory=list)
     #: The service's flight recorder (None when disabled) — still readable
@@ -144,12 +142,7 @@ class SimulationReport:
         lines = [
             f"serve simulation: {self.n_clients} client(s), "
             f"{self.n_requests} request(s), {self.n_queries} "
-            f"component query(ies)"
-            + (
-                f", scatter-gather over {self.n_shards} shard(s)"
-                if self.n_shards > 1
-                else ""
-            ),
+            f"component query(ies)",
             f"  served {self.n_served}, rejected {self.n_rejected}, "
             f"timed out {self.n_timed_out}"
             + (f", verified {self.n_verified}" if self.n_verified else ""),
@@ -309,7 +302,6 @@ def run_simulation(
         n_faults_injected=(
             config.faults.n_fired if config.faults is not None else 0
         ),
-        n_shards=serve.shards,
         wall_s=wall_s,
         batched_sim_ms=stats.sim_ms_total,
         serial_sim_ms=serial_ms,

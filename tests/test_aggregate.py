@@ -219,14 +219,9 @@ class TestAgainstBruteForce:
 
     @staticmethod
     def assert_documented(got, want, aggregate):
-        assert list(got.groups) == list(want)
         if aggregate is Aggregate.AVG:
-            assert got.avg_state == want
-            assert list(got.avg_state) == list(want)
-            assert all(type(n) is int for _s, n in got.avg_state.values())
             want = {k: (s / n, n) for k, (s, n) in want.items()}
-        else:
-            assert got.avg_state is None
+        assert list(got.groups) == list(want)
         assert [v.hex() for v in got.groups.values()] == [
             v.hex() for v, _n in want.values()
         ]
@@ -257,10 +252,7 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("aggregate", list(Aggregate))
     def test_compaction_schedule_never_shows(self, monkeypatch, aggregate):
         def bits(result):
-            state = result.avg_state and [
-                (k, s.hex(), n) for k, (s, n) in result.avg_state.items()
-            ]
-            return [(k, v.hex()) for k, v in result.groups.items()], state
+            return [(k, v.hex()) for k, v in result.groups.items()]
 
         batches = self.random_batches(42)
         default = bits(self.run(batches, aggregate))
@@ -276,15 +268,12 @@ class TestAgainstBruteForce:
         assert empty.result().groups == {}
         keys, values = empty.columns()
         assert [k.size for k in keys] == [0, 0] and values.size == 0
-        is_avg = aggregate is Aggregate.AVG
-        assert empty.result().avg_state == ({} if is_avg else None)
 
         one = make_aggregator(aggregate=aggregate)
         feed(one, [[5], [3]], [7.25])
         value = 1.0 if aggregate is Aggregate.COUNT else 7.25
         assert one.n_groups == 1
         assert one.result().groups == {(5, 3): value}
-        assert one.result().avg_state == ({(5, 3): (7.25, 1)} if is_avg else None)
         keys, values = one.columns()
         assert [k.tolist() for k in keys] == [[5], [3]]
         assert values.tolist() == [value]

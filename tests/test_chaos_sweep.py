@@ -199,71 +199,3 @@ def test_result_cache_coherent_under_chaos():
         check_batch(db, queries, report.results, report.failures)
     # The cache's coherence invariant held throughout; end-state sanity:
     assert len(cache) <= cache.max_entries
-
-
-def test_single_shard_kill_recovered_by_degraded_replanning():
-    """Kill one shard persistently during sharded serving: every scattered
-    class loses its task on that shard, retries exhaust (the fault stays
-    armed), and degraded replanning — which runs per-query on the
-    unsharded base table, where ``shard.exec`` is never checked — recovers
-    the whole batch.  Results must match the fault-free reference and the
-    surviving shards' data must be untouched."""
-    from repro.core.executor import execute_plan
-    from repro.schema.query import GroupBy, GroupByQuery
-    from repro.serve import QueryService, ServeConfig
-
-    db = make_tiny_db(n_rows=300)
-    queries = [
-        GroupByQuery(groupby=GroupBy((1, 1)), label="a"),
-        GroupByQuery(groupby=GroupBy((0, 1)), label="b"),
-        GroupByQuery(groupby=GroupBy((2, 0)), label="c"),
-    ]
-    baseline = execute_plan(db, db.optimize(queries, "gg"), n_workers=4)
-
-    shard_set = db.build_shards(3)
-    row_counts = [shard.n_rows for shard in shard_set.shards]
-
-    fault = FaultPlan(
-        [InjectionPoint(site="shard.exec", shard=1)], seed=CHAOS_SEED
-    )
-    service = QueryService(
-        db,
-        ServeConfig(
-            window_ms=5.0, shards=3, max_attempts=2, backoff_base_ms=1.0
-        ),
-    )
-    service._shard_set = shard_set
-    db.arm_faults(fault)
-    try:
-        with service:
-            response = service.submit(queries).result(timeout=60.0)
-    finally:
-        db.disarm_faults()
-
-    # The fault fired (shard 1's tasks died) and recovery went through
-    # degraded replanning, not silent success.
-    assert fault.n_fired > 0
-    assert all(
-        dict(event.attrs).get("shard") == 1 for event in fault.fired
-    )
-    stats = service.stats.snapshot()
-    assert stats.n_degraded == len(queries)
-    assert stats.n_failed == 0
-
-    # The recovered batch matches the fault-free reference.
-    for query in queries:
-        got = response.result_for(query)
-        assert got.approx_equals(baseline.result_for(query)), query.label
-
-    # Survivors untouched: the other shards' partitions are exactly as
-    # built, and a disarmed sharded run over the same set is clean.
-    assert [shard.n_rows for shard in shard_set.shards] == row_counts
-    from repro.core.executor import execute_plan
-
-    plan = db.optimize(queries, "gg")
-    clean = execute_plan(db, plan, shard_set=shard_set, n_workers=4)
-    assert not clean.failures
-    for query in queries:
-        assert clean.result_for(query).approx_equals(
-            baseline.result_for(query)
-        )

@@ -99,8 +99,8 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert [run.wait(timeout=120) for run in runs] == [0, 0]
     assert outs[0].read_bytes() == outs[1].read_bytes()
     dump = json.loads(outs[0].read_text())
-    assert "test7/avg/optimal/shards3" in dump
-    assert dump["test4/avg/gg/serial"]["results"][0]["avg_state"]
+    assert "test7/avg/optimal/workers3" in dump
+    assert dump["test4/avg/gg/serial"]["results"][0]["groups"]
     assert any(cls["derives"] for cls in dump["dashboard/min"]["classes"])
     plan = dump["dashboard/min/plan"]
     assert "+D" in plan["signature"] and plan["plan_costings"] > 0
@@ -116,7 +116,7 @@ def test_byte_dump_is_deterministic(tmp_path):
     lost = dump["recovery/test4/storage.scan/everywhere"]
     assert lost["quarantined"] == [0, 1, 2] and lost["results"] == []
     assert "quarantine" in [event["kind"] for event in lost["recorder"]]
-    assert len({k.split("/")[2] for k in dump if k.startswith("recovery/")}) == 6
+    assert len({k.split("/")[2] for k in dump if k.startswith("recovery/")}) == 5
     # ... with its metrics (wall-clock histograms left out) and span clocks.
     assert "serve.request_latency_ms" in retried["metric_names"]
     metrics = retried["metrics"]

@@ -250,7 +250,7 @@ class TestServeFlags:
         ``cli.py`` states none of them beside the flag."""
         args = _build_parser().parse_args(["serve"])
         mapped = [entry for entry in _SERVE_FLAGS if entry[1] is not None]
-        assert len(mapped) == 13
+        assert len(mapped) == 11
         own_service = simulation_service(1)
         for flag, name, options, _help in mapped:
             assert "default" not in options, flag
@@ -296,7 +296,6 @@ class TestServe:
         "flag, value, named",
         [
             ("--retries", "0", "max_attempts"),
-            ("--shards", "0", "shards"),
             ("--recorder-size", "-1", "flight_recorder"),
             ("--workers", "0", "n_workers"),
             ("--overlap", "1.5", "overlap"),

@@ -11,7 +11,7 @@ Covers the subsystem's whole contract at tier-1 scale:
   seed (monotone accept rule), and its stats survive into
   ``GlobalPlan.search_stats``;
 * execution: derive steps produce byte-identical answers to the naive
-  reference, on the direct executor and through data shards alike;
+  reference;
 * validation: the DERIVE method is rejected outside DAG classes;
 * rendering: ``explain_plan`` shows the DAG block, the materialized
   intermediates and their derived pipelines.
@@ -226,23 +226,6 @@ class TestDagExecution:
             got = report.result_for(query)
             want = naive.result_for(query)
             assert got.approx_equals(want), query.display_name()
-
-    def test_sharded_dag_execution_parity(self, paper_db, paper_qs):
-        from repro.core.executor import execute_plan
-        from repro.serve import build_shards
-
-        batch = [paper_qs[i] for i in (1, 2, 3, 4)]
-        plan = paper_db.optimize(batch, "dag")
-        assert any(cls.has_derives for cls in plan.classes)
-        base = execute_plan(paper_db, plan, n_workers=4)
-        sharded = execute_plan(
-            paper_db, plan, shard_set=build_shards(paper_db, 2), n_workers=4
-        )
-        assert not sharded.failures
-        for query in batch:
-            assert sharded.result_for(query).approx_equals(
-                base.result_for(query)
-            ), query.display_name()
 
     def test_derive_fault_site_is_registered(self):
         from repro.faults import SITES

@@ -203,6 +203,24 @@ def test_parse_fault_plan_rejects_bad_specs(spec, match):
         parse_fault_plan(spec)
 
 
+def test_specs_naming_no_shard_site_or_key_fail_cleanly(capsys):
+    """There is no ``shard.exec`` site and no ``shard=`` key: such a spec is
+    a ``ValueError`` naming what is valid, and ``repro serve`` reports it
+    as a usage error (exit 2) before building anything."""
+    from repro.cli import main
+
+    with pytest.raises(ValueError, match="unknown fault site") as bad_site:
+        parse_fault_plan("shard.exec:nth=1")
+    assert all(site in str(bad_site.value) for site in SITES)
+    with pytest.raises(ValueError, match="unknown fault option") as bad_key:
+        parse_fault_plan("storage.scan:shard=1")
+    assert "(use table, nth, p, max_fires, name)" in str(bad_key.value)
+    argv = ["serve", "--simulate", "--faults", "shard.exec:nth=1"]
+    assert main([*argv, "--scale", "0.002"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --faults spec: unknown fault site")
+
+
 def test_every_site_name_parses():
     for site in SITES:
         plan = parse_fault_plan(f"{site}:nth=1")

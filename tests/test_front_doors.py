@@ -1,8 +1,8 @@
 """One front door: every way of asking a batch — ``Database.run_queries``,
-a ``QuerySession``, a ``QueryService`` at 1/4 workers and 1/2 shards — is
-answered by ``Database.run_queries`` (docs/architecture.md §"Answering a
-batch"), so cache, validation and retention behave the same through
-each.  The doors are a table; every test below walks it.
+a ``QuerySession``, a ``QueryService`` at 1/4 workers — is answered by
+``Database.run_queries`` (docs/architecture.md §"Answering a batch"), so
+cache, validation and retention behave the same through each.  The doors
+are a table; every test below walks it.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ def session_door(db, algorithm="gg", **_serve):
     yield ask
 
 
-def service_door(n_workers, shards):
+def service_door(n_workers):
     @contextmanager
     def door(db, algorithm="gg", **serve):
         config = dict(
-            window_ms=1.0, n_workers=n_workers, shards=shards,
-            algorithm=algorithm, **serve,
+            window_ms=1.0, n_workers=n_workers, algorithm=algorithm, **serve
         )
         with db.serve(**config) as service:
             def ask(batch):
@@ -75,12 +74,9 @@ def service_door(n_workers, shards):
 DOORS = {
     "run_queries": run_queries_door,
     "session": session_door,
-    "service-w1-s1": service_door(1, 1),
-    "service-w4-s1": service_door(4, 1),
-    "service-w1-s2": service_door(1, 2),
-    "service-w4-s2": service_door(4, 2),
+    "service-w1": service_door(1),
+    "service-w4": service_door(4),
 }
-ONE_SHARD = [name for name in DOORS if not name.endswith("s2")]
 
 
 def n_distinct(batch):
@@ -198,14 +194,12 @@ def test_every_door_answers_every_batch(paper_db, batches, spy, door, cache):
         db.result_cache = None
 
 
-def test_same_plan_and_cost_through_every_one_shard_door(
-    paper_db, batches, spy
-):
+def test_same_plan_and_cost_through_every_door(paper_db, batches, spy):
     """Duplicate-free batches: dedupe above the door changes nothing, so
     the planned classes and the simulated cost are identical (``==``, not
     approx) whichever door the batch came through."""
     signatures = {}
-    for door in ONE_SHARD:
+    for door in DOORS:
         with DOORS[door](paper_db) as ask:
             for test in ALL_PAPER_TESTS:
                 spy.clear()

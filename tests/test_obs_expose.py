@@ -264,7 +264,7 @@ class TestFlightRecorder:
         with tracer.span("serve.batch") as span:
             pass
         recorder = FlightRecorder(capacity=8)
-        recorder.record("fault", site="shard.exec", point="p1")
+        recorder.record("fault", site="operator.pipeline", point="p1")
         recorder.record_batch(span, batch_id=3, outcome="ok")
         path = recorder.dump(tmp_path / "flight.json")
         loaded = load_flight_dump(path)

@@ -1,8 +1,8 @@
-"""Obs smoke (tier-1): sharded, fault-injected serving with full telemetry.
+"""Obs smoke (tier-1): fault-injected serving with full telemetry.
 
 The acceptance scenario for the serving-plane telemetry layer:
 
-* a 4-shard, fault-injected ``run_simulation`` where every served response
+* a fault-injected ``run_simulation`` where every served response
   is still verified byte-identical against the fault-free serial baseline
   (tracing and recording must never perturb results);
 * the flight recorder retains the batches, the injected fault, and the
@@ -37,19 +37,18 @@ from repro.workload.paper_schema import PaperConfig, build_paper_database
 SCALE = 0.002
 N_CLIENTS = 8
 REQUESTS_PER_CLIENT = 2
-N_SHARDS = 4
 
 
 @pytest.fixture(scope="module")
 def smoke(request, tmp_path_factory):
-    """One sharded fault-injected run: (report, registry, dump path)."""
+    """One fault-injected run: (report, registry, dump path)."""
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
     request.addfinalizer(lambda: set_default_registry(previous))
     db = build_paper_database(config=PaperConfig(scale=SCALE))
     dump_path = tmp_path_factory.mktemp("obs_smoke") / "flight.json"
     faults = FaultPlan(
-        [InjectionPoint(site="shard.exec", shard=2, nth=1)], seed=0
+        [InjectionPoint(site="operator.pipeline", nth=1)], seed=0
     )
     report = run_simulation(
         db,
@@ -62,7 +61,6 @@ def smoke(request, tmp_path_factory):
             faults=faults,
             serve=ServeConfig(
                 window_ms=25.0,
-                shards=N_SHARDS,
                 flight_recorder=32,
                 flight_recorder_path=str(dump_path),
             ),
@@ -92,8 +90,7 @@ class TestFlightRecorderDump:
         kinds = {e["kind"] for e in loaded["entries"]}
         assert {"batch", "fault", "retry"} <= kinds
         fault = next(e for e in loaded["entries"] if e["kind"] == "fault")
-        assert fault["site"] == "shard.exec"
-        assert fault["attrs"]["shard"] == 2
+        assert fault["site"] == "operator.pipeline"
 
     def test_every_recorded_trace_round_trips(self, smoke):
         report, _, dump_path = smoke
@@ -138,7 +135,6 @@ class TestStageHistograms:
             and value["count"] > 0
         ]
         assert len(populated) >= 5, populated
-        assert "serve.stage.shard_exec_ms" in populated
         assert "serve.stage.retry_ms" in populated
 
 

@@ -3,11 +3,10 @@ request-scoped stage breakdowns, and the service-attached flight recorder.
 
 Satellite regressions pinned here:
 
-* parallel (4-shard scatter and 4-worker class) execution under a trace
-  yields one *well-formed* span tree — unique span ids, parent links that
-  match tree edges, worker spans parented under the batch span in
-  submission order, never interleaved into whatever span another thread
-  had open;
+* parallel (4-worker class) execution under a trace yields one
+  *well-formed* span tree — unique span ids, parent links that match
+  tree edges, worker spans parented under the batch span in submission
+  order, never interleaved into whatever span another thread had open;
 * ``to_chrome_trace`` gives each worker thread its own tid lane;
 * every ``ServeResponse`` carries its request trace id and a per-stage
   latency breakdown, and the service's flight recorder retains batch
@@ -26,7 +25,7 @@ from repro.obs.metrics import default_registry
 from repro.obs.recorder import FlightRecorder, load_flight_dump
 from repro.obs.trace import Tracer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
-from repro.serve import QueryService, ServeConfig, StageTiming, build_shards
+from repro.serve import QueryService, ServeConfig, StageTiming
 
 from helpers import make_tiny_db
 
@@ -66,37 +65,6 @@ def assert_well_formed(root):
 class TestParallelTraceTree:
     """Satellite: thread-local stacks keep parallel traces well-formed."""
 
-    def test_sharded_scatter_trace_is_well_formed(self, db):
-        shards = build_shards(db, 4)
-        plan = db.optimize(queries(), "gg")
-        with db.trace("sharded") as tracer:
-            execute_plan(db, plan, shard_set=shards, n_workers=4)
-        (root,) = tracer.roots
-        assert_well_formed(root)
-        scatter_spans = root.find_all("serve.scatter")
-        assert scatter_spans
-        tasks = root.find_all("shard.task")
-        assert len(tasks) >= 4
-        # Every shard task is parented under a scatter span — never under
-        # whatever span another worker happened to have open.
-        scatter_ids = {s.span_id for s in scatter_spans}
-        for task in tasks:
-            assert task.parent_id in scatter_ids
-        # Scheduler-side links are created in grid submission order, so the
-        # sibling order is deterministic regardless of completion order.
-        for scatter in scatter_spans:
-            grid = [
-                (c.attrs["source"], c.attrs["shard"])
-                for c in scatter.children
-                if c.name == "shard.task"
-            ]
-            assert grid == sorted(grid, key=lambda cell: grid.index(cell))
-            shards_per_source = {}
-            for source, shard_id in grid:
-                shards_per_source.setdefault(source, []).append(shard_id)
-            for per_source in shards_per_source.values():
-                assert per_source == sorted(per_source)
-
     def test_parallel_class_trace_is_well_formed(self, db):
         plan = db.optimize(queries(), "gg")
         with db.trace("parallel") as tracer:
@@ -113,13 +81,7 @@ class TestParallelTraceTree:
         assert [c.attrs["source"] for c in class_spans] == [
             pc.source for pc in plan.classes
         ]
-
-    def test_sharded_trace_round_trips(self, db):
-        shards = build_shards(db, 2)
-        plan = db.optimize(queries(), "gg")
-        with db.trace("rt") as tracer:
-            execute_plan(db, plan, shard_set=shards, n_workers=4)
-        exported = trace_to_dict(tracer.roots[0])
+        exported = trace_to_dict(root)
         rebuilt = span_from_dict(exported)
         assert trace_to_dict(rebuilt) == exported
         assert_well_formed(rebuilt)

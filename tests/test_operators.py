@@ -321,7 +321,7 @@ class TestSharedProbe:
         results = op.run()
         observed = (
             {
-                qid: (list(result.groups.items()), result.avg_state)
+                qid: list(result.groups.items())
                 for qid, result in results.items()
             },
             op.actuals.as_dict(),
@@ -385,10 +385,7 @@ class TestSharedProbe:
         def observed(results, pipes, before):
             delta = db.stats.delta_since(before).as_dict()
             return (
-                [
-                    (list(r.groups.items()), r.avg_state and list(r.avg_state.items()))
-                    for r in results
-                ],
+                [list(r.groups.items()) for r in results],
                 [(p.rows_in, p.rows_passed) for p in pipes],
                 delta,
             )

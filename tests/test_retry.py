@@ -225,10 +225,10 @@ def test_recovery_is_stated_once_in_the_source():
     assert backoff == {"serve/service.py": 1}
     # The serving stages are listed in one table, obs/metrics.py's STAGES:
     # nowhere else is a stage name a dict key or next to another in a list.
-    stage = r'"(?:queued|coalesce|gather|retry|degrade|shard_exec)"'
+    stage = r'"(?:queued|coalesce|gather|retry|degrade)"'
     listing = re.compile(rf"{stage}\s*(?::|,\s*{stage})")
     assert {
         path: len(listing.findall(body))
         for path, body in text.items()
         if listing.search(body)
-    } == {"obs/metrics.py": 6}
+    } == {"obs/metrics.py": 5}
