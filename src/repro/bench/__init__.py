@@ -1,7 +1,7 @@
 """Benchmark harness: regenerates every table and figure of the paper.
 
 Only the harness is re-exported here: :mod:`repro.calibrate` builds on it,
-and :mod:`repro.bench.history` (records, the regression gate) builds on the
+and :mod:`repro.bench.history` (records and their check) builds on the
 calibration sweep in turn, so it is imported by its own name.
 """
 

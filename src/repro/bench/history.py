@@ -1,21 +1,17 @@
-"""Persistent benchmark telemetry: structured run records and regression
-gating.
+"""Persistent benchmark telemetry: structured run records and their exact
+check.
 
 A :class:`RunRecord` captures one benchmark run of the paper workload —
 per-figure sharing rows, per-test algorithm comparisons (Table 2), the
 cost-model calibration summary (Q-error quantiles and misranking count from
 :mod:`repro.calibrate.sweep`), and a schema+config fingerprint — and persists
-it as ``BENCH_<label>.json``.  Simulated costs are deterministic, so two
-records with the same fingerprint are byte-comparable: any drift is a real
-behavioural change, not noise.
+it as ``BENCH_<label>.json``.  A record holds the deterministic simulated
+clock and the calibration summary only (wall time is ``perf/run.py``'s), so
+the one check is equality: :func:`check_record` re-runs :func:`record_run`
+with the record's own arguments and lists every value that came out
+different.
 
-:func:`compare_records` is the regression gate: it walks the shared
-metrics of two records and flags every one that moved past its per-metric
-threshold (:data:`DEFAULT_THRESHOLDS`).  A record holds the deterministic
-cost clock and the calibration summary only; wall time is measured by
-``perf/run.py``.
-
-CLI: ``repro bench --record`` / ``repro bench --compare --baseline FILE``.
+CLI: ``repro bench --record`` / ``repro bench --check RECORD``.
 """
 
 from __future__ import annotations
@@ -24,43 +20,34 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..calibrate.sweep import run_calibration
 from ..document import DocumentError, PathLike, field_of, load_json
 from ..engine.database import Database
-from ..workload.paper_queries import PAPER_FIGURES
+from ..workload.paper_queries import ALL_PAPER_TESTS, PAPER_FIGURES
 from ..workload.paper_schema import build_paper_database
 from .harness import paper_tables
 
 #: Format version of the persisted record; bump on breaking layout change.
 RECORD_VERSION = 1
 
-#: Per-metric regression thresholds.  Relative metrics are the allowed
-#: fractional worsening (0.10 = latest may be up to 10% worse); absolute
-#: metrics (``misrankings``, ``n_classes``) allow no increase at all.
-DEFAULT_THRESHOLDS: Dict[str, float] = {
-    "sim_ms": 0.10,
-    "est_ms": 0.10,
-    "shared_ms": 0.10,
-    "separate_ms": 0.10,
-    "q_error_p95": 0.25,
-    "q_error_max": 0.50,
-    "misrankings": 0.0,
-    "n_classes": 0.0,
-}
-
-#: The numbers a record's rows and calibration summary carry for the gate
-#: (:func:`compare_records`) and the leaderboard to read.
+#: The numbers a record's rows and calibration summary carry, typed at load.
 TEST_METRICS = ("sim_ms", "est_ms", "n_classes")
 FIGURE_METRICS = ("shared_ms", "separate_ms", "speedup")
 CALIBRATION_METRICS = ("q_error_p95", "q_error_max", "misrankings")
 
+#: What a re-run must reproduce: ``label`` and ``created_at`` name a run,
+#: they are not its outcome.
+CHECKED_SECTIONS = ("fingerprint", "figures", "tests", "calibration")
+
+#: Stands in for a value only one of two compared records has.
+ABSENT = "<absent>"
+
 
 def database_fingerprint(db: Database, scale: Optional[float] = None) -> dict:
-    """Schema + configuration identity of a run: two records gate against
-    each other only when their fingerprints match (same dimensions, same
-    tables, same cost rates — otherwise cost deltas are meaningless)."""
+    """Schema + configuration identity of a run: the dimensions, tables,
+    cost rates, page size and scale a record's costs were measured on."""
     schema = db.schema
     out = {
         "schema": schema.name,
@@ -84,9 +71,7 @@ def database_fingerprint(db: Database, scale: Optional[float] = None) -> dict:
     # though its rates are already captured above: two *different*
     # profiles could fit identical rates tomorrow, and — more importantly —
     # the profile label says *why* the rates differ.  The key is added
-    # only when a profile is loaded, so records written before this field
-    # existed (and default-rates records generally) keep their exact
-    # fingerprints and continue to gate.
+    # only when a profile is loaded, so default-rates records carry none.
     profile = db.calibration_profile
     if profile is not None:
         out["profile"] = profile.identity()
@@ -109,7 +94,7 @@ class RunRecord:
     #: Identity of the calibration profile the run was recorded under
     #: (``{"label", "digest"}``), or None for hand-set default rates.
     #: Mirrored in the fingerprint: fitted rates change simulated costs, so
-    #: profiled and unprofiled records must never gate each other.
+    #: a record is checked only under the profile it was recorded with.
     profile: Optional[dict] = None
     version: int = RECORD_VERSION
 
@@ -127,33 +112,39 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: object) -> "RunRecord":
-        """Build a record from parsed JSON, typing every field the gate and
-        the leaderboard read (docs/architecture.md §"Files from outside the
-        program"); unknown keys are ignored."""
+        """Build a record from parsed JSON, typing every field
+        :func:`check_record` reads (docs/architecture.md §"Files from
+        outside the program"); unknown keys are ignored."""
         version = field_of(data, "version", int, 0)
         if version > RECORD_VERSION:
             raise DocumentError(
                 f"record version {version} is newer than supported "
                 f"({RECORD_VERSION}); refusing to mis-compare"
             )
+        fingerprint = field_of(data, "fingerprint", dict)
+        field_of(fingerprint, "scale", float, where="fingerprint")
         calibration = field_of(data, "calibration", dict, {})
         for metric in CALIBRATION_METRICS:
             field_of(calibration, metric, (float, None), None, "calibration")
         algorithms = field_of(calibration, "algorithms", dict, {}, "calibration")
         for name in algorithms:
             field_of(algorithms, name, dict, where="calibration.algorithms")
-        profile = field_of(data, "profile", (dict, None), None)
-        if profile is not None:
-            for key in ("label", "digest"):
-                field_of(profile, key, str, None, "profile")
+        tests = _rows(data, "tests", "algorithm", str, TEST_METRICS)
+        for test in tests:
+            if test not in ALL_PAPER_TESTS:
+                raise DocumentError(
+                    f"field 'tests.{test}' names no paper test; choose from "
+                    f"{list(ALL_PAPER_TESTS)}"
+                )
+        _profile_identity(fingerprint, dict, "fingerprint")
         return cls(
             label=field_of(data, "label", str, "?"),
             created_at=field_of(data, "created_at", str, ""),
-            fingerprint=field_of(data, "fingerprint", dict, {}),
+            fingerprint=fingerprint,
             figures=_rows(data, "figures", "n_queries", int, FIGURE_METRICS),
-            tests=_rows(data, "tests", "algorithm", str, TEST_METRICS),
+            tests=tests,
             calibration=calibration,
-            profile=profile,
+            profile=_profile_identity(data, (dict, None)),
             version=version,
         )
 
@@ -169,6 +160,16 @@ class RunRecord:
             path, "benchmark record", cls.from_dict,
             hint="record one first with `repro bench --record`",
         )
+
+
+def _profile_identity(doc: dict, kind, where: str = "") -> Optional[dict]:
+    """``doc["profile"]``: a ``{label, digest}`` profile identity, or None
+    when absent (or null, where ``kind`` allows it)."""
+    profile = field_of(doc, "profile", kind, None, where)
+    if profile is not None:
+        for key in ("label", "digest"):
+            field_of(profile, key, str, where=f"{where}.profile".lstrip("."))
+    return profile
 
 
 def _rows(
@@ -252,160 +253,75 @@ def record_run(
     return record
 
 
-@dataclass
-class Regression:
-    """One gated metric that worsened past its threshold."""
+class Difference(NamedTuple):
+    """One value on which a committed record and its re-run disagree."""
 
-    metric: str
-    context: str
-    baseline: float
-    latest: float
-    threshold: float
+    path: str
+    committed: object
+    fresh: object
 
-    @property
-    def change(self) -> float:
-        """Fractional change (positive = worse) for relative metrics; raw
-        delta for absolute ones (threshold 0)."""
-        if self.threshold == 0.0 or self.baseline == 0.0:
-            return self.latest - self.baseline
-        return self.latest / self.baseline - 1.0
 
-    def describe(self) -> str:
-        if self.threshold == 0.0 or self.baseline == 0.0:
-            return (
-                f"{self.context}: {self.metric} {self.baseline:g} -> "
-                f"{self.latest:g} (any increase gates)"
-            )
-        return (
-            f"{self.context}: {self.metric} {self.baseline:g} -> "
-            f"{self.latest:g} ({self.change * 100:+.1f}%, allowed "
-            f"+{self.threshold * 100:.0f}%)"
+def rerun_arguments(record: RunRecord, profile=None) -> dict:
+    """The :func:`record_run` arguments that regenerate ``record``: its own
+    label, scale, tests and figures, under ``profile``.  ``profile`` must be
+    the one the record was recorded under (none for a default-rates record):
+    a mismatch is a :class:`DocumentError`, never a difference."""
+    recorded = record.fingerprint.get("profile")
+    given = profile.identity() if profile is not None else None
+    if given != recorded:
+        wanted = (
+            "on the hand-set default rates; drop --profile" if recorded is None
+            else f"under profile {recorded['label']}@{recorded['digest']}; "
+            f"pass --profile FILE with that profile"
         )
+        got = f" (given {given['label']}@{given['digest']})" if given else ""
+        raise DocumentError(f"record {record.label!r} was recorded {wanted}{got}")
+    return {
+        "label": record.label,
+        "scale": record.fingerprint["scale"],
+        "tests": list(record.tests),
+        "figures": bool(record.figures),
+        "profile": profile,
+    }
 
 
-@dataclass
-class RegressionReport:
-    """Outcome of comparing a run record against a baseline."""
-
-    regressions: List[Regression] = field(default_factory=list)
-    improvements: List[Regression] = field(default_factory=list)
-    n_compared: int = 0
-    fingerprint_mismatch: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.fingerprint_mismatch is None and not self.regressions
-
-    def render(self) -> str:
-        lines: List[str] = []
-        if self.fingerprint_mismatch is not None:
-            lines.append(
-                f"INCOMPARABLE: {self.fingerprint_mismatch}"
-            )
-        lines.append(
-            f"compared {self.n_compared} metric(s): "
-            f"{len(self.regressions)} regression(s), "
-            f"{len(self.improvements)} improvement(s)"
-        )
-        for reg in self.regressions:
-            lines.append(f"  REGRESSION {reg.describe()}")
-        for imp in self.improvements:
-            lines.append(f"  improved   {imp.describe()}")
-        lines.append("PASS" if self.passed else "FAIL")
-        return "\n".join(lines)
-
-
-def _gate(
-    report: RegressionReport,
-    thresholds: Dict[str, float],
-    metric: str,
-    context: str,
-    baseline: Optional[float],
-    latest: Optional[float],
-) -> None:
-    """Compare one metric pair; higher is always worse for gated metrics."""
-    if baseline is None or latest is None:
-        return
-    threshold = thresholds.get(metric)
-    if threshold is None:
-        return
-    report.n_compared += 1
-    entry = Regression(
-        metric=metric,
-        context=context,
-        baseline=float(baseline),
-        latest=float(latest),
-        threshold=threshold,
+def diff_records(committed: RunRecord, fresh: RunRecord) -> List[Difference]:
+    """Every value under :data:`CHECKED_SECTIONS` on which two records
+    differ, in document order; a value only one of them has is paired with
+    :data:`ABSENT`."""
+    old, new = (
+        dict(_leaves({key: record.to_dict()[key] for key in CHECKED_SECTIONS}))
+        for record in (committed, fresh)
     )
-    if threshold == 0.0 or baseline == 0.0:
-        if latest > baseline:
-            report.regressions.append(entry)
-        elif latest < baseline:
-            report.improvements.append(entry)
+    return [
+        Difference(path, old.get(path, ABSENT), new.get(path, ABSENT))
+        for path in {**old, **new}
+        if old.get(path, ABSENT) != new.get(path, ABSENT)
+    ]
+
+
+def _leaves(doc: object, path: str = "") -> Iterator[Tuple[str, object]]:
+    """``(path, value)`` of every leaf of a JSON document (an empty object
+    or list is a leaf), paths like ``tests/test4/0/sim_ms``."""
+    if not isinstance(doc, (dict, list)) or not doc:
+        yield path, doc
         return
-    if latest > baseline * (1.0 + threshold):
-        report.regressions.append(entry)
-    elif latest < baseline * (1.0 - threshold):
-        report.improvements.append(entry)
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, child in items:
+        yield from _leaves(child, f"{path}/{key}" if path else str(key))
 
 
-def compare_records(
-    latest: RunRecord,
-    baseline: RunRecord,
-    thresholds: Optional[Dict[str, float]] = None,
-) -> RegressionReport:
-    """Gate ``latest`` against ``baseline`` with per-metric thresholds.
+def check_record(record: RunRecord, profile=None) -> List[Difference]:
+    """Re-run ``record`` with its own arguments (:func:`rerun_arguments`)
+    and diff the result against it (:func:`diff_records`): empty when the
+    tree reproduces the record exactly."""
+    return diff_records(record, record_run(**rerun_arguments(record, profile)))
 
-    Only metrics present in *both* records are compared (a baseline from a
-    narrower sweep gates what it has).  Mismatched fingerprints make the
-    comparison fail outright: cost deltas between different schemas,
-    scales, or rates are not regressions, they are different experiments.
-    """
-    thresholds = dict(DEFAULT_THRESHOLDS, **(thresholds or {}))
-    report = RegressionReport()
-    if latest.fingerprint != baseline.fingerprint:
-        differing = sorted(
-            key
-            for key in set(latest.fingerprint) | set(baseline.fingerprint)
-            if latest.fingerprint.get(key) != baseline.fingerprint.get(key)
-        )
-        report.fingerprint_mismatch = (
-            f"fingerprints differ on {differing}; re-record the baseline at "
-            f"the same schema/scale/rates before gating"
-        )
-        return report
-    for test, latest_rows in sorted(latest.tests.items()):
-        baseline_rows = {
-            row["algorithm"]: row for row in baseline.tests.get(test, [])
-        }
-        for row in latest_rows:
-            base = baseline_rows.get(row["algorithm"])
-            if base is None:
-                continue
-            context = f"{test}/{row['algorithm']}"
-            for metric in TEST_METRICS:
-                _gate(
-                    report, thresholds, metric, context,
-                    base.get(metric), row.get(metric),
-                )
-    for figure, latest_rows in sorted(latest.figures.items()):
-        baseline_rows = {
-            row["n_queries"]: row for row in baseline.figures.get(figure, [])
-        }
-        for row in latest_rows:
-            base = baseline_rows.get(row["n_queries"])
-            if base is None:
-                continue
-            context = f"{figure}/k={row['n_queries']}"
-            for metric in ("shared_ms", "separate_ms"):
-                _gate(
-                    report, thresholds, metric, context,
-                    base.get(metric), row.get(metric),
-                )
-    for metric in CALIBRATION_METRICS:
-        _gate(
-            report, thresholds, metric, "calibration",
-            baseline.calibration.get(metric),
-            latest.calibration.get(metric),
-        )
-    return report
+
+def describe_differences(differences: Sequence[Difference]) -> str:
+    """The first difference, its two values, and how many values differ."""
+    path, committed, fresh = differences[0]
+    return (
+        f"{path}: committed {committed!r}, now {fresh!r} "
+        f"({len(differences)} value(s) differ)"
+    )

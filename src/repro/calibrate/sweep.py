@@ -126,8 +126,8 @@ class CalibrationReport:
         algorithm's executed classes, and the number of misrankings in
         which the model *wrongly preferred* that algorithm's plan (the
         ``cheap_est`` side — the side an optimizer trusting the estimate
-        would actually pick).  This is what the leaderboard's plan-quality
-        columns render."""
+        would actually pick).  A benchmark record keeps it as
+        ``calibration.algorithms``."""
         out: Dict[str, dict] = {}
         by_algo: Dict[str, Histogram] = {}
         counts: Dict[str, int] = {}

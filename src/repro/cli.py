@@ -18,8 +18,8 @@ twice.  ``compare``, ``figures`` and ``report`` print the tables of
 :func:`repro.bench.harness.paper_tables`.
 
 Exit codes are uniform across subcommands: ``0`` success, ``1`` a run
-that completed but failed its check (benchmark regression, correctness
-divergence, simulation shortfall), ``2`` a usage error (argparse uses the
+that completed but failed its check (a benchmark record that does not
+reproduce, correctness divergence, simulation shortfall), ``2`` a usage error (argparse uses the
 same convention for unparseable arguments).
 """
 
@@ -281,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="persistent benchmark telemetry: --record writes "
-        "BENCH_<label>.json; --compare gates it against a baseline "
-        "(exit 1 on regression)",
+        "BENCH_<label>.json; --check RECORD re-runs a record and exits 1 "
+        "unless every value reproduces exactly",
     )
     _add_scale(bench)
     bench.add_argument(
@@ -290,19 +290,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the paper workload and persist a structured run record",
     )
     bench.add_argument(
-        "--compare", action="store_true",
-        help="compare the latest record against --baseline (or the "
-        "default record path) and exit nonzero on any regression",
+        "--check", metavar="RECORD",
+        help="re-run RECORD with its own scale, tests and figures (under "
+        "--profile if it was recorded under one) and exit 1 unless every "
+        "value reproduces exactly",
     )
     bench.add_argument(
         "--label", default="paper",
         help="record label; the default path is BENCH_<label>.json "
         "(default 'paper')",
-    )
-    bench.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline record to compare against "
-        "(default: BENCH_<label>.json)",
     )
     bench.add_argument(
         "--output", metavar="FILE",
@@ -317,16 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-figures", action="store_true",
         help="skip the Figures 10-12 sharing sweeps (faster)",
-    )
-    bench.add_argument(
-        "--leaderboard", action="store_true",
-        help="render the committed BENCH_*.json records as a markdown "
-        "leaderboard (standalone: no database is built)",
-    )
-    bench.add_argument(
-        "--dir", metavar="DIR", default=None,
-        help="directory --leaderboard scans for BENCH_*.json "
-        "(default: current directory)",
     )
 
     serve = sub.add_parser(
@@ -666,64 +652,38 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.history import (
         RunRecord,
-        compare_records,
+        check_record,
         default_record_path,
+        describe_differences,
         record_run,
     )
 
-    if args.leaderboard:
-        from .bench.leaderboard import load_records, render_leaderboard
-
-        if args.record or args.compare:
+    profile = CalibrationProfile.load(args.profile) if args.profile else None
+    if args.check:
+        if args.record or args.tests or args.no_figures or args.output:
             raise CliError(
-                "--leaderboard renders committed records and cannot be "
-                "combined with --record/--compare"
+                "--check re-runs a record with its own scale, tests and "
+                "figures; it takes no --record, --tests, --no-figures or "
+                "--output"
             )
-        records = load_records(args.dir)
-        if not records:
-            raise CliError(
-                f"no BENCH_*.json records in {args.dir or '.'}; record one "
-                f"first with `repro bench --record`"
-            )
-        table = render_leaderboard(records)
-        if args.output:
-            Path(args.output).write_text(table + "\n")
-            print(f"leaderboard ({len(records)} record(s)) -> {args.output}")
-        else:
-            print(table)
+        differences = check_record(RunRecord.load(args.check), profile)
+        if differences:
+            print(f"{args.check} does not reproduce: "
+                  f"{describe_differences(differences)}")
+            return 1
+        print(f"{args.check} reproduces exactly")
         return 0
-    if not args.record and not args.compare:
-        raise CliError("pass --record, --compare, and/or --leaderboard")
-    default_path = default_record_path(args.label)
-    baseline_path = args.baseline or default_path
-    # Load before --record overwrites the default path, so a combined
-    # --record --compare gates against the *previous* record.
-    baseline = RunRecord.load(baseline_path) if args.compare else None
-    latest = record_run(
+    if not args.record:
+        raise CliError("pass --record or --check RECORD")
+    record = record_run(
         label=args.label,
         scale=args.scale,
         tests=_parse_tests(args.tests),
         figures=not args.no_figures,
-        profile=CalibrationProfile.load(args.profile) if args.profile else None,
+        profile=profile,
     )
-    if args.record:
-        path = args.output or default_path
-        latest.save(path)
-        print(f"recorded benchmark run '{args.label}' -> {path}")
-    if args.compare:
-        print(f"comparing against baseline {baseline_path} "
-              f"(recorded {baseline.created_at or 'unknown'})")
-        result = compare_records(latest, baseline)
-        if result.fingerprint_mismatch is not None:
-            # A baseline from a different schema/scale/rates is a usage
-            # error, not a regression: exit 2, like any other bad input.
-            raise CliError(
-                f"baseline {baseline_path} is incomparable: "
-                f"{result.fingerprint_mismatch}"
-            )
-        print(result.render())
-        if not result.passed:
-            return 1
+    path = record.save(args.output or default_record_path(args.label))
+    print(f"recorded benchmark run '{args.label}' -> {path}")
     return 0
 
 

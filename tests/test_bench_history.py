@@ -1,15 +1,18 @@
-"""Benchmark history: run-record persistence and the regression gate,
-exercised on synthetic records (no database build — fast, tier-1)."""
+"""Benchmark history: run-record persistence, load-time typing and the
+exact comparison, exercised on synthetic records (no database build — fast,
+tier-1)."""
 
 import json
+import re
 
 import pytest
 
 from repro.bench.history import (
-    DEFAULT_THRESHOLDS,
+    ABSENT,
     RunRecord,
-    compare_records,
     default_record_path,
+    describe_differences,
+    diff_records,
 )
 
 FINGERPRINT = {"schema": "tiny", "scale": 0.01, "page_size": 64}
@@ -67,95 +70,48 @@ class TestRoundTrip:
 
 
 class TestCompareRecords:
-    def test_identical_records_pass(self):
-        report = compare_records(make_record(), make_record())
-        assert report.passed
-        assert report.regressions == []
-        assert report.n_compared > 0
+    """:func:`diff_records`, the exact comparison ``repro bench --check``
+    makes: any change to any checked value is a difference."""
 
-    def test_small_drift_within_threshold_passes(self):
-        report = compare_records(make_record(sim=105.0), make_record())
-        assert report.passed
+    def test_identical_records_pass(self):
+        assert diff_records(make_record(), make_record()) == []
 
     def test_sim_cost_regression_fails(self):
-        # 30% worse than baseline, well past the 10% sim_ms threshold —
-        # the acceptance bar for the CLI gate.
-        report = compare_records(make_record(sim=130.0), make_record())
-        assert not report.passed
-        (reg,) = report.regressions
-        assert reg.metric == "sim_ms"
-        assert reg.context == "test4/gg"
-        assert reg.change == pytest.approx(0.30)
-        assert "REGRESSION" in report.render()
-        assert report.render().endswith("FAIL")
-
-    def test_improvement_is_not_a_regression(self):
-        report = compare_records(make_record(sim=70.0), make_record())
-        assert report.passed
-        assert len(report.improvements) == 1
+        (diff,) = diff_records(make_record(), make_record(sim=130.0))
+        assert diff == ("tests/test4/0/sim_ms", 100.0, 130.0)
+        assert describe_differences([diff]) == (
+            "tests/test4/0/sim_ms: committed 100.0, now 130.0 "
+            "(1 value(s) differ)"
+        )
 
     def test_misranking_increase_gates_absolutely(self):
-        report = compare_records(
-            make_record(misrankings=1), make_record(misrankings=0)
-        )
-        assert not report.passed
-        (reg,) = report.regressions
-        assert reg.metric == "misrankings"
-        assert "any increase gates" in reg.describe()
+        (diff,) = diff_records(make_record(), make_record(misrankings=1))
+        assert diff.path == "calibration/misrankings"
 
     def test_class_count_increase_gates(self):
-        report = compare_records(
-            make_record(n_classes=3), make_record(n_classes=2)
-        )
-        assert not report.passed
+        (diff,) = diff_records(make_record(), make_record(n_classes=3))
+        assert diff.path == "tests/test4/0/n_classes"
 
     def test_shared_ms_figure_regression_fails(self):
-        report = compare_records(make_record(shared=60.0), make_record())
-        assert not report.passed
-        assert report.regressions[0].context == "fig10/k=2"
+        (diff,) = diff_records(make_record(), make_record(shared=60.0))
+        assert diff.path == "figures/fig10/0/shared_ms"
 
     def test_q_error_regression_fails(self):
-        report = compare_records(make_record(q95=1.5), make_record(q95=1.1))
-        assert not report.passed
-        assert report.regressions[0].metric == "q_error_p95"
+        (diff,) = diff_records(make_record(q95=1.1), make_record(q95=1.5))
+        assert diff.path == "calibration/q_error_p95"
 
-    def test_fingerprint_mismatch_is_incomparable(self):
+    def test_a_value_only_one_side_has_differs(self):
+        fewer = make_record()
+        fewer.tests = {}
+        assert diff_records(make_record(), fewer)[0] == (
+            "tests/test4/0/algorithm", "gg", ABSENT
+        )
+        assert ("tests", {}, ABSENT) in diff_records(fewer, make_record())
+
+    def test_label_and_created_at_are_not_checked(self):
         other = make_record()
-        other.fingerprint["scale"] = 0.02
-        report = compare_records(make_record(), other)
-        assert not report.passed
-        assert "scale" in report.fingerprint_mismatch
-        assert report.n_compared == 0
-        assert "INCOMPARABLE" in report.render()
-
-    def test_missing_baseline_rows_are_skipped(self):
-        baseline = make_record()
-        baseline.tests = {}
-        baseline.figures = {}
-        report = compare_records(make_record(sim=500.0), baseline)
-        # No shared test/figure metrics: only the calibration block gates.
-        assert all(r.metric not in ("sim_ms", "est_ms")
-                   for r in report.regressions)
-        assert report.passed
-
-    def test_custom_thresholds_override(self):
-        report = compare_records(
-            make_record(sim=115.0), make_record(),
-            thresholds={"sim_ms": 0.20},
-        )
-        assert report.passed
-        report = compare_records(
-            make_record(sim=115.0), make_record(),
-            thresholds={"sim_ms": 0.05},
-        )
-        assert not report.passed
-
-    def test_default_thresholds_untouched_by_override(self):
-        before = dict(DEFAULT_THRESHOLDS)
-        compare_records(
-            make_record(), make_record(), thresholds={"sim_ms": 0.99}
-        )
-        assert DEFAULT_THRESHOLDS == before
+        other.label, other.created_at = "u", "2026-10-17T00:00:00"
+        assert diff_records(make_record(), other) == []
 
 
 class TestKernelsAndWallFields:
@@ -171,88 +127,10 @@ class TestKernelsAndWallFields:
 
     def test_kernels_flag_never_gates(self):
         """A record that still carries them, whatever their values, loads
-        without them and gates like any other."""
+        without them."""
         doc = make_record().to_dict()
         doc.update(kernels="yes", wall={"total_s": "3.5"})
-        old = RunRecord.from_dict(doc)
-        assert old.to_dict() == make_record().to_dict()
-        assert compare_records(make_record(), old).passed
-        (reg,) = compare_records(make_record(sim=130.0), old).regressions
-        assert reg.metric == "sim_ms"
-
-
-class TestLeaderboard:
-    def make_pair(self, tmp_path):
-        from repro.bench.leaderboard import load_records
-
-        old = make_record()
-        old.figures["fig10"][0]["speedup"] = 1.6
-        old.save(tmp_path / "BENCH_seed.json")
-        new = make_record()
-        new.figures["fig10"][0]["speedup"] = 1.6
-        new.save(tmp_path / "BENCH_kernels.json")
-        return load_records(tmp_path)
-
-    def test_load_records_globs_and_sorts(self, tmp_path):
-        records = self.make_pair(tmp_path)
-        assert [path.name for path, _r in records] == [
-            "BENCH_kernels.json", "BENCH_seed.json",
-        ]
-
-    def test_render_orders_by_wall(self, tmp_path):
-        """By record name, that is: the wall-clock column (and the sort on
-        it) is gone, whatever a loaded record still carries."""
-        from repro.bench.leaderboard import render_leaderboard
-
-        table = render_leaderboard(self.make_pair(tmp_path)[::-1])
-        lines = table.splitlines()
-        assert lines[0].startswith("| record | profile | recorded | gg sim-ms")
-        assert "wall" not in lines[0] and "path" not in lines[0]
-        assert lines[2].startswith("| BENCH_kernels.json | - |")
-        assert lines[3].startswith("| BENCH_seed.json | - |")
-
-    def test_render_summarizes_metrics(self, tmp_path):
-        from repro.bench.leaderboard import render_leaderboard
-
-        table = render_leaderboard(self.make_pair(tmp_path))
-        row = table.splitlines()[2]
-        # gg sim total from the single test4 row; speedup 80/50.
-        assert "| 100.0 |" in row
-        assert "| 1.60x |" in row
-
-    def test_render_empty_raises(self):
-        from repro.bench.leaderboard import render_leaderboard
-
-        with pytest.raises(ValueError):
-            render_leaderboard([])
-
-    def test_load_records_rejects_corrupt_file(self, tmp_path):
-        from repro.bench.leaderboard import load_records
-
-        (tmp_path / "BENCH_bad.json").write_text("{broken")
-        with pytest.raises(ValueError):
-            load_records(tmp_path)
-
-    def test_load_records_names_the_corrupt_file(self, tmp_path):
-        """Regression: a corrupt record used to traceback deep inside the
-        renderer; it must fail fast naming the offending file."""
-        from repro.bench.leaderboard import load_records
-
-        good = make_record()
-        good.save(tmp_path / "BENCH_good.json")
-        (tmp_path / "BENCH_rotten.json").write_text("{broken json")
-        with pytest.raises(ValueError, match="BENCH_rotten.json"):
-            load_records(tmp_path)
-
-    def test_load_records_names_the_drifted_file(self, tmp_path):
-        from repro.bench.leaderboard import load_records
-
-        doc = make_record().to_dict()
-        doc["tests"]["test4"][0]["sim_ms"] = "100.0"
-        (tmp_path / "BENCH_drift.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="BENCH_drift.json") as info:
-            load_records(tmp_path)
-        assert "tests.test4[0].sim_ms" in str(info.value)
+        assert RunRecord.from_dict(doc).to_dict() == make_record().to_dict()
 
 
 class TestRecordTypeValidation:
@@ -297,6 +175,38 @@ class TestRecordTypeValidation:
             RunRecord.from_dict(self.drift(tests={"test4": [1, 2, 3]}))
         with pytest.raises(ValueError, match="figures"):
             RunRecord.from_dict(self.drift(figures={"fig10": "rows"}))
+
+    @pytest.mark.parametrize("scale", ["0.01", None, True, [0.01]])
+    def test_fingerprint_scale_must_be_a_number(self, scale):
+        """``repro bench --check`` builds its database at this scale."""
+        doc = self.drift()
+        doc["fingerprint"]["scale"] = scale
+        with pytest.raises(ValueError, match=r"fingerprint\.scale"):
+            RunRecord.from_dict(doc)
+        del doc["fingerprint"]["scale"]
+        with pytest.raises(ValueError, match=r"fingerprint\.scale"):
+            RunRecord.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "identity, named",
+        [
+            ("paper", "fingerprint.profile"),
+            (None, "fingerprint.profile"),
+            ({"label": "paper"}, "fingerprint.profile.digest"),
+            ({"label": 1, "digest": "ab"}, "fingerprint.profile.label"),
+        ],
+    )
+    def test_fingerprint_profile_is_an_identity_or_absent(self, identity, named):
+        doc = self.drift()
+        doc["fingerprint"]["profile"] = identity
+        with pytest.raises(ValueError, match=re.escape(named)):
+            RunRecord.from_dict(doc)
+        doc["fingerprint"]["profile"] = {"label": "paper", "digest": "ab"}
+        assert RunRecord.from_dict(doc).fingerprint == doc["fingerprint"]
+
+    def test_unknown_test_rejected(self):
+        with pytest.raises(ValueError, match=r"tests\.test9"):
+            RunRecord.from_dict(self.drift(tests={"test9": []}))
 
     def test_non_integer_version_rejected(self):
         with pytest.raises(ValueError, match="version"):

@@ -1,6 +1,6 @@
-"""The full benchmark record -> persist -> compare cycle at a tiny scale,
-including the CLI's exit codes, and the exact reproduction of the committed
-records.  Part of tier-1.
+"""The benchmark record -> persist -> check cycle at a tiny scale, including
+the CLI's exit codes, and the exact reproduction of every committed record.
+Part of tier-1.
 """
 
 import json
@@ -8,12 +8,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.history import RunRecord, compare_records, record_run
+from repro.bench.history import (
+    RunRecord,
+    check_record,
+    describe_differences,
+    diff_records,
+    record_run,
+)
 from repro.calibrate.profile import CalibrationProfile
 from repro.cli import main
 
 SCALE = 0.002
 REPO = Path(__file__).resolve().parent.parent
+
+#: Every committed record and the profile it was recorded under.
+COMMITTED = [
+    ("BENCH_paper.json", None),
+    ("BENCH_calibrated.json", "PROFILE_paper.json"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +58,8 @@ class TestRecordRun:
 
     def test_self_compare_passes(self, recorded):
         record, path = recorded
-        report = compare_records(record, RunRecord.load(path))
-        assert report.passed
-        assert report.n_compared > 0
+        assert diff_records(record, RunRecord.load(path)) == []
+        assert check_record(RunRecord.load(path)) == []
 
     def test_doctored_baseline_fails(self, recorded):
         record, path = recorded
@@ -56,93 +67,124 @@ class TestRecordRun:
         for rows in doc["tests"].values():
             for row in rows:
                 row["sim_ms"] = round(row["sim_ms"] / 1.3, 3)
-        doctored = RunRecord.from_dict(doc)
-        report = compare_records(record, doctored)
-        assert not report.passed
-        assert any(r.metric == "sim_ms" for r in report.regressions)
+        differences = diff_records(RunRecord.from_dict(doc), record)
+        assert [d.path for d in differences] == [
+            f"tests/test4/{i}/sim_ms" for i in range(len(record.tests["test4"]))
+        ]
+        assert differences[0].fresh == record.tests["test4"][0]["sim_ms"]
 
 
 class TestCliGate:
-    def test_record_then_compare_exit_codes(self, tmp_path, monkeypatch,
-                                            capsys):
+    """``repro bench --check``: 0 when a record reproduces, 1 when a value
+    differs, 2 when the record or its profile cannot be used."""
+
+    @pytest.fixture
+    def smoke(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        base = [
-            "bench", "--label", "smoke", "--scale", str(SCALE),
+        assert main([
+            "bench", "--record", "--label", "smoke", "--scale", str(SCALE),
             "--tests", "test4", "--no-figures",
-        ]
-        assert main(base + ["--record"]) == 0
-        record_path = tmp_path / "BENCH_smoke.json"
-        assert record_path.exists()
-        # Same config, deterministic sim clock: self-compare passes.
-        assert main(base + ["--compare"]) == 0
-        assert "PASS" in capsys.readouterr().out
-        # Inject a >=20% sim-cost regression by making the baseline cheaper.
-        doc = json.loads(record_path.read_text())
-        for rows in doc["tests"].values():
-            for row in rows:
-                row["sim_ms"] = round(row["sim_ms"] / 1.3, 3)
-        doctored = tmp_path / "BENCH_doctored.json"
-        doctored.write_text(json.dumps(doc))
-        assert main(base + ["--compare", "--baseline", str(doctored)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
+        ]) == 0
+        return tmp_path / "BENCH_smoke.json"
 
-    def test_compare_without_baseline_errors(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--compare", "--label", "nope",
-                     "--scale", str(SCALE), "--no-figures"]) == 2
+    def doctor(self, path, edit):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return str(path)
 
-    def test_mismatched_fingerprint_is_usage_error(self, tmp_path,
-                                                   monkeypatch, capsys):
-        """A baseline from a different scale exits 2 (bad input), not 1
-        (regression) — the costs are incomparable, not worse."""
-        monkeypatch.chdir(tmp_path)
-        base = ["bench", "--label", "smoke", "--tests", "test4",
-                "--no-figures"]
-        assert main(base + ["--record", "--scale", str(SCALE)]) == 0
-        assert main(base + ["--compare", "--scale", str(SCALE * 2)]) == 2
-        assert "incomparable" in capsys.readouterr().err
+    def test_record_then_compare_exit_codes(self, smoke, capsys):
+        capsys.readouterr()
+        assert main(["bench", "--check", str(smoke)]) == 0
+        assert "reproduces exactly" in capsys.readouterr().out
+
+        def cheaper(doc):
+            doc["tests"]["test4"][0]["sim_ms"] -= 1.0
+
+        assert main(["bench", "--check", self.doctor(smoke, cheaper)]) == 1
+        out = capsys.readouterr().out
+        assert "tests/test4/0/sim_ms" in out
+        assert "(1 value(s) differ)" in out
+
+    def test_compare_without_baseline_errors(self, tmp_path, capsys):
+        assert main(["bench", "--check", str(tmp_path / "BENCH_nope.json")]) == 2
+        assert "no benchmark record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda doc: doc["fingerprint"].update(scale="0.002"),
+             "fingerprint.scale"),
+            (lambda doc: doc["fingerprint"].update(profile="paper"),
+             "fingerprint.profile"),
+            (lambda doc: doc["tests"]["test4"][0].update(n_classes="3"),
+             "tests.test4[0].n_classes"),
+            (lambda doc: doc["tests"].update(test9=[]), "tests.test9"),
+        ],
+        ids=["scale", "profile", "row", "unknown-test"],
+    )
+    def test_type_drifted_record_exits_2(self, smoke, edit, named, capsys):
+        assert main(["bench", "--check", self.doctor(smoke, edit)]) == 2
+        err = capsys.readouterr().err
+        assert "BENCH_smoke.json" in err and named in err
+
+    def test_corrupt_record_exits_2(self, smoke, capsys):
+        smoke.write_text("{broken")
+        assert main(["bench", "--check", str(smoke)]) == 2
+        assert "unreadable benchmark record" in capsys.readouterr().err
+
+    def test_mismatched_fingerprint_is_usage_error(self, smoke, tmp_path,
+                                                   capsys):
+        """A record checked under another profile than its own exits 2
+        (bad input), never 1: its costs are incomparable, not different."""
+        profile = CalibrationProfile.load(REPO / "PROFILE_paper.json")
+        name = f"{profile.label}@{profile.digest()}"
+        assert main([
+            "bench", "--check", str(smoke),
+            "--profile", str(REPO / "PROFILE_paper.json"),
+        ]) == 2
+        assert "default rates" in capsys.readouterr().err
+
+        def profiled(doc):
+            doc["fingerprint"]["profile"] = profile.identity()
+
+        stamped = self.doctor(smoke, profiled)
+        assert main(["bench", "--check", stamped]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "--profile FILE" in err
+        other = profile.to_dict()
+        other["label"] = "other"
+        (tmp_path / "PROFILE_other.json").write_text(json.dumps(other))
+        assert main([
+            "bench", "--check", stamped,
+            "--profile", str(tmp_path / "PROFILE_other.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "--profile FILE" in err
+
+    def test_check_takes_no_run_arguments(self, smoke, capsys):
+        assert main(["bench", "--check", str(smoke), "--tests", "test4"]) == 2
+        assert "its own scale, tests and figures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record, profile", COMMITTED)
+def test_committed_records_reproduce_exactly(record, profile):
+    """Simulated costs are deterministic, so today's tree must reproduce
+    every committed record bit for bit: every value but ``label`` and
+    ``created_at``, re-run from the record's own scale, tests and
+    figures."""
+    differences = check_record(
+        RunRecord.load(REPO / record),
+        CalibrationProfile.load(REPO / profile) if profile else None,
+    )
+    assert not differences, (
+        f"{record} no longer reproduces — {describe_differences(differences)}; "
+        f"re-record every committed record and refit the profile in the "
+        f"same PR if this change is intended"
+    )
 
-def flatten(doc, path=""):
-    """``{path: leaf}`` of a JSON-shaped document."""
-    if not isinstance(doc, (dict, list)):
-        return {path: doc}
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-    return {
-        leaf: value
-        for key, child in items
-        for leaf, value in flatten(child, f"{path}/{key}").items()
+
+def test_every_committed_record_is_checked():
+    assert {path.name for path in REPO.glob("BENCH_*.json")} == {
+        record for record, _profile in COMMITTED
     }
-
-
-@pytest.mark.parametrize(
-    "baseline, profile",
-    [("BENCH_kernels.json", None), ("BENCH_calibrated.json", "PROFILE_paper.json")],
-)
-def test_committed_records_reproduce_exactly(baseline, profile):
-    """Simulated costs are deterministic, so today's tree must reproduce the
-    committed records bit for bit — not within `compare_records`' 10 % bands.
-    Every simulated field is compared; ``label``, ``created_at`` and the
-    retired wall-clock fields the committed records still carry are not."""
-    committed = RunRecord.load(REPO / baseline)
-    fresh = record_run(
-        scale=committed.fingerprint["scale"],
-        profile=CalibrationProfile.load(REPO / profile) if profile else None,
-    )
-    old, new = (
-        {
-            path: value
-            for path, value in flatten(record.to_dict()).items()
-            if path.split("/")[1] in ("fingerprint", "figures", "tests", "calibration")
-            and not path.endswith("_wall_s")
-        }
-        for record in (committed, fresh)
-    )
-    differing = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
-    assert not differing, (
-        f"{baseline} no longer reproduces — {differing[0]}: committed "
-        f"{old.get(differing[0])!r}, now {new.get(differing[0])!r} "
-        f"({len(differing)} value(s) differ); re-record both baselines and "
-        f"refit the profile in the same PR if this change is intended"
-    )

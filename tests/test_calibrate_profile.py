@@ -2,7 +2,7 @@
 drifted / missing / version-mismatch rejection contract (same as the
 committed ``BENCH_*.json`` records), CostRates.replace coverage, and the
 fingerprint rule that keeps profiled and unprofiled benchmark records from
-gating each other."""
+checking against each other."""
 
 import json
 
@@ -10,8 +10,9 @@ import pytest
 
 from repro.bench.history import (
     RunRecord,
-    compare_records,
     database_fingerprint,
+    diff_records,
+    rerun_arguments,
 )
 from repro.calibrate.observations import RATE_FIELDS
 from repro.calibrate.profile import (
@@ -19,6 +20,7 @@ from repro.calibrate.profile import (
     PROFILE_VERSION,
     CalibrationProfile,
 )
+from repro.document import DocumentError
 from repro.storage.iostats import DEFAULT_RATES, CostRates
 
 from helpers import make_tiny_db
@@ -206,7 +208,7 @@ def test_apply_profile_swaps_rates_and_records_provenance():
     assert db.stats.rates is profile.rates
 
 
-# -- fingerprinting (the compare_records bugfix) ------------------------------
+# -- fingerprinting (the profile-identity bugfix) ----------------------------
 
 
 def test_fingerprint_profile_key_only_when_loaded():
@@ -221,39 +223,43 @@ def test_fingerprint_profile_key_only_when_loaded():
 
 def test_profiled_and_unprofiled_records_cannot_gate_each_other():
     """Regression test for the fingerprint bugfix: identical-looking runs
-    recorded under default vs fitted rates must be INCOMPARABLE, exactly
-    like the kernels flag made different execution paths comparable only
-    when the costs genuinely match."""
+    recorded under default vs fitted rates never compare equal, and the
+    check refuses to re-run either under the other's rates."""
     db = make_tiny_db(n_rows=200)
     unprofiled = RunRecord(
         label="a",
         created_at="",
         fingerprint=database_fingerprint(db, scale=0.5),
     )
-    db.apply_profile(make_profile())  # same *rates*, now with provenance
+    profile = make_profile()
+    db.apply_profile(profile)  # same *rates*, now with provenance
     profiled = RunRecord(
         label="b",
         created_at="",
         fingerprint=database_fingerprint(db, scale=0.5),
     )
-    report = compare_records(profiled, unprofiled)
-    assert report.fingerprint_mismatch is not None
-    assert "profile" in report.fingerprint_mismatch
-    assert not report.passed
-    # Two records under the *same* profile gate normally.
+    differences = diff_records(profiled, unprofiled)
+    assert differences
+    assert all(d.path.startswith("fingerprint/profile/") for d in differences)
+    with pytest.raises(DocumentError, match="pass --profile FILE"):
+        rerun_arguments(profiled)
+    with pytest.raises(DocumentError, match="drop --profile"):
+        rerun_arguments(unprofiled, profile)
+    # Two records under the *same* profile compare equal.
     also_profiled = RunRecord(
         label="c",
         created_at="",
         fingerprint=database_fingerprint(db, scale=0.5),
     )
-    assert compare_records(profiled, also_profiled).passed
+    assert diff_records(profiled, also_profiled) == []
+    assert rerun_arguments(profiled, profile)["profile"] is profile
 
 
 def test_run_record_profile_field_round_trips(tmp_path):
     record = RunRecord(
         label="x",
         created_at="now",
-        fingerprint={},
+        fingerprint={"scale": 0.5},
         profile={"label": "test", "digest": "abc123"},
     )
     path = tmp_path / "BENCH_x.json"

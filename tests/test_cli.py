@@ -314,15 +314,13 @@ class TestBenchUsageErrors:
 
     def test_missing_baseline_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--compare", "--label", "nope"]) == 2
+        assert main(["bench", "--check", "BENCH_nope.json"]) == 2
         assert "no benchmark record" in capsys.readouterr().err
 
     def test_corrupt_baseline_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "BENCH_bad.json").write_text("{broken json")
-        assert main(
-            ["bench", "--compare", "--baseline", "BENCH_bad.json"]
-        ) == 2
+        assert main(["bench", "--check", "BENCH_bad.json"]) == 2
         assert "unreadable benchmark record" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -337,82 +335,21 @@ class TestBenchUsageErrors:
     def test_drifted_baseline_exits_2(
         self, rows, calibration, path, tmp_path, capsys
     ):
-        """A wrong-typed number the gate reads is refused at load, naming
-        the file and the field — not a traceback inside the gate."""
+        """A wrong-typed number the check reads is refused at load, naming
+        the file and the field — not a traceback inside the check."""
         from repro.bench.history import RunRecord
 
-        baseline = RunRecord(
-            "t", "", {}, tests={"test4": rows}, calibration=calibration
+        record = RunRecord(
+            "t", "", {"scale": 0.002}, tests={"test4": rows},
+            calibration=calibration,
         ).save(tmp_path / "BENCH_drift.json")
-        assert main(["bench", "--compare", "--baseline", str(baseline)]) == 2
+        assert main(["bench", "--check", str(record)]) == 2
         err = capsys.readouterr().err
         assert "BENCH_drift.json" in err and path in err
 
     def test_no_action_exits_2(self, capsys):
         assert main(["bench"]) == 2
         assert "--record" in capsys.readouterr().err
-
-    def test_leaderboard_rejects_record_combo(self, capsys):
-        assert main(["bench", "--leaderboard", "--record"]) == 2
-        assert "cannot be combined" in capsys.readouterr().err
-
-    def test_leaderboard_empty_dir_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 2
-        assert "no BENCH_*.json records" in capsys.readouterr().err
-
-
-class TestBenchLeaderboard:
-    def make_record_file(self, directory, name):
-        from repro.bench.history import RunRecord
-
-        RunRecord(
-            label=name,
-            created_at="2026-08-07T00:00:00",
-            fingerprint={"schema": "t"},
-            tests={"test4": [
-                {"algorithm": "gg", "sim_ms": 10.0, "est_ms": 10.0},
-            ]},
-        ).save(directory / f"BENCH_{name}.json")
-
-    def test_leaderboard_renders_markdown(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels")
-        self.make_record_file(tmp_path, "seed")
-        assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("| record | profile |")
-        assert out.index("BENCH_kernels.json") < out.index("BENCH_seed.json")
-
-    def test_leaderboard_writes_output_file(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels")
-        target = tmp_path / "board.md"
-        assert main([
-            "bench", "--leaderboard", "--dir", str(tmp_path),
-            "--output", str(target),
-        ]) == 0
-        assert "leaderboard" in capsys.readouterr().out
-        assert target.read_text().startswith("| record | profile |")
-
-    def test_leaderboard_corrupt_record_exits_2(self, tmp_path, capsys):
-        """Regression: a corrupt BENCH file used to traceback; it must be
-        a usage error naming the offending file."""
-        self.make_record_file(tmp_path, "kernels")
-        (tmp_path / "BENCH_rotten.json").write_text("{broken json")
-        assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "BENCH_rotten.json" in err
-        assert "unreadable benchmark record" in err
-
-    def test_leaderboard_drifted_record_exits_2(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels")
-        drifted = json.loads(
-            (tmp_path / "BENCH_kernels.json").read_text()
-        )
-        drifted["figures"] = {"fig10": [{"n_queries": 2, "speedup": "1.6"}]}
-        (tmp_path / "BENCH_drift.json").write_text(json.dumps(drifted))
-        assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "BENCH_drift.json" in err
-        assert "figures.fig10[0].speedup" in err
 
 
 class TestProfileFlag:

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.bench.history import RunRecord, compare_records
-from repro.bench.leaderboard import render_leaderboard
+from repro.bench.history import RunRecord, diff_records, rerun_arguments
 from repro.calibrate.profile import CalibrationProfile
 from repro.document import DocumentError
 from repro.engine.persist import load_database, save_database
@@ -28,8 +27,12 @@ JSON_VALUES = ["x", 7, 2.5, True, None, [], {}]
 
 
 def record_consumers(record, path):
-    compare_records(record, record)
-    render_leaderboard([(path, record)])
+    """``repro bench --check`` short of the re-run itself: the arguments it
+    re-runs with, and its comparison of the record against itself."""
+    arguments = rerun_arguments(record)
+    # The re-run builds its database at this scale, which must be a number.
+    assert type(arguments["scale"]) in (int, float)
+    assert diff_records(record, record) == []
 
 
 def profile_consumers(profile, path):
@@ -46,14 +49,14 @@ def documents(tmp_path_factory):
     recorder = FlightRecorder(4)
     recorder.record("retry", batch_id=1, attempt=2)
     recorder.record_batch({"name": "batch", "children": []}, batch_id=1)
-    for name in ("BENCH_kernels.json", "PROFILE_paper.json"):
+    for name in ("BENCH_paper.json", "PROFILE_paper.json"):
         (root / name).write_text((REPO / name).read_text())
 
     def load_store(path):
         return load_database(path.parent)
 
     return {
-        "record": (root / "BENCH_kernels.json", RunRecord.load, record_consumers),
+        "record": (root / "BENCH_paper.json", RunRecord.load, record_consumers),
         "profile": (
             root / "PROFILE_paper.json", CalibrationProfile.load,
             profile_consumers,
