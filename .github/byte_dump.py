@@ -271,7 +271,7 @@ def serve_under_fault(db, batch, point: InjectionPoint) -> dict:
             if f.name.startswith("n_")
         },
         "sim_ms_total": stats.sim_ms_total.hex(),
-        "sim_clock_ms": service.sim_clock.now_ms.hex(),
+        "sim_clock_ms": registry.get("retry.backoff_ms").total.hex(),
         "recorder": [
             {key: entry[key] for key in keep if key in entry}
             for entry in service.recorder.entries()

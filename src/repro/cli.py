@@ -6,7 +6,7 @@ Usage (installed as a module)::
     python -m repro run "{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD FILTER (D.DD1)"
     python -m repro compare --tests test4,test7
     python -m repro figures
-    python -m repro serve --simulate --clients 32 --window 25
+    python -m repro serve --clients 32 --window 25
     python -m repro select-views --budget 4
 
 Every subcommand builds the paper's ABCD database (scaled by ``--scale``)
@@ -52,9 +52,6 @@ ALGORITHMS = tuple(OPTIMIZERS)
 #: field's — a ServeConfig field's as the simulation's own service states
 #: it (:func:`simulation_service`: the window and the batch cap).
 _SERVE_FLAGS = (
-    ("--simulate", None, {"action": "store_true"},
-     "run the simulated-load harness (required; a network front end is out "
-     "of scope)"),
     ("--clients", "n_clients", {"metavar": "CLIENTS"},
      "number of concurrent simulated clients (default %(default)s)"),
     ("--requests", "requests_per_client", {"metavar": "REQUESTS"},
@@ -501,8 +498,6 @@ def _parse_tests(
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine.result_cache import attach_cache
 
-    if not args.simulate:
-        raise CliError("pass --simulate (the only serve mode available)")
     fault_plan = None
     if args.faults:
         from .faults import parse_fault_plan
@@ -552,7 +547,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .obs.expose import write_metrics_json
 
         print(f"metrics snapshot -> {write_metrics_json(args.stats_json)}")
-    if fault_plan is None and report.batched_sim_ms >= report.serial_sim_ms:
+    if fault_plan is None and report.stats.sim_ms_total >= report.serial_sim_ms:
         # Under injected faults the batched cost legitimately includes
         # retries and degraded replans; the sharing gate applies only to
         # the plain batched path.

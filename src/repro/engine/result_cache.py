@@ -35,18 +35,26 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.operators.results import QueryResult
-from ..obs.metrics import default_registry
+from ..obs.metrics import Ledger, counted, default_registry
 from ..schema.query import GroupByQuery
 from .session import QueryKey, query_key
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss/eviction/invalidation counters for a ResultCache."""
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
+class CacheStats(Ledger):
+    """A :class:`ResultCache`'s lookup, eviction and invalidation counts."""
+
+    hits: int = counted("result_cache.hits", "semantic-cache lookups served")
+    misses: int = counted(
+        "result_cache.misses", "semantic-cache lookups that missed"
+    )
+    evictions: int = counted(
+        "result_cache.evictions", "LRU entries dropped to admit new ones"
+    )
+    invalidations: int = counted(
+        "result_cache.invalidations",
+        "wholesale cache drops after a data mutation",
+    )
 
     @property
     def hit_rate(self) -> float:
@@ -62,10 +70,9 @@ class ResultCache:
     dashboard's hot queries survive while one-off queries age out —
     insertion-order (FIFO) eviction would drop the most popular entry as
     readily as a dead one.  Effectiveness is exported through the metrics
-    registry (``result_cache.hits`` / ``.misses`` / ``.evictions`` /
-    ``.invalidations`` counters, ``result_cache.occupancy`` and
-    ``.hit_rate`` gauges) so the serve layer can report cache health next
-    to its coalescing numbers.
+    registry (the :class:`CacheStats` counters, ``result_cache.occupancy``
+    and ``.hit_rate`` gauges) so the serve layer can report cache health
+    next to its coalescing numbers.
 
     All operations hold an internal lock: the serve scheduler's
     ``db.run_queries`` may run beside client threads' own.
@@ -82,19 +89,6 @@ class ResultCache:
         #: first sync).  See :meth:`sync`.
         self._data_version: Optional[int] = None
         metrics = default_registry()
-        self._hits_metric = metrics.counter(
-            "result_cache.hits", "semantic-cache lookups served"
-        )
-        self._misses_metric = metrics.counter(
-            "result_cache.misses", "semantic-cache lookups that missed"
-        )
-        self._evictions_metric = metrics.counter(
-            "result_cache.evictions", "LRU entries dropped to admit new ones"
-        )
-        self._invalidations_metric = metrics.counter(
-            "result_cache.invalidations",
-            "wholesale cache drops after a data mutation",
-        )
         self._occupancy_metric = metrics.gauge(
             "result_cache.occupancy", "entries currently cached"
         )
@@ -127,13 +121,11 @@ class ResultCache:
         with self._lock:
             groups = self._entries.get(key)
             if groups is None:
-                self.stats.misses += 1
-                self._misses_metric.inc()
+                self.stats.add(misses=1)
                 self._hit_rate_metric.set(self.stats.hit_rate)
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._hits_metric.inc()
+            self.stats.add(hits=1)
             self._hit_rate_metric.set(self.stats.hit_rate)
             return QueryResult(query=query, groups=dict(groups))
 
@@ -148,8 +140,7 @@ class ResultCache:
             ):
                 # LRU eviction: drop the least-recently-used entry.
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self._evictions_metric.inc()
+                self.stats.add(evictions=1)
             self._entries[key] = dict(result.groups)
             self._entries.move_to_end(key)
             self._occupancy_metric.set(len(self._entries))
@@ -158,8 +149,7 @@ class ResultCache:
         """Drop every cached entry."""
         with self._lock:
             if self._entries:
-                self.stats.invalidations += 1
-                self._invalidations_metric.inc()
+                self.stats.add(invalidations=1)
             self._entries.clear()
             self._occupancy_metric.set(0)
 

@@ -21,8 +21,10 @@ charge in batches, mirroring :class:`~repro.storage.iostats.IOStats`).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import threading
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 
 class MetricError(ValueError):
@@ -334,6 +336,55 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self)} metric(s))"
+
+
+def counted(name: str, help: str) -> Any:
+    """A :class:`Ledger` field (starting at 0) that the default registry's
+    counter ``name`` mirrors: the field is where the count is declared."""
+    return dataclasses.field(default=0, metadata={"counter": (name, help)})
+
+
+class Ledger:
+    """Base of a dataclass of cumulative counts, each kept in one place.
+
+    A field declared with :func:`counted` names its registry counter,
+    resolved from the default registry when the ledger is built; other
+    numeric fields (simulated-millisecond totals) have none.  Every change
+    goes through :meth:`add`, which bumps a field and its counter together
+    under one lock, so the two cannot drift; readers on other threads take
+    a :meth:`snapshot` rather than the live object, whose fields could
+    otherwise be read half-way through an ``add``.
+    """
+
+    def __post_init__(self) -> None:
+        registry = default_registry()
+        self._lock = threading.Lock()
+        self._counters: Dict[str, Counter] = {
+            f.name: registry.counter(*f.metadata["counter"])
+            for f in dataclasses.fields(self)
+            if "counter" in f.metadata
+        }
+
+    def add(self, **deltas: float) -> None:
+        """Atomically add each (non-negative) delta to its field and to the
+        field's counter, if it has one."""
+        if min(deltas.values()) < 0:
+            raise ValueError(f"counts cannot decrease ({deltas})")
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
+                counter = self._counters.get(name)
+                if counter is not None:
+                    counter.inc(delta)
+
+    def snapshot(self):
+        """A consistent point-in-time copy of plain values, tied to no
+        counter (adding to it moves nothing else)."""
+        with self._lock:
+            frozen = copy.copy(self)
+        frozen._lock = threading.Lock()
+        frozen._counters = {}
+        return frozen
 
 
 #: The serving stages, in ``ServeResponse.stage_breakdown`` order: name

@@ -14,7 +14,7 @@ Dumps are plain JSON (:meth:`FlightRecorder.dump`); every recorded trace
 round-trips through :func:`repro.obs.export.span_from_dict`, so a dump can
 be re-loaded and navigated (``find``/``walk``) like a live trace.  Access a
 running service's recorder via ``Database.flight_recorder()`` or dump from
-the CLI with ``repro serve --simulate --flight-recorder PATH``.
+the CLI with ``repro serve --flight-recorder PATH``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def load_flight_dump(path: PathLike) -> Dict[str, Any]:
     outside the program")."""
     return load_json(
         path, "flight dump", _checked_dump,
-        hint="write one with `repro serve --simulate --flight-recorder FILE`",
+        hint="write one with `repro serve --flight-recorder FILE`",
     )
 
 

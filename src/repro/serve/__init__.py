@@ -13,7 +13,7 @@ Entry points:
 * :class:`QueryService` / :class:`ServeConfig` — the service itself
   (``Database.serve(...)`` is a convenience constructor).
 * :func:`run_simulation` / :class:`SimulationConfig` — the simulated
-  concurrent-load harness behind ``repro serve --simulate``
+  concurrent-load harness behind ``repro serve``
   (:func:`simulation_service` is the service it runs by default).
 
 See ``docs/serving.md`` for the architecture and the batching-window
@@ -31,7 +31,7 @@ from .futures import (
     ServiceStopped,
     StageTiming,
 )
-from .retry import RetryPolicy, SimulatedClock
+from .retry import RetryPolicy
 from .service import QueryService, ServiceStats
 from .simulate import (
     SimulationConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "ServeResponse",
     "ServiceStats",
     "ServiceStopped",
-    "SimulatedClock",
     "StageTiming",
     "SimulationConfig",
     "SimulationReport",

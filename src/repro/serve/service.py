@@ -28,24 +28,23 @@ owns the engine and turns the arrival stream into micro-batches:
 
 Only the scheduler thread touches the database, so the engine itself needs
 no locking beyond the storage counters the executor's workers merge.
-:class:`ServiceStats` is the exception — client threads bump admission
-counters while the scheduler bumps the rest — so all its mutations go
-through one lock and readers take :meth:`ServiceStats.snapshot`.
+:class:`ServiceStats` is the exception — client threads add admission
+counts while the scheduler adds the rest — so it is a locked
+:class:`~repro.obs.metrics.Ledger` and readers take its ``snapshot()``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.executor import ExecutionReport
 from ..engine.database import Database
-from ..obs.metrics import STAGES, default_registry
+from ..obs.metrics import STAGES, Ledger, counted, default_registry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, Span, Tracer
 from ..schema.query import GroupByQuery
@@ -59,109 +58,69 @@ from .futures import (
     ServiceStopped,
     StageTiming,
 )
-from .retry import SimulatedClock
 
 #: How often the idle scheduler wakes to check for shutdown.
 _POLL_S = 0.02
 
 
-#: ``ServiceStats`` counter field -> (metric name, help).  One table, and
-#: :meth:`QueryService._count` writes both ledgers from it, so the stats
-#: object and the metrics registry cannot drift.
-_COUNTERS = {
-    "n_admitted": (
-        "serve.requests_admitted", "requests accepted into the queue"
-    ),
-    "n_rejected": (
-        "serve.requests_rejected", "requests refused by backpressure"
-    ),
-    "n_timed_out": (
-        "serve.requests_timed_out", "requests whose deadline expired queued"
-    ),
-    "n_failed": ("serve.requests_failed", "requests failed by a batch error"),
-    "n_quarantined": (
-        "serve.requests_quarantined",
-        "requests failed alone after retries and degradation",
-    ),
-    "n_served": ("serve.requests_served", "requests answered with results"),
-    "n_batches": ("serve.batches", "micro-batches executed"),
-    "n_retries": (
-        "serve.execution_retries",
-        "batch executions re-attempted after a class failure",
-    ),
-    "n_degraded": (
-        "serve.degraded_queries",
-        "queries answered by the per-query raw-base-table fallback",
-    ),
-    "n_queries_submitted": (
-        "serve.queries_submitted", "component queries submitted"
-    ),
-    "n_queries_planned": (
-        "serve.queries_planned", "distinct queries planned and executed"
-    ),
-    "n_cache_hits": (
-        "serve.cache_hits", "queries answered from the result cache"
-    ),
-    "n_duplicates_eliminated": (
-        "serve.duplicates_eliminated",
-        "duplicate query evaluations avoided by coalescing",
-    ),
-}
-
-
 @dataclass
-class ServiceStats:
-    """Cumulative accounting of one service's lifetime.
+class ServiceStats(Ledger):
+    """Cumulative accounting of one service's lifetime, each count declared
+    once with the ``serve.*`` counter that mirrors it.
 
-    Written from two sides — :meth:`QueryService.submit` runs on client
-    threads (admission counters) while the scheduler thread owns the rest
-    — and read from arbitrary threads for live reporting, so every
-    mutation goes through :meth:`record` / :meth:`record_batch` under one
-    internal lock, and reporting reads a consistent :meth:`snapshot`
-    rather than the live object (a torn read could pair a bumped
-    ``n_batches`` with a not-yet-bumped ``sim_ms_total``).
+    Client threads add the admission counts while the scheduler adds the
+    rest, so every change goes through the ledger's locked
+    :meth:`~repro.obs.metrics.Ledger.add`, and reporting reads a
+    :meth:`~repro.obs.metrics.Ledger.snapshot` (a torn read could pair a
+    bumped ``n_batches`` with a not-yet-bumped ``sim_ms_total``).
     """
 
-    n_admitted: int = 0
-    n_rejected: int = 0
-    n_timed_out: int = 0
-    n_failed: int = 0
-    n_quarantined: int = 0
-    n_served: int = 0
-    n_batches: int = 0
-    #: Executions retried after a fault-injected class failure.
-    n_retries: int = 0
-    #: Queries answered by the degraded raw-base-table fallback.
-    n_degraded: int = 0
-    n_queries_submitted: int = 0
-    n_queries_planned: int = 0
-    n_cache_hits: int = 0
-    n_duplicates_eliminated: int = 0
+    n_admitted: int = counted(
+        "serve.requests_admitted", "requests accepted into the queue"
+    )
+    n_rejected: int = counted(
+        "serve.requests_rejected", "requests refused by backpressure"
+    )
+    n_timed_out: int = counted(
+        "serve.requests_timed_out", "requests whose deadline expired queued"
+    )
+    n_failed: int = counted(
+        "serve.requests_failed", "requests failed by a batch error"
+    )
+    n_quarantined: int = counted(
+        "serve.requests_quarantined",
+        "requests failed alone after retries and degradation",
+    )
+    n_served: int = counted(
+        "serve.requests_served", "requests answered with results"
+    )
+    n_batches: int = counted("serve.batches", "micro-batches executed")
+    n_retries: int = counted(
+        "serve.execution_retries",
+        "batch executions re-attempted after a class failure",
+    )
+    n_degraded: int = counted(
+        "serve.degraded_queries",
+        "queries answered by the per-query raw-base-table fallback",
+    )
+    n_queries_submitted: int = counted(
+        "serve.queries_submitted", "component queries submitted"
+    )
+    n_queries_planned: int = counted(
+        "serve.queries_planned", "distinct queries planned and executed"
+    )
+    n_cache_hits: int = counted(
+        "serve.cache_hits", "queries answered from the result cache"
+    )
+    n_duplicates_eliminated: int = counted(
+        "serve.duplicates_eliminated",
+        "duplicate query evaluations avoided by coalescing",
+    )
     #: Simulated cost actually charged by batch executions.
     sim_ms_total: float = 0.0
-    #: Requests per executed batch, in execution order.
-    batch_sizes: List[int] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def record(self, **deltas: float) -> None:
-        """Atomically add ``deltas`` to the named counter fields."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def record_batch(self, n_requests: int) -> None:
-        """Append one executed batch's request count."""
-        with self._lock:
-            self.batch_sizes.append(n_requests)
-
-    def snapshot(self) -> "ServiceStats":
-        """A consistent point-in-time copy (own lock, own batch list)."""
-        with self._lock:
-            return dataclasses.replace(
-                self, batch_sizes=list(self.batch_sizes)
-            )
+    #: Simulated retry backoff: the policy's wait before every re-ask
+    #: (never a wall-clock sleep).
+    backoff_ms: float = 0.0
 
     @property
     def coalesce_ratio(self) -> float:
@@ -222,8 +181,6 @@ class QueryService:
         self._stopping = threading.Event()
         self._abort = threading.Event()
         self._stopped = False
-        #: Simulated clock charged by retry backoff (never wall sleeps).
-        self.sim_clock = SimulatedClock()
         #: The serving-plane flight recorder (None when disabled).  Also
         #: published on the database so tooling can reach the ring via
         #: :meth:`~repro.engine.database.Database.flight_recorder`.
@@ -237,10 +194,6 @@ class QueryService:
         #: drains events past it after every batch.
         self._fault_events_seen = 0
         metrics = default_registry()
-        self._m_counters = {
-            field_name: metrics.counter(name, text)
-            for field_name, (name, text) in _COUNTERS.items()
-        }
         histogram_help = {
             "batch_requests": "requests coalesced per micro-batch",
             "batch_queries": "queries submitted per micro-batch",
@@ -271,16 +224,6 @@ class QueryService:
             "serve.coalesce_ratio",
             "submitted / planned queries over the service lifetime",
         )
-
-    def _count(self, **deltas: float) -> None:
-        """Count serving events once: add ``deltas`` to the named
-        :class:`ServiceStats` fields and to their ``serve.*`` counters
-        (:data:`_COUNTERS`; ``sim_ms_total`` has a histogram instead)."""
-        self.stats.record(**deltas)
-        for field_name, delta in deltas.items():
-            counter = self._m_counters.get(field_name)
-            if counter is not None:
-                counter.inc(delta)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -371,12 +314,12 @@ class QueryService:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            self._count(n_rejected=1)
+            self.stats.add(n_rejected=1)
             raise AdmissionError(
                 f"admission queue full ({self.config.max_queue_depth} "
                 f"request(s) waiting); retry later"
             ) from None
-        self._count(n_admitted=1)
+        self.stats.add(n_admitted=1)
         self._m_queue_depth.set(self._queue.qsize())
         return request.future
 
@@ -420,7 +363,8 @@ class QueryService:
         live: List[ServeRequest] = []
         for request in requests:
             if request.expired(now):
-                self._time_out(request, now, "waited")
+                self.stats.add(n_timed_out=1)
+                request.future.try_resolve(_late(request, now, "waited"))
             else:
                 live.append(request)
         if not live:
@@ -436,7 +380,7 @@ class QueryService:
         try:
             self._execute_batch(batch, stages)
         except BaseException as exc:  # noqa: BLE001 - routed to callers
-            self._count(n_failed=len(live))
+            self.stats.add(n_failed=len(live))
             for request in live:
                 request.future.try_resolve(exc)
             # A wholesale batch failure is exactly what the flight recorder
@@ -521,31 +465,34 @@ class QueryService:
     ) -> Dict[int, BaseException]:
         """Fold what the door ran (``report.attempts``, or the report alone)
         into the batch's stages, stats and recorder.  Each re-ask's backoff
-        advances :attr:`sim_clock` and is observed as ``retry.backoff_ms``
+        is added to ``stats.backoff_ms`` and observed as ``retry.backoff_ms``
         — the one place a simulated clock moves.  Returns the error of each
         query left failed."""
-        backoff_before_ms = self.sim_clock.now_ms
+        n_retries = n_degraded = 0
+        backoff_ms = 0.0
         for number, run in enumerate(report.attempts or [report], start=1):
             wall_ms = run.elapsed_s * 1000.0
             if run.plan.algorithm == "degraded":
                 stages.add("degrade", wall_ms=wall_ms, sim_ms=run.sim_ms)
                 if not run.failures:
-                    self._count(n_degraded=1)
+                    n_degraded += 1
                 continue
             plan_ms = run.plan.search_stats.get("planning_s", 0.0) * 1000.0
             if number > 1:
-                self._count(n_retries=1)
+                n_retries += 1
                 wait_ms = self.config.recovery.backoff_ms(number)
                 if wait_ms > 0.0:
-                    self.sim_clock.advance(wait_ms)
+                    backoff_ms += wait_ms
                     self._m_backoff.observe(wait_ms)
                 stages.add("retry", wall_ms=plan_ms + wall_ms)
                 self._note(batch, "retry", attempt=number, n_outstanding=run.n_queries)
             stages.add("plan", wall_ms=plan_ms)
             stages.add("execute", wall_ms=wall_ms, sim_ms=run.sim_ms)
-        backoff_ms = self.sim_clock.now_ms - backoff_before_ms
         if backoff_ms > 0.0:
             stages.add("retry", sim_ms=backoff_ms)
+        self.stats.add(
+            n_retries=n_retries, n_degraded=n_degraded, backoff_ms=backoff_ms
+        )
         failed = {qid: f.error for f in report.failures for qid in f.qids}
         for query in batch.distinct:
             if query.qid in failed:
@@ -555,17 +502,6 @@ class QueryService:
                     error_type=type(error).__name__, error=str(error),
                 )
         return failed
-
-    def _time_out(self, request: ServeRequest, now: float, what: str) -> None:
-        """Fail a request whose deadline passed (``what`` it did so long)."""
-        waited_ms = (now - request.submitted_s) * 1000.0
-        self._count(n_timed_out=1)
-        request.future.try_resolve(
-            DeadlineExceeded(
-                f"request {request.request_id} {what} {waited_ms:.1f} ms, "
-                f"past its deadline"
-            )
-        )
 
     def _note(self, batch: MicroBatch, kind: str, **data) -> None:
         """Record one of ``batch``'s serving events (when recording)."""
@@ -580,40 +516,43 @@ class QueryService:
         stages: _Stages,
         batch_trace_id: Optional[str],
     ) -> None:
+        """Settle every request of ``batch`` in one pass: compute its one
+        outcome (a response, a :class:`RequestQuarantined` or a deadline
+        failure), resolve its future once, and only then observe the stage
+        histograms and record the batch totals."""
         gather_started = time.perf_counter()
         now = time.monotonic()
         # Every answer, and which of them the cache served, by the qid of
         # the distinct (canonical) query run_queries saw.
         answers, hits = report.results, report.cache_hits
-        responses: Dict[int, ServeResponse] = {}
-        # request id -> (canonical qid, the request's own qid) of each of
-        # its quarantined queries.
-        poisoned: Dict[int, List["tuple[int, int]"]] = {}
-        for request in batch.requests:
-            responses[request.request_id] = ServeResponse(
+        responses = {
+            request.request_id: ServeResponse(
                 request_id=request.request_id,
                 batch_id=batch.batch_id,
                 latency_s=now - request.submitted_s,
                 trace_id=request.future.trace_id,
                 batch_trace_id=batch_trace_id,
             )
+            for request in batch.requests
+        }
+        # request id -> (its own qids the door left failed, the first cause)
+        poisoned: Dict[int, Tuple[List[int], BaseException]] = {}
         for pairs in batch.members.values():
             canonical_qid = pairs[0][1].qid
-            if canonical_qid in quarantined:
-                for request, twin in pairs:
-                    poisoned.setdefault(request.request_id, []).append(
-                        (canonical_qid, twin.qid)
-                    )
-                continue
-            result = answers[canonical_qid]
-            from_cache = canonical_qid in hits
+            error = quarantined.get(canonical_qid)
             for request, twin in pairs:
+                if error is not None:
+                    bad = poisoned.setdefault(request.request_id, ([], error))
+                    bad[0].append(twin.qid)
+                    continue
                 response = responses[request.request_id]
                 # Each fan-out owns a copy: a caller mutating its
                 # ServeResponse must never reach the canonical result or
                 # the result cache.
-                response.results[twin.qid] = result.detached(query=twin)
-                if from_cache:
+                response.results[twin.qid] = answers[canonical_qid].detached(
+                    query=twin
+                )
+                if canonical_qid in hits:
                     response.n_cache_hits += 1
                 elif twin.qid != canonical_qid:
                     response.n_coalesced += 1
@@ -621,8 +560,45 @@ class QueryService:
             "gather",
             wall_ms=(time.perf_counter() - gather_started) * 1000.0,
         )
-        # Batch-level stages observe once per batch; the per-request
-        # "queued" stage observes once per member request below.
+        outcomes: List[Union[ServeResponse, BaseException]] = []
+        queued_ms: List[float] = []
+        n_late = 0
+        for request in batch.requests:
+            queued = StageTiming(
+                "queued", max(0.0, batch.started_s - request.submitted_s) * 1e3
+            )
+            queued_ms.append(queued.wall_ms)
+            if request.request_id in poisoned:
+                # Per-request fault quarantine: this request's queries kept
+                # failing, so it is failed alone; batchmates complete.
+                bad_qids, cause = poisoned[request.request_id]
+                outcomes.append(RequestQuarantined(
+                    f"request {request.request_id} quarantined: "
+                    f"{len(bad_qids)} of its {len(request.queries)} "
+                    f"query(ies) failed every retry and fallback ({cause})",
+                    qids=sorted(bad_qids),
+                    cause=cause,
+                ))
+            elif request.expired(now):
+                # The deadline elapsed while the batch executed (or
+                # retried): a late result is not delivered as if it made it.
+                n_late += 1
+                outcomes.append(_late(request, now, "answered after"))
+            else:
+                response = responses[request.request_id]
+                response.stages = {**stages, queued.name: queued}
+                outcomes.append(response)
+        # _run_batch may already have failed a future: resolution is tried
+        # once, and may lose.
+        served: List[ServeResponse] = []
+        for request, outcome in zip(batch.requests, outcomes):
+            if request.future.try_resolve(outcome) and isinstance(
+                outcome, ServeResponse
+            ):
+                served.append(outcome)
+
+        # Batch-level stages observe once per batch, "queued" once per
+        # member request.
         for name, timing in stages.items():
             wall_hist = self._m_stage_wall.get(name)
             if wall_hist is not None:
@@ -630,50 +606,16 @@ class QueryService:
             sim_hist = self._m_stage_sim.get(name)
             if sim_hist is not None:
                 sim_hist.observe(timing.sim_ms)
-        n_served = 0
-        for request in batch.requests:
-            response = responses[request.request_id]
-            queued_ms = max(
-                0.0, (batch.started_s - request.submitted_s) * 1000.0
-            )
-            self._m_stage_wall["queued"].observe(queued_ms)
-            response.stages = dict(stages)
-            response.stages["queued"] = StageTiming(
-                "queued", wall_ms=queued_ms
-            )
-            bad = poisoned.get(request.request_id)
-            if bad:
-                # Per-request fault quarantine: this request's queries kept
-                # failing, so it is failed alone; batchmates complete.
-                bad_qids = sorted(own_qid for _canonical, own_qid in bad)
-                cause = quarantined[bad[0][0]]
-                self._count(n_quarantined=1)
-                request.future.try_resolve(
-                    RequestQuarantined(
-                        f"request {request.request_id} quarantined: "
-                        f"{len(bad_qids)} of its {len(request.queries)} "
-                        f"query(ies) failed every retry and fallback "
-                        f"({cause})",
-                        qids=bad_qids,
-                        cause=cause,
-                    )
-                )
-                continue
-            if request.expired(now):
-                # The deadline elapsed while the batch executed (or
-                # retried); a late result must not be delivered as if it
-                # made it — and since _run_batch may already have failed
-                # this future, resolution must not be attempted twice.
-                self._time_out(request, now, "answered after")
-                continue
+        for waited_ms in queued_ms:
+            self._m_stage_wall["queued"].observe(waited_ms)
+        for response in served:
             self._m_hist["request_latency_ms"].observe(
                 response.latency_s * 1000.0
             )
-            if request.future.try_resolve(response):
-                n_served += 1
-
-        self._count(
-            n_served=n_served,
+        self.stats.add(
+            n_served=len(served),
+            n_quarantined=len(poisoned),
+            n_timed_out=n_late,
             n_batches=1,
             n_queries_submitted=batch.n_submitted,
             n_queries_planned=batch.n_distinct - len(hits),
@@ -681,7 +623,6 @@ class QueryService:
             n_duplicates_eliminated=batch.n_duplicates_eliminated,
             sim_ms_total=report.sim_ms,
         )
-        self.stats.record_batch(batch.n_requests)
         self._m_hist["batch_requests"].observe(batch.n_requests)
         self._m_hist["batch_queries"].observe(batch.n_submitted)
         self._m_hist["batch_distinct"].observe(batch.n_distinct)
@@ -696,3 +637,13 @@ class QueryService:
             f"QueryService({state}, window={self.config.window_ms}ms, "
             f"served={self.stats.n_served})"
         )
+
+
+def _late(request: ServeRequest, now: float, what: str) -> DeadlineExceeded:
+    """The failure of a request whose deadline passed (``what`` it did so
+    long)."""
+    waited_ms = (now - request.submitted_s) * 1000.0
+    return DeadlineExceeded(
+        f"request {request.request_id} {what} {waited_ms:.1f} ms, "
+        f"past its deadline"
+    )

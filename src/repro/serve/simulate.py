@@ -16,12 +16,15 @@ alone?*  It:
 4. optionally verifies every response against the baseline results
    (``verify=True``; the serve layer must give the single-session
    engine's answers, :func:`repro.check.assert_same_answers`),
-5. reports throughput, latency quantiles, the coalesce ratio, the
-   batch-size distribution, and the batched-vs-serial simulated cost.
+5. reports the service's own ledger (:class:`ServiceStats`: served,
+   rejected, coalesce ratio, batched simulated cost, ...) beside what only
+   the harness knows: throughput, latency quantiles, the served batch
+   sizes, verification and the serial baseline.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -31,10 +34,11 @@ from ..check.invariants import assert_same_answers
 from ..core.operators.results import QueryResult
 from ..engine.database import Database
 from ..faults import FaultPlan
+from ..obs.metrics import Histogram
 from ..workload.serve_load import ClientScript, client_scripts
 from .batching import ServeConfig
-from .futures import RequestQuarantined, ServeError, ServeFuture
-from .service import QueryService
+from .futures import ServeError, ServeFuture
+from .service import QueryService, ServiceStats
 
 
 #: How long the harness waits for each future before giving up.
@@ -85,85 +89,71 @@ class SimulationConfig:
 
 @dataclass
 class SimulationReport:
-    """Outcome of one simulated-load run."""
+    """Outcome of one simulated-load run: the service's own ledger, plus
+    what only the simulation knows (the load, verification, the serial
+    baseline and the wall clock)."""
 
     n_clients: int
     n_requests: int
     n_queries: int
-    n_served: int
-    n_rejected: int
-    n_timed_out: int
+    #: The service's ledger at the end of the run (a snapshot).
+    stats: ServiceStats
     n_verified: int
     wall_s: float
-    #: Simulated cost of serving the load through micro-batching.
-    batched_sim_ms: float
     #: Simulated cost of the same requests executed serially, unshared.
     serial_sim_ms: float
-    coalesce_ratio: float
-    n_duplicates_eliminated: int
-    n_cache_hits: int
-    #: Resilience outcomes (all zero when no fault plan was armed).
-    n_quarantined: int = 0
-    n_retries: int = 0
-    n_degraded: int = 0
-    n_faults_injected: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
-    latencies_ms: List[float] = field(default_factory=list)
+    n_faults_injected: int
+    #: Served requests per answering batch, in batch order.
+    batch_sizes: List[int]
+    #: Submit-to-resolve latency of every served request.
+    latency_ms: Histogram
     #: The service's flight recorder (None when disabled) — still readable
     #: after the run; the CLI dumps it via ``--flight-recorder PATH``.
-    recorder: Optional[object] = field(default=None, repr=False, compare=False)
+    recorder: Optional[object] = field(repr=False, compare=False)
 
     @property
     def speedup(self) -> float:
         """Serial over batched simulated cost (>1 means sharing won)."""
-        return (
-            self.serial_sim_ms / self.batched_sim_ms
-            if self.batched_sim_ms
-            else float("inf")
-        )
+        batched_ms = self.stats.sim_ms_total
+        return self.serial_sim_ms / batched_ms if batched_ms else float("inf")
 
     @property
     def throughput_rps(self) -> float:
         """Served requests per wall-clock second."""
-        return self.n_served / self.wall_s if self.wall_s else 0.0
-
-    def latency_quantile(self, q: float) -> float:
-        """Latency quantile (ms) over served requests; 0.0 when empty."""
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
+        return self.stats.n_served / self.wall_s if self.wall_s else 0.0
 
     def render(self) -> str:
         """Multi-line console report."""
+        stats = self.stats
         sizes = sorted(self.batch_sizes)
         dist = ", ".join(str(size) for size in sizes) if sizes else "-"
+        latency = " / ".join(
+            f"{label} {self.latency_ms.quantile(q) or 0.0:.1f}"
+            for label, q in (("p50", 0.50), ("p95", 0.95), ("max", 1.0))
+        )
         lines = [
             f"serve simulation: {self.n_clients} client(s), "
             f"{self.n_requests} request(s), {self.n_queries} "
             f"component query(ies)",
-            f"  served {self.n_served}, rejected {self.n_rejected}, "
-            f"timed out {self.n_timed_out}"
+            f"  served {stats.n_served}, rejected {stats.n_rejected}, "
+            f"timed out {stats.n_timed_out}"
             + (f", verified {self.n_verified}" if self.n_verified else ""),
             f"  wall {self.wall_s * 1000:.1f} ms, "
             f"throughput {self.throughput_rps:.1f} req/s",
-            f"  latency ms p50 {self.latency_quantile(0.50):.1f} / "
-            f"p95 {self.latency_quantile(0.95):.1f} / "
-            f"max {self.latency_quantile(1.0):.1f}",
-            f"  sharing: coalesce ratio {self.coalesce_ratio:.2f}, "
-            f"{self.n_duplicates_eliminated} duplicate(s) eliminated, "
-            f"{self.n_cache_hits} cache hit(s)",
+            f"  latency ms {latency}",
+            f"  sharing: coalesce ratio {stats.coalesce_ratio:.2f}, "
+            f"{stats.n_duplicates_eliminated} duplicate(s) eliminated, "
+            f"{stats.n_cache_hits} cache hit(s)",
             f"  batch sizes (requests): [{dist}]",
-            f"  simulated cost: batched {self.batched_sim_ms:.1f} ms vs "
+            f"  simulated cost: batched {stats.sim_ms_total:.1f} ms vs "
             f"serial {self.serial_sim_ms:.1f} ms "
             f"({self.speedup:.2f}x cheaper)",
         ]
-        if self.n_faults_injected or self.n_quarantined or self.n_retries:
+        if self.n_faults_injected or stats.n_quarantined or stats.n_retries:
             lines.append(
                 f"  resilience: {self.n_faults_injected} fault(s) injected, "
-                f"{self.n_retries} retry(ies), {self.n_degraded} "
-                f"degraded quer(ies), {self.n_quarantined} request(s) "
+                f"{stats.n_retries} retry(ies), {stats.n_degraded} "
+                f"degraded quer(ies), {stats.n_quarantined} request(s) "
                 f"quarantined"
             )
         return "\n".join(lines)
@@ -221,21 +211,17 @@ def run_simulation(
     )
 
     futures: Dict[Tuple[int, int], ServeFuture] = {}
-    futures_lock = threading.Lock()
-    rejected = [0]
 
     def client_thread(script: ClientScript) -> None:
         for index, queries in enumerate(script.requests):
             try:
-                future = service.submit(
+                # Each thread stores under its own keys: one dict item
+                # assignment, atomic without a lock.
+                futures[(script.client_id, index)] = service.submit(
                     queries, client=f"client{script.client_id}"
                 )
             except ServeError:
-                with futures_lock:
-                    rejected[0] += 1
-                continue
-            with futures_lock:
-                futures[(script.client_id, index)] = future
+                continue  # refused at the door; the service counts it
 
     started = time.perf_counter()
     threads = [
@@ -255,23 +241,17 @@ def run_simulation(
         for thread in threads:
             thread.join()
 
-    n_served = 0
-    n_timed_out = 0
     n_verified = 0
-    n_quarantined = 0
-    latencies: List[float] = []
+    latency_ms = Histogram("latency_ms")
+    batch_sizes: "collections.Counter[int]" = collections.Counter()
     try:
         for key, future in sorted(futures.items()):
             try:
                 response = future.result(timeout=WAIT_TIMEOUT_S)
-            except RequestQuarantined:
-                n_quarantined += 1
-                continue
             except ServeError:
-                n_timed_out += 1
-                continue
-            n_served += 1
-            latencies.append(response.latency_s * 1000.0)
+                continue  # quarantined, timed out or stopped: counted
+            batch_sizes[response.batch_id] += 1
+            latency_ms.observe(response.latency_s * 1000.0)
             if config.verify:
                 assert_same_answers(
                     serial_results[key].values(),
@@ -283,32 +263,18 @@ def run_simulation(
         service.stop()
         if config.faults is not None:
             db.disarm_faults()
-    wall_s = time.perf_counter() - started
-
-    # A snapshot, not the live object: client threads may still be
-    # resolving rejections while we read.
-    stats = service.stats.snapshot()
     return SimulationReport(
         n_clients=config.n_clients,
         n_requests=n_requests,
         n_queries=n_queries,
-        n_served=n_served,
-        n_rejected=rejected[0],
-        n_timed_out=n_timed_out,
+        stats=service.stats.snapshot(),
         n_verified=n_verified,
-        n_quarantined=n_quarantined,
-        n_retries=stats.n_retries,
-        n_degraded=stats.n_degraded,
+        wall_s=time.perf_counter() - started,
+        serial_sim_ms=serial_ms,
         n_faults_injected=(
             config.faults.n_fired if config.faults is not None else 0
         ),
-        wall_s=wall_s,
-        batched_sim_ms=stats.sim_ms_total,
-        serial_sim_ms=serial_ms,
-        coalesce_ratio=stats.coalesce_ratio,
-        n_duplicates_eliminated=stats.n_duplicates_eliminated,
-        n_cache_hits=stats.n_cache_hits,
-        batch_sizes=list(stats.batch_sizes),
-        latencies_ms=latencies,
+        batch_sizes=[batch_sizes[b] for b in sorted(batch_sizes)],
+        latency_ms=latency_ms,
         recorder=service.recorder,
     )

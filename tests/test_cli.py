@@ -272,7 +272,6 @@ class TestServe:
         assert main(
             [
                 "serve",
-                "--simulate",
                 "--clients", "4",
                 "--requests", "1",
                 "--window", "5",
@@ -284,12 +283,8 @@ class TestServe:
         assert "coalesce ratio" in out
         assert "cheaper" in out
 
-    def test_serve_requires_simulate(self, capsys):
-        assert main(["serve", *SCALE]) == 2
-        assert "error" in capsys.readouterr().err
-
     def test_serve_rejects_nonpositive_clients(self, capsys):
-        assert main(["serve", "--simulate", "--clients", "0", *SCALE]) == 2
+        assert main(["serve", "--clients", "0", *SCALE]) == 2
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -303,7 +298,7 @@ class TestServe:
     )
     def test_serve_config_errors_exit_2(self, flag, value, named, capsys):
         """Range checks are ``ServeConfig``'s own, reported as usage errors."""
-        assert main(["serve", "--simulate", flag, value, *SCALE]) == 2
+        assert main(["serve", flag, value, *SCALE]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad serve configuration")
         assert named in err

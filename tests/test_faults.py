@@ -215,7 +215,7 @@ def test_specs_naming_no_shard_site_or_key_fail_cleanly(capsys):
     with pytest.raises(ValueError, match="unknown fault option") as bad_key:
         parse_fault_plan("storage.scan:shard=1")
     assert "(use table, nth, p, max_fires, name)" in str(bad_key.value)
-    argv = ["serve", "--simulate", "--faults", "shard.exec:nth=1"]
+    argv = ["serve", "--faults", "shard.exec:nth=1"]
     assert main([*argv, "--scale", "0.002"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad --faults spec: unknown fault site")

@@ -1,8 +1,15 @@
 """Metrics registry: counters/gauges/histograms, get-or-create semantics,
-double-registration errors, and the swappable default registry."""
+double-registration errors, the swappable default registry, and the
+ledgers whose fields declare their counters."""
+
+import dataclasses
+import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.engine.result_cache import CacheStats
 from repro.obs.metrics import (
     Counter,
     DuplicateMetricError,
@@ -12,6 +19,9 @@ from repro.obs.metrics import (
     default_registry,
     set_default_registry,
 )
+from repro.serve import ServiceStats
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 class TestCounter:
@@ -190,3 +200,60 @@ class TestDefaultRegistry:
             assert fresh.get("buffer.hits").value == table.n_pages
         finally:
             set_default_registry(previous)
+
+
+@pytest.fixture()
+def fresh_registry():
+    fresh = MetricsRegistry()
+    previous = set_default_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        set_default_registry(previous)
+
+
+class TestLedger:
+    @pytest.mark.parametrize(
+        "ledger, n_counted", [(ServiceStats, 13), (CacheStats, 4)]
+    )
+    def test_each_counter_is_declared_once(
+        self, ledger, n_counted, fresh_registry
+    ):
+        """A counted field registers its counter; the counter is documented
+        by its full name; and no other line under src/ names it."""
+        counted = [
+            f for f in dataclasses.fields(ledger) if "counter" in f.metadata
+        ]
+        assert len(counted) == n_counted
+        stats = ledger()
+        docs = (DOCS / "observability.md").read_text()
+        src = Path(repro.__file__).parent
+        bodies = {path: path.read_text() for path in src.rglob("*.py")}
+        home = Path(inspect.getfile(ledger))
+        for f in counted:
+            name, text = f.metadata["counter"]
+            counter = fresh_registry.get(name)
+            assert isinstance(counter, Counter) and counter.help == text
+            stats.add(**{f.name: 2})
+            assert getattr(stats, f.name) == counter.value == 2
+            assert f"`{name}`" in docs, name
+            assert {
+                path: body.count(name)
+                for path, body in bodies.items()
+                if name in body
+            } == {home: 1}, name
+
+    def test_add_is_all_or_nothing_and_snapshots_are_detached(
+        self, fresh_registry
+    ):
+        stats = ServiceStats()
+        stats.add(n_served=3, sim_ms_total=1.5)
+        with pytest.raises(ValueError):
+            stats.add(n_served=1, n_batches=-1)
+        snap = stats.snapshot()
+        snap.add(n_served=10)
+        assert (stats.n_served, stats.n_batches, stats.sim_ms_total) == (
+            3, 0, 1.5
+        )
+        assert fresh_registry.get("serve.requests_served").value == 3
+        assert snap.n_served == 13

@@ -73,14 +73,14 @@ def smoke(request, tmp_path_factory):
 class TestServedUnderTelemetry:
     def test_everything_served_and_verified(self, smoke):
         report, _, _ = smoke
-        assert report.n_served == N_CLIENTS * REQUESTS_PER_CLIENT
-        assert report.n_verified == report.n_served
-        assert report.n_quarantined == 0
+        assert report.stats.n_served == N_CLIENTS * REQUESTS_PER_CLIENT
+        assert report.n_verified == report.stats.n_served
+        assert report.stats.n_quarantined == 0
 
     def test_fault_fired_and_was_recovered(self, smoke):
         report, _, _ = smoke
         assert report.n_faults_injected >= 1
-        assert report.n_retries >= 1
+        assert report.stats.n_retries >= 1
 
 
 class TestFlightRecorderDump:

@@ -5,8 +5,8 @@ plain bounded loop) and its backoff is the query service's (the one place
 a simulated clock moves).  The contract under test: exhaustion after
 *exactly* ``max_attempts`` attempts, ``retry.*`` metrics and
 ``retry.attempt`` spans that count attempts exactly, a non-injected error
-escaping at once, and deterministic exponential delays charged to the
-service's :class:`SimulatedClock` (never a wall-clock sleep).
+escaping at once, and deterministic exponential delays added to the
+service's ``stats.backoff_ms`` (never a wall-clock sleep).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.serve import (
     RequestQuarantined,
     RetryPolicy,
     ServeConfig,
-    SimulatedClock,
+    ServiceStats,
 )
 
 from helpers import make_tiny_db
@@ -95,13 +95,15 @@ def test_backoff_sequence_is_deterministic_exponential():
     ]
 
 
-def test_clock_advances_monotonically():
-    clock = SimulatedClock()
-    assert clock.now_ms == 0.0
-    assert clock.advance(12.5) == 12.5
-    assert clock.advance(0.0) == 12.5
+def test_backoff_total_only_grows(registry):
+    stats = ServiceStats()
+    assert stats.backoff_ms == 0.0
+    stats.add(backoff_ms=12.5)
+    stats.add(backoff_ms=0.0)
+    assert stats.backoff_ms == 12.5
     with pytest.raises(ValueError):
-        clock.advance(-1.0)
+        stats.add(backoff_ms=-1.0)
+    assert stats.backoff_ms == 12.5
 
 
 def test_first_try_success_waits_nothing(registry):
@@ -115,7 +117,7 @@ def test_first_try_success_waits_nothing(registry):
     [span] = db.last_trace.find_all("retry.attempt")
     assert span.attrs == {"attempt": 1}
     service, _response = serve_one(db, FaultPlan([]), max_attempts=3)
-    assert service.sim_clock.now_ms == 0.0
+    assert service.stats.backoff_ms == 0.0
     assert registry.histogram("retry.backoff_ms").count == 0
 
 
@@ -128,7 +130,7 @@ def test_success_after_failures_charges_exact_backoff(registry):
     assert len(response.results) == 1
     assert service.stats.n_retries == 2
     # Waits: 0 before #1, 10 before #2, 20 before #3.
-    assert service.sim_clock.now_ms == 30.0
+    assert service.stats.backoff_ms == 30.0
     assert counts(registry) == (3, 2, 0)
     backoff = registry.histogram("retry.backoff_ms")
     assert (backoff.count, backoff.total) == (2, 30.0)
@@ -182,10 +184,10 @@ def test_no_wall_clock_sleep_happens(registry):
     elapsed = time.perf_counter() - started
     assert isinstance(outcome, RequestQuarantined)
     policy = service.config.recovery
-    assert service.sim_clock.now_ms == sum(
+    assert service.stats.backoff_ms == sum(
         policy.backoff_ms(k) for k in range(2, 11)
     )
-    assert service.sim_clock.now_ms > 10_000_000.0  # minutes of waiting...
+    assert service.stats.backoff_ms > 10_000_000.0  # minutes of waiting...
     assert elapsed < 5.0  # ...at wall speed (loose CI-safe bound)
     assert counts(registry) == (10, 10, 1)
 

@@ -413,15 +413,20 @@ class TestServiceStatsThreadSafety:
     tear and snapshots must be internally consistent."""
 
     def test_concurrent_records_are_exact(self):
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
         from repro.serve import ServiceStats
 
-        stats = ServiceStats()
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            stats = ServiceStats()
+        finally:
+            set_default_registry(previous)
         n_threads, n_iterations = 8, 400
 
         def hammer():
             for _ in range(n_iterations):
-                stats.record(n_served=1, n_admitted=2, sim_ms_total=0.5)
-                stats.record_batch(4)
+                stats.add(n_served=1, n_admitted=2, sim_ms_total=0.5)
 
         threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
         for thread in threads:
@@ -432,7 +437,9 @@ class TestServiceStatsThreadSafety:
         assert stats.n_served == total
         assert stats.n_admitted == 2 * total
         assert stats.sim_ms_total == pytest.approx(0.5 * total)
-        assert len(stats.batch_sizes) == total
+        # Each add moved the field and its counter together.
+        assert registry.get("serve.requests_served").value == total
+        assert registry.get("serve.requests_admitted").value == 2 * total
 
     def test_snapshot_never_observes_torn_counts(self):
         from repro.serve import ServiceStats
@@ -444,7 +451,7 @@ class TestServiceStatsThreadSafety:
         def writer():
             while not stop.is_set():
                 # One atomic record: the two counters move in lockstep.
-                stats.record(n_served=1, n_batches=1)
+                stats.add(n_served=1, n_batches=1)
 
         def reader():
             for _ in range(2000):
@@ -465,15 +472,11 @@ class TestServiceStatsThreadSafety:
         from repro.serve import ServiceStats
 
         stats = ServiceStats()
-        stats.record(n_served=3)
-        stats.record_batch(2)
+        stats.add(n_served=3)
         snap = stats.snapshot()
-        stats.record(n_served=4)
-        stats.record_batch(9)
+        stats.add(n_served=4)
         assert snap.n_served == 3
-        assert snap.batch_sizes == [2]
-        snap.batch_sizes.append(99)
-        assert stats.batch_sizes == [2, 9]
+        assert stats.n_served == 7
 
 
 class TestFanOutDeepCopy:

@@ -75,7 +75,7 @@ def test_transient_fault_is_retried_to_success():
     assert service.stats.n_retries == 1
     assert service.stats.n_quarantined == 0
     # Exactly one backoff (before attempt 2) on the simulated clock.
-    assert service.sim_clock.now_ms == 10.0
+    assert service.stats.backoff_ms == 10.0
     for query in queries:
         assert first_divergence(
             reference_answer(db, query).groups,

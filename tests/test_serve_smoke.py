@@ -62,9 +62,9 @@ class TestServeSmoke:
         report, _ = smoke
         assert report.n_clients == N_CLIENTS
         assert report.n_requests == N_CLIENTS * REQUESTS_PER_CLIENT
-        assert report.n_rejected == 0
-        assert report.n_timed_out == 0
-        assert report.n_served == report.n_requests
+        assert report.stats.n_rejected == 0
+        assert report.stats.n_timed_out == 0
+        assert report.stats.n_served == report.n_requests
         # verify=True raised on any divergence; the count proves every
         # response was actually compared against the serial baseline.
         assert report.n_verified == report.n_requests
@@ -72,21 +72,21 @@ class TestServeSmoke:
     def test_batched_cost_strictly_below_serial(self, smoke):
         report, _ = smoke
         assert report.serial_sim_ms > 0.0
-        assert report.batched_sim_ms > 0.0
-        assert report.batched_sim_ms < report.serial_sim_ms
+        assert report.stats.sim_ms_total > 0.0
+        assert report.stats.sim_ms_total < report.serial_sim_ms
         assert report.speedup > 1.0
 
     def test_sharing_actually_happened(self, smoke):
         report, _ = smoke
-        assert report.coalesce_ratio > 1.0
-        assert report.n_duplicates_eliminated > 0
+        assert report.stats.coalesce_ratio > 1.0
+        assert report.stats.n_duplicates_eliminated > 0
         # Later batches of the burst are answered from the result cache.
-        assert report.n_cache_hits > 0
+        assert report.stats.n_cache_hits > 0
 
     def test_metrics_carry_coalesce_ratio_and_batch_distribution(self, smoke):
         report, registry = smoke
         assert registry.get("serve.coalesce_ratio").value == pytest.approx(
-            report.coalesce_ratio
+            report.stats.coalesce_ratio
         )
         assert registry.get("serve.coalesce_ratio").value > 1.0
         sizes = registry.get("serve.batch_requests")
@@ -96,11 +96,11 @@ class TestServeSmoke:
         assert registry.get("serve.batches").value == len(report.batch_sizes)
         assert (
             registry.get("serve.duplicates_eliminated").value
-            == report.n_duplicates_eliminated
+            == report.stats.n_duplicates_eliminated
         )
-        assert registry.get("serve.requests_served").value == report.n_served
+        assert registry.get("serve.requests_served").value == report.stats.n_served
         latency = registry.get("serve.request_latency_ms")
-        assert latency.count == report.n_served
+        assert latency.count == report.stats.n_served
 
     def test_report_renders(self, smoke):
         report, _ = smoke
@@ -116,5 +116,5 @@ def test_bare_config_sizes_the_batch_cap_to_the_burst():
     report = run_simulation(
         db, SimulationConfig(n_clients=33, requests_per_client=2)
     )
-    assert report.n_served == report.n_requests == 66
+    assert report.stats.n_served == report.n_requests == 66
     assert report.batch_sizes == [66]
