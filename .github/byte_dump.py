@@ -51,8 +51,8 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   seeded ``storage.page_read`` (``p=0.01``) plan each: the database's
   ``IOStats``, and per pool the run used its hits, misses, size and
   frames in LRU order (``FaultPlan.fired`` for the armed ones);
-* ``cli/``: the stdout of ``repro compare --tests test4,test5``,
-  ``figures``, ``report`` and ``select-views --budget 4`` at the dump's
+* ``cli/``: the stdout of ``repro report --tests test4,test5
+  --no-figures``, ``report`` and ``select-views --budget 4`` at the dump's
   scale, each through ``repro.cli.main`` on its own freshly built database.
 
 It imports only names that exist at the parent of the PR that added it.
@@ -430,8 +430,7 @@ def pool_sweep(scale: float) -> dict:
 
 
 CLI_COMMANDS = {
-    "compare": ["compare", "--tests", "test4,test5"],
-    "figures": ["figures"],
+    "report-tests": ["report", "--tests", "test4,test5", "--no-figures"],
     "report": ["report"],
     "select-views": ["select-views", "--budget", "4"],
 }

@@ -7,8 +7,8 @@ base table per test: :func:`run_figure` runs one entry of
 sweep.  Tests 4–7 (Table 2) compare the global plans the optimizers produce:
 :func:`run_algorithm_comparison` is the one loop that plans and executes a
 query set per algorithm — the calibration sweep ledgers its rows.
-:func:`paper_tables` is the one loop over both that ``repro compare``,
-``figures``, ``report`` and the benchmark record read the tables from.
+:func:`paper_tables` is the one loop over both that ``repro report`` and
+the benchmark record read the tables from.
 
 Everything here reads the simulated clock only; wall time is ``perf/``'s.
 """

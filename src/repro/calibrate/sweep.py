@@ -29,9 +29,9 @@ def calibration_algorithms() -> Tuple[str, ...]:
     """Algorithms swept by calibration, derived from the optimizer registry.
 
     Every registered optimizer participates unless it opts out with
-    ``in_calibration = False`` (the naive baseline and the dp duplicate of
-    ``optimal``).  Newly registered algorithms are picked up automatically —
-    the hard-coded list this replaces silently skipped ``bgg`` and ``dag``.
+    ``in_calibration = False`` (the naive baseline).  Newly registered
+    algorithms are picked up automatically — the hard-coded list this
+    replaces silently skipped ``bgg`` and ``dag``.
     """
     return tuple(
         name
@@ -101,7 +101,7 @@ class Misranking:
             f"{self.est_gap * 100:.1f}% cheaper than "
             f"{self.cheap_actual.algorithm} but measured "
             f"{self.actual_gap * 100:.1f}% slower — inspect the classes of "
-            f"plan [{self.cheap_est.plan}] with `repro explain --analyze`"
+            f"plan [{self.cheap_est.plan}] with `repro run --analyze`"
         )
 
 

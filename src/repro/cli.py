@@ -4,18 +4,18 @@ Usage (installed as a module)::
 
     python -m repro info
     python -m repro run "{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD FILTER (D.DD1)"
-    python -m repro compare --tests test4,test7
-    python -m repro figures
+    python -m repro report --tests test4,test7 --no-figures
     python -m repro serve --clients 32 --window 25
     python -m repro select-views --budget 4
 
 Every subcommand builds the paper's ABCD database (scaled by ``--scale``)
-unless documented otherwise.
+unless documented otherwise.  One subcommand per job: ``run`` is the only
+one that takes MDX (``--explain`` renders the plan without executing it),
+and ``report`` the only one that prints the paper's tables.
 
 A ``repro serve`` flag that sets a config field has that field's default
 (:data:`_SERVE_FLAGS`), and its help renders it: no default is written
-twice.  ``compare``, ``figures`` and ``report`` print the tables of
-:func:`repro.bench.harness.paper_tables`.
+twice.
 
 Exit codes are uniform across subcommands: ``0`` success, ``1`` a run
 that completed but failed its check (a benchmark record that does not
@@ -31,7 +31,6 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .bench.harness import paper_tables
 from .bench.reporting import format_table
 from .calibrate.profile import CalibrationProfile
 from .core.explain import explain_plan
@@ -39,10 +38,9 @@ from .document import DocumentError, read_text
 from .engine.view_selection import greedy_select_views, materialize_selection
 from .mdx import translate_mdx
 from .serve import SimulationConfig, run_simulation, simulation_service
+from .core.optimizer import OPTIMIZERS
 from .workload.paper_queries import ALL_PAPER_TESTS, PAPER_TESTS, paper_queries
 from .workload.paper_schema import build_paper_database
-
-from .core.optimizer import OPTIMIZERS
 
 ALGORITHMS = tuple(OPTIMIZERS)
 
@@ -135,7 +133,7 @@ def _add_algorithm(parser: argparse.ArgumentParser, what: str) -> None:
 def _build_db(args: argparse.Namespace):
     """The database per the common flags: the paper's at ``--scale`` (or,
     for ``run``, the one saved under ``--database``), under ``--profile``,
-    and for ``run`` / ``compare`` under ``--paranoia``."""
+    and for ``run`` / ``report`` under ``--paranoia``."""
     if getattr(args, "database", None):
         from .engine.persist import load_database
 
@@ -152,7 +150,7 @@ def _build_db(args: argparse.Namespace):
 
 
 def _read_mdx(args: argparse.Namespace) -> str:
-    """The MDX text of ``run`` / ``explain``: ``--file`` or the positional."""
+    """The MDX text of ``run``: ``--file`` or the positional."""
     if args.file:
         return read_text(args.file, "MDX file")
     if args.mdx:
@@ -184,14 +182,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="load a saved database instead of building the paper's",
     )
     _add_algorithm(run, "optimizer")
-    run.add_argument(
+    shown = run.add_mutually_exclusive_group()
+    shown.add_argument(
         "--explain", action="store_true",
-        help="print the global plan before executing",
+        help="print the component queries and the global plan, then exit "
+        "without executing",
     )
-    run.add_argument(
+    shown.add_argument(
         "--analyze", action="store_true",
-        help="print EXPLAIN ANALYZE (estimated vs measured cost per class) "
-        "after executing",
+        help="execute, then print EXPLAIN ANALYZE (estimated vs measured "
+        "cost per class and component query) before the results",
     )
     run.add_argument(
         "--trace", metavar="FILE",
@@ -211,41 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differentially validate the plan and every result against "
         "the brute-force reference evaluator (slow; fails loudly on any "
         "divergence)",
-    )
-
-    compare = sub.add_parser(
-        "compare", help="Table 2: compare the optimization algorithms"
-    )
-    _add_scale(compare)
-    compare.add_argument(
-        "--tests",
-        default=",".join(PAPER_TESTS),
-        help="comma-separated subset of: " + ", ".join(PAPER_TESTS),
-    )
-    compare.add_argument(
-        "--paranoia", action="store_true",
-        help="differentially validate every algorithm's plan and results "
-        "against the brute-force reference evaluator (slow)",
-    )
-
-    figures = sub.add_parser(
-        "figures", help="Figures 10-12: the three shared operators"
-    )
-    _add_scale(figures)
-
-    explain = sub.add_parser(
-        "explain",
-        help="show the chosen plan for an MDX expression "
-        "(--analyze also executes it and renders est-vs-actual per class)",
-    )
-    _add_scale(explain)
-    explain.add_argument("mdx", nargs="?", help="MDX text (or use --file)")
-    explain.add_argument("--file", help="read the MDX expression from a file")
-    _add_algorithm(explain, "optimizer")
-    explain.add_argument(
-        "--analyze", action="store_true",
-        help="execute the plan and annotate every class and component query "
-        "with estimated vs measured cost (EXPLAIN ANALYZE)",
     )
 
     calibrate = sub.add_parser(
@@ -360,9 +325,25 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_algorithm(metrics_cmd, "optimizer for the workload")
 
     report_cmd = sub.add_parser(
-        "report", help="run every paper experiment; emit a markdown report"
+        "report",
+        help="the paper's tables as markdown: Table 1, Figures 10-12 and "
+        "Table 2 under every registered optimizer",
     )
     _add_scale(report_cmd)
+    report_cmd.add_argument(
+        "--tests", default=",".join(PAPER_TESTS),
+        help="Table 2 for this comma-separated subset of: "
+        + ", ".join(PAPER_TESTS),
+    )
+    report_cmd.add_argument(
+        "--no-figures", action="store_true",
+        help="skip the Figures 10-12 sharing sweeps (faster)",
+    )
+    report_cmd.add_argument(
+        "--paranoia", action="store_true",
+        help="differentially validate every algorithm's plan and results "
+        "against the brute-force reference evaluator (slow)",
+    )
     report_cmd.add_argument(
         "--output", metavar="FILE", help="write the report to a file"
     )
@@ -422,10 +403,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for query in queries:
             print("  " + query.describe(db.schema))
         plan = db.optimize(queries, args.algorithm)
-        if args.explain:
-            print()
-            print(explain_plan(db, plan))
-        report = db.execute(plan)
+        report = None if args.explain else db.execute(plan)
     if args.trace:
         from .obs.export import write_chrome_trace, write_trace
 
@@ -435,6 +413,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             write_trace(db.last_trace, args.trace)
         print(f"\ntrace written to {args.trace}")
     print()
+    if report is None:
+        print(explain_plan(db, plan))
+        return 0
     print(report.summary())
     if args.analyze:
         print()
@@ -446,38 +427,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  {', '.join(names):40s} {value:14.2f}")
         if result.n_groups > args.limit:
             print(f"  ... {result.n_groups - args.limit} more")
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    names = _parse_tests(args.tests, PAPER_TESTS)
-    db = _build_db(args)
-    _print_tables(
-        paper_tables(db, figures=(), tests=names, algorithms=ALGORITHMS)
-    )
-    return 0
-
-
-def _cmd_figures(args: argparse.Namespace) -> int:
-    _print_tables(paper_tables(_build_db(args), tests=()))
-    return 0
-
-
-def _print_tables(tables) -> None:
-    for title, headers, rows in tables:
-        print()
-        print(format_table(headers, [r.cells() for r in rows], title=title))
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    """``run``'s plan-and-print, executing only to ``--analyze``."""
-    mdx = _read_mdx(args)
-    db = _build_db(args)
-    plan = db.optimize(translate_mdx(db.schema, mdx), args.algorithm)
-    print(explain_plan(db, plan))
-    if args.analyze:
-        print()
-        print(explain_plan(db, plan, db.execute(plan)))
     return 0
 
 
@@ -710,20 +659,18 @@ def _cmd_select_views(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .bench.paper_report import generate_report
 
-    text = generate_report(scale=args.scale, output=args.output)
-    if args.output:
-        print(f"report written to {args.output}")
-    else:
-        print(text)
+    tests = _parse_tests(args.tests, PAPER_TESTS)
+    text = generate_report(
+        _build_db(args), tests=tests, figures=not args.no_figures,
+        output=args.output,
+    )
+    print(f"report written to {args.output}" if args.output else text)
     return 0
 
 
 _COMMANDS = {
     "info": _cmd_info,
     "run": _cmd_run,
-    "compare": _cmd_compare,
-    "figures": _cmd_figures,
-    "explain": _cmd_explain,
     "calibrate": _cmd_calibrate,
     "metrics": _cmd_metrics,
     "bench": _cmd_bench,

@@ -9,7 +9,6 @@ from .executor import (
 )
 from .explain import explain_class, explain_plan
 from .operators import (
-    IndexStarJoin,
     MissingIndexError,
     QueryResult,
     SharedIndexStarJoin,
@@ -30,7 +29,6 @@ __all__ = [
     "CostModel",
     "ExecutionReport",
     "GlobalPlan",
-    "IndexStarJoin",
     "JoinMethod",
     "LocalPlan",
     "MissingIndexError",

@@ -27,7 +27,7 @@ from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
 from ..storage.iostats import IOStats
 from .operators.hash_join import SharedScanStarJoin
-from .operators.index_join import IndexStarJoin, SharedIndexStarJoin
+from .operators.index_join import SharedIndexStarJoin
 from .operators.pipeline import ExecContext
 from .operators.results import OperatorActuals, QueryResult, q_error
 from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass
@@ -265,10 +265,7 @@ def run_class_accounted(
     else:
         attrs = {"n_queries": len(queries)}
     with ctx.tracer.span(f"operator.{kind}", source=source, **attrs) as span:
-        if kind == "index_star":
-            operator = IndexStarJoin(ctx, source, queries[0])
-            results = operator.run()
-        elif kind == "shared_index":
+        if kind in ("index_star", "shared_index"):
             operator = SharedIndexStarJoin(ctx, source, queries)
             results = operator.run()
         else:

@@ -135,8 +135,9 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
             lines.append(f"├─ bitmap[{plan.query.display_name()}]:")
             for phase in _index_phase_lines(model, entry, plan):
                 lines.append(f"│    {phase}")
-        lines.append("├─ OR the per-query bitmaps; probe base table once")
-        lines.append("├─ route tuples (Filter tuples per query)")
+        if len(index_plans) > 1:
+            lines.append("├─ OR the per-query bitmaps; probe base table once")
+            lines.append("├─ route tuples (Filter tuples per query)")
     else:
         lines.append(f"├─ SeqScan({entry.name})")
         structures = _dim_structures(schema, entry, plan_class.plans)

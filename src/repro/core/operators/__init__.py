@@ -2,13 +2,13 @@
 
 * :class:`SharedScanStarJoin` — Sections 3.1 and 3.3 (one scan serving
   hash members, bitmap-filtered index members, and DAG derive steps).
-* :class:`IndexStarJoin` / :class:`SharedIndexStarJoin` — Section 3.2.
+* :class:`SharedIndexStarJoin` — Section 3.2 (its one-query case is the
+  single-query index plan).
 """
 
 from .aggregate import HashAggregator
 from .hash_join import SharedScanStarJoin
 from .index_join import (
-    IndexStarJoin,
     MissingIndexError,
     SharedIndexStarJoin,
     query_result_bitmap,
@@ -21,7 +21,6 @@ __all__ = [
     "ExecContext",
     "GroupKey",
     "HashAggregator",
-    "IndexStarJoin",
     "MissingIndexError",
     "QueryPipeline",
     "QueryResult",

@@ -1,11 +1,14 @@
-"""Bitmap-index star joins: the single-query plan (the Figure 3/steps 1–7
-walkthrough) and the paper's *shared index join* (Section 3.2).
+"""The paper's *shared index join* (Section 3.2), whose one-query case is
+the single-query bitmap-index star join (steps 1–7 of the Figure 3
+walkthrough).
 
 A query's result bitmap is built by OR-ing the bitmaps of its selected
 members within each dimension and AND-ing across dimensions.  The shared
 operator then ORs the per-query result bitmaps, probes the base table once
 with the union, and routes each retrieved tuple to the queries whose own
-bitmap has that position set (the paper's "Filter tuples" operators).
+bitmap has that position set (the paper's "Filter tuples" operators).  With
+one query there is nothing to OR or route: its bitmap is the probe set and
+every retrieved tuple is its own.
 
 The probe phase is a vectorized columnar gather
 (:meth:`~repro.storage.table.HeapTable.fetch_positions`) and routing tests
@@ -92,68 +95,6 @@ def query_result_bitmap(
     return result
 
 
-class IndexStarJoin:
-    """Single-query bitmap-index star join (steps 1–7 of Section 3.2)."""
-
-    def __init__(self, ctx: ExecContext, source_name: str, query: GroupByQuery):
-        self.ctx = ctx
-        self.source = ctx.entry(source_name)
-        self.query = query
-        #: Filled during :meth:`run` — the operator's measured actuals.
-        self.actuals = OperatorActuals(
-            operator=type(self).__name__, source=source_name
-        )
-        if not source_can_answer(
-            self.source.levels, self.source.source_aggregate, query
-        ):
-            raise ValueError(
-                f"{query.display_name()} cannot be answered from "
-                f"{source_name!r} (levels {self.source.levels}, "
-                f"measure {self.source.source_aggregate!r})"
-            )
-
-    def run_single(self) -> QueryResult:
-        """Execute for the single query; returns its result."""
-        ctx = self.ctx
-        bitmap = query_result_bitmap(ctx, self.source, self.query)
-        positions = bitmap.positions()
-        actuals = self.actuals
-        actuals.union_popcount = int(bitmap.count())
-        actuals.probes_issued = int(positions.size)
-        actuals.bitmap_popcounts[self.query.qid] = int(bitmap.count())
-        if ctx.faults is not None:
-            ctx.faults.check(
-                "operator.pipeline",
-                operator=type(self).__name__,
-                table=self.source.name,
-            )
-        # Random page reads through the pool, one per page change in
-        # first-touch order; rows come back column-wise in position order.
-        keys, measures = self.source.table.fetch_positions(
-            ctx.pool, positions, ctx.schema.n_dims
-        )
-        rollups = RollupCache(
-            ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
-        )
-        pipeline = QueryPipeline(
-            ctx.schema,
-            self.query,
-            self.source.levels,
-            rollups,
-            source_aggregate=self.source.source_aggregate,
-        )
-        pipeline.process_batch(keys, measures, ctx.stats)
-        result = pipeline.result()
-        actuals.record_pipeline(
-            self.query.qid, pipeline, result, ctx.stats.rates
-        )
-        return result
-
-    def run(self) -> List[QueryResult]:
-        """Execute the operator; returns per-query results in input order."""
-        return [self.run_single()]
-
-
 class SharedIndexStarJoin:
     """Shared index join: one probe of the base table serves every query."""
 
@@ -168,10 +109,13 @@ class SharedIndexStarJoin:
         self.ctx = ctx
         self.source = ctx.entry(source_name)
         self.queries = list(queries)
-        #: Filled during :meth:`run` — the operator's measured actuals.
-        self.actuals = OperatorActuals(
-            operator=type(self).__name__, source=source_name
+        #: The paper's name for what this join is doing; recorded in the
+        #: actuals and passed as the ``operator=`` fault-site attribute.
+        self.label = (
+            "SharedIndexStarJoin" if len(self.queries) > 1 else "IndexStarJoin"
         )
+        #: Filled during :meth:`run` — the operator's measured actuals.
+        self.actuals = OperatorActuals(operator=self.label, source=source_name)
         for query in self.queries:
             if not source_can_answer(
                 self.source.levels, self.source.source_aggregate, query
@@ -190,15 +134,16 @@ class SharedIndexStarJoin:
         per_query = [
             query_result_bitmap(ctx, self.source, q) for q in self.queries
         ]
-        union = per_query[0].copy()
-        for bitmap in per_query[1:]:
-            union.words |= bitmap.words
-        if len(per_query) > 1:
+        shared = len(per_query) > 1
+        union = per_query[0]
+        if shared:
+            union = union.copy()
+            for bitmap in per_query[1:]:
+                union.words |= bitmap.words
             ctx.stats.charge_bitmap_words(union.n_words * (len(per_query) - 1))
-        metrics = default_registry()
-        metrics.counter(
-            "bitmap.or_ops", "bitmap OR operations (union of result bitmaps)"
-        ).inc(max(len(per_query) - 1, 0))
+            default_registry().counter(
+                "bitmap.or_ops", "bitmap OR operations (union of result bitmaps)"
+            ).inc(len(per_query) - 1)
         # Step 2: probe the base table once with the union bitmap.
         positions = union.positions()
         actuals.union_popcount = int(union.count())
@@ -208,10 +153,11 @@ class SharedIndexStarJoin:
         )
         # Step 3: "Filter tuples" — route each tuple to the queries whose own
         # bitmap has its position set.  Step 4: per-query aggregation.
-        routed = metrics.counter(
-            "executor.tuples_routed",
-            "retrieved tuples tested against a query's result bitmap",
-        )
+        if shared:
+            routed = default_registry().counter(
+                "executor.tuples_routed",
+                "retrieved tuples tested against a query's result bitmap",
+            )
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
@@ -220,17 +166,21 @@ class SharedIndexStarJoin:
             if ctx.faults is not None:
                 ctx.faults.check(
                     "operator.pipeline",
-                    operator=type(self).__name__,
+                    operator=self.label,
                     table=self.source.name,
                 )
-            ctx.stats.charge_bitmap_test(positions.size)
-            routed.inc(int(positions.size))
-            # Packed-word routing: gather each position's covering word
-            # and mask its bit — no full-bitmap unpack.
-            mine = bitmap.test_positions(positions)
             actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
-            actuals.tuples_tested[query.qid] = int(positions.size)
-            actuals.tuples_routed[query.qid] = int(mine.sum())
+            mine_keys, mine_measures = keys, measures
+            if shared:
+                ctx.stats.charge_bitmap_test(positions.size)
+                routed.inc(int(positions.size))
+                # Packed-word routing: gather each position's covering word
+                # and mask its bit — no full-bitmap unpack.
+                mine = bitmap.test_positions(positions)
+                actuals.tuples_tested[query.qid] = int(positions.size)
+                actuals.tuples_routed[query.qid] = int(mine.sum())
+                mine_keys = [col[mine] for col in keys]
+                mine_measures = measures[mine]
             pipeline = QueryPipeline(
                 ctx.schema,
                 query,
@@ -238,9 +188,7 @@ class SharedIndexStarJoin:
                 rollups,
                 source_aggregate=self.source.source_aggregate,
             )
-            pipeline.process_batch(
-                [col[mine] for col in keys], measures[mine], ctx.stats
-            )
+            pipeline.process_batch(mine_keys, mine_measures, ctx.stats)
             result = pipeline.result()
             actuals.record_pipeline(query.qid, pipeline, result, ctx.stats.rates)
             results.append(result)

@@ -1,15 +1,14 @@
 """Multi-query optimizers, by registry name: ``tplo`` (Section 4); ``etplg``,
 ``gg`` and the bounded ``bgg`` — one greedy loop (Sections 5–6,
-:mod:`.greedy`); ``optimal`` and its alias ``dp`` — the exact
-set-partition DP (:mod:`.dp`, Table 2's "Optimal" column); ``dag`` —
-sub-aggregate sharing seeded from GG's classes (:mod:`repro.dag`); and the
-no-sharing ``naive`` baseline."""
+:mod:`.greedy`); ``optimal`` — the exact set-partition DP (:mod:`.dp`,
+Table 2's "Optimal" column); ``dag`` — sub-aggregate sharing seeded from
+GG's classes (:mod:`repro.dag`); and the no-sharing ``naive`` baseline."""
 
 from typing import TYPE_CHECKING, Dict, Type
 
 from .base import Optimizer, build_plan_class
 from .cost import ClassCosting, CostModel
-from .dp import DPOptimalOptimizer, OptimalOptimizer
+from .dp import OptimalOptimizer
 from .greedy import BGGOptimizer, ETPLGOptimizer, GGOptimizer, GreedyOptimizer
 from .naive import NaiveOptimizer
 from .plans import DeriveStep, GlobalPlan, JoinMethod, LocalPlan, PlanClass
@@ -29,7 +28,6 @@ OPTIMIZERS: Dict[str, Type[Optimizer]] = {
     "gg": GGOptimizer,
     "bgg": BGGOptimizer,
     "optimal": OptimalOptimizer,
-    "dp": DPOptimalOptimizer,
     "dag": DagOptimizer,
 }
 
@@ -49,7 +47,6 @@ __all__ = [
     "BGGOptimizer",
     "ClassCosting",
     "CostModel",
-    "DPOptimalOptimizer",
     "DagOptimizer",
     "DeriveStep",
     "ETPLGOptimizer",

@@ -117,12 +117,3 @@ class OptimalOptimizer(Optimizer):
                 by_source[cls.source] = len(merged)
                 merged.append(cls)
         plan.classes[:] = merged
-
-
-class DPOptimalOptimizer(OptimalOptimizer):
-    """Registry alias ``dp`` of ``optimal`` (the name the DP carried while
-    ``optimal`` was the t^n enumeration); excluded from calibration sweeps
-    to avoid double-counting one plan shape."""
-
-    name = "dp"
-    in_calibration = False

@@ -35,7 +35,7 @@ A dag plan carries the search's typed record
 (:class:`~repro.dag.search.SearchStats`, DAG included) in
 ``plan.search_stats["dag"]``; :func:`repro.core.explain.explain_plan`
 renders it (AND/OR nodes, unified sub-expressions, chosen
-materializations) for ``repro explain --algorithm dag``.
+materializations) for ``repro run --explain --algorithm dag``.
 """
 
 from .nodes import AndNode, OrNode, PlanDag, build_dag, node_key

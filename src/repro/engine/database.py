@@ -382,7 +382,7 @@ class Database:
     ) -> "GlobalPlan":
         """Build a global plan with any registered algorithm
         (:data:`repro.core.optimizer.OPTIMIZERS`: ``naive``, ``tplo``,
-        ``etplg``, ``gg``, ``bgg``, ``optimal``, ``dp``, ``dag``).
+        ``etplg``, ``gg``, ``bgg``, ``optimal``, ``dag``).
 
         The plan must pass the coverage rule for ``queries``, paranoia or
         not (:func:`~repro.check.validate.check_coverage`).  It carries

@@ -176,8 +176,8 @@ def brute_force_optimum(
     """The optimal global plan "found by exploring all possible query
     plans" (the paper's Table 2): every query→base-table assignment is
     costed as the classes it induces and the first cheapest kept.  t^n
-    assignments — the independent oracle for the ``optimal``/``dp``
-    planner.  Returns ``(cost, [(source, members), ...])``."""
+    assignments — the independent oracle for the ``optimal`` planner.
+    Returns ``(cost, [(source, members), ...])``."""
     model = make_optimizer("naive", db).model  # a fresh, unshared CostModel
     candidates = [
         [e for e in db.catalog.entries() if model.standalone(e, query)]

@@ -1,6 +1,8 @@
 """Tests for the benchmark harness itself (it guards the reproduction, so
 it gets its own tests)."""
 
+import contextlib
+import io
 import re
 
 import pytest
@@ -14,11 +16,9 @@ from repro.bench.harness import (
     run_sharing_sweep,
 )
 from repro.bench.history import record_run
-from repro.bench.paper_report import ALGORITHMS as REPORT_ALGORITHMS
-from repro.bench.paper_report import generate_report
 from repro.bench.reporting import format_table
-from repro.cli import ALGORITHMS as CLI_ALGORITHMS
 from repro.cli import main
+from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.plans import JoinMethod
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.workload.paper_queries import (
@@ -150,8 +150,8 @@ SCALE = 0.002
 
 
 def printed_rows(text, title, n_rows):
-    """The cells of the first ``n_rows`` rows of the ASCII (CLI) or markdown
-    (report) table titled ``title``."""
+    """The cells of the first ``n_rows`` rows of the markdown table titled
+    ``title``."""
     lines = text[text.index(title):].splitlines()
     rule = next(i for i, line in enumerate(lines) if line and set(line) <= set("-| "))
     body = lines[rule + 1:rule + 1 + n_rows]
@@ -159,9 +159,10 @@ def printed_rows(text, title, n_rows):
 
 
 class TestOneTableOneLoop:
-    """Every consumer reads the experiment table in
-    ``repro.workload.paper_queries`` and calls the two loops here, so at one
-    scale they all carry the same (deterministic) numbers."""
+    """Both consumers — ``repro report`` and ``record_run`` — read the
+    experiment table in ``repro.workload.paper_queries`` and call the two
+    loops here, so at one scale they carry the same (deterministic)
+    numbers."""
 
     @pytest.fixture(scope="class")
     def record(self):
@@ -169,15 +170,16 @@ class TestOneTableOneLoop:
 
     @pytest.fixture(scope="class")
     def report_text(self):
-        return generate_report(scale=SCALE)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["report", "--tests", "test4", "--scale", str(SCALE)]) == 0
+        return stdout.getvalue()
 
     def test_record_keys_are_the_tables_keys(self, record):
         assert list(record.figures) == list(PAPER_FIGURES)
         assert list(record.tests) == list(ALL_PAPER_TESTS)
 
-    def test_figure_rows_agree_everywhere(self, record, report_text, capsys):
-        assert main(["figures", "--scale", str(SCALE)]) == 0
-        cli_text = capsys.readouterr().out
+    def test_figure_rows_agree_everywhere(self, record, report_text):
         for key, spec in PAPER_FIGURES.items():
             stored = [
                 [str(row["n_queries"]), f"{row['separate_ms']:.1f}",
@@ -186,12 +188,9 @@ class TestOneTableOneLoop:
             ]
             # Figure 12 starts at its fixed hash query alone (k = 0).
             assert [cells[0] for cells in stored] == ["1", "2", "3", "4"]
-            assert printed_rows(cli_text, spec.title, 4) == stored
             assert printed_rows(report_text, spec.title, 4) == stored
 
-    def test_table2_rows_agree_everywhere(self, record, report_text, capsys):
-        assert main(["compare", "--tests", "test4", "--scale", str(SCALE)]) == 0
-        cli_text = capsys.readouterr().out
+    def test_table2_rows_agree_everywhere(self, record, report_text):
         stored = {
             row["algorithm"]: [
                 row["algorithm"], f"{row['est_ms']:.1f}", f"{row['sim_ms']:.1f}",
@@ -199,13 +198,11 @@ class TestOneTableOneLoop:
             ]
             for row in record.tests["test4"]
         }
-        for text, algorithms in ((cli_text, CLI_ALGORITHMS),
-                                 (report_text, REPORT_ALGORITHMS)):
-            printed = printed_rows(text, "test4 (", len(algorithms))
-            assert [cells[0] for cells in printed] == list(algorithms)
-            shared = [cells for cells in printed if cells[0] in stored]
-            assert len(shared) >= 5
-            assert all(cells == stored[cells[0]] for cells in shared)
+        printed = printed_rows(report_text, "test4 (", len(OPTIMIZERS))
+        assert [cells[0] for cells in printed] == list(OPTIMIZERS)
+        shared = [cells for cells in printed if cells[0] in stored]
+        assert len(shared) >= 5
+        assert all(cells == stored[cells[0]] for cells in shared)
 
     def test_n_classes_comes_from_the_plan(self):
         """Not from counting separators in the signature string — checked

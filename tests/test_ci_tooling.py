@@ -162,12 +162,11 @@ def test_byte_dump_is_deterministic(tmp_path):
     assert any(k.startswith("terms/plain/dashboard/min/") for k in term_keys)
     # The paper's tables as the CLI prints them.
     cli = {k: v for k, v in dump.items() if k.startswith("cli/")}
-    assert sorted(cli) == [
-        "cli/compare", "cli/figures", "cli/report", "cli/select-views"
-    ]
+    assert sorted(cli) == ["cli/report", "cli/report-tests", "cli/select-views"]
     assert all(run["exit"] == 0 for run in cli.values())
-    assert "test5 (Queries [2, 3, 5])" in cli["cli/compare"]["stdout"]
-    assert "Figure 12" in cli["cli/figures"]["stdout"]
+    selected = cli["cli/report-tests"]["stdout"]
+    assert "test5 (Queries [2, 3, 5])" in selected and "Figure" not in selected
+    assert "Figure 12" in cli["cli/report"]["stdout"]
     assert "## Table 2 — test7" in cli["cli/report"]["stdout"]
     # Cold cells' private pools and the warm one, full and evicting at 64
     # pages, and an armed case per fault kind with what fired.

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _COMMANDS, _SERVE_FLAGS, _build_parser, main
+from repro.core.optimizer import OPTIMIZERS
 from repro.serve import ServeConfig, SimulationConfig, simulation_service
 
 SCALE = ["--scale", "0.002"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestInfo:
@@ -33,6 +35,13 @@ class TestRun:
         assert main(["run", self.MDX, "--explain", *SCALE]) == 0
         out = capsys.readouterr().out
         assert "GlobalPlan[gg]" in out
+        assert "group(s)" not in out  # planned, not executed
+
+    def test_explain_and_analyze_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", self.MDX, "--explain", "--analyze", *SCALE])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_run_algorithm_choice(self, capsys):
         assert main(["run", self.MDX, "--algorithm", "tplo", *SCALE]) == 0
@@ -47,7 +56,8 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "explain"])
     def test_missing_mdx_file_exits_2(self, command, tmp_path, capsys):
         missing = tmp_path / "missing.mdx"
-        assert main([command, "--file", str(missing), *SCALE]) == 2
+        flags = ["--explain"] if command == "explain" else []
+        assert main(["run", *flags, "--file", str(missing), *SCALE]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing.mdx" in err
 
@@ -69,42 +79,76 @@ class TestRun:
 
 
 class TestExplain:
+    """``run --explain`` is the plan renderer; ``run --analyze`` executes
+    and annotates the plan with actuals before the results."""
+
     def test_explain_prints_the_plan_without_executing(self, capsys):
-        assert main(["explain", TestRun.MDX, *SCALE]) == 0
+        assert main(["run", TestRun.MDX, "--explain", *SCALE]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("GlobalPlan[gg]")
-        assert "actual" not in out
+        queries, plan = out.split("\n\n", 1)
+        assert queries.startswith("1 component group-by query(ies):")
+        assert plan.startswith("GlobalPlan[gg]")
+        assert "actual" not in out and "sim" not in queries
 
     def test_explain_analyze_dag(self, capsys):
-        assert main(
-            ["explain", TestRun.MDX, "--algorithm", "dag", "--analyze", *SCALE]
-        ) == 0
+        dag = ["run", TestRun.MDX, "--algorithm", "dag", *SCALE]
+        assert main([*dag, "--explain"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("GlobalPlan[dag]")
+        assert out.count("GlobalPlan[dag]") == 1
         assert out.count("PlanDAG[dag]") == 1
+        assert main([*dag, "--analyze"]) == 0
+        out = capsys.readouterr().out
         assert "q-error" in out and "est standalone" in out
+        assert out.index("est standalone") < out.index("group(s)")
 
     def test_explain_without_mdx_fails(self, capsys):
-        assert main(["explain", *SCALE]) == 2
+        assert main(["run", "--explain", *SCALE]) == 2
         assert "error" in capsys.readouterr().err
 
 
 class TestCompare:
+    """Table 2 is ``report``'s: every registered optimizer, one row each."""
+
     def test_compare_single_test(self, capsys):
-        assert main(["compare", "--tests", "test6", *SCALE]) == 0
+        assert main(
+            ["report", "--tests", "test6", "--no-figures", *SCALE]
+        ) == 0
         out = capsys.readouterr().out
-        assert "test6" in out
-        for algorithm in ("naive", "tplo", "etplg", "gg", "optimal"):
-            assert algorithm in out
+        assert "test6" in out and "test4" not in out
+        assert "Figure" not in out
+        for algorithm in OPTIMIZERS:
+            assert f"| {algorithm} |" in out
 
     def test_compare_unknown_test(self, capsys):
-        assert main(["compare", "--tests", "nope", *SCALE]) == 2
+        assert main(["report", "--tests", "nope", *SCALE]) == 2
         assert "unknown tests" in capsys.readouterr().err
+
+    def test_missing_profile_exits_2(self, tmp_path, capsys):
+        """``report`` builds its database through the common flags, so a
+        ``--profile`` that does not load is a usage error."""
+        missing = tmp_path / "nope.json"
+        assert main(["report", "--profile", str(missing), *SCALE]) == 2
+        assert "nope.json" in capsys.readouterr().err
+
+    def test_profile_applies(self, capsys):
+        """Under the committed profile, Table 2 prints the calibrated
+        record's simulated cost."""
+        record = json.loads((ROOT / "BENCH_calibrated.json").read_text())
+        (gg,) = [r for r in record["tests"]["test4"] if r["algorithm"] == "gg"]
+        assert main([
+            "report", "--tests", "test4", "--no-figures",
+            "--scale", str(record["fingerprint"]["scale"]),
+            "--profile", str(ROOT / "PROFILE_paper.json"),
+        ]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("| gg |"))
+        assert row.split(" | ")[2] == f"{gg['sim_ms']:.1f}"
 
 
 class TestSevenTests:
     """The CLI accepts exactly the tests the sweep underneath accepts:
-    Tests 1–7 for calibrate / bench / metrics (Table 2's four for compare)."""
+    Tests 1–7 for calibrate / bench / metrics (Table 2's four for report)."""
 
     SEVEN = [f"test{i}" for i in range(1, 8)]
 
@@ -136,7 +180,7 @@ class TestSevenTests:
 
 class TestFigures:
     def test_figures_prints_three_tables(self, capsys):
-        assert main(["figures", *SCALE]) == 0
+        assert main(["report", "--tests", "test4", *SCALE]) == 0
         out = capsys.readouterr().out
         assert "Figure 10" in out
         assert "Figure 11" in out
@@ -197,18 +241,7 @@ class TestParser:
             main(["frobnicate"])
 
 
-SUBCOMMANDS = [
-    "info",
-    "run",
-    "compare",
-    "figures",
-    "explain",
-    "calibrate",
-    "bench",
-    "serve",
-    "report",
-    "select-views",
-]
+SUBCOMMANDS = list(_COMMANDS)
 
 
 class TestHelp:
@@ -219,8 +252,8 @@ class TestHelp:
             main(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for command in SUBCOMMANDS:
-            assert command in out
+        listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert sorted(listed) == sorted(SUBCOMMANDS)
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_subcommand_help(self, command, capsys):

@@ -76,10 +76,8 @@ class TestRegistration:
         swept = calibration_algorithms()
         assert "dag" in swept
         assert "bgg" in swept
-        # Opt-outs are honored: the unmerged baseline and the dp duplicate
-        # of optimal stay out of the sweep.
+        # Opt-outs are honored: the unmerged baseline stays out of the sweep.
         assert "naive" not in swept
-        assert "dp" not in swept
 
         class FakeOptimizer:
             in_calibration = True

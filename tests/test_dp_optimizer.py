@@ -1,12 +1,12 @@
-"""Tests for the exact set-partition DP optimizer (registry names
-``optimal`` and ``dp``).  Exactness against the brute-force oracle is swept
+"""Tests for the exact set-partition DP optimizer (registry name
+``optimal``).  Exactness against the brute-force oracle is swept
 in tests/test_optimizers.py::TestRegistrySweep."""
 
 import random
 
 import pytest
 
-from repro.core.optimizer.dp import MAX_QUERIES, DPOptimalOptimizer
+from repro.core.optimizer.dp import MAX_QUERIES, OptimalOptimizer
 from repro.check import evaluate_reference
 from repro.schema.query import GroupBy, GroupByQuery
 
@@ -31,7 +31,7 @@ class TestExactness:
                 for i in range(4)
             ]
             gg = db.optimize(queries, "gg").est_cost_ms
-            dp = db.optimize(queries, "dp").est_cost_ms
+            dp = db.optimize(queries, "optimal").est_cost_ms
             assert dp <= gg + 1e-6
 
 
@@ -44,7 +44,7 @@ class TestScaling:
         queries = [
             random_query(db.schema, rng, label=f"big{i}") for i in range(8)
         ]
-        optimizer = DPOptimalOptimizer(db)
+        optimizer = OptimalOptimizer(db)
         plan = optimizer.optimize(queries)
         assert optimizer.model.n_plan_costings < 100_000
         gg = db.optimize(queries, "gg").est_cost_ms
@@ -55,16 +55,15 @@ class TestScaling:
             GroupByQuery(groupby=GroupBy((2, 2)), label=f"n{i}")
             for i in range(MAX_QUERIES + 1)
         ]
-        for name in ("optimal", "dp"):
-            with pytest.raises(ValueError, match="DP budget"):
-                db.optimize(queries, name)
+        with pytest.raises(ValueError, match="DP budget"):
+            db.optimize(queries, "optimal")
 
 
 class TestCorrectness:
     def test_plans_execute_correctly(self, db):
         rng = random.Random(73)
         queries = [random_query(db.schema, rng, label=f"c{i}") for i in range(4)]
-        report = db.run_queries(queries, "dp")
+        report = db.run_queries(queries, "optimal")
         base = db.catalog.get("XY")
         for query in queries:
             expected = evaluate_reference(
@@ -79,6 +78,6 @@ class TestCorrectness:
                 random_query(db.schema, rng, label=f"s{round_}.{i}")
                 for i in range(4)
             ]
-            plan = db.optimize(queries, "dp")
+            plan = db.optimize(queries, "optimal")
             sources = [cls.source for cls in plan.classes]
             assert len(sources) == len(set(sources))

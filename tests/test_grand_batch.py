@@ -17,7 +17,7 @@ def all_queries(paper_qs):
 
 
 class TestNineQueryBatch:
-    @pytest.mark.parametrize("algorithm", ["tplo", "etplg", "bgg", "gg", "dp"])
+    @pytest.mark.parametrize("algorithm", ["tplo", "etplg", "bgg", "gg", "optimal"])
     def test_correct_answers(self, paper_db, all_queries, algorithm):
         report = paper_db.run_queries(all_queries, algorithm)
         base = paper_db.catalog.get("ABCD")
@@ -31,13 +31,13 @@ class TestNineQueryBatch:
             )
 
     def test_dp_is_cheapest_estimate(self, paper_db, all_queries):
-        dp = paper_db.optimize(all_queries, "dp").est_cost_ms
+        dp = paper_db.optimize(all_queries, "optimal").est_cost_ms
         for algorithm in ("naive", "tplo", "etplg", "bgg", "gg"):
             other = paper_db.optimize(all_queries, algorithm).est_cost_ms
             assert dp <= other + 1e-6, algorithm
 
     def test_gg_close_to_exact_optimum(self, paper_db, all_queries):
-        dp = paper_db.optimize(all_queries, "dp").est_cost_ms
+        dp = paper_db.optimize(all_queries, "optimal").est_cost_ms
         gg = paper_db.optimize(all_queries, "gg").est_cost_ms
         assert gg <= dp * 1.25  # greedy stays within 25% of optimal here
 

@@ -13,7 +13,7 @@ import pytest
 from repro.check import evaluate_reference, reference_answer
 from repro.engine.maintenance import MaintenanceError, append_rows
 from repro.engine.result_cache import attach_cache
-from repro.core.operators.index_join import IndexStarJoin
+from repro.core.operators.index_join import SharedIndexStarJoin
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage.page import Page
 from repro.storage.table import HeapTable
@@ -221,7 +221,7 @@ class TestIndexMaintenance:
         db.append_rows(new_rows(db, 70, seed=21))
         base = db.catalog.get("XY")
         query = self.selective_query()
-        via_index = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
@@ -234,7 +234,7 @@ class TestIndexMaintenance:
         db.append_rows(new_rows(db, 50, seed=31))
         base = db.catalog.get("XY")
         query = self.selective_query()
-        via_index = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
@@ -265,7 +265,7 @@ class TestIndexMaintenance:
             groupby=GroupBy((1, 2)),
             predicates=(DimPredicate(0, 1, frozenset({2})),),
         )
-        via_view_index = IndexStarJoin(db.ctx(), "X'Y", query).run_single()
+        via_view_index = SharedIndexStarJoin(db.ctx(), "X'Y", [query]).run()[0]
         assert via_view_index.approx_equals(reference_answer(db, query))
 
 

@@ -12,7 +12,6 @@ from repro.core.operators import aggregate as aggregate_module
 from repro.core.operators import hash_join as hash_join_module
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
-    IndexStarJoin,
     MissingIndexError,
     SharedIndexStarJoin,
     query_result_bitmap,
@@ -163,19 +162,37 @@ class TestIndexStarJoin:
 
     def test_matches_reference(self, db):
         query = self.selective_query()
-        result = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        result = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         assert result.approx_equals(reference_for(db, query))
 
     def test_matches_hash_join(self, db):
         query = self.selective_query()
-        via_index = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         via_hash = hash_star_join(db, "XY", query)
         assert via_index.approx_equals(via_hash)
+
+    def test_one_query_neither_ors_nor_routes(self, db):
+        """The single-query plan is the one-member shared index join: it
+        labels itself ``IndexStarJoin`` and charges no OR words and no
+        bitmap tests, since its bitmap is the probe set."""
+        query = self.selective_query()
+        before = db.stats.snapshot()
+        operator = SharedIndexStarJoin(db.ctx(), "XY", [query])
+        operator.run()
+        delta = db.stats.delta_since(before)
+        assert operator.label == operator.actuals.operator == "IndexStarJoin"
+        assert delta.bitmap_tests == 0
+        assert operator.actuals.tuples_routed == {}
+        assert operator.actuals.bitmap_popcounts[query.qid] == (
+            operator.actuals.probes_issued
+        )
+        pair = SharedIndexStarJoin(db.ctx(), "XY", [query, query])
+        assert pair.label == "SharedIndexStarJoin"
 
     def test_probe_reads_are_random(self, db):
         db.flush()
         before = db.stats.snapshot()
-        IndexStarJoin(db.ctx(), "XY", self.selective_query()).run_single()
+        SharedIndexStarJoin(db.ctx(), "XY", [self.selective_query()]).run()[0]
         delta = db.stats.delta_since(before)
         assert delta.rand_page_reads > 0
 
@@ -188,7 +205,7 @@ class TestIndexStarJoin:
         index, members = found
         assert index.level == 0
         assert members == db.schema.dimensions[0].descendants(2, 1, 0)
-        result = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        result = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         assert result.approx_equals(reference_for(db, query))
 
     def test_unindexed_predicate_is_residual(self, db):
@@ -198,13 +215,13 @@ class TestIndexStarJoin:
             (1, 1),
             [DimPredicate(0, 1, frozenset({0})), DimPredicate(1, 0, frozenset({0, 1}))],
         )
-        result = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        result = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         assert result.approx_equals(reference_for(db, query))
 
     def test_no_indexes_at_all_raises(self, db):
         query = simple_query((1, 1), [DimPredicate(0, 1, frozenset({0}))])
         with pytest.raises(MissingIndexError):
-            IndexStarJoin(db.ctx(), "X'Y", query).run_single()
+            SharedIndexStarJoin(db.ctx(), "X'Y", [query]).run()[0]
 
     def test_no_predicates_bitmap_is_all_ones(self, db):
         entry = db.catalog.get("XY")
@@ -224,7 +241,7 @@ class TestSharedIndexJoin:
         queries = self.queries()
         shared = SharedIndexStarJoin(db.ctx(), "XY", queries).run()
         for query, result in zip(queries, shared):
-            solo = IndexStarJoin(db.ctx(), "XY", query).run_single()
+            solo = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
             assert result.approx_equals(solo)
             assert result.approx_equals(reference_for(db, query))
 
@@ -234,7 +251,7 @@ class TestSharedIndexJoin:
         for query in queries:
             db.flush()
             before = db.stats.snapshot()
-            IndexStarJoin(db.ctx(), "XY", query).run_single()
+            SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
             separate_pages += db.stats.delta_since(before).rand_page_reads
         db.flush()
         before = db.stats.snapshot()

@@ -50,7 +50,6 @@ PLAN_COSTINGS = {
     "bgg": (27, 27, 25, 30),
     "gg": (31, 31, 31, 38),
     "optimal": (43, 43, 43, 44),
-    "dp": (43, 43, 43, 44),
     "dag": (39, 39, 34, 46),
 }
 
@@ -119,7 +118,7 @@ class TestPlanValidity:
 
     def test_registry_contents(self):
         assert set(OPTIMIZERS) == {
-            "naive", "tplo", "etplg", "gg", "bgg", "optimal", "dp", "dag",
+            "naive", "tplo", "etplg", "gg", "bgg", "optimal", "dag",
         }
 
 
@@ -286,7 +285,7 @@ class TestRegistrySweep:
             ), query.display_name()
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize("algorithm", ("optimal", "dp"))
+    @pytest.mark.parametrize("algorithm", ("optimal",))
     def test_exact_planner_equals_brute_force(
         self, workloads, algorithm, workload
     ):
@@ -347,7 +346,7 @@ class TestRegistrySweep:
         assert tuple(counts) == PLAN_COSTINGS[algorithm]
 
     @pytest.mark.parametrize(
-        "algorithm", ("etplg", "bgg", "gg", "optimal", "dp", "dag")
+        "algorithm", ("etplg", "bgg", "gg", "optimal", "dag")
     )
     def test_one_costing_per_final_class(
         self, workloads, monkeypatch, algorithm

@@ -4,11 +4,18 @@ import pytest
 
 from repro.bench.paper_report import generate_report
 from repro.cli import main
+from repro.core.optimizer import OPTIMIZERS
+from repro.workload.paper_schema import build_paper_database
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    return generate_report(scale=0.002)
+def db():
+    return build_paper_database(scale=0.002)
+
+
+@pytest.fixture(scope="module")
+def report_text(db):
+    return generate_report(db)
 
 
 class TestGenerateReport:
@@ -21,8 +28,8 @@ class TestGenerateReport:
             assert test_name in report_text
 
     def test_all_algorithms_reported(self, report_text):
-        for algorithm in ("naive", "tplo", "etplg", "bgg", "gg", "optimal"):
-            assert algorithm in report_text
+        for algorithm in OPTIMIZERS:
+            assert f"| {algorithm} |" in report_text
 
     def test_markdown_tables_well_formed(self, report_text):
         lines = report_text.splitlines()
@@ -31,10 +38,11 @@ class TestGenerateReport:
                 header = lines[i - 1]
                 assert header.count("|") == line.count("|")
 
-    def test_written_to_file(self, tmp_path):
+    def test_written_to_file(self, db, tmp_path):
         path = tmp_path / "report.md"
-        text = generate_report(scale=0.002, output=path)
+        text = generate_report(db, tests=["test6"], figures=False, output=path)
         assert path.read_text() == text
+        assert "test6" in text and "Figure" not in text and "test4" not in text
 
     def test_cli_report(self, tmp_path, capsys):
         out_file = str(tmp_path / "r.md")

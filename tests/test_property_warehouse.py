@@ -74,7 +74,7 @@ class TestMaintenanceEquivalence:
     )
     def test_indexes_stay_consistent(self, batches, seed):
         """After any append sequence, index-driven plans equal hash plans."""
-        from repro.core.operators.index_join import IndexStarJoin
+        from repro.core.operators.index_join import SharedIndexStarJoin
         from repro.schema.query import DimPredicate
 
         db = make_tiny_db(n_rows=50, seed=seed % 100, index_tables=("XY",))
@@ -87,7 +87,7 @@ class TestMaintenanceEquivalence:
             predicates=(DimPredicate(0, 0, frozenset({seed % 12})),),
         )
         via_hash = hash_star_join(db, "XY", query)
-        via_index = IndexStarJoin(db.ctx(), "XY", query).run_single()
+        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
         assert via_index.approx_equals(via_hash)
 
 

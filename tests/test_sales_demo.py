@@ -84,7 +84,7 @@ class TestMixedDepthQueries:
         )
         assert len(queries) == 4  # 2 store levels x 2 time levels
         reference = None
-        for algorithm in ("naive", "tplo", "gg", "dp"):
+        for algorithm in ("naive", "tplo", "gg", "optimal"):
             report = db.run_queries(queries, algorithm)
             if reference is None:
                 reference = report.results
