@@ -116,7 +116,7 @@ def dump_plan(db, plan) -> dict:
             ]
             for cls in plan.classes
         ],
-        "plan_costings": plan.search_stats["plan_costings"],
+        "plan_costings": plan.search_stats.get("plan_costings"),
         "explain": explain_plan(db, plan),
     }
 

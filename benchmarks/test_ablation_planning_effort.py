@@ -27,8 +27,8 @@ def test_planning_effort_vs_plan_quality(db, qs, report, benchmark):
                     (
                         test_name,
                         algorithm,
-                        plan.search_stats["plan_costings"],
-                        plan.search_stats["planning_s"] * 1000,
+                        plan.search_stats.plan_costings,
+                        plan.search_stats.planning_s * 1000,
                         exec_report.sim_ms,
                     )
                 )

@@ -60,7 +60,7 @@ def main() -> None:
     for algorithm in ("tplo", "etplg", "gg", "optimal"):
         plan = db.optimize(workload, algorithm)
         print(f"\n--- {algorithm} "
-              f"({plan.search_stats['plan_costings']} class costings) ---")
+              f"({plan.search_stats.plan_costings} class costings) ---")
         print(explain_plan(db, plan))
 
 

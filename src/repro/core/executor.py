@@ -245,7 +245,7 @@ def run_class_accounted(
     tracer is live, the physical operator runs inside an
     ``operator.<kind>`` span whose cost-clock delta is exactly the class's
     charged work; the operator's actuals land in the span's ``actuals``
-    attribute and a shared scan's batch count in ``morsels``.
+    attribute, and the operator counters are written from them (fault or not).
     """
     kind = plan_class.operator_kind
     queries = plan_class.queries
@@ -267,17 +267,41 @@ def run_class_accounted(
     with ctx.tracer.span(f"operator.{kind}", source=source, **attrs) as span:
         if kind in ("index_star", "shared_index"):
             operator = SharedIndexStarJoin(ctx, source, queries)
-            results = operator.run()
         else:
             operator = SharedScanStarJoin(
                 ctx, source, hash_queries, index_queries, derives
             )
-            by_qid = operator.run()
-            results = [by_qid[q.qid] for q in queries]
-            span.set("morsels", operator.morsels)
+        try:
+            results = operator.run()
+        finally:
+            _count_operator(operator.actuals)
+        if isinstance(operator, SharedScanStarJoin):
+            results = [results[q.qid] for q in queries]
         if ctx.tracer.enabled:
             span.set("actuals", operator.actuals.as_dict())
     return results, operator.actuals
+
+
+def _count_operator(actuals: OperatorActuals) -> None:
+    """Add one operator run's actuals to the operator counters."""
+    metrics = default_registry()
+    metrics.counter(
+        "executor.morsels", "column batches handed out by shared scans"
+    ).inc(actuals.morsels)
+    metrics.counter(
+        "executor.tuples_routed",
+        "retrieved tuples tested against a query's result bitmap",
+    ).inc(sum(actuals.tuples_tested.values()))
+    metrics.counter(
+        "executor.derive_rows",
+        "intermediate group rows fed to derived-query pipelines",
+    ).inc(actuals.derive_rows)
+    metrics.counter(
+        "bitmap.and_ops", "bitmap AND operations (across dimensions)"
+    ).inc(actuals.and_ops)
+    metrics.counter(
+        "bitmap.or_ops", "bitmap OR operations (union of result bitmaps)"
+    ).inc(actuals.or_ops)
 
 
 @dataclass

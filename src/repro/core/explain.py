@@ -8,7 +8,7 @@ renders that three ways from one place:
   Figures 1–5, annotated with catalog statistics;
 * for a ``dag`` plan, the AND-OR DAG block: shape, unified sub-expressions
   and the materializations the greedy search chose, straight from
-  ``plan.search_stats["dag"]`` (:class:`~repro.dag.search.SearchStats`);
+  ``plan.search_stats.dag`` (:class:`~repro.dag.search.DagSearch`);
 * handed the plan's :class:`~repro.core.executor.ExecutionReport`, EXPLAIN
   ANALYZE: every executed class and member annotated with estimated vs
   measured cost, and each class's estimated vs charged count of every
@@ -39,7 +39,7 @@ from .optimizer.plans import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..dag.search import SearchStats
+    from ..dag.search import DagSearch
     from ..engine.database import Database
     from .executor import ClassExecution, ExecutionReport
 
@@ -283,7 +283,7 @@ def _qids(qids: Sequence[int]) -> str:
     return ", ".join(f"Q{qid}" for qid in qids)
 
 
-def _dag_block(stats: "SearchStats") -> str:
+def _dag_block(stats: "DagSearch") -> str:
     """The AND-OR DAG of a ``dag`` plan as an indented tree: every OR-node
     two or more queries unify on or the search materialized, each with its
     alternative producers and the chosen host."""
@@ -293,7 +293,7 @@ def _dag_block(stats: "SearchStats") -> str:
         f"{dag.n_and_nodes} AND-node(s), {dag.n_unified} unified "
         f"sub-expression(s), {len(dag.candidate_keys)} candidate "
         f"intermediate(s)",
-        f"search: {stats.iterations} iteration(s), "
+        f"search: {stats.passes} iteration(s), "
         f"{stats.moves_evaluated} move(s) evaluated "
         f"({stats.costings_memoized} costings memoized), "
         f"est {round(stats.initial_est_ms, 3)} -> "
@@ -372,7 +372,6 @@ def explain_plan(
         f"{len(plan.classes)} class(es), est {plan.est_cost_ms:.1f} sim-ms"
     ]
     blocks.extend(explain_class(model, cls) for cls in plan.classes)
-    stats = plan.search_stats.get("dag")
-    if stats is not None:
-        blocks.append(_dag_block(stats))
+    if plan.search_stats.dag is not None:
+        blocks.append(_dag_block(plan.search_stats.dag))
     return "\n\n".join(blocks)

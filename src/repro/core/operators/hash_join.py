@@ -38,7 +38,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ...obs.metrics import default_registry
 from ...schema.lattice import intermediate_source_aggregate, source_can_answer
 from ...schema.query import GroupByQuery
 from ..optimizer.plans import DeriveStep
@@ -79,8 +78,6 @@ class SharedScanStarJoin:
         #: Filled during :meth:`run` — the operator's measured actuals
         #: (intermediates appear under their synthetic qids).
         self.actuals = OperatorActuals(operator=self.label, source=source_name)
-        #: Column batches the last :meth:`run` pulled off the scan.
-        self.morsels = 0
         source_levels = self.source.levels
         source_agg = self.source.source_aggregate
         for query in self.hash_queries + self.index_queries:
@@ -126,7 +123,7 @@ class SharedScanStarJoin:
         actuals = self.actuals
         # Phase 1 of each index plan is unchanged: build the result bitmap.
         index_bitmaps = [
-            query_result_bitmap(ctx, self.source, q)
+            query_result_bitmap(ctx, self.source, q, actuals)
             for q in self.index_queries
         ]
         for query, bitmap in zip(self.index_queries, index_bitmaps):
@@ -160,15 +157,6 @@ class SharedScanStarJoin:
         n_whole = sum(not p.n_predicates for p in full_scan_pipes)
         routed_rows = [bitmap.positions() for bitmap in index_bitmaps]
         stats = ctx.stats
-        metrics = default_registry()
-        morsels = metrics.counter(
-            "executor.morsels", "column batches handed out by shared scans"
-        )
-        if index_pipes:
-            routed = metrics.counter(
-                "executor.tuples_routed",
-                "retrieved tuples tested against a query's result bitmap",
-            )
         #: Morsels accounted, probed and charged but not folded yet: ``(first
         #: row, rows, probe words, each index member's passing flags)``.
         pending: List[tuple] = []
@@ -202,8 +190,7 @@ class SharedScanStarJoin:
         for start, n_pages, n_rows, keys, _measures in scan_columns(
             ctx, self.source, self.label
         ):
-            self.morsels += 1
-            morsels.inc()
+            actuals.morsels += 1
             actuals.pages_scanned += n_pages
             actuals.rows_scanned += n_rows
             words = probe.alive(keys)
@@ -229,7 +216,6 @@ class SharedScanStarJoin:
                 actuals.tuples_routed[query.qid] += n_routed
             if index_pipes:
                 stats.charge_bitmap_test(n_rows * len(index_pipes))
-                routed.inc(n_rows * len(index_pipes))
             stats.charge_hash_probe(n_probes)
             stats.charge_predicate(n_tests)
             stats.charge_tuple_copy(n_pass)
@@ -255,10 +241,6 @@ class SharedScanStarJoin:
             return out
         # Phase 3: take each finished intermediate's groups as one in-memory
         # columnar batch and run every derived member's pipeline over it.
-        derived_rows = metrics.counter(
-            "executor.derive_rows",
-            "intermediate group rows fed to derived-query pipelines",
-        )
         for step, pipe in zip(self.derives, inter_pipes):
             intermediate = step.intermediate
             if ctx.faults is not None:
@@ -277,7 +259,7 @@ class SharedScanStarJoin:
                 derived_pipe.process_batch(
                     inter_keys, inter_measures, ctx.stats
                 )
-                derived_rows.inc(inter_measures.size)
+                actuals.derive_rows += int(inter_measures.size)
                 finish(query, derived_pipe)
         return out
 

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ...index.bitmap import Bitmap, and_all
 from ...index.bitmap_index import JoinIndex
-from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
@@ -61,10 +60,10 @@ def usable_index(
 
 
 def query_result_bitmap(
-    ctx: ExecContext, entry: TableEntry, query: GroupByQuery
+    ctx: ExecContext, entry: TableEntry, query: GroupByQuery, actuals: OperatorActuals
 ) -> Bitmap:
     """Steps 1–5 of the paper's bitmap join: per-dimension OR (inside the
-    index lookup), then AND across dimensions.
+    index lookup), then AND across dimensions (counted in ``actuals``).
 
     Predicates on unindexed dimensions do not narrow the bitmap; the query
     pipeline re-applies every predicate as a residual filter, so correctness
@@ -89,9 +88,7 @@ def query_result_bitmap(
     result = and_all(per_dim, n_bits=entry.table.n_rows)
     if len(per_dim) > 1:
         ctx.stats.charge_bitmap_words(result.n_words * (len(per_dim) - 1))
-        default_registry().counter(
-            "bitmap.and_ops", "bitmap AND operations (across dimensions)"
-        ).inc(len(per_dim) - 1)
+        actuals.and_ops += len(per_dim) - 1
     return result
 
 
@@ -132,7 +129,8 @@ class SharedIndexStarJoin:
         actuals = self.actuals
         # Step 1: per-query result bitmaps, then OR them into one probe set.
         per_query = [
-            query_result_bitmap(ctx, self.source, q) for q in self.queries
+            query_result_bitmap(ctx, self.source, q, actuals)
+            for q in self.queries
         ]
         shared = len(per_query) > 1
         union = per_query[0]
@@ -141,9 +139,7 @@ class SharedIndexStarJoin:
             for bitmap in per_query[1:]:
                 union.words |= bitmap.words
             ctx.stats.charge_bitmap_words(union.n_words * (len(per_query) - 1))
-            default_registry().counter(
-                "bitmap.or_ops", "bitmap OR operations (union of result bitmaps)"
-            ).inc(len(per_query) - 1)
+            actuals.or_ops += len(per_query) - 1
         # Step 2: probe the base table once with the union bitmap.
         positions = union.positions()
         actuals.union_popcount = int(union.count())
@@ -153,11 +149,6 @@ class SharedIndexStarJoin:
         )
         # Step 3: "Filter tuples" — route each tuple to the queries whose own
         # bitmap has its position set.  Step 4: per-query aggregation.
-        if shared:
-            routed = default_registry().counter(
-                "executor.tuples_routed",
-                "retrieved tuples tested against a query's result bitmap",
-            )
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
@@ -173,7 +164,6 @@ class SharedIndexStarJoin:
             mine_keys, mine_measures = keys, measures
             if shared:
                 ctx.stats.charge_bitmap_test(positions.size)
-                routed.inc(int(positions.size))
                 # Packed-word routing: gather each position's covering word
                 # and mask its bit — no full-bitmap unpack.
                 mine = bitmap.test_positions(positions)

@@ -105,11 +105,12 @@ def q_error(est: float, actual: float) -> float:
 @dataclass
 class OperatorActuals:
     """What one shared-operator execution really did.  Every shared
-    operator fills one in while running; the executor attaches it to the
+    operator fills one in while running, and writes nothing else; the
+    executor writes the operator counters from it and attaches it to the
     class's :class:`~repro.core.executor.ClassExecution` and to the
     ``operator.*`` span's attributes.
 
-    All counters are in tuples/pages, keyed by ``query.qid`` where
+    Counters are in tuples/pages/operations, keyed by ``query.qid`` where
     per-query.  ``tuples_routed`` is the count *delivered* to a query's
     pipeline after the "Filter tuples" routing step; ``tuples_tested`` the
     count tested against the query's result bitmap (shared-index and
@@ -124,6 +125,14 @@ class OperatorActuals:
     probes_issued: int = 0
     #: Popcount of the OR of the per-query result bitmaps.
     union_popcount: int = 0
+    #: Column batches the shared scan handed out.
+    morsels: int = 0
+    #: Bitmap ANDs across dimensions while building result bitmaps.
+    and_ops: int = 0
+    #: Bitmap ORs of the per-query result bitmaps into the probe set.
+    or_ops: int = 0
+    #: Intermediate group rows fed to derived members' pipelines.
+    derive_rows: int = 0
     #: qid -> popcount of the query's own result bitmap.
     bitmap_popcounts: Dict[int, int] = field(default_factory=dict)
     #: qid -> probed/scanned tuples tested against the query's bitmap.
@@ -147,21 +156,14 @@ class OperatorActuals:
         self.pipeline_cpu_ms[qid] = pipeline.actual_cpu_ms(rates)
 
     def as_dict(self) -> dict:
-        """JSON-able dump (per-query dicts keyed by stringified qid)."""
+        """JSON-able dump, field by field (per-query dicts keyed by
+        stringified qid, CPU shares rounded to 6 places)."""
         return {
-            "operator": self.operator,
-            "source": self.source,
-            "rows_scanned": self.rows_scanned,
-            "pages_scanned": self.pages_scanned,
-            "probes_issued": self.probes_issued,
-            "union_popcount": self.union_popcount,
-            "bitmap_popcounts": {str(k): v for k, v in self.bitmap_popcounts.items()},
-            "tuples_tested": {str(k): v for k, v in self.tuples_tested.items()},
-            "tuples_routed": {str(k): v for k, v in self.tuples_routed.items()},
-            "rows_in": {str(k): v for k, v in self.rows_in.items()},
-            "rows_passed": {str(k): v for k, v in self.rows_passed.items()},
-            "n_groups": {str(k): v for k, v in self.n_groups.items()},
-            "pipeline_cpu_ms": {
-                str(k): round(v, 6) for k, v in self.pipeline_cpu_ms.items()
-            },
+            name: {
+                str(k): round(v, 6) if isinstance(v, float) else v
+                for k, v in value.items()
+            }
+            if isinstance(value, dict)
+            else value
+            for name, value in vars(self).items()
         }

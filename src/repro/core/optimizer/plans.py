@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Collection, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Collection, Iterable, List, Tuple
 
 from ...schema.query import GroupByQuery
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ...dag.search import DagSearch
 
 
 def left_sum(addends: Iterable[float], start: float = 0.0) -> float:
@@ -154,15 +157,27 @@ class PlanClass:
 
 
 @dataclass
+class SearchStats:
+    """What planning took, on every plan (zeros if built without a search;
+    ``Database.optimize`` fills it), and a ``dag`` plan's search record."""
+
+    plan_costings: int = 0
+    member_terms: int = 0
+    planning_s: float = 0.0
+    dag: "DagSearch | None" = None
+
+    def get(self, key: str, default=None):
+        """A field by name (``perf/harness.py`` reads ``.get("plan_costings")``)."""
+        return getattr(self, key, default)
+
+
+@dataclass
 class GlobalPlan:
     """The full plan for one multi-query optimization problem."""
 
     algorithm: str
     classes: List[PlanClass] = field(default_factory=list)
-    #: Planning-effort metadata: ``Database.optimize`` adds
-    #: ``plan_costings`` (int) and ``planning_s`` (float); the dag optimizer
-    #: leaves its :class:`~repro.dag.search.SearchStats` under ``"dag"``.
-    search_stats: dict = field(default_factory=dict)
+    search_stats: SearchStats = field(default_factory=SearchStats)
 
     @property
     def est_cost_ms(self) -> float:

@@ -32,22 +32,22 @@ Optimization", SIGMOD 2000):
   unchanged.
 
 A dag plan carries the search's typed record
-(:class:`~repro.dag.search.SearchStats`, DAG included) in
-``plan.search_stats["dag"]``; :func:`repro.core.explain.explain_plan`
+(:class:`~repro.dag.search.DagSearch`, DAG included) in
+``plan.search_stats.dag``; :func:`repro.core.explain.explain_plan`
 renders it (AND/OR nodes, unified sub-expressions, chosen
 materializations) for ``repro run --explain --algorithm dag``.
 """
 
 from .nodes import AndNode, OrNode, PlanDag, build_dag, node_key
 from .optimizer import DagOptimizer
-from .search import SearchStats, greedy_search
+from .search import DagSearch, greedy_search
 
 __all__ = [
     "AndNode",
     "DagOptimizer",
+    "DagSearch",
     "OrNode",
     "PlanDag",
-    "SearchStats",
     "build_dag",
     "greedy_search",
     "node_key",

@@ -27,8 +27,7 @@ from typing import Sequence
 
 from ..core.optimizer.base import Optimizer, build_plan_class
 from ..core.optimizer.greedy import GGOptimizer
-from ..core.optimizer.plans import GlobalPlan
-from ..obs.metrics import default_registry
+from ..core.optimizer.plans import GlobalPlan, SearchStats
 from ..schema.query import GroupByQuery
 from .nodes import build_dag
 from .search import DagClass, greedy_search
@@ -41,48 +40,19 @@ class DagOptimizer(Optimizer):
 
     def optimize(self, queries: Sequence[GroupByQuery]) -> GlobalPlan:
         queries = self._check_input(queries)
-        metrics = default_registry()
         with self.tracer.span("dag.seed", n_queries=len(queries)) as span:
             seed_classes = [
                 DagClass(entry=cls.entry, scan_queries=cls.queries)
                 for cls in GGOptimizer(self.db, model=self.model).grow(queries)
             ]
             span.set("n_classes", len(seed_classes))
-        with self.tracer.span("dag.build") as span:
+        with self.tracer.span("dag.build"):
             dag = build_dag(self.db.schema, self.db.catalog, queries)
-            span.set("n_or_nodes", dag.n_or_nodes)
-            span.set("n_and_nodes", dag.n_and_nodes)
-            span.set("n_unified", dag.n_unified)
-        metrics.counter(
-            "dag.nodes", "AND-OR DAG nodes built during dag planning"
-        ).inc(dag.n_or_nodes + dag.n_and_nodes)
-        metrics.counter(
-            "dag.unified_subexpressions",
-            "structurally-hashed sub-expressions shared by >=2 queries",
-        ).inc(dag.n_unified)
-        with self.tracer.span("dag.search") as span:
-            classes, stats = greedy_search(
-                self.model, dag, seed_classes, queries
-            )
-            span.set("iterations", stats.iterations)
-            span.set("moves_evaluated", stats.moves_evaluated)
-            span.set("materializations", len(stats.materializations))
-            span.set("initial_est_ms", round(stats.initial_est_ms, 3))
-            span.set("final_est_ms", round(stats.final_est_ms, 3))
-        metrics.counter(
-            "dag.materializations",
-            "shared intermediates the greedy search chose to materialize",
-        ).inc(len(stats.materializations))
-        metrics.counter(
-            "dag.search_iterations", "greedy materialization iterations run"
-        ).inc(max(1, stats.iterations))
+        with self.tracer.span("dag.search"):
+            classes, stats = greedy_search(self.model, dag, seed_classes, queries)
         with self.tracer.span("dag.lower", n_classes=len(classes)):
             lowered = [
-                build_plan_class(
-                    self.model, cls.entry, cls.scan_queries, cls.steps
-                )
+                build_plan_class(self.model, cls.entry, cls.scan_queries, cls.steps)
                 for cls in classes
             ]
-            plan = GlobalPlan(algorithm=self.name, classes=lowered)
-        plan.search_stats = {"dag": stats}
-        return plan
+        return GlobalPlan(self.name, lowered, search_stats=SearchStats(dag=stats))

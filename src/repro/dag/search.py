@@ -77,12 +77,14 @@ class Materialization:
 
 
 @dataclass
-class SearchStats:
+class DagSearch:
     """What the greedy search did, over which DAG — the typed record a dag
-    plan carries in ``search_stats["dag"]`` and explain renders from."""
+    plan carries in ``search_stats.dag`` and explain renders from."""
 
     dag: PlanDag = field(repr=False)
-    iterations: int = 0
+    #: Loop passes run: one per accepted move, then (unless the budget ran
+    #: out) the one that found none.
+    passes: int = 0
     moves_evaluated: int = 0
     costings_memoized: int = 0
     initial_est_ms: float = 0.0
@@ -144,13 +146,13 @@ def greedy_search(
     dag: PlanDag,
     seed_classes: Sequence[DagClass],
     queries: Sequence[GroupByQuery],
-) -> Tuple[List[DagClass], SearchStats]:
+) -> Tuple[List[DagClass], DagSearch]:
     """Greedy materialization from the GG seed (see module docstring)."""
     # Moves build new states (``_without_queries``); the seed is never
     # mutated, so it is the first state as handed in.
     classes = list(seed_classes)
     coster = _Coster(model)
-    stats = SearchStats(dag=dag)
+    stats = DagSearch(dag=dag)
     stats.initial_est_ms = coster.total(classes)
     by_qid = {q.qid: q for q in queries}
     # One synthetic intermediate per candidate node, fixed for the whole
@@ -160,7 +162,8 @@ def greedy_search(
         node = dag.nodes[key]
         intermediates[key] = intermediate_query(node.kind, node.levels)
 
-    while stats.iterations < MAX_ITERATIONS:
+    while len(stats.materializations) < MAX_ITERATIONS:
+        stats.passes += 1
         current_total = coster.total(classes)
         min_gain_ms = MIN_GAIN_FRAC * current_total
         best_delta = 0.0
@@ -236,7 +239,6 @@ def greedy_search(
             break
         classes = best_state
         stats.materializations.append(best_move)
-        stats.iterations += 1
     stats.final_est_ms = coster.total(classes)
     stats.costings_memoized = coster.hits
     return classes, stats

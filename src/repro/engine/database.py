@@ -386,8 +386,9 @@ class Database:
 
         The plan must pass the coverage rule for ``queries``, paranoia or
         not (:func:`~repro.check.validate.check_coverage`).  It carries
-        ``search_stats`` (class costings performed, planning wall time) for
-        studying the planning-effort trade-off the paper's Section 8 raises.
+        a :class:`~repro.core.optimizer.plans.SearchStats` (class costings
+        performed, planning wall time) for studying the planning-effort
+        trade-off the paper's Section 8 raises.
         """
         from ..check.errors import CorrectnessError, PlanValidationError
         from ..check.validate import check_coverage
@@ -399,15 +400,12 @@ class Database:
         ) as span:
             started = time.perf_counter()
             plan = optimizer.optimize(list(queries))
-            # Merge, don't overwrite: optimizers (e.g. dag) leave their own
-            # planning metadata in search_stats.
-            plan.search_stats = {
-                **plan.search_stats,
-                "plan_costings": optimizer.model.n_plan_costings,
-                "planning_s": time.perf_counter() - started,
-            }
-            span.set("plan_costings", optimizer.model.n_plan_costings)
-            span.set("member_terms", optimizer.model.n_member_terms)
+            stats = plan.search_stats
+            stats.planning_s = time.perf_counter() - started
+            stats.plan_costings = optimizer.model.n_plan_costings
+            stats.member_terms = optimizer.model.n_member_terms
+            span.set("plan_costings", stats.plan_costings)
+            span.set("member_terms", stats.member_terms)
             span.set("n_classes", len(plan.classes))
         try:
             check_coverage(plan, queries)
@@ -418,10 +416,26 @@ class Database:
         metrics = default_registry()
         metrics.counter(
             "optimizer.plan_costings", "class costings computed while planning"
-        ).inc(optimizer.model.n_plan_costings)
+        ).inc(stats.plan_costings)
         metrics.counter(
             "optimizer.classes_opened", "plan classes in the plans produced"
         ).inc(len(plan.classes))
+        search = stats.dag
+        if search is not None:
+            metrics.counter(
+                "dag.nodes", "AND-OR DAG nodes built during dag planning"
+            ).inc(search.dag.n_or_nodes + search.dag.n_and_nodes)
+            metrics.counter(
+                "dag.unified_subexpressions",
+                "structurally-hashed sub-expressions shared by >=2 queries",
+            ).inc(search.dag.n_unified)
+            metrics.counter(
+                "dag.materializations",
+                "shared intermediates the greedy search chose to materialize",
+            ).inc(len(search.materializations))
+            metrics.counter(
+                "dag.search_iterations", "greedy materialization iterations run"
+            ).inc(search.passes)
         return plan
 
     def execute(

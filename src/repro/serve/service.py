@@ -477,7 +477,7 @@ class QueryService:
                 if not run.failures:
                     n_degraded += 1
                 continue
-            plan_ms = run.plan.search_stats.get("planning_s", 0.0) * 1000.0
+            plan_ms = run.plan.search_stats.planning_s * 1000.0
             if number > 1:
                 n_retries += 1
                 wait_ms = self.config.recovery.backoff_ms(number)

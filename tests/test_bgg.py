@@ -80,6 +80,6 @@ class TestOnPaperWorkloads:
                 gg.est_cost_ms, rel=0.01
             ), ids
             assert (
-                bgg.search_stats["plan_costings"]
-                <= gg.search_stats["plan_costings"]
+                bgg.search_stats.plan_costings
+                <= gg.search_stats.plan_costings
             )

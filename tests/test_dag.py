@@ -31,9 +31,11 @@ from repro.core.optimizer.plans import (
     JoinMethod,
     LocalPlan,
     PlanClass,
+    SearchStats,
 )
 from repro.core.explain import explain_plan
-from repro.dag import DagOptimizer, build_dag, node_key
+from repro.dag import DagOptimizer, DagSearch, build_dag, node_key
+from repro.dag import search as dag_search
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
@@ -151,7 +153,7 @@ class TestDagPlanning:
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
         assert any(cls.has_derives for cls in plan.classes)
-        stats = plan.search_stats["dag"]
+        stats = plan.search_stats.dag
         assert stats.materializations
         assert stats.dag.n_unified >= 1
         assert stats.final_est_ms <= stats.initial_est_ms + 1e-9
@@ -161,9 +163,40 @@ class TestDagPlanning:
         """Regression: Database.optimize used to overwrite search_stats,
         dropping optimizer-specific planning metadata."""
         plan = paper_db.optimize([paper_qs[i] for i in (1, 2, 3)], "dag")
-        assert "dag" in plan.search_stats
-        assert "plan_costings" in plan.search_stats
-        assert "planning_s" in plan.search_stats
+        stats = plan.search_stats
+        assert isinstance(stats, SearchStats)
+        assert isinstance(stats.dag, DagSearch)
+        assert stats.plan_costings > 0
+        assert stats.member_terms > 0
+        assert stats.planning_s > 0.0
+
+    @pytest.mark.parametrize("budget", (1, dag_search.MAX_ITERATIONS))
+    def test_search_iterations_count_passes_run(self, paper_db, paper_qs,
+                                                monkeypatch, budget):
+        """``dag.search_iterations`` and explain's ``search: N
+        iteration(s)`` count the passes the search loop ran: one per
+        accepted move, plus the pass that found none — unless the budget
+        stopped the search first.  (They used to count accepted moves.)"""
+        from repro.obs.metrics import MetricsRegistry, set_default_registry
+
+        monkeypatch.setattr(dag_search, "MAX_ITERATIONS", budget)
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            plan = paper_db.optimize([paper_qs[i] for i in (1, 2, 3, 4)],
+                                     "dag")
+        finally:
+            set_default_registry(previous)
+        search = plan.search_stats.dag
+        accepted = len(search.materializations)
+        assert accepted >= 1
+        stopped_by_budget = accepted == budget
+        assert search.passes == accepted + (not stopped_by_budget)
+        counted = registry.get("dag.search_iterations").value
+        assert counted == search.passes
+        assert f"search: {search.passes} iteration(s)," in explain_plan(
+            paper_db, plan
+        )
 
     def test_dag_emits_metrics_and_spans(self, paper_db, paper_qs):
         from repro.obs.metrics import MetricsRegistry, set_default_registry

@@ -79,5 +79,5 @@ def test_dag_estimates_stay_monotone_under_search(sweep, paper_db,
     for test, ids in ALL_PAPER_TESTS.items():
         batch = [paper_qs[i] for i in ids]
         plan = paper_db.optimize(batch, "dag")
-        stats = plan.search_stats["dag"]
+        stats = plan.search_stats.dag
         assert stats.final_est_ms <= stats.initial_est_ms + 1e-9, test

@@ -153,7 +153,7 @@ def test_compute_is_per_morsel_not_per_page(
     assert counter.value - before == expected
     assert reads.count(plan_class.source) == expected
     span = paper_db.last_trace.find("operator.shared_hybrid")
-    assert span.attrs["morsels"] == expected
+    assert span.attrs["actuals"]["morsels"] == expected
     for local in plan_class.plans:
         # One fold, already charged by the class: the hash member's batch
         # is every morsel, an index member's the morsels that routed it rows.
@@ -241,8 +241,8 @@ def test_one_gather_per_predicated_dimension_per_64_members(
         len({p.dim_index for query in queries[first : first + 64] for p in query.predicates})
         for first in range(0, n_members, 64)
     )
-    assert operator.morsels > 1
-    assert CountingTable.gathers == operator.morsels * per_morsel
+    assert operator.actuals.morsels > 1
+    assert CountingTable.gathers == operator.actuals.morsels * per_morsel
     assert per_morsel <= paper_db.schema.n_dims * math.ceil(n_members / 64)
 
 
@@ -319,3 +319,25 @@ def test_fault_mid_morsel(paper_db, paper_qs, monkeypatch, site, nth, cold):
     assert survivors == {
         qid: list(clean.results[qid].groups.items()) for qid in survivors
     }
+
+
+def test_an_aborted_scan_counts_the_morsels_it_handed_out(
+    paper_db, paper_qs, monkeypatch
+):
+    """The operator counters are written from the operator's actuals in a
+    ``finally``: a class an injected fault aborts still counts the morsels
+    it handed out before the fault."""
+    plan = GlobalPlan("forced", forced_plan(paper_qs).classes[:1])
+    set_morsel_rows(monkeypatch, 3 * ROWS_PER_PAGE)
+    counter = default_registry().counter("executor.morsels")
+    before = counter.value
+    paper_db.arm_faults(
+        FaultPlan([InjectionPoint(site="operator.pipeline", nth=7)])
+    )
+    try:
+        report = execute_plan(paper_db, plan)
+    finally:
+        paper_db.disarm_faults()
+    assert isinstance(report.failures[0].error, InjectedFault)
+    # Pages 1-6 made two morsels; the check on page 7 aborted the third.
+    assert counter.value - before == 2

@@ -13,7 +13,7 @@ from repro.core.operators.index_join import (
     SharedIndexStarJoin,
     query_result_bitmap,
 )
-from repro.core.operators.results import q_error
+from repro.core.operators.results import OperatorActuals, q_error
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
@@ -63,7 +63,7 @@ class TestSharedIndexActuals:
         entry = db.catalog.get("XY")
         union = None
         for query in queries:
-            bitmap = query_result_bitmap(ctx, entry, query)
+            bitmap = query_result_bitmap(ctx, entry, query, OperatorActuals(""))
             union = bitmap if union is None else (union | bitmap)
         assert actuals.union_popcount == union.count()
         assert actuals.probes_issued == actuals.union_popcount
@@ -74,7 +74,7 @@ class TestSharedIndexActuals:
         ctx = db.ctx()
         entry = db.catalog.get("XY")
         for query in queries:
-            bitmap = query_result_bitmap(ctx, entry, query)
+            bitmap = query_result_bitmap(ctx, entry, query, OperatorActuals(""))
             qid = query.qid
             assert actuals.bitmap_popcounts[qid] == bitmap.count()
             assert actuals.tuples_routed[qid] == actuals.bitmap_popcounts[qid]

@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import main
 from repro.bench.harness import run_forced_class
-from repro.core.optimizer.plans import JoinMethod
+from repro.core.executor import run_class_accounted
+from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from repro.engine.session import QuerySession
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.obs.trace import NULL_TRACER
@@ -129,6 +130,35 @@ class TestTracedBatch:
         assert fresh_registry.get("executor.tuples_routed").value > 0
         assert fresh_registry.get("bitmap.or_ops").value > 0
         assert fresh_registry.get("table.probe_pages").value > 0
+
+
+    @pytest.mark.parametrize("kind", ["shared_index", "shared_hybrid"])
+    def test_tuples_routed_counts_bitmap_tests(self, db, fresh_registry,
+                                               kind):
+        """``executor.tuples_routed`` counts tuples *tested* against a
+        member's result bitmap — Σ ``OperatorActuals.tuples_tested``, the
+        clock's ``bitmap_tests`` — not the tuples routed to a member.  On
+        Test 6's shared index class and on Test 3's hybrid class (forced:
+        gg picks none at this scale)."""
+        qs = paper_queries(db.schema)
+        if kind == "shared_index":
+            (plan_class,) = db.optimize([qs[6], qs[7], qs[8]], "gg").classes
+        else:
+            methods = [JoinMethod.HASH] + [JoinMethod.INDEX] * 3
+            plan_class = PlanClass(
+                source="A'B'C'D",
+                plans=[
+                    LocalPlan(query=qs[i], source="A'B'C'D", method=method)
+                    for i, method in zip((3, 5, 6, 7), methods)
+                ],
+            )
+        assert plan_class.operator_kind == kind
+        ctx = db.ctx(private=True)
+        _results, actuals = run_class_accounted(ctx, plan_class)
+        tested = sum(actuals.tuples_tested.values())
+        assert tested > sum(actuals.tuples_routed.values())
+        assert fresh_registry.get("executor.tuples_routed").value == tested
+        assert ctx.stats.bitmap_tests == tested
 
 
 class TestNoOpOverhead:

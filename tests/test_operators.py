@@ -18,6 +18,7 @@ from repro.core.operators.index_join import (
     usable_index,
 )
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
+from repro.core.operators.results import OperatorActuals
 from repro.core.optimizer.plans import DeriveStep
 from repro.check import evaluate_reference
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
@@ -225,7 +226,9 @@ class TestIndexStarJoin:
 
     def test_no_predicates_bitmap_is_all_ones(self, db):
         entry = db.catalog.get("XY")
-        bitmap = query_result_bitmap(db.ctx(), entry, simple_query((1, 1)))
+        bitmap = query_result_bitmap(
+            db.ctx(), entry, simple_query((1, 1)), OperatorActuals("")
+        )
         assert bitmap.count() == entry.n_rows
 
 
@@ -436,4 +439,4 @@ class TestSharedProbe:
         got = observed(op.run_ordered(), built, before)
         assert got == want
         morsel_pages = max(1, morsel_rows // entry.table.capacity)
-        assert op.morsels == -(-entry.table.n_pages // morsel_pages)
+        assert op.actuals.morsels == -(-entry.table.n_pages // morsel_pages)

@@ -38,7 +38,7 @@ WORKLOADS = tuple(sorted(ALL_PAPER_TESTS)) + tuple(
     f"seed{seed}" for seed in RANDOM_SEEDS
 )
 
-#: ``search_stats["plan_costings"]`` per name on Tests 4–7 (paper database
+#: ``search_stats.plan_costings`` per name on Tests 4–7 (paper database
 #: at scale 0.01).  The greedy loop's sequence of ``CostModel.plan_class``
 #: calls is part of its contract (committed planning-effort tables and the
 #: frozen benchmark's ``plan.costings_per_op`` read it); a change here is
@@ -322,9 +322,9 @@ class TestRegistrySweep:
         assert gg.est_cost_ms <= bgg.est_cost_ms + 1e-6
         assert bgg.est_cost_ms <= etplg.est_cost_ms + 1e-6
         assert (
-            etplg.search_stats["plan_costings"]
-            <= bgg.search_stats["plan_costings"]
-            <= gg.search_stats["plan_costings"]
+            etplg.search_stats.plan_costings
+            <= bgg.search_stats.plan_costings
+            <= gg.search_stats.plan_costings
         )
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -342,7 +342,7 @@ class TestRegistrySweep:
         for test in ("test4", "test5", "test6", "test7"):
             database, queries = workloads[test]
             plan = database.optimize(queries, algorithm)
-            counts.append(plan.search_stats["plan_costings"])
+            counts.append(plan.search_stats.plan_costings)
         assert tuple(counts) == PLAN_COSTINGS[algorithm]
 
     @pytest.mark.parametrize(

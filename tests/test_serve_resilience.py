@@ -14,6 +14,7 @@ from concurrent.futures import InvalidStateError
 import pytest
 
 from repro.check import first_divergence, reference_answer
+from repro.core.optimizer import OPTIMIZERS
 from repro.engine.result_cache import attach_cache
 from repro.engine.session import query_key
 from repro.faults import (
@@ -460,3 +461,49 @@ def test_no_recovery_is_one_plain_execution():
     assert {q: r.groups for q, r in recovered.results.items()} == {
         q: r.groups for q, r in clean.results.items()
     }
+
+
+# -- the planning-effort reads ------------------------------------------------
+
+
+def _effort(plan):
+    """The two reads made of every plan's ``search_stats``: the perf
+    harness's ``plan_costings`` and ``QueryService._account``'s
+    ``planning_s``, as dict-style ``.get`` calls."""
+    stats = plan.search_stats
+    return stats.get("plan_costings", 0), stats.get("planning_s", 0.0)
+
+
+@pytest.mark.parametrize("algorithm", sorted(OPTIMIZERS))
+def test_every_optimizer_plan_answers_the_effort_reads(algorithm):
+    db = make_tiny_db(materialized=("X'Y'",))
+    plan = db.optimize([coarse_query("a"), leaf_query("b")], algorithm)
+    costings, planning_s = _effort(plan)
+    assert type(costings) is int and costings > 0
+    assert type(planning_s) is float and planning_s > 0.0
+
+
+def test_unplanned_plans_answer_the_effort_reads_with_zeros():
+    """An all-cache-hit batch's empty plan and a degraded replan are built
+    without a search, so they report no planning effort."""
+    db = make_tiny_db(materialized=("X'Y'",))
+    attach_cache(db)
+    query = coarse_query("cached")
+    db.run_queries([query])
+    hit = db.run_queries([query])
+    assert hit.cache_hits and hit.plan.n_queries == 0
+    assert _effort(hit.plan) == (0, 0.0)
+    db = make_tiny_db(materialized=("X'Y'",))
+    db.arm_faults(
+        FaultPlan([InjectionPoint(site="storage.page_read", table="X'Y'")])
+    )
+    try:
+        degraded = db.run_queries(
+            [coarse_query("degraded")],
+            recovery=RetryPolicy(max_attempts=1, degrade=True),
+        )
+    finally:
+        db.disarm_faults()
+    last = degraded.attempts[-1].plan
+    assert last.algorithm == "degraded"
+    assert _effort(last) == (0, 0.0)
