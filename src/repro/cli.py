@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -36,7 +38,7 @@ from .calibrate.profile import CalibrationProfile
 from .core.explain import explain_plan
 from .document import DocumentError, read_text
 from .engine.view_selection import greedy_select_views, materialize_selection
-from .mdx import translate_mdx
+from .mdx import MdxResolutionError, MdxSyntaxError, translate_mdx
 from .serve import SimulationConfig, run_simulation, simulation_service
 from .core.optimizer import OPTIMIZERS
 from .workload.paper_queries import ALL_PAPER_TESTS, PAPER_TESTS, paper_queries
@@ -105,10 +107,35 @@ class CliError(Exception):
     """A usage error: printed to stderr, exits with code 2."""
 
 
+def _checked(convert, ok, wanted: str):
+    """An argparse ``type``: ``convert`` the text and refuse it, as a usage
+    error, unless ``ok`` holds for the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted} (got {text!r})")
+        return value
+
+    return parse
+
+
+_scale = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+#: ``bench --label`` names the record file ``BENCH_<label>.json``.
+_label = _checked(
+    str, lambda v: not any(s and s in v for s in (os.sep, os.altsep)),
+    "a name with no path separator",
+)
+
+
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=0.01,
         help="fraction of the paper's 2M-row base table (default 0.01)",
     )
@@ -199,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(FILE ending in .chrome.json gets Chrome-trace events instead)",
     )
     run.add_argument(
-        "--limit", type=int, default=10,
+        "--limit", type=_count, default=10,
         help="max result rows to print per query (default 10)",
     )
     run.add_argument(
@@ -258,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "value reproduces exactly",
     )
     bench.add_argument(
-        "--label", default="paper",
+        "--label", type=_label, default="paper",
         help="record label; the default path is BENCH_<label>.json "
         "(default 'paper')",
     )
@@ -353,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_scale(select)
     select.add_argument(
-        "--budget", type=int, default=5,
+        "--budget", type=_count, default=5,
         help="number of views to select (default 5)",
     )
     select.add_argument(
@@ -387,6 +414,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     mdx = _read_mdx(args)
     db = _build_db(args)
+    try:
+        return _run_mdx(args, db, mdx)
+    except (MdxSyntaxError, MdxResolutionError) as exc:
+        raise CliError(f"bad MDX: {exc}") from exc
+
+
+def _run_mdx(args: argparse.Namespace, db, mdx: str) -> int:
     if args.pivot:
         from .mdx.pivot import evaluate_pivot
 

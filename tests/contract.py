@@ -1,18 +1,22 @@
-"""Dump every result byte and simulated number of a fixed sweep, to compare
-two trees.
+"""The byte contract: every result byte and simulated number of a fixed
+sweep, committed as one sha256 per key in ``tests/golden/contract.txt``.
 
-    PYTHONPATH=<tree>/src python3 .github/byte_dump.py OUT.json [--scale S]
+    PYTHONPATH=src python tests/contract.py      # re-record the digest
 
-A behaviour-neutral change is *shown* neutral by running this file (the
-same copy, unmodified) under a ``git clone`` of the parent commit and under
-the working tree and comparing the two outputs with ``cmp``
-(``.claude/skills/verify/SKILL.md``).  Every case runs with the morsel size
-forced small, so each aggregator folds many batches, and records, per
-query, ``float.hex`` of every result value *in dict order* (group order
-is part of the contract), per class the ``IOStats`` and
-``OperatorActuals``, and the simulated milliseconds; and per plan what the
-planner decided: its signature, ``float.hex`` of every class estimate, each
-class's derive steps, the costing count and the ``explain_plan`` text:
+``tests/test_contract.py`` regenerates the sweep in a fresh interpreter and
+demands that its digest equal the committed one, naming the first key that
+differs.  A change that means to move a key re-records the digest in the
+same commit; the digest's diff is then the list of keys it moved.  The sweep
+must run in a fresh interpreter: a query's ``qid`` comes from a per-process
+counter, and ``explain_plan`` prints it.
+
+Every case runs with the morsel size forced small, so each aggregator folds
+many batches, and records, per query, ``float.hex`` of every result value
+*in dict order* (group order is part of the contract), per class the
+``IOStats`` and ``OperatorActuals``, and the simulated milliseconds; and
+per plan what the planner decided: its signature, ``float.hex`` of every
+class estimate, each class's derive steps, the costing count and the
+``explain_plan`` text:
 
 * Tests 1-7 x every registry name x SUM / AVG / MIN / MAX / COUNT, each plan
   executed serially and on three workers;
@@ -28,13 +32,13 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   retried to success), every check on the first planned class's table
   (retries exhaust, degraded replanning answers) or every check anywhere
   (degraded replanning fails too: quarantine) — recording the served
-  results, the ``ServiceStats`` counters and ``sim_ms_total``, the
-  service's simulated clock, the quarantined qids and the flight
-  recorder's events; and, from a fresh metrics registry, every metric
-  name, every counter and gauge value and every histogram but the
-  wall-clock ones (histograms nothing was observed into are left out of
-  both), and each batch trace depth-first as ``[name, sim]`` pairs (the
-  span's simulated-cost delta; attributes and wall times left out);
+  results, the ``ServiceStats`` counters, ``sim_ms_total`` and
+  ``backoff_ms``, the quarantined qids and the flight recorder's events;
+  and, from a fresh metrics registry, every metric name, every counter and
+  gauge value and every histogram but the wall-clock ones (histograms
+  nothing was observed into are left out of both), and each batch trace
+  depth-first as ``[name, sim]`` pairs (the span's simulated-cost delta;
+  attributes and wall times left out);
 * ``units/``: per plan of the sweep above, per class without derive steps,
   ``class_cost_given`` on a ``CostModel`` priced at each unit basis (one
   ``CostRates`` field 1.0, the others 0.0) as ``float.hex`` — the count of
@@ -52,23 +56,30 @@ class's derive steps, the costing count and the ``explain_plan`` text:
   ``IOStats``, and per pool the run used its hits, misses, size and
   frames in LRU order (``FaultPlan.fired`` for the armed ones);
 * ``cli/``: the stdout of ``repro report --tests test4,test5
-  --no-figures``, ``report`` and ``select-views --budget 4`` at the dump's
-  scale, each through ``repro.cli.main`` on its own freshly built database.
+  --no-figures``, ``report`` and ``select-views --budget 4`` at the
+  sweep's scale, each through ``repro.cli.main`` on its own freshly built
+  database.
 
-It imports only names that exist at the parent of the PR that added it.
+A later section runs on the database that earlier sections appended to
+and analyzed, so the first key that differs is the earliest cause.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
+import platform
 import random
 import sys
-from typing import List
+from pathlib import Path
+from typing import Dict, List, Tuple
 
+import numpy
+
+from repro.bench.history import ABSENT, Difference, describe_differences
 from repro.cli import main as cli_main
 from repro.engine import database as database_module
 from repro.core.explain import explain_plan
@@ -84,6 +95,9 @@ from repro.storage.iostats import CostRates
 from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
+#: The committed digest.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "contract.txt"
+SCALE = 0.002
 MORSEL_ROWS = 700
 SEED = 11
 REAGGREGABLE = [Aggregate.SUM, Aggregate.COUNT, Aggregate.MIN, Aggregate.MAX]
@@ -112,11 +126,11 @@ def dump_plan(db, plan) -> dict:
         "derives": [
             [
                 [step.node_key, sorted(step.qids), step.est_rows.hex()]
-                for step in getattr(cls, "derives", ())
+                for step in cls.derives
             ]
             for cls in plan.classes
         ],
-        "plan_costings": plan.search_stats.get("plan_costings"),
+        "plan_costings": plan.search_stats.plan_costings,
         "explain": explain_plan(db, plan),
     }
 
@@ -136,9 +150,7 @@ def dump_report(report, batch) -> dict:
                 "pipeline_cpu_ms": [
                     v.hex() for v in execution.actuals.pipeline_cpu_ms.values()
                 ],
-                "derives": bool(
-                    getattr(execution.plan_class, "has_derives", False)
-                ),
+                "derives": execution.plan_class.has_derives,
             }
             for execution in report.class_executions
         ],
@@ -156,7 +168,7 @@ def dump_units(db, plan, bases) -> list:
     models = [CostModel.for_database(db, rates=rates) for rates in bases]
     return [
         None
-        if getattr(cls, "derives", ())
+        if cls.derives
         else [
             model.class_cost_given(
                 db.catalog.get(cls.source), cls.queries, cls.methods
@@ -271,7 +283,7 @@ def serve_under_fault(db, batch, point: InjectionPoint) -> dict:
             if f.name.startswith("n_")
         },
         "sim_ms_total": stats.sim_ms_total.hex(),
-        "sim_clock_ms": registry.get("retry.backoff_ms").total.hex(),
+        "backoff_ms": stats.backoff_ms.hex(),
         "recorder": [
             {key: entry[key] for key in keep if key in entry}
             for entry in service.recorder.entries()
@@ -384,7 +396,7 @@ def pool_case(db, batch, name: str, cold: bool, pools: list) -> dict:
     }
 
 
-def pool_sweep(scale: float) -> dict:
+def pool_sweep() -> dict:
     """``pool/``: Tests 1-7 x naive / tplo / gg, cold and warm (the warm
     runs share the database's pool from case to case), at two pool sizes;
     then the armed cases, recording ``FaultPlan.fired``."""
@@ -396,7 +408,7 @@ def pool_sweep(scale: float) -> dict:
             pools.append(self)
 
     def batches(buffer_pages: int):
-        config = PaperConfig(scale=scale, buffer_pages=buffer_pages)
+        config = PaperConfig(scale=SCALE, buffer_pages=buffer_pages)
         db = build_paper_database(config=config)
         queries = paper_queries(db.schema)
         for test, qids in ALL_PAPER_TESTS.items():
@@ -436,21 +448,31 @@ CLI_COMMANDS = {
 }
 
 
-def cli(scale: float) -> dict:
+def cli() -> dict:
     out = {}
     for name, argv in CLI_COMMANDS.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = cli_main([*argv, "--scale", str(scale)])
+            code = cli_main([*argv, "--scale", str(SCALE)])
         out[f"cli/{name}"] = {"exit": code, "stdout": stdout.getvalue()}
     return out
 
 
-def sweep(scale: float) -> dict:
+def sweep() -> dict:
+    """Every section, in order: the dump the digest is taken of.  Run it
+    in a fresh interpreter (see the module docstring)."""
+    morsel_rows = table_module.MORSEL_ROWS
     table_module.MORSEL_ROWS = MORSEL_ROWS
-    db = build_paper_database(scale=scale)
+    try:
+        return _sweep()
+    finally:
+        table_module.MORSEL_ROWS = morsel_rows
+
+
+def _sweep() -> dict:
+    db = build_paper_database(scale=SCALE)
     queries = paper_queries(db.schema)
-    out: dict = {"scale": scale, "morsel_rows": MORSEL_ROWS}
+    out: dict = {}
     bases = unit_bases()
     for test, qids in ALL_PAPER_TESTS.items():
         for aggregate in Aggregate:
@@ -509,20 +531,105 @@ def sweep(scale: float) -> dict:
     out.update(terms(db, batches, "plain"))
     db.analyze()
     out.update(terms(db, batches, "analyzed"))
-    out.update(pool_sweep(scale))
-    out.update(cli(scale))
+    out.update(pool_sweep())
+    out.update(cli())
     return out
 
 
-def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out")
-    parser.add_argument("--scale", type=float, default=0.002)
-    args = parser.parse_args(argv)
-    with open(args.out, "w") as handle:
-        json.dump(sweep(args.scale), handle, indent=1)
+# -- the digest ---------------------------------------------------------------
+
+
+def header() -> Dict[str, str]:
+    """What the digest was taken under: the interpreter, numpy (a float
+    fold's order may move with it) and the sweep's two settings."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scale": str(SCALE),
+        "morsel_rows": str(MORSEL_ROWS),
+    }
+
+
+def compact(value) -> str:
+    """``value`` as compact JSON, insertion order kept (group order is part
+    of the contract)."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def digest(dump: dict) -> Dict[str, str]:
+    """Key -> sha256 of the key's value as :func:`compact` JSON, in sweep
+    order."""
+    return {
+        key: hashlib.sha256(compact(value).encode()).hexdigest()
+        for key, value in dump.items()
+    }
+
+
+def render(head: Dict[str, str], hashes: Dict[str, str]) -> str:
+    """The digest file: ``# name value`` header lines, then
+    ``<sha256>  <key>`` per key."""
+    lines = [f"# {name} {value}" for name, value in head.items()]
+    lines += [f"{sha}  {key}" for key, sha in hashes.items()]
+    return "\n".join(lines) + "\n"
+
+
+def parse(text: str) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """:func:`render`'s inverse: ``(header, hashes)``."""
+    head, hashes = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            name, value = line[2:].split(" ", 1)
+            head[name] = value
+        else:
+            sha, key = line.split("  ", 1)
+            hashes[key] = sha
+    return head, hashes
+
+
+def check(text: str, dump: dict) -> str:
+    """Empty when ``dump`` matches the committed digest ``text``; else the
+    first differing key, both hashes and the count, the regenerated value
+    under that key, and a note when the digest was taken under another
+    Python or numpy.  Keys differ in committed order, then the new ones; a
+    key only one side has is paired with ``ABSENT``."""
+    committed_head, committed = parse(text)
+    fresh = digest(dump)
+    differences = [
+        Difference(key, committed.get(key, ABSENT), fresh.get(key, ABSENT))
+        for key in {**committed, **fresh}
+        if committed.get(key, ABSENT) != fresh.get(key, ABSENT)
+    ]
+    if not differences:
+        return ""
+    key = differences[0].path
+    lines = [describe_differences(differences)]
+    if key in dump:
+        value = dump[key]
+        fields = value.items() if isinstance(value, dict) else [("value", value)]
+        lines.append(f"regenerated {key}:")
+        lines += [f"  {name}: {compact(item)}" for name, item in fields]
+    for name, value in header().items():
+        if committed_head.get(name) != value:
+            lines.append(
+                f"the digest was taken under {name} "
+                f"{committed_head.get(name, ABSENT)}, this run is {value}"
+                + (
+                    ": a result key that moves with numpy is the float "
+                    "fold-order hazard, not noise"
+                    if name == "numpy" else ""
+                )
+            )
+    lines.append(
+        "re-record with `PYTHONPATH=src python tests/contract.py` if the "
+        "change is meant"
+    )
+    return "\n".join(lines)
+
+
+def main() -> int:
+    GOLDEN.write_text(render(header(), digest(sweep())))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

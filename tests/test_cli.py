@@ -380,6 +380,38 @@ class TestBenchUsageErrors:
         assert "--record" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Input from outside is a usage error (``error: ...``, exit 2), never a
+    traceback or a silent degenerate run."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["info", "--scale", "0"], "--scale"),
+            (["info", "--scale", "-1"], "--scale"),
+            (["info", "--scale", "nan"], "--scale"),
+            (["info", "--scale", "inf"], "--scale"),
+            (["select-views", "--budget", "-1", *SCALE], "--budget"),
+            (["run", TestRun.MDX, "--limit", "-1", *SCALE], "--limit"),
+            (["bench", "--record", "--label", "../../x", *SCALE], "--label"),
+            (["run", "{A''.A1.CHILDREN} on", *SCALE], "bad MDX"),
+            (["run", "{A''.A9.CHILDREN} on COLUMNS CONTEXT ABCD", *SCALE],
+             "bad MDX"),
+        ],
+        ids=["scale-0", "scale-neg", "scale-nan", "scale-inf", "budget-neg",
+             "limit-neg", "label-path", "mdx-syntax", "mdx-member"],
+    )
+    def test_exits_2_with_an_error_line(self, argv, named, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if "error: " in line]
+        assert named in line and "Traceback" not in err
+
+
 class TestProfileFlag:
     """--profile error paths (the exit-2 contract) and the happy path.
 
