@@ -49,7 +49,7 @@ def test_bitmap_vs_btree_payloads(report, benchmark):
     )
     # Identical answers regardless of payload encoding.
     for bitmap_result, btree_result in zip(results["bitmap"], results["btree"]):
-        assert bitmap_result.approx_equals(btree_result)
+        assert bitmap_result.groups == btree_result.groups
     # Both are in the same cost ballpark (payload choice is not the story).
     sims = [r[1] for r in rows]
     assert max(sims) < 3 * min(sims)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ..core.operators.results import DEFAULT_REL_TOL, QueryResult, values_differ
+from ..core.operators.results import QueryResult
 from ..faults import InjectedFault
 from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
@@ -54,7 +54,7 @@ def first_divergence(
         if key not in expected:
             return Divergence("extra-group", key, None, actual[key])
         want, got = expected[key], actual[key]
-        if values_differ(want, got, DEFAULT_REL_TOL):
+        if want != got:
             return Divergence("value-mismatch", key, want, got)
     return None
 

@@ -71,11 +71,13 @@ def evaluate_reference(
     """Evaluate ``query`` over ``rows`` stored at ``source_levels``
     (default: the base/leaf levels).
 
-    ``source_aggregate`` names the aggregate a view's measure column holds
-    (None for raw data); the fold is adjusted exactly as the engine's
-    pipelines adjust it.  Tuples passing all predicates contribute to
-    exactly the one group the target group-by assigns them (the
-    correctness contract behind the paper's "Filter tuples" routing).
+    Rows hold their measure as stored: an integer number of cents (or a
+    COUNT view's counts).  ``source_aggregate`` names the aggregate a view's
+    measure column holds (None for raw data); the fold is adjusted exactly
+    as the engine's pipelines adjust it.  Tuples passing all predicates
+    contribute to exactly the one group the target group-by assigns them
+    (the correctness contract behind the paper's "Filter tuples" routing).
+    Groups come out in key order.
     """
     if source_levels is None:
         source_levels = schema.base_levels()
@@ -87,7 +89,7 @@ def evaluate_reference(
         )
     fold = effective_aggregate(query.aggregate, source_aggregate)
     n_dims = schema.n_dims
-    groups: Dict[Tuple[int, ...], float] = {}
+    groups: Dict[Tuple[int, ...], int] = {}
     counts: Dict[Tuple[int, ...], int] = {}
     for row in rows:
         # Join the tuple to each dimension: navigate from the stored key up
@@ -111,23 +113,29 @@ def evaluate_reference(
             else:
                 key.append(dim.rollup(source_levels[d], level, int(row[d])))
         key = tuple(key)
-        measure = float(row[n_dims])
-        if fold is Aggregate.SUM:
-            groups[key] = groups.get(key, 0.0) + measure
+        measure = row[n_dims]
+        counts[key] = counts.get(key, 0) + 1
+        if fold in (Aggregate.SUM, Aggregate.AVG):
+            groups[key] = groups.get(key, 0) + measure
         elif fold is Aggregate.COUNT:
-            groups[key] = groups.get(key, 0.0) + 1.0
+            groups[key] = counts[key]
         elif fold is Aggregate.MIN:
             groups[key] = min(groups.get(key, measure), measure)
         elif fold is Aggregate.MAX:
             groups[key] = max(groups.get(key, measure), measure)
-        elif fold is Aggregate.AVG:
-            groups[key] = groups.get(key, 0.0) + measure
-            counts[key] = counts.get(key, 0) + 1
         else:  # pragma: no cover - Aggregate is a closed enum
             raise NotImplementedError(fold)
-    if fold is Aggregate.AVG:
-        groups = {key: total / counts[key] for key, total in groups.items()}
-    return QueryResult(query=query, groups=groups)
+
+    def result_value(key: Tuple[int, ...]) -> float:
+        """One division per group, at the end: cents / 100, a count as it
+        is, an average as its sum of cents / (100 * count)."""
+        if query.aggregate is Aggregate.COUNT:
+            return float(groups[key])
+        if query.aggregate is Aggregate.AVG:
+            return groups[key] / (100 * counts[key])
+        return groups[key] / 100
+
+    return QueryResult(query, {key: result_value(key) for key in sorted(groups)})
 
 
 def reference_answer(

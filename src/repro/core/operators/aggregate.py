@@ -7,14 +7,14 @@ group's accumulator.  A group key is packed into one integer code
 codes are folded with numpy (:func:`fold_groups`) and unpacked again
 (:func:`decode_groups`); :class:`HashAggregator`, the shared scan's derive
 phase, and view materialization and maintenance (:mod:`repro.engine`) all
-call these three.  SUM and AVG state are floats, so the fold order shows in
-the last bits and is defined here, once: row order within a batch, arrival
-order across batches.  COUNT, MIN and MAX are order-free (DESIGN.md §6.1).
+call these three.  Every fold state is an integer (int64 cents, or a
+count), so any batching and any merge order give the same state; a result
+value is made from it once, by :meth:`HashAggregator.result` (DESIGN.md
+§6.1).
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from ...schema.query import Aggregate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.iostats import IOStats
+from ...storage.table import CENTS
 from .results import QueryResult
 
 #: How two partial states of one group merge: SUM / COUNT / MIN / MAX are
@@ -39,15 +40,14 @@ _STATES[Aggregate.AVG] = (Aggregate.SUM, Aggregate.COUNT)
 #: Batch partials (rows) a :class:`HashAggregator` buffers before merging
 #: them to one row per group: bounds its memory at groups + this many rows
 #: (~1 MB) under a scan that emits partials every morsel.  Not an option,
-#: because when the merge runs cannot show in the result: a group's partials
-#: are added in arrival order from 0.0 and ``0.0 + p == p``, so ``((0 + a) +
-#: b) + c`` is reached under any schedule.
+#: because when the merge runs cannot show in the result: the state is
+#: integers, whose merge is exact in any order.
 COMPACT_ROWS = 1 << 16
 
 #: Scanned rows a shared scan lets pend before folding them, once per member
 #: (at scan end at the latest): bounds the positions and packed codes in
-#: flight under a table of any size.  Not an option either: a morsel is never
-#: split across folds, and a fold buffers its morsels' partials in order.
+#: flight under a table of any size.  Not an option either, for the same
+#: reason.
 FOLD_ROWS = 1 << 18
 
 
@@ -74,29 +74,37 @@ def group_codes(
     return np.ravel_multi_index(columns, sizes), sizes
 
 
-def _fold_by(inverse, n_groups: int, values, combine: np.ufunc) -> np.ndarray:
-    """Left-fold ``values`` per group with ``combine``, in input order."""
-    if combine is np.add:
-        # bincount adds each group's values in input order from 0.0, as a
-        # row-at-a-time accumulator would (np.add.reduceat sums pairwise).
-        return np.bincount(inverse, weights=values, minlength=n_groups)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(n_groups))
-    return combine.reduceat(values[order], boundaries)
+def _fold(codes: np.ndarray, columns, combines) -> Tuple[np.ndarray, ...]:
+    """Group integer ``columns`` by ``codes``, each with its ufunc of
+    ``combines``: ``(ascending distinct codes, one folded column each)`` —
+    exact, so the row order does not matter."""
+    order = np.argsort(codes)
+    ordered = codes[order]
+    first = np.empty(ordered.size, dtype=bool)  # a group's first row
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return (ordered[starts], *[
+        combine.reduceat(column[order], starts)
+        for column, combine in zip(columns, combines)
+    ])
 
 
 def fold_groups(
     codes: np.ndarray, measures: np.ndarray, fold: Aggregate
 ) -> Tuple[np.ndarray, ...]:
-    """Group ``measures`` by code: ``(sorted distinct codes, folded value
-    per code)`` — for AVG, ``(codes, sums, counts)``."""
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    folded = []
-    for state in _STATES[fold]:
-        # A row's COUNT state is 1, whatever it measures.
-        values = np.ones(codes.size) if state is Aggregate.COUNT else measures
-        folded.append(_fold_by(inverse, uniq.size, values, COMBINE[state]))
-    return (uniq, *folded)
+    """Group int64 ``measures`` by code: ``(sorted distinct codes, folded
+    state per code)`` — for AVG, ``(codes, sums, counts)``."""
+    states = _STATES[fold]
+    return _fold(
+        codes,
+        [  # a row's COUNT state is 1, whatever it measures
+            np.ones(codes.size, np.int64) if state is Aggregate.COUNT
+            else measures
+            for state in states
+        ],
+        [COMBINE[state] for state in states],
+    )
 
 
 def decode_groups(codes: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
@@ -131,8 +139,6 @@ class HashAggregator:
         #: state)``, until :meth:`_compact` merges them to one row per group.
         self._buffer: List[Tuple[np.ndarray, ...]] = []
         self._pending = 0
-        #: False while a buffered entry holds several batches' partials.
-        self._merged = True
 
     @property
     def n_groups(self) -> int:
@@ -144,62 +150,43 @@ class HashAggregator:
         target_columns: Sequence[np.ndarray],
         measures: np.ndarray,
         stats: Optional[IOStats],
-        ordinals: Optional[np.ndarray] = None,
     ) -> None:
         """Fold one batch: ``target_columns[d]`` holds the target-level member
-        id of each tuple for dimension ``d``; ``measures`` the measure values
-        (``stats=None``: already charged).  ``ordinals`` (one per row,
-        non-decreasing) marks several arrival batches laid end to end: packed
-        in front of the group code, one fold yields every batch's partial,
-        batch-major — what an ``update`` per batch would have buffered."""
+        id of each tuple for dimension ``d``; ``measures`` the int64 measure
+        values (``stats=None``: already charged)."""
         if stats is not None:
             stats.charge_agg_update(measures.size)
-        if ordinals is None:
-            codes = np.ravel_multi_index(target_columns, self._sizes)
-        else:
-            self._merged = False
-            codes = np.ravel_multi_index(
-                [ordinals, *target_columns], [int(ordinals[-1]) + 1, *self._sizes]
-            )
-        codes, *partials = fold_groups(codes, measures, self.aggregate)
-        if ordinals is not None:
-            codes %= math.prod(self._sizes)
-        self._buffer.append((codes, *partials))
-        self._pending += codes.size
+        codes = np.ravel_multi_index(target_columns, self._sizes)
+        self._buffer.append(fold_groups(codes, measures, self.aggregate))
+        self._pending += self._buffer[-1][0].size
         if self._pending > COMPACT_ROWS:
             self._compact()
 
     def _compact(self) -> Tuple[np.ndarray, ...]:
-        """Merge the buffered partials with :data:`COMBINE` in arrival
-        order; returns ``(codes, state columns...)`` in first-seen order (a
-        lone batch is already that: its codes are sorted)."""
-        states = _STATES[self.aggregate]
-        if not self._buffer:
-            return (np.empty(0, np.int64),) + (np.empty(0),) * len(states)
-        if len(self._buffer) > 1 or not self._merged:
-            codes, *partials = map(np.concatenate, zip(*self._buffer))
-            uniq, first, inverse = np.unique(
-                codes, return_index=True, return_inverse=True
-            )
-            seen = np.argsort(first)
-            merged = [
-                _fold_by(inverse, uniq.size, partial, COMBINE[state])[seen]
-                for partial, state in zip(partials, states)
-            ]
-            self._buffer = [(uniq[seen], *merged)]
-        self._pending, self._merged = 0, True
+        """Merge the buffered partials with :data:`COMBINE`; returns
+        ``(codes, state columns...)`` in code order."""
+        if len(self._buffer) != 1:  # a lone batch is merged already
+            combines = [COMBINE[state] for state in _STATES[self.aggregate]]
+            empty = (np.empty(0, np.int64),) * (1 + len(combines))
+            codes, *partials = map(np.concatenate, zip(empty, *self._buffer))
+            self._buffer = [_fold(codes, partials, combines)]
+        self._pending = 0
         return self._buffer[0]
 
     def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        """The groups column-wise, ``(key columns, values)`` in first-seen
-        order, for a consumer that keeps computing (the derive phase)."""
-        codes, values, *counts = self._compact()
-        if counts:
-            values = values / counts[0]
+        """The groups column-wise, ``(key columns, integer state)`` in code
+        order, for a consumer that keeps folding (the derive phase) — not
+        for AVG, whose state is two columns and re-aggregates nowhere."""
+        codes, values = self._compact()
         return decode_groups(codes, self._sizes), values
 
     def result(self) -> QueryResult:
-        """Finalize and return the accumulated QueryResult."""
-        key_columns, values = self.columns()
-        keys = list(zip(*(column.tolist() for column in key_columns)))
+        """The groups with their result values: the integer state divided
+        once, here — cents / 100 (SUM, MIN, MAX), the count (COUNT), sum
+        of cents / (100 * count) (AVG)."""
+        codes, values, *counts = self._compact()
+        unit = 1 if self.query.aggregate is Aggregate.COUNT else CENTS
+        values = values / (unit * counts[0] if counts else unit)
+        key_columns = decode_groups(codes, self._sizes)
+        keys = zip(*(column.tolist() for column in key_columns))
         return QueryResult(self.query, dict(zip(keys, values.tolist())))

@@ -27,9 +27,9 @@ The scan **accounts per page, probes per morsel and folds per scan**
 (DESIGN.md §6.1): every page is fault-checked and charged on its own
 (:func:`~.pipeline.scan_columns`), every morsel of whole pages is probed and
 the class's CPU charged once, and each member's pipeline runs *once*, over
-its surviving rows tagged with their morsel — which yields the partials a
-call per morsel would, so a derived or bitmap-filtered answer is
-byte-identical to scanning for it alone.
+its surviving rows — the fold state is integers, so the answer is
+byte-identical to a fold per morsel, and a derived or bitmap-filtered
+answer to scanning for it alone.
 """
 
 from __future__ import annotations
@@ -169,11 +169,9 @@ class SharedScanStarJoin:
             keys, measures = self.source.table.read_columns(
                 ctx.schema.n_dims, first, stop
             )
-            # One morsel: nothing to pack, and no second merge.
-            ordinals = np.repeat(np.arange(len(sizes)), sizes) if sizes[1:] else None
             words = [np.concatenate(word) for word in zip(*words)]
             for pipe, rows in zip(full_scan_pipes, probe.split(words)):
-                pipe.process_batch(keys, measures, None, rows, ordinals)
+                pipe.process_batch(keys, measures, None, rows)
             for pipe, mine, passed in zip(index_pipes, routed_rows, zip(*flags)):
                 lo, hi = np.searchsorted(mine, (first, stop))
                 rows = mine[lo:hi] - first
@@ -182,7 +180,6 @@ class SharedScanStarJoin:
                     measures[rows],
                     None,
                     np.concatenate(passed) if pipe.n_predicates else None,
-                    ordinals if ordinals is None else ordinals[rows],
                 )
 
         # Phase 2: one shared sequential scan feeds everybody, a morsel of

@@ -252,21 +252,17 @@ class QueryPipeline:
         measures: np.ndarray,
         stats: Optional[IOStats],
         survivors: Optional[np.ndarray] = None,
-        ordinals: Optional[np.ndarray] = None,
     ) -> int:
         """Run one batch through probe → filter → aggregate; returns the
         number of tuples that survived the filters.  ``survivors`` — the rows
         passing every predicate (ascending offsets, or flags), as a shared
         scan found them — replaces this pipeline's own mask evaluation;
-        ``ordinals`` (one per row, non-decreasing) marks the batch as several
-        arrival batches end to end, its morsels (:meth:`HashAggregator.update`);
         ``stats=None`` says the caller has charged the batch, in these units."""
         n = measures.size
         self.rows_in += n
         keep = survivors if survivors is not None else self.passing(key_columns)
         if keep is not None:
             measures = measures[keep]
-            ordinals = ordinals if ordinals is None else ordinals[keep]
         n_pass = measures.size
         if stats is not None:
             stats.charge_hash_probe(n * self.n_probe_dims)
@@ -279,7 +275,7 @@ class QueryPipeline:
         for d, tmap in self._rollups:
             column = key_columns[d] if keep is None else key_columns[d][keep]
             target_columns[d] = column if tmap is None else tmap[column]
-        self._aggregator.update(target_columns, measures, stats, ordinals)
+        self._aggregator.update(target_columns, measures, stats)
         return int(n_pass)
 
     def result(self) -> QueryResult:
@@ -287,7 +283,8 @@ class QueryPipeline:
         return self._aggregator.result()
 
     def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        """The accumulated groups as columns (``HashAggregator.columns``)."""
+        """The accumulated groups as columns of integer state
+        (``HashAggregator.columns``)."""
         return self._aggregator.columns()
 
 

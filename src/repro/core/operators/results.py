@@ -11,14 +11,6 @@ from ...schema.star import StarSchema
 
 GroupKey = Tuple[int, ...]  # one member id per dimension (ALL dims carry 0)
 
-DEFAULT_REL_TOL = 1e-9  #: the answer rule's tolerance (DESIGN.md §6.1)
-
-
-def values_differ(want: float, got: float, rel_tol: float) -> bool:
-    """The one answer rule: two aggregate values are further apart than
-    ``rel_tol`` of the larger magnitude (floored at 1)."""
-    return abs(want - got) > rel_tol * max(abs(want), abs(got), 1.0)
-
 
 @dataclass
 class QueryResult:
@@ -26,7 +18,8 @@ class QueryResult:
 
     ``groups`` maps a member-id tuple (one id per schema dimension, at the
     query's target level; dimensions aggregated to ALL carry id 0) to the
-    aggregated measure value.
+    aggregated measure value — the correctly rounded float of an exact
+    rational (DESIGN.md §6.1), so two answers agree only if ``==``.
     """
 
     query: GroupByQuery
@@ -74,16 +67,9 @@ class QueryResult:
             groups=dict(self.groups),
         )
 
-    def approx_equals(
-        self, other: "QueryResult", rel_tol: float = DEFAULT_REL_TOL
-    ) -> bool:
-        """Same groups with values no :func:`values_differ` tells apart
-        (order-insensitive)."""
-        theirs = other.groups
-        return self.groups.keys() == theirs.keys() and not any(
-            values_differ(value, theirs[key], rel_tol)
-            for key, value in self.groups.items()
-        )
+    def approx_equals(self, other: "QueryResult") -> bool:
+        """The same groups and values (kept for callers of the old name)."""
+        return self.groups == other.groups
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryResult({self.query.display_name()}, {self.n_groups} groups)"

@@ -28,6 +28,7 @@ from ..storage.catalog import Catalog, TableEntry
 from ..storage.iostats import DEFAULT_RATES, CostRates, IOStats
 from ..storage.page import DEFAULT_PAGE_SIZE, ColumnBatch, Row
 from ..storage.table import HeapTable
+from .maintenance import validated_columns
 from .materialize import build_groupby_table, pick_materialization_source
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,9 +125,11 @@ class Database:
         name: Optional[str] = None,
         columns: Optional[ColumnBatch] = None,
     ) -> TableEntry:
-        """Create and load the lowest-level (LL) base table from ``rows``, or
-        instead from ``columns`` — ``(key columns, measures)``, stored as they
-        are (:meth:`~repro.storage.table.HeapTable.extend_columns`)."""
+        """Create and load the lowest-level (LL) base table from ``rows``
+        (measures in their unit, whole cents: ``12.34``; a bad row is a
+        ``ValueError`` naming it), or instead from ``columns`` — ``(key
+        columns, measures)`` as int64 arrays, measures in cents, stored as
+        they are (:meth:`~repro.storage.table.HeapTable.extend_columns`)."""
         base_levels = self.schema.base_levels()
         if name is None:
             name = self.schema.groupby_name(base_levels)
@@ -134,9 +137,8 @@ class Database:
         names.append(self.schema.measure)
         table = HeapTable(name, names, page_size=self.page_size)
         if columns is None:
-            table.extend(rows)
-        else:
-            table.extend_columns(*columns)
+            columns = validated_columns(self.schema, base_levels, list(rows))
+        table.extend_columns(*columns)
         entry = self.catalog.register(table, base_levels)
         self.notify_mutation()
         return entry
@@ -220,7 +222,8 @@ class Database:
         return analyze(self, table_names)
 
     def append_rows(self, rows: Iterable[Row]) -> dict:
-        """Append fact rows to the base table and incrementally maintain
+        """Append fact rows (the measure in whole cents, as for
+        :meth:`load_base`) to the base table and incrementally maintain
         every materialized group-by and join index (see
         :mod:`repro.engine.maintenance`)."""
         from .maintenance import append_rows

@@ -24,7 +24,7 @@ system's statistics would do.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,28 +34,31 @@ from ..schema.query import Aggregate
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
 from ..storage.page import ColumnBatch, Row
+from ..storage.table import to_cents
 
 
 class MaintenanceError(RuntimeError):
     """A view or index cannot be incrementally maintained."""
 
 
-def _validated_columns(
-    schema: StarSchema, base: TableEntry, rows: List[Row]
+def validated_columns(
+    schema: StarSchema, levels: Sequence[int], rows: List[Row]
 ) -> ColumnBatch:
-    """The batch column-wise, or ValueError: every row needs one integer
-    member id per dimension, at the level ``base`` stores, and a finite
-    measure."""
+    """Fact rows column-wise, or ValueError naming the first bad row: every
+    row needs one integer member id per dimension, at the ``levels`` the
+    table stores, and a measure of whole cents (:func:`to_cents`)."""
+    width = schema.n_dims + 1
+    if not rows:
+        return [np.empty(0, np.int64)] * schema.n_dims, np.empty(0, np.int64)
     try:
         matrix = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError):  # ragged or non-numeric
         matrix = np.empty(0)
-    width = schema.n_dims + 1
     if matrix.ndim != 2 or matrix.shape[1] != width:
         raise ValueError(f"fact rows need {width} numeric fields each")
     keys: List[np.ndarray] = []
     with np.errstate(invalid="ignore"):  # NaN keys fail the round trip
-        for d, (dim, level) in enumerate(zip(schema.dimensions, base.levels)):
+        for d, (dim, level) in enumerate(zip(schema.dimensions, levels)):
             column = matrix[:, d].astype(np.int64)
             bad = np.flatnonzero(
                 (column != matrix[:, d])
@@ -69,13 +72,7 @@ def _validated_columns(
                     f"(0..{dim.n_members(level) - 1})"
                 )
             keys.append(column)
-    measures = matrix[:, schema.n_dims]
-    bad = np.flatnonzero(~np.isfinite(measures))
-    if bad.size:
-        raise ValueError(
-            f"row {bad[0]}: measure {rows[bad[0]][-1]!r} is not finite"
-        )
-    return keys, measures
+    return keys, to_cents(matrix[:, schema.n_dims])
 
 
 def _group_positions(
@@ -133,7 +130,8 @@ def append_rows(
     Returns ``{table name: groups appended}`` (0 for updated-in-place-only
     views; the base table reports the row count).  A batch with a malformed
     row (wrong width, a key that is not a member id of its dimension, a
-    non-finite measure) raises ``ValueError`` before anything is written.
+    measure that is not whole cents) raises ``ValueError`` before anything
+    is written.
     Maintenance is offline work and is not charged to the query cost clock.
     """
     schema = db.schema
@@ -157,7 +155,7 @@ def append_rows(
     rows = list(rows)
     if not rows:
         return {}
-    batch = _validated_columns(schema, base, rows)
+    batch = validated_columns(schema, base.levels, rows)
 
     # 1. Append to the base table and extend its join indexes.
     first = base.n_rows

@@ -7,7 +7,10 @@ A :class:`~repro.engine.database.Database` round-trips through a directory:
 * ``catalog.json`` — per table: levels, clustered flag, source aggregate,
   page size, which join indexes exist (kind + dimension + level);
 * ``<table>.npz`` — the table's rows as numpy arrays (keys as int64
-  columns, measure as float64).
+  columns, the measure as float64 in its unit: ``12.34``, or a COUNT
+  view's counts).  Storage holds the measure as int64 cents (or counts);
+  loading converts back with :func:`~repro.storage.table.to_cents`, so a
+  measure that is not whole cents is a bad file.
 
 Join indexes and table statistics are *rebuilt* on load rather than
 serialized: they are derived data, their builders are deterministic, and
@@ -27,6 +30,7 @@ from ..document import DocumentError, field_of, load_json
 from ..schema.dimension import Dimension
 from ..schema.star import StarSchema
 from ..storage.iostats import CostRates
+from ..storage.table import CENTS, HeapTable, to_cents
 from .database import Database
 
 FORMAT_VERSION = 1
@@ -37,6 +41,11 @@ _SAFE_NAME_TABLE = str.maketrans({"'": "_p", "(": "_", ")": "_", "*": "_s"})
 def _file_stem(table_name: str) -> str:
     """A filesystem-safe stem for a table name (primes etc. translated)."""
     return table_name.translate(_SAFE_NAME_TABLE)
+
+
+def _scale(source_aggregate: str | None) -> int:
+    """Stored units per saved unit: cents, or a COUNT view's counts."""
+    return 1 if source_aggregate == "count" else CENTS
 
 
 def save_database(db: Database, directory: str | Path) -> Path:
@@ -86,7 +95,7 @@ def save_database(db: Database, directory: str | Path) -> Path:
         }
         keys, measures = entry.table.read_columns(db.schema.n_dims)
         arrays = {f"key{d}": key for d, key in enumerate(keys)}
-        arrays["measure"] = measures
+        arrays["measure"] = measures / _scale(entry.source_aggregate)
         np.savez_compressed(root / f"{stem}.npz", **arrays)
     (root / "catalog.json").write_text(json.dumps(catalog_doc, indent=1))
     return root
@@ -132,8 +141,6 @@ def load_database(
             rates=rates,
         )
         where = catalog_path = root / "catalog.json"
-        from ..storage.table import HeapTable
-
         sources = {
             name: field_of(doc, "source_aggregate", (str, None), where=name)
             for name, doc in catalog_doc.items()
@@ -147,7 +154,7 @@ def load_database(
             where = root / file
             with np.load(where) as arrays:
                 keys = [arrays[f"key{d}"] for d in range(schema.n_dims)]
-                measures = arrays["measure"]
+                measures = to_cents(arrays["measure"], _scale(sources[name]))
             columns = [dim.name for dim in schema.dimensions]
             columns.append(schema.measure)
             table = HeapTable(name, columns, page_size=db.page_size)

@@ -22,8 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 Row = Tuple  # a fixed-width tuple of ints (keys) and a numeric measure
 
-#: A columnar batch of rows: per-key ``int64`` arrays and the ``float64``
-#: measure column, aligned by row.
+#: A columnar batch of rows: per-key ``int64`` arrays and the ``int64``
+#: measure column (cents, or a view's counts), aligned by row.
 ColumnBatch = Tuple[List[np.ndarray], np.ndarray]
 
 #: Default page size, matching the common 8 KB database page.
@@ -77,7 +77,7 @@ class Page:
 
     def columns(self, n_keys: int) -> ColumnBatch:
         """The page's rows column-wise: ``n_keys`` ``int64`` key arrays and
-        the ``float64`` measure column (the column at index ``n_keys``) —
+        the ``int64`` measure column (the column at index ``n_keys``) —
         zero-copy read-only slices of the table's arrays."""
         first = self.first_row
         return self.table.read_columns(n_keys, first, first + len(self))

@@ -1,7 +1,7 @@
 """Paged heap tables: columns are the storage, pages the accounting.
 
-A :class:`HeapTable` owns one contiguous array per column — ``int64`` for
-every column but the last, ``float64`` for the last (the measure) — grown
+A :class:`HeapTable` owns one contiguous ``int64`` array per column — keys,
+and the measure as an exact number of cents (:func:`to_cents`) — grown
 by amortised doubling; appends fill the arrays and only then bump the row
 count, so a concurrent reader never sees an unfilled row.  Rows are
 addressed by a dense global *row position*; page ``p`` is the window
@@ -43,9 +43,32 @@ _table_ids = itertools.count(1)
 #: Wall time is flat above ~4k rows, so this is a constant, not a setting.
 MORSEL_ROWS = 8192
 
+#: A stored measure is an exact integer number of cents, 1/CENTS of its unit.
+CENTS = 100
+
+
+def to_cents(values, scale: int = CENTS) -> np.ndarray:
+    """Measures given as floats in their unit (``12.34``) as exact int64
+    multiples of ``1 / scale`` (``1234``); ValueError naming the first row
+    that is not a finite multiple of ``1 / scale`` below ``2**53`` of them
+    (where every such float stands for exactly one integer)."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = np.rint(values * scale)
+        bad = np.flatnonzero(
+            ~(np.abs(scaled) < 2**53) | (scaled / scale != values)
+        )
+    if bad.size:
+        raise ValueError(
+            f"row {bad[0]}: measure {float(values[bad[0]])!r} is not a "
+            f"finite multiple of {1 / scale:g} below {2**53 / scale:g}"
+        )
+    return scaled.astype(np.int64)
+
+
 #: One scan batch: ``(first_row_position, n_pages, n_rows, keys, measures)``
 #: — rows ``first_row_position .. first_row_position + n_rows`` as ``n_keys``
-#: int64 key columns and the float64 measure column.
+#: int64 key columns and the int64 measure column.
 Morsel = Tuple[int, int, int, List[np.ndarray], np.ndarray]
 
 
@@ -68,11 +91,7 @@ class HeapTable:
         self.page_size = page_size
         self.capacity = rows_per_page(len(columns), page_size)
         self._n_rows = 0
-        #: True while every value stored in the last column was an integer
-        #: (a dimension table): row tuples then carry it as an int.
-        self._int_measures = True
-        dtypes = [np.int64] * (len(columns) - 1) + [np.float64]
-        self._set_arrays([np.empty(0, dtype=dtype) for dtype in dtypes])
+        self._set_arrays([np.empty(0, dtype=np.int64) for _ in columns])
 
     def _set_arrays(self, arrays: List[np.ndarray]) -> None:
         """Install the column arrays (allocated beyond ``n_rows``) and the
@@ -135,8 +154,6 @@ class HeapTable:
             raise ValueError(
                 f"rows of {self.name!r} need {width} columns each"
             )
-        if matrix.dtype.kind not in "biuf":
-            raise ValueError(f"rows of {self.name!r} must be numeric")
         self.extend_columns(
             [matrix[:, d] for d in range(width - 1)], matrix[:, width - 1]
         )
@@ -144,16 +161,18 @@ class HeapTable:
     def extend_columns(
         self, keys: Sequence[np.ndarray], measures: np.ndarray
     ) -> None:
-        """Append rows given column-wise: one array per key column and the
-        last column's values, all of one length."""
-        measures = np.asarray(measures)
-        n_new = measures.shape[0]
-        if len(keys) != len(self.columns) - 1 or any(
-            len(key) != n_new for key in keys
+        """Append rows given column-wise: one integer array per column
+        (the keys, then the measure), all of one length."""
+        columns = [np.asarray(column) for column in (*keys, measures)]
+        n_new = columns[-1].shape[0]
+        if len(columns) != len(self.columns) or any(
+            len(column) != n_new for column in columns
         ):
             raise ValueError(
                 f"{self.name!r} needs {len(self.columns)} columns of one length"
             )
+        if any(column.dtype.kind not in "biu" for column in columns):
+            raise ValueError(f"{self.name!r} stores integers only")
         first, stop = self._n_rows, self._n_rows + n_new
         allocated = self._arrays[-1].size
         if stop > allocated:
@@ -166,16 +185,14 @@ class HeapTable:
             for fresh, array in zip(grown, self._arrays):
                 fresh[:first] = array[:first]
             self._set_arrays(grown)
-        for array, values in zip(self._arrays, (*keys, measures)):
+        for array, values in zip(self._arrays, columns):
             array[first:stop] = values
-        self._int_measures = self._int_measures and measures.dtype.kind in "biu"
         self._n_rows = stop  # publish only once the rows are filled
 
     def update_measures(self, positions: np.ndarray, values: np.ndarray) -> None:
         """Overwrite the last column at ``positions`` (in-place view
-        maintenance: measures are floats); keys never change in place."""
+        maintenance); keys never change in place."""
         self._arrays[-1][positions] = values
-        self._int_measures = False
 
     # -- reads (unaccounted; operators must go through the buffer pool) ------
 
@@ -192,25 +209,19 @@ class HeapTable:
         self, n_keys: int, first: int = 0, stop: Optional[int] = None
     ) -> ColumnBatch:
         """Rows ``first .. stop`` (default: all) column-wise, unaccounted:
-        ``n_keys`` int64 key columns and the column at index ``n_keys`` as
-        float64 — zero-copy read-only slices of the storage arrays (offline
+        ``n_keys`` key columns and the column at index ``n_keys`` —
+        zero-copy read-only slices of the storage arrays (offline
         readers, and the accounted paths once they have charged)."""
         return self._take(n_keys, slice(first, self._n_rows if stop is None else stop))
 
     def _take(self, n_keys: int, index) -> ColumnBatch:
         """Columns at ``index``: a slice (views) or positions (a gather)."""
         views = self._views
-        measures = views[n_keys][index]
-        if measures.dtype != np.float64:
-            measures = measures.astype(np.float64)
-        return [view[index] for view in views[:n_keys]], measures
+        return [view[index] for view in views[:n_keys]], views[n_keys][index]
 
     def rows_between(self, first: int, stop: int) -> List[Row]:
-        """Rows ``first .. stop`` as tuples, built from the columns."""
-        values = [view[first:stop] for view in self._views]
-        if self._int_measures:
-            values[-1] = values[-1].astype(np.int64)
-        return list(zip(*(column.tolist() for column in values)))
+        """Rows ``first .. stop`` as tuples of ints, built from the columns."""
+        return list(zip(*(view[first:stop].tolist() for view in self._views)))
 
     def all_rows(self) -> Iterator[Row]:
         """Iterate every row without I/O accounting (tests and loading only)."""
@@ -264,8 +275,8 @@ class HeapTable:
     ) -> Iterator[Morsel]:
         """Columnar sequential scan: yield one :data:`Morsel` per run of
         :data:`MORSEL_ROWS` rows (whole pages) — a zero-copy read-only
-        slice of the column arrays (``n_keys`` int64 key columns + the
-        float64 measure column).  Only a table's last page may be partial,
+        slice of the column arrays (``n_keys`` key columns + the measure
+        column).  Only a table's last page may be partial,
         so a morsel's rows sit at consecutive row positions (bitmap slices
         rely on it).
 
@@ -297,7 +308,7 @@ class HeapTable:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             empty = np.empty(0, dtype=np.int64)
-            return [empty] * n_keys, np.empty(0, dtype=np.float64)
+            return [empty] * n_keys, empty
         if int(positions.min()) < 0 or int(positions.max()) >= self._n_rows:
             bad = positions[(positions < 0) | (positions >= self._n_rows)][0]
             raise IndexError(

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..schema.star import StarSchema
 from ..storage.page import ColumnBatch
+from ..storage.table import CENTS
 
 
 def zipf_probabilities(n: int, theta: float) -> np.ndarray:
@@ -34,12 +35,12 @@ def generate_fact_columns(
     measure_high: float = 100.0,
 ) -> ColumnBatch:
     """Generate ``n_rows`` facts column-wise: ``(one int64 key column per
-    dimension, the float64 measure column)`` — what
+    dimension, the int64 measure column)`` — what
     :meth:`~repro.storage.table.HeapTable.extend_columns` stores as is.
 
     ``skew[d]`` is the Zipf θ for dimension ``d`` (default all-uniform).
-    Keys are leaf-level member ids.  Measures are uniform floats rounded to
-    cents, so SUM aggregates are exactly representable enough for testing.
+    Keys are leaf-level member ids.  Measures are uniform draws rounded to
+    whole cents, held as int64 cents.
     """
     if n_rows < 0:
         raise ValueError("n_rows cannot be negative")
@@ -59,10 +60,8 @@ def generate_fact_columns(
         else:
             keys = rng.integers(0, n_leaf, size=n_rows)
         columns.append(keys.astype(np.int64))
-    measures = np.round(
-        rng.uniform(measure_low, measure_high, size=n_rows), 2
-    )
-    return columns, measures
+    uniform = rng.uniform(measure_low, measure_high, size=n_rows)
+    return columns, np.rint(uniform * CENTS).astype(np.int64)
 
 
 def generate_fact_rows(
@@ -74,8 +73,12 @@ def generate_fact_rows(
     measure_high: float = 100.0,
 ) -> List[Tuple]:
     """:func:`generate_fact_columns` (same arguments, same draws) as a list
-    of tuples ``(key_0, …, key_{n-1}, measure)`` of Python ints and a float."""
-    keys, measures = generate_fact_columns(
+    of tuples ``(key_0, …, key_{n-1}, measure)`` of Python ints and the
+    measure as a float in its unit (cents / 100) — the rows
+    :meth:`~repro.engine.database.Database.load_base` and ``append_rows``
+    take."""
+    keys, cents = generate_fact_columns(
         schema, n_rows, seed, skew, measure_low, measure_high
     )
-    return list(zip(*(column.tolist() for column in (*keys, measures))))
+    columns = (*keys, cents / CENTS)
+    return list(zip(*(column.tolist() for column in columns)))

@@ -540,8 +540,8 @@ def _sweep() -> dict:
 
 
 def header() -> Dict[str, str]:
-    """What the digest was taken under: the interpreter, numpy (a float
-    fold's order may move with it) and the sweep's two settings."""
+    """What the digest was taken under: the interpreter, numpy and the
+    sweep's two settings."""
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -613,11 +613,6 @@ def check(text: str, dump: dict) -> str:
             lines.append(
                 f"the digest was taken under {name} "
                 f"{committed_head.get(name, ABSENT)}, this run is {value}"
-                + (
-                    ": a result key that moves with numpy is the float "
-                    "fold-order hazard, not noise"
-                    if name == "numpy" else ""
-                )
             )
     lines.append(
         "re-record with `PYTHONPATH=src python tests/contract.py` if the "

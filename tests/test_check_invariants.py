@@ -4,6 +4,7 @@ each rule once, a plan that drops a query is caught with paranoia off or on,
 two runs compare by one answer rule in both directions, and the source keeps
 no second copy of any of it."""
 
+import math
 import re
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from repro.check import (
     CorrectnessError,
     assert_same_answers,
     check_batch,
+    first_divergence,
     invariants,
+    reference_answer,
     validate,
 )
 from repro.core.executor import ClassFailure
@@ -91,7 +94,7 @@ def parent_check_same_results(left, right, who):
     by_qid = {r.query.qid: r for r in right}
     for res in left:
         twin = by_qid.get(res.query.qid)
-        if twin is None or not res.approx_equals(twin):
+        if twin is None or res.groups != twin.groups:
             raise AssertionError(f"{who} returned different answers")
 
 
@@ -115,13 +118,21 @@ class TestAssertSameAnswers:
         with pytest.raises(AssertionError):
             assert_same_answers(self.one, self.two, "pair")
 
-    def test_one_tolerance_rule(self):
-        near = [result(self.a, {(0, 0): 1e9 + 1e-4})]
-        far = [result(self.a, {(0, 0): 1.5})]
-        assert_same_answers([result(self.a, {(0, 0): 1e9})], near, "pair")
+    def test_one_answer_rule_is_equality(self):
+        near = [result(self.a, {(0, 0): math.nextafter(1.0, 2.0)})]
+        assert_same_answers(self.one, [result(self.a, {(0, 0): 1.0})], "pair")
         with pytest.raises(CorrectnessError, match="value-mismatch") as info:
-            assert_same_answers(self.one, far, "pair")
+            assert_same_answers(self.one, near, "pair")
         assert info.value.query is self.a
+
+
+def test_one_ulp_off_the_reference_is_a_value_mismatch(db):
+    query = q((1, 1), "a")
+    groups = dict(reference_answer(db, query).groups)
+    key, value = next(iter(groups.items()))
+    groups[key] = math.nextafter(value, math.inf)
+    divergence = first_divergence(reference_answer(db, query).groups, groups)
+    assert (divergence.kind, divergence.group) == ("value-mismatch", key)
 
 
 class TestCheckBatch:
@@ -174,7 +185,7 @@ def test_one_statement_of_the_batch_contract_in_the_source():
         }
 
     assert "def validate(" not in text["core/optimizer/plans.py"]
-    assert homes(r"rel_tol\s*\*") == {"core/operators/results.py": 1}
+    assert homes(r"rel_tol|values_diff") == {}
     assert homes(r"_check_same_results|_validate_paranoid") == {}
     assert "check/paranoia.py" not in text
     assert homes(r"(?<!def )\bcheck_coverage\(") == {"engine/database.py": 1}

@@ -148,8 +148,9 @@ class TestFirstDivergence:
     def test_agreement_is_none(self):
         assert first_divergence({(0,): 1.0}, {(0,): 1.0}) is None
 
-    def test_float_noise_tolerated(self):
-        assert first_divergence({(0,): 1e9}, {(0,): 1e9 + 1e-4}) is None
+    def test_float_noise_is_a_mismatch(self):
+        div = first_divergence({(0,): 1e9}, {(0,): 1e9 + 1e-4})
+        assert div.kind == "value-mismatch"
 
     def test_orders_deterministically(self):
         expected = {(0,): 1.0, (1,): 2.0}

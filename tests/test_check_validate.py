@@ -40,7 +40,7 @@ class TestReferenceAnswer:
             theirs = evaluate_reference(
                 db.schema, base.table.all_rows(), query, base.levels
             )
-            assert ours.approx_equals(theirs)
+            assert ours.groups == theirs.groups
 
     def test_every_aggregate(self, db):
         for aggregate in Aggregate:
@@ -52,10 +52,10 @@ class TestReferenceAnswer:
 
     def test_sum_total_is_exact(self, db):
         base = db.catalog.get("XY")
-        total = sum(float(row[-1]) for row in base.table.all_rows())
+        total = sum(row[-1] for row in base.table.all_rows())  # cents
         query = GroupByQuery(groupby=GroupBy((2, 2)))
         result = reference_answer(db, query)
-        assert result.total() == pytest.approx(total, rel=1e-12)
+        assert sum(round(v * 100) for v in result.groups.values()) == total
 
     def test_rejects_view_as_base(self, db):
         query = GroupByQuery(groupby=GroupBy((2, 2)))

@@ -118,10 +118,9 @@ def test_profile_op_names_the_greedy_loop():
 
 
 def test_tier1_installs_the_numpy_of_the_contract_digest():
-    """A float fold's order may move with numpy, so CI's tier-1 job pins the
-    numpy the committed byte-contract digest was taken under (its header):
-    a numpy bump is its own change, re-recording the digest or naming the
-    keys that moved."""
+    """CI's tier-1 job pins the numpy the committed byte-contract digest was
+    taken under (its header), so that the header check holds: a numpy bump
+    is its own change, re-recording the header."""
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     tier1 = ci.split("\n  tier1:\n", 1)[1].split("\n  batch-machine:\n", 1)[0]
     [pin] = re.findall(r"pip install .*\bnumpy==(\S+)", tier1)

@@ -86,12 +86,12 @@ class TestChargedBuilds:
         plain = hash_star_join(db, "XY", query)
         db.store_dimension_tables()
         stored = hash_star_join(db, "XY", query)
-        assert plain.approx_equals(stored)
+        assert plain.groups == stored.groups
         base = db.catalog.get("XY")
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        assert stored.approx_equals(expected)
+        assert stored.groups == expected.groups
 
 
 class TestCostModelAccounting:
@@ -134,4 +134,4 @@ class TestCostModelAccounting:
             expected = evaluate_reference(
                 db.schema, base.table.all_rows(), query, base.levels
             )
-            assert report.result_for(query).approx_equals(expected)
+            assert report.result_for(query).groups == expected.groups

@@ -69,7 +69,7 @@ class TestCorrectness:
             expected = evaluate_reference(
                 db.schema, base.table.all_rows(), query, base.levels
             )
-            assert report.result_for(query).approx_equals(expected)
+            assert report.result_for(query).groups == expected.groups
 
     def test_no_duplicate_sources(self, db):
         rng = random.Random(79)

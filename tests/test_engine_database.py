@@ -1,5 +1,7 @@
 """Tests for the Database facade: loading, materialization, indexing."""
 
+import re
+
 import pytest
 
 from repro.engine.database import Database
@@ -29,6 +31,23 @@ class TestLoading:
         db.load_base(generate_fact_rows(schema, 10, seed=0))
         assert "XY" in db.catalog
 
+    def test_measures_are_stored_as_int_cents(self):
+        db = Database(make_tiny_schema(), page_size=64)
+        db.load_base([(0, 0, 12.34), (1, 1, -0.07), (2, 2, 5)])
+        assert list(db.catalog.get("XY").table.all_rows()) == [
+            (0, 0, 1234), (1, 1, -7), (2, 2, 500)
+        ]
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 1.234, 1e300]
+    )
+    def test_a_measure_not_whole_cents_names_its_row(self, bad):
+        db = Database(make_tiny_schema(), page_size=64)
+        rows = [(0, 0, 1.0), (1, 1, 2.5), (2, 2, bad)]
+        with pytest.raises(ValueError, match=re.escape(f"row 2: measure {bad!r}")):
+            db.load_base(rows)
+        assert db.catalog.names() == [] and db.data_version == 0
+
 
 class TestMaterialization:
     def test_materialized_rows_match_reference(self):
@@ -39,12 +58,10 @@ class TestMaterialization:
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        got = {
-            (row[0], row[1]): row[2] for row in entry.table.all_rows()
+        got = {  # the view stores int cents
+            (row[0], row[1]): row[2] / 100 for row in entry.table.all_rows()
         }
-        assert got.keys() == expected.groups.keys()
-        for key, value in expected.groups.items():
-            assert got[key] == pytest.approx(value)
+        assert got == expected.groups
 
     def test_materialized_tables_are_clustered_and_sorted(self):
         db = make_tiny_db(n_rows=300)
@@ -140,7 +157,7 @@ class TestFacade:
         base = db.catalog.get("XY")
         total = sum(row[2] for row in base.table.all_rows()
                     if db.schema.dimensions[0].rollup(0, 2, row[0]) == 0)
-        assert result.total() == pytest.approx(total)
+        assert result.total() == pytest.approx(total / 100)
 
     def test_table_report_sorted_by_rows(self):
         db = make_tiny_db(n_rows=300, materialized=("X'Y", "X''Y''"))

@@ -239,7 +239,7 @@ def test_appends_invalidate_through_every_door(door):
             assert n_hits == 0
             check_batch(db, batch, after)
             for query in batch:
-                assert not after[query.qid].approx_equals(before[query.qid])
+                assert after[query.qid].groups != before[query.qid].groups
             before = after
 
 
@@ -332,8 +332,12 @@ def test_no_second_fold_in_the_source():
         for path in (src / package).rglob("*.py")
     }
     home = "core/operators/aggregate.py"
-    for call in (r"np\.unique\(", r"\.reduceat\("):
-        assert [name for name, body in text.items() if re.search(call, body)] == [home]
+
+    def homes(call):
+        return [name for name, body in text.items() if re.search(call, body)]
+
+    assert homes(r"\.reduceat\(") == [home]
+    assert homes(r"np\.unique\(") == []
     own = re.compile(r"^\s*def (fold_|group_codes|decode_)", re.MULTILINE)
     for name in ("engine/materialize.py", "engine/maintenance.py"):
         assert own.search(text[name]) is None, name

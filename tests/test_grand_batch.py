@@ -25,7 +25,7 @@ class TestNineQueryBatch:
             expected = evaluate_reference(
                 paper_db.schema, base.table.all_rows(), query, base.levels
             )
-            assert report.result_for(query).approx_equals(expected), (
+            assert report.result_for(query).groups == expected.groups, (
                 algorithm,
                 query.display_name(),
             )

@@ -108,7 +108,7 @@ class TestCorrectnessAcrossPlans:
             expected = evaluate_reference(
                 db.schema, base.table.all_rows(), query, base.levels
             )
-            assert report.result_for(query).approx_equals(expected)
+            assert report.result_for(query).groups == expected.groups
 
     def test_mdx_route_equals_programmatic_route(self, db, paper_qs):
         from repro.workload.paper_queries import PAPER_MDX

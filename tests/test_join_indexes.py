@@ -15,7 +15,7 @@ from helpers import index_state
 
 def make_table(keys, page_size=64):
     table = HeapTable("f", ("a", "m"), page_size=page_size)
-    table.extend((k, float(i)) for i, k in enumerate(keys))
+    table.extend((k, i) for i, k in enumerate(keys))
     return table
 
 
@@ -164,11 +164,11 @@ class TestGrownIndex:
             key_to_member=key_to_member, n_members=3,
         )
         first = 65_500
-        table.extend_columns([keys[:first]], np.zeros(first))
+        table.extend_columns([keys[:first]], np.zeros(first, np.int64))
         index = cls.build(table, **kwargs)
         small = index_state(index, 3)
         for stop in (65_536, 65_537, 65_700):
-            table.extend_columns([keys[first:stop]], np.zeros(stop - first))
+            table.extend_columns([keys[first:stop]], np.zeros(stop - first, np.int64))
             index.extend(key_to_member[keys[first:stop]])
             first = stop
             assert index_state(index, 3) == index_state(

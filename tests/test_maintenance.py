@@ -123,8 +123,11 @@ class TestRejectedBatch:
         "negative key": ([(1, 2, 3.0), (0, -1, 1.0)], "'Y'"),
         "fractional key": ([(1.5, 2, 3.0)], "'X'"),
         "NaN key": ([(1, float("nan"), 3.0)], "'Y'"),
-        "NaN measure": ([(1, 2, 3.0), (1, 2, float("nan"))], "finite"),
-        "infinite measure": ([(1, 2, float("inf"))], "finite"),
+        "NaN measure": ([(1, 2, 3.0), (1, 2, float("nan"))], "row 1: measure nan"),
+        "infinite measure": ([(1, 2, float("inf"))], "row 0: measure inf"),
+        "-infinite measure": ([(1, 2, 3.0), (1, 2, -float("inf"))], "row 1: measure -inf"),
+        "fractional cents": ([(1, 2, 3.0), (1, 2, 1.234)], r"row 1: measure 1\.234"),
+        "out-of-range measure": ([(1, 2, 1e300)], r"row 0: measure 1e\+300"),
         "short row": ([(1, 2, 3.0), (1, 2)], "3 numeric fields"),
         "non-numeric": ([(1, 2, "x")], "3 numeric fields"),
     }
@@ -148,9 +151,7 @@ class TestRejectedBatch:
         assert set(report.cache_hits) == {q.qid for q in queries}
         assert cache.stats.invalidations == 0
         for query in queries:
-            assert report.result_for(query).approx_equals(
-                reference_answer(db, query)
-            )
+            assert report.result_for(query).groups == reference_answer(db, query).groups
         # ... and the database still takes a good batch afterwards.
         db.append_rows([(1, 2, 3.0)])
         assert db.data_version == before[1] + 1
@@ -165,9 +166,7 @@ class TestViewMaintenance:
         twin = make_tiny_db(n_rows=300, materialized=(), index_tables=())
         twin.append_rows(new_rows(twin, 80, seed=7))
         rebuilt = view_as_dict(twin.materialize("X'Y'", name="check"))
-        assert maintained.keys() == rebuilt.keys()
-        for key, value in rebuilt.items():
-            assert maintained[key] == pytest.approx(value)
+        assert maintained == rebuilt
 
     @pytest.mark.parametrize(
         "aggregate", [Aggregate.COUNT, Aggregate.MIN, Aggregate.MAX]
@@ -181,9 +180,10 @@ class TestViewMaintenance:
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        assert view_as_dict(db.catalog.get("special")) == {
-            k: pytest.approx(v) for k, v in expected.groups.items()
-        }
+        # The view stores counts as they are, MIN / MAX as int cents.
+        unit = 1 if aggregate is Aggregate.COUNT else 100
+        view = view_as_dict(db.catalog.get("special"))
+        assert {k: v / unit for k, v in view.items()} == expected.groups
 
     def test_new_groups_append_and_unclusters(self):
         db = make_tiny_db(n_rows=5, seed=1, materialized=("X'Y'",))
@@ -225,7 +225,7 @@ class TestIndexMaintenance:
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        assert via_index.approx_equals(expected)
+        assert via_index.groups == expected.groups
 
     def test_btree_indexes_cover_new_rows(self):
         db = make_tiny_db(n_rows=200, index_tables=())
@@ -238,7 +238,7 @@ class TestIndexMaintenance:
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        assert via_index.approx_equals(expected)
+        assert via_index.groups == expected.groups
 
     def test_view_indexes_rebuilt(self):
         """View indexes are extended over the appended groups (they used
@@ -266,7 +266,7 @@ class TestIndexMaintenance:
             predicates=(DimPredicate(0, 1, frozenset({2})),),
         )
         via_view_index = SharedIndexStarJoin(db.ctx(), "X'Y", [query]).run()[0]
-        assert via_view_index.approx_equals(reference_answer(db, query))
+        assert via_view_index.groups == reference_answer(db, query).groups
 
 
 class TestEndToEndAfterAppends:
@@ -291,7 +291,7 @@ class TestEndToEndAfterAppends:
                 expected = evaluate_reference(
                     db.schema, base.table.all_rows(), query, base.levels
                 )
-                assert report.result_for(query).approx_equals(expected)
+                assert report.result_for(query).groups == expected.groups
 
     def test_maintained_view_answers_match_base(self):
         db = fresh_db()
@@ -302,7 +302,7 @@ class TestEndToEndAfterAppends:
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        assert via_view.approx_equals(expected)
+        assert via_view.groups == expected.groups
 
 
 def oracle_db(kind):
@@ -342,11 +342,9 @@ class TestAgainstTheOracle:
                 for _ in range(n)
             ]
 
-        if shape == "hot groups":  # long, order-sensitive float folds
+        if shape == "hot groups":  # long folds into a few groups
             hot = [base.row_at(rng.randrange(base.n_rows))[:-1] for _ in range(4)]
-            return [
-                rng.choice(hot) + (rng.uniform(1.0, 100.0),) for _ in range(200)
-            ]
+            return [rng.choice(hot) + (measure(),) for _ in range(200)]
         if shape == "updates":  # keys of existing rows: every group exists
             return [
                 base.row_at(rng.randrange(base.n_rows))[:-1] + (measure(),)
@@ -446,6 +444,4 @@ class TestNoRowTuples:
             answers = db.run_queries(queries, "gg")
         assert report["ABCD"] == 500
         for query in queries:
-            assert answers.result_for(query).approx_equals(
-                reference_answer(db, query)
-            )
+            assert answers.result_for(query).groups == reference_answer(db, query).groups

@@ -4,8 +4,8 @@ the unit of compute (DESIGN.md §6.1).
 Three things are pinned here, none of them by timing anything:
 
 * **size invariance** — whatever ``MORSEL_ROWS`` is, every integer ledger
-  and every COUNT/MIN/MAX value is bit-equal, and SUM/AVG agree under
-  ``approx_equals`` and with the reference evaluator;
+  and every result value is bit-equal, and equal to the reference
+  evaluator's;
 * **granularity** — a scan accounts per page, probes and charges per
   morsel and folds per scan: a morsel's pages (and a probe set's) are
   accounted in one pool call, a morsel is probed once per dimension for the
@@ -118,7 +118,7 @@ def test_compute_is_per_morsel_not_per_page(
 ):
     """N pages, H hash and I index members: ceil(N / morsel pages) morsels
     and ``read_pages`` calls, and H + I folds — one ``process_batch`` per
-    member for the whole scan, its morsels marked by the ordinal column."""
+    member for the whole scan."""
     plan = GlobalPlan("forced", forced_plan(paper_qs).classes[:1])
     plan_class = plan.classes[0]
     set_morsel_rows(monkeypatch, rows)
@@ -130,11 +130,9 @@ def test_compute_is_per_morsel_not_per_page(
     calls = {}
     process_batch = QueryPipeline.process_batch
 
-    def counting(self, keys, measures, stats, survivors=None, ordinals=None):
-        calls.setdefault(self.query.qid, []).append(
-            (stats, np.unique(ordinals).tolist())
-        )
-        return process_batch(self, keys, measures, stats, survivors, ordinals)
+    def counting(self, keys, measures, stats, survivors=None):
+        calls.setdefault(self.query.qid, []).append((stats, measures.size))
+        return process_batch(self, keys, measures, stats, survivors)
 
     reads = []
     read_pages = BufferPool.read_pages
@@ -156,12 +154,12 @@ def test_compute_is_per_morsel_not_per_page(
     assert span.attrs["actuals"]["morsels"] == expected
     for local in plan_class.plans:
         # One fold, already charged by the class: the hash member's batch
-        # is every morsel, an index member's the morsels that routed it rows.
-        ((stats, ordinals),) = calls[local.query.qid]
+        # is every scanned row, an index member's the rows routed to it.
+        ((stats, n_rows),) = calls[local.query.qid]
         assert stats is None
-        assert set(ordinals) <= set(range(expected))
+        assert n_rows <= table.n_rows
         if local.method is JoinMethod.HASH:
-            assert ordinals == list(range(expected))
+            assert n_rows == table.n_rows
 
 
 def test_reads_are_accounted_per_morsel_and_per_probe_set(

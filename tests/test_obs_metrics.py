@@ -190,7 +190,7 @@ class TestDefaultRegistry:
             pool = BufferPool(stats, capacity_pages=4)
             table = HeapTable("t", ["k", "m"], page_size=DEFAULT_PAGE_SIZE)
             for i in range(10):
-                table.append((i, float(i)))
+                table.append((i, i))
             for _page in table.scan_pages(pool):
                 pass
             for _page in table.scan_pages(pool):  # warm: all hits

@@ -132,7 +132,7 @@ class TestAnswerCorrectness:
             expected = evaluate_reference(
                 db.schema, base.table.all_rows(), query, base.levels
             )
-            assert report.result_for(query).approx_equals(expected)
+            assert report.result_for(query).groups == expected.groups
 
     def test_random_workloads_all_algorithms_agree(self, db):
         rng = random.Random(5)
@@ -148,7 +148,7 @@ class TestAnswerCorrectness:
                     reference = report.results
                 else:
                     for qid, result in report.results.items():
-                        assert result.approx_equals(reference[qid]), algorithm
+                        assert result.groups == reference[qid].groups, algorithm
 
 
 class TestCostOrderings:
@@ -280,9 +280,7 @@ class TestRegistrySweep:
         validate_global_plan(database.schema, database.catalog, plan)
         report = database.execute(plan)
         for query in queries:
-            assert report.result_for(query).approx_equals(
-                reference(database, query)
-            ), query.display_name()
+            assert report.result_for(query).groups == reference(database, query).groups, query.display_name()
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("algorithm", ("optimal",))

@@ -59,9 +59,7 @@ class TestMaintenanceEquivalence:
         rebuilt_entry = db.materialize((1, 1), name="check",
                                        aggregate=aggregate)
         rebuilt = view_as_dict(rebuilt_entry)
-        assert maintained.keys() == rebuilt.keys()
-        for key, value in rebuilt.items():
-            assert maintained[key] == pytest.approx(value)
+        assert maintained == rebuilt
 
     @given(
         batches=st.lists(st.integers(1, 30), min_size=1, max_size=3),
@@ -88,7 +86,7 @@ class TestMaintenanceEquivalence:
         )
         via_hash = hash_star_join(db, "XY", query)
         via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
-        assert via_index.approx_equals(via_hash)
+        assert via_index.groups == via_hash.groups
 
 
 class TestCubeProperties:
@@ -124,10 +122,8 @@ class TestCubeProperties:
                 schema, base.table.all_rows(), query, base.levels
             )
             entry = db.catalog.get(target.name(schema))
-            got = view_as_dict(entry)
-            assert got.keys() == expected.groups.keys()
-            for key, value in expected.groups.items():
-                assert got[key] == pytest.approx(value)
+            got = view_as_dict(entry)  # a SUM view: int cents
+            assert {k: v / 100 for k, v in got.items()} == expected.groups
 
 
 class TestPersistenceProperty:
@@ -164,6 +160,4 @@ class TestPersistenceProperty:
         twin = GroupByQuery(groupby=query.groupby)
         before = db.run_queries([query], "gg").result_for(query)
         after = loaded.run_queries([twin], "gg").result_for(twin)
-        assert set(before.groups) == set(after.groups)
-        for key, value in before.groups.items():
-            assert after.groups[key] == pytest.approx(value)
+        assert list(after.groups.items()) == list(before.groups.items())

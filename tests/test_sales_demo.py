@@ -71,7 +71,7 @@ class TestMixedDepthQueries:
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
-        assert report.result_for(query).approx_equals(expected)
+        assert report.result_for(query).groups == expected.groups
 
     def test_all_algorithms_agree_on_sales(self, db):
         queries = translate_mdx(
@@ -90,7 +90,7 @@ class TestMixedDepthQueries:
                 reference = report.results
             else:
                 for qid, result in report.results.items():
-                    assert result.approx_equals(reference[qid]), algorithm
+                    assert result.groups == reference[qid].groups, algorithm
 
     def test_five_level_drill_chain(self, db):
         schema = db.schema
@@ -101,4 +101,4 @@ class TestMixedDepthQueries:
         expected = evaluate_reference(
             schema, base.table.all_rows(), query, base.levels
         )
-        assert report.result_for(query).approx_equals(expected)
+        assert report.result_for(query).groups == expected.groups

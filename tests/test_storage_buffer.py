@@ -21,7 +21,7 @@ from repro.storage.table import HeapTable
 
 def setup(n_rows=60, capacity_pages=4):
     table = HeapTable("t", ("a", "m"), page_size=32)  # 4 rows/page
-    table.extend((i, float(i)) for i in range(n_rows))
+    table.extend((i, i) for i in range(n_rows))
     stats = IOStats()
     pool = BufferPool(stats, capacity_pages=capacity_pages)
     return table, stats, pool
@@ -100,7 +100,7 @@ class TestMultiTable:
     def test_frames_keyed_by_table(self):
         table_a, stats, pool = setup()
         table_b = HeapTable("other", ("a", "m"), page_size=32)
-        table_b.extend((i, float(i)) for i in range(8))
+        table_b.extend((i, i) for i in range(8))
         pool.get_page(table_a, 0, sequential=True)
         pool.get_page(table_b, 0, sequential=True)
         assert stats.seq_page_reads == 2  # same page_no, different tables
@@ -196,7 +196,7 @@ def observe(read, capacity_pages, calls, fault_nth=None, hook_nth=None):
         tables = []
         for index, n_pages in enumerate(TABLE_PAGES):
             tables.append(HeapTable(f"t{index}", ("a", "m"), page_size=32))
-            tables[-1].extend((i, float(i)) for i in range(4 * n_pages))
+            tables[-1].extend((i, i) for i in range(4 * n_pages))
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=capacity_pages)
         index_of = {table.table_id: i for i, table in enumerate(tables)}
@@ -372,7 +372,7 @@ def read_hookless(capacity_pages, calls, grow=None):
         tables = []
         for index, n_pages in enumerate(TABLE_PAGES):
             tables.append(HeapTable(f"t{index}", ("a", "m"), page_size=32))
-            tables[-1].extend((i, float(i)) for i in range(4 * n_pages))
+            tables[-1].extend((i, i) for i in range(4 * n_pages))
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=capacity_pages)
         index_of = {table.table_id: i for i, table in enumerate(tables)}
@@ -381,7 +381,7 @@ def read_hookless(capacity_pages, calls, grow=None):
                 pages = as_form(list(pages), form)
             pool.read_pages(tables[index], pages, sequential=sequential)
             if call_no == 0 and grow:
-                tables[0].extend((i, float(i)) for i in range(grow))
+                tables[0].extend((i, i) for i in range(grow))
         return {
             "lru_order": [(index_of[tid], no) for tid, no in pool._frames],
             "len": len(pool),

@@ -8,7 +8,7 @@ from repro.storage.table import HeapTable
 
 def make_table(name="t"):
     table = HeapTable(name, ("a", "b", "m"))
-    table.append((0, 0, 1.0))
+    table.append((0, 0, 1))
     return table
 
 

@@ -98,7 +98,7 @@ class TestIOStatsLocking:
 class TestBufferPoolLocking:
     def make_table(self, n_rows: int = 600) -> HeapTable:
         table = HeapTable("T", ["a", "m"], page_size=32)
-        table.extend((i % 13, float(i)) for i in range(n_rows))
+        table.extend((i % 13, i) for i in range(n_rows))
         return table
 
     def test_shared_pool_counts_are_exact(self, tight_switching):
@@ -199,7 +199,7 @@ class TestAppendPublishOrder:
             if index == 0:  # the one writer
                 for first in range(0, total, 97):
                     chunk = range(first, min(first + 97, total))
-                    table.extend([(i, float(i + 1)) for i in chunk])
+                    table.extend([(i, i + 1) for i in chunk])
                 return
             seen = 0
             while seen < total:

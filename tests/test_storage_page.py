@@ -42,13 +42,13 @@ class TestRowsPerPage:
 class TestPage:
     def test_append_and_read(self):
         table = make_table(("a", "b", "m"), capacity=3)
-        assert table.append((1, 2, 3.0)) == 0
-        assert table.append((4, 5, 6.0)) == 1
+        assert table.append((1, 2, 3)) == 0
+        assert table.append((4, 5, 6)) == 1
         page = table.page(0)
         assert (page.page_no, page.capacity, page.first_row) == (0, 3, 0)
-        assert page[0] == (1, 2, 3.0)
-        assert page[1] == (4, 5, 6.0)
-        assert page.rows == [(1, 2, 3.0), (4, 5, 6.0)]
+        assert page[0] == (1, 2, 3)
+        assert page[1] == (4, 5, 6)
+        assert page.rows == [(1, 2, 3), (4, 5, 6)]
         assert len(page) == 2
         assert not page.is_full
 
@@ -71,35 +71,35 @@ class TestPage:
 
     def test_iteration_preserves_order(self):
         table = make_table(capacity=10)
-        rows = [(i, float(i)) for i in range(7)]
+        rows = [(i, i) for i in range(7)]
         table.extend(rows)
         assert list(table.page(0)) == rows
 
     def test_last_page_grows_with_the_table(self):
         table = make_table(capacity=4)
-        table.extend([(i, float(i)) for i in range(5)])
+        table.extend([(i, i) for i in range(5)])
         last = table.page(1)
         assert (last.first_row, len(last)) == (4, 1)
-        table.extend([(5, 5.0), (6, 6.0)])
-        assert len(last) == 3 and last[2] == (6, 6.0)
+        table.extend([(5, 5), (6, 6)])
+        assert len(last) == 3 and last[2] == (6, 6)
 
 
 class TestColumns:
     def test_values_match_rows(self):
         table = make_table(("a", "b", "m"), capacity=8)
-        table.extend([(i, i % 3, float(i) * 1.5) for i in range(5)])
+        table.extend([(i, i % 3, i * 15) for i in range(5)])
         keys, measures = table.page(0).columns(2)
         assert [k.dtype == np.int64 for k in keys] == [True, True]
-        assert measures.dtype == np.float64
+        assert measures.dtype == np.int64
         assert keys[0].tolist() == [0, 1, 2, 3, 4]
         assert keys[1].tolist() == [0, 1, 2, 0, 1]
-        assert measures.tolist() == [0.0, 1.5, 3.0, 4.5, 6.0]
+        assert measures.tolist() == [0, 15, 30, 45, 60]
 
     def test_zero_copy_readonly_views(self):
         """No per-page copy: two calls hand out slices of the same table
         arrays, and neither can be written through."""
         table = make_table(capacity=4)
-        table.extend([(1, 2.0), (3, 4.0), (5, 6.0), (7, 8.0), (9, 10.0)])
+        table.extend([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
         first = table.page(1).columns(1)
         second = table.page(1).columns(1)
         whole = table.read_columns(1)
@@ -116,24 +116,24 @@ class TestColumns:
     def test_append_invalidates_cache(self):
         """There is no cache to go stale: an append shows at once."""
         table = make_table(capacity=4)
-        table.append((1, 2.0))
+        table.append((1, 2))
         page = table.page(0)
         keys, _measures = page.columns(1)
         assert keys[0].tolist() == [1]
-        table.append((7, 8.0))
+        table.append((7, 8))
         keys, measures = page.columns(1)
         assert keys[0].tolist() == [1, 7]
-        assert measures.tolist() == [2.0, 8.0]
+        assert measures.tolist() == [2, 8]
 
     def test_n_keys_change_rebuilds(self):
         table = make_table(("a", "b", "m"), capacity=4)
-        table.append((1, 2, 3.0))
+        table.append((1, 2, 3))
         page = table.page(0)
         keys2, measures2 = page.columns(2)
         keys1, measures1 = page.columns(1)
-        assert len(keys2) == 2 and measures2.tolist() == [3.0]
-        assert len(keys1) == 1 and measures1.tolist() == [2.0]
-        assert measures1.dtype == np.float64
+        assert len(keys2) == 2 and measures2.tolist() == [3]
+        assert len(keys1) == 1 and measures1.tolist() == [2]
+        assert measures1.dtype == np.int64
 
     def test_empty_page(self):
         page = Page(make_table(("a", "b", "c", "m"), capacity=4), 0)
@@ -146,13 +146,13 @@ class TestColumns:
         """An in-place measure update shows through ``columns`` — even
         through a batch handed out before it."""
         table = make_table(capacity=4)
-        table.append((1, 2.0))
+        table.append((1, 2))
         page = table.page(0)
         before = page.columns(1)[1]
-        assert before.tolist() == [2.0]
-        table.update_measures(np.asarray([0]), np.asarray([9.0]))
+        assert before.tolist() == [2]
+        table.update_measures(np.asarray([0]), np.asarray([9]))
         keys, measures = page.columns(1)
         assert keys[0].tolist() == [1]
-        assert measures.tolist() == [9.0]
-        assert before.tolist() == [9.0]
-        assert page[0] == (1, 9.0)
+        assert measures.tolist() == [9]
+        assert before.tolist() == [9]
+        assert page[0] == (1, 9)

@@ -23,7 +23,7 @@ from helpers import probe_positions
 def make_table(n_rows=100, page_size=80):
     # 3 columns * 4 bytes = 12 bytes/row -> 6 rows per 80-byte page.
     table = HeapTable("t", ("a", "b", "m"), page_size=page_size)
-    table.extend((i, i % 7, float(i)) for i in range(n_rows))
+    table.extend((i, i % 7, i) for i in range(n_rows))
     return table
 
 
@@ -67,8 +67,8 @@ class TestReadsAndWrites:
 
     def test_row_at(self):
         table = make_table(50)
-        assert table.row_at(0) == (0, 0, 0.0)
-        assert table.row_at(49) == (49, 0, 49.0)
+        assert table.row_at(0) == (0, 0, 0)
+        assert table.row_at(49) == (49, 0, 49)
 
     def test_all_rows_order(self):
         table = make_table(30)
@@ -76,16 +76,16 @@ class TestReadsAndWrites:
 
 
     def test_integer_tables_round_trip_as_ints(self):
-        """A dimension table holds only integers: its rows come back as
-        ints until a float is stored in the last column."""
+        """Every column is int64: rows come back as ints, and a float is
+        refused (measures are converted to cents before they get here)."""
         table = HeapTable("dim", ("leaf", "mid", "top"), page_size=80)
         table.extend([(0, 0, 0), (1, 0, 0)])
         table.append((2, 1, 0))
         assert [type(v) for v in table.row_at(2)] == [int, int, int]
         assert list(table.all_rows()) == [(0, 0, 0), (1, 0, 0), (2, 1, 0)]
-        table.append((3, 1, 0.5))
-        assert table.row_at(3) == (3, 1, 0.5)
-        assert [type(v) for v in table.row_at(0)] == [int, int, float]
+        with pytest.raises(ValueError, match="integers"):
+            table.append((3, 1, 0.5))
+        assert table.n_rows == 3
 
     def test_non_numeric_rows_rejected(self):
         table = make_table(0)
@@ -105,7 +105,7 @@ class TestReadsAndWrites:
         try:
             before, _peak = tracemalloc.get_traced_memory()
             table.extend(  # a generator: the table is the rows' only owner
-                (i % 108, i % 99, i % 90, i % 54, i * 0.25)
+                (i % 108, i % 99, i % 90, i % 54, i * 25)
                 for i in range(n_rows)
             )
             list(table.scan_pages(BufferPool(IOStats(), capacity_pages=4096)))
@@ -146,7 +146,7 @@ class TestAccountedAccess:
         )
         assert keys[0].tolist() == [5, 50, 99]
         assert keys[1].tolist() == [5 % 7, 50 % 7, 99 % 7]
-        assert measures.tolist() == [5.0, 50.0, 99.0]
+        assert measures.tolist() == [5, 50, 99]
 
 
 class TestBatchAccess:
@@ -158,7 +158,7 @@ class TestBatchAccess:
         assert stats.seq_page_reads == table.n_pages
         assert stats.rand_page_reads == 0
         rows = [
-            (int(keys[0][i]), int(keys[1][i]), float(measures[i]))
+            (int(keys[0][i]), int(keys[1][i]), int(measures[i]))
             for _start, _n_pages, _n_rows, keys, measures in batches
             for i in range(measures.size)
         ]
@@ -186,7 +186,7 @@ class TestBatchAccess:
             )
         ]
         fetched = [
-            (int(keys[0][i]), int(keys[1][i]), float(measures[i]))
+            (int(keys[0][i]), int(keys[1][i]), int(measures[i]))
             for i in range(positions.size)
         ]
         assert fetched == probed
@@ -250,7 +250,7 @@ class TestBatchAccess:
 ROW = st.tuples(
     st.integers(0, 50),
     st.integers(0, 6),
-    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+    st.integers(-10**8, 10**8),
 )
 OPERATION = st.one_of(
     st.tuples(st.just("append"), ROW),
@@ -258,7 +258,7 @@ OPERATION = st.one_of(
     st.tuples(
         st.just("update"),
         st.lists(
-            st.tuples(st.integers(0, 10**6), st.floats(-1e6, 1e6, width=64)),
+            st.tuples(st.integers(0, 10**6), st.integers(-10**8, 10**8)),
             max_size=5,
         ),
     ),
@@ -283,7 +283,7 @@ class TestStorageModel:
                 updates = {p % len(model): v for p, v in argument}
                 table.update_measures(
                     np.fromiter(updates, dtype=np.int64, count=len(updates)),
-                    np.fromiter(updates.values(), dtype=np.float64),
+                    np.fromiter(updates.values(), dtype=np.int64),
                 )
                 for position, value in updates.items():
                     model[position] = model[position][:2] + (value,)

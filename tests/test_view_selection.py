@@ -103,8 +103,8 @@ class TestMaterializeSelection:
                 base.levels,
             )
             rows = db.catalog.get(target.name(db.schema)).table.all_rows()
-            got = {(int(x), int(y)): measure for x, y, measure in rows}
-            assert got == pytest.approx(expected.groups)
+            got = {(int(x), int(y)): cents / 100 for x, y, cents in rows}
+            assert got == expected.groups
 
     def test_finest_first_order(self):
         """Whatever order the selection lists them in."""

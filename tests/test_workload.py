@@ -61,15 +61,16 @@ class TestGenerator:
 
     @pytest.mark.parametrize("skew", [None, [1.5, 0, 0.7, 0]], ids=["uniform", "zipf"])
     def test_rows_are_a_view_of_the_columns(self, paper_schema, skew):
-        """The tuple form is the column form read row-wise — the rows the
-        old row-at-a-time loop built, types included — and a table loaded
-        from the columns holds exactly the rows one loaded from tuples does."""
+        """The tuple form is the column form read row-wise, the measure as
+        cents / 100 — the rows the old row-at-a-time loop built, types
+        included — and a table loaded from the columns holds exactly the
+        rows one loaded from tuples does: int cents."""
         options = dict(seed=5, skew=skew, measure_low=2.0, measure_high=50.0)
         keys, measures = generate_fact_columns(paper_schema, 300, **options)
         assert [k.dtype for k in keys] == [np.int64] * paper_schema.n_dims
-        assert measures.dtype == np.float64
+        assert measures.dtype == np.int64
         old_loop = [
-            tuple(int(col[i]) for col in keys) + (float(measures[i]),)
+            tuple(int(col[i]) for col in keys) + (int(measures[i]) / 100,)
             for i in range(300)
         ]
         rows = generate_fact_rows(paper_schema, 300, **options)
@@ -80,7 +81,8 @@ class TestGenerator:
         from_rows.load_base(rows)
         from_columns.load_base(columns=(keys, measures))
         loaded = [list(db.catalog.get("ABCD").table.all_rows()) for db in (from_rows, from_columns)]
-        assert loaded[0] == loaded[1] == rows
+        stored = list(zip(*(column.tolist() for column in (*keys, measures))))
+        assert loaded[0] == loaded[1] == stored
         assert from_rows.data_version == from_columns.data_version
 
     def test_bad_skew_arity(self, paper_schema):
