@@ -8,9 +8,9 @@ median wall of K ops, then cProfile's top rows over K more ops by
 cumulative and by self time.  cProfile taxes every Python call and nothing
 inside native code, so the rows are shares for finding a candidate, never
 a measurement: claims go through ``perf/run.py`` pairs
-(docs/performance.md).  Threads the op starts (``serve_mix`` plans and
-executes on the service's) each get their own profiler, merged into the
-one table.
+(docs/performance.md).  A thread the op starts (``serve_mix`` plans and
+executes on the service's one scheduler thread) gets its own profiler,
+merged into the one table.
 """
 
 from __future__ import annotations

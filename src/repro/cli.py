@@ -58,8 +58,6 @@ _SERVE_FLAGS = (
      "requests each client issues (default %(default)s)"),
     ("--window", "window_ms", {"metavar": "MS"},
      "micro-batching window in milliseconds (default %(default)g)"),
-    ("--workers", "n_workers", {"metavar": "WORKERS"},
-     "threads executing a merged plan's classes (default %(default)s)"),
     ("--overlap", "overlap", {"metavar": "OVERLAP"},
      "probability a request comes from the shared expression pool (default "
      "%(default)s)"),
@@ -512,7 +510,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"simulating {config.n_clients} client(s) x "
         f"{config.requests_per_client} request(s), window "
-        f"{serve.window_ms:g} ms, {serve.n_workers} worker(s), "
+        f"{serve.window_ms:g} ms, "
         f"algorithm {serve.algorithm}"
         + (" (result cache attached)" if args.cache else "")
         + (f" (faults armed: {fault_plan.describe()})" if fault_plan else "")

@@ -4,12 +4,12 @@
   (Sections 3.1 / 3.3, plus the DAG layer's derive phase),
 * all-index classes → the (shared) index join (Section 3.2).
 
-There is one executor, :func:`execute_plan`, over the plan's list of
-classes: serial and parallel execution are the same code with different
-worker counts.  It reproduces the paper's measurement discipline — with
-``cold=True`` (default) every class starts from an empty buffer pool, as
-the paper "flushed both the Unix file system buffer and Paradise buffer
-pool before running each test".  Each class's simulated
+There is one executor, :func:`execute_plan`: it runs the plan's classes
+one after another, in plan order, on the calling thread — as the paper ran
+each test's classes on one server.  It reproduces the paper's measurement
+discipline — with ``cold=True`` (default) every class starts from an empty
+buffer pool, as the paper "flushed both the Unix file system buffer and
+Paradise buffer pool before running each test".  Each class's simulated
 cost (from the :class:`~repro.storage.iostats.IOStats` clock) and real wall
 time are reported separately.
 """
@@ -17,10 +17,9 @@ time are reported separately.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..faults import InjectedFault, PartialResultError
 from ..obs.metrics import default_registry
@@ -108,8 +107,8 @@ class ExecutionReport:
     failures: List[ClassFailure] = field(default_factory=list)
     cache_hits: Dict[int, QueryResult] = field(default_factory=dict)
     #: Elapsed wall seconds of the execution as its caller saw it (set by
-    #: :meth:`Database.execute`); :attr:`wall_s` sums cells across worker
-    #: threads and is not elapsed time.
+    #: :meth:`Database.execute`); :attr:`wall_s` sums only the classes'
+    #: measured sections.
     elapsed_s: float = 0.0
     #: What recovery ran (``Database.run_queries(recovery=)``): the first
     #: execution, each re-ask of the failed queries, each ``"degraded"`` plan.
@@ -304,43 +303,47 @@ def _count_operator(actuals: OperatorActuals) -> None:
     ).inc(actuals.or_ops)
 
 
-@dataclass
-class _Cell:
-    """One class of the plan in its execution context, before and after it
-    ran."""
-
-    plan_class: PlanClass
-    ctx: ExecContext
-    span: object
-    sim: Optional[IOStats] = None
-    wall_s: float = 0.0
-    results: Optional[List[QueryResult]] = None
-    actuals: Optional[OperatorActuals] = None
-    error: Optional[InjectedFault] = None
-
-    def run(self) -> "_Cell":
-        """Execute the class in this cell's context; an injected fault is
-        kept as ``error`` along with the cost charged before the abort.
-        Runs on a worker thread: the pre-created span is entered here, on
-        that thread's own stack."""
-        ctx, plan_class = self.ctx, self.plan_class
-        with self.span as span:
-            before = ctx.stats.snapshot()
-            started = time.perf_counter()
-            try:
-                self.results, self.actuals = run_class_accounted(
-                    ctx, plan_class
-                )
-            except InjectedFault as exc:
-                self.error = exc
-                span.set("failed", True)
-                span.set("error", str(exc))
-            self.wall_s = time.perf_counter() - started
-            self.sim = ctx.stats.delta_since(before)
-            if self.error is None:
-                span.set("sim_ms", round(self.sim.total_ms, 3))
-                span.set("est_ms", round(plan_class.est_cost_ms, 3))
-        return self
+def _run_class(
+    db: "Database", plan_class: PlanClass, *, cold: bool
+) -> Union[ClassExecution, ClassFailure]:
+    """Execute one class in its own context — a private buffer pool and
+    cost clock when ``cold`` — inside an ``execute.class`` span.  An
+    injected fault becomes a :class:`ClassFailure` carrying the cost
+    charged before the abort."""
+    ctx = db.ctx(private=cold)
+    # stats= binds the span, and every operator span under it, to the
+    # class's own clock.
+    with db.tracer.span(
+        "execute.class",
+        stats=ctx.stats,
+        source=plan_class.source,
+        n_queries=len(plan_class.queries),
+        methods=[p.method.name for p in plan_class.plans],
+    ) as span:
+        before = ctx.stats.snapshot()
+        started = time.perf_counter()
+        try:
+            results, actuals = run_class_accounted(ctx, plan_class)
+        except InjectedFault as exc:
+            span.set("failed", True)
+            span.set("error", str(exc))
+            return ClassFailure(
+                plan_class=plan_class,
+                error=exc,
+                sim=ctx.stats.delta_since(before),
+                wall_s=time.perf_counter() - started,
+            )
+        wall_s = time.perf_counter() - started
+        sim = ctx.stats.delta_since(before)
+        span.set("sim_ms", round(sim.total_ms, 3))
+        span.set("est_ms", round(plan_class.est_cost_ms, 3))
+    return ClassExecution(
+        plan_class=plan_class,
+        results=results,
+        sim=sim,
+        wall_s=wall_s,
+        actuals=actuals,
+    )
 
 
 def execute_plan(
@@ -348,129 +351,89 @@ def execute_plan(
     plan: GlobalPlan,
     *,
     cold: bool = True,
-    n_workers: int = 1,
     paranoia: Optional[bool] = None,
 ) -> ExecutionReport:
-    """Execute every class of ``plan``, one cell per class; measure each
-    class separately.
+    """Execute every class of ``plan`` in plan order on the calling
+    thread; measure each class separately.
 
     The contract (stated once, in ``docs/architecture.md``):
 
-    * **cell isolation** — with ``cold=True`` every class runs in a
+    * **class isolation** — with ``cold=True`` every class runs in a
       private buffer pool and cost clock (:meth:`Database.ctx`
       ``private=True``) over the database's catalog.  A fresh pool is
       indistinguishable from a just-flushed one — the paper "flushed both
       the Unix file system buffer and Paradise buffer pool before running
-      each test" — so results and simulated cost do not depend on
-      ``n_workers`` or on how the workers interleave, and the database's
-      own pool is left untouched;
-    * **fold order** — finished cells are folded back in plan order: each
-      class's clock is merged into the database's clock and its results
-      and actuals pass through as the operator produced them;
+      each test" — so a class's results and simulated cost do not depend
+      on the classes before it, and the database's own pool is left
+      untouched;
+    * **fold order** — once every class has run, each is folded back in
+      plan order: its clock is merged into the database's clock and its
+      results and actuals pass through as the operator produced them;
     * **failure granularity** — an :class:`~repro.faults.InjectedFault`
       fails its class (a :class:`ClassFailure` carrying the cost charged
       before the abort); sibling classes are byte-identical to a
       fault-free run;
-    * **warm = serial** — ``cold=False`` is the one case that runs on the
-      database's own pool and clock; classes then see each other's pages,
-      so it runs serially in plan order and ignores ``n_workers``.
+    * **warm** — ``cold=False`` runs on the database's own pool and
+      clock, so each class sees the pages the classes before it read.
 
     ``paranoia`` (default: :attr:`Database.paranoia`) validates the plan
     before execution and cross-checks every class's results against the
-    brute-force reference over the full data.  Checking happens on the
-    calling thread *outside* the measured sections, so it never perturbs a
-    class's reported simulated or wall cost.
+    brute-force reference over the full data.  Checking happens *outside*
+    the measured sections, so it never perturbs a class's reported
+    simulated or wall cost.
     """
     if paranoia is None:
         paranoia = db.paranoia
-    if n_workers <= 0:
-        raise ValueError(f"n_workers must be positive (got {n_workers})")
     report = ExecutionReport(plan=plan)
-    classes = list(plan.classes)
-    tracer = db.tracer
-    plan_attrs = {}
-    if n_workers > 1:
-        plan_attrs.update(parallel=True, n_workers=n_workers)
-    with tracer.span(
+    with db.tracer.span(
         "execute.plan",
         algorithm=plan.algorithm,
-        n_classes=len(classes),
+        n_classes=len(plan.classes),
         n_queries=plan.n_queries,
         paranoia=paranoia,
-        **plan_attrs,
-    ) as plan_span:
+    ):
         if paranoia:
             from ..check.invariants import check_plan
 
             check_plan(db, plan)
-        if not classes:
-            return report
-        # Pre-create each cell's context and span here, in plan order: the
-        # explicit parent= pins sibling order deterministically, and
-        # stats= binds the span's sim delta to the cell's clock (private
-        # when cold; other workers merge into the shared one).
-        cells = []
-        for plan_class in classes:
-            ctx = db.ctx(private=cold)
-            span = tracer.span(
-                "execute.class",
-                parent=plan_span,
-                stats=ctx.stats,
-                source=plan_class.source,
-                n_queries=len(plan_class.queries),
-                methods=[p.method.name for p in plan_class.plans],
-            )
-            cells.append(_Cell(plan_class, ctx, span))
-        if not cold or n_workers == 1 or len(cells) == 1:
-            for cell in cells:
-                cell.run()
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(n_workers, len(cells))
-            ) as workers:
-                list(workers.map(_Cell.run, cells))
-        for cell in cells:
-            _fold_class(db, report, cell, cold=cold, paranoia=paranoia)
+        outcomes = [
+            _run_class(db, plan_class, cold=cold)
+            for plan_class in plan.classes
+        ]
+        for outcome in outcomes:
+            _fold_class(db, report, outcome, cold=cold, paranoia=paranoia)
     return report
 
 
 def _fold_class(
     db: "Database",
     report: ExecutionReport,
-    cell: _Cell,
+    outcome: Union[ClassExecution, ClassFailure],
     *,
     cold: bool,
     paranoia: bool,
 ) -> None:
-    """Fold one class's finished cell into the report (and, when cold, its
-    private clock into the database's): a :class:`ClassFailure` if it
-    failed, else one :class:`ClassExecution`."""
-    plan_class = cell.plan_class
+    """Fold one finished class into the report (and, when cold, its
+    private clock into the database's)."""
+    plan_class = outcome.plan_class
     tracer = db.tracer
     metrics = default_registry()
     if cold:
-        db.stats.merge_from(cell.sim)
-    if cell.error is not None:
+        db.stats.merge_from(outcome.sim)
+    if isinstance(outcome, ClassFailure):
         # Fault isolation: this class is lost, siblings proceed.
         with tracer.span(
             "fault.class_failure",
             source=plan_class.source,
             n_queries=len(plan_class.queries),
-            error=str(cell.error),
+            error=str(outcome.error),
         ):
             pass
         metrics.counter(
             "executor.class_failures",
             "plan classes aborted by an injected fault",
         ).inc()
-        report.failures.append(
-            ClassFailure(
-                plan_class=plan_class,
-                error=cell.error,
-                sim=cell.sim,
-                wall_s=cell.wall_s,
-            )
-        )
+        report.failures.append(outcome)
         return
     metrics.counter(
         "executor.classes_executed", "plan classes run to completion"
@@ -484,16 +447,8 @@ def _fold_class(
         with tracer.span(
             "check.class",
             source=plan_class.source,
-            n_results=len(cell.results),
+            n_results=len(outcome.results),
         ) as check_span:
-            checked = check_results(db, cell.results, plan=report.plan)
+            checked = check_results(db, outcome.results, plan=report.plan)
             check_span.set("n_checked", checked)
-    report.class_executions.append(
-        ClassExecution(
-            plan_class=plan_class,
-            results=cell.results,
-            sim=cell.sim,
-            wall_s=cell.wall_s,
-            actuals=cell.actuals,
-        )
-    )
+    report.class_executions.append(outcome)

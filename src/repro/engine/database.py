@@ -301,8 +301,8 @@ class Database:
         ``private=True`` gives the context a fresh buffer pool and cost
         clock of its own (same capacity, rates, and armed fault plan).  A
         fresh pool is indistinguishable from a just-flushed shared one, so
-        a cold plan cell run in it measures exactly what it would alone —
-        whatever else runs concurrently.
+        a cold plan class run in it measures exactly what it would alone —
+        whatever ran before it.
         """
         stats, pool = self.stats, self.pool
         if private:
@@ -323,7 +323,7 @@ class Database:
         """Arm a :class:`repro.faults.FaultPlan` for subsequent execution.
 
         The plan is threaded into every execution context this database
-        builds (private per-cell contexts and their pools included) and
+        builds (private per-class contexts and their pools included) and
         into the shared buffer pool, so every injection site sees it.
         Pass None — or call :meth:`disarm_faults` — to turn injection
         back off."""
@@ -446,25 +446,17 @@ class Database:
         plan: "GlobalPlan",
         cold: bool = True,
         paranoia: Optional[bool] = None,
-        n_workers: int = 1,
     ) -> "ExecutionReport":
         """Execute a global plan (see
         :func:`repro.core.executor.execute_plan` for the contract).
 
         ``cold`` starts every class from an empty buffer pool, as the
         paper flushed buffers before each measured run; ``paranoia``
-        overrides the database's :attr:`paranoia` flag for this run;
-        ``n_workers`` > 1 runs the plan's classes on a thread pool."""
+        overrides the database's :attr:`paranoia` flag for this run."""
         from ..core.executor import execute_plan
 
         started = time.perf_counter()
-        report = execute_plan(
-            self,
-            plan,
-            cold=cold,
-            n_workers=n_workers,
-            paranoia=paranoia,
-        )
+        report = execute_plan(self, plan, cold=cold, paranoia=paranoia)
         report.elapsed_s = time.perf_counter() - started
         return report
 
@@ -473,7 +465,6 @@ class Database:
         queries: Sequence[GroupByQuery],
         algorithm: str = "gg",
         cold: bool = True,
-        n_workers: int = 1,
         recovery: "Optional[RetryPolicy]" = None,
     ) -> "ExecutionReport":
         """Answer one batch — the only code that does; sessions and the
@@ -481,7 +472,7 @@ class Database:
         contract is stated once, in ``docs/architecture.md`` §"Answering a
         batch": cache hits skip planning, the misses are optimized as one
         unit *as submitted* (no deduplication here; :meth:`optimize` holds
-        the plan to covering them), executed (``cold``/``n_workers`` go to
+        the plan to covering them), executed (``cold`` goes to
         :meth:`execute`), recovered under ``recovery`` (None = not at all),
         and retained only if nothing stayed failed.
 
@@ -505,7 +496,7 @@ class Database:
             if misses or not hits:
                 # An empty batch is planned too: the optimizer rejects it.
                 plan = self.optimize(misses, algorithm)
-                report = self.execute(plan, cold=cold, n_workers=n_workers)
+                report = self.execute(plan, cold=cold)
             else:
                 report = ExecutionReport(plan=GlobalPlan(algorithm=algorithm))
             report.cache_hits = hits

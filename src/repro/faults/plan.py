@@ -164,10 +164,8 @@ class FaultPlan:
     """A deterministic set of armed injection points.
 
     Thread-safe: match counters, RNG draws, and the fired-event log are
-    guarded by one lock, so the plan executor's worker threads see a
-    consistent trigger state (though *which* worker trips a shared nth
-    counter first depends on scheduling — single-table or probability
-    triggers are the thread-stable choices for parallel runs).
+    guarded by one lock.  A plan's classes run in plan order on one
+    thread, so an ``nth`` trigger fails the same class on every run.
     """
 
     def __init__(self, points: Sequence[InjectionPoint], seed: int = 0):

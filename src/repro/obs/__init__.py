@@ -10,12 +10,12 @@ Five modules:
 
 * :mod:`repro.obs.trace` — hierarchical spans (``with tracer.span(...)``)
   recording wall time, cost-clock deltas, and attributes, with per-thread
-  stacks, trace/span ids, and explicit cross-thread parent handoff; a
-  no-op :data:`NULL_TRACER` keeps disabled instrumentation free.
+  stacks and trace/span ids; a no-op :data:`NULL_TRACER` keeps disabled
+  instrumentation free.
 * :mod:`repro.obs.metrics` — process-global counters/gauges/histograms
   (``buffer.hits``, ``optimizer.classes_opened``, ...).
 * :mod:`repro.obs.export` — JSON span trees and Chrome-trace event lists
-  (one tid lane per worker thread).
+  (wall clock and simulated cost clock, one track each).
 * :mod:`repro.obs.expose` — Prometheus text exposition and a stable JSON
   metrics snapshot (``repro metrics``, ``repro serve --stats-json``).
 * :mod:`repro.obs.recorder` — the serving-plane flight recorder: a bounded

@@ -92,21 +92,11 @@ def to_chrome_trace(
     Timestamps and durations are microseconds relative to the root span;
     each event's ``args`` carries the span attributes plus the simulated
     I/O/CPU/total milliseconds, so both clocks are visible in the viewer.
-
-    Each distinct *entering thread* gets its own ``tid`` lane (first seen in
-    tree order, starting at ``tid``), so parallel executions render as
-    real concurrency lanes instead of one flattened track.  When
-    more than one lane exists, ``thread_name`` metadata events label them.
+    A span tree is entered on one thread, so every event shares one ``tid``.
     """
     epoch = span.start_s or 0.0
-    root_thread = getattr(span, "thread", None)
-    lanes: dict = {}
     events: List[dict] = []
     for node in span.walk():
-        thread = getattr(node, "thread", None) or root_thread
-        lane = lanes.get(thread)
-        if lane is None:
-            lane = lanes[thread] = tid + len(lanes)
         args = dict(node.attrs)
         sim = _sim_dict(node)
         if sim is not None:
@@ -121,21 +111,10 @@ def to_chrome_trace(
                 "ts": round(((node.start_s or 0.0) - epoch) * 1e6, 3),
                 "dur": round(node.wall_s * 1e6, 3),
                 "pid": pid,
-                "tid": lane,
+                "tid": tid,
                 "args": args,
             }
         )
-    if len(lanes) > 1:
-        for thread, lane in lanes.items():
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": lane,
-                    "args": {"name": thread or "main"},
-                }
-            )
     return events
 
 

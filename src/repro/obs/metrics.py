@@ -38,9 +38,9 @@ class DuplicateMetricError(MetricError):
 class Counter:
     """A monotonically increasing count of events.
 
-    Updates hold a per-metric lock: instrumented components run on the
-    serve layer's worker threads, and an unguarded ``+=`` loses counts
-    under thread interleaving.
+    Updates hold a per-metric lock: the serve layer's client threads and
+    its scheduler thread count into the same registry, and an unguarded
+    ``+=`` loses counts under thread interleaving.
     """
 
     kind = "counter"

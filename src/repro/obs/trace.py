@@ -16,19 +16,17 @@ Spans nest: entering a span while another is open makes it a child, so one
 traced batch produces one tree (``batch`` → ``optimize.gg`` →
 ``execute.plan`` → ``execute.class`` → ``operator.shared_scan_hash``).
 
-Tracing is **concurrency-correct**: each thread keeps its own span stack
-(``threading.local``), so the executor's worker threads
-(``execute_plan(..., n_workers=N)``) can open operator spans concurrently
-without corrupting each other's nesting.  Cross-thread parenting is explicit — the
-scheduler creates a task span with ``tracer.span(name, parent=plan_span)``
-and hands it to the worker, which enters it on its own thread; the child is
-linked under its parent at *creation* time, so sibling order is the
-deterministic submission order, not the racy completion order.
+Tracing is **thread-correct**: each thread keeps its own span stack
+(``threading.local``), so a span nests only under spans its own thread
+has open.  A batch's whole tree is entered on one thread, but a service's
+scheduler thread may open ``serve.batch`` while another thread holds the
+same tracer (``Database.trace()``): the batch becomes a root of its own,
+never a child of whatever the other thread has open.
 
 Every tracer carries a process-unique ``trace_id`` and assigns each span a
 ``span_id`` (dense, starting at 1, in creation order) plus the ``parent_id``
 link and the name of the thread that entered it — enough to rebuild the
-tree, or one thread's lane, from a flat dump.
+tree from a flat dump.
 
 Tracing is **zero-overhead by default**: every instrumentation point holds a
 :class:`NullTracer` (the :data:`NULL_TRACER` singleton) whose ``span()``
@@ -80,7 +78,6 @@ class Span:
         "_tracer",
         "_start_stats",
         "_stats",
-        "_linked",
     )
 
     def __init__(
@@ -89,7 +86,6 @@ class Span:
         name: str,
         attrs: Dict[str, Any],
         *,
-        parent: Optional["Span"] = None,
         stats: Optional[Any] = None,
     ):
         self.name = name
@@ -102,7 +98,7 @@ class Span:
         self.sim = None
         #: Dense per-tracer id, assigned in creation order.
         self.span_id: Optional[int] = None
-        #: ``span_id`` of the parent (None for roots; set at link time).
+        #: ``span_id`` of the parent (None for roots; set when entered).
         self.parent_id: Optional[int] = None
         #: The owning tracer's trace id.
         self.trace_id: Optional[str] = getattr(tracer, "trace_id", None)
@@ -111,33 +107,28 @@ class Span:
         self._tracer = tracer
         self._start_stats = None
         #: Cost-clock source overriding ``tracer.stats``: the span's own
-        #: ``stats=``, else its parent's (taken when linked).  A worker cell
-        #: binds its private IOStats here, so the cell and every span inside
-        #: it charge that clock, never siblings charging the shared one.
+        #: ``stats=``, else its parent's (taken when entered).  A cold class
+        #: binds its private IOStats here, so the class and every span
+        #: inside it charge that clock, not the database's.
         self._stats = stats
-        if stats is None and parent is not None:
-            self._stats = parent._stats
-        self._linked = parent is not None
         if tracer is not None and hasattr(tracer, "_link"):
-            tracer._link(self, parent)
+            tracer._link(self)
 
     # -- lifecycle ------------------------------------------------------------
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
         stack = tracer._stack
-        if not self._linked:
-            if stack:
-                parent = stack[-1]
-                self.parent_id = parent.span_id
-                if self._stats is None:
-                    self._stats = parent._stats
-                with tracer._lock:
-                    parent.children.append(self)
-            else:
-                with tracer._lock:
-                    tracer.roots.append(self)
-            self._linked = True
+        if stack:
+            parent = stack[-1]
+            self.parent_id = parent.span_id
+            if self._stats is None:
+                self._stats = parent._stats
+            with tracer._lock:
+                parent.children.append(self)
+        else:
+            with tracer._lock:
+                tracer.roots.append(self)
         stack.append(self)
         self.thread = threading.current_thread().name
         stats = self._stats if self._stats is not None else tracer.stats
@@ -227,9 +218,9 @@ class Tracer:
 
     The span stack is **per thread**: spans opened on one thread nest under
     that thread's innermost open span only.  ``roots``, child linking, and
-    span-id assignment are guarded by one lock, so worker threads may open
-    and close spans concurrently.  To parent a span under another thread's
-    span, pass it explicitly: ``tracer.span(name, parent=batch_span)``.
+    span-id assignment are guarded by one lock, so two threads (a service's
+    scheduler and the thread holding ``Database.trace()``) may open and
+    close spans concurrently.
     """
 
     #: A real tracer records spans (checked by instrumentation that wants to
@@ -260,37 +251,26 @@ class Tracer:
             stack = self._tls.stack = []
         return stack
 
-    def _link(self, span: Span, parent: Optional[Span]) -> None:
-        """Assign the span's id and, for explicit parents, link it now.
-
-        Creation-time linking makes sibling order the deterministic order in
-        which the scheduler created the task spans, independent of which
-        worker thread enters (or finishes) first.
-        """
+    def _link(self, span: Span) -> None:
+        """Assign the span's id (dense, in creation order)."""
         with self._lock:
             span.span_id = next(self._span_ids)
-            if parent is not None:
-                span.parent_id = parent.span_id
-                parent.children.append(span)
 
     def span(
         self,
         name: str,
         *,
-        parent: Optional[Span] = None,
         stats: Optional[Any] = None,
         **attrs: Any,
     ) -> Span:
         """A new span.
 
-        Without ``parent`` it nests under the calling thread's innermost
-        open span at ``__enter__`` time (or becomes a root).  With
-        ``parent`` it is linked under that span immediately — the explicit
-        cross-thread handoff.  A span's cost clock is, in order: its own
-        ``stats`` (worker cells pass their private ``IOStats``), its
-        parent's clock, the tracer's.
+        It nests under the calling thread's innermost open span at
+        ``__enter__`` time (or becomes a root).  A span's cost clock is, in
+        order: its own ``stats`` (a cold class passes its private
+        ``IOStats``), its parent's clock, the tracer's.
         """
-        return Span(self, name, attrs, parent=parent, stats=stats)
+        return Span(self, name, attrs, stats=stats)
 
     @property
     def current(self) -> Optional[Span]:
@@ -349,7 +329,7 @@ class NullTracer:
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         """The shared no-op span (ignores all arguments, including the
-        keyword-only ``parent`` / ``stats`` of the real tracer)."""
+        keyword-only ``stats`` of the real tracer)."""
         return self._SPAN
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,8 +5,8 @@ The paper optimizes the component queries of one MDX expression together;
 this package extends that sharing across *sessions*: concurrent requests
 that arrive within a batching window are coalesced into one global plan
 (duplicates collapse, cached queries bypass planning), the merged plan's
-independent classes execute in parallel on private cold contexts, and
-results fan back out to each caller's future.
+classes execute in plan order on private cold contexts, and results fan
+back out to each caller's future.
 
 Entry points:
 

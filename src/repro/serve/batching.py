@@ -36,12 +36,13 @@ class ServeConfig:
     first request of a batch arrives.  ``max_batch_requests`` closes the
     window early once that many requests are aboard.  ``max_queue_depth``
     bounds the admission queue; submits beyond it are rejected with
-    :class:`~repro.serve.futures.AdmissionError`.  ``n_workers`` sizes the
-    thread pool that runs the merged plan's independent classes.
+    :class:`~repro.serve.futures.AdmissionError`.  ``n_workers`` is
+    ignored: the scheduler thread runs every class of a batch's plan in
+    plan order (the field stays so existing callers keep constructing).
     ``default_deadline_ms`` (None = no deadline) applies to requests that
     do not bring their own.  ``cold`` keeps the paper's cold-start
-    measurement discipline; warm execution is order-dependent, so it
-    forces serial class execution.
+    measurement discipline; warm classes share the database's buffer
+    pool.
 
     Resilience knobs: ``max_attempts``, ``backoff_base_ms`` and
     ``degrade`` make up :attr:`recovery`, the policy every batch is
@@ -90,10 +91,6 @@ class ServeConfig:
             raise ValueError(
                 f"max_queue_depth must be positive "
                 f"(got {self.max_queue_depth})"
-            )
-        if self.n_workers <= 0:
-            raise ValueError(
-                f"n_workers must be positive (got {self.n_workers})"
             )
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError(

@@ -18,16 +18,17 @@ owns the engine and turns the arrival stream into micro-batches:
    recovery, retention: ``docs/architecture.md`` §"Answering a batch"), as
    *one* global plan — so the paper's shared star-join operators share
    work across sessions, not just within one MDX expression — whose
-   classes run concurrently on ``n_workers`` threads, byte-identical to
-   serial single-session execution.
+   classes run in plan order on the scheduler thread, byte-identical to
+   single-session execution.
 4. **Fan-out** — per-query results (copies via
    :meth:`~repro.core.operators.results.QueryResult.detached`, never
    shared mutable state) and errors are routed back to each waiting
    caller's future, with per-request deadlines enforced while queued; a
    request asking a query the door left failed is quarantined alone.
 
-Only the scheduler thread touches the database, so the engine itself needs
-no locking beyond the storage counters the executor's workers merge.
+Only the scheduler thread touches the database — one thread per batch,
+planning and every class of the plan — so the engine itself needs no
+locking.
 :class:`ServiceStats` is the exception — client threads add admission
 counts while the scheduler adds the rest — so it is a locked
 :class:`~repro.obs.metrics.Ledger` and readers take its ``snapshot()``.
@@ -419,7 +420,7 @@ class QueryService:
                 batch_span = span
                 report = db.run_queries(
                     batch.distinct, config.algorithm, cold=config.cold,
-                    n_workers=config.n_workers, recovery=config.recovery,
+                    recovery=config.recovery,
                 )
                 quarantined = self._account(batch, report, stages)
                 span.set("n_cache_hits", report.n_cache_hits)

@@ -50,9 +50,9 @@ class BufferPool:
     log is compacted when it fills.
 
     All frame accesses hold an internal lock: a pool reached from several
-    executor threads must neither corrupt its LRU ordering nor lose
-    hit/miss counts (the plan executor gives each cold cell a private
-    pool, but nothing stops callers sharing one).
+    threads must neither corrupt its LRU ordering nor lose hit/miss counts
+    (the plan executor gives each cold class a private pool, but nothing
+    stops callers sharing one).
     """
 
     def __init__(self, stats: IOStats, capacity_pages: int = DEFAULT_POOL_PAGES):

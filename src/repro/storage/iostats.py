@@ -167,9 +167,9 @@ class IOStats:
     Every mutation (the ``charge_*`` family, :meth:`merge_from`,
     :meth:`reset`) and every consistent read (:meth:`snapshot`,
     :meth:`delta_since`) holds an internal lock, so a clock shared across
-    the plan executor's worker threads cannot lose updates —
-    a bare ``+=`` on an attribute is a read-modify-write that interleaves
-    under the interpreter's thread switching.
+    threads cannot lose updates — a bare ``+=`` on an attribute is a
+    read-modify-write that interleaves under the interpreter's thread
+    switching.
     """
 
     seq_page_reads: int = 0
@@ -297,10 +297,9 @@ class IOStats:
     def merge_from(self, delta: "IOStats") -> None:
         """Add another clock's counters into this one, atomically.
 
-        The plan executor runs each cold cell against a private
+        The plan executor runs each cold class against a private
         clock and folds the finished deltas back into the database's
-        shared clock through here; one lock acquisition per class keeps
-        the merge cheap and exact no matter how the workers interleave.
+        shared clock through here, one lock acquisition per class.
         """
         if delta.rates is not self.rates and delta.rates != self.rates:
             raise ValueError("cannot merge IOStats with different rates")

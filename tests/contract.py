@@ -19,7 +19,7 @@ class estimate, each class's derive steps, the costing count and the
 ``explain_plan`` text:
 
 * Tests 1-7 x every registry name x SUM / AVG / MIN / MAX / COUNT, each plan
-  executed serially and on three workers;
+  executed once;
 * a seeded dashboard-style batch (predicate-free and sliced group-bys at
   coarse levels, as ``perf/mdx_wide.py`` submits) per re-aggregable
   aggregate under ``dag``, whose classes derive members from shared
@@ -27,7 +27,7 @@ class estimate, each class's derive steps, the costing count and the
 * one maintained view per re-aggregable aggregate after three
   ``append_rows`` batches: the view's rows and the next batch's execution;
 * ``recovery/``: Tests 1-7 under ``gg`` through a pre-queued
-  ``QueryService`` (one worker, no cache, one request per query) with one
+  ``QueryService`` (no cache, one request per query) with one
   fault armed per site of ``RECOVERY_SITES`` — the first check (``nth=1``,
   retried to success), every check on the first planned class's table
   (retries exhaust, degraded replanning answers) or every check anywhere
@@ -254,7 +254,7 @@ def serve_under_fault(db, batch, point: InjectionPoint) -> dict:
         service = QueryService(
             db,
             ServeConfig(
-                window_ms=1000.0, max_batch_requests=len(batch), n_workers=1,
+                window_ms=1000.0, max_batch_requests=len(batch),
             ),
         )
         futures = [service.submit([query]) for query in batch]
@@ -483,12 +483,8 @@ def _sweep() -> dict:
                 out[f"units/{test}/{aggregate.value}/{name}"] = dump_units(
                     db, plan, bases
                 )
-                for mode, options in (
-                    ("serial", {}),
-                    ("workers3", {"n_workers": 3}),
-                ):
-                    key = f"{test}/{aggregate.value}/{name}/{mode}"
-                    out[key] = dump_report(db.execute(plan, **options), batch)
+                key = f"{test}/{aggregate.value}/{name}/serial"
+                out[key] = dump_report(db.execute(plan), batch)
     rng = random.Random(SEED)
     dashboard = dashboard_batch(db.schema, rng, 24)
     for aggregate in REAGGREGABLE:

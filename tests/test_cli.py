@@ -283,7 +283,7 @@ class TestServeFlags:
         ``cli.py`` states none of them beside the flag."""
         args = _build_parser().parse_args(["serve"])
         mapped = [entry for entry in _SERVE_FLAGS if entry[1] is not None]
-        assert len(mapped) == 11
+        assert len(mapped) == 10
         own_service = simulation_service(1)
         for flag, name, options, _help in mapped:
             assert "default" not in options, flag
@@ -325,7 +325,6 @@ class TestServe:
         [
             ("--retries", "0", "max_attempts"),
             ("--recorder-size", "-1", "flight_recorder"),
-            ("--workers", "0", "n_workers"),
             ("--overlap", "1.5", "overlap"),
         ],
     )

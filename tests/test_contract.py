@@ -80,8 +80,8 @@ def test_a_dropped_and_an_added_key_are_named_absent(dump, committed):
 def test_another_numpy_in_the_header_is_said(dump, committed):
     head, hashes = contract.parse(committed)
     other = contract.render({**head, "numpy": "0.0.1"}, hashes)
-    message = contract.check(other, nudged(dump, "test1/max/tplo/workers3"))
-    assert message.startswith("test1/max/tplo/workers3: ")
+    message = contract.check(other, nudged(dump, "test1/max/tplo/serial"))
+    assert message.startswith("test1/max/tplo/serial: ")
     assert "the digest was taken under numpy 0.0.1" in message
 
 
@@ -91,7 +91,7 @@ def test_the_sweep_covers_what_it_says(dump):
     and each batch trace's span clocks), the counts the model estimates per
     class, every member term with and without measured selectivities, the
     buffer pools, and the paper's tables as the CLI prints them."""
-    assert "test7/avg/optimal/workers3" in dump
+    assert "test7/avg/optimal/serial" in dump
     assert dump["test4/avg/gg/serial"]["results"][0]["groups"]
     assert any(cls["derives"] for cls in dump["dashboard/min"]["classes"])
     plan = dump["dashboard/min/plan"]

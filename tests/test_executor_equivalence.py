@@ -1,14 +1,11 @@
-"""Executor-mode parity: there is one plan executor, and what it computes
-must not depend on how its classes are scheduled.
+"""Executor parity: there is one plan executor, and what it computes
+must equal the brute-force reference.
 
 One table drives everything: the paper's Tests 1–7 under every shared-plan
-optimizer, each plan executed in every mode of ``MODES``.  They
-must be snapshot-identical — same groups in the same order, same per-class
-``IOStats``, same ``OperatorActuals`` (a DAG class's intermediate
-included) — and must equal the brute-force reference
-(:func:`repro.check.reference_answer`) group for group.  The reference is
-the one definition of what a batch means; no second production path is
-kept around as an oracle.
+optimizer, each plan executed once.  Every answer must equal the
+brute-force reference (:func:`repro.check.reference_answer`) group for
+group.  The reference is the one definition of what a batch means; no
+second production path is kept around as an oracle.
 """
 
 import pytest
@@ -18,8 +15,6 @@ from repro.core.executor import execute_plan
 from repro.faults import SITES, FaultPlan, InjectedFault, InjectionPoint
 from repro.workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
-
-from helpers import snapshot
 
 ALGORITHMS = ("tplo", "etplg", "gg", "bgg", "dag")
 
@@ -34,39 +29,19 @@ def qs(db):
     return paper_queries(db.schema)
 
 
-#: Execution modes that must be indistinguishable from the outside.
-MODES = {
-    "n_workers=1": {"n_workers": 1},
-    "n_workers=4": {"n_workers": 4},
-}
-
-
 @pytest.mark.parametrize("test_name", sorted(ALL_PAPER_TESTS))
 def test_paper_workload_byte_identical(db, qs, test_name):
     batch = [qs[i] for i in ALL_PAPER_TESTS[test_name]]
     truth = {q.qid: reference_answer(db, q).groups for q in batch}
     for algorithm in ALGORITHMS:
-        plan = db.optimize(batch, algorithm)
-        reports = {
-            name: execute_plan(db, plan, **options)
-            for name, options in MODES.items()
-        }
-        snaps = {name: snapshot(report) for name, report in reports.items()}
-        first = next(iter(snaps))
-        assert not snaps[first]["failed"]
-        for name, snap in snaps.items():
-            assert snap == snaps[first], (
-                f"{test_name}/{algorithm}: {name!r} diverged from "
-                f"{first!r} on "
-                + ", ".join(k for k in snap if snap[k] != snaps[first][k])
-            )
-        parallel = reports["n_workers=4"]
+        report = execute_plan(db, db.optimize(batch, algorithm))
+        assert not report.failures
         for query in batch:
             divergence = first_divergence(
-                truth[query.qid], parallel.result_for(query).groups
+                truth[query.qid], report.result_for(query).groups
             )
             assert divergence is None, (
-                f"{test_name}/{algorithm} on 4 workers, "
+                f"{test_name}/{algorithm}, "
                 f"{query.display_name()}: {divergence.describe()}"
             )
 

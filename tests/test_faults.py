@@ -280,12 +280,12 @@ def test_failing_class_does_not_poison_siblings():
 
 def test_parallel_executor_isolates_failures_identically():
     db, plan, coarse, leaf = _two_class_setup()
-    clean = execute_plan(db, plan, n_workers=2)
+    clean = execute_plan(db, plan)
     db.arm_faults(
         FaultPlan([InjectionPoint(site="storage.page_read", table="X'Y'")])
     )
     try:
-        report = execute_plan(db, plan, n_workers=2)
+        report = execute_plan(db, plan)
     finally:
         db.disarm_faults()
     assert [type(f.error) for f in report.failures] == [InjectedFault]

@@ -1,5 +1,5 @@
 """One front door: every way of asking a batch — ``Database.run_queries``,
-a ``QuerySession``, a ``QueryService`` at 1/4 workers — is answered by
+a ``QuerySession``, a ``QueryService`` — is answered by
 ``Database.run_queries`` (docs/architecture.md §"Answering a batch"), so
 cache, validation and retention behave the same through each.  The doors
 are a table; every test below walks it.
@@ -55,27 +55,20 @@ def session_door(db, algorithm="gg", **_serve):
     yield ask
 
 
-def service_door(n_workers):
-    @contextmanager
-    def door(db, algorithm="gg", **serve):
-        config = dict(
-            window_ms=1.0, n_workers=n_workers, algorithm=algorithm, **serve
-        )
-        with db.serve(**config) as service:
-            def ask(batch):
-                response = service.submit(batch).result(timeout=60)
-                return response.results, response.n_cache_hits
+@contextmanager
+def service_door(db, algorithm="gg", **serve):
+    with db.serve(window_ms=1.0, algorithm=algorithm, **serve) as service:
+        def ask(batch):
+            response = service.submit(batch).result(timeout=60)
+            return response.results, response.n_cache_hits
 
-            yield ask
-
-    return door
+        yield ask
 
 
 DOORS = {
     "run_queries": run_queries_door,
     "session": session_door,
-    "service-w1": service_door(1),
-    "service-w4": service_door(4),
+    "service-w1": service_door,  # a 1 ms batching window
 }
 
 

@@ -1,13 +1,14 @@
-"""Serving-plane telemetry integration: concurrency-correct tracing,
+"""Serving-plane telemetry integration: thread-correct tracing,
 request-scoped stage breakdowns, and the service-attached flight recorder.
 
-Satellite regressions pinned here:
+Regressions pinned here:
 
-* parallel (4-worker class) execution under a trace yields one
-  *well-formed* span tree — unique span ids, parent links that match
-  tree edges, worker spans parented under the batch span in submission
-  order, never interleaved into whatever span another thread had open;
-* ``to_chrome_trace`` gives each worker thread its own tid lane;
+* plan execution under a trace yields one *well-formed* span tree —
+  unique span ids, parent links that match tree edges, class spans under
+  the plan span in plan order;
+* a service's scheduler thread opens its ``serve.batch`` as a root of its
+  own, never inside the span another thread holds open on the same tracer;
+* ``to_chrome_trace`` puts a tree on one tid lane;
 * every ``ServeResponse`` carries its request trace id and a per-stage
   latency breakdown, and the service's flight recorder retains batch
   traces that round-trip through ``span_from_dict``.
@@ -63,12 +64,12 @@ def assert_well_formed(root):
 
 
 class TestParallelTraceTree:
-    """Satellite: thread-local stacks keep parallel traces well-formed."""
+    """A plan's class spans nest under its plan span, in plan order."""
 
     def test_parallel_class_trace_is_well_formed(self, db):
         plan = db.optimize(queries(), "gg")
-        with db.trace("parallel") as tracer:
-            execute_plan(db, plan, n_workers=4)
+        with db.trace("plan") as tracer:
+            execute_plan(db, plan)
         (root,) = tracer.roots
         assert_well_formed(root)
         (plan_span,) = root.find_all("execute.plan")
@@ -76,8 +77,6 @@ class TestParallelTraceTree:
             c for c in plan_span.children if c.name == "execute.class"
         ]
         assert len(class_spans) == len(plan.classes)
-        # Creation-order linking: children appear in plan order, not in
-        # worker completion order.
         assert [c.attrs["source"] for c in class_spans] == [
             pc.source for pc in plan.classes
         ]
@@ -87,38 +86,25 @@ class TestParallelTraceTree:
         assert_well_formed(rebuilt)
 
 
+class TestSchedulerThreadTrace:
+    """Why the tracer keeps a span stack per thread."""
+
+    def test_serve_batch_is_a_root_of_the_scheduler_thread(self, db):
+        query = GroupByQuery(groupby=GroupBy((1, 1)), label="a")
+        with db.trace("main") as tracer:
+            with QueryService(db, ServeConfig(window_ms=1.0)) as service:
+                service.submit([query]).result(timeout=30)
+        main = threading.current_thread().name
+        (root,) = [r for r in tracer.roots if r.thread == main]
+        assert root.name == "main"
+        assert not [s for s in root.walk() if s.name.startswith("serve.")]
+        (batch,) = [r for r in tracer.roots if r.name == "serve.batch"]
+        assert batch.thread == "repro-serve-scheduler"
+        assert_well_formed(batch)
+        assert batch.find("execute.plan") is not None
+
+
 class TestChromeLanes:
-    """Satellite: one tid lane per worker thread in Chrome exports."""
-
-    def test_cross_thread_spans_get_distinct_tids(self):
-        tracer = Tracer()
-        with tracer.span("batch") as batch:
-            spans = [
-                tracer.span("work", parent=batch, index=i) for i in range(3)
-            ]
-
-            def run(span):
-                with span:
-                    pass
-
-            threads = [
-                threading.Thread(target=run, args=(s,), name=f"worker-{i}")
-                for i, s in enumerate(spans)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        events = to_chrome_trace(tracer.roots[0])
-        tids = {e["tid"] for e in events if e.get("ph") == "X"}
-        assert len(tids) == 4  # main lane + three worker lanes
-        names = {
-            e["args"]["name"]
-            for e in events
-            if e.get("ph") == "M" and e.get("name") == "thread_name"
-        }
-        assert {"worker-0", "worker-1", "worker-2"} <= names
-
     def test_single_thread_trace_has_no_metadata_lane(self):
         tracer = Tracer()
         with tracer.span("a"):

@@ -3,7 +3,7 @@
 Covers the batching policy (config validation, cross-request dedup),
 futures (single assignment, wait timeouts), admission backpressure,
 queued-request deadlines, shutdown semantics, error routing, the plan
-executor's worker-count edge cases, and the satellite
+executor's edge cases (one thread, an empty plan), and the satellite
 duplicate-query-coalescing scenario: many concurrent clients with
 overlapping query sets must yield one planned instance per distinct query
 while every client still gets its own correct results.
@@ -11,12 +11,15 @@ while every client still gets its own correct results.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from concurrent.futures import InvalidStateError
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.executor import execute_plan, run_class_accounted
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.serve import (
@@ -70,7 +73,6 @@ class TestServeConfig:
             {"window_ms": -1.0},
             {"max_batch_requests": 0},
             {"max_queue_depth": 0},
-            {"n_workers": 0},
             {"default_deadline_ms": 0.0},
             {"default_deadline_ms": -5.0},
         ],
@@ -332,35 +334,59 @@ class TestParallelExecutor:
         ]
 
     def test_single_worker_path(self, db):
-        """n_workers=1 spawns no thread pool: every cell runs inline on
-        the calling thread (n_workers=4 equivalence lives in
-        test_executor_equivalence.py)."""
+        """Every ``execute.class`` span is entered on the calling thread:
+        the executor starts no thread of its own."""
         plan = db.optimize(self.queries(), "naive")
         assert len(plan.classes) > 1
         with db.trace():
-            report = execute_plan(db, plan, n_workers=1)
+            report = execute_plan(db, plan)
         assert not report.failures
         spans = db.last_trace.find_all("execute.class")
         assert len(spans) == len(plan.classes)
         assert {s.thread for s in spans} == {threading.current_thread().name}
 
+    def test_no_thread_pool_in_the_source(self):
+        """Nothing under ``src/repro`` builds a pool of threads, and
+        ``n_workers`` is read nowhere: it survives only as the ignored
+        ``ServeConfig`` field.  ``concurrent.futures`` is imported once,
+        for the request future's base class."""
+        src = Path(repro.__file__).parent
+        text = {
+            str(path.relative_to(src)): path.read_text()
+            for path in src.rglob("*.py")
+        }
+        pools = [name for name, body in text.items() if "PoolExecutor" in body]
+        assert pools == []
+        imports = [
+            (name, line)
+            for name, body in text.items()
+            for line in body.splitlines()
+            if re.search(r"concurrent\.futures import", line)
+        ]
+        assert imports == [(
+            "serve/futures.py",
+            "from concurrent.futures import Future, InvalidStateError",
+        )]
+        uses = [
+            (name, line.strip())
+            for name, body in text.items()
+            for line in body.splitlines()
+            if re.search(r"(?<!``)\bn_workers\b", line)
+        ]
+        assert uses == [("serve/batching.py", "n_workers: int = 4")]
+
     def test_empty_plan(self, db):
         from repro.core.optimizer.plans import GlobalPlan
 
-        report = execute_plan(db, GlobalPlan(algorithm="gg"), n_workers=4)
+        report = execute_plan(db, GlobalPlan(algorithm="gg"))
         assert report.results == {}
 
-    def test_rejects_nonpositive_workers(self, db):
-        plan = db.optimize(self.queries(), "gg")
-        with pytest.raises(ValueError):
-            execute_plan(db, plan, n_workers=0)
-
     def test_operator_spans_charge_their_cells_clock(self, db):
-        """A span opened inside a worker cell charges the cell's private
-        clock: every ``operator.*`` span's sim equals its cell's."""
+        """A span opened inside a cold class charges the class's private
+        clock: every ``operator.*`` span's sim equals its class's."""
         plan = db.optimize(self.queries(), "naive")
         with db.trace():
-            execute_plan(db, plan, n_workers=4)
+            execute_plan(db, plan)
         cells = db.last_trace.find_all("execute.class")
         assert len(cells) == len(plan.classes) > 1
         for cell in cells:
@@ -379,10 +405,9 @@ class TestParallelExecutor:
 
 class TestDatabaseServe:
     def test_serve_builds_configured_service(self, db):
-        service = db.serve(window_ms=3.0, n_workers=2)
+        service = db.serve(window_ms=3.0)
         assert isinstance(service, QueryService)
         assert service.config.window_ms == 3.0
-        assert service.config.n_workers == 2
         assert not service.running
 
     def test_serve_round_trip_with_paranoia(self, db):
@@ -512,7 +537,7 @@ class TestFanOutDeepCopy:
     def test_detached_results_share_nothing(self, db):
         query = make_query(3)
         plan = db.optimize([query], "gg")
-        report = execute_plan(db, plan, n_workers=4)
+        report = execute_plan(db, plan)
         original = report.result_for(query)
         twin = make_query(3)
         copy = original.detached(query=twin)

@@ -1,8 +1,8 @@
 """Thread-safety of the storage and metrics counters.
 
-The plan executor runs operators on worker threads; every shared
-counter they touch (the IOStats cost clock, the buffer pool's frame map and
-hit/miss counts, the process metrics) must be exact under interleaving.
+Every counter that more than one thread may touch (the IOStats cost
+clock, the buffer pool's frame map and hit/miss counts, the process
+metrics) must be exact under interleaving.
 These stress tests shrink the interpreter's thread switch interval so that
 an unguarded read-modify-write (``self.x += n``) reliably loses updates —
 they fail on the unlocked implementations.
