@@ -58,7 +58,12 @@ class estimate, each class's derive steps, the costing count and the
 * ``cli/``: the stdout of ``repro report --tests test4,test5
   --no-figures``, ``report`` and ``select-views --budget 4`` at the
   sweep's scale, each through ``repro.cli.main`` on its own freshly built
-  database.
+  database;
+* ``mdx/``: the MDX front end on its own — per text of a seeded
+  ``repro.workload.mdx_generator`` corpus over the paper's and the
+  SalesCube schema, and of ``MDX_FORMS``, each component query's levels,
+  predicates, aggregate and label; per text of ``MDX_MALFORMED``, the
+  error's type, message and position.
 
 A later section runs on the database that earlier sections appended to
 and analyzed, so the first key that differs is the earliest cause.
@@ -80,6 +85,9 @@ from typing import Dict, List, Tuple
 import numpy
 
 from repro.bench.history import ABSENT, Difference, describe_differences
+from repro.mdx import translate_mdx
+from repro.schema.dimension import Dimension
+from repro.schema.star import StarSchema
 from repro.cli import main as cli_main
 from repro.engine import database as database_module
 from repro.core.explain import explain_plan
@@ -93,7 +101,10 @@ from repro.storage import table as table_module
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import CostRates
 from repro.workload import PaperConfig, build_paper_database, paper_queries
-from repro.workload.paper_queries import ALL_PAPER_TESTS
+from repro.workload.mdx_generator import generate_mdx
+from repro.workload.paper_queries import ALL_PAPER_TESTS, PAPER_MDX
+from repro.workload.paper_schema import build_paper_schema
+from repro.workload.sales_demo import SECTION2_MDX, build_sales_schema
 
 #: The committed digest.
 GOLDEN = Path(__file__).resolve().parent / "golden" / "contract.txt"
@@ -458,6 +469,133 @@ def cli() -> dict:
     return out
 
 
+#: Generated texts of the ``mdx/`` section, per schema.
+MDX_GENERATED = 40
+#: Valid texts beyond the generator's forms: NEST, tuples, MEMBERS,
+#: PARENT, ALL, the measure in FILTER, brackets and keyword case.
+MDX_FORMS = {
+    "abcd": (
+        "NEST ({(A''.A1, B''.B2)}, {C''.C1, C'.CC4}) on COLUMNS "
+        "{D.All} on ROWS CONTEXT ABCD",
+        "{B''.MEMBERS} on COLUMNS {A'.AA4.PARENT, AA5.PARENT} on ROWS "
+        "context ABCD filter (dollars, D.DD1)",
+        "NEST ({A1, A2.CHILDREN}, (B1.CHILDREN.BB2, B''.B3)) on PAGES "
+        "{C.MEMBERS} on CHAPTERS CONTEXT ABCD",
+        "{A'.AA1, A'.AA2, A''.A3} on SECTIONS CONTEXT ABCD FILTER (A''.A1)",
+        "(A''.A1, B''.B1) on columns CONTEXT ABCD FILTER ([DD1])",
+        "A1.CHILDREN.PARENT on ROWS CONTEXT ABCD FILTER (C''.MEMBERS)",
+    ),
+    "sales": (
+        SECTION2_MDX,
+        "{Team.MEMBERS} on COLUMNS {[USA_North].CHILDREN} on ROWS "
+        "CONTEXT SalesCube FILTER (Sales, Year.[1991])",
+        "NEST ({Store.USA.CHILDREN.CHILDREN}, {Month.Jan, Qtr2}) on ROWS "
+        "CONTEXT SalesCube FILTER (Products.Drink)",
+    ),
+}
+#: Texts that do not parse or bind, one per error the front end raises.
+MDX_MALFORMED = {
+    "abcd": (
+        "{A''.A1} on COLUMNS CONTEXT ABCD ;",
+        "{[]} on COLUMNS CONTEXT ABCD",
+        "{[ ]} on COLUMNS CONTEXT ABCD",
+        "{A''.A1}\n on COLUMNS\n  CONTEXT ABCD @",
+        "{[A1} on COLUMNS CONTEXT ABCD",
+        "{A''.A1} on COLUMNS",
+        "",
+        "{A''.A1} on COLUMNS {A''.A2} on COLUMNS CONTEXT ABCD",
+        "{A''.A1, A''.A2 on COLUMNS CONTEXT ABCD",
+        "{A''.A1} on COLUMNS CONTEXT ABCD whatever",
+        "CONTEXT ABCD",
+        "{A''.A1} on WHEREVER CONTEXT ABCD",
+        "{A''.A1} on {",
+        "{A''.A1} COLUMNS CONTEXT ABCD",
+        "NEST {A''.A1} on COLUMNS CONTEXT ABCD",
+        "NEST ({A''.A1}, {B''.B1} on COLUMNS CONTEXT ABCD",
+        "{A''.} on COLUMNS CONTEXT ABCD",
+        "{A''.A1} on COLUMNS CONTEXT ABCD FILTER D.DD1",
+        "{A''.A1} on COLUMNS CONTEXT ABCD FILTER (D.DD1",
+        "{(A''.A1, B''.B1} on COLUMNS CONTEXT ABCD",
+        "{} on COLUMNS CONTEXT ABCD",
+        "{A''.A1} on COLUMNS CONTEXT {",
+        "{A''} on COLUMNS CONTEXT ABCD",
+        "{All} on COLUMNS CONTEXT ABCD",
+        "{A.All.A1} on COLUMNS CONTEXT ABCD",
+        "{MEMBERS} on COLUMNS CONTEXT ABCD",
+        "{Z9} on COLUMNS CONTEXT ABCD",
+        "{B.A1} on COLUMNS CONTEXT ABCD",
+        "{A''.A1.PARENT} on COLUMNS CONTEXT ABCD",
+        "{A.AAA1.CHILDREN} on COLUMNS CONTEXT ABCD",
+        "{A''.A1.Z9} on COLUMNS CONTEXT ABCD",
+        "{A''.A1.AA1} on COLUMNS CONTEXT ABCD",
+        "{A''.A1.CHILDREN.AA7} on COLUMNS CONTEXT ABCD",
+        "{dollars} on COLUMNS CONTEXT ABCD",
+        "{(dollars, A''.A1)} on COLUMNS CONTEXT ABCD",
+        "{(A''.A1, A''.A2)} on COLUMNS CONTEXT ABCD",
+        "{A''.A1} on COLUMNS {A'.AA2} on ROWS CONTEXT ABCD",
+        "{A''.A1} on COLUMNS CONTEXT ABCD FILTER (D.DD1, D.DD2)",
+    ),
+    "twins": (
+        "{m1} on COLUMNS CONTEXT twins",
+        "{X.m1, Y.z1} on COLUMNS CONTEXT twins",
+        "{X.t1.CHILDREN.m3} on COLUMNS CONTEXT twins",
+    ),
+}
+
+
+def twins_schema() -> StarSchema:
+    """Two dimensions whose leaf members share names (``m1`` ... ``m4``),
+    so an unqualified leaf is ambiguous."""
+    return StarSchema("twins", [
+        Dimension.build_uniform(name, (name, f"{name}'"), 2, [2], ("m", top))
+        for name, top in (("X", "t"), ("Y", "u"))
+    ])
+
+
+def mdx_case(schema, text: str) -> dict:
+    """What the front end makes of ``text``: its component queries, or
+    the error it raises."""
+    try:
+        queries = translate_mdx(schema, text)
+    except ValueError as error:
+        return {
+            "error": [type(error).__name__, str(error), getattr(error, "position", None)]
+        }
+    return {
+        "queries": [
+            [
+                list(query.groupby.levels),
+                [[p.dim_index, p.level, sorted(p.member_ids)] for p in query.predicates],
+                query.aggregate.value,
+                query.label,
+            ]
+            for query in queries
+        ]
+    }
+
+
+def mdx_section() -> dict:
+    schemas = {
+        "abcd": build_paper_schema(),
+        "sales": build_sales_schema(),
+        "twins": twins_schema(),
+    }
+    rng = random.Random(SEED)
+    out = {}
+    for name in ("abcd", "sales"):
+        for i in range(MDX_GENERATED):
+            text = generate_mdx(schemas[name], rng).text
+            out[f"mdx/generated/{name}/{i}"] = mdx_case(schemas[name], text)
+    for i, text in sorted(PAPER_MDX.items()):
+        out[f"mdx/paper/{i}"] = mdx_case(schemas["abcd"], text)
+    for table in (MDX_FORMS, MDX_MALFORMED):
+        kind = "forms" if table is MDX_FORMS else "malformed"
+        for name, texts in table.items():
+            for i, text in enumerate(texts):
+                out[f"mdx/{kind}/{name}/{i}"] = mdx_case(schemas[name], text)
+    return out
+
+
 def sweep() -> dict:
     """Every section, in order: the dump the digest is taken of.  Run it
     in a fresh interpreter (see the module docstring)."""
@@ -529,6 +667,7 @@ def _sweep() -> dict:
     out.update(terms(db, batches, "analyzed"))
     out.update(pool_sweep())
     out.update(cli())
+    out.update(mdx_section())
     return out
 
 
