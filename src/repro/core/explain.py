@@ -201,7 +201,7 @@ def member_estimates(
     """``(standalone, marginal)`` estimated sim-ms per member, in plan
     order (see the module docstring for the one formula).  Each side of the
     marginal is a whole class costing: the float-order rule of
-    :class:`~repro.core.optimizer.cost.MemberTerm` forbids ``total − term``.
+    :class:`~repro.core.optimizer.terms.MemberTerm` forbids ``total − term``.
     """
     entry = model.catalog.get(plan_class.source)
     scan, steps = _members(plan_class)

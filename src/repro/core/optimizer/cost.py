@@ -43,6 +43,7 @@ from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates, Counts, pipeline_counts
 from .plans import DeriveStep, JoinMethod, PlanClass, left_sum
+from .terms import COLUMNAR_PAIRS, MemberTerm, price_terms, scalar_terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
@@ -58,65 +59,21 @@ class ClassCosting:
     methods: List[JoinMethod]
 
 
-@dataclass(slots=True)
-class MemberTerm:
-    """What one query contributes to a class on one source, computed once
-    per (entry, query) per :class:`CostModel`.  A class cost is *one shared
-    term* (scan I/O or the union-bitmap probe, plus the structure builds)
-    plus one addend per member read from here.
-
-    **Float-order rule**: float addition is not associative, so a class
-    total is accumulated in one fixed order — the shared part (I/O, builds
-    and OR, priced as one vector), then one addend per member in query
-    order (index configuration: ``index_ms``, then the class's routing
-    term, per member).  A
-    leave-one-out marginal is ``cost(class) − cost(class without the
-    member)``, the second re-accumulated from the other members' terms
-    (shared term re-evaluated, configuration re-chosen), never ``total −
-    term``.  Structure builds are integer counts (hash entries, dimension
-    table pages) priced once, so the build-key set's order reaches no sum.
-
-    Each addend is held twice: as the counts it expects (``*_units``, summed
-    only for calibration and EXPLAIN ANALYZE) and priced once, when the
-    term is built (``*_ms``, the float a class total adds).  A term is
-    never changed once built; it is not ``frozen`` only because a frozen
-    ``__init__`` costs the planner's most-built object a microsecond more.
-    """
-
-    answerable: bool
-    #: Product of the predicate selectivities (matching rows = N × this).
-    selectivity: float
-    #: Structures the member's pipeline needs built
-    #: (:func:`~repro.schema.lattice.build_keys`).
-    build_keys: Tuple[tuple, ...]
-    #: Marginal on a shared scan as a hash plan, and as an index plan
-    #: filtering the scan (inf unless ``indexable``: some predicate has a
-    #: usable index, which every field below ``scan_ms`` presumes).
-    hash_units: Counts
-    hash_ms: float
-    filtered_ms: float = math.inf
-    #: The cheaper of the two and its method (hash on ties).
-    scan_method: JoinMethod = JoinMethod.HASH
-    scan_ms: float = math.inf
-    indexable: bool = False
-    #: The index plan less its bitmap tests: index phase (lookup I/O +
-    #: bitmap CPU), then pipeline CPU over the tuples the member's own
-    #: bitmap — of density ``indexed_sel`` — feeds.
-    index_units: Counts = Counts()
-    index_ms: float = 0.0
-    indexed_sel: float = 1.0
-    #: Clustered candidate region (fraction of pages), contiguous runs, and
-    #: the pages the member's probe would touch alone.
-    region: float = 1.0
-    runs: int = 1
-    separate_pages: float = 0.0
+#: The index prefix of a class with no members yet.
+NO_MEMBERS = (1.0, 1.0, 0, 0.0)
 
 
-#: The term of every pair the entry cannot answer (only the bit is read).
-UNANSWERABLE = MemberTerm(
-    answerable=False, selectivity=math.nan, build_keys=(),
-    hash_units=Counts(), hash_ms=math.inf,
-)
+def _prefix(index: Optional[tuple], term: MemberTerm) -> Optional[tuple]:
+    """The index configuration's prefix ``index`` with ``term`` joined;
+    None for good once a member has no index plan."""
+    if index is None or not term.indexable:
+        return None
+    return (
+        index[0] * (1.0 - term.indexed_sel),
+        index[1] * (1.0 - term.region),
+        index[2] + term.runs,
+        index[3] + term.separate_pages,
+    )
 
 
 @dataclass(slots=True)
@@ -141,7 +98,7 @@ class ClassState:
     entry: TableEntry
     terms: List[MemberTerm] = field(default_factory=list)
     structures: set = field(default_factory=set)
-    totals: Optional[tuple] = (0, 0, (1.0, 1.0, 0, 0.0))
+    totals: Optional[tuple] = (0, 0, NO_MEMBERS)
 
 
 class CostModel:
@@ -153,7 +110,7 @@ class CostModel:
 
     **Lifetime**: an instance snapshots one (catalog, statistics, rates)
     state.  Its per-(entry, query) :class:`MemberTerm` memo and its
-    per-entry covering-index table (``_covering``: what
+    per-entry covering-index table (:meth:`covering`: what
     :meth:`TableEntry.covering_index` answered when the entry's first term
     was built) are never invalidated, so a model must not outlive a
     mutation — a new index, an append, ``analyze()`` — and callers build a
@@ -190,11 +147,12 @@ class CostModel:
         # The scan configuration's shared part priced, per (pages, hash
         # entries): the integer totals a trial reads it from.
         self._scan_shared_ms: Dict[Tuple[int, int], float] = {}
-        self._filter_ms: Dict[str, float] = {}
         self._covering_tables: Dict[str, Dict[Tuple[int, int], tuple]] = {}
-        # A first standalone costing counts in n_plan_costings, repeats do
-        # not, so ``standalone`` keeps its results beside the terms.
-        self._standalone_cache: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
+        # Per pair, the hash entries and dimension-table pages its
+        # structures take alone (None: unanswerable), and its standalone
+        # costing once read.
+        self._builds: Dict[Tuple[str, int], Optional[Tuple[int, int]]] = {}
+        self._alone: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
 
     @classmethod
     def for_database(
@@ -238,7 +196,7 @@ class CostModel:
 
     # -- feasibility ------------------------------------------------------------
 
-    def _covering(self, entry: TableEntry) -> Dict[Tuple[int, int], tuple]:
+    def covering(self, entry: TableEntry) -> Dict[Tuple[int, int], tuple]:
         """``entry``'s covering-index table, built on first use: per (dim,
         level) at or above the stored one, :meth:`TableEntry.covering_index`
         and the lookups it makes per predicate member (each stands for its
@@ -247,8 +205,9 @@ class CostModel:
         if table is None:
             table = self._covering_tables[entry.name] = {}
             for d, sizes in enumerate(self.schema.level_sizes):
+                index = None  # the coarsest at or below ``level``
                 for level in range(entry.levels[d], len(sizes)):
-                    index = entry.covering_index(d, level)
+                    index = entry.indexes.get((d, level), index)
                     if index is not None:
                         table[d, level] = (index, sizes[index.level] / sizes[level])
         return table
@@ -258,7 +217,7 @@ class CostModel:
     ) -> Optional[Tuple[object, int]]:
         """The index usable for ``predicate`` on ``entry`` and the number of
         member payloads a lookup retrieves, or None."""
-        found = self._covering(entry).get((predicate.dim_index, predicate.level))
+        found = self.covering(entry).get((predicate.dim_index, predicate.level))
         if found is None:
             return None
         index, per_member = found
@@ -282,117 +241,47 @@ class CostModel:
             if target != all_levels[d] or d in filtered
         ])
 
-    def _bitmap_words(self, entry: TableEntry) -> int:
-        return (entry.n_rows + WORD_BITS - 1) // WORD_BITS
-
     def _filter_tests(self, entry: TableEntry) -> Counts:
         """What an index plan filtering a scan of ``entry`` adds to its
         ``index_units``: a test of every scanned tuple against its bitmap."""
         return Counts(bitmap_tests=entry.n_rows)
 
-    def _filter_tests_ms(self, entry: TableEntry) -> float:
-        ms = self._filter_ms.get(entry.name)
-        if ms is None:
-            ms = self._filter_ms[entry.name] = self.rates.price(
-                self._filter_tests(entry)
-            )
-        return ms
-
     def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
-        """The memoized term of ``query`` on ``entry`` — the one place a
-        member's hash and filtered-index marginals are computed, in one pass
-        over the query's predicates.  A pair the entry cannot answer costs
-        nothing: it gets the shared :data:`UNANSWERABLE` constant (Roy et
-        al.'s sharability pre-filter).
-
-        The index side exists when some predicate has a usable index.
-        ``indexed_sel`` is the product over *indexed* predicates only;
-        unindexed ones run as residual filters downstream.  Materialized
-        group-bys are sorted by dimension-key order, so on a *clustered*
-        table rows matching indexed predicates on a *prefix* of the
-        dimension order cluster: each prefix predicate multiplies the
-        candidate ``region`` down by its selectivity, but splits the
-        selection into one contiguous run per selected key combination,
-        each potentially touching a partial boundary page.  The walk stops
-        at the first dimension without an indexed predicate — deeper
-        selections scatter across that dimension's runs."""
-        key = (entry.name, query.qid)
-        term = self._terms.get(key)
-        if term is not None:
-            return term
-        if not source_can_answer(entry.levels, entry.source_aggregate, query):
-            self._terms[key] = UNANSWERABLE
-            return UNANSWERABLE
-        # Per-predicate facts, aligned with ``query.predicates``, and the
-        # position of the first predicate on each dimension.
-        predicates = query.predicates
-        sels, found, first = [], [], {}
-        for i, pred in enumerate(predicates):
-            sels.append(self.predicate_selectivity(entry, pred))
-            found.append(self.find_index(entry, pred))
-            first.setdefault(pred.dim_index, i)
-        price = self.rates.price
-        n = entry.n_rows
-        selectivity = math.prod(sels, start=1.0)
-        k = n * selectivity
-        probe_dims, n_preds = self._probe_dims(query), len(predicates)
-        hash_units = pipeline_counts(n, probe_dims, n_preds, k)
-        words = self._bitmap_words(entry)
-        pages = lookups = bitmap_words = n_indexed = 0
-        indexed_sel = 1.0
-        for sel, hit in zip(sels, found):
-            if hit is None:
-                continue
-            index, n_lookups = hit
-            n_indexed += 1
-            indexed_sel *= sel
-            pages += index.pages_per_lookup(n_lookups)
-            lookups += n_lookups
-            bitmap_words += (n_lookups - 1) * words  # payload ORs
-        side = {}
-        if n_indexed:
-            bitmap_words += (n_indexed - 1) * words  # predicate ANDs
-            region, runs = 1.0, 1
-            for d, sizes in enumerate(self.schema.level_sizes):
-                i = first.get(d)
-                if i is None or found[i] is None:
-                    break
-                region *= sels[i]
-                # Selected keys at the stored level: each predicate member
-                # fans out to its descendants there.
-                per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
-                runs *= max(1, round(len(predicates[i].member_ids) * per_member))
-            index_units = pipeline_counts(
-                n * indexed_sel, probe_dims, n_preds, k,
-                pages=pages, bitmap_words=bitmap_words, lookups=lookups,
-            )
-            index_ms = price(index_units)
-            side = dict(
-                indexable=True,
-                filtered_ms=index_ms + self._filter_tests_ms(entry),
-                index_units=index_units,
-                index_ms=index_ms,
-                indexed_sel=indexed_sel,
-                region=region,
-                runs=runs,
-                separate_pages=expected_distinct(
-                    max(1.0, entry.n_pages * region), n * indexed_sel
-                )
-                + max(0, runs - 1),
-            )
-        hash_ms = price(hash_units)
-        hash_wins = hash_ms <= side.get("filtered_ms", math.inf)
-        term = self._terms[key] = MemberTerm(
-            answerable=True,
-            selectivity=selectivity,
-            build_keys=build_keys(self.schema, entry.levels, query),
-            hash_units=hash_units,
-            hash_ms=hash_ms,
-            scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
-            scan_ms=hash_ms if hash_wins else side["filtered_ms"],
-            **side,
-        )
+        """The memoized term of ``query`` on ``entry``; a miss prices the
+        pair as a batch of one (:meth:`terms_for`)."""
+        term = self._terms.get((entry.name, query.qid))
+        if term is None:
+            self.terms_for([query], [entry])
+            term = self._terms[entry.name, query.qid]
         return term
+
+    def terms_for(
+        self,
+        queries: Sequence[GroupByQuery],
+        entries: Optional[Sequence[TableEntry]] = None,
+    ) -> None:
+        """Price every (entry, query) pair not yet memoized — every catalog
+        entry unless ``entries`` is given — in one columnar pass
+        (:func:`~.terms.price_terms`), or pair by pair
+        (:func:`~.terms.scalar_terms`) when there are fewer than
+        :data:`~.terms.COLUMNAR_PAIRS`: its term, and the build totals its
+        standalone costing starts from."""
+        entries = self.catalog.entries() if entries is None else list(entries)
+        if self._terms:
+            names = [e.name for e in entries]
+            queries = [
+                q for q in queries
+                if any((name, q.qid) not in self._terms for name in names)
+            ]
+        if not queries:
+            return
+        pairs = price_terms
+        if len(entries) * len(queries) < COLUMNAR_PAIRS:
+            pairs = scalar_terms
+        for entry, query, term, builds in pairs(self, queries, entries):
+            key = (entry.name, query.qid)
+            if key not in self._terms:
+                self._terms[key], self._builds[key] = term, builds
 
     # -- class state -------------------------------------------------------------
 
@@ -412,16 +301,7 @@ class CostModel:
         new, entries, pages = self._missing(
             state.structures, term.build_keys, entries, pages
         )
-        if not term.indexable:
-            index = None
-        elif index is not None:
-            index = (
-                index[0] * (1.0 - term.indexed_sel),
-                index[1] * (1.0 - term.region),
-                index[2] + term.runs,
-                index[3] + term.separate_pages,
-            )
-        return new, (entries, pages, index)
+        return new, (entries, pages, _prefix(index, term))
 
     def extend(self, state: ClassState, query: GroupByQuery) -> ClassState:
         """Admit ``query`` as the last member of ``state``, in place (a
@@ -486,7 +366,7 @@ class CostModel:
         # and, re-priced per costing, the routing's bitmap_tests.
         shared = Counts(
             dim_pages, pages, 0, entries, 0, 0, 0,
-            (n_members - 1) * self._bitmap_words(entry),
+            (n_members - 1) * ((entry.n_rows + WORD_BITS - 1) // WORD_BITS),
         )
         return shared, Counts(0, 0, 0, 0, 0, 0, 0, 0, union_rows)
 
@@ -711,15 +591,20 @@ class CostModel:
     def standalone(
         self, entry: TableEntry, query: GroupByQuery
     ) -> Optional[Tuple[JoinMethod, float]]:
-        """Best (method, cost) for the query alone on ``entry``
-        (memoized per model instance)."""
+        """Best (method, cost) for the query alone on ``entry``, None when
+        it cannot answer it: ``plan_class(entry, [query])``, priced from the
+        pair's term and build totals.  Its first read counts as one class
+        costing (memoized per model instance)."""
         key = (entry.name, query.qid)
-        if key not in self._standalone_cache:
-            costing = self.plan_class(entry, [query])
-            self._standalone_cache[key] = (
-                None if costing is None else (costing.methods[0], costing.cost_ms)
-            )
-        return self._standalone_cache[key]
+        if key not in self._alone:
+            term = self._term(entry, query)
+            self.n_plan_costings += 1
+            self._alone[key] = None
+            if term.answerable:
+                totals = (*self._builds[key], _prefix(NO_MEMBERS, term))
+                costing = self._best(entry, [term], totals)
+                self._alone[key] = (costing.methods[0], costing.cost_ms)
+        return self._alone[key]
 
     def best_local(
         self,

@@ -119,9 +119,15 @@ class JoinIndex(ABC):
     def n_pages(self) -> int:
         """Accounted on-disk size of the whole index, in pages."""
 
+    @property
     @abstractmethod
+    def pages_per_member(self) -> int:
+        """Accounted pages read to retrieve one member's payload: a
+        constant of the index as it stands, which the cost model reads."""
+
     def pages_per_lookup(self, n_members: int) -> int:
         """Accounted pages read to retrieve ``n_members`` payloads."""
+        return n_members * self.pages_per_member
 
 
 class BitmapJoinIndex(JoinIndex):
@@ -139,7 +145,8 @@ class BitmapJoinIndex(JoinIndex):
         self._bitmaps = bitmaps
 
     @property
-    def _pages_per_bitmap(self) -> int:
+    def pages_per_member(self) -> int:
+        """The pages of one member's bitmap."""
         payload_bytes = (self.n_rows + 7) // 8
         return max(1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
 
@@ -160,11 +167,7 @@ class BitmapJoinIndex(JoinIndex):
     @property
     def n_pages(self) -> int:
         """Accounted size in pages."""
-        return self._pages_per_bitmap * max(1, len(self._bitmaps))
-
-    def pages_per_lookup(self, n_members: int) -> int:
-        """Accounted pages read to retrieve the given number of member payloads."""
-        return self._pages_per_bitmap * n_members
+        return self.pages_per_member * max(1, len(self._bitmaps))
 
     def bitmap_for(self, member_id: int) -> Bitmap:
         """The raw bitmap of one member (empty bitmap if member absent)."""

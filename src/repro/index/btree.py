@@ -38,9 +38,12 @@ class PositionListJoinIndex(JoinIndex):
     ):
         super().__init__(table_name, dim_index, level, n_rows)
         self._rid_lists = rid_lists
+        #: The RIDs over every list, kept as lists grow.
+        self._n_rids = sum(r.size for r in rid_lists.values())
 
     def _add(self, positions_by_member: Dict[int, np.ndarray]) -> None:
         for member, positions in positions_by_member.items():
+            self._n_rids += positions.size
             existing = self._rid_lists.get(member)
             if existing is not None:
                 positions = np.concatenate([existing, positions])
@@ -54,20 +57,18 @@ class PositionListJoinIndex(JoinIndex):
     @property
     def n_pages(self) -> int:
         """Accounted size in pages."""
-        total_rids = sum(r.size for r in self._rid_lists.values())
-        payload = total_rids * BYTES_PER_RID
-        return max(1, (payload + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
+        return self._leaf_pages(self._n_rids)
 
     def _leaf_pages(self, n_rids: int) -> int:
         return max(1, (n_rids * BYTES_PER_RID + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
 
-    def pages_per_lookup(self, n_members: int) -> int:
-        # One descent + average leaf span per member.
-        """Accounted pages read to retrieve the given number of member payloads."""
+    @property
+    def pages_per_member(self) -> int:
+        """One descent plus the average member's leaf span (one page for
+        an empty index)."""
         if not self._rid_lists:
-            return n_members
-        avg = sum(r.size for r in self._rid_lists.values()) / len(self._rid_lists)
-        return n_members * (1 + self._leaf_pages(int(avg)))
+            return 1
+        return 1 + self._leaf_pages(int(self._n_rids / len(self._rid_lists)))
 
     def positions_for(self, member_id: int) -> np.ndarray:
         """The raw RID list for one member (empty if absent)."""

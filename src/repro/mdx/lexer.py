@@ -10,9 +10,8 @@ members (``[1991]``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 
 class TokenType(Enum):
@@ -44,19 +43,15 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexed token: type, value, and source position."""
+class Token(NamedTuple):
+    """One lexed token: type, value, source position, and the uppercased
+    value when it is a reserved word ('' otherwise) — a plain tuple, built
+    without a constructor call per token."""
+
     type: TokenType
     value: str
     position: int
-
-    @property
-    def keyword(self) -> str:
-        """Uppercased value if this identifier is a reserved word, else ''."""
-        if self.type is TokenType.IDENT and self.value.upper() in KEYWORDS:
-            return self.value.upper()
-        return ""
+    keyword: str
 
 
 class MdxSyntaxError(ValueError):
@@ -69,10 +64,13 @@ class MdxSyntaxError(ValueError):
         self.position = position
 
 
-# Identifiers: bare names possibly ending in primes (A'', Qtr1), or
-# bracket-quoted ([1991], [USA North]).
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*|\[[^\]\n]*\]")
-_WS_RE = re.compile(r"\s+")
+# One pattern for every token, each after its leading whitespace (group 1):
+# punctuation (2), a bare name possibly ending in primes — A'', Qtr1 — (3), a
+# bracket-quoted name — [1991], [USA North] — (4), or any other character,
+# which is an error (5).  Every character of the text is in some match.
+_TOKEN_RE = re.compile(
+    r"(\s*)(?:([{}(),.])|([A-Za-z_][A-Za-z0-9_]*'*)|(\[[^\]\n]*\])|(\S))"
+)
 
 _PUNCT = {
     "{": TokenType.LBRACE,
@@ -82,34 +80,33 @@ _PUNCT = {
     ",": TokenType.COMMA,
     ".": TokenType.DOT,
 }
+_IDENT, _EOF = TokenType.IDENT, TokenType.EOF
+
+
+def lex(text: str) -> List[tuple]:
+    """Tokenize ``text`` into plain ``(type, value, position, keyword)``
+    tuples (a :class:`Token`'s fields); always ends with an EOF token."""
+    tokens: List[tuple] = []
+    append, position = tokens.append, 0
+    for space, punct, name, bracketed, other in _TOKEN_RE.findall(text):
+        position += len(space)
+        if punct:
+            append((_PUNCT[punct], punct, position, ""))
+            position += 1
+            continue
+        if other:
+            raise MdxSyntaxError(f"unexpected character {other!r}", text, position)
+        if bracketed:
+            name = bracketed[1:-1].strip()
+            if not name:
+                raise MdxSyntaxError("empty bracketed name", text, position)
+        keyword = name.upper()
+        append((_IDENT, name, position, keyword if keyword in KEYWORDS else ""))
+        position += len(bracketed or name)
+    append((_EOF, "", len(text), ""))
+    return tokens
 
 
 def tokenize(text: str) -> List[Token]:
-    """Tokenize ``text``; always ends with an EOF token."""
-    tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ws = _WS_RE.match(text, i)
-        if ws:
-            i = ws.end()
-            continue
-        ch = text[i]
-        punct = _PUNCT.get(ch)
-        if punct is not None:
-            tokens.append(Token(punct, ch, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            value = m.group(0)
-            if value.startswith("["):
-                value = value[1:-1].strip()
-                if not value:
-                    raise MdxSyntaxError("empty bracketed name", text, i)
-            tokens.append(Token(TokenType.IDENT, value, i))
-            i = m.end()
-            continue
-        raise MdxSyntaxError(f"unexpected character {ch!r}", text, i)
-    tokens.append(Token(TokenType.EOF, "", n))
-    return tokens
+    """Tokenize ``text`` into :class:`Token` s; always ends with an EOF token."""
+    return list(map(Token._make, lex(text)))

@@ -31,87 +31,83 @@ from .ast import (
     SetExpr,
     TupleExpr,
 )
-from .lexer import MdxSyntaxError, Token, TokenType, tokenize
+from .lexer import MdxSyntaxError, TokenType, lex
+
+
+_IDENT, _EOF = TokenType.IDENT, TokenType.EOF
+_LBRACE, _RBRACE = TokenType.LBRACE, TokenType.RBRACE
+_LPAREN, _RPAREN = TokenType.LPAREN, TokenType.RPAREN
+_COMMA, _DOT = TokenType.COMMA, TokenType.DOT
 
 
 class _Parser:
+    """Walks the lexer's ``(type, value, position, keyword)`` tuples by
+    index: ``self.tokens[self.pos]`` is the token under the cursor, and the
+    cursor never moves past the closing EOF."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = lex(text)
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        """The token under the cursor (EOF at the end)."""
-        return self.tokens[self.pos]
+    def fail(self, message: str, position: Optional[int] = None):
+        """Raise ``message`` at ``position`` (the current token's)."""
+        if position is None:
+            position = self.tokens[self.pos][2]
+        raise MdxSyntaxError(message, self.text, position)
 
-    def advance(self) -> Token:
-        """Consume and return the current token."""
-        token = self.current
-        if token.type is not TokenType.EOF:
+    def expect(self, token_type: TokenType, what: str) -> str:
+        """Consume a token of the given type and return its value, or
+        raise with context."""
+        token = self.tokens[self.pos]
+        if token[0] is not token_type:
+            self.fail(f"expected {what}, found {token[1]!r}")
+        if token_type is not _EOF:
             self.pos += 1
-        return token
+        return token[1]
 
-    def expect(self, token_type: TokenType, what: str) -> Token:
-        """Consume a token of the given type or raise with context."""
-        if self.current.type is not token_type:
-            raise MdxSyntaxError(
-                f"expected {what}, found {self.current.value!r}",
-                self.text,
-                self.current.position,
-            )
-        return self.advance()
-
-    def at_keyword(self, *keywords: str) -> bool:
-        """Whether the current token is one of the given keywords."""
-        return self.current.keyword in keywords
-
-    def expect_keyword(self, keyword: str) -> Token:
+    def expect_keyword(self, keyword: str) -> None:
         """Consume the given keyword or raise with context."""
-        if not self.at_keyword(keyword):
-            raise MdxSyntaxError(
-                f"expected {keyword}, found {self.current.value!r}",
-                self.text,
-                self.current.position,
-            )
-        return self.advance()
+        token = self.tokens[self.pos]
+        if token[3] != keyword:
+            self.fail(f"expected {keyword}, found {token[1]!r}")
+        self.pos += 1
+
+    def comma(self) -> bool:
+        """Consume a comma if one is under the cursor."""
+        if self.tokens[self.pos][0] is _COMMA:
+            self.pos += 1
+            return True
+        return False
 
     # -- grammar --------------------------------------------------------------
 
     def parse(self) -> MdxExpression:
         """Parse the textual form into an instance."""
+        tokens = self.tokens
         axes: List[AxisClause] = []
-        while not self.at_keyword("CONTEXT"):
-            if self.current.type is TokenType.EOF:
-                raise MdxSyntaxError(
-                    "expected CONTEXT clause before end of input",
-                    self.text,
-                    self.current.position,
-                )
+        while tokens[self.pos][3] != "CONTEXT":
+            if tokens[self.pos][0] is _EOF:
+                self.fail("expected CONTEXT clause before end of input")
             axes.append(self.parse_axis_clause())
-        self.expect_keyword("CONTEXT")
-        cube = self.expect(TokenType.IDENT, "cube name").value
+        self.pos += 1
+        cube = self.expect(_IDENT, "cube name")
         slicer: Tuple[MemberPath, ...] = ()
-        if self.at_keyword("FILTER"):
-            self.advance()
-            slicer = self.parse_filter_args()
-        if self.current.type is not TokenType.EOF:
-            raise MdxSyntaxError(
-                f"unexpected trailing input {self.current.value!r}",
-                self.text,
-                self.current.position,
-            )
+        if tokens[self.pos][3] == "FILTER":
+            self.pos += 1
+            self.expect(_LPAREN, "'(' after FILTER")
+            slicer = tuple(self.parse_paths())
+            self.expect(_RPAREN, "')' closing FILTER")
+        if tokens[self.pos][0] is not _EOF:
+            self.fail(f"unexpected trailing input {tokens[self.pos][1]!r}")
         if not axes:
-            raise MdxSyntaxError("an MDX expression needs at least one axis",
-                                 self.text, 0)
+            self.fail("an MDX expression needs at least one axis", 0)
         seen = set()
         for clause in axes:
             if clause.axis in seen:
-                raise MdxSyntaxError(
-                    f"axis {clause.axis} used twice", self.text, 0
-                )
+                self.fail(f"axis {clause.axis} used twice", 0)
             seen.add(clause.axis)
         return MdxExpression(axes=tuple(axes), cube=cube, slicer=slicer)
 
@@ -119,92 +115,84 @@ class _Parser:
         """axis_expr 'on' axis_name."""
         expr = self.parse_axis_expr()
         self.expect_keyword("ON")
-        token = self.advance()
-        axis = token.keyword
+        _type, value, position, axis = self.tokens[self.pos]
+        if _type is not _EOF:
+            self.pos += 1
         if axis not in AXIS_NAMES:
-            raise MdxSyntaxError(
-                f"unknown axis {token.value!r}", self.text, token.position
-            )
+            self.fail(f"unknown axis {value!r}", position)
         return AxisClause(expr=expr, axis=axis)
 
     def parse_axis_expr(self) -> AxisExpr:
         """set | nest | tuple | member_path."""
-        if self.at_keyword("NEST"):
+        token_type, _value, _position, keyword = self.tokens[self.pos]
+        if keyword == "NEST":
             return self.parse_nest()
-        if self.current.type is TokenType.LBRACE:
+        if token_type is _LBRACE:
             return self.parse_set()
-        if self.current.type is TokenType.LPAREN:
+        if token_type is _LPAREN:
             return self.parse_tuple()
         return self.parse_member_path()
 
     def parse_nest(self) -> NestExpr:
         """NEST '(' nest_arg (',' nest_arg)* ')'."""
-        self.expect_keyword("NEST")
-        self.expect(TokenType.LPAREN, "'(' after NEST")
+        self.pos += 1
+        self.expect(_LPAREN, "'(' after NEST")
         args: List = [self.parse_nest_arg()]
-        while self.current.type is TokenType.COMMA:
-            self.advance()
+        while self.comma():
             args.append(self.parse_nest_arg())
-        self.expect(TokenType.RPAREN, "')' closing NEST")
+        self.expect(_RPAREN, "')' closing NEST")
         return NestExpr(args=tuple(args))
 
     def parse_nest_arg(self):
         """A NEST argument; parenthesized lists act as sets."""
-        if self.current.type is TokenType.LBRACE:
+        token_type = self.tokens[self.pos][0]
+        if token_type is _LBRACE:
             return self.parse_set()
-        if self.current.type is TokenType.LPAREN:
+        if token_type is _LPAREN:
             # The paper writes NEST's arguments with parentheses acting as
             # sets — NEST({Venkatrao, Netz}, (USA_North.CHILDREN, USA_South,
             # Japan)) — so a parenthesized NEST argument is a set; tuples
             # inside a NEST argument are written within braces: {(a, b)}.
-            tuple_expr = self.parse_tuple()
-            return SetExpr(elements=tuple_expr.items)
+            return SetExpr(elements=self.parse_tuple().items)
         return self.parse_member_path()
 
     def parse_set(self) -> SetExpr:
-        """'{' set_elem (',' set_elem)* '}'."""
-        self.expect(TokenType.LBRACE, "'{'")
-        elements: List[SetElement] = [self.parse_set_element()]
-        while self.current.type is TokenType.COMMA:
-            self.advance()
-            elements.append(self.parse_set_element())
-        self.expect(TokenType.RBRACE, "'}'")
+        """'{' set_elem (',' set_elem)* '}', a set_elem being a member path
+        or a parenthesized tuple."""
+        self.expect(_LBRACE, "'{'")
+        elements: List[SetElement] = []
+        while True:
+            if self.tokens[self.pos][0] is _LPAREN:
+                elements.append(self.parse_tuple())
+            else:
+                elements.append(self.parse_member_path())
+            if not self.comma():
+                break
+        self.expect(_RBRACE, "'}'")
         return SetExpr(elements=tuple(elements))
-
-    def parse_set_element(self) -> SetElement:
-        """member_path or a parenthesized tuple."""
-        if self.current.type is TokenType.LPAREN:
-            return self.parse_tuple()
-        return self.parse_member_path()
 
     def parse_tuple(self) -> TupleExpr:
         """'(' member_path (',' member_path)* ')'."""
-        self.expect(TokenType.LPAREN, "'('")
-        items = [self.parse_member_path()]
-        while self.current.type is TokenType.COMMA:
-            self.advance()
-            items.append(self.parse_member_path())
-        self.expect(TokenType.RPAREN, "')'")
-        return TupleExpr(items=tuple(items))
+        self.expect(_LPAREN, "'('")
+        items = tuple(self.parse_paths())
+        self.expect(_RPAREN, "')'")
+        return TupleExpr(items=items)
+
+    def parse_paths(self) -> List[MemberPath]:
+        """member_path (',' member_path)*."""
+        paths = [self.parse_member_path()]
+        while self.comma():
+            paths.append(self.parse_member_path())
+        return paths
 
     def parse_member_path(self) -> MemberPath:
         """Dotted member reference."""
-        token = self.expect(TokenType.IDENT, "member reference")
-        segments = [token.value]
-        while self.current.type is TokenType.DOT:
-            self.advance()
-            segments.append(self.expect(TokenType.IDENT, "path segment").value)
+        segments = [self.expect(_IDENT, "member reference")]
+        tokens = self.tokens
+        while tokens[self.pos][0] is _DOT:
+            self.pos += 1
+            segments.append(self.expect(_IDENT, "path segment"))
         return MemberPath(segments=tuple(segments))
-
-    def parse_filter_args(self) -> Tuple[MemberPath, ...]:
-        """FILTER '(' member_path (',' member_path)* ')'."""
-        self.expect(TokenType.LPAREN, "'(' after FILTER")
-        items = [self.parse_member_path()]
-        while self.current.type is TokenType.COMMA:
-            self.advance()
-            items.append(self.parse_member_path())
-        self.expect(TokenType.RPAREN, "')' closing FILTER")
-        return tuple(items)
 
 
 def parse_mdx(text: str) -> MdxExpression:

@@ -11,9 +11,9 @@ path equal to the schema's measure name resolves to a measure reference
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+from weakref import WeakKeyDictionary
 
-from ..schema.dimension import Dimension
 from ..schema.star import StarSchema
 from .ast import MemberPath
 
@@ -22,8 +22,7 @@ class MdxResolutionError(ValueError):
     """A syntactically valid path that does not bind against the schema."""
 
 
-@dataclass(frozen=True)
-class ResolvedSelection:
+class ResolvedSelection(NamedTuple):
     """A bound member set: ``member_ids`` at ``level`` of one dimension.
 
     An ALL-level selection has ``level == dim.all_level`` and no members —
@@ -47,34 +46,62 @@ class MeasureRef:
     name: str
 
 
-def _find_hint(
-    schema: StarSchema, segment: str
-) -> Tuple[Optional[int], Optional[int]]:
-    """Interpret a leading segment as a dimension or level name →
-    (dim_index, level or None); (None, None) if it is neither."""
-    for d, dim in enumerate(schema.dimensions):
-        if segment == dim.name:
-            return d, None
-        for level in dim.levels:
-            if segment == level.name and level.name != dim.name:
-                return d, level.depth
-    return None, None
+class _Names:
+    """One schema's names, indexed once: each dimension or level name the
+    leading segment may be (the first in dimension, then level, order
+    wins), each member name's ``(dim_index, level, member)`` bindings in
+    dimension order, and per (dimension, level) each member's parent and
+    children."""
+
+    def __init__(self, schema: StarSchema):
+        self.hints: Dict[str, Tuple[int, Optional[int]]] = {}
+        self.members: Dict[str, List[Tuple[int, int, int]]] = {}
+        self.parents: List[List[List[int]]] = []
+        self.children: List[List[Tuple[Tuple[int, ...], ...]]] = []
+        for d, dim in enumerate(schema.dimensions):
+            self.hints.setdefault(dim.name, (d, None))
+            for level in dim.levels:
+                if level.name != dim.name:
+                    self.hints.setdefault(level.name, (d, level.depth))
+            for depth in range(dim.n_levels):
+                for member in range(dim.n_members(depth)):
+                    name = dim.member_name(depth, member)
+                    self.members.setdefault(name, []).append((d, depth, member))
+            ups = [
+                dim.rollup_map(depth, depth + 1).tolist()
+                for depth in range(dim.n_levels - 1)
+            ]
+            downs: List[Tuple[Tuple[int, ...], ...]] = [()]
+            for depth, up in enumerate(ups):
+                kids: List[List[int]] = [[] for _ in range(dim.n_members(depth + 1))]
+                for child, parent in enumerate(up):
+                    kids[parent].append(child)
+                downs.append(tuple(map(tuple, kids)))
+            self.parents.append(ups)
+            self.children.append(downs)
+
+
+_NAMES: "WeakKeyDictionary[StarSchema, _Names]" = WeakKeyDictionary()
+
+
+def _names(schema: StarSchema) -> _Names:
+    names = _NAMES.get(schema)
+    if names is None:
+        names = _NAMES[schema] = _Names(schema)
+    return names
 
 
 def resolve_path(schema: StarSchema, path: MemberPath):
     """Resolve one member path → :class:`ResolvedSelection` or
     :class:`MeasureRef`."""
-    segments = list(path.segments)
+    segments = path.segments
     if len(segments) == 1 and segments[0] == schema.measure:
         return MeasureRef(name=segments[0])
 
-    dim_hint: Optional[int] = None
-    level_hint: Optional[int] = None
+    names = _names(schema)
+    dim_hint, level_hint = names.hints.get(segments[0], (None, None))
     idx = 0
-    hint_dim, hint_level = _find_hint(schema, segments[0])
-    if hint_dim is not None:
-        dim_hint = hint_dim
-        level_hint = hint_level
+    if dim_hint is not None:
         idx = 1
         if idx >= len(segments):
             raise MdxResolutionError(
@@ -103,65 +130,54 @@ def resolve_path(schema: StarSchema, path: MemberPath):
         level = level_hint if level_hint is not None else 0
         selection = frozenset(range(dim.n_members(level)))
         dim_index = dim_hint
-        idx += 1
     else:
-        # First real member segment: locate it (within the hinted dimension
-        # if one was given, otherwise search every dimension).
+        # First real member segment: within the hinted dimension if one was
+        # given and has it, otherwise in the one dimension that has it.
         name = segments[idx]
-        dim_index = None
-        found: Optional[Tuple[int, int]] = None
-        if dim_hint is not None:
-            dim = schema.dimensions[dim_hint]
-            if dim.has_member(name):
-                dim_index = dim_hint
-                found = dim.find_member(name)
-        if found is None:
-            matches = []
-            for d, dim in enumerate(schema.dimensions):
-                if dim.has_member(name):
-                    matches.append((d, dim.find_member(name)))
-            if not matches:
+        found = names.members.get(name, ())
+        for binding in found:
+            if binding[0] == dim_hint:
+                break
+        else:
+            if not found:
                 raise MdxResolutionError(
                     f"no dimension has a member named {name!r} (path {path})"
                 )
-            if len(matches) > 1:
-                dims = [schema.dimensions[d].name for d, _ in matches]
+            if len(found) > 1:
+                dims = [schema.dimensions[d].name for d, _, _ in found]
                 raise MdxResolutionError(
                     f"member {name!r} is ambiguous across dimensions {dims}; "
                     f"qualify it (path {path})"
                 )
-            dim_index, found = matches[0]
-        assert dim_index is not None and found is not None
+            binding = found[0]
+        dim_index, level, member = binding
         dim = schema.dimensions[dim_index]
-        level, member = found
         selection = frozenset([member])
-        idx += 1
+    idx += 1
 
     while idx < len(segments):
         segment = segments[idx]
-        if segment.upper() == "PARENT":
+        keyword = segment.upper()
+        if keyword == "PARENT":
             if level + 1 >= dim.n_levels:
                 raise MdxResolutionError(
                     f"members at top level {dim.level_name(level)!r} have "
                     f"no parent (path {path})"
                 )
-            selection = frozenset(
-                dim.parent(level, member) for member in selection
-            )
+            up = names.parents[dim_index][level]
+            selection = frozenset(up[member] for member in selection)
             level += 1
-        elif segment.upper() == "CHILDREN":
+        elif keyword == "CHILDREN":
             if level == 0:
                 raise MdxResolutionError(
                     f"members at leaf level {dim.level_name(0)!r} have no "
                     f"children (path {path})"
                 )
-            children = frozenset(
-                child
-                for parent in selection
-                for child in dim.children(level, parent)
+            kids = names.children[dim_index][level]
+            selection = frozenset(
+                child for parent in selection for child in kids[parent]
             )
             level -= 1
-            selection = children
         else:
             # A member name narrowing the current selection (the paper's
             # A1.CHILDREN.AA2 idiom).

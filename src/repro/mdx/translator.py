@@ -19,7 +19,7 @@ example yields exactly six component queries; the splitting rule is:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.trace import NULL_TRACER
 from ..schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
@@ -39,93 +39,70 @@ from .resolver import MdxResolutionError, MeasureRef, ResolvedSelection, resolve
 Cell = Tuple[ResolvedSelection, ...]
 
 
-def _path_cells(schema: StarSchema, path: MemberPath) -> List[Cell]:
+def _bound(schema: StarSchema, path: MemberPath, where: str) -> ResolvedSelection:
     bound = resolve_path(schema, path)
     if isinstance(bound, MeasureRef):
         raise MdxResolutionError(
-            f"measure {bound.name!r} cannot appear on an axis"
+            f"measure {bound.name!r} cannot appear {where}"
         )
-    return [(bound,)]
+    return bound
 
 
-def _tuple_cells(schema: StarSchema, expr: TupleExpr) -> List[Cell]:
-    cell: List[ResolvedSelection] = []
-    for item in expr.items:
-        bound = resolve_path(schema, item)
-        if isinstance(bound, MeasureRef):
-            raise MdxResolutionError(
-                f"measure {bound.name!r} cannot appear in a tuple"
-            )
-        cell.append(bound)
-    return [tuple(cell)]
-
-
-def _set_cells(schema: StarSchema, expr: SetExpr) -> List[Cell]:
-    cells: List[Cell] = []
-    for element in expr.elements:
-        if isinstance(element, TupleExpr):
-            cells.extend(_tuple_cells(schema, element))
-        else:
-            cells.extend(_path_cells(schema, element))
-    return cells
-
-
-def _nest_cells(schema: StarSchema, expr: NestExpr) -> List[Cell]:
-    per_arg: List[List[Cell]] = []
-    for arg in expr.args:
-        per_arg.append(_axis_expr_cells(schema, arg))
-    cells: List[Cell] = []
-    for combo in itertools.product(*per_arg):
-        merged: List[ResolvedSelection] = []
-        for cell in combo:
-            merged.extend(cell)
-        cells.append(tuple(merged))
-    return cells
+def _cell(schema: StarSchema, expr) -> Cell:
+    """The one cell of a member path or a tuple."""
+    if isinstance(expr, TupleExpr):
+        return tuple(_bound(schema, item, "in a tuple") for item in expr.items)
+    return (_bound(schema, expr, "on an axis"),)
 
 
 def _axis_expr_cells(schema: StarSchema, expr) -> List[Cell]:
-    if isinstance(expr, NestExpr):
-        return _nest_cells(schema, expr)
+    """An axis expression's cells, in the order they were written (NEST
+    cross-joins its arguments')."""
     if isinstance(expr, SetExpr):
-        return _set_cells(schema, expr)
-    if isinstance(expr, TupleExpr):
-        return _tuple_cells(schema, expr)
-    if isinstance(expr, MemberPath):
-        return _path_cells(schema, expr)
+        return [_cell(schema, element) for element in expr.elements]
+    if isinstance(expr, (MemberPath, TupleExpr)):
+        return [_cell(schema, expr)]
+    if isinstance(expr, NestExpr):
+        per_arg = [_axis_expr_cells(schema, arg) for arg in expr.args]
+        return [
+            tuple(sel for cell in combo for sel in cell)
+            for combo in itertools.product(*per_arg)
+        ]
     raise TypeError(f"unexpected axis expression {expr!r}")
 
 
-def _signature(cell: Cell) -> Tuple[Tuple[int, int], ...]:
-    """The level signature of a cell: sorted (dim_index, level) pairs."""
-    pairs = sorted((sel.dim_index, sel.level) for sel in cell)
-    dims = [d for d, _lv in pairs]
-    if len(set(dims)) != len(dims):
-        raise MdxResolutionError(
-            "a tuple mentions the same dimension twice"
-        )
-    return tuple(pairs)
+#: One dimension of a signature group: its index, its level and the
+#: group's predicate there (None at ALL).
+Part = Tuple[int, int, Optional[DimPredicate]]
 
 
-def _group_axis(schema: StarSchema, clause: AxisClause) -> List[Dict[int, ResolvedSelection]]:
-    """Split one axis into signature groups; each group maps dim_index →
-    merged selection."""
-    cells = _axis_expr_cells(schema, clause.expr)
+def _part(sel: ResolvedSelection) -> Part:
+    return sel.dim_index, sel.level, DimPredicate(*sel) if sel.member_ids else None
+
+
+def _group_axis(schema: StarSchema, clause: AxisClause) -> List[List[Part]]:
+    """Split one axis into signature groups — a cell's signature is its
+    sorted (dim_index, level) pairs — each the merged selection per
+    dimension as a :data:`Part`, in signature order."""
     groups: Dict[Tuple[Tuple[int, int], ...], Dict[int, set]] = {}
-    for cell in cells:
-        signature = _signature(cell)
-        members = groups.setdefault(signature, {d: set() for d, _ in signature})
+    for cell in _axis_expr_cells(schema, clause.expr):
+        signature = tuple(sorted((sel.dim_index, sel.level) for sel in cell))
+        members = groups.get(signature)
+        if members is None:
+            members = groups[signature] = {d: set() for d, _ in signature}
+            if len(members) != len(signature):
+                raise MdxResolutionError(
+                    "a tuple mentions the same dimension twice"
+                )
         for sel in cell:
             members[sel.dim_index].update(sel.member_ids)
-    ordered = sorted(groups.items(), key=lambda item: item[0])
-    out: List[Dict[int, ResolvedSelection]] = []
-    for signature, members in ordered:
-        merged: Dict[int, ResolvedSelection] = {}
-        for dim_index, level in signature:
-            merged[dim_index] = ResolvedSelection(
-                dim_index, level, frozenset(members[dim_index])
-            )
-        out.append(merged)
-    return out
+    return [
+        [
+            _part(ResolvedSelection(d, level, frozenset(members[d])))
+            for d, level in signature
+        ]
+        for signature, members in sorted(groups.items())
+    ]
 
 
 def _resolve_slicer(
@@ -169,55 +146,51 @@ def translate_expression(
 
 def _assemble_queries(
     schema: StarSchema,
-    axis_groups: List[List[Dict[int, ResolvedSelection]]],
+    axis_groups: List[List[List[Part]]],
     slicer: Dict[int, ResolvedSelection],
     label_prefix: str,
 ) -> List[GroupByQuery]:
     queries: List[GroupByQuery] = []
+    slicer_parts = [_part(sel) for sel in slicer.values()]
     for combo in itertools.product(*axis_groups):
-        levels = [dim.all_level for dim in schema.dimensions]
+        levels = list(schema.all_levels())
         predicates: List[DimPredicate] = []
         seen: set = set()
-        selections: List[ResolvedSelection] = []
         for group in combo:
-            selections.extend(group.values())
-        for sel in selections:
-            if sel.dim_index in seen:
-                raise MdxResolutionError(
-                    f"dimension {schema.dimensions[sel.dim_index].name!r} "
-                    f"appears on two axes"
-                )
-            seen.add(sel.dim_index)
-            levels[sel.dim_index] = sel.level
-            if not sel.is_all:
-                predicates.append(
-                    DimPredicate(sel.dim_index, sel.level, sel.member_ids)
-                )
-        for dim_index, sel in slicer.items():
+            for dim_index, level, predicate in group:
+                if dim_index in seen:
+                    raise MdxResolutionError(
+                        f"dimension {schema.dimensions[dim_index].name!r} "
+                        f"appears on two axes"
+                    )
+                seen.add(dim_index)
+                levels[dim_index] = level
+                if predicate is not None:
+                    predicates.append(predicate)
+        for dim_index, level, predicate in slicer_parts:
             if dim_index not in seen:
                 # Slicer on an otherwise-unmentioned dimension: it sets both
                 # the target level and the predicate.
-                levels[dim_index] = sel.level
-                if not sel.is_all:
-                    predicates.append(
-                        DimPredicate(dim_index, sel.level, sel.member_ids)
-                    )
-            elif not sel.is_all:
-                # Slicer on a dimension an axis already groups by: the
-                # slicer's member set becomes an additional (ANDed)
-                # predicate — e.g. months on ROWS within FILTER([1991]).
-                predicates.append(
-                    DimPredicate(dim_index, sel.level, sel.member_ids)
-                )
+                levels[dim_index] = level
+            # Else the slicer is on a dimension an axis already groups by:
+            # its member set becomes an additional (ANDed) predicate — e.g.
+            # months on ROWS within FILTER([1991]).
+            if predicate is not None:
+                predicates.append(predicate)
+        predicates.sort(key=_by_dimension)
         queries.append(
             GroupByQuery(
                 groupby=GroupBy(tuple(levels)),
-                predicates=tuple(sorted(predicates, key=lambda p: p.dim_index)),
+                predicates=tuple(predicates),
                 aggregate=Aggregate.SUM,
                 label=f"{label_prefix}[{len(queries) + 1}]",
             )
         )
     return queries
+
+
+def _by_dimension(predicate: DimPredicate) -> int:
+    return predicate.dim_index
 
 
 def translate_mdx(

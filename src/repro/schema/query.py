@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from .star import StarSchema
@@ -135,6 +136,12 @@ class GroupByQuery:
     def required_levels(self) -> Tuple[int, ...]:
         """Per dimension, the finest level the source table must provide:
         the finer of the target level and any predicate level."""
+        return self._required_levels
+
+    @cached_property
+    def _required_levels(self) -> Tuple[int, ...]:
+        # Computed once: the query is frozen, and every answerability
+        # check of every candidate table reads it.
         required = list(self.groupby.levels)
         for pred in self.predicates:
             required[pred.dim_index] = min(required[pred.dim_index], pred.level)
@@ -159,14 +166,16 @@ class GroupByQuery:
         schema.check_levels(self.groupby.levels)
         for pred in self.predicates:
             dim = schema.dimensions[pred.dim_index]
-            if not 0 <= pred.level < dim.n_levels:
+            # Members per level, ALL last: the real levels are all but one.
+            sizes = schema.level_sizes[pred.dim_index]
+            if not 0 <= pred.level < len(sizes) - 1:
                 raise ValueError(
                     f"predicate level {pred.level} invalid for dimension "
                     f"{dim.name!r}"
                 )
-            n = dim.n_members(pred.level)
-            bad = [m for m in pred.member_ids if not 0 <= m < n]
-            if bad:
+            n = sizes[pred.level]
+            if min(pred.member_ids) < 0 or max(pred.member_ids) >= n:
+                bad = [m for m in pred.member_ids if not 0 <= m < n]
                 raise ValueError(
                     f"predicate members {bad} out of range for "
                     f"{dim.level_name(pred.level)}"

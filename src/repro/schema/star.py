@@ -75,11 +75,11 @@ class StarSchema:
                 f"level vector {tuple(levels)} has {len(levels)} entries, "
                 f"schema has {self.n_dims} dimensions"
             )
-        for dim, level in zip(self.dimensions, levels):
-            if not 0 <= level <= dim.all_level:
+        for dim, level, top in zip(self.dimensions, levels, self._all_levels):
+            if not 0 <= level <= top:
                 raise ValueError(
                     f"level {level} out of range for dimension {dim.name!r} "
-                    f"(0..{dim.all_level})"
+                    f"(0..{top})"
                 )
         return tuple(int(lv) for lv in levels)
 

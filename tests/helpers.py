@@ -12,6 +12,7 @@ from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.results import QueryResult
 from repro.core.optimizer import make_optimizer
 from repro.engine.database import Database
+from repro.schema.dimension import Dimension
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.schema.star import StarSchema
 from repro.storage.iostats import IOStats
@@ -154,6 +155,45 @@ def random_query(
         aggregate=aggregate,
         label=label,
     )
+
+
+def random_database(seed: int, n_rows=None) -> Database:
+    """A random star schema (2–3 dims, random fanouts), random fact data
+    seeded through repro.workload.generator, random views and indexes.
+    ``n_rows`` overrides the random base-table row count."""
+    rng = random.Random(seed)
+    dimensions = []
+    for d in range(rng.randint(2, 3)):
+        name = "DEF"[d]
+        dimensions.append(
+            Dimension.build_uniform(
+                name,
+                (name, name + "'", name + "''"),
+                n_top=rng.randint(2, 3),
+                fanouts=(rng.randint(2, 3), rng.randint(2, 4)),
+            )
+        )
+    schema = StarSchema(f"rand-{seed}", dimensions, measure="m")
+    db = Database(schema, page_size=64, buffer_pages=256, paranoia=False)
+    random_rows = rng.randint(150, 400)  # drawn even when overridden
+    rows = generate_fact_rows(
+        schema, random_rows if n_rows is None else n_rows, seed=seed
+    )
+    base_name = "".join(dim.name for dim in schema.dimensions)
+    db.load_base(rows, name=base_name)
+    # Materialize a random non-base lattice point or two (SUM views).
+    for _ in range(rng.randint(0, 2)):
+        levels = tuple(
+            rng.randint(0, dim.all_level) for dim in schema.dimensions
+        )
+        if all(lv == 0 for lv in levels):
+            continue
+        name = schema.groupby_name(levels)
+        if name in db.catalog:
+            continue
+        db.materialize(levels)
+    db.index_all_dimensions(base_name)
+    return db
 
 
 def brute_force_optimum(

@@ -90,7 +90,8 @@ def test_the_sweep_covers_what_it_says(dump):
     maintained views, recovery under one fault per site (with its metrics
     and each batch trace's span clocks), the counts the model estimates per
     class, every member term with and without measured selectivities, the
-    buffer pools, and the paper's tables as the CLI prints them."""
+    buffer pools, the paper's tables as the CLI prints them, and what the
+    MDX front end makes of valid and malformed texts."""
     assert "test7/avg/optimal/serial" in dump
     assert dump["test4/avg/gg/serial"]["results"][0]["groups"]
     assert any(cls["derives"] for cls in dump["dashboard/min"]["classes"])
@@ -182,3 +183,55 @@ def test_the_sweep_covers_what_it_says(dump):
         isinstance(dump[f"pool/faults/page_read_p/test{i}"]["fired"], list)
         for i in range(1, 8)
     )
+    # The MDX front end: component queries of generated, paper and
+    # hand-written texts; an error per malformed text, from each layer.
+    mdx = {k: v for k, v in dump.items() if k.startswith("mdx/")}
+    generated = [v for k, v in mdx.items() if k.startswith("mdx/generated/abcd/")]
+    assert len(generated) == contract.MDX_GENERATED
+    assert all(len(case["queries"]) >= 1 for case in generated)
+    assert len(dump["mdx/forms/sales/0"]["queries"]) == 6  # Section 2's six
+    malformed = [v for k, v in mdx.items() if k.startswith("mdx/malformed/")]
+    assert {case["error"][0] for case in malformed if "error" in case} == {
+        "MdxSyntaxError", "MdxResolutionError",
+    }
+    assert all(
+        case["error"][2] is not None
+        for case in malformed
+        if case.get("error", [None])[0] == "MdxSyntaxError"
+    )
+
+
+def dispatched_features():
+    """numpy's runtime-dispatched CPU features this machine enables."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+
+
+def test_terms_do_not_depend_on_simd(committed, tmp_path):
+    """The ``terms/`` keys, priced again with every dispatched CPU feature
+    the machine enables switched off (``NPY_DISABLE_CPU_FEATURES``), match
+    the committed digest: the columnar term pass uses only IEEE
+    elementwise arithmetic, whose result no SIMD width changes."""
+    features = dispatched_features()
+    script = (
+        "import json, sys, contract\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "off = [f for f in sys.argv[1:] if __cpu_features__.get(f)]\n"
+        "assert not off, off\n"
+        "sys.stdout.write(json.dumps(contract.sweep(contract.terms_only)))\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
+        NPY_DISABLE_CPU_FEATURES=" ".join(features),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *features], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    _head, hashes = contract.parse(committed)
+    fresh = contract.digest(json.loads(done.stdout))
+    assert list(fresh) == [k for k in hashes if k.startswith("terms/")]
+    assert [k for k in fresh if fresh[k] != hashes[k]] == []

@@ -1,10 +1,12 @@
 """Unit tests for the Section 5.1 cost model."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 import random
 import re
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 import repro
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.core.optimizer import GreedyOptimizer
+from repro.core.optimizer import terms as terms_module
 from repro.core.optimizer.cost import ClassState, CostModel, left_sum
 from repro.core.optimizer.greedy import GrownClass
 from repro.core.optimizer.plans import DeriveStep, JoinMethod
+from repro.core.optimizer.terms import price_terms, scalar_terms
 from repro.index.bitmap import WORD_BITS
 from repro.schema.lattice import build_keys, expected_distinct, source_can_answer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
@@ -25,7 +29,7 @@ from repro.storage.iostats import CostRates, Counts, IOStats
 from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
-from helpers import make_tiny_db, random_query
+from helpers import make_tiny_db, random_database, random_query
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +295,23 @@ def indexed_db(request):
     return db
 
 
+def term_query(schema, rng: random.Random) -> GroupByQuery:
+    """A random query, now and then with a second predicate on one
+    dimension (an axis inside a slicer) or a repeated one."""
+    query = random_query(schema, rng, max_members=4)
+    if query.predicates and rng.random() < 0.4:
+        d = rng.choice(query.predicates).dim_index
+        level = rng.randrange(schema.dimensions[d].n_levels)
+        members = rng.sample(
+            range(schema.dimensions[d].n_members(level)), rng.randint(1, 2)
+        )
+        extra = DimPredicate(d, level, frozenset(members))
+        if rng.random() < 0.25:
+            extra = rng.choice(query.predicates)
+        query = dataclasses.replace(query, predicates=query.predicates + (extra,))
+    return query
+
+
 class TestTermContract:
     """A member term is built in one pass over the query's predicates, and
     says exactly what the public single-fact functions say of the pair."""
@@ -299,19 +320,7 @@ class TestTermContract:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_term_agrees_with_the_single_facts(self, indexed_db, seed):
         schema = indexed_db.schema
-        rng = random.Random(seed)
-        query = random_query(schema, rng, max_members=4)
-        if query.predicates and rng.random() < 0.4:
-            # A second predicate on one dimension (an axis inside a slicer).
-            d = rng.choice(query.predicates).dim_index
-            level = rng.randrange(schema.dimensions[d].n_levels)
-            members = rng.sample(
-                range(schema.dimensions[d].n_members(level)), rng.randint(1, 2)
-            )
-            extra = DimPredicate(d, level, frozenset(members))
-            query = dataclasses.replace(
-                query, predicates=query.predicates + (extra,)
-            )
+        query = term_query(schema, random.Random(seed))
         model = CostModel.for_database(indexed_db)
         for entry in indexed_db.catalog.entries():
             term = model._term(entry, query)
@@ -330,6 +339,123 @@ class TestTermContract:
             )
             assert term.build_keys == build_keys(schema, entry.levels, query)
             assert term.indexable == any(hit is not None for hit in found)
+
+
+def hexed(value):
+    """A term field or costing as plain data: floats as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [hexed(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return getattr(value, "name", value)
+
+
+def batching_differences(db, queries) -> list:
+    """Each (entry, query) whose term or build totals differ between the
+    columnar pass over the whole batch, the pass over one query at a time
+    and the pair-by-pair path — or whose standalone costing differs from a
+    one-member ``plan_class``."""
+    entries = db.catalog.entries()
+    model = CostModel.for_database(db)
+    ways = [
+        {(e.name, q.qid): rest for e, q, *rest in price_terms(model, queries, entries)},
+        {
+            (e.name, q.qid): rest
+            for query in queries
+            for e, q, *rest in price_terms(model, [query], entries)
+        },
+        {(e.name, q.qid): rest for e, q, *rest in scalar_terms(model, queries, entries)},
+    ]
+    model.terms_for(queries)
+    out = []
+    for entry in entries:
+        for query in queries:
+            key = (entry.name, query.qid)
+            priced = [
+                [hexed(getattr(term, f.name)) for f in dataclasses.fields(term)]
+                + [builds]
+                for term, builds in (way[key] for way in ways)
+            ]
+            costing = CostModel.for_database(db).plan_class(entry, [query])
+            alone = costing and hexed((costing.methods[0], costing.cost_ms))
+            if priced[1:] != priced[:-1] or hexed(model.standalone(entry, query)) != alone:
+                out.append((entry.name, query.describe(db.schema)))
+    return out
+
+
+def random_batch(schema, seed: int) -> list:
+    rng = random.Random(seed)
+    return [term_query(schema, rng) for _ in range(rng.randint(1, 8))]
+
+
+def reordered_price_terms():
+    """``price_terms`` planted with a reorder of the selectivity product: it
+    starts from the last predicate column, which for a query with fewer
+    predicates than the batch's widest is padding — so the order depends
+    on the batch the query is priced in."""
+    source = inspect.getsource(terms_module)
+    planted = source.replace(
+        "sel[:, :, 0] * ones, hit_sel[:, :, 0]\n"
+        "    for j in range(1, n_p):\n"
+        "        selectivity = selectivity * sel[:, :, j]\n",
+        "sel[:, :, n_p - 1] * ones, hit_sel[:, :, 0]\n"
+        "    for j in range(1, n_p):\n"
+        "        selectivity = selectivity * sel[:, :, j - 1]\n",
+    )
+    assert planted != source
+    namespace = {"__name__": terms_module.__name__, "__package__": terms_module.__package__}
+    exec(compile(planted, terms_module.__file__, "exec"), namespace)
+    return namespace["price_terms"]
+
+
+#: Random schemas (2–3 dimensions) with views and indexes, each also analyzed.
+RANDOM_DATABASES = range(6)
+
+
+@pytest.fixture(scope="module")
+def random_databases():
+    out = {}
+    for seed in RANDOM_DATABASES:
+        out[seed, False] = random_database(seed)
+        out[seed, True] = random_database(seed)
+        out[seed, True].analyze()
+    return out
+
+
+class TestBatchingInvariance:
+    """A pair priced in a columnar pass over its whole batch equals it
+    priced in a pass over its query alone and pair by pair, field for field
+    (``float.hex``) with its build totals, under uniform and measured
+    selectivities; and its standalone costing equals ``plan_class`` of the
+    query alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        db_seed=st.sampled_from(RANDOM_DATABASES),
+        analyzed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_one_query_at_a_time(
+        self, random_databases, db_seed, analyzed, seed
+    ):
+        db = random_databases[db_seed, analyzed]
+        assert batching_differences(db, random_batch(db.schema, seed)) == []
+
+    def test_a_planted_reorder_of_the_selectivity_product_fails(
+        self, random_databases, monkeypatch
+    ):
+        monkeypatch.setattr(
+            sys.modules[__name__], "price_terms", reordered_price_terms()
+        )
+        failing = [
+            (key, seed)
+            for key, db in random_databases.items()
+            for seed in range(20)
+            if batching_differences(db, random_batch(db.schema, seed))
+        ]
+        assert len(failing) >= 3, failing
 
 
 def full_model(db):
@@ -659,7 +785,13 @@ class TestLeftSum:
             for path in paths
             for match in calls.finditer(path.read_text())
         }
-        assert found == {"plans.py: sum(len(cls.plans) for cls in self.classes)"}
+        assert found == {
+            "plans.py: sum(len(cls.plans) for cls in self.classes)",
+            # The columnar term pass reduces integer count arrays (pages,
+            # lookups, ORs, hash entries, ...), each line marked.
+            "terms.py: sum(1)  # integer counts",
+            "terms.py: sum(2)  # integer counts",
+        }
         assert "left_sum(" in (src / "core" / "optimizer" / "plans.py").read_text()
         assert "left_sum(" in (src / "dag" / "search.py").read_text()
 
