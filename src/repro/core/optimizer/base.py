@@ -77,6 +77,6 @@ class Optimizer(ABC):
             raise ValueError("duplicate query objects in the input")
         for query in queries:
             query.validate(self.db.schema)
-        # Every (table, query) term of the batch, in one columnar pass.
+        # Every (table, query) term of the batch, priced up front.
         self.model.terms_for(queries)
         return list(queries)

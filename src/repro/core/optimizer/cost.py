@@ -43,7 +43,7 @@ from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates, Counts, pipeline_counts
 from .plans import DeriveStep, JoinMethod, PlanClass, left_sum
-from .terms import COLUMNAR_PAIRS, MemberTerm, price_terms, scalar_terms
+from .terms import MemberTerm, price_terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
@@ -261,10 +261,8 @@ class CostModel:
         entries: Optional[Sequence[TableEntry]] = None,
     ) -> None:
         """Price every (entry, query) pair not yet memoized — every catalog
-        entry unless ``entries`` is given — in one columnar pass
-        (:func:`~.terms.price_terms`), or pair by pair
-        (:func:`~.terms.scalar_terms`) when there are fewer than
-        :data:`~.terms.COLUMNAR_PAIRS`: its term, and the build totals its
+        entry unless ``entries`` is given — in one pass over the batch
+        (:func:`~.terms.price_terms`): its term, and the build totals its
         standalone costing starts from."""
         entries = self.catalog.entries() if entries is None else list(entries)
         if self._terms:
@@ -275,10 +273,7 @@ class CostModel:
             ]
         if not queries:
             return
-        pairs = price_terms
-        if len(entries) * len(queries) < COLUMNAR_PAIRS:
-            pairs = scalar_terms
-        for entry, query, term, builds in pairs(self, queries, entries):
+        for entry, query, term, builds in price_terms(self, queries, entries):
             key = (entry.name, query.qid)
             if key not in self._terms:
                 self._terms[key], self._builds[key] = term, builds

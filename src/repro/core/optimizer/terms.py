@@ -1,33 +1,25 @@
 """Member terms: what one query contributes to a class on one candidate
-table, priced for a whole batch at once.
+table, priced up front for a whole batch.
 
 Sections 5–6 cost every query on every candidate table before the greedy
-search runs.  :func:`price_terms` computes every (table, query) pair of a
-batch in one pass over numpy columns — answerability, selectivities, index
-hits, the hash and index marginals, and the build totals of the pair's
-standalone costing — and builds a :class:`MemberTerm` object only for
-pairs the table can answer.  :func:`scalar_terms` prices the same pairs
-one at a time, with the same arithmetic in Python floats, for batches too
-small to repay the pass.
-:meth:`~repro.core.optimizer.cost.CostModel.terms_for` picks one by the
-batch's size and memoizes what it returns.
+search runs.  :func:`price_terms` prices every (table, query) pair of a
+batch, pair by pair in Python floats, with what depends on the query alone
+— its uniform selectivities, probed dimensions and predicate layout —
+worked out once for the batch; it builds a :class:`MemberTerm` only for
+pairs the table can answer, and hands back the build totals each
+answerable pair's standalone costing starts from.
+:meth:`~repro.core.optimizer.cost.CostModel.terms_for` memoizes them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ...index.bitmap import WORD_BITS
-from ...schema.lattice import (
-    aggregate_compatible,
-    build_keys,
-    expected_distinct,
-    source_can_answer,
-)
+from ...schema.lattice import aggregate_compatible, build_keys, expected_distinct
 from ...schema.query import GroupByQuery
 from ...storage.catalog import TableEntry
 from ...storage.iostats import Counts, pipeline_counts
@@ -91,13 +83,6 @@ class MemberTerm:
     separate_pages: float = 0.0
 
 
-#: The fewest (entry, query) pairs priced in one columnar pass; fewer are
-#: priced pair by pair.  The pass costs some 150 numpy calls whatever its
-#: size, a pair in Python ~20 µs (answerable) or ~3 µs (not): on the paper
-#: database (six candidate tables) the pass wins from about 50 pairs, on a
-#: lone base table from about 15 (docs/performance.md).
-COLUMNAR_PAIRS = 48
-
 #: The term of every pair the entry cannot answer (only the bit is read).
 UNANSWERABLE = MemberTerm(
     answerable=False, selectivity=math.nan, build_keys=(),
@@ -110,12 +95,88 @@ def price_terms(
     queries: Sequence[GroupByQuery],
     entries: Sequence[TableEntry],
 ) -> Iterator[Tuple[TableEntry, GroupByQuery, MemberTerm, Optional[Tuple[int, int]]]]:
-    """Every (entry, query) pair's term, in (entry, query) order, priced in
-    one columnar pass, with, for an answerable pair, the hash entries and
-    dimension-table pages its structures take alone (its standalone
-    costing's build totals).  A pair the entry cannot answer gets the
-    shared :data:`UNANSWERABLE` constant (Roy et al.'s sharability
-    pre-filter) and no totals.
+    """Every (entry, query) pair's term, in (entry, query) order, with, for
+    an answerable pair, the hash entries and dimension-table pages its
+    structures take alone (its standalone costing's build totals).  A pair
+    the entry cannot answer gets the shared :data:`UNANSWERABLE` constant
+    (Roy et al.'s sharability pre-filter) and no totals.
+
+    What depends on the query alone (:class:`_QueryFacts`) or on the entry
+    alone is worked out once per batch; a pair's floats are what a batch
+    of one computes (``TestBatchingInvariance``)."""
+    schema, price = model.schema, model.rates.price
+    facts = [_QueryFacts(model, query) for query in queries]
+    all_levels = schema.all_levels()
+    for entry in entries:
+        levels, source_aggregate = entry.levels, entry.source_aggregate
+        # Per dimension: its stored level's members (a structure's hash
+        # entries), the pages of its stored table, and the stored level (a
+        # target neither there nor at ALL needs a rollup map).
+        stored = [
+            (sizes[level], pages, level)
+            for sizes, pages, level in zip(schema.level_sizes, model._dim_pages, levels)
+        ]
+        on_entry = (
+            model.covering(entry),
+            (entry.n_rows + WORD_BITS - 1) // WORD_BITS,
+            price(Counts(bitmap_tests=entry.n_rows)),
+            entry.name in model.statistics,
+        )
+        for query, fact in zip(queries, facts):
+            # ``source_can_answer``, on the query's required levels.
+            if not (
+                aggregate_compatible(query.aggregate, source_aggregate)
+                and all(map(operator.le, levels, fact.required))
+            ):
+                yield entry, query, UNANSWERABLE, None
+                continue
+            builds = pages = 0
+            for (members, dim_pages, level), target, masks, top in zip(
+                stored, fact.targets, fact.masks, all_levels
+            ):
+                n_structures = masks + (target != level and target != top)
+                builds += n_structures * members
+                pages += n_structures * dim_pages
+            yield entry, query, _term(model, entry, query, fact, *on_entry), (builds, pages)
+
+
+class _QueryFacts:
+    """What a query's terms share on every entry: its required and target
+    levels; per predicate, its uniform selectivity (and their product),
+    where it looks for a covering index and with how many members; per
+    dimension, the masks its pipeline builds (one per distinct predicate)
+    and the position of its first predicate; the dimensions a tuple
+    probes."""
+
+    __slots__ = (
+        "required", "targets", "sels", "selectivity", "lookups", "masks", "first",
+        "probe_dims", "n_preds",
+    )
+
+    def __init__(self, model: "CostModel", query: GroupByQuery):
+        schema, predicates = model.schema, query.predicates
+        self.required, self.targets = query.required_levels(), query.groupby.levels
+        self.sels = [pred.selectivity(schema) for pred in predicates]
+        self.selectivity = math.prod(self.sels, start=1.0)
+        self.lookups = [
+            ((pred.dim_index, pred.level), len(pred.member_ids)) for pred in predicates
+        ]
+        self.masks, self.first = [0] * schema.n_dims, {}
+        for i, pred in enumerate(predicates):
+            d = pred.dim_index
+            if d not in self.first:
+                self.first[d] = i
+            elif pred in predicates[:i]:
+                continue
+            self.masks[d] += 1
+        self.probe_dims, self.n_preds = model._probe_dims(query), len(predicates)
+
+
+def _term(
+    model: "CostModel", entry: TableEntry, query: GroupByQuery, fact: _QueryFacts,
+    covering: dict, words: int, filter_ms: float, analyzed: bool,
+) -> MemberTerm:
+    """An answerable pair's term, in one pass over the query's predicates.
 
     The index side exists when some predicate has a usable index.
     ``indexed_sel`` is the product over *indexed* predicates only;
@@ -124,280 +185,64 @@ def price_terms(
     table rows matching indexed predicates on a *prefix* of the
     dimension order cluster: each prefix predicate multiplies the
     candidate ``region`` down by its selectivity, but splits the
-    selection into one contiguous run per selected key combination.
-    The walk stops at the first dimension without an indexed predicate.
-
-    **Bit-exactness**: every float is :func:`scalar_terms`', in its
-    order — elementwise ``* + / ceil rint minimum`` over (entry, query,
-    predicate) arrays, products left to right over predicates padded
-    with ``1.0``, :meth:`CostRates.price` term by term — so a pair
-    priced in a batch equals it priced alone.  The Cardenas ``**``
-    stays in Python floats, on indexable pairs only."""
-    schema, price, n_dims = model.schema, model.rates.price, model.schema.n_dims
-    level_sizes, all_levels = schema.level_sizes, np.array(schema.all_levels())
-    depth = max(map(len, level_sizes))
-    # Members per (dimension, level), padded with 1.
-    sizes = np.array([s + (1,) * (depth - len(s)) for s in level_sizes])
-    dims, n_e, n_q = np.arange(n_dims), len(entries), len(queries)
-    n_p = max(1, *(len(q.predicates) for q in queries))
-    # Per query, one row of integers: its target and required levels, per
-    # dimension the masks its pipeline builds (one per distinct predicate),
-    # then each predicate's (dimension, level, members) — padded to ``n_p``
-    # with every member of dimension 0's leaf level, which selects
-    # everything.
-    padding = (0, 0, level_sizes[0][0])
-    width = 3 * n_dims + 3 * n_p
-    flat = []
-    for q in queries:
-        preds = q.predicates
-        masks = [0] * n_dims
-        for j, p in enumerate(preds):
-            if not masks[p.dim_index] or p not in preds[:j]:
-                masks[p.dim_index] += 1
-        flat += q.groupby.levels
-        flat += q.required_levels()
-        flat += masks
-        for p in preds:
-            flat += (p.dim_index, p.level, len(p.member_ids))
-        flat += padding * (n_p - len(preds))
-    rows = np.fromiter(flat, np.int64, n_q * width).reshape(n_q, width)
-    target, required, masks = (rows[:, k * n_dims:(k + 1) * n_dims] for k in range(3))
-    pdim, plevel, pcount = rows[:, 3 * n_dims:].reshape(n_q, n_p, 3).transpose(2, 0, 1)
-    n_preds = np.array([len(q.predicates) for q in queries])
-    pvalid = np.arange(n_p) < n_preds[:, None]
-    psize = sizes[pdim, plevel]
-    # Per dimension, the position of its first predicate (0 when it has
-    # none), that predicate's members and level size.
-    on = pvalid[:, None, :] & (pdim[:, None, :] == dims[:, None])
-    has_first, first = on.any(2), on.argmax(2)
-    q_at = np.arange(n_q)[:, None]
-    first_members, first_size = pcount[q_at, first], psize[q_at, first]
-    probe_dims = ((target != all_levels) | has_first).sum(1)  # integer counts
-    # Per entry, one row: its levels, its stored level's size per
-    # dimension, rows, pages and bitmap words.
-    table = np.array([
-        (*e.levels, *(members[lv] for members, lv in zip(level_sizes, e.levels)),
-         e.n_rows, e.n_pages, (e.n_rows + WORD_BITS - 1) // WORD_BITS)
-        for e in entries
-    ])
-    levels, stored = table[:, :n_dims], table[:, n_dims:2 * n_dims]
-    n, n_pages, words = (table[:, 2 * n_dims + k:2 * n_dims + k + 1] for k in range(3))
-    # Per (entry, dimension, level), its covering index's payloads per
-    # predicate member and pages per payload, read at the predicates.
-    cover = [
-        ((e * n_dims + d) * depth + level, per, index.pages_per_member)
-        for e, entry in enumerate(entries)
-        for (d, level), (index, per) in model.covering(entry).items()
-    ]
-    covered = np.zeros(n_e * n_dims * depth, bool)
-    per_member, member_pages = np.ones(covered.shape), np.zeros(covered.shape, np.int64)
-    if cover:
-        at, per, pages_at = (np.array(column) for column in zip(*cover))
-        covered[at], per_member[at], member_pages[at] = True, per, pages_at
-    at = (np.arange(n_e) * (n_dims * depth))[:, None, None] + (pdim * depth + plevel)
-    hit = covered.take(at) & pvalid
-    per_member, member_pages = per_member.take(at), member_pages.take(at)
-    aggregates = sorted({q.aggregate for q in queries}, key=lambda a: a.value)
-    compatible = np.array([
-        [aggregate_compatible(a, e.source_aggregate) for a in aggregates]
-        for e in entries
-    ])[:, [aggregates.index(q.aggregate) for q in queries]]
-    answerable = compatible & (levels[:, None, :] <= required).all(2)
-    # Selectivities: uniform, unless the entry was analyzed.
-    sel = np.minimum(1.0, pcount / psize)[None]
-    analyzed = [e for e, entry in enumerate(entries) if entry.name in model.statistics]
-    if analyzed:
-        sel = np.repeat(sel, n_e, 0)
-        for e in analyzed:
-            for i in np.flatnonzero(answerable[e]).tolist():
-                for j, pred in enumerate(queries[i].predicates):
-                    sel[e, i, j] = model.predicate_selectivity(entries[e], pred)
-    hit_sel, ones = np.where(hit, sel, 1.0), np.ones((n_e, 1))
-    selectivity, indexed_sel = sel[:, :, 0] * ones, hit_sel[:, :, 0]
-    for j in range(1, n_p):
-        selectivity = selectivity * sel[:, :, j]
-        indexed_sel = indexed_sel * hit_sel[:, :, j]
-    k = n * selectivity
-    probes, evals = n * probe_dims, n * n_preds
-    hash_ms = price(Counts(0, 0, 0, 0, probes, k, k, 0, 0, 0, evals))
-    lookups = np.where(hit, np.ceil(pcount * per_member), 0).astype(np.int64)
-    # Over the indexed predicates: pages read, payloads looked up, payload
-    # ORs, predicates.
-    pages = (lookups * member_pages).sum(2)  # integer counts
-    n_lookups = lookups.sum(2)  # integer counts
-    ors = (lookups - hit).sum(2)  # integer counts
-    n_indexed = hit.sum(2)  # integer counts
-    indexable = answerable & (n_indexed > 0)
-    bitmap_words = (ors + np.maximum(n_indexed - 1, 0)) * words  # ORs, then ANDs
-    # The prefix walk: per dimension, its first predicate while each so far
-    # is indexed.  Selected keys at the stored level: each predicate
-    # member fans out to its descendants there.
-    walking = np.logical_and.accumulate(has_first & hit[:, q_at, first], 2)
-    walked = np.where(walking, sel[:, q_at, first], 1.0)
-    region = walked[:, :, 0] * ones
-    for d in range(1, n_dims):
-        region = region * walked[:, :, d]
-    fan_out = stored[:, None, :] / first_size
-    per_key = np.maximum(1, np.rint(first_members * fan_out)).astype(np.int64)
-    runs = np.where(walking, per_key, 1).prod(2)
-    rows_in = n * indexed_sel
-    index_probes, index_evals = rows_in * probe_dims, rows_in * n_preds
-    index_ms = price(Counts(
-        pages, 0, 0, 0, index_probes, k, k, bitmap_words, 0, n_lookups, index_evals,
-    ))
-    filter_ms = price(Counts(0, 0, 0, 0, 0, 0, 0, 0, n))
-    filtered_ms = np.where(indexable, index_ms + filter_ms, math.inf)
-    hash_wins = hash_ms <= filtered_ms
-    scan_ms = np.where(hash_wins, hash_ms, filtered_ms)
-    # Alone on its entry a member builds, sized at the stored level, a
-    # rollup map per dimension whose target is neither stored nor ALL and
-    # a mask per distinct predicate (:func:`build_keys`): the build totals
-    # its standalone costing starts from.
-    rollups = (target != levels[:, None, :]) & (target != all_levels)
-    structures = rollups + masks
-    builds = (structures * stored[:, None, :]).sum(2)  # integer counts
-    build_pages = (structures * np.array(model._dim_pages)).sum(2)  # integer counts
-    # The pages each member's probe would touch alone: Cardenas in Python,
-    # per indexable pair, plus a boundary page per extra run.
-    separate, at = np.zeros(n_e * n_q), np.flatnonzero(indexable)
-    separate[at] = [
-        expected_distinct(*args) for args in zip(
-            np.maximum(1.0, n_pages * region).ravel()[at].tolist(),
-            rows_in.ravel()[at].tolist(),
-        )
-    ]
-    separate = separate.reshape(n_e, n_q) + np.maximum(runs - 1, 0)
-    # Per pair, its row of the columns: floats, integers, flags.
-    floats, ints, flags = (
-        [column.tolist() for column in columns]
-        for columns in (
-            (selectivity, k, hash_ms, filtered_ms, scan_ms, index_probes,
-             index_evals, index_ms, indexed_sel, region, separate),
-            (probes, evals, pages, bitmap_words, n_lookups, runs, builds, build_pages),
-            (hash_wins, indexable),
-        )
-    )
-    for e, entry in enumerate(entries):
-        for query, ok, *row in zip(
-            queries, answerable[e].tolist(),
-            *(zip(*(column[e] for column in group)) for group in (floats, ints, flags)),
-        ):
-            if ok:
-                yield entry, query, *_built(schema, entry, query, *row)
-            else:
-                yield entry, query, UNANSWERABLE, None
-
-
-def _built(schema, entry, query, floats, ints, flags):
-    """An answerable pair's term from its row of :func:`price_terms`'
-    columns, and its build totals alone."""
-    (selectivity, k, hash_ms, filtered_ms, scan_ms, index_probes, index_evals,
-     index_ms, indexed_sel, region, separate_pages) = floats
-    probes, evals, pages, bitmap_words, lookups, runs, builds, build_pages = ints
-    hash_wins, indexable = flags
-    method = JoinMethod.HASH if hash_wins else JoinMethod.INDEX
-    keys = build_keys(schema, entry.levels, query)
-    hash_units = Counts(0, 0, 0, 0, probes, k, k, 0, 0, 0, evals)
-    if not indexable:
-        term = MemberTerm(
-            True, selectivity, keys, hash_units, hash_ms, filtered_ms, method, scan_ms
-        )
-    else:
-        term = MemberTerm(
-            True, selectivity, keys, hash_units, hash_ms, filtered_ms, method,
-            scan_ms, True,
-            Counts(pages, 0, 0, 0, index_probes, k, k, bitmap_words, 0, lookups, index_evals),
-            index_ms, indexed_sel, region, runs, separate_pages,
-        )
-    return term, (builds, build_pages)
-
-
-def scalar_terms(
-    model: "CostModel",
-    queries: Sequence[GroupByQuery],
-    entries: Sequence[TableEntry],
-) -> Iterator[Tuple[TableEntry, GroupByQuery, MemberTerm, Optional[Tuple[int, int]]]]:
-    """:func:`price_terms` one pair at a time, in Python floats: the same
-    terms and build totals, bit for bit (``TestBatchingInvariance`` holds
-    the two to each other), for batches too small to repay the columnar
-    pass's fixed cost (:data:`COLUMNAR_PAIRS`)."""
-    for entry in entries:
-        for query in queries:
-            term = _scalar_term(model, entry, query)
-            builds = None
-            if term.answerable:
-                builds = model._missing(set(), term.build_keys, 0, 0)[1:]
-            yield entry, query, term, builds
-
-
-def _scalar_term(model: "CostModel", entry: TableEntry, query: GroupByQuery) -> MemberTerm:
-    """One pair's term, in one pass over the query's predicates (the
-    column pass's arithmetic, in the same order)."""
-    if not source_can_answer(entry.levels, entry.source_aggregate, query):
-        return UNANSWERABLE
-    # Per-predicate facts, aligned with ``query.predicates``, and the
-    # position of the first predicate on each dimension.
+    selection into one contiguous run per selected key combination,
+    each potentially touching a partial boundary page.  The walk stops
+    at the first dimension without an indexed predicate — deeper
+    selections scatter across that dimension's runs."""
     predicates = query.predicates
-    sels, found, first = [], [], {}
-    for i, pred in enumerate(predicates):
-        sels.append(model.predicate_selectivity(entry, pred))
-        found.append(model.find_index(entry, pred))
-        first.setdefault(pred.dim_index, i)
+    sels, selectivity = fact.sels, fact.selectivity
+    if analyzed:
+        sels = [model.predicate_selectivity(entry, pred) for pred in predicates]
+        selectivity = math.prod(sels, start=1.0)
     price = model.rates.price
     n = entry.n_rows
-    selectivity = math.prod(sels, start=1.0)
     k = n * selectivity
-    probe_dims, n_preds = model._probe_dims(query), len(predicates)
+    probe_dims, n_preds = fact.probe_dims, fact.n_preds
     hash_units = pipeline_counts(n, probe_dims, n_preds, k)
-    words = (n + WORD_BITS - 1) // WORD_BITS
+    hash_ms = price(hash_units)
+    keys = build_keys(model.schema, entry.levels, query)
+    found = []
     pages = lookups = bitmap_words = n_indexed = 0
     indexed_sel = 1.0
-    for sel, hit in zip(sels, found):
+    for sel, (key, n_members) in zip(sels, fact.lookups):
+        hit = covering.get(key)
+        found.append(hit)
         if hit is None:
             continue
-        index, n_lookups = hit
+        index, per_member = hit
+        n_lookups = int(math.ceil(n_members * per_member))
         n_indexed += 1
         indexed_sel *= sel
         pages += index.pages_per_lookup(n_lookups)
         lookups += n_lookups
         bitmap_words += (n_lookups - 1) * words  # payload ORs
-    side = {}
-    if n_indexed:
-        bitmap_words += (n_indexed - 1) * words  # predicate ANDs
-        region, runs = 1.0, 1
-        for d, sizes in enumerate(model.schema.level_sizes):
-            i = first.get(d)
-            if i is None or found[i] is None:
-                break
-            region *= sels[i]
-            per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
-            runs *= max(1, round(len(predicates[i].member_ids) * per_member))
-        index_units = pipeline_counts(
-            n * indexed_sel, probe_dims, n_preds, k,
-            pages=pages, bitmap_words=bitmap_words, lookups=lookups,
-        )
-        index_ms = price(index_units)
-        side = dict(
-            indexable=True,
-            filtered_ms=index_ms + price(Counts(bitmap_tests=n)),
-            index_units=index_units,
-            index_ms=index_ms,
-            indexed_sel=indexed_sel,
-            region=region,
-            runs=runs,
-            separate_pages=expected_distinct(
-                max(1.0, entry.n_pages * region), n * indexed_sel
-            ) + max(0, runs - 1),
-        )
-    hash_ms = price(hash_units)
-    hash_wins = hash_ms <= side.get("filtered_ms", math.inf)
+    if not n_indexed:
+        return MemberTerm(True, selectivity, keys, hash_units, hash_ms, math.inf,
+                          JoinMethod.HASH, hash_ms)
+    bitmap_words += (n_indexed - 1) * words  # predicate ANDs
+    region, runs = 1.0, 1
+    for d, sizes in enumerate(model.schema.level_sizes):
+        i = fact.first.get(d)
+        if i is None or found[i] is None:
+            break
+        region *= sels[i]
+        # Selected keys at the stored level: each predicate member fans
+        # out to its descendants there.
+        per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
+        runs *= max(1, round(len(predicates[i].member_ids) * per_member))
+    index_units = pipeline_counts(
+        n * indexed_sel, probe_dims, n_preds, k,
+        pages=pages, bitmap_words=bitmap_words, lookups=lookups,
+    )
+    index_ms = price(index_units)
+    filtered_ms = index_ms + filter_ms
+    hash_wins = hash_ms <= filtered_ms
+    separate_pages = expected_distinct(
+        max(1.0, entry.n_pages * region), n * indexed_sel
+    ) + max(0, runs - 1)
     return MemberTerm(
-        answerable=True,
-        selectivity=selectivity,
-        build_keys=build_keys(model.schema, entry.levels, query),
-        hash_units=hash_units,
-        hash_ms=hash_ms,
-        scan_method=JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
-        scan_ms=hash_ms if hash_wins else side["filtered_ms"],
-        **side,
+        True, selectivity, keys, hash_units, hash_ms, filtered_ms,
+        JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
+        hash_ms if hash_wins else filtered_ms, True, index_units, index_ms,
+        indexed_sel, region, runs, separate_pages,
     )

@@ -43,10 +43,10 @@ class estimate, each class's derive steps, the costing count and the
   ``class_cost_given`` on a ``CostModel`` priced at each unit basis (one
   ``CostRates`` field 1.0, the others 0.0) as ``float.hex`` — the count of
   each accountable unit the model estimates, field by field;
-* ``terms/``: on a fresh ``CostModel`` per batch, priced as one batch (a
-  columnar pass), every catalog entry x every query of Tests 1-7 and of
-  the dashboard batch (per re-aggregable aggregate), the ``MemberTerm``
-  field for field (floats as ``float.hex``)
+* ``terms/``: on a fresh ``CostModel`` per batch, priced as one batch,
+  every catalog entry x every query of Tests 1-7 and of the dashboard
+  batch (per re-aggregable aggregate), the ``MemberTerm`` field for field
+  (floats as ``float.hex``)
   and ``find_index``'s ``(index level, lookups)`` per predicate — once on
   the database as the sweep left it, once more after ``analyze()``
   (measured selectivities), which therefore runs last;
@@ -350,7 +350,7 @@ def terms(db, batches: dict, state: str) -> dict:
     out = {}
     for label, batch in batches.items():
         model = CostModel.for_database(db)  # qids repeat across aggregates
-        model.terms_for(batch)  # one columnar pass over the batch
+        model.terms_for(batch)  # the batch priced as one
         for entry in db.catalog.entries():
             rows = []
             for query in batch:
@@ -598,52 +598,13 @@ def mdx_section() -> dict:
     return out
 
 
-def maintained(db, rng: random.Random, aggregate):
-    """The maintained view of ``aggregate`` — fine enough on A and B that
-    every append both updates and adds groups — and the reports of the
-    three ``append_rows`` batches it then takes."""
-    levels = (0, 0) + tuple(dim.all_level for dim in db.schema.dimensions[2:])
-    view = db.materialize(
-        levels, name=f"maintained[{aggregate.value}]", aggregate=aggregate
-    )
-    return view, [
-        db.append_rows(append_delta(db.schema, rng, n_rows))
-        for n_rows in (1, 40, 600)
-    ]
-
-
-def term_sections(db, queries, dashboard) -> dict:
-    """``terms/plain/`` then, after ``analyze()`` (so last on ``db``),
-    ``terms/analyzed/``."""
-    pool = sorted({q for qids in ALL_PAPER_TESTS.values() for q in qids})
-    batches = {"tests": [queries[q] for q in pool]}
-    for aggregate in REAGGREGABLE:
-        batches[f"dashboard/{aggregate.value}"] = with_aggregate(dashboard, aggregate)
-    out = terms(db, batches, "plain")
-    db.analyze()
-    out.update(terms(db, batches, "analyzed"))
-    return out
-
-
-def terms_only() -> dict:
-    """The ``terms/`` keys alone, priced on the state the full sweep prices
-    them in: the paper database after the maintained views' appends."""
-    db = build_paper_database(scale=SCALE)
-    rng = random.Random(SEED)
-    dashboard = dashboard_batch(db.schema, rng, 24)
-    for aggregate in REAGGREGABLE:
-        maintained(db, rng, aggregate)
-    return term_sections(db, paper_queries(db.schema), dashboard)
-
-
-def sweep(part=None) -> dict:
-    """Every section, in order: the dump the digest is taken of — or only
-    what ``part`` (say :func:`terms_only`) returns.  Run it in a fresh
-    interpreter (see the module docstring)."""
+def sweep() -> dict:
+    """Every section, in order: the dump the digest is taken of.  Run it
+    in a fresh interpreter (see the module docstring)."""
     morsel_rows = table_module.MORSEL_ROWS
     table_module.MORSEL_ROWS = MORSEL_ROWS
     try:
-        return (part or _sweep)()
+        return _sweep()
     finally:
         table_module.MORSEL_ROWS = morsel_rows
 
@@ -672,15 +633,23 @@ def _sweep() -> dict:
         out[f"dashboard/{aggregate.value}"] = dump_report(report, batch)
         out[f"dashboard/{aggregate.value}/plan"] = dump_plan(db, report.plan)
     dims = db.schema.dimensions
+    # Fine enough on A and B that every append both updates and adds groups.
+    view_levels = (0, 0) + tuple(dim.all_level for dim in dims[2:])
     for aggregate in REAGGREGABLE:
-        view, reports = maintained(db, rng, aggregate)
+        view = db.materialize(
+            view_levels, name=f"maintained[{aggregate.value}]",
+            aggregate=aggregate,
+        )
         probe = [
             GroupByQuery(
-                GroupBy((1, dims[1].all_level) + view.levels[2:]),
+                GroupBy((1, dims[1].all_level) + view_levels[2:]),
                 aggregate=aggregate,
                 label="over the maintained view",
             )
         ]
+        reports = []
+        for n_rows in (1, 40, 600):
+            reports.append(db.append_rows(append_delta(db.schema, rng, n_rows)))
         keys, measures = view.table.read_columns(db.schema.n_dims)
         out[f"maintained/{aggregate.value}"] = {
             "append_reports": reports,
@@ -691,7 +660,13 @@ def _sweep() -> dict:
             "next": dump_report(db.run_queries(probe, "gg"), probe),
         }
     out.update(recovery(db, queries))
-    out.update(term_sections(db, queries, dashboard))
+    pool = sorted({q for qids in ALL_PAPER_TESTS.values() for q in qids})
+    batches = {"tests": [queries[q] for q in pool]}
+    for aggregate in REAGGREGABLE:
+        batches[f"dashboard/{aggregate.value}"] = with_aggregate(dashboard, aggregate)
+    out.update(terms(db, batches, "plain"))
+    db.analyze()
+    out.update(terms(db, batches, "analyzed"))
     out.update(pool_sweep())
     out.update(cli())
     out.update(mdx_section())

@@ -199,39 +199,3 @@ def test_the_sweep_covers_what_it_says(dump):
         for case in malformed
         if case.get("error", [None])[0] == "MdxSyntaxError"
     )
-
-
-def dispatched_features():
-    """numpy's runtime-dispatched CPU features this machine enables."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
-
-
-def test_terms_do_not_depend_on_simd(committed, tmp_path):
-    """The ``terms/`` keys, priced again with every dispatched CPU feature
-    the machine enables switched off (``NPY_DISABLE_CPU_FEATURES``), match
-    the committed digest: the columnar term pass uses only IEEE
-    elementwise arithmetic, whose result no SIMD width changes."""
-    features = dispatched_features()
-    script = (
-        "import json, sys, contract\n"
-        "from numpy._core._multiarray_umath import __cpu_features__\n"
-        "off = [f for f in sys.argv[1:] if __cpu_features__.get(f)]\n"
-        "assert not off, off\n"
-        "sys.stdout.write(json.dumps(contract.sweep(contract.terms_only)))\n"
-    )
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]),
-        NPY_DISABLE_CPU_FEATURES=" ".join(features),
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script, *features], env=env, cwd=tmp_path,
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    _head, hashes = contract.parse(committed)
-    fresh = contract.digest(json.loads(done.stdout))
-    assert list(fresh) == [k for k in hashes if k.startswith("terms/")]
-    assert [k for k in fresh if fresh[k] != hashes[k]] == []

@@ -6,7 +6,7 @@ import itertools
 import math
 import random
 import re
-import sys
+import types
 from functools import reduce
 from pathlib import Path
 
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import repro
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.core.optimizer import GreedyOptimizer
+from repro.core.optimizer import cost as cost_module
 from repro.core.optimizer import terms as terms_module
 from repro.core.optimizer.cost import ClassState, CostModel, left_sum
 from repro.core.optimizer.greedy import GrownClass
 from repro.core.optimizer.plans import DeriveStep, JoinMethod
-from repro.core.optimizer.terms import price_terms, scalar_terms
 from repro.index.bitmap import WORD_BITS
 from repro.schema.lattice import build_keys, expected_distinct, source_can_answer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
@@ -353,34 +353,28 @@ def hexed(value):
 
 
 def batching_differences(db, queries) -> list:
-    """Each (entry, query) whose term or build totals differ between the
-    columnar pass over the whole batch, the pass over one query at a time
-    and the pair-by-pair path — or whose standalone costing differs from a
-    one-member ``plan_class``."""
+    """Each (entry, query) whose term or build totals differ between a
+    model that priced the whole batch and one that priced one query at a
+    time — or whose standalone costing differs from a one-member
+    ``plan_class``."""
     entries = db.catalog.entries()
-    model = CostModel.for_database(db)
-    ways = [
-        {(e.name, q.qid): rest for e, q, *rest in price_terms(model, queries, entries)},
-        {
-            (e.name, q.qid): rest
-            for query in queries
-            for e, q, *rest in price_terms(model, [query], entries)
-        },
-        {(e.name, q.qid): rest for e, q, *rest in scalar_terms(model, queries, entries)},
-    ]
-    model.terms_for(queries)
+    whole, alone = CostModel.for_database(db), CostModel.for_database(db)
+    whole.terms_for(queries)
+    for query in queries:
+        alone.terms_for([query])
     out = []
     for entry in entries:
         for query in queries:
             key = (entry.name, query.qid)
             priced = [
                 [hexed(getattr(term, f.name)) for f in dataclasses.fields(term)]
-                + [builds]
-                for term, builds in (way[key] for way in ways)
+                + [model._builds[key]]
+                for model in (whole, alone)
+                for term in [model._terms[key]]
             ]
             costing = CostModel.for_database(db).plan_class(entry, [query])
-            alone = costing and hexed((costing.methods[0], costing.cost_ms))
-            if priced[1:] != priced[:-1] or hexed(model.standalone(entry, query)) != alone:
+            expected = costing and hexed((costing.methods[0], costing.cost_ms))
+            if priced[0] != priced[1] or hexed(whole.standalone(entry, query)) != expected:
                 out.append((entry.name, query.describe(db.schema)))
     return out
 
@@ -390,24 +384,20 @@ def random_batch(schema, seed: int) -> list:
     return [term_query(schema, rng) for _ in range(rng.randint(1, 8))]
 
 
-def reordered_price_terms():
-    """``price_terms`` planted with a reorder of the selectivity product: it
-    starts from the last predicate column, which for a query with fewer
-    predicates than the batch's widest is padding — so the order depends
-    on the batch the query is priced in."""
+def reordered_terms_module():
+    """``repro.core.optimizer.terms`` planted with a reorder of the
+    selectivity product (right to left), loaded as a separate module."""
     source = inspect.getsource(terms_module)
-    planted = source.replace(
-        "sel[:, :, 0] * ones, hit_sel[:, :, 0]\n"
-        "    for j in range(1, n_p):\n"
-        "        selectivity = selectivity * sel[:, :, j]\n",
-        "sel[:, :, n_p - 1] * ones, hit_sel[:, :, 0]\n"
-        "    for j in range(1, n_p):\n"
-        "        selectivity = selectivity * sel[:, :, j - 1]\n",
+    planted = re.sub(
+        r"math\.prod\(([\w.]*sels), start=1\.0\)",
+        r"math.prod(reversed(\1), start=1.0)",
+        source,
     )
-    assert planted != source
-    namespace = {"__name__": terms_module.__name__, "__package__": terms_module.__package__}
-    exec(compile(planted, terms_module.__file__, "exec"), namespace)
-    return namespace["price_terms"]
+    assert planted.count("reversed(") == source.count("reversed(") + 2
+    module = types.ModuleType(terms_module.__name__)
+    module.__package__ = terms_module.__package__
+    exec(compile(planted, terms_module.__file__, "exec"), module.__dict__)
+    return module
 
 
 #: Random schemas (2–3 dimensions) with views and indexes, each also analyzed.
@@ -425,11 +415,10 @@ def random_databases():
 
 
 class TestBatchingInvariance:
-    """A pair priced in a columnar pass over its whole batch equals it
-    priced in a pass over its query alone and pair by pair, field for field
-    (``float.hex``) with its build totals, under uniform and measured
-    selectivities; and its standalone costing equals ``plan_class`` of the
-    query alone."""
+    """A pair priced with its whole batch equals it priced with its query
+    alone, field for field (``float.hex``) with its build totals, under
+    uniform and measured selectivities; and its standalone costing equals
+    ``plan_class`` of the query alone."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -443,18 +432,32 @@ class TestBatchingInvariance:
         db = random_databases[db_seed, analyzed]
         assert batching_differences(db, random_batch(db.schema, seed)) == []
 
-    def test_a_planted_reorder_of_the_selectivity_product_fails(
+    def test_a_planted_reorder_of_the_selectivity_product_is_caught(
         self, random_databases, monkeypatch
     ):
+        """The batch reaches no pair's floats, so a reorder of the
+        selectivity product moves whole-batch and one-query terms alike:
+        the left-to-right product of :class:`TestTermContract` is what
+        catches it, on queries of three predicates or more."""
         monkeypatch.setattr(
-            sys.modules[__name__], "price_terms", reordered_price_terms()
+            cost_module, "price_terms", reordered_terms_module().price_terms
         )
-        failing = [
-            (key, seed)
-            for key, db in random_databases.items()
-            for seed in range(20)
-            if batching_differences(db, random_batch(db.schema, seed))
-        ]
+        failing = []
+        for key, db in random_databases.items():
+            for seed in range(20):
+                batch = random_batch(db.schema, seed)
+                assert batching_differences(db, batch) == []
+                model = CostModel.for_database(db)
+                model.terms_for(batch)
+                if any(
+                    model._terms[entry.name, query.qid].selectivity != math.prod(
+                        model.predicate_selectivity(entry, p) for p in query.predicates
+                    )
+                    for entry in db.catalog.entries()
+                    for query in batch
+                    if model._terms[entry.name, query.qid].answerable
+                ):
+                    failing.append((key, seed))
         assert len(failing) >= 3, failing
 
 
@@ -785,13 +788,7 @@ class TestLeftSum:
             for path in paths
             for match in calls.finditer(path.read_text())
         }
-        assert found == {
-            "plans.py: sum(len(cls.plans) for cls in self.classes)",
-            # The columnar term pass reduces integer count arrays (pages,
-            # lookups, ORs, hash entries, ...), each line marked.
-            "terms.py: sum(1)  # integer counts",
-            "terms.py: sum(2)  # integer counts",
-        }
+        assert found == {"plans.py: sum(len(cls.plans) for cls in self.classes)"}
         assert "left_sum(" in (src / "core" / "optimizer" / "plans.py").read_text()
         assert "left_sum(" in (src / "dag" / "search.py").read_text()
 
