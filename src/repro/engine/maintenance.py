@@ -12,7 +12,8 @@ proportional to the *batch*, into
   view's levels, existing groups are found by binary search and merged in
   place, new groups are appended;
 * every join index, on the base table and on the views: the new row
-  positions are added to the affected members' bitmaps / RID lists.
+  positions are set in the affected members' rows of the index's word
+  matrix.
 
 An append is all-or-nothing: the whole batch is validated before the first
 write.  Views are *not* kept sorted under maintenance: appended groups land

@@ -1,4 +1,5 @@
-"""Bitmap algebra and star-join indexes (bitmap and position-list payloads)."""
+"""Bitmap algebra and star-join indexes (one word-matrix payload, priced as
+bitmap or as position-list B-tree indexes)."""
 
 from .bitmap import WORD_BITS, Bitmap, and_all, or_all
 from .bitmap_index import INDEX_PAGE_BYTES, BitmapJoinIndex, JoinIndex

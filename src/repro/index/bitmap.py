@@ -105,17 +105,6 @@ class Bitmap:
                 np.uint64(1) << (positions % WORD_BITS).astype(np.uint64),
             )
 
-    def grow(self, n_bits: int) -> None:
-        """Lengthen to ``n_bits`` in place; the new bits are clear (the
-        padding beyond ``n_bits`` is kept zero by every operation)."""
-        if n_bits < self.n_bits:
-            raise ValueError("a bitmap cannot shrink")
-        if _n_words(n_bits) > self.words.size:
-            words = np.zeros(_n_words(n_bits), dtype=np.uint64)
-            words[: self.words.size] = self.words
-            self.words = words
-        self.n_bits = n_bits
-
     # -- algebra ---------------------------------------------------------------
 
     def _check_compatible(self, other: "Bitmap") -> None:
@@ -168,10 +157,8 @@ class Bitmap:
 
     def positions(self) -> np.ndarray:
         """Sorted array of set-bit positions."""
-        if self.n_bits == 0:
-            return np.empty(0, dtype=np.int64)
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return np.flatnonzero(bits[: self.n_bits]).astype(np.int64)
+        return np.flatnonzero(bits.view(bool)[: self.n_bits])
 
     def to_bool_array(self) -> np.ndarray:
         """Boolean numpy array of length n_bits."""

@@ -3,26 +3,30 @@
 The paper assumes "bitmap join indices mapping Adim's A' attribute to tuples
 of F" — i.e. the index key is a *hierarchy level* of a dimension (possibly
 coarser than the level stored in the fact table), and the payload identifies
-matching fact rows.  Two payload representations are provided:
+matching fact rows.  Both index kinds hold one payload: member ``m``'s
+bitmap is row ``m`` of a ``uint64`` word matrix, an append sets the new
+rows' bits in one step, and a lookup ORs the found rows with one gather and
+returns a :class:`~repro.index.bitmap.Bitmap`, so the star-join operators
+are agnostic to the index kind.  The kinds differ only in how a lookup is
+*accounted*:
 
-* :class:`BitmapJoinIndex` — one bitmap per member (Section 3.2's plans);
+* :class:`BitmapJoinIndex` — one bitmap per member, streamed and OR-ed
+  (Section 3.2's plans);
 * :class:`PositionListJoinIndex` (see :mod:`repro.index.btree`) — the
-  "position based B-tree" alternative the paper mentions in Section 3.3.
-
-Both return a :class:`~repro.index.bitmap.Bitmap` from ``lookup`` so the
-star-join operators are agnostic to the payload encoding.
+  "position based B-tree" alternative the paper mentions in Section 3.3:
+  a descent plus the member's RID leaves, converted to a bitmap.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, List
 
 import numpy as np
 
 from ..storage.iostats import IOStats
-from ..storage.table import HeapTable
-from .bitmap import Bitmap, or_all
+from ..storage.table import HeapTable, mapped_zeros
+from .bitmap import WORD_BITS, Bitmap, _n_words
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..schema.dimension import Dimension
@@ -31,15 +35,24 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Accounted bytes per page when sizing index payloads (mirrors data pages).
 INDEX_PAGE_BYTES = 8192
 
+#: Rows a build sets per step, so its temporaries stay a few hundred KB.
+_BUILD_ROWS = 8192
+
 
 class JoinIndex(ABC):
     """A join index on one dimension attribute, at one hierarchy level."""
 
-    def __init__(self, table_name: str, dim_index: int, level: int, n_rows: int):
+    def __init__(self, table_name: str, dim_index: int, level: int):
         self.table_name = table_name
         self.dim_index = dim_index
         self.level = level
-        self.n_rows = n_rows
+        self.n_rows = 0
+        #: Row ``m`` is member ``m``'s bitmap; the words past the ones
+        #: covering ``n_rows`` rows are spare capacity and stay clear.
+        self._words = np.zeros((0, 0), dtype=np.uint64)
+        #: Rows per member id, one per matrix row (a member without rows
+        #: is absent).
+        self._counts = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def build(
@@ -57,9 +70,11 @@ class JoinIndex(ABC):
         ``key_to_member`` maps the dimension key *as stored in the table's
         column* to the member id at the indexed ``level``.
         """
-        index = cls(table_name, dim_index, level, 0, {})
+        index = cls(table_name, dim_index, level)
         keys = table.read_columns(table.n_columns - 1)[0][column_index]
-        index.extend(key_to_member[keys])
+        index._reserve(n_members, _n_words(keys.size))
+        for first in range(0, keys.size, _BUILD_ROWS):
+            index.extend(key_to_member[keys[first : first + _BUILD_ROWS]])
         return index
 
     @classmethod
@@ -78,22 +93,67 @@ class JoinIndex(ABC):
             n_members=dim.n_members(level),
         )
 
+    def _reserve(self, n_members: int, n_words: int) -> None:
+        """Make room for member ids below ``n_members`` and ``n_words``
+        words a member, the capacity growing by an eighth at least."""
+        rows, capacity = self._words.shape
+        if n_members <= rows and n_words <= capacity:
+            return
+        if n_words > capacity:
+            n_words = max(n_words, capacity + capacity // 8)
+        words = mapped_zeros(
+            (max(rows, n_members), max(capacity, n_words)), np.uint64
+        )
+        used = _n_words(self.n_rows)
+        words[:rows, :used] = self._words[:, :used]
+        self._words = words
+        self._counts = np.append(
+            self._counts, np.zeros(len(words) - rows, np.int64)
+        )
+
     def extend(self, members: np.ndarray) -> None:
         """Cover rows ``n_rows .. n_rows + len(members)``, whose member ids
         at this index's level are ``members`` — a build is an extend from
         empty, so a grown index equals a fresh one."""
+        if not members.size:
+            return
         first = self.n_rows
+        self._reserve(int(members.max()) + 1, _n_words(first + members.size))
         self.n_rows = first + members.size
-        order = np.argsort(members, kind="stable")
-        distinct, starts = np.unique(members[order], return_index=True)
-        self._add(
-            dict(zip(distinct.tolist(), np.split(first + order, starts[1:])))
+        self._counts += np.bincount(members, minlength=self._counts.size)
+        positions = np.arange(first, self.n_rows)
+        np.bitwise_or.at(
+            self._words,
+            (members, positions // WORD_BITS),
+            np.uint64(1) << (positions % WORD_BITS).astype(np.uint64),
         )
 
-    @abstractmethod
-    def _add(self, positions_by_member: Dict[int, np.ndarray]) -> None:
-        """Record new (ascending) row positions per member, ``n_rows``
-        already covering them."""
+    def _count(self, member_id: int) -> int:
+        """Rows of one member id (0 for an absent or out-of-range id)."""
+        if 0 <= member_id < self._counts.size:
+            return int(self._counts[member_id])
+        return 0
+
+    def _or_rows(self, found: List[int]) -> Bitmap:
+        """The OR of the found members' bitmaps, row by row into one output:
+        as fast as one gather and reduce, without the gather's temporary
+        of every found row."""
+        if not found:
+            return Bitmap.zeros(self.n_rows)
+        n_words = _n_words(self.n_rows)
+        words = self._words[found[0], :n_words].copy()
+        for member in found[1:]:
+            words |= self._words[member, :n_words]
+        return Bitmap(self.n_rows, words)
+
+    def bitmap_for(self, member_id: int) -> Bitmap:
+        """The raw bitmap of one member (empty bitmap if member absent)."""
+        return self._or_rows([member_id] if self._count(member_id) else [])
+
+    @property
+    def n_members(self) -> int:
+        """Number of members with at least one row."""
+        return int(np.count_nonzero(self._counts))
 
     @abstractmethod
     def lookup(
@@ -133,46 +193,16 @@ class JoinIndex(ABC):
 class BitmapJoinIndex(JoinIndex):
     """One bitmap per member of the indexed level."""
 
-    def __init__(
-        self,
-        table_name: str,
-        dim_index: int,
-        level: int,
-        n_rows: int,
-        bitmaps: Dict[int, Bitmap],
-    ):
-        super().__init__(table_name, dim_index, level, n_rows)
-        self._bitmaps = bitmaps
-
     @property
     def pages_per_member(self) -> int:
         """The pages of one member's bitmap."""
         payload_bytes = (self.n_rows + 7) // 8
         return max(1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
 
-    def _add(self, positions_by_member: Dict[int, np.ndarray]) -> None:
-        for bitmap in self._bitmaps.values():
-            bitmap.grow(self.n_rows)
-        for member, positions in positions_by_member.items():
-            bitmap = self._bitmaps.get(member)
-            if bitmap is None:
-                bitmap = self._bitmaps[member] = Bitmap.zeros(self.n_rows)
-            bitmap.set_positions(positions)
-
-    @property
-    def n_members(self) -> int:
-        """Number of members at the given level."""
-        return len(self._bitmaps)
-
     @property
     def n_pages(self) -> int:
         """Accounted size in pages."""
-        return self.pages_per_member * max(1, len(self._bitmaps))
-
-    def bitmap_for(self, member_id: int) -> Bitmap:
-        """The raw bitmap of one member (empty bitmap if member absent)."""
-        bm = self._bitmaps.get(member_id)
-        return bm.copy() if bm is not None else Bitmap.zeros(self.n_rows)
+        return self.pages_per_member * max(1, self.n_members)
 
     def lookup(
         self, member_ids: Iterable[int], stats: IOStats, *, faults=None
@@ -183,8 +213,8 @@ class BitmapJoinIndex(JoinIndex):
         stats.charge_index_lookup(len(members))
         # Retrieving each member's bitmap streams its pages.
         stats.charge_seq_read(self.pages_per_lookup(len(members)))
-        found = [self._bitmaps[m] for m in members if m in self._bitmaps]
-        result = or_all(found, n_bits=self.n_rows)
+        found = [m for m in members if self._count(m)]
+        result = self._or_rows(found)
         if len(found) > 1:
             stats.charge_bitmap_words(result.n_words * (len(found) - 1))
         return result

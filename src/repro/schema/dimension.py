@@ -80,6 +80,8 @@ class Dimension:
                     )
                 self._name_lookup[member_name] = (depth, member_id)
         self._rollup_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        #: (depth, finer depth) -> per member at ``depth``, its descendants.
+        self._descendant_cache: Dict[Tuple[int, int], List[List[int]]] = {}
 
     def _validate(self) -> None:
         for depth, parent in enumerate(self._parents):
@@ -228,8 +230,19 @@ class Dimension:
             raise ValueError("target level must be finer (smaller depth)")
         if target_depth == depth:
             return [member_id]
-        mapping = self.rollup_map(target_depth, depth)
-        return np.flatnonzero(mapping == member_id).tolist()
+        key = (depth, target_depth)
+        table = self._descendant_cache.get(key)
+        if table is None:
+            # Built once per level pair: the hierarchy never changes.
+            table = [[] for _ in range(self.n_members(depth))]
+            for member, ancestor in enumerate(
+                self.rollup_map(target_depth, depth).tolist()
+            ):
+                table[ancestor].append(member)
+            self._descendant_cache[key] = table
+        if 0 <= member_id < len(table):
+            return list(table[member_id])
+        return []
 
     # -- construction helpers ------------------------------------------------------
 

@@ -162,7 +162,13 @@ class GroupByQuery:
         return sel
 
     def validate(self, schema: StarSchema) -> None:
-        """Raise if the query is not well-formed against ``schema``."""
+        """Raise if the query is not well-formed against ``schema``.
+
+        The query and the schema never change, so a query is checked once
+        per schema: the session that queues it and the optimizer that plans
+        it share one check."""
+        if self.__dict__.get("_valid_for") is schema:
+            return
         schema.check_levels(self.groupby.levels)
         for pred in self.predicates:
             dim = schema.dimensions[pred.dim_index]
@@ -180,6 +186,7 @@ class GroupByQuery:
                     f"predicate members {bad} out of range for "
                     f"{dim.level_name(pred.level)}"
                 )
+        self.__dict__["_valid_for"] = schema
 
     def describe(self, schema: StarSchema) -> str:
         """Human-readable one-line/short rendering for display."""

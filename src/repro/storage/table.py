@@ -24,6 +24,7 @@ the whole probe set for fetches, gathered once); the batch kernels in
 from __future__ import annotations
 
 import itertools
+import mmap
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List
 from typing import Optional, Sequence, Tuple
 
@@ -64,6 +65,25 @@ def to_cents(values, scale: int = CENTS) -> np.ndarray:
             f"finite multiple of {1 / scale:g} below {2**53 / scale:g}"
         )
     return scaled.astype(np.int64)
+
+
+#: An array of at least this many bytes gets a mapping of its own.
+MAPPED_BYTES = 1 << 18
+
+
+def mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed array; from ``MAPPED_BYTES`` up, in an anonymous mapping of
+    its own, which the kernel fills on first touch and takes back when the
+    array is dropped.  Storage that grows by copying (a table's columns, a
+    join index's word matrix) allocates here: from malloc, once glibc's
+    dynamic mmap threshold had risen past an array's size, the old array
+    would be freed into the heap and stay resident there as a hole."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    if size * dtype.itemsize < MAPPED_BYTES:
+        return np.zeros(shape, dtype)
+    mapping = mmap.mmap(-1, size * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(mapping, dtype, size).reshape(shape)
 
 
 #: One scan batch: ``(first_row_position, n_pages, n_rows, keys, measures)``
@@ -179,7 +199,7 @@ class HeapTable:
             # Exact for a first load, doubling after; readers of the old
             # arrays (a morsel in flight) keep them alive and intact.
             grown = [
-                np.empty(max(stop, 2 * allocated), dtype=array.dtype)
+                mapped_zeros(max(stop, 2 * allocated), array.dtype)
                 for array in self._arrays
             ]
             for fresh, array in zip(grown, self._arrays):

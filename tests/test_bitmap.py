@@ -151,6 +151,22 @@ class TestConversions:
     def test_count_matches_positions(self, a):
         assert a.count() == a.positions().size
 
+    @pytest.mark.parametrize("n_bits", [0, 1, 63, 64, 65, 1000])
+    def test_positions_equal_the_bool_array(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        for density in (0.0, 0.05, 0.5, 1.0):
+            mask = rng.random(n_bits) < density
+            positions = Bitmap.from_bool_array(mask).positions()
+            assert positions.dtype == np.int64
+            assert positions.tolist() == np.flatnonzero(mask).tolist()
+
+    @given(bitmap_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_positions_equal_the_bool_array_at_any_length(self, a):
+        positions = a.positions()
+        assert positions.dtype == np.int64
+        assert positions.tolist() == np.flatnonzero(a.to_bool_array()).tolist()
+
     def test_from_bool_array_values(self):
         mask = np.zeros(100, dtype=bool)
         mask[[0, 63, 64, 99]] = True

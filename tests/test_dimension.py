@@ -75,6 +75,15 @@ class TestNavigation:
         with pytest.raises(ValueError):
             dim.descendants(1, 0, 2)
 
+    def test_descendants_past_the_level_are_empty(self, dim):
+        assert dim.descendants(2, 3, 0) == []
+        assert dim.descendants(2, -1, 1) == []
+        assert dim.descendants(dim.all_level, 1, 0) == []
+
+    def test_descendants_are_a_fresh_list(self, dim):
+        dim.descendants(2, 0, 0).append(99)
+        assert dim.descendants(2, 0, 0) == [0, 1, 2, 3]
+
     def test_rollup(self, dim):
         assert dim.rollup(0, 2, 0) == 0
         assert dim.rollup(0, 2, 11) == 2
@@ -171,3 +180,20 @@ class TestRollupComposition:
         for parent in range(dim.n_members(1)):
             seen.extend(dim.children(1, parent))
         assert sorted(seen) == list(range(dim.n_members(0)))
+
+
+def test_descendants_equal_the_rollup_definition(paper_schema):
+    """Every level pair of the paper schema, ALL included, and one id past
+    each level: the descendants are the finer members whose rollup is the
+    member, in id order."""
+    for dim in paper_schema.dimensions:
+        for depth in range(dim.all_level + 1):
+            for target in range(depth + 1):
+                mapping = dim.rollup_map(target, depth)
+                for member in range(dim.n_members(depth) + 1):
+                    expected = (
+                        [member]
+                        if target == depth
+                        else np.flatnonzero(mapping == member).tolist()
+                    )
+                    assert dim.descendants(depth, member, target) == expected

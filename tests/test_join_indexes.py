@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.bitmap import Bitmap
 from repro.index.bitmap_index import BitmapJoinIndex
 from repro.index.btree import PositionListJoinIndex
 from repro.storage.iostats import IOStats
@@ -188,9 +189,89 @@ class TestGrownIndex:
         members = key_to_member[np.asarray(keys, dtype=np.int64)]
         table = make_table(keys)
         for cls in (BitmapJoinIndex, PositionListJoinIndex):
-            grown = cls("f", 0, 1, 0, {})
+            grown = cls("f", 0, 1)
             bounds = sorted({min(c, len(keys)) for c in cuts} | {0, len(keys)})
             for lo, hi in zip(bounds, bounds[1:]):
                 grown.extend(members[lo:hi])
             built = cls.build(table, "f", 0, 1, 0, key_to_member, 3)
             assert index_state(grown, 3) == index_state(built, 3)
+
+
+def _charges(kind, n_rows, counts, members):
+    """What a lookup of ``members`` charges, by the formulas each kind
+    prices it with: a bitmap per member streamed and OR-ed, or a descent
+    per member plus its RID leaves, converted to a bitmap."""
+    n_words = (n_rows + 63) // 64
+    found = [m for m in members if counts.get(m, 0)]
+    charged = {"index_lookups": len(members)}
+    if kind is BitmapJoinIndex:
+        per_member = max(1, ((n_rows + 7) // 8 + 8191) // 8192)
+        charged["seq_page_reads"] = len(members) * per_member
+        if len(found) > 1:
+            charged["bitmap_word_ops"] = n_words * (len(found) - 1)
+    else:
+        charged["rand_page_reads"] = len(members)
+        charged["seq_page_reads"] = sum(
+            max(1, (counts[m] * 4 + 8191) // 8192) - 1 for m in found
+        )
+        if found:
+            charged["bitmap_word_ops"] = n_words
+    return {name: value for name, value in charged.items() if value}
+
+
+def _sizes(kind, n_rows, counts):
+    """``n_pages`` and ``pages_per_member`` by the same formulas."""
+    present = sum(1 for c in counts.values() if c)
+    if kind is BitmapJoinIndex:
+        per_member = max(1, ((n_rows + 7) // 8 + 8191) // 8192)
+        return per_member * max(1, present), per_member
+    leaf = lambda n: max(1, (n * 4 + 8191) // 8192)  # noqa: E731
+    return leaf(n_rows), (1 + leaf(int(n_rows / present)) if present else 1)
+
+
+class TestOnePayload:
+    """Both kinds hold one word matrix and differ only in what a lookup is
+    charged: any stream of members, appended in any cuts, equals a fresh
+    build, and every lookup is the OR of its members' bitmaps."""
+
+    @pytest.mark.parametrize("kind", [BitmapJoinIndex, PositionListJoinIndex])
+    @given(
+        members=st.lists(st.integers(0, 40), max_size=300),
+        cuts=st.lists(st.integers(0, 300), max_size=5),
+        lookups=st.lists(
+            st.lists(st.integers(-2, 50), max_size=6), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grown_equals_built_and_lookup_is_the_or(
+        self, kind, members, cuts, lookups
+    ):
+        stream = np.asarray(members, dtype=np.int64)
+        grown = kind("f", 0, 1)
+        bounds = sorted({min(c, stream.size) for c in cuts} | {0, stream.size})
+        for lo, hi in zip(bounds, bounds[1:]):
+            grown.extend(stream[lo:hi])
+        # The build reserves all 41 members; the grown matrix has rows only
+        # up to the largest member seen, so ids 41..50 are past its rows.
+        built = kind.build(
+            make_table(members), "f", 0, 1, 0, np.arange(41, dtype=np.int64), 41
+        )
+        counts = {m: members.count(m) for m in set(members)}
+        n_pages, per_member = _sizes(kind, stream.size, counts)
+        for index in (grown, built):
+            assert index.n_rows == stream.size
+            assert index.n_members == len(counts)
+            assert (index.n_pages, index.pages_per_member) == (n_pages, per_member)
+            for ms in lookups:
+                stats = IOStats()
+                bitmap = index.lookup(ms, stats)
+                expected = Bitmap.zeros(stream.size)
+                for m in ms:
+                    expected = expected | index.bitmap_for(m)
+                assert bitmap == expected
+                assert bitmap.positions().tolist() == [
+                    i for i, m in enumerate(members) if m in ms
+                ]
+                charged = {k: v for k, v in stats.counts()._asdict().items() if v}
+                assert charged == _charges(kind, stream.size, counts, ms)
+        assert index_state(grown, 52) == index_state(built, 52)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.schema.dimension import Dimension
 from repro.schema.query import (
     Aggregate,
     DimPredicate,
@@ -9,6 +10,7 @@ from repro.schema.query import (
     GroupByQuery,
     query_sort_key,
 )
+from repro.schema.star import StarSchema
 
 
 class TestGroupBy:
@@ -107,6 +109,29 @@ class TestGroupByQuery:
         )
         with pytest.raises(ValueError):
             query.validate(paper_schema)
+
+    def test_validate_checks_once_per_schema(self, tiny_schema):
+        wide = StarSchema(
+            "wide",
+            [
+                Dimension.build_uniform(
+                    "X", ("X", "X'", "X''"), n_top=3, fanouts=(3, 2)
+                ),
+                tiny_schema.dimensions[1],
+            ],
+            measure="m",
+        )
+        query = GroupByQuery(
+            groupby=GroupBy((2, 2)),
+            predicates=(DimPredicate(0, 2, frozenset({2})),),
+        )
+        query.validate(wide)
+        query.validate(wide)
+        # Top member 2 exists in ``wide`` only: a pass there is no pass
+        # here, and a failure is checked again on every call.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                query.validate(tiny_schema)
 
     def test_validate_rejects_bad_levels(self, paper_schema):
         query = GroupByQuery(

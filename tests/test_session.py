@@ -184,3 +184,6 @@ class TestSessionRuns:
         )
         with pytest.raises(ValueError):
             QuerySession(db).add_queries([bad])
+        # A failed check is not remembered: planning it directly fails too.
+        with pytest.raises(ValueError):
+            db.optimize([bad])

@@ -15,7 +15,7 @@ from repro.obs.metrics import (
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
-from repro.storage.table import HeapTable
+from repro.storage.table import MAPPED_BYTES, HeapTable, mapped_zeros
 
 from helpers import probe_positions
 
@@ -337,6 +337,32 @@ class TestStorageModel:
                 model[p] for p in positions
             ]
             assert fetched.as_dict() == probed.as_dict()
+
+
+class TestMappedArrays:
+    @pytest.mark.parametrize(
+        "width", [1, MAPPED_BYTES // 16 - 1, MAPPED_BYTES // 16, MAPPED_BYTES]
+    )
+    def test_zeroed_writable_and_shaped(self, width):
+        # Two rows of ``width`` words: below, at and past the mapped size.
+        array = mapped_zeros((2, width), np.uint64)
+        assert array.shape == (2, width) and array.dtype == np.uint64
+        assert not array.any()
+        array[1, -1] = 7
+        assert array.sum() == 7
+
+    def test_a_table_grown_into_mappings_keeps_its_rows_and_old_morsels(self):
+        table = HeapTable("t", ("a", "m"), page_size=80)
+        rows = 3 * MAPPED_BYTES // 8
+        keys = np.arange(rows, dtype=np.int64)
+        table.extend_columns([keys[:10]], keys[:10] * 2)
+        morsel = next(table.scan_batches(BufferPool(IOStats(), 4), n_keys=1))
+        for first, stop in ((10, rows // 2), (rows // 2, rows)):
+            table.extend_columns([keys[first:stop]], keys[first:stop] * 2)
+        columns = table.read_columns(1)
+        assert np.array_equal(columns[0][0], keys)
+        assert np.array_equal(columns[1], keys * 2)
+        assert morsel_rows(morsel) == [(k, 2 * k) for k in range(10)]
 
 
 def morsel_rows(morsel):
