@@ -30,7 +30,6 @@ import dataclasses
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .bench.reporting import format_table
@@ -325,22 +324,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     metrics_cmd = sub.add_parser(
         "metrics",
-        help="run a small workload and expose the metrics registry as "
-        "Prometheus text or a JSON snapshot",
+        help="run a small workload and print the metrics registry as a "
+        "JSON snapshot",
         description="Execute one paper test's queries to populate the "
-        "metrics registry, then render it in the Prometheus text "
-        "exposition format (default) or as the versioned JSON snapshot.  "
-        "Either way the output is parsed back and checked against the "
-        "registry before the command exits (exit 1 on disagreement).",
+        "metrics registry, then write it as the versioned JSON snapshot "
+        "(the shape `repro serve --stats-json` writes).",
     )
     _add_scale(metrics_cmd)
     metrics_cmd.add_argument(
-        "--format", choices=("prometheus", "json"), default="prometheus",
-        help="exposition format (default prometheus)",
-    )
-    metrics_cmd.add_argument(
         "--output", metavar="FILE", default=None,
-        help="write the exposition to a file instead of stdout",
+        help="write the snapshot to a file instead of stdout",
     )
     metrics_cmd.add_argument(
         "--test", default="test4",
@@ -525,7 +518,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{report.recorder.n_recorded} recorded) -> {path}"
         )
     if args.stats_json:
-        from .obs.expose import write_metrics_json
+        from .obs.metrics import write_metrics_json
 
         print(f"metrics snapshot -> {write_metrics_json(args.stats_json)}")
     if fault_plan is None and report.stats.sim_ms_total >= report.serial_sim_ms:
@@ -544,13 +537,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from .obs.expose import (
-        metrics_snapshot,
-        parse_prometheus,
-        render_prometheus,
-        snapshot_agrees,
-    )
-    from .obs.metrics import default_registry
+    from .obs.metrics import metrics_snapshot, write_metrics_json
 
     names = _parse_tests(args.test)
     if len(names) != 1:
@@ -560,39 +547,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     queries = [qs[i] for i in ALL_PAPER_TESTS[names[0]]]
     plan = db.optimize(queries, args.algorithm)
     db.execute(plan)
-
-    registry = default_registry()
-    flat = registry.as_dict()
-    if args.format == "json":
-        snapshot = metrics_snapshot(registry)
-        if not snapshot_agrees(snapshot, flat):
-            print(
-                "error: JSON snapshot disagrees with the registry dump",
-                file=sys.stderr,
-            )
-            return 1
-        text = json.dumps(snapshot, indent=2, allow_nan=False) + "\n"
-    else:
-        text = render_prometheus(registry)
-        parsed = parse_prometheus(text)  # raises ValueError on bad lines
-        from .obs.expose import sanitize_name
-
-        missing = {
-            sanitize_name(name) for name in flat
-        } - set(parsed)
-        if missing:
-            print(
-                f"error: exposition lost metric(s): {sorted(missing)}",
-                file=sys.stderr,
-            )
-            return 1
     if args.output:
-        Path(args.output).write_text(text)
-        print(
-            f"{len(flat)} metric(s) ({args.format}) -> {args.output}"
-        )
+        print(f"metrics snapshot -> {write_metrics_json(args.output)}")
     else:
-        print(text, end="")
+        print(json.dumps(metrics_snapshot(), indent=2, allow_nan=False))
     return 0
 
 

@@ -6,18 +6,17 @@ and the simulated cost clock, so claims like "random base-table probes
 dominate shared index star-join time" can be re-verified from a trace
 instead of re-derived from aggregate totals.
 
-Five modules:
+Four modules:
 
 * :mod:`repro.obs.trace` — hierarchical spans (``with tracer.span(...)``)
   recording wall time, cost-clock deltas, and attributes, with per-thread
   stacks and trace/span ids; a no-op :data:`NULL_TRACER` keeps disabled
   instrumentation free.
 * :mod:`repro.obs.metrics` — process-global counters/gauges/histograms
-  (``buffer.hits``, ``optimizer.classes_opened``, ...).
+  (``buffer.hits``, ``optimizer.classes_opened``, ...) and the versioned
+  JSON metrics snapshot (``repro metrics``, ``repro serve --stats-json``).
 * :mod:`repro.obs.export` — JSON span trees and Chrome-trace event lists
   (wall clock and simulated cost clock, one track each).
-* :mod:`repro.obs.expose` — Prometheus text exposition and a stable JSON
-  metrics snapshot (``repro metrics``, ``repro serve --stats-json``).
 * :mod:`repro.obs.recorder` — the serving-plane flight recorder: a bounded
   ring of recent batch traces + fault/retry/quarantine events
   (``Database.flight_recorder()``, ``repro serve --flight-recorder``).
@@ -35,14 +34,6 @@ from .export import (
     write_chrome_trace,
     write_trace,
 )
-from .expose import (
-    metrics_snapshot,
-    parse_prometheus,
-    render_prometheus,
-    snapshot_agrees,
-    write_metrics_json,
-    write_prometheus,
-)
 from .metrics import (
     Counter,
     DuplicateMetricError,
@@ -51,7 +42,9 @@ from .metrics import (
     MetricError,
     MetricsRegistry,
     default_registry,
+    metrics_snapshot,
     set_default_registry,
+    write_metrics_json,
 )
 from .recorder import DEFAULT_CAPACITY, FlightRecorder, load_flight_dump
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
@@ -61,11 +54,7 @@ __all__ = [
     "FlightRecorder",
     "load_flight_dump",
     "metrics_snapshot",
-    "parse_prometheus",
-    "render_prometheus",
-    "snapshot_agrees",
     "write_metrics_json",
-    "write_prometheus",
     "Counter",
     "DuplicateMetricError",
     "Gauge",

@@ -17,13 +17,19 @@ shape for "how many buffer misses since startup" questions.  Acquiring an
 already-registered metric by name is a dict lookup; incrementing is one
 method call, so instrumentation stays out of per-tuple loops (components
 charge in batches, mirroring :class:`~repro.storage.iostats.IOStats`).
+
+A registry reads out as a flat dict (:meth:`MetricsRegistry.as_dict`) or
+as the versioned JSON snapshot (:func:`metrics_snapshot`) that
+``repro metrics`` and ``repro serve --stats-json`` write.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import threading
+from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 
@@ -184,9 +190,9 @@ class Histogram:
     def quantile(self, q: float) -> Optional[float]:
         """The q-quantile (0 <= q <= 1) of the retained sample, by linear
         interpolation between sorted sample points; **None when empty** —
-        renderers must guard (see :mod:`repro.obs.expose`, which emits
-        ``NaN`` placeholders).  Reads the sample under the histogram lock so
-        concurrent ``observe()`` calls can't decimate it mid-read."""
+        readers must guard (:func:`metrics_snapshot` writes JSON ``null``).
+        Reads the sample under the histogram lock so concurrent
+        ``observe()`` calls can't decimate it mid-read."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         with self._lock:
@@ -326,7 +332,8 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def as_dict(self) -> dict:
-        """Flat ``{name: value}`` dump (histograms dump a summary dict)."""
+        """Flat ``{name: value}`` dump (histograms dump a summary dict); the
+        values :func:`metrics_snapshot` carries."""
         return {metric.name: metric.dump() for metric in self}
 
     def reset(self) -> None:
@@ -336,6 +343,43 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self)} metric(s))"
+
+
+#: The layout of :func:`metrics_snapshot` (2: entries carry no second,
+#: sanitized name).
+SNAPSHOT_VERSION = 2
+
+
+def metrics_snapshot(registry: Optional[MetricsRegistry] = None) -> dict:
+    """The registry as a versioned, JSON-able dict, in one pass over it.
+
+    ``metrics`` is sorted by name; each entry carries the dotted ``name``,
+    ``kind``, ``help`` and either ``value`` (counter, gauge) or ``summary``
+    (a histogram's ``dump()``, quantiles ``None`` when empty) — the values
+    :meth:`MetricsRegistry.as_dict` gives.
+    """
+    registry = registry if registry is not None else default_registry()
+    entries = [
+        {
+            "name": metric.name,
+            "kind": metric.kind,
+            "help": metric.help,
+            "summary" if isinstance(metric, Histogram) else "value": metric.dump(),
+        }
+        for metric in registry
+    ]
+    return {"version": SNAPSHOT_VERSION, "metrics": entries}
+
+
+def write_metrics_json(
+    path: Union[str, Path], registry: Optional[MetricsRegistry] = None
+) -> Path:
+    """Write :func:`metrics_snapshot` as JSON; returns the path written."""
+    path = Path(path)
+    path.write_text(
+        json.dumps(metrics_snapshot(registry), indent=2, allow_nan=False) + "\n"
+    )
+    return path
 
 
 def counted(name: str, help: str) -> Any:

@@ -36,6 +36,7 @@ from repro.core.optimizer.plans import (
 from repro.core.explain import explain_plan
 from repro.dag import DagOptimizer, DagSearch, build_dag, node_key
 from repro.dag import search as dag_search
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
@@ -250,8 +251,15 @@ class TestDagExecution:
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
         assert any(cls.has_derives for cls in plan.classes)
-        report = paper_db.execute(plan)
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            report = paper_db.execute(plan)
+        finally:
+            set_default_registry(previous)
         assert not report.failures
+        derived = sum(e.actuals.derive_rows for e in report.class_executions)
+        assert registry.get("executor.derive_rows").value == derived > 0
         naive = paper_db.execute(paper_db.optimize(batch, "naive"))
         for query in batch:
             got = report.result_for(query)

@@ -40,7 +40,7 @@ def _test1_queries(db):
 class TestTracedBatch:
     def test_span_tree_names_and_buffer_counters(self, db, fresh_registry):
         with db.trace() as tracer:
-            db.run_queries(_test1_queries(db), "gg")
+            report = db.run_queries(_test1_queries(db), "gg")
         root = db.last_trace
         assert root is tracer.roots[0]
         names = {s.name for s in root.walk()}
@@ -53,7 +53,12 @@ class TestTracedBatch:
         assert fresh_registry.get("buffer.misses").value > 0
         assert fresh_registry.get("table.scans").value > 0
         assert fresh_registry.get("executor.queries_executed").value == 4
+        assert fresh_registry.get("executor.classes_executed").value == len(
+            report.class_executions
+        )
         assert fresh_registry.get("optimizer.classes_opened").value >= 1
+        costings = root.find("optimize.gg").attrs["plan_costings"]
+        assert fresh_registry.get("optimizer.plan_costings").value == costings > 0
 
     def test_classes_opened_counts_every_algorithm(self, db, fresh_registry):
         """Counted by ``Database.optimize`` from the finished plan, so the
@@ -92,6 +97,8 @@ class TestTracedBatch:
         assert db.last_trace is not first
         assert db.last_trace.name == "second"
         assert db.last_trace.find("optimize.tplo") is not None
+        assert db.last_trace.find("optimize.tplo.local") is not None
+        assert db.last_trace.find("optimize.tplo.merge") is not None
 
     def test_tracer_restored_on_error(self, db):
         with pytest.raises(ValueError):
@@ -129,6 +136,7 @@ class TestTracedBatch:
         assert db.last_trace.find("operator.shared_index") is not None
         assert fresh_registry.get("executor.tuples_routed").value > 0
         assert fresh_registry.get("bitmap.or_ops").value > 0
+        assert fresh_registry.get("bitmap.and_ops").value > 0
         assert fresh_registry.get("table.probe_pages").value > 0
 
 

@@ -1,9 +1,12 @@
 """Metrics registry: counters/gauges/histograms, get-or-create semantics,
-double-registration errors, the swappable default registry, and the
-ledgers whose fields declare their counters."""
+double-registration errors, the swappable default registry, the JSON
+snapshot, atomicity under concurrent writers, and the ledgers whose fields
+declare their counters."""
 
 import dataclasses
 import inspect
+import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,8 +19,11 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    SNAPSHOT_VERSION,
     default_registry,
+    metrics_snapshot,
     set_default_registry,
+    write_metrics_json,
 )
 from repro.serve import ServiceStats
 
@@ -163,6 +169,134 @@ class TestRegistry:
         reg.reset()
         assert reg.get("c") is c
         assert c.value == 0
+
+
+@pytest.fixture()
+def registry():
+    reg = MetricsRegistry()
+    reg.counter("serve.requests_served", "requests answered").inc(7)
+    reg.gauge("serve.queue_depth", "requests waiting").set(3.5)
+    hist = reg.histogram("serve.stage.execute_ms", "execution wall ms")
+    for v in (1.0, 2.0, 3.0, 4.0):
+        hist.observe(v)
+    reg.histogram("serve.stage.degrade_ms", "never observed")
+    return reg
+
+
+class TestJsonSnapshot:
+    def test_snapshot_agrees_with_flat_dump(self, registry):
+        """Version 2, sorted by name, and each entry's value or summary is
+        what ``as_dict()`` gives for that name."""
+        snapshot = metrics_snapshot(registry)
+        assert snapshot["version"] == SNAPSHOT_VERSION == 2
+        entries = snapshot["metrics"]
+        assert [e["name"] for e in entries] == registry.names()
+        flat = registry.as_dict()
+        for entry in entries:
+            metric = registry.get(entry["name"])
+            assert (entry["kind"], entry["help"]) == (metric.kind, metric.help)
+            key = "summary" if entry["kind"] == "histogram" else "value"
+            assert set(entry) == {"name", "kind", "help", key}
+            assert entry[key] == flat[entry["name"]]
+
+    def test_snapshot_disagrees_after_perturbation(self, registry):
+        """A snapshot is a copy of one instant: later updates miss it."""
+        snapshot = metrics_snapshot(registry)
+        registry.counter("serve.requests_served").inc()
+        registry.histogram("serve.stage.execute_ms").observe(5.0)
+        by_name = {e["name"]: e for e in snapshot["metrics"]}
+        assert by_name["serve.requests_served"]["value"] == 7
+        assert by_name["serve.stage.execute_ms"]["summary"]["count"] == 4
+        assert metrics_snapshot(registry) != snapshot
+
+    def test_snapshot_is_json_safe_without_nan(self, registry):
+        # Empty-histogram quantiles must serialize as null, never NaN.
+        text = json.dumps(metrics_snapshot(registry), allow_nan=False)
+        entry = next(
+            e
+            for e in json.loads(text)["metrics"]
+            if e["name"] == "serve.stage.degrade_ms"
+        )
+        assert entry["summary"]["p50"] is None
+
+    def test_file_writers_round_trip(self, registry, tmp_path):
+        path = write_metrics_json(tmp_path / "metrics.json", registry)
+        assert json.loads(path.read_text()) == metrics_snapshot(registry)
+
+
+class TestMetricsConcurrency:
+    """No torn reads or lost samples under concurrent writers."""
+
+    def test_histogram_concurrent_observers_lose_nothing(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("stress.hist", "concurrent observes")
+        value, per_thread, n_threads = 2.5, 500, 8
+        start = threading.Barrier(n_threads)
+
+        def writer():
+            start.wait()
+            for _ in range(per_thread):
+                hist.observe(value)
+
+        threads = [threading.Thread(target=writer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        dump = hist.dump()
+        assert dump["count"] == n_threads * per_thread
+        assert dump["sum"] == n_threads * per_thread * value
+        assert dump["min"] == dump["max"] == value
+        assert dump["p50"] == dump["p99"] == value
+
+    def test_dump_is_internally_consistent_while_writing(self):
+        """A dump taken mid-write must be one atomic snapshot: with every
+        sample equal to ``value``, sum == count * value always holds."""
+        reg = MetricsRegistry()
+        hist = reg.histogram("stress.torn", "torn-read probe")
+        value = 3.0
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            while not stop.is_set():
+                hist.observe(value)
+
+        def reader():
+            while not stop.is_set():
+                dump = hist.dump()
+                if dump["sum"] != dump["count"] * value:
+                    errors.append(dump)
+                as_dict = reg.as_dict()["stress.torn"]
+                if as_dict["sum"] != as_dict["count"] * value:
+                    errors.append(as_dict)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        threads += [threading.Thread(target=reader) for _ in range(4)]
+        for t in threads:
+            t.start()
+        timer = threading.Timer(0.3, stop.set)
+        timer.start()
+        for t in threads:
+            t.join()
+        timer.cancel()
+        assert not errors
+
+    def test_counter_concurrent_incs_lose_nothing(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("stress.counter", "concurrent incs")
+        n_threads, per_thread = 8, 2000
+
+        def writer():
+            for _ in range(per_thread):
+                counter.inc()
+
+        threads = [threading.Thread(target=writer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert counter.dump() == n_threads * per_thread
 
 
 class TestDefaultRegistry:

@@ -23,6 +23,7 @@ from repro.faults import (
     InjectionPoint,
     PartialResultError,
 )
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.serve import (
     DeadlineExceeded,
@@ -373,15 +374,25 @@ def test_door_degrades_to_the_reference_answer():
 def test_door_reports_a_failed_degrade():
     db = make_tiny_db()
     query = leaf_query("doomed")
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
     db.arm_faults(FaultPlan([InjectionPoint(site="storage.scan", table="XY")]))
     try:
-        report = db.run_queries(
-            [query], recovery=RetryPolicy(max_attempts=2, degrade=True)
-        )
+        with db.trace():
+            report = db.run_queries(
+                [query], recovery=RetryPolicy(max_attempts=2, degrade=True)
+            )
     finally:
         db.disarm_faults()
+        set_default_registry(previous)
     assert report.failed_qids == [query.qid]
     assert isinstance(report.failures[0].error, InjectedFault)
+    # Two attempts and the degrade each lose the class.
+    assert registry.get("retry.exhausted").value == 1
+    assert registry.get("executor.class_failures").value == 3
+    names = [span.name for span in db.last_trace.walk()]
+    assert names.count("fault.class_failure") == 3
+    assert db.last_trace.find("serve.degrade").attrs["failed"] is True
 
 
 def test_door_retains_every_answer_of_a_batch_retried_to_success():
