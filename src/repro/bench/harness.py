@@ -82,15 +82,20 @@ def run_separately(
 ) -> ForcedRun:
     """Execute each query in its own cold run (the paper's dotted bars) and
     sum the measurements."""
-    total = ForcedRun(0.0, 0.0, 0.0, 0, 0, [])
-    for query, method in zip(queries, methods):
-        run = run_forced_class(db, source, [query], [method], cold=True)
+    runs = [
+        run_forced_class(db, source, [query], [method], cold=True)
+        for query, method in zip(queries, methods)
+    ]
+    total = ForcedRun(
+        0.0, 0.0, 0.0,
+        rand_page_reads=sum(run.rand_page_reads for run in runs),
+        seq_page_reads=sum(run.seq_page_reads for run in runs),
+        results=[result for run in runs for result in run.results],
+    )
+    for run in runs:  # the float totals, in run order
         total.sim_ms += run.sim_ms
         total.io_ms += run.io_ms
         total.cpu_ms += run.cpu_ms
-        total.rand_page_reads += run.rand_page_reads
-        total.seq_page_reads += run.seq_page_reads
-        total.results.extend(run.results)
     return total
 
 

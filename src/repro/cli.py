@@ -672,13 +672,22 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code (0 success, 1 failed
-    check, 2 usage error — a bad flag, or a file that does not load)."""
+    check, 2 usage error — a bad flag, or a file that does not load — and
+    141, a shell's code for a process SIGPIPE ended, when the reader of
+    stdout closed it early: the rest of the output is dropped, quietly)."""
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (CliError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout once more on exit: onto the null
+        # device, so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

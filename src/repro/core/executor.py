@@ -240,7 +240,9 @@ def run_class_accounted(
     (:attr:`PlanClass.operator_kind`), returning the results *and* the
     operator's measured actuals.
 
-    Results are returned in the class's plan order.  When the context's
+    Results are returned in the operator's member order: plan order,
+    except that a shared scan lists its hash members before its index
+    members (results are keyed by qid downstream).  When the context's
     tracer is live, the physical operator runs inside an
     ``operator.<kind>`` span whose cost-clock delta is exactly the class's
     charged work; the operator's actuals land in the span's ``actuals``
@@ -274,8 +276,6 @@ def run_class_accounted(
             results = operator.run()
         finally:
             _count_operator(operator.actuals)
-        if isinstance(operator, SharedScanStarJoin):
-            results = [results[q.qid] for q in queries]
         if ctx.tracer.enabled:
             span.set("actuals", operator.actuals.as_dict())
     return results, operator.actuals

@@ -15,13 +15,12 @@ value is made from it once, by :meth:`HashAggregator.result` (DESIGN.md
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ...schema.query import Aggregate, GroupByQuery
 from ...schema.star import StarSchema
-from ...storage.iostats import IOStats
 from ...storage.table import CENTS
 from .results import QueryResult
 
@@ -146,16 +145,12 @@ class HashAggregator:
         return self._compact()[0].size
 
     def update(
-        self,
-        target_columns: Sequence[np.ndarray],
-        measures: np.ndarray,
-        stats: Optional[IOStats],
+        self, target_columns: Sequence[np.ndarray], measures: np.ndarray
     ) -> None:
         """Fold one batch: ``target_columns[d]`` holds the target-level member
         id of each tuple for dimension ``d``; ``measures`` the int64 measure
-        values (``stats=None``: already charged)."""
-        if stats is not None:
-            stats.charge_agg_update(measures.size)
+        values.  Its aggregate updates are its pipeline's to charge
+        (:func:`~repro.storage.iostats.pipeline_counts`)."""
         codes = np.ravel_multi_index(target_columns, self._sizes)
         self._buffer.append(fold_groups(codes, measures, self.aggregate))
         self._pending += self._buffer[-1][0].size

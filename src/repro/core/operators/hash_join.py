@@ -34,12 +34,13 @@ answer to scanning for it alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ...schema.lattice import intermediate_source_aggregate, source_can_answer
 from ...schema.query import GroupByQuery
+from ...storage.iostats import filter_counts, pipeline_counts
 from ..optimizer.plans import DeriveStep
 from . import aggregate
 from .index_join import query_result_bitmap
@@ -116,9 +117,10 @@ class SharedScanStarJoin:
                         f"measure {inter_agg!r})"
                     )
 
-    def run(self) -> Dict[int, QueryResult]:
-        """Run all queries; returns ``{query.qid: result}`` with each
-        intermediate's result included under its synthetic qid."""
+    def run(self) -> List[QueryResult]:
+        """Run all queries; returns their results in member order: the
+        hash members, the index members, then each step's derived ones
+        (an intermediate's result is only in :attr:`actuals`)."""
         ctx = self.ctx
         actuals = self.actuals
         # Phase 1 of each index plan is unchanged: build the result bitmap.
@@ -156,7 +158,6 @@ class SharedScanStarJoin:
         tests_per_row = sum(p.n_predicates for p in full_scan_pipes)
         n_whole = sum(not p.n_predicates for p in full_scan_pipes)
         routed_rows = [bitmap.positions() for bitmap in index_bitmaps]
-        stats = ctx.stats
         #: Morsels accounted, probed and charged but not folded yet: ``(first
         #: row, rows, probe words, each index member's passing flags)``.
         pending: List[tuple] = []
@@ -171,14 +172,13 @@ class SharedScanStarJoin:
             )
             words = [np.concatenate(word) for word in zip(*words)]
             for pipe, rows in zip(full_scan_pipes, probe.split(words)):
-                pipe.process_batch(keys, measures, None, rows)
+                pipe.process_batch(keys, measures, rows)
             for pipe, mine, passed in zip(index_pipes, routed_rows, zip(*flags)):
                 lo, hi = np.searchsorted(mine, (first, stop))
                 rows = mine[lo:hi] - first
                 pipe.process_batch(
                     [column[rows] for column in keys],
                     measures[rows],
-                    None,
                     np.concatenate(passed) if pipe.n_predicates else None,
                 )
 
@@ -191,11 +191,11 @@ class SharedScanStarJoin:
             actuals.pages_scanned += n_pages
             actuals.rows_scanned += n_rows
             words = probe.alive(keys)
-            n_probes = n_rows * probes_per_row
-            n_tests = n_rows * tests_per_row
             n_pass = n_rows * n_whole
             for word in words:
                 n_pass += int(np.bitwise_count(word).sum())
+            # What the morsel charges, all members' pipelines at once.
+            counts = pipeline_counts(n_rows, probes_per_row, tests_per_row, n_pass)
             flags = []
             for query, pipe, mine in zip(
                 self.index_queries, index_pipes, routed_rows
@@ -206,36 +206,29 @@ class SharedScanStarJoin:
                 passed = pipe.passing(keys, mine[lo:hi] - start)
                 flags.append(passed)
                 n_routed = int(hi - lo)
-                n_probes += n_routed * pipe.n_probe_dims
-                n_tests += n_routed * pipe.n_predicates
-                n_pass += n_routed if passed is None else int(passed.sum())
+                counts += filter_counts(n_rows) + pipeline_counts(
+                    n_routed,
+                    pipe.n_probe_dims,
+                    pipe.n_predicates,
+                    n_routed if passed is None else int(passed.sum()),
+                )
                 actuals.tuples_tested[query.qid] += n_rows
                 actuals.tuples_routed[query.qid] += n_routed
-            if index_pipes:
-                stats.charge_bitmap_test(n_rows * len(index_pipes))
-            stats.charge_hash_probe(n_probes)
-            stats.charge_predicate(n_tests)
-            stats.charge_tuple_copy(n_pass)
-            stats.charge_agg_update(n_pass)
+            ctx.stats.charge(counts)
             pending.append((start, n_rows, words, flags))
             if start + n_rows - pending[0][0] > aggregate.FOLD_ROWS:
                 fold()
         if pending:
             fold()
-        out: Dict[int, QueryResult] = {}
 
-        def finish(query: GroupByQuery, pipe: QueryPipeline) -> None:
-            out[query.qid] = pipe.result()
-            actuals.record_pipeline(
-                query.qid, pipe, out[query.qid], ctx.stats.rates
-            )
+        def finish(query: GroupByQuery, pipe: QueryPipeline) -> QueryResult:
+            result = pipe.result()
+            actuals.record_pipeline(query.qid, pipe, result, ctx.stats.rates)
+            return result
 
-        for query, pipe in zip(
-            self.hash_queries + self.index_queries, hash_pipes + index_pipes
-        ):
-            finish(query, pipe)
-        if not self.derives:
-            return out
+        out = list(map(
+            finish, self.hash_queries + self.index_queries, hash_pipes + index_pipes
+        ))
         # Phase 3: take each finished intermediate's groups as one in-memory
         # columnar batch and run every derived member's pipeline over it.
         for step, pipe in zip(self.derives, inter_pipes):
@@ -253,17 +246,9 @@ class SharedScanStarJoin:
                 derived_pipe = pipeline(
                     query, intermediate.groupby.levels, inter_agg
                 )
-                derived_pipe.process_batch(
-                    inter_keys, inter_measures, ctx.stats
+                ctx.stats.charge(
+                    derived_pipe.process_batch(inter_keys, inter_measures)
                 )
                 actuals.derive_rows += int(inter_measures.size)
-                finish(query, derived_pipe)
+                out.append(finish(query, derived_pipe))
         return out
-
-    def run_ordered(self) -> List[QueryResult]:
-        """Results in constructor order (hash, index, then derived members)."""
-        by_qid = self.run()
-        ordered = self.hash_queries + self.index_queries
-        for step in self.derives:
-            ordered.extend(step.queries)
-        return [by_qid[q.qid] for q in ordered]

@@ -25,6 +25,7 @@ from ...index.bitmap_index import JoinIndex
 from ...schema.lattice import source_can_answer
 from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
+from ...storage.iostats import merge_counts, routing_counts
 from .pipeline import ExecContext, QueryPipeline, RollupCache
 from .results import OperatorActuals, QueryResult
 
@@ -87,7 +88,7 @@ def query_result_bitmap(
         )
     result = and_all(per_dim, n_bits=entry.table.n_rows)
     if len(per_dim) > 1:
-        ctx.stats.charge_bitmap_words(result.n_words * (len(per_dim) - 1))
+        ctx.stats.charge(merge_counts(len(per_dim), result.n_words))
         actuals.and_ops += len(per_dim) - 1
     return result
 
@@ -138,7 +139,7 @@ class SharedIndexStarJoin:
             union = union.copy()
             for bitmap in per_query[1:]:
                 union.words |= bitmap.words
-            ctx.stats.charge_bitmap_words(union.n_words * (len(per_query) - 1))
+            ctx.stats.charge(merge_counts(len(per_query), union.n_words))
             actuals.or_ops += len(per_query) - 1
         # Step 2: probe the base table once with the union bitmap.
         positions = union.positions()
@@ -163,7 +164,6 @@ class SharedIndexStarJoin:
             actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
             mine_keys, mine_measures = keys, measures
             if shared:
-                ctx.stats.charge_bitmap_test(positions.size)
                 # Packed-word routing: gather each position's covering word
                 # and mask its bit — no full-bitmap unpack.
                 mine = bitmap.test_positions(positions)
@@ -178,7 +178,10 @@ class SharedIndexStarJoin:
                 rollups,
                 source_aggregate=self.source.source_aggregate,
             )
-            pipeline.process_batch(mine_keys, mine_measures, ctx.stats)
+            ctx.stats.charge(
+                routing_counts(len(self.queries), positions.size)
+                + pipeline.process_batch(mine_keys, mine_measures)
+            )
             result = pipeline.result()
             actuals.record_pipeline(query.qid, pipeline, result, ctx.stats.rates)
             results.append(result)

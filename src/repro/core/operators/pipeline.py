@@ -25,7 +25,7 @@ from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.buffer import BufferPool
 from ...storage.catalog import Catalog, TableEntry
-from ...storage.iostats import IOStats, pipeline_counts
+from ...storage.iostats import Counts, IOStats, build_counts, pipeline_counts
 from ...storage.table import Morsel
 from .aggregate import HashAggregator
 from .results import QueryResult
@@ -86,13 +86,14 @@ def scan_columns(
 
 class RollupCache:
     """Builds dimension rollup maps and predicate masks once per operator
-    execution, charging each build to the cost clock exactly once.
+    execution, charging each build to the cost clock exactly once
+    (:func:`~repro.storage.iostats.build_counts`).
 
-    With ``pool`` and ``dim_tables`` supplied, each structure's build also
-    scans the stored dimension table (sequential I/O through the buffer
-    pool) — the full cost of "building a hash table on the dimension
-    table".  Without them, only the per-entry CPU build cost is charged
-    (the dimension fits in metadata)."""
+    With ``dim_tables`` (and the ``pool`` to read them through), each
+    structure's build also scans the stored dimension table (sequential
+    I/O through the buffer pool) — the full cost of "building a hash table
+    on the dimension table".  Without them, only the per-entry CPU build
+    cost is charged (the dimension fits in metadata)."""
 
     def __init__(
         self,
@@ -108,18 +109,18 @@ class RollupCache:
         self._target_maps: Dict[Tuple[int, int, int], np.ndarray] = {}
         self._pred_masks: Dict[Tuple[int, int, int, frozenset], np.ndarray] = {}
 
-    def _charge_dim_scan(self, dim_index: int) -> None:
-        dim_table = self.dim_tables.get(self.schema.dimensions[dim_index].name)
-        if dim_table is None:
-            return
-        if self.pool is not None:
+    def _build(self, dim_index: int, from_level: int) -> None:
+        """Charge one structure build (:func:`build_counts`): a hash entry
+        per source-level member, then, when the dimension table is stored,
+        a scan of it through the pool, which charges the pages it reads."""
+        dim = self.schema.dimensions[dim_index]
+        self.stats.charge(build_counts(dim.n_members(from_level)))
+        dim_table = self.dim_tables.get(dim.name)
+        if dim_table is not None:
             # Only the accounting is wanted: drain the scan (every column
             # but the last as a key: zero-copy views, nothing converted).
-            n_keys = dim_table.n_columns - 1
-            for _morsel in dim_table.scan_batches(self.pool, n_keys):
+            for _morsel in dim_table.scan_batches(self.pool, dim_table.n_columns - 1):
                 pass
-        else:
-            self.stats.charge_seq_read(dim_table.n_pages)
 
     def target_map(
         self, dim_index: int, from_level: int, to_level: int
@@ -133,8 +134,7 @@ class RollupCache:
         cached = self._target_maps.get(key)
         if cached is None:
             cached = dim.rollup_map(from_level, to_level)
-            self.stats.charge_hash_build(dim.n_members(from_level))
-            self._charge_dim_scan(dim_index)
+            self._build(dim_index, from_level)
             self._target_maps[key] = cached
         return cached
 
@@ -158,8 +158,7 @@ class RollupCache:
             ids = np.fromiter(predicate.member_ids, dtype=np.int64)
             hit[ids[(ids >= 0) & (ids < hit.size)]] = True
             cached = hit[dim.rollup_map(from_level, predicate.level)]
-            self.stats.charge_hash_build(dim.n_members(from_level))
-            self._charge_dim_scan(predicate.dim_index)
+            self._build(predicate.dim_index, from_level)
             self._pred_masks[key] = cached
         return cached
 
@@ -250,33 +249,29 @@ class QueryPipeline:
         self,
         key_columns: Sequence[np.ndarray],
         measures: np.ndarray,
-        stats: Optional[IOStats],
         survivors: Optional[np.ndarray] = None,
-    ) -> int:
-        """Run one batch through probe → filter → aggregate; returns the
-        number of tuples that survived the filters.  ``survivors`` — the rows
-        passing every predicate (ascending offsets, or flags), as a shared
-        scan found them — replaces this pipeline's own mask evaluation;
-        ``stats=None`` says the caller has charged the batch, in these units."""
+    ) -> Counts:
+        """Run one batch through probe → filter → aggregate; returns what
+        it charges (:func:`pipeline_counts`), for the caller to charge.
+        ``survivors`` — the rows passing every predicate (ascending
+        offsets, or flags), as a shared scan found them — replaces this
+        pipeline's own mask evaluation."""
         n = measures.size
         self.rows_in += n
         keep = survivors if survivors is not None else self.passing(key_columns)
         if keep is not None:
             measures = measures[keep]
         n_pass = measures.size
-        if stats is not None:
-            stats.charge_hash_probe(n * self.n_probe_dims)
-            stats.charge_predicate(n * self.n_predicates)
-            stats.charge_tuple_copy(n_pass)
+        counts = pipeline_counts(n, self.n_probe_dims, self.n_predicates, n_pass)
         if n_pass == 0:
-            return 0
+            return counts
         self.rows_passed += n_pass
         target_columns = [np.zeros(n_pass, dtype=np.int64)] * self.schema.n_dims
         for d, tmap in self._rollups:
             column = key_columns[d] if keep is None else key_columns[d][keep]
             target_columns[d] = column if tmap is None else tmap[column]
-        self._aggregator.update(target_columns, measures, stats)
-        return int(n_pass)
+        self._aggregator.update(target_columns, measures)
+        return counts
 
     def result(self) -> QueryResult:
         """Finalize and return the accumulated QueryResult."""

@@ -14,9 +14,11 @@ The model counts before it prices: a member's term and a class carry the
 :class:`~repro.storage.iostats.Counts` the executor is expected to charge —
 the counters of an :class:`~repro.storage.iostats.IOStats`, in
 :class:`CostRates`' field order — and :meth:`CostRates.price` turns a count
-into simulated milliseconds, the one place a count meets a rate.  So the
-estimate mirrors the executor's charges unit for unit by construction, and
-estimated and simulated cost correlate (checked by an ablation benchmark).
+into simulated milliseconds, the one place a count meets a rate.  Where
+the data does not decide a count, the model and the operator read one
+statement of it (:mod:`repro.storage.iostats`, a join index's
+``lookup_counts``), so they agree unit for unit; the rest — probe pages,
+routed and passing rows — is estimated from the data model below.
 Estimates assume uniformly distributed data — the standard optimizer
 assumption — plus a page-locality correction for tables clustered on their
 leading dimension.
@@ -41,7 +43,8 @@ from ...schema.lattice import (
 from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
-from ...storage.iostats import CostRates, Counts, pipeline_counts
+from ...storage.iostats import CostRates, Counts, build_counts, filter_counts
+from ...storage.iostats import merge_counts, pipeline_counts, read_counts, routing_counts
 from .plans import DeriveStep, JoinMethod, PlanClass, left_sum
 from .terms import MemberTerm, price_terms
 
@@ -84,15 +87,16 @@ class ClassState:
     term", not a costing from a query list.
 
     ``totals`` is ``(hash entries, dimension-table pages, index prefix)``:
-    the *integer* build totals of the distinct ``structures``, and the index
-    configuration's ``(Π(1 − indexed_sel), Π(1 − region), Σ runs, Σ
-    separate_pages)`` (None once a member has no index plan), reusable as
-    they stand: from scratch they accumulate left to right in query order,
-    so a prefix is the same float.  No running cost is kept — builds and
-    routing change when a member joins, so totals are re-summed from the
-    addends (:class:`MemberTerm`'s float-order rule).  ``totals`` is None,
-    for good (a class only gains members), once ``entry`` cannot answer some
-    member: the state is *dead*.
+    the *integer* build totals of the distinct ``structures`` (what
+    :func:`build_counts` states), and the index configuration's ``(Π(1 −
+    indexed_sel), Π(1 − region), Σ runs, Σ separate_pages)`` (None once a
+    member has no index plan), reusable as they stand: from scratch they
+    accumulate left to right in query order, so a prefix is the same
+    float.  No running cost is kept — builds and routing change when a
+    member joins, so totals are re-summed from the addends
+    (:class:`MemberTerm`'s float-order rule).  ``totals`` is None, for good
+    (a class only gains members), once ``entry`` cannot answer some member:
+    the state is *dead*.
     """
 
     entry: TableEntry
@@ -148,6 +152,7 @@ class CostModel:
         # entries): the integer totals a trial reads it from.
         self._scan_shared_ms: Dict[Tuple[int, int], float] = {}
         self._covering_tables: Dict[str, Dict[Tuple[int, int], tuple]] = {}
+        self._lookups: Dict[Tuple[object, int], Counts] = {}
         # Per pair, the hash entries and dimension-table pages its
         # structures take alone (None: unanswerable), and its standalone
         # costing once read.
@@ -231,6 +236,15 @@ class CostModel:
 
     # -- member terms ------------------------------------------------------------
 
+    def lookup_counts(self, index, n_members: int) -> Counts:
+        """``index.lookup_counts(n_members)``, memoized: what a lookup of
+        that many members is expected to charge."""
+        key = (index, n_members)
+        counts = self._lookups.get(key)
+        if counts is None:
+            counts = self._lookups[key] = index.lookup_counts(n_members)
+        return counts
+
     def _probe_dims(self, query: GroupByQuery) -> int:
         """Dimensions whose hash table each tuple probes (mirrors
         :class:`QueryPipeline`)."""
@@ -240,11 +254,6 @@ class CostModel:
             d for d, target in enumerate(query.groupby.levels)
             if target != all_levels[d] or d in filtered
         ])
-
-    def _filter_tests(self, entry: TableEntry) -> Counts:
-        """What an index plan filtering a scan of ``entry`` adds to its
-        ``index_units``: a test of every scanned tuple against its bitmap."""
-        return Counts(bitmap_tests=entry.n_rows)
 
     def _term(self, entry: TableEntry, query: GroupByQuery) -> MemberTerm:
         """The memoized term of ``query`` on ``entry``; a miss prices the
@@ -282,7 +291,8 @@ class CostModel:
 
     def _missing(self, held: set, keys: Iterable[tuple], entries: int, pages: int):
         """The build keys not in ``held``, and the totals grown by building
-        them: hash entries, and (when it is stored) dimension-table pages."""
+        them (:func:`build_counts`' arguments): hash entries, and (when it
+        is stored) dimension-table pages."""
         new = {key for key in keys if key not in held}
         for key in new:
             entries += self.schema.level_sizes[key[0]][key[1]]
@@ -314,9 +324,8 @@ class CostModel:
 
     def _scan_shared(self, entry: TableEntry, entries: int, pages: int) -> Counts:
         """The shared counts of a class whose base table is sequentially
-        scanned: the scan, plus the structure builds — hash entries and,
-        when dimension tables are stored, a scan of each."""
-        return Counts(seq_page_reads=entry.n_pages + pages, hash_builds=entries)
+        scanned: the scan, plus the structure builds."""
+        return read_counts(entry.n_pages) + build_counts(entries, pages)
 
     def _scan_cost(
         self, entry: TableEntry, totals: tuple, marginals: Iterable[float]
@@ -355,15 +364,12 @@ class CostModel:
             pages = min(float(p), pages, separate_pages)
         else:
             pages = expected_distinct(float(p), union_rows)
-        # Positional, in Counts' order (a trial builds these; keywords
-        # would cost it more): seq_page_reads (the dimension tables),
-        # rand_page_reads, hash_builds, then the OR's bitmap_word_ops —
-        # and, re-priced per costing, the routing's bitmap_tests.
-        shared = Counts(
-            dim_pages, pages, 0, entries, 0, 0, 0,
-            (n_members - 1) * ((entry.n_rows + WORD_BITS - 1) // WORD_BITS),
+        words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
+        shared = (
+            build_counts(entries, dim_pages) + read_counts(pages, False)
+            + merge_counts(n_members, words)
         )
-        return shared, Counts(0, 0, 0, 0, 0, 0, 0, 0, union_rows)
+        return shared, routing_counts(n_members, union_rows)
 
     def _index_cost(
         self, entry: TableEntry, terms: Sequence[MemberTerm], totals: tuple
@@ -481,7 +487,7 @@ class CostModel:
             shared = self._scan_shared(entry, *totals[:2])
             addends = [
                 term.hash_units if method is JoinMethod.HASH
-                else term.index_units + self._filter_tests(entry)
+                else term.index_units + filter_counts(entry.n_rows)
                 for term, method in zip(state.terms, methods)
             ]
         return reduce(operator.add, addends + derived, shared)

@@ -22,7 +22,7 @@ from ...index.bitmap import WORD_BITS
 from ...schema.lattice import aggregate_compatible, build_keys, expected_distinct
 from ...schema.query import GroupByQuery
 from ...storage.catalog import TableEntry
-from ...storage.iostats import Counts, pipeline_counts
+from ...storage.iostats import Counts, filter_counts, merge_counts, pipeline_counts
 from .plans import JoinMethod
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,9 +70,10 @@ class MemberTerm:
     scan_method: JoinMethod = JoinMethod.HASH
     scan_ms: float = math.inf
     indexable: bool = False
-    #: The index plan less its bitmap tests: index phase (lookup I/O +
-    #: bitmap CPU), then pipeline CPU over the tuples the member's own
-    #: bitmap — of density ``indexed_sel`` — feeds.
+    #: The index plan less its bitmap tests: index phase (each indexed
+    #: predicate's ``lookup_counts``, then the AND across them), then
+    #: pipeline CPU over the tuples the member's own bitmap — of density
+    #: ``indexed_sel`` — feeds.
     index_units: Counts = Counts()
     index_ms: float = 0.0
     indexed_sel: float = 1.0
@@ -82,6 +83,8 @@ class MemberTerm:
     runs: int = 1
     separate_pages: float = 0.0
 
+
+NO_COUNTS = Counts()
 
 #: The term of every pair the entry cannot answer (only the bit is read).
 UNANSWERABLE = MemberTerm(
@@ -119,7 +122,7 @@ def price_terms(
         on_entry = (
             model.covering(entry),
             (entry.n_rows + WORD_BITS - 1) // WORD_BITS,
-            price(Counts(bitmap_tests=entry.n_rows)),
+            price(filter_counts(entry.n_rows)),
             entry.name in model.statistics,
         )
         for query, fact in zip(queries, facts):
@@ -202,7 +205,7 @@ def _term(
     hash_ms = price(hash_units)
     keys = build_keys(model.schema, entry.levels, query)
     found = []
-    pages = lookups = bitmap_words = n_indexed = 0
+    lookup, n_indexed = NO_COUNTS, 0
     indexed_sel = 1.0
     for sel, (key, n_members) in zip(sels, fact.lookups):
         hit = covering.get(key)
@@ -210,16 +213,12 @@ def _term(
         if hit is None:
             continue
         index, per_member = hit
-        n_lookups = int(math.ceil(n_members * per_member))
         n_indexed += 1
         indexed_sel *= sel
-        pages += index.pages_per_lookup(n_lookups)
-        lookups += n_lookups
-        bitmap_words += (n_lookups - 1) * words  # payload ORs
+        lookup += model.lookup_counts(index, int(math.ceil(n_members * per_member)))
     if not n_indexed:
         return MemberTerm(True, selectivity, keys, hash_units, hash_ms, math.inf,
                           JoinMethod.HASH, hash_ms)
-    bitmap_words += (n_indexed - 1) * words  # predicate ANDs
     region, runs = 1.0, 1
     for d, sizes in enumerate(model.schema.level_sizes):
         i = fact.first.get(d)
@@ -230,9 +229,9 @@ def _term(
         # out to its descendants there.
         per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
         runs *= max(1, round(len(predicates[i].member_ids) * per_member))
-    index_units = pipeline_counts(
-        n * indexed_sel, probe_dims, n_preds, k,
-        pages=pages, bitmap_words=bitmap_words, lookups=lookups,
+    index_units = (
+        lookup + merge_counts(n_indexed, words)
+        + pipeline_counts(n * indexed_sel, probe_dims, n_preds, k)
     )
     index_ms = price(index_units)
     filtered_ms = index_ms + filter_ms

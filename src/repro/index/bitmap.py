@@ -8,7 +8,7 @@ the base table is probed only once.
 Bits index global row positions of one table.  The implementation packs bits
 into a ``numpy`` ``uint64`` array so the AND/OR/NOT kernels run at word
 granularity — which is also the unit the cost model charges
-(:meth:`~repro.storage.iostats.IOStats.charge_bitmap_words`).
+(:func:`~repro.storage.iostats.merge_counts`).
 """
 
 from __future__ import annotations

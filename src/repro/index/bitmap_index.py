@@ -20,11 +20,11 @@ are agnostic to the index kind.  The kinds differ only in how a lookup is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..storage.iostats import IOStats
+from ..storage.iostats import Counts, IOStats, merge_counts
 from ..storage.table import HeapTable, mapped_zeros
 from .bitmap import WORD_BITS, Bitmap, _n_words
 
@@ -155,24 +155,35 @@ class JoinIndex(ABC):
         """Number of members with at least one row."""
         return int(np.count_nonzero(self._counts))
 
-    @abstractmethod
     def lookup(
         self, member_ids: Iterable[int], stats: IOStats, *, faults=None
     ) -> Bitmap:
         """Return the bitmap of rows whose dimension value (rolled up to this
-        index's level) is one of ``member_ids``, charging index I/O + CPU.
-        An armed ``faults`` plan is checked (site ``index.lookup``) before
-        any cost is charged."""
-
-    def _check_faults(self, faults, n_members: int) -> None:
+        index's level) is one of ``member_ids``, charging what
+        :meth:`lookup_counts` states for them.  An armed ``faults`` plan is
+        checked (site ``index.lookup``) before any cost is charged."""
+        members = list(member_ids)
         if faults is not None:
             faults.check(
                 "index.lookup",
                 table=self.table_name,
                 dim_index=self.dim_index,
                 level=self.level,
-                n_members=n_members,
+                n_members=len(members),
             )
+        found = [m for m in members if self._count(m)]
+        stats.charge(self.lookup_counts(len(members), found))
+        return self._or_rows(found)
+
+    @abstractmethod
+    def lookup_counts(
+        self, n_members: int, found: Optional[Sequence[int]] = None
+    ) -> Counts:
+        """What a lookup of ``n_members`` member ids charges: the one
+        statement the lookup and the cost model read.  ``found`` — the
+        ids present, once a lookup knows them — settles what depends on
+        the data; without it (an estimate) every member is taken as
+        present, with the average member's payload."""
 
     @property
     @abstractmethod
@@ -180,14 +191,9 @@ class JoinIndex(ABC):
         """Accounted on-disk size of the whole index, in pages."""
 
     @property
-    @abstractmethod
-    def pages_per_member(self) -> int:
-        """Accounted pages read to retrieve one member's payload: a
-        constant of the index as it stands, which the cost model reads."""
-
-    def pages_per_lookup(self, n_members: int) -> int:
-        """Accounted pages read to retrieve ``n_members`` payloads."""
-        return n_members * self.pages_per_member
+    def n_words(self) -> int:
+        """Words of one member's bitmap."""
+        return _n_words(self.n_rows)
 
 
 class BitmapJoinIndex(JoinIndex):
@@ -195,7 +201,8 @@ class BitmapJoinIndex(JoinIndex):
 
     @property
     def pages_per_member(self) -> int:
-        """The pages of one member's bitmap."""
+        """The pages of one member's bitmap: a constant of the index as
+        it stands."""
         payload_bytes = (self.n_rows + 7) // 8
         return max(1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
 
@@ -204,20 +211,16 @@ class BitmapJoinIndex(JoinIndex):
         """Accounted size in pages."""
         return self.pages_per_member * max(1, self.n_members)
 
-    def lookup(
-        self, member_ids: Iterable[int], stats: IOStats, *, faults=None
-    ) -> Bitmap:
-        """Bitmap of rows whose key rolls into the given members (charges the clock)."""
-        members = list(member_ids)
-        self._check_faults(faults, len(members))
-        stats.charge_index_lookup(len(members))
-        # Retrieving each member's bitmap streams its pages.
-        stats.charge_seq_read(self.pages_per_lookup(len(members)))
-        found = [m for m in members if self._count(m)]
-        result = self._or_rows(found)
-        if len(found) > 1:
-            stats.charge_bitmap_words(result.n_words * (len(found) - 1))
-        return result
+    def lookup_counts(
+        self, n_members: int, found: Optional[Sequence[int]] = None
+    ) -> Counts:
+        """Each member's bitmap streamed (its pages read in sequence) and
+        the found ones OR-ed."""
+        n_found = n_members if found is None else len(found)
+        return merge_counts(n_found, self.n_words) + Counts(
+            seq_page_reads=n_members * self.pages_per_member,
+            index_lookups=n_members,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

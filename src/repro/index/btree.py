@@ -12,12 +12,11 @@ operators (including the shared ones) treat both index kinds uniformly.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..storage.iostats import IOStats
-from .bitmap import Bitmap
+from ..storage.iostats import Counts
 from .bitmap_index import INDEX_PAGE_BYTES, JoinIndex
 
 #: Accounted bytes per stored row position (a 4-byte RID, as in the paper's
@@ -36,36 +35,30 @@ class PositionListJoinIndex(JoinIndex):
     def _leaf_pages(self, n_rids: int) -> int:
         return max(1, (n_rids * BYTES_PER_RID + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES)
 
-    @property
-    def pages_per_member(self) -> int:
-        """One descent plus the average member's leaf span (one page for
-        an empty index)."""
-        n_members = self.n_members
-        if not n_members:
-            return 1
-        return 1 + self._leaf_pages(int(self.n_rows / n_members))
-
     def positions_for(self, member_id: int) -> np.ndarray:
         """The raw RID list for one member (empty if absent)."""
         return self.bitmap_for(member_id).positions()
 
-    def lookup(
-        self, member_ids: Iterable[int], stats: IOStats, *, faults=None
-    ) -> Bitmap:
-        """Bitmap of rows whose key rolls into the given members (charges the clock)."""
-        members = list(member_ids)
-        self._check_faults(faults, len(members))
-        stats.charge_index_lookup(len(members))
-        # One descent per member, found or not; then its leaf run.
-        stats.charge_rand_read(len(members))
-        found = [m for m in members if self._count(m)]
-        stats.charge_seq_read(
-            sum(self._leaf_pages(self._count(m)) - 1 for m in found)
+    def lookup_counts(
+        self, n_members: int, found: Optional[Sequence[int]] = None
+    ) -> Counts:
+        """One descent per member, found or not, reading the first page
+        of its leaf run; the rest of each found member's run read in
+        sequence (the average member's run, for an estimate); and the
+        found RIDs converted into a bitmap once."""
+        if found is None:
+            average = int(self.n_rows / self.n_members) if self.n_members else 0
+            n_found = n_members
+            rest = n_members * (self._leaf_pages(average) - 1)
+        else:
+            n_found = len(found)
+            rest = sum(self._leaf_pages(self._count(m)) - 1 for m in found)
+        return Counts(
+            seq_page_reads=rest,
+            rand_page_reads=n_members,
+            bitmap_word_ops=self.n_words if n_found else 0,
+            index_lookups=n_members,
         )
-        result = self._or_rows(found)
-        if found:
-            stats.charge_bitmap_words(result.n_words)  # RID→bitmap conversion
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

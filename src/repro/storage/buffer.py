@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 import numpy as np
 
 from ..obs.metrics import default_registry
-from .iostats import IOStats
+from .iostats import IOStats, read_counts
 from .page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -188,11 +188,9 @@ class BufferPool:
                 self._hits_metric.inc(hits)
                 self._misses_metric.inc(misses)
                 self._evictions_metric.inc(evictions)
-                self.stats.charge_buffer_hit(hits)
-                if sequential:
-                    self.stats.charge_seq_read(misses)
-                else:
-                    self.stats.charge_rand_read(misses)
+                self.stats.charge(
+                    read_counts(misses, sequential), buffer_hits=hits
+                )
 
     def _touch(self, addresses: np.ndarray) -> Tuple[int, int, int]:
         """Touch a run of distinct resident-or-not pages, in order; return

@@ -9,6 +9,13 @@ milliseconds.  The cost model estimates the same counters (a
 :class:`Counts`), and :meth:`CostRates.price` is the one place a count
 meets a rate, for the charged and the expected alike.
 
+What an operator phase charges, where it does not depend on the data, is
+stated once — :func:`read_counts`, :func:`build_counts`,
+:func:`merge_counts`, :func:`routing_counts`, :func:`filter_counts` and
+:func:`pipeline_counts` here, and a join index's ``lookup_counts`` — and
+both the operator that charges it (:meth:`IOStats.charge`, the one way a
+counter grows) and the cost model that estimates it read that statement.
+
 The paper's findings hinge on three facts that this model preserves:
 
 * sequential scans are much cheaper per page than random probes,
@@ -27,7 +34,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Tuple
 
 from ..document import DocumentError, field_of
@@ -53,24 +60,70 @@ class Counts(NamedTuple):
     predicate_evals: float = 0
 
     def __add__(self, other: "Counts") -> "Counts":
-        return Counts(*map(operator.add, self, other))
+        # Spelled out, as :meth:`CostRates.price` is: the planner adds
+        # these per trial.
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = self
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10 = other
+        return _counts((
+            a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
+            a7 + b7, a8 + b8, a9 + b9, a10 + b10,
+        ))
+
+
+#: ``Counts._make`` without its length check, for the planner's hot paths.
+_counts = partial(tuple.__new__, Counts)
 
 
 def pipeline_counts(
-    rows_in: float, probe_dims: int, n_predicates: int, rows_passed: float,
-    *, pages: int = 0, bitmap_words: int = 0, lookups: int = 0,
+    rows_in: float, probe_dims: int, n_predicates: int, rows_passed: float
 ) -> Counts:
     """What a query pipeline charges: each of ``rows_in`` tuples probes
     ``probe_dims`` hash tables and is tested against ``n_predicates``
     masks, and each of the ``rows_passed`` survivors is copied and
-    aggregated — after, for a pipeline an index phase feeds, that phase's
-    join-index ``pages`` read, bitmap words combined and member
-    ``lookups``.  Positional, in :class:`Counts`' order: the planner's
+    aggregated.  Positional, in :class:`Counts`' order: the planner's
     innermost constructor."""
-    return Counts._make((
-        pages, 0, 0, 0, rows_in * probe_dims, rows_passed, rows_passed,
-        bitmap_words, 0, lookups, rows_in * n_predicates,
+    return _counts((
+        0, 0, 0, 0, rows_in * probe_dims, rows_passed, rows_passed,
+        0, 0, 0, rows_in * n_predicates,
     ))
+
+
+def read_counts(pages: float, sequential: bool = True) -> Counts:
+    """What reading ``pages`` pages from disk charges: sequential reads
+    (a scan), or random ones (a probe)."""
+    if sequential:
+        return _counts((pages, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+    return _counts((0, pages, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+def build_counts(entries: int, pages: int = 0) -> Counts:
+    """What building dimension structures (rollup maps, predicate masks)
+    charges: one hash build per source-level member, ``entries`` in all,
+    and the ``pages`` of the stored dimension tables they scan.  Like the
+    statements below, positional: the planner builds these per trial."""
+    return _counts((pages, 0, 0, entries, 0, 0, 0, 0, 0, 0, 0))
+
+
+def merge_counts(n_bitmaps: int, n_words: int) -> Counts:
+    """What AND-ing or OR-ing ``n_bitmaps`` bitmaps of ``n_words`` words
+    into one charges: a word operation per word of each bitmap after the
+    first (nothing for one bitmap, or none)."""
+    words = max(0, n_bitmaps - 1) * n_words
+    return _counts((0, 0, 0, 0, 0, 0, 0, words, 0, 0, 0))
+
+
+def routing_counts(n_members: int, rows: float) -> Counts:
+    """What routing ``rows`` probed tuples to one of ``n_members`` index
+    joins sharing a probe charges: a bitmap test per row — none when the
+    probe serves one member, whose every tuple is its own."""
+    tests = rows if n_members > 1 else 0
+    return _counts((0, 0, 0, 0, 0, 0, 0, 0, tests, 0, 0))
+
+
+def filter_counts(rows: float) -> Counts:
+    """What an index member filtering a shared scan charges: a test of
+    each of the ``rows`` scanned tuples against its result bitmap."""
+    return _counts((0, 0, 0, 0, 0, 0, 0, 0, rows, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -164,9 +217,9 @@ class IOStats:
     One instance is shared by a :class:`~repro.engine.database.Database`;
     the executor snapshots it before and after a plan to attribute cost.
 
-    Every mutation (the ``charge_*`` family, :meth:`merge_from`,
-    :meth:`reset`) and every consistent read (:meth:`snapshot`,
-    :meth:`delta_since`) holds an internal lock, so a clock shared across
+    Every mutation (:meth:`charge`, :meth:`merge_from`, :meth:`reset`)
+    and every consistent read (:meth:`snapshot`, :meth:`delta_since`)
+    holds an internal lock, so a clock shared across
     threads cannot lose updates — a bare ``+=`` on an attribute is a
     read-modify-write that interleaves under the interpreter's thread
     switching.
@@ -193,65 +246,23 @@ class IOStats:
 
     # -- charging -----------------------------------------------------------
 
-    def charge_seq_read(self, pages: int = 1) -> None:
-        """Account sequential page reads."""
+    def charge(self, counts: Counts, buffer_hits: int = 0) -> None:
+        """Account ``counts`` of work, plus ``buffer_hits`` pool hits (no
+        simulated cost): the one way a counter grows."""
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = counts
         with self._lock:
-            self.seq_page_reads += pages
-
-    def charge_rand_read(self, pages: int = 1) -> None:
-        """Account random page reads."""
-        with self._lock:
-            self.rand_page_reads += pages
-
-    def charge_write(self, pages: int = 1) -> None:
-        """Account page writes."""
-        with self._lock:
-            self.page_writes += pages
-
-    def charge_buffer_hit(self, pages: int = 1) -> None:
-        """Account buffer-pool hits (no simulated cost)."""
-        with self._lock:
-            self.buffer_hits += pages
-
-    def charge_hash_build(self, entries: int) -> None:
-        """Account hash-table build entries."""
-        with self._lock:
-            self.hash_builds += entries
-
-    def charge_hash_probe(self, probes: int) -> None:
-        """Account hash-table probes."""
-        with self._lock:
-            self.hash_probes += probes
-
-    def charge_tuple_copy(self, tuples: int) -> None:
-        """Account result-tuple copies."""
-        with self._lock:
-            self.tuple_copies += tuples
-
-    def charge_agg_update(self, updates: int) -> None:
-        """Account aggregate-accumulator updates."""
-        with self._lock:
-            self.agg_updates += updates
-
-    def charge_bitmap_words(self, words: int) -> None:
-        """Account bitmap word operations."""
-        with self._lock:
-            self.bitmap_word_ops += words
-
-    def charge_bitmap_test(self, tests: int) -> None:
-        """Account per-tuple bitmap membership tests."""
-        with self._lock:
-            self.bitmap_tests += tests
-
-    def charge_index_lookup(self, lookups: int = 1) -> None:
-        """Account join-index member lookups."""
-        with self._lock:
-            self.index_lookups += lookups
-
-    def charge_predicate(self, evals: int) -> None:
-        """Account per-tuple predicate evaluations."""
-        with self._lock:
-            self.predicate_evals += evals
+            self.seq_page_reads += c0
+            self.rand_page_reads += c1
+            self.page_writes += c2
+            self.buffer_hits += buffer_hits
+            self.hash_builds += c3
+            self.hash_probes += c4
+            self.tuple_copies += c5
+            self.agg_updates += c6
+            self.bitmap_word_ops += c7
+            self.bitmap_tests += c8
+            self.index_lookups += c9
+            self.predicate_evals += c10
 
     # -- reporting ----------------------------------------------------------
 
@@ -303,11 +314,7 @@ class IOStats:
         """
         if delta.rates is not self.rates and delta.rates != self.rates:
             raise ValueError("cannot merge IOStats with different rates")
-        with self._lock:
-            for name in self._COUNTER_FIELDS:
-                setattr(
-                    self, name, getattr(self, name) + getattr(delta, name)
-                )
+        self.charge(delta.counts(), buffer_hits=delta.buffer_hits)
 
     def reset(self) -> None:
         """Zero all counters (the rates are kept)."""

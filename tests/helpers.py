@@ -120,7 +120,7 @@ def probe_positions(table, pool, positions):
 def hash_star_join(db: Database, table: str, query: GroupByQuery) -> QueryResult:
     """One query through the shared-scan operator on its own — the paper's
     Figure 1 single-query hash star join."""
-    return SharedScanStarJoin(db.ctx(), table, [query]).run()[query.qid]
+    return SharedScanStarJoin(db.ctx(), table, [query]).run()[0]
 
 
 def random_query(
@@ -314,7 +314,7 @@ def index_state(index, n_members: int) -> dict:
         "n_rows": index.n_rows,
         "n_members": index.n_members,
         "n_pages": index.n_pages,
-        "pages_per_lookup": [index.pages_per_lookup(n) for n in range(4)],
+        "lookup_counts": [index.lookup_counts(n) for n in range(4)],
         "bitmaps": [
             index.lookup([member], stats).words.tobytes()
             for member in range(n_members)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.operators import aggregate as aggregate_module
 from repro.core.operators.aggregate import HashAggregator, fold_groups
+from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.storage.iostats import IOStats
 
@@ -28,18 +29,26 @@ def make_aggregator(levels=(1, 1), aggregate=Aggregate.SUM):
 
 
 def feed(agg, columns, cents, batches=1):
-    stats = IOStats()
     columns = [np.asarray(c, dtype=np.int64) for c in columns]
     cents = np.asarray(cents, dtype=np.int64)
     n = cents.size
     step = max(1, n // batches)
     for start in range(0, n, step):
         agg.update(
-            [c[start : start + step] for c in columns],
-            cents[start : start + step],
-            stats,
+            [c[start : start + step] for c in columns], cents[start : start + step]
         )
-    return stats
+
+
+def pipeline_feed(columns, cents):
+    """One batch through a predicate-free pipeline whose aggregator groups
+    at the source's levels: the pipeline, and what it says to charge."""
+    query = GroupByQuery(groupby=GroupBy((1, 1)))
+    pipe = QueryPipeline(SCHEMA, query, (1, 1), RollupCache(SCHEMA, IOStats()))
+    counts = pipe.process_batch(
+        [np.asarray(c, dtype=np.int64) for c in columns],
+        np.asarray(cents, dtype=np.int64),
+    )
+    return pipe, counts
 
 
 class TestSum:
@@ -63,15 +72,14 @@ class TestSum:
         )
 
     def test_empty_batch_is_noop(self):
-        agg = make_aggregator()
-        stats = feed(agg, [[], []], [])
-        assert agg.result().groups == {}
-        assert stats.agg_updates == 0
+        pipe, counts = pipeline_feed([[], []], [])
+        assert pipe.result().groups == {}
+        assert counts.agg_updates == 0
 
     def test_charges_per_tuple(self):
-        agg = make_aggregator()
-        stats = feed(agg, [[0, 1, 2], [0, 1, 2]], [100, 100, 100])
-        assert stats.agg_updates == 3
+        """An aggregate update per folded tuple, charged by its pipeline."""
+        _pipe, counts = pipeline_feed([[0, 1, 2], [0, 1, 2]], [100, 100, 100])
+        assert counts.agg_updates == counts.tuple_copies == 3
 
     def test_all_level_dimension_carries_zero(self):
         agg = make_aggregator(levels=(1, SCHEMA.dimensions[1].all_level))
@@ -178,7 +186,7 @@ class TestAgainstBruteForce:
         agg = make_aggregator(aggregate=aggregate)
         with mock.patch.object(aggregate_module, "COMPACT_ROWS", compact_rows):
             for batch in np.split(np.array(rows, dtype=np.int64), cuts):
-                agg.update([batch[:, 0], batch[:, 1]], batch[:, 2], None)
+                agg.update([batch[:, 0], batch[:, 1]], batch[:, 2])
         got = agg.result().groups
         want = python_fold(rows, aggregate)
         assert list(got.items()) == list(want.items())
@@ -205,9 +213,8 @@ class TestAgainstBruteForce:
     @staticmethod
     def run(batches, aggregate):
         agg = make_aggregator(aggregate=aggregate)
-        stats = IOStats()
         for xs, ys, ms in batches:
-            agg.update([xs, ys], ms, stats)
+            agg.update([xs, ys], ms)
         return agg.result()
 
     @staticmethod
@@ -221,7 +228,7 @@ class TestAgainstBruteForce:
                 continue
             xs, ys, ms = (np.concatenate(c) for c in zip(*batches[lo:hi]))
             if ms.size:
-                agg.update([xs, ys], ms, None)
+                agg.update([xs, ys], ms)
         return agg.result()
 
     @staticmethod

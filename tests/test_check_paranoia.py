@@ -78,7 +78,7 @@ class TestCorruptedOperatorCaught:
 
         def corrupted_run(self):
             results = real_run(self)
-            for result in results.values():
+            for result in results:
                 key = sorted(result.groups)[0]
                 result.groups[key] += 1.0  # quiet corruption
             return results
@@ -101,7 +101,7 @@ class TestCorruptedOperatorCaught:
 
         def dropping_run(self):
             results = real_run(self)
-            for result in results.values():
+            for result in results:
                 result.groups.pop(sorted(result.groups)[0])
             return results
 

@@ -99,6 +99,42 @@ def test_the_pool_accounts_runs_not_pages():
     }
 
 
+def test_iostats_charge_is_the_one_way_a_counter_grows():
+    """No ``charge_*`` name under ``src/repro``, and no module but
+    ``storage/iostats.py`` assigns to an ``IOStats`` counter (``x.<counter>
+    +=``, ``=`` or ``setattr``): every charge goes through
+    ``IOStats.charge``, so a phase's counts are the statement both its
+    operator and the cost model read."""
+    from repro.storage.iostats import IOStats
+
+    counters = set(IOStats._COUNTER_FIELDS)
+    src = ROOT / "src" / "repro"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        if "charge_" in text:
+            found.append((path.name, "charge_"))
+        if path == src / "storage" / "iostats.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            targets = []
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "setattr"
+                and len(node.args) > 1
+                and getattr(node.args[1], "value", None) in counters
+            ):
+                found.append((path.name, node.lineno))
+            for target in targets:
+                if isinstance(target, ast.Attribute) and target.attr in counters:
+                    found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_profile_op_names_the_greedy_loop():
     """``.github/profile_op.py`` — the "which layer moved" profile of
     .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and

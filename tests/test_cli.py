@@ -1,6 +1,9 @@
 """CLI tests (driven in-process through repro.cli.main)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,6 +412,24 @@ class TestBadInput:
         err = capsys.readouterr().err
         [line] = [line for line in err.splitlines() if "error: " in line]
         assert named in line and "Traceback" not in err
+
+
+class TestClosedPipe:
+    def test_a_reader_closing_stdout_ends_the_cli_quietly(self):
+        """``repro metrics | true``: the reader is gone before the first
+        write, so the CLI exits 141 with nothing on stderr, no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "metrics", *SCALE],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 141
 
 
 class TestProfileFlag:

@@ -600,7 +600,9 @@ def from_scratch(model, entry, queries):
     )
     for term in terms:
         index_total += term.index_ms
-        index_total += price(Counts(bitmap_tests=union_rows))
+        # Routing: a test per probed row, unless the probe serves one member.
+        routed = union_rows if len(terms) > 1 else 0
+        index_total += price(Counts(bitmap_tests=routed))
     if index_total < total:
         return index_total, [JoinMethod.INDEX] * len(terms)
     return total, methods

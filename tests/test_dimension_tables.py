@@ -70,7 +70,7 @@ class TestChargedBuilds:
         queries = [q((1, 1), label="a"), q((1, 1), label="b")]
         db.flush()
         before = db.stats.snapshot()
-        SharedScanStarJoin(db.ctx(), "XY", queries).run_ordered()
+        SharedScanStarJoin(db.ctx(), "XY", queries).run()
         shared_reads = db.stats.delta_since(before).seq_page_reads
         separate_reads = 0
         for query in queries:

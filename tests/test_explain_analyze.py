@@ -112,8 +112,9 @@ class TestGolden:
     printed (``core.explain.explain_plan`` + ``dag.explain.render_dag``,
     and ``ExecutionReport.explain_analyze``), at scale 0.01, plus one
     ``est/charged`` line per executed class (estimated vs charged count of
-    each priced unit).  Test 2 under ``naive`` keeps the ``index_star``
-    routing mismatch on record: ``bitmap_tests 194/0``."""
+    each priced unit).  Test 2 under ``naive`` keeps on record that an
+    ``index_star`` class routes nothing and is estimated to route nothing:
+    its lines carry no ``bitmap_tests``."""
 
     @pytest.fixture(scope="class")
     def golden_db(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.index.bitmap import Bitmap
 from repro.index.bitmap_index import BitmapJoinIndex
 from repro.index.btree import PositionListJoinIndex
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import Counts, IOStats
 from repro.storage.table import HeapTable
 
 from helpers import index_state
@@ -71,8 +71,10 @@ class TestBitmapJoinIndex:
         stats = IOStats()
         index.lookup([0, 1], stats)
         assert stats.index_lookups == 2
-        assert stats.seq_page_reads == index.pages_per_lookup(2)
-        assert stats.bitmap_word_ops > 0  # the OR of two bitmaps
+        assert stats.seq_page_reads == 2 * index.pages_per_member
+        assert stats.bitmap_word_ops == index.n_words  # the OR of two bitmaps
+        # Both members are present, so the estimate is what was charged.
+        assert stats.counts() == index.lookup_counts(2)
 
     def test_empty_table(self):
         table = make_table([])
@@ -109,6 +111,8 @@ class TestPositionListJoinIndex:
         index.lookup([0, 1], stats)
         assert stats.rand_page_reads == 2  # one descent per member
         assert stats.index_lookups == 2
+        # The estimate reads the same statement: descents are random reads.
+        assert stats.counts() == index.lookup_counts(2)
 
     def test_missing_member_still_charges_descent(self):
         keys = [0, 0]
@@ -176,7 +180,8 @@ class TestGrownIndex:
                 cls.build(table, **kwargs), 3
             ), stop
         if cls is BitmapJoinIndex:
-            assert index.pages_per_lookup(1) == 2 * small["pages_per_lookup"][1]
+            pages = small["lookup_counts"][1].seq_page_reads
+            assert index.lookup_counts(1).seq_page_reads == 2 * pages
             assert index.n_pages == 2 * small["n_pages"]
 
     @given(
@@ -220,13 +225,22 @@ def _charges(kind, n_rows, counts, members):
 
 
 def _sizes(kind, n_rows, counts):
-    """``n_pages`` and ``pages_per_member`` by the same formulas."""
+    """``n_pages`` and the estimate of a one-member lookup — the member
+    taken as present, with the average member's payload — by the same
+    formulas."""
     present = sum(1 for c in counts.values() if c)
     if kind is BitmapJoinIndex:
         per_member = max(1, ((n_rows + 7) // 8 + 8191) // 8192)
-        return per_member * max(1, present), per_member
+        one = Counts(seq_page_reads=per_member, index_lookups=1)
+        return per_member * max(1, present), one
     leaf = lambda n: max(1, (n * 4 + 8191) // 8192)  # noqa: E731
-    return leaf(n_rows), (1 + leaf(int(n_rows / present)) if present else 1)
+    one = Counts(
+        seq_page_reads=leaf(int(n_rows / present)) - 1 if present else 0,
+        rand_page_reads=1,
+        bitmap_word_ops=(n_rows + 63) // 64,
+        index_lookups=1,
+    )
+    return leaf(n_rows), one
 
 
 class TestOnePayload:
@@ -257,11 +271,11 @@ class TestOnePayload:
             make_table(members), "f", 0, 1, 0, np.arange(41, dtype=np.int64), 41
         )
         counts = {m: members.count(m) for m in set(members)}
-        n_pages, per_member = _sizes(kind, stream.size, counts)
+        sizes = _sizes(kind, stream.size, counts)
         for index in (grown, built):
             assert index.n_rows == stream.size
             assert index.n_members == len(counts)
-            assert (index.n_pages, index.pages_per_member) == (n_pages, per_member)
+            assert (index.n_pages, index.lookup_counts(1)) == sizes
             for ms in lookups:
                 stats = IOStats()
                 bitmap = index.lookup(ms, stats)

@@ -130,9 +130,9 @@ def test_compute_is_per_morsel_not_per_page(
     calls = {}
     process_batch = QueryPipeline.process_batch
 
-    def counting(self, keys, measures, stats, survivors=None):
-        calls.setdefault(self.query.qid, []).append((stats, measures.size))
-        return process_batch(self, keys, measures, stats, survivors)
+    def counting(self, keys, measures, survivors=None):
+        calls.setdefault(self.query.qid, []).append(measures.size)
+        return process_batch(self, keys, measures, survivors)
 
     reads = []
     read_pages = BufferPool.read_pages
@@ -153,10 +153,9 @@ def test_compute_is_per_morsel_not_per_page(
     span = paper_db.last_trace.find("operator.shared_hybrid")
     assert span.attrs["actuals"]["morsels"] == expected
     for local in plan_class.plans:
-        # One fold, already charged by the class: the hash member's batch
-        # is every scanned row, an index member's the rows routed to it.
-        ((stats, n_rows),) = calls[local.query.qid]
-        assert stats is None
+        # One fold, charged by the class per morsel: the hash member's
+        # batch is every scanned row, an index member's the rows routed.
+        (n_rows,) = calls[local.query.qid]
         assert n_rows <= table.n_rows
         if local.method is JoinMethod.HASH:
             assert n_rows == table.n_rows

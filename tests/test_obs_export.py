@@ -14,7 +14,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import Counts, IOStats
 
 
 class FakeClock:
@@ -39,8 +39,7 @@ def make_trace():
         with tracer.span("execute.plan"):
             clock.advance(0.05)
             with tracer.span("operator.shared_scan_hash", source="ABCD"):
-                stats.charge_seq_read(10)
-                stats.charge_hash_probe(100)
+                stats.charge(Counts(seq_page_reads=10, hash_probes=100))
                 clock.advance(0.4)
             clock.advance(0.05)
         clock.advance(0.25)

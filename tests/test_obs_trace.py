@@ -4,7 +4,7 @@ zero-overhead no-op tracer path."""
 import pytest
 
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import Counts, IOStats
 
 
 class FakeClock:
@@ -111,12 +111,12 @@ class TestSimDeltas:
     def test_span_captures_only_its_window(self):
         stats = IOStats()
         tracer = Tracer(stats=stats, clock=FakeClock())
-        stats.charge_seq_read(100)  # before any span: not attributed
+        stats.charge(Counts(seq_page_reads=100))  # before any span: not attributed
         with tracer.span("outer"):
-            stats.charge_seq_read(10)
+            stats.charge(Counts(seq_page_reads=10))
             with tracer.span("inner"):
-                stats.charge_rand_read(5)
-            stats.charge_seq_read(1)
+                stats.charge(Counts(rand_page_reads=5))
+            stats.charge(Counts(seq_page_reads=1))
         outer = tracer.roots[0]
         inner = outer.children[0]
         assert outer.sim.seq_page_reads == 11

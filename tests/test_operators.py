@@ -133,7 +133,7 @@ class TestSharedScanHashJoin:
 
     def test_results_equal_separate_execution(self, db):
         queries = self.queries()
-        shared = SharedScanStarJoin(db.ctx(), "XY", queries).run_ordered()
+        shared = SharedScanStarJoin(db.ctx(), "XY", queries).run()
         for query, result in zip(queries, shared):
             solo = hash_star_join(db, "XY", query)
             assert result.groups == solo.groups
@@ -144,7 +144,7 @@ class TestSharedScanHashJoin:
         entry = db.catalog.get("XY")
         db.flush()
         before = db.stats.snapshot()
-        SharedScanStarJoin(db.ctx(), "XY", queries).run_ordered()
+        SharedScanStarJoin(db.ctx(), "XY", queries).run()
         delta = db.stats.delta_since(before)
         assert delta.seq_page_reads == entry.n_pages
         assert delta.rand_page_reads == 0
@@ -271,9 +271,8 @@ class TestSharedHybridJoin:
             simple_query((2, 2), [DimPredicate(1, 1, frozenset({0}))]),
         ]
         op = SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries)
-        by_qid = op.run()
-        for query in hash_queries + index_queries:
-            assert by_qid[query.qid].groups == reference_for(db, query).groups
+        for query, result in zip(hash_queries + index_queries, op.run()):
+            assert result.groups == reference_for(db, query).groups
 
     def test_no_random_reads(self, db):
         """The whole point of Section 3.3: index plans ride the scan."""
@@ -288,15 +287,20 @@ class TestSharedHybridJoin:
         assert delta.rand_page_reads == 0
         assert delta.seq_page_reads >= db.catalog.get("XY").n_pages
 
-    def test_run_ordered(self, db):
+    def test_run_returns_member_order(self, db):
+        """Hash members, then index members, then each step's derived
+        ones — whatever order the scan meets them in."""
         hash_queries = [simple_query((1, 1))]
         index_queries = [
             simple_query((1, 2), [DimPredicate(0, 1, frozenset({1}))]),
         ]
-        op = SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries)
-        ordered = op.run_ordered()
-        assert [r.query.qid for r in ordered] == [
-            q.qid for q in hash_queries + index_queries
+        derived = (simple_query((2, 1)),)
+        op = SharedScanStarJoin(
+            db.ctx(), "XY", hash_queries, index_queries,
+            [DeriveStep(simple_query((1, 1)), derived)],
+        )
+        assert [r.query.qid for r in op.run()] == [
+            q.qid for q in (*hash_queries, *index_queries, *derived)
         ]
 
     def test_empty_rejected(self, db):
@@ -338,7 +342,7 @@ class TestSharedProbe:
         op = SharedScanStarJoin(
             db.ctx(), "XY", hash_queries, index_queries, derives
         )
-        results = op.run()
+        results = {result.query.qid: result for result in op.run()}
         observed = (
             {
                 qid: list(result.groups.items())
@@ -422,7 +426,7 @@ class TestSharedProbe:
             db.pool, db.schema.n_dims
         ):
             for pipe in pipes:
-                pipe.process_batch(keys, measures, db.stats)
+                db.stats.charge(pipe.process_batch(keys, measures))
         want = observed([p.result() for p in pipes], pipes, before)
 
         db.flush()
@@ -436,7 +440,7 @@ class TestSharedProbe:
 
         monkeypatch.setattr(QueryPipeline, "__init__", recording)
         op = SharedScanStarJoin(ctx, "XY", queries)
-        got = observed(op.run_ordered(), built, before)
+        got = observed(op.run(), built, before)
         assert got == want
         morsel_pages = max(1, morsel_rows // entry.table.capacity)
         assert op.actuals.morsels == -(-entry.table.n_pages // morsel_pages)

@@ -58,7 +58,7 @@ class TestOperatorInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_shared_scan_equals_reference(self, queries):
-        results = SharedScanStarJoin(DB.ctx(), "XY", queries).run_ordered()
+        results = SharedScanStarJoin(DB.ctx(), "XY", queries).run()
         for query, result in zip(queries, results):
             assert result.groups == reference(query).groups
 
@@ -87,13 +87,13 @@ class TestOperatorInvariants:
     )
     def test_hybrid_equals_reference_when_feasible(self, hash_qs, index_qs):
         try:
-            by_qid = SharedScanStarJoin(
+            results = SharedScanStarJoin(
                 DB.ctx(), "XY", hash_qs, index_qs
             ).run()
         except MissingIndexError:
             return
-        for query in hash_qs + index_qs:
-            assert by_qid[query.qid].groups == reference(query).groups
+        for query, result in zip(hash_qs + index_qs, results):
+            assert result.groups == reference(query).groups
 
 
 class TestOptimizerInvariants:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.storage.buffer import BufferPool
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import Counts, IOStats
 from repro.storage.table import HeapTable
 
 N_THREADS = 8
@@ -54,8 +54,7 @@ class TestIOStatsLocking:
 
         def worker(_index):
             for _ in range(N_ITERATIONS):
-                stats.charge_seq_read()
-                stats.charge_hash_probe(2)
+                stats.charge(Counts(seq_page_reads=1, hash_probes=2))
 
         hammer(worker)
         assert stats.seq_page_reads == N_THREADS * N_ITERATIONS
@@ -64,8 +63,7 @@ class TestIOStatsLocking:
     def test_concurrent_merges_are_exact(self, tight_switching):
         shared = IOStats()
         delta = IOStats()
-        delta.charge_rand_read(3)
-        delta.charge_tuple_copy(5)
+        delta.charge(Counts(rand_page_reads=3, tuple_copies=5))
 
         def worker(_index):
             for _ in range(2_000):
@@ -86,8 +84,7 @@ class TestIOStatsLocking:
         parts = []
         for count in (1, 4, 7):
             part = IOStats()
-            part.charge_seq_read(count)
-            part.charge_agg_update(count * 10)
+            part.charge(Counts(seq_page_reads=count, agg_updates=count * 10))
             parts.append(part)
         for part in parts:
             shared.merge_from(part)
