@@ -38,14 +38,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ...schema.lattice import intermediate_source_aggregate, source_can_answer
+from ...schema.lattice import intermediate_source_aggregate
 from ...schema.query import GroupByQuery
 from ...storage.iostats import filter_counts, pipeline_counts
 from ..optimizer.plans import DeriveStep
 from . import aggregate
 from .index_join import query_result_bitmap
 from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
-from .pipeline import scan_columns
+from .pipeline import require_answerable, scan_columns
 from .results import OperatorActuals, QueryResult
 
 
@@ -81,13 +81,8 @@ class SharedScanStarJoin:
         self.actuals = OperatorActuals(operator=self.label, source=source_name)
         source_levels = self.source.levels
         source_agg = self.source.source_aggregate
-        for query in self.hash_queries + self.index_queries:
-            if not source_can_answer(source_levels, source_agg, query):
-                raise ValueError(
-                    f"{query.display_name()} cannot be answered from "
-                    f"{source_name!r} (levels {source_levels}, "
-                    f"measure {source_agg!r})"
-                )
+        members = self.hash_queries + self.index_queries
+        require_answerable(source_levels, source_agg, members, repr(source_name))
         for step in self.derives:
             intermediate = step.intermediate
             if intermediate.predicates:
@@ -100,22 +95,15 @@ class SharedScanStarJoin:
                     f"derive step {intermediate.display_name()} has no "
                     f"member queries"
                 )
-            if not source_can_answer(source_levels, source_agg, intermediate):
-                raise ValueError(
-                    f"intermediate {intermediate.display_name()} cannot be "
-                    f"computed from {source_name!r}"
-                )
-            inter_agg = intermediate_source_aggregate(source_agg, intermediate)
-            for query in step.queries:
-                if not source_can_answer(
-                    intermediate.groupby.levels, inter_agg, query
-                ):
-                    raise ValueError(
-                        f"{query.display_name()} cannot be derived from "
-                        f"intermediate {intermediate.display_name()} "
-                        f"(levels {intermediate.groupby.levels}, "
-                        f"measure {inter_agg!r})"
-                    )
+            require_answerable(
+                source_levels, source_agg, [intermediate], repr(source_name)
+            )
+            require_answerable(
+                intermediate.groupby.levels,
+                intermediate_source_aggregate(source_agg, intermediate),
+                step.queries,
+                f"intermediate {intermediate.display_name()}",
+            )
 
     def run(self) -> List[QueryResult]:
         """Run all queries; returns their results in member order: the
@@ -149,6 +137,7 @@ class SharedScanStarJoin:
         hash_pipes = [pipeline(q) for q in self.hash_queries]
         index_pipes = [pipeline(q) for q in self.index_queries]
         inter_pipes = [pipeline(step.intermediate) for step in self.derives]
+        rollups.settle(rollups.built())
         # Hash members and intermediates both consume every scanned tuple;
         # their predicates are evaluated together, once per morsel.
         full_scan_pipes = hash_pipes + inter_pipes
@@ -246,6 +235,7 @@ class SharedScanStarJoin:
                 derived_pipe = pipeline(
                     query, intermediate.groupby.levels, inter_agg
                 )
+                rollups.settle(rollups.built())
                 ctx.stats.charge(
                     derived_pipe.process_batch(inter_keys, inter_measures)
                 )

@@ -11,22 +11,25 @@ one query there is nothing to OR or route: its bitmap is the probe set and
 every retrieved tuple is its own.
 
 The probe phase is a vectorized columnar gather
-(:meth:`~repro.storage.table.HeapTable.fetch_positions`) and routing tests
-positions directly against the packed bitmap words
-(:meth:`~repro.index.bitmap.Bitmap.test_positions`).
+(:meth:`~repro.storage.table.HeapTable.fetch_positions`).  Routing is the
+shared scan's router (:class:`~.pipeline.SharedProbe`) run over the
+retrieved rows: a member's bitmap is the AND of its indexed predicates, so
+a retrieved row is in it and passes the member's residual predicates
+exactly when it passes all of the member's predicates — which one probe
+per dimension decides for every member at once.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ...index.bitmap import Bitmap, and_all
+from ...index.bitmap import Bitmap, and_all, or_all
 from ...index.bitmap_index import JoinIndex
-from ...schema.lattice import source_can_answer
 from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
 from ...storage.iostats import merge_counts, routing_counts
-from .pipeline import ExecContext, QueryPipeline, RollupCache
+from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
+from .pipeline import require_answerable
 from .results import OperatorActuals, QueryResult
 
 
@@ -114,75 +117,62 @@ class SharedIndexStarJoin:
         )
         #: Filled during :meth:`run` — the operator's measured actuals.
         self.actuals = OperatorActuals(operator=self.label, source=source_name)
-        for query in self.queries:
-            if not source_can_answer(
-                self.source.levels, self.source.source_aggregate, query
-            ):
-                raise ValueError(
-                    f"{query.display_name()} cannot be answered from "
-                    f"{source_name!r} (levels {self.source.levels}, "
-                    f"measure {self.source.source_aggregate!r})"
-                )
+        levels, aggregate = self.source.levels, self.source.source_aggregate
+        require_answerable(levels, aggregate, self.queries, repr(source_name))
 
     def run(self) -> List[QueryResult]:
         """Execute the operator; returns per-query results in input order."""
-        ctx = self.ctx
-        actuals = self.actuals
+        ctx, actuals, source = self.ctx, self.actuals, self.source
+        n_members = len(self.queries)
         # Step 1: per-query result bitmaps, then OR them into one probe set.
         per_query = [
-            query_result_bitmap(ctx, self.source, q, actuals)
-            for q in self.queries
+            query_result_bitmap(ctx, source, q, actuals) for q in self.queries
         ]
-        shared = len(per_query) > 1
-        union = per_query[0]
-        if shared:
-            union = union.copy()
-            for bitmap in per_query[1:]:
-                union.words |= bitmap.words
-            ctx.stats.charge(merge_counts(len(per_query), union.n_words))
-            actuals.or_ops += len(per_query) - 1
+        union = or_all(per_query)
+        if n_members > 1:
+            ctx.stats.charge(merge_counts(n_members, union.n_words))
+            actuals.or_ops += n_members - 1
         # Step 2: probe the base table once with the union bitmap.
         positions = union.positions()
         actuals.union_popcount = int(union.count())
         actuals.probes_issued = int(positions.size)
-        keys, measures = self.source.table.fetch_positions(
+        keys, measures = source.table.fetch_positions(
             ctx.pool, positions, ctx.schema.n_dims
         )
-        # Step 3: "Filter tuples" — route each tuple to the queries whose own
-        # bitmap has its position set.  Step 4: per-query aggregation.
+        # Step 3: "Filter tuples" — one shared probe routes each tuple to the
+        # queries whose predicates it passes, so every pipeline is built
+        # first and charged for its builds in its turn.  Step 4: per-query
+        # aggregation.
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
+        pipes, builds = [], []
+        for query in self.queries:
+            pipes.append(QueryPipeline(
+                ctx.schema, query, source.levels, rollups, source.source_aggregate
+            ))
+            builds.append(rollups.built())
+        probe = SharedProbe(pipes) if n_members > 1 else None
+        routed = probe.split(probe.alive(keys)) if probe else [None]
         results: List[QueryResult] = []
-        for query, bitmap in zip(self.queries, per_query):
+        for query, bitmap, pipe, built, rows in zip(
+            self.queries, per_query, pipes, builds, routed
+        ):
             if ctx.faults is not None:
                 ctx.faults.check(
-                    "operator.pipeline",
-                    operator=self.label,
-                    table=self.source.name,
+                    "operator.pipeline", operator=self.label, table=source.name
                 )
-            actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
-            mine_keys, mine_measures = keys, measures
-            if shared:
-                # Packed-word routing: gather each position's covering word
-                # and mask its bit — no full-bitmap unpack.
-                mine = bitmap.test_positions(positions)
+            fed = int(bitmap.count())
+            actuals.bitmap_popcounts[query.qid] = fed
+            if n_members > 1:
                 actuals.tuples_tested[query.qid] = int(positions.size)
-                actuals.tuples_routed[query.qid] = int(mine.sum())
-                mine_keys = [col[mine] for col in keys]
-                mine_measures = measures[mine]
-            pipeline = QueryPipeline(
-                ctx.schema,
-                query,
-                self.source.levels,
-                rollups,
-                source_aggregate=self.source.source_aggregate,
-            )
+                actuals.tuples_routed[query.qid] = fed
+            rollups.settle(built)
             ctx.stats.charge(
-                routing_counts(len(self.queries), positions.size)
-                + pipeline.process_batch(mine_keys, mine_measures)
+                routing_counts(n_members, positions.size)
+                + pipe.process_batch(keys, measures, rows, fed)
             )
-            result = pipeline.result()
-            actuals.record_pipeline(query.qid, pipeline, result, ctx.stats.rates)
+            result = pipe.result()
+            actuals.record_pipeline(query.qid, pipe, result, ctx.stats.rates)
             results.append(result)
         return results

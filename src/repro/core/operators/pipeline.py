@@ -15,12 +15,12 @@ several hash tables on the same dimension tables").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...obs.trace import NULL_TRACER
-from ...schema.lattice import aggregate_compatible, effective_aggregate
+from ...schema.lattice import effective_aggregate, source_can_answer
 from ...schema.query import DimPredicate, GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.buffer import BufferPool
@@ -36,8 +36,8 @@ class ExecContext:
     """Everything an operator needs to run: schema, catalog, pool, clock.
 
     ``dim_tables`` (optional) maps dimension names to stored dimension
-    tables; when present, building a dimension hash structure charges a
-    scan of that table (see :meth:`Database.store_dimension_tables`).
+    tables; when present, an operator's first structure on a dimension
+    charges a scan of its table (see :meth:`Database.store_dimension_tables`).
 
     ``tracer`` receives execution spans; the default no-op tracer makes
     untraced runs free (see :mod:`repro.obs.trace`).
@@ -84,16 +84,30 @@ def scan_columns(
     return entry.table.scan_batches(ctx.pool, ctx.schema.n_dims, after_page)
 
 
+def require_answerable(
+    levels: Sequence[int],
+    aggregate: Optional[str],
+    queries: Iterable[GroupByQuery],
+    source: str,
+) -> None:
+    """Raise ValueError naming the first of ``queries`` that a source
+    stored at ``levels`` and holding ``aggregate`` rollups cannot answer."""
+    for query in queries:
+        if not source_can_answer(levels, aggregate, query):
+            raise ValueError(
+                f"{query.display_name()} cannot be answered from {source} "
+                f"(levels {tuple(levels)}, measure {aggregate!r})"
+            )
+
+
 class RollupCache:
     """Builds dimension rollup maps and predicate masks once per operator
-    execution, charging each build to the cost clock exactly once
-    (:func:`~repro.storage.iostats.build_counts`).
-
-    With ``dim_tables`` (and the ``pool`` to read them through), each
-    structure's build also scans the stored dimension table (sequential
-    I/O through the buffer pool) — the full cost of "building a hash table
-    on the dimension table".  Without them, only the per-entry CPU build
-    cost is charged (the dimension fits in metadata)."""
+    execution, and charges them apart (:meth:`built`, :meth:`settle`): an
+    operator can build every member's pipeline first and charge each
+    member's builds in its turn.  With ``dim_tables`` (and the ``pool`` to
+    read them through), the first build on a dimension also scans its
+    stored table, once per execution however many structures it takes —
+    the paper's "building a hash table on the dimension table"."""
 
     def __init__(
         self,
@@ -108,19 +122,35 @@ class RollupCache:
         self.dim_tables = dim_tables or {}
         self._target_maps: Dict[Tuple[int, int, int], np.ndarray] = {}
         self._pred_masks: Dict[Tuple[int, int, int, frozenset], np.ndarray] = {}
+        #: ``(dim_index, from_level)`` per structure built since :meth:`built`.
+        self._built: List[Tuple[int, int]] = []
+        #: The dimensions whose stored table a settled build has scanned.
+        self._scanned: set = set()
 
-    def _build(self, dim_index: int, from_level: int) -> None:
-        """Charge one structure build (:func:`build_counts`): a hash entry
-        per source-level member, then, when the dimension table is stored,
-        a scan of it through the pool, which charges the pages it reads."""
-        dim = self.schema.dimensions[dim_index]
-        self.stats.charge(build_counts(dim.n_members(from_level)))
-        dim_table = self.dim_tables.get(dim.name)
-        if dim_table is not None:
-            # Only the accounting is wanted: drain the scan (every column
-            # but the last as a key: zero-copy views, nothing converted).
-            for _morsel in dim_table.scan_batches(self.pool, dim_table.n_columns - 1):
-                pass
+    def built(self) -> List[Tuple[int, int]]:
+        """The structures built since the last call, uncharged: ``(dim
+        index, source level)`` each, for :meth:`settle`."""
+        built, self._built = self._built, []
+        return built
+
+    def settle(self, built: Sequence[Tuple[int, int]]) -> None:
+        """Charge the structures ``built`` (:func:`build_counts`): a hash
+        entry per source-level member; then the first build on a dimension
+        whose table is stored scans that table through the pool, which
+        charges the pages it reads."""
+        sizes = self.schema.level_sizes
+        self.stats.charge(build_counts(sum(sizes[d][level] for d, level in built)))
+        for dim_index, _level in built:
+            name = self.schema.dimensions[dim_index].name
+            dim_table = self.dim_tables.get(name)
+            if dim_table is not None and name not in self._scanned:
+                self._scanned.add(name)
+                # Only the accounting is wanted: drain the scan (every
+                # column but the last as a key: zero-copy views).
+                for _morsel in dim_table.scan_batches(
+                    self.pool, dim_table.n_columns - 1
+                ):
+                    pass
 
     def target_map(
         self, dim_index: int, from_level: int, to_level: int
@@ -134,7 +164,7 @@ class RollupCache:
         cached = self._target_maps.get(key)
         if cached is None:
             cached = dim.rollup_map(from_level, to_level)
-            self._build(dim_index, from_level)
+            self._built.append((dim_index, from_level))
             self._target_maps[key] = cached
         return cached
 
@@ -158,7 +188,7 @@ class RollupCache:
             ids = np.fromiter(predicate.member_ids, dtype=np.int64)
             hit[ids[(ids >= 0) & (ids < hit.size)]] = True
             cached = hit[dim.rollup_map(from_level, predicate.level)]
-            self._build(predicate.dim_index, from_level)
+            self._built.append((predicate.dim_index, from_level))
             self._pred_masks[key] = cached
         return cached
 
@@ -179,17 +209,7 @@ class QueryPipeline:
         rollups: RollupCache,
         source_aggregate: Optional[str] = None,
     ):
-        if not query.answerable_from(source_levels):
-            raise ValueError(
-                f"{query.display_name()} is not answerable from a table at "
-                f"levels {tuple(source_levels)}"
-            )
-        if not aggregate_compatible(query.aggregate, source_aggregate):
-            raise ValueError(
-                f"{query.display_name()} computes "
-                f"{query.aggregate.value.upper()} but the source holds "
-                f"{source_aggregate!r} rollups"
-            )
+        require_answerable(source_levels, source_aggregate, [query], "its source")
         self.schema = schema
         self.query = query
         self.source_levels = tuple(source_levels)
@@ -250,13 +270,16 @@ class QueryPipeline:
         key_columns: Sequence[np.ndarray],
         measures: np.ndarray,
         survivors: Optional[np.ndarray] = None,
+        fed: Optional[int] = None,
     ) -> Counts:
         """Run one batch through probe → filter → aggregate; returns what
         it charges (:func:`pipeline_counts`), for the caller to charge.
         ``survivors`` — the rows passing every predicate (ascending
-        offsets, or flags), as a shared scan found them — replaces this
-        pipeline's own mask evaluation."""
-        n = measures.size
+        offsets, or flags), as a shared probe found them — replaces this
+        pipeline's own mask evaluation.  ``fed`` is how many of the
+        batch's rows reach this pipeline, when fewer than all do (a shared
+        index probe's rows in the member's own bitmap)."""
+        n = measures.size if fed is None else fed
         self.rows_in += n
         keep = survivors if survivors is not None else self.passing(key_columns)
         if keep is not None:
@@ -302,20 +325,25 @@ class SharedProbe:
         predicated = [i for i, pipe in enumerate(pipes) if pipe.n_predicates]
         for first in range(0, len(predicated), 64):
             members = predicated[first : first + 64]
-            everyone = (1 << len(members)) - 1
-            tables: Dict[int, np.ndarray] = {}
+            # Per dimension, a flag per (member id, bit): set for every
+            # member, cleared where one of its masks there fails; then the
+            # 64 flags of each member id packed into its word.
+            flags: Dict[int, np.ndarray] = {}
             for bit, member in enumerate(members):
                 for dim_index, mask in pipes[member]._masks:
-                    if dim_index not in tables:
-                        tables[dim_index] = np.full(
-                            mask.size, everyone, dtype=np.uint64
+                    table = flags.get(dim_index)
+                    if table is None:
+                        table = flags[dim_index] = np.zeros(
+                            (mask.size, 64), dtype=bool
                         )
-                    tables[dim_index][~mask] &= np.uint64(everyone ^ (1 << bit))
+                        table[:, : len(members)] = True
+                    table[:, bit] &= mask
+            tables = [
+                (d, np.packbits(table, axis=1, bitorder="little").view("<u8")[:, 0])
+                for d, table in flags.items()
+            ]
             self._words.append(
-                (
-                    list(tables.items()),
-                    [(m, np.uint64(1 << bit)) for bit, m in enumerate(members)],
-                )
+                (tables, [(m, np.uint64(1 << bit)) for bit, m in enumerate(members)])
             )
 
     def alive(self, key_columns: Sequence[np.ndarray]) -> List[np.ndarray]:

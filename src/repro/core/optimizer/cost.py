@@ -139,8 +139,9 @@ class CostModel:
         #: effort metric (the paper's future-work trade-off: GG searches
         #: more global plans than ETPLG, which searches more than TPLO).
         self.n_plan_costings = 0
-        # Per dimension, the pages of its stored table one structure build
-        # scans (zero when dimensions live in metadata only).
+        # Per dimension, the pages of its stored table, which a class's
+        # first structure build on it scans (zero when dimensions live in
+        # metadata only).
         self._dim_pages = [
             self.dim_tables[dim.name].n_pages
             if dim.name in self.dim_tables
@@ -291,12 +292,16 @@ class CostModel:
 
     def _missing(self, held: set, keys: Iterable[tuple], entries: int, pages: int):
         """The build keys not in ``held``, and the totals grown by building
-        them (:func:`build_counts`' arguments): hash entries, and (when it
-        is stored) dimension-table pages."""
+        them (:func:`build_counts`' arguments): hash entries, and the pages
+        of each stored dimension table they are the first keys on (the
+        operator scans a dimension's table once, however many structures
+        it builds there)."""
         new = {key for key in keys if key not in held}
         for key in new:
             entries += self.schema.level_sizes[key[0]][key[1]]
-            pages += self._dim_pages[key[0]]
+        if self.dim_tables:
+            for dim_index in {key[0] for key in new} - {key[0] for key in held}:
+                pages += self._dim_pages[dim_index]
         return new, entries, pages
 
     def _joined(self, state: ClassState, term: MemberTerm) -> Tuple[set, tuple]:

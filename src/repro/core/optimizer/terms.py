@@ -139,7 +139,8 @@ def price_terms(
             ):
                 n_structures = masks + (target != level and target != top)
                 builds += n_structures * members
-                pages += n_structures * dim_pages
+                if n_structures:
+                    pages += dim_pages
             yield entry, query, _term(model, entry, query, fact, *on_entry), (builds, pages)
 
 

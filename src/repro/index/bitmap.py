@@ -165,20 +165,6 @@ class Bitmap:
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
         return bits[: self.n_bits].astype(bool)
 
-    def test_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean membership of each position, straight off the packed
-        words (gather the covering word, shift, mask) — no full-bitmap
-        unpack and no per-tuple loop.  This is the routing kernel of the
-        shared index join's "Filter tuples" step."""
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return np.empty(0, dtype=bool)
-        if int(positions.min()) < 0 or int(positions.max()) >= self.n_bits:
-            raise IndexError("position out of bitmap range")
-        words = self.words[positions // WORD_BITS]
-        shifts = (positions % WORD_BITS).astype(np.uint64)
-        return ((words >> shifts) & np.uint64(1)).astype(bool)
-
     def copy(self) -> "Bitmap":
         """An independent copy."""
         return Bitmap(self.n_bits, self.words.copy())

@@ -199,29 +199,3 @@ class TestBulkOps:
         and_all([a, b])
         assert a.positions().tolist() == [1]
         assert b.positions().tolist() == [2]
-
-
-class TestPackedKernels:
-    """test_positions: packed-word reads must equal the
-    full-unpack reference exactly — the kernel execution path's contract."""
-
-    @given(bitmap_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_test_positions_matches_unpack(self, a):
-        dense = a.to_bool_array()
-        if a.n_bits == 0:
-            return
-        positions = np.arange(a.n_bits, dtype=np.int64)
-        np.testing.assert_array_equal(a.test_positions(positions), dense)
-        # Unordered, repeated positions gather just as well.
-        scrambled = np.asarray(
-            [0, a.n_bits - 1, 0, a.n_bits // 2], dtype=np.int64
-        )
-        np.testing.assert_array_equal(
-            a.test_positions(scrambled), dense[scrambled]
-        )
-
-    def test_test_positions_empty(self):
-        a = Bitmap.zeros(70)
-        out = a.test_positions(np.empty(0, dtype=np.int64))
-        assert out.dtype == bool and out.size == 0

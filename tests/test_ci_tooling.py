@@ -135,6 +135,23 @@ def test_iostats_charge_is_the_one_way_a_counter_grows():
     assert found == []
 
 
+def test_no_bitmap_is_tested_position_by_position():
+    """The shared index join routes the union's rows through the shared
+    probe (``pipeline.SharedProbe``), one gather per dimension for every
+    member, not a bitmap test per member: nothing under ``src/repro``
+    defines or calls ``test_positions``."""
+    src = ROOT / "src" / "repro"
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "attr", getattr(node, "name", None)) == "test_positions"
+    ]
+    assert found == []
+    index_join = src / "core" / "operators" / "index_join.py"
+    assert "SharedProbe(" in index_join.read_text()
+
+
 def test_profile_op_names_the_greedy_loop():
     """``.github/profile_op.py`` — the "which layer moved" profile of
     .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and

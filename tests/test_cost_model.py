@@ -562,7 +562,8 @@ def from_scratch(model, entry, queries):
     price = model.rates.price
     keys = {key for term in terms for key in term.build_keys}
     entries = sum(model.schema.dimensions[k[0]].n_members(k[1]) for k in keys)
-    dim_pages = sum(model._dim_pages[k[0]] for k in keys)
+    # A stored dimension table is scanned once, whatever it takes built.
+    dim_pages = sum(model._dim_pages[d] for d in {k[0] for k in keys})
     total = price(
         Counts(seq_page_reads=entry.n_pages + dim_pages, hash_builds=entries)
     )

@@ -17,15 +17,23 @@ are zero on these databases and so sit inside the checked counters: every
 looked-up member is present in its index (the OR of the found members is
 the OR of all), and every B-tree member's RID list fits its first leaf
 page (no leaf run beyond the descent).
+
+The paper databases store no dimension tables; a database that does reads
+each one once per class, in the estimate as in the charge, however many
+structures the class builds on it and whatever the scan evicted first.
 """
 
 import pytest
 
+from helpers import make_tiny_db, make_tiny_schema
 from repro.core.executor import run_class_accounted
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
-from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
+from repro.core.optimizer.plans import DeriveStep, JoinMethod, LocalPlan, PlanClass
+from repro.engine.database import Database
+from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.storage.iostats import Counts
+from repro.workload.generator import generate_fact_rows
 from repro.workload.paper_queries import ALL_PAPER_TESTS, paper_queries
 from repro.workload.paper_schema import PaperConfig, build_paper_database
 
@@ -150,3 +158,50 @@ def test_btree_batch_estimates_what_it_charges(btree_db):
     found, kinds = misses(btree_db, classes)
     assert found == []
     assert {"shared_scan_hash", "index_star", "shared_index"} <= kinds
+
+
+#: A predicate on X: both members' masks, and the second's rollup map,
+#: are structures on X.
+ON_X = (DimPredicate(0, 1, frozenset({0})),)
+
+
+def test_stored_dimension_table_is_read_once_per_class():
+    """Two members building three structures on X read X's stored table
+    once: a gg class of ``GroupBy((1, 1))`` and ``GroupBy((2, 1))`` both
+    filtered on X estimated 71 sequential reads per structure and charged
+    65 when the second build hit the pool."""
+    db = make_tiny_db(n_rows=300)
+    db.store_dimension_tables()
+    batch = [GroupByQuery(GroupBy((1, 1)), ON_X), GroupByQuery(GroupBy((2, 1)), ON_X)]
+    classes = [
+        plan_class
+        for algorithm in sorted(OPTIMIZERS)
+        for plan_class in planned(db, [batch], algorithm)
+    ]
+    assert max(len(plan_class.plans) for plan_class in classes) == 2
+    found, kinds = misses(db, classes)
+    assert found == []
+    assert kinds == {"shared_scan_hash"}
+
+
+def test_derive_step_does_not_reread_an_evicted_dimension_table():
+    """A derive step builds after the scan; with a pool of eight frames the
+    scan has evicted X's table by then, and the derived member's structures
+    on X still read it no second time."""
+    schema = make_tiny_schema()
+    db = Database(schema, page_size=64, buffer_pages=8)
+    db.load_base(generate_fact_rows(schema, 300, seed=3), name="XY")
+    db.store_dimension_tables()
+    assert db.catalog.get("XY").n_pages > db.pool.capacity_pages
+    derived = GroupByQuery(GroupBy((2, 1)), (DimPredicate(0, 2, frozenset({1})),))
+    plan_class = PlanClass(
+        source="XY",
+        plans=[
+            LocalPlan(GroupByQuery(GroupBy((1, 1)), ON_X), "XY", JoinMethod.HASH),
+            LocalPlan(derived, "XY", JoinMethod.DERIVE),
+        ],
+        derives=[DeriveStep(GroupByQuery(GroupBy((1, 1))), (derived,))],
+    )
+    found, kinds = misses(db, [plan_class])
+    assert found == []
+    assert kinds == {"shared_dag"}

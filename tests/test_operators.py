@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.operators import aggregate as aggregate_module
 from repro.core.operators import hash_join as hash_join_module
+from repro.core.operators import index_join as index_join_module
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.index_join import (
     MissingIndexError,
@@ -21,9 +22,17 @@ from repro.core.operators.pipeline import QueryPipeline, RollupCache
 from repro.core.operators.results import OperatorActuals
 from repro.core.optimizer.plans import DeriveStep
 from repro.check import evaluate_reference
+from repro.faults import FaultPlan, InjectedFault, InjectionPoint
+from repro.schema.lattice import build_keys
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import (
+    IOStats,
+    build_counts,
+    merge_counts,
+    pipeline_counts,
+    routing_counts,
+)
 
 from helpers import hash_star_join, make_tiny_db, random_query
 
@@ -84,8 +93,11 @@ class TestQueryPipeline:
         cache = RollupCache(ctx.schema, ctx.stats)
         cache.target_map(0, 0, 2)
         cache.target_map(0, 0, 2)
+        assert ctx.stats.delta_since(before).hash_builds == 0  # not settled
+        cache.settle(cache.built())
         delta = ctx.stats.delta_since(before)
         assert delta.hash_builds == db.schema.dimensions[0].n_members(0)
+        assert cache.built() == []
 
     def test_identity_and_all_maps_are_free(self, db):
         ctx = db.ctx()
@@ -112,6 +124,7 @@ class TestPredicateMask:
         stats = IOStats()
         cache = RollupCache(paper_schema, stats)
         mask = cache.predicate_mask(from_level, predicate)
+        cache.settle(cache.built())
         want = np.isin(
             dim.rollup_map(from_level, level),
             np.fromiter(members, dtype=np.int64),
@@ -120,6 +133,7 @@ class TestPredicateMask:
         assert mask.tolist() == want.tolist()
         assert stats.hash_builds == dim.n_members(from_level)
         assert cache.predicate_mask(from_level, predicate) is mask
+        assert cache.built() == []
         assert stats.hash_builds == dim.n_members(from_level)  # built once
 
 
@@ -422,6 +436,7 @@ class TestSharedProbe:
         pipes = [
             QueryPipeline(db.schema, q, entry.levels, rollups) for q in queries
         ]
+        rollups.settle(rollups.built())
         for _start, _pages, _rows, keys, measures in entry.table.scan_batches(
             db.pool, db.schema.n_dims
         ):
@@ -444,3 +459,122 @@ class TestSharedProbe:
         assert got == want
         morsel_pages = max(1, morsel_rows // entry.table.capacity)
         assert op.actuals.morsels == -(-entry.table.n_pages // morsel_pages)
+
+
+class TestSharedIndexProbe:
+    """The shared index join routes the union's rows through one shared
+    probe, held to every member testing its own predicates on them: same
+    rows, same order, same charges."""
+
+    @pytest.fixture(scope="class")
+    def x_indexed_db(self):
+        """Only X is indexed on XY: a predicate on Y is residual."""
+        db = make_tiny_db(n_rows=600, index_tables=())
+        db.index_all_dimensions("XY", dim_names=("X",))
+        return db
+
+    @staticmethod
+    def run_class(db, queries):
+        db.flush()
+        before = db.stats.snapshot()
+        op = SharedIndexStarJoin(db.ctx(), "XY", queries)
+        results = op.run()
+        observed = (
+            [list(result.groups.items()) for result in results],
+            op.actuals.as_dict(),
+            db.stats.delta_since(before).as_dict(),
+        )
+        return results, observed
+
+    @pytest.mark.parametrize("n_members", [1, 2, 64, 65, 130])
+    def test_join_equals_every_member_alone(
+        self, x_indexed_db, monkeypatch, n_members
+    ):
+        db = x_indexed_db
+        residual = simple_query(
+            (1, 2),
+            [DimPredicate(0, 1, frozenset({1, 2})), DimPredicate(1, 0, frozenset({0, 1, 2}))],
+        )
+        empty = simple_query(  # disjoint members of one level: no row
+            (1, 1),
+            [DimPredicate(0, 1, frozenset({0})), DimPredicate(0, 1, frozenset({1}))],
+        )
+        queries = [residual, empty][:n_members]
+        rng = random.Random(n_members)
+        while len(queries) < n_members:
+            query = random_query(db.schema, rng)
+            if any(p.dim_index == 0 for p in query.predicates):
+                queries.append(query)
+        rng.shuffle(queries)
+        results, shared = self.run_class(db, queries)
+        monkeypatch.setattr(index_join_module, "SharedProbe", EveryMemberAlone)
+        _results, alone = self.run_class(db, queries)
+        for got, want in zip(shared, alone):  # results, actuals, IOStats
+            assert got == want
+        popcounts = shared[1]["bitmap_popcounts"]
+        assert popcounts[str(residual.qid)] > 0
+        if n_members > 1:
+            assert popcounts[str(empty.qid)] == 0
+            assert shared[1]["rows_in"] == shared[1]["tuples_routed"]
+        for query, result in zip(queries, results):
+            assert result.groups == reference_for(db, query).groups
+
+    def test_pipeline_fault_charges_the_members_before_it(self, db):
+        """An ``operator.pipeline`` fault at member j of a four-member join
+        charges exactly the lookups, the OR and the fetch, then each member
+        before j in full: its builds, its routing and its pipeline."""
+        queries = [
+            simple_query((1, 2), [DimPredicate(0, 1, frozenset({0}))]),
+            simple_query((1, 2), [DimPredicate(0, 1, frozenset({0, 1}))]),
+            simple_query(
+                (2, 1),
+                [DimPredicate(1, 1, frozenset({3})), DimPredicate(0, 2, frozenset({0}))],
+            ),
+            simple_query((0, 0), [DimPredicate(1, 0, frozenset({2, 5}))]),
+        ]
+        entry = db.catalog.get("XY")
+        # The lookups (and ANDs), the OR and the fetch, charged alone.
+        ctx = db.ctx(private=True)
+        bitmaps = [
+            query_result_bitmap(ctx, entry, query, OperatorActuals(""))
+            for query in queries
+        ]
+        union = bitmaps[0].copy()
+        for bitmap in bitmaps[1:]:
+            union.words |= bitmap.words
+        ctx.stats.charge(merge_counts(len(bitmaps), union.n_words))
+        entry.table.fetch_positions(ctx.pool, union.positions(), db.schema.n_dims)
+        expected = [ctx.stats.counts()]
+        # Each member in turn: the structures the members before it did not
+        # build, the routing of the union's rows, and its pipeline.
+        clean = SharedIndexStarJoin(db.ctx(private=True), "XY", queries)
+        clean.run()
+        actuals, built = clean.actuals, set()
+        for query in queries:
+            pipe = QueryPipeline(
+                db.schema, query, entry.levels, RollupCache(db.schema, IOStats())
+            )
+            keys = set(build_keys(db.schema, entry.levels, query)) - built
+            built |= keys
+            expected.append(
+                expected[-1]
+                + build_counts(sum(db.schema.level_sizes[k[0]][k[1]] for k in keys))
+                + routing_counts(len(queries), union.count())
+                + pipeline_counts(
+                    actuals.rows_in[query.qid],
+                    pipe.n_probe_dims,
+                    pipe.n_predicates,
+                    actuals.rows_passed[query.qid],
+                )
+            )
+        for j in range(len(queries)):
+            plan = FaultPlan([InjectionPoint(site="operator.pipeline", nth=j + 1)])
+            ctx = db.ctx(private=True)
+            ctx.faults = plan
+            with pytest.raises(InjectedFault):
+                SharedIndexStarJoin(ctx, "XY", queries).run()
+            assert plan.n_fired == 1
+            assert ctx.stats.counts() == expected[j], j
+        ctx = db.ctx(private=True)
+        SharedIndexStarJoin(ctx, "XY", queries).run()
+        assert ctx.stats.counts() == expected[-1]
