@@ -14,7 +14,7 @@ from .index_join import (
     query_result_bitmap,
     usable_index,
 )
-from .pipeline import ExecContext, QueryPipeline, RollupCache
+from .pipeline import ExecContext, QueryPipeline
 from .results import GroupKey, QueryResult
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "MissingIndexError",
     "QueryPipeline",
     "QueryResult",
-    "RollupCache",
     "SharedIndexStarJoin",
     "SharedScanStarJoin",
     "query_result_bitmap",

@@ -8,8 +8,8 @@ the case with no index members, and the DAG layer's derive phase
 operator, :class:`SharedScanStarJoin`, taking three kinds of member:
 
 * **hash members** see every scanned tuple: the scan I/O is charged once,
-  the dimension hash tables are built once per distinct structure (the
-  shared :class:`~.pipeline.RollupCache`) and probed once per morsel for all
+  the dimension hash tables are built once per distinct structure
+  (:func:`~.pipeline.settle_builds`) and probed once per morsel for all
   members (:class:`~.pipeline.SharedProbe`), and only the per-query
   probe/filter/aggregate CPU *charge* grows with the number of queries — the
   trade-off the paper measures in Test 1 / Figure 10;
@@ -44,7 +44,7 @@ from ...storage.iostats import filter_counts, pipeline_counts
 from ..optimizer.plans import DeriveStep
 from . import aggregate
 from .index_join import query_result_bitmap
-from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
+from .pipeline import ExecContext, QueryPipeline, SharedProbe, settle_builds
 from .pipeline import require_answerable, scan_columns
 from .results import OperatorActuals, QueryResult
 
@@ -120,24 +120,16 @@ class SharedScanStarJoin:
             actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
             actuals.tuples_tested[query.qid] = 0
             actuals.tuples_routed[query.qid] = 0
-        rollups = RollupCache(
-            ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
-        )
         source_agg = self.source.source_aggregate
 
-        def pipeline(
-            query: GroupByQuery,
-            levels=self.source.levels,
-            aggregate=source_agg,
-        ) -> QueryPipeline:
-            return QueryPipeline(
-                ctx.schema, query, levels, rollups, source_aggregate=aggregate
-            )
+        def pipeline(query: GroupByQuery) -> QueryPipeline:
+            return QueryPipeline(ctx.schema, query, self.source.levels, source_agg)
 
         hash_pipes = [pipeline(q) for q in self.hash_queries]
         index_pipes = [pipeline(q) for q in self.index_queries]
         inter_pipes = [pipeline(step.intermediate) for step in self.derives]
-        rollups.settle(rollups.built())
+        held: set = set()
+        settle_builds(ctx, held, hash_pipes + index_pipes + inter_pipes)
         # Hash members and intermediates both consume every scanned tuple;
         # their predicates are evaluated together, once per morsel.
         full_scan_pipes = hash_pipes + inter_pipes
@@ -232,10 +224,10 @@ class SharedScanStarJoin:
             inter_keys, inter_measures = pipe.columns()
             inter_agg = intermediate_source_aggregate(source_agg, intermediate)
             for query in step.queries:
-                derived_pipe = pipeline(
-                    query, intermediate.groupby.levels, inter_agg
+                derived_pipe = QueryPipeline(
+                    ctx.schema, query, intermediate.groupby.levels, inter_agg
                 )
-                rollups.settle(rollups.built())
+                settle_builds(ctx, held, [derived_pipe])
                 ctx.stats.charge(
                     derived_pipe.process_batch(inter_keys, inter_measures)
                 )

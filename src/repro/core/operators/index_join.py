@@ -28,7 +28,7 @@ from ...index.bitmap_index import JoinIndex
 from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
 from ...storage.iostats import merge_counts, routing_counts
-from .pipeline import ExecContext, QueryPipeline, RollupCache, SharedProbe
+from .pipeline import ExecContext, QueryPipeline, SharedProbe, settle_builds
 from .pipeline import require_answerable
 from .results import OperatorActuals, QueryResult
 
@@ -143,21 +143,15 @@ class SharedIndexStarJoin:
         # queries whose predicates it passes, so every pipeline is built
         # first and charged for its builds in its turn.  Step 4: per-query
         # aggregation.
-        rollups = RollupCache(
-            ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
-        )
-        pipes, builds = [], []
-        for query in self.queries:
-            pipes.append(QueryPipeline(
-                ctx.schema, query, source.levels, rollups, source.source_aggregate
-            ))
-            builds.append(rollups.built())
+        pipes = [
+            QueryPipeline(ctx.schema, query, source.levels, source.source_aggregate)
+            for query in self.queries
+        ]
         probe = SharedProbe(pipes) if n_members > 1 else None
         routed = probe.split(probe.alive(keys)) if probe else [None]
         results: List[QueryResult] = []
-        for query, bitmap, pipe, built, rows in zip(
-            self.queries, per_query, pipes, builds, routed
-        ):
+        held: set = set()
+        for query, bitmap, pipe, rows in zip(self.queries, per_query, pipes, routed):
             if ctx.faults is not None:
                 ctx.faults.check(
                     "operator.pipeline", operator=self.label, table=source.name
@@ -167,7 +161,7 @@ class SharedIndexStarJoin:
             if n_members > 1:
                 actuals.tuples_tested[query.qid] = int(positions.size)
                 actuals.tuples_routed[query.qid] = fed
-            rollups.settle(built)
+            settle_builds(ctx, held, [pipe])
             ctx.stats.charge(
                 routing_counts(n_members, positions.size)
                 + pipe.process_batch(keys, measures, rows, fed)

@@ -5,11 +5,11 @@ In the paper's pipelined right-deep hash star join, each dimension table is
 hashed and fact tuples probe those hash tables.  In this engine a dimension
 "hash table" is a rollup array (source-level member id → target-level member
 id) plus, when the query has a selection on that dimension, a boolean pass
-mask over source-level member ids.  A :class:`RollupCache` builds each
-distinct structure once per *operator execution* and charges its build cost
-once — which is exactly the sharing the paper's Section 3.1 operator exploits
-("they can share hash tables, instead of redundantly building and probing
-several hash tables on the same dimension tables").
+mask over source-level member ids.  :func:`settle_builds` charges each
+distinct structure (:func:`~repro.schema.lattice.build_keys`) once per
+*operator execution* — which is exactly the sharing the paper's Section 3.1
+operator exploits ("they can share hash tables, instead of redundantly
+building and probing several hash tables on the same dimension tables").
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...obs.trace import NULL_TRACER
-from ...schema.lattice import effective_aggregate, source_can_answer
-from ...schema.query import DimPredicate, GroupByQuery
+from ...schema.lattice import build_keys, effective_aggregate, new_builds
+from ...schema.lattice import source_can_answer
+from ...schema.query import GroupByQuery
 from ...schema.star import StarSchema
 from ...storage.buffer import BufferPool
 from ...storage.catalog import Catalog, TableEntry
@@ -100,97 +101,28 @@ def require_answerable(
             )
 
 
-class RollupCache:
-    """Builds dimension rollup maps and predicate masks once per operator
-    execution, and charges them apart (:meth:`built`, :meth:`settle`): an
-    operator can build every member's pipeline first and charge each
-    member's builds in its turn.  With ``dim_tables`` (and the ``pool`` to
-    read them through), the first build on a dimension also scans its
-    stored table, once per execution however many structures it takes —
-    the paper's "building a hash table on the dimension table"."""
-
-    def __init__(
-        self,
-        schema: StarSchema,
-        stats: IOStats,
-        pool: Optional[BufferPool] = None,
-        dim_tables: Optional[Dict[str, object]] = None,
-    ):
-        self.schema = schema
-        self.stats = stats
-        self.pool = pool
-        self.dim_tables = dim_tables or {}
-        self._target_maps: Dict[Tuple[int, int, int], np.ndarray] = {}
-        self._pred_masks: Dict[Tuple[int, int, int, frozenset], np.ndarray] = {}
-        #: ``(dim_index, from_level)`` per structure built since :meth:`built`.
-        self._built: List[Tuple[int, int]] = []
-        #: The dimensions whose stored table a settled build has scanned.
-        self._scanned: set = set()
-
-    def built(self) -> List[Tuple[int, int]]:
-        """The structures built since the last call, uncharged: ``(dim
-        index, source level)`` each, for :meth:`settle`."""
-        built, self._built = self._built, []
-        return built
-
-    def settle(self, built: Sequence[Tuple[int, int]]) -> None:
-        """Charge the structures ``built`` (:func:`build_counts`): a hash
-        entry per source-level member; then the first build on a dimension
-        whose table is stored scans that table through the pool, which
-        charges the pages it reads."""
-        sizes = self.schema.level_sizes
-        self.stats.charge(build_counts(sum(sizes[d][level] for d, level in built)))
-        for dim_index, _level in built:
-            name = self.schema.dimensions[dim_index].name
-            dim_table = self.dim_tables.get(name)
-            if dim_table is not None and name not in self._scanned:
-                self._scanned.add(name)
-                # Only the accounting is wanted: drain the scan (every
-                # column but the last as a key: zero-copy views).
-                for _morsel in dim_table.scan_batches(
-                    self.pool, dim_table.n_columns - 1
-                ):
-                    pass
-
-    def target_map(
-        self, dim_index: int, from_level: int, to_level: int
-    ) -> Optional[np.ndarray]:
-        """Rollup array for one dimension, or None when no mapping is needed
-        (identity, or the ALL level where the output is constant)."""
-        dim = self.schema.dimensions[dim_index]
-        if to_level == from_level or to_level == dim.all_level:
-            return None
-        key = (dim_index, from_level, to_level)
-        cached = self._target_maps.get(key)
-        if cached is None:
-            cached = dim.rollup_map(from_level, to_level)
-            self._built.append((dim_index, from_level))
-            self._target_maps[key] = cached
-        return cached
-
-    def predicate_mask(
-        self, from_level: int, predicate: DimPredicate
-    ) -> np.ndarray:
-        """Boolean array over source-level member ids: does the member roll
-        up into the predicate's member set?"""
-        dim = self.schema.dimensions[predicate.dim_index]
-        key = (
-            predicate.dim_index,
-            from_level,
-            predicate.level,
-            predicate.member_ids,
-        )
-        cached = self._pred_masks.get(key)
-        if cached is None:
-            # Scatter the member set into a table over the predicate's level
-            # and gather it through the rollup map: no sort, nothing to cache.
-            hit = np.zeros(dim.n_members(predicate.level), dtype=bool)
-            ids = np.fromiter(predicate.member_ids, dtype=np.int64)
-            hit[ids[(ids >= 0) & (ids < hit.size)]] = True
-            cached = hit[dim.rollup_map(from_level, predicate.level)]
-            self._built.append((predicate.dim_index, from_level))
-            self._pred_masks[key] = cached
-        return cached
+def settle_builds(
+    ctx: ExecContext, held: set, pipes: Iterable["QueryPipeline"]
+) -> None:
+    """Charge the structures ``pipes`` built that the class does not hold
+    yet (:func:`~repro.schema.lattice.new_builds` of their ``build_keys``,
+    in pipe order) and add them to ``held``: a hash entry per source-level
+    member, then each first build on a dimension whose table is stored
+    scans that table through the pool, which charges the pages it reads —
+    once per class, however many structures it takes (the paper's
+    "building a hash table on the dimension table")."""
+    schema = ctx.schema
+    keys = [key for pipe in pipes for key in pipe.build_keys]
+    new, entries, first = new_builds(schema, held, keys)
+    held.update(new)
+    ctx.stats.charge(build_counts(entries))
+    for d in first:
+        dim_table = (ctx.dim_tables or {}).get(schema.dimensions[d].name)
+        if dim_table is not None:
+            # Only the accounting is wanted: drain the scan (every column
+            # but the last as a key: zero-copy views).
+            for _morsel in dim_table.scan_batches(ctx.pool, dim_table.n_columns - 1):
+                pass
 
 
 class QueryPipeline:
@@ -206,7 +138,6 @@ class QueryPipeline:
         schema: StarSchema,
         query: GroupByQuery,
         source_levels: Sequence[int],
-        rollups: RollupCache,
         source_aggregate: Optional[str] = None,
     ):
         require_answerable(source_levels, source_aggregate, [query], "its source")
@@ -218,25 +149,30 @@ class QueryPipeline:
             query,
             aggregate=effective_aggregate(query.aggregate, source_aggregate),
         )
-        # Per-dimension plumbing, fixed at build time: the predicate masks,
-        # and per dimension grouped below ALL its rollup array (None: the
-        # source key is the target key).  A dimension at ALL outputs zeros.
+        #: The structures the pipeline builds, as :func:`settle_builds`
+        #: charges them.
+        self.build_keys = build_keys(schema, self.source_levels, query)
+        # Per-dimension plumbing, fixed at build time: a predicate mask per
+        # mask key, and per dimension grouped below ALL its rollup array
+        # (None, without a map key: the source key is the target key).  A
+        # dimension at ALL outputs zeros.
+        dims = schema.dimensions
         self._masks: List[Tuple[int, np.ndarray]] = []
-        self._rollups: List[Tuple[int, Optional[np.ndarray]]] = []
+        maps: Dict[int, np.ndarray] = {}
+        for key in self.build_keys:
+            if len(key) == 3:
+                maps[key[0]] = dims[key[0]].rollup_map(key[1], key[2])
+            else:
+                self._masks.append((key[0], dims[key[0]].member_mask(*key[1:])))
+        self._rollups: List[Tuple[int, Optional[np.ndarray]]] = [
+            (d, maps.get(d))
+            for d, (target, top) in enumerate(
+                zip(query.groupby.levels, schema.all_levels())
+            )
+            if target != top
+        ]
         #: Dimensions whose hash structure each input tuple probes.
-        self.n_probe_dims = 0
-        for d in range(schema.n_dims):
-            target_level = query.groupby.levels[d]
-            preds = query.predicates_on(d)
-            for pred in preds:
-                self._masks.append(
-                    (d, rollups.predicate_mask(self.source_levels[d], pred))
-                )
-            tmap = rollups.target_map(d, self.source_levels[d], target_level)
-            grouped = target_level != schema.dimensions[d].all_level
-            if grouped:
-                self._rollups.append((d, tmap))
-            self.n_probe_dims += bool(grouped or preds)
+        self.n_probe_dims = len({d for d, _ in self._rollups + self._masks})
         #: Predicate masks each input tuple is tested against.
         self.n_predicates = len(self._masks)
         self.rows_in = 0

@@ -30,7 +30,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional
+from typing import Sequence, Tuple
 
 from ...index.bitmap import WORD_BITS
 from ...schema.lattice import (
@@ -38,6 +39,7 @@ from ...schema.lattice import (
     estimate_groupby_rows,
     expected_distinct,
     intermediate_source_aggregate,
+    new_builds,
     source_can_answer,
 )
 from ...schema.query import DimPredicate, GroupByQuery
@@ -154,10 +156,7 @@ class CostModel:
         self._scan_shared_ms: Dict[Tuple[int, int], float] = {}
         self._covering_tables: Dict[str, Dict[Tuple[int, int], tuple]] = {}
         self._lookups: Dict[Tuple[object, int], Counts] = {}
-        # Per pair, the hash entries and dimension-table pages its
-        # structures take alone (None: unanswerable), and its standalone
-        # costing once read.
-        self._builds: Dict[Tuple[str, int], Optional[Tuple[int, int]]] = {}
+        # Per pair, its standalone costing once read.
         self._alone: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
 
     @classmethod
@@ -272,8 +271,7 @@ class CostModel:
     ) -> None:
         """Price every (entry, query) pair not yet memoized — every catalog
         entry unless ``entries`` is given — in one pass over the batch
-        (:func:`~.terms.price_terms`): its term, and the build totals its
-        standalone costing starts from."""
+        (:func:`~.terms.price_terms`)."""
         entries = self.catalog.entries() if entries is None else list(entries)
         if self._terms:
             names = [e.name for e in entries]
@@ -283,26 +281,22 @@ class CostModel:
             ]
         if not queries:
             return
-        for entry, query, term, builds in price_terms(self, queries, entries):
-            key = (entry.name, query.qid)
-            if key not in self._terms:
-                self._terms[key], self._builds[key] = term, builds
+        for entry, query, term in price_terms(self, queries, entries):
+            self._terms.setdefault((entry.name, query.qid), term)
 
     # -- class state -------------------------------------------------------------
 
-    def _missing(self, held: set, keys: Iterable[tuple], entries: int, pages: int):
+    def _missing(
+        self, held: Collection[tuple], keys: Iterable[tuple], entries: int, pages: int
+    ):
         """The build keys not in ``held``, and the totals grown by building
-        them (:func:`build_counts`' arguments): hash entries, and the pages
-        of each stored dimension table they are the first keys on (the
-        operator scans a dimension's table once, however many structures
-        it builds there)."""
-        new = {key for key in keys if key not in held}
-        for key in new:
-            entries += self.schema.level_sizes[key[0]][key[1]]
-        if self.dim_tables:
-            for dim_index in {key[0] for key in new} - {key[0] for key in held}:
-                pages += self._dim_pages[dim_index]
-        return new, entries, pages
+        them (:func:`~repro.schema.lattice.new_builds`; :func:`build_counts`'
+        arguments): hash entries, and the pages of each stored dimension
+        table they are the first keys on."""
+        new, added, first = new_builds(self.schema, held, keys)
+        for dim_index in first:
+            pages += self._dim_pages[dim_index]
+        return new, entries + added, pages
 
     def _joined(self, state: ClassState, term: MemberTerm) -> Tuple[set, tuple]:
         """``state`` with ``term`` as its next member, the state untouched:
@@ -599,15 +593,16 @@ class CostModel:
     ) -> Optional[Tuple[JoinMethod, float]]:
         """Best (method, cost) for the query alone on ``entry``, None when
         it cannot answer it: ``plan_class(entry, [query])``, priced from the
-        pair's term and build totals.  Its first read counts as one class
-        costing (memoized per model instance)."""
+        pair's term and the builds its keys take alone.  Its first read
+        counts as one class costing (memoized per model instance)."""
         key = (entry.name, query.qid)
         if key not in self._alone:
             term = self._term(entry, query)
             self.n_plan_costings += 1
             self._alone[key] = None
             if term.answerable:
-                totals = (*self._builds[key], _prefix(NO_MEMBERS, term))
+                _new, entries, pages = self._missing((), term.build_keys, 0, 0)
+                totals = (entries, pages, _prefix(NO_MEMBERS, term))
                 costing = self._best(entry, [term], totals)
                 self._alone[key] = (costing.methods[0], costing.cost_ms)
         return self._alone[key]

@@ -6,8 +6,7 @@ search runs.  :func:`price_terms` prices every (table, query) pair of a
 batch, pair by pair in Python floats, with what depends on the query alone
 — its uniform selectivities, probed dimensions and predicate layout —
 worked out once for the batch; it builds a :class:`MemberTerm` only for
-pairs the table can answer, and hands back the build totals each
-answerable pair's standalone costing starts from.
+pairs the table can answer.
 :meth:`~repro.core.optimizer.cost.CostModel.terms_for` memoizes them.
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 
 from ...index.bitmap import WORD_BITS
 from ...schema.lattice import aggregate_compatible, build_keys, expected_distinct
@@ -97,28 +96,18 @@ def price_terms(
     model: "CostModel",
     queries: Sequence[GroupByQuery],
     entries: Sequence[TableEntry],
-) -> Iterator[Tuple[TableEntry, GroupByQuery, MemberTerm, Optional[Tuple[int, int]]]]:
-    """Every (entry, query) pair's term, in (entry, query) order, with, for
-    an answerable pair, the hash entries and dimension-table pages its
-    structures take alone (its standalone costing's build totals).  A pair
+) -> Iterator[Tuple[TableEntry, GroupByQuery, MemberTerm]]:
+    """Every (entry, query) pair's term, in (entry, query) order.  A pair
     the entry cannot answer gets the shared :data:`UNANSWERABLE` constant
-    (Roy et al.'s sharability pre-filter) and no totals.
+    (Roy et al.'s sharability pre-filter).
 
     What depends on the query alone (:class:`_QueryFacts`) or on the entry
     alone is worked out once per batch; a pair's floats are what a batch
     of one computes (``TestBatchingInvariance``)."""
-    schema, price = model.schema, model.rates.price
+    price = model.rates.price
     facts = [_QueryFacts(model, query) for query in queries]
-    all_levels = schema.all_levels()
     for entry in entries:
         levels, source_aggregate = entry.levels, entry.source_aggregate
-        # Per dimension: its stored level's members (a structure's hash
-        # entries), the pages of its stored table, and the stored level (a
-        # target neither there nor at ALL needs a rollup map).
-        stored = [
-            (sizes[level], pages, level)
-            for sizes, pages, level in zip(schema.level_sizes, model._dim_pages, levels)
-        ]
         on_entry = (
             model.covering(entry),
             (entry.n_rows + WORD_BITS - 1) // WORD_BITS,
@@ -131,48 +120,34 @@ def price_terms(
                 aggregate_compatible(query.aggregate, source_aggregate)
                 and all(map(operator.le, levels, fact.required))
             ):
-                yield entry, query, UNANSWERABLE, None
+                yield entry, query, UNANSWERABLE
                 continue
-            builds = pages = 0
-            for (members, dim_pages, level), target, masks, top in zip(
-                stored, fact.targets, fact.masks, all_levels
-            ):
-                n_structures = masks + (target != level and target != top)
-                builds += n_structures * members
-                if n_structures:
-                    pages += dim_pages
-            yield entry, query, _term(model, entry, query, fact, *on_entry), (builds, pages)
+            yield entry, query, _term(model, entry, query, fact, *on_entry)
 
 
 class _QueryFacts:
-    """What a query's terms share on every entry: its required and target
-    levels; per predicate, its uniform selectivity (and their product),
+    """What a query's terms share on every entry: its required levels; per
+    predicate, its uniform selectivity (and their product),
     where it looks for a covering index and with how many members; per
-    dimension, the masks its pipeline builds (one per distinct predicate)
-    and the position of its first predicate; the dimensions a tuple
+    dimension, the position of its first predicate; the dimensions a tuple
     probes."""
 
     __slots__ = (
-        "required", "targets", "sels", "selectivity", "lookups", "masks", "first",
-        "probe_dims", "n_preds",
+        "required", "sels", "selectivity", "lookups", "first", "probe_dims",
+        "n_preds",
     )
 
     def __init__(self, model: "CostModel", query: GroupByQuery):
         schema, predicates = model.schema, query.predicates
-        self.required, self.targets = query.required_levels(), query.groupby.levels
+        self.required = query.required_levels()
         self.sels = [pred.selectivity(schema) for pred in predicates]
         self.selectivity = math.prod(self.sels, start=1.0)
         self.lookups = [
             ((pred.dim_index, pred.level), len(pred.member_ids)) for pred in predicates
         ]
-        self.masks, self.first = [0] * schema.n_dims, {}
+        self.first = {}
         for i, pred in enumerate(predicates):
-            d = pred.dim_index
-            if d not in self.first:
-                self.first[d] = i
-            elif pred in predicates[:i]:
-                continue
-            self.masks[d] += 1
+            self.first.setdefault(pred.dim_index, i)
         self.probe_dims, self.n_preds = model._probe_dims(query), len(predicates)
 
 

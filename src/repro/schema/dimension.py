@@ -203,6 +203,21 @@ class Dimension:
         self._rollup_cache[key] = out
         return out
 
+    def member_mask(
+        self, from_depth: int, depth: int, member_ids: frozenset
+    ) -> np.ndarray:
+        """Boolean array over the member ids at ``from_depth``: does the
+        member roll up into ``member_ids`` at ``depth``?  Ids outside
+        ``depth``'s domain select nothing.  The member set is scattered into
+        a table over ``depth`` and gathered through the rollup map: no
+        sort."""
+        n = self.n_members(depth)
+        hit = np.zeros(n, dtype=bool)
+        for member_id in member_ids:  # a few each: cheaper than a fancy index
+            if 0 <= member_id < n:
+                hit[member_id] = True
+        return hit[self.rollup_map(from_depth, depth)]
+
     def rollup(self, from_depth: int, to_depth: int, member_id: int) -> int:
         """Roll one member id up to a coarser level."""
         return int(self.rollup_map(from_depth, to_depth)[member_id])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .query import Aggregate, GroupBy, GroupByQuery
 from .star import StarSchema
@@ -81,12 +81,13 @@ def build_keys(
     schema: StarSchema, source_levels: Sequence[int], query: GroupByQuery
 ) -> Tuple[tuple, ...]:
     """The dimension structures ``query``'s pipeline needs built over a
-    source stored at ``source_levels``, exactly as the executor's
-    ``RollupCache`` keys them: per dimension, one rollup map ``(dim, from
-    level, target level)`` unless the target is the stored or the ALL level,
-    then one mask ``(dim, from level, level, members)`` per *predicate* (a
-    dimension may carry two, see :meth:`GroupByQuery.predicate_on`).  The
-    cost model prices these and EXPLAIN lists them."""
+    source stored at ``source_levels``: per dimension, one rollup map
+    ``(dim, from level, target level)`` unless the target is the stored or
+    the ALL level, then one mask ``(dim, from level, level, members)`` per
+    *predicate* (a dimension may carry two, see
+    :meth:`GroupByQuery.predicate_on`).  What a class builds of them is
+    :func:`new_builds`'; the operators charge it, the cost model prices it
+    and EXPLAIN lists the keys."""
     all_levels = schema.all_levels()
     keys = []
     for d, target in enumerate(query.groupby.levels):
@@ -97,6 +98,36 @@ def build_keys(
             if pred.dim_index == d:
                 keys.append((d, stored, pred.level, pred.member_ids))
     return tuple(keys)
+
+
+def new_builds(
+    schema: StarSchema, held: Collection[tuple], keys: Iterable[tuple]
+) -> Tuple[List[tuple], int, List[int]]:
+    """What a class holding the structures ``held`` builds for a next
+    member needing ``keys`` (its :func:`build_keys`): the keys it holds
+    not yet, in key order and each once; the hash entries they add, one
+    per source-level member (``build_counts``' ``entries``); and the
+    dimensions they are the first keys on, in key order — a class scans a
+    stored dimension table once, with its first structure there."""
+    sizes = schema.level_sizes
+    # Insertion-ordered, with O(1) membership: an operator passes the keys
+    # of all its members at once.
+    new: dict = {}
+    entries, first, seen = 0, [], []
+    for key in keys:
+        if key in held or key in new:
+            continue
+        new[key] = None
+        d = key[0]
+        entries += sizes[d][key[1]]
+        if d not in seen:  # is some held key on ``d``?
+            seen.append(d)
+            for other in held:
+                if other[0] == d:
+                    break
+            else:
+                first.append(d)
+    return list(new), entries, first
 
 
 def common_sources(

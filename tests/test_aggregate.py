@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from repro.core.operators import aggregate as aggregate_module
 from repro.core.operators.aggregate import HashAggregator, fold_groups
-from repro.core.operators.pipeline import QueryPipeline, RollupCache
+from repro.core.operators.pipeline import QueryPipeline
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
-from repro.storage.iostats import IOStats
 
 from conftest import make_tiny_schema
 
@@ -43,7 +42,7 @@ def pipeline_feed(columns, cents):
     """One batch through a predicate-free pipeline whose aggregator groups
     at the source's levels: the pipeline, and what it says to charge."""
     query = GroupByQuery(groupby=GroupBy((1, 1)))
-    pipe = QueryPipeline(SCHEMA, query, (1, 1), RollupCache(SCHEMA, IOStats()))
+    pipe = QueryPipeline(SCHEMA, query, (1, 1))
     counts = pipe.process_batch(
         [np.asarray(c, dtype=np.int64) for c in columns],
         np.asarray(cents, dtype=np.int64),

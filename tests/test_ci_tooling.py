@@ -152,6 +152,23 @@ def test_no_bitmap_is_tested_position_by_position():
     assert "SharedProbe(" in index_join.read_text()
 
 
+def test_builds_are_stated_once():
+    """``build_counts(`` is called only where a class's builds are
+    charged (``pipeline.settle_builds``) and estimated (``cost.py``), and
+    both take what the class builds from ``lattice.new_builds``."""
+    src = ROOT / "src" / "repro"
+    callers = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "build_counts"
+    }
+    assert sorted(callers) == ["core/operators/pipeline.py", "core/optimizer/cost.py"]
+    for name in callers:
+        assert "new_builds(" in (src / name).read_text(), name
+
+
 def test_profile_op_names_the_greedy_loop():
     """``.github/profile_op.py`` — the "which layer moved" profile of
     .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and

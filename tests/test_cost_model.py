@@ -10,12 +10,14 @@ import types
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.operators.pipeline import QueryPipeline, RollupCache
+from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.pipeline import QueryPipeline
 from repro.core.optimizer import GreedyOptimizer
 from repro.core.optimizer import cost as cost_module
 from repro.core.optimizer import terms as terms_module
@@ -243,32 +245,90 @@ class TestEstimateVsSimulation:
         assert units.hash_probes == sim.hash_probes
 
 
+def doubled_query(schema, rng: random.Random) -> GroupByQuery:
+    """A random query, half the time with one more predicate on a
+    dimension it already filters (now and then the same one again)."""
+    query = random_query(schema, rng)
+    if query.predicates and rng.random() < 0.5:
+        d = rng.choice(query.predicates).dim_index
+        level = rng.randrange(schema.dimensions[d].n_levels)
+        member = rng.randrange(schema.dimensions[d].n_members(level))
+        extra = DimPredicate(d, level, frozenset({member}))
+        query = dataclasses.replace(query, predicates=query.predicates + (extra,))
+    return query
+
+
 class TestBuildKeys:
     """``schema.lattice.build_keys`` states once what a member needs built
-    over its source; the executor's ``RollupCache`` is what it is held to."""
+    over its source: its pipeline builds exactly what the keys list — a
+    rollup array per dimension grouped neither at the stored level nor at
+    ALL, a mask per predicate — and its operator charges a hash entry per
+    source-level member of the class's distinct keys."""
 
-    def test_equals_what_the_rollup_cache_holds(self, paper_db):
-        schema = paper_db.schema
+    def test_a_pipeline_holds_its_keys(self, paper_schema):
+        schema = paper_schema
         rng = random.Random(24)
         doubled = 0
         for _ in range(300):
-            query = random_query(schema, rng)
-            if query.predicates and rng.random() < 0.5:
-                d = rng.choice(query.predicates).dim_index
-                level = rng.randrange(schema.dimensions[d].n_levels)
-                member = rng.randrange(schema.dimensions[d].n_members(level))
-                extra = DimPredicate(d, level, frozenset({member}))
-                query = dataclasses.replace(
-                    query, predicates=query.predicates + (extra,)
-                )
-                doubled += 1
+            query = doubled_query(schema, rng)
+            doubled += len(query.predicates) > len(
+                {p.dim_index for p in query.predicates}
+            )
             levels = tuple(rng.randint(0, r) for r in query.required_levels())
-            rollups = RollupCache(schema, IOStats())
-            QueryPipeline(schema, query, levels, rollups)
-            assert set(build_keys(schema, levels, query)) == set(
-                rollups._target_maps
-            ) | set(rollups._pred_masks)
+            pipe = QueryPipeline(schema, query, levels)
+            keys = build_keys(schema, levels, query)
+            assert pipe.build_keys == keys
+            dims, targets = schema.dimensions, query.groupby.levels
+            rollups = [
+                (d, None if t == levels[d] else dims[d].rollup_map(levels[d], t))
+                for d, t in enumerate(targets)
+                if t != dims[d].all_level
+            ]
+            assert [
+                (d, None if tmap is None else tmap.tolist())
+                for d, tmap in pipe._rollups
+            ] == [(d, None if tmap is None else tmap.tolist()) for d, tmap in rollups]
+            assert sum(tmap is not None for _, tmap in rollups) == sum(
+                len(key) == 3 for key in keys
+            )
+            masks = sorted(
+                (
+                    p.dim_index,
+                    np.isin(
+                        dims[p.dim_index].rollup_map(levels[p.dim_index], p.level),
+                        list(p.member_ids),
+                    ).tolist(),
+                )
+                for p in query.predicates
+            )
+            assert sorted((d, m.tolist()) for d, m in pipe._masks) == masks
+            assert len(masks) == sum(len(key) == 4 for key in keys)
         assert doubled > 50
+
+    def test_a_class_charges_its_distinct_keys(self, db):
+        schema = db.schema
+        rng = random.Random(25)
+        doubled = 0
+        for _ in range(120):
+            queries = [doubled_query(schema, rng) for _ in range(rng.randint(1, 3))]
+            entries = [
+                entry for entry in db.catalog.entries()
+                if all(
+                    source_can_answer(entry.levels, entry.source_aggregate, q)
+                    for q in queries
+                )
+            ]
+            if not entries:
+                continue
+            entry = rng.choice(entries)
+            keys = [key for q in queries for key in build_keys(schema, entry.levels, q)]
+            doubled += len(keys) > len(set(keys))
+            ctx = db.ctx(private=True)
+            SharedScanStarJoin(ctx, entry.name, queries).run()
+            sizes = schema.level_sizes
+            distinct = set(keys)
+            assert ctx.stats.hash_builds == sum(sizes[k[0]][k[1]] for k in distinct)
+        assert doubled > 20
 
 
 @pytest.fixture(scope="module", params=(False, True), ids=("uniform", "analyzed"))
@@ -353,10 +413,9 @@ def hexed(value):
 
 
 def batching_differences(db, queries) -> list:
-    """Each (entry, query) whose term or build totals differ between a
-    model that priced the whole batch and one that priced one query at a
-    time — or whose standalone costing differs from a one-member
-    ``plan_class``."""
+    """Each (entry, query) whose term differs between a model that priced
+    the whole batch and one that priced one query at a time — or whose
+    standalone costing differs from a one-member ``plan_class``."""
     entries = db.catalog.entries()
     whole, alone = CostModel.for_database(db), CostModel.for_database(db)
     whole.terms_for(queries)
@@ -368,7 +427,6 @@ def batching_differences(db, queries) -> list:
             key = (entry.name, query.qid)
             priced = [
                 [hexed(getattr(term, f.name)) for f in dataclasses.fields(term)]
-                + [model._builds[key]]
                 for model in (whole, alone)
                 for term in [model._terms[key]]
             ]

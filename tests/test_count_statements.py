@@ -23,9 +23,11 @@ each one once per class, in the estimate as in the charge, however many
 structures the class builds on it and whatever the scan evicted first.
 """
 
+import random
+
 import pytest
 
-from helpers import make_tiny_db, make_tiny_schema
+from helpers import make_tiny_db, make_tiny_schema, random_query
 from repro.core.executor import run_class_accounted
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
@@ -94,9 +96,10 @@ def btree_db():
     return db
 
 
-def misses(db, classes):
-    """Per class, every stated-once counter whose estimate differs from
-    the class's cold execution's charge; and the operator kinds met."""
+def misses(db, classes, counters=None):
+    """Per class, every stated-once counter (or every one of ``counters``)
+    whose estimate differs from the class's cold execution's charge; and
+    the operator kinds met."""
     out, kinds = [], set()
     model = CostModel.for_database(db)
     for plan_class in classes:
@@ -107,7 +110,7 @@ def misses(db, classes):
         estimated = model.class_units(plan_class)
         kind = plan_class.operator_kind
         kinds.add(kind)
-        for counter in STATED_ONCE[kind]:
+        for counter in counters or STATED_ONCE[kind]:
             est, got = getattr(estimated, counter), getattr(charged, counter)
             if est != got:
                 out.append((plan_class.source, kind, counter, est, got))
@@ -205,3 +208,41 @@ def test_derive_step_does_not_reread_an_evicted_dimension_table():
     found, kinds = misses(db, [plan_class])
     assert found == []
     assert kinds == {"shared_dag"}
+
+
+@pytest.fixture(scope="module")
+def stored_db():
+    """A tiny database with two views and its dimension tables stored."""
+    db = make_tiny_db(n_rows=600, materialized=("X'Y", "XY'"))
+    db.store_dimension_tables()
+    return db
+
+
+@pytest.mark.parametrize("algorithm", sorted(OPTIMIZERS))
+def test_random_batches_over_stored_dimension_tables(stored_db, algorithm):
+    """Seeded random batches planned under every registry name, plus each
+    batch's predicated members forced onto the indexed base table as one
+    shared index join and each alone: every class builds what it is
+    estimated to build and reads each stored dimension table it builds on
+    once, derive steps included."""
+    db = stored_db
+    rng = random.Random(50)
+    batches = [
+        [random_query(db.schema, rng) for _ in range(rng.randint(2, 8))]
+        for _ in range(20)
+    ]
+    classes = planned(db, batches, algorithm)
+    for batch in batches:
+        indexed = [
+            LocalPlan(query, "XY", JoinMethod.INDEX)
+            for query in batch
+            if query.predicates
+        ]
+        if indexed:
+            classes.append(PlanClass(source="XY", plans=indexed))
+            classes += [PlanClass(source="XY", plans=[plan]) for plan in indexed]
+    found, kinds = misses(db, classes, ("hash_builds", "seq_page_reads"))
+    assert found == []
+    assert {"shared_scan_hash", "shared_index", "index_star"} <= kinds
+    if algorithm == "dag":
+        assert "shared_dag" in kinds

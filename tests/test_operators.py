@@ -18,7 +18,7 @@ from repro.core.operators.index_join import (
     query_result_bitmap,
     usable_index,
 )
-from repro.core.operators.pipeline import QueryPipeline, RollupCache
+from repro.core.operators.pipeline import QueryPipeline, settle_builds
 from repro.core.operators.results import OperatorActuals
 from repro.core.optimizer.plans import DeriveStep
 from repro.check import evaluate_reference
@@ -27,7 +27,6 @@ from repro.schema.lattice import build_keys
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
 from repro.storage.iostats import (
-    IOStats,
     build_counts,
     merge_counts,
     pipeline_counts,
@@ -87,54 +86,27 @@ class TestQueryPipeline:
         with pytest.raises(ValueError):
             SharedScanStarJoin(db.ctx(), "X'Y", [query])
 
-    def test_rollup_cache_builds_once(self, db):
-        ctx = db.ctx()
-        before = ctx.stats.snapshot()
-        cache = RollupCache(ctx.schema, ctx.stats)
-        cache.target_map(0, 0, 2)
-        cache.target_map(0, 0, 2)
-        assert ctx.stats.delta_since(before).hash_builds == 0  # not settled
-        cache.settle(cache.built())
-        delta = ctx.stats.delta_since(before)
-        assert delta.hash_builds == db.schema.dimensions[0].n_members(0)
-        assert cache.built() == []
-
-    def test_identity_and_all_maps_are_free(self, db):
-        ctx = db.ctx()
-        cache = RollupCache(ctx.schema, ctx.stats)
-        assert cache.target_map(0, 1, 1) is None
-        assert cache.target_map(0, 0, ctx.schema.dimensions[0].all_level) is None
-
 
 class TestPredicateMask:
-    """``RollupCache.predicate_mask`` is a scatter and a gather; it is held
-    to the set-membership test it replaced, bit for bit."""
+    """``Dimension.member_mask`` is a scatter and a gather; it is held to
+    the set-membership test it replaced, bit for bit."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_equals_isin_over_the_rollup_map(self, paper_schema, data):
-        dim_index = data.draw(st.integers(0, paper_schema.n_dims - 1))
-        dim = paper_schema.dimensions[dim_index]
+        dim = data.draw(st.sampled_from(paper_schema.dimensions))
         from_level = data.draw(st.integers(0, dim.all_level))
         level = data.draw(st.integers(from_level, dim.all_level))
         # Ids outside the level's domain select nothing, as they always have.
         n = dim.n_members(level)
         members = data.draw(st.frozensets(st.integers(-3, n + 3), min_size=1))
-        predicate = DimPredicate(dim_index, level, members)
-        stats = IOStats()
-        cache = RollupCache(paper_schema, stats)
-        mask = cache.predicate_mask(from_level, predicate)
-        cache.settle(cache.built())
+        mask = dim.member_mask(from_level, level, members)
         want = np.isin(
             dim.rollup_map(from_level, level),
             np.fromiter(members, dtype=np.int64),
         )
         assert mask.dtype == np.bool_
         assert mask.tolist() == want.tolist()
-        assert stats.hash_builds == dim.n_members(from_level)
-        assert cache.predicate_mask(from_level, predicate) is mask
-        assert cache.built() == []
-        assert stats.hash_builds == dim.n_members(from_level)  # built once
 
 
 class TestSharedScanHashJoin:
@@ -432,11 +404,8 @@ class TestSharedProbe:
         entry = ctx.entry("XY")
         db.flush()
         before = db.stats.snapshot()
-        rollups = RollupCache(db.schema, db.stats)
-        pipes = [
-            QueryPipeline(db.schema, q, entry.levels, rollups) for q in queries
-        ]
-        rollups.settle(rollups.built())
+        pipes = [QueryPipeline(db.schema, q, entry.levels) for q in queries]
+        settle_builds(ctx, set(), pipes)
         for _start, _pages, _rows, keys, measures in entry.table.scan_batches(
             db.pool, db.schema.n_dims
         ):
@@ -551,9 +520,7 @@ class TestSharedIndexProbe:
         clean.run()
         actuals, built = clean.actuals, set()
         for query in queries:
-            pipe = QueryPipeline(
-                db.schema, query, entry.levels, RollupCache(db.schema, IOStats())
-            )
+            pipe = QueryPipeline(db.schema, query, entry.levels)
             keys = set(build_keys(db.schema, entry.levels, query)) - built
             built |= keys
             expected.append(
