@@ -9,7 +9,7 @@ removes the I/O, while the shared scan also shares the dimension hash
 tables — and needs no cache residency at all.
 """
 
-from repro.bench.harness import run_forced_class
+from repro.bench.harness import forced_plan
 from repro.bench.reporting import format_table
 from repro.core.optimizer.plans import JoinMethod
 from repro.workload.paper_queries import paper_queries
@@ -32,12 +32,11 @@ def test_pool_size_vs_shared_operator(report, benchmark):
             # Warm separate runs: flush once, then run all four without
             # flushing so the pool can help.
             db.flush()
-            warm_total = 0.0
-            for query, method in zip(queries, methods):
-                warm_total += run_forced_class(
-                    db, "ABCD", [query], [method], cold=False
-                ).sim_ms
-            shared = run_forced_class(db, "ABCD", queries, methods)
+            warm_total = db.execute(
+                forced_plan("ABCD", queries, methods, separate=True),
+                cold=False,
+            ).sim_ms
+            shared = db.execute(forced_plan("ABCD", queries, methods))
             base_pages = db.catalog.get("ABCD").n_pages
             rows.append(
                 (

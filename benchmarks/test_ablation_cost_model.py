@@ -9,7 +9,7 @@ on *ordering*.  We collect (estimate, simulation) pairs over a grid of
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.bench.harness import run_forced_class
+from repro.bench.harness import forced_plan
 from repro.bench.reporting import format_table
 from repro.core.optimizer import CostModel, JoinMethod
 
@@ -31,7 +31,9 @@ def test_estimate_tracks_simulation(db, qs, report, benchmark):
                         )
                     except ValueError:
                         continue
-                    run_ = run_forced_class(db, entry.name, [query], [method])
+                    run_ = db.execute(
+                        forced_plan(entry.name, [query], [method])
+                    )
                     pairs.append(
                         (query.display_name(), entry.name, method.name,
                          est, run_.sim_ms)

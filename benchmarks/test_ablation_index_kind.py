@@ -6,7 +6,7 @@ interface; this benchmark confirms the answers are identical and compares
 their simulated costs on the Test 2 workload.
 """
 
-from repro.bench.harness import run_forced_class
+from repro.bench.harness import forced_plan
 from repro.bench.reporting import format_table
 from repro.core.optimizer.plans import JoinMethod
 from repro.workload.paper_queries import paper_queries
@@ -31,11 +31,11 @@ def test_bitmap_vs_btree_payloads(report, benchmark):
             db = build(kind)
             qs = paper_queries(db.schema)
             queries = [qs[i] for i in (5, 6, 7, 8)]
-            run_ = run_forced_class(
-                db, "A'B'C'D", queries, [JoinMethod.INDEX] * 4
+            run_ = db.execute(
+                forced_plan("A'B'C'D", queries, [JoinMethod.INDEX] * 4)
             )
-            results[kind] = run_.results
-            rows.append((kind, run_.sim_ms, run_.io_ms, run_.cpu_ms))
+            results[kind] = list(run_.results.values())
+            rows.append((kind, run_.sim_ms, run_.sim_io_ms, run_.sim_cpu_ms))
         return rows, results
 
     (rows, results) = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -8,7 +8,7 @@ methods, then check that the cost model's choice agrees with the measured
 winner at both extremes.
 """
 
-from repro.bench.harness import run_forced_class
+from repro.bench.harness import forced_plan
 from repro.bench.reporting import format_table
 from repro.core.optimizer import CostModel, JoinMethod
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
@@ -43,9 +43,9 @@ def test_selectivity_crossover(db, report, benchmark):
     def run():
         rows = []
         for k, query in sweep_queries(db):
-            hash_run = run_forced_class(db, source, [query], [JoinMethod.HASH])
-            index_run = run_forced_class(
-                db, source, [query], [JoinMethod.INDEX]
+            hash_run, index_run = (
+                db.execute(forced_plan(source, [query], [method]))
+                for method in (JoinMethod.HASH, JoinMethod.INDEX)
             )
             chosen, _cost = model.standalone(entry, query)
             rows.append((k, hash_run.sim_ms, index_run.sim_ms, chosen))

@@ -8,12 +8,10 @@ calibration sweep in turn, so it is imported by its own name.
 from .harness import (
     AlgorithmRow,
     DEFAULT_ALGORITHMS,
-    ForcedRun,
     SharingRow,
+    forced_plan,
     run_algorithm_comparison,
     run_figure,
-    run_forced_class,
-    run_separately,
     run_sharing_sweep,
 )
 from .reporting import format_table
@@ -21,12 +19,10 @@ from .reporting import format_table
 __all__ = [
     "AlgorithmRow",
     "DEFAULT_ALGORITHMS",
-    "ForcedRun",
     "SharingRow",
+    "forced_plan",
     "format_table",
     "run_algorithm_comparison",
     "run_figure",
-    "run_forced_class",
-    "run_separately",
     "run_sharing_sweep",
 ]

@@ -2,7 +2,8 @@
 
 Tests 1–3 (Figures 10–12) measure the shared operators against separate
 execution with *forced* plans, exactly as the paper forces join method and
-base table per test: :func:`run_figure` runs one entry of
+base table per test — :func:`forced_plan`, run by ``Database.execute`` like
+any plan.  :func:`run_figure` runs one entry of
 :data:`~repro.workload.paper_queries.PAPER_FIGURES` through the one sharing
 sweep.  Tests 4–7 (Table 2) compare the global plans the optimizers produce:
 :func:`run_algorithm_comparison` is the one loop that plans and executes a
@@ -19,84 +20,26 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..check.invariants import assert_same_answers
-from ..core.executor import ExecutionReport, run_class_accounted
-from ..core.operators.results import QueryResult
-from ..core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
+from ..core.executor import ExecutionReport
+from ..core.optimizer.plans import GlobalPlan, JoinMethod, LocalPlan, PlanClass
 from ..engine.database import Database
 from ..schema.query import GroupByQuery
 from ..workload.paper_queries import PAPER_FIGURES, PAPER_TESTS, paper_queries
 
 
-@dataclass
-class ForcedRun:
-    """One measured execution of a forced plan class."""
-
-    sim_ms: float
-    io_ms: float
-    cpu_ms: float
-    rand_page_reads: int
-    seq_page_reads: int
-    results: List[QueryResult]
-
-
-def run_forced_class(
-    db: Database,
+def forced_plan(
     source: str,
     queries: Sequence[GroupByQuery],
     methods: Sequence[JoinMethod],
-    cold: bool = True,
-) -> ForcedRun:
-    """Execute ``queries`` on ``source`` with the given join methods as one
-    class (sharing applies), measuring simulated time.
-
-    A cold run gets a private pool and clock (``db.ctx(private=True)``, the
-    plan executor's cold discipline) folded back into the database's clock;
-    ``cold=False`` runs on the database's own pool.
-    """
-    plans = [
-        LocalPlan(query=q, source=source, method=m)
-        for q, m in zip(queries, methods)
-    ]
-    plan_class = PlanClass(source=source, plans=plans)
-    ctx = db.ctx(private=cold)
-    before = ctx.stats.snapshot()
-    results, _actuals = run_class_accounted(ctx, plan_class)
-    delta = ctx.stats.delta_since(before)
-    if cold:
-        db.stats.merge_from(delta)
-    return ForcedRun(
-        sim_ms=delta.total_ms,
-        io_ms=delta.io_ms,
-        cpu_ms=delta.cpu_ms,
-        rand_page_reads=delta.rand_page_reads,
-        seq_page_reads=delta.seq_page_reads,
-        results=results,
-    )
-
-
-def run_separately(
-    db: Database,
-    source: str,
-    queries: Sequence[GroupByQuery],
-    methods: Sequence[JoinMethod],
-) -> ForcedRun:
-    """Execute each query in its own cold run (the paper's dotted bars) and
-    sum the measurements."""
-    runs = [
-        run_forced_class(db, source, [query], [method], cold=True)
-        for query, method in zip(queries, methods)
-    ]
-    total = ForcedRun(
-        0.0, 0.0, 0.0,
-        rand_page_reads=sum(run.rand_page_reads for run in runs),
-        seq_page_reads=sum(run.seq_page_reads for run in runs),
-        results=[result for run in runs for result in run.results],
-    )
-    for run in runs:  # the float totals, in run order
-        total.sim_ms += run.sim_ms
-        total.io_ms += run.io_ms
-        total.cpu_ms += run.cpu_ms
-    return total
+    separate: bool = False,
+) -> GlobalPlan:
+    """The paper's forced plan: ``queries`` on ``source`` with the given
+    join methods, as one class (sharing applies) — or, ``separate``, one
+    class per query (the paper's dotted bars), so that
+    :meth:`Database.execute` runs each query in its own cold class."""
+    plans = [LocalPlan(q, source, m) for q, m in zip(queries, methods)]
+    groups = [[plan] for plan in plans] if separate else [plans]
+    return GlobalPlan("forced", [PlanClass(source, group) for group in groups])
 
 
 @dataclass
@@ -138,20 +81,18 @@ def run_sharing_sweep(
     for k in range(0 if fixed else 1, len(added) + 1):
         queries = [*fixed, *added[:k]]
         methods = [JoinMethod.HASH] * len(fixed) + [method] * k
-        separate = run_separately(db, source, queries, methods)
-        shared = run_forced_class(db, source, queries, methods)
-        assert_same_answers(
-            separate.results, shared.results, "shared and separate execution"
+        separate = db.execute(
+            forced_plan(source, queries, methods, separate=True)
         )
-        rows.append(
-            SharingRow(
-                n_queries=len(queries),
-                separate_ms=separate.sim_ms,
-                shared_ms=shared.sim_ms,
-                separate_io_ms=separate.io_ms,
-                shared_io_ms=shared.io_ms,
-            )
+        shared = db.execute(forced_plan(source, queries, methods))
+        assert_same_answers(  # result_for names a failed class
+            map(separate.result_for, queries), map(shared.result_for, queries),
+            "shared and separate execution",
         )
+        rows.append(SharingRow(
+            len(queries), separate.sim_ms, shared.sim_ms,
+            separate.sim_io_ms, shared.sim_io_ms,
+        ))
     return rows
 
 

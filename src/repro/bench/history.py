@@ -91,11 +91,6 @@ class RunRecord:
     tests: Dict[str, List[dict]] = field(default_factory=dict)
     #: Calibration summary (see CalibrationReport.summary()).
     calibration: dict = field(default_factory=dict)
-    #: Identity of the calibration profile the run was recorded under
-    #: (``{"label", "digest"}``), or None for hand-set default rates.
-    #: Mirrored in the fingerprint: fitted rates change simulated costs, so
-    #: a record is checked only under the profile it was recorded with.
-    profile: Optional[dict] = None
     version: int = RECORD_VERSION
 
     def to_dict(self) -> dict:
@@ -104,7 +99,6 @@ class RunRecord:
             "label": self.label,
             "created_at": self.created_at,
             "fingerprint": self.fingerprint,
-            "profile": self.profile,
             "figures": self.figures,
             "tests": self.tests,
             "calibration": self.calibration,
@@ -136,7 +130,7 @@ class RunRecord:
                     f"field 'tests.{test}' names no paper test; choose from "
                     f"{list(ALL_PAPER_TESTS)}"
                 )
-        _profile_identity(fingerprint, dict, "fingerprint")
+        _profile_identity(fingerprint)
         return cls(
             label=field_of(data, "label", str, "?"),
             created_at=field_of(data, "created_at", str, ""),
@@ -144,7 +138,6 @@ class RunRecord:
             figures=_rows(data, "figures", "n_queries", int, FIGURE_METRICS),
             tests=tests,
             calibration=calibration,
-            profile=_profile_identity(data, (dict, None)),
             version=version,
         )
 
@@ -162,14 +155,13 @@ class RunRecord:
         )
 
 
-def _profile_identity(doc: dict, kind, where: str = "") -> Optional[dict]:
-    """``doc["profile"]``: a ``{label, digest}`` profile identity, or None
-    when absent (or null, where ``kind`` allows it)."""
-    profile = field_of(doc, "profile", kind, None, where)
+def _profile_identity(fingerprint: dict) -> None:
+    """Type ``fingerprint["profile"]``: a ``{label, digest}`` profile
+    identity when present (absent for hand-set default rates)."""
+    profile = field_of(fingerprint, "profile", dict, None, "fingerprint")
     if profile is not None:
         for key in ("label", "digest"):
-            field_of(profile, key, str, where=f"{where}.profile".lstrip("."))
-    return profile
+            field_of(profile, key, str, where="fingerprint.profile")
 
 
 def _rows(
@@ -212,20 +204,16 @@ def record_run(
     skips the Figures 10–12 sharing sweeps (the slow part at larger scales).
     ``profile`` (a :class:`repro.calibrate.profile.CalibrationProfile`)
     applies fitted cost rates to the database before the run and stamps the
-    record — and its fingerprint — with the profile's identity.
+    record's fingerprint with the profile's identity.
     """
     if db is None:
         db = build_paper_database(scale=scale)
     if profile is not None:
         db.apply_profile(profile)
-    active_profile = db.calibration_profile
     record = RunRecord(
         label=label,
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         fingerprint=database_fingerprint(db, scale=scale),
-        profile=(
-            active_profile.identity() if active_profile is not None else None
-        ),
     )
     if figures:
         for key, table in zip(PAPER_FIGURES, paper_tables(db, tests=())):

@@ -29,7 +29,7 @@ from .operators.hash_join import SharedScanStarJoin
 from .operators.index_join import SharedIndexStarJoin
 from .operators.pipeline import ExecContext
 from .operators.results import OperatorActuals, QueryResult, q_error
-from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass
+from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.database import Database
@@ -173,11 +173,12 @@ class ExecutionReport:
 
     def _total(self, cost: Callable[[object], float]) -> float:
         """``cost`` summed over every class charged, executed or aborted —
-        attempt by attempt when recovery re-ran part of the batch."""
+        attempt by attempt when recovery re-ran part of the batch — each
+        added left to right (:func:`left_sum`)."""
         if self.attempts:
-            return sum(attempt._total(cost) for attempt in self.attempts)
+            return left_sum(attempt._total(cost) for attempt in self.attempts)
         executed, failed = self.class_executions, self.failures
-        return sum(map(cost, executed)) + sum(map(cost, failed))
+        return left_sum(map(cost, executed)) + left_sum(map(cost, failed))
 
     @property
     def sim_ms(self) -> float:

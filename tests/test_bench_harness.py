@@ -10,9 +10,9 @@ import pytest
 from repro.bench.harness import (
     AlgorithmRow,
     SharingRow,
+    forced_plan,
     run_algorithm_comparison,
-    run_forced_class,
-    run_separately,
+    run_figure,
     run_sharing_sweep,
 )
 from repro.bench.history import record_run
@@ -20,6 +20,8 @@ from repro.bench.reporting import format_table
 from repro.cli import main
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.plans import JoinMethod
+from repro.faults import PartialResultError, parse_fault_plan
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.workload.paper_queries import (
     ALL_PAPER_TESTS,
@@ -50,30 +52,33 @@ def iq(label, member=0):
 
 class TestForcedRuns:
     def test_forced_class_uses_requested_methods(self, db):
-        run = run_forced_class(
-            db, "XY", [hq("f1"), iq("f2")],
-            [JoinMethod.HASH, JoinMethod.INDEX],
+        methods = [JoinMethod.HASH, JoinMethod.INDEX]
+        plan = forced_plan("XY", [hq("f1"), iq("f2")], methods)
+        (plan_class,) = plan.classes
+        assert (plan_class.source, plan_class.methods) == ("XY", methods)
+        report = db.execute(plan)
+        assert len(report.results) == 2
+        assert report.sim_ms == pytest.approx(
+            report.sim_io_ms + report.sim_cpu_ms
         )
-        assert len(run.results) == 2
-        assert run.sim_ms == pytest.approx(run.io_ms + run.cpu_ms)
 
     def test_cold_run_deterministic(self, db):
-        first = run_forced_class(db, "XY", [hq("d")], [JoinMethod.HASH])
-        second = run_forced_class(db, "XY", [hq("d")], [JoinMethod.HASH])
-        assert first.sim_ms == pytest.approx(second.sim_ms)
+        plan = forced_plan("XY", [hq("d")], [JoinMethod.HASH])
+        assert db.execute(plan).sim_ms == db.execute(plan).sim_ms
 
     def test_separately_sums_runs(self, db):
         queries = [hq("s1"), hq("s2")]
         methods = [JoinMethod.HASH] * 2
-        combined = run_separately(db, "XY", queries, methods)
+        combined = db.execute(forced_plan("XY", queries, methods, True))
+        assert [len(c.plans) for c in combined.plan.classes] == [1, 1]
         singles = [
-            run_forced_class(db, "XY", [q], [m])
+            db.execute(forced_plan("XY", [q], [m]))
             for q, m in zip(queries, methods)
         ]
-        assert combined.sim_ms == pytest.approx(sum(s.sim_ms for s in singles))
-        assert combined.seq_page_reads == sum(
-            s.seq_page_reads for s in singles
-        )
+        assert combined.sim_ms == singles[0].sim_ms + singles[1].sim_ms
+        assert [c.sim for c in combined.class_executions] == [
+            s.class_executions[0].sim for s in singles
+        ]
         assert len(combined.results) == 2
 
 
@@ -93,11 +98,52 @@ class TestSharingSweep:
         )
         assert [r.n_queries for r in rows] == [1, 2, 3]
 
+    def test_a_failed_class_is_named_not_compared(self):
+        """An injected fault fails its class under the executor; the sweep
+        then reports the partial result, not an answer mismatch."""
+        db = make_tiny_db(n_rows=400)
+        db.arm_faults(parse_fault_plan("storage.scan:table=XY,nth=1"))
+        with pytest.raises(PartialResultError, match="failed mid-execution"):
+            run_sharing_sweep(db, "XY", [], [hq("x1")], JoinMethod.HASH)
+
     def test_speedup_property(self):
         row = SharingRow(2, 100.0, 50.0, 0, 0)
         assert row.speedup == pytest.approx(2.0)
         zero = SharingRow(1, 10.0, 0.0, 0, 0)
         assert zero.speedup == 0.0
+
+
+class TestFiguresAreForcedPlans:
+    """Each bar of Figures 10–12 is a plan ``Database.execute`` runs, so the
+    figures get what every plan gets from the executor."""
+
+    @pytest.fixture()
+    def registry(self):
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        yield registry
+        set_default_registry(previous)
+
+    def test_paranoia_and_tracing_cover_every_figure(self, registry):
+        db = build_paper_database(scale=SCALE)
+        db.paranoia = True
+        plans = classes = results = 0
+        for key in PAPER_FIGURES:
+            with db.trace():
+                rows = run_figure(db, key)
+            trace = db.last_trace
+            # Per bar: the separate plan (a class per query), the shared one.
+            n_plans = 2 * len(rows)
+            n_classes = sum(row.n_queries + 1 for row in rows)
+            assert len(trace.find_all("execute.plan")) == n_plans, key
+            assert len(trace.find_all("execute.class")) == n_classes, key
+            assert len(trace.find_all("check.class")) == n_classes, key
+            plans += n_plans
+            classes += n_classes
+            results += sum(2 * row.n_queries for row in rows)
+        assert registry.get("check.plans_validated").value == plans
+        assert registry.get("executor.classes_executed").value == classes
+        assert registry.get("check.results_checked").value == results
 
 
 class TestAlgorithmComparison:

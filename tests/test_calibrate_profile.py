@@ -256,21 +256,23 @@ def test_profiled_and_unprofiled_records_cannot_gate_each_other():
 
 
 def test_run_record_profile_field_round_trips(tmp_path):
+    """The profile identity is stored once, in the fingerprint."""
+    identity = {"label": "test", "digest": "abc123"}
     record = RunRecord(
         label="x",
         created_at="now",
-        fingerprint={"scale": 0.5},
-        profile={"label": "test", "digest": "abc123"},
+        fingerprint={"scale": 0.5, "profile": identity},
     )
     path = tmp_path / "BENCH_x.json"
     record.save(path)
+    assert "profile" not in json.loads(path.read_text())
     loaded = RunRecord.load(path)
-    assert loaded.profile == {"label": "test", "digest": "abc123"}
-    # Old records without the field load as None.
+    assert loaded.fingerprint["profile"] == identity
+    # Records under default rates carry no identity.
     data = record.to_dict()
-    del data["profile"]
-    assert RunRecord.from_dict(data).profile is None
+    del data["fingerprint"]["profile"]
+    assert "profile" not in RunRecord.from_dict(data).fingerprint
     # Drifted type is rejected with the field named.
-    data["profile"] = "paper"
-    with pytest.raises(ValueError, match="profile"):
+    data["fingerprint"]["profile"] = "paper"
+    with pytest.raises(ValueError, match="fingerprint.profile"):
         RunRecord.from_dict(data)

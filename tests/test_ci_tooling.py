@@ -169,6 +169,28 @@ def test_builds_are_stated_once():
         assert "new_builds(" in (src / name).read_text(), name
 
 
+def test_only_the_executor_folds_a_cold_clock():
+    """A cold class's private clock goes back into the database's in one
+    place: under ``src/repro`` only ``core/executor.py`` calls
+    ``IOStats.merge_from``, and nothing defines ``ForcedRun`` or
+    ``run_forced_class`` — the paper's forced plans are plans that
+    ``Database.execute`` runs (``bench.harness.forced_plan``)."""
+    src = ROOT / "src" / "repro"
+    callers, defined = set(), []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) == "merge_from"
+            ):
+                callers.add(path.relative_to(src).as_posix())
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and (
+                node.name in ("ForcedRun", "run_forced_class")
+            ):
+                defined.append((path.name, node.name))
+    assert sorted(callers) == ["core/executor.py"]
+    assert defined == []
+
+
 def test_profile_op_names_the_greedy_loop():
     """``.github/profile_op.py`` — the "which layer moved" profile of
     .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and

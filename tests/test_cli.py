@@ -528,6 +528,5 @@ class TestProfileFlag:
             "--tests", "test4", "--no-figures",
         ]) == 0
         record = RunRecord.load(out)
-        assert record.profile is not None
-        assert record.profile["label"] == "clitest"
-        assert record.fingerprint["profile"] == record.profile
+        assert record.fingerprint["profile"]["label"] == "clitest"
+        assert "profile" not in record.to_dict()  # stated once

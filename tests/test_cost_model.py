@@ -211,15 +211,15 @@ class TestEstimateVsSimulation:
     def test_hash_estimate_tracks_simulation(self, db, model):
         """The model's hash-class estimate should be within 2x of the
         simulated execution (same charge units)."""
-        from repro.bench.harness import run_forced_class
+        from repro.bench.harness import forced_plan
 
         entry = db.catalog.get("XY")
         queries = [hash_query((1, 1)), hash_query((2, 2))]
         est = model.class_cost_given(
             entry, queries, [JoinMethod.HASH, JoinMethod.HASH]
         )
-        run = run_forced_class(
-            db, "XY", queries, [JoinMethod.HASH, JoinMethod.HASH]
+        run = db.execute(
+            forced_plan("XY", queries, [JoinMethod.HASH, JoinMethod.HASH])
         )
         assert est == pytest.approx(run.sim_ms, rel=1.0)
 

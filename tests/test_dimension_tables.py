@@ -109,7 +109,7 @@ class TestCostModelAccounting:
         assert stored > plain
 
     def test_estimate_matches_simulation_with_dim_tables(self):
-        from repro.bench.harness import run_forced_class
+        from repro.bench.harness import forced_plan
         from repro.core.optimizer.plans import JoinMethod
 
         db = make_tiny_db(n_rows=300)
@@ -121,7 +121,7 @@ class TestCostModelAccounting:
         )
         query = q((1, 1))
         est = model.class_cost_given(entry, [query], [JoinMethod.HASH])
-        run = run_forced_class(db, "XY", [query], [JoinMethod.HASH])
+        run = db.execute(forced_plan("XY", [query], [JoinMethod.HASH]))
         assert est == pytest.approx(run.sim_ms, rel=0.1)
 
     def test_optimizer_still_correct_with_dim_tables(self):

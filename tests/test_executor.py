@@ -1,9 +1,17 @@
 """Tests for plan execution and measurement reporting."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.executor import execute_plan, run_class_accounted
-from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
+from repro.core.executor import (
+    ClassExecution,
+    ClassFailure,
+    ExecutionReport,
+    execute_plan,
+    run_class_accounted,
+)
+from repro.core.optimizer.plans import GlobalPlan, JoinMethod, LocalPlan, PlanClass
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db
@@ -70,6 +78,36 @@ class TestRunClass:
         )
         results, _actuals = run_class_accounted(db.ctx(), cls)
         assert [r.query.qid for r in results] == [q.qid for q in qs]
+
+
+class TestReportTotals:
+    """``sum`` is compensated from Python 3.12 and would total the sims
+    below as 1.0; a report's totals feed every record and perf's
+    ``sim_ms_per_op``, so they add left to right on every interpreter."""
+
+    @staticmethod
+    def report(executed=(), failed=(), attempts=()):
+        cls, plan = PlanClass(source="XY"), GlobalPlan(algorithm="gg")
+        return ExecutionReport(
+            plan=plan,
+            class_executions=[
+                ClassExecution(cls, [], SimpleNamespace(total_ms=ms), 0.0, None)
+                for ms in executed
+            ],
+            failures=[
+                ClassFailure(cls, RuntimeError(), SimpleNamespace(total_ms=ms), 0.0)
+                for ms in failed
+            ],
+            attempts=list(attempts),
+        )
+
+    def test_class_sims_add_left_to_right(self):
+        assert self.report([1e16, 1.0, -1e16]).sim_ms == 0.0
+        # The executed total, then the failed total.
+        assert self.report([1e16, 1.0], [-1e16]).sim_ms == 0.0
+        # Attempt by attempt.
+        attempts = [self.report([ms]) for ms in (1e16, 1.0, -1e16)]
+        assert self.report(attempts=attempts).sim_ms == 0.0
 
 
 class TestExecutePlan:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.bench.harness import run_forced_class
+from repro.bench.harness import forced_plan
 from repro.core.executor import run_class_accounted
 from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
 from repro.engine.session import QuerySession
@@ -129,10 +129,10 @@ class TestTracedBatch:
     def test_forced_index_class_routes_tuples(self, db, fresh_registry):
         qs = paper_queries(db.schema)
         with db.trace():
-            run_forced_class(
-                db, "A'B'C'D", [qs[5], qs[6]],
+            db.execute(forced_plan(
+                "A'B'C'D", [qs[5], qs[6]],
                 [JoinMethod.INDEX, JoinMethod.INDEX],
-            )
+            ))
         assert db.last_trace.find("operator.shared_index") is not None
         assert fresh_registry.get("executor.tuples_routed").value > 0
         assert fresh_registry.get("bitmap.or_ops").value > 0

@@ -136,7 +136,7 @@ class TestCostModelIntegration:
         assert plan.est_cost_ms == pytest.approx(measured_est, rel=0.01)
 
     def test_measured_estimates_track_simulation_under_skew(self):
-        from repro.bench.harness import run_forced_class
+        from repro.bench.harness import forced_plan
         from repro.core.optimizer.plans import JoinMethod
 
         db = skewed_db(theta=1.5)
@@ -148,7 +148,7 @@ class TestCostModelIntegration:
         entry = db.catalog.get("XY")
         query = self.make_query(member=0)  # the hot member
         est = model.class_cost_given(entry, [query], [JoinMethod.HASH])
-        run = run_forced_class(db, "XY", [query], [JoinMethod.HASH])
+        run = db.execute(forced_plan("XY", [query], [JoinMethod.HASH]))
         assert est == pytest.approx(run.sim_ms, rel=0.15)
 
     def test_analyze_subset(self):
