@@ -1,6 +1,7 @@
 """Profile one op of a ``perf/`` workload: which layer is the wall?
 
     python3 .github/profile_op.py WORKLOAD [--seed N] [--ops K] [--rows R]
+                                           [--calls NAME]
 
 Imports ``perf/<workload>.py`` read-only — its ``setup`` (database build
 and warm-up), then its own op function — and prints the *unprofiled*
@@ -11,6 +12,11 @@ a measurement: claims go through ``perf/run.py`` pairs
 (docs/performance.md).  A thread the op starts (``serve_mix`` plans and
 executes on the service's one scheduler thread) gets its own profiler,
 merged into the one table.
+
+``--calls NAME`` prints, instead of the tables, the calls per op of each
+profiled function named ``NAME`` (say ``__add__``, or ``iostats.py:__add__``
+for one file's), and under each its calls per op from each caller — a count,
+so it is exact where the shares are not.
 
 ``append_query``'s op is the sum of ``_cycle``'s three timed calls (append,
 query, cached query), as ``perf/append_query.py`` counts it, and that sum is
@@ -76,12 +82,38 @@ def profile(op, n_ops: int) -> pstats.Stats:
     return stats
 
 
+def print_calls(stats: pstats.Stats, name: str, n_ops: int) -> None:
+    """Calls per op of each function ``name`` matches (``function`` or
+    ``file:function``), most first, each caller's share under it."""
+
+    def label(func) -> str:
+        return f"{func[0]}:{func[1]}({func[2]})"
+
+    matched = [
+        (func, row)
+        for func, row in stats.stats.items()
+        if name in (func[2], f"{func[0]}:{func[2]}")
+    ]
+    print(f"calls per op of {name!r} over {n_ops} op(s):")
+    if not matched:
+        print("  (no such function was called)")
+    for func, (_cc, n_calls, _tt, _ct, callers) in sorted(
+        matched, key=lambda item: -item[1][1]
+    ):
+        print(f"{n_calls / n_ops:10.1f}  {label(func)}")
+        for caller, counts in sorted(callers.items(), key=lambda c: -c[1][1]):
+            print(f"{counts[1] / n_ops:14.1f}  from {label(caller)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(OPS))
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--ops", type=int, default=24)
     parser.add_argument("--rows", type=int, default=25, help="rows per table")
+    parser.add_argument(
+        "--calls", metavar="NAME", help="print calls per op of functions named NAME"
+    )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perf")]
     module = importlib.import_module(args.workload)
@@ -103,6 +135,9 @@ def main(argv=None) -> int:
     )
     stats = profile(op, args.ops)
     stats.strip_dirs()
+    if args.calls:
+        print_calls(stats, args.calls, args.ops)
+        return 0
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.rows)
     print(stats.stream.getvalue())

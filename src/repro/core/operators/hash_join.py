@@ -121,9 +121,12 @@ class SharedScanStarJoin:
             actuals.tuples_tested[query.qid] = 0
             actuals.tuples_routed[query.qid] = 0
         source_agg = self.source.source_aggregate
+        masks: dict = {}  # each distinct predicate mask, built once
 
         def pipeline(query: GroupByQuery) -> QueryPipeline:
-            return QueryPipeline(ctx.schema, query, self.source.levels, source_agg)
+            return QueryPipeline(
+                ctx.schema, query, self.source.levels, source_agg, masks
+            )
 
         hash_pipes = [pipeline(q) for q in self.hash_queries]
         index_pipes = [pipeline(q) for q in self.index_queries]
@@ -225,7 +228,8 @@ class SharedScanStarJoin:
             inter_agg = intermediate_source_aggregate(source_agg, intermediate)
             for query in step.queries:
                 derived_pipe = QueryPipeline(
-                    ctx.schema, query, intermediate.groupby.levels, inter_agg
+                    ctx.schema, query, intermediate.groupby.levels, inter_agg,
+                    masks,
                 )
                 settle_builds(ctx, held, [derived_pipe])
                 ctx.stats.charge(

@@ -143,8 +143,11 @@ class SharedIndexStarJoin:
         # queries whose predicates it passes, so every pipeline is built
         # first and charged for its builds in its turn.  Step 4: per-query
         # aggregation.
+        masks: dict = {}  # each distinct predicate mask, built once
         pipes = [
-            QueryPipeline(ctx.schema, query, source.levels, source.source_aggregate)
+            QueryPipeline(
+                ctx.schema, query, source.levels, source.source_aggregate, masks
+            )
             for query in self.queries
         ]
         probe = SharedProbe(pipes) if n_members > 1 else None
@@ -162,10 +165,8 @@ class SharedIndexStarJoin:
                 actuals.tuples_tested[query.qid] = int(positions.size)
                 actuals.tuples_routed[query.qid] = fed
             settle_builds(ctx, held, [pipe])
-            ctx.stats.charge(
-                routing_counts(n_members, positions.size)
-                + pipe.process_batch(keys, measures, rows, fed)
-            )
+            ctx.stats.charge(routing_counts(n_members, positions.size))
+            ctx.stats.charge(pipe.process_batch(keys, measures, rows, fed))
             result = pipe.result()
             actuals.record_pipeline(query.qid, pipe, result, ctx.stats.rates)
             results.append(result)

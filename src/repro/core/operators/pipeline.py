@@ -27,6 +27,7 @@ from ...schema.star import StarSchema
 from ...storage.buffer import BufferPool
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import Counts, IOStats, build_counts, pipeline_counts
+from ...storage.iostats import pipeline_ms
 from ...storage.table import Morsel
 from .aggregate import HashAggregator
 from .results import QueryResult
@@ -106,15 +107,15 @@ def settle_builds(
 ) -> None:
     """Charge the structures ``pipes`` built that the class does not hold
     yet (:func:`~repro.schema.lattice.new_builds` of their ``build_keys``,
-    in pipe order) and add them to ``held``: a hash entry per source-level
-    member, then each first build on a dimension whose table is stored
-    scans that table through the pool, which charges the pages it reads —
-    once per class, however many structures it takes (the paper's
-    "building a hash table on the dimension table")."""
+    in pipe order) and add them and their dimensions to ``held``: a hash
+    entry per source-level member, then each first build on a dimension
+    whose table is stored scans that table through the pool, which charges
+    the pages it reads — once per class, however many structures it takes
+    (the paper's "building a hash table on the dimension table")."""
     schema = ctx.schema
     keys = [key for pipe in pipes for key in pipe.build_keys]
     new, entries, first = new_builds(schema, held, keys)
-    held.update(new)
+    held.update(new, first)
     ctx.stats.charge(build_counts(entries))
     for d in first:
         dim_table = (ctx.dim_tables or {}).get(schema.dimensions[d].name)
@@ -130,7 +131,9 @@ class QueryPipeline:
 
     Feed it batches of source-level key columns + measures (one batch per
     scan morsel, or per retrieved probe set); read the final
-    :class:`QueryResult` with :meth:`result`.
+    :class:`QueryResult` with :meth:`result`.  An operator's pipelines
+    share its ``masks`` (mask key → mask), so each distinct mask is built
+    once per execution.
     """
 
     def __init__(
@@ -139,6 +142,7 @@ class QueryPipeline:
         query: GroupByQuery,
         source_levels: Sequence[int],
         source_aggregate: Optional[str] = None,
+        masks: Optional[Dict[tuple, np.ndarray]] = None,
     ):
         require_answerable(source_levels, source_aggregate, [query], "its source")
         self.schema = schema
@@ -157,13 +161,16 @@ class QueryPipeline:
         # (None, without a map key: the source key is the target key).  A
         # dimension at ALL outputs zeros.
         dims = schema.dimensions
+        masks = {} if masks is None else masks
         self._masks: List[Tuple[int, np.ndarray]] = []
         maps: Dict[int, np.ndarray] = {}
         for key in self.build_keys:
             if len(key) == 3:
                 maps[key[0]] = dims[key[0]].rollup_map(key[1], key[2])
             else:
-                self._masks.append((key[0], dims[key[0]].member_mask(*key[1:])))
+                if key not in masks:
+                    masks[key] = dims[key[0]].member_mask(*key[1:])
+                self._masks.append((key[0], masks[key]))
         self._rollups: List[Tuple[int, Optional[np.ndarray]]] = [
             (d, maps.get(d))
             for d, (target, top) in enumerate(
@@ -183,10 +190,8 @@ class QueryPipeline:
         own row counters priced at ``rates`` — exactly the per-query share
         of the class's CPU charge (probe + filter + copy + aggregate), so
         plan accounting can attribute measured cost to individual queries."""
-        return rates.price(
-            pipeline_counts(
-                self.rows_in, self.n_probe_dims, self.n_predicates, self.rows_passed
-            )
+        return pipeline_ms(
+            rates, self.rows_in, self.n_probe_dims, self.n_predicates, self.rows_passed
         )
 
     def passing(

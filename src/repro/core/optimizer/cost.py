@@ -10,15 +10,14 @@ For a query ``X`` computed from a base table ``B``:
   union bitmap (or becomes free when another class member already scans
   ``B``, Section 3.3).
 
-The model counts before it prices: a member's term and a class carry the
-:class:`~repro.storage.iostats.Counts` the executor is expected to charge —
-the counters of an :class:`~repro.storage.iostats.IOStats`, in
-:class:`CostRates`' field order — and :meth:`CostRates.price` turns a count
-into simulated milliseconds, the one place a count meets a rate.  Where
-the data does not decide a count, the model and the operator read one
-statement of it (:mod:`repro.storage.iostats`, a join index's
-``lookup_counts``), so they agree unit for unit; the rest — probe pages,
-routed and passing rows — is estimated from the data model below.
+The model estimates the counters of an
+:class:`~repro.storage.iostats.IOStats` the executor is expected to
+charge.  Where the data does not decide a count, the model and the
+operator read one statement of it (:mod:`repro.storage.iostats`, a join
+index's ``lookup_counts``); the rest — probe pages, routed and passing
+rows — is estimated from the data model below.  A trial prices the
+statements' scalars in floats (their priced forms);
+:meth:`CostModel.class_units` states the counts from the same scalars.
 Estimates assume uniformly distributed data — the standard optimizer
 assumption — plus a page-locality correction for tables clustered on their
 leading dimension.
@@ -47,8 +46,9 @@ from ...schema.star import StarSchema
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates, Counts, build_counts, filter_counts
 from ...storage.iostats import merge_counts, pipeline_counts, read_counts, routing_counts
+from ...storage.iostats import pipeline_ms, routing_ms, shared_ms
 from .plans import DeriveStep, JoinMethod, PlanClass, left_sum
-from .terms import MemberTerm, price_terms
+from .terms import MemberTerm, price_terms, term_units
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...engine.database import Database
@@ -88,17 +88,15 @@ class ClassState:
     does not change, so a trial (:meth:`CostModel.trial`) is "state + one
     term", not a costing from a query list.
 
-    ``totals`` is ``(hash entries, dimension-table pages, index prefix)``:
-    the *integer* build totals of the distinct ``structures`` (what
-    :func:`build_counts` states), and the index configuration's ``(Π(1 −
-    indexed_sel), Π(1 − region), Σ runs, Σ separate_pages)`` (None once a
-    member has no index plan), reusable as they stand: from scratch they
-    accumulate left to right in query order, so a prefix is the same
-    float.  No running cost is kept — builds and routing change when a
-    member joins, so totals are re-summed from the addends
-    (:class:`MemberTerm`'s float-order rule).  ``totals`` is None, for good
-    (a class only gains members), once ``entry`` cannot answer some member:
-    the state is *dead*.
+    ``structures`` holds the distinct build keys and the dimensions they
+    are on; ``totals`` is ``(hash entries, dimension-table pages, index
+    prefix)``: their *integer* build totals (what :func:`build_counts`
+    states), and the index configuration's ``(Π(1 − indexed_sel), Π(1 −
+    region), Σ runs, Σ separate_pages)`` (None once a member has no index
+    plan), accumulated left to right in query order, so a prefix is the
+    same float.  No running cost is kept (:class:`MemberTerm`'s float-order
+    rule).  ``totals`` is None, for good, once ``entry`` cannot answer some
+    member: the state is *dead*.
     """
 
     entry: TableEntry
@@ -115,13 +113,14 @@ class CostModel:
     frequencies for analyzed tables.
 
     **Lifetime**: an instance snapshots one (catalog, statistics, rates)
-    state.  Its per-(entry, query) :class:`MemberTerm` memo and its
-    per-entry covering-index table (:meth:`covering`: what
-    :meth:`TableEntry.covering_index` answered when the entry's first term
-    was built) are never invalidated, so a model must not outlive a
-    mutation — a new index, an append, ``analyze()`` — and callers build a
-    new one per optimize run, as ``Database.optimize``, ``calibrate`` and
-    recovery's degrade step (``docs/architecture.md`` §"Answering a batch") do.
+    state.  Its per-(entry, query) :class:`MemberTerm` memo, its index
+    phases (:meth:`index_phase`) and its per-entry covering-index table
+    (:meth:`covering`: what :meth:`TableEntry.covering_index` answered
+    when the entry's first term was built) are never invalidated, so a
+    model must not outlive a mutation — a new index, an append,
+    ``analyze()`` — and callers build a new one per optimize run, as
+    ``Database.optimize``, ``calibrate`` and recovery's degrade step
+    (``docs/architecture.md`` §"Answering a batch") do.
     """
 
     def __init__(
@@ -151,11 +150,8 @@ class CostModel:
             for dim in schema.dimensions
         ]
         self._terms: Dict[Tuple[str, int], MemberTerm] = {}
-        # The scan configuration's shared part priced, per (pages, hash
-        # entries): the integer totals a trial reads it from.
-        self._scan_shared_ms: Dict[Tuple[int, int], float] = {}
         self._covering_tables: Dict[str, Dict[Tuple[int, int], tuple]] = {}
-        self._lookups: Dict[Tuple[object, int], Counts] = {}
+        self._phases: Dict[Tuple[str, tuple], Counts] = {}
         # Per pair, its standalone costing once read.
         self._alone: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
 
@@ -236,14 +232,18 @@ class CostModel:
 
     # -- member terms ------------------------------------------------------------
 
-    def lookup_counts(self, index, n_members: int) -> Counts:
-        """``index.lookup_counts(n_members)``, memoized: what a lookup of
-        that many members is expected to charge."""
-        key = (index, n_members)
-        counts = self._lookups.get(key)
-        if counts is None:
-            counts = self._lookups[key] = index.lookup_counts(n_members)
-        return counts
+    def index_phase(self, entry: TableEntry, lookups: tuple, n_words: int) -> Counts:
+        """What a member's index phase on ``entry`` is expected to charge,
+        summed once per (entry, lookups): each ``(index, n_members)``
+        lookup's ``lookup_counts``, then the AND of their bitmaps."""
+        key = (entry.name, lookups)
+        if key not in self._phases:
+            (index, n), *rest = lookups
+            phase = index.lookup_counts(n)
+            for index, n in rest:
+                phase += index.lookup_counts(n)
+            self._phases[key] = phase + merge_counts(len(lookups), n_words)
+        return self._phases[key]
 
     def _probe_dims(self, query: GroupByQuery) -> int:
         """Dimensions whose hash table each tuple probes (mirrors
@@ -287,20 +287,20 @@ class CostModel:
     # -- class state -------------------------------------------------------------
 
     def _missing(
-        self, held: Collection[tuple], keys: Iterable[tuple], entries: int, pages: int
+        self, held: Collection, keys: Iterable[tuple], entries: int, pages: int
     ):
-        """The build keys not in ``held``, and the totals grown by building
-        them (:func:`~repro.schema.lattice.new_builds`; :func:`build_counts`'
-        arguments): hash entries, and the pages of each stored dimension
-        table they are the first keys on."""
+        """What ``held`` gains by building the keys it lacks (the keys, and
+        the dimensions they are the first on), and the totals grown:
+        :func:`build_counts`' hash entries, and the pages of each stored
+        dimension table they are the first keys on (``new_builds``)."""
         new, added, first = new_builds(self.schema, held, keys)
         for dim_index in first:
             pages += self._dim_pages[dim_index]
-        return new, entries + added, pages
+        return new + first, entries + added, pages
 
-    def _joined(self, state: ClassState, term: MemberTerm) -> Tuple[set, tuple]:
+    def _joined(self, state: ClassState, term: MemberTerm) -> Tuple[list, tuple]:
         """``state`` with ``term`` as its next member, the state untouched:
-        the build keys it does not hold yet, and its ``totals`` then."""
+        what its structures gain, and its ``totals`` then."""
         entries, pages, index = state.totals
         new, entries, pages = self._missing(
             state.structures, term.build_keys, entries, pages
@@ -321,34 +321,10 @@ class CostModel:
 
     # -- class costing -----------------------------------------------------------
 
-    def _scan_shared(self, entry: TableEntry, entries: int, pages: int) -> Counts:
-        """The shared counts of a class whose base table is sequentially
-        scanned: the scan, plus the structure builds."""
-        return read_counts(entry.n_pages) + build_counts(entries, pages)
-
-    def _scan_cost(
-        self, entry: TableEntry, totals: tuple, marginals: Iterable[float]
-    ) -> float:
-        """Cost of the class when the base table is sequentially scanned:
-        hash plans consume the scan; index plans filter it (Section 3.3).
-        ``marginals`` holds each member's addend under its method."""
-        entries, pages = totals[:2]
-        key = (entry.n_pages + pages, entries)
-        shared_ms = self._scan_shared_ms.get(key)
-        if shared_ms is None:
-            shared_ms = self._scan_shared_ms[key] = self.rates.price(
-                self._scan_shared(entry, entries, pages)
-            )
-        return left_sum(marginals, shared_ms)
-
-    def _index_shared(
-        self, entry: TableEntry, n_members: int, totals: tuple
-    ) -> Tuple[Counts, Counts]:
-        """The shared counts of a class whose members are all index joins
-        sharing one union-bitmap probe (Section 3.2) — the probe, the
-        structure builds and the OR of the members' bitmaps — and the
-        routing each member adds; ``totals`` holds their index prefix."""
-        entries, dim_pages, index = totals
+    def _probe(self, entry: TableEntry, index: tuple) -> Tuple[float, float]:
+        """The union-bitmap probe of a class whose members are all index
+        joins (Section 3.2), from its index prefix ``index``: the pages it
+        is expected to read, and the rows it fetches and routes."""
         not_selected, not_region, runs, separate_pages = index
         union_rows = entry.n_rows * (1.0 - not_selected)
         # Expected distinct pages the union probe touches: Cardenas over
@@ -363,62 +339,80 @@ class CostModel:
             pages = min(float(p), pages, separate_pages)
         else:
             pages = expected_distinct(float(p), union_rows)
-        words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
-        shared = (
-            build_counts(entries, dim_pages) + read_counts(pages, False)
-            + merge_counts(n_members, words)
-        )
-        return shared, routing_counts(n_members, union_rows)
+        return pages, union_rows
 
     def _index_cost(
         self, entry: TableEntry, terms: Sequence[MemberTerm], totals: tuple
     ) -> float:
-        """Cost of the class as all index joins: the shared part, then per
+        """Cost of the class as all index joins: the union probe, the
+        structure builds and the OR of the members' bitmaps, then per
         member its index plan and its routing."""
-        shared, routing = self._index_shared(entry, len(terms), totals)
-        total = self.rates.price(shared)
-        routing_ms = self.rates.price(routing)
+        entries, dim_pages, index = totals
+        pages, rows = self._probe(entry, index)
+        words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
+        total = shared_ms(
+            self.rates, pages, False, entries, dim_pages, len(terms), words
+        )
+        routing = routing_ms(self.rates, len(terms), rows)
         for term in terms:
             total += term.index_ms
-            total += routing_ms
+            total += routing
         return total
 
     def _best(
         self, entry: TableEntry, terms: Sequence[MemberTerm], totals: tuple
-    ) -> ClassCosting:
-        """The cheaper configuration of a class (scan on ties): each member
-        on its cheaper scan-side method, or (given a prefix) all index joins."""
-        cost = self._scan_cost(entry, totals, [t.scan_ms for t in terms])
+    ) -> Tuple[float, bool]:
+        """The cheaper configuration of a class (scan on ties): its cost,
+        and whether it is all index joins (given a prefix) rather than each
+        member on its cheaper scan-side method."""
+        cost = shared_ms(self.rates, entry.n_pages, True, *totals[:2])
+        for term in terms:
+            cost += term.scan_ms
         if totals[2] is not None:
             index_cost = self._index_cost(entry, terms, totals)
             if index_cost < cost:
-                return ClassCosting(
-                    entry.name, index_cost, [JoinMethod.INDEX] * len(terms)
-                )
-        return ClassCosting(entry.name, cost, [t.scan_method for t in terms])
+                return index_cost, True
+        return cost, False
 
-    def trial(self, state: ClassState, query: GroupByQuery) -> Optional[ClassCosting]:
-        """``plan_class(state.entry, members + [query])`` read off the
-        members' ``state`` (left untouched): one term look-up, rejected
-        before anything is summed when the entry cannot answer the query
-        or some member.  Counts as one class costing."""
+    def _costing(
+        self, entry: TableEntry, terms: Sequence[MemberTerm], totals: tuple
+    ) -> ClassCosting:
+        """:meth:`_best`, with the members' join methods listed."""
+        cost, all_index = self._best(entry, terms, totals)
+        methods = [JoinMethod.INDEX if all_index else t.scan_method for t in terms]
+        return ClassCosting(entry.name, cost, methods)
+
+    def trial(self, state: ClassState, query: GroupByQuery) -> Optional[float]:
+        """``plan_class(state.entry, members + [query]).cost_ms`` read off
+        the members' ``state`` and the query's term, in floats: one term
+        look-up, rejected (None) before anything is summed when the entry
+        cannot answer the query or some member.  Counts as one class
+        costing."""
         self.n_plan_costings += 1
         term = self._term(state.entry, query)
         if state.totals is None or not term.answerable:
             return None
         totals = self._joined(state, term)[1]
-        return self._best(state.entry, state.terms + [term], totals)
+        # The term joins the members for the costing only, not as a copy.
+        state.terms.append(term)
+        try:
+            return self._best(state.entry, state.terms, totals)[0]
+        finally:
+            state.terms.pop()
 
     def plan_class(
         self, entry: TableEntry, queries: Sequence[GroupByQuery]
     ) -> Optional[ClassCosting]:
         """Best costing of ``queries`` as one class on ``entry``; None if
-        some query is not answerable from it.  From a list, a class is
-        costed as the trial of its last member on the state of the others."""
+        some query is not answerable from it.  The state grown over the
+        queries, costed as a trial costs it.  Counts as one class costing."""
         if not queries:
             raise ValueError("a class needs at least one query")
-        others = reduce(self.extend, queries[:-1], ClassState(entry))
-        return self.trial(others, queries[-1])
+        self.n_plan_costings += 1
+        state = reduce(self.extend, queries, ClassState(entry))
+        if state.totals is None:
+            return None
+        return self._costing(entry, state.terms, state.totals)
 
     def _given(
         self, entry: TableEntry, queries: Sequence[GroupByQuery],
@@ -453,17 +447,21 @@ class CostModel:
         state = self._given(entry, queries, methods)
         if all(m is JoinMethod.INDEX for m in methods):
             return self._index_cost(entry, state.terms, state.totals)
+        # The scan configuration: hash plans consume the scan; index plans
+        # filter it (Section 3.3).
         marginals = [
             term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
             for term, method in zip(state.terms, methods)
         ]
-        return self._scan_cost(entry, state.totals, marginals)
+        shared = shared_ms(self.rates, entry.n_pages, True, *state.totals[:2])
+        return left_sum(marginals, shared)
 
     def class_units(self, plan_class: PlanClass) -> Counts:
-        """The counts a planned class is expected to charge, added in the
-        order its cost is (shared part, then members in plan order, then a
-        ``dag`` class's derived pipelines): priced, they give its
-        ``est_cost_ms`` up to float rounding."""
+        """The counts a planned class is expected to charge, stated from
+        the scalars its cost is priced from and added in the order its cost
+        is (shared part, then members in plan order, then a ``dag`` class's
+        derived pipelines): priced, they give its ``est_cost_ms`` up to
+        float rounding."""
         entry = self.catalog.get(plan_class.source)
         scan = [p for p in plan_class.plans if p.method is not JoinMethod.DERIVE]
         queries = [p.query for p in scan]
@@ -475,19 +473,21 @@ class CostModel:
         else:
             state = self._given(entry, queries, methods)
             totals, derived = state.totals, []
+        builds = build_counts(*totals[:2])
+        units = [term_units(self, entry, q, t) for q, t in zip(queries, state.terms)]
+        derived = [pipeline_counts(*args) for args in derived]
         if not plan_class.derives and all(m is JoinMethod.INDEX for m in methods):
-            shared, routing = self._index_shared(entry, len(methods), totals)
-            addends = [
-                units
-                for term in state.terms
-                for units in (term.index_units, routing)
-            ]
+            pages, rows = self._probe(entry, totals[2])
+            words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
+            shared = read_counts(pages, False) + builds + merge_counts(len(units), words)
+            routing = routing_counts(len(units), rows)
+            addends = [c for _, index_units in units for c in (index_units, routing)]
         else:
-            shared = self._scan_shared(entry, *totals[:2])
+            shared = read_counts(entry.n_pages) + builds
             addends = [
-                term.hash_units if method is JoinMethod.HASH
-                else term.index_units + filter_counts(entry.n_rows)
-                for term, method in zip(state.terms, methods)
+                hash_units if method is JoinMethod.HASH
+                else index_units + filter_counts(entry.n_rows)
+                for (hash_units, index_units), method in zip(units, methods)
             ]
         return reduce(operator.add, addends + derived, shared)
 
@@ -530,10 +530,10 @@ class CostModel:
         derived = self._derived(entry, scan_queries, derive_steps, row_safety)
         if derived is None:
             return None
-        state, totals, addends = derived
-        costing = self._best(entry, state.terms, totals)
-        for units in addends:
-            costing.cost_ms += self.rates.price(units)
+        state, totals, pipelines = derived
+        costing = self._costing(entry, state.terms, totals)
+        for args in pipelines:
+            costing.cost_ms += pipeline_ms(self.rates, *args)
         for step in derive_steps:
             costing.methods += [JoinMethod.DERIVE] * len(step.queries)
         return costing
@@ -544,11 +544,12 @@ class CostModel:
         scan_queries: Sequence[GroupByQuery],
         derive_steps: Sequence[DeriveStep],
         row_safety: float = 1.0,
-    ) -> Optional[Tuple[ClassState, tuple, List[Counts]]]:
+    ) -> Optional[Tuple[ClassState, tuple, List[tuple]]]:
         """A DAG class's scan members' state, its build totals (no index
-        prefix: a DAG class runs the scan configuration) and, per step, the
-        counts of its intermediate's pipeline, then of each derived
-        query's; None when a query or intermediate is not answerable."""
+        prefix: a DAG class runs the scan configuration) and, per step,
+        :func:`pipeline_counts`' arguments for its intermediate's pipeline,
+        then for each derived query's; None when a query or intermediate
+        is not answerable."""
         n = entry.n_rows
         state = reduce(self.extend, scan_queries, ClassState(entry))
         if state.totals is None:
@@ -572,19 +573,18 @@ class CostModel:
                 if not source_can_answer(inter_levels, inter_agg, query):
                     return None
                 keys += build_keys(self.schema, inter_levels, query)
-        addends: List[Counts] = []
+        pipelines: List[tuple] = []
         for step in derive_steps:
             # The intermediate has no predicates: every fed tuple updates
             # its aggregator, exactly as QueryPipeline will charge.
             inter = step.intermediate
-            addends.append(pipeline_counts(n, self._probe_dims(inter), 0, n))
+            pipelines.append((n, self._probe_dims(inter), 0, n))
             m = row_safety * self.intermediate_rows(entry, inter)
             for query in step.queries:
                 k = m * self.query_selectivity(entry, query)
-                probe_dims, n_preds = self._probe_dims(query), len(query.predicates)
-                addends.append(pipeline_counts(m, probe_dims, n_preds, k))
+                pipelines.append((m, self._probe_dims(query), len(query.predicates), k))
         _new, entries, pages = self._missing(state.structures, keys, *state.totals[:2])
-        return state, (entries, pages, None), addends
+        return state, (entries, pages, None), pipelines
 
     # -- local-plan selection ------------------------------------------------------
 
@@ -603,8 +603,9 @@ class CostModel:
             if term.answerable:
                 _new, entries, pages = self._missing((), term.build_keys, 0, 0)
                 totals = (entries, pages, _prefix(NO_MEMBERS, term))
-                costing = self._best(entry, [term], totals)
-                self._alone[key] = (costing.methods[0], costing.cost_ms)
+                cost, all_index = self._best(entry, [term], totals)
+                method = JoinMethod.INDEX if all_index else term.scan_method
+                self._alone[key] = (method, cost)
         return self._alone[key]
 
     def best_local(

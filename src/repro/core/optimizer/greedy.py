@@ -118,9 +118,9 @@ class GreedyOptimizer(Optimizer):
         None when no candidate answers every member plus the new query."""
         best: Optional[Tuple[TableEntry, float]] = None
         for entry in self._rebase_candidates(cls, query):
-            costing = self.model.trial(self._state(cls, entry), query)
-            if costing is not None and (best is None or costing.cost_ms < best[1]):
-                best = (entry, costing.cost_ms)
+            cost = self.model.trial(self._state(cls, entry), query)
+            if cost is not None and (best is None or cost < best[1]):
+                best = (entry, cost)
         if best is None:
             return None
         # Cost(Class | S) is last iteration's winner, so it is read, not

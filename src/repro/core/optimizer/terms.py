@@ -21,7 +21,7 @@ from ...index.bitmap import WORD_BITS
 from ...schema.lattice import aggregate_compatible, build_keys, expected_distinct
 from ...schema.query import GroupByQuery
 from ...storage.catalog import TableEntry
-from ...storage.iostats import Counts, filter_counts, merge_counts, pipeline_counts
+from ...storage.iostats import Counts, filter_counts, pipeline_counts, pipeline_ms
 from .plans import JoinMethod
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,24 +33,17 @@ class MemberTerm:
     """What one query contributes to a class on one source, computed once
     per (entry, query) per :class:`~repro.core.optimizer.cost.CostModel`.
     A class cost is *one shared term* (scan I/O or the union-bitmap probe,
-    plus the structure builds) plus one addend per member read from here.
+    plus the structure builds) plus one addend per member read from here,
+    added in one fixed order — the shared part, then one addend per member
+    in query order (index configuration: ``index_ms``, then the class's
+    routing) — and re-summed when a member joins, never ``total − term``
+    (docs/cost_model.md, "Float-order rule").
 
-    **Float-order rule**: float addition is not associative, so a class
-    total is accumulated in one fixed order — the shared part (I/O, builds
-    and OR, priced as one vector), then one addend per member in query
-    order (index configuration: ``index_ms``, then the class's routing
-    term, per member).  A
-    leave-one-out marginal is ``cost(class) − cost(class without the
-    member)``, the second re-accumulated from the other members' terms
-    (shared term re-evaluated, configuration re-chosen), never ``total −
-    term``.  Structure builds are integer counts (hash entries, dimension
-    table pages) priced once, so the build-key set's order reaches no sum.
-
-    Each addend is held twice: as the counts it expects (``*_units``, summed
-    only for calibration and EXPLAIN ANALYZE) and priced once, when the
-    term is built (``*_ms``, the float a class total adds).  A term is
-    never changed once built; it is not ``frozen`` only because a frozen
-    ``__init__`` costs the planner's most-built object a microsecond more.
+    Each addend is held priced (``*_ms``); :func:`term_units` states its
+    counts from the scalars it was priced from, for the class that is kept.
+    A term is never changed once built; it is not ``frozen`` only because a
+    frozen ``__init__`` costs the planner's most-built object a microsecond
+    more.
     """
 
     answerable: bool
@@ -62,7 +55,6 @@ class MemberTerm:
     #: Marginal on a shared scan as a hash plan, and as an index plan
     #: filtering the scan (inf unless ``indexable``: some predicate has a
     #: usable index, which every field below ``scan_ms`` presumes).
-    hash_units: Counts
     hash_ms: float
     filtered_ms: float = math.inf
     #: The cheaper of the two and its method (hash on ties).
@@ -70,10 +62,11 @@ class MemberTerm:
     scan_ms: float = math.inf
     indexable: bool = False
     #: The index plan less its bitmap tests: index phase (each indexed
-    #: predicate's ``lookup_counts``, then the AND across them), then
+    #: predicate's ``lookup_counts``, then the AND across them:
+    #: :meth:`~repro.core.optimizer.cost.CostModel.index_phase`), then
     #: pipeline CPU over the tuples the member's own bitmap — of density
     #: ``indexed_sel`` — feeds.
-    index_units: Counts = Counts()
+    index_phase: Counts = Counts()
     index_ms: float = 0.0
     indexed_sel: float = 1.0
     #: Clustered candidate region (fraction of pages), contiguous runs, and
@@ -83,13 +76,24 @@ class MemberTerm:
     separate_pages: float = 0.0
 
 
-NO_COUNTS = Counts()
-
 #: The term of every pair the entry cannot answer (only the bit is read).
 UNANSWERABLE = MemberTerm(
-    answerable=False, selectivity=math.nan, build_keys=(),
-    hash_units=Counts(), hash_ms=math.inf,
+    answerable=False, selectivity=math.nan, build_keys=(), hash_ms=math.inf,
 )
+
+
+def term_units(
+    model: "CostModel", entry: TableEntry, query: GroupByQuery, term: MemberTerm
+) -> Tuple[Counts, Counts]:
+    """The counts of an answerable ``term``'s hash and index addends (zero
+    where it has none), stated from the scalars :func:`_term` priced."""
+    n, probes, preds = entry.n_rows, model._probe_dims(query), len(query.predicates)
+    k = n * term.selectivity
+    hash_units = pipeline_counts(n, probes, preds, k)
+    if not term.indexable:
+        return hash_units, Counts()
+    rows_in = n * term.indexed_sel
+    return hash_units, term.index_phase + pipeline_counts(rows_in, probes, preds, k)
 
 
 def price_terms(
@@ -173,15 +177,14 @@ def _term(
     if analyzed:
         sels = [model.predicate_selectivity(entry, pred) for pred in predicates]
         selectivity = math.prod(sels, start=1.0)
-    price = model.rates.price
+    rates = model.rates
     n = entry.n_rows
     k = n * selectivity
     probe_dims, n_preds = fact.probe_dims, fact.n_preds
-    hash_units = pipeline_counts(n, probe_dims, n_preds, k)
-    hash_ms = price(hash_units)
+    hash_ms = pipeline_ms(rates, n, probe_dims, n_preds, k)
     keys = build_keys(model.schema, entry.levels, query)
     found = []
-    lookup, n_indexed = NO_COUNTS, 0
+    lookups = []
     indexed_sel = 1.0
     for sel, (key, n_members) in zip(sels, fact.lookups):
         hit = covering.get(key)
@@ -189,11 +192,10 @@ def _term(
         if hit is None:
             continue
         index, per_member = hit
-        n_indexed += 1
         indexed_sel *= sel
-        lookup += model.lookup_counts(index, int(math.ceil(n_members * per_member)))
-    if not n_indexed:
-        return MemberTerm(True, selectivity, keys, hash_units, hash_ms, math.inf,
+        lookups.append((index, int(math.ceil(n_members * per_member))))
+    if not lookups:
+        return MemberTerm(True, selectivity, keys, hash_ms, math.inf,
                           JoinMethod.HASH, hash_ms)
     region, runs = 1.0, 1
     for d, sizes in enumerate(model.schema.level_sizes):
@@ -205,19 +207,16 @@ def _term(
         # out to its descendants there.
         per_member = sizes[entry.levels[d]] / sizes[predicates[i].level]
         runs *= max(1, round(len(predicates[i].member_ids) * per_member))
-    index_units = (
-        lookup + merge_counts(n_indexed, words)
-        + pipeline_counts(n * indexed_sel, probe_dims, n_preds, k)
-    )
-    index_ms = price(index_units)
+    phase = model.index_phase(entry, tuple(lookups), words)
+    index_ms = pipeline_ms(rates, n * indexed_sel, probe_dims, n_preds, k, phase)
     filtered_ms = index_ms + filter_ms
     hash_wins = hash_ms <= filtered_ms
     separate_pages = expected_distinct(
         max(1.0, entry.n_pages * region), n * indexed_sel
     ) + max(0, runs - 1)
     return MemberTerm(
-        True, selectivity, keys, hash_units, hash_ms, filtered_ms,
+        True, selectivity, keys, hash_ms, filtered_ms,
         JoinMethod.HASH if hash_wins else JoinMethod.INDEX,
-        hash_ms if hash_wins else filtered_ms, True, index_units, index_ms,
+        hash_ms if hash_wins else filtered_ms, True, phase, index_ms,
         indexed_sel, region, runs, separate_pages,
     )

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..storage.iostats import Counts, IOStats, merge_counts
+from ..storage.iostats import Counts, IOStats, merge_words
 from ..storage.table import HeapTable, mapped_zeros
 from .bitmap import WORD_BITS, Bitmap, _n_words
 
@@ -217,8 +217,9 @@ class BitmapJoinIndex(JoinIndex):
         """Each member's bitmap streamed (its pages read in sequence) and
         the found ones OR-ed."""
         n_found = n_members if found is None else len(found)
-        return merge_counts(n_found, self.n_words) + Counts(
+        return Counts(
             seq_page_reads=n_members * self.pages_per_member,
+            bitmap_word_ops=merge_words(n_found, self.n_words),
             index_lookups=n_members,
         )
 

@@ -101,32 +101,29 @@ def build_keys(
 
 
 def new_builds(
-    schema: StarSchema, held: Collection[tuple], keys: Iterable[tuple]
+    schema: StarSchema, held: Collection, keys: Iterable[tuple]
 ) -> Tuple[List[tuple], int, List[int]]:
-    """What a class holding the structures ``held`` builds for a next
-    member needing ``keys`` (its :func:`build_keys`): the keys it holds
-    not yet, in key order and each once; the hash entries they add, one
-    per source-level member (``build_counts``' ``entries``); and the
-    dimensions they are the first keys on, in key order — a class scans a
-    stored dimension table once, with its first structure there."""
+    """What a class holding the structures ``held`` — their build keys
+    and, as ints, the dimensions they are on — builds for a next member
+    needing ``keys`` (its :func:`build_keys`): the keys it holds not yet,
+    in key order and each once; the hash entries they add, one per
+    source-level member (``build_counts``' ``entries``); and the dimensions
+    they are the first keys on, in key order — a class scans a stored
+    dimension table once, with its first structure there.  Holding both
+    answers is ``held.update(new, first)``."""
     sizes = schema.level_sizes
     # Insertion-ordered, with O(1) membership: an operator passes the keys
     # of all its members at once.
     new: dict = {}
-    entries, first, seen = 0, [], []
+    entries, first = 0, []
     for key in keys:
         if key in held or key in new:
             continue
         new[key] = None
         d = key[0]
         entries += sizes[d][key[1]]
-        if d not in seen:  # is some held key on ``d``?
-            seen.append(d)
-            for other in held:
-                if other[0] == d:
-                    break
-            else:
-                first.append(d)
+        if d not in held and d not in first:
+            first.append(d)
     return list(new), entries, first
 
 

@@ -14,7 +14,9 @@ stated once — :func:`read_counts`, :func:`build_counts`,
 :func:`merge_counts`, :func:`routing_counts`, :func:`filter_counts` and
 :func:`pipeline_counts` here, and a join index's ``lookup_counts`` — and
 both the operator that charges it (:meth:`IOStats.charge`, the one way a
-counter grows) and the cost model that estimates it read that statement.
+counter grows) and the cost model that estimates it read that statement —
+a trial through its *priced form* (:func:`pipeline_ms`, :func:`shared_ms`,
+:func:`routing_ms`), bit for bit ``price`` of it (docs/cost_model.md).
 
 The paper's findings hinge on three facts that this model preserves:
 
@@ -35,7 +37,7 @@ import operator
 import threading
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..document import DocumentError, field_of
 
@@ -60,17 +62,10 @@ class Counts(NamedTuple):
     predicate_evals: float = 0
 
     def __add__(self, other: "Counts") -> "Counts":
-        # Spelled out, as :meth:`CostRates.price` is: the planner adds
-        # these per trial.
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10 = self
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10 = other
-        return _counts((
-            a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
-            a7 + b7, a8 + b8, a9 + b9, a10 + b10,
-        ))
+        return _counts(map(operator.add, self, other))
 
 
-#: ``Counts._make`` without its length check, for the planner's hot paths.
+#: ``Counts._make`` without its length check, for the statements below.
 _counts = partial(tuple.__new__, Counts)
 
 
@@ -80,11 +75,27 @@ def pipeline_counts(
     """What a query pipeline charges: each of ``rows_in`` tuples probes
     ``probe_dims`` hash tables and is tested against ``n_predicates``
     masks, and each of the ``rows_passed`` survivors is copied and
-    aggregated.  Positional, in :class:`Counts`' order: the planner's
-    innermost constructor."""
+    aggregated.  Positional, in :class:`Counts`' order."""
     return _counts((
         0, 0, 0, 0, rows_in * probe_dims, rows_passed, rows_passed,
         0, 0, 0, rows_in * n_predicates,
+    ))
+
+
+def pipeline_ms(
+    rates: "CostRates", rows_in: float, probe_dims: int, n_predicates: int,
+    rows_passed: float, phase: Optional[Counts] = None,
+) -> float:
+    """``rates.price(pipeline_counts(...))``, or ``rates.price(phase +
+    pipeline_counts(...))`` given a ``phase`` before the pipeline."""
+    probes, evals = rows_in * probe_dims, rows_in * n_predicates
+    if phase is None:
+        _, _, _, _, r4, r5, r6, _, _, _, r10 = rates._per_unit
+        return probes * r4 + rows_passed * r5 + rows_passed * r6 + evals * r10
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = phase
+    return rates.price((  # the component-wise sum, as a plain tuple
+        c0, c1, c2, c3, c4 + probes, c5 + rows_passed, c6 + rows_passed,
+        c7, c8, c9, c10 + evals,
     ))
 
 
@@ -99,17 +110,32 @@ def read_counts(pages: float, sequential: bool = True) -> Counts:
 def build_counts(entries: int, pages: int = 0) -> Counts:
     """What building dimension structures (rollup maps, predicate masks)
     charges: one hash build per source-level member, ``entries`` in all,
-    and the ``pages`` of the stored dimension tables they scan.  Like the
-    statements below, positional: the planner builds these per trial."""
+    and the ``pages`` of the stored dimension tables they scan."""
     return _counts((pages, 0, 0, entries, 0, 0, 0, 0, 0, 0, 0))
 
 
-def merge_counts(n_bitmaps: int, n_words: int) -> Counts:
-    """What AND-ing or OR-ing ``n_bitmaps`` bitmaps of ``n_words`` words
-    into one charges: a word operation per word of each bitmap after the
+def merge_words(n_bitmaps: int, n_words: int) -> int:
+    """The word operations of AND-ing or OR-ing ``n_bitmaps`` bitmaps of
+    ``n_words`` words into one: one per word of each bitmap after the
     first (nothing for one bitmap, or none)."""
-    words = max(0, n_bitmaps - 1) * n_words
+    return max(0, n_bitmaps - 1) * n_words
+
+
+def merge_counts(n_bitmaps: int, n_words: int) -> Counts:
+    """What merging ``n_bitmaps`` bitmaps into one charges."""
+    words = merge_words(n_bitmaps, n_words)
     return _counts((0, 0, 0, 0, 0, 0, 0, words, 0, 0, 0))
+
+
+def shared_ms(
+    rates: "CostRates", pages: float, sequential: bool, entries: int,
+    dim_pages: int, n_merged: int = 0, n_words: int = 0,
+) -> float:
+    """``rates.price(read_counts(pages, sequential) + build_counts(entries,
+    dim_pages) + merge_counts(n_merged, n_words))``: a class's shared part."""
+    r0, r1, _r2, r3, _r4, _r5, _r6, r7, _r8, _r9, _r10 = rates._per_unit
+    seq, rand = (pages + dim_pages, 0) if sequential else (dim_pages, pages)
+    return seq * r0 + rand * r1 + entries * r3 + merge_words(n_merged, n_words) * r7
 
 
 def routing_counts(n_members: int, rows: float) -> Counts:
@@ -118,6 +144,11 @@ def routing_counts(n_members: int, rows: float) -> Counts:
     probe serves one member, whose every tuple is its own."""
     tests = rows if n_members > 1 else 0
     return _counts((0, 0, 0, 0, 0, 0, 0, 0, tests, 0, 0))
+
+
+def routing_ms(rates: "CostRates", n_members: int, rows: float) -> float:
+    """``rates.price(routing_counts(n_members, rows))``."""
+    return (rows if n_members > 1 else 0) * rates._per_unit[8]
 
 
 def filter_counts(rows: float) -> Counts:
@@ -157,8 +188,7 @@ class CostRates:
     def price(self, counts: Counts) -> float:
         """Simulated milliseconds of ``counts``: each count times its
         rate, added left to right (builtin ``sum`` is compensated from
-        Python 3.12, which would make a price interpreter-dependent).
-        Spelled out: this is the planner's innermost arithmetic."""
+        Python 3.12, which would make a price interpreter-dependent)."""
         c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = counts
         r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10 = self._per_unit
         return (

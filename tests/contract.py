@@ -46,7 +46,7 @@ class estimate, each class's derive steps, the costing count and the
 * ``terms/``: on a fresh ``CostModel`` per batch, priced as one batch,
   every catalog entry x every query of Tests 1-7 and of the dashboard
   batch (per re-aggregable aggregate), the ``MemberTerm`` field for field
-  (floats as ``float.hex``)
+  with its addends' counts (``term_units``; floats as ``float.hex``)
   and ``find_index``'s ``(index level, lookups)`` per predicate — once on
   the database as the sweep left it, once more after ``analyze()``
   (measured selectivities), which therefore runs last;
@@ -94,13 +94,14 @@ from repro.engine import database as database_module
 from repro.core.explain import explain_plan
 from repro.core.optimizer import OPTIMIZERS
 from repro.core.optimizer.cost import CostModel
+from repro.core.optimizer.terms import term_units
 from repro.faults import FaultPlan, InjectionPoint
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.serve import QueryService, RequestQuarantined, ServeConfig
 from repro.storage import table as table_module
 from repro.storage.buffer import BufferPool
-from repro.storage.iostats import CostRates
+from repro.storage.iostats import CostRates, Counts
 from repro.workload import PaperConfig, build_paper_database, paper_queries
 from repro.workload.mdx_generator import generate_mdx
 from repro.workload.paper_queries import ALL_PAPER_TESTS, PAPER_MDX
@@ -346,6 +347,15 @@ def plain(value):
     return getattr(value, "name", value)
 
 
+#: A term as the section records it: its fields, with each addend's
+#: counts (``terms.term_units``) beside its price.
+TERM_ROW = (
+    "answerable", "selectivity", "build_keys", "hash_units", "hash_ms",
+    "filtered_ms", "scan_method", "scan_ms", "indexable", "index_units",
+    "index_ms", "indexed_sel", "region", "runs", "separate_pages",
+)
+
+
 def terms(db, batches: dict, state: str) -> dict:
     out = {}
     for label, batch in batches.items():
@@ -355,9 +365,14 @@ def terms(db, batches: dict, state: str) -> dict:
             rows = []
             for query in batch:
                 term = model._term(entry, query)
+                units = (
+                    term_units(model, entry, query, term) if term.answerable
+                    else (Counts(), Counts())
+                )
+                fields = {"hash_units": units[0], "index_units": units[1]}
                 row = {
-                    f.name: plain(getattr(term, f.name))
-                    for f in dataclasses.fields(term)
+                    name: plain(fields[name] if name in fields else getattr(term, name))
+                    for name in TERM_ROW
                 }
                 row["find_index"] = [
                     None if found is None else [found[0].level, found[1]]

@@ -194,19 +194,33 @@ def test_only_the_executor_folds_a_cold_clock():
 def test_profile_op_names_the_greedy_loop():
     """``.github/profile_op.py`` — the "which layer moved" profile of
     .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and
-    prints the unprofiled wall, then a cProfile row for the plan search."""
+    prints the unprofiled wall, then a cProfile row for the plan search;
+    with ``--calls NAME``, each function so named's calls per op and, under
+    it, per caller."""
     import subprocess
 
-    done = subprocess.run(
-        [sys.executable, str(ROOT / ".github" / "profile_op.py"), "mdx_wide",
-         "--ops", "1", "--rows", "60"],
-        capture_output=True, text=True, timeout=120,
+    def profile_op(*args: str) -> str:
+        done = subprocess.run(
+            [sys.executable, str(ROOT / ".github" / "profile_op.py"), "mdx_wide",
+             *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    out = profile_op("--ops", "1", "--rows", "60")
+    assert "median op" in out and "unprofiled over 1 op(s)" in out
+    assert "Ordered by: cumulative time" in out
+    assert "Ordered by: internal time" in out
+    assert re.search(r"greedy\.py:\d+\(grow\)", out)
+    out = profile_op("--ops", "2", "--calls", "grow")
+    assert "calls per op of 'grow' over 2 op(s):" in out
+    assert re.search(r"\n +1\.0  greedy\.py:\d+\(grow\)\n", out)
+    assert re.search(r"\n +1\.0  from greedy\.py:\d+\(optimize\)\n", out)
+    assert "Ordered by" not in out
+    assert "(no such function was called)" in profile_op(
+        "--ops", "1", "--calls", "no_such_function"
     )
-    assert done.returncode == 0, done.stderr
-    assert "median op" in done.stdout and "unprofiled over 1 op(s)" in done.stdout
-    assert "Ordered by: cumulative time" in done.stdout
-    assert "Ordered by: internal time" in done.stdout
-    assert re.search(r"greedy\.py:\d+\(grow\)", done.stdout)
 
 
 def test_tier1_installs_the_numpy_of_the_contract_digest():

@@ -18,17 +18,21 @@ from hypothesis import strategies as st
 import repro
 from repro.core.operators.hash_join import SharedScanStarJoin
 from repro.core.operators.pipeline import QueryPipeline
-from repro.core.optimizer import GreedyOptimizer
+from repro.core.optimizer import GGOptimizer, GreedyOptimizer
 from repro.core.optimizer import cost as cost_module
 from repro.core.optimizer import terms as terms_module
 from repro.core.optimizer.cost import ClassState, CostModel, left_sum
 from repro.core.optimizer.greedy import GrownClass
 from repro.core.optimizer.plans import DeriveStep, JoinMethod
+from repro.engine.session import query_key
 from repro.index.bitmap import WORD_BITS
+from repro.mdx import translate_mdx
 from repro.schema.lattice import build_keys, expected_distinct, source_can_answer
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery, query_sort_key
+from repro.storage import iostats
 from repro.storage.iostats import CostRates, Counts, IOStats
 from repro.workload import PaperConfig, build_paper_database, paper_queries
+from repro.workload.mdx_generator import generate_mdx
 from repro.workload.paper_queries import ALL_PAPER_TESTS
 
 from helpers import make_tiny_db, random_database, random_query
@@ -679,10 +683,18 @@ def shape(costing):
     return cost.hex(), methods
 
 
+def trial_shape(cost):
+    """A trial's cost (or a ``ClassCosting``'s) bit for bit, or None."""
+    if cost is None:
+        return None
+    return getattr(cost, "cost_ms", cost).hex()
+
+
 class TestIncrementalEqualsFromScratch:
     """A class state grown one member at a time answers every trial as a
     costing from the query list does, bit for bit — on a warm model, against
-    a fresh one and against the list-based oracle."""
+    a fresh one — and that costing, methods included, is the list-based
+    oracle's."""
 
     def grow_and_check(self, db, queries):
         """Returns what the growth exercised: ``"dead"`` states, and
@@ -693,14 +705,13 @@ class TestIncrementalEqualsFromScratch:
         for entry in db.catalog.entries():
             state = ClassState(entry)
             for n, query in enumerate(order, start=1):
-                trial = warm.trial(state, query)
+                cost = warm.trial(state, query)
                 assert state.terms == [warm._term(entry, q) for q in order[:n - 1]]
                 expected = from_scratch(full_model(db), entry, order[:n])
-                assert shape(trial) == shape(expected), (entry.name, n)
-                assert shape(trial) == shape(
-                    full_model(db).plan_class(entry, order[:n])
-                )
-                if n > 1 and trial and JoinMethod.HASH not in trial.methods:
+                listed = full_model(db).plan_class(entry, order[:n])
+                assert shape(listed) == shape(expected), (entry.name, n)
+                assert trial_shape(cost) == trial_shape(listed)
+                if n > 1 and listed and JoinMethod.HASH not in listed.methods:
                     seen.add(("index", entry.clustered))
                 assert warm.extend(state, query) is state
                 # A dead state <=> no costing, and it stays dead.
@@ -774,6 +785,70 @@ class TestIncrementalEqualsFromScratch:
         for batch in batches:
             seen |= self.grow_and_check(db, batch)
         assert seen == {"dead", ("index", False)}
+
+
+def mdx_batch(schema, n: int, seed: int = 5) -> list:
+    """``n`` distinct component queries of seeded generated MDX texts."""
+    rng, seen, batch = random.Random(seed), set(), []
+    while len(batch) < n:
+        text = generate_mdx(schema, rng).text
+        for query in translate_mdx(schema, text, f"g{len(batch)}"):
+            if len(batch) < n and query_key(query) not in seen:
+                seen.add(query_key(query))
+                batch.append(query)
+    return batch
+
+
+class TestTrialBuildsNoCounts:
+    """A trial and a standalone costing price from floats: while
+    ``GreedyOptimizer.grow`` runs, no statement builds a ``Counts``
+    (``iostats._counts``) and no ``Counts.__add__`` runs inside
+    ``CostModel.trial`` or ``CostModel.standalone``."""
+
+    def grow(self, db, queries, monkeypatch):
+        """gg grows ``queries`` (their terms priced first, as ``optimize``
+        prices them); returns its model and the ``Counts`` built or added
+        inside a trial or standalone costing."""
+        depth, inside = [0], []
+
+        def costing(method):
+            def wrapper(*args):
+                depth[0] += 1
+                try:
+                    return method(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        def counted(name, function):
+            def wrapper(*args):
+                if depth[0]:
+                    inside.append(name)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(CostModel, "trial", costing(CostModel.trial))
+        monkeypatch.setattr(CostModel, "standalone", costing(CostModel.standalone))
+        monkeypatch.setattr(iostats, "_counts", counted("_counts", iostats._counts))
+        monkeypatch.setattr(Counts, "__add__", counted("__add__", Counts.__add__))
+        optimizer = GGOptimizer(db)
+        optimizer.model.terms_for(queries)
+        classes = optimizer.grow(queries)
+        assert sorted(q.qid for cls in classes for q in cls.queries) == sorted(
+            q.qid for q in queries
+        )
+        return optimizer.model, inside
+
+    def test_test5(self, paper_db, paper_qs, monkeypatch):
+        queries = [paper_qs[i] for i in ALL_PAPER_TESTS["test5"]]
+        model, inside = self.grow(paper_db, queries, monkeypatch)
+        assert model.n_plan_costings > 10
+        assert inside == []
+
+    def test_a_45_query_mdx_batch(self, paper_db, monkeypatch):
+        model, inside = self.grow(paper_db, mdx_batch(paper_db.schema, 45), monkeypatch)
+        assert model.n_plan_costings > 300
+        assert inside == []
 
 
 class TestOnePricing:

@@ -1,8 +1,24 @@
 """Unit tests for the simulated cost clock."""
 
-import pytest
+import dataclasses
+import json
+import random
+from functools import lru_cache
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.optimizer.cost import ClassState, CostModel
+from repro.core.optimizer.terms import term_units
 from repro.storage.iostats import DEFAULT_RATES, CostRates, Counts, IOStats
+from repro.storage.iostats import build_counts, merge_counts, pipeline_counts
+from repro.storage.iostats import pipeline_ms, read_counts, routing_counts
+from repro.storage.iostats import routing_ms, shared_ms
+
+from helpers import random_database, random_query
+from test_cost_model import from_scratch, mdx_batch, shape, trial_shape
 
 
 class TestCharging:
@@ -103,3 +119,120 @@ class TestRates:
         d = stats.as_dict()
         assert d["seq_page_reads"] == 2
         assert d["total_ms"] == pytest.approx(stats.total_ms, abs=1e-3)
+
+
+PROFILE = Path(__file__).resolve().parents[1] / "PROFILE_paper.json"
+RATE_NAMES = [f.name for f in dataclasses.fields(CostRates)]
+
+#: A count as the model and the operators state one: an integer, or a
+#: float (estimated rows, pages) — never negative.
+COUNT = st.one_of(st.integers(0, 10**12), st.floats(0.0, 1e15))
+SMALL = st.integers(0, 70)
+#: Rates are costs: the defaults, the committed profile's, or random
+#: non-negative finite ones.  (With a negative rate a zero count's product
+#: is ``-0.0``, and a zero total could differ from ``price``'s in sign.)
+RATES = st.one_of(
+    st.just(DEFAULT_RATES),
+    st.just(CostRates.from_mapping(json.loads(PROFILE.read_text())["rates"])),
+    st.lists(st.floats(0.0, 1e6), min_size=len(RATE_NAMES), max_size=len(RATE_NAMES))
+    .map(lambda values: CostRates(**dict(zip(RATE_NAMES, values)))),
+)
+
+
+class TestPricedForms:
+    """Each priced form equals ``CostRates.price`` of the statement it
+    prices, bit for bit (``float.hex``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=RATES, rows_in=COUNT, probe_dims=SMALL, n_predicates=SMALL,
+        rows_passed=COUNT,
+        phase=st.none() | st.tuples(*[COUNT] * len(RATE_NAMES)).map(Counts._make),
+    )
+    def test_pipeline_ms(
+        self, rates, rows_in, probe_dims, n_predicates, rows_passed, phase
+    ):
+        counts = pipeline_counts(rows_in, probe_dims, n_predicates, rows_passed)
+        if phase is not None:
+            counts = phase + counts
+        priced = pipeline_ms(
+            rates, rows_in, probe_dims, n_predicates, rows_passed, phase
+        )
+        assert priced.hex() == rates.price(counts).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=RATES, pages=COUNT, sequential=st.booleans(),
+        entries=st.integers(0, 10**9), dim_pages=st.integers(0, 10**6),
+        n_merged=SMALL, n_words=st.integers(0, 10**7),
+    )
+    def test_shared_ms(
+        self, rates, pages, sequential, entries, dim_pages, n_merged, n_words
+    ):
+        counts = (
+            read_counts(pages, sequential) + build_counts(entries, dim_pages)
+            + merge_counts(n_merged, n_words)
+        )
+        priced = shared_ms(
+            rates, pages, sequential, entries, dim_pages, n_merged, n_words
+        )
+        assert priced.hex() == rates.price(counts).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rates=RATES, n_members=SMALL, rows=COUNT)
+    def test_routing_ms(self, rates, n_members, rows):
+        priced = routing_ms(rates, n_members, rows)
+        assert priced.hex() == rates.price(routing_counts(n_members, rows)).hex()
+
+
+@lru_cache(maxsize=None)
+def random_db(seed: int):
+    return random_database(seed)
+
+
+def trials_agree(db, queries, rates) -> None:
+    """On every entry, each trial of a state grown one query at a time
+    costs what ``plan_class`` of the query list does, which is the
+    list-based oracle's costing, bit for bit; and each term's addends price
+    to its statements'."""
+
+    def model():
+        return CostModel(
+            db.schema, db.catalog, rates,
+            statistics=db.table_statistics, dim_tables=db.dimension_tables,
+        )
+
+    grown = model()
+    for entry in db.catalog.entries():
+        state = ClassState(entry)
+        for n, query in enumerate(queries, start=1):
+            cost = grown.trial(state, query)
+            listed = model().plan_class(entry, queries[:n])
+            assert trial_shape(cost) == trial_shape(listed), (entry.name, n)
+            assert shape(listed) == shape(from_scratch(model(), entry, queries[:n]))
+            grown.extend(state, query)
+        for query in queries:
+            term = grown._term(entry, query)
+            if not term.answerable:
+                continue
+            hash_units, index_units = term_units(grown, entry, query, term)
+            assert term.hash_ms.hex() == rates.price(hash_units).hex()
+            if term.indexable:
+                assert term.index_ms.hex() == rates.price(index_units).hex()
+
+
+class TestTrialsPriceTheirStatements:
+    """A trial priced from floats is the class its statements price."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(db_seed=st.integers(0, 7), seed=st.integers(0, 2**32 - 1), rates=RATES)
+    def test_random_databases(self, db_seed, seed, rates):
+        db = random_db(db_seed)
+        rng = random.Random(seed)
+        queries = [random_query(db.schema, rng) for _ in range(rng.randint(1, 6))]
+        trials_agree(db, queries, rates)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), rates=RATES)
+    def test_mdx_batches(self, paper_db, seed, n, rates):
+        trials_agree(paper_db, mdx_batch(paper_db.schema, n, seed), rates)
