@@ -5,12 +5,12 @@ hashed on the target group-by attributes and the measure is folded into the
 group's accumulator.  A group key is packed into one integer code
 (mixed-radix over the target level cardinalities, :func:`group_codes`),
 codes are folded with numpy (:func:`fold_groups`) and unpacked again
-(:func:`decode_groups`); :class:`HashAggregator`, the shared scan's derive
-phase, and view materialization and maintenance (:mod:`repro.engine`) all
-call these three.  Every fold state is an integer (int64 cents, or a
-count), so any batching and any merge order give the same state; a result
-value is made from it once, by :meth:`HashAggregator.result` (DESIGN.md
-§6.1).
+(:func:`decode_groups`); :class:`HashAggregator` — which folds each batch
+once for every member of a group that folds alike — and view
+materialization and maintenance (:mod:`repro.engine`) call these three.
+Every fold state is an integer (int64 cents, or a count), so any batching
+and any merge order give the same state; a result value is made from it
+once, by :meth:`HashAggregator.results` (DESIGN.md §6.1).
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ _STATES[Aggregate.AVG] = (Aggregate.SUM, Aggregate.COUNT)
 #: integers, whose merge is exact in any order.
 COMPACT_ROWS = 1 << 16
 
-#: Scanned rows a shared scan lets pend before folding them, once per member
-#: (at scan end at the latest): bounds the positions and packed codes in
-#: flight under a table of any size.  Not an option either, for the same
-#: reason.
+#: Scanned rows a shared scan lets pend before folding them, once per
+#: member group (at scan end at the latest): bounds the positions and packed
+#: codes in flight under a table of any size.  Not an option either, for the
+#: same reason.
 FOLD_ROWS = 1 << 18
 
 
@@ -112,48 +112,60 @@ def decode_groups(codes: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
 
 
 class HashAggregator:
-    """Accumulates one query's groups across an arbitrary number of batches.
+    """Accumulates the groups of one or more queries that fold alike — one
+    target group-by, one fold, one result aggregate (the members of a
+    :class:`~.pipeline.MemberGroup`) — across an arbitrary number of
+    batches.
+
+    Each batch folds once for all of them: a code packs the member's *slot*
+    (its position in ``queries``) above the group-by's digits, so a
+    member's codes are offset by ``slot × domain`` and its groups are one
+    contiguous run of the state, in its own code order.  One query packs no
+    slot digit: its codes are the group-by's.
 
     ``aggregate`` overrides the fold applied to the input measure column —
     needed when answering a COUNT query from a COUNT view, where the stored
     counts must be *summed* (see
-    :func:`repro.schema.lattice.effective_aggregate`).  The result is still
-    reported under ``query``.
+    :func:`repro.schema.lattice.effective_aggregate`).  The results are
+    still reported under ``queries``.
     """
 
     def __init__(
         self,
         schema: StarSchema,
-        query: GroupByQuery,
+        *queries: GroupByQuery,
         aggregate: Aggregate | None = None,
     ):
         self.schema = schema
-        self.query = query
-        self.aggregate = aggregate or query.aggregate
-        self._sizes = [
+        self.queries = queries
+        self.aggregate = aggregate or queries[0].aggregate
+        #: The digits a code packs: the slot (several queries only), then
+        #: one per dimension at the target level.
+        self._sizes = [len(queries)] * (len(queries) > 1) + [
             dim.n_members(level)
-            for dim, level in zip(schema.dimensions, query.groupby.levels)
+            for dim, level in zip(schema.dimensions, queries[0].groupby.levels)
         ]
         #: Each batch's :func:`fold_groups` output, ``(codes, one column per
         #: state)``, until :meth:`_compact` merges them to one row per group.
         self._buffer: List[Tuple[np.ndarray, ...]] = []
         self._pending = 0
+        self._results: List[QueryResult] | None = None
 
     @property
     def n_groups(self) -> int:
-        """Number of result groups."""
+        """Number of result groups, over every member."""
         return self._compact()[0].size
 
-    def update(
-        self, target_columns: Sequence[np.ndarray], measures: np.ndarray
-    ) -> None:
-        """Fold one batch: ``target_columns[d]`` holds the target-level member
-        id of each tuple for dimension ``d``; ``measures`` the int64 measure
-        values.  Its aggregate updates are its pipeline's to charge
+    def update(self, columns: Sequence[np.ndarray], measures: np.ndarray) -> None:
+        """Fold one batch: ``columns`` holds each tuple's digits — its
+        member's slot (several queries only), then per dimension ``d`` its
+        target-level member id; ``measures`` the int64 measure values.  Its
+        aggregate updates are its pipelines' to charge
         (:func:`~repro.storage.iostats.pipeline_counts`)."""
-        codes = np.ravel_multi_index(target_columns, self._sizes)
+        codes = np.ravel_multi_index(columns, self._sizes)
         self._buffer.append(fold_groups(codes, measures, self.aggregate))
         self._pending += self._buffer[-1][0].size
+        self._results = None
         if self._pending > COMPACT_ROWS:
             self._compact()
 
@@ -168,20 +180,45 @@ class HashAggregator:
         self._pending = 0
         return self._buffer[0]
 
-    def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        """The groups column-wise, ``(key columns, integer state)`` in code
-        order, for a consumer that keeps folding (the derive phase) — not
-        for AVG, whose state is two columns and re-aggregates nowhere."""
-        codes, values = self._compact()
-        return decode_groups(codes, self._sizes), values
+    def _decoded(self) -> Tuple[List[np.ndarray], List[int]]:
+        """The state's key columns, decoded once, and the bounds of each
+        member's run of groups in them (member ``i``'s is ``bounds[i] :
+        bounds[i + 1]``)."""
+        codes = self._compact()[0]
+        columns = decode_groups(codes, self._sizes)
+        if len(self.queries) == 1:
+            return columns, [0, codes.size]
+        slots, *columns = columns
+        return columns, np.searchsorted(
+            slots, np.arange(len(self.queries) + 1)
+        ).tolist()
 
-    def result(self) -> QueryResult:
-        """The groups with their result values: the integer state divided
-        once, here — cents / 100 (SUM, MIN, MAX), the count (COUNT), sum
-        of cents / (100 * count) (AVG)."""
-        codes, values, *counts = self._compact()
-        unit = 1 if self.query.aggregate is Aggregate.COUNT else CENTS
-        values = values / (unit * counts[0] if counts else unit)
-        key_columns = decode_groups(codes, self._sizes)
-        keys = zip(*(column.tolist() for column in key_columns))
-        return QueryResult(self.query, dict(zip(keys, values.tolist())))
+    def columns(self, slot: int = 0) -> Tuple[List[np.ndarray], np.ndarray]:
+        """One member's groups column-wise, ``(key columns, integer
+        state)`` in code order, for a consumer that keeps folding (the
+        derive phase) — not for AVG, whose state is two columns and
+        re-aggregates nowhere."""
+        _codes, values = self._compact()  # AVG's two columns raise here
+        columns, bounds = self._decoded()
+        lo, hi = bounds[slot], bounds[slot + 1]
+        return [column[lo:hi] for column in columns], values[lo:hi]
+
+    def results(self) -> List[QueryResult]:
+        """Every member's groups with their result values, decoded once:
+        the integer state divided once, here — cents / 100 (SUM, MIN,
+        MAX), the count (COUNT), sum of cents / (100 * count) (AVG)."""
+        if self._results is None:
+            _codes, values, *counts = self._compact()
+            unit = 1 if self.queries[0].aggregate is Aggregate.COUNT else CENTS
+            values = (values / (unit * counts[0] if counts else unit)).tolist()
+            columns, bounds = self._decoded()
+            keys = list(zip(*(column.tolist() for column in columns)))
+            self._results = [
+                QueryResult(query, dict(zip(keys[lo:hi], values[lo:hi])))
+                for query, lo, hi in zip(self.queries, bounds, bounds[1:])
+            ]
+        return self._results
+
+    def result(self, slot: int = 0) -> QueryResult:
+        """One member's :class:`QueryResult` (of :meth:`results`)."""
+        return self.results()[slot]

@@ -27,9 +27,11 @@ The scan **accounts per page, probes per morsel and folds per scan**
 (DESIGN.md §6.1): every page is fault-checked and charged on its own
 (:func:`~.pipeline.scan_columns`), every morsel of whole pages is probed and
 the class's CPU charged once, and each member's pipeline runs *once*, over
-its surviving rows — the fold state is integers, so the answer is
-byte-identical to a fold per morsel, and a derived or bitmap-filtered
-answer to scanning for it alone.
+its surviving rows; the members that fold alike (one target group-by, fold
+and result aggregate: a :class:`~.pipeline.MemberGroup`) fold them
+together, once — the fold state is integers, so the answer is
+byte-identical to a fold per member per morsel, and a derived or
+bitmap-filtered answer to scanning for it alone.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from ...storage.iostats import filter_counts, pipeline_counts
 from ..optimizer.plans import DeriveStep
 from . import aggregate
 from .index_join import query_result_bitmap
-from .pipeline import ExecContext, QueryPipeline, SharedProbe, settle_builds
-from .pipeline import require_answerable, scan_columns
+from .pipeline import ExecContext, QueryPipeline, SharedProbe, member_groups
+from .pipeline import require_answerable, scan_columns, settle_builds
 from .results import OperatorActuals, QueryResult
 
 
@@ -111,13 +113,14 @@ class SharedScanStarJoin:
         (an intermediate's result is only in :attr:`actuals`)."""
         ctx = self.ctx
         actuals = self.actuals
-        # Phase 1 of each index plan is unchanged: build the result bitmap.
-        index_bitmaps = [
-            query_result_bitmap(ctx, self.source, q, actuals)
+        # Phase 1 of each index plan is unchanged: build the result bitmap,
+        # here its rows, ascending, to route off the scan as it passes.
+        routed_rows = [
+            query_result_bitmap(ctx, self.source, q, actuals).positions()
             for q in self.index_queries
         ]
-        for query, bitmap in zip(self.index_queries, index_bitmaps):
-            actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
+        for query, mine in zip(self.index_queries, routed_rows):
+            actuals.bitmap_popcounts[query.qid] = int(mine.size)
             actuals.tuples_tested[query.qid] = 0
             actuals.tuples_routed[query.qid] = 0
         source_agg = self.source.source_aggregate
@@ -133,6 +136,9 @@ class SharedScanStarJoin:
         inter_pipes = [pipeline(step.intermediate) for step in self.derives]
         held: set = set()
         settle_builds(ctx, held, hash_pipes + index_pipes + inter_pipes)
+        # Every member is fed the pending rows' batch: those that fold
+        # alike fold it together.
+        groups = member_groups(hash_pipes + index_pipes + inter_pipes)
         # Hash members and intermediates both consume every scanned tuple;
         # their predicates are evaluated together, once per morsel.
         full_scan_pipes = hash_pipes + inter_pipes
@@ -141,13 +147,13 @@ class SharedScanStarJoin:
         probes_per_row = sum(p.n_probe_dims for p in full_scan_pipes)
         tests_per_row = sum(p.n_predicates for p in full_scan_pipes)
         n_whole = sum(not p.n_predicates for p in full_scan_pipes)
-        routed_rows = [bitmap.positions() for bitmap in index_bitmaps]
         #: Morsels accounted, probed and charged but not folded yet: ``(first
         #: row, rows, probe words, each index member's passing flags)``.
         pending: List[tuple] = []
 
         def fold() -> None:
-            """Gather, roll up and fold the pending rows, once per member."""
+            """Stage the pending rows of every member, then fold them once
+            per member group."""
             starts, sizes, words, flags = zip(*pending)
             pending.clear()
             first, stop = starts[0], starts[-1] + sizes[-1]
@@ -160,11 +166,11 @@ class SharedScanStarJoin:
             for pipe, mine, passed in zip(index_pipes, routed_rows, zip(*flags)):
                 lo, hi = np.searchsorted(mine, (first, stop))
                 rows = mine[lo:hi] - first
-                pipe.process_batch(
-                    [column[rows] for column in keys],
-                    measures[rows],
-                    np.concatenate(passed) if pipe.n_predicates else None,
-                )
+                if pipe.n_predicates:
+                    rows = rows[np.concatenate(passed)]
+                pipe.process_batch(keys, measures, rows, int(hi - lo))
+            for group in groups:
+                group.fold()
 
         # Phase 2: one shared sequential scan feeds everybody, a morsel of
         # whole pages at a time: probe and charge now, fold later.
@@ -226,15 +232,19 @@ class SharedScanStarJoin:
             finish(intermediate, pipe)
             inter_keys, inter_measures = pipe.columns()
             inter_agg = intermediate_source_aggregate(source_agg, intermediate)
-            for query in step.queries:
-                derived_pipe = QueryPipeline(
+            derived = [
+                QueryPipeline(
                     ctx.schema, query, intermediate.groupby.levels, inter_agg,
                     masks,
                 )
+                for query in step.queries
+            ]
+            member_groups(derived)
+            for derived_pipe in derived:
                 settle_builds(ctx, held, [derived_pipe])
                 ctx.stats.charge(
                     derived_pipe.process_batch(inter_keys, inter_measures)
                 )
                 actuals.derive_rows += int(inter_measures.size)
-                out.append(finish(query, derived_pipe))
+            out.extend(map(finish, step.queries, derived))
         return out

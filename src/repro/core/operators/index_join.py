@@ -28,8 +28,8 @@ from ...index.bitmap_index import JoinIndex
 from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
 from ...storage.iostats import merge_counts, routing_counts
-from .pipeline import ExecContext, QueryPipeline, SharedProbe, settle_builds
-from .pipeline import require_answerable
+from .pipeline import ExecContext, QueryPipeline, SharedProbe, member_groups
+from .pipeline import require_answerable, settle_builds
 from .results import OperatorActuals, QueryResult
 
 
@@ -134,15 +134,16 @@ class SharedIndexStarJoin:
             actuals.or_ops += n_members - 1
         # Step 2: probe the base table once with the union bitmap.
         positions = union.positions()
-        actuals.union_popcount = int(union.count())
+        actuals.union_popcount = int(positions.size)
         actuals.probes_issued = int(positions.size)
         keys, measures = source.table.fetch_positions(
             ctx.pool, positions, ctx.schema.n_dims
         )
         # Step 3: "Filter tuples" — one shared probe routes each tuple to the
-        # queries whose predicates it passes, so every pipeline is built
-        # first and charged for its builds in its turn.  Step 4: per-query
-        # aggregation.
+        # queries whose predicates it passes.  Step 4: per-query
+        # aggregation, the members that fold alike folded together first
+        # (a fold charges nothing); then each member in its turn is charged
+        # its builds, its routing and its pipeline.
         masks: dict = {}  # each distinct predicate mask, built once
         pipes = [
             QueryPipeline(
@@ -150,23 +151,30 @@ class SharedIndexStarJoin:
             )
             for query in self.queries
         ]
+        groups = member_groups(pipes)
         probe = SharedProbe(pipes) if n_members > 1 else None
         routed = probe.split(probe.alive(keys)) if probe else [None]
+        fed = [int(bitmap.count()) for bitmap in per_query]
+        counts = [
+            pipe.process_batch(keys, measures, rows, n)
+            for pipe, rows, n in zip(pipes, routed, fed)
+        ]
+        for group in groups:
+            group.fold()
         results: List[QueryResult] = []
         held: set = set()
-        for query, bitmap, pipe, rows in zip(self.queries, per_query, pipes, routed):
+        for query, n, pipe, charge in zip(self.queries, fed, pipes, counts):
             if ctx.faults is not None:
                 ctx.faults.check(
                     "operator.pipeline", operator=self.label, table=source.name
                 )
-            fed = int(bitmap.count())
-            actuals.bitmap_popcounts[query.qid] = fed
+            actuals.bitmap_popcounts[query.qid] = n
             if n_members > 1:
                 actuals.tuples_tested[query.qid] = int(positions.size)
-                actuals.tuples_routed[query.qid] = fed
+                actuals.tuples_routed[query.qid] = n
             settle_builds(ctx, held, [pipe])
             ctx.stats.charge(routing_counts(n_members, positions.size))
-            ctx.stats.charge(pipe.process_batch(keys, measures, rows, fed))
+            ctx.stats.charge(charge)
             result = pipe.result()
             actuals.record_pipeline(query.qid, pipe, result, ctx.stats.rates)
             results.append(result)

@@ -10,6 +10,8 @@ distinct structure (:func:`~repro.schema.lattice.build_keys`) once per
 *operator execution* — which is exactly the sharing the paper's Section 3.1
 operator exploits ("they can share hash tables, instead of redundantly
 building and probing several hash tables on the same dimension tables").
+The members of an operator that fold alike — the same target group-by, fold
+and result aggregate — fold each batch once, together (:class:`MemberGroup`).
 """
 
 from __future__ import annotations
@@ -133,7 +135,11 @@ class QueryPipeline:
     scan morsel, or per retrieved probe set); read the final
     :class:`QueryResult` with :meth:`result`.  An operator's pipelines
     share its ``masks`` (mask key → mask), so each distinct mask is built
-    once per execution.
+    once per execution, and fold in groups (:func:`member_groups`): a
+    pipeline hands its group the rows it keeps, and the group folds them
+    with its other members'.  A pipeline no operator grouped folds alone,
+    batch by batch.  Its operator checks that its source can answer it
+    (:func:`require_answerable`).
     """
 
     def __init__(
@@ -144,15 +150,19 @@ class QueryPipeline:
         source_aggregate: Optional[str] = None,
         masks: Optional[Dict[tuple, np.ndarray]] = None,
     ):
-        require_answerable(source_levels, source_aggregate, [query], "its source")
         self.schema = schema
         self.query = query
         self.source_levels = tuple(source_levels)
-        self._aggregator = HashAggregator(
-            schema,
-            query,
-            aggregate=effective_aggregate(query.aggregate, source_aggregate),
+        #: The fold over the source's measure column.
+        self.fold = effective_aggregate(query.aggregate, source_aggregate)
+        #: Pipelines with equal keys fold alike: one group of them folds
+        #: each batch once (:func:`member_groups`).
+        self.fold_key = (
+            self.source_levels, query.groupby.levels, self.fold, query.aggregate
         )
+        #: Its :class:`MemberGroup` and its slot there (None until grouped).
+        self.group: Optional[MemberGroup] = None
+        self.slot = 0
         #: The structures the pipeline builds, as :func:`settle_builds`
         #: charges them.
         self.build_keys = build_keys(schema, self.source_levels, query)
@@ -213,38 +223,134 @@ class QueryPipeline:
         survivors: Optional[np.ndarray] = None,
         fed: Optional[int] = None,
     ) -> Counts:
-        """Run one batch through probe → filter → aggregate; returns what
-        it charges (:func:`pipeline_counts`), for the caller to charge.
+        """Run one batch through probe → filter, and hand the rows that
+        pass to the pipeline's group to aggregate; returns what it charges
+        (:func:`pipeline_counts`), for the caller to charge.
         ``survivors`` — the rows passing every predicate (ascending
         offsets, or flags), as a shared probe found them — replaces this
         pipeline's own mask evaluation.  ``fed`` is how many of the
         batch's rows reach this pipeline, when fewer than all do (a shared
-        index probe's rows in the member's own bitmap)."""
+        index probe's rows in the member's own bitmap, or a hybrid scan's
+        routed rows)."""
         n = measures.size if fed is None else fed
         self.rows_in += n
         keep = survivors if survivors is not None else self.passing(key_columns)
-        if keep is not None:
-            measures = measures[keep]
-        n_pass = measures.size
+        if keep is None:
+            n_pass = measures.size
+        elif keep.dtype == np.bool_:
+            n_pass = int(np.count_nonzero(keep))
+        else:
+            n_pass = keep.size
         counts = pipeline_counts(n, self.n_probe_dims, self.n_predicates, n_pass)
-        if n_pass == 0:
-            return counts
-        self.rows_passed += n_pass
-        target_columns = [np.zeros(n_pass, dtype=np.int64)] * self.schema.n_dims
-        for d, tmap in self._rollups:
-            column = key_columns[d] if keep is None else key_columns[d][keep]
-            target_columns[d] = column if tmap is None else tmap[column]
-        self._aggregator.update(target_columns, measures)
+        if n_pass:
+            self.rows_passed += n_pass
+            self._group().stage(self.slot, key_columns, measures, keep)
         return counts
+
+    def _group(self) -> "MemberGroup":
+        """Its group: one of its own unless an operator grouped it."""
+        return self.group or MemberGroup([self])
 
     def result(self) -> QueryResult:
         """Finalize and return the accumulated QueryResult."""
-        return self._aggregator.result()
+        return self._group().result(self.slot)
 
     def columns(self) -> Tuple[List[np.ndarray], np.ndarray]:
         """The accumulated groups as columns of integer state
         (``HashAggregator.columns``)."""
-        return self._aggregator.columns()
+        return self._group().columns(self.slot)
+
+
+class MemberGroup:
+    """An operator's pipelines that fold alike (equal
+    :attr:`QueryPipeline.fold_key`: source and target levels, fold and
+    result aggregate) and their one :class:`HashAggregator`.
+
+    Per batch, each member stages the rows it keeps
+    (:meth:`QueryPipeline.process_batch`), and :meth:`fold` folds them all
+    at once: one gather per grouped dimension over the members' survivors
+    concatenated in slot order, and one fold, each row's code offset by its
+    member's slot.  A group of one folds its member's rows as they are.
+    Staging a new batch, or reading the state, folds what is staged.
+    """
+
+    def __init__(self, pipes: Sequence[QueryPipeline]):
+        self.pipes = list(pipes)
+        first = self.pipes[0]
+        self.aggregator = HashAggregator(
+            first.schema, *(pipe.query for pipe in self.pipes),
+            aggregate=first.fold,
+        )
+        for slot, pipe in enumerate(self.pipes):
+            pipe.group, pipe.slot = self, slot
+        #: The batch staged from, and each staging member's ``(slot, rows
+        #: kept)`` — None for every row.
+        self._batch: Optional[Tuple[Sequence[np.ndarray], np.ndarray]] = None
+        self._staged: List[Tuple[int, Optional[np.ndarray]]] = []
+
+    def stage(
+        self,
+        slot: int,
+        key_columns: Sequence[np.ndarray],
+        measures: np.ndarray,
+        keep: Optional[np.ndarray],
+    ) -> None:
+        """Stage member ``slot``'s kept rows of a batch for :meth:`fold`."""
+        if self._staged and measures is not self._batch[1]:
+            self.fold()
+        self._batch = key_columns, measures
+        self._staged.append((slot, keep))
+
+    def fold(self) -> None:
+        """Fold the staged rows into the aggregator: it charges nothing
+        (each member's :meth:`~QueryPipeline.process_batch` has returned
+        its counts)."""
+        if not self._staged:
+            return
+        (key_columns, measures), staged = self._batch, self._staged
+        self._batch, self._staged = None, []
+        if len(self.pipes) == 1:
+            ((_slot, rows),) = staged
+            digits = []
+        else:
+            parts = [
+                np.arange(measures.size) if keep is None
+                else np.flatnonzero(keep) if keep.dtype == np.bool_
+                else keep
+                for _slot, keep in staged
+            ]
+            rows = np.concatenate(parts)
+            digits = [np.repeat(
+                [slot for slot, _keep in staged], [part.size for part in parts]
+            )]
+        if rows is not None:
+            measures = measures[rows]
+        first = self.pipes[0]
+        target = [np.zeros(measures.size, dtype=np.int64)] * first.schema.n_dims
+        for d, tmap in first._rollups:
+            column = key_columns[d] if rows is None else key_columns[d][rows]
+            target[d] = column if tmap is None else tmap[column]
+        self.aggregator.update(digits + target, measures)
+
+    def result(self, slot: int) -> QueryResult:
+        """Member ``slot``'s result (the state is decoded once for all)."""
+        self.fold()
+        return self.aggregator.result(slot)
+
+    def columns(self, slot: int) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Member ``slot``'s groups as columns of integer state."""
+        self.fold()
+        return self.aggregator.columns(slot)
+
+
+def member_groups(pipes: Iterable[QueryPipeline]) -> List[MemberGroup]:
+    """Group an operator's pipelines that fold alike, in order of first
+    member, each group's members in pipeline order — pipelines that are
+    fed the same batches, which :meth:`MemberGroup.fold` folds together."""
+    by_key: Dict[tuple, List[QueryPipeline]] = {}
+    for pipe in pipes:
+        by_key.setdefault(pipe.fold_key, []).append(pipe)
+    return list(map(MemberGroup, by_key.values()))
 
 
 class SharedProbe:

@@ -10,7 +10,6 @@ from .lattice import (
     effective_aggregate,
     enumerate_lattice,
     estimate_groupby_rows,
-    estimate_result_groups,
     expected_distinct,
     expected_pages_touched,
     groupby_domain_size,
@@ -36,7 +35,6 @@ __all__ = [
     "effective_aggregate",
     "enumerate_lattice",
     "estimate_groupby_rows",
-    "estimate_result_groups",
     "expected_distinct",
     "expected_pages_touched",
     "groupby_domain_size",

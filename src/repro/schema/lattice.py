@@ -87,8 +87,17 @@ def build_keys(
     *predicate* (a dimension may carry two, see
     :meth:`GroupByQuery.predicate_on`).  What a class builds of them is
     :func:`new_builds`'; the operators charge it, the cost model prices it
-    and EXPLAIN lists the keys."""
+    and EXPLAIN lists the keys.
+
+    Worked out once per (query, source levels): the query keeps them, one
+    entry per source it was asked about — at most the catalog's tables and
+    a plan's intermediates."""
     all_levels = schema.all_levels()
+    memo = query.__dict__.setdefault("_build_keys", {})
+    source_levels = tuple(source_levels)
+    found = memo.get((source_levels, all_levels))
+    if found is not None:
+        return found
     keys = []
     for d, target in enumerate(query.groupby.levels):
         stored = source_levels[d]
@@ -97,7 +106,8 @@ def build_keys(
         for pred in query.predicates:
             if pred.dim_index == d:
                 keys.append((d, stored, pred.level, pred.member_ids))
-    return tuple(keys)
+    memo[source_levels, all_levels] = found = tuple(keys)
+    return found
 
 
 def new_builds(
@@ -164,29 +174,6 @@ def estimate_groupby_rows(
     ``n_base_rows`` uniformly distributed fact rows."""
     domain = groupby_domain_size(schema, levels)
     return max(1, round(expected_distinct(domain, n_base_rows)))
-
-
-def estimate_result_groups(
-    schema: StarSchema, query: GroupByQuery, n_source_rows: int
-) -> float:
-    """Expected number of output groups of ``query`` evaluated on a source
-    with ``n_source_rows`` rows: the predicate-restricted target domain,
-    capped by the number of contributing rows."""
-    domain = 1.0
-    for dim_index, level in enumerate(query.groupby.levels):
-        dim = schema.dimensions[dim_index]
-        members = dim.n_members(level)
-        pred = query.predicate_on(dim_index)
-        if pred is not None:
-            if pred.level >= level:
-                # Predicate at-or-above the target level: each kept coarse
-                # member fans out to its share of target members.
-                members = members * pred.selectivity(schema)
-            else:
-                members = min(members, len(pred.member_ids))
-        domain *= max(1.0, members)
-    contributing = n_source_rows * query.selectivity(schema)
-    return max(1.0, expected_distinct(domain, contributing))
 
 
 def expected_pages_touched(n_rows: int, n_pages: int, k_rows: float) -> float:

@@ -191,6 +191,38 @@ def test_only_the_executor_folds_a_cold_clock():
     assert defined == []
 
 
+def test_members_that_fold_alike_fold_once():
+    """One fold path: under ``src/repro`` only the group aggregator
+    (``core/operators/aggregate.py``'s ``HashAggregator``) and the views'
+    materialization and maintenance (``engine/``) call ``fold_groups(``; and
+    an ``mdx_wide`` refresh — one 45-member class over 8 distinct
+    group-bys — folds at most once per distinct group-by, read with
+    ``.github/profile_op.py --calls _fold``."""
+    import subprocess
+
+    src = ROOT / "src" / "repro"
+    callers = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "fold_groups"
+    }
+    assert sorted(callers) == [
+        "core/operators/aggregate.py", "engine/maintenance.py",
+        "engine/materialize.py",
+    ]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / ".github" / "profile_op.py"), "mdx_wide",
+         "--ops", "2", "--calls", "_fold"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    per_op = re.search(r"\n +([\d.]+)  aggregate\.py:\d+\(_fold\)\n", done.stdout)
+    assert per_op is not None, done.stdout
+    assert float(per_op.group(1)) <= 8, done.stdout
+
+
 def test_profile_op_names_the_greedy_loop():
     """``.github/profile_op.py`` — the "which layer moved" profile of
     .claude/skills/verify/SKILL.md — runs a ``perf/`` workload's own op and

@@ -130,9 +130,10 @@ def test_compute_is_per_morsel_not_per_page(
     calls = {}
     process_batch = QueryPipeline.process_batch
 
-    def counting(self, keys, measures, survivors=None):
-        calls.setdefault(self.query.qid, []).append(measures.size)
-        return process_batch(self, keys, measures, survivors)
+    def counting(self, keys, measures, survivors=None, fed=None):
+        fed_rows = measures.size if fed is None else fed
+        calls.setdefault(self.query.qid, []).append(fed_rows)
+        return process_batch(self, keys, measures, survivors, fed)
 
     reads = []
     read_pages = BufferPool.read_pages

@@ -18,12 +18,13 @@ from repro.core.operators.index_join import (
     query_result_bitmap,
     usable_index,
 )
-from repro.core.operators.pipeline import QueryPipeline, settle_builds
+from repro.core.operators.pipeline import MemberGroup, QueryPipeline
+from repro.core.operators.pipeline import member_groups, settle_builds
 from repro.core.operators.results import OperatorActuals
 from repro.core.optimizer.plans import DeriveStep
 from repro.check import evaluate_reference
 from repro.faults import FaultPlan, InjectedFault, InjectionPoint
-from repro.schema.lattice import build_keys
+from repro.schema.lattice import build_keys, source_can_answer
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage import table as table_module
 from repro.storage.iostats import (
@@ -33,7 +34,10 @@ from repro.storage.iostats import (
     routing_counts,
 )
 
-from helpers import hash_star_join, make_tiny_db, random_query
+from repro.mdx.translator import translate_mdx
+from repro.workload.mdx_generator import generate_mdx
+
+from helpers import hash_star_join, make_tiny_db, random_database, random_query
 
 
 @pytest.fixture(scope="module")
@@ -545,3 +549,124 @@ class TestSharedIndexProbe:
         ctx = db.ctx(private=True)
         SharedIndexStarJoin(ctx, "XY", queries).run()
         assert ctx.stats.counts() == expected[-1]
+
+
+def every_member_alone(pipes):
+    """Stands in for ``member_groups``: every member folds alone."""
+    return [MemberGroup([pipe]) for pipe in pipes]
+
+
+class TestGroupFold:
+    """Members that fold alike fold each batch once, together: held to
+    every member folding alone — same results (group order and float bits),
+    same actuals, same ``IOStats`` — on every operator, under any fold and
+    compaction budget."""
+
+    @staticmethod
+    def members(db, rng, n_members):
+        """``n_members`` queries over the base table: the MDX generator's
+        and random ones, each given one of three (group-by, aggregate)
+        pairs most of the time — the first two always the first pair, so
+        some members fold alike — among them a predicate-free member and a
+        member no row survives."""
+        schema = db.schema
+        queries = []
+        while len(queries) < n_members:
+            text = generate_mdx(schema, rng).text
+            queries += translate_mdx(schema, text)[:2]
+            queries.append(random_query(schema, rng))
+        folds = [(q.groupby, rng.choice(list(Aggregate))) for q in queries[:3]]
+        dim = schema.dimensions[0]
+        queries[0] = GroupByQuery(folds[0][0])
+        queries[1] = GroupByQuery(
+            folds[0][0],
+            (DimPredicate(0, dim.all_level - 1, frozenset({0})),
+             DimPredicate(0, dim.all_level - 1, frozenset({1}))),
+        )
+        alike = [folds[0], folds[0]] + [
+            rng.choice(folds) if rng.random() < 0.7
+            else (q.groupby, rng.choice(list(Aggregate)))
+            for q in queries[2:n_members]
+        ]
+        return [
+            GroupByQuery(groupby, q.predicates, aggregate)
+            for q, (groupby, aggregate) in zip(queries, alike)
+        ]
+
+    @staticmethod
+    def observe(db, make_op):
+        db.flush()
+        before = db.stats.snapshot()
+        op = make_op(db.ctx())
+        results = op.run()
+        return (
+            [(r.query.qid, list(r.groups.items())) for r in results],
+            op.actuals.as_dict(),
+            db.stats.delta_since(before).as_dict(),
+        )
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n_members=st.sampled_from([2, 9, 70]),
+        operator=st.sampled_from(["scan", "hybrid", "index", "derive"]),
+        budget=st.sampled_from([None, "FOLD_ROWS", "COMPACT_ROWS"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_group_fold_equals_every_member_alone(
+        self, seed, n_members, operator, budget
+    ):
+        db = random_database(seed % 50)
+        rng = random.Random(seed)
+        base = next(e for e in db.catalog.entries() if not any(e.levels))
+        queries = self.members(db, rng, n_members)
+        predicated = [q for q in queries if q.predicates]
+        if operator == "index":
+            def make_op(ctx):
+                return SharedIndexStarJoin(ctx, base.name, queries)
+        elif operator == "hybrid":
+            def make_op(ctx):
+                return SharedScanStarJoin(
+                    ctx, base.name, queries[: n_members // 2],
+                    predicated[n_members // 2 :] or predicated[-1:],
+                )
+        else:
+            steps = []
+            if operator == "derive":
+                for first in queries[:2]:
+                    if first.aggregate is Aggregate.AVG:
+                        continue
+                    inter = GroupByQuery(first.groupby, (), first.aggregate)
+                    alike = [
+                        GroupByQuery(q.groupby, q.predicates, inter.aggregate)
+                        for q in queries
+                    ] + [GroupByQuery(inter.groupby, (), inter.aggregate)
+                         for _ in range(2)]
+                    derived = tuple(
+                        q for q in alike if source_can_answer(
+                            inter.groupby.levels, inter.aggregate.value, q
+                        )
+                    )
+                    steps.append(DeriveStep(inter, derived))
+
+            def make_op(ctx):
+                return SharedScanStarJoin(ctx, base.name, queries, (), steps)
+
+        sizes = []
+
+        def recording(pipes):
+            groups = member_groups(pipes)
+            sizes.extend(len(group.pipes) for group in groups)
+            return groups
+
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(aggregate_module, budget, 1)
+            for module in (hash_join_module, index_join_module):
+                patch.setattr(module, "member_groups", recording)
+            grouped = self.observe(db, make_op)
+            for module in (hash_join_module, index_join_module):
+                patch.setattr(module, "member_groups", every_member_alone)
+            alone = self.observe(db, make_op)
+        assert max(sizes) > 1  # some members did share a fold
+        for got, want in zip(grouped, alone):  # results, actuals, IOStats
+            assert got == want
