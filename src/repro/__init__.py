@@ -39,8 +39,9 @@ from .core import (
     GlobalPlan,
     JoinMethod,
     QueryResult,
-    SharedIndexStarJoin,
-    SharedScanStarJoin,
+    ProbeRows,
+    ScanRows,
+    StarJoin,
     make_optimizer,
 )
 from .engine import Database
@@ -91,8 +92,9 @@ __all__ = [
     "Span",
     "Tracer",
     "default_registry",
-    "SharedIndexStarJoin",
-    "SharedScanStarJoin",
+    "ProbeRows",
+    "ScanRows",
+    "StarJoin",
     "StarSchema",
     "evaluate_reference",
     "make_optimizer",

@@ -11,8 +11,9 @@ from .explain import explain_class, explain_plan
 from .operators import (
     MissingIndexError,
     QueryResult,
-    SharedIndexStarJoin,
-    SharedScanStarJoin,
+    ProbeRows,
+    ScanRows,
+    StarJoin,
 )
 from .optimizer import (
     CostModel,
@@ -35,8 +36,9 @@ __all__ = [
     "OPTIMIZERS",
     "PlanClass",
     "QueryResult",
-    "SharedIndexStarJoin",
-    "SharedScanStarJoin",
+    "ProbeRows",
+    "ScanRows",
+    "StarJoin",
     "execute_plan",
     "explain_class",
     "explain_plan",

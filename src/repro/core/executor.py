@@ -1,8 +1,10 @@
-"""Plan execution: lower each class onto the matching shared operator.
+"""Plan execution: lower each class onto the one star join
+(:class:`~.operators.star_join.StarJoin`) over the row source it calls for:
 
 * all-hash, mixed, and derive-carrying classes → the shared scan
-  (Sections 3.1 / 3.3, plus the DAG layer's derive phase),
-* all-index classes → the (shared) index join (Section 3.2).
+  (``ScanRows``: Sections 3.1 / 3.3, plus the DAG layer's derive phase),
+* all-index classes → the (shared) index join's probe (``ProbeRows``:
+  Section 3.2).
 
 There is one executor, :func:`execute_plan`: it runs the plan's classes
 one after another, in plan order, on the calling thread — as the paper ran
@@ -25,10 +27,9 @@ from ..faults import InjectedFault, PartialResultError
 from ..obs.metrics import default_registry
 from ..schema.query import GroupByQuery
 from ..storage.iostats import IOStats
-from .operators.hash_join import SharedScanStarJoin
-from .operators.index_join import SharedIndexStarJoin
 from .operators.pipeline import ExecContext
 from .operators.results import OperatorActuals, QueryResult, q_error
+from .operators.star_join import ProbeRows, ScanRows, StarJoin
 from .optimizer.plans import GlobalPlan, JoinMethod, PlanClass, left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -267,12 +268,8 @@ def run_class_accounted(
     else:
         attrs = {"n_queries": len(queries)}
     with ctx.tracer.span(f"operator.{kind}", source=source, **attrs) as span:
-        if kind in ("index_star", "shared_index"):
-            operator = SharedIndexStarJoin(ctx, source, queries)
-        else:
-            operator = SharedScanStarJoin(
-                ctx, source, hash_queries, index_queries, derives
-            )
+        rows = ProbeRows if kind in ("index_star", "shared_index") else ScanRows
+        operator = StarJoin(ctx, source, rows, hash_queries, index_queries, derives)
         try:
             results = operator.run()
         finally:

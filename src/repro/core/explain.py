@@ -29,6 +29,7 @@ from ..schema.query import GroupByQuery
 from ..schema.star import StarSchema
 from ..storage.catalog import TableEntry
 from ..storage.iostats import Counts
+from .operators.star_join import OPERATOR_LABELS
 from .optimizer.cost import CostModel
 from .optimizer.plans import (
     DeriveStep,
@@ -102,16 +103,6 @@ def _index_phase_lines(
     return lines
 
 
-#: The paper's name for each operator kind (:attr:`PlanClass.operator_kind`).
-_OPERATOR_TITLES = {
-    "shared_dag": "SharedDagStarJoin",
-    "shared_scan_hash": "SharedScanHashStarJoin",
-    "index_star": "IndexStarJoin",
-    "shared_index": "SharedIndexStarJoin",
-    "shared_hybrid": "SharedHybridStarJoin",
-}
-
-
 def explain_class(model: CostModel, plan_class: PlanClass) -> str:
     """Render one class as its physical operator tree."""
     schema = model.schema
@@ -122,8 +113,9 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
     index_plans = [
         p for p in plan_class.plans if p.method is JoinMethod.INDEX
     ]
-    operator = _OPERATOR_TITLES[plan_class.operator_kind]
-    if operator == "SharedScanHashStarJoin" and len(plan_class.plans) == 1:
+    kind = plan_class.operator_kind
+    operator = OPERATOR_LABELS[kind]
+    if kind == "shared_scan_hash" and len(plan_class.plans) == 1:
         operator = "HashStarJoin"  # the paper's Figure 1 single-query plan
     lines = [
         f"{operator} on {entry.name} "

@@ -17,7 +17,7 @@ and result aggregate — fold each batch once, together (:class:`MemberGroup`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from ...storage.buffer import BufferPool
 from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import Counts, IOStats, build_counts, pipeline_counts
 from ...storage.iostats import pipeline_ms
-from ...storage.table import Morsel
 from .aggregate import HashAggregator
 from .results import QueryResult
 
@@ -62,30 +61,6 @@ class ExecContext:
     def entry(self, table_name: str) -> TableEntry:
         """Catalog entry by table name."""
         return self.catalog.get(table_name)
-
-
-def scan_columns(
-    ctx: ExecContext, entry: TableEntry, operator_name: str
-) -> Iterator[Morsel]:
-    """One shared sequential scan yielding morsel-sized column batches
-    (:meth:`~repro.storage.table.HeapTable.scan_batches`).
-
-    The ``operator.pipeline`` fault site is still checked once per page,
-    right after that page's read is charged (as the operators always
-    have); the morsel's CPU work runs after its last page's checks.
-    """
-    faults = ctx.faults
-    after_page = None
-    if faults is not None:
-
-        def after_page() -> None:
-            faults.check(
-                "operator.pipeline",
-                operator=operator_name,
-                table=entry.name,
-            )
-
-    return entry.table.scan_batches(ctx.pool, ctx.schema.n_dims, after_page)
 
 
 def require_answerable(

@@ -27,7 +27,7 @@ Optimization", SIGMOD 2000):
   :class:`~repro.core.optimizer.plans.GlobalPlan` form — each class a
   :class:`~repro.core.optimizer.plans.PlanClass` carrying its
   :class:`~repro.core.optimizer.plans.DeriveStep` list (executed by
-  :class:`~repro.core.operators.hash_join.SharedScanStarJoin`) — so the
+  :class:`~repro.core.operators.star_join.StarJoin` over its scan) — so the
   executor, paranoia checker, actuals ledger, and serve batching all work
   unchanged.
 

@@ -13,7 +13,7 @@ An **AND-node** is one operator application producing its OR-node:
 * ``scan-join`` — a shared hash/index/hybrid star join over one catalog
   entry (today's operators);
 * ``derive`` — re-aggregating a finer materialized intermediate
-  (phase 3 of :class:`~repro.core.operators.hash_join.SharedScanStarJoin`).
+  (phase 3 of :class:`~repro.core.operators.star_join.StarJoin`).
 
 Candidate intermediates are generated from the *meet closure* of the
 consumer queries' required levels per aggregate kind (the elementwise-min

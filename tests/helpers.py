@@ -8,7 +8,7 @@ import random
 import numpy as np
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.star_join import ScanRows, StarJoin
 from repro.core.operators.results import QueryResult
 from repro.core.optimizer import make_optimizer
 from repro.engine.database import Database
@@ -120,7 +120,7 @@ def probe_positions(table, pool, positions):
 def hash_star_join(db: Database, table: str, query: GroupByQuery) -> QueryResult:
     """One query through the shared-scan operator on its own — the paper's
     Figure 1 single-query hash star join."""
-    return SharedScanStarJoin(db.ctx(), table, [query]).run()[0]
+    return StarJoin(db.ctx(), table, ScanRows, [query]).run()[0]
 
 
 def random_query(

@@ -8,7 +8,7 @@ every SUM view to the base table — or to a COUNT view if one exists.
 
 import pytest
 
-from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.star_join import ScanRows, StarJoin
 from repro.check import evaluate_reference
 from repro.schema.lattice import (
     aggregate_compatible,
@@ -103,7 +103,7 @@ class TestQueryRouting:
         db = self.make_db()
         q = query(levels=(1, 1), aggregate=Aggregate.COUNT)
         with pytest.raises(ValueError, match="measure"):
-            SharedScanStarJoin(db.ctx(), "X'Y'", [q])  # a SUM view
+            StarJoin(db.ctx(), "X'Y'", ScanRows, [q])  # a SUM view
 
     def test_count_query_answered_from_count_view(self):
         db = self.make_db()

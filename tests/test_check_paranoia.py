@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.check import CorrectnessError, first_divergence
-from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.star_join import StarJoin
 from repro.engine.result_cache import attach_cache
 from repro.obs.metrics import default_registry
 from repro.schema.query import GroupBy, GroupByQuery
@@ -74,7 +74,7 @@ class TestCleanRuns:
 class TestCorruptedOperatorCaught:
     def test_divergent_value_names_query_and_group(self, db, monkeypatch):
         query = GroupByQuery(groupby=GroupBy((1, 2)), label="victim")
-        real_run = SharedScanStarJoin.run
+        real_run = StarJoin.run
 
         def corrupted_run(self):
             results = real_run(self)
@@ -83,7 +83,7 @@ class TestCorruptedOperatorCaught:
                 result.groups[key] += 1.0  # quiet corruption
             return results
 
-        monkeypatch.setattr(SharedScanStarJoin, "run", corrupted_run)
+        monkeypatch.setattr(StarJoin, "run", corrupted_run)
         divergences = counter_value("check.divergences")
         with pytest.raises(CorrectnessError) as exc_info:
             db.run_queries([query], "gg")
@@ -97,7 +97,7 @@ class TestCorruptedOperatorCaught:
 
     def test_dropped_group_caught(self, db, monkeypatch):
         query = GroupByQuery(groupby=GroupBy((1, 2)), label="dropped")
-        real_run = SharedScanStarJoin.run
+        real_run = StarJoin.run
 
         def dropping_run(self):
             results = real_run(self)
@@ -105,7 +105,7 @@ class TestCorruptedOperatorCaught:
                 result.groups.pop(sorted(result.groups)[0])
             return results
 
-        monkeypatch.setattr(SharedScanStarJoin, "run", dropping_run)
+        monkeypatch.setattr(StarJoin, "run", dropping_run)
         with pytest.raises(CorrectnessError) as exc_info:
             db.run_queries([query], "gg")
         assert exc_info.value.divergence.kind == "missing-group"

@@ -136,7 +136,7 @@ def test_iostats_charge_is_the_one_way_a_counter_grows():
 
 
 def test_no_bitmap_is_tested_position_by_position():
-    """The shared index join routes the union's rows through the shared
+    """The index probe routes the union's rows through the shared
     probe (``pipeline.SharedProbe``), one gather per dimension for every
     member, not a bitmap test per member: nothing under ``src/repro``
     defines or calls ``test_positions``."""
@@ -148,8 +148,29 @@ def test_no_bitmap_is_tested_position_by_position():
         if getattr(node, "attr", getattr(node, "name", None)) == "test_positions"
     ]
     assert found == []
-    index_join = src / "core" / "operators" / "index_join.py"
-    assert "SharedProbe(" in index_join.read_text()
+    star_join = src / "core" / "operators" / "star_join.py"
+    assert "SharedProbe(" in star_join.read_text()
+
+
+def test_one_star_join_over_a_row_source():
+    """The shared scan and the shared index join are one operator: no class
+    under ``core/operators`` but ``StarJoin`` is named ``*StarJoin``, and
+    ``core/executor.py`` constructs it in exactly one place."""
+    src = ROOT / "src" / "repro"
+    classes = [
+        node.name
+        for path in sorted((src / "core" / "operators").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("StarJoin")
+    ]
+    assert classes == ["StarJoin"]
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse((src / "core" / "executor.py").read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "StarJoin"
+    ]
+    assert len(calls) == 1
 
 
 def test_builds_are_stated_once():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.star_join import ScanRows, StarJoin
 from repro.core.operators.pipeline import QueryPipeline
 from repro.core.optimizer import GGOptimizer, GreedyOptimizer
 from repro.core.optimizer import cost as cost_module
@@ -328,7 +328,7 @@ class TestBuildKeys:
             keys = [key for q in queries for key in build_keys(schema, entry.levels, q)]
             doubled += len(keys) > len(set(keys))
             ctx = db.ctx(private=True)
-            SharedScanStarJoin(ctx, entry.name, queries).run()
+            StarJoin(ctx, entry.name, ScanRows, queries).run()
             sizes = schema.level_sizes
             distinct = set(keys)
             assert ctx.stats.hash_builds == sum(sizes[k[0]][k[1]] for k in distinct)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.operators.hash_join import SharedScanStarJoin
+from repro.core.operators.star_join import ScanRows, StarJoin
 from repro.core.optimizer import CostModel
 from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
@@ -70,7 +70,7 @@ class TestChargedBuilds:
         queries = [q((1, 1), label="a"), q((1, 1), label="b")]
         db.flush()
         before = db.stats.snapshot()
-        SharedScanStarJoin(db.ctx(), "XY", queries).run()
+        StarJoin(db.ctx(), "XY", ScanRows, queries).run()
         shared_reads = db.stats.delta_since(before).seq_page_reads
         separate_reads = 0
         for query in queries:

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.executor import run_class_accounted
 from repro.core.explain import explain_class, explain_plan
+from repro.core.operators.star_join import OPERATOR_LABELS
 from repro.core.optimizer.cost import CostModel
-from repro.core.optimizer.plans import JoinMethod, LocalPlan, PlanClass
+from repro.core.optimizer.plans import DeriveStep, JoinMethod, LocalPlan
+from repro.core.optimizer.plans import PlanClass
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db
@@ -111,6 +114,46 @@ class TestExplainClass:
             plans=[LocalPlan(hash_query(), "X'Y'", JoinMethod.HASH)],
         )
         assert "clustered" in explain_class(model, cls)
+
+
+class TestOperatorNames:
+    """Each operator kind has one name: EXPLAIN's title, the operator's
+    actuals and its ``operator.<kind>`` span all read it from
+    ``OPERATOR_LABELS`` (EXPLAIN titles the one-member hash class as the
+    paper's Figure 1 plan)."""
+
+    @pytest.mark.parametrize(
+        "methods, kind, title",
+        [
+            ("HH", "shared_scan_hash", "SharedScanHashStarJoin"),
+            ("H", "shared_scan_hash", "HashStarJoin"),
+            ("HI", "shared_hybrid", "SharedHybridStarJoin"),
+            ("HD", "shared_dag", "SharedDagStarJoin"),
+            ("II", "shared_index", "SharedIndexStarJoin"),
+            ("I", "index_star", "IndexStarJoin"),
+        ],
+    )
+    def test_explain_actuals_and_span_agree(self, db, model, methods, kind, title):
+        method = {"H": JoinMethod.HASH, "I": JoinMethod.INDEX, "D": JoinMethod.DERIVE}
+        make = {"H": hash_query, "I": index_query, "D": hash_query}
+        plans = [
+            LocalPlan(make[m](f"{m}{i}"), "XY", method[m])
+            for i, m in enumerate(methods)
+        ]
+        derived = tuple(p.query for p in plans if p.method is JoinMethod.DERIVE)
+        derives = [DeriveStep(hash_query("inter"), derived)] if derived else []
+        cls = PlanClass(source="XY", plans=plans, derives=derives)
+        assert cls.operator_kind == kind
+        with db.trace():
+            _results, actuals = run_class_accounted(db.ctx(), cls)
+        (span,) = [
+            s for s in db.last_trace.walk() if s.name.startswith("operator.")
+        ]
+        assert span.name == f"operator.{kind}"
+        label = OPERATOR_LABELS[kind]
+        assert actuals.operator == span.attrs["actuals"]["operator"] == label
+        assert explain_class(model, cls).startswith(f"{title} on XY")
+        assert title == (label if methods != "H" else "HashStarJoin")
 
 
 class TestExplainPlan:

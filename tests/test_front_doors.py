@@ -335,7 +335,7 @@ def test_no_second_fold_in_the_source():
     for name in ("engine/materialize.py", "engine/maintenance.py"):
         assert own.search(text[name]) is None, name
         assert "from ..core.operators.aggregate import" in text[name]
-    assert "np.fromiter" not in text["core/operators/hash_join.py"]
+    assert "np.fromiter" not in text["core/operators/star_join.py"]
     # Predicate masks are a scatter and a gather (Dimension.member_mask):
     # the sort inside np.isin stays out of the operators.
     assert [

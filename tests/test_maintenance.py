@@ -13,7 +13,7 @@ import pytest
 from repro.check import evaluate_reference, reference_answer
 from repro.engine.maintenance import MaintenanceError, append_rows
 from repro.engine.result_cache import attach_cache
-from repro.core.operators.index_join import SharedIndexStarJoin
+from repro.core.operators.star_join import ProbeRows, StarJoin
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 from repro.storage.page import Page
 from repro.storage.table import HeapTable
@@ -221,7 +221,7 @@ class TestIndexMaintenance:
         db.append_rows(new_rows(db, 70, seed=21))
         base = db.catalog.get("XY")
         query = self.selective_query()
-        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        via_index = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
@@ -234,7 +234,7 @@ class TestIndexMaintenance:
         db.append_rows(new_rows(db, 50, seed=31))
         base = db.catalog.get("XY")
         query = self.selective_query()
-        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        via_index = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         expected = evaluate_reference(
             db.schema, base.table.all_rows(), query, base.levels
         )
@@ -265,7 +265,9 @@ class TestIndexMaintenance:
             groupby=GroupBy((1, 2)),
             predicates=(DimPredicate(0, 1, frozenset({2})),),
         )
-        via_view_index = SharedIndexStarJoin(db.ctx(), "X'Y", [query]).run()[0]
+        via_view_index = StarJoin(
+            db.ctx(), "X'Y", ProbeRows, index_queries=[query]
+        ).run()[0]
         assert via_view_index.groups == reference_answer(db, query).groups
 
 

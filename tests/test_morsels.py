@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.executor import execute_plan
-from repro.core.operators.hash_join import SharedScanStarJoin
-from repro.core.operators.index_join import SharedIndexStarJoin
+from repro.core.operators.star_join import ProbeRows, ScanRows, StarJoin
 from repro.core.operators.pipeline import QueryPipeline, SharedProbe
 from repro.core.optimizer.plans import (
     GlobalPlan,
@@ -191,7 +190,7 @@ def test_reads_are_accounted_per_morsel_and_per_probe_set(
     del reads[:]
     queries = [paper_qs[i] for i in (5, 6, 7, 8)]
     before = paper_db.stats.snapshot()
-    operator = SharedIndexStarJoin(paper_db.ctx(), "ABCD", queries)
+    operator = StarJoin(paper_db.ctx(), "ABCD", ProbeRows, index_queries=queries)
     operator.run()
     ((name, sequential, pages),) = reads
     assert (name, sequential) == ("ABCD", False)
@@ -233,7 +232,7 @@ def test_one_gather_per_predicated_dimension_per_64_members(
 
     monkeypatch.setattr(SharedProbe, "__init__", counting_build)
     monkeypatch.setattr(CountingTable, "gathers", 0)
-    operator = SharedScanStarJoin(paper_db.ctx(), "ABCD", queries)
+    operator = StarJoin(paper_db.ctx(), "ABCD", ScanRows, queries)
     operator.run()
     per_morsel = sum(
         len({p.dim_index for query in queries[first : first + 64] for p in query.predicates})

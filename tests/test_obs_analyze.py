@@ -8,9 +8,10 @@ import pytest
 from repro.bench.harness import AlgorithmRow
 from repro.calibrate import Misranking, find_misrankings
 from repro.core.executor import execute_plan, run_class_accounted
-from repro.core.operators.hash_join import SharedScanStarJoin
-from repro.core.operators.index_join import (
-    SharedIndexStarJoin,
+from repro.core.operators.star_join import (
+    ProbeRows,
+    ScanRows,
+    StarJoin,
     query_result_bitmap,
 )
 from repro.core.operators.results import OperatorActuals, q_error
@@ -50,7 +51,7 @@ class TestQError:
 
 class TestSharedIndexActuals:
     def run_shared(self, db, queries):
-        op = SharedIndexStarJoin(db.ctx(), "XY", queries)
+        op = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=queries)
         op.run()
         return op.actuals
 
@@ -98,7 +99,7 @@ class TestSharedScanActuals:
             GroupByQuery(groupby=GroupBy((1, 1)), label="h1"),
             GroupByQuery(groupby=GroupBy((2, 1)), label="h2"),
         ]
-        op = SharedScanStarJoin(db.ctx(), "XY", queries)
+        op = StarJoin(db.ctx(), "XY", ScanRows, queries)
         op.run()
         entry = db.catalog.get("XY")
         assert op.actuals.rows_scanned == entry.n_rows

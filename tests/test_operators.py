@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.operators import aggregate as aggregate_module
-from repro.core.operators import hash_join as hash_join_module
-from repro.core.operators import index_join as index_join_module
-from repro.core.operators.hash_join import SharedScanStarJoin
-from repro.core.operators.index_join import (
+from repro.core.operators import star_join as star_join_module
+from repro.core.operators.star_join import (
     MissingIndexError,
-    SharedIndexStarJoin,
+    ProbeRows,
+    ScanRows,
+    StarJoin,
     query_result_bitmap,
     usable_index,
 )
@@ -88,7 +88,7 @@ class TestQueryPipeline:
     def test_unanswerable_source_rejected(self, db):
         query = simple_query((0, 0))  # needs leaf X, view stores X'
         with pytest.raises(ValueError):
-            SharedScanStarJoin(db.ctx(), "X'Y", [query])
+            StarJoin(db.ctx(), "X'Y", ScanRows, [query])
 
 
 class TestPredicateMask:
@@ -123,7 +123,7 @@ class TestSharedScanHashJoin:
 
     def test_results_equal_separate_execution(self, db):
         queries = self.queries()
-        shared = SharedScanStarJoin(db.ctx(), "XY", queries).run()
+        shared = StarJoin(db.ctx(), "XY", ScanRows, queries).run()
         for query, result in zip(queries, shared):
             solo = hash_star_join(db, "XY", query)
             assert result.groups == solo.groups
@@ -134,14 +134,14 @@ class TestSharedScanHashJoin:
         entry = db.catalog.get("XY")
         db.flush()
         before = db.stats.snapshot()
-        SharedScanStarJoin(db.ctx(), "XY", queries).run()
+        StarJoin(db.ctx(), "XY", ScanRows, queries).run()
         delta = db.stats.delta_since(before)
         assert delta.seq_page_reads == entry.n_pages
         assert delta.rand_page_reads == 0
 
     def test_empty_query_list_rejected(self, db):
         with pytest.raises(ValueError):
-            SharedScanStarJoin(db.ctx(), "XY", [])
+            StarJoin(db.ctx(), "XY", ScanRows, [])
 
 
 class TestIndexStarJoin:
@@ -153,12 +153,12 @@ class TestIndexStarJoin:
 
     def test_matches_reference(self, db):
         query = self.selective_query()
-        result = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        result = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         assert result.groups == reference_for(db, query).groups
 
     def test_matches_hash_join(self, db):
         query = self.selective_query()
-        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        via_index = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         via_hash = hash_star_join(db, "XY", query)
         assert via_index.groups == via_hash.groups
 
@@ -168,7 +168,7 @@ class TestIndexStarJoin:
         bitmap tests, since its bitmap is the probe set."""
         query = self.selective_query()
         before = db.stats.snapshot()
-        operator = SharedIndexStarJoin(db.ctx(), "XY", [query])
+        operator = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query])
         operator.run()
         delta = db.stats.delta_since(before)
         assert operator.label == operator.actuals.operator == "IndexStarJoin"
@@ -177,13 +177,14 @@ class TestIndexStarJoin:
         assert operator.actuals.bitmap_popcounts[query.qid] == (
             operator.actuals.probes_issued
         )
-        pair = SharedIndexStarJoin(db.ctx(), "XY", [query, query])
+        pair = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query, query])
         assert pair.label == "SharedIndexStarJoin"
 
     def test_probe_reads_are_random(self, db):
         db.flush()
         before = db.stats.snapshot()
-        SharedIndexStarJoin(db.ctx(), "XY", [self.selective_query()]).run()[0]
+        query = self.selective_query()
+        StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         delta = db.stats.delta_since(before)
         assert delta.rand_page_reads > 0
 
@@ -196,7 +197,7 @@ class TestIndexStarJoin:
         index, members = found
         assert index.level == 0
         assert members == db.schema.dimensions[0].descendants(2, 1, 0)
-        result = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        result = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         assert result.groups == reference_for(db, query).groups
 
     def test_unindexed_predicate_is_residual(self, db):
@@ -206,13 +207,13 @@ class TestIndexStarJoin:
             (1, 1),
             [DimPredicate(0, 1, frozenset({0})), DimPredicate(1, 0, frozenset({0, 1}))],
         )
-        result = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        result = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         assert result.groups == reference_for(db, query).groups
 
     def test_no_indexes_at_all_raises(self, db):
         query = simple_query((1, 1), [DimPredicate(0, 1, frozenset({0}))])
         with pytest.raises(MissingIndexError):
-            SharedIndexStarJoin(db.ctx(), "X'Y", [query]).run()[0]
+            StarJoin(db.ctx(), "X'Y", ProbeRows, index_queries=[query]).run()[0]
 
     def test_no_predicates_bitmap_is_all_ones(self, db):
         entry = db.catalog.get("XY")
@@ -232,9 +233,9 @@ class TestSharedIndexJoin:
 
     def test_results_equal_separate(self, db):
         queries = self.queries()
-        shared = SharedIndexStarJoin(db.ctx(), "XY", queries).run()
+        shared = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=queries).run()
         for query, result in zip(queries, shared):
-            solo = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+            solo = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
             assert result.groups == solo.groups
             assert result.groups == reference_for(db, query).groups
 
@@ -244,11 +245,11 @@ class TestSharedIndexJoin:
         for query in queries:
             db.flush()
             before = db.stats.snapshot()
-            SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+            StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
             separate_pages += db.stats.delta_since(before).rand_page_reads
         db.flush()
         before = db.stats.snapshot()
-        SharedIndexStarJoin(db.ctx(), "XY", queries).run()
+        StarJoin(db.ctx(), "XY", ProbeRows, index_queries=queries).run()
         shared_pages = db.stats.delta_since(before).rand_page_reads
         assert shared_pages <= separate_pages
 
@@ -260,7 +261,7 @@ class TestSharedHybridJoin:
             simple_query((1, 2), [DimPredicate(0, 1, frozenset({1}))]),
             simple_query((2, 2), [DimPredicate(1, 1, frozenset({0}))]),
         ]
-        op = SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries)
+        op = StarJoin(db.ctx(), "XY", ScanRows, hash_queries, index_queries)
         for query, result in zip(hash_queries + index_queries, op.run()):
             assert result.groups == reference_for(db, query).groups
 
@@ -272,7 +273,7 @@ class TestSharedHybridJoin:
         hash_queries = [simple_query((2, 1))]
         db.flush()
         before = db.stats.snapshot()
-        SharedScanStarJoin(db.ctx(), "XY", hash_queries, index_queries).run()
+        StarJoin(db.ctx(), "XY", ScanRows, hash_queries, index_queries).run()
         delta = db.stats.delta_since(before)
         assert delta.rand_page_reads == 0
         assert delta.seq_page_reads >= db.catalog.get("XY").n_pages
@@ -285,8 +286,8 @@ class TestSharedHybridJoin:
             simple_query((1, 2), [DimPredicate(0, 1, frozenset({1}))]),
         ]
         derived = (simple_query((2, 1)),)
-        op = SharedScanStarJoin(
-            db.ctx(), "XY", hash_queries, index_queries,
+        op = StarJoin(
+            db.ctx(), "XY", ScanRows, hash_queries, index_queries,
             [DeriveStep(simple_query((1, 1)), derived)],
         )
         assert [r.query.qid for r in op.run()] == [
@@ -295,7 +296,7 @@ class TestSharedHybridJoin:
 
     def test_empty_rejected(self, db):
         with pytest.raises(ValueError):
-            SharedScanStarJoin(db.ctx(), "XY", [], [])
+            StarJoin(db.ctx(), "XY", ScanRows, [], [])
 
 
 class EveryMemberAlone:
@@ -329,8 +330,8 @@ class TestSharedProbe:
     def run_class(db, hash_queries, index_queries, derives):
         db.flush()
         before = db.stats.snapshot()
-        op = SharedScanStarJoin(
-            db.ctx(), "XY", hash_queries, index_queries, derives
+        op = StarJoin(
+            db.ctx(), "XY", ScanRows, hash_queries, index_queries, derives
         )
         results = {result.query.qid: result for result in op.run()}
         observed = (
@@ -367,7 +368,7 @@ class TestSharedProbe:
         ]
         monkeypatch.setattr(table_module, "MORSEL_ROWS", morsel_rows)
         results, shared = self.run_class(db, hash_queries, index_queries, derives)
-        monkeypatch.setattr(hash_join_module, "SharedProbe", EveryMemberAlone)
+        monkeypatch.setattr(star_join_module, "SharedProbe", EveryMemberAlone)
         _results, alone = self.run_class(db, hash_queries, index_queries, derives)
         for got, want in zip(shared, alone):  # results, actuals, IOStats
             assert got == want
@@ -427,7 +428,7 @@ class TestSharedProbe:
             built.append(self)
 
         monkeypatch.setattr(QueryPipeline, "__init__", recording)
-        op = SharedScanStarJoin(ctx, "XY", queries)
+        op = StarJoin(ctx, "XY", ScanRows, queries)
         got = observed(op.run(), built, before)
         assert got == want
         morsel_pages = max(1, morsel_rows // entry.table.capacity)
@@ -437,7 +438,8 @@ class TestSharedProbe:
 class TestSharedIndexProbe:
     """The shared index join routes the union's rows through one shared
     probe, held to every member testing its own predicates on them: same
-    rows, same order, same charges."""
+    rows, same order, same charges.  The same members riding a shared scan
+    as its index members are held to the same oracle, and answer alike."""
 
     @pytest.fixture(scope="class")
     def x_indexed_db(self):
@@ -447,10 +449,10 @@ class TestSharedIndexProbe:
         return db
 
     @staticmethod
-    def run_class(db, queries):
+    def run_class(db, rows, queries):
         db.flush()
         before = db.stats.snapshot()
-        op = SharedIndexStarJoin(db.ctx(), "XY", queries)
+        op = StarJoin(db.ctx(), "XY", rows, index_queries=queries)
         results = op.run()
         observed = (
             [list(result.groups.items()) for result in results],
@@ -459,9 +461,16 @@ class TestSharedIndexProbe:
         )
         return results, observed
 
-    @pytest.mark.parametrize("n_members", [1, 2, 64, 65, 130])
+    @pytest.mark.parametrize(
+        "n_members, rows",
+        [
+            pytest.param(n, rows, id=f"{n}" if rows is ProbeRows else f"{n}-scan")
+            for rows in (ProbeRows, ScanRows)
+            for n in (1, 2, 64, 65, 130)
+        ],
+    )
     def test_join_equals_every_member_alone(
-        self, x_indexed_db, monkeypatch, n_members
+        self, x_indexed_db, monkeypatch, n_members, rows
     ):
         db = x_indexed_db
         residual = simple_query(
@@ -479,9 +488,12 @@ class TestSharedIndexProbe:
             if any(p.dim_index == 0 for p in query.predicates):
                 queries.append(query)
         rng.shuffle(queries)
-        results, shared = self.run_class(db, queries)
-        monkeypatch.setattr(index_join_module, "SharedProbe", EveryMemberAlone)
-        _results, alone = self.run_class(db, queries)
+        results, shared = self.run_class(db, rows, queries)
+        other = ScanRows if rows is ProbeRows else ProbeRows
+        _results, across = self.run_class(db, other, queries)
+        assert across[0] == shared[0]  # results, in group order
+        monkeypatch.setattr(star_join_module, "SharedProbe", EveryMemberAlone)
+        _results, alone = self.run_class(db, rows, queries)
         for got, want in zip(shared, alone):  # results, actuals, IOStats
             assert got == want
         popcounts = shared[1]["bitmap_popcounts"]
@@ -520,7 +532,7 @@ class TestSharedIndexProbe:
         expected = [ctx.stats.counts()]
         # Each member in turn: the structures the members before it did not
         # build, the routing of the union's rows, and its pipeline.
-        clean = SharedIndexStarJoin(db.ctx(private=True), "XY", queries)
+        clean = StarJoin(db.ctx(private=True), "XY", ProbeRows, index_queries=queries)
         clean.run()
         actuals, built = clean.actuals, set()
         for query in queries:
@@ -543,11 +555,11 @@ class TestSharedIndexProbe:
             ctx = db.ctx(private=True)
             ctx.faults = plan
             with pytest.raises(InjectedFault):
-                SharedIndexStarJoin(ctx, "XY", queries).run()
+                StarJoin(ctx, "XY", ProbeRows, index_queries=queries).run()
             assert plan.n_fired == 1
             assert ctx.stats.counts() == expected[j], j
         ctx = db.ctx(private=True)
-        SharedIndexStarJoin(ctx, "XY", queries).run()
+        StarJoin(ctx, "XY", ProbeRows, index_queries=queries).run()
         assert ctx.stats.counts() == expected[-1]
 
 
@@ -622,11 +634,11 @@ class TestGroupFold:
         predicated = [q for q in queries if q.predicates]
         if operator == "index":
             def make_op(ctx):
-                return SharedIndexStarJoin(ctx, base.name, queries)
+                return StarJoin(ctx, base.name, ProbeRows, index_queries=queries)
         elif operator == "hybrid":
             def make_op(ctx):
-                return SharedScanStarJoin(
-                    ctx, base.name, queries[: n_members // 2],
+                return StarJoin(
+                    ctx, base.name, ScanRows, queries[: n_members // 2],
                     predicated[n_members // 2 :] or predicated[-1:],
                 )
         else:
@@ -649,7 +661,7 @@ class TestGroupFold:
                     steps.append(DeriveStep(inter, derived))
 
             def make_op(ctx):
-                return SharedScanStarJoin(ctx, base.name, queries, (), steps)
+                return StarJoin(ctx, base.name, ScanRows, queries, (), steps)
 
         sizes = []
 
@@ -661,11 +673,9 @@ class TestGroupFold:
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(aggregate_module, budget, 1)
-            for module in (hash_join_module, index_join_module):
-                patch.setattr(module, "member_groups", recording)
+            patch.setattr(star_join_module, "member_groups", recording)
             grouped = self.observe(db, make_op)
-            for module in (hash_join_module, index_join_module):
-                patch.setattr(module, "member_groups", every_member_alone)
+            patch.setattr(star_join_module, "member_groups", every_member_alone)
             alone = self.observe(db, make_op)
         assert max(sizes) > 1  # some members did share a fold
         for got, want in zip(grouped, alone):  # results, actuals, IOStats

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.operators.hash_join import SharedScanStarJoin
-from repro.core.operators.index_join import MissingIndexError, SharedIndexStarJoin
+from repro.core.operators.star_join import MissingIndexError, ProbeRows
+from repro.core.operators.star_join import ScanRows, StarJoin
 from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
@@ -58,7 +58,7 @@ class TestOperatorInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_shared_scan_equals_reference(self, queries):
-        results = SharedScanStarJoin(DB.ctx(), "XY", queries).run()
+        results = StarJoin(DB.ctx(), "XY", ScanRows, queries).run()
         for query, result in zip(queries, results):
             assert result.groups == reference(query).groups
 
@@ -70,7 +70,7 @@ class TestOperatorInvariants:
     )
     def test_shared_index_equals_reference_when_feasible(self, queries):
         try:
-            results = SharedIndexStarJoin(DB.ctx(), "XY", queries).run()
+            results = StarJoin(DB.ctx(), "XY", ProbeRows, index_queries=queries).run()
         except MissingIndexError:
             return  # some query had no indexable predicate: fine
         for query, result in zip(queries, results):
@@ -87,8 +87,8 @@ class TestOperatorInvariants:
     )
     def test_hybrid_equals_reference_when_feasible(self, hash_qs, index_qs):
         try:
-            results = SharedScanStarJoin(
-                DB.ctx(), "XY", hash_qs, index_qs
+            results = StarJoin(
+                DB.ctx(), "XY", ScanRows, hash_qs, index_qs
             ).run()
         except MissingIndexError:
             return

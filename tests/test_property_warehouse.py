@@ -72,7 +72,7 @@ class TestMaintenanceEquivalence:
     )
     def test_indexes_stay_consistent(self, batches, seed):
         """After any append sequence, index-driven plans equal hash plans."""
-        from repro.core.operators.index_join import SharedIndexStarJoin
+        from repro.core.operators.star_join import ProbeRows, StarJoin
         from repro.schema.query import DimPredicate
 
         db = make_tiny_db(n_rows=50, seed=seed % 100, index_tables=("XY",))
@@ -85,7 +85,7 @@ class TestMaintenanceEquivalence:
             predicates=(DimPredicate(0, 0, frozenset({seed % 12})),),
         )
         via_hash = hash_star_join(db, "XY", query)
-        via_index = SharedIndexStarJoin(db.ctx(), "XY", [query]).run()[0]
+        via_index = StarJoin(db.ctx(), "XY", ProbeRows, index_queries=[query]).run()[0]
         assert via_index.groups == via_hash.groups
 
 
