@@ -25,15 +25,12 @@ def test_estimate_tracks_simulation(db, qs, report, benchmark):
                 if not query.answerable_from(entry.levels):
                     continue
                 for method in (JoinMethod.HASH, JoinMethod.INDEX):
+                    plan = forced_plan(entry.name, [query], [method])
                     try:
-                        est = model.class_cost_given(
-                            entry, [query], [method]
-                        )
+                        est = model.class_cost(plan.classes[0])
                     except ValueError:
                         continue
-                    run_ = db.execute(
-                        forced_plan(entry.name, [query], [method])
-                    )
+                    run_ = db.execute(plan)
                     pairs.append(
                         (query.display_name(), entry.name, method.name,
                          est, run_.sim_ms)

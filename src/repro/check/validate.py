@@ -169,15 +169,12 @@ def validate_class(
                 f"{plan_class.source!r}, but no join index covers any of "
                 f"its predicates (operator {operator!r} would fail)"
             )
-        if (
-            plan.method is JoinMethod.DERIVE
-            and not plan_class.has_derives
-        ):
+        if plan.method is JoinMethod.DERIVE and not plan_class.derives:
             raise PlanValidationError(
                 f"{query.display_name()} carries the DERIVE method but the "
                 f"class on {plan_class.source!r} has no derive steps"
             )
-    if plan_class.has_derives:
+    if plan_class.derives:
         _validate_derives(entry, plan_class)
 
 

@@ -238,8 +238,8 @@ class ExecutionReport:
 def run_class_accounted(
     ctx: ExecContext, plan_class: PlanClass
 ) -> Tuple[List[QueryResult], OperatorActuals]:
-    """Execute one class with the operator its method mix calls for
-    (:attr:`PlanClass.operator_kind`), returning the results *and* the
+    """Execute one class over the row source its plan names
+    (:attr:`PlanClass.probes`), returning the results *and* the
     operator's measured actuals.
 
     Results are returned in the operator's member order: plan order,
@@ -268,7 +268,7 @@ def run_class_accounted(
     else:
         attrs = {"n_queries": len(queries)}
     with ctx.tracer.span(f"operator.{kind}", source=source, **attrs) as span:
-        rows = ProbeRows if kind in ("index_star", "shared_index") else ScanRows
+        rows = ProbeRows if plan_class.probes else ScanRows
         operator = StarJoin(ctx, source, rows, hash_queries, index_queries, derives)
         try:
             results = operator.run()

@@ -122,7 +122,7 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
         f"({entry.n_rows} rows, {entry.n_pages} pages"
         f"{', clustered' if entry.clustered else ''})"
     ]
-    if plan_class.is_pure_index:
+    if plan_class.probes:
         for plan in index_plans:
             lines.append(f"├─ bitmap[{plan.query.display_name()}]:")
             for phase in _index_phase_lines(model, entry, plan):
@@ -144,9 +144,7 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
             )
             for phase in _index_phase_lines(model, entry, plan):
                 lines.append(f"│    {phase}")
-    pipes = hash_plans + index_plans if not plan_class.is_pure_index else (
-        index_plans
-    )
+    pipes = hash_plans + index_plans
     derive_steps = plan_class.derives
     for i, plan in enumerate(pipes):
         last = i == len(pipes) - 1 and not derive_steps
@@ -173,11 +171,11 @@ def explain_class(model: CostModel, plan_class: PlanClass) -> str:
 
 
 def _members(
-    plan_class: PlanClass, without: Optional[int] = None
+    plan_class: PlanClass, without: int
 ) -> Tuple[List[GroupByQuery], List[DeriveStep]]:
     """The class's scan members and derive steps as the cost model takes
-    them, optionally minus the member with qid ``without`` (a step it
-    empties is dropped)."""
+    them, minus the member with qid ``without`` (a step it empties is
+    dropped)."""
     scan = [
         p.query
         for p in plan_class.plans
@@ -196,22 +194,11 @@ def member_estimates(
     :class:`~repro.core.optimizer.terms.MemberTerm` forbids ``total − term``.
     """
     entry = model.catalog.get(plan_class.source)
-    scan, steps = _members(plan_class)
-    if steps:
-        planned = model.derive_class(entry, scan, steps).cost_ms
-    else:
-        planned = model.class_cost_given(
-            entry, plan_class.queries, plan_class.methods
-        )
+    planned = model.class_cost(plan_class)
     estimates = []
     for plan in plan_class.plans:
         scan, steps = _members(plan_class, without=plan.query.qid)
-        if steps:
-            rest = model.derive_class(entry, scan, steps).cost_ms
-        elif scan:
-            rest = model.plan_class(entry, scan).cost_ms
-        else:
-            rest = 0.0
+        rest = model.plan_class(entry, scan, steps).cost_ms if scan or steps else 0.0
         alone = model.standalone(entry, plan.query)
         estimates.append((alone[1] if alone else 0.0, planned - rest))
     return estimates

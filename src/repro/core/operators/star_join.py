@@ -26,13 +26,13 @@ from ...schema.query import DimPredicate, GroupByQuery
 from ...storage.catalog import TableEntry
 from ...storage.iostats import filter_counts, merge_counts, pipeline_counts
 from ...storage.iostats import routing_counts
-from ..optimizer.plans import DeriveStep
+from ..optimizer.plans import DeriveStep, operator_kind
 from . import aggregate
 from .pipeline import ExecContext, QueryPipeline, SharedProbe, member_groups
 from .pipeline import require_answerable, settle_builds
 from .results import OperatorActuals, QueryResult
 
-#: The paper's name for each operator kind (:attr:`PlanClass.operator_kind`,
+#: The paper's name for each operator kind (:func:`~.plans.operator_kind`,
 #: the suffix of its ``operator.<kind>`` span): the label a
 #: :class:`StarJoin` records for what it did, and EXPLAIN's title.
 OPERATOR_LABELS = {
@@ -108,10 +108,10 @@ def query_result_bitmap(
 class StarJoin:
     """One class's star join on one source: hash members, bitmap-filtered
     index members and shared-sub-aggregate derive steps, fed by the row
-    source ``rows`` (:class:`ScanRows` or :class:`ProbeRows`): its
-    ``kind(join)`` names the operator kind, and its ``feed(join, pipes,
-    bitmaps, popcounts)`` feeds the pipelines (the members', then the
-    intermediates') their rows and returns the structures the class built."""
+    source ``rows`` (:class:`ScanRows` or :class:`ProbeRows`, which feeds
+    index members only): its ``feed(join, pipes, bitmaps, popcounts)``
+    feeds the pipelines (the members', then the intermediates') their rows
+    and returns the structures the class built."""
 
     def __init__(
         self,
@@ -124,6 +124,9 @@ class StarJoin:
     ):
         if not hash_queries and not index_queries and not derives:
             raise ValueError("need at least one query")
+        probe = rows is ProbeRows
+        if probe and (hash_queries or derives):
+            raise ValueError("an index probe feeds index members only")
         self.ctx = ctx
         self.source = ctx.entry(source_name)
         self.rows = rows
@@ -134,7 +137,9 @@ class StarJoin:
         self.members = self.hash_queries + self.index_queries
         #: The paper's name for what this join is doing; recorded in the
         #: actuals and passed as the ``operator=`` fault-site attribute.
-        self.label = OPERATOR_LABELS[rows.kind(self)]
+        self.label = OPERATOR_LABELS[
+            operator_kind(probe, len(self.members), bool(index_queries), bool(derives))
+        ]
         #: Filled during :meth:`run` — the operator's measured actuals
         #: (intermediates appear under their synthetic qids).
         self.actuals = OperatorActuals(operator=self.label, source=source_name)
@@ -240,12 +245,6 @@ class ScanRows:
     fed to each member once.  Every build is settled before the scan."""
 
     @staticmethod
-    def kind(join: StarJoin) -> str:
-        if join.derives:
-            return "shared_dag"
-        return "shared_hybrid" if join.index_queries else "shared_scan_hash"
-
-    @staticmethod
     def feed(join: StarJoin, pipes: list, bitmaps: list, _popcounts: list) -> set:
         ctx, actuals, source = join.ctx, join.actuals, join.source
         held: set = set()
@@ -281,6 +280,8 @@ class ScanRows:
                     rows = rows[np.concatenate(passed)]
                 pipe.process_batch(keys, measures, rows, int(hi - lo))
 
+        for query in join.index_queries:
+            join._route(query, 0, 0)  # each index member reports, rows or not
         after_page = None  # or each page's fault check, once it is charged
         if ctx.faults is not None:
             after_page = partial(join._check, "operator.pipeline")
@@ -332,12 +333,6 @@ class ProbeRows:
     once.  With one member there is nothing to OR or route.  Each member in
     its turn is then fault-checked, charged its builds, and run over the
     fetched rows, its routing and its pipeline charged together."""
-
-    @staticmethod
-    def kind(join: StarJoin) -> str:
-        if join.hash_queries or join.derives:
-            raise ValueError("an index probe feeds index members only")
-        return "shared_index" if len(join.index_queries) > 1 else "index_star"
 
     @staticmethod
     def feed(join: StarJoin, pipes: list, bitmaps: list, popcounts: list) -> set:

@@ -24,10 +24,7 @@ def build_plan_class(
     model's best costing of scan members ``queries`` (and, for a ``dag``
     class, its ``derives`` — their members follow the scan members in step
     order) on ``entry``: one class costing, no per-member estimates."""
-    if derives:
-        costing = model.derive_class(entry, queries, derives)
-    else:
-        costing = model.plan_class(entry, queries)
+    costing = model.plan_class(entry, queries, derives)
     if costing is None:
         raise ValueError(
             f"class on {entry.name!r} cannot answer all of its queries"

@@ -47,7 +47,7 @@ from ...storage.catalog import Catalog, TableEntry
 from ...storage.iostats import CostRates, Counts, build_counts, filter_counts
 from ...storage.iostats import merge_counts, pipeline_counts, read_counts, routing_counts
 from ...storage.iostats import pipeline_ms, routing_ms, shared_ms
-from .plans import DeriveStep, JoinMethod, PlanClass, left_sum
+from .plans import DeriveStep, JoinMethod, LocalPlan, PlanClass, left_sum
 from .terms import MemberTerm, price_terms, term_units
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -401,60 +401,98 @@ class CostModel:
             state.terms.pop()
 
     def plan_class(
-        self, entry: TableEntry, queries: Sequence[GroupByQuery]
+        self,
+        entry: TableEntry,
+        queries: Sequence[GroupByQuery],
+        derives: Sequence[DeriveStep] = (),
+        row_safety: float = 1.0,
     ) -> Optional[ClassCosting]:
         """Best costing of ``queries`` as one class on ``entry``; None if
         some query is not answerable from it.  The state grown over the
-        queries, costed as a trial costs it.  Counts as one class costing."""
-        if not queries:
+        queries, costed as a trial costs it.  Counts as one class costing.
+
+        With ``derives``, the class is a DAG class (see :mod:`repro.dag`):
+        one shared scan of ``entry`` feeds the ``queries`` *and* each step's
+        intermediate sub-aggregate; the step's derived queries then
+        re-aggregate the in-memory intermediate — pure CPU over its (far
+        fewer) group rows, no extra I/O.  ``methods`` in the returned
+        costing then aligns with ``queries`` followed by every step's
+        derived queries in order, and None also means an intermediate or
+        a derived query is not answerable.  ``row_safety`` inflates the
+        intermediates' estimated group counts (the greedy search's guard
+        against Cardenas underestimates; the final plan is costed with
+        1.0).
+        """
+        if not queries and not derives:
             raise ValueError("a class needs at least one query")
         self.n_plan_costings += 1
         state = reduce(self.extend, queries, ClassState(entry))
         if state.totals is None:
             return None
-        return self._costing(entry, state.terms, state.totals)
+        if not derives:
+            return self._costing(entry, state.terms, state.totals)
+        derived = self._derived(state, derives, row_safety)
+        if derived is None:
+            return None
+        totals, pipelines = derived
+        costing = self._costing(entry, state.terms, totals)
+        for args in pipelines:
+            costing.cost_ms += pipeline_ms(self.rates, *args)
+        for step in derives:
+            costing.methods += [JoinMethod.DERIVE] * len(step.queries)
+        return costing
 
-    def _given(
-        self, entry: TableEntry, queries: Sequence[GroupByQuery],
-        methods: Sequence[JoinMethod],
-    ) -> ClassState:
-        """The state of a class whose per-query join methods are fixed;
-        raises ``ValueError`` when ``entry`` cannot answer a query or a
-        query has no index plan for its non-hash method."""
-        if len(queries) != len(methods):
-            raise ValueError("queries and methods must align")
+    def _given(self, entry: TableEntry, plans: Sequence[LocalPlan]) -> ClassState:
+        """The state of a class whose members' join methods are fixed;
+        raises ``ValueError`` when ``entry`` cannot answer a member or a
+        member has no index plan for its non-hash method."""
         state = ClassState(entry)
-        for query, method in zip(queries, methods):
+        for plan in plans:
+            query = plan.query
             if self.extend(state, query).totals is None:
                 raise ValueError(
                     f"{entry.name!r} cannot answer {query.display_name()}"
                 )
-            if method is not JoinMethod.HASH and not state.terms[-1].indexable:
+            if plan.method is not JoinMethod.HASH and not state.terms[-1].indexable:
                 raise ValueError(
                     f"no index plan for {query.display_name()} on "
                     f"{entry.name!r}"
                 )
         return state
 
-    def class_cost_given(
-        self, entry: TableEntry, queries: Sequence[GroupByQuery],
-        methods: Sequence[JoinMethod],
-    ) -> float:
-        """Cost of a class whose per-query join methods are already fixed
-        (used to cost TPLO's merged plans, which keep local choices).
-        Raises ``ValueError`` when ``entry`` cannot answer a query or a
-        query has no index plan for its non-hash method."""
-        state = self._given(entry, queries, methods)
-        if all(m is JoinMethod.INDEX for m in methods):
-            return self._index_cost(entry, state.terms, state.totals)
+    def _planned(self, plan_class: PlanClass) -> tuple:
+        """A planned class's entry, its scan members (every plan but the
+        derived ones), their state (:meth:`_given`), the class's build
+        totals and its derived pipelines (:meth:`_derived`)."""
+        entry = self.catalog.get(plan_class.source)
+        scan = [p for p in plan_class.plans if p.method is not JoinMethod.DERIVE]
+        state = self._given(entry, scan)
+        if not plan_class.derives:
+            return entry, scan, state, state.totals, []
+        derived = self._derived(state, plan_class.derives)
+        if derived is None:
+            raise ValueError(f"{entry.name!r} cannot answer a derive step")
+        return (entry, scan, state, *derived)
+
+    def class_cost(self, plan_class: PlanClass) -> float:
+        """Cost of a class as planned: its members on their join methods,
+        arranged as :attr:`PlanClass.probes` says (used to cost TPLO's
+        merged plans, which keep local choices).  Raises ``ValueError``
+        when its source cannot answer a member or a member has no index
+        plan for its non-hash method."""
+        entry, scan, state, totals, pipelines = self._planned(plan_class)
+        if plan_class.probes:
+            return self._index_cost(entry, state.terms, totals)
         # The scan configuration: hash plans consume the scan; index plans
-        # filter it (Section 3.3).
+        # filter it (Section 3.3); derived members re-aggregate their step's
+        # intermediate.
         marginals = [
-            term.hash_ms if method is JoinMethod.HASH else term.filtered_ms
-            for term, method in zip(state.terms, methods)
+            term.hash_ms if plan.method is JoinMethod.HASH else term.filtered_ms
+            for term, plan in zip(state.terms, scan)
         ]
-        shared = shared_ms(self.rates, entry.n_pages, True, *state.totals[:2])
-        return left_sum(marginals, shared)
+        shared = shared_ms(self.rates, entry.n_pages, True, *totals[:2])
+        cost = left_sum(marginals, shared)
+        return left_sum((pipeline_ms(self.rates, *args) for args in pipelines), cost)
 
     def class_units(self, plan_class: PlanClass) -> Counts:
         """The counts a planned class is expected to charge, stated from
@@ -462,21 +500,11 @@ class CostModel:
         is (shared part, then members in plan order, then a ``dag`` class's
         derived pipelines): priced, they give its ``est_cost_ms`` up to
         float rounding."""
-        entry = self.catalog.get(plan_class.source)
-        scan = [p for p in plan_class.plans if p.method is not JoinMethod.DERIVE]
-        queries = [p.query for p in scan]
-        methods = [p.method for p in scan]
-        if plan_class.derives:
-            state, totals, derived = self._derived(
-                entry, queries, plan_class.derives
-            )
-        else:
-            state = self._given(entry, queries, methods)
-            totals, derived = state.totals, []
+        entry, scan, state, totals, derived = self._planned(plan_class)
         builds = build_counts(*totals[:2])
-        units = [term_units(self, entry, q, t) for q, t in zip(queries, state.terms)]
+        units = [term_units(self, entry, p.query, t) for p, t in zip(scan, state.terms)]
         derived = [pipeline_counts(*args) for args in derived]
-        if not plan_class.derives and all(m is JoinMethod.INDEX for m in methods):
+        if plan_class.probes:
             pages, rows = self._probe(entry, totals[2])
             words = (entry.n_rows + WORD_BITS - 1) // WORD_BITS
             shared = read_counts(pages, False) + builds + merge_counts(len(units), words)
@@ -485,9 +513,9 @@ class CostModel:
         else:
             shared = read_counts(entry.n_pages) + builds
             addends = [
-                hash_units if method is JoinMethod.HASH
+                hash_units if plan.method is JoinMethod.HASH
                 else index_units + filter_counts(entry.n_rows)
-                for (hash_units, index_units), method in zip(units, methods)
+                for (hash_units, index_units), plan in zip(units, scan)
             ]
         return reduce(operator.add, addends + derived, shared)
 
@@ -504,56 +532,19 @@ class CostModel:
             )
         )
 
-    def derive_class(
-        self,
-        entry: TableEntry,
-        scan_queries: Sequence[GroupByQuery],
-        derive_steps: Sequence[DeriveStep],
-        row_safety: float = 1.0,
-    ) -> Optional[ClassCosting]:
-        """Cost of a DAG class (see :mod:`repro.dag`): one shared scan of
-        ``entry`` feeds the ``scan_queries`` *and* each step's intermediate
-        sub-aggregate; the step's derived queries then re-aggregate the
-        in-memory intermediate — pure CPU over its (far fewer) group rows,
-        no extra I/O.
-
-        ``methods`` in the returned costing aligns with ``scan_queries``
-        followed by every step's derived queries in order.  ``row_safety``
-        inflates the intermediates' estimated group counts (the greedy
-        search's guard against Cardenas underestimates; the final plan is
-        costed with 1.0).  Returns None when a query or intermediate is
-        not answerable.
-        """
-        if not derive_steps:
-            raise ValueError("a DAG class needs at least one derive step")
-        self.n_plan_costings += 1
-        derived = self._derived(entry, scan_queries, derive_steps, row_safety)
-        if derived is None:
-            return None
-        state, totals, pipelines = derived
-        costing = self._costing(entry, state.terms, totals)
-        for args in pipelines:
-            costing.cost_ms += pipeline_ms(self.rates, *args)
-        for step in derive_steps:
-            costing.methods += [JoinMethod.DERIVE] * len(step.queries)
-        return costing
-
     def _derived(
         self,
-        entry: TableEntry,
-        scan_queries: Sequence[GroupByQuery],
+        state: ClassState,
         derive_steps: Sequence[DeriveStep],
         row_safety: float = 1.0,
-    ) -> Optional[Tuple[ClassState, tuple, List[tuple]]]:
-        """A DAG class's scan members' state, its build totals (no index
-        prefix: a DAG class runs the scan configuration) and, per step,
-        :func:`pipeline_counts`' arguments for its intermediate's pipeline,
-        then for each derived query's; None when a query or intermediate
-        is not answerable."""
+    ) -> Optional[Tuple[tuple, List[tuple]]]:
+        """A DAG class's build totals — its scan members' ``state`` plus the
+        steps' structures, no index prefix: a DAG class runs the scan
+        configuration — and, per step, :func:`pipeline_counts`' arguments
+        for its intermediate's pipeline, then for each derived query's;
+        None when an intermediate or a derived query is not answerable."""
+        entry = state.entry
         n = entry.n_rows
-        state = reduce(self.extend, scan_queries, ClassState(entry))
-        if state.totals is None:
-            return None
         keys: List[tuple] = []
         for step in derive_steps:
             intermediate = step.intermediate
@@ -584,7 +575,7 @@ class CostModel:
                 k = m * self.query_selectivity(entry, query)
                 pipelines.append((m, self._probe_dims(query), len(query.predicates), k))
         _new, entries, pages = self._missing(state.structures, keys, *state.totals[:2])
-        return state, (entries, pages, None), pipelines
+        return (entries, pages, None), pipelines
 
     # -- local-plan selection ------------------------------------------------------
 

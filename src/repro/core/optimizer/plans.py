@@ -118,42 +118,42 @@ class PlanClass:
         return "+".join(plan.method.name[0] for plan in self.plans)
 
     @property
-    def is_pure_hash(self) -> bool:
-        """True when every plan in the class is a hash join."""
-        return all(p.method is JoinMethod.HASH for p in self.plans)
-
-    @property
-    def is_pure_index(self) -> bool:
-        """True when every plan in the class is an index join."""
-        return all(p.method is JoinMethod.INDEX for p in self.plans)
-
-    @property
-    def has_derives(self) -> bool:
-        """True when the class carries shared sub-aggregate derive steps."""
-        return bool(self.derives)
+    def probes(self) -> bool:
+        """Whether the class runs as the shared index join (Section 3.2),
+        one probe of its members' OR-ed bitmaps, rather than as one shared
+        scan that its index members filter (Section 3.3): true when it has
+        no derive steps and every member is an index join.  The one reading
+        of member methods that chooses how a class runs."""
+        return not self.derives and all(
+            plan.method is JoinMethod.INDEX for plan in self.plans
+        )
 
     @property
     def operator_kind(self) -> str:
-        """The physical operator this class lowers onto, named as the
-        suffix of its ``operator.<kind>`` span.
-
-        The one statement of operator choice: the executor dispatches on
-        it, plan validation checks it, EXPLAIN renders it.  A class with
-        derive steps, only hash plans, or a hash/index mix runs the shared
-        scan (Sections 3.1 / 3.3); only index plans, the (shared) index
-        join (Section 3.2).
-        """
+        """The physical operator this class lowers onto
+        (:func:`operator_kind`): the executor dispatches on it, plan
+        validation checks it, EXPLAIN renders it."""
         if not self.plans:
             raise ValueError(
                 f"class on {self.source!r} is empty: no operator applies"
             )
-        if self.has_derives:
-            return "shared_dag"
-        if self.is_pure_hash:
-            return "shared_scan_hash"
-        if self.is_pure_index:
-            return "index_star" if len(self.plans) == 1 else "shared_index"
-        return "shared_hybrid"
+        indexed = any(plan.method is not JoinMethod.HASH for plan in self.plans)
+        return operator_kind(
+            self.probes, len(self.plans), indexed, bool(self.derives)
+        )
+
+
+def operator_kind(probe: bool, n_members: int, indexed: bool, derives: bool) -> str:
+    """The one naming of the five operator kinds, as the suffix of the
+    ``operator.<kind>`` span: a ``probe`` runs the (shared) index join
+    (Section 3.2); a scan runs the shared scan (Sections 3.1 / 3.3), which
+    feeds derive steps (``shared_dag``), index members (``indexed``:
+    ``shared_hybrid``) or hash members only."""
+    if probe:
+        return "index_star" if n_members == 1 else "shared_index"
+    if derives:
+        return "shared_dag"
+    return "shared_hybrid" if indexed else "shared_scan_hash"
 
 
 @dataclass

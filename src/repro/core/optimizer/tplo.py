@@ -36,24 +36,15 @@ class TPLOOptimizer(Optimizer):
         # method choices are kept (phase two only shares subtasks; it does
         # not re-plan).
         with self.tracer.span("optimize.tplo.merge") as merge_span:
-            by_source: Dict[
-                str, Tuple[TableEntry, List[GroupByQuery], List[JoinMethod]]
-            ] = {}
+            by_source: Dict[str, List[LocalPlan]] = {}
             for query, entry, method in locals_:
-                _entry, class_queries, methods = by_source.setdefault(
-                    entry.name, (entry, [], [])
+                by_source.setdefault(entry.name, []).append(
+                    LocalPlan(query=query, source=entry.name, method=method)
                 )
-                class_queries.append(query)
-                methods.append(method)
             plan = GlobalPlan(algorithm=self.name)
-            for source, (entry, class_queries, methods) in by_source.items():
-                est = self.model.class_cost_given(entry, class_queries, methods)
-                plans = [
-                    LocalPlan(query=query, source=source, method=method)
-                    for query, method in zip(class_queries, methods)
-                ]
-                plan.classes.append(
-                    PlanClass(source=source, plans=plans, est_cost_ms=est)
-                )
+            for source, plans in by_source.items():
+                plan_class = PlanClass(source=source, plans=plans)
+                plan_class.est_cost_ms = self.model.class_cost(plan_class)
+                plan.classes.append(plan_class)
             merge_span.set("n_classes", len(plan.classes))
         return plan

@@ -108,12 +108,9 @@ class _Coster:
         if cached is not None:
             self.hits += 1
             return cached
-        if not cls.steps:
-            costing = self.model.plan_class(cls.entry, cls.scan_queries)
-        else:
-            costing = self.model.derive_class(
-                cls.entry, cls.scan_queries, cls.steps, row_safety=ROW_SAFETY
-            )
+        costing = self.model.plan_class(
+            cls.entry, cls.scan_queries, cls.steps, row_safety=ROW_SAFETY
+        )
         cost = float("inf") if costing is None else costing.cost_ms
         self._cache[sig] = cost
         return cost

@@ -40,7 +40,7 @@ class estimate, each class's derive steps, the costing count and the
   depth-first as ``[name, sim]`` pairs (the span's simulated-cost delta;
   attributes and wall times left out);
 * ``units/``: per plan of the sweep above, per class without derive steps,
-  ``class_cost_given`` on a ``CostModel`` priced at each unit basis (one
+  ``class_cost`` on a ``CostModel`` priced at each unit basis (one
   ``CostRates`` field 1.0, the others 0.0) as ``float.hex`` — the count of
   each accountable unit the model estimates, field by field;
 * ``terms/``: on a fresh ``CostModel`` per batch, priced as one batch,
@@ -163,7 +163,7 @@ def dump_report(report, batch) -> dict:
                 "pipeline_cpu_ms": [
                     v.hex() for v in execution.actuals.pipeline_cpu_ms.values()
                 ],
-                "derives": execution.plan_class.has_derives,
+                "derives": bool(execution.plan_class.derives),
             }
             for execution in report.class_executions
         ],
@@ -183,9 +183,7 @@ def dump_units(db, plan, bases) -> list:
         None
         if cls.derives
         else [
-            model.class_cost_given(
-                db.catalog.get(cls.source), cls.queries, cls.methods
-            ).hex()
+            model.class_cost(cls).hex()
             for model in models
         ]
         for cls in plan.classes

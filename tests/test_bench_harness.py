@@ -259,6 +259,6 @@ class TestOneTableOneLoop:
             db, [qs[i] for i in ALL_PAPER_TESTS["test1"]], ("dag",), test="test1"
         )
         plan = row.report.plan
-        assert any(cls.has_derives for cls in plan.classes)
+        assert any(cls.derives for cls in plan.classes)
         assert row.n_classes == len(plan.classes)
         assert (row.test, row.plan) == ("test1", plan.signature)

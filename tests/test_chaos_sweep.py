@@ -129,7 +129,7 @@ def test_derive_fault_fails_only_dependent_classes(paper_db, paper_qs):
     db = paper_db
     queries = [paper_qs[i] for i in ALL_PAPER_TESTS["test1"]]
     plan = db.optimize(queries, "dag")
-    dag_classes = [cls for cls in plan.classes if cls.has_derives]
+    dag_classes = [cls for cls in plan.classes if cls.derives]
     assert dag_classes, "test1's dag plan materializes an intermediate"
 
     clean = db.execute(plan)

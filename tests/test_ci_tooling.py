@@ -173,6 +173,48 @@ def test_one_star_join_over_a_row_source():
     assert len(calls) == 1
 
 
+def test_how_a_class_runs_is_decided_once():
+    """Which row source a class runs over is read off its member methods
+    in one place, ``PlanClass.probes``, and the operator kinds are named in
+    one, ``plans.operator_kind``: outside ``core/optimizer/plans.py`` no
+    ``all(...)`` or ``any(...)`` compares with ``JoinMethod.INDEX``, no row
+    source in ``star_join.py`` defines a ``kind``, and nothing under
+    ``src/repro`` defines or uses the second class-costing entry points or
+    the method-mix properties they replaced."""
+    src = ROOT / "src" / "repro"
+    gone = {
+        "derive_class", "class_cost_given", "is_pure_hash", "is_pure_index",
+        "has_derives",
+    }
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                where != "core/optimizer/plans.py"
+                and isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("all", "any")
+                and any(
+                    isinstance(part, ast.Attribute)
+                    and part.attr == "INDEX"
+                    and getattr(part.value, "id", None) == "JoinMethod"
+                    for compare in ast.walk(node)
+                    if isinstance(compare, ast.Compare)
+                    for part in ast.walk(compare)
+                )
+            ):
+                found.append(f"{where}:{node.lineno} reads the method mix")
+            if isinstance(node, ast.FunctionDef) and (
+                node.name in gone
+                or (node.name == "kind" and where == "core/operators/star_join.py")
+            ):
+                found.append(f"{where}:{node.lineno} defines {node.name}")
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(node, (ast.Attribute, ast.Name)) and name in gone:
+                found.append(f"{where}:{node.lineno} uses {name}")
+    assert not found, found
+
+
 def test_builds_are_stated_once():
     """``build_counts(`` is called only where a class's builds are
     charged (``pipeline.settle_builds``) and estimated (``cost.py``), and

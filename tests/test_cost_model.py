@@ -19,11 +19,12 @@ import repro
 from repro.core.operators.star_join import ScanRows, StarJoin
 from repro.core.operators.pipeline import QueryPipeline
 from repro.core.optimizer import GGOptimizer, GreedyOptimizer
+from repro.core.optimizer.base import build_plan_class
 from repro.core.optimizer import cost as cost_module
 from repro.core.optimizer import terms as terms_module
 from repro.core.optimizer.cost import ClassState, CostModel, left_sum
 from repro.core.optimizer.greedy import GrownClass
-from repro.core.optimizer.plans import DeriveStep, JoinMethod
+from repro.core.optimizer.plans import DeriveStep, JoinMethod, LocalPlan, PlanClass
 from repro.engine.session import query_key
 from repro.index.bitmap import WORD_BITS
 from repro.mdx import translate_mdx
@@ -50,6 +51,12 @@ def db():
 @pytest.fixture(scope="module")
 def model(db):
     return CostModel(db.schema, db.catalog, db.stats.rates)
+
+
+def planned(entry, queries, methods):
+    """``queries`` as one class on ``entry``, planned with ``methods``."""
+    plans = [LocalPlan(q, entry.name, m) for q, m in zip(queries, methods)]
+    return PlanClass(entry.name, plans)
 
 
 def hash_query(levels=(1, 1), preds=()):
@@ -138,38 +145,36 @@ class TestClassCosts:
         standalone_q2 = model.plan_class(entry, [q2]).cost_ms
         assert grown - alone < standalone_q2
 
-    def test_class_cost_given_matches_plan_class_when_methods_agree(
-        self, db, model
-    ):
+    def test_class_cost_matches_plan_class_when_methods_agree(self, db, model):
+        """A class priced as planned costs what its planning costed, bit
+        for bit: a hash class, and a ``dag`` class, whose derived members'
+        pipelines follow the scan's."""
         entry = db.catalog.get("XY")
         queries = [hash_query((1, 1)), hash_query((2, 1))]
         costing = model.plan_class(entry, queries)
-        fixed = model.class_cost_given(entry, queries, costing.methods)
-        assert fixed == pytest.approx(costing.cost_ms)
+        fixed = model.class_cost(planned(entry, queries, costing.methods))
+        assert fixed == costing.cost_ms
+        step = DeriveStep(hash_query((1, 1)), (hash_query((2, 1)), hash_query((1, 2))))
+        dag = build_plan_class(model, entry, queries[:1], [step])
+        assert dag.derives and not dag.probes
+        assert model.class_cost(dag).hex() == dag.est_cost_ms.hex()
 
-    def test_class_cost_given_validates_arity(self, db, model):
-        entry = db.catalog.get("XY")
-        with pytest.raises(ValueError):
-            model.class_cost_given(entry, [hash_query()], [])
-
-    def test_class_cost_given_rejects_impossible_index(self, db, model):
+    def test_class_cost_rejects_impossible_index(self, db, model):
         entry = db.catalog.get("X'Y")  # no indexes
         with pytest.raises(ValueError):
-            model.class_cost_given(
-                entry, [selective_query()], [JoinMethod.INDEX]
-            )
+            model.class_cost(planned(entry, [selective_query()], [JoinMethod.INDEX]))
 
-    def test_class_cost_given_rejects_unanswerable(self):
-        """A class that cannot run has no price: ``class_cost_given`` used
-        to return 183.65 ms for paper Query 6 as a hash plan on A'B'C''D,
-        which ``plan_class`` says cannot answer it."""
+    def test_class_cost_rejects_unanswerable(self):
+        """A class that cannot run has no price: paper Query 6 as a hash
+        plan on A'B'C''D, which ``plan_class`` says cannot answer, raises
+        (a fixed-method costing once priced it at 183.65 ms)."""
         paper = build_paper_database(config=PaperConfig(scale=0.002, seed=1))
         query = paper_queries(paper.schema)[6]
         entry = paper.catalog.get("A'B'C''D")
         fresh = CostModel.for_database(paper)
         assert fresh.plan_class(entry, [query]) is None
         with pytest.raises(ValueError) as raised:
-            fresh.class_cost_given(entry, [query], [JoinMethod.HASH])
+            fresh.class_cost(planned(entry, [query], [JoinMethod.HASH]))
         assert "A'B'C''D" in str(raised.value)
         assert query.display_name() in str(raised.value)
         # Nothing was costed on the way to the error.
@@ -192,7 +197,7 @@ class TestClassCosts:
         ):
             costing = model.plan_class(entry, queries)
             configurations = [
-                model.class_cost_given(entry, queries, list(methods))
+                model.class_cost(planned(entry, queries, methods))
                 for methods in itertools.product(
                     (JoinMethod.HASH, JoinMethod.INDEX), repeat=len(queries)
                 )
@@ -202,8 +207,8 @@ class TestClassCosts:
                 )
             ]
             assert costing.cost_ms == min(configurations)
-            assert costing.cost_ms == model.class_cost_given(
-                entry, queries, costing.methods
+            assert costing.cost_ms == model.class_cost(
+                planned(entry, queries, costing.methods)
             )
 
     def test_empty_class_rejected(self, db, model):
@@ -217,14 +222,10 @@ class TestEstimateVsSimulation:
         simulated execution (same charge units)."""
         from repro.bench.harness import forced_plan
 
-        entry = db.catalog.get("XY")
         queries = [hash_query((1, 1)), hash_query((2, 2))]
-        est = model.class_cost_given(
-            entry, queries, [JoinMethod.HASH, JoinMethod.HASH]
-        )
-        run = db.execute(
-            forced_plan("XY", queries, [JoinMethod.HASH, JoinMethod.HASH])
-        )
+        plan = forced_plan("XY", queries, [JoinMethod.HASH, JoinMethod.HASH])
+        est = model.class_cost(plan.classes[0])
+        run = db.execute(plan)
         assert est == pytest.approx(run.sim_ms, rel=1.0)
 
     def test_two_predicates_on_one_dimension(self, paper_db):
@@ -536,9 +537,9 @@ def full_model(db):
 
 def all_costings(model, entry, queries):
     """Every class-costing entry point on one (entry, query list):
-    ``plan_class``, ``class_cost_given`` under the picked, the all-hash and
-    the all-index methods, and ``derive_class`` through each answerable
-    coarsening of the first query's group-by."""
+    ``plan_class``, ``class_cost`` under the picked, the all-hash and the
+    all-index methods, and ``plan_class`` with one derive step through each
+    answerable coarsening of the first query's group-by."""
     out = [model.plan_class(entry, queries)]
     if out[0] is None:
         return out
@@ -548,7 +549,7 @@ def all_costings(model, entry, queries):
         [JoinMethod.INDEX] * len(queries),
     ):
         try:
-            out.append(model.class_cost_given(entry, queries, methods))
+            out.append(model.class_cost(planned(entry, queries, methods)))
         except ValueError:
             out.append("infeasible")
     intermediate = GroupByQuery(
@@ -561,7 +562,7 @@ def all_costings(model, entry, queries):
         qid=-1,
     )
     step = DeriveStep(intermediate, tuple(queries[1:] or queries))
-    out.append(model.derive_class(entry, queries[:1], [step], 1.5))
+    out.append(model.plan_class(entry, queries[:1], [step], 1.5))
     return out
 
 

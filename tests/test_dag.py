@@ -153,7 +153,7 @@ class TestDagPlanning:
                                                       paper_qs):
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
-        assert any(cls.has_derives for cls in plan.classes)
+        assert any(cls.derives for cls in plan.classes)
         stats = plan.search_stats.dag
         assert stats.materializations
         assert stats.dag.n_unified >= 1
@@ -250,7 +250,7 @@ class TestDagExecution:
         its answers equal the naive reference exactly."""
         batch = [paper_qs[i] for i in (1, 2, 3, 4)]
         plan = paper_db.optimize(batch, "dag")
-        assert any(cls.has_derives for cls in plan.classes)
+        assert any(cls.derives for cls in plan.classes)
         registry = MetricsRegistry()
         previous = set_default_registry(registry)
         try:

@@ -114,14 +114,14 @@ class TestCostModelAccounting:
 
         db = make_tiny_db(n_rows=300)
         db.store_dimension_tables()
-        entry = db.catalog.get("XY")
         model = CostModel(
             db.schema, db.catalog, db.stats.rates,
             dim_tables=db.dimension_tables,
         )
         query = q((1, 1))
-        est = model.class_cost_given(entry, [query], [JoinMethod.HASH])
-        run = db.execute(forced_plan("XY", [query], [JoinMethod.HASH]))
+        plan = forced_plan("XY", [query], [JoinMethod.HASH])
+        est = model.class_cost(plan.classes[0])
+        run = db.execute(plan)
         assert est == pytest.approx(run.sim_ms, rel=0.1)
 
     def test_optimizer_still_correct_with_dim_tables(self):

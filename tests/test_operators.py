@@ -21,8 +21,11 @@ from repro.core.operators.star_join import (
 from repro.core.operators.pipeline import MemberGroup, QueryPipeline
 from repro.core.operators.pipeline import member_groups, settle_builds
 from repro.core.operators.results import OperatorActuals
-from repro.core.optimizer.plans import DeriveStep
+from repro.bench.harness import forced_plan
+from repro.core.explain import explain_plan
+from repro.core.optimizer.plans import DeriveStep, JoinMethod
 from repro.check import evaluate_reference
+from repro.engine.database import Database
 from repro.faults import FaultPlan, InjectedFault, InjectionPoint
 from repro.schema.lattice import build_keys, source_can_answer
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
@@ -37,7 +40,8 @@ from repro.storage.iostats import (
 from repro.mdx.translator import translate_mdx
 from repro.workload.mdx_generator import generate_mdx
 
-from helpers import hash_star_join, make_tiny_db, random_database, random_query
+from helpers import hash_star_join, make_tiny_db, make_tiny_schema
+from helpers import random_database, random_query
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +257,18 @@ class TestSharedIndexJoin:
         shared_pages = db.stats.delta_since(before).rand_page_reads
         assert shared_pages <= separate_pages
 
+    def test_a_probe_feeds_index_members_only(self, db):
+        """A hash member or a derive step needs every row: the probe's
+        fetched rows cannot feed it, so the join refuses to be built."""
+        queries = self.queries()
+        step = DeriveStep(simple_query((1, 1)), (simple_query((2, 1)),))
+        for kwargs in (
+            {"hash_queries": [simple_query((1, 1))]},
+            {"derives": [step]},
+        ):
+            with pytest.raises(ValueError, match="an index probe feeds index members only"):
+                StarJoin(db.ctx(), "XY", ProbeRows, index_queries=queries, **kwargs)
+
 
 class TestSharedHybridJoin:
     def test_results_match_pure_operators(self, db):
@@ -297,6 +313,37 @@ class TestSharedHybridJoin:
     def test_empty_rejected(self, db):
         with pytest.raises(ValueError):
             StarJoin(db.ctx(), "XY", ScanRows, [], [])
+
+    def test_an_empty_table_routes_zero_rows(self):
+        """Each index member's routing counters are there before the first
+        morsel: on an empty table the scan reports 0 tested and 0 routed
+        for each, as the probe does, and EXPLAIN ANALYZE prints its
+        ``routed``."""
+        db = Database(make_tiny_schema(), page_size=64, buffer_pages=256)
+        db.load_base([], name="XY")
+        db.index_all_dimensions("XY")
+        hash_query = simple_query((1, 1))
+        index_queries = [
+            simple_query((1, 2), [DimPredicate(0, 1, frozenset({0}))]),
+            simple_query((2, 1), [DimPredicate(1, 1, frozenset({1}))]),
+        ]
+        zeros = {query.qid: 0 for query in index_queries}
+        for rows, hash_queries in ((ScanRows, [hash_query]), (ProbeRows, [])):
+            op = StarJoin(db.ctx(), "XY", rows, hash_queries, index_queries)
+            op.run()
+            assert op.actuals.tuples_tested == zeros, rows.__name__
+            assert op.actuals.tuples_routed == zeros, rows.__name__
+        plan = forced_plan(
+            "XY", [hash_query, *index_queries],
+            [JoinMethod.HASH, JoinMethod.INDEX, JoinMethod.INDEX],
+        )
+        text = explain_plan(db, plan, db.execute(plan))
+        for query in index_queries:
+            line = next(
+                line for line in text.splitlines()
+                if f"{query.display_name()} [index]" in line
+            )
+            assert ", routed 0" in line
 
 
 class EveryMemberAlone:

@@ -354,19 +354,14 @@ class TestRegistrySweep:
         costings are the plan's classes, in plan order.  (naive and tplo
         have no search phase to end.)"""
         costed = []
-        real_plan, real_derive = CostModel.plan_class, CostModel.derive_class
+        real_plan = CostModel.plan_class
 
-        def plan_class(model, entry, queries):
-            costed.append((entry.name, sorted(q.qid for q in queries)))
-            return real_plan(model, entry, queries)
-
-        def derive_class(model, entry, scan, steps, **kwargs):
-            members = [*scan, *(q for step in steps for q in step.queries)]
+        def plan_class(model, entry, queries, derives=(), **kwargs):
+            members = [*queries, *(q for step in derives for q in step.queries)]
             costed.append((entry.name, sorted(q.qid for q in members)))
-            return real_derive(model, entry, scan, steps, **kwargs)
+            return real_plan(model, entry, queries, derives, **kwargs)
 
         monkeypatch.setattr(CostModel, "plan_class", plan_class)
-        monkeypatch.setattr(CostModel, "derive_class", derive_class)
         for test in ("test1", "test4", "test5", "test6", "test7"):
             database, queries = workloads[test]
             costed.clear()

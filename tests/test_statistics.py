@@ -145,10 +145,10 @@ class TestCostModelIntegration:
             db.schema, db.catalog, db.stats.rates,
             statistics=db.table_statistics,
         )
-        entry = db.catalog.get("XY")
         query = self.make_query(member=0)  # the hot member
-        est = model.class_cost_given(entry, [query], [JoinMethod.HASH])
-        run = db.execute(forced_plan("XY", [query], [JoinMethod.HASH]))
+        plan = forced_plan("XY", [query], [JoinMethod.HASH])
+        est = model.class_cost(plan.classes[0])
+        run = db.execute(plan)
         assert est == pytest.approx(run.sim_ms, rel=0.15)
 
     def test_analyze_subset(self):
